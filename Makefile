@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint fmt race bench bench-seed bench-micro bench-kernel timeline explore check
+.PHONY: all build test vet lint fmt race bench bench-seed bench-micro bench-kernel benchmark-smoke timeline explore check
 
 all: build test
 
@@ -77,4 +77,12 @@ bench-micro:
 bench-kernel:
 	$(GO) test ./internal/sim -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
 
-check: vet lint fmt test race bench
+# benchmark-smoke vets and tests the host-time benchmark (BENCHMARK.json).
+# benchmark/ is its own module compiled against internal/..., so the root
+# `go build ./...` and `go test ./...` never see it: without this target an
+# API rename only surfaces in the benchmark pipeline. ≈ 8 s.
+benchmark-smoke:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+
+check: vet lint fmt test race bench benchmark-smoke

@@ -1,7 +1,11 @@
-// Package cluster wires n FBL protocol processes, their workload, a crash
-// plan, and a runtime together, and checks the cross-process correctness
-// invariants the paper's proofs promise (§4): safety (no orphans),
-// liveness (every recovery completes), and exactly-once delivery.
+// Package cluster is the one harness every recovery family runs under: it
+// wires n protocol processes of the configured Family (FBL, coordinated
+// checkpointing, or optimistic logging — see family.go for the per-family
+// table), their workload, a crash plan, and a runtime together, so the
+// experiments' overhead and recovery columns are comparable by construction.
+// It checks liveness (every recovery completes) for all families and, for
+// FBL, the cross-process invariants the paper's proofs promise (§4): safety
+// (no orphans), exactly-once delivery, and non-intrusion.
 package cluster
 
 import (
@@ -26,6 +30,9 @@ import (
 
 // Config describes a simulated cluster.
 type Config struct {
+	// Family selects the recovery protocol; the zero value is FamilyFBL.
+	// F, Style, and Fanout are FBL knobs the other families ignore.
+	Family Family
 	// N is the number of application processes (2..MaxProcs).
 	N int
 	// F is the failure budget; F >= N selects the f = n instance.
@@ -38,9 +45,11 @@ type Config struct {
 	Style recovery.Style
 	// App builds each process's application.
 	App workload.Factory
-	// CheckpointEvery is the periodic checkpoint interval.
+	// CheckpointEvery is the family's periodic-commit interval: FBL
+	// checkpoint, coordinated snapshot, optimistic log flush.
 	CheckpointEvery time.Duration
-	// StatePad models the process image size (bytes added per checkpoint).
+	// StatePad models the process image size (bytes added per checkpoint,
+	// snapshot, or flush).
 	StatePad int
 	// Trace, if non-nil, receives event trace lines.
 	Trace io.Writer
@@ -97,26 +106,37 @@ type deliverInfo struct {
 	hash uint64
 }
 
+// LostWork is what the failures in a run cost one process beyond its own
+// replay: the rollbacks it was forced through and the deliveries those
+// discarded. Structurally zero under FBL, where only the victim re-executes.
+type LostWork struct {
+	Rollbacks  int
+	Deliveries int64
+}
+
 // Cluster is a running simulation plus its invariant-checking observers.
 type Cluster struct {
 	cfg  Config
+	fam  family
 	K    sim.Runtime
 	outs *output.Ledger
 
 	// mu serializes the protocol hooks: under the sharded scheduler they
-	// fire from per-shard goroutines, and violations/liveAgain span
-	// processes. The per-process timelines are only ever touched by their
-	// own process's hook, but one lock for all hook state is cheap and
-	// removes the reasoning burden.
+	// fire from per-shard goroutines, and violations span processes. The
+	// per-process timelines are only ever touched by their own process's
+	// hook, but one lock for all hook state is cheap and removes the
+	// reasoning burden.
 	mu sync.Mutex
 
-	// Harness-side timelines (survive crashes; truncated on OnLive).
+	// FBL checker state, allocated by the FBL family row only: harness-side
+	// timelines (survive crashes; truncated on OnLive).
 	sends      []map[ids.SSN]sendInfo    // per sender: ssn → send record
 	deliveries []map[ids.RSN]deliverInfo // per receiver: rsn → delivery
 	seen       []map[ids.MsgID]ids.RSN   // per receiver: fast duplicate check
 	violations []string
-	crashes    int
-	liveAgain  int
+
+	lost    []LostWork // per process; allocated by the rollback families only
+	crashes int        // crashes scheduled so far (Settled waits for them)
 }
 
 // New builds and boots a cluster.
@@ -130,17 +150,14 @@ func New(cfg Config) *Cluster {
 	if cfg.HW == (node.Hardware{}) {
 		cfg.HW = node.Profile1995()
 	}
-	c := &Cluster{
-		cfg:        cfg,
-		sends:      make([]map[ids.SSN]sendInfo, cfg.N),
-		deliveries: make([]map[ids.RSN]deliverInfo, cfg.N),
-		seen:       make([]map[ids.MsgID]ids.RSN, cfg.N),
+	if cfg.Family == "" {
+		cfg.Family = FamilyFBL
 	}
-	for i := 0; i < cfg.N; i++ {
-		c.sends[i] = make(map[ids.SSN]sendInfo)
-		c.deliveries[i] = make(map[ids.RSN]deliverInfo)
-		c.seen[i] = make(map[ids.MsgID]ids.RSN)
+	fam, ok := families[cfg.Family]
+	if !ok {
+		panic(fmt.Sprintf("cluster: unknown family %q", cfg.Family))
 	}
+	c := &Cluster{cfg: cfg, fam: fam}
 
 	simCfg := sim.Config{Seed: cfg.Seed, HW: cfg.HW, Trace: cfg.Trace, Tracer: cfg.Tracer}
 	if cfg.Shards > 0 {
@@ -156,35 +173,37 @@ func New(cfg Config) *Cluster {
 		c.K = sim.New(simCfg)
 	}
 	c.outs = output.NewLedger(cfg.N)
-	par := fbl.Params{
-		N:               cfg.N,
-		F:               cfg.F,
-		Fanout:          cfg.Fanout,
-		App:             workload.Seeded(cfg.App, cfg.Seed),
-		Style:           cfg.Style,
-		CheckpointEvery: cfg.CheckpointEvery,
-		StatePad:        cfg.StatePad,
-		HeartbeatEvery:  cfg.HW.HeartbeatEvery,
-		SuspectAfter:    cfg.HW.SuspectAfter,
-		Hooks: fbl.Hooks{
-			OnSend:    c.onSend,
-			OnDeliver: c.onDeliver,
-			OnLive:    c.onLive,
-		},
-	}
+	var outs output.Sink
 	if cfg.TrackOutputs {
 		c.outs.SetTracer(trace.OrNop(cfg.Tracer))
 		c.outs.SetMetrics(c.K.Metrics)
-		par.Outputs = c.outs
+		outs = c.outs
 	}
+	factory := c.fam.factory(c, workload.Seeded(cfg.App, cfg.Seed), outs)
 	for i := 0; i < cfg.N; i++ {
-		c.K.AddNode(ids.ProcID(i), fbl.New(par))
+		c.K.AddNode(ids.ProcID(i), factory)
 	}
-	if cfg.F >= cfg.N {
+	if cfg.Family == FamilyFBL && cfg.F >= cfg.N {
 		c.K.AddNode(ids.StorageProc, fbl.NewStorageNode(cfg.N, cfg.F))
 	}
 	c.K.Boot()
 	return c
+}
+
+// noteLost is the lost-work counter the rollback families' hooks feed.
+func (c *Cluster) noteLost(p ids.ProcID, deliveries int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lost[p].Rollbacks++
+	c.lost[p].Deliveries += deliveries
+}
+
+// LostWork returns process p's lost-work counter.
+func (c *Cluster) LostWork(p ids.ProcID) LostWork {
+	if c.lost == nil {
+		return LostWork{}
+	}
+	return c.lost[p]
 }
 
 // onSend maintains the sender's current-timeline send history: a send at
@@ -240,7 +259,6 @@ func (c *Cluster) onDeliver(self ids.ProcID, id ids.MsgID, from ids.ProcID, rsn 
 func (c *Cluster) onLive(self ids.ProcID, inc ids.Incarnation, ssn ids.SSN, rsn ids.RSN) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.liveAgain++
 	for s := range c.sends[self] {
 		if s > ssn {
 			delete(c.sends[self], s)
@@ -281,13 +299,14 @@ func (c *Cluster) AttachTimeline(col *timeline.Collector) {
 				g.Backlog = c.outs.OpenOf(id)
 				g.OldestOpen = c.outs.OldestOpenOf(id)
 			}
-			p := c.Proc(id)
+			p := c.hosted(id)
 			if p == nil {
 				return g
 			}
-			g.Phase = fblPhase(p)
-			g.Journal = p.DetLogLen()
-			g.Lag = p.DetPending()
+			g.Phase = c.fam.phase(p)
+			if c.fam.logSizes != nil {
+				g.Journal, g.Lag = c.fam.logSizes(p)
+			}
 			if a, ok := p.App().(interface{ InflightReqs() int }); ok {
 				g.Inflight = a.InflightReqs()
 			}
@@ -301,24 +320,6 @@ func (c *Cluster) AttachTimeline(col *timeline.Collector) {
 		},
 	})
 	c.K.SetSampler(col.Interval(), col.Tick)
-}
-
-// fblPhase maps an FBL process's lifecycle mode onto the timeline phase
-// alphabet, splitting ModeLive into live vs blocked (the paper's intrusion).
-func fblPhase(p *fbl.Process) timeline.Phase {
-	switch p.Mode() {
-	case fbl.ModeRestoring:
-		return timeline.PhaseRestoring
-	case fbl.ModeRecovering:
-		return timeline.PhaseRecovering
-	case fbl.ModeReplaying:
-		return timeline.PhaseReplaying
-	default:
-		if p.Blocked() {
-			return timeline.PhaseBlocked
-		}
-		return timeline.PhaseLive
-	}
 }
 
 // Run advances virtual time to the given instant since start.
@@ -371,27 +372,14 @@ func (c *Cluster) Kernel() *sim.Kernel {
 	return k
 }
 
-// LiveAgain returns how many completed recoveries the cluster observed —
-// the counter Check's liveness clause compares against effective crash
-// injections.
-func (c *Cluster) LiveAgain() int { return c.liveAgain }
-
-// Inject offers an open-loop arrival to process p's application (see
-// fbl.Process.Inject). It reports whether the arrival was admitted; a
-// down, blocked, or recovering process sheds. Injections are only
-// replay-sound on processes that never crash — keep injected processes
-// out of the crash plan (the orphan check catches violations).
+// Inject offers an open-loop arrival to process p's application and
+// reports whether it was admitted; a down, blocked, recovering, or
+// rolling-back process sheds. Under FBL, injections are only replay-sound on
+// processes that never crash (see fbl.Process.Inject) — keep injected
+// processes out of the crash plan (the orphan check catches violations).
 func (c *Cluster) Inject(p ids.ProcID, payload []byte) bool {
-	pr := c.Proc(p)
+	pr := c.hosted(p)
 	return pr != nil && pr.Inject(payload)
-}
-
-// Proc returns the protocol instance at p, or nil while p is down.
-func (c *Cluster) Proc(p ids.ProcID) *fbl.Process {
-	if pr, ok := c.K.ProcOf(p).(*fbl.Process); ok {
-		return pr
-	}
-	return nil
 }
 
 // Metrics returns process p's accumulator.
@@ -402,7 +390,7 @@ func (c *Cluster) Outputs() *output.Ledger { return c.outs }
 
 // App returns the application hosted at p (nil while down).
 func (c *Cluster) App(p ids.ProcID) workload.App {
-	if pr := c.Proc(p); pr != nil {
+	if pr := c.hosted(p); pr != nil {
 		return pr.App()
 	}
 	return nil
@@ -421,9 +409,9 @@ func (c *Cluster) AllDone() bool {
 }
 
 // Settled reports whether the workload finished AND every scheduled crash
-// has completed its recovery.
+// has been applied and completed its recovery.
 func (c *Cluster) Settled() bool {
-	return c.AllDone() && c.liveAgain >= c.crashes
+	return c.AllDone() && c.K.CrashesApplied() >= c.crashes && len(c.liveness()) == 0
 }
 
 // RunUntilDone advances time in steps until the cluster is settled (see
@@ -438,6 +426,30 @@ func (c *Cluster) RunUntilDone(step, horizon time.Duration) bool {
 	return c.Settled()
 }
 
+// liveness is the per-process liveness clause (§4.2/§4.4), the same for
+// every family: each process is up, in its family's live phase, and — if it
+// ever crashed — its latest recovery trace is complete. Being per-process,
+// it is indifferent to how many crashes it took to get there: explorer-
+// synthesized schedules may re-crash a process that is still down (a kernel
+// no-op) or one that is mid-recovery (one recovery then answers for both).
+func (c *Cluster) liveness() []error {
+	var errs []error
+	for i := 0; i < c.cfg.N; i++ {
+		id := ids.ProcID(i)
+		p := c.hosted(id)
+		if p == nil {
+			errs = append(errs, fmt.Errorf("liveness: %v still down", id))
+			continue
+		}
+		if ph := c.fam.phase(p); ph != timeline.PhaseLive && ph != timeline.PhaseBlocked {
+			errs = append(errs, fmt.Errorf("liveness: %v stuck in phase %v", id, ph))
+		} else if tr := c.Metrics(id).CurrentRecovery(); tr != nil && tr.ReplayedAt == 0 {
+			errs = append(errs, fmt.Errorf("liveness: %v is up but its recovery never completed", id))
+		}
+	}
+	return errs
+}
+
 // Check verifies the end-state invariants and returns every violation
 // found (nil means the run was consistent).
 func (c *Cluster) Check() []error {
@@ -445,24 +457,11 @@ func (c *Cluster) Check() []error {
 	for _, v := range c.violations {
 		errs = append(errs, fmt.Errorf("%s", v))
 	}
-
-	// Liveness (§4.2/§4.4): every crashed process must be live again. The
-	// count compares against *effective* injections (sim.CrashesApplied),
-	// not the plan length: explorer-synthesized schedules may re-crash a
-	// process that is still down, which the kernel treats as a no-op.
-	if applied := c.K.CrashesApplied(); c.liveAgain < applied {
-		errs = append(errs, fmt.Errorf("liveness: %d crashes applied but only %d recoveries completed",
-			applied, c.liveAgain))
-	}
-	for i := 0; i < c.cfg.N; i++ {
-		p := c.Proc(ids.ProcID(i))
-		if p == nil {
-			errs = append(errs, fmt.Errorf("liveness: %v still down", ids.ProcID(i)))
-			continue
-		}
-		if p.Mode() != fbl.ModeLive {
-			errs = append(errs, fmt.Errorf("liveness: %v stuck in mode %v", ids.ProcID(i), p.Mode()))
-		}
+	errs = append(errs, c.liveness()...)
+	if c.cfg.Family != FamilyFBL {
+		// Orphans and live-process stalls are what the rollback families
+		// trade away; LostWork and the blocked-time metrics report them.
+		return errs
 	}
 
 	// Safety (§4.3): every delivery on a surviving timeline must match a

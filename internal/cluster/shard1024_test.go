@@ -46,7 +46,7 @@ func TestSharded1024CrashRestart(t *testing.T) {
 		}
 		t.Fatalf("n=1024 sharded run inconsistent (%d violations)", len(errs))
 	}
-	if c.liveAgain < 1 {
+	if tr := c.Metrics(100).CurrentRecovery(); tr == nil || tr.ReplayedAt == 0 {
 		t.Fatal("crashed process never completed recovery")
 	}
 	p := c.Proc(ids.ProcID(100))

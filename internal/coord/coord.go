@@ -28,14 +28,12 @@ type Params struct {
 	// Outputs receives the output-commit lifecycle (nil disables tracking;
 	// Ctx.Output is then a no-op).
 	Outputs output.Sink
-	// Hooks observe deliveries for the test harness.
+	// Hooks observe rollbacks for the harness.
 	Hooks Hooks
 }
 
 // Hooks are optional observation callbacks.
 type Hooks struct {
-	// OnDeliver fires for every application delivery.
-	OnDeliver func(self ids.ProcID, from ids.ProcID, epoch uint32, dseq uint64)
 	// OnRollback fires when a process completes a rollback; lost is the
 	// number of deliveries discarded with the abandoned execution.
 	OnRollback func(self ids.ProcID, epoch uint32, lost int64)
@@ -445,9 +443,6 @@ func (p *Process) consume(e *wire.Envelope) {
 	p.delivered++
 	p.sinceSnap++
 	p.env.Metrics().Delivered++
-	if p.par.Hooks.OnDeliver != nil {
-		p.par.Hooks.OnDeliver(p.env.ID(), e.From, p.epoch, e.Dseq)
-	}
 	p.app.Handle(appCtx{p}, e.From, e.Payload)
 }
 

@@ -6,16 +6,11 @@ import (
 	"sort"
 	"time"
 
-	"rollrec/internal/coord"
 	"rollrec/internal/failure"
-	"rollrec/internal/ids"
 	"rollrec/internal/metrics"
 	"rollrec/internal/node"
-	"rollrec/internal/optimistic"
 	"rollrec/internal/output"
 	"rollrec/internal/recovery"
-	"rollrec/internal/sim"
-	"rollrec/internal/timeline"
 	"rollrec/internal/workload"
 )
 
@@ -49,12 +44,12 @@ func D11(ctx context.Context, seed int64) Table {
 		name string
 		hw   node.Hardware
 	}{{"1995", node.Profile1995()}, {"modern", node.ProfileModern()}} {
-		for _, row := range d11Rows(ctx, seed, prof.hw, 0, ffHorizon, true) {
-			r := row.run()
+		for _, row := range styleRows(true) {
+			r := MustRun(ctx, d11Spec(seed, prof.hw, row, 0, ffHorizon))
 			if ctx.Err() != nil {
 				return t
 			}
-			st := d11StatsOf(r.led)
+			st := d11StatsOf(r.C.Outputs())
 			t.AddRow(prof.name, row.style, "none", st.total, st.committed,
 				st.mean, st.p50, st.p99)
 		}
@@ -64,12 +59,12 @@ func D11(ctx context.Context, seed int64) Table {
 	// keeps each straddling output's original request time, so its latency
 	// spans the whole outage — released only once recovery completes.
 	const crashAt = 10 * time.Second
-	for _, row := range d11Rows(ctx, seed, node.Profile1995(), crashAt, 25*time.Second, false) {
-		r := row.run()
+	for _, row := range styleRows(false) {
+		r := MustRun(ctx, d11Spec(seed, node.Profile1995(), row, crashAt, 25*time.Second))
 		if ctx.Err() != nil {
 			return t
 		}
-		st := d11StatsOf(r.led)
+		st := d11StatsOf(r.C.Outputs())
 		t.AddRow("1995", row.style, "server@10s", st.total, st.committed,
 			st.mean, st.p50, st.p99)
 		t.Notes = append(t.Notes, d11StraddleNote(row.style, r, crashAt))
@@ -77,26 +72,19 @@ func D11(ctx context.Context, seed int64) Table {
 	return t
 }
 
-type d11Row struct {
-	style string
-	run   func() d11Run
-}
-
-// d11Rows enumerates the style configurations of one table block. The f=1
-// FBL row only earns its place in the failure-free block (it isolates the
-// no-holder-feedback case); the failure block keeps to one run per style.
-func d11Rows(ctx context.Context, seed int64, hw node.Hardware, crashAt, horizon time.Duration, withF1 bool) []d11Row {
-	rows := []d11Row{
-		{"fbl f=2 nonblocking", func() d11Run { return d11FBL(ctx, seed, hw, 2, crashAt, horizon, nil) }},
+// d11Spec is one D11 cell: the client–server workload under row's style,
+// with the server crashing at crashAt (0 = failure-free).
+func d11Spec(seed int64, hw node.Hardware, row styleRow, crashAt, horizon time.Duration) Spec {
+	spec := PaperSpec(recovery.NonBlocking, seed)
+	spec.HW = hw
+	spec.F = row.f
+	spec.App = d11App()
+	spec.Horizon = horizon
+	spec.TrackOutputs = true
+	if crashAt > 0 {
+		spec.Crashes = failure.Plan{{At: crashAt, Proc: 0}}
 	}
-	if withF1 {
-		rows = append(rows, d11Row{
-			"fbl f=1 nonblocking", func() d11Run { return d11FBL(ctx, seed, hw, 1, crashAt, horizon, nil) }})
-	}
-	return append(rows,
-		d11Row{"coordinated", func() d11Run { return d11Coord(ctx, seed, hw, crashAt, horizon, nil) }},
-		d11Row{"optimistic", func() d11Run { return d11Optimistic(ctx, seed, hw, crashAt, horizon, nil) }},
-	)
+	return comparator(spec, row.family)
 }
 
 // d11App is the shared workload: every client pipelines requests at the
@@ -104,13 +92,6 @@ func d11Rows(ctx context.Context, seed int64, hw node.Hardware, crashAt, horizon
 // replies are the externally-visible outputs.
 func d11App() workload.Factory {
 	return workload.NewClientServer(1<<20, 256, int64(time.Millisecond))
-}
-
-type d11Run struct {
-	led *output.Ledger
-	// recoveryEnd is the virtual instant the victim finished recovering
-	// (0 without a crash).
-	recoveryEnd time.Duration
 }
 
 type d11Stats struct {
@@ -137,10 +118,11 @@ func d11StatsOf(l *output.Ledger) d11Stats {
 	return st
 }
 
-func d11StraddleNote(style string, r d11Run, crashAt time.Duration) string {
-	str := r.led.Straddling(int64(crashAt))
-	released := 0
-	var first time.Duration
+// straddlers counts the outputs requested before the crash and not yet
+// committed at it, how many of those have been released since, and the
+// first such release.
+func straddlers(l *output.Ledger, crashAt time.Duration) (n, released int, first time.Duration) {
+	str := l.Straddling(int64(crashAt))
 	for _, rec := range str {
 		if !rec.Committed() {
 			continue
@@ -150,128 +132,11 @@ func d11StraddleNote(style string, r d11Run, crashAt time.Duration) string {
 			first = c
 		}
 	}
+	return len(str), released, first
+}
+
+func d11StraddleNote(style string, r *Result, crashAt time.Duration) string {
+	n, released, first := straddlers(r.C.Outputs(), crashAt)
 	return fmt.Sprintf("%s crash: %d outputs straddled it (%d released after); first release t=%s, recovery end t=%s",
-		style, len(str), released, metrics.FmtDuration(first), metrics.FmtDuration(r.recoveryEnd))
-}
-
-// d11FBL runs the paper's protocol through the full cluster harness (the
-// ledger is wired by internal/cluster) and reads the run's ledger back.
-// col, if non-nil, samples the run (see D11Timelines).
-func d11FBL(ctx context.Context, seed int64, hw node.Hardware, f int, crashAt, horizon time.Duration, col *timeline.Collector) d11Run {
-	spec := PaperSpec(recovery.NonBlocking, seed)
-	spec.HW = hw
-	spec.F = f
-	spec.App = d11App()
-	spec.Horizon = horizon
-	spec.TrackOutputs = true
-	spec.Timeline = col
-	if crashAt > 0 {
-		spec.Crashes = failure.Plan{{At: crashAt, Proc: 0}}
-	}
-	r := MustRun(ctx, spec)
-	out := d11Run{led: r.C.Outputs()}
-	if crashAt > 0 {
-		if tr := r.Victim(0); tr != nil && tr.ReplayedAt != 0 {
-			out.recoveryEnd = time.Duration(tr.ReplayedAt)
-		}
-	}
-	return out
-}
-
-// d11Coord mirrors D9's coordinated scenario with the ledger attached.
-// col, if non-nil, samples the run (see D11Timelines).
-func d11Coord(ctx context.Context, seed int64, hw node.Hardware, crashAt, horizon time.Duration, col *timeline.Collector) d11Run {
-	const n = 8
-	led := output.NewLedger(n)
-	k := sim.New(sim.Config{Seed: seed, HW: hw})
-	led.SetMetrics(k.Metrics)
-	par := coord.Params{
-		N:             n,
-		App:           workload.Seeded(d11App(), seed),
-		SnapshotEvery: 4 * time.Second, // parity with PaperSpec's CPEvery
-		StatePad:      1 << 20,
-		Outputs:       led,
-	}
-	for i := 0; i < n; i++ {
-		k.AddNode(ids.ProcID(i), coord.New(par))
-	}
-	k.Boot()
-	if col != nil {
-		attachKernelTimeline(col, k, led, n, func(i int) timeline.Phase {
-			p, ok := k.ProcOf(ids.ProcID(i)).(*coord.Process)
-			switch {
-			case !ok || p == nil:
-				return timeline.PhaseDown
-			case p.Recovering():
-				return timeline.PhaseRecovering
-			default:
-				return timeline.PhaseLive
-			}
-		}, nil, nil)
-	}
-	if crashAt > 0 {
-		k.CrashAt(crashAt, 0)
-	}
-	if _, err := k.RunContext(ctx, horizon); err != nil {
-		return d11Run{led: led}
-	}
-	out := d11Run{led: led}
-	if crashAt > 0 {
-		if tr := k.Metrics(0).CurrentRecovery(); tr != nil && tr.ReplayedAt != 0 {
-			out.recoveryEnd = time.Duration(tr.ReplayedAt)
-		}
-	}
-	return out
-}
-
-// d11Optimistic mirrors D10's optimistic scenario with the ledger attached.
-// col, if non-nil, samples the run (see D11Timelines).
-func d11Optimistic(ctx context.Context, seed int64, hw node.Hardware, crashAt, horizon time.Duration, col *timeline.Collector) d11Run {
-	const n = 8
-	led := output.NewLedger(n)
-	k := sim.New(sim.Config{Seed: seed, HW: hw})
-	led.SetMetrics(k.Metrics)
-	par := optimistic.Params{
-		N:          n,
-		App:        workload.Seeded(d11App(), seed),
-		FlushEvery: 500 * time.Millisecond,
-		StatePad:   4 << 10,
-		Outputs:    led,
-	}
-	for i := 0; i < n; i++ {
-		k.AddNode(ids.ProcID(i), optimistic.New(par))
-	}
-	k.Boot()
-	if col != nil {
-		attachKernelTimeline(col, k, led, n, func(i int) timeline.Phase {
-			p, ok := k.ProcOf(ids.ProcID(i)).(*optimistic.Process)
-			switch {
-			case !ok || p == nil:
-				return timeline.PhaseDown
-			case p.Rolling():
-				return timeline.PhaseRecovering
-			default:
-				return timeline.PhaseLive
-			}
-		}, func(i int) (journal, lag int) {
-			if p, ok := k.ProcOf(ids.ProcID(i)).(*optimistic.Process); ok && p != nil {
-				total, durable := p.LogSizes()
-				return total, total - durable
-			}
-			return 0, 0
-		}, nil)
-	}
-	if crashAt > 0 {
-		k.CrashAt(crashAt, 0)
-	}
-	if _, err := k.RunContext(ctx, horizon); err != nil {
-		return d11Run{led: led}
-	}
-	out := d11Run{led: led}
-	if crashAt > 0 {
-		if tr := k.Metrics(0).CurrentRecovery(); tr != nil && tr.ReplayedAt != 0 {
-			out.recoveryEnd = time.Duration(tr.ReplayedAt)
-		}
-	}
-	return out
+		style, n, released, metrics.FmtDuration(first), metrics.FmtDuration(r.recoveryEnd(0)))
 }

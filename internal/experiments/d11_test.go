@@ -15,8 +15,9 @@ import (
 func TestD11Deterministic(t *testing.T) {
 	render := func() string {
 		var out string
-		for _, row := range d11Rows(context.Background(), 1, node.Profile1995(), 0, 6*time.Second, false) {
-			st := d11StatsOf(row.run().led)
+		for _, row := range styleRows(false) {
+			r := MustRun(context.Background(), d11Spec(1, node.Profile1995(), row, 0, 6*time.Second))
+			st := d11StatsOf(r.C.Outputs())
 			if st.committed == 0 {
 				t.Errorf("%s: no outputs committed", row.style)
 			}
@@ -36,11 +37,13 @@ func TestD11Deterministic(t *testing.T) {
 // commit once its recovery completes — never during the outage.
 func TestD11StraddlersReleaseAfterRecovery(t *testing.T) {
 	const crashAt = 3 * time.Second
-	r := d11FBL(context.Background(), 1, node.Profile1995(), 2, crashAt, 12*time.Second, nil)
-	if r.recoveryEnd <= crashAt {
-		t.Fatalf("victim never recovered (recovery end %v)", r.recoveryEnd)
+	r := MustRun(context.Background(),
+		d11Spec(1, node.Profile1995(), styleRows(false)[0], crashAt, 12*time.Second))
+	recoveryEnd := r.recoveryEnd(0)
+	if recoveryEnd <= crashAt {
+		t.Fatalf("victim never recovered (recovery end %v)", recoveryEnd)
 	}
-	str := r.led.Straddling(int64(crashAt))
+	str := r.C.Outputs().Straddling(int64(crashAt))
 	if len(str) == 0 {
 		t.Fatal("no outputs straddled the crash; the scenario lost its point")
 	}
@@ -50,9 +53,9 @@ func TestD11StraddlersReleaseAfterRecovery(t *testing.T) {
 			continue
 		}
 		released++
-		if got := time.Duration(rec.CommittedAt); got < r.recoveryEnd {
+		if got := time.Duration(rec.CommittedAt); got < recoveryEnd {
 			t.Errorf("output %d/%d committed at %v, before recovery ended at %v",
-				rec.Proc, rec.Seq, got, r.recoveryEnd)
+				rec.Proc, rec.Seq, got, recoveryEnd)
 		}
 	}
 	if released == 0 {

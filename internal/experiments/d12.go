@@ -5,15 +5,10 @@ import (
 	"fmt"
 	"time"
 
-	"rollrec/internal/coord"
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
 	"rollrec/internal/metrics"
-	"rollrec/internal/node"
-	"rollrec/internal/optimistic"
-	"rollrec/internal/output"
 	"rollrec/internal/recovery"
-	"rollrec/internal/sim"
 	"rollrec/internal/timeline"
 	"rollrec/internal/traffic"
 	"rollrec/internal/workload"
@@ -49,8 +44,8 @@ func D12(ctx context.Context, seed int64) Table {
 	for _, load := range []int{100, 250} {
 		tr := base
 		tr.Load = load
-		for _, row := range d12Rows(ctx, seed, tr, 0, ffHorizon) {
-			r := row.run()
+		for _, row := range styleRows(false) {
+			r := MustRun(ctx, d12Spec(seed, row, tr, 0, ffHorizon))
 			if ctx.Err() != nil {
 				return t
 			}
@@ -63,8 +58,8 @@ func D12(ctx context.Context, seed int64) Table {
 	// in mean load.
 	pareto := base
 	pareto.Arrival = workload.ArrivalPareto
-	for _, row := range d12Rows(ctx, seed, pareto, 0, ffHorizon) {
-		r := row.run()
+	for _, row := range styleRows(false) {
+		r := MustRun(ctx, d12Spec(seed, row, pareto, 0, ffHorizon))
 		if ctx.Err() != nil {
 			return t
 		}
@@ -75,8 +70,8 @@ func D12(ctx context.Context, seed int64) Table {
 	// whose shards straddle the crash release only after recovery ends.
 	const crashAt = 10 * time.Second
 	crash := base
-	for _, row := range d12Rows(ctx, seed, crash, crashAt, 25*time.Second) {
-		r := row.run()
+	for _, row := range styleRows(false) {
+		r := MustRun(ctx, d12Spec(seed, row, crash, crashAt, 25*time.Second))
 		if ctx.Err() != nil {
 			return t
 		}
@@ -108,208 +103,40 @@ func d12Base() workload.Traffic {
 }
 
 // d12Victim is the crash target: the last backend. Clients are excluded on
-// FBL soundness grounds (see fbl.Process.Inject); a backend victim keeps
-// the three styles' failure variants comparable.
+// FBL soundness grounds (see fbl.Process.Inject) — optimistic logging
+// records arrivals as self-entries and could crash anywhere — and a backend
+// victim keeps the three styles' failure variants comparable.
 func d12Victim(tr workload.Traffic) ids.ProcID { return ids.ProcID(tr.N() - 1) }
 
-type d12Row struct {
-	style string
-	run   func() d12Run
-}
-
-// d12Rows enumerates one table block: the paper's FBL against the two
-// alternative styles, all hosting the same traffic spec and seed.
-func d12Rows(ctx context.Context, seed int64, tr workload.Traffic, crashAt, horizon time.Duration) []d12Row {
-	hw := node.Profile1995()
-	return []d12Row{
-		{"fbl f=2 nonblocking", func() d12Run { return d12FBL(ctx, seed, hw, tr, crashAt, horizon, nil) }},
-		{"coordinated", func() d12Run { return d12Coord(ctx, seed, hw, tr, crashAt, horizon, nil) }},
-		{"optimistic", func() d12Run { return d12Optimistic(ctx, seed, hw, tr, crashAt, horizon, nil) }},
-	}
-}
-
-type d12Run struct {
-	led *output.Ledger
-	eng *traffic.Engine
-	// recoveryEnd is the virtual instant the victim finished recovering
-	// (0 without a crash).
-	recoveryEnd time.Duration
-}
-
-func d12AddRow(t *Table, tr workload.Traffic, style, crash string, r d12Run) {
-	st := traffic.StatsPerTier(r.led, tr)
-	cl := st[workload.TierClient]
-	t.AddRow(tr.Load, tr.Arrival, style, crash, r.eng.Offered(), r.eng.Shed(),
-		cl.Committed, cl.P50, cl.P99, cl.P999)
-}
-
-func d12StraddleNote(style string, r d12Run, crashAt time.Duration) string {
-	str := r.led.Straddling(int64(crashAt))
-	released := 0
-	var first time.Duration
-	for _, rec := range str {
-		if !rec.Committed() {
-			continue
-		}
-		released++
-		if c := time.Duration(rec.CommittedAt); first == 0 || c < first {
-			first = c
-		}
-	}
-	return fmt.Sprintf("%s crash: %d outputs straddled it (%d released after), %d arrivals shed; first release t=%s, recovery end t=%s",
-		style, len(str), released, r.eng.Shed(), metrics.FmtDuration(first), metrics.FmtDuration(r.recoveryEnd))
-}
-
-// d12FBL hosts the traffic spec on the full cluster harness: Spec.Traffic
-// installs the app and Run attaches the engine. col, if non-nil, samples
-// the run (see D12Timelines).
-func d12FBL(ctx context.Context, seed int64, hw node.Hardware, tr workload.Traffic,
-	crashAt, horizon time.Duration, col *timeline.Collector) d12Run {
+// d12Spec is one D12 cell: the traffic spec hosted under row's style on
+// era hardware (Spec.Traffic installs the app, Run attaches the engine),
+// with the victim backend crashing at crashAt (0 = failure-free).
+func d12Spec(seed int64, row styleRow, tr workload.Traffic, crashAt, horizon time.Duration) Spec {
 	spec := PaperSpec(recovery.NonBlocking, seed)
 	spec.N = tr.N()
-	spec.HW = hw
+	spec.F = row.f
 	spec.App = nil
 	spec.Traffic = &tr
 	spec.Horizon = horizon
 	spec.TrackOutputs = true
-	spec.Timeline = col
 	if crashAt > 0 {
 		spec.Crashes = failure.Plan{{At: crashAt, Proc: d12Victim(tr)}}
 	}
-	r := MustRun(ctx, spec)
-	out := d12Run{led: r.C.Outputs(), eng: r.Traffic}
-	if crashAt > 0 {
-		if rec := r.Victim(d12Victim(tr)); rec != nil && rec.ReplayedAt != 0 {
-			out.recoveryEnd = time.Duration(rec.ReplayedAt)
-		}
-	}
-	return out
+	return comparator(spec, row.family)
 }
 
-// d12Coord hosts the traffic spec on a raw coordinated-checkpointing
-// kernel, injecting arrivals through coord.Process.Inject.
-func d12Coord(ctx context.Context, seed int64, hw node.Hardware, tr workload.Traffic,
-	crashAt, horizon time.Duration, col *timeline.Collector) d12Run {
-	n := tr.N()
-	led := output.NewLedger(n)
-	k := sim.New(sim.Config{Seed: seed, HW: hw})
-	led.SetMetrics(k.Metrics)
-	par := coord.Params{
-		N:             n,
-		App:           workload.Seeded(traffic.NewApp(tr), seed),
-		SnapshotEvery: 4 * time.Second,
-		StatePad:      1 << 20,
-		Outputs:       led,
-	}
-	for i := 0; i < n; i++ {
-		k.AddNode(ids.ProcID(i), coord.New(par))
-	}
-	k.Boot()
-	if col != nil {
-		attachKernelTimeline(col, k, led, n, func(i int) timeline.Phase {
-			p, ok := k.ProcOf(ids.ProcID(i)).(*coord.Process)
-			switch {
-			case !ok || p == nil:
-				return timeline.PhaseDown
-			case p.Recovering():
-				return timeline.PhaseRecovering
-			default:
-				return timeline.PhaseLive
-			}
-		}, nil, func(i int) int {
-			if p, ok := k.ProcOf(ids.ProcID(i)).(*coord.Process); ok && p != nil {
-				if a, ok := p.App().(interface{ InflightReqs() int }); ok {
-					return a.InflightReqs()
-				}
-			}
-			return 0
-		})
-	}
-	eng := traffic.NewEngine(tr, seed)
-	eng.Attach(traffic.Host{At: k.At, Inject: func(p ids.ProcID, payload []byte) bool {
-		pr, ok := k.ProcOf(p).(*coord.Process)
-		return ok && pr != nil && pr.Inject(payload)
-	}}, horizon)
-	if crashAt > 0 {
-		k.CrashAt(crashAt, d12Victim(tr))
-	}
-	if _, err := k.RunContext(ctx, horizon); err != nil {
-		return d12Run{led: led, eng: eng}
-	}
-	out := d12Run{led: led, eng: eng}
-	if crashAt > 0 {
-		if rec := k.Metrics(d12Victim(tr)).CurrentRecovery(); rec != nil && rec.ReplayedAt != 0 {
-			out.recoveryEnd = time.Duration(rec.ReplayedAt)
-		}
-	}
-	return out
+func d12AddRow(t *Table, tr workload.Traffic, style, crash string, r *Result) {
+	st := traffic.StatsPerTier(r.C.Outputs(), tr)
+	cl := st[workload.TierClient]
+	t.AddRow(tr.Load, tr.Arrival, style, crash, r.Traffic.Offered(), r.Traffic.Shed(),
+		cl.Committed, cl.P50, cl.P99, cl.P999)
 }
 
-// d12Optimistic hosts the traffic spec on a raw optimistic-logging kernel;
-// arrivals are logged as self-entries (optimistic.Process.Inject), so any
-// process — including clients — could crash here, but the victim stays a
-// backend for cross-style comparability.
-func d12Optimistic(ctx context.Context, seed int64, hw node.Hardware, tr workload.Traffic,
-	crashAt, horizon time.Duration, col *timeline.Collector) d12Run {
-	n := tr.N()
-	led := output.NewLedger(n)
-	k := sim.New(sim.Config{Seed: seed, HW: hw})
-	led.SetMetrics(k.Metrics)
-	par := optimistic.Params{
-		N:          n,
-		App:        workload.Seeded(traffic.NewApp(tr), seed),
-		FlushEvery: 500 * time.Millisecond,
-		StatePad:   4 << 10,
-		Outputs:    led,
-	}
-	for i := 0; i < n; i++ {
-		k.AddNode(ids.ProcID(i), optimistic.New(par))
-	}
-	k.Boot()
-	if col != nil {
-		attachKernelTimeline(col, k, led, n, func(i int) timeline.Phase {
-			p, ok := k.ProcOf(ids.ProcID(i)).(*optimistic.Process)
-			switch {
-			case !ok || p == nil:
-				return timeline.PhaseDown
-			case p.Rolling():
-				return timeline.PhaseRecovering
-			default:
-				return timeline.PhaseLive
-			}
-		}, func(i int) (journal, lag int) {
-			if p, ok := k.ProcOf(ids.ProcID(i)).(*optimistic.Process); ok && p != nil {
-				total, durable := p.LogSizes()
-				return total, total - durable
-			}
-			return 0, 0
-		}, func(i int) int {
-			if p, ok := k.ProcOf(ids.ProcID(i)).(*optimistic.Process); ok && p != nil {
-				if a, ok := p.App().(interface{ InflightReqs() int }); ok {
-					return a.InflightReqs()
-				}
-			}
-			return 0
-		})
-	}
-	eng := traffic.NewEngine(tr, seed)
-	eng.Attach(traffic.Host{At: k.At, Inject: func(p ids.ProcID, payload []byte) bool {
-		pr, ok := k.ProcOf(p).(*optimistic.Process)
-		return ok && pr != nil && pr.Inject(payload)
-	}}, horizon)
-	if crashAt > 0 {
-		k.CrashAt(crashAt, d12Victim(tr))
-	}
-	if _, err := k.RunContext(ctx, horizon); err != nil {
-		return d12Run{led: led, eng: eng}
-	}
-	out := d12Run{led: led, eng: eng}
-	if crashAt > 0 {
-		if rec := k.Metrics(d12Victim(tr)).CurrentRecovery(); rec != nil && rec.ReplayedAt != 0 {
-			out.recoveryEnd = time.Duration(rec.ReplayedAt)
-		}
-	}
-	return out
+func d12StraddleNote(style string, r *Result, crashAt time.Duration) string {
+	n, released, first := straddlers(r.C.Outputs(), crashAt)
+	return fmt.Sprintf("%s crash: %d outputs straddled it (%d released after), %d arrivals shed; first release t=%s, recovery end t=%s",
+		style, n, released, r.Traffic.Shed(), metrics.FmtDuration(first),
+		metrics.FmtDuration(r.recoveryEnd(d12Victim(*r.Spec.Traffic))))
 }
 
 // D12Timeline is one style's sampled crash-under-load run.
@@ -338,26 +165,17 @@ func D12Timelines(ctx context.Context, seed int64, interval, crashAt, horizon ti
 // d12Timelines samples the crash variant of an arbitrary traffic spec (the
 // tests use a lighter cell than the experiment's).
 func d12Timelines(ctx context.Context, seed int64, tr workload.Traffic, interval, crashAt, horizon time.Duration) []D12Timeline {
-	hw := node.Profile1995()
-	mk := func(style string) *timeline.Collector {
-		return timeline.New(timeline.Config{
-			Interval: interval,
-			N:        tr.N(),
-			Label:    "D12/" + style + " load=" + fmt.Sprint(tr.Load) + " crash@" + crashAt.String(),
-			Tiers:    tr.TierSizes(),
-		})
+	var out []D12Timeline
+	for _, row := range styleRows(false) {
+		style := string(row.family)
+		out = append(out, D12Timeline{Style: style, Export: sampled(ctx,
+			d12Spec(seed, row, tr, crashAt, horizon),
+			timeline.Config{
+				Interval: interval,
+				N:        tr.N(),
+				Label:    "D12/" + style + " load=" + fmt.Sprint(tr.Load) + " crash@" + crashAt.String(),
+				Tiers:    tr.TierSizes(),
+			})})
 	}
-
-	fbl := mk("fbl")
-	d12FBL(ctx, seed, hw, tr, crashAt, horizon, fbl)
-	co := mk("coordinated")
-	d12Coord(ctx, seed, hw, tr, crashAt, horizon, co)
-	opt := mk("optimistic")
-	d12Optimistic(ctx, seed, hw, tr, crashAt, horizon, opt)
-
-	return []D12Timeline{
-		{Style: "fbl", Export: fbl.Export()},
-		{Style: "coordinated", Export: co.Export()},
-		{Style: "optimistic", Export: opt.Export()},
-	}
+	return out
 }

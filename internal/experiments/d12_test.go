@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"rollrec/internal/node"
 	"rollrec/internal/traffic"
 	"rollrec/internal/workload"
 )
@@ -28,18 +27,18 @@ func TestD12Deterministic(t *testing.T) {
 	tr := d12TestTraffic()
 	render := func() string {
 		var out string
-		for _, row := range d12Rows(context.Background(), 1, tr, 0, 6*time.Second) {
-			r := row.run()
-			st := traffic.StatsPerTier(r.led, tr)
+		for _, row := range styleRows(false) {
+			r := MustRun(context.Background(), d12Spec(1, row, tr, 0, 6*time.Second))
+			st := traffic.StatsPerTier(r.C.Outputs(), tr)
 			cl := st[workload.TierClient]
 			if cl.Committed == 0 {
 				t.Errorf("%s: no client outputs committed", row.style)
 			}
-			if r.eng.Offered() == 0 {
+			if r.Traffic.Offered() == 0 {
 				t.Errorf("%s: engine offered nothing", row.style)
 			}
 			out += fmt.Sprintf("%s %d %d %d %v %v %v\n",
-				row.style, r.eng.Offered(), r.eng.Shed(), cl.Committed, cl.P50, cl.P99, cl.P999)
+				row.style, r.Traffic.Offered(), r.Traffic.Shed(), cl.Committed, cl.P50, cl.P99, cl.P999)
 		}
 		return out
 	}
@@ -60,19 +59,20 @@ func TestD12CrashUnderLoadStraddlers(t *testing.T) {
 	const crashAt = 3 * time.Second
 	tr := d12TestTraffic()
 	victim := d12Victim(tr)
-	r := d12FBL(context.Background(), 1, node.Profile1995(), tr, crashAt, 12*time.Second, nil)
-	if r.recoveryEnd <= crashAt {
-		t.Fatalf("victim never recovered (recovery end %v)", r.recoveryEnd)
+	r := MustRun(context.Background(), d12Spec(1, styleRows(false)[0], tr, crashAt, 12*time.Second))
+	led, recoveryEnd := r.C.Outputs(), r.recoveryEnd(victim)
+	if recoveryEnd <= crashAt {
+		t.Fatalf("victim never recovered (recovery end %v)", recoveryEnd)
 	}
 	victimStr := 0
-	for _, rec := range r.led.Straddling(int64(crashAt)) {
+	for _, rec := range led.Straddling(int64(crashAt)) {
 		if rec.Proc != victim {
 			continue
 		}
 		victimStr++
-		if rec.Committed() && time.Duration(rec.CommittedAt) < r.recoveryEnd {
+		if rec.Committed() && time.Duration(rec.CommittedAt) < recoveryEnd {
 			t.Errorf("victim output %d/%d committed at %v, before recovery ended at %v",
-				rec.Proc, rec.Seq, time.Duration(rec.CommittedAt), r.recoveryEnd)
+				rec.Proc, rec.Seq, time.Duration(rec.CommittedAt), recoveryEnd)
 		}
 	}
 	if victimStr == 0 {
@@ -86,22 +86,22 @@ func TestD12CrashUnderLoadStraddlers(t *testing.T) {
 	// victim has recovered and the stuck shards replay.
 	grace := int64(crashAt + 500*time.Millisecond)
 	resumed := false
-	for _, rec := range r.led.Records() {
+	for _, rec := range led.Records() {
 		if tr.TierOf(rec.Proc) != workload.TierClient {
 			continue
 		}
-		if rec.RequestedAt >= grace && rec.RequestedAt < int64(r.recoveryEnd) {
+		if rec.RequestedAt >= grace && rec.RequestedAt < int64(recoveryEnd) {
 			t.Errorf("client %d released output %d at %v, inside the outage stall",
 				rec.Proc, rec.Seq, time.Duration(rec.RequestedAt))
 		}
-		if rec.RequestedAt >= int64(r.recoveryEnd) && rec.Committed() {
+		if rec.RequestedAt >= int64(recoveryEnd) && rec.Committed() {
 			resumed = true
 		}
 	}
 	if !resumed {
 		t.Error("client releases never resumed after recovery")
 	}
-	if st := traffic.StatsPerTier(r.led, tr); st[workload.TierClient].Committed == 0 {
+	if st := traffic.StatsPerTier(led, tr); st[workload.TierClient].Committed == 0 {
 		t.Error("no client outputs committed at all")
 	}
 }

@@ -98,6 +98,10 @@ func (t Table) String() string {
 
 // Spec describes one simulated run.
 type Spec struct {
+	// Family selects the recovery protocol (zero = FBL). F and Style are FBL
+	// knobs; CPEvery is every family's periodic-commit interval (checkpoint,
+	// snapshot, log flush) and Pad its stable-write padding.
+	Family  cluster.Family
 	N, F    int
 	Style   recovery.Style
 	Seed    int64
@@ -132,9 +136,10 @@ type Spec struct {
 	// serving workload (DESIGN §12): Run hosts traffic.NewApp(*Traffic) and
 	// attaches a traffic.Engine driving seeded arrivals at the client tier
 	// until the horizon. The spec's N must equal Traffic.N(), and — because
-	// this harness hosts the FBL family, whose replay cannot regenerate
-	// injected arrivals — the crash plan must not target the client tier;
-	// Run panics on either misuse. Read the engine back via Result.Traffic.
+	// FBL replay cannot regenerate injected arrivals, and the styles' crash
+	// rows must stay comparable — the crash plan must not target the client
+	// tier; Run panics on either misuse. Read the engine back via
+	// Result.Traffic.
 	Traffic *workload.Traffic
 }
 
@@ -159,6 +164,41 @@ func PaperSpec(style recovery.Style, seed int64) Spec {
 		Pad:     1 << 20, // ~1 MB process state
 		Horizon: 25 * time.Second,
 	}
+}
+
+// styleRow is one protocol configuration a D11/D12 table block runs its
+// cell under.
+type styleRow struct {
+	style  string
+	family cluster.Family
+	f      int
+}
+
+// styleRows enumerates the style configurations of one table block: the
+// paper's FBL against the two alternative styles. The f=1 FBL row only
+// earns its place in D11's failure-free block (it isolates the no-holder-
+// feedback case); every other block keeps to one run per style.
+func styleRows(withF1 bool) []styleRow {
+	rows := []styleRow{{"fbl f=2 nonblocking", cluster.FamilyFBL, 2}}
+	if withF1 {
+		rows = append(rows, styleRow{"fbl f=1 nonblocking", cluster.FamilyFBL, 1})
+	}
+	return append(rows,
+		styleRow{"coordinated", cluster.FamilyCoordinated, 2},
+		styleRow{"optimistic", cluster.FamilyOptimistic, 2})
+}
+
+// comparator re-hosts a PaperSpec-derived scenario on another family. The
+// coordinated snapshot keeps the spec's checkpoint period and ~1 MB image;
+// optimistic logging flushes every 500 ms with 4 KB of padding — what it
+// writes is delivery-log entries, not the process image.
+func comparator(spec Spec, fam cluster.Family) Spec {
+	spec.Family = fam
+	if fam == cluster.FamilyOptimistic {
+		spec.CPEvery = 500 * time.Millisecond
+		spec.Pad = 4 << 10
+	}
+	return spec
 }
 
 // Result captures what the experiments read out of a finished run.
@@ -206,6 +246,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		app = traffic.NewApp(*spec.Traffic)
 	}
 	c := cluster.New(cluster.Config{
+		Family:          spec.Family,
 		N:               spec.N,
 		F:               spec.F,
 		Seed:            spec.Seed,
@@ -253,9 +294,27 @@ func MustRun(ctx context.Context, spec Spec) *Result {
 	return r
 }
 
+// sampled runs spec with a timeline collector attached and returns the
+// export. Sampling is observation-only, so the run's event sequence is
+// identical to its unsampled counterpart.
+func sampled(ctx context.Context, spec Spec, cfg timeline.Config) *timeline.Export {
+	spec.Timeline = timeline.New(cfg)
+	MustRun(ctx, spec)
+	return spec.Timeline.Export()
+}
+
 // Victim returns the recovery trace of process p's last recovery.
 func (r *Result) Victim(p ids.ProcID) *metrics.RecoveryTrace {
 	return r.C.Metrics(p).CurrentRecovery()
+}
+
+// recoveryEnd is the virtual instant p finished its last recovery (0 if it
+// never crashed).
+func (r *Result) recoveryEnd(p ids.ProcID) time.Duration {
+	if tr := r.Victim(p); tr != nil {
+		return time.Duration(tr.ReplayedAt)
+	}
+	return 0
 }
 
 // LiveBlocked returns mean and max blocked time over the processes that

@@ -18,10 +18,10 @@
 //
 // The invariant catalog, checked on every branch:
 //
-//   - orphan-freedom / family safety: the family's own end-state checker
-//     (cluster.Check for FBL: orphan deliveries, exactly-once, replay
-//     fidelity, liveness, non-intrusion; liveness/rollback-completion
-//     probes for coordinated and optimistic);
+//   - orphan-freedom / family safety: the harness's end-state checker
+//     (cluster.Check: per-process liveness for every family, plus orphan
+//     deliveries, exactly-once, replay fidelity, and non-intrusion for FBL),
+//     and the workload completing within the horizon;
 //   - state fidelity: terminal application digests must equal the
 //     crash-free baseline's (the workloads are deterministic, so any loss,
 //     duplication, or reordering of deliveries diverges the digest);
@@ -48,23 +48,21 @@ import (
 	"sort"
 	"time"
 
+	"rollrec/internal/cluster"
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
 	"rollrec/internal/sim"
 )
 
-// Family selects the protocol family under exploration.
-type Family string
+// Family selects the protocol family under exploration: the harness's own
+// selector, so a Spec's family names the cluster it builds.
+type Family = cluster.Family
 
 const (
-	// FamilyFBL is the paper's family-based-logging cluster (all three
-	// recovery styles: nonblocking, blocking, manetho).
-	FamilyFBL Family = "fbl"
-	// FamilyCoordinated is Chandy–Lamport coordinated checkpointing.
-	FamilyCoordinated Family = "coordinated"
-	// FamilyOptimistic is optimistic message logging.
-	FamilyOptimistic Family = "optimistic"
+	FamilyFBL         = cluster.FamilyFBL
+	FamilyCoordinated = cluster.FamilyCoordinated
+	FamilyOptimistic  = cluster.FamilyOptimistic
 )
 
 // Families returns every explorable family, in canonical order.
@@ -182,7 +180,6 @@ func foldStep(h uint64, s sim.StepInfo) uint64 {
 type branchResult struct {
 	fingerprint   uint64
 	events        int64
-	steps         int64
 	digests       []uint64
 	conflicts     []string
 	famErrs       []string
@@ -191,7 +188,7 @@ type branchResult struct {
 	prefix        []uint64 // probe run only: prefix[i] = hash of steps < i
 	prefixCut     uint64   // branch runs: hash of steps < first crash step
 	cutSeen       bool
-	stateFidelity bool // compare digests against the baseline (see instance)
+	stateFidelity bool // compare digests against the baseline (see scenario)
 }
 
 // runBranch builds a fresh instance of the spec's scenario, applies the
@@ -208,7 +205,7 @@ func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool
 		}
 	}
 	h := uint64(fnvOffset)
-	in.kern.SetStepProbe(func(s sim.StepInfo) {
+	in.c.Kernel().SetStepProbe(func(s sim.StepInfo) {
 		if recordAll {
 			res.prefix = append(res.prefix, h)
 		}
@@ -217,19 +214,25 @@ func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool
 		}
 		h = foldStep(h, s)
 	})
-	in.applyPlan(plan)
-	n, err := in.run(ctx, spec.Horizon)
+	in.c.ApplyPlan(plan)
+	n, err := in.c.RunContext(ctx, spec.Horizon)
 	if err != nil {
 		return nil, err
 	}
 	res.events = n
-	res.steps = in.kern.Steps()
-	res.digests = in.digests()
+	res.digests = in.c.Digests()
 	res.conflicts = in.conflicts
-	res.famErrs = in.endCheck()
+	for _, err := range in.c.Check() {
+		res.famErrs = append(res.famErrs, err.Error())
+	}
+	for i := 0; i < spec.N; i++ {
+		if a := in.c.App(ids.ProcID(i)); a != nil && !a.Done() {
+			res.famErrs = append(res.famErrs, fmt.Sprintf("liveness: proc %d workload incomplete at horizon", i))
+		}
+	}
 	res.points = in.tracer.points
 	res.recSteps = in.tracer.recSteps
-	res.stateFidelity = in.stateFidelity
+	res.stateFidelity = scenarios[spec.Family].stateFidelity
 	res.fingerprint = h
 	for _, d := range res.digests {
 		res.fingerprint = mix(res.fingerprint, d)

@@ -1,8 +1,10 @@
 package explore
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -54,6 +56,69 @@ func TestExploreCleanAllFamilies(t *testing.T) {
 			t.Logf("%s: %d points, %d branches, baseline %d events, fingerprint %#x",
 				tc.name, rep.Points, rep.Branches, rep.BaselineEvents, rep.Fingerprint)
 		})
+	}
+}
+
+// TestReportGoldenN3 compares a fresh run of the CI pass — what
+// `go run ./cmd/explore -out` writes: all five family/style rows at n=3 with
+// the default axes — byte-for-byte against the committed report. The
+// double-run gate only proves two runs agree with each other; this proves
+// they agree with the past, so a refactor that shifts every branch equally
+// is caught. Regenerate (with that command) only for an intended behaviour
+// change.
+func TestReportGoldenN3(t *testing.T) {
+	var reports []*Report
+	for _, spec := range []Spec{
+		{Family: FamilyFBL, Style: recovery.NonBlocking},
+		{Family: FamilyFBL, Style: recovery.Blocking},
+		{Family: FamilyFBL, Style: recovery.Manetho},
+		{Family: FamilyCoordinated},
+		{Family: FamilyOptimistic},
+	} {
+		spec.N, spec.F, spec.Seed, spec.MaxCrashes = 3, 1, 1, 1
+		rep, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, rep)
+	}
+	got, err := json.MarshalIndent(reports, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "report_n3.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(got, '\n'), want) {
+		t.Fatalf("explorer report diverged from testdata/report_n3.golden.json:\n%s", got)
+	}
+}
+
+// TestSameVictimRecrashIsLive re-crashes one process while it is still
+// recovering from its first crash — two applied crashes, one recovery that
+// answers for both, well within f. A liveness clause that counts recoveries
+// against crashes reports every such schedule; the per-process clause must
+// not. The pinned plan is one the n=4 depth-2 pass generates (crash p0 at
+// boot, again at the restart of its recovery).
+func TestSameVictimRecrashIsLive(t *testing.T) {
+	spec := Spec{Family: FamilyFBL, N: 4, F: 1, MaxPoints: 400, MaxCrashes: 2}
+	res, err := Replay(context.Background(), Counterexample{
+		Spec: spec,
+		Plan: failure.Plan{{Step: 1, Proc: 0}, {Step: 113, Proc: 0}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.Violations {
+		t.Errorf("same-victim re-crash reported: %s", v)
+	}
+	rep, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cx := range rep.Counterexamples {
+		t.Errorf("counterexample:\n%s", cx)
 	}
 }
 

@@ -1,18 +1,12 @@
 package explore
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"rollrec/internal/cluster"
-	"rollrec/internal/coord"
-	"rollrec/internal/failure"
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
-	"rollrec/internal/optimistic"
-	"rollrec/internal/output"
-	"rollrec/internal/sim"
 	"rollrec/internal/trace"
 	"rollrec/internal/wire"
 	"rollrec/internal/workload"
@@ -110,15 +104,12 @@ func (d *decisionTracer) Span(ts, dur int64, proc int32, name string, tag trace.
 	}
 }
 
-// instance is one freshly-built scenario, ready to run exactly once.
-type instance struct {
-	kern      *sim.Kernel
-	tracer    *decisionTracer
-	conflicts []string
-	applyPlan func(failure.Plan)
-	run       func(ctx context.Context, until time.Duration) (int64, error)
-	digests   func() []uint64
-	endCheck  func() []string
+// scenario is the explorer's fixed per-family workload. Sizes are small
+// enough that the bounded-exhaustive pass stays cheap, busy enough that
+// decision points cover sends, commits, and storage traffic.
+type scenario struct {
+	app      func(n int) workload.Factory
+	statePad int
 	// stateFidelity marks that terminal digests must equal the crash-free
 	// baseline's. Valid only when the workload is a single causal chain
 	// (coordinated/optimistic ring): the FBL funnel's digest depends on the
@@ -130,176 +121,52 @@ type instance struct {
 	stateFidelity bool
 }
 
-func (in *instance) watchConflicts(led *output.Ledger) {
-	led.SetOnConflict(func(proc ids.ProcID, seq uint64, oldHash, newHash uint64) {
-		in.conflicts = append(in.conflicts, fmt.Sprintf(
-			"proc %d output #%d re-requested with different content after release (%#x -> %#x)",
-			proc, seq, oldHash, newHash))
-	})
+func funnel(int) workload.Factory { return funnelFactory(5, 64, int64(200*time.Microsecond)) }
+
+func ring(n int) workload.Factory {
+	return ringFactory(uint64(8*n), 64, int64(500*time.Microsecond))
 }
 
-// build constructs a fresh instance of the spec's scenario. Workload sizes
-// are fixed per family: small enough that the bounded-exhaustive pass stays
-// cheap, busy enough that decision points cover sends, commits, and
-// storage traffic.
+var scenarios = map[Family]scenario{
+	FamilyFBL:         {app: funnel, statePad: 16 << 10},
+	FamilyCoordinated: {app: ring, statePad: 8 << 10, stateFidelity: true},
+	FamilyOptimistic:  {app: ring, statePad: 2 << 10, stateFidelity: true},
+}
+
+// instance is one freshly-built scenario, ready to run exactly once.
+type instance struct {
+	c         *cluster.Cluster
+	tracer    *decisionTracer
+	conflicts []string
+}
+
+// build constructs a fresh instance of the spec's scenario on the cluster
+// harness, with the decision tracer on the kernel's trace stream and the
+// output ledger's conflict probe armed.
 func build(spec Spec) *instance {
-	switch spec.Family {
-	case FamilyFBL:
-		return buildFBL(spec)
-	case FamilyCoordinated:
-		return buildCoord(spec)
-	case FamilyOptimistic:
-		return buildOptimistic(spec)
-	default:
+	sc, ok := scenarios[spec.Family]
+	if !ok {
 		panic(fmt.Sprintf("explore: unknown family %q", spec.Family))
 	}
-}
-
-func buildFBL(spec Spec) *instance {
-	dt := &decisionTracer{pointLimit: int64(spec.Horizon - spec.SettleSlack)}
-	c := cluster.New(cluster.Config{
+	in := &instance{tracer: &decisionTracer{pointLimit: int64(spec.Horizon - spec.SettleSlack)}}
+	in.c = cluster.New(cluster.Config{
+		Family:          spec.Family,
 		N:               spec.N,
 		F:               spec.F,
 		Seed:            spec.Seed,
 		HW:              exploreHW(),
 		Style:           spec.Style,
-		App:             funnelFactory(5, 64, int64(200*time.Microsecond)),
+		App:             sc.app(spec.N),
 		CheckpointEvery: spec.CheckpointEvery,
-		StatePad:        16 << 10,
-		Tracer:          dt,
+		StatePad:        sc.statePad,
+		Tracer:          in.tracer,
 		TrackOutputs:    true,
 	})
-	k := c.Kernel()
-	dt.steps = k.Steps
-	in := &instance{
-		kern:      k,
-		tracer:    dt,
-		applyPlan: c.ApplyPlan,
-		run:       c.RunContext,
-		digests:   c.Digests,
-		endCheck: func() []string {
-			var out []string
-			for _, err := range c.Check() {
-				out = append(out, err.Error())
-			}
-			return out
-		},
-	}
-	in.watchConflicts(c.Outputs())
+	in.tracer.steps = in.c.Kernel().Steps
+	in.c.Outputs().SetOnConflict(func(proc ids.ProcID, seq uint64, oldHash, newHash uint64) {
+		in.conflicts = append(in.conflicts, fmt.Sprintf(
+			"proc %d output #%d re-requested with different content after release (%#x -> %#x)",
+			proc, seq, oldHash, newHash))
+	})
 	return in
-}
-
-func buildCoord(spec Spec) *instance {
-	dt := &decisionTracer{pointLimit: int64(spec.Horizon - spec.SettleSlack)}
-	led := output.NewLedger(spec.N)
-	k := sim.New(sim.Config{Seed: spec.Seed, HW: exploreHW(), Tracer: dt})
-	dt.steps = k.Steps
-	led.SetMetrics(k.Metrics)
-	par := coord.Params{
-		N:             spec.N,
-		App:           workload.Seeded(ringFactory(uint64(8*spec.N), 64, int64(500*time.Microsecond)), spec.Seed),
-		SnapshotEvery: spec.CheckpointEvery,
-		StatePad:      8 << 10,
-		Outputs:       led,
-	}
-	for i := 0; i < spec.N; i++ {
-		k.AddNode(ids.ProcID(i), coord.New(par))
-	}
-	k.Boot()
-	in := &instance{kern: k, tracer: dt, stateFidelity: true}
-	in.watchConflicts(led)
-	in.applyPlan = kernelPlan(k)
-	in.run = k.RunContext
-	in.digests = func() []uint64 {
-		out := make([]uint64, spec.N)
-		for i := 0; i < spec.N; i++ {
-			if p, ok := k.ProcOf(ids.ProcID(i)).(*coord.Process); ok {
-				out[i] = p.App().Digest()
-			}
-		}
-		return out
-	}
-	in.endCheck = func() []string {
-		var out []string
-		for i := 0; i < spec.N; i++ {
-			p, ok := k.ProcOf(ids.ProcID(i)).(*coord.Process)
-			if !ok {
-				out = append(out, fmt.Sprintf("liveness: proc %d still down at horizon", i))
-				continue
-			}
-			if p.Recovering() {
-				out = append(out, fmt.Sprintf("liveness: proc %d still recovering at horizon", i))
-			}
-			if !p.App().Done() {
-				out = append(out, fmt.Sprintf("liveness: proc %d workload incomplete at horizon", i))
-			}
-		}
-		return out
-	}
-	return in
-}
-
-func buildOptimistic(spec Spec) *instance {
-	dt := &decisionTracer{pointLimit: int64(spec.Horizon - spec.SettleSlack)}
-	led := output.NewLedger(spec.N)
-	k := sim.New(sim.Config{Seed: spec.Seed, HW: exploreHW(), Tracer: dt})
-	dt.steps = k.Steps
-	led.SetMetrics(k.Metrics)
-	par := optimistic.Params{
-		N:          spec.N,
-		App:        workload.Seeded(ringFactory(uint64(8*spec.N), 64, int64(500*time.Microsecond)), spec.Seed),
-		FlushEvery: spec.CheckpointEvery,
-		StatePad:   2 << 10,
-		RetryEvery: 200 * time.Millisecond,
-		Outputs:    led,
-	}
-	for i := 0; i < spec.N; i++ {
-		k.AddNode(ids.ProcID(i), optimistic.New(par))
-	}
-	k.Boot()
-	in := &instance{kern: k, tracer: dt, stateFidelity: true}
-	in.watchConflicts(led)
-	in.applyPlan = kernelPlan(k)
-	in.run = k.RunContext
-	in.digests = func() []uint64 {
-		out := make([]uint64, spec.N)
-		for i := 0; i < spec.N; i++ {
-			if p, ok := k.ProcOf(ids.ProcID(i)).(*optimistic.Process); ok {
-				out[i] = p.App().Digest()
-			}
-		}
-		return out
-	}
-	in.endCheck = func() []string {
-		var out []string
-		for i := 0; i < spec.N; i++ {
-			p, ok := k.ProcOf(ids.ProcID(i)).(*optimistic.Process)
-			if !ok {
-				out = append(out, fmt.Sprintf("liveness: proc %d still down at horizon", i))
-				continue
-			}
-			if p.Rolling() {
-				out = append(out, fmt.Sprintf("liveness: proc %d still rolling back at horizon", i))
-			}
-			if !p.App().Done() {
-				out = append(out, fmt.Sprintf("liveness: proc %d workload incomplete at horizon", i))
-			}
-		}
-		return out
-	}
-	return in
-}
-
-// kernelPlan routes a crash plan straight at a bare kernel (the coord and
-// optimistic families have no cluster harness).
-func kernelPlan(k *sim.Kernel) func(failure.Plan) {
-	return func(plan failure.Plan) {
-		for _, cr := range plan.Sorted() {
-			if cr.Step > 0 {
-				k.CrashAtStep(cr.Step, cr.Proc)
-			} else {
-				k.CrashAt(cr.At, cr.Proc)
-			}
-		}
-	}
 }

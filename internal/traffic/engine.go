@@ -10,8 +10,8 @@ import (
 // Host is the injection surface a harness lends the engine: At schedules a
 // callback at an absolute virtual time on the simulation clock, Inject
 // offers one arrival frame to a process and reports whether it was
-// admitted. Both the cluster harness (FBL) and the raw-kernel harnesses
-// (coordinated, optimistic) satisfy it with two closures.
+// admitted. The cluster harness satisfies it for every family with
+// Host{At: c.K.At, Inject: c.Inject}.
 type Host struct {
 	At     func(at time.Duration, fn func())
 	Inject func(p ids.ProcID, payload []byte) bool
