@@ -73,9 +73,10 @@ bench-micro:
 	$(GO) test -bench=. -benchmem ./internal/trace/
 
 # bench-kernel runs the sim-kernel scheduler microbenchmarks against the
-# in-test container/heap baseline, plus the AllocsPerRun regression gates.
+# in-test container/heap baseline, plus the AllocsPerRun regression gates
+# (scheduler, output ledger, determinant log).
 bench-kernel:
-	$(GO) test ./internal/sim -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
+	$(GO) test ./internal/sim ./internal/output ./internal/det -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
 
 # benchmark-smoke vets and tests the host-time benchmark (BENCHMARK.json).
 # benchmark/ is its own module compiled against internal/..., so the root

@@ -43,7 +43,6 @@ func (s *Set) Add(i int) {
 	}
 	w := i / wordBits
 	if w >= len(s.words) {
-		//rollvet:allow hotalloc -- growth is bounded by the holder-universe size (n+1 bits) and happens once per set
 		grown := make([]uint64, w+1)
 		copy(grown, s.words)
 		s.words = grown
@@ -206,6 +205,7 @@ func FromWords(words []uint64) Set {
 	if len(words) == 0 {
 		return Set{}
 	}
+	//rollvet:allow hotalloc -- the copy is the product: det.Log's scans hand out one holder-set clone per offered entry
 	w := make([]uint64, len(words))
 	copy(w, words)
 	return Set{words: w}

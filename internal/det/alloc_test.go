@@ -1,0 +1,80 @@
+package det
+
+import (
+	"testing"
+
+	"rollrec/internal/bitset"
+	"rollrec/internal/ids"
+)
+
+// pendingLog returns a log of n pending entries spread over the receivers.
+func pendingLog(cfg Config, n int) *Log {
+	l := NewLog(cfg)
+	for i := 0; i < n; i++ {
+		r := ids.ProcID(i % cfg.N)
+		_ = l.Record(Entry{
+			Det:     Determinant{Msg: ids.MsgID{Sender: ids.ProcID((i + 1) % cfg.N), SSN: ids.SSN(i + 1)}, Receiver: r, RSN: ids.RSN(i + 1)},
+			Holders: bitset.FromSlice([]int{int(r)}),
+		})
+	}
+	return l
+}
+
+// TestHotPathAllocs is the runtime face of the //rollvet:hotpath
+// annotations in this package: recording into a warm slab, adding a holder,
+// and reading the pending set allocate nothing, and a selection scan
+// allocates exactly the holder-set clone of each entry it offers.
+func TestHotPathAllocs(t *testing.T) {
+	cfg := Config{N: 32, F: 1}
+	const live = 512
+
+	// A warm slab: fill, collect everything, so every Record below reuses a
+	// freed slot and the table is already sized.
+	l := pendingLog(cfg, live)
+	for p := 0; p < cfg.N; p++ {
+		l.GCReceiver(ids.ProcID(p), ^ids.RSN(0))
+	}
+	next := 0
+	e := Entry{Holders: bitset.FromSlice([]int{3})}
+	if got := testing.AllocsPerRun(live/2, func() {
+		next++
+		e.Det = Determinant{Msg: ids.MsgID{Sender: 5, SSN: ids.SSN(next)}, Receiver: 3, RSN: ids.RSN(next)}
+		if err := l.RecordHeld(e, 7); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("Record of a new entry on a warm slab: %v allocs, want 0", got)
+	}
+	if st := l.Stats(); st.SlabCap != live {
+		t.Fatalf("slab grew to %d slots; the gate must run on recycled ones (cap %d)", st.SlabCap, live)
+	}
+
+	l = pendingLog(Config{N: 32, F: 3}, live)
+	next = 0
+	if got := testing.AllocsPerRun(live, func() {
+		next++
+		l.AddHolder(ids.MsgID{Sender: ids.ProcID(next % 32), SSN: ids.SSN(next)}, 9)
+	}); got != 0 {
+		t.Errorf("AddHolder: %v allocs, want 0", got)
+	}
+
+	sink := 0
+	if got := testing.AllocsPerRun(20, func() {
+		sink += l.PendingCount()
+		l.PendingIDs(func(ids.MsgID) { sink++ })
+	}); got != 0 {
+		t.Errorf("PendingCount+PendingIDs: %v allocs, want 0", got)
+	}
+
+	offered := 0
+	count := func(Entry) { offered++ }
+	perScan := testing.AllocsPerRun(20, func() { l.ScanPendingModified(0, count) })
+	if want := float64(l.PendingCount()); perScan != want {
+		t.Errorf("scan of %v pending entries: %v allocs, want exactly one holder clone each", want, perScan)
+	}
+	gen := l.ScanModified(0, count)
+	if got := testing.AllocsPerRun(20, func() { l.ScanModified(gen, count) }); got != 0 {
+		t.Errorf("scan with nothing modified: %v allocs, want 0", got)
+	}
+	_ = sink
+}

@@ -14,8 +14,10 @@
 package det
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"rollrec/internal/bitset"
 	"rollrec/internal/ids"
@@ -76,101 +78,386 @@ func (c Config) Manetho() bool { return c.F >= c.N }
 // Stable reports whether a determinant with the given holder set needs no
 // further propagation: either f+1 hosts hold it, or — in the f = n
 // instance — stable storage does.
-func (c Config) Stable(holders bitset.Set) bool {
+func (c Config) Stable(holders bitset.Set) bool { return c.stable(holders.Words()) }
+
+// stable is Stable on raw holder words (trailing zero words optional).
+func (c Config) stable(w []uint64) bool {
 	if c.Manetho() {
-		return holders.Contains(c.N)
+		return c.N/64 < len(w) && w[c.N/64]>>(uint(c.N)%64)&1 != 0
 	}
-	return holders.Count() >= c.F+1
+	n := 0
+	for _, x := range w {
+		n += bits.OnesCount64(x)
+	}
+	return n >= c.F+1
 }
 
 // Log is a process's volatile determinant store. The zero value is not
 // usable; construct with NewLog. Log is not safe for concurrent use — each
 // process owns one and the runtimes serialize event handling per process.
+//
+// Entries live in a slab that grows on demand and recycles collected slots
+// through a free list; holder sets sit in one arena at a fixed stride. Each
+// entry carries the log generation of its last holder-set change (modGen)
+// and is threaded on two intrusive lists: the pending list (not yet stable)
+// or the settled list (stable), both in last-modified order, and the chain
+// of its receiver. Piggyback selection for a destination is "walk a list
+// back from its tail while modGen exceeds the generation of my last scan
+// for that destination": cost proportional to what changed, and the only
+// per-destination state is that one integer (DESIGN §5).
 type Log struct {
-	cfg     Config
-	entries map[ids.MsgID]*Entry
+	cfg    Config
+	stride int // holder words per slot: bits 0..N
 
-	// byRecv indexes entry ids by the determinant's receiver. ForReceiver,
-	// AllForReceivers, and GCReceiver run per checkpoint notice and per
-	// recovery; without the index each is a scan of the whole log, which
-	// turns quadratic at n=1024 (every notice from every peer walks every
-	// entry). A determinant's receiver never changes, so the index only
-	// updates on insert and GC.
-	byRecv map[ids.ProcID]map[ids.MsgID]struct{}
+	gen   int // modification counter; every holder-set change takes the next value
+	slots []slot
+	words []uint64 // holder arena: slot i owns words[i*stride:(i+1)*stride]
+	free  int32    // recycled slots, linked through slot.next
+	nfree int
 
-	// Modification journal: every holder-set change appends the message id
-	// here, so piggyback construction can scan "what changed since I last
-	// sent to this peer" instead of the whole log (which dominates CPU
-	// otherwise). base counts compacted-away prefix entries; cursors are
-	// absolute positions (base + offset).
-	journal []ids.MsgID
-	base    int
+	pending, settled list
+	npending         int
+	recv             []int32 // per-receiver chain heads, linked through slot.rnext
 
-	// Live pending index: the currently non-stable entries in
-	// first-recorded order, pruned lazily by ScanPending. Per-destination
-	// journal cursors are the wrong shape at large n — a rarely-contacted
-	// destination's cursor makes each transmit to it re-scan every
-	// modification since last contact, so total piggyback cost grows as
-	// destinations × journal growth (quadratic at n=1024). The pending set
-	// itself stays small (entries cross the f+1 threshold within a few
-	// hops), so scanning it whole per transmit is O(pending) flat.
-	pendList []ids.MsgID
-	pendSet  map[ids.MsgID]struct{}
+	// table is the id → slot index: open addressing with linear probing
+	// over slab indices (stored +1, so zero means empty), a power of two in
+	// size and at most half full, deleted from by backward shift. Nothing
+	// iterates it, so its layout never reaches protocol-visible order.
+	table []int32
+	shift uint // 64 - log2(len(table))
+
+	onSettled func(ids.MsgID)
 }
 
-// NewLog returns an empty determinant log for the given configuration.
+const none = -1
+
+type slot struct {
+	det        Determinant
+	modGen     int
+	prev, next int32 // pending or settled list
+	rnext      int32 // receiver chain
+	stable     bool
+}
+
+// list is an intrusive doubly-linked list of slots, oldest change first.
+type list struct{ head, tail int32 }
+
+// NewLog returns an empty determinant log for the given configuration. It
+// allocates the per-receiver chain heads and nothing else: the explorer
+// builds a log per process per branch.
 func NewLog(cfg Config) *Log {
-	return &Log{
+	l := &Log{
 		cfg:     cfg,
-		entries: make(map[ids.MsgID]*Entry),
-		byRecv:  make(map[ids.ProcID]map[ids.MsgID]struct{}),
-		pendSet: make(map[ids.MsgID]struct{}),
+		stride:  cfg.N/64 + 1,
+		free:    none,
+		pending: list{none, none},
+		settled: list{none, none},
+		recv:    make([]int32, cfg.N),
+	}
+	for i := range l.recv {
+		l.recv[i] = none
+	}
+	return l
+}
+
+// OnSettled registers fn to be told, once per occurrence, when an entry
+// leaves the pending set — it became stable, or was collected while still
+// pending. The output-commit rule retires its wait entries from this. fn
+// must not call back into the log.
+func (l *Log) OnSettled(fn func(ids.MsgID)) { l.onSettled = fn }
+
+// Len returns the number of determinants currently held.
+func (l *Log) Len() int { return len(l.slots) - l.nfree }
+
+// PendingCount returns the number of entries that are not yet stable — the
+// stability lag: determinants still below the f+1-holder watermark, whose
+// loss in a failure would orphan somebody.
+func (l *Log) PendingCount() int { return l.npending }
+
+// Stats is the log's account of itself; every field is an O(1) counter.
+type Stats struct {
+	Entries  int // determinants held
+	Pending  int // of those, not yet stable
+	SlabCap  int // slots ever allocated: the high-water mark of Entries
+	SlabFree int // of those, collected and awaiting reuse
+}
+
+// Stats returns the log's current counters.
+func (l *Log) Stats() Stats {
+	return Stats{Entries: l.Len(), Pending: l.npending, SlabCap: len(l.slots), SlabFree: l.nfree}
+}
+
+func (l *Log) holders(i int32) []uint64 {
+	return l.words[int(i)*l.stride : (int(i)+1)*l.stride]
+}
+
+func (l *Log) listOf(stable bool) *list {
+	if stable {
+		return &l.settled
+	}
+	return &l.pending
+}
+
+func (l *Log) pushTail(lst *list, i int32) {
+	s := &l.slots[i]
+	s.prev, s.next = lst.tail, none
+	if lst.tail >= 0 {
+		l.slots[lst.tail].next = i
+	} else {
+		lst.head = i
+	}
+	lst.tail = i
+}
+
+func (l *Log) unlink(lst *list, i int32) {
+	s := &l.slots[i]
+	if s.prev >= 0 {
+		l.slots[s.prev].next = s.next
+	} else {
+		lst.head = s.next
+	}
+	if s.next >= 0 {
+		l.slots[s.next].prev = s.prev
+	} else {
+		lst.tail = s.prev
 	}
 }
 
-// mark appends id to the modification journal consumed by the scan
-// cursors.
+func hash(id ids.MsgID) uint64 {
+	return uint64(id.SSN)*0x9E3779B97F4A7C15 + uint64(uint32(id.Sender))*0xC2B2AE3D27D4EB4F
+}
+
+// find returns the slot holding id's determinant, or none.
+func (l *Log) find(id ids.MsgID) int32 {
+	if len(l.table) == 0 {
+		return none
+	}
+	mask := uint64(len(l.table) - 1)
+	for h := hash(id) >> l.shift; ; h = (h + 1) & mask {
+		ref := l.table[h]
+		if ref == 0 {
+			return none
+		}
+		if l.slots[ref-1].det.Msg == id {
+			return ref - 1
+		}
+	}
+}
+
+// index enters slot i into the table, doubling it first when it would pass
+// half full.
+func (l *Log) index(i int32) {
+	if 2*l.Len() > len(l.table) {
+		//rollvet:allow hotalloc -- table doubling is amortized over the inserts that filled it
+		l.table = make([]int32, max(16, 2*len(l.table)))
+		l.shift = uint(64 - bits.TrailingZeros(uint(len(l.table))))
+		for _, lst := range [2]list{l.pending, l.settled} {
+			for j := lst.head; j >= 0; j = l.slots[j].next {
+				l.place(j)
+			}
+		}
+	}
+	l.place(i)
+}
+
+func (l *Log) place(i int32) {
+	mask := uint64(len(l.table) - 1)
+	h := hash(l.slots[i].det.Msg) >> l.shift
+	for l.table[h] != 0 {
+		h = (h + 1) & mask
+	}
+	l.table[h] = i + 1
+}
+
+// unindex removes slot i from the table, then closes the hole by pulling
+// back every later member of the probe run whose home bucket lies at or
+// before it, so lookups never need tombstones.
+func (l *Log) unindex(i int32) {
+	mask := uint64(len(l.table) - 1)
+	h := hash(l.slots[i].det.Msg) >> l.shift
+	for l.table[h] != i+1 {
+		h = (h + 1) & mask
+	}
+	for j := (h + 1) & mask; l.table[j] != 0; j = (j + 1) & mask {
+		home := hash(l.slots[l.table[j]-1].det.Msg) >> l.shift
+		if (j-home)&mask >= (j-h)&mask {
+			l.table[h] = l.table[j]
+			h = j
+		}
+	}
+	l.table[h] = 0
+}
+
+// RecordError reports a determinant Record refused: Got names a receiver
+// that is not an application process (or RSN 0) when Have is the zero
+// value, and otherwise disagrees with the stored Have about the receiver or
+// receipt order of the same message — two executions delivered one message
+// differently, which the protocol must never allow.
+type RecordError struct{ Have, Got Determinant }
+
+func (e RecordError) Error() string {
+	if e.Have == (Determinant{}) {
+		return fmt.Sprintf("det: invalid determinant %v", e.Got)
+	}
+	return fmt.Sprintf("det: conflicting determinants for %v: have %v, got %v", e.Got.Msg, e.Have, e.Got)
+}
+
+// Record merges an entry into the log: a new determinant is stored, a known
+// one has its holder set unioned. It returns a RecordError for a
+// determinant it cannot store or that conflicts with the stored one.
+func (l *Log) Record(e Entry) error { return l.RecordHeld(e, ids.Nobody) }
+
+// RecordHeld is Record with process also added to the entry's holders: the
+// absorbing process itself, which now stores the receipt order too. The
+// entry is copied into the slab; e.Holders is neither kept nor modified.
 //
 //rollvet:hotpath
-func (l *Log) mark(id ids.MsgID) {
-	//rollvet:allow hotalloc -- journal growth is amortized; Compact recycles the prefix via the base offset
-	l.journal = append(l.journal, id)
+func (l *Log) RecordHeld(e Entry, also ids.ProcID) error {
+	d := e.Det
+	if d.RSN == 0 || !l.delivers(d.Receiver) {
+		return RecordError{Got: d}
+	}
+	if i := l.find(d.Msg); i >= 0 {
+		if have := l.slots[i].det; have != d {
+			return RecordError{Have: have, Got: d}
+		}
+		if l.union(i, e.Holders, also) {
+			l.modified(i)
+		}
+		return nil
+	}
+	i := l.free
+	if i >= 0 {
+		l.free = l.slots[i].next
+		l.nfree--
+	} else {
+		i = int32(len(l.slots))
+		//rollvet:allow hotalloc -- slab growth is amortized; collected slots are reused through the free list
+		l.slots = append(l.slots, slot{})
+		for j := 0; j < l.stride; j++ {
+			//rollvet:allow hotalloc -- arena growth, in step with the slab
+			l.words = append(l.words, 0)
+		}
+	}
+	l.slots[i] = slot{det: d, rnext: l.recv[d.Receiver]}
+	l.recv[d.Receiver] = i
+	l.index(i)
+	l.union(i, e.Holders, also)
+	if l.slots[i].stable = l.cfg.stable(l.holders(i)); !l.slots[i].stable {
+		l.npending++
+	}
+	l.stamp(i)
+	return nil
 }
 
-// Cursor returns the current journal position for ScanPendingModified.
-func (l *Log) Cursor() int { return l.base + len(l.journal) }
+// delivers reports whether p can be a determinant's receiver: only an
+// application process delivers messages.
+func (l *Log) delivers(p ids.ProcID) bool { return p >= 0 && int(p) < len(l.recv) }
 
-// scanJournal walks the journal from cursor, deduplicating ids within the
-// scan, and invokes visit with each id's current entry (nil when the entry
-// was garbage-collected since it was marked). It returns the new cursor.
-func (l *Log) scanJournal(cursor int, visit func(id ids.MsgID, e *Entry)) int {
-	if cursor < l.base {
-		cursor = l.base
-	}
-	var seen map[ids.MsgID]bool
-	for i := cursor - l.base; i < len(l.journal); i++ {
-		id := l.journal[i]
-		if seen[id] {
-			continue
+// stamp gives entry i a fresh generation and appends it to the list its
+// stability puts it on.
+func (l *Log) stamp(i int32) {
+	l.gen++
+	l.slots[i].modGen = l.gen
+	l.pushTail(l.listOf(l.slots[i].stable), i)
+}
+
+// union ors o and the slot of process also into entry i's holders and
+// reports whether they changed. Bits past the holder universe can only
+// come from a malformed frame and are dropped.
+func (l *Log) union(i int32, o bitset.Set, also ids.ProcID) bool {
+	w := l.holders(i)
+	changed := false
+	for j, x := range o.Words() {
+		if j == len(w) {
+			break
 		}
-		if seen == nil {
-			seen = make(map[ids.MsgID]bool)
+		if w[j]|x != w[j] {
+			w[j] |= x
+			changed = true
 		}
-		seen[id] = true
-		visit(id, l.entries[id])
 	}
-	return l.Cursor()
+	if b := HolderIndex(also, l.cfg.N); b >= 0 && w[b/64]&(1<<uint(b%64)) == 0 {
+		w[b/64] |= 1 << uint(b%64)
+		changed = true
+	}
+	return changed
+}
+
+// modified re-stamps entry i after its holders changed, moving it to the
+// tail of the list it now belongs on and telling OnSettled if it just
+// crossed the stability threshold.
+func (l *Log) modified(i int32) {
+	s := &l.slots[i]
+	l.unlink(l.listOf(s.stable), i)
+	settled := !s.stable && l.cfg.stable(l.holders(i))
+	if settled {
+		s.stable = true
+		l.npending--
+	}
+	l.stamp(i)
+	if settled && l.onSettled != nil {
+		l.onSettled(s.det.Msg)
+	}
+}
+
+// AddHolder marks process p as holding the determinant of msg, if known.
+//
+//rollvet:hotpath
+func (l *Log) AddHolder(msg ids.MsgID, p ids.ProcID) {
+	if i := l.find(msg); i >= 0 && l.union(i, bitset.Set{}, p) {
+		l.modified(i)
+	}
+}
+
+// entry returns a copy of entry i, its holder set trimmed to the words in
+// use. This clone is the one allocation a scan makes per entry it offers.
+func (l *Log) entry(i int32) Entry {
+	w := l.holders(i)
+	for len(w) > 0 && w[len(w)-1] == 0 {
+		w = w[:len(w)-1]
+	}
+	return Entry{Det: l.slots[i].det, Holders: bitset.FromWords(w)}
+}
+
+// Lookup returns the determinant entry for msg, if present.
+func (l *Log) Lookup(msg ids.MsgID) (Entry, bool) {
+	if i := l.find(msg); i >= 0 {
+		return l.entry(i), true
+	}
+	return Entry{}, false
+}
+
+// StableOrGone reports whether msg needs no further replication: its
+// determinant is either stable or no longer tracked (garbage-collected,
+// which only happens once its receiver checkpointed past the delivery).
+func (l *Log) StableOrGone(msg ids.MsgID) bool {
+	i := l.find(msg)
+	return i < 0 || l.slots[i].stable
+}
+
+// scan invokes fn with a copy of every entry on lst modified after
+// generation since, oldest change first. fn must not modify the log.
+//
+//rollvet:hotpath
+func (l *Log) scan(lst list, since int, fn func(Entry)) {
+	first := int32(none)
+	for i := lst.tail; i >= 0 && l.slots[i].modGen > since; i = l.slots[i].prev {
+		first = i
+	}
+	for i := first; i >= 0; i = l.slots[i].next {
+		fn(l.entry(i))
+	}
 }
 
 // ScanPendingModified invokes fn with a copy of every non-stable entry
-// modified at or after cursor (deduplicated within the scan) and returns
-// the new cursor.
-func (l *Log) ScanPendingModified(cursor int, fn func(Entry)) int {
-	return l.scanJournal(cursor, func(_ ids.MsgID, e *Entry) {
-		if e != nil && !l.cfg.Stable(e.Holders) {
-			fn(e.Clone())
-		}
-	})
+// whose holders changed after generation since (zero or negative: every
+// pending entry) and returns the current generation — the value to pass
+// next time to see only what changed in between. This is piggyback
+// selection: the caller keeps one generation per destination.
+func (l *Log) ScanPendingModified(since int, fn func(Entry)) int {
+	l.scan(l.pending, since, fn)
+	return l.gen
 }
 
 // ScanModified is ScanPendingModified without the stability filter: fn
@@ -180,194 +467,30 @@ func (l *Log) ScanPendingModified(cursor int, fn func(Entry)) int {
 // release dependent output once IT learns the entry is stable; with the
 // stability-filtered scan that knowledge would arrive only with its next
 // checkpoint (see fbl/send.go).
-func (l *Log) ScanModified(cursor int, fn func(Entry)) int {
-	return l.scanJournal(cursor, func(_ ids.MsgID, e *Entry) {
-		if e != nil {
-			fn(e.Clone())
-		}
-	})
+func (l *Log) ScanModified(since int, fn func(Entry)) int {
+	l.scan(l.pending, since, fn)
+	l.scan(l.settled, since, fn)
+	return l.gen
 }
 
-// Compact discards the journal prefix below minCursor, the smallest cursor
-// any consumer still holds.
-func (l *Log) Compact(minCursor int) {
-	if minCursor <= l.base {
-		return
-	}
-	drop := minCursor - l.base
-	if drop > len(l.journal) {
-		drop = len(l.journal)
-	}
-	l.journal = append([]ids.MsgID(nil), l.journal[drop:]...)
-	l.base += drop
-}
-
-// Config returns the replication configuration of the log.
-func (l *Log) Config() Config { return l.cfg }
-
-// Len returns the number of determinants currently held.
-func (l *Log) Len() int { return len(l.entries) }
-
-// PendingCount returns the number of entries that are not yet stable — the
-// stability lag: determinants still below the f+1-holder watermark, whose
-// loss in a failure would orphan somebody. Allocation-free, for samplers.
+// PendingIDs invokes fn with the id of every non-stable entry. Unlike
+// Pending it clones and sorts nothing.
 //
 //rollvet:hotpath
-func (l *Log) PendingCount() int {
-	n := 0
-	//rollvet:allow maporder -- counts a pure predicate over values; the sum is order-independent
-	for _, e := range l.entries {
-		if !l.cfg.Stable(e.Holders) {
-			n++
-		}
-	}
-	return n
-}
-
-// Record merges an entry into the log: a new determinant is stored, a known
-// one has its holder set unioned. It returns an error if the incoming
-// determinant disagrees with a stored one about the receiver or the receipt
-// order of the same message — that would mean two executions delivered the
-// same message differently, which the protocol must never allow.
-func (l *Log) Record(e Entry) error {
-	if cur, ok := l.entries[e.Det.Msg]; ok {
-		if cur.Det != e.Det {
-			return fmt.Errorf("det: conflicting determinants for %v: have %v, got %v",
-				e.Det.Msg, cur.Det, e.Det)
-		}
-		if cur.Holders.Union(e.Holders) {
-			l.mark(e.Det.Msg)
-		}
-		return nil
-	}
-	cp := e.Clone()
-	l.entries[e.Det.Msg] = &cp
-	if !l.cfg.Stable(cp.Holders) {
-		l.pendAdd(e.Det.Msg)
-	}
-	idx := l.byRecv[e.Det.Receiver]
-	if idx == nil {
-		idx = make(map[ids.MsgID]struct{})
-		l.byRecv[e.Det.Receiver] = idx
-	}
-	idx[e.Det.Msg] = struct{}{}
-	l.mark(e.Det.Msg)
-	return nil
-}
-
-// AddHolder marks process p as holding the determinant of msg, if known.
-//
-//rollvet:hotpath
-func (l *Log) AddHolder(msg ids.MsgID, p ids.ProcID) {
-	if e, ok := l.entries[msg]; ok {
-		if idx := HolderIndex(p, l.cfg.N); idx >= 0 && !e.Holders.Contains(idx) {
-			e.Holders.Add(idx)
-			l.mark(msg)
-		}
-	}
-}
-
-// Lookup returns the determinant entry for msg, if present.
-func (l *Log) Lookup(msg ids.MsgID) (Entry, bool) {
-	if e, ok := l.entries[msg]; ok {
-		return e.Clone(), true
-	}
-	return Entry{}, false
-}
-
-// StableOrGone reports whether msg needs no further replication: its
-// determinant is either stable or no longer tracked (garbage-collected,
-// which only happens once its receiver checkpointed past the delivery).
-// Unlike Lookup it allocates nothing, so it is safe on hot paths.
-//
-//rollvet:hotpath
-func (l *Log) StableOrGone(msg ids.MsgID) bool {
-	e, ok := l.entries[msg]
-	return !ok || l.cfg.Stable(e.Holders)
-}
-
-// PendingIDs invokes fn with the id of every non-stable entry, in no
-// particular order: callers must treat the result as a set (the output-
-// commit wait counters do). Unlike Pending it clones and sorts nothing.
 func (l *Log) PendingIDs(fn func(ids.MsgID)) {
-	//rollvet:allow maporder -- callers build order-independent sets/counters from the ids
-	for id, e := range l.entries {
-		if !l.cfg.Stable(e.Holders) {
-			fn(id)
-		}
+	for i := l.pending.head; i >= 0; i = l.slots[i].next {
+		fn(l.slots[i].det.Msg)
 	}
-}
-
-// pendAdd inserts id into the live pending index if absent.
-//
-//rollvet:hotpath
-func (l *Log) pendAdd(id ids.MsgID) {
-	if _, ok := l.pendSet[id]; ok {
-		return
-	}
-	l.pendSet[id] = struct{}{}
-	//rollvet:allow hotalloc -- index growth is amortized; ScanPending compacts stabilized ids in place
-	l.pendList = append(l.pendList, id)
-}
-
-// ScanPending invokes fn with a copy of every currently-pending entry, in
-// first-recorded order, pruning ids that stabilized or were collected since
-// the last scan. This is the piggyback source for protocol modes without
-// per-destination journal cursors (fanout): cost is O(pending now), not
-// O(modifications since this destination was last contacted).
-func (l *Log) ScanPending(fn func(Entry)) {
-	w := 0
-	for _, id := range l.pendList {
-		e, ok := l.entries[id]
-		if !ok || l.cfg.Stable(e.Holders) {
-			delete(l.pendSet, id)
-			continue
-		}
-		l.pendList[w] = id
-		w++
-		fn(e.Clone())
-	}
-	l.pendList = l.pendList[:w]
-}
-
-// ScanStabilized invokes fn once per message id that was modified at or
-// after cursor and is now stable or gone, and returns the new cursor.
-// Garbage collection marks the journal too, so ids GC'd since the last
-// scan are reported. The output-commit rule consumes this to retire wait
-// entries incrementally instead of re-polling its whole wait set.
-func (l *Log) ScanStabilized(cursor int, fn func(ids.MsgID)) int {
-	return l.scanJournal(cursor, func(id ids.MsgID, e *Entry) {
-		if e == nil || l.cfg.Stable(e.Holders) {
-			fn(id)
-		}
-	})
 }
 
 // Pending returns the entries that are not yet stable, in deterministic
-// (sender, ssn) order: exactly the set a process must piggyback on its next
-// outgoing message.
+// (sender, ssn) order: the set a process must piggyback to a peer it has
+// offered nothing, and — in the f = n instance, where stable means held by
+// the storage pseudo-process — the set still to stream to storage.
 func (l *Log) Pending() []Entry {
-	var out []Entry
-	//rollvet:allow maporder -- sortEntries below totally orders by the unique MsgID key; Stable is a pure predicate
-	for _, e := range l.entries {
-		if !l.cfg.Stable(e.Holders) {
-			out = append(out, e.Clone())
-		}
-	}
-	sortEntries(out)
-	return out
-}
-
-// PendingForStorage returns the entries whose holder set does not yet
-// include the stable-storage pseudo-process; the f = n instance streams
-// these to storage asynchronously.
-func (l *Log) PendingForStorage() []Entry {
-	var out []Entry
-	//rollvet:allow maporder -- sortEntries below totally orders by the unique MsgID key; Contains is a pure predicate
-	for _, e := range l.entries {
-		if !e.Holders.Contains(l.cfg.N) {
-			out = append(out, e.Clone())
-		}
+	out := make([]Entry, 0, l.npending)
+	for i := l.pending.head; i >= 0; i = l.slots[i].next {
+		out = append(out, l.entry(i))
 	}
 	sortEntries(out)
 	return out
@@ -376,13 +499,23 @@ func (l *Log) PendingForStorage() []Entry {
 // All returns every entry in deterministic order. Used when a live process
 // answers the recovery leader's depinfo request (§3.4 step 5).
 func (l *Log) All() []Entry {
-	out := make([]Entry, 0, len(l.entries))
-	//rollvet:allow maporder -- sortEntries below totally orders by the unique MsgID key
-	for _, e := range l.entries {
-		out = append(out, e.Clone())
+	out := make([]Entry, 0, l.Len())
+	for _, lst := range [2]list{l.pending, l.settled} {
+		for i := lst.head; i >= 0; i = l.slots[i].next {
+			out = append(out, l.entry(i))
+		}
 	}
 	sortEntries(out)
 	return out
+}
+
+// chain returns the head of the entries recording deliveries at p, or none
+// when p is not an application process.
+func (l *Log) chain(p ids.ProcID) int32 {
+	if !l.delivers(p) {
+		return none
+	}
+	return l.recv[p]
 }
 
 // ForReceiver returns the determinants recording deliveries at process p
@@ -390,13 +523,12 @@ func (l *Log) All() []Entry {
 // schedule a recovering process must re-consume (paper §2.1).
 func (l *Log) ForReceiver(p ids.ProcID, after ids.RSN) []Determinant {
 	var out []Determinant
-	//rollvet:allow maporder -- the sort below totally orders by RSN, which is unique per receiver
-	for id := range l.byRecv[p] {
-		if e := l.entries[id]; e.Det.RSN > after {
-			out = append(out, e.Det)
+	for i := l.chain(p); i >= 0; i = l.slots[i].rnext {
+		if d := l.slots[i].det; d.RSN > after {
+			out = append(out, d)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].RSN < out[j].RSN })
+	slices.SortFunc(out, func(a, b Determinant) int { return cmp.Compare(a.RSN, b.RSN) })
 	return out
 }
 
@@ -407,9 +539,8 @@ func (l *Log) ForReceiver(p ids.ProcID, after ids.RSN) []Determinant {
 func (l *Log) AllForReceivers(procs []ids.ProcID) []Entry {
 	var out []Entry
 	for _, p := range procs {
-		//rollvet:allow maporder -- sortEntries below totally orders by the unique MsgID key
-		for id := range l.byRecv[p] {
-			out = append(out, l.entries[id].Clone())
+		for i := l.chain(p); i >= 0; i = l.slots[i].rnext {
+			out = append(out, l.entry(i))
 		}
 	}
 	sortEntries(out)
@@ -420,15 +551,31 @@ func (l *Log) AllForReceivers(procs []ids.ProcID) []Entry {
 // p has checkpointed past a delivery it can never be asked to replay it.
 // It returns the number of entries discarded.
 func (l *Log) GCReceiver(p ids.ProcID, upTo ids.RSN) int {
+	if l.chain(p) < 0 {
+		return 0
+	}
 	n := 0
-	//rollvet:allow maporder -- deletes the value-independent subset (receiver, RSN <= upTo); commutative
-	for id := range l.byRecv[p] {
-		if e := l.entries[id]; e.Det.RSN <= upTo {
-			delete(l.entries, id)
-			delete(l.byRecv[p], id)
-			// Journal the removal so ScanStabilized consumers observe it.
-			l.mark(id)
-			n++
+	link := &l.recv[p]
+	for i := *link; i >= 0; i = *link {
+		s := &l.slots[i]
+		if s.det.RSN > upTo {
+			link = &s.rnext
+			continue
+		}
+		*link = s.rnext
+		l.unlink(l.listOf(s.stable), i)
+		l.unindex(i)
+		clear(l.holders(i))
+		id, wasPending := s.det.Msg, !s.stable
+		*s = slot{next: l.free}
+		l.free = i
+		l.nfree++
+		n++
+		if wasPending {
+			l.npending--
+			if l.onSettled != nil {
+				l.onSettled(id)
+			}
 		}
 	}
 	return n
@@ -444,10 +591,11 @@ func (l *Log) MergeEntries(entries []Entry) error {
 	return nil
 }
 
-// Snapshot returns a deep copy of the log, used when checkpoint contents
-// must be captured at an instant.
-func (l *Log) Snapshot() []Entry { return l.All() }
-
 func sortEntries(s []Entry) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Det.Msg.Less(s[j].Det.Msg) })
+	slices.SortFunc(s, func(a, b Entry) int {
+		if c := cmp.Compare(a.Det.Msg.Sender, b.Det.Msg.Sender); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Det.Msg.SSN, b.Det.Msg.SSN)
+	})
 }

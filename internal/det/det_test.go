@@ -1,6 +1,7 @@
 package det
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -88,6 +89,48 @@ func TestRecordConflict(t *testing.T) {
 	}
 }
 
+// TestRecordRejectsWhatItCannotChain: the receiver indexes a per-receiver
+// chain, so a determinant naming anything but an application process (a
+// decoded frame can carry any int32) is an error, never an index panic;
+// RSN 0 is no delivery at all. The per-receiver reads treat such receivers
+// as having no entries.
+func TestRecordRejectsWhatItCannotChain(t *testing.T) {
+	l := NewLog(Config{N: 4, F: 2})
+	for _, e := range []Entry{
+		entry(0, 1, 4, 1, 0),               // one past the last process
+		entry(0, 1, ids.StorageProc, 1, 0), // storage holds determinants, it delivers nothing
+		entry(0, 1, ids.Nobody, 1, 0),
+		entry(0, 1, -1<<31, 1, 0),
+		entry(0, 1, 1<<31-1, 1, 0),
+		entry(0, 1, 1, 0, 0), // RSN 0
+	} {
+		var re RecordError
+		if err := l.Record(e); !errors.As(err, &re) || re.Got != e.Det {
+			t.Errorf("Record(%v) = %v, want a RecordError naming it", e.Det, err)
+		}
+	}
+	if l.Len() != 0 {
+		t.Fatalf("rejected determinants were stored: Len = %d", l.Len())
+	}
+	_ = l.Record(entry(0, 1, 1, 1, 0))
+	for _, p := range []ids.ProcID{4, ids.StorageProc, ids.Nobody, -1 << 31, 1<<31 - 1} {
+		if n := l.GCReceiver(p, ^ids.RSN(0)); n != 0 {
+			t.Errorf("GCReceiver(%v) dropped %d", p, n)
+		}
+		if ds := l.ForReceiver(p, 0); len(ds) != 0 {
+			t.Errorf("ForReceiver(%v) = %v", p, ds)
+		}
+	}
+	if es := l.AllForReceivers([]ids.ProcID{7, ids.StorageProc, 1, -9}); len(es) != 1 {
+		t.Errorf("AllForReceivers with out-of-range members = %v, want p1's one entry", es)
+	}
+	// Holder bits past the universe are dropped, not stored or counted.
+	_ = l.Record(Entry{Det: Determinant{Msg: ids.MsgID{Sender: 2, SSN: 1}, Receiver: 0, RSN: 1}, Holders: bitset.FromSlice([]int{0, 64, 700})})
+	if e, _ := l.Lookup(ids.MsgID{Sender: 2, SSN: 1}); !e.Holders.Equal(bitset.FromSlice([]int{0})) {
+		t.Errorf("holders = %v, want {0}", e.Holders)
+	}
+}
+
 func TestPendingExcludesStable(t *testing.T) {
 	l := NewLog(Config{N: 4, F: 1})
 	if err := l.Record(entry(0, 1, 1, 1, 1)); err != nil { // 1 holder: pending
@@ -149,13 +192,15 @@ func TestGCReceiver(t *testing.T) {
 	}
 }
 
-func TestPendingForStorage(t *testing.T) {
+// TestPendingIsStorageBacklogAtFN: in the f = n instance "pending" means
+// "not yet held by storage", which is what flushToStorage streams.
+func TestPendingIsStorageBacklogAtFN(t *testing.T) {
 	l := NewLog(Config{N: 2, F: 2})
 	_ = l.Record(entry(0, 1, 1, 1, 0, 1)) // volatile only
 	_ = l.Record(entry(0, 2, 1, 2, 0, 2)) // slot 2 == storage for N=2
-	p := l.PendingForStorage()
+	p := l.Pending()
 	if len(p) != 1 || p[0].Det.Msg.SSN != 1 {
-		t.Fatalf("PendingForStorage = %v", p)
+		t.Fatalf("Pending = %v", p)
 	}
 }
 
@@ -213,13 +258,13 @@ func TestQuickMergeIsIdempotentAndMonotone(t *testing.T) {
 	}
 }
 
-func TestSnapshotIsDeepCopy(t *testing.T) {
+func TestAllIsDeepCopy(t *testing.T) {
 	l := NewLog(Config{N: 4, F: 2})
 	_ = l.Record(entry(0, 1, 1, 1, 0))
-	snap := l.Snapshot()
+	snap := l.All()
 	snap[0].Holders.Add(3)
 	e, _ := l.Lookup(ids.MsgID{Sender: 0, SSN: 1})
 	if e.Holders.Contains(3) {
-		t.Fatal("Snapshot must not alias the log's holder sets")
+		t.Fatal("All must not alias the log's holder arena")
 	}
 }

@@ -181,24 +181,6 @@ func (p *Process) doCheckpoint() {
 	for i, d := range p.expDseq {
 		expAt[i] = ids.SSN(d)
 	}
-	// Compact the determinant journal up to the slowest consumer: the
-	// piggyback cursors and (when output tracking is on) the output-commit
-	// scan cursor.
-	minCur := p.dets.Cursor()
-	if p.par.Fanout == 0 || p.par.Outputs != nil {
-		// The piggyback cursors only exist on the journal-scan transmit
-		// path; fanout mode scans the live pending index instead, so its
-		// journal has no consumers to hold compaction back.
-		for _, c := range p.detCursor {
-			if c >= 0 && c < minCur {
-				minCur = c
-			}
-		}
-	}
-	if p.par.Outputs != nil && p.outCursor < minCur {
-		minCur = p.outCursor
-	}
-	p.dets.Compact(minCur)
 	p.env.WriteStable(keyCheckpoint, data, func() {
 		p.env.Tracer().End(cpSpan, p.env.Now())
 		p.cpBusy = false

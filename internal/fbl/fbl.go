@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"rollrec/internal/bitset"
 	"rollrec/internal/det"
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
@@ -173,18 +172,18 @@ type Process struct {
 	// would let senders drop messages we still need for replay.
 	cpExpDseq []uint64
 
-	// detSent estimates, per destination, which determinant copies the
-	// destination already stores (keyed by message, valued by a fingerprint
-	// of the holder set last sent). This is the dependency-matrix estimate
-	// of the FBL protocols [Alvisi–Marzullo]: an entry already held by the
-	// receiver need not be piggybacked again, which is what keeps the
-	// piggyback bounded. The estimate is reset for a destination when it
-	// reincarnates (its volatile log died with it).
+	// scanGen is, per destination, the determinant-log generation at our
+	// last piggyback scan for it: the next transmit offers what changed
+	// since. This one integer is the dependency-matrix estimate of the FBL
+	// protocols [Alvisi–Marzullo] — an entry the receiver was already
+	// offered with the same holders is not piggybacked again. -1 after the
+	// destination reincarnated (its volatile log died with it): offer the
+	// whole pending set again.
+	scanGen []int
+	// detSent is, under output tracking only, each destination's memo of
+	// the holder set it was last offered per determinant (see unlessSent);
+	// reset when the destination reincarnates.
 	detSent []map[ids.MsgID]uint64
-	// detCursor is each destination's position in the determinant log's
-	// modification journal; -1 forces a full rescan (after the peer
-	// reincarnated).
-	detCursor []int
 	// replayServed remembers, per requester, the highest send-log dseq
 	// already retransmitted to a given incarnation, so periodic replay-
 	// request retries do not flood the recovering process with redundant
@@ -218,10 +217,10 @@ type Process struct {
 	cpOutSeq    uint64     // outputs covered by the last durable checkpoint
 	pendingOuts []*outWait // requested, rule not yet satisfied, seq-ascending
 	// outWaiters maps each awaited determinant id to the outputs waiting on
-	// it; outCursor is this consumer's position in the determinant log's
-	// modification journal (see checkOutputs).
+	// it; settled collects the ids the determinant log reported as having
+	// left its pending set since the last checkOutputs.
 	outWaiters map[ids.MsgID][]*outWait
-	outCursor  int
+	settled    []ids.MsgID
 
 	// Observability (volatile, test-only).
 	journal []det.Determinant
@@ -252,10 +251,13 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	// with.
 	p.sendLog = make([]map[uint64]logRec, p.n)
 	p.oooBuf = make([]map[uint64]*wire.Envelope, p.n)
-	p.detSent = make([]map[ids.MsgID]uint64, p.n)
-	p.detCursor = make([]int, p.n)
+	p.scanGen = make([]int, p.n)
 	p.replayServed = make([]servedMark, p.n)
-	p.outWaiters = make(map[ids.MsgID][]*outWait)
+	if p.par.Outputs != nil {
+		p.detSent = make([]map[ids.MsgID]uint64, p.n)
+		p.outWaiters = make(map[ids.MsgID][]*outWait)
+		p.dets.OnSettled(p.noteSettled)
+	}
 	p.app = p.par.App(env.ID(), p.n)
 	p.mgr = recovery.NewManager(recovery.Config{
 		Style:        p.par.Style,
@@ -300,8 +302,8 @@ func (p *Process) ring(dir int) []ids.ProcID {
 	return out
 }
 
-// sendLogFor, oooBufFor and detSentFor lazily allocate the per-destination
-// maps; see Boot.
+// sendLogFor and oooBufFor lazily allocate the per-destination maps; see
+// Boot.
 func (p *Process) sendLogFor(to ids.ProcID) map[uint64]logRec {
 	if p.sendLog[to] == nil {
 		p.sendLog[to] = make(map[uint64]logRec)
@@ -314,13 +316,6 @@ func (p *Process) oooBufFor(from ids.ProcID) map[uint64]*wire.Envelope {
 		p.oooBuf[from] = make(map[uint64]*wire.Envelope)
 	}
 	return p.oooBuf[from]
-}
-
-func (p *Process) detSentFor(to ids.ProcID) map[ids.MsgID]uint64 {
-	if p.detSent[to] == nil {
-		p.detSent[to] = make(map[ids.MsgID]uint64)
-	}
-	return p.detSent[to]
 }
 
 func (p *Process) startTimers() {
@@ -362,7 +357,7 @@ func (p *Process) flushToStorage() {
 	if p.mode != ModeLive && p.mode != ModeReplaying {
 		return
 	}
-	pending := p.dets.PendingForStorage()
+	pending := p.dets.Pending() // f = n: pending means storage does not hold it yet
 	if len(pending) == 0 {
 		return
 	}
@@ -441,12 +436,12 @@ func (p *Process) applyPiggybackGC(e *wire.Envelope) {
 
 // absorbDets merges piggybacked determinant entries and marks ourselves as
 // a holder of each (we now store the receipt order in our volatile log).
+//
+//rollvet:hotpath
 func (p *Process) absorbDets(entries []det.Entry) {
-	self := det.HolderIndex(p.env.ID(), p.n)
+	self := p.env.ID()
 	for _, en := range entries {
-		en = en.Clone()
-		en.Holders.Add(self)
-		if err := p.dets.Record(en); err != nil {
+		if err := p.dets.RecordHeld(en, self); err != nil {
 			panic(fmt.Sprintf("fbl: %v: conflicting piggybacked determinant: %v", p.env.ID(), err))
 		}
 	}
@@ -511,8 +506,7 @@ func (p *Process) consume(e *wire.Envelope, forcedRSN ids.RSN) {
 		RSN:      p.rsn,
 	}
 	if forcedRSN == 0 {
-		holders := newHolders(p.env.ID(), p.n)
-		if err := p.dets.Record(det.Entry{Det: d, Holders: holders}); err != nil {
+		if err := p.dets.RecordHeld(det.Entry{Det: d}, p.env.ID()); err != nil {
 			panic(fmt.Sprintf("fbl: %v: recording own determinant: %v", p.env.ID(), err))
 		}
 	} else {
@@ -534,16 +528,12 @@ func (p *Process) consume(e *wire.Envelope, forcedRSN ids.RSN) {
 func (p *Process) learnIncarnation(q ids.ProcID, inc ids.Incarnation) {
 	if p.incVec.Bump(q, inc) {
 		if q >= 0 && int(q) < p.n {
-			p.detSent[q] = nil  // reset; reallocated lazily on the next send
-			p.detCursor[q] = -1 // offer everything pending again
+			p.scanGen[q] = -1 // offer everything pending again
+			if p.detSent != nil {
+				p.detSent[q] = nil
+			}
 		}
 	}
-}
-
-func newHolders(self ids.ProcID, n int) bitset.Set {
-	var s bitset.Set
-	s.Add(det.HolderIndex(self, n))
-	return s
 }
 
 // hashBytes is a small FNV-1a for hook payload fingerprints.

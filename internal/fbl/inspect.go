@@ -45,6 +45,10 @@ func (p *Process) DetLogLen() int { return p.dets.Len() }
 // f+1-holder watermark). Allocation-free, for the timeline sampler.
 func (p *Process) DetPending() int { return p.dets.PendingCount() }
 
+// DetStats returns the determinant log's own counters: entries, stability
+// lag, slab high-water mark and free slots.
+func (p *Process) DetStats() det.Stats { return p.dets.Stats() }
+
 // RecoveryState returns the recovery manager state.
 func (p *Process) RecoveryState() recovery.State { return p.mgr.State() }
 

@@ -138,4 +138,13 @@ func TestCheckpointGCBoundsState(t *testing.T) {
 	if sizeLate > sizeEarly*8 {
 		t.Fatalf("volatile state grew from %d to %d: GC not working", sizeEarly, sizeLate)
 	}
+	// The log's own counters agree with the views, and checkpoint GC feeds
+	// the free list instead of growing the slab without bound.
+	st := p.DetStats()
+	if st.Entries != p.DetLogLen() || st.Pending != p.DetPending() || st.Entries+st.SlabFree != st.SlabCap {
+		t.Fatalf("inconsistent determinant-log stats %+v (len %d, pending %d)", st, p.DetLogLen(), p.DetPending())
+	}
+	if st.SlabFree == 0 || st.SlabCap > sizeEarly*8 {
+		t.Fatalf("determinant slab is not recycling collected slots: %+v", st)
+	}
 }

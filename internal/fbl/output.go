@@ -14,10 +14,10 @@ import (
 //
 // Bookkeeping is incremental: each output carries only a count of awaited
 // determinants, a reverse index maps determinant ids to their waiters, and
-// the determinant log's modification journal (ScanStabilized) retires wait
-// entries as ids become stable or are garbage-collected. The per-delivery
-// cost is proportional to what changed, not to what is pending — a full
-// rescan per delivery made the D11 client–server runs quadratic.
+// the determinant log names each id as it leaves the pending set
+// (det.Log.OnSettled). The per-delivery cost is proportional to
+// what changed, not to what is pending — a full rescan per delivery made
+// the D11 client–server runs quadratic.
 
 // outWait is one requested output waiting for `remaining` antecedent
 // determinants to become stable or gone.
@@ -53,32 +53,36 @@ func (c appCtx) Output(payload []byte) {
 	p.pendingOuts = append(p.pendingOuts, w)
 }
 
-// checkOutputs retires wait entries for determinants that stabilized (or
-// were GC'd) since the last call, then releases every pending output whose
-// rule now holds. It runs at the end of each Deliver (holder knowledge only
+// noteSettled is the determinant log's OnSettled callback: id became stable
+// or was garbage-collected. It is only noted here; checkOutputs judges it.
+func (p *Process) noteSettled(id ids.MsgID) {
+	if len(p.outWaiters) > 0 {
+		p.settled = append(p.settled, id)
+	}
+}
+
+// checkOutputs retires the waiters of determinants that left the pending
+// set since the last call, then releases every pending output whose rule
+// now holds. It runs at the end of each Deliver (holder knowledge only
 // changes there), after a checkpoint becomes durable, and when replay
 // finishes. A recovering process defers all releases until it is live
 // again, which is why outputs straddling a crash commit only after
 // recovery completes.
 func (p *Process) checkOutputs() {
-	if len(p.outWaiters) == 0 {
-		// Nothing awaited: keep the journal cursor pinned to now so the
-		// checkpoint-time Compact is never held back.
-		p.outCursor = p.dets.Cursor()
-	} else if p.outCursor != p.dets.Cursor() {
-		p.outCursor = p.dets.ScanStabilized(p.outCursor, func(id ids.MsgID) {
-			ws, ok := p.outWaiters[id]
-			if !ok {
-				return
-			}
+	for _, id := range p.settled {
+		// Judged by the state now, not when noted: a determinant our own
+		// checkpoint collected may have come back pending in a peer's
+		// piggyback before this check, and then its waiters keep waiting.
+		// Decrements for already-released outputs (committed via checkpoint
+		// coverage) are harmless: they left pendingOuts.
+		if ws, ok := p.outWaiters[id]; ok && p.dets.StableOrGone(id) {
 			delete(p.outWaiters, id)
-			// Decrements for already-released outputs (committed via
-			// checkpoint coverage) are harmless: they left pendingOuts.
 			for _, w := range ws {
 				w.remaining--
 			}
-		})
+		}
 	}
+	p.settled = p.settled[:0]
 	if len(p.pendingOuts) == 0 || p.mode != ModeLive {
 		return
 	}

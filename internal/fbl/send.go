@@ -56,44 +56,26 @@ func holderFingerprint(e det.Entry) uint64 {
 
 // transmit sends one logged application message (used by both fresh sends
 // and replay retransmissions). The piggyback carries every determinant not
-// yet known to be stable (§2.1) that the destination is not already known
-// to hold with the same holder information — the FBL estimate that stops
-// the propagation of a receipt order "as soon as it has been recorded in
-// f+1 hosts".
+// yet known to be stable (§2.1) whose holder set changed since we last
+// offered it to this destination — the FBL estimate that stops the
+// propagation of a receipt order "as soon as it has been recorded in f+1
+// hosts". One generation per destination (scanGen) is the whole estimate
+// in broadcast and fanout mode alike.
 func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
-	sent := p.detSentFor(to)
 	var piggy []det.Entry
-	consider := func(e det.Entry) {
-		fp := holderFingerprint(e)
-		if prev, ok := sent[e.Det.Msg]; ok && prev == fp {
-			return
+	offer := func(e det.Entry) { piggy = append(piggy, e) }
+	scan := p.dets.ScanPendingModified
+	if p.par.Outputs != nil {
+		offer = p.unlessSent(to, offer)
+		if p.scanGen[to] >= 0 {
+			// Output tracking needs holder knowledge to travel one hop past
+			// the f+1 threshold: only learning that its antecedents are
+			// stable lets the entry's receiver release output (DESIGN §10).
+			// A reincarnated peer (-1) still gets the pending set only.
+			scan = p.dets.ScanModified
 		}
-		sent[e.Det.Msg] = fp
-		piggy = append(piggy, e)
 	}
-	if p.par.Fanout > 0 && p.par.Outputs == nil {
-		// Fanout mode drops the per-destination journal cursors: with O(n)
-		// destinations each contacted rarely, every transmit would re-scan
-		// the whole modification history since last contact — quadratic at
-		// n=1024. The live pending set is small (entries stabilize within a
-		// few hops) and the detSent fingerprints still deduplicate offers,
-		// so scanning it whole is both flat-cost and offer-equivalent.
-		p.dets.ScanPending(consider)
-	} else if p.detCursor[to] < 0 {
-		// The peer reincarnated: offer every pending determinant once.
-		for _, e := range p.dets.Pending() {
-			consider(e)
-		}
-		p.detCursor[to] = p.dets.Cursor()
-	} else if p.par.Outputs != nil {
-		// Output tracking needs holder knowledge to travel one hop past the
-		// f+1 threshold: only learning that its antecedents are stable lets
-		// the entry's receiver release output (DESIGN §10). The detSent
-		// fingerprint still bounds this to one extra copy per destination.
-		p.detCursor[to] = p.dets.ScanModified(p.detCursor[to], consider)
-	} else {
-		p.detCursor[to] = p.dets.ScanPendingModified(p.detCursor[to], consider)
-	}
+	p.scanGen[to] = scan(p.scanGen[to], offer)
 	if TestingDropDetPiggyback {
 		// Mutation hook (see TestingDropDetPiggyback): the determinants were
 		// scanned and memoized as sent, but never leave the process — the
@@ -104,12 +86,13 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
 	if p.par.Fanout > 0 {
 		// The FBL sender-side estimate (§2.1): piggybacking a determinant
 		// to a destination makes that destination a holder, so count it now
-		// and stop propagating once the estimate reaches f+1. Without this,
-		// a copy's holder view stalls below the threshold forever (stable
-		// copies are never re-piggybacked, so nobody echoes the knowledge
-		// back) and every process keeps offering every determinant it saw
-		// until checkpoint GC — the piggyback volume that made n=1024
-		// unaffordable. The estimate is optimistic about in-flight copies,
+		// and stop propagating once the estimate reaches f+1 (the change also
+		// re-offers the entry to this destination once, carrying the wider
+		// holder set). Without this, a copy's holder view stalls below the
+		// threshold forever (stable copies are never re-piggybacked, so
+		// nobody echoes the knowledge back) and every process keeps offering
+		// every determinant it saw until checkpoint GC — the piggyback volume
+		// that made n=1024 unaffordable. The estimate is optimistic about in-flight copies,
 		// which is exactly the paper's stated trade; the cluster's orphan
 		// checker guards the invariant in every scenario we run.
 		for i := range piggy {
@@ -138,6 +121,28 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
 		e.CPDseq = p.cpExpDseq[to]
 	}
 	p.env.Send(to, e)
+}
+
+// unlessSent wraps offer with the output-tracking memo: skip an entry whose
+// holder set is the one this destination was last offered. Without output
+// tracking scanGen alone decides and the memo would never fire; with it,
+// stable entries keep travelling, so a determinant collected here comes
+// back from a peer that has not collected it yet, looks new to the log, and
+// only this memo keeps it from being re-offered to everyone it was already
+// offered to with the same holders (DESIGN §5).
+func (p *Process) unlessSent(to ids.ProcID, offer func(det.Entry)) func(det.Entry) {
+	if p.detSent[to] == nil {
+		p.detSent[to] = make(map[ids.MsgID]uint64)
+	}
+	sent := p.detSent[to]
+	return func(e det.Entry) {
+		fp := holderFingerprint(e)
+		if prev, ok := sent[e.Det.Msg]; ok && prev == fp {
+			return
+		}
+		sent[e.Det.Msg] = fp
+		offer(e)
+	}
 }
 
 // serveReplay answers a recovering process's retransmission request: resend

@@ -41,9 +41,7 @@ func (s *StorageNode) Deliver(e *wire.Envelope) {
 	case wire.KindDetsToStorage:
 		acked := make([]ids.MsgID, 0, len(e.Dets))
 		for _, en := range e.Dets {
-			en = en.Clone()
-			en.Holders.Add(det.HolderIndex(ids.StorageProc, s.env.N()))
-			if err := s.dets.Record(en); err != nil {
+			if err := s.dets.RecordHeld(en, ids.StorageProc); err != nil {
 				panic("fbl: storage received conflicting determinant: " + err.Error())
 			}
 			acked = append(acked, en.Det.Msg)

@@ -3,6 +3,9 @@ package wire
 import (
 	"errors"
 	"testing"
+
+	"rollrec/internal/det"
+	"rollrec/internal/ids"
 )
 
 // holderFrame assembles a KindApp frame whose single determinant entry
@@ -52,6 +55,62 @@ func TestDecodeHolderAmplificationGuards(t *testing.T) {
 	}
 }
 
+// fuzzSeedFrames is FuzzDecodeFrame's seed corpus.
+func fuzzSeedFrames() [][]byte {
+	var frames [][]byte
+	for _, e := range sampleEnvelopes() {
+		frame := Encode(e)
+		v1 := append([]byte(nil), frame...)
+		v1[0] = 1
+		frames = append(frames, frame, v1)
+	}
+	return append(frames,
+		[]byte{},
+		[]byte{2},
+		[]byte{2, 1},
+		[]byte{1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+}
+
+// TestSeedCorpusDetsRecordWithoutPanic feeds every determinant the decoder
+// accepts from the fuzz seed corpus — plus the same entries with receivers
+// and RSNs no encoder would emit — to determinant logs narrower and wider
+// than the frames assume. The log indexes per-receiver chains and a
+// fixed-stride holder arena by what these fields say, so out-of-range
+// values must come back as errors (or be ignored), never as panics.
+func TestSeedCorpusDetsRecordWithoutPanic(t *testing.T) {
+	recorded := 0
+	for _, frame := range fuzzSeedFrames() {
+		e, err := Decode(frame)
+		if err != nil {
+			continue
+		}
+		for _, n := range []int{1, 3, 64, 200} {
+			l := det.NewLog(det.Config{N: n, F: 1})
+			for _, en := range e.Dets {
+				for _, recv := range []ids.ProcID{en.Det.Receiver, ids.StorageProc, ids.Nobody, ids.ProcID(n), -1 << 31, 1<<31 - 1} {
+					for _, rsn := range []ids.RSN{en.Det.RSN, 0} {
+						mut := en
+						mut.Det.Receiver, mut.Det.RSN = recv, rsn
+						if l.RecordHeld(mut, e.From) == nil {
+							recorded++
+						}
+						l.AddHolder(mut.Det.Msg, e.To)
+						l.ForReceiver(recv, 0)
+						l.AllForReceivers(e.Members)
+					}
+				}
+			}
+			l.All()
+			for _, en := range e.Dets {
+				l.GCReceiver(en.Det.Receiver, en.Det.RSN)
+			}
+		}
+	}
+	if recorded == 0 {
+		t.Fatal("the seed corpus recorded nothing: the test is not exercising Record")
+	}
+}
+
 // FuzzDecodeFrame throws arbitrary bytes at the frame decoder. Three
 // properties must hold for every input:
 //
@@ -69,17 +128,9 @@ func TestDecodeHolderAmplificationGuards(t *testing.T) {
 // (small holder sets keep the v1 layout, so many of these are exactly what
 // a v1 encoder produced), plus a few degenerate frames.
 func FuzzDecodeFrame(f *testing.F) {
-	for _, e := range sampleEnvelopes() {
-		frame := Encode(e)
+	for _, frame := range fuzzSeedFrames() {
 		f.Add(frame)
-		v1 := append([]byte(nil), frame...)
-		v1[0] = 1
-		f.Add(v1)
 	}
-	f.Add([]byte{})
-	f.Add([]byte{2})
-	f.Add([]byte{2, 1})
-	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := Decode(data)
