@@ -74,9 +74,10 @@ bench-micro:
 
 # bench-kernel runs the sim-kernel scheduler microbenchmarks against the
 # in-test container/heap baseline, plus the AllocsPerRun regression gates
-# (scheduler, output ledger, determinant log).
+# (scheduler, output ledger, determinant log, and the buffer-ownership gates
+# of DESIGN §5: frame encode, heartbeat tick and delivery, checkpoint image).
 bench-kernel:
-	$(GO) test ./internal/sim ./internal/output ./internal/det -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
+	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/fbl ./internal/coord ./internal/optimistic -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
 
 # benchmark-smoke vets and tests the host-time benchmark (BENCHMARK.json).
 # benchmark/ is its own module compiled against internal/..., so the root

@@ -9,6 +9,7 @@
 //	bench [-label L] [-out FILE] [-seeds 1,2] [-n 4,8] [-f 0,1,2]
 //	      [-profiles 1995,modern] [-styles nonblocking,blocking,manetho]
 //	      [-loads 0,1000] [-workers N] [-merge-seeds] [-quiet]
+//	      [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //	bench compare OLD.json NEW.json [-threshold 0.05]
 //	bench table SNAPSHOT.json
 //
@@ -31,6 +32,7 @@ import (
 	"time"
 
 	"rollrec/internal/bench"
+	"rollrec/internal/profile"
 )
 
 func main() {
@@ -59,6 +61,7 @@ func runSweep(args []string) int {
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	mergeSeeds := fs.Bool("merge-seeds", false, "aggregate all seeds into one cell per configuration (mean plus min/max spread)")
 	quiet := fs.Bool("quiet", false, "suppress per-cell progress on stderr")
+	prof := profile.Register(fs)
 	fs.Parse(args)
 
 	axes, err := parseAxes(*seeds, *ns, *fails, *profiles, *styles, *loads)
@@ -89,7 +92,15 @@ func runSweep(args []string) int {
 			fmt.Fprintf(os.Stderr, "bench: %3d/%d %s (%d sim events)\n", done, total, c.Key, c.SimEvents)
 		}
 	}
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		return 2
+	}
 	snap, err := bench.RunSweep(ctx, axes, opts)
+	if perr := stopProfiles(); perr != nil {
+		fmt.Fprintln(os.Stderr, "bench:", perr)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		if ctx.Err() != nil {

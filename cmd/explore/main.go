@@ -8,6 +8,7 @@
 // Usage:
 //
 //	explore [-families all] [-styles all] [-n 3] [-seed 1] [-out report.json]
+//	        [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //	explore -replay cx.json
 //
 // The report written by -out is byte-deterministic for a given flag set:
@@ -24,6 +25,7 @@ import (
 	"strings"
 
 	"rollrec/internal/explore"
+	"rollrec/internal/profile"
 	"rollrec/internal/recovery"
 )
 
@@ -41,11 +43,16 @@ func main() {
 	out := flag.String("out", "", "write the combined report as JSON to this path")
 	cxDir := flag.String("cx-dir", "", "save each counterexample as a JSON file in this directory")
 	replay := flag.String("replay", "", "re-execute this counterexample file instead of exploring; exits 0 iff it reproduces byte-identically")
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *replay != "" {
 		runReplay(*replay)
 		return
+	}
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		fatal(err)
 	}
 
 	fams, err := parseFamilies(*families)
@@ -94,6 +101,9 @@ func main() {
 		}
 	}
 
+	if err := stopProfiles(); err != nil {
+		fatal(err)
+	}
 	if *out != "" {
 		blob, err := json.MarshalIndent(reports, "", "  ")
 		if err != nil {

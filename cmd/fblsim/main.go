@@ -6,7 +6,9 @@
 //	fblsim -n 8 -f 2 -style nonblocking -crash 10s:3,14s:5 -horizon 30s
 //
 // Flags select the cluster size, failure budget, recovery algorithm,
-// workload, hardware profile, and a crash schedule of time:pid pairs.
+// workload, hardware profile, and a crash schedule of time:pid pairs;
+// -cpuprofile / -memprofile profile the run itself (cluster construction
+// and report printing excluded).
 package main
 
 import (
@@ -22,6 +24,7 @@ import (
 	"rollrec/internal/ids"
 	"rollrec/internal/metrics"
 	"rollrec/internal/node"
+	"rollrec/internal/profile"
 	"rollrec/internal/recovery"
 	"rollrec/internal/timeline"
 	"rollrec/internal/trace"
@@ -50,6 +53,7 @@ func main() {
 		tlCSV    = flag.String("timeline-csv", "", "also write the cluster-level timeline CSV here")
 		tlEvery  = flag.Duration("timeline-interval", timeline.DefaultInterval, "timeline sampling interval (virtual time)")
 	)
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
 
 	style, err := parseStyle(*styleF)
@@ -100,7 +104,14 @@ func main() {
 		c.AttachTimeline(col)
 	}
 	c.ApplyPlan(plan)
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		fatal(err)
+	}
 	c.Run(*horizon)
+	if err := stopProfiles(); err != nil {
+		fatal(err)
+	}
 
 	fmt.Printf("scenario: n=%d f=%d style=%s hw=%s app=%s seed=%d horizon=%v crashes=%d\n\n",
 		*n, *f, style, *hwF, *appF, *seed, *horizon, len(plan))

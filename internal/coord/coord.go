@@ -282,12 +282,15 @@ func (p *Process) restoreSnapshot(id uint32) {
 	})
 }
 
-// Deliver implements node.Process.
 // Recovering reports whether the process is currently rolling back to a
 // committed snapshot; read-only, for the timeline phase lane.
 func (p *Process) Recovering() bool { return p.rollingBack }
 
-func (p *Process) Deliver(e *wire.Envelope) {
+// Deliver implements node.Process on a by-value copy of the runtime's
+// envelope; the buffers that outlive it (futureBuf, oooBuf) Keep their own.
+func (p *Process) Deliver(in *wire.Envelope) {
+	ev := *in
+	e := &ev
 	if e.Kind == wire.KindRollback {
 		p.onRollback(e)
 		return
@@ -295,7 +298,7 @@ func (p *Process) Deliver(e *wire.Envelope) {
 	// Frames from a future epoch arriving before our own rollback finishes
 	// must wait: consuming them into the doomed state would lose them.
 	if p.rollingBack || uint32(e.FromInc) > p.epoch {
-		p.futureBuf = append(p.futureBuf, e)
+		p.futureBuf = append(p.futureBuf, e.Keep())
 		return
 	}
 	switch e.Kind {
@@ -334,7 +337,7 @@ func (p *Process) onRollback(e *wire.Envelope) {
 		// it with the future frames lets a concurrent recovery's (possibly
 		// higher-epoch) order win once ours completes.
 		if uint32(e.FromInc) > p.epoch {
-			p.futureBuf = append(p.futureBuf, e)
+			p.futureBuf = append(p.futureBuf, e.Keep())
 		}
 		return
 	}
@@ -424,7 +427,7 @@ func (p *Process) deliverApp(e *wire.Envelope) {
 		p.env.Metrics().Duplicate++
 		return
 	case e.Dseq > exp+1:
-		p.oooBuf[from][e.Dseq] = e
+		p.oooBuf[from][e.Dseq] = e.Keep()
 		return
 	}
 	p.consume(e)

@@ -153,10 +153,15 @@ func parseCommitted(data []byte) (id, epoch uint32) {
 	return id, epoch
 }
 
-// encodeLocalState captures the process state at marker time.
+// encodeLocalState captures the process state at marker time, in a fresh
+// buffer of exactly its size.
 func (p *Process) encodeLocalState() []byte {
 	app := p.app.Snapshot()
-	w := wire.NewWriter(64 + len(app) + p.par.StatePad)
+	size := 4 + 8 + 16*p.n + 4 + len(app) + 4 + p.par.StatePad
+	if p.outSeq != 0 {
+		size += 8
+	}
+	w := wire.NewWriter(size)
 	w.U32(p.epoch)
 	w.U64(uint64(p.delivered))
 	for i := 0; i < p.n; i++ {
@@ -164,7 +169,7 @@ func (p *Process) encodeLocalState() []byte {
 		w.U64(p.expDseq[i])
 	}
 	w.Bytes(app)
-	w.Bytes(make([]byte, p.par.StatePad))
+	w.Zeros(p.par.StatePad)
 	// Optional tail (see the FBL checkpoint codec): present only when the
 	// process ever produced output, so output-free runs keep byte-identical
 	// snapshot blobs and storage timings.
@@ -175,14 +180,17 @@ func (p *Process) encodeLocalState() []byte {
 }
 
 // encodeSnapshotBlob appends the recorded channel messages to the local
-// state captured at marker time.
+// state captured at marker time, in the exactly-sized buffer the store keeps.
 func (p *Process) encodeSnapshotBlob() []byte {
-	w := wire.NewWriter(len(p.localState) + 256)
-	w.Bytes(p.localState)
-	total := 0
+	size, total := 4+len(p.localState)+4, 0
 	for _, ch := range p.recorded {
 		total += len(ch)
+		for _, m := range ch {
+			size += 4 + 8 + 8 + 4 + len(m.payload)
+		}
 	}
+	w := wire.NewWriter(size)
+	w.Bytes(p.localState)
 	w.U32(uint32(total))
 	for _, ch := range p.recorded {
 		for _, m := range ch {

@@ -42,6 +42,8 @@ func NewDetector(self ids.ProcID, n int, suspectAfter time.Duration, now int64, 
 
 // Heard records traffic from p at virtual time now and clears any standing
 // suspicion of p (hearing from a process proves it is up again).
+//
+//rollvet:hotpath
 func (d *Detector) Heard(p ids.ProcID, now int64) {
 	if !d.tracks(p) {
 		return

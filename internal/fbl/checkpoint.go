@@ -44,9 +44,20 @@ func parseIncRecord(data []byte) (ids.Incarnation, uint64, bool) {
 // snapshot, send/receive counters, the volatile send log (sender-based
 // logging survives the sender's own failure through its checkpoint), and
 // the incarnation vector. StatePad models the paper's ~1 MB process images.
+// The image is built once, in a fresh buffer sized by a pre-pass over the
+// send log; WriteStable hands that buffer to the store (DESIGN §5).
 func (p *Process) encodeCheckpoint() []byte {
 	app := p.app.Snapshot()
-	w := wire.NewWriter(256 + len(app) + p.par.StatePad)
+	size := 1 + 4 + 8 + 1 + 8 + 8 + 20*p.n + 4 + len(app) + 4*p.n + 4 + p.par.StatePad
+	for _, log := range p.sendLog {
+		for _, rec := range log {
+			size += 8 + 8 + 4 + len(rec.payload)
+		}
+	}
+	if p.outSeq != 0 {
+		size += 8
+	}
+	w := wire.NewWriter(size)
 	w.U8(checkpointVersion)
 	w.U32(uint32(p.inc))
 	w.U64(p.lam.Now())
@@ -73,7 +84,7 @@ func (p *Process) encodeCheckpoint() []byte {
 			w.Bytes(rec.payload)
 		}
 	}
-	w.Bytes(make([]byte, p.par.StatePad))
+	w.Zeros(p.par.StatePad)
 	// The output-commit counter rides after the padding, and only when the
 	// process ever produced output: workloads that never call Ctx.Output
 	// keep byte-identical checkpoints (and thus identical storage timings
@@ -207,18 +218,18 @@ func (p *Process) doCheckpoint() {
 			// the watermarks from the CPRsn/CPDseq piggyback on the next
 			// application send (see transmit).
 			for _, q := range p.ring(+1) {
-				p.env.Send(q, notice.Clone())
+				p.env.Send(q, notice)
 			}
 		} else {
 			for q := 0; q < p.n; q++ {
 				if ids.ProcID(q) == p.env.ID() {
 					continue
 				}
-				p.env.Send(ids.ProcID(q), notice.Clone())
+				p.env.Send(ids.ProcID(q), notice)
 			}
 		}
 		if p.cfg.Manetho() {
-			p.env.Send(ids.StorageProc, notice.Clone())
+			p.env.Send(ids.StorageProc, notice)
 		}
 	})
 }

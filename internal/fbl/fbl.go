@@ -319,21 +319,23 @@ func (p *Process) oooBufFor(from ids.ProcID) map[uint64]*wire.Envelope {
 }
 
 func (p *Process) startTimers() {
+	// One envelope for every tick and destination: Send serializes at once.
+	hb := &wire.Envelope{Kind: wire.KindHeartbeat}
 	var beat func()
 	beat = func() {
-		hb := &wire.Envelope{Kind: wire.KindHeartbeat, FromInc: p.inc}
+		hb.FromInc = p.inc
 		if p.par.Fanout > 0 {
 			// Ring heartbeats: each process pings its k successors, so each
 			// is monitored by its k predecessors.
 			for _, q := range p.ring(+1) {
-				p.env.Send(q, hb.Clone())
+				p.env.Send(q, hb)
 			}
 		} else {
 			for q := 0; q < p.n; q++ {
 				if ids.ProcID(q) == p.env.ID() {
 					continue
 				}
-				p.env.Send(ids.ProcID(q), hb.Clone())
+				p.env.Send(ids.ProcID(q), hb)
 			}
 		}
 		p.detect.Tick(p.env.Now())
@@ -368,8 +370,13 @@ func (p *Process) flushToStorage() {
 	})
 }
 
-// Deliver implements node.Process.
-func (p *Process) Deliver(e *wire.Envelope) {
+// Deliver implements node.Process. The envelope is the runtime's, so the
+// handler works on a by-value copy and the buffers that outlive it store
+// their own (Keep): escape analysis, not a convention, then keeps ev on the
+// stack for every frame that is not kept (TestHeartbeatDeliverAllocs).
+func (p *Process) Deliver(in *wire.Envelope) {
+	ev := *in
+	e := &ev
 	p.detect.Heard(e.From, p.env.Now())
 	if !e.Ord.IsZero() {
 		p.lam.Witness(e.Ord.Clock)
@@ -452,7 +459,7 @@ func (p *Process) appPath(e *wire.Envelope) {
 	switch p.mode {
 	case ModeLive:
 		if p.blocked {
-			p.deferred = append(p.deferred, e)
+			p.deferred = append(p.deferred, e.Keep())
 			return
 		}
 		p.deliverNow(e)
@@ -460,7 +467,7 @@ func (p *Process) appPath(e *wire.Envelope) {
 		p.replayAccept(e)
 	case ModeRestoring, ModeRecovering:
 		// Too early to decide: buffer until replay begins.
-		p.deferred = append(p.deferred, e)
+		p.deferred = append(p.deferred, e.Keep())
 	}
 }
 
@@ -474,7 +481,7 @@ func (p *Process) deliverNow(e *wire.Envelope) {
 		p.env.Metrics().Duplicate++
 		return
 	case e.Dseq > exp+1:
-		p.oooBufFor(e.From)[e.Dseq] = e
+		p.oooBufFor(e.From)[e.Dseq] = e.Keep()
 		return
 	}
 	p.consume(e, 0)
@@ -525,6 +532,8 @@ func (p *Process) consume(e *wire.Envelope, forcedRSN ids.RSN) {
 // learnIncarnation records a newer incarnation of q and invalidates the
 // piggyback estimate for it: a reincarnated process lost its volatile
 // determinant log, so nothing can be assumed already held there.
+//
+//rollvet:hotpath
 func (p *Process) learnIncarnation(q ids.ProcID, inc ids.Incarnation) {
 	if p.incVec.Bump(q, inc) {
 		if q >= 0 && int(q) < p.n {

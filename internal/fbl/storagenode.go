@@ -35,8 +35,10 @@ func (s *StorageNode) Boot(env node.Env, restart bool) {
 	}
 }
 
-// Deliver implements node.Process.
-func (s *StorageNode) Deliver(e *wire.Envelope) {
+// Deliver implements node.Process, on a by-value copy like every handler.
+func (s *StorageNode) Deliver(in *wire.Envelope) {
+	ev := *in
+	e := &ev
 	switch e.Kind {
 	case wire.KindDetsToStorage:
 		acked := make([]ids.MsgID, 0, len(e.Dets))

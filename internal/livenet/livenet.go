@@ -364,6 +364,8 @@ func (ln *lnode) Send(to ids.ProcID, e *wire.Envelope) {
 			dst.met.Dropped++
 			return
 		}
+		// One envelope per frame: handlers run under dst.mu on timer
+		// goroutines, so there is no runtime-owned envelope to decode into.
 		decoded, err := wire.Decode(frame)
 		if err != nil {
 			panic(fmt.Sprintf("livenet: undecodable frame: %v", err))
@@ -408,10 +410,9 @@ func (ln *lnode) ReadStable(key string, cb func(data []byte, ok bool)) {
 }
 
 // WriteStable writes after the modeled storage latency; a crash before
-// completion loses the write.
+// completion loses the write. It takes ownership of data (node.Env).
 func (ln *lnode) WriteStable(key string, data []byte, cb func()) {
-	cp := append([]byte(nil), data...)
-	ln.stableOp(false, key, cp, func([]byte, bool) {
+	ln.stableOp(false, key, data, func([]byte, bool) {
 		if cb != nil {
 			cb()
 		}

@@ -43,11 +43,14 @@ type Env interface {
 	Busy(d time.Duration)
 	// ReadStable asynchronously reads a key from this process's stable
 	// store; cb runs after the modeled storage latency with a copy of the
-	// value (nil if absent). The callback dies with the process instance.
+	// value (nil if absent) that the callback owns: the store keeps its
+	// own. The callback dies with the process instance.
 	ReadStable(key string, cb func(data []byte, ok bool))
 	// WriteStable asynchronously writes to stable storage; the data becomes
 	// durable (and cb runs) only after the modeled latency — a crash before
-	// completion loses the write.
+	// completion loses the write. WriteStable takes ownership of data: the
+	// runtime hands the slice itself to the store, so the caller builds a
+	// fresh buffer per write and never touches it again.
 	WriteStable(key string, data []byte, cb func())
 	// Rand returns this process's deterministic random stream.
 	Rand() *rand.Rand
@@ -73,7 +76,10 @@ type Process interface {
 	// Boot starts the instance. restart reports whether this is a
 	// reincarnation after a crash (stable storage persists across boots).
 	Boot(env Env, restart bool)
-	// Deliver hands the instance a decoded frame from the network.
+	// Deliver hands the instance a decoded frame from the network. The
+	// envelope belongs to the runtime, which may decode the next frame into
+	// it as soon as Deliver returns: copy the struct to keep it (its slices
+	// are yours — they are allocated per frame and never reused).
 	Deliver(e *wire.Envelope)
 }
 

@@ -12,8 +12,11 @@ import (
 // This file implements the delivery path, the asynchronous log flush, and
 // orphan detection with cascading rollback.
 
-// Deliver implements node.Process.
-func (p *Process) Deliver(e *wire.Envelope) {
+// Deliver implements node.Process on a by-value copy of the runtime's
+// envelope; the buffers that outlive it (deferred, oooBuf) Keep their own.
+func (p *Process) Deliver(in *wire.Envelope) {
+	ev := *in
+	e := &ev
 	// Learn epochs from any frame.
 	if int(e.From) >= 0 && int(e.From) < p.n && uint32(e.FromInc) > p.epochVec[e.From] {
 		p.epochVec[e.From] = uint32(e.FromInc)
@@ -36,7 +39,7 @@ func (p *Process) Deliver(e *wire.Envelope) {
 			return
 		}
 		if p.rolling {
-			p.deferred = append(p.deferred, e)
+			p.deferred = append(p.deferred, e.Keep())
 			return
 		}
 		p.deliverApp(e)
@@ -44,7 +47,7 @@ func (p *Process) Deliver(e *wire.Envelope) {
 		if p.rolling {
 			// Re-examined after our own rollback completes: we may be an
 			// orphan of this victim too.
-			p.deferred = append(p.deferred, e)
+			p.deferred = append(p.deferred, e.Keep())
 			return
 		}
 		p.onRetract(e)
@@ -70,7 +73,7 @@ func (p *Process) deliverApp(e *wire.Envelope) {
 		p.env.Metrics().Duplicate++
 		return
 	case e.Dseq > exp+1:
-		p.oooBuf[from][e.Dseq] = e
+		p.oooBuf[from][e.Dseq] = e.Keep()
 		return
 	}
 	p.applyDelivery(e.From, e.SSN, e.Dseq, e.Payload, dvFromWire(e, p.n), false)
@@ -339,9 +342,13 @@ func (p *Process) Rolling() bool { return p.rolling }
 // LogSizes returns (total, durable) delivery-log lengths.
 func (p *Process) LogSizes() (total, durable int) { return len(p.log), p.flushed }
 
-// encodeLog serializes the delivery log.
+// encodeLog serializes the delivery log into a fresh, exactly-sized buffer.
 func encodeLog(entries []logEntry, pad int) []byte {
-	w := wire.NewWriter(64 + len(entries)*64 + pad)
+	size := 4 + 4 + pad
+	for _, e := range entries {
+		size += 4 + 8 + 8 + 4 + len(e.payload) + 4 + 12*len(e.dv)
+	}
+	w := wire.NewWriter(size)
 	w.U32(uint32(len(entries)))
 	for _, e := range entries {
 		w.I32(int32(e.from))
@@ -354,7 +361,7 @@ func encodeLog(entries []logEntry, pad int) []byte {
 			w.U64(uint64(v.index))
 		}
 	}
-	w.Bytes(make([]byte, pad))
+	w.Zeros(pad)
 	return w.Frame()
 }
 

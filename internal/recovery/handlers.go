@@ -139,21 +139,25 @@ func (m *Manager) onDepRequest(e *wire.Envelope) {
 	// without blocking anybody (§3.3).
 	m.host.MergeIncVec(e.IncVec)
 
+	// The Manetho reply runs after its stable write, when the runtime has
+	// long reused e: the closures capture the fields they need, never e.
+	from, ord, round, members := e.From, e.Ord, e.Round, e.Members
+
 	// A request naming its recovering members asks for a scoped reply:
 	// only determinants those members will replay.
 	depinfo := func() []det.Entry {
-		if len(e.Members) > 0 {
-			return m.host.DepInfoFor(e.Members)
+		if len(members) > 0 {
+			return m.host.DepInfoFor(members)
 		}
 		return m.host.DepInfo()
 	}
 
 	reply := func() {
-		m.env.Send(e.From, &wire.Envelope{
+		m.env.Send(from, &wire.Envelope{
 			Kind:    wire.KindDepReply,
 			FromInc: m.selfInc(),
-			Ord:     e.Ord,
-			Round:   e.Round,
+			Ord:     ord,
+			Round:   round,
 			Dets:    depinfo(),
 		})
 	}
@@ -162,15 +166,15 @@ func (m *Manager) onDepRequest(e *wire.Envelope) {
 	case NonBlocking:
 		reply()
 	case Blocking:
-		m.blockFor(e.Ord)
+		m.blockFor(ord)
 		reply()
 	case Manetho:
-		m.blockFor(e.Ord)
+		m.blockFor(ord)
 		// Manetho requires the reply recorded on stable storage before it
 		// is sent; the synchronous write stalls the reply (and lengthens
 		// everyone's gather).
 		sz := len(depinfo()) * 32
-		m.host.StableReplyWrite(e.Ord, sz, reply)
+		m.host.StableReplyWrite(ord, sz, reply)
 	default:
 		panic(fmt.Sprintf("recovery: unknown style %v", m.cfg.Style))
 	}

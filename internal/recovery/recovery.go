@@ -220,21 +220,20 @@ func (m *Manager) announce() {
 	m.broadcast(e, false)
 }
 
-// broadcast sends a copy of e to every application peer; withStorage also
+// broadcast sends e to every application peer, readdressing the one
+// envelope per destination (Send serializes at call time); withStorage also
 // includes the stable-storage pseudo-process (f = n instance).
 func (m *Manager) broadcast(e *wire.Envelope, withStorage bool) {
 	for p := 0; p < m.n; p++ {
 		if ids.ProcID(p) == m.self {
 			continue
 		}
-		c := e.Clone()
-		c.To = ids.ProcID(p)
-		m.env.Send(ids.ProcID(p), c)
+		e.To = ids.ProcID(p)
+		m.env.Send(ids.ProcID(p), e)
 	}
 	if withStorage && m.cfg.F >= m.n {
-		c := e.Clone()
-		c.To = ids.StorageProc
-		m.env.Send(ids.StorageProc, c)
+		e.To = ids.StorageProc
+		m.env.Send(ids.StorageProc, e)
 	}
 }
 

@@ -83,6 +83,10 @@ type fakeHost struct {
 	blockedLog []bool
 	applied    [][]det.Entry
 	writes     int
+	// deferWrites parks StableReplyWrite completions in pendingWrites until
+	// the test runs them, modelling the stable-storage latency.
+	deferWrites   bool
+	pendingWrites []func()
 }
 
 func newFakeHost(n int) *fakeHost {
@@ -116,6 +120,10 @@ func (h *fakeHost) SetLiveBlocked(b bool) {
 }
 func (h *fakeHost) StableReplyWrite(ord ids.Ordinal, size int, done func()) {
 	h.writes++
+	if h.deferWrites {
+		h.pendingWrites = append(h.pendingWrites, done)
+		return
+	}
 	done()
 }
 
@@ -355,6 +363,59 @@ func TestManethoWritesBeforeReply(t *testing.T) {
 	}
 	if got := len(env.take(wire.KindDepReply)); got != 1 {
 		t.Fatalf("dep replies = %d, want 1", got)
+	}
+}
+
+// TestManethoReplySurvivesEnvelopeReuse pins a bug no golden can see. The
+// simulator decodes every frame into one envelope (sim.Kernel.rx), and under
+// the Manetho style the dep-reply is built after StableReplyWrite completes
+// — milliseconds after onDepRequest returned. A reply closure that captured
+// the request envelope would then read whatever frame was decoded last: the
+// reply would go to the wrong process, with a foreign ordinal and an
+// unscoped depinfo. In the explorer the only frames inside the write window
+// are the leader's identical requests to other peers, so nothing diverges
+// there; here the window holds application frames and heartbeats from other
+// senders.
+func TestManethoReplySurvivesEnvelopeReuse(t *testing.T) {
+	m, env, host := mkManager(2, 4, Manetho)
+	host.deferWrites = true
+	host.dep = []det.Entry{entry(0, 1, 1, 1, 2), entry(0, 2, 3, 1, 2)}
+	ord := ids.Ordinal{Clock: 5, Proc: 1}
+
+	var rx wire.Envelope // the runtime's one receive envelope
+	deliver := func(e wire.Envelope) bool {
+		rx = e
+		return m.HandleMessage(&rx)
+	}
+	deliver(wire.Envelope{
+		Kind: wire.KindDepRequest, From: 1, FromInc: 2, Round: 4, Ord: ord,
+		IncVec: []ids.Incarnation{1, 2, 1, 1}, Members: []ids.ProcID{1},
+	})
+	if len(host.pendingWrites) != 1 || len(env.take(wire.KindDepReply)) != 0 {
+		t.Fatalf("the reply must wait for the stable write (writes in flight: %d)", len(host.pendingWrites))
+	}
+	for _, e := range []wire.Envelope{
+		{Kind: wire.KindApp, From: 3, FromInc: 1, SSN: 9, Dseq: 1, Payload: []byte("app")},
+		{Kind: wire.KindHeartbeat, From: 0, FromInc: 1},
+		{Kind: wire.KindApp, From: 0, FromInc: 1, SSN: 4, Dseq: 1, Payload: []byte("more")},
+	} {
+		if deliver(e) {
+			t.Fatalf("the manager does not own %v frames", e.Kind)
+		}
+	}
+	host.pendingWrites[0]()
+
+	replies := env.take(wire.KindDepReply)
+	if len(replies) != 1 {
+		t.Fatalf("dep replies = %d, want 1", len(replies))
+	}
+	r := replies[0]
+	if r.To != 1 || r.Ord != ord || r.Round != 4 {
+		t.Fatalf("reply to %v ord %v round %d; want the requester p1, the request's ord %v and round 4",
+			r.To, r.Ord, r.Round, ord)
+	}
+	if len(r.Dets) != 1 || r.Dets[0].Det.Receiver != 1 {
+		t.Fatalf("depinfo = %v; want it scoped to the request's Members (receiver p1 only)", r.Dets)
 	}
 }
 

@@ -133,6 +133,9 @@ type Kernel struct {
 	nApp      int
 	count     int64
 	inflight  int // frames scheduled to arrive but not yet popped
+	// rx is the one envelope every frame is decoded into; a handler returns
+	// before the next decode, and the slices are fresh per frame.
+	rx wire.Envelope
 
 	// Sampler hook: fired from inside the run loop at exact virtual-time
 	// boundaries without enqueueing events, so attaching a sampler consumes
@@ -834,8 +837,8 @@ func (k *Kernel) deliver(ns *nodeState, frame []byte, epoch uint64) {
 		}
 		return
 	}
-	e, err := wire.Decode(frame)
-	if err != nil {
+	e := &k.rx
+	if err := wire.DecodeInto(e, frame); err != nil {
 		panic(fmt.Sprintf("sim: undecodable frame for %v: %v", ns.id, err))
 	}
 	ns.Busy(k.cfg.HW.RecvCost(len(frame)))
@@ -974,12 +977,12 @@ func (ns *nodeState) ReadStable(key string, cb func(data []byte, ok bool)) {
 	ns.k.scheduleExec(ns.k.now+int64(dur), ns, ns.epoch, func() { cb(data, ok) })
 }
 
+// WriteStable hands data itself to the store on completion (node.Env).
 func (ns *nodeState) WriteStable(key string, data []byte, cb func()) {
-	cp := append([]byte(nil), data...)
-	dur := ns.k.cfg.HW.Disk.WriteTime(len(cp))
-	ns.met.StorageOp(true, len(cp), dur)
+	dur := ns.k.cfg.HW.Disk.WriteTime(len(data))
+	ns.met.StorageOp(true, len(data), dur)
 	ns.k.tr.Span(ns.k.now, int64(dur), int32(ns.id), trace.EvStorageWrite,
-		trace.Tag{Arg: int64(len(cp))})
+		trace.Tag{Arg: int64(len(data))})
 	epoch := ns.epoch
 	ns.k.schedule(ns.k.now+int64(dur), func() {
 		// Durability happens at completion: a crash while the write is in
@@ -987,7 +990,7 @@ func (ns *nodeState) WriteStable(key string, data []byte, cb func()) {
 		if ns.epoch != epoch {
 			return
 		}
-		ns.stable.Put(key, cp)
+		ns.stable.Put(key, data)
 		ns.exec(epoch, func() {
 			if cb != nil {
 				cb()

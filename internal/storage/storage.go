@@ -83,13 +83,14 @@ func NewStore() *Store {
 	return &Store{data: make(map[string][]byte)}
 }
 
-// Put durably records data under key, replacing any previous value. The
-// byte slice is copied.
+// Put durably records data under key, replacing any previous value. It
+// takes ownership of data: the store keeps the slice itself, the one
+// resident copy of an image, and writing to it afterwards is a caller bug.
 func (s *Store) Put(key string, data []byte) {
-	s.data[key] = append([]byte(nil), data...)
+	s.data[key] = data
 }
 
-// Get returns a copy of the value stored under key.
+// Get returns a copy of the value stored under key, the caller's to mutate.
 func (s *Store) Get(key string) ([]byte, bool) {
 	v, ok := s.data[key]
 	if !ok {

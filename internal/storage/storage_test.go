@@ -37,19 +37,32 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestStorePutGetIsolation(t *testing.T) {
+// TestStorePutOwnsGetIsolates pins the buffer-ownership contract: Put keeps
+// the caller's slice (no second copy of a checkpoint image), so writing to
+// it afterwards is the caller's bug; Get still hands out an isolated copy.
+func TestStorePutOwnsGetIsolates(t *testing.T) {
 	s := NewStore()
 	data := []byte("checkpoint-1")
 	s.Put("cp", data)
-	data[0] = 'X' // caller mutation must not reach the store
+	if allocs := testing.AllocsPerRun(10, func() { s.Put("cp", data) }); allocs != 0 {
+		t.Fatalf("Put allocated %v times; it must keep the slice it is given", allocs)
+	}
 	got, ok := s.Get("cp")
 	if !ok || string(got) != "checkpoint-1" {
 		t.Fatalf("Get = %q, %v", got, ok)
+	}
+	if &got[0] == &data[0] {
+		t.Fatal("Get must return a copy, not the stored slice")
 	}
 	got[0] = 'Y' // reader mutation must not reach the store
 	again, _ := s.Get("cp")
 	if string(again) != "checkpoint-1" {
 		t.Fatal("Get must return a copy")
+	}
+	// Documented, not defended: the store holds the very slice it was given.
+	data[0] = 'X'
+	if after, _ := s.Get("cp"); string(after) != "Xheckpoint-1" {
+		t.Fatalf("Put must take ownership of the slice, Get = %q", after)
 	}
 }
 

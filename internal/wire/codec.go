@@ -97,6 +97,13 @@ func (w *Writer) Bytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
+// Zeros writes what Bytes(make([]byte, n)) would, without the temporary:
+// the compiler turns this append into grow + clear.
+func (w *Writer) Zeros(n int) {
+	w.U32(uint32(n))
+	w.buf = append(w.buf, make([]byte, n)...)
+}
+
 // Reader is the matching cursor-based frame parser. Errors are sticky: after
 // the first failure every subsequent read returns zero values and Err()
 // reports the cause.
@@ -255,9 +262,9 @@ func Encode(e *Envelope) []byte {
 
 // EncodeChecked serializes the envelope, returning an error (wrapping
 // ErrRange) instead of truncating when a count or holder set exceeds its
-// wire representation.
+// wire representation. The frame is allocated once, at exactly Size(e).
 func EncodeChecked(e *Envelope) ([]byte, error) {
-	w := &Writer{buf: make([]byte, 0, 64+len(e.Payload))}
+	w := &Writer{buf: make([]byte, 0, Size(e))}
 	w.U8(codecVersion)
 	w.U8(uint8(e.Kind))
 	w.I32(int32(e.From))
@@ -535,20 +542,32 @@ func decodeEntry(r *Reader, version uint8) det.Entry {
 	return e
 }
 
-// Decode parses a frame produced by Encode. Frames from every codec
-// version back to minDecodeVersion are accepted, so traces recorded before
-// a version bump remain readable.
+// Decode parses a frame produced by Encode into a fresh envelope. Frames
+// from every codec version back to minDecodeVersion are accepted, so traces
+// recorded before a version bump remain readable.
 func Decode(frame []byte) (*Envelope, error) {
+	e := new(Envelope)
+	if err := DecodeInto(e, frame); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// DecodeInto is Decode into a caller-owned envelope. *e is overwritten
+// whole; its slices are allocated per frame and alias neither the frame nor
+// an earlier decode, so they (and a copy of the struct) stay valid after e
+// is decoded into again. On error *e is unspecified.
+func DecodeInto(e *Envelope, frame []byte) error {
 	r := &Reader{buf: frame}
 	v := r.U8()
 	if r.err == nil && (v < minDecodeVersion || v > codecVersion) {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
+		return fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
 	kind := Kind(r.U8())
 	if r.err == nil && (kind == 0 || kind >= kindMax) {
-		return nil, fmt.Errorf("%w: %d", ErrBadKind, kind)
+		return fmt.Errorf("%w: %d", ErrBadKind, kind)
 	}
-	e := &Envelope{Kind: kind}
+	*e = Envelope{Kind: kind}
 	e.From = ids.ProcID(r.I32())
 	e.To = ids.ProcID(r.I32())
 	e.FromInc = ids.Incarnation(r.U32())
@@ -624,12 +643,12 @@ func Decode(frame []byte) (*Envelope, error) {
 		}
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if r.off != len(frame) {
-		return nil, fmt.Errorf("wire: %d trailing bytes", len(frame)-r.off)
+		return fmt.Errorf("wire: %d trailing bytes", len(frame)-r.off)
 	}
-	return e, nil
+	return nil
 }
 
 // Size returns the encoded length of the envelope without allocating the

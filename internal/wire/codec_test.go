@@ -293,3 +293,65 @@ func BenchmarkDecodeApp(b *testing.B) {
 		}
 	}
 }
+
+// allocGateEnvelopes is the corpus of TestEncodeAllocs: one envelope per
+// kind (the shape TestEveryKindRoundTrips uses), the samples, and whatever
+// the fuzz seed corpus decodes to.
+func allocGateEnvelopes() []*Envelope {
+	out := sampleEnvelopes()
+	for k := Kind(1); int(k) < KindCount; k++ {
+		out = append(out, &Envelope{Kind: k, From: 1, To: 2, FromInc: 3, Dseq: 7,
+			Ord: ids.Ordinal{Clock: 5, Proc: 1}})
+	}
+	for _, frame := range fuzzSeedFrames() {
+		if e, err := Decode(frame); err == nil {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestEncodeAllocs is the send-path allocation gate: a frame is allocated
+// once, at exactly its encoded size — determinants, watermarks and all —
+// never grown.
+func TestEncodeAllocs(t *testing.T) {
+	for i, e := range allocGateEnvelopes() {
+		frame := Encode(e)
+		if len(frame) != Size(e) || cap(frame) != len(frame) {
+			t.Errorf("envelope %d (%v): len %d cap %d, want both == Size = %d",
+				i, e.Kind, len(frame), cap(frame), Size(e))
+		}
+		if got := testing.AllocsPerRun(20, func() { Encode(e) }); got != 1 {
+			t.Errorf("envelope %d (%v): Encode allocates %.1f times, want exactly 1", i, e.Kind, got)
+		}
+	}
+}
+
+// TestDecodeIntoReusesOnlyTheStruct: decoding the next frame into the same
+// envelope overwrites every field (nothing of the previous frame shows
+// through) and leaves the previous frame's slices untouched, which is what
+// lets a handler keep them after the runtime reuses the struct.
+func TestDecodeIntoReusesOnlyTheStruct(t *testing.T) {
+	samples := sampleEnvelopes()
+	var e Envelope
+	for i, first := range samples {
+		if err := DecodeInto(&e, Encode(first)); err != nil {
+			t.Fatal(err)
+		}
+		held := e // the struct copy a handler keeps
+		for _, second := range samples {
+			if err := DecodeInto(&e, Encode(second)); err != nil {
+				t.Fatal(err)
+			}
+			if !equalEnvelopes(&e, second) {
+				t.Fatalf("decode over sample %d left stale fields:\n got: %+v\nwant: %+v", i, e, second)
+			}
+		}
+		if !equalEnvelopes(&held, first) {
+			t.Fatalf("sample %d: held copy changed after later decodes:\n got: %+v\nwant: %+v", i, held, first)
+		}
+	}
+	if err := DecodeInto(&e, []byte{2}); err == nil {
+		t.Fatal("DecodeInto accepted a truncated frame")
+	}
+}

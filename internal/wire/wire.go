@@ -4,7 +4,11 @@
 // Both runtimes transmit encoded bytes rather than shared pointers: every
 // delivery round-trips through the codec, which guarantees processes share
 // no mutable state and gives the network model exact message sizes — the
-// quantity the paper's "communication overhead" metric counts.
+// quantity the paper's "communication overhead" metric counts. That rests
+// on the byte copy, not on who owns the structs around it: Encode copies
+// all an envelope references into the frame (a sender may reuse one envelope
+// for a fan-out) and decoding copies it out into slices of that one frame
+// (the simulator may decode every frame into one struct, see DecodeInto).
 package wire
 
 import (
@@ -149,7 +153,16 @@ type Envelope struct {
 	Members []ids.ProcID
 }
 
-// Clone returns a deep copy of the envelope.
+// Keep returns a copy of the struct sharing e's slices: what a Deliver
+// handler stores when a frame must outlive the call, since the runtime
+// reuses the struct it delivers but never the slices (see DecodeInto).
+func (e *Envelope) Keep() *Envelope {
+	c := *e
+	return &c
+}
+
+// Clone returns a deep copy of the envelope, for test fakes that capture
+// what a sender goes on to reuse; Send itself serializes at call time.
 func (e *Envelope) Clone() *Envelope {
 	c := *e
 	if e.Payload != nil {

@@ -38,12 +38,15 @@ for t in $( (grep -ohE '`make [a-z][a-z0-9-]*`' $DOCS | tr -d '`';
 done
 
 # 2. flags on cmd/<tool> invocations. A flag counts as declared when any
-# file under cmd/<tool>/ registers its name with the flag package.
+# file under cmd/<tool>/ registers its name with the flag package — or
+# internal/profile does (-cpuprofile/-memprofile) and the tool imports it.
 while read -r line; do
   tool=$(grep -oE 'cmd/[a-z]+' <<<"$line" | head -1 | cut -d/ -f2)
   [ -d "cmd/$tool" ] || continue
+  dirs="cmd/$tool/"
+  if grep -rq '"rollrec/internal/profile"' "cmd/$tool/"; then dirs="$dirs internal/profile/"; fi
   for f in $(grep -oE ' -[a-z][a-z0-9-]*' <<<"$line" | sed 's/^ -//' | sort -u); do
-    if ! grep -rqE "\.(Bool|Int|Int64|String|Float64|Duration)\(\"$f\"" "cmd/$tool/"; then
+    if ! grep -rqE "\.(Bool|Int|Int64|String|Float64|Duration)(Var)?\((&[a-z.]+, )?\"$f\"" $dirs; then
       echo "docs_check: flag -$f used with cmd/$tool in docs but cmd/$tool declares no such flag" >&2
       fail=1
     fi
