@@ -1,0 +1,353 @@
+// Command perfpair is the measuring half of scripts/perf_pair.sh: it runs the
+// host-time benchmark BENCHMARK.json declares on two checkouts of this
+// repository — the parent commit and the change — in alternating pairs, and
+// writes what it saw to PERF_<label>.json: every run, each side's median and
+// quartiles, the pair-wise win count, whether the simulated digests agree,
+// and where it was measured. It exits non-zero when a median is outside its
+// declared bound, a digest differs, or a larger share of operations failed.
+//
+// It reads the benchmark's output and nothing of its source: benchmark/ and
+// BENCHMARK.json stay frozen.
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"regexp"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
+)
+
+// manifest is the part of BENCHMARK.json this tool needs.
+type manifest struct {
+	Command    []string `json:"command"`
+	RunSeconds int      `json:"run_seconds"`
+	Workloads  []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metricDef `json:"end_to_end"`
+}
+
+type metricDef struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"` // "lower" or "higher"
+	Bound  float64 `json:"bound"`  // share of the parent's median it may worsen by
+}
+
+// run is what one benchmark process reported.
+type run struct {
+	Digest    string
+	Attempted int
+	Failed    int
+	Metrics   map[string]float64
+}
+
+// Report is the PERF_<label>.json document.
+type Report struct {
+	Label     string           `json:"label"`
+	Env       map[string]any   `json:"env"`
+	Pairs     int              `json:"pairs"`
+	Seconds   int              `json:"seconds_per_run"`
+	Workloads []WorkloadReport `json:"workloads"`
+	OK        bool             `json:"ok"`
+	Problems  []string         `json:"problems"`
+}
+
+type WorkloadReport struct {
+	Name        string         `json:"name"`
+	DigestEqual bool           `json:"sim_digest_equal"`
+	Digests     []DigestPair   `json:"sim_digests"`
+	Ops         map[string]Ops `json:"ops"` // by side
+	Metrics     []MetricReport `json:"metrics"`
+}
+
+type DigestPair struct {
+	Seed   int    `json:"seed"`
+	First  string `json:"ran_first"`
+	Parent string `json:"parent"`
+	Change string `json:"change"`
+}
+
+type Ops struct {
+	Attempted int `json:"attempted"`
+	Failed    int `json:"failed"`
+}
+
+type Side struct {
+	Median float64   `json:"median"`
+	Q1     float64   `json:"q1"`
+	Q3     float64   `json:"q3"`
+	Runs   []float64 `json:"runs"` // in pair order
+}
+
+type MetricReport struct {
+	metricDef
+	Parent Side `json:"parent"`
+	Change Side `json:"change"`
+	// Worse is the change's median relative to the parent's, signed so that
+	// positive is worse whatever the metric's direction.
+	Worse  float64 `json:"median_worse_by"`
+	Wins   int     `json:"wins"` // pairs the change read better in
+	Losses int     `json:"losses"`
+	Ties   int     `json:"ties"`
+	// PairsOutsideBound lists the pairs (1-based) in which the change read
+	// worse than the parent by more than the bound, whatever the medians say.
+	PairsOutsideBound []int  `json:"pairs_outside_bound"`
+	Verdict           string `json:"verdict"`
+}
+
+// minPairs is the fewest pairs a gain may be claimed from.
+const minPairs = 10
+
+// Verdicts, in the vocabulary of the choosing-metrics guide.
+const (
+	improved    = "improved"     // ≥ minPairs pairs, ≥ 9/10 of them won, medians apart by more than the parent's IQR
+	withinBound = "within_bound" // median no worse than the bound allows
+	unresolved  = "unresolved"   // within bound, but the parent's own spread is wider than the bound
+	regressed   = "regressed"    // median worse than the bound allows
+)
+
+func quartiles(v []float64) (q1, med, q3 float64) {
+	s := slices.Clone(v)
+	slices.Sort(s)
+	at := func(q float64) float64 {
+		pos := q * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return at(0.25), at(0.5), at(0.75)
+}
+
+func side(runs []float64) Side {
+	q1, med, q3 := quartiles(runs)
+	return Side{Median: med, Q1: q1, Q3: q3, Runs: runs}
+}
+
+// compare judges one metric on one workload from its paired runs.
+func compare(def metricDef, parent, change []float64) MetricReport {
+	m := MetricReport{metricDef: def, Parent: side(parent), Change: side(change), PairsOutsideBound: []int{}}
+	sign := 1.0 // positive difference = worse
+	if def.Better == "higher" {
+		sign = -1
+	}
+	worse := func(p, c float64) float64 { return sign * (c - p) / p }
+	for i := range parent {
+		d := worse(parent[i], change[i])
+		switch {
+		case d < 0:
+			m.Wins++
+		case d > 0:
+			m.Losses++
+		default:
+			m.Ties++
+		}
+		if d > def.Bound {
+			m.PairsOutsideBound = append(m.PairsOutsideBound, i+1)
+		}
+	}
+	// Every run of the change better than every run of the parent.
+	allBetter := slices.Max(change) < slices.Min(parent)
+	if sign < 0 {
+		allBetter = slices.Min(change) > slices.Max(parent)
+	}
+	m.Worse = worse(m.Parent.Median, m.Change.Median)
+	iqr := m.Parent.Q3 - m.Parent.Q1
+	switch {
+	case m.Worse > def.Bound:
+		m.Verdict = regressed
+	case len(parent) >= minPairs && 10*m.Wins >= 9*len(parent) && sign*(m.Parent.Median-m.Change.Median) > iqr:
+		m.Verdict = improved
+	case iqr/m.Parent.Median > def.Bound && !allBetter:
+		m.Verdict = unresolved
+	default:
+		m.Verdict = withinBound
+	}
+	return m
+}
+
+var digestRE = regexp.MustCompile(`sim_digest=([0-9a-f]+)`)
+
+// parseRun reads one benchmark process's standard output: the last line is
+// the JSON result, the digest is on the summary line above it.
+func parseRun(out []byte) (run, error) {
+	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+	var res struct {
+		Correct   bool `json:"correct"`
+		Attempted int  `json:"attempted"`
+		Failed    int  `json:"failed"`
+		Metrics   map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &res); err != nil {
+		return run{}, fmt.Errorf("last output line is not the benchmark's JSON result: %w", err)
+	}
+	if !res.Correct {
+		return run{}, errors.New("benchmark reports correct=false")
+	}
+	d := digestRE.FindAllSubmatch(out, -1)
+	if d == nil {
+		return run{}, errors.New("no sim_digest in benchmark output")
+	}
+	r := run{Digest: string(d[len(d)-1][1]), Attempted: res.Attempted, Failed: res.Failed, Metrics: map[string]float64{}}
+	for name, v := range res.Metrics {
+		r.Metrics[name] = v.Value
+	}
+	return r, nil
+}
+
+func runBenchmark(dir string, mf manifest, workload string, seed int) (run, error) {
+	args := append(slices.Clone(mf.Command[1:]),
+		"--workload", workload, "--seed", strconv.Itoa(seed), "--seconds", strconv.Itoa(mf.RunSeconds), "--trace", "0")
+	cmd := exec.Command(mf.Command[0], args...)
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return run{}, fmt.Errorf("%s in %s: %w", strings.Join(cmd.Args, " "), dir, err)
+	}
+	return parseRun(out)
+}
+
+// measure runs every workload in alternating pairs and judges the result.
+func measure(mf manifest, dirs map[string]string, pairs int) ([]WorkloadReport, []string, error) {
+	var reports []WorkloadReport
+	var problems []string
+	for _, workload := range mf.Workloads {
+		w := workload.Name
+		wr := WorkloadReport{Name: w, DigestEqual: true, Ops: map[string]Ops{}}
+		values := map[string]map[string][]float64{"parent": {}, "change": {}}
+		for i := 1; i <= pairs; i++ {
+			order := []string{"parent", "change"}
+			if i%2 == 0 {
+				order = []string{"change", "parent"}
+			}
+			got := map[string]run{}
+			for _, s := range order {
+				r, err := runBenchmark(dirs[s], mf, w, i)
+				if err != nil {
+					return nil, nil, err
+				}
+				fmt.Fprintf(os.Stderr, "perfpair: %s pair %d/%d %-6s wall_s=%.4g alloc_mb=%.4g peak_rss_mb=%.4g digest=%s\n",
+					w, i, pairs, s, r.Metrics["wall_s"], r.Metrics["alloc_mb"], r.Metrics["peak_rss_mb"], r.Digest)
+				got[s] = r
+				ops := wr.Ops[s]
+				wr.Ops[s] = Ops{ops.Attempted + r.Attempted, ops.Failed + r.Failed}
+				for _, def := range mf.EndToEnd {
+					values[s][def.Name] = append(values[s][def.Name], r.Metrics[def.Name])
+				}
+			}
+			wr.Digests = append(wr.Digests, DigestPair{i, order[0], got["parent"].Digest, got["change"].Digest})
+			if got["parent"].Digest != got["change"].Digest {
+				wr.DigestEqual = false
+				problems = append(problems, fmt.Sprintf("%s seed %d: sim_digest %s (parent) != %s (change)",
+					w, i, got["parent"].Digest, got["change"].Digest))
+			}
+		}
+		for _, def := range mf.EndToEnd {
+			m := compare(def, values["parent"][def.Name], values["change"][def.Name])
+			if m.Verdict == regressed {
+				problems = append(problems, fmt.Sprintf("%s %s: median worse by %.1f %%, bound %.0f %%",
+					w, def.Name, 100*m.Worse, 100*def.Bound))
+			}
+			wr.Metrics = append(wr.Metrics, m)
+		}
+		p, c := wr.Ops["parent"], wr.Ops["change"]
+		if c.Failed*p.Attempted > p.Failed*c.Attempted {
+			problems = append(problems, fmt.Sprintf("%s: failed share rose, %d/%d (parent) -> %d/%d (change)",
+				w, p.Failed, p.Attempted, c.Failed, c.Attempted))
+		}
+		reports = append(reports, wr)
+	}
+	return reports, problems, nil
+}
+
+// firstField returns the value of the first "key : value" line of a /proc
+// file, or "" — the environment stamp is best effort.
+func firstField(path, key string) string {
+	data, _ := os.ReadFile(path)
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == key {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
+}
+
+func main() {
+	parent := flag.String("parent", "", "checkout of the parent commit (required; the change is the current directory)")
+	label := flag.String("l", "pair", "label: the report is written to PERF_<label>.json")
+	pairs := flag.Int("n", 10, "alternating parent/change pairs per workload")
+	warn := flag.Bool("w", false, "warn mode: report problems but exit 0")
+	stamp := flag.String("stamp", "", "comma-separated key=value pairs added to the environment stamp")
+	flag.Parse()
+	if *parent == "" || *pairs < 1 || flag.NArg() > 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "perfpair:", err)
+		os.Exit(2)
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		fail(err)
+	}
+	var mf manifest
+	if err := json.Unmarshal(raw, &mf); err != nil {
+		fail(fmt.Errorf("BENCHMARK.json: %w", err))
+	}
+	dirs := map[string]string{"parent": *parent, "change": "."}
+	reports, problems, err := measure(mf, dirs, *pairs)
+	if err != nil {
+		fail(err)
+	}
+	env := map[string]any{
+		"go": runtime.Version(), "goos": runtime.GOOS, "goarch": runtime.GOARCH,
+		"nproc": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0),
+		"cpu": firstField("/proc/cpuinfo", "model name"),
+	}
+	if k, err := os.ReadFile("/proc/sys/kernel/osrelease"); err == nil {
+		env["kernel"] = strings.TrimSpace(string(k))
+	}
+	for _, kv := range strings.Split(*stamp, ",") {
+		if k, v, ok := strings.Cut(kv, "="); ok {
+			env[k] = v
+		}
+	}
+	rep := Report{Label: *label, Env: env, Pairs: *pairs, Seconds: mf.RunSeconds,
+		Workloads: reports, OK: len(problems) == 0, Problems: append([]string{}, problems...)}
+	out, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		fail(err)
+	}
+	path := "PERF_" + *label + ".json"
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		fail(err)
+	}
+	for _, w := range reports {
+		for _, m := range w.Metrics {
+			fmt.Printf("%-20s %-12s %10.4g -> %-10.4g %+6.1f %%  wins %d/%d  %s\n", w.Name, m.Name,
+				m.Parent.Median, m.Change.Median, 100*(m.Change.Median-m.Parent.Median)/m.Parent.Median,
+				m.Wins, *pairs, m.Verdict)
+		}
+	}
+	fmt.Println("wrote", path)
+	for _, p := range problems {
+		fmt.Fprintln(os.Stderr, "perfpair: PROBLEM:", p)
+	}
+	if len(problems) > 0 && !*warn {
+		os.Exit(1)
+	}
+}

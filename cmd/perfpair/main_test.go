@@ -1,0 +1,83 @@
+package main
+
+import (
+	"slices"
+	"testing"
+)
+
+func TestQuartilesInterpolate(t *testing.T) {
+	q1, med, q3 := quartiles([]float64{4, 1, 3, 2, 5})
+	if q1 != 2 || med != 3 || q3 != 4 {
+		t.Fatalf("quartiles of 1..5 = %v %v %v, want 2 3 4", q1, med, q3)
+	}
+	if q1, med, q3 = quartiles([]float64{1, 2, 3, 4}); q1 != 1.75 || med != 2.5 || q3 != 3.25 {
+		t.Fatalf("quartiles of 1..4 = %v %v %v, want 1.75 2.5 3.25", q1, med, q3)
+	}
+	if q1, med, q3 = quartiles([]float64{7}); q1 != 7 || med != 7 || q3 != 7 {
+		t.Fatalf("quartiles of one run = %v %v %v", q1, med, q3)
+	}
+}
+
+func TestCompareVerdicts(t *testing.T) {
+	lower := metricDef{Name: "peak_rss_mb", Better: "lower", Bound: 0.25}
+	ten := func(base float64, jitter ...float64) []float64 {
+		out := make([]float64, 10)
+		for i := range out {
+			out[i] = base + jitter[i%len(jitter)]
+		}
+		return out
+	}
+	cases := []struct {
+		name           string
+		def            metricDef
+		parent, change []float64
+		verdict        string
+		wins           int
+		outside        []int
+	}{
+		{"clear gain", lower, ten(290, 0, 1, 2), ten(170, 0, 1, 2), improved, 10, []int{}},
+		{"inside the parent's own spread", lower, ten(100, 0, 10, 20), ten(95, 0, 10, 20), withinBound, 10, []int{}},
+		{"eight wins are not nine", lower, ten(100, 0, 1), []float64{90, 90, 90, 90, 90, 90, 90, 90, 102, 103}, withinBound, 8, []int{}},
+		{"median outside the bound", lower, ten(100, 0, 1), ten(130, 0, 1), regressed, 0, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+		{"one bad pair is reported, not averaged away", lower, ten(100, 0, 1),
+			[]float64{100, 101, 100, 160, 100, 101, 100, 101, 100, 101}, withinBound, 0, []int{4}},
+		{"parent noisier than the bound", lower, ten(100, 0, 80, -40, 60), ten(100, 10, 70, -30, 50), unresolved, 5, []int{}},
+		{"noisy parent, but every run of the change is better", lower, ten(100, 0, 80, -40, 60), ten(20, 0, 1), improved, 10, []int{}},
+		{"two pairs claim nothing", lower, []float64{290, 291}, []float64{170, 171}, withinBound, 2, []int{}},
+		{"higher is better", metricDef{Name: "rate", Better: "higher", Bound: 0.1}, ten(100, 0, 1), ten(80, 0, 1), regressed, 0,
+			[]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+	}
+	for _, tc := range cases {
+		m := compare(tc.def, tc.parent, tc.change)
+		if m.Verdict != tc.verdict || m.Wins != tc.wins || !slices.Equal(m.PairsOutsideBound, tc.outside) {
+			t.Errorf("%s: verdict %s wins %d outside %v (worse by %.3f), want %s %d %v",
+				tc.name, m.Verdict, m.Wins, m.PairsOutsideBound, m.Worse, tc.verdict, tc.wins, tc.outside)
+		}
+	}
+}
+
+func TestParseRun(t *testing.T) {
+	out := []byte(`  cell seed=1 timed setup=0.0008s digest=38e62647d22053e2
+wall_s       median     0.188103 s   min      0.17445 max     0.225402 n=21
+ops=45 failed=0 sim_digest=27bc6c171f582bcf (seed 1)
+{"correct":true,"attempted":45,"failed":0,"metrics":{"alloc_mb":{"value":110.5,"unit":"MB"},"wall_s":{"value":0.188,"unit":"s"}}}
+`)
+	r, err := parseRun(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Digest != "27bc6c171f582bcf" || r.Attempted != 45 || r.Failed != 0 ||
+		r.Metrics["alloc_mb"] != 110.5 || r.Metrics["wall_s"] != 0.188 {
+		t.Fatalf("parsed %+v", r)
+	}
+	for name, bad := range map[string]string{
+		"no json":      "ops=1 failed=0 sim_digest=ab (seed 1)\n",
+		"incorrect":    "sim_digest=ab\n{\"correct\":false,\"attempted\":1,\"failed\":1,\"metrics\":{}}\n",
+		"no digest":    "{\"correct\":true,\"attempted\":1,\"failed\":0,\"metrics\":{}}\n",
+		"empty output": "",
+	} {
+		if _, err := parseRun([]byte(bad)); err == nil {
+			t.Errorf("%s: parsed without error", name)
+		}
+	}
+}

@@ -129,7 +129,7 @@ func checkBlankErr(pass *Pass, as *ast.AssignStmt) {
 // isNewReader reports whether call constructs a wire.Reader.
 func isNewReader(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeOf(info, call)
-	return fn != nil && fn.Name() == "NewReader" &&
+	return fn != nil && (fn.Name() == "NewReader" || fn.Name() == "NewImageReader") &&
 		fn.Pkg() != nil && fn.Pkg().Name() == "wire"
 }
 

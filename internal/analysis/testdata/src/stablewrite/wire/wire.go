@@ -24,6 +24,9 @@ type Reader struct {
 // NewReader positions a Reader at the start of buf.
 func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 
+// NewImageReader is NewReader over a stored image with counted padding.
+func NewImageReader(b []byte, pad int) *Reader { return &Reader{buf: b} }
+
 // U32 decodes a big-endian uint32, or zero once the reader has failed.
 func (r *Reader) U32() uint32 {
 	if r.err != nil {
@@ -88,6 +91,11 @@ func chainedRead(data []byte) uint32 {
 
 func uncheckedVar(data []byte) uint32 {
 	r := NewReader(data) // want "wire.Reader r is read but neither Err nor Done is ever consulted"
+	return r.U32()
+}
+
+func uncheckedImageVar(data []byte) uint32 {
+	r := NewImageReader(data, 0) // want "wire.Reader r is read but neither Err nor Done is ever consulted"
 	return r.U32()
 }
 

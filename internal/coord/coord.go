@@ -7,6 +7,7 @@ import (
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
 	"rollrec/internal/output"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 	"rollrec/internal/workload"
 )
@@ -69,7 +70,7 @@ type Process struct {
 	recording        []bool
 	recorded         [][]recordedMsg
 	openChans        int
-	localState       []byte
+	snap             *wire.Writer        // image in progress: local state, then recorded
 	initiatorWaiting map[ids.ProcID]bool // initiator only
 
 	committedID uint32
@@ -134,7 +135,7 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	}
 	// Crash recovery: read the committed line and order a global rollback.
 	p.rollingBack = true
-	env.ReadStable(keyCommitted, func(data []byte, ok bool) {
+	env.ReadStable(keyCommitted, func(data storage.Image, ok bool) {
 		if tr := env.Metrics().CurrentRecovery(); tr != nil {
 			tr.RestoredAt = env.Now()
 		}
@@ -176,7 +177,7 @@ func (p *Process) persistEpoch() {
 	w := wire.NewWriter(8)
 	w.U32(p.committedID)
 	w.U32(p.epoch)
-	p.env.WriteStable(keyCommitted, w.Frame(), nil)
+	p.env.WriteStable(keyCommitted, storage.Image{Data: w.Frame()}, nil)
 }
 
 // rollbackRestartOrigin tags (in the otherwise-unused Dseq field) a rollback
@@ -258,13 +259,13 @@ func (p *Process) finishRollback(lost int64) {
 // restoreSnapshot reads the per-process state of the committed snapshot and
 // re-injects its recorded channel messages.
 func (p *Process) restoreSnapshot(id uint32) {
-	p.env.ReadStable(fmt.Sprintf("%s%d", keySnapPrefix, id), func(data []byte, ok bool) {
+	p.env.ReadStable(fmt.Sprintf("%s%d", keySnapPrefix, id), func(data storage.Image, ok bool) {
 		if !ok {
 			panic(fmt.Sprintf("coord: %v: committed snapshot %d missing", p.env.ID(), id))
 		}
 		lost := p.delivered
 		p.resetVolatile()
-		recorded := p.decodeSnapshot(data)
+		recorded := p.mustDecodeSnapshot(data)
 		p.commitRestored()
 		p.finishRollback(lost)
 		// Re-inject the in-flight messages the snapshot recorded: they are
@@ -387,13 +388,13 @@ func (p *Process) restoreLine(snapID uint32) {
 		p.restartFromScratch()
 		return
 	}
-	p.env.ReadStable(fmt.Sprintf("%s%d", keySnapPrefix, snapID), func(data []byte, ok bool) {
+	p.env.ReadStable(fmt.Sprintf("%s%d", keySnapPrefix, snapID), func(data storage.Image, ok bool) {
 		p.env.Metrics().BlockEnd(p.env.Now())
 		if !ok {
 			panic(fmt.Sprintf("coord: %v: snapshot %d missing on rollback", p.env.ID(), snapID))
 		}
 		p.resetVolatile()
-		recorded := p.decodeSnapshot(data)
+		recorded := p.mustDecodeSnapshot(data)
 		p.commitRestored()
 		if p.par.Hooks.OnRollback != nil {
 			p.par.Hooks.OnRollback(p.env.ID(), p.epoch, lost)

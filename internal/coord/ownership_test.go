@@ -5,6 +5,7 @@ import (
 
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 	"rollrec/internal/workload"
 )
@@ -124,34 +125,78 @@ func TestHeartbeatDeliverAllocs(t *testing.T) {
 	}
 }
 
-// TestSnapshotImagesAreFreshAndExact: encodeLocalState returns a new,
-// exactly-sized buffer per call and encodeSnapshotBlob sizes the blob the
-// store will own exactly, recorded channel messages included.
+// TestSnapshotImagesAreFreshAndExact: encodeLocalState starts a new buffer
+// per snapshot, sized exactly for a snapshot that records no channel
+// messages (the common case: the image is then encoded into one allocation),
+// and encodeSnapshotBlob finishes that same buffer. The image's logical
+// size is what the blob measured when the padding was bytes.
 func TestSnapshotImagesAreFreshAndExact(t *testing.T) {
+	h := newHarness(t, 3, 1, workload.NewRandomPeer(0, 0, 0, 0))
+	p := h.proc(0)
+	for _, tc := range []struct {
+		outSeq           uint64
+		quiet, recording int // dense blob sizes at the parent commit
+	}{{0, 4196, 4229}, {3, 4204, 4237}} {
+		p.outSeq = tc.outSeq
+		a, b := p.encodeLocalState(), p.encodeLocalState()
+		if &a.Frame()[0] == &b.Frame()[0] {
+			t.Fatal("encodeLocalState must start a fresh buffer per call")
+		}
+		p.snap, p.recorded = a, make([][]recordedMsg, 3)
+		quiet := p.encodeSnapshotBlob()
+		if cap(quiet.Data) != len(quiet.Data) || &quiet.Data[0] != &a.Frame()[0] {
+			t.Fatalf("outSeq %d: blob len %d cap %d; a quiet snapshot must be the local-state buffer, exactly sized",
+				tc.outSeq, len(quiet.Data), cap(quiet.Data))
+		}
+		p.snap = b
+		p.recorded = [][]recordedMsg{nil, {{from: 1, ssn: 7, dseq: 2, payload: []byte("in-flight")}}, nil}
+		blob := p.encodeSnapshotBlob()
+		if quiet.Size() != tc.quiet || blob.Size() != tc.recording || blob.Pad != 4<<10 {
+			t.Fatalf("outSeq %d: images are %d and %d B (%d pad); their dense encodings were %d and %d B",
+				tc.outSeq, quiet.Size(), blob.Size(), blob.Pad, tc.quiet, tc.recording)
+		}
+		p.outSeq = 99
+		rec, err := p.decodeSnapshot(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec) != 1 || rec[0].from != 1 || rec[0].dseq != 2 || string(rec[0].payload) != "in-flight" {
+			t.Fatalf("recorded messages did not round-trip: %+v", rec)
+		}
+		if tc.outSeq != 0 && p.outSeq != tc.outSeq {
+			t.Fatalf("outSeq tail = %d, want %d", p.outSeq, tc.outSeq)
+		}
+	}
+}
+
+// TestSnapshotDecodeChecksPadding: the pad sits inside the length-prefixed
+// local state, before its optional tail; an image whose count disagrees
+// with the length field, or whose sections do not add up, is rejected.
+func TestSnapshotDecodeChecksPadding(t *testing.T) {
 	h := newHarness(t, 3, 1, workload.NewRandomPeer(0, 0, 0, 0))
 	p := h.proc(0)
 	for _, outSeq := range []uint64{0, 3} {
 		p.outSeq = outSeq
-		a, b := p.encodeLocalState(), p.encodeLocalState()
-		if &a[0] == &b[0] {
-			t.Fatal("encodeLocalState must return a fresh buffer per call")
-		}
-		if cap(a) != len(a) {
-			t.Fatalf("outSeq %d: local state len %d cap %d; the size pre-pass must be exact", outSeq, len(a), cap(a))
-		}
-		p.localState = a
+		p.snap = p.encodeLocalState()
 		p.recorded = [][]recordedMsg{nil, {{from: 1, ssn: 7, dseq: 2, payload: []byte("in-flight")}}, nil}
-		blob := p.encodeSnapshotBlob()
-		if cap(blob) != len(blob) {
-			t.Fatalf("outSeq %d: blob len %d cap %d; the size pre-pass must be exact", outSeq, len(blob), cap(blob))
+		good := p.encodeSnapshotBlob()
+		shortState := append([]byte(nil), good.Data...)
+		shortState[0]-- // the local state claims one byte less than it has
+		bad := map[string]storage.Image{
+			"pad one too small": {Data: good.Data, Pad: good.Pad - 1},
+			"pad one too large": {Data: good.Data, Pad: good.Pad + 1},
+			"pad dropped":       {Data: good.Data},
+			"trailing byte":     {Data: append(append([]byte(nil), good.Data...), 0), Pad: good.Pad},
+			"truncated":         {Data: good.Data[:len(good.Data)-1], Pad: good.Pad},
+			"state length":      {Data: shortState, Pad: good.Pad},
 		}
-		p.outSeq = 99
-		rec := p.decodeSnapshot(blob)
-		if len(rec) != 1 || rec[0].from != 1 || rec[0].dseq != 2 || string(rec[0].payload) != "in-flight" {
-			t.Fatalf("recorded messages did not round-trip: %+v", rec)
+		for name, img := range bad {
+			if _, err := p.decodeSnapshot(img); err == nil {
+				t.Errorf("outSeq %d, %s: decoded without error", outSeq, name)
+			}
 		}
-		if outSeq != 0 && p.outSeq != outSeq {
-			t.Fatalf("outSeq tail = %d, want %d", p.outSeq, outSeq)
+		if _, err := p.decodeSnapshot(good); err != nil {
+			t.Fatalf("outSeq %d: the untampered image must decode: %v", outSeq, err)
 		}
 	}
 }

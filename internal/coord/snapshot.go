@@ -1,9 +1,11 @@
 package coord
 
 import (
+	"errors"
 	"fmt"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 )
 
@@ -33,7 +35,7 @@ func (p *Process) startSnapshot() {
 func (p *Process) beginLocalSnapshot(id uint32, exclude ids.ProcID) {
 	p.snapActive = true
 	p.snapID = id
-	p.localState = p.encodeLocalState()
+	p.snap = p.encodeLocalState()
 	p.coverOutputs(id)
 	p.recording = make([]bool, p.n)
 	p.recorded = make([][]recordedMsg, p.n)
@@ -89,7 +91,7 @@ func (p *Process) completeLocalSnapshot() {
 	p.snapActive = false
 	id := p.snapID
 	blob := p.encodeSnapshotBlob()
-	p.localState = nil
+	p.snap = nil
 	p.env.WriteStable(fmt.Sprintf("%s%d", keySnapPrefix, id), blob, func() {
 		if p.env.ID() == 0 {
 			p.onSnapState(&wire.Envelope{Kind: wire.KindSnapState, From: 0, Round: id})
@@ -142,8 +144,8 @@ func (p *Process) commit(id uint32) {
 	p.env.Logf("coord: snapshot %d committed", id)
 }
 
-func parseCommitted(data []byte) (id, epoch uint32) {
-	r := wire.NewReader(data)
+func parseCommitted(img storage.Image) (id, epoch uint32) {
+	r := wire.NewReader(img.Data)
 	id = r.U32()
 	epoch = r.U32()
 	if r.Err() != nil {
@@ -153,15 +155,17 @@ func parseCommitted(data []byte) (id, epoch uint32) {
 	return id, epoch
 }
 
-// encodeLocalState captures the process state at marker time, in a fresh
-// buffer of exactly its size.
-func (p *Process) encodeLocalState() []byte {
+// encodeLocalState starts the snapshot image with the process state at
+// marker time, length-prefixed; encodeSnapshotBlob finishes the same buffer.
+// StatePad is counted into the image, not written (storage.Image).
+func (p *Process) encodeLocalState() *wire.Writer {
 	app := p.app.Snapshot()
-	size := 4 + 8 + 16*p.n + 4 + len(app) + 4 + p.par.StatePad
+	size := 4 + 8 + 16*p.n + 4 + len(app) + 4
 	if p.outSeq != 0 {
 		size += 8
 	}
-	w := wire.NewWriter(size)
+	w := wire.NewWriter(4 + size + 4) // exact when no channel recorded anything
+	w.U32(uint32(size + p.par.StatePad))
 	w.U32(p.epoch)
 	w.U64(uint64(p.delivered))
 	for i := 0; i < p.n; i++ {
@@ -169,28 +173,23 @@ func (p *Process) encodeLocalState() []byte {
 		w.U64(p.expDseq[i])
 	}
 	w.Bytes(app)
-	w.Zeros(p.par.StatePad)
+	w.Pad(p.par.StatePad)
 	// Optional tail (see the FBL checkpoint codec): present only when the
 	// process ever produced output, so output-free runs keep byte-identical
 	// snapshot blobs and storage timings.
 	if p.outSeq != 0 {
 		w.U64(p.outSeq)
 	}
-	return w.Frame()
+	return w
 }
 
 // encodeSnapshotBlob appends the recorded channel messages to the local
-// state captured at marker time, in the exactly-sized buffer the store keeps.
-func (p *Process) encodeSnapshotBlob() []byte {
-	size, total := 4+len(p.localState)+4, 0
+// state captured at marker time and returns the image the store keeps.
+func (p *Process) encodeSnapshotBlob() storage.Image {
+	w, total := p.snap, 0
 	for _, ch := range p.recorded {
 		total += len(ch)
-		for _, m := range ch {
-			size += 4 + 8 + 8 + 4 + len(m.payload)
-		}
 	}
-	w := wire.NewWriter(size)
-	w.Bytes(p.localState)
 	w.U32(uint32(total))
 	for _, ch := range p.recorded {
 		for _, m := range ch {
@@ -200,31 +199,32 @@ func (p *Process) encodeSnapshotBlob() []byte {
 			w.Bytes(m.payload)
 		}
 	}
-	return w.Frame()
+	return storage.Image{Data: w.Frame(), Pad: w.Padded()}
 }
 
 // decodeSnapshot restores the local state and returns the recorded
 // channel messages for re-injection.
-func (p *Process) decodeSnapshot(blob []byte) []recordedMsg {
-	r := wire.NewReader(blob)
-	state := wire.NewReader(r.Bytes())
-	_ = state.U32() // epoch at capture; superseded by the rollback epoch
-	p.delivered = int64(state.U64())
+func (p *Process) decodeSnapshot(img storage.Image) ([]recordedMsg, error) {
+	r := wire.NewImageReader(img.Data, img.Pad)
+	stateLen := r.ListLen()
+	stateEnd := r.Pos() + stateLen
+	_ = r.U32() // epoch at capture; superseded by the rollback epoch
+	p.delivered = int64(r.U64())
 	for i := 0; i < p.n; i++ {
-		p.dseqOut[i] = state.U64()
-		p.expDseq[i] = state.U64()
+		p.dseqOut[i] = r.U64()
+		p.expDseq[i] = r.U64()
 	}
-	app := state.Bytes()
-	state.Bytes() // padding
-	if !state.Done() {
-		p.outSeq = state.U64() // optional tail: see encodeLocalState
+	app := r.Bytes()
+	r.Pad()
+	tail := r.Pos() < stateEnd
+	if tail {
+		p.outSeq = r.U64() // optional tail: see encodeLocalState
 	}
-	if err := p.app.Restore(app); err != nil {
-		panic(fmt.Sprintf("coord: %v: restoring app: %v", p.env.ID(), err))
-	}
-	p.started = true
+	// The state section is exactly as long as its prefix says, and a zero
+	// tail is never written.
+	exact := r.Pos() == stateEnd && (!tail || p.outSeq != 0)
 	n := r.ListLen()
-	out := make([]recordedMsg, 0, n)
+	out := make([]recordedMsg, 0, min(n, 4096))
 	for i := 0; i < n && r.Err() == nil; i++ {
 		var m recordedMsg
 		m.from = ids.ProcID(r.I32())
@@ -233,8 +233,25 @@ func (p *Process) decodeSnapshot(blob []byte) []recordedMsg {
 		m.payload = r.Bytes()
 		out = append(out, m)
 	}
-	if r.Err() != nil {
-		panic(fmt.Sprintf("coord: %v: corrupt snapshot: %v", p.env.ID(), r.Err()))
+	switch {
+	case r.Err() != nil:
+		return nil, fmt.Errorf("coord: corrupt snapshot: %w", r.Err())
+	case !exact || !r.Done():
+		return nil, errors.New("coord: corrupt snapshot: section lengths do not add up")
+	}
+	if err := p.app.Restore(app); err != nil {
+		return nil, fmt.Errorf("coord: restoring app: %w", err)
+	}
+	p.started = true
+	return out, nil
+}
+
+// mustDecodeSnapshot is decodeSnapshot for the rollback paths: the image is
+// self-written, so failing to decode it is a bug.
+func (p *Process) mustDecodeSnapshot(img storage.Image) []recordedMsg {
+	out, err := p.decodeSnapshot(img)
+	if err != nil {
+		panic(fmt.Sprintf("%v: %v", p.env.ID(), err))
 	}
 	return out
 }

@@ -2,11 +2,13 @@ package fbl
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 	"rollrec/internal/trace"
 	"rollrec/internal/vclock"
 	"rollrec/internal/wire"
@@ -27,11 +29,11 @@ func (p *Process) writeIncRecord(done func()) {
 	w := wire.NewWriter(12)
 	w.U32(uint32(p.inc))
 	w.U64(p.lam.Now())
-	p.env.WriteStable(keyIncarnation, w.Frame(), done)
+	p.env.WriteStable(keyIncarnation, storage.Image{Data: w.Frame()}, done)
 }
 
-func parseIncRecord(data []byte) (ids.Incarnation, uint64, bool) {
-	r := wire.NewReader(data)
+func parseIncRecord(img storage.Image) (ids.Incarnation, uint64, bool) {
+	r := wire.NewImageReader(img.Data, img.Pad)
 	inc := ids.Incarnation(r.U32())
 	clk := r.U64()
 	if !r.Done() {
@@ -43,12 +45,13 @@ func parseIncRecord(data []byte) (ids.Incarnation, uint64, bool) {
 // encodeCheckpoint serializes the complete recoverable state: application
 // snapshot, send/receive counters, the volatile send log (sender-based
 // logging survives the sender's own failure through its checkpoint), and
-// the incarnation vector. StatePad models the paper's ~1 MB process images.
-// The image is built once, in a fresh buffer sized by a pre-pass over the
-// send log; WriteStable hands that buffer to the store (DESIGN §5).
-func (p *Process) encodeCheckpoint() []byte {
+// the incarnation vector. StatePad models the paper's ~1 MB process images:
+// it is counted into the image, not written (storage.Image). The bytes are
+// built once, in a fresh buffer sized by a pre-pass over the send log;
+// WriteStable hands that buffer to the store (DESIGN §5).
+func (p *Process) encodeCheckpoint() storage.Image {
 	app := p.app.Snapshot()
-	size := 1 + 4 + 8 + 1 + 8 + 8 + 20*p.n + 4 + len(app) + 4*p.n + 4 + p.par.StatePad
+	size := 1 + 4 + 8 + 1 + 8 + 8 + 20*p.n + 4 + len(app) + 4*p.n + 4
 	for _, log := range p.sendLog {
 		for _, rec := range log {
 			size += 8 + 8 + 4 + len(rec.payload)
@@ -84,7 +87,7 @@ func (p *Process) encodeCheckpoint() []byte {
 			w.Bytes(rec.payload)
 		}
 	}
-	w.Zeros(p.par.StatePad)
+	w.Pad(p.par.StatePad)
 	// The output-commit counter rides after the padding, and only when the
 	// process ever produced output: workloads that never call Ctx.Output
 	// keep byte-identical checkpoints (and thus identical storage timings
@@ -92,7 +95,7 @@ func (p *Process) encodeCheckpoint() []byte {
 	if p.outSeq != 0 {
 		w.U64(p.outSeq)
 	}
-	return w.Frame()
+	return storage.Image{Data: w.Frame(), Pad: w.Padded()}
 }
 
 // sortedKeys returns m's keys in ascending order. Every protocol-path
@@ -109,9 +112,11 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return out
 }
 
-// decodeCheckpoint restores the state captured by encodeCheckpoint.
-func (p *Process) decodeCheckpoint(data []byte) error {
-	r := wire.NewReader(data)
+// decodeCheckpoint restores the state captured by encodeCheckpoint, and
+// accepts nothing encodeCheckpoint could not have written: re-encoding an
+// accepted image reproduces it.
+func (p *Process) decodeCheckpoint(img storage.Image) error {
+	r := wire.NewImageReader(img.Data, img.Pad)
 	if v := r.U8(); v != checkpointVersion {
 		return fmt.Errorf("fbl: checkpoint version %d", v)
 	}
@@ -120,7 +125,9 @@ func (p *Process) decodeCheckpoint(data []byte) error {
 	for p.lam.Now() < lam {
 		p.lam.Witness(lam - 1)
 	}
-	p.started = r.U8() == 1
+	started := r.U8()
+	p.started = started == 1
+	canonical := started <= 1
 	p.ssn = ids.SSN(r.U64())
 	p.rsn = ids.RSN(r.U64())
 	vec := make([]ids.Incarnation, p.n)
@@ -128,6 +135,7 @@ func (p *Process) decodeCheckpoint(data []byte) error {
 		p.dseqOut[i] = r.U64()
 		p.expDseq[i] = r.U64()
 		vec[i] = ids.Incarnation(r.U32())
+		canonical = canonical && vec[i] >= 1 // incarnations start at 1
 	}
 	p.incVec.Merge(vclock.FromSlice(vec))
 	app := r.Bytes()
@@ -136,20 +144,27 @@ func (p *Process) decodeCheckpoint(data []byte) error {
 		if cnt == 0 {
 			continue // keep the lazily-nil map
 		}
-		p.sendLog[to] = make(map[uint64]logRec, cnt)
+		p.sendLog[to] = make(map[uint64]logRec, min(cnt, 4096))
+		var prev uint64
 		for i := 0; i < cnt && r.Err() == nil; i++ {
 			d := r.U64()
 			ssn := ids.SSN(r.U64())
 			payload := r.Bytes()
 			p.sendLog[to][d] = logRec{ssn: ssn, payload: payload}
+			canonical = canonical && (i == 0 || d > prev) // sortedKeys order
+			prev = d
 		}
 	}
-	r.Bytes() // padding
+	r.Pad()
 	if !r.Done() {
 		p.outSeq = r.U64() // optional tail: see encodeCheckpoint
+		canonical = canonical && p.outSeq != 0
 	}
 	if !r.Done() {
 		return fmt.Errorf("fbl: corrupt checkpoint: %v", r.Err())
+	}
+	if !canonical {
+		return errors.New("fbl: corrupt checkpoint: not an encoding encodeCheckpoint produces")
 	}
 	if err := p.app.Restore(app); err != nil {
 		return fmt.Errorf("fbl: restoring app snapshot: %w", err)
@@ -181,9 +196,9 @@ func (p *Process) checkpointTick() {
 func (p *Process) doCheckpoint() {
 	cpSpan := p.env.Tracer().Begin(p.env.Now(), int32(p.env.ID()),
 		trace.EvCheckpoint, trace.Tag{Inc: uint32(p.inc)})
-	data := p.encodeCheckpoint()
+	img := p.encodeCheckpoint()
 	if p.par.SnapshotCPUPerByte > 0 {
-		p.env.Busy(time.Duration(len(data)) * p.par.SnapshotCPUPerByte)
+		p.env.Busy(time.Duration(img.Size()) * p.par.SnapshotCPUPerByte)
 	}
 	p.cpBusy = true
 	rsnAt := p.rsn
@@ -192,7 +207,7 @@ func (p *Process) doCheckpoint() {
 	for i, d := range p.expDseq {
 		expAt[i] = ids.SSN(d)
 	}
-	p.env.WriteStable(keyCheckpoint, data, func() {
+	p.env.WriteStable(keyCheckpoint, img, func() {
 		p.env.Tracer().End(cpSpan, p.env.Now())
 		p.cpBusy = false
 		p.cpRSN = rsnAt
@@ -217,7 +232,7 @@ func (p *Process) doCheckpoint() {
 			// notice goes to the ring successors only. Everyone else learns
 			// the watermarks from the CPRsn/CPDseq piggyback on the next
 			// application send (see transmit).
-			for _, q := range p.ring(+1) {
+			for _, q := range p.succ {
 				p.env.Send(q, notice)
 			}
 		} else {
@@ -238,16 +253,8 @@ func (p *Process) doCheckpoint() {
 // determinants of its deliveries, and our send-log entries it has consumed.
 func (p *Process) onCheckpointNotice(e *wire.Envelope) {
 	p.dets.GCReceiver(e.From, e.CPRsn)
-	self := int(p.env.ID())
-	if self < len(e.SSNWatermarks) && e.From.Valid(p.n) && !e.From.IsStorage() {
-		wm := uint64(e.SSNWatermarks[self])
-		log := p.sendLog[e.From]
-		//rollvet:allow maporder -- deletes the value-independent prefix d <= wm; commutative
-		for d := range log {
-			if d <= wm {
-				delete(log, d)
-			}
-		}
+	if self := int(p.env.ID()); self < len(e.SSNWatermarks) {
+		p.pruneSendLog(e.From, uint64(e.SSNWatermarks[self]))
 	}
 }
 
@@ -257,8 +264,8 @@ func (p *Process) onCheckpointNotice(e *wire.Envelope) {
 func (p *Process) restore() {
 	restoreSpan := p.env.Tracer().Begin(p.env.Now(), int32(p.env.ID()),
 		trace.EvRestore, trace.Tag{})
-	p.env.ReadStable(keyIncarnation, func(incData []byte, okInc bool) {
-		p.env.ReadStable(keyCheckpoint, func(cpData []byte, okCP bool) {
+	p.env.ReadStable(keyIncarnation, func(incData storage.Image, okInc bool) {
+		p.env.ReadStable(keyCheckpoint, func(cpData storage.Image, okCP bool) {
 			prevInc := ids.Incarnation(1)
 			var prevClk uint64
 			if okInc {

@@ -183,7 +183,7 @@ type Process struct {
 	// detSent is, under output tracking only, each destination's memo of
 	// the holder set it was last offered per determinant (see unlessSent);
 	// reset when the destination reincarnates.
-	detSent []map[ids.MsgID]uint64
+	detSent []map[uint64]uint64 // keyed by memoKey(det.Msg)
 	// replayServed remembers, per requester, the highest send-log dseq
 	// already retransmitted to a given incarnation, so periodic replay-
 	// request retries do not flood the recovering process with redundant
@@ -193,6 +193,9 @@ type Process struct {
 
 	mgr    *recovery.Manager
 	detect *failure.Detector
+	// succ is the fanout-mode ring(+1) neighborhood heartbeats and
+	// checkpoint notices go to; fixed at Boot.
+	succ []ids.ProcID
 
 	// Replay state.
 	needed    map[ids.MsgID]ids.RSN
@@ -254,7 +257,7 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	p.scanGen = make([]int, p.n)
 	p.replayServed = make([]servedMark, p.n)
 	if p.par.Outputs != nil {
-		p.detSent = make([]map[ids.MsgID]uint64, p.n)
+		p.detSent = make([]map[uint64]uint64, p.n)
 		p.outWaiters = make(map[ids.MsgID][]*outWait)
 		p.dets.OnSettled(p.noteSettled)
 	}
@@ -269,6 +272,7 @@ func (p *Process) Boot(env node.Env, restart bool) {
 		func(q ids.ProcID) { p.mgr.OnSuspect(q) })
 	if p.par.Fanout > 0 {
 		p.detect.SetMonitored(p.ring(-1))
+		p.succ = p.ring(+1)
 	}
 	p.startTimers()
 
@@ -327,7 +331,7 @@ func (p *Process) startTimers() {
 		if p.par.Fanout > 0 {
 			// Ring heartbeats: each process pings its k successors, so each
 			// is monitored by its k predecessors.
-			for _, q := range p.ring(+1) {
+			for _, q := range p.succ {
 				p.env.Send(q, hb)
 			}
 		} else {
@@ -430,13 +434,22 @@ func (p *Process) applyPiggybackGC(e *wire.Envelope) {
 	if e.CPRsn > 0 {
 		p.dets.GCReceiver(e.From, e.CPRsn)
 	}
-	if e.CPDseq > 0 && e.From.Valid(p.n) && !e.From.IsStorage() {
-		log := p.sendLog[e.From]
-		//rollvet:allow maporder -- deletes the value-independent prefix d <= wm; commutative
-		for d := range log {
-			if d <= e.CPDseq {
-				delete(log, d)
-			}
+	if e.CPDseq > 0 {
+		p.pruneSendLog(e.From, e.CPDseq)
+	}
+}
+
+// pruneSendLog drops the logged messages to q it has consumed as of a
+// durable checkpoint (dseq <= wm): it will never request them again.
+func (p *Process) pruneSendLog(q ids.ProcID, wm uint64) {
+	if !q.Valid(p.n) || q.IsStorage() {
+		return
+	}
+	log := p.sendLog[q]
+	//rollvet:allow maporder -- deletes the value-independent prefix d <= wm; commutative
+	for d := range log {
+		if d <= wm {
+			delete(log, d)
 		}
 	}
 }

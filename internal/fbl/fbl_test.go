@@ -53,11 +53,11 @@ func (f *fakeEnv) Send(to ids.ProcID, e *wire.Envelope) {
 }
 func (f *fakeEnv) After(time.Duration, func()) node.Timer { return noopTimer{} }
 func (f *fakeEnv) Busy(time.Duration)                     {}
-func (f *fakeEnv) ReadStable(k string, cb func([]byte, bool)) {
+func (f *fakeEnv) ReadStable(k string, cb func(storage.Image, bool)) {
 	v, ok := f.stable.Get(k)
 	cb(v, ok)
 }
-func (f *fakeEnv) WriteStable(k string, d []byte, cb func()) {
+func (f *fakeEnv) WriteStable(k string, d storage.Image, cb func()) {
 	f.stable.Put(k, d)
 	if cb != nil {
 		cb()
@@ -202,7 +202,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestCheckpointRejectsGarbage(t *testing.T) {
 	p, _ := bootProc(t, 0, 3, 2)
-	if err := p.decodeCheckpoint([]byte{9, 9, 9}); err == nil {
+	if err := p.decodeCheckpoint(storage.Image{Data: []byte{9, 9, 9}}); err == nil {
 		t.Fatal("garbage checkpoint must be rejected")
 	}
 }
@@ -354,8 +354,12 @@ func TestIncRecordRoundTrip(t *testing.T) {
 	if !ok || inc != 4 || clk != 17 {
 		t.Fatalf("parsed (%d,%d,%v), want (4,17,true)", inc, clk, ok)
 	}
-	if _, _, ok := parseIncRecord([]byte{1}); ok {
+	if _, _, ok := parseIncRecord(storage.Image{Data: []byte{1}}); ok {
 		t.Fatal("short record must be rejected")
+	}
+	data.Pad = 1
+	if _, _, ok := parseIncRecord(data); ok {
+		t.Fatal("a record with padding nobody wrote must be rejected")
 	}
 }
 

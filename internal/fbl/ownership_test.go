@@ -11,6 +11,7 @@ import (
 	"rollrec/internal/node"
 	"rollrec/internal/recovery"
 	"rollrec/internal/sim"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 	"rollrec/internal/workload"
 )
@@ -182,17 +183,16 @@ func TestHeartbeatTickAllocs(t *testing.T) {
 	}
 }
 
-// TestCheckpointOneImageAllocs: taking and durably writing a checkpoint
-// of a 1 MB process allocates one image-sized buffer — the one the store
-// keeps — where the padding temporary, the undersized writer, its regrowth
-// and two defensive copies used to make five.
+// TestCheckpointOneImageAllocs: taking and durably writing a checkpoint of a
+// 1 MB process allocates the bytes the codec writes — app snapshot, counters,
+// send log — once, plus closures, and not one byte of the modelled padding.
 func TestCheckpointOneImageAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation materialises wire.Writer.Zeros' padding temporary")
-	}
 	const pad = 1 << 20
 	k := idleCluster(t, 3, pad)
 	p := k.ProcOf(0).(*Process)
+	appCtx{p}.Send(1, bytes.Repeat([]byte("x"), 8<<10)) // a send log worth encoding
+	p.doCheckpoint()                                    // warm the storage-latency histogram
+	k.Run(time.Duration(k.Now()) + 100*time.Millisecond)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	p.doCheckpoint()
@@ -201,19 +201,23 @@ func TestCheckpointOneImageAllocs(t *testing.T) {
 	if p.cpBusy {
 		t.Fatal("checkpoint write did not complete")
 	}
-	image := uint64(k.Store(0).Size(keyCheckpoint))
-	if image < pad {
-		t.Fatalf("stored image is %d B, want at least the %d B pad", image, pad)
+	img, _ := k.Store(0).Get(keyCheckpoint)
+	if img.Pad != pad || len(img.Data) < 8<<10 || k.Store(0).Size(keyCheckpoint) != len(img.Data)+pad {
+		t.Fatalf("stored image is %d B + %d pad (Size %d), want the send log plus a %d B pad",
+			len(img.Data), img.Pad, k.Store(0).Size(keyCheckpoint), pad)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > image+image/4 {
-		t.Fatalf("one checkpoint allocated %d B for a %d B image; want one image-sized buffer", got, image)
+	const slack = 4 << 10 // closures, the notice frames, 100 ms of heartbeats
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(img.Data))+slack {
+		t.Fatalf("one checkpoint allocated %d B for %d B of encoded state; the %d B pad is a count",
+			got, len(img.Data), pad)
 	}
 }
 
 // TestCheckpointImagesAreFreshAndExact: every encodeCheckpoint call returns
 // a new buffer of exactly the encoded size (the size pre-pass agrees with
 // the encoder), so the image the store owns is unaffected by the process
-// building its next one.
+// building its next one; its logical size is what the image measured when
+// the padding was bytes.
 func TestCheckpointImagesAreFreshAndExact(t *testing.T) {
 	p, env := bootProc(t, 0, 3, 2)
 	p.par.StatePad = 4 << 10
@@ -224,25 +228,61 @@ func TestCheckpointImagesAreFreshAndExact(t *testing.T) {
 	if !ok {
 		t.Fatal("checkpoint not stored")
 	}
+	if stored.Size() != 4259 || stored.Pad != 4<<10 {
+		t.Fatalf("image is %d B (%d pad); the dense encoding of this state was 4259 B", stored.Size(), stored.Pad)
+	}
 
 	p.Deliver(appFrame(2, 1, 4, 1))
 	appCtx{p}.Send(2, []byte("payload-bb"))
 	p.outSeq = 3 // exercises the optional tail of the size pre-pass
 	a, b := p.encodeCheckpoint(), p.encodeCheckpoint()
-	if &a[0] == &b[0] {
+	if &a.Data[0] == &b.Data[0] {
 		t.Fatal("encodeCheckpoint must return a fresh buffer per call")
 	}
-	if cap(a) != len(a) || !bytes.Equal(a, b) {
-		t.Fatalf("image len %d cap %d; the size pre-pass must match the encoding exactly", len(a), cap(a))
+	if cap(a.Data) != len(a.Data) || !bytes.Equal(a.Data, b.Data) || a.Pad != b.Pad {
+		t.Fatalf("image len %d cap %d; the size pre-pass must match the encoding exactly", len(a.Data), cap(a.Data))
 	}
-	if bytes.Equal(a, stored) {
+	if a.Size() != 4297 {
+		t.Fatalf("image with an output tail is %d B; its dense encoding was 4297 B", a.Size())
+	}
+	if bytes.Equal(a.Data, stored.Data) {
 		t.Fatal("setup: the second image should differ from the stored one")
 	}
-	if again, _ := env.stable.Get(keyCheckpoint); !bytes.Equal(again, stored) {
+	if again, _ := env.stable.Get(keyCheckpoint); !bytes.Equal(again.Data, stored.Data) {
 		t.Fatal("building the next image changed the stored one")
 	}
 	q, _ := bootProc(t, 0, 3, 2)
 	if err := q.decodeCheckpoint(a); err != nil || q.outSeq != 3 {
 		t.Fatalf("exactly-sized image does not decode: %v (outSeq %d)", err, q.outSeq)
+	}
+}
+
+// TestCheckpointDecodeChecksPadding: the pad sits before the optional tail,
+// and an image whose count disagrees with its length field, or that carries
+// bytes past the end, is rejected — with and without the tail.
+func TestCheckpointDecodeChecksPadding(t *testing.T) {
+	for _, outSeq := range []uint64{0, 3} {
+		p, _ := bootProc(t, 0, 3, 2)
+		p.par.StatePad = 4 << 10
+		appCtx{p}.Send(1, []byte("payload-a"))
+		p.outSeq = outSeq
+		good := p.encodeCheckpoint()
+		bad := map[string]storage.Image{
+			"pad one too small": {Data: good.Data, Pad: good.Pad - 1},
+			"pad one too large": {Data: good.Data, Pad: good.Pad + 1},
+			"pad dropped":       {Data: good.Data},
+			"trailing byte":     {Data: append(append([]byte(nil), good.Data...), 0), Pad: good.Pad},
+			"truncated":         {Data: good.Data[:len(good.Data)-1], Pad: good.Pad},
+		}
+		for name, img := range bad {
+			q, _ := bootProc(t, 0, 3, 2)
+			if err := q.decodeCheckpoint(img); err == nil {
+				t.Errorf("outSeq %d, %s: decoded without error", outSeq, name)
+			}
+		}
+		q, _ := bootProc(t, 0, 3, 2)
+		if err := q.decodeCheckpoint(good); err != nil || q.outSeq != outSeq {
+			t.Fatalf("outSeq %d: the untampered image must decode: %v (outSeq %d)", outSeq, err, q.outSeq)
+		}
 	}
 }

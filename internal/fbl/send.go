@@ -132,17 +132,29 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
 // offered to with the same holders (DESIGN §5).
 func (p *Process) unlessSent(to ids.ProcID, offer func(det.Entry)) func(det.Entry) {
 	if p.detSent[to] == nil {
-		p.detSent[to] = make(map[ids.MsgID]uint64)
+		p.detSent[to] = make(map[uint64]uint64)
 	}
 	sent := p.detSent[to]
 	return func(e det.Entry) {
 		fp := holderFingerprint(e)
-		if prev, ok := sent[e.Det.Msg]; ok && prev == fp {
+		key := memoKey(e.Det.Msg)
+		if prev, ok := sent[key]; ok && prev == fp {
 			return
 		}
-		sent[e.Det.Msg] = fp
+		sent[key] = fp
 		offer(e)
 	}
+}
+
+// memoKey packs a message id into one word (sender<<40 | ssn) so the memo
+// is a map[uint64], which the runtime hashes and probes far faster than a
+// struct-keyed one: unlessSent is the hottest function under output
+// tracking.
+func memoKey(m ids.MsgID) uint64 {
+	if uint64(m.Sender) >= 1<<24 || m.SSN >= 1<<40 {
+		panic(fmt.Sprintf("fbl: message id %v does not fit the detSent memo key", m))
+	}
+	return uint64(m.Sender)<<40 | uint64(m.SSN)
 }
 
 // serveReplay answers a recovering process's retransmission request: resend

@@ -405,37 +405,36 @@ func (ln *lnode) After(d time.Duration, fn func()) node.Timer {
 }
 
 // ReadStable reads after the modeled storage latency.
-func (ln *lnode) ReadStable(key string, cb func(data []byte, ok bool)) {
-	ln.stableOp(true, key, nil, func(data []byte, ok bool) { cb(data, ok) })
+func (ln *lnode) ReadStable(key string, cb func(img storage.Image, ok bool)) {
+	ln.stableOp(true, key, storage.Image{}, cb)
 }
 
 // WriteStable writes after the modeled storage latency; a crash before
-// completion loses the write. It takes ownership of data (node.Env).
-func (ln *lnode) WriteStable(key string, data []byte, cb func()) {
-	ln.stableOp(false, key, data, func([]byte, bool) {
+// completion loses the write. It takes ownership of img.Data (node.Env).
+func (ln *lnode) WriteStable(key string, img storage.Image, cb func()) {
+	ln.stableOp(false, key, img, func(storage.Image, bool) {
 		if cb != nil {
 			cb()
 		}
 	})
 }
 
-func (ln *lnode) stableOp(read bool, key string, data []byte, cb func([]byte, bool)) {
+func (ln *lnode) stableOp(read bool, key string, img storage.Image, cb func(storage.Image, bool)) {
 	n := ln.net
 	epoch := ln.epoch
 	var dur time.Duration
-	var got []byte
 	var ok bool
 	if read {
-		got, ok = ln.stable.Get(key)
-		dur = n.cfg.HW.Disk.ReadTime(len(got))
-		ln.met.StorageOp(false, len(got), dur)
+		img, ok = ln.stable.Get(key)
+		dur = n.cfg.HW.Disk.ReadTime(img.Size())
+		ln.met.StorageOp(false, img.Size(), dur)
 		n.tr.Span(n.vnow(), int64(dur), int32(ln.id), trace.EvStorageRead,
-			trace.Tag{Arg: int64(len(got))})
+			trace.Tag{Arg: int64(img.Size())})
 	} else {
-		dur = n.cfg.HW.Disk.WriteTime(len(data))
-		ln.met.StorageOp(true, len(data), dur)
+		dur = n.cfg.HW.Disk.WriteTime(img.Size())
+		ln.met.StorageOp(true, img.Size(), dur)
 		n.tr.Span(n.vnow(), int64(dur), int32(ln.id), trace.EvStorageWrite,
-			trace.Tag{Arg: int64(len(data))})
+			trace.Tag{Arg: int64(img.Size())})
 	}
 	time.AfterFunc(n.scale(dur), func() {
 		if !n.enter() {
@@ -448,11 +447,11 @@ func (ln *lnode) stableOp(read bool, key string, data []byte, cb func([]byte, bo
 			return
 		}
 		if !read {
-			ln.stable.Put(key, data)
+			ln.stable.Put(key, img)
 		}
 		if !ln.up {
 			return
 		}
-		cb(got, ok)
+		cb(img, ok)
 	})
 }

@@ -105,12 +105,12 @@ func TestStableStorageAcrossCrash(t *testing.T) {
 	got := make(chan string, 1)
 	n.AddNode(0, bootFactory(func(env node.Env, restart bool) {
 		if !restart {
-			env.WriteStable("k", []byte("v1"), nil)
+			env.WriteStable("k", storage.Image{Data: []byte("v1"), Pad: 64}, nil)
 			return
 		}
-		env.ReadStable("k", func(data []byte, ok bool) {
-			if ok {
-				got <- string(data)
+		env.ReadStable("k", func(img storage.Image, ok bool) {
+			if ok && img.Pad == 64 {
+				got <- string(img.Data)
 			} else {
 				got <- "<missing>"
 			}

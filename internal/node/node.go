@@ -42,16 +42,17 @@ type Env interface {
 	// deliveries and timers are deferred until the process is free again.
 	Busy(d time.Duration)
 	// ReadStable asynchronously reads a key from this process's stable
-	// store; cb runs after the modeled storage latency with a copy of the
-	// value (nil if absent) that the callback owns: the store keeps its
-	// own. The callback dies with the process instance.
-	ReadStable(key string, cb func(data []byte, ok bool))
-	// WriteStable asynchronously writes to stable storage; the data becomes
-	// durable (and cb runs) only after the modeled latency — a crash before
-	// completion loses the write. WriteStable takes ownership of data: the
-	// runtime hands the slice itself to the store, so the caller builds a
-	// fresh buffer per write and never touches it again.
-	WriteStable(key string, data []byte, cb func())
+	// store; cb runs after the modeled latency of the image's logical size
+	// with a copy of the image (zero if absent) that the callback owns: the
+	// store keeps its own. The callback dies with the process instance.
+	ReadStable(key string, cb func(img storage.Image, ok bool))
+	// WriteStable asynchronously writes to stable storage; the image becomes
+	// durable (and cb runs) only after the modeled latency of its logical
+	// size — a crash before completion loses the write, padding included.
+	// WriteStable takes ownership of img.Data: the runtime hands the slice
+	// itself to the store, so the caller builds a fresh buffer per write and
+	// never touches it again.
+	WriteStable(key string, img storage.Image, cb func())
 	// Rand returns this process's deterministic random stream.
 	Rand() *rand.Rand
 	// Logf emits a trace line if tracing is enabled.

@@ -1,10 +1,12 @@
 package optimistic
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 	"rollrec/internal/workload"
 )
@@ -342,9 +344,10 @@ func (p *Process) Rolling() bool { return p.rolling }
 // LogSizes returns (total, durable) delivery-log lengths.
 func (p *Process) LogSizes() (total, durable int) { return len(p.log), p.flushed }
 
-// encodeLog serializes the delivery log into a fresh, exactly-sized buffer.
-func encodeLog(entries []logEntry, pad int) []byte {
-	size := 4 + 4 + pad
+// encodeLog serializes the delivery log into a fresh, exactly-sized buffer;
+// pad is counted into the image, not written (storage.Image).
+func encodeLog(entries []logEntry, pad int) storage.Image {
+	size := 4 + 4
 	for _, e := range entries {
 		size += 4 + 8 + 8 + 4 + len(e.payload) + 4 + 12*len(e.dv)
 	}
@@ -361,15 +364,15 @@ func encodeLog(entries []logEntry, pad int) []byte {
 			w.U64(uint64(v.index))
 		}
 	}
-	w.Zeros(pad)
-	return w.Frame()
+	w.Pad(pad)
+	return storage.Image{Data: w.Frame(), Pad: w.Padded()}
 }
 
 // decodeLog parses a serialized delivery log.
-func decodeLog(data []byte, n int) []logEntry {
-	r := wire.NewReader(data)
+func decodeLog(img storage.Image) ([]logEntry, error) {
+	r := wire.NewImageReader(img.Data, img.Pad)
 	cnt := r.ListLen()
-	out := make([]logEntry, 0, cnt)
+	out := make([]logEntry, 0, min(cnt, 4096))
 	for i := 0; i < cnt && r.Err() == nil; i++ {
 		var e logEntry
 		e.from = ids.ProcID(r.I32())
@@ -377,16 +380,15 @@ func decodeLog(data []byte, n int) []logEntry {
 		e.dseq = r.U64()
 		e.payload = r.Bytes()
 		dn := r.ListLen()
-		e.dv = make([]interval, dn)
-		for j := 0; j < dn; j++ {
-			e.dv[j].epoch = r.U32()
-			e.dv[j].index = int64(r.U64())
+		e.dv = make([]interval, 0, min(dn, 4096))
+		for j := 0; j < dn && r.Err() == nil; j++ {
+			e.dv = append(e.dv, interval{epoch: r.U32(), index: int64(r.U64())})
 		}
 		out = append(out, e)
 	}
-	r.Bytes() // padding
-	if r.Err() != nil {
-		panic("optimistic: corrupt stable log: " + r.Err().Error())
+	r.Pad()
+	if !r.Done() {
+		return nil, fmt.Errorf("optimistic: corrupt stable log: %v", r.Err())
 	}
-	return out
+	return out, nil
 }

@@ -40,6 +40,7 @@ import (
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
 	"rollrec/internal/output"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 	"rollrec/internal/workload"
 )
@@ -208,9 +209,9 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	// with anyone (the optimistic selling point) — then retract the lost
 	// suffix.
 	p.rolling = true
-	env.ReadStable(keyEpoch, func(ed []byte, _ bool) {
-		prevEpoch := parseEpoch(ed)
-		env.ReadStable(keyLog, func(data []byte, ok bool) {
+	env.ReadStable(keyEpoch, func(ed storage.Image, _ bool) {
+		prevEpoch := parseEpoch(ed.Data)
+		env.ReadStable(keyLog, func(data storage.Image, ok bool) {
 			if tr := env.Metrics().CurrentRecovery(); tr != nil {
 				tr.RestoredAt = env.Now()
 			}
@@ -219,7 +220,10 @@ func (p *Process) Boot(env node.Env, restart bool) {
 			p.persistEpoch()
 			var entries []logEntry
 			if ok {
-				entries = decodeLog(data, p.n)
+				var err error
+				if entries, err = decodeLog(data); err != nil {
+					panic(err.Error()) // self-written: a bug, not input
+				}
 			}
 			p.rebuildFrom(entries)
 			p.broadcastRetract()
@@ -231,7 +235,7 @@ func (p *Process) Boot(env node.Env, restart bool) {
 func (p *Process) persistEpoch() {
 	w := wire.NewWriter(4)
 	w.U32(p.epoch)
-	p.env.WriteStable(keyEpoch, w.Frame(), nil)
+	p.env.WriteStable(keyEpoch, storage.Image{Data: w.Frame()}, nil)
 }
 
 func parseEpoch(data []byte) uint32 {

@@ -209,9 +209,9 @@ func TestLogCodecRoundTrip(t *testing.T) {
 		{from: 2, ssn: 9, dseq: 1, payload: nil,
 			dv: []interval{{1, 4}, {1, 5}, {2, 6}}},
 	}
-	out := decodeLog(encodeLog(entries, 128), 3)
-	if len(out) != 2 {
-		t.Fatalf("decoded %d entries", len(out))
+	out, err := decodeLog(encodeLog(entries, 128))
+	if err != nil || len(out) != 2 {
+		t.Fatalf("decoded %d entries: %v", len(out), err)
 	}
 	if out[0].from != 1 || out[0].ssn != 5 || string(out[0].payload) != "abc" ||
 		out[0].dv[2] != (interval{2, 3}) {

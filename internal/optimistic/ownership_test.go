@@ -6,6 +6,7 @@ import (
 
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 	"rollrec/internal/workload"
 )
@@ -146,22 +147,47 @@ func TestHeartbeatDeliverAllocs(t *testing.T) {
 
 // TestLogImagesAreFreshAndExact: every encodeLog call returns a new buffer
 // of exactly the encoded size, so the log the store owns is unaffected by
-// the next flush being built.
+// the next flush being built; its logical size is what the log measured
+// when the padding was bytes.
 func TestLogImagesAreFreshAndExact(t *testing.T) {
 	entries := []logEntry{
 		{from: 1, ssn: 5, dseq: 2, payload: []byte("abc"), dv: []interval{{1, 1}, {1, 2}, {2, 3}}},
 		{from: 2, ssn: 9, dseq: 1, dv: []interval{{1, 4}}},
 	}
-	for _, n := range []int{0, 1, 2} {
+	for n, dense := range []int{136, 203, 243} { // len(encodeLog) at the parent commit
 		a, b := encodeLog(entries[:n], 128), encodeLog(entries[:n], 128)
-		if &a[0] == &b[0] {
+		if &a.Data[0] == &b.Data[0] {
 			t.Fatal("encodeLog must return a fresh buffer per call")
 		}
-		if cap(a) != len(a) {
-			t.Fatalf("%d entries: len %d cap %d; the size pre-pass must be exact", n, len(a), cap(a))
+		if cap(a.Data) != len(a.Data) {
+			t.Fatalf("%d entries: len %d cap %d; the size pre-pass must be exact", n, len(a.Data), cap(a.Data))
 		}
-		if got := decodeLog(a, 3); len(got) != n {
-			t.Fatalf("decoded %d entries, want %d", len(got), n)
+		if a.Size() != dense || a.Pad != 128 {
+			t.Fatalf("%d entries: image is %d B (%d pad); its dense encoding was %d B", n, a.Size(), a.Pad, dense)
 		}
+		if got, err := decodeLog(a); err != nil || len(got) != n {
+			t.Fatalf("decoded %d entries, want %d: %v", len(got), n, err)
+		}
+	}
+}
+
+// TestLogDecodeChecksPadding: an image whose pad count disagrees with its
+// length field, or that carries bytes past the end, is rejected.
+func TestLogDecodeChecksPadding(t *testing.T) {
+	good := encodeLog([]logEntry{{from: 1, ssn: 5, dseq: 2, payload: []byte("abc"), dv: []interval{{1, 1}}}}, 128)
+	bad := map[string]storage.Image{
+		"pad one too small": {Data: good.Data, Pad: good.Pad - 1},
+		"pad one too large": {Data: good.Data, Pad: good.Pad + 1},
+		"pad dropped":       {Data: good.Data},
+		"trailing byte":     {Data: append(append([]byte(nil), good.Data...), 0), Pad: good.Pad},
+		"truncated":         {Data: good.Data[:len(good.Data)-1], Pad: good.Pad},
+	}
+	for name, img := range bad {
+		if _, err := decodeLog(img); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	if _, err := decodeLog(good); err != nil {
+		t.Fatalf("the untampered image must decode: %v", err)
 	}
 }

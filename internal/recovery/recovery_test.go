@@ -10,6 +10,7 @@ import (
 	"rollrec/internal/ids"
 	"rollrec/internal/metrics"
 	"rollrec/internal/node"
+	"rollrec/internal/storage"
 	"rollrec/internal/trace"
 	"rollrec/internal/vclock"
 	"rollrec/internal/wire"
@@ -52,13 +53,13 @@ func (f *fakeEnv) After(d time.Duration, fn func()) node.Timer {
 	f.timers = append(f.timers, t)
 	return t
 }
-func (f *fakeEnv) Busy(time.Duration)                         {}
-func (f *fakeEnv) ReadStable(k string, cb func([]byte, bool)) { cb(nil, false) }
-func (f *fakeEnv) WriteStable(k string, d []byte, cb func())  { cb() }
-func (f *fakeEnv) Rand() *rand.Rand                           { return f.rng }
-func (f *fakeEnv) Logf(string, ...any)                        {}
-func (f *fakeEnv) Metrics() *metrics.Proc                     { return f.met }
-func (f *fakeEnv) Tracer() trace.Tracer                       { return trace.Nop{} }
+func (f *fakeEnv) Busy(time.Duration)                                {}
+func (f *fakeEnv) ReadStable(k string, cb func(storage.Image, bool)) { cb(storage.Image{}, false) }
+func (f *fakeEnv) WriteStable(k string, _ storage.Image, cb func())  { cb() }
+func (f *fakeEnv) Rand() *rand.Rand                                  { return f.rng }
+func (f *fakeEnv) Logf(string, ...any)                               {}
+func (f *fakeEnv) Metrics() *metrics.Proc                            { return f.met }
+func (f *fakeEnv) Tracer() trace.Tracer                              { return trace.Nop{} }
 
 // take drains and returns sent envelopes of a given kind.
 func (f *fakeEnv) take(kind wire.Kind) []*wire.Envelope {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rollrec/internal/node"
+	"rollrec/internal/storage"
 )
 
 // These tests pin the buffer-ownership contract of the simulator's node.Env
@@ -35,7 +36,7 @@ func TestWriteStableNoCopyAllocs(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, b := range bufs {
-		env.WriteStable("cp", b, nil)
+		env.WriteStable("cp", storage.Image{Data: b}, nil)
 		k.Run(time.Duration(k.Now()) + time.Minute)
 	}
 	runtime.ReadMemStats(&after)
@@ -43,29 +44,32 @@ func TestWriteStableNoCopyAllocs(t *testing.T) {
 		t.Fatalf("%d stable writes of %d B allocated %d B; WriteStable and Put must not copy the image",
 			rounds, image, got)
 	}
-	if got, ok := k.Store(0).Get("cp"); !ok || len(got) != image || got[0] != rounds {
-		t.Fatalf("last write not durable: ok=%v len=%d first=%d", ok, len(got), got[0])
+	if got, ok := k.Store(0).Get("cp"); !ok || len(got.Data) != image || got.Data[0] != rounds {
+		t.Fatalf("last write not durable: ok=%v len=%d first=%d", ok, len(got.Data), got.Data[0])
 	}
 }
 
 // TestCrashDuringWriteKeepsPreviousValue: durability happens at completion,
 // so a crash while the write is in flight loses it — ownership of the
-// buffer moved to the runtime, its contents never reached the store — and
-// the previous value stays intact.
+// buffer moved to the runtime, neither its contents nor its padding ever
+// reached the store — and the previous value stays intact.
 func TestCrashDuringWriteKeepsPreviousValue(t *testing.T) {
 	k, env := bootEnv(t)
-	env.WriteStable("cp", []byte("first"), nil)
+	env.WriteStable("cp", storage.Image{Data: []byte("first"), Pad: 100}, nil)
 	k.Run(time.Minute)
 	done := false
-	env.WriteStable("cp", []byte("second"), func() { done = true })
-	env.WriteStable("other", []byte("never"), nil)
+	env.WriteStable("cp", storage.Image{Data: []byte("second"), Pad: 200}, func() { done = true })
+	env.WriteStable("other", storage.Image{Pad: 300}, nil)
 	k.Crash(0)
 	k.Run(2 * time.Minute)
 	if done {
 		t.Fatal("completion callback of a write lost to a crash must not run")
 	}
-	if got, ok := k.Store(0).Get("cp"); !ok || string(got) != "first" {
-		t.Fatalf("cp = %q, %v; the in-flight write must be lost and the old value kept", got, ok)
+	if got, ok := k.Store(0).Get("cp"); !ok || string(got.Data) != "first" || got.Pad != 100 {
+		t.Fatalf("cp = %q + %d, %v; the in-flight write must be lost and the old value kept", got.Data, got.Pad, ok)
+	}
+	if k.Store(0).Bytes() != 105 {
+		t.Fatalf("store holds %d logical bytes, want the 105 of the first image", k.Store(0).Bytes())
 	}
 	if _, ok := k.Store(0).Get("other"); ok {
 		t.Fatal("a write in flight at the crash must not become durable")

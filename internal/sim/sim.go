@@ -968,21 +968,21 @@ func (ns *nodeState) After(d time.Duration, fn func()) node.Timer {
 	return &simTimer{k: k, slot: i, gen: k.slots[i].gen}
 }
 
-func (ns *nodeState) ReadStable(key string, cb func(data []byte, ok bool)) {
-	data, ok := ns.stable.Get(key)
-	dur := ns.k.cfg.HW.Disk.ReadTime(len(data))
-	ns.met.StorageOp(false, len(data), dur)
+func (ns *nodeState) ReadStable(key string, cb func(img storage.Image, ok bool)) {
+	img, ok := ns.stable.Get(key)
+	dur := ns.k.cfg.HW.Disk.ReadTime(img.Size())
+	ns.met.StorageOp(false, img.Size(), dur)
 	ns.k.tr.Span(ns.k.now, int64(dur), int32(ns.id), trace.EvStorageRead,
-		trace.Tag{Arg: int64(len(data))})
-	ns.k.scheduleExec(ns.k.now+int64(dur), ns, ns.epoch, func() { cb(data, ok) })
+		trace.Tag{Arg: int64(img.Size())})
+	ns.k.scheduleExec(ns.k.now+int64(dur), ns, ns.epoch, func() { cb(img, ok) })
 }
 
-// WriteStable hands data itself to the store on completion (node.Env).
-func (ns *nodeState) WriteStable(key string, data []byte, cb func()) {
-	dur := ns.k.cfg.HW.Disk.WriteTime(len(data))
-	ns.met.StorageOp(true, len(data), dur)
+// WriteStable hands img itself to the store on completion (node.Env).
+func (ns *nodeState) WriteStable(key string, img storage.Image, cb func()) {
+	dur := ns.k.cfg.HW.Disk.WriteTime(img.Size())
+	ns.met.StorageOp(true, img.Size(), dur)
 	ns.k.tr.Span(ns.k.now, int64(dur), int32(ns.id), trace.EvStorageWrite,
-		trace.Tag{Arg: int64(len(data))})
+		trace.Tag{Arg: int64(img.Size())})
 	epoch := ns.epoch
 	ns.k.schedule(ns.k.now+int64(dur), func() {
 		// Durability happens at completion: a crash while the write is in
@@ -990,7 +990,7 @@ func (ns *nodeState) WriteStable(key string, data []byte, cb func()) {
 		if ns.epoch != epoch {
 			return
 		}
-		ns.stable.Put(key, data)
+		ns.stable.Put(key, img)
 		ns.exec(epoch, func() {
 			if cb != nil {
 				cb()

@@ -6,6 +6,7 @@ import (
 
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 )
 
@@ -190,9 +191,9 @@ func TestStableStorageSurvivesCrash(t *testing.T) {
 		return bootFunc(func(env node.Env, restart bool) {
 			boots++
 			if !restart {
-				env.WriteStable("cp", []byte("state-7"), nil)
+				env.WriteStable("cp", storage.Image{Data: []byte("state-7")}, nil)
 			} else {
-				env.ReadStable("cp", func(data []byte, ok bool) { got, gotOK = data, ok })
+				env.ReadStable("cp", func(img storage.Image, ok bool) { got, gotOK = img.Data, ok })
 			}
 		})
 	})
@@ -216,9 +217,9 @@ func TestWriteInFlightIsLostOnCrash(t *testing.T) {
 	k.AddNode(0, func() node.Process {
 		return bootFunc(func(env node.Env, restart bool) {
 			if !restart {
-				env.WriteStable("cp", []byte("never-durable"), nil)
+				env.WriteStable("cp", storage.Image{Data: []byte("never-durable"), Pad: 1 << 10}, nil)
 			} else {
-				env.ReadStable("cp", func(_ []byte, ok bool) { found, checked = ok, true })
+				env.ReadStable("cp", func(_ storage.Image, ok bool) { found, checked = ok, true })
 			}
 		})
 	})
@@ -242,8 +243,8 @@ func TestStorageLatencyCharged(t *testing.T) {
 	var doneAt int64 = -1
 	k.AddNode(0, func() node.Process {
 		return bootFunc(func(env node.Env, _ bool) {
-			env.WriteStable("k", make([]byte, 10_000), func() {
-				env.ReadStable("k", func(_ []byte, _ bool) { doneAt = env.Now() })
+			env.WriteStable("k", storage.Image{Data: make([]byte, 1_000), Pad: 9_000}, func() {
+				env.ReadStable("k", func(_ storage.Image, _ bool) { doneAt = env.Now() })
 			})
 		})
 	})
@@ -258,6 +259,10 @@ func TestStorageLatencyCharged(t *testing.T) {
 	met := k.Metrics(0)
 	if met.StorageWrites != 1 || met.StorageReads != 1 {
 		t.Fatalf("storage op counters: %d writes %d reads", met.StorageWrites, met.StorageReads)
+	}
+	if met.StorageWriteBytes != 10_000 || met.StorageReadBytes != 10_000 {
+		t.Fatalf("storage byte counters: %d written %d read; want the logical 10000 (padding counts)",
+			met.StorageWriteBytes, met.StorageReadBytes)
 	}
 }
 

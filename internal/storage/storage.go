@@ -70,56 +70,76 @@ func Disk1995() Params {
 	}
 }
 
+// Image is one stable-storage value. The paper's ~1 MB process images are
+// almost entirely state this simulator models but never reads, so an image
+// is the bytes its codec wrote plus a count of modelled zero bytes: Pad is
+// charged by every size the cost model consumes and never allocated. Where
+// in the encoding the padding sits is the codec's business (wire.Writer.Pad
+// writes the length field, a wire.Reader over the image checks it), not the
+// store's.
+type Image struct {
+	Data []byte
+	Pad  int
+}
+
+// Size is the image's logical length in bytes, padding included: what a
+// disk would transfer.
+//
+//rollvet:hotpath
+func (im Image) Size() int { return len(im.Data) + im.Pad }
+
 // Store is a crash-surviving key-value store for one process. It survives
 // crashes because the runtime owns it across process reincarnations; only
 // the process image is volatile. Store is not safe for concurrent use from
 // multiple goroutines; the livenet runtime serializes access.
 type Store struct {
-	data map[string][]byte
+	data map[string]Image
 }
 
 // NewStore returns an empty stable store.
 func NewStore() *Store {
-	return &Store{data: make(map[string][]byte)}
+	return &Store{data: make(map[string]Image)}
 }
 
-// Put durably records data under key, replacing any previous value. It
-// takes ownership of data: the store keeps the slice itself, the one
+// Put durably records img under key, replacing any previous value. It
+// takes ownership of img.Data: the store keeps the slice itself, the one
 // resident copy of an image, and writing to it afterwards is a caller bug.
-func (s *Store) Put(key string, data []byte) {
-	s.data[key] = data
+func (s *Store) Put(key string, img Image) {
+	s.data[key] = img
 }
 
-// Get returns a copy of the value stored under key, the caller's to mutate.
-func (s *Store) Get(key string) ([]byte, bool) {
+// Get returns the image stored under key with a copy of its Data, the
+// caller's to mutate.
+func (s *Store) Get(key string) (Image, bool) {
 	v, ok := s.data[key]
 	if !ok {
-		return nil, false
+		return Image{}, false
 	}
-	return append([]byte(nil), v...), true
+	v.Data = append([]byte(nil), v.Data...)
+	return v, true
 }
 
 // Delete removes key if present.
 func (s *Store) Delete(key string) { delete(s.data, key) }
 
-// Size returns the stored size of key's value, or 0.
+// Size returns the logical size of key's image, or 0.
 //
 //rollvet:hotpath
-func (s *Store) Size(key string) int { return len(s.data[key]) }
+func (s *Store) Size(key string) int { return s.data[key].Size() }
 
 // Len returns the number of stored keys.
 //
 //rollvet:hotpath
 func (s *Store) Len() int { return len(s.data) }
 
-// Bytes returns the total stored payload size: the stable-storage
-// footprint gauge the timeline sampler reads.
+// Bytes returns the total logical size of the stored images: the
+// stable-storage footprint gauge the timeline sampler reads.
 //
 //rollvet:hotpath
 func (s *Store) Bytes() int64 {
 	var total int64
 	for _, v := range s.data {
-		total += int64(len(v))
+		total += int64(v.Size())
 	}
 	return total
 }
@@ -136,9 +156,5 @@ func (s *Store) Keys() []string {
 
 // String summarizes the store contents for traces.
 func (s *Store) String() string {
-	total := 0
-	for _, v := range s.data {
-		total += len(v)
-	}
-	return fmt.Sprintf("store{keys=%d bytes=%d}", len(s.data), total)
+	return fmt.Sprintf("store{keys=%d bytes=%d}", len(s.data), s.Bytes())
 }

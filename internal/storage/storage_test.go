@@ -43,26 +43,49 @@ func TestScale(t *testing.T) {
 func TestStorePutOwnsGetIsolates(t *testing.T) {
 	s := NewStore()
 	data := []byte("checkpoint-1")
-	s.Put("cp", data)
-	if allocs := testing.AllocsPerRun(10, func() { s.Put("cp", data) }); allocs != 0 {
+	img := Image{Data: data, Pad: 1 << 20}
+	s.Put("cp", img)
+	if allocs := testing.AllocsPerRun(10, func() { s.Put("cp", img) }); allocs != 0 {
 		t.Fatalf("Put allocated %v times; it must keep the slice it is given", allocs)
 	}
 	got, ok := s.Get("cp")
-	if !ok || string(got) != "checkpoint-1" {
-		t.Fatalf("Get = %q, %v", got, ok)
+	if !ok || string(got.Data) != "checkpoint-1" || got.Pad != 1<<20 {
+		t.Fatalf("Get = %q + %d, %v", got.Data, got.Pad, ok)
 	}
-	if &got[0] == &data[0] {
+	if &got.Data[0] == &data[0] {
 		t.Fatal("Get must return a copy, not the stored slice")
 	}
-	got[0] = 'Y' // reader mutation must not reach the store
-	again, _ := s.Get("cp")
-	if string(again) != "checkpoint-1" {
+	got.Data[0] = 'Y' // reader mutation must not reach the store
+	got.Pad = 7
+	if again, _ := s.Get("cp"); string(again.Data) != "checkpoint-1" || again.Pad != 1<<20 {
 		t.Fatal("Get must return a copy")
 	}
 	// Documented, not defended: the store holds the very slice it was given.
 	data[0] = 'X'
-	if after, _ := s.Get("cp"); string(after) != "Xheckpoint-1" {
-		t.Fatalf("Put must take ownership of the slice, Get = %q", after)
+	if after, _ := s.Get("cp"); string(after.Data) != "Xheckpoint-1" {
+		t.Fatalf("Put must take ownership of the slice, Get = %q", after.Data)
+	}
+}
+
+// TestStoreReportsLogicalBytes: padding is a count the store never
+// allocates, yet every size it reports includes it.
+func TestStoreReportsLogicalBytes(t *testing.T) {
+	s := NewStore()
+	s.Put("cp", Image{Data: []byte("abc"), Pad: 1 << 20})
+	s.Put("reply", Image{Pad: 500})
+	s.Put("inc", Image{Data: []byte("0123456789ab")})
+	if got := (Image{Data: []byte("abc"), Pad: 5}).Size(); got != 8 {
+		t.Fatalf("Image.Size = %d, want 8", got)
+	}
+	if s.Size("cp") != 3+1<<20 || s.Size("reply") != 500 || s.Size("inc") != 12 {
+		t.Fatalf("Size = %d, %d, %d", s.Size("cp"), s.Size("reply"), s.Size("inc"))
+	}
+	const total = 3 + 1<<20 + 500 + 12
+	if s.Bytes() != total {
+		t.Fatalf("Bytes = %d, want %d", s.Bytes(), total)
+	}
+	if got, want := s.String(), "store{keys=3 bytes=1049091}"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
 	}
 }
 
@@ -71,7 +94,7 @@ func TestStoreMissingAndDelete(t *testing.T) {
 	if _, ok := s.Get("nope"); ok {
 		t.Fatal("missing key must report !ok")
 	}
-	s.Put("k", []byte("v"))
+	s.Put("k", Image{Data: []byte("v")})
 	if s.Size("k") != 1 {
 		t.Fatalf("Size = %d", s.Size("k"))
 	}
@@ -86,9 +109,9 @@ func TestStoreMissingAndDelete(t *testing.T) {
 
 func TestStoreKeysSorted(t *testing.T) {
 	s := NewStore()
-	s.Put("b", nil)
-	s.Put("a", nil)
-	s.Put("c", nil)
+	s.Put("b", Image{})
+	s.Put("a", Image{})
+	s.Put("c", Image{})
 	keys := s.Keys()
 	if len(keys) != 3 || keys[0] != "a" || keys[1] != "b" || keys[2] != "c" {
 		t.Fatalf("Keys = %v", keys)

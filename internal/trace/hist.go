@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -17,11 +18,16 @@ const (
 	histBuckets = (62-histSubBits)*histSubCnt + histSubCnt + histSubCnt
 )
 
-// Histogram is a fixed-size log-bucketed latency histogram. The zero value
-// is ready to use; Record never allocates. It is not safe for concurrent
-// use (the runtimes serialize per-process metrics; aggregate with Merge).
+// Histogram is a log-bucketed latency histogram. The zero value is ready to
+// use and holds no buckets: the bucket array grows to the highest bucket
+// observed (a process that never blocks pays nothing for its blocked-time
+// histogram), so Record allocates only when an observation lands beyond
+// every earlier one. A plain copy shares the buckets with its original, so a
+// snapshot of a histogram that keeps recording is taken with Clone. It is not
+// safe for concurrent use (the runtimes serialize per-process metrics;
+// aggregate with Merge).
 type Histogram struct {
-	counts [histBuckets]int64
+	counts []int64 // len <= histBuckets
 	n      int64
 	sum    int64
 	min    int64
@@ -51,13 +57,27 @@ func bucketLow(idx int) int64 {
 	return (int64(histSubCnt) + sub) << (uint(exp) - histSubBits)
 }
 
+// grow extends the bucket array to include bucket idx, in whole octaves: a
+// distribution's maximum creeps up by sub-buckets far more often than by
+// powers of two.
+func (h *Histogram) grow(idx int) {
+	//rollvet:allow hotalloc -- amortized: runs once per new highest octave, at most 60 times in a histogram's life
+	counts := make([]int64, (idx/histSubCnt+1)*histSubCnt)
+	copy(counts, h.counts)
+	h.counts = counts
+}
+
 // Record adds one observation. Negative durations clamp to zero.
 func (h *Histogram) Record(d time.Duration) {
 	v := int64(d)
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bucketOf(v)]++
+	b := bucketOf(v)
+	if b >= len(h.counts) {
+		h.grow(b)
+	}
+	h.counts[b]++
 	if h.n == 0 || v < h.min {
 		h.min = v
 	}
@@ -66,6 +86,13 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 	h.n++
 	h.sum += v
+}
+
+// Clone returns an independent copy: later Records into h do not reach it.
+func (h *Histogram) Clone() Histogram {
+	c := *h
+	c.counts = slices.Clone(h.counts)
+	return c
 }
 
 // Count returns the number of observations.
@@ -102,8 +129,8 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	}
 	rank := int64(q*float64(h.n-1)) + 1
 	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.counts[i]
+	for i, c := range h.counts {
+		cum += c
 		if cum >= rank {
 			v := bucketLow(i)
 			if v < h.min {
@@ -123,6 +150,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.n == 0 {
 		return
 	}
+	if len(other.counts) > len(h.counts) {
+		h.grow(len(other.counts) - 1)
+	}
 	for i, c := range other.counts {
 		h.counts[i] += c
 	}
@@ -137,15 +167,18 @@ func (h *Histogram) Merge(other *Histogram) {
 }
 
 // Delta returns the histogram of observations recorded in h but not in
-// prev, assuming prev is an earlier snapshot of the same accumulating
-// histogram (bucket counts monotonically non-decreasing). Min and max of
+// prev, assuming prev is an earlier snapshot (a Clone, or a histogram no
+// longer recorded into) of the same accumulating histogram (bucket counts
+// monotonically non-decreasing). Min and max of
 // the window are approximated to bucket resolution — the exact extremes of
 // only the new observations are not recoverable from two cumulative
 // snapshots. Buckets where prev exceeds h (a misuse) clamp to zero.
 func (h *Histogram) Delta(prev *Histogram) Histogram {
-	var d Histogram
-	for i := range h.counts {
-		c := h.counts[i] - prev.counts[i]
+	d := Histogram{counts: make([]int64, len(h.counts))}
+	for i, c := range h.counts {
+		if i < len(prev.counts) {
+			c -= prev.counts[i]
+		}
 		if c <= 0 {
 			continue
 		}

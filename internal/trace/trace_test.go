@@ -295,10 +295,10 @@ func TestSummarize(t *testing.T) {
 // yields exactly the window's observations — the tumbling-window primitive
 // the timeline sampler builds its per-tick percentiles on.
 func TestHistogramDelta(t *testing.T) {
-	var h, snap Histogram
+	var h Histogram
 	h.Record(2 * time.Millisecond)
 	h.Record(40 * time.Millisecond)
-	snap = h
+	snap := h.Clone()
 
 	h.Record(100 * time.Millisecond)
 	h.Record(100 * time.Millisecond)
@@ -332,6 +332,18 @@ func TestHistogramDelta(t *testing.T) {
 	// Misuse (prev ahead of h) clamps to empty rather than going negative.
 	if bad := snap.Delta(&h); bad.Count() != 0 {
 		t.Errorf("reversed delta count = %d, want 0", bad.Count())
+	}
+
+	// A record that lands in buckets the snapshot already has (45 ms shares
+	// 40 ms's octave, so nothing is reallocated) must not reach the snapshot:
+	// buckets are a slice, and only Clone separates them.
+	snap = h.Clone()
+	h.Record(45 * time.Millisecond)
+	if d := h.Delta(&snap); d.Count() != 1 || d.Min() < 40*time.Millisecond || d.Max() > 45*time.Millisecond {
+		t.Errorf("same-octave window = %v, want the one 45ms record", d.String())
+	}
+	if snap.Count() != 5 {
+		t.Errorf("snapshot count = %d after a later Record, want 5", snap.Count())
 	}
 }
 

@@ -42,6 +42,7 @@ var (
 	ErrBadKind    = errors.New("wire: unknown envelope kind")
 	ErrOversized  = errors.New("wire: list length exceeds limit")
 	ErrBadHolders = errors.New("wire: bad holder-set encoding")
+	ErrPad        = errors.New("wire: padding field does not match the image")
 	// ErrRange is returned by EncodeChecked when a count or id does not fit
 	// its wire representation; the pre-v2 codec silently truncated instead.
 	ErrRange = errors.New("wire: value out of encodable range")
@@ -79,13 +80,20 @@ const (
 
 // Writer is a little-endian append-only frame builder shared by the envelope
 // codec and the checkpoint codec. The zero value is ready to use.
-type Writer struct{ buf []byte }
+type Writer struct {
+	buf []byte
+	pad int
+}
 
 // NewWriter returns a writer with the given initial capacity.
 func NewWriter(capacity int) *Writer { return &Writer{buf: make([]byte, 0, capacity)} }
 
 // Frame returns the accumulated bytes.
 func (w *Writer) Frame() []byte { return w.buf }
+
+// Padded returns the number of modelled zero bytes Pad has counted: with
+// Frame, the two halves of a storage.Image.
+func (w *Writer) Padded() int { return w.pad }
 
 func (w *Writer) U8(v uint8)   { w.buf = append(w.buf, v) }
 func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
@@ -97,30 +105,46 @@ func (w *Writer) Bytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// Zeros writes what Bytes(make([]byte, n)) would, without the temporary:
-// the compiler turns this append into grow + clear.
-func (w *Writer) Zeros(n int) {
+// Pad stands for what Bytes(make([]byte, n)) would write: the length field
+// goes into the frame, the n zeros are only counted (see Padded). An image
+// has one run of padding — its Reader.Pad must find the whole count in one
+// field — so a second non-empty Pad is a codec bug and panics.
+func (w *Writer) Pad(n int) {
+	if w.pad != 0 && n != 0 {
+		panic("wire: second Pad in one image")
+	}
 	w.U32(uint32(n))
-	w.buf = append(w.buf, make([]byte, n)...)
+	w.pad += n
 }
 
 // Reader is the matching cursor-based frame parser. Errors are sticky: after
 // the first failure every subsequent read returns zero values and Err()
 // reports the cause.
 type Reader struct {
-	buf []byte
-	off int
-	err error
+	buf    []byte
+	off    int
+	pad    int // modelled zeros of the image no Pad field has claimed yet
+	padded int // ... and those one has
+	err    error
 }
 
 // NewReader returns a reader over the given frame.
 func NewReader(frame []byte) *Reader { return &Reader{buf: frame} }
 
+// NewImageReader returns a reader over a stored image: the bytes a Writer
+// framed plus the count of zeros its Pad calls stood for.
+func NewImageReader(data []byte, pad int) *Reader { return &Reader{buf: data, pad: pad} }
+
 // Err returns the first error encountered, if any.
 func (r *Reader) Err() error { return r.err }
 
-// Done reports whether the whole frame was consumed without error.
-func (r *Reader) Done() bool { return r.err == nil && r.off == len(r.buf) }
+// Done reports whether the whole frame, padding included, was consumed
+// without error.
+func (r *Reader) Done() bool { return r.err == nil && r.off == len(r.buf) && r.pad == 0 }
+
+// Pos returns the logical offset of the cursor: bytes read plus padding
+// skipped.
+func (r *Reader) Pos() int { return r.off + r.padded }
 
 func (r *Reader) fail(err error) {
 	if r.err == nil {
@@ -195,6 +219,22 @@ func (r *Reader) Bytes() []byte {
 	copy(out, r.buf[r.off:r.off+n])
 	r.off += n
 	return out
+}
+
+// Pad consumes a field written by Writer.Pad. The field must claim exactly
+// the image's padding: a count one short or one long is what a truncated or
+// overlong run of zeros was when they were bytes.
+func (r *Reader) Pad() {
+	n := r.ListLen()
+	if r.err != nil {
+		return
+	}
+	if n != r.pad {
+		r.fail(ErrPad)
+		return
+	}
+	r.padded += n
+	r.pad = 0
 }
 
 func presence(e *Envelope) uint16 {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -354,4 +355,67 @@ func TestDecodeIntoReusesOnlyTheStruct(t *testing.T) {
 	if err := DecodeInto(&e, []byte{2}); err == nil {
 		t.Fatal("DecodeInto accepted a truncated frame")
 	}
+}
+
+// TestPadIsCountedNotWritten: Writer.Pad puts the length field Bytes would
+// in the frame and only counts the zeros; a Reader over (frame, count)
+// accepts exactly that pair. Logical offsets advance across the padding so
+// a codec can find the end of a length-prefixed section that contains it.
+func TestPadIsCountedNotWritten(t *testing.T) {
+	const pad = 1 << 20
+	w := NewWriter(16)
+	w.U32(7)
+	w.Pad(pad)
+	w.U64(9)
+	if len(w.Frame()) != 4+4+8 || w.Padded() != pad {
+		t.Fatalf("frame is %d B with %d counted; Pad must write its 4 B length field only", len(w.Frame()), w.Padded())
+	}
+	dense := NewWriter(16)
+	dense.U32(7)
+	dense.Bytes(make([]byte, pad))
+	if !bytes.Equal(w.Frame()[:8], dense.Frame()[:8]) {
+		t.Fatal("Pad must write the same prefix Bytes writes for that many zeros")
+	}
+
+	read := func(frame []byte, pad int, skipPad bool) (*Reader, uint64) {
+		r := NewImageReader(frame, pad)
+		r.U32()
+		if !skipPad {
+			r.Pad()
+		}
+		return r, r.U64()
+	}
+	if r, tail := read(w.Frame(), pad, false); !r.Done() || tail != 9 || r.Pos() != 4+4+pad+8 {
+		t.Fatalf("matching image: done=%v err=%v tail=%d pos=%d", r.Done(), r.Err(), tail, r.Pos())
+	}
+	for _, off := range []int{-1, +1, -pad} {
+		if r, _ := read(w.Frame(), pad+off, false); !errors.Is(r.Err(), ErrPad) || r.Done() {
+			t.Fatalf("image with %+d padding: err=%v done=%v, want ErrPad", off, r.Err(), r.Done())
+		}
+	}
+	// Padding the codec never reads is unconsumed input, like trailing bytes.
+	w2 := NewWriter(12)
+	w2.U32(7)
+	w2.U64(9)
+	if r, _ := read(w2.Frame(), 1, true); r.Err() != nil || r.Done() {
+		t.Fatalf("unread padding: err=%v done=%v, want not done", r.Err(), r.Done())
+	}
+	if r, _ := read(w2.Frame(), 0, true); !r.Done() {
+		t.Fatalf("a plain frame is an image without padding: err=%v", r.Err())
+	}
+	big := NewWriter(4)
+	big.Pad(maxListLen + 1)
+	r := NewImageReader(big.Frame(), maxListLen+1)
+	if r.Pad(); !errors.Is(r.Err(), ErrOversized) {
+		t.Fatalf("pad beyond the list limit: err=%v, want ErrOversized as for Bytes", r.Err())
+	}
+
+	// One run of padding per image: no Reader could decode two, so the
+	// Writer refuses the second.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second non-empty Pad must panic")
+		}
+	}()
+	w.Pad(1)
 }
