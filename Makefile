@@ -39,10 +39,13 @@ fmt:
 # n=1024 cells, of which the D1 scale cell (internal/experiments) is still
 # too slow under race; the two sharded n=1024 cluster tests are not since
 # padding stopped being bytes (77 s for this line on 2 cores, PR 17), so
-# the window barrier is raced at the scale that ships.
+# the window barrier is raced at the scale that ships. The last line races
+# both window paths (forced inline, forced fan-out, adaptive; DESIGN §5) on
+# one thread and on four.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/cluster -run 'Sharded1024|ShardedGolden' -count=1
+	$(GO) test -race ./internal/sim -run 'Shard|WindowPaths' -cpu 1,4 -count=1
 
 # bench runs the tiny reference sweep (the same axes as the committed
 # BENCH_seed.json) and gates the result against it at threshold 0 — valid
@@ -77,8 +80,9 @@ bench-micro:
 
 # bench-kernel runs the sim-kernel scheduler microbenchmarks against the
 # in-test container/heap baseline, plus the AllocsPerRun regression gates
-# (scheduler, output ledger, determinant log, and the buffer-ownership gates
-# of DESIGN §5: frame encode, heartbeat tick and delivery, checkpoint image).
+# (scheduler, the inline window of the sharded coordinator, output ledger,
+# determinant log, and the buffer-ownership gates of DESIGN §5: frame encode,
+# heartbeat tick and delivery, checkpoint image).
 bench-kernel:
 	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/fbl ./internal/coord ./internal/optimistic -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
 

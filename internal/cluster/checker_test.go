@@ -43,6 +43,7 @@ func hasViolation(errs []error, substr string) bool {
 func TestCheckerDetectsOrphan(t *testing.T) {
 	c := quietCluster(t)
 	// Fabricate a delivery whose send never happened on any timeline.
+	c.deliveries[2] = grown(c.deliveries[2], 99)
 	c.deliveries[2][99] = deliverInfo{msg: ids.MsgID{Sender: 0, SSN: 9999}, hash: 42}
 	if !hasViolation(c.Check(), "orphan") {
 		t.Fatal("checker missed a fabricated orphan")
@@ -53,9 +54,10 @@ func TestCheckerDetectsContentMismatch(t *testing.T) {
 	c := quietCluster(t)
 	// Take an existing delivery and corrupt its recorded hash.
 	for rsn, d := range c.deliveries[1] {
-		d.hash ^= 0xdead
-		c.deliveries[1][rsn] = d
-		break
+		if d.delivered() {
+			c.deliveries[1][rsn].hash ^= 0xdead
+			break
+		}
 	}
 	if !hasViolation(c.Check(), "orphan") {
 		t.Fatal("checker missed a content mismatch")
@@ -108,11 +110,8 @@ func TestTimelineTruncationOnRollback(t *testing.T) {
 	// Matching sends so the orphan check is satisfied for the survivor.
 	c.onSend(0, ids.MsgID{Sender: 0, SSN: 201}, 2, 9)
 	c.onDeliver(2, ids.MsgID{Sender: 0, SSN: 201}, 0, 500, 9)
-	if _, ok := c.deliveries[2][501]; ok {
-		t.Fatal("stale tail beyond the reused rsn must be dropped")
-	}
-	if _, ok := c.deliveries[2][502]; ok {
-		t.Fatal("stale tail beyond the reused rsn must be dropped")
+	if len(c.deliveries[2]) != 501 {
+		t.Fatalf("stale tail beyond the reused rsn must be dropped: timeline ends at rsn %d, want 500", len(c.deliveries[2])-1)
 	}
 }
 
@@ -121,10 +120,13 @@ func TestOnLiveTruncatesTimelines(t *testing.T) {
 	c.onSend(1, ids.MsgID{Sender: 1, SSN: 900}, 2, 1)
 	c.onDeliver(1, ids.MsgID{Sender: 0, SSN: 900}, 0, 800, 1)
 	c.onLive(1, 2, 100, 100) // recovery frontier far below the fake events
-	if _, ok := c.sends[1][900]; ok {
+	if len(c.sends[1]) > 101 {
 		t.Fatal("sends beyond the recovery frontier must be dropped")
 	}
-	if _, ok := c.deliveries[1][800]; ok {
+	if len(c.deliveries[1]) > 101 {
 		t.Fatal("deliveries beyond the recovery frontier must be dropped")
+	}
+	if _, dup := c.seen[1][ids.MsgID{Sender: 0, SSN: 900}]; dup {
+		t.Fatal("a dropped delivery must leave the duplicate index")
 	}
 }

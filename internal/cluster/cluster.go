@@ -96,14 +96,37 @@ func ValidateN(n int) error {
 	return nil
 }
 
+// sendInfo and deliverInfo are the checker's records of one send and one
+// delivery. Timelines are slices indexed by the owner's own counter (ssn,
+// rsn), which start at 1 and are dense, so an index the execution never
+// wrote holds the zero record; both types can tell that it is absent.
 type sendInfo struct {
 	to   ids.ProcID
+	sent bool
 	hash uint64
 }
 
 type deliverInfo struct {
-	msg  ids.MsgID
+	msg  ids.MsgID // msg.SSN == 0: no delivery recorded at this rsn
 	hash uint64
+}
+
+func (d deliverInfo) delivered() bool { return d.msg.SSN != 0 }
+
+// grown returns tl extended with zero records so that index i exists.
+func grown[T any](tl []T, i uint64) []T {
+	if i < uint64(len(tl)) {
+		return tl
+	}
+	return append(tl, make([]T, i+1-uint64(len(tl)))...)
+}
+
+// upTo returns tl without the records beyond index i.
+func upTo[T any](tl []T, i uint64) []T {
+	if i+1 < uint64(len(tl)) {
+		return tl[:i+1]
+	}
+	return tl
 }
 
 // LostWork is what the failures in a run cost one process beyond its own
@@ -121,18 +144,18 @@ type Cluster struct {
 	K    sim.Runtime
 	outs *output.Ledger
 
-	// mu serializes the protocol hooks: under the sharded scheduler they
-	// fire from per-shard goroutines, and violations span processes. The
-	// per-process timelines are only ever touched by their own process's
-	// hook, but one lock for all hook state is cheap and removes the
-	// reasoning burden.
+	// mu guards what the protocol hooks share across processes — violations
+	// and the lost-work counters: under the sharded scheduler the hooks fire
+	// from per-shard goroutines. The per-process timelines need no lock: each
+	// is touched only by its own process's hooks, which run on the shard that
+	// owns the process, and the window barrier orders them before Check.
 	mu sync.Mutex
 
 	// FBL checker state, allocated by the FBL family row only: harness-side
 	// timelines (survive crashes; truncated on OnLive).
-	sends      []map[ids.SSN]sendInfo    // per sender: ssn → send record
-	deliveries []map[ids.RSN]deliverInfo // per receiver: rsn → delivery
-	seen       []map[ids.MsgID]ids.RSN   // per receiver: fast duplicate check
+	sends      [][]sendInfo            // per sender, indexed by ssn
+	deliveries [][]deliverInfo         // per receiver, indexed by rsn
+	seen       []map[ids.MsgID]ids.RSN // per receiver: fast duplicate check
 	violations []string
 
 	lost    []LostWork // per process; allocated by the rollback families only
@@ -210,66 +233,62 @@ func (c *Cluster) LostWork(p ids.ProcID) LostWork {
 // ssn k supersedes any previously recorded sends at ssn >= k (they belonged
 // to a rolled-back execution).
 func (c *Cluster) onSend(self ids.ProcID, id ids.MsgID, to ids.ProcID, hash uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tl := c.sends[self]
-	if old, ok := tl[id.SSN]; ok && (old.to != to || old.hash != hash) {
+	k := uint64(id.SSN)
+	tl := grown(c.sends[self], k)
+	if old := tl[k]; old.sent && (old.to != to || old.hash != hash) {
 		// Divergent regeneration: drop the stale tail beyond this point.
-		for ssn := range tl {
-			if ssn > id.SSN {
-				delete(tl, ssn)
-			}
-		}
+		tl = tl[:k+1]
 	}
-	tl[id.SSN] = sendInfo{to: to, hash: hash}
+	tl[k] = sendInfo{to: to, sent: true, hash: hash}
+	c.sends[self] = tl
 }
 
 // onDeliver maintains the receiver's current-timeline delivery history and
 // checks exactly-once within a timeline.
 func (c *Cluster) onDeliver(self ids.ProcID, id ids.MsgID, from ids.ProcID, rsn ids.RSN, hash uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tl := c.deliveries[self]
-	if old, ok := tl[rsn]; ok && old.msg != id {
-		// A new execution reused this rsn: everything beyond belonged to
-		// the rolled-back timeline.
-		for r := range tl {
-			if r > rsn {
-				sn := c.seen[self]
-				delete(sn, tl[r].msg)
-				delete(tl, r)
-			}
+	k := uint64(rsn)
+	tl := grown(c.deliveries[self], k)
+	seen := c.seen[self]
+	old := tl[k]
+	if old.delivered() && old.msg != id {
+		// A new execution reused this rsn: it and everything beyond belonged
+		// to the rolled-back timeline.
+		c.forget(self, tl[k:])
+		tl = tl[:k+1]
+	}
+	if prevRSN, dup := seen[id]; dup && prevRSN != rsn {
+		c.violate("exactly-once: %v delivered %v at rsn %d and again at rsn %d", self, id, prevRSN, rsn)
+	}
+	if old.msg == id && old.hash != hash {
+		c.violate("replay fidelity: %v re-delivered %v at rsn %d with different content", self, id, rsn)
+	}
+	tl[k] = deliverInfo{msg: id, hash: hash}
+	c.deliveries[self] = tl
+	seen[id] = rsn
+}
+
+// forget removes rolled-back deliveries from self's duplicate index.
+func (c *Cluster) forget(self ids.ProcID, stale []deliverInfo) {
+	for _, d := range stale {
+		if d.delivered() {
+			delete(c.seen[self], d.msg)
 		}
-		delete(c.seen[self], old.msg)
 	}
-	if prevRSN, dup := c.seen[self][id]; dup && prevRSN != rsn {
-		c.violations = append(c.violations, fmt.Sprintf(
-			"exactly-once: %v delivered %v at rsn %d and again at rsn %d", self, id, prevRSN, rsn))
-	}
-	if old, ok := tl[rsn]; ok && old.msg == id && old.hash != hash {
-		c.violations = append(c.violations, fmt.Sprintf(
-			"replay fidelity: %v re-delivered %v at rsn %d with different content", self, id, rsn))
-	}
-	tl[rsn] = deliverInfo{msg: id, hash: hash}
-	c.seen[self][id] = rsn
+}
+
+func (c *Cluster) violate(format string, args ...any) {
+	c.mu.Lock()
+	c.violations = append(c.violations, fmt.Sprintf(format, args...))
+	c.mu.Unlock()
 }
 
 // onLive truncates the harness timelines to the surviving frontier: any
 // send/delivery beyond the post-replay counters was rolled back for good.
 func (c *Cluster) onLive(self ids.ProcID, inc ids.Incarnation, ssn ids.SSN, rsn ids.RSN) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for s := range c.sends[self] {
-		if s > ssn {
-			delete(c.sends[self], s)
-		}
-	}
-	for r := range c.deliveries[self] {
-		if r > rsn {
-			delete(c.seen[self], c.deliveries[self][r].msg)
-			delete(c.deliveries[self], r)
-		}
-	}
+	c.sends[self] = upTo(c.sends[self], uint64(ssn))
+	kept := upTo(c.deliveries[self], uint64(rsn))
+	c.forget(self, c.deliveries[self][len(kept):])
+	c.deliveries[self] = kept
 }
 
 // AttachTimeline binds col's probes to this cluster and installs its
@@ -469,9 +488,15 @@ func (c *Cluster) Check() []error {
 	// an orphan of a rolled-back execution.
 	for recv := 0; recv < c.cfg.N; recv++ {
 		for rsn, d := range c.deliveries[recv] {
+			if !d.delivered() {
+				continue
+			}
 			s := d.msg.Sender
-			rec, ok := c.sends[s][d.msg.SSN]
-			if !ok {
+			var rec sendInfo
+			if k := uint64(d.msg.SSN); k < uint64(len(c.sends[s])) {
+				rec = c.sends[s][k]
+			}
+			if !rec.sent {
 				errs = append(errs, fmt.Errorf(
 					"orphan: %v delivered %v (rsn %d) but %v's surviving execution never sent it",
 					ids.ProcID(recv), d.msg, rsn, s))

@@ -47,12 +47,10 @@ var families = map[Family]family{
 	FamilyFBL: {
 		factory: func(c *Cluster, app workload.Factory, outs output.Sink) node.Factory {
 			cfg := c.cfg
-			c.sends = make([]map[ids.SSN]sendInfo, cfg.N)
-			c.deliveries = make([]map[ids.RSN]deliverInfo, cfg.N)
+			c.sends = make([][]sendInfo, cfg.N)
+			c.deliveries = make([][]deliverInfo, cfg.N)
 			c.seen = make([]map[ids.MsgID]ids.RSN, cfg.N)
-			for i := 0; i < cfg.N; i++ {
-				c.sends[i] = make(map[ids.SSN]sendInfo)
-				c.deliveries[i] = make(map[ids.RSN]deliverInfo)
+			for i := range c.seen {
 				c.seen[i] = make(map[ids.MsgID]ids.RSN)
 			}
 			return fbl.New(fbl.Params{

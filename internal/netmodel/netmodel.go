@@ -42,9 +42,13 @@ type link struct {
 // simulator owns it, and livenet guards it.
 type Network struct {
 	params Params
-	links  map[linkKey]*link
-	cut    map[linkKey]bool
-	rng    *rand.Rand
+	// links[slot(from)][slot(to)]: a row is allocated on its source's first
+	// send and grows to the highest destination it has sent to, so the
+	// per-frame lookup is two index operations instead of a hashed struct key.
+	links [][]link
+	cut   map[linkKey]bool
+	seed  int64
+	rng   *rand.Rand // created by rand() on the first jitter or drop draw
 
 	// Counters for tests and experiments.
 	Frames  int64
@@ -52,15 +56,36 @@ type Network struct {
 	Dropped int64
 }
 
-// New returns a network with the given parameters and randomness source
-// (used for jitter and drops).
-func New(p Params, rng *rand.Rand) *Network {
-	return &Network{
-		params: p,
-		links:  make(map[linkKey]*link),
-		cut:    make(map[linkKey]bool),
-		rng:    rng,
+// New returns a network with the given parameters. seed seeds the stream
+// jitter and drops are drawn from; a profile with neither never builds it
+// (seeding a math/rand source costs more than a short run's whole network).
+func New(p Params, seed int64) *Network {
+	return &Network{params: p, cut: make(map[linkKey]bool), seed: seed}
+}
+
+func (n *Network) rand() *rand.Rand {
+	if n.rng == nil {
+		n.rng = rand.New(rand.NewSource(n.seed))
 	}
+	return n.rng
+}
+
+// slot maps a process id onto a slice index; ids.StorageProc (-1) is 0.
+func slot(p ids.ProcID) int { return int(p) + 1 }
+
+// link returns the state of the directed link from→to, growing the table on
+// first use.
+func (n *Network) link(from, to ids.ProcID) *link {
+	f, t := slot(from), slot(to)
+	if f >= len(n.links) {
+		n.links = append(n.links, make([][]link, f+1-len(n.links))...)
+	}
+	row := n.links[f]
+	if t >= len(row) {
+		row = append(row, make([]link, t+1-len(row))...)
+		n.links[f] = row
+	}
+	return &row[t]
 }
 
 // Params returns the link cost model.
@@ -70,20 +95,15 @@ func (n *Network) Params() Params { return n.params }
 // virtual time now. ok is false when the frame is lost to a partition or a
 // random drop.
 func (n *Network) Schedule(now int64, from, to ids.ProcID, size int) (deliverAt int64, ok bool) {
-	key := linkKey{from, to}
-	if n.cut[key] {
+	if len(n.cut) > 0 && n.cut[linkKey{from, to}] {
 		n.Dropped++
 		return 0, false
 	}
-	if n.params.DropRate > 0 && n.rng.Float64() < n.params.DropRate {
+	if n.params.DropRate > 0 && n.rand().Float64() < n.params.DropRate {
 		n.Dropped++
 		return 0, false
 	}
-	l := n.links[key]
-	if l == nil {
-		l = &link{}
-		n.links[key] = l
-	}
+	l := n.link(from, to)
 	start := now
 	if l.freeAt > start {
 		start = l.freeAt
@@ -91,7 +111,7 @@ func (n *Network) Schedule(now int64, from, to ids.ProcID, size int) (deliverAt 
 	l.freeAt = start + int64(n.params.TransmitTime(size))
 	at := l.freeAt + int64(n.params.Latency)
 	if n.params.Jitter > 0 {
-		at += n.rng.Int63n(int64(n.params.Jitter))
+		at += n.rand().Int63n(int64(n.params.Jitter))
 	}
 	// FIFO per link: never deliver before (or at the same instant as) the
 	// previous frame on this link.

@@ -1,7 +1,6 @@
 package netmodel
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,7 +9,7 @@ import (
 )
 
 func newTestNet(p Params) *Network {
-	return New(p, rand.New(rand.NewSource(1)))
+	return New(p, 1)
 }
 
 func TestLatencyOnly(t *testing.T) {
@@ -52,8 +51,7 @@ func TestLinksAreIndependent(t *testing.T) {
 
 func TestFIFOUnderJitter(t *testing.T) {
 	f := func(seed int64, sizes []uint16) bool {
-		n := New(Params{Latency: time.Millisecond, Jitter: 5 * time.Millisecond, Bandwidth: 1e7},
-			rand.New(rand.NewSource(seed)))
+		n := New(Params{Latency: time.Millisecond, Jitter: 5 * time.Millisecond, Bandwidth: 1e7}, seed)
 		now, prev := int64(0), int64(-1)
 		for _, s := range sizes {
 			at, ok := n.Schedule(now, 0, 1, int(s))

@@ -94,7 +94,7 @@ func BenchmarkKernelScheduleDeliver(b *testing.B) {
 	k := New(Config{Seed: 1, HW: hwFast()})
 	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	k.Boot()
-	ns := k.nodes[0]
+	ns := k.find(0)
 	fn := func() { benchSink++ }
 	// Warm the arena so the measured loop reuses pooled slots.
 	for i := 0; i < batchSize; i++ {
@@ -142,7 +142,7 @@ func BenchmarkKernelSendReceive(b *testing.B) {
 	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	k.AddNode(1, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	k.Boot()
-	env := node.Env(k.nodes[0])
+	env := node.Env(k.find(0))
 	e := &wire.Envelope{Kind: wire.KindApp, FromInc: 1, Payload: make([]byte, 64)}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -164,7 +164,7 @@ func BenchmarkKernelTimerChurn(b *testing.B) {
 	k := New(Config{Seed: 1, HW: hwFast()})
 	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	k.Boot()
-	env := node.Env(k.nodes[0])
+	env := node.Env(k.find(0))
 	fn := func() { benchSink++ }
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -184,7 +184,7 @@ func flatAllocsPerEvent() float64 {
 	k := New(Config{Seed: 1, HW: hwFast()})
 	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	k.Boot()
-	ns := k.nodes[0]
+	ns := k.find(0)
 	fn := func() { benchSink++ }
 	for i := 0; i < batchSize; i++ {
 		k.scheduleExec(k.now+int64(i), ns, ns.epoch, fn)
@@ -237,7 +237,7 @@ func TestTimerChurnAllocs(t *testing.T) {
 	k := New(Config{Seed: 1, HW: hwFast()})
 	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	k.Boot()
-	env := node.Env(k.nodes[0])
+	env := node.Env(k.find(0))
 	fn := func() { benchSink++ }
 	got := testing.AllocsPerRun(100, func() {
 		env.After(time.Hour, fn).Stop()

@@ -18,7 +18,7 @@ func bootEnv(t *testing.T) (*Kernel, node.Env) {
 	k := New(Config{Seed: 1, HW: hwFast()})
 	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	k.Boot()
-	return k, node.Env(k.nodes[0])
+	return k, node.Env(k.find(0))
 }
 
 // TestWriteStableNoCopyAllocs: writing a 1 MB image allocates

@@ -23,7 +23,7 @@ func newIdleKernel(t *testing.T) *Kernel {
 // workloads cannot bloat the queue with dead timers.
 func TestTimerStopReleasesHeapSlot(t *testing.T) {
 	k := newIdleKernel(t)
-	env := node.Env(k.nodes[0])
+	env := node.Env(k.find(0))
 
 	const armed = 100
 	timers := make([]node.Timer, armed)
@@ -57,7 +57,7 @@ func TestTimerStopReleasesHeapSlot(t *testing.T) {
 // after the slot was re-armed by a different timer are all no-ops.
 func TestTimerStopIsIdempotentAcrossReuse(t *testing.T) {
 	k := newIdleKernel(t)
-	env := node.Env(k.nodes[0])
+	env := node.Env(k.find(0))
 
 	a := env.After(time.Second, func() { t.Error("timer a fired") })
 	a.Stop()
@@ -93,7 +93,7 @@ func TestTimerStopIsIdempotentAcrossReuse(t *testing.T) {
 // it.
 func TestStoppedTimerCreditsEventCount(t *testing.T) {
 	k := newIdleKernel(t)
-	env := node.Env(k.nodes[0])
+	env := node.Env(k.find(0))
 
 	t1 := env.After(time.Millisecond, func() {})
 	t2 := env.After(2*time.Millisecond, func() {})
@@ -117,7 +117,7 @@ func TestStoppedTimerCreditsEventCount(t *testing.T) {
 // same per-call event counts as a scheduler that popped tombstones.
 func TestCancelledCreditsInterleaveWithLiveEvents(t *testing.T) {
 	k := newIdleKernel(t)
-	env := node.Env(k.nodes[0])
+	env := node.Env(k.find(0))
 
 	tm := env.After(2*time.Millisecond, func() {})
 	k.At(time.Millisecond, func() {})

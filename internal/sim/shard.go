@@ -17,9 +17,12 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -61,6 +64,25 @@ type outMsg struct {
 	sentAt int64
 }
 
+// fanOutMin is the window density from which the barrier pays for itself: a
+// window runs its shards on separate goroutines only when the previous window
+// executed at least this many events (all shards together), and on the
+// calling goroutine, in shard order, otherwise. Starting two goroutines,
+// waking a second thread and waiting for it costs as much host time as a few
+// dozen events, and most windows of a sparse run hold fewer (DESIGN §5 has
+// the density histograms and the 16/32/64 sweep behind the value).
+const fanOutMin = 32
+
+// WindowStats is the coordinator's own account of how it ran (see Windows).
+type WindowStats struct {
+	Inline    int64 // windows run shard by shard on the calling goroutine
+	FannedOut int64 // windows run with one goroutine per shard
+	Events    int64 // events those windows executed
+}
+
+// Total is the number of windows run.
+func (w WindowStats) Total() int64 { return w.Inline + w.FannedOut }
+
 // Sharded coordinates several Kernels over a shared window grid. Nodes are
 // assigned to shards round-robin by process id; each shard owns its nodes'
 // event heap and its own network model (link state is source-owned, so the
@@ -76,6 +98,13 @@ type Sharded struct {
 	batch  []outMsg // flush scratch, reused between boundaries
 	now    int64
 	nApp   int
+
+	// A window fans out when the window before it executed at least fanOutAt
+	// events (prev). fanOutAt is fanOutMin, or out of reach where goroutines
+	// cannot help (see NewSharded); tests force either path through it.
+	fanOutAt int64
+	prev     int64
+	stats    WindowStats
 }
 
 // NewSharded returns a coordinator over `shards` kernels built from cfg.
@@ -98,6 +127,13 @@ func NewSharded(cfg Config, shards int) *Sharded {
 		window: int64(cfg.HW.Net.Latency),
 		shards: make([]*Kernel, shards),
 		outs:   make([][]outMsg, shards),
+
+		fanOutAt: fanOutMin,
+	}
+	if shards == 1 || runtime.GOMAXPROCS(0) == 1 {
+		// Nothing to overlap, or one thread to overlap it on: a goroutine
+		// per shard would only add the barrier.
+		s.fanOutAt = math.MaxInt64
 	}
 	for i := range s.shards {
 		k := New(cfg)
@@ -112,6 +148,11 @@ func NewSharded(cfg Config, shards int) *Sharded {
 
 // Shards returns the shard count (for reporting).
 func (s *Sharded) Shards() int { return len(s.shards) }
+
+// Windows reports how many windows have run so far on each of the two paths
+// and how many events they held, so the density that drives the per-window
+// choice is visible without a profiler.
+func (s *Sharded) Windows() WindowStats { return s.stats }
 
 // CrashesApplied sums the effective crash injections across shards.
 func (s *Sharded) CrashesApplied() int {
@@ -255,7 +296,17 @@ func (s *Sharded) RunContext(ctx context.Context, until time.Duration) (int64, e
 			// nothing they send can arrive before the grid boundary anyway.
 			target = limit
 		}
-		n, err := s.runAll(ctx, target)
+		var n int64
+		var err error
+		if s.prev >= s.fanOutAt {
+			n, err = s.fanOut(ctx, target)
+			s.stats.FannedOut++
+		} else {
+			n, err = s.runInline(ctx, target)
+			s.stats.Inline++
+		}
+		s.prev = n
+		s.stats.Events += n
 		total += n
 		s.flush()
 		s.now = target
@@ -264,22 +315,52 @@ func (s *Sharded) RunContext(ctx context.Context, until time.Duration) (int64, e
 		}
 	}
 	// Settle: advance every clock to the horizon and account for cancelled
-	// deadlines inside it, exactly like an idle classic kernel would.
-	n, err := s.runAll(ctx, limit)
+	// deadlines inside it, exactly like an idle classic kernel would. No
+	// event is left to execute at or before the horizon, so this is not a
+	// window and never worth a goroutine.
+	n, err := s.runInline(ctx, limit)
 	total += n
 	s.now = limit
 	return total, err
 }
 
-// runAll runs every shard to the same inclusive target, in parallel. The
-// shards share no mutable state during a window — separate heaps, arenas,
-// networks, and outboxes — so the concurrency cannot reorder events; it
-// only shortens wall-clock time (pinned by the -cpu 1,4 golden test).
-func (s *Sharded) runAll(ctx context.Context, target int64) (int64, error) {
-	until := time.Duration(target)
-	if len(s.shards) == 1 {
-		return s.shards[0].RunContext(ctx, until)
+// A window runs every shard to the same inclusive target. The shards share
+// no mutable state during a window — separate heaps, arenas, networks, and
+// outboxes — and every cross-shard effect waits in an outbox for the sorted
+// boundary flush, so neither the order in which the shards run nor whether
+// they overlap can reorder events: runInline and fanOut are byte-identical in
+// effect (pinned by TestWindowPathsAgree) and differ only in host time.
+
+// runInline runs the shards one after the other on the calling goroutine.
+// Like fanOut it visits every shard even after one reports a cancelled
+// context, so a cancelled window leaves the same state on either path.
+func (s *Sharded) runInline(ctx context.Context, target int64) (int64, error) {
+	var total int64
+	var firstErr error
+	for i := range s.shards {
+		n, err := s.runShard(ctx, i, target)
+		total += n
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
+	return total, firstErr
+}
+
+// runShard runs shard i to target, naming the shard in any panic.
+func (s *Sharded) runShard(ctx context.Context, i int, target int64) (int64, error) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("sim: shard %d: %v", i, r))
+		}
+	}()
+	return s.shards[i].RunContext(ctx, time.Duration(target))
+}
+
+// fanOut runs the shards in parallel, one goroutine each, and waits for all
+// of them; it only shortens wall-clock time (the -cpu 1,4 golden test).
+func (s *Sharded) fanOut(ctx context.Context, target int64) (int64, error) {
+	until := time.Duration(target)
 	var wg sync.WaitGroup
 	counts := make([]int64, len(s.shards))
 	errs := make([]error, len(s.shards))
@@ -332,20 +413,19 @@ func (s *Sharded) flush() {
 		s.batch = batch
 		return
 	}
-	sort.SliceStable(batch, func(i, j int) bool {
-		a, b := &batch[i], &batch[j]
-		if a.at != b.at {
-			return a.at < b.at
+	slices.SortStableFunc(batch, func(a, b outMsg) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		if a.to != b.to {
-			return a.to < b.to
+		if c := cmp.Compare(a.to, b.to); c != 0 {
+			return c
 		}
-		return a.from < b.from
+		return cmp.Compare(a.from, b.from)
 	})
 	for i := range batch {
 		m := &batch[i]
 		dk := s.shardFor(m.to)
-		dk.scheduleArrive(m.at, dk.nodes[m.to], m.frame, m.sentAt)
+		dk.scheduleArrive(m.at, dk.find(m.to), m.frame, m.sentAt)
 		batch[i] = outMsg{}
 	}
 	s.batch = batch[:0]

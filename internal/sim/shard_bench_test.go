@@ -35,7 +35,7 @@ func allocGateKernel() (*Kernel, node.Env) {
 	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	k.AddNode(1, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	k.Boot()
-	return k, node.Env(k.nodes[0])
+	return k, node.Env(k.find(0))
 }
 
 // allocGateSharded splits the same two nodes across two shards, so every
@@ -47,7 +47,7 @@ func allocGateSharded() (*Sharded, node.Env) {
 	s.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	s.AddNode(1, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	s.Boot()
-	return s, node.Env(s.shards[0].nodes[0])
+	return s, node.Env(s.shards[0].find(0))
 }
 
 // TestShardedScheduleDeliverAllocs is the sharded-path allocation regression

@@ -126,9 +126,8 @@ type Kernel struct {
 	heap      []int32  // 4-ary min-heap of slot ids ordered by (at, seq)
 	free      int32    // free-list head into slots, -1 when empty
 	cancelled []credit // binary min-heap of cancelled deadlines
-	rng       *rand.Rand
 	net       *netmodel.Network
-	nodes     map[ids.ProcID]*nodeState
+	nodes     []*nodeState // index id+1 (ids.StorageProc is -1); see find
 	order     []ids.ProcID // insertion order, for deterministic boot
 	nApp      int
 	count     int64
@@ -172,21 +171,32 @@ func New(cfg Config) *Kernel {
 	if cfg.MaxEvents <= 0 {
 		cfg.MaxEvents = defaultMaxEvents
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	return &Kernel{
-		cfg:   cfg,
-		tr:    trace.OrNop(cfg.Tracer),
-		free:  -1,
-		rng:   rng,
-		net:   netmodel.New(cfg.HW.Net, rand.New(rand.NewSource(cfg.Seed+1))),
-		nodes: make(map[ids.ProcID]*nodeState),
+		cfg:  cfg,
+		tr:   trace.OrNop(cfg.Tracer),
+		free: -1,
+		net:  netmodel.New(cfg.HW.Net, cfg.Seed+1),
 	}
+}
+
+// find returns the state of id, or nil for an id never registered (on a
+// shard kernel: registered elsewhere). Every frame resolves its destination
+// here, so the table is a slice, not a map.
+func (k *Kernel) find(id ids.ProcID) *nodeState {
+	if i := int(id) + 1; i >= 0 && i < len(k.nodes) {
+		return k.nodes[i]
+	}
+	return nil
 }
 
 // AddNode registers a process slot. Application processes must be added
 // with ids 0..n-1; the stable-storage pseudo-process uses ids.StorageProc.
 func (k *Kernel) AddNode(id ids.ProcID, factory node.Factory) {
-	if _, dup := k.nodes[id]; dup {
+	i := int(id) + 1
+	if i < 0 {
+		panic(fmt.Sprintf("sim: AddNode(%v): not a process id", id))
+	}
+	if k.find(id) != nil {
 		panic(fmt.Sprintf("sim: duplicate node %v", id))
 	}
 	ns := &nodeState{
@@ -194,10 +204,12 @@ func (k *Kernel) AddNode(id ids.ProcID, factory node.Factory) {
 		id:      id,
 		factory: factory,
 		stable:  storage.NewStore(),
-		rng:     rand.New(rand.NewSource(k.cfg.Seed ^ (int64(id)+2)*0x9E3779B97F4A7C)),
 		met:     metrics.NewProc(),
 	}
-	k.nodes[id] = ns
+	if i >= len(k.nodes) {
+		k.nodes = append(k.nodes, make([]*nodeState, i+1-len(k.nodes))...)
+	}
+	k.nodes[i] = ns
 	k.order = append(k.order, id)
 	if !id.IsStorage() {
 		k.nApp++
@@ -208,7 +220,7 @@ func (k *Kernel) AddNode(id ids.ProcID, factory node.Factory) {
 // order.
 func (k *Kernel) Boot() {
 	for _, id := range k.order {
-		ns := k.nodes[id]
+		ns := k.find(id)
 		ns.up = true
 		ns.proc = ns.factory()
 		ns.proc.Boot(ns, false)
@@ -273,7 +285,7 @@ func (k *Kernel) peekNextAt() (int64, bool) {
 // metrics or storage of a node that was never added is a harness bug, and
 // a named panic beats the anonymous nil dereference it used to be.
 func (k *Kernel) node(id ids.ProcID) *nodeState {
-	ns := k.nodes[id]
+	ns := k.find(id)
 	if ns == nil {
 		panic(fmt.Sprintf("sim: unknown node %v (was it registered with AddNode?)", id))
 	}
@@ -292,7 +304,7 @@ func (k *Kernel) Store(id ids.ProcID) *storage.Store { return k.node(id).stable 
 // or for ids never registered); tests use it for white-box inspection
 // between Run calls.
 func (k *Kernel) ProcOf(id ids.ProcID) node.Process {
-	if ns := k.nodes[id]; ns != nil {
+	if ns := k.find(id); ns != nil {
 		return ns.proc
 	}
 	return nil
@@ -301,7 +313,7 @@ func (k *Kernel) ProcOf(id ids.ProcID) node.Process {
 // Up reports whether the node currently has a live process image (false
 // for ids never registered).
 func (k *Kernel) Up(id ids.ProcID) bool {
-	ns := k.nodes[id]
+	ns := k.find(id)
 	return ns != nil && ns.up
 }
 
@@ -663,7 +675,7 @@ func (k *Kernel) countEvent() {
 // pending callbacks vanish; stable storage survives. A watchdog restart is
 // scheduled automatically after WatchdogDetect + RestartDelay.
 func (k *Kernel) Crash(id ids.ProcID) {
-	ns := k.nodes[id]
+	ns := k.find(id)
 	if ns == nil || !ns.up {
 		return
 	}
@@ -736,7 +748,7 @@ type nodeState struct {
 	epoch     uint64
 	busyUntil int64
 	stable    *storage.Store
-	rng       *rand.Rand
+	rng       *rand.Rand // created by Rand on first use
 	met       *metrics.Proc
 	downSpan  trace.SpanRef // open crash→restart span
 
@@ -762,9 +774,18 @@ func (ns *nodeState) N() int {
 	return ns.k.nApp
 }
 func (ns *nodeState) Now() int64             { return ns.k.now }
-func (ns *nodeState) Rand() *rand.Rand       { return ns.rng }
 func (ns *nodeState) Metrics() *metrics.Proc { return ns.met }
 func (ns *nodeState) Tracer() trace.Tracer   { return ns.k.tr }
+
+// Rand returns the node's private stream, seeded from the run seed and the
+// node id. No protocol draws from it today, so it is built on first use:
+// seeding a math/rand source per node was a measurable share of a short run.
+func (ns *nodeState) Rand() *rand.Rand {
+	if ns.rng == nil {
+		ns.rng = rand.New(rand.NewSource(ns.k.cfg.Seed ^ (int64(ns.id)+2)*0x9E3779B97F4A7C))
+	}
+	return ns.rng
+}
 
 func (ns *nodeState) Logf(format string, args ...any) {
 	if ns.k.cfg.Trace != nil {
@@ -807,7 +828,7 @@ func (ns *nodeState) Send(to ids.ProcID, e *wire.Envelope) {
 		k.arrivalSink(at, ns.id, to, frame, k.now)
 		return
 	}
-	k.scheduleArrive(at, k.nodes[to], frame, k.now)
+	k.scheduleArrive(at, k.find(to), frame, k.now)
 }
 
 // frameArrived is the network-side arrival of an encoded frame sent at
@@ -843,7 +864,9 @@ func (k *Kernel) deliver(ns *nodeState, frame []byte, epoch uint64) {
 	}
 	ns.Busy(k.cfg.HW.RecvCost(len(frame)))
 	ns.met.Received(uint8(e.Kind), len(frame))
-	k.tracef("%v <- %v %v", ns.id, e.From, e.Kind)
+	if k.cfg.Trace != nil { // tested here: the call would box three arguments per frame
+		k.tracef("%v <- %v %v", ns.id, e.From, e.Kind)
+	}
 	k.tr.Instant(k.now, int32(ns.id), trace.EvRecv,
 		trace.Tag{Kind: uint8(e.Kind), Arg: int64(len(frame))})
 	ns.proc.Deliver(e)
