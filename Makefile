@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint fmt race bench bench-seed bench-micro bench-kernel benchmark-smoke perf-pair timeline explore check
+.PHONY: all build test vet lint fmt race bench bench-seed regen bench-micro bench-kernel benchmark-smoke perf-pair timeline explore check
 
 all: build test
 
@@ -39,13 +39,16 @@ fmt:
 # n=1024 cells, of which the D1 scale cell (internal/experiments) is still
 # too slow under race; the two sharded n=1024 cluster tests are not since
 # padding stopped being bytes (77 s for this line on 2 cores, PR 17), so
-# the window barrier is raced at the scale that ships. The last line races
-# both window paths (forced inline, forced fan-out, adaptive; DESIGN §5) on
-# one thread and on four.
+# the window barrier is raced at the scale that ships. The last two lines
+# race, on one thread and on four, both window paths (forced inline, forced
+# fan-out, adaptive; DESIGN §5) with the coordinator's callback order, and
+# the shard-count differential (1 ≡ 2 ≡ 4 shards for every family, output
+# tracking, traffic and timelines).
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/cluster -run 'Sharded1024|ShardedGolden' -count=1
-	$(GO) test -race ./internal/sim -run 'Shard|WindowPaths' -cpu 1,4 -count=1
+	$(GO) test -race ./internal/sim -run 'Shard|WindowPaths|Callbacks' -cpu 1,4 -count=1
+	$(GO) test -race ./internal/cluster -run 'ShardCountChangesNothing' -cpu 1,4 -count=1
 
 # bench runs the tiny reference sweep (the same axes as the committed
 # BENCH_seed.json) and gates the result against it at threshold 0 — valid
@@ -55,11 +58,25 @@ bench:
 	$(GO) run ./cmd/bench -label ci -out /tmp/BENCH_ci.json $(BENCH_AXES) -quiet
 	$(GO) run ./cmd/bench compare BENCH_seed.json /tmp/BENCH_ci.json -threshold 0
 
-# bench-seed regenerates the committed reference snapshot (and the golden
-# test fixture) after an intentional behavior change.
+# bench-seed regenerates the committed reference snapshot (and the two test
+# fixtures, current and schema-v1 layout) after an intentional behavior change.
 bench-seed:
-	$(GO) test ./internal/bench -run TestGolden -update
+	$(GO) test ./internal/bench -run 'TestGolden|TestV1Seed' -update
 	$(GO) run ./cmd/bench -label seed -out BENCH_seed.json $(BENCH_AXES) -quiet
+
+# regen is everything an intended change of the event order has to
+# regenerate, in dependency order. The first line prints the new golden
+# constants (it fails while they are stale — paste them into
+# internal/cluster/golden_test.go and outputs_golden_test.go and run regen
+# again); the rest rewrite files: BENCH_seed.json and the internal/bench
+# fixtures, the explorer's n=3 report, and every table in EXPERIMENTS.md
+# (whose prose, and README's result shapes, are then checked by hand against
+# the diff). ≈ 3 min.
+regen:
+	-$(GO) test ./internal/cluster -run 'Golden' -v -count=1 | grep -E 'fingerprint|^(ok|FAIL|---)'
+	$(MAKE) bench-seed
+	$(GO) run ./cmd/explore -out internal/explore/testdata/report_n3.golden.json
+	./scripts/regen_experiments.sh
 
 # timeline regenerates the D11 recovery-timeline exports (DESIGN §11) into
 # ./timelines — deterministic byte-for-byte, so diffs mean behavior changed.

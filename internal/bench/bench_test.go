@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -212,12 +213,37 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestV1SeedSnapshotUpgrades feeds the decoder real committed schema-v1
-// bytes (the pre-v2 BENCH_seed.json): they must upgrade in place, and a
-// fresh sweep over the same axes must still agree metric-for-metric at
-// threshold 0 — the schema bump may not move any measured number.
+// TestV1SeedSnapshotUpgrades feeds the decoder bytes in the schema-v1 layout
+// (the pre-v2 BENCH_seed.json: no outputs, no output_commit): they must
+// upgrade in place, and a fresh sweep over the same axes must still agree
+// metric-for-metric at threshold 0 — the schema bump may not move any
+// measured number. -update re-cuts the fixture from a fresh sweep, for a
+// change that moves the numbers themselves.
 func TestV1SeedSnapshotUpgrades(t *testing.T) {
-	v1, err := ReadFile(filepath.Join("testdata", "BENCH_seed_v1.json"))
+	path := filepath.Join("testdata", "BENCH_seed_v1.json")
+	if *update {
+		fresh, err := RunSweep(context.Background(), goldenAxes(), Options{Workers: 4, Meta: goldenMeta()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(encode(t, fresh), &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["meta"].(map[string]any)["schema"] = 1
+		for _, c := range doc["cells"].([]any) {
+			delete(c.(map[string]any), "outputs")
+			delete(c.(map[string]any), "output_commit")
+		}
+		b, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v1, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package cluster is the one harness every recovery family runs under: it
 // wires n protocol processes of the configured Family (FBL, coordinated
 // checkpointing, or optimistic logging — see family.go for the per-family
-// table), their workload, a crash plan, and a runtime together, so the
+// table), their workload, a crash plan, and the simulator together, so the
 // experiments' overhead and recovery columns are comparable by construction.
 // It checks liveness (every recovery completes) for all families and, for
 // FBL, the cross-process invariants the paper's proofs promise (§4): safety
@@ -51,21 +51,20 @@ type Config struct {
 	// StatePad models the process image size (bytes added per checkpoint,
 	// snapshot, or flush).
 	StatePad int
-	// Trace, if non-nil, receives event trace lines.
+	// Trace, if non-nil, receives event trace lines. One shard only: line
+	// order is one global dispatch order.
 	Trace io.Writer
 	// Tracer, if non-nil, records structured events and recovery-phase
 	// spans (see internal/trace). Nil disables structured tracing. With
-	// Shards > 0 the tracer is invoked from shard goroutines and must be
-	// safe for concurrent use (merge lanes per process; see the sharded
-	// golden-trace test for the canonical pattern).
+	// Shards > 1 the tracer is invoked from shard goroutines and must be
+	// safe for concurrent use (merge lanes per process; see the golden-trace
+	// test for the canonical pattern).
 	Tracer trace.Tracer
-	// Shards > 0 runs the cluster on the sharded conservative-window
-	// scheduler (DESIGN §2) with that many shards instead of the classic
-	// single-heap kernel. Sharded runs also switch the kernel's busy-node
-	// backlog to the FIFO defer queue, so their event interleaving differs
-	// from the classic kernel's (each mode pins its own golden hash);
-	// per-process behavior is byte-identical across shard counts. Mutually
-	// exclusive with Trace, TrackOutputs, and AttachTimeline.
+	// Shards is how many kernels the conservative-window scheduler (DESIGN
+	// §2) partitions the processes across; 0 means 1. Every process's
+	// execution — digests, outputs, timelines — is byte-identical for any
+	// value; only host time changes. The text Trace and step-indexed crashes
+	// (CrashAtStep, Kernel) need a single shard.
 	Shards int
 	// Fanout > 0 selects the ring-based dissemination protocol mode with
 	// that fanout degree (see fbl.Params.Fanout); 0 is the paper's literal
@@ -141,12 +140,12 @@ type LostWork struct {
 type Cluster struct {
 	cfg  Config
 	fam  family
-	K    sim.Runtime
+	K    *sim.Sharded
 	outs *output.Ledger
 
 	// mu guards what the protocol hooks share across processes — violations
-	// and the lost-work counters: under the sharded scheduler the hooks fire
-	// from per-shard goroutines. The per-process timelines need no lock: each
+	// and the lost-work counters: with several shards the hooks fire from
+	// per-shard goroutines. The per-process timelines need no lock: each
 	// is touched only by its own process's hooks, which run on the shard that
 	// owns the process, and the window barrier orders them before Check.
 	mu sync.Mutex
@@ -182,19 +181,10 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{cfg: cfg, fam: fam}
 
-	simCfg := sim.Config{Seed: cfg.Seed, HW: cfg.HW, Trace: cfg.Trace, Tracer: cfg.Tracer}
-	if cfg.Shards > 0 {
-		if cfg.Trace != nil {
-			panic("cluster: Trace (text event log) requires the classic kernel; shard goroutines would interleave lines")
-		}
-		if cfg.TrackOutputs {
-			panic("cluster: TrackOutputs requires the classic kernel (Shards=0); the ledger is not shard-safe")
-		}
-		simCfg.FIFODefer = true
-		c.K = sim.NewSharded(simCfg, cfg.Shards)
-	} else {
-		c.K = sim.New(simCfg)
+	if cfg.Shards > 1 && cfg.Trace != nil {
+		panic("cluster: Trace (text event log) needs a single shard; shard goroutines would interleave lines")
 	}
+	c.K = sim.NewSharded(sim.Config{Seed: cfg.Seed, HW: cfg.HW, Trace: cfg.Trace, Tracer: cfg.Tracer}, max(1, cfg.Shards))
 	c.outs = output.NewLedger(cfg.N)
 	var outs output.Sink
 	if cfg.TrackOutputs {
@@ -292,14 +282,11 @@ func (c *Cluster) onLive(self ids.ProcID, inc ids.Incarnation, ssn ids.SSN, rsn 
 }
 
 // AttachTimeline binds col's probes to this cluster and installs its
-// sampler on the kernel. The sampler fires from inside the run loop at
+// sampler on the simulator. The sampler fires between shard runs at
 // virtual-time boundaries without enqueueing events, so attaching a
 // collector leaves the event sequence — and the golden trace hash — exactly
 // as it would be without one. Call before Run; col.N() must equal cfg.N.
 func (c *Cluster) AttachTimeline(col *timeline.Collector) {
-	if c.cfg.Shards > 0 {
-		panic("cluster: timeline capture requires the classic kernel (Shards=0); the sharded scheduler has no cluster-wide sampling instants")
-	}
 	if col.N() != c.cfg.N {
 		panic(fmt.Sprintf("cluster: timeline collector for n=%d attached to n=%d cluster",
 			col.N(), c.cfg.N))
@@ -360,12 +347,12 @@ func (c *Cluster) Crash(at time.Duration, p ids.ProcID) {
 }
 
 // CrashAtStep schedules a crash of p at the given kernel event-dispatch
-// boundary (sim.CrashAtStep). Step-indexed crashes require the classic
-// kernel: the sharded runtime has no single global event order to index.
+// boundary (sim.CrashAtStep). Step-indexed crashes need a single shard:
+// several have no one global event order to index.
 func (c *Cluster) CrashAtStep(step int64, p ids.ProcID) {
 	k := c.Kernel()
 	if k == nil {
-		panic("cluster: CrashAtStep requires the classic (non-sharded) kernel")
+		panic("cluster: CrashAtStep needs a single shard")
 	}
 	c.crashes++
 	k.CrashAtStep(step, p)
@@ -383,13 +370,10 @@ func (c *Cluster) ApplyPlan(plan failure.Plan) {
 	}
 }
 
-// Kernel returns the classic single-heap kernel driving the cluster, or
-// nil when it runs on the sharded coordinator. The explorer uses it to
-// attach step probes and read step indices.
-func (c *Cluster) Kernel() *sim.Kernel {
-	k, _ := c.K.(*sim.Kernel)
-	return k
-}
+// Kernel returns the one kernel of a single-shard cluster, or nil when there
+// are several. The explorer uses it to attach step probes and read step
+// indices.
+func (c *Cluster) Kernel() *sim.Kernel { return c.K.Single() }
 
 // Inject offers an open-loop arrival to process p's application and
 // reports whether it was admitted; a down, blocked, recovering, or

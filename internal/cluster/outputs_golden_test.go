@@ -22,37 +22,51 @@ import (
 // again, and when a waiting output is released, is decided by code no
 // other golden reaches (fbl.unlessSent, fbl.checkOutputs). The trace
 // carries every send, delivery and output-commit span, so it moves with
-// any of them. The value was generated at the commit before the
-// determinant log was rebuilt (PR 14) and must survive any refactor of it.
-const outputsGoldenTraceHash uint64 = 0x7d0cbf679a014e8e
+// any of them; it is the same per-process lane fold as goldenTraceHash. The
+// value must survive any refactor of the determinant log.
+const outputsGoldenTraceHash uint64 = 0x4fda3e39987505be
 
-func TestOutputsGoldenTraceHash(t *testing.T) {
-	load := workload.Traffic{
-		Clients: 2, Frontends: 2, Backends: 4, FanOut: 2,
-		Load: 250, WorkPerHop: int64(500 * time.Microsecond), PayloadPad: 256,
-	}
-	const horizon = 6500 * time.Millisecond
-	tr := newHashTracer()
-	c := New(Config{
-		N: load.N(), F: 1, Seed: 1, HW: node.Profile1995(),
+// outputsGoldenLoad is the cell's traffic spec; the differential test reruns
+// the cell across shard counts.
+var outputsGoldenLoad = workload.Traffic{
+	Clients: 2, Frontends: 2, Backends: 4, FanOut: 2,
+	Load: 250, WorkPerHop: int64(500 * time.Microsecond), PayloadPad: 256,
+}
+
+const outputsGoldenHorizon = 6500 * time.Millisecond
+
+func outputsGoldenConfig() Config {
+	return Config{
+		N: outputsGoldenLoad.N(), F: 1, Seed: 1, HW: node.Profile1995(),
 		Style:           recovery.NonBlocking,
-		App:             traffic.NewApp(load),
+		App:             traffic.NewApp(outputsGoldenLoad),
 		CheckpointEvery: 4 * time.Second,
 		StatePad:        1 << 20,
 		TrackOutputs:    true,
-		Tracer:          tr,
-	})
-	c.ApplyPlan(failure.Plan{{At: time.Second, Proc: ids.ProcID(load.N() - 1)}})
-	eng := traffic.NewEngine(load, 1)
-	eng.Attach(traffic.Host{At: c.K.At, Inject: c.Inject}, horizon)
-	c.Run(horizon)
+	}
+}
+
+func outputsGoldenPlan() failure.Plan {
+	return failure.Plan{{At: time.Second, Proc: ids.ProcID(outputsGoldenLoad.N() - 1)}}
+}
+
+func TestOutputsGoldenTraceHash(t *testing.T) {
+	lt := newLaneTracer(outputsGoldenLoad.N())
+	cfg := outputsGoldenConfig()
+	cfg.Tracer = lt
+	c := New(cfg)
+	c.ApplyPlan(outputsGoldenPlan())
+	eng := traffic.NewEngine(outputsGoldenLoad, 1)
+	eng.Attach(traffic.Host{At: c.K.At, Inject: c.Inject}, outputsGoldenHorizon)
+	c.Run(outputsGoldenHorizon)
 	mustCheck(t, c)
 	if c.Outputs().Total() == 0 {
 		t.Fatal("idle cell: no outputs requested")
 	}
-	t.Logf("trace hash = %#x over %d trace events, %d outputs", tr.h, tr.seq, c.Outputs().Total())
-	if tr.h != outputsGoldenTraceHash {
-		t.Fatalf("event-trace hash = %#x, want %#x: piggyback selection or output release "+
-			"changed under output tracking", tr.h, outputsGoldenTraceHash)
+	h, n := lt.sum()
+	t.Logf("lane fingerprint = %#x over %d trace events, %d outputs", h, n, c.Outputs().Total())
+	if h != outputsGoldenTraceHash {
+		t.Fatalf("lane fingerprint = %#x, want %#x: piggyback selection or output release "+
+			"changed under output tracking; if intended, run `make regen`", h, outputsGoldenTraceHash)
 	}
 }

@@ -11,38 +11,25 @@ import (
 )
 
 // goldenRunSampled is the pinned golden scenario with a timeline collector
-// attached — same config, same crash plan, same horizon.
+// attached before events flow — same config, same crash plan, same horizon.
 func goldenRunSampled(tr trace.Tracer, interval time.Duration) (*Cluster, *timeline.Collector) {
 	col := timeline.New(timeline.Config{Interval: interval, N: 4, Label: "golden"})
-	c := goldenRun2(tr, col)
+	c := New(goldenConfig(tr))
+	c.AttachTimeline(col)
+	c.ApplyPlan(goldenPlan())
+	c.Run(goldenHorizon)
 	return c, col
 }
 
-// goldenRun2 mirrors goldenRun but attaches col before events flow.
-func goldenRun2(tr trace.Tracer, col *timeline.Collector) *Cluster {
-	c := New(goldenConfig(tr))
-	if col != nil {
-		c.AttachTimeline(col)
-	}
-	c.ApplyPlan(goldenPlan())
-	c.Run(goldenHorizon)
-	return c
-}
-
-// TestTimelineSamplingPreservesGoldenHash is the tentpole's determinism
+// TestTimelineSamplingPreservesGoldenHash is the sampler's determinism
 // claim, stated at its strongest: sampling ENABLED leaves the golden event
 // sequence untouched. The sampler fires between events without scheduling
 // anything, so the hashed trace of the sampled run must equal the committed
 // golden hash — not merely be self-consistent.
 func TestTimelineSamplingPreservesGoldenHash(t *testing.T) {
-	tr := newHashTracer()
-	c, col := goldenRunSampled(tr, 100*time.Millisecond)
-	if errs := c.Check(); len(errs) > 0 {
-		t.Fatalf("sampled golden run inconsistent: %v", errs)
-	}
-	if tr.h != goldenTraceHash {
-		t.Fatalf("sampling changed the event sequence: hash %#x, want %#x", tr.h, goldenTraceHash)
-	}
+	lt := newLaneTracer(4)
+	c, col := goldenRunSampled(lt, 100*time.Millisecond)
+	checkGolden(t, c, lt)
 	if want := int(goldenHorizon / (100 * time.Millisecond)); col.Ticks() != want {
 		t.Fatalf("collector took %d ticks, want %d (one per boundary to the horizon)", col.Ticks(), want)
 	}

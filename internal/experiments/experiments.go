@@ -111,12 +111,10 @@ type Spec struct {
 	Pad     int
 	Crashes failure.Plan
 	Horizon time.Duration
-	// Shards > 0 runs the cluster on the sharded conservative-window
-	// scheduler (DESIGN §2); required for the n=1024 cells. Sharded runs
-	// cannot host Timeline, TrackOutputs, or Traffic (all need the classic
-	// kernel's cluster-wide instants), and DefaultTracer is not attached to
-	// them (it is not safe for shard goroutines); an explicit Tracer must
-	// be concurrency-safe.
+	// Shards is cluster.Config.Shards: how many kernels share the run
+	// (0 means 1); it changes host time only, and the n=1024 cells need
+	// several. DefaultTracer is not attached when Shards > 1 (it is not safe
+	// for shard goroutines); an explicit Tracer must be concurrency-safe.
 	Shards int
 	// Fanout > 0 selects the ring dissemination protocol mode with that
 	// degree (cluster.Config.Fanout); 0 is the paper's all-peers broadcast.
@@ -224,15 +222,11 @@ type Result struct {
 // run is consistent but incomplete) and the error is ctx's.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
 	tr := spec.Tracer
-	if tr == nil && spec.Shards == 0 {
+	if tr == nil && spec.Shards <= 1 {
 		tr = DefaultTracer
 	}
 	app := spec.App
 	if spec.Traffic != nil {
-		if spec.Shards > 0 {
-			panic("experiments: Traffic needs the classic kernel (Shards=0); " +
-				"open-loop injection has no cross-shard ordering")
-		}
 		if spec.Traffic.N() != spec.N {
 			panic(fmt.Sprintf("experiments: traffic topology needs n=%d, spec has n=%d",
 				spec.Traffic.N(), spec.N))

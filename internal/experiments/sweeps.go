@@ -18,12 +18,12 @@ import (
 func D1(ctx context.Context, seed int64) Table {
 	t := Table{
 		ID:      "D1",
-		Title:   "scale sweep: single failure, f=2, n ∈ {4..64} classic, {256,1024} sharded",
+		Title:   "scale sweep: single failure, f=2, n ∈ {4..64} broadcast, {256,1024} fanout",
 		Columns: []string{"n", "algorithm", "recovery", "live blocked (mean)", "blocked×lives (sum)"},
 		Notes: []string{
-			"n >= 256 runs on the sharded conservative-window scheduler (4 shards, fanout 8) with a",
-			"slower gossip cadence (10 ms/delivery) so the aggregate message rate stays bounded; the",
-			"small-n cells are byte-identical to the pre-sharding sweep",
+			"n >= 256 runs the fanout protocol mode (degree 8) with a slower gossip cadence",
+			"(10 ms/delivery) so the aggregate message rate stays bounded, on 4 scheduler shards;",
+			"the shard count changes host time only",
 		},
 	}
 	// n=64 was unaffordable before the flat-heap scheduler; n=1024 was

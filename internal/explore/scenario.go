@@ -58,6 +58,15 @@ type decisionTracer struct {
 
 var _ trace.Tracer = (*decisionTracer)(nil)
 
+// recvWhy names a receipt decision point by frame kind. Built once: most
+// receipts lie past pointLimit and never become points.
+var recvWhy = func() (why [wire.KindCount]string) {
+	for k := range why {
+		why[k] = fmt.Sprintf("recv-kind-%d", k)
+	}
+	return why
+}()
+
 func (d *decisionTracer) Enabled() bool { return true }
 
 func (d *decisionTracer) mark(ts int64, why string) {
@@ -80,7 +89,7 @@ func (d *decisionTracer) Instant(ts int64, proc int32, name string, tag trace.Ta
 		if tag.Kind == uint8(wire.KindHeartbeat) {
 			return
 		}
-		d.mark(ts, fmt.Sprintf("recv-kind-%d", tag.Kind))
+		d.mark(ts, recvWhy[tag.Kind])
 	case trace.EvAnnounce, trace.EvGatherAbort, trace.EvRestart:
 		d.markRec(ts)
 	}

@@ -102,6 +102,3 @@ func (p *Process) SendLogSSNs(q ids.ProcID) [][2]uint64 {
 
 // ExpDseq returns the expected-dseq watermark for sender q.
 func (p *Process) ExpDseq(q ids.ProcID) uint64 { return p.expDseq[q] }
-
-// SetDebugReplay toggles verbose replay tracing (diagnostics only).
-func SetDebugReplay(v bool) { debugReplay = v }

@@ -36,9 +36,6 @@ func (c appCtx) Send(to ids.ProcID, payload []byte) {
 	if p.par.Hooks.OnSend != nil {
 		p.par.Hooks.OnSend(p.env.ID(), id, to, hashBytes(cp))
 	}
-	if debugReplay && p.mode == ModeReplaying {
-		p.env.Logf("REPLAYDBG send to=%v ssn=%d dseq=%d", to, p.ssn, dseq)
-	}
 	p.transmit(to, dseq, logRec{ssn: p.ssn, payload: cp})
 }
 

@@ -31,7 +31,7 @@
 // *stall* — a gap in RequestedAt — rather than as late commits; see
 // traffic.StatsPerTier and experiment D12.
 //
-// A Ledger serves one run and is not safe for concurrent use: the
-// simulator is single-threaded, and that is the only runtime wired to
-// it today.
+// A Ledger serves one run. Its state is per process (records and open
+// counts; totals are derived), so the simulator's shards, each calling
+// for the processes it owns, need no lock.
 package output

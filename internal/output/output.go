@@ -51,28 +51,29 @@ type Sink interface {
 }
 
 // Ledger implements Sink and the readout side. The zero value is not
-// usable; construct with NewLedger.
+// usable; construct with NewLedger. Everything a Sink call writes belongs to
+// its proc, so processes on different simulator shards may call concurrently;
+// the readouts are for between runs (or a sampler tick, shards parked).
 type Ledger struct {
 	recs       [][]Record // indexed [proc][seq-1]
+	open       []int      // per proc: requested, not yet committed
 	tr         trace.Tracer
 	metrics    func(ids.ProcID) *metrics.Proc
 	onConflict func(proc ids.ProcID, seq uint64, oldHash, newHash uint64)
-	open       int
-	total      int
 }
 
 var _ Sink = (*Ledger)(nil)
 
 // NewLedger returns a ledger for a run with n application processes.
 func NewLedger(n int) *Ledger {
-	return &Ledger{recs: make([][]Record, n), tr: trace.Nop{}}
+	return &Ledger{recs: make([][]Record, n), open: make([]int, n), tr: trace.Nop{}}
 }
 
 // SetTracer routes one EvOutputCommit span per committed output to t.
 func (l *Ledger) SetTracer(t trace.Tracer) { l.tr = trace.OrNop(t) }
 
 // SetMetrics wires the per-process histogram sink; f is typically
-// (*sim.Kernel).Metrics. A nil f disables histogram recording.
+// (*sim.Sharded).Metrics. A nil f disables histogram recording.
 func (l *Ledger) SetMetrics(f func(ids.ProcID) *metrics.Proc) { l.metrics = f }
 
 // SetOnConflict installs a probe that fires when a rollback re-execution
@@ -106,8 +107,7 @@ func (l *Ledger) Requested(proc ids.ProcID, seq uint64, now int64, payload []byt
 			Proc: proc, Seq: seq, RequestedAt: now,
 			Size: len(payload), Hash: hash(payload),
 		})
-		l.open++
-		l.total++
+		l.open[proc]++
 		return true
 	}
 	r := &rs[seq-1]
@@ -138,7 +138,7 @@ func (l *Ledger) Committed(proc ids.ProcID, seq uint64, now int64) {
 		return
 	}
 	r.CommittedAt = now
-	l.open--
+	l.open[proc]--
 	l.tr.Span(r.RequestedAt, now-r.RequestedAt, int32(proc), trace.EvOutputCommit, trace.Tag{Arg: int64(seq)})
 	if l.metrics != nil {
 		l.metrics(proc).OutputCommit(time.Duration(now - r.RequestedAt))
@@ -161,24 +161,26 @@ func (l *Ledger) CommitUpTo(proc ids.ProcID, seq uint64, now int64) {
 }
 
 // Total returns the number of distinct outputs requested.
-func (l *Ledger) Total() int { return l.total }
-
-// Open returns the number of outputs requested but not yet committed.
-func (l *Ledger) Open() int { return l.open }
-
-// OpenOf returns proc's requested-but-uncommitted output count: the
-// per-process output-commit backlog the timeline sampler reads.
-//
-//rollvet:hotpath
-func (l *Ledger) OpenOf(proc ids.ProcID) int {
+func (l *Ledger) Total() int {
 	n := 0
-	for _, r := range l.procRecs(proc) {
-		if !r.Committed() {
-			n++
-		}
+	for _, rs := range l.recs {
+		n += len(rs)
 	}
 	return n
 }
+
+// Open returns the number of outputs requested but not yet committed.
+func (l *Ledger) Open() int {
+	n := 0
+	for _, o := range l.open {
+		n += o
+	}
+	return n
+}
+
+// OpenOf returns proc's requested-but-uncommitted output count: the
+// per-process output-commit backlog the timeline sampler reads.
+func (l *Ledger) OpenOf(proc ids.ProcID) int { return l.open[proc] }
 
 // OldestOpenOf returns the RequestedAt instant of proc's oldest still-open
 // output, or 0 when none are open. The timeline sampler turns it into the
@@ -199,7 +201,7 @@ func (l *Ledger) OldestOpenOf(proc ids.ProcID) int64 {
 // Records returns a copy of every record, proc-ascending then
 // seq-ascending — a deterministic order for tables and tests.
 func (l *Ledger) Records() []Record {
-	out := make([]Record, 0, l.total)
+	out := make([]Record, 0, l.Total())
 	for _, rs := range l.recs {
 		out = append(out, rs...)
 	}
@@ -209,7 +211,7 @@ func (l *Ledger) Records() []Record {
 // Deltas returns the request→commit latencies of all committed outputs
 // in the same deterministic order as Records.
 func (l *Ledger) Deltas() []time.Duration {
-	out := make([]time.Duration, 0, l.total-l.open)
+	out := make([]time.Duration, 0, l.Total()-l.Open())
 	for _, rs := range l.recs {
 		for _, r := range rs {
 			if r.Committed() {

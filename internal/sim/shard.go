@@ -1,6 +1,6 @@
-// Sharded conservative-window scheduling (DESIGN §2): the cluster's
-// processes are partitioned across independent Kernel instances that
-// synchronize at fixed virtual-time boundaries.
+// Sharded conservative-window scheduling (DESIGN §2) is the runtime every
+// cluster runs on: its processes are partitioned across one or more Kernel
+// instances that synchronize at fixed virtual-time boundaries.
 //
 // The conservative-window argument: every frame takes at least the minimum
 // network latency L to arrive, so an event executed at virtual time t can
@@ -14,6 +14,13 @@
 // partitioned. That makes every per-process execution, and hence the merged
 // golden event-trace hash, byte-identical for any shard count (pinned by
 // TestShardedGoldenTraceHash).
+//
+// What observes or drives the whole cluster — harness callbacks (At) and the
+// sampler (SetSampler) — lives in a coordinator-level queue and runs between
+// shard runs with every shard parked: a window is split at the callback's
+// instant, the callback sees the state after every event before that instant
+// and none at it, and the outboxes still drain only at grid boundaries. Their
+// order is therefore a function of virtual time and registration order alone.
 package sim
 
 import (
@@ -32,29 +39,6 @@ import (
 	"rollrec/internal/storage"
 )
 
-// Runtime is the simulator surface the cluster harness drives: both the
-// classic single-heap Kernel and the Sharded coordinator implement it.
-type Runtime interface {
-	AddNode(id ids.ProcID, factory node.Factory)
-	Boot()
-	Run(until time.Duration) int64
-	RunContext(ctx context.Context, until time.Duration) (int64, error)
-	At(d time.Duration, fn func())
-	CrashAt(d time.Duration, id ids.ProcID)
-	Now() int64
-	Up(id ids.ProcID) bool
-	ProcOf(id ids.ProcID) node.Process
-	Metrics(id ids.ProcID) *metrics.Proc
-	Store(id ids.ProcID) *storage.Store
-	QueueDepth() int
-	InFlightFrames() int
-	SetSampler(every time.Duration, fn func(now int64))
-	CrashesApplied() int
-}
-
-var _ Runtime = (*Kernel)(nil)
-var _ Runtime = (*Sharded)(nil)
-
 // outMsg is one frame buffered in a shard outbox between windows.
 type outMsg struct {
 	at     int64
@@ -62,6 +46,33 @@ type outMsg struct {
 	to     ids.ProcID
 	frame  []byte
 	sentAt int64
+}
+
+// coEvent is one entry of the coordinator's queue, ordered by (at, seq): a
+// harness callback, or the sampler's next tick (every > 0), which is re-armed
+// under the sequence number of its SetSampler call.
+type coEvent struct {
+	at    int64
+	seq   uint64
+	every int64
+	fn    func()
+}
+
+func (a coEvent) compare(b coEvent) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+func (a outMsg) compare(b outMsg) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.to, b.to); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.from, b.from)
 }
 
 // fanOutMin is the window density from which the barrier pays for itself: a
@@ -91,13 +102,18 @@ func (w WindowStats) Total() int64 { return w.Inline + w.FannedOut }
 // a function of virtual time alone, not of the shard count or of how many
 // Run calls covered the horizon.
 type Sharded struct {
-	cfg    Config
 	window int64
 	shards []*Kernel
 	outs   [][]outMsg
 	batch  []outMsg // flush scratch, reused between boundaries
 	now    int64
 	nApp   int
+
+	// queue holds the pending callbacks in firing order; it is short (one
+	// arrival per traffic client, one sampler), so it is a sorted slice.
+	queue      []coEvent
+	seq        uint64
+	samplerSeq uint64 // seq of the installed sampler's entry, 0 when none
 
 	// A window fans out when the window before it executed at least fanOutAt
 	// events (prev). fanOutAt is fanOutMin, or out of reach where goroutines
@@ -123,7 +139,6 @@ func NewSharded(cfg Config, shards int) *Sharded {
 		panic("sim: NewSharded: conservative windows require zero jitter and zero drop rate")
 	}
 	s := &Sharded{
-		cfg:    cfg,
 		window: int64(cfg.HW.Net.Latency),
 		shards: make([]*Kernel, shards),
 		outs:   make([][]outMsg, shards),
@@ -146,8 +161,15 @@ func NewSharded(cfg Config, shards int) *Sharded {
 	return s
 }
 
-// Shards returns the shard count (for reporting).
-func (s *Sharded) Shards() int { return len(s.shards) }
+// Single returns the kernel when there is exactly one shard, else nil. It is
+// the way to the two observers that need one global dispatch order: the step
+// probe with CrashAtStep (step.go) and the text Config.Trace.
+func (s *Sharded) Single() *Kernel {
+	if len(s.shards) != 1 {
+		return nil
+	}
+	return s.shards[0]
+}
 
 // Windows reports how many windows have run so far on each of the two paths
 // and how many events they held, so the density that drives the per-window
@@ -227,24 +249,76 @@ func (s *Sharded) InFlightFrames() int {
 	return n
 }
 
-// At is unsupported: a harness callback would run inside one shard's window
-// with no defined order against the other shards. Use the classic Kernel
-// for scenarios that need mid-run harness callbacks (open-loop traffic).
+// At schedules a harness callback at absolute virtual time d from start: it
+// runs on the calling goroutine after every event before that instant and
+// before any event at it, same-instant callbacks in registration order.
+// Negative times panic; past times run at the current instant. Call it from
+// the harness or from another callback, never from a process handler.
 func (s *Sharded) At(d time.Duration, fn func()) {
-	panic("sim: Sharded does not support At; harness callbacks have no cross-shard order")
+	if d < 0 {
+		panic(fmt.Sprintf("sim: At(%v): negative schedule time", d))
+	}
+	s.enqueue(coEvent{at: max(int64(d), s.now), fn: fn})
 }
 
-// SetSampler is unsupported: a sampler observes the whole cluster at exact
-// virtual-time boundaries, which would serialize the shards it exists to
-// decouple.
+// SetSampler installs fn to be invoked at every multiple of `every` in
+// virtual time, as a callback like At's: a sample at boundary b sees every
+// event with at < b and none with at >= b, and a run to `until` takes
+// floor(until/every) samples, quiescent tail included. fn must not schedule
+// events or touch kernel state; then the event sequence, the processed-event
+// totals, and the golden trace hash are bit-identical with sampling on or off
+// (running a window in two parts changes nothing a process can see). A nil
+// fn detaches the sampler; installing replaces the previous one.
 func (s *Sharded) SetSampler(every time.Duration, fn func(now int64)) {
-	panic("sim: Sharded does not support samplers; use the classic Kernel for timeline capture")
+	if s.samplerSeq != 0 {
+		s.queue = slices.DeleteFunc(s.queue, func(e coEvent) bool { return e.seq == s.samplerSeq })
+		s.samplerSeq = 0
+	}
+	if fn == nil {
+		return
+	}
+	if every <= 0 {
+		panic(fmt.Sprintf("sim: SetSampler(%v): non-positive sampling interval", every))
+	}
+	step := int64(every)
+	s.enqueue(coEvent{at: (s.now/step + 1) * step, every: step, fn: func() { fn(s.now) }})
+	s.samplerSeq = s.seq
+}
+
+// enqueue stamps e with the next sequence number, unless it is a sampler
+// re-arming under its own, and inserts it in firing order.
+func (s *Sharded) enqueue(e coEvent) {
+	if e.seq == 0 {
+		s.seq++
+		e.seq = s.seq
+	}
+	i, _ := slices.BinarySearchFunc(s.queue, e, coEvent.compare)
+	s.queue = slices.Insert(s.queue, i, e)
+}
+
+// fire parks every shard at instant at — hosted processes read the callback's
+// time, not the last event's — and runs the callbacks due, in order, those
+// registered meanwhile for this instant included.
+func (s *Sharded) fire(at int64) {
+	s.now = at
+	for _, k := range s.shards {
+		k.now = at
+	}
+	for len(s.queue) > 0 && s.queue[0].at <= at {
+		e := s.queue[0]
+		s.queue = slices.Delete(s.queue, 0, 1)
+		if e.every > 0 { // re-arm first: the tick may detach or replace its sampler
+			e.at += e.every
+			s.enqueue(e)
+		}
+		e.fn()
+	}
 }
 
 // CrashAt schedules a crash of id at virtual time d from start, on the
 // owning shard. Scheduled before Run (the harness pattern), the crash holds
-// an earlier sequence number than any runtime event, so it pops first among
-// same-instant events exactly as it does on the classic kernel.
+// an earlier sequence number than any runtime event of its shard, so it pops
+// first among the victim's same-instant events for any shard count.
 func (s *Sharded) CrashAt(d time.Duration, id ids.ProcID) {
 	s.shardFor(id).CrashAt(d, id)
 }
@@ -256,9 +330,10 @@ func (s *Sharded) Run(until time.Duration) int64 {
 }
 
 // RunContext advances all shards window by window until virtual time
-// `until`, exchanging buffered frames at every boundary. Cancellation stops
-// between boundaries, never inside a window, so a cancelled run resumes on
-// the same grid and reproduces the identical event sequence.
+// `until`, exchanging buffered frames at every boundary. Cancellation is
+// looked at between boundaries only — the shards themselves run without a
+// context — so a cancelled run has finished its last window on every shard,
+// resumes on the same grid and reproduces the identical event sequence.
 func (s *Sharded) RunContext(ctx context.Context, until time.Duration) (int64, error) {
 	limit := int64(until)
 	var total int64
@@ -273,9 +348,12 @@ func (s *Sharded) RunContext(ctx context.Context, until time.Duration) (int64, e
 			return total, err
 		}
 		// Fast-forward: the next window is the grid cell holding the
-		// earliest queued event anywhere (idle cells have no boundary
-		// effects — empty outboxes exchange nothing).
+		// earliest queued event or callback anywhere (idle cells have no
+		// boundary effects — empty outboxes exchange nothing).
 		next := int64(-1)
+		if len(s.queue) > 0 {
+			next = s.queue[0].at
+		}
 		for _, k := range s.shards {
 			if at, ok := k.peekNextAt(); ok && (next < 0 || at < next) {
 				next = at
@@ -284,44 +362,52 @@ func (s *Sharded) RunContext(ctx context.Context, until time.Duration) (int64, e
 		if next < 0 || next > limit {
 			break
 		}
-		base := next
-		if s.now > base {
-			base = s.now
+		end := (max(next, s.now)/s.window + 1) * s.window
+		// Tail window clamped at the horizon: events at `limit` itself
+		// belong to this run (Kernel.Run processes at <= until), and
+		// nothing they send can arrive before the grid boundary anyway.
+		target := min(end-1, limit)
+		for {
+			// Split the window at the next callback's instant, if it has one:
+			// run up to just before it, fire, go on. No flush in between.
+			stop := target
+			split := len(s.queue) > 0 && s.queue[0].at <= target
+			if split {
+				stop = s.queue[0].at - 1
+			}
+			if stop >= s.now { // else a callback clamped to an instant already run
+				total += s.runWindow(stop)
+				s.now = stop
+			}
+			if !split {
+				break
+			}
+			s.fire(stop + 1)
 		}
-		end := (base/s.window + 1) * s.window
-		target := end - 1
-		if target > limit {
-			// Tail window clamped at the horizon: events at `limit` itself
-			// belong to this run (Kernel.Run processes at <= until), and
-			// nothing they send can arrive before the grid boundary anyway.
-			target = limit
-		}
-		var n int64
-		var err error
-		if s.prev >= s.fanOutAt {
-			n, err = s.fanOut(ctx, target)
-			s.stats.FannedOut++
-		} else {
-			n, err = s.runInline(ctx, target)
-			s.stats.Inline++
-		}
-		s.prev = n
-		s.stats.Events += n
-		total += n
 		s.flush()
-		s.now = target
-		if err != nil {
-			return total, err
-		}
 	}
 	// Settle: advance every clock to the horizon and account for cancelled
-	// deadlines inside it, exactly like an idle classic kernel would. No
+	// deadlines inside it, exactly like an idle kernel run directly would. No
 	// event is left to execute at or before the horizon, so this is not a
 	// window and never worth a goroutine.
-	n, err := s.runInline(ctx, limit)
-	total += n
+	total += s.runInline(limit)
 	s.now = limit
-	return total, err
+	return total, nil
+}
+
+// runWindow runs every shard to target on the path the previous window's
+// density selects, and keeps the account Windows reports.
+func (s *Sharded) runWindow(target int64) (n int64) {
+	if s.prev >= s.fanOutAt {
+		n = s.fanOut(target)
+		s.stats.FannedOut++
+	} else {
+		n = s.runInline(target)
+		s.stats.Inline++
+	}
+	s.prev = n
+	s.stats.Events += n
+	return n
 }
 
 // A window runs every shard to the same inclusive target. The shards share
@@ -332,38 +418,29 @@ func (s *Sharded) RunContext(ctx context.Context, until time.Duration) (int64, e
 // effect (pinned by TestWindowPathsAgree) and differ only in host time.
 
 // runInline runs the shards one after the other on the calling goroutine.
-// Like fanOut it visits every shard even after one reports a cancelled
-// context, so a cancelled window leaves the same state on either path.
-func (s *Sharded) runInline(ctx context.Context, target int64) (int64, error) {
-	var total int64
-	var firstErr error
+func (s *Sharded) runInline(target int64) (total int64) {
 	for i := range s.shards {
-		n, err := s.runShard(ctx, i, target)
-		total += n
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+		total += s.runShard(i, target)
 	}
-	return total, firstErr
+	return total
 }
 
 // runShard runs shard i to target, naming the shard in any panic.
-func (s *Sharded) runShard(ctx context.Context, i int, target int64) (int64, error) {
+func (s *Sharded) runShard(i int, target int64) int64 {
 	defer func() {
 		if r := recover(); r != nil {
 			panic(fmt.Sprintf("sim: shard %d: %v", i, r))
 		}
 	}()
-	return s.shards[i].RunContext(ctx, time.Duration(target))
+	return s.shards[i].Run(time.Duration(target))
 }
 
 // fanOut runs the shards in parallel, one goroutine each, and waits for all
 // of them; it only shortens wall-clock time (the -cpu 1,4 golden test).
-func (s *Sharded) fanOut(ctx context.Context, target int64) (int64, error) {
+func (s *Sharded) fanOut(target int64) (total int64) {
 	until := time.Duration(target)
 	var wg sync.WaitGroup
 	counts := make([]int64, len(s.shards))
-	errs := make([]error, len(s.shards))
 	panics := make([]any, len(s.shards))
 	for i := range s.shards {
 		wg.Add(1)
@@ -375,22 +452,17 @@ func (s *Sharded) fanOut(ctx context.Context, target int64) (int64, error) {
 					panics[i] = r
 				}
 			}()
-			counts[i], errs[i] = s.shards[i].RunContext(ctx, until)
+			counts[i] = s.shards[i].Run(until)
 		}(i)
 	}
 	wg.Wait()
-	var total int64
-	var firstErr error
 	for i := range s.shards {
 		if panics[i] != nil {
 			panic(fmt.Sprintf("sim: shard %d: %v", i, panics[i]))
 		}
 		total += counts[i]
-		if errs[i] != nil && firstErr == nil {
-			firstErr = errs[i]
-		}
 	}
-	return total, firstErr
+	return total
 }
 
 // flush drains every outbox and injects the frames as arrival events on
@@ -409,19 +481,11 @@ func (s *Sharded) flush() {
 		}
 		s.outs[i] = s.outs[i][:0]
 	}
-	if len(batch) == 0 {
-		s.batch = batch
-		return
+	// Most batches are a frame or three from one outbox, already in order:
+	// look before moving 56-byte values through a comparator.
+	if !slices.IsSortedFunc(batch, outMsg.compare) {
+		slices.SortStableFunc(batch, outMsg.compare)
 	}
-	slices.SortStableFunc(batch, func(a, b outMsg) int {
-		if c := cmp.Compare(a.at, b.at); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.to, b.to); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.from, b.from)
-	})
 	for i := range batch {
 		m := &batch[i]
 		dk := s.shardFor(m.to)

@@ -11,11 +11,14 @@ import (
 
 // sendReceiveAllocsPerMsg measures steady-state allocations per end-to-end
 // message — encode, network model, (outbox exchange on the sharded runtime),
-// arrival, decode, deliver — on any Runtime. The batch is sized so per-window
+// arrival, decode, deliver — on a bare kernel or the coordinator. The batch is sized so per-window
 // coordinator costs (boundary sort, barrier bookkeeping) amortize to noise;
 // a regression that makes them per-message shows up as a whole extra
 // allocation per event.
-func sendReceiveAllocsPerMsg(r Runtime, env node.Env) float64 {
+func sendReceiveAllocsPerMsg(r interface {
+	Run(until time.Duration) int64
+	Now() int64
+}, env node.Env) float64 {
 	e := &wire.Envelope{Kind: wire.KindApp, FromInc: 1, Payload: make([]byte, 64)}
 	var ssn uint64
 	round := func() {
@@ -40,10 +43,9 @@ func allocGateKernel() (*Kernel, node.Env) {
 
 // allocGateSharded splits the same two nodes across two shards, so every
 // message crosses a shard boundary: the outbox enqueue, the sorted flush, and
-// the window barrier all sit on the measured path. FIFODefer is on because
-// the cluster harness always pairs it with sharding.
+// the window barrier all sit on the measured path.
 func allocGateSharded() (*Sharded, node.Env) {
-	s := NewSharded(Config{Seed: 1, HW: hwFast(), FIFODefer: true}, 2)
+	s := NewSharded(Config{Seed: 1, HW: hwFast()}, 2)
 	s.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	s.AddNode(1, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	s.Boot()
@@ -52,17 +54,17 @@ func allocGateSharded() (*Sharded, node.Env) {
 
 // TestShardedScheduleDeliverAllocs is the sharded-path allocation regression
 // gate CI runs: routing a message through the conservative-window coordinator
-// must cost at most a fraction of an allocation per message over the classic
+// must cost at most a fraction of an allocation per message over a bare
 // kernel — the outbox slots, flush scratch, and boundary sort state are all
 // reused, so only per-window bookkeeping (amortized over the batch) remains.
 func TestShardedScheduleDeliverAllocs(t *testing.T) {
 	k, kenv := allocGateKernel()
-	classic := sendReceiveAllocsPerMsg(k, kenv)
+	bare := sendReceiveAllocsPerMsg(k, kenv)
 	s, senv := allocGateSharded()
 	sharded := sendReceiveAllocsPerMsg(s, senv)
-	t.Logf("allocs/msg: classic=%.3f sharded=%.3f", classic, sharded)
-	if sharded > classic+0.5 {
-		t.Errorf("sharded send/receive allocates %.3f/msg vs classic %.3f/msg; coordinator overhead must stay amortized per window, not per message", sharded, classic)
+	t.Logf("allocs/msg: bare=%.3f sharded=%.3f", bare, sharded)
+	if sharded > bare+0.5 {
+		t.Errorf("sharded send/receive allocates %.3f/msg vs bare kernel %.3f/msg; coordinator overhead must stay amortized per window, not per message", sharded, bare)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -10,9 +11,12 @@ import (
 	"rollrec/internal/cluster"
 	"rollrec/internal/failure"
 	"rollrec/internal/node"
+	"rollrec/internal/output"
 	"rollrec/internal/recovery"
 	"rollrec/internal/sim"
+	"rollrec/internal/timeline"
 	"rollrec/internal/trace"
+	"rollrec/internal/traffic"
 	"rollrec/internal/workload"
 )
 
@@ -67,12 +71,21 @@ func (l *laneHash) Span(ts, dur int64, proc int32, name string, tag trace.Tag) {
 	l.mix(proc, name, 4, uint64(ts), uint64(dur), uint64(tag.Kind), uint64(tag.Inc), uint64(tag.Arg))
 }
 
-// pathSpec is one sharded scenario of TestWindowPathsAgree.
+// pathSpec is one sharded scenario of TestWindowPathsAgree. With load set the
+// run carries everything that lives on the coordinator or is shared between
+// shards: an open-loop traffic engine (At callbacks), the output ledger and a
+// timeline sampler.
 type pathSpec struct {
 	name    string
 	cfg     cluster.Config
 	plan    failure.Plan
 	horizon time.Duration
+	load    *workload.Traffic
+}
+
+var harnessLoad = workload.Traffic{
+	Clients: 2, Frontends: 2, Backends: 4, FanOut: 2,
+	Load: 250, WorkPerHop: int64(500 * time.Microsecond), PayloadPad: 256,
 }
 
 var pathSpecs = []pathSpec{
@@ -102,14 +115,29 @@ var pathSpecs = []pathSpec{
 		plan:    failure.Plan{{At: 300 * time.Millisecond, Proc: 1}},
 		horizon: 6 * time.Second,
 	},
+	{
+		// Three-tier open-loop serving at the frontends' saturation knee with
+		// a backend crash (cluster's TestOutputsGoldenTraceHash, shortened).
+		name: "harness",
+		cfg: cluster.Config{
+			N: harnessLoad.N(), F: 1, Seed: 1, HW: node.Profile1995(), Style: recovery.NonBlocking,
+			App:             traffic.NewApp(harnessLoad),
+			CheckpointEvery: 2 * time.Second, StatePad: 1 << 20, TrackOutputs: true,
+		},
+		plan:    failure.Plan{{At: time.Second, Proc: 7}},
+		horizon: 5500 * time.Millisecond,
+		load:    &harnessLoad,
+	},
 }
 
 // pathResult is everything a run must reproduce whichever way its windows ran.
 type pathResult struct {
-	events  int64
-	digests []uint64
-	lanes   []uint64
-	windows sim.WindowStats
+	events   int64
+	digests  []uint64
+	lanes    []uint64
+	records  []output.Record
+	timeline []byte
+	windows  sim.WindowStats
 }
 
 func runPath(t *testing.T, spec pathSpec, shards int, force func(*sim.Sharded)) pathResult {
@@ -118,9 +146,14 @@ func runPath(t *testing.T, spec pathSpec, shards int, force func(*sim.Sharded)) 
 	cfg := spec.cfg
 	cfg.Shards, cfg.Tracer = shards, lanes
 	c := cluster.New(cfg)
-	s := c.K.(*sim.Sharded)
-	force(s)
+	force(c.K)
 	c.ApplyPlan(spec.plan)
+	var col *timeline.Collector
+	if spec.load != nil {
+		col = timeline.New(timeline.Config{Interval: 50 * time.Millisecond, N: cfg.N, Tiers: spec.load.TierSizes()})
+		c.AttachTimeline(col)
+		traffic.NewEngine(*spec.load, cfg.Seed).Attach(traffic.Host{At: c.K.At, Inject: c.Inject}, spec.horizon)
+	}
 	events, err := c.RunContext(context.Background(), spec.horizon)
 	if err != nil {
 		t.Fatal(err)
@@ -128,14 +161,26 @@ func runPath(t *testing.T, spec pathSpec, shards int, force func(*sim.Sharded)) 
 	if errs := c.Check(); len(errs) > 0 {
 		t.Fatalf("run inconsistent: %v", errs)
 	}
-	return pathResult{events, c.Digests(), lanes.lanes, s.Windows()}
+	res := pathResult{events: events, digests: c.Digests(), lanes: lanes.lanes, windows: c.K.Windows()}
+	if col != nil {
+		var buf bytes.Buffer
+		if err := col.Export().Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		res.records, res.timeline = c.Outputs().Records(), buf.Bytes()
+		if len(res.records) == 0 {
+			t.Fatal("idle cell: no outputs requested")
+		}
+	}
+	return res
 }
 
 // TestWindowPathsAgree is the proof obligation of the per-window choice: the
 // same scenario with every window forced inline, every window forced onto
 // goroutines, and the adaptive rule deciding must agree on the event count,
-// every application digest and every process's trace lane, at 2 and 4 shards
-// (CI also runs it under -race and -cpu 1,4).
+// every application digest, every process's trace lane, the output ledger and
+// the sampled timeline, at 2 and 4 shards (CI also runs it under -race and
+// -cpu 1,4).
 func TestWindowPathsAgree(t *testing.T) {
 	for _, spec := range pathSpecs {
 		for _, shards := range []int{2, 4} {
@@ -157,6 +202,9 @@ func TestWindowPathsAgree(t *testing.T) {
 					}
 					if !slices.Equal(got.lanes, adaptive.lanes) {
 						t.Errorf("forced %s: per-process trace lanes differ from the adaptive run's", name)
+					}
+					if !slices.Equal(got.records, adaptive.records) || !bytes.Equal(got.timeline, adaptive.timeline) {
+						t.Errorf("forced %s: output ledger or timeline export differs from the adaptive run's", name)
 					}
 				}
 				t.Logf("adaptive: %+v", adaptive.windows)

@@ -71,7 +71,7 @@ func (p *echoProc) Deliver(e *wire.Envelope) {
 // every frame crosses the shard boundary and both shards have work in every
 // window. Process 0 calls onTenth inside its tenth delivery.
 func echoPairs(parallel bool, onTenth func()) (*Sharded, []int) {
-	s := NewSharded(Config{Seed: 1, HW: hwFast(), FIFODefer: true}, 2)
+	s := NewSharded(Config{Seed: 1, HW: hwFast()}, 2)
 	s.ForceWindowPath(parallel)
 	got := make([]int, 4)
 	for i := range got {
@@ -162,14 +162,13 @@ func TestDenseWindowsFanOut(t *testing.T) {
 func TestInlineWindowAllocs(t *testing.T) {
 	s := NewSharded(Config{Seed: 1, HW: hwFast()}, 2)
 	nop := func() {}
-	ctx := context.Background()
 	var target int64
 	window := func() {
 		target += s.window
 		for _, k := range s.shards {
 			k.schedule(target, nop)
 		}
-		if n, _ := s.runInline(ctx, target); n != 2 {
+		if n := s.runInline(target); n != 2 {
 			t.Fatalf("window ran %d events, want 2", n)
 		}
 	}

@@ -12,8 +12,8 @@
 // min-heap, so the schedule/deliver hot path is allocation-free in steady
 // state (no per-event heap allocation, no interface boxing — see
 // bench_test.go for the container/heap baseline it replaced). The hottest
-// event kinds (network arrival, deferred delivery, deferred execution) are
-// encoded as typed slot fields instead of closures. Timers support real
+// event kinds (network arrival, timer fire, deferral-queue wake) are encoded
+// as typed slot fields instead of closures. Timers support real
 // cancellation: Stop removes the event from the heap and recycles its slot
 // immediately, while the deadline is credited to the processed-event
 // accounting so Run totals — and therefore BENCH snapshot cells — are
@@ -51,14 +51,8 @@ type Config struct {
 	// MaxEvents bounds the total number of processed events as a runaway
 	// guard; zero selects a generous default.
 	MaxEvents int64
-	// FIFODefer selects the FIFO busy-deferral queue: frames and callbacks
-	// that find the receiver busy join a per-node queue drained one item per
-	// wake event, instead of being re-pushed into the heap at busyUntil.
-	// Re-pushing is quadratic in the number of simultaneously deferred
-	// items (each pop re-pushes while the backlog drains), which dominates
-	// event counts at n=1024; the FIFO queue is linear. The deferral
-	// *ordering* differs from the classic re-push scheduler, so the flag is
-	// opt-in: the small-n golden traces pin the classic order.
+	// Ignored: FIFO busy deferral is the only discipline (see deferItem). The
+	// field survives because the frozen benchmark/ module sets it.
 	FIFODefer bool
 }
 
@@ -75,11 +69,12 @@ const (
 	// evArrive is a frame reaching its destination's network interface
 	// (ns may be nil for frames addressed to an unregistered node).
 	evArrive
-	// evDeliver is a frame whose delivery was deferred because the
-	// receiver was busy; epoch-guarded like exec.
-	evDeliver
-	// evWake drains one item from a node's FIFO deferral queue
-	// (Config.FIFODefer); epoch-guarded like exec.
+	// evRetired was the re-pushed busy-deferred delivery; never scheduled.
+	// The value stays so StepKindDeliver, which the frozen benchmark/ module
+	// names, keeps a kind of its own.
+	evRetired
+	// evWake drains one item from a node's FIFO deferral queue; epoch-guarded
+	// like exec.
 	evWake
 )
 
@@ -95,7 +90,7 @@ type event struct {
 	at     int64
 	seq    uint64
 	gen    uint64 // bumped on release; validates simTimer handles
-	epoch  uint64 // owning process incarnation (evExec, evDeliver)
+	epoch  uint64 // owning process incarnation (evExec, evWake)
 	ns     *nodeState
 	fn     func()
 	frame  []byte
@@ -135,14 +130,6 @@ type Kernel struct {
 	// rx is the one envelope every frame is decoded into; a handler returns
 	// before the next decode, and the slices are fresh per frame.
 	rx wire.Envelope
-
-	// Sampler hook: fired from inside the run loop at exact virtual-time
-	// boundaries without enqueueing events, so attaching a sampler consumes
-	// no sequence numbers, draws no randomness, and changes no event counts
-	// — the golden trace hash is identical with or without it.
-	samplerEvery int64
-	samplerNext  int64
-	samplerFn    func(now int64)
 
 	// Sharded-mode hooks (see shard.go). arrivalSink, when non-nil,
 	// intercepts every scheduled arrival instead of enqueueing it locally:
@@ -237,35 +224,6 @@ func (k *Kernel) QueueDepth() int { return len(k.heap) }
 // InFlightFrames returns the number of frames scheduled on the network but
 // not yet arrived.
 func (k *Kernel) InFlightFrames() int { return k.inflight }
-
-// SetSampler installs fn to be invoked at every multiple of `every` in
-// virtual time, from inside the run loop. The contract that keeps sampling
-// observation-only: a sample at boundary b runs after every event with
-// at < b and before any event with at >= b, fn must not schedule events or
-// touch kernel state, and the boundary clock persists across Run calls.
-// Because no event is enqueued, the event sequence, the processed-event
-// totals, and the golden trace hash are bit-identical with sampling on or
-// off. A nil fn detaches the sampler.
-func (k *Kernel) SetSampler(every time.Duration, fn func(now int64)) {
-	if fn == nil {
-		k.samplerFn = nil
-		return
-	}
-	if every <= 0 {
-		panic(fmt.Sprintf("sim: SetSampler(%v): non-positive sampling interval", every))
-	}
-	k.samplerEvery = int64(every)
-	k.samplerNext = (k.now/k.samplerEvery + 1) * k.samplerEvery
-	k.samplerFn = fn
-}
-
-// fireSampler invokes the sampler at every pending boundary <= upto.
-func (k *Kernel) fireSampler(upto int64) {
-	for k.samplerFn != nil && k.samplerNext <= upto {
-		k.samplerFn(k.samplerNext)
-		k.samplerNext += k.samplerEvery
-	}
-}
 
 // Net exposes the network model for partition injection and counters.
 func (k *Kernel) Net() *netmodel.Network { return k.net }
@@ -520,7 +478,7 @@ func (k *Kernel) schedule(at int64, fn func()) {
 }
 
 // scheduleExec enqueues an epoch-guarded callback on ns (timer fires and
-// busy-deferred callbacks) without allocating a wrapper closure.
+// storage completions) without allocating a wrapper closure.
 //
 //rollvet:hotpath
 func (k *Kernel) scheduleExec(at int64, ns *nodeState, epoch uint64, fn func()) int32 {
@@ -546,19 +504,6 @@ func (k *Kernel) scheduleArrive(at int64, ns *nodeState, frame []byte, sentAt in
 	s.frame = frame
 	s.sentAt = sentAt
 	k.inflight++
-	k.push(i)
-}
-
-// scheduleDeliver enqueues a busy-deferred delivery.
-//
-//rollvet:hotpath
-func (k *Kernel) scheduleDeliver(at int64, ns *nodeState, frame []byte, epoch uint64) {
-	i := k.newEvent(at)
-	s := &k.slots[i]
-	s.kind = evDeliver
-	s.ns = ns
-	s.frame = frame
-	s.epoch = epoch
 	k.push(i)
 }
 
@@ -606,10 +551,6 @@ func (k *Kernel) RunContext(ctx context.Context, until time.Duration) (int64, er
 		if at > limit {
 			break
 		}
-		// Sample boundaries up to and including this event's time, before it
-		// dispatches: a tick at boundary b observes the state produced by
-		// all events with at < b and none with at >= b.
-		k.fireSampler(at)
 		e := k.slots[top] // copy out: dispatch may grow or recycle the arena
 		k.popTop()
 		k.release(top)
@@ -638,8 +579,6 @@ func (k *Kernel) RunContext(ctx context.Context, until time.Duration) (int64, er
 			if e.ns != nil {
 				k.frameArrived(e.ns, e.frame, e.sentAt)
 			}
-		case evDeliver:
-			k.deliver(e.ns, e.frame, e.epoch)
 		case evWake:
 			k.wake(e.ns, e.epoch)
 		}
@@ -653,10 +592,6 @@ func (k *Kernel) RunContext(ctx context.Context, until time.Duration) (int64, er
 		processed++
 		k.countEvent()
 	}
-	// Fire the remaining boundaries between the last dispatched event and
-	// the horizon: a run to `until` always yields floor(until/interval)
-	// samples, quiescent tail included.
-	k.fireSampler(limit)
 	if limit > k.now {
 		k.now = limit
 	}
@@ -752,9 +687,8 @@ type nodeState struct {
 	met       *metrics.Proc
 	downSpan  trace.SpanRef // open crash→restart span
 
-	// FIFO busy-deferral queue (Config.FIFODefer); defHead indexes the next
-	// item so draining is O(1) per item without reslicing the backing array
-	// away from reuse.
+	// FIFO busy-deferral queue; defHead indexes the next item so draining is
+	// O(1) per item without reslicing the backing array away from reuse.
 	defq      []defItem
 	defHead   int
 	wakeArmed bool
@@ -842,20 +776,15 @@ func (k *Kernel) frameArrived(ns *nodeState, frame []byte, sentAt int64) {
 	k.deliver(ns, frame, ns.epoch)
 }
 
-// deliver decodes and delivers a frame on the process's current epoch,
-// deferring (via a typed, allocation-free event) while the receiver is
-// busy — the same semantics exec gives callbacks, inlined to keep the
-// message hot path free of closures.
+// deliver decodes and delivers a frame on the process's current epoch, or
+// queues it behind the receiver's other deferred work while it is busy — the
+// same semantics exec gives callbacks.
 func (k *Kernel) deliver(ns *nodeState, frame []byte, epoch uint64) {
 	if ns.epoch != epoch || !ns.up {
 		return
 	}
 	if ns.busyUntil > k.now {
-		if k.cfg.FIFODefer {
-			ns.deferItem(defItem{epoch: epoch, frame: frame})
-		} else {
-			k.scheduleDeliver(ns.busyUntil, ns, frame, epoch)
-		}
+		ns.deferItem(defItem{epoch: epoch, frame: frame})
 		return
 	}
 	e := &k.rx
@@ -881,11 +810,7 @@ func (ns *nodeState) exec(epoch uint64, fn func()) {
 		return
 	}
 	if ns.busyUntil > ns.k.now {
-		if ns.k.cfg.FIFODefer {
-			ns.deferItem(defItem{epoch: epoch, fn: fn})
-		} else {
-			ns.k.scheduleExec(ns.busyUntil, ns, epoch, fn)
-		}
+		ns.deferItem(defItem{epoch: epoch, fn: fn})
 		return
 	}
 	fn()
@@ -918,7 +843,8 @@ func (ns *nodeState) armWake() {
 // wake drains exactly one FIFO-deferred item: processing it makes the node
 // busy again, so the queue re-arms for the new busyUntil rather than
 // burning through the backlog at one virtual instant. One item per event
-// keeps deferral linear where the re-push scheduler is quadratic.
+// keeps deferral linear in the backlog; re-pushing every deferred item into
+// the heap at busyUntil would be quadratic.
 func (k *Kernel) wake(ns *nodeState, epoch uint64) {
 	if ns.epoch != epoch || !ns.up {
 		return

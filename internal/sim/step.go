@@ -44,13 +44,14 @@ const (
 	// StepKindFunc runs a harness/internal closure.
 	StepKindFunc = evFunc
 	// StepKindExec is an epoch-guarded process callback (timer fire,
-	// deferred execution).
+	// storage completion).
 	StepKindExec = evExec
 	// StepKindArrive is a frame reaching its destination's network
 	// interface.
 	StepKindArrive = evArrive
-	// StepKindDeliver is a busy-deferred frame delivery.
-	StepKindDeliver = evDeliver
+	// StepKindDeliver is never reported (busy-deferred deliveries drain
+	// through StepKindWake); the frozen benchmark/ module still names it.
+	StepKindDeliver = evRetired
 	// StepKindWake drains one item from a node's FIFO deferral queue.
 	StepKindWake = evWake
 )

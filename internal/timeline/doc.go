@@ -6,8 +6,8 @@
 //
 // The Collector is runtime-agnostic: it never schedules anything itself.
 // A sampler owned by the hosting runtime calls Tick at each boundary — the
-// simulator fires it from inside the event loop at exact virtual-time
-// boundaries without enqueueing events (sim.Kernel.SetSampler), so enabling
+// simulator fires it between shard runs at exact virtual-time boundaries
+// without enqueueing events ((*sim.Sharded).SetSampler), so enabling
 // sampling perturbs neither the event sequence nor the golden trace hash;
 // the livenet runtime drives the same Collector from a wall-clock ticker,
 // making sim and live timelines directly comparable.

@@ -19,7 +19,7 @@
 //     latency under each style's output-commit rule.
 //
 //   - engine.go: the harness-side open-loop source. It schedules
-//     arrivals on the simulation clock via kernel timers and offers
+//     arrivals on the simulation clock as harness callbacks and offers
 //     each to its client through a per-style injection point
 //     (fbl/coord/optimistic Process.Inject); arrivals during downtime
 //     are shed, never queued, which is what makes the loop open.

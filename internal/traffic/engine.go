@@ -26,10 +26,10 @@ type Host struct {
 // Determinism: each client owns a PRNG seeded from (runSeed, client), and
 // both its gaps and its request bodies come from that stream, so the full
 // arrival schedule is a pure function of the seed and spec. Gaps are
-// sampled with the integer-only samplers in arrival.go and scheduled via
-// kernel timers (the PR 6 sampler discipline), so attaching the engine
-// perturbs no existing event ordering and golden traces without traffic
-// stay byte-identical.
+// sampled with the integer-only samplers in arrival.go and scheduled as
+// harness callbacks (sim.Sharded.At: between shard runs, before the instant's
+// process events), so an arrival's order against the cluster's events is the
+// same for any shard count.
 type Engine struct {
 	spec    workload.Traffic
 	host    Host
