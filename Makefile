@@ -98,8 +98,9 @@ bench-micro:
 # bench-kernel runs the sim-kernel scheduler microbenchmarks against the
 # in-test container/heap baseline, plus the AllocsPerRun regression gates
 # (scheduler, the inline window of the sharded coordinator, output ledger,
-# determinant log, and the buffer-ownership gates of DESIGN §5: frame encode,
-# heartbeat tick and delivery, checkpoint image).
+# determinant log, and the buffer-ownership gates of DESIGN §5: frame encode
+# and decode, heartbeat tick and delivery, piggyback transmit and delivery,
+# checkpoint image).
 bench-kernel:
 	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/fbl ./internal/coord ./internal/optimistic -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
 

@@ -205,11 +205,16 @@ func FromWords(words []uint64) Set {
 	if len(words) == 0 {
 		return Set{}
 	}
-	//rollvet:allow hotalloc -- the copy is the product: det.Log's scans hand out one holder-set clone per offered entry
 	w := make([]uint64, len(words))
 	copy(w, words)
 	return Set{words: w}
 }
+
+// View returns a read-only set that aliases words instead of copying them,
+// valid until the owner of words next writes them. The determinant log's
+// scans, the piggyback scratch and the frame decoder hand out views into
+// buffers they reuse; Clone keeps one.
+func View(words []uint64) Set { return Set{words: words} }
 
 // String renders the set as "{a,b,c}".
 func (s Set) String() string {

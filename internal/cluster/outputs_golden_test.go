@@ -20,7 +20,7 @@ import (
 // the piggyback (stable entries keep going, DESIGN §10), so determinants
 // the receiver has collected come back, and which of those are offered
 // again, and when a waiting output is released, is decided by code no
-// other golden reaches (fbl.unlessSent, fbl.checkOutputs). The trace
+// other golden reaches (fbl.memoise, fbl.checkOutputs). The trace
 // carries every send, delivery and output-commit span, so it moves with
 // any of them; it is the same per-process lane fold as goldenTraceHash. The
 // value must survive any refactor of the determinant log.

@@ -48,9 +48,10 @@ const (
 
 // Process is one coordinated-checkpointing protocol instance.
 type Process struct {
-	env node.Env
-	par Params
-	n   int
+	env   node.Env
+	par   Params
+	n     int
+	peers []ids.ProcID // everyone else, in id order: the markers' and rollbacks' destinations
 
 	app     workload.App
 	started bool
@@ -110,6 +111,7 @@ func New(par Params) node.Factory {
 func (p *Process) Boot(env node.Env, restart bool) {
 	p.env = env
 	p.n = env.N()
+	p.peers = ids.Peers(env.ID(), p.n)
 	p.dseqOut = make([]uint64, p.n)
 	p.expDseq = make([]uint64, p.n)
 	p.oooBuf = make([]map[uint64]*wire.Envelope, p.n)
@@ -191,17 +193,12 @@ func (p *Process) broadcastRollback(snapID uint32, restartOrigin bool) {
 	if restartOrigin {
 		tag = rollbackRestartOrigin
 	}
-	for q := 0; q < p.n; q++ {
-		if ids.ProcID(q) == p.env.ID() {
-			continue
-		}
-		p.env.Send(ids.ProcID(q), &wire.Envelope{
-			Kind:    wire.KindRollback,
-			FromInc: ids.Incarnation(p.epoch),
-			Round:   snapID,
-			Dseq:    tag,
-		})
-	}
+	p.env.Multicast(p.peers, &wire.Envelope{
+		Kind:    wire.KindRollback,
+		FromInc: ids.Incarnation(p.epoch),
+		Round:   snapID,
+		Dseq:    tag,
+	})
 }
 
 // restartFromScratch rebuilds the initial state (used when no snapshot was

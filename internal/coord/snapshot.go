@@ -48,17 +48,11 @@ func (p *Process) beginLocalSnapshot(id uint32, exclude ids.ProcID) {
 		p.recording[q] = true
 		p.openChans++
 	}
-	for q := 0; q < p.n; q++ {
-		pid := ids.ProcID(q)
-		if pid == p.env.ID() {
-			continue
-		}
-		p.env.Send(pid, &wire.Envelope{
-			Kind:    wire.KindMarker,
-			FromInc: ids.Incarnation(p.epoch),
-			Round:   id,
-		})
-	}
+	p.env.Multicast(p.peers, &wire.Envelope{
+		Kind:    wire.KindMarker,
+		FromInc: ids.Incarnation(p.epoch),
+		Round:   id,
+	})
 	if p.openChans == 0 {
 		p.completeLocalSnapshot()
 	}
@@ -122,13 +116,11 @@ func (p *Process) maybeCommit() {
 	}
 	id := p.snapID
 	p.initiatorWaiting = nil
-	for q := 1; q < p.n; q++ {
-		p.env.Send(ids.ProcID(q), &wire.Envelope{
-			Kind:    wire.KindSnapCommit,
-			FromInc: ids.Incarnation(p.epoch),
-			Round:   id,
-		})
-	}
+	p.env.Multicast(p.peers, &wire.Envelope{ // we are the initiator, process 0
+		Kind:    wire.KindSnapCommit,
+		FromInc: ids.Incarnation(p.epoch),
+		Round:   id,
+	})
 	p.commit(id)
 }
 

@@ -22,8 +22,8 @@ func pendingLog(cfg Config, n int) *Log {
 
 // TestHotPathAllocs is the runtime face of the //rollvet:hotpath
 // annotations in this package: recording into a warm slab, adding a holder,
-// and reading the pending set allocate nothing, and a selection scan
-// allocates exactly the holder-set clone of each entry it offers.
+// reading the pending set and a selection scan — which offers views into
+// the slab, not copies — allocate nothing.
 func TestHotPathAllocs(t *testing.T) {
 	cfg := Config{N: 32, F: 1}
 	const live = 512
@@ -68,9 +68,8 @@ func TestHotPathAllocs(t *testing.T) {
 
 	offered := 0
 	count := func(Entry) { offered++ }
-	perScan := testing.AllocsPerRun(20, func() { l.ScanPendingModified(0, count) })
-	if want := float64(l.PendingCount()); perScan != want {
-		t.Errorf("scan of %v pending entries: %v allocs, want exactly one holder clone each", want, perScan)
+	if got := testing.AllocsPerRun(20, func() { l.ScanPendingModified(0, count) }); got != 0 || offered == 0 {
+		t.Errorf("scan of %d pending entries: %v allocs (%d offered), want 0: entries are views", l.PendingCount(), got, offered)
 	}
 	gen := l.ScanModified(0, count)
 	if got := testing.AllocsPerRun(20, func() { l.ScanModified(gen, count) }); got != 0 {

@@ -410,15 +410,18 @@ func (l *Log) AddHolder(msg ids.MsgID, p ids.ProcID) {
 	}
 }
 
-// entry returns a copy of entry i, its holder set trimmed to the words in
-// use. This clone is the one allocation a scan makes per entry it offers.
-func (l *Log) entry(i int32) Entry {
+// view returns entry i with its holder set, trimmed to the words in use,
+// aliasing the slab arena: valid until the log is next modified.
+func (l *Log) view(i int32) Entry {
 	w := l.holders(i)
 	for len(w) > 0 && w[len(w)-1] == 0 {
 		w = w[:len(w)-1]
 	}
-	return Entry{Det: l.slots[i].det, Holders: bitset.FromWords(w)}
+	return Entry{Det: l.slots[i].det, Holders: bitset.View(w)}
 }
+
+// entry returns a copy of entry i that the caller owns.
+func (l *Log) entry(i int32) Entry { return l.view(i).Clone() }
 
 // Lookup returns the determinant entry for msg, if present.
 func (l *Log) Lookup(msg ids.MsgID) (Entry, bool) {
@@ -436,8 +439,10 @@ func (l *Log) StableOrGone(msg ids.MsgID) bool {
 	return i < 0 || l.slots[i].stable
 }
 
-// scan invokes fn with a copy of every entry on lst modified after
-// generation since, oldest change first. fn must not modify the log.
+// scan invokes fn with a view of every entry on lst modified after
+// generation since, oldest change first. The view's holder set aliases the
+// slab (bitset.View): fn reads it or copies what it keeps, and must not
+// modify the log.
 //
 //rollvet:hotpath
 func (l *Log) scan(lst list, since int, fn func(Entry)) {
@@ -446,15 +451,16 @@ func (l *Log) scan(lst list, since int, fn func(Entry)) {
 		first = i
 	}
 	for i := first; i >= 0; i = l.slots[i].next {
-		fn(l.entry(i))
+		fn(l.view(i))
 	}
 }
 
-// ScanPendingModified invokes fn with a copy of every non-stable entry
-// whose holders changed after generation since (zero or negative: every
-// pending entry) and returns the current generation — the value to pass
-// next time to see only what changed in between. This is piggyback
-// selection: the caller keeps one generation per destination.
+// ScanPendingModified invokes fn with a view (see scan) of every non-stable
+// entry whose holders changed after generation since (zero or negative:
+// every pending entry) and returns the current generation — the value to
+// pass next time to see only what changed in between. This is piggyback
+// selection: the caller keeps one generation per destination and copies the
+// entries it decides to send, nothing else.
 func (l *Log) ScanPendingModified(since int, fn func(Entry)) int {
 	l.scan(l.pending, since, fn)
 	return l.gen

@@ -268,3 +268,51 @@ func TestAllIsDeepCopy(t *testing.T) {
 		t.Fatal("All must not alias the log's holder arena")
 	}
 }
+
+// TestScanOffersViewsOfTheSlab pins what a scan callback is handed (DESIGN
+// §5): the entry Lookup would copy, but as a view of the slab — so it
+// follows the log's next change, and only what the callback copied does not.
+// Fanout-mode transmit is the live case: it adds the destination as a holder
+// of every entry it has just selected, and the frame must carry the sets as
+// selected.
+func TestScanOffersViewsOfTheSlab(t *testing.T) {
+	l := NewLog(Config{N: 70, F: 3}) // two holder words
+	for i := 1; i <= 5; i++ {
+		if err := l.Record(entry(1, ids.SSN(i), 2, ids.RSN(i), 2, 64+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var views, copies []Entry
+	l.ScanPendingModified(0, func(e Entry) {
+		have, ok := l.Lookup(e.Det.Msg)
+		if !ok || have.Det != e.Det || !have.Holders.Equal(e.Holders) {
+			t.Fatalf("scan offered %v %v, Lookup says %v %v", e.Det, e.Holders, have.Det, have.Holders)
+		}
+		views = append(views, e)
+		copies = append(copies, e.Clone())
+	})
+	if len(views) != 5 {
+		t.Fatalf("scan offered %d entries, want 5", len(views))
+	}
+	for _, e := range copies {
+		l.AddHolder(e.Det.Msg, 9)
+	}
+	l.GCReceiver(2, 2)                                         // frees two slots…
+	if err := l.Record(entry(3, 1, 4, 1, 4, 69)); err != nil { // …and reuses one
+		t.Fatal(err)
+	}
+	for i, e := range copies {
+		if want := bitset.FromSlice([]int{2, 65 + i}); !e.Holders.Equal(want) {
+			t.Fatalf("copied entry %d has holders %v after the log changed, want %v", i, e.Holders, want)
+		}
+	}
+	moved := 0
+	for i, e := range views {
+		if !e.Holders.Equal(copies[i].Holders) {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no view followed the slab: the scan is handing out copies again (and allocating them)")
+	}
+}

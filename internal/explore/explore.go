@@ -193,10 +193,11 @@ type branchResult struct {
 
 // runBranch builds a fresh instance of the spec's scenario, applies the
 // plan, runs it to the horizon, and collects the terminal evidence.
-// recordAll additionally keeps the full per-step prefix-hash array (the
-// probe run needs it; branches only need the hash at their own cut).
+// recordAll additionally keeps the decision points and the full per-step
+// prefix-hash array (the probe run needs them; branches only need the hash
+// at their own cut).
 func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool) (*branchResult, error) {
-	in := build(spec)
+	in := build(spec, recordAll)
 	res := &branchResult{}
 	cut := int64(-1)
 	for _, cr := range plan {

@@ -52,6 +52,7 @@ const maxRecorded = 1 << 16
 type decisionTracer struct {
 	steps      func() int64 // kernel step counter; wired after kernel build
 	pointLimit int64        // only events at/before this virtual time become candidates
+	wantPoints bool         // the probe run: only its points are ever read
 	points     []point
 	recSteps   []int64
 }
@@ -70,7 +71,7 @@ var recvWhy = func() (why [wire.KindCount]string) {
 func (d *decisionTracer) Enabled() bool { return true }
 
 func (d *decisionTracer) mark(ts int64, why string) {
-	if d.steps == nil || ts > d.pointLimit || len(d.points) >= maxRecorded {
+	if !d.wantPoints || d.steps == nil || ts > d.pointLimit || len(d.points) >= maxRecorded {
 		return
 	}
 	d.points = append(d.points, point{Step: d.steps(), At: ts, Why: why})
@@ -150,14 +151,18 @@ type instance struct {
 }
 
 // build constructs a fresh instance of the spec's scenario on the cluster
-// harness, with the decision tracer on the kernel's trace stream and the
-// output ledger's conflict probe armed.
-func build(spec Spec) *instance {
+// harness, with the decision tracer on the kernel's trace stream (marking
+// decision points only if wantPoints) and the output ledger's conflict probe
+// armed.
+func build(spec Spec, wantPoints bool) *instance {
 	sc, ok := scenarios[spec.Family]
 	if !ok {
 		panic(fmt.Sprintf("explore: unknown family %q", spec.Family))
 	}
-	in := &instance{tracer: &decisionTracer{pointLimit: int64(spec.Horizon - spec.SettleSlack)}}
+	in := &instance{tracer: &decisionTracer{
+		pointLimit: int64(spec.Horizon - spec.SettleSlack),
+		wantPoints: wantPoints,
+	}}
 	in.c = cluster.New(cluster.Config{
 		Family:          spec.Family,
 		N:               spec.N,

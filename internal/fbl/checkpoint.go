@@ -227,22 +227,11 @@ func (p *Process) doCheckpoint() {
 			CPRsn:         rsnAt,
 			SSNWatermarks: expAt,
 		}
-		if p.par.Fanout > 0 {
-			// Fanout mode: the broadcast is O(n²) cluster-wide, so the
-			// notice goes to the ring successors only. Everyone else learns
-			// the watermarks from the CPRsn/CPDseq piggyback on the next
-			// application send (see transmit).
-			for _, q := range p.succ {
-				p.env.Send(q, notice)
-			}
-		} else {
-			for q := 0; q < p.n; q++ {
-				if ids.ProcID(q) == p.env.ID() {
-					continue
-				}
-				p.env.Send(ids.ProcID(q), notice)
-			}
-		}
+		// Fanout mode: the broadcast is O(n²) cluster-wide, so the notice
+		// goes to the ring successors only. Everyone else learns the
+		// watermarks from the CPRsn/CPDseq piggyback on the next application
+		// send (see transmit).
+		p.env.Multicast(p.succ, notice)
 		if p.cfg.Manetho() {
 			p.env.Send(ids.StorageProc, notice)
 		}

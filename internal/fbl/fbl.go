@@ -181,9 +181,18 @@ type Process struct {
 	// whole pending set again.
 	scanGen []int
 	// detSent is, under output tracking only, each destination's memo of
-	// the holder set it was last offered per determinant (see unlessSent);
-	// reset when the destination reincarnates.
-	detSent []map[uint64]uint64 // keyed by memoKey(det.Msg)
+	// the holder set it was last offered per determinant (see memoise):
+	// detSent[to][sender][ssn] is the fingerprint, 0 for never offered. SSNs
+	// are dense per sender (every send takes the next one), so a row is as
+	// long as the sender's send count. A destination's rows are dropped when
+	// it reincarnates.
+	detSent [][][]uint64
+	// piggy and piggyWords are transmit's scratch: the entries one frame
+	// piggybacks and the arena their holder sets are views into, overwritten
+	// by the next transmit. tx is the envelope it sends them in.
+	piggy      []det.Entry
+	piggyWords []uint64
+	tx         wire.Envelope
 	// replayServed remembers, per requester, the highest send-log dseq
 	// already retransmitted to a given incarnation, so periodic replay-
 	// request retries do not flood the recovering process with redundant
@@ -193,8 +202,8 @@ type Process struct {
 
 	mgr    *recovery.Manager
 	detect *failure.Detector
-	// succ is the fanout-mode ring(+1) neighborhood heartbeats and
-	// checkpoint notices go to; fixed at Boot.
+	// succ is where heartbeats and checkpoint notices go: the fanout-mode
+	// ring(+1) neighborhood, or every peer in id order; fixed at Boot.
 	succ []ids.ProcID
 
 	// Replay state.
@@ -257,7 +266,7 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	p.scanGen = make([]int, p.n)
 	p.replayServed = make([]servedMark, p.n)
 	if p.par.Outputs != nil {
-		p.detSent = make([]map[uint64]uint64, p.n)
+		p.detSent = make([][][]uint64, p.n)
 		p.outWaiters = make(map[ids.MsgID][]*outWait)
 		p.dets.OnSettled(p.noteSettled)
 	}
@@ -273,6 +282,8 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	if p.par.Fanout > 0 {
 		p.detect.SetMonitored(p.ring(-1))
 		p.succ = p.ring(+1)
+	} else {
+		p.succ = ids.Peers(env.ID(), p.n)
 	}
 	p.startTimers()
 
@@ -323,25 +334,14 @@ func (p *Process) oooBufFor(from ids.ProcID) map[uint64]*wire.Envelope {
 }
 
 func (p *Process) startTimers() {
-	// One envelope for every tick and destination: Send serializes at once.
+	// One envelope for every tick, one frame for every destination. In
+	// fanout mode each process pings its k ring successors, so each is
+	// monitored by its k predecessors.
 	hb := &wire.Envelope{Kind: wire.KindHeartbeat}
 	var beat func()
 	beat = func() {
 		hb.FromInc = p.inc
-		if p.par.Fanout > 0 {
-			// Ring heartbeats: each process pings its k successors, so each
-			// is monitored by its k predecessors.
-			for _, q := range p.succ {
-				p.env.Send(q, hb)
-			}
-		} else {
-			for q := 0; q < p.n; q++ {
-				if ids.ProcID(q) == p.env.ID() {
-					continue
-				}
-				p.env.Send(ids.ProcID(q), hb)
-			}
-		}
+		p.env.Multicast(p.succ, hb)
 		p.detect.Tick(p.env.Now())
 		p.env.After(p.par.HeartbeatEvery, beat)
 	}
@@ -397,6 +397,7 @@ func (p *Process) Deliver(in *wire.Envelope) {
 	// subsequent sends forward them (the causal propagation of §2.1).
 	if e.Kind == wire.KindApp && len(e.Dets) > 0 {
 		p.absorbDets(e.Dets)
+		e.Dets = nil // merged: a Keep below has nothing left to copy
 	}
 	if e.Kind == wire.KindApp && p.par.Fanout > 0 {
 		p.applyPiggybackGC(e)

@@ -51,6 +51,11 @@ func (f *fakeEnv) Send(to ids.ProcID, e *wire.Envelope) {
 	c.To = to
 	f.sent = append(f.sent, c)
 }
+func (f *fakeEnv) Multicast(dests []ids.ProcID, e *wire.Envelope) {
+	for _, to := range dests {
+		f.Send(to, e)
+	}
+}
 func (f *fakeEnv) After(time.Duration, func()) node.Timer { return noopTimer{} }
 func (f *fakeEnv) Busy(time.Duration)                     {}
 func (f *fakeEnv) ReadStable(k string, cb func(storage.Image, bool)) {

@@ -6,9 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"rollrec/internal/bitset"
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
+	"rollrec/internal/output"
 	"rollrec/internal/recovery"
 	"rollrec/internal/sim"
 	"rollrec/internal/storage"
@@ -18,8 +20,9 @@ import (
 
 // These tests pin the buffer-ownership contract (DESIGN §5) on the FBL
 // side: Deliver may be handed an envelope the runtime reuses, a heartbeat
-// costs nothing to receive and one frame per destination to send, and a
-// checkpoint image is allocated once.
+// costs nothing to receive and one frame per tick to send, a piggyback costs
+// nothing per determinant on either side, and a checkpoint image is
+// allocated once.
 
 // reusedRx delivers every frame through one envelope, as sim.Kernel does.
 type reusedRx struct {
@@ -150,7 +153,7 @@ func TestHeartbeatDeliverAllocs(t *testing.T) {
 	}
 }
 
-func idleCluster(t *testing.T, n, pad int) *sim.Kernel {
+func idleCluster(t *testing.T, n, pad int, outs output.Sink) *sim.Kernel {
 	t.Helper()
 	k := sim.New(sim.Config{Seed: 1, HW: simHW()})
 	par := Params{
@@ -161,6 +164,7 @@ func idleCluster(t *testing.T, n, pad int) *sim.Kernel {
 		StatePad:        pad,
 		HeartbeatEvery:  50 * time.Millisecond,
 		SuspectAfter:    400 * time.Millisecond,
+		Outputs:         outs,
 	}
 	for i := 0; i < n; i++ {
 		k.AddNode(ids.ProcID(i), New(par))
@@ -171,15 +175,190 @@ func idleCluster(t *testing.T, n, pad int) *sim.Kernel {
 }
 
 // TestHeartbeatTickAllocs: one heartbeat period of an idle n-process
-// cluster allocates, per process, n-1 frames and the re-armed timer handle
-// — no envelope per destination on the way out, none per frame on the way
-// in.
+// cluster allocates, per process, one frame — Multicast encodes the tick
+// once for all n-1 destinations — and the re-armed timer handle: no envelope
+// per destination on the way out, none per frame on the way in.
 func TestHeartbeatTickAllocs(t *testing.T) {
 	const n = 4
-	k := idleCluster(t, n, 0)
+	k := idleCluster(t, n, 0, nil)
 	period := func() { k.Run(time.Duration(k.Now()) + 50*time.Millisecond) }
-	if got, want := testing.AllocsPerRun(20, period), float64(n*(n-1)+n); got != want {
-		t.Fatalf("a heartbeat period allocates %.1f times, want %.0f (n(n-1) frames + n timer handles)", got, want)
+	if got, want := testing.AllocsPerRun(20, period), float64(n+n); got != want {
+		t.Fatalf("a heartbeat period allocates %.1f times, want %.0f (n frames + n timer handles)", got, want)
+	}
+}
+
+// pendingEntry is determinant i of a synthetic log: a delivery at p2 or p3
+// held by its receiver only, so it is pending at f = 1 and has p0 and p1
+// still to reach.
+func pendingEntry(i int) det.Entry {
+	recv := ids.ProcID(2 + i%2)
+	return det.Entry{
+		Det:     det.Determinant{Msg: ids.MsgID{Sender: ids.ProcID(3 - i%2), SSN: ids.SSN(i/2 + 1)}, Receiver: recv, RSN: ids.RSN(i/2 + 1)},
+		Holders: bitset.FromSlice([]int{int(recv)}),
+	}
+}
+
+// chainPayload is a payload the inert RandomPeer application parses and
+// drops: ttl 0, a body, no padding.
+var chainPayload = make([]byte, 16)
+
+// TestTransmitSteadyStateAllocs: a warmed process sending a message with k
+// piggybacked determinants allocates the send-log copy of the payload and
+// the frame, nothing per determinant — selection reads views of the slab,
+// the accepted entries land in the process's scratch, and under output
+// tracking the memo is rows it already has.
+func TestTransmitSteadyStateAllocs(t *testing.T) {
+	const k = 64
+	for name, outs := range map[string]output.Sink{"plain": nil, "output tracking": output.NewLedger(4)} {
+		t.Run(name, func(t *testing.T) {
+			kern := idleCluster(t, 4, 0, outs)
+			p := kern.ProcOf(0).(*Process)
+			for i := 0; i < k; i++ {
+				if err := p.dets.Record(pendingEntry(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sent := p.env.Metrics().PiggybackDets
+			send := func() {
+				// Offer p1 everything again, as if nothing had been: the
+				// scan starts over and the memo has forgotten.
+				p.scanGen[1] = 0
+				if p.detSent != nil {
+					for _, row := range p.detSent[1] {
+						clear(row)
+					}
+				}
+				appCtx{p}.Send(1, chainPayload)
+			}
+			got := testing.AllocsPerRun(100, send)
+			if per := (p.env.Metrics().PiggybackDets - sent) / 101; per != k {
+				t.Fatalf("setup: %d determinants per message, want %d", per, k)
+			}
+			if got != 2 {
+				t.Fatalf("sending a message with %d piggybacked determinants allocates %.1f times, want 2 (send-log copy, frame)", k, got)
+			}
+		})
+	}
+}
+
+// TestDeliverPiggybackAllocs: delivering that message the way the simulator
+// does — one decoder, one envelope — allocates the payload and nothing per
+// determinant: the decoder reuses its buffers and the log copies what it
+// merges into its slab.
+func TestDeliverPiggybackAllocs(t *testing.T) {
+	const k, runs = 64, 100
+	e := &wire.Envelope{Kind: wire.KindApp, From: 1, FromInc: 1, Payload: chainPayload}
+	for i := 0; i < k; i++ {
+		e.Dets = append(e.Dets, pendingEntry(i))
+	}
+	frames := make([][]byte, runs+1) // AllocsPerRun warms up with one more
+	for i := range frames {
+		e.SSN, e.Dseq = ids.SSN(i+1), uint64(i+1)
+		frames[i] = wire.Encode(e)
+	}
+	p, _ := bootProc(t, 0, 4, 1)
+	var (
+		dec  wire.Decoder
+		rx   wire.Envelope
+		next int
+	)
+	deliver := func() {
+		if err := dec.Decode(&rx, frames[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		p.Deliver(&rx)
+	}
+	if got := testing.AllocsPerRun(runs, deliver); got != 1 {
+		t.Fatalf("delivering a message with %d piggybacked determinants allocates %.1f times, want 1 (the payload)", k, got)
+	}
+	if p.RSN() != runs+1 || p.dets.Len() != k+runs+1 {
+		t.Fatalf("setup: rsn %d, %d determinants held; want %d deliveries and %d entries", p.RSN(), p.dets.Len(), runs+1, k+runs+1)
+	}
+}
+
+// TestPiggybackIsACopyOfWhatWasSelected: fanout-mode transmit adds the
+// destination as a holder of every entry right after selecting it, and the
+// next transmit overwrites the scratch; neither may reach a frame already
+// handed to Send, and the mutation hook that drops the piggyback must not
+// drop the scratch with it.
+func TestPiggybackIsACopyOfWhatWasSelected(t *testing.T) {
+	env := newFakeEnv(0, 4)
+	par := testParams(4, 2)
+	par.Fanout = 2
+	p := New(par)().(*Process)
+	p.Boot(env, false)
+	const k = 6
+	for i := 0; i < k; i++ {
+		if err := p.dets.Record(pendingEntry(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	piggyback := func(to ids.ProcID) []det.Entry {
+		env.sent = nil
+		appCtx{p}.Send(to, []byte("x"))
+		return env.takeKind(wire.KindApp)[0].Dets
+	}
+
+	first := piggyback(1)
+	if len(first) != k {
+		t.Fatalf("first frame piggybacks %d determinants, want %d", len(first), k)
+	}
+	for i, en := range first {
+		if want := pendingEntry(i); en.Det != want.Det || !en.Holders.Equal(want.Holders) {
+			t.Fatalf("entry %d left as %v %v, want %v %v: the destination was counted before the frame was built",
+				i, en.Det, en.Holders, want.Det, want.Holders)
+		}
+		if have, _ := p.dets.Lookup(en.Det.Msg); !have.Holders.Contains(1) {
+			t.Fatalf("entry %d: the log did not count p1 as a holder after the send", i)
+		}
+	}
+
+	TestingDropDetPiggyback = true
+	dropped := piggyback(2)
+	TestingDropDetPiggyback = false
+	if len(dropped) != 0 || cap(p.piggy) < k {
+		t.Fatalf("mutated send carried %d determinants; scratch capacity %d, want 0 and >= %d", len(dropped), cap(p.piggy), k)
+	}
+	p.scanGen[3] = -1 // as after p3 reincarnated: the pending set again
+	if again := piggyback(3); len(again) != k {
+		t.Fatalf("send after the mutated one piggybacks %d determinants, want %d", len(again), k)
+	}
+}
+
+// TestReincarnationDropsTheMemoRow: under output tracking a destination is
+// not offered a determinant twice with the same holders — until it
+// reincarnates, having lost what it was offered.
+func TestReincarnationDropsTheMemoRow(t *testing.T) {
+	env := newFakeEnv(0, 4)
+	par := testParams(4, 1)
+	par.Outputs = output.NewLedger(4)
+	p := New(par)().(*Process)
+	p.Boot(env, false)
+	const k = 6
+	for i := 0; i < k; i++ {
+		if err := p.dets.Record(pendingEntry(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	piggyback := func() int {
+		env.sent = nil
+		appCtx{p}.Send(1, []byte("x"))
+		return len(env.takeKind(wire.KindApp)[0].Dets)
+	}
+	if got := piggyback(); got != k {
+		t.Fatalf("first frame piggybacks %d determinants, want %d", got, k)
+	}
+	p.scanGen[1] = 0 // the scan offers everything again; the memo must not
+	if got := piggyback(); got != 0 {
+		t.Fatalf("re-scan piggybacks %d determinants the destination was already offered", got)
+	}
+	p.learnIncarnation(1, 2)
+	if p.detSent[1] != nil || p.scanGen[1] != -1 {
+		t.Fatalf("after reincarnation: memo row %v, scanGen %d; want nil and -1", p.detSent[1], p.scanGen[1])
+	}
+	if got := piggyback(); got != k {
+		t.Fatalf("first frame to the new incarnation piggybacks %d determinants, want %d", got, k)
 	}
 }
 
@@ -188,7 +367,7 @@ func TestHeartbeatTickAllocs(t *testing.T) {
 // send log — once, plus closures, and not one byte of the modelled padding.
 func TestCheckpointOneImageAllocs(t *testing.T) {
 	const pad = 1 << 20
-	k := idleCluster(t, 3, pad)
+	k := idleCluster(t, 3, pad, nil)
 	p := k.ProcOf(0).(*Process)
 	appCtx{p}.Send(1, bytes.Repeat([]byte("x"), 8<<10)) // a send log worth encoding
 	p.doCheckpoint()                                    // warm the storage-latency histogram

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"rollrec/internal/bitset"
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
 	"rollrec/internal/wire"
@@ -39,7 +40,8 @@ func (c appCtx) Send(to ids.ProcID, payload []byte) {
 	p.transmit(to, dseq, logRec{ssn: p.ssn, payload: cp})
 }
 
-// holderFingerprint folds a holder set into a comparable value.
+// holderFingerprint folds a holder set into a comparable, non-zero value
+// (zero is the memo's "never offered").
 //
 //rollvet:hotpath
 func holderFingerprint(e det.Entry) uint64 {
@@ -47,6 +49,9 @@ func holderFingerprint(e det.Entry) uint64 {
 	for _, w := range e.Holders.Words() {
 		h ^= w
 		h *= 1099511628211
+	}
+	if h == 0 {
+		h = 1
 	}
 	return h
 }
@@ -59,20 +64,23 @@ func holderFingerprint(e det.Entry) uint64 {
 // hosts". One generation per destination (scanGen) is the whole estimate
 // in broadcast and fanout mode alike.
 func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
-	var piggy []det.Entry
-	offer := func(e det.Entry) { piggy = append(piggy, e) }
-	scan := p.dets.ScanPendingModified
-	if p.par.Outputs != nil {
-		offer = p.unlessSent(to, offer)
-		if p.scanGen[to] >= 0 {
-			// Output tracking needs holder knowledge to travel one hop past
-			// the f+1 threshold: only learning that its antecedents are
-			// stable lets the entry's receiver release output (DESIGN §10).
-			// A reincarnated peer (-1) still gets the pending set only.
-			scan = p.dets.ScanModified
-		}
+	p.piggy, p.piggyWords = p.piggy[:0], p.piggyWords[:0]
+	// The scans offer views into the determinant slab; offer copies the ones
+	// that go out into the scratch, so nothing below can reach the slab
+	// through piggy and the slab's later changes cannot reach the frame.
+	offer := func(e det.Entry) { p.offer(to, e) }
+	gen := p.scanGen[to]
+	if p.par.Outputs != nil && gen >= 0 {
+		// Output tracking needs holder knowledge to travel one hop past
+		// the f+1 threshold: only learning that its antecedents are
+		// stable lets the entry's receiver release output (DESIGN §10).
+		// A reincarnated peer (-1) still gets the pending set only.
+		gen = p.dets.ScanModified(gen, offer)
+	} else {
+		gen = p.dets.ScanPendingModified(gen, offer)
 	}
-	p.scanGen[to] = scan(p.scanGen[to], offer)
+	p.scanGen[to] = gen
+	piggy := p.piggy
 	if TestingDropDetPiggyback {
 		// Mutation hook (see TestingDropDetPiggyback): the determinants were
 		// scanned and memoized as sent, but never leave the process — the
@@ -101,7 +109,8 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
 	for i := range piggy {
 		met.PiggybackBytes += int64(32 + 8*len(piggy[i].Holders.Words()))
 	}
-	e := &wire.Envelope{
+	e := &p.tx
+	*e = wire.Envelope{
 		Kind:    wire.KindApp,
 		FromInc: p.inc,
 		SSN:     rec.ssn,
@@ -120,38 +129,46 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
 	p.env.Send(to, e)
 }
 
-// unlessSent wraps offer with the output-tracking memo: skip an entry whose
-// holder set is the one this destination was last offered. Without output
-// tracking scanGen alone decides and the memo would never fire; with it,
-// stable entries keep travelling, so a determinant collected here comes
-// back from a peer that has not collected it yet, looks new to the log, and
-// only this memo keeps it from being re-offered to everyone it was already
-// offered to with the same holders (DESIGN §5).
-func (p *Process) unlessSent(to ids.ProcID, offer func(det.Entry)) func(det.Entry) {
-	if p.detSent[to] == nil {
-		p.detSent[to] = make(map[uint64]uint64)
+// offer is transmit's scan callback: append a copy of the slab view e to the
+// piggyback scratch, unless the output-tracking memo says this destination
+// has it already.
+func (p *Process) offer(to ids.ProcID, e det.Entry) {
+	if p.detSent != nil && !p.memoise(to, e) {
+		return
 	}
-	sent := p.detSent[to]
-	return func(e det.Entry) {
-		fp := holderFingerprint(e)
-		key := memoKey(e.Det.Msg)
-		if prev, ok := sent[key]; ok && prev == fp {
-			return
-		}
-		sent[key] = fp
-		offer(e)
-	}
+	at := len(p.piggyWords)
+	p.piggyWords = append(p.piggyWords, e.Holders.Words()...)
+	p.piggy = append(p.piggy, det.Entry{Det: e.Det, Holders: bitset.View(p.piggyWords[at:])})
 }
 
-// memoKey packs a message id into one word (sender<<40 | ssn) so the memo
-// is a map[uint64], which the runtime hashes and probes far faster than a
-// struct-keyed one: unlessSent is the hottest function under output
-// tracking.
-func memoKey(m ids.MsgID) uint64 {
-	if uint64(m.Sender) >= 1<<24 || m.SSN >= 1<<40 {
-		panic(fmt.Sprintf("fbl: message id %v does not fit the detSent memo key", m))
+// memoise records e's holder set as the one last offered to this
+// destination and reports whether that is news. Without output tracking
+// scanGen alone decides and the memo would never fire; with it, stable
+// entries keep travelling, so a determinant collected here comes back from
+// a peer that has not collected it yet, looks new to the log, and only this
+// memo keeps it from being re-offered to everyone it was already offered to
+// with the same holders (DESIGN §5).
+func (p *Process) memoise(to ids.ProcID, e det.Entry) bool {
+	if p.detSent[to] == nil {
+		p.detSent[to] = make([][]uint64, p.n)
 	}
-	return uint64(m.Sender)<<40 | uint64(m.SSN)
+	rows, m := p.detSent[to], e.Det.Msg
+	if uint(m.Sender) >= uint(len(rows)) {
+		// Not a process that sends application messages: nothing to index
+		// by, so offer it every time rather than panic.
+		return true
+	}
+	row := rows[m.Sender]
+	if uint64(len(row)) <= uint64(m.SSN) {
+		row = append(row, make([]uint64, uint64(m.SSN)+1-uint64(len(row)))...)
+		rows[m.Sender] = row
+	}
+	fp := holderFingerprint(e)
+	if row[m.SSN] == fp {
+		return false
+	}
+	row[m.SSN] = fp
+	return true
 }
 
 // serveReplay answers a recovering process's retransmission request: resend

@@ -41,6 +41,18 @@ func (p ProcID) Valid(n int) bool {
 	return p == StorageProc || (p >= 0 && int(p) < n)
 }
 
+// Peers returns the application processes 0..n-1 other than self, in id
+// order: the destination list of a send-to-all.
+func Peers(self ProcID, n int) []ProcID {
+	out := make([]ProcID, 0, n)
+	for q := ProcID(0); int(q) < n; q++ {
+		if q != self {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
 // Incarnation counts how many times a process has recovered from a failure.
 // It starts at 1 for the initial execution and is incremented on every
 // recovery (paper §3.2). Incarnation 0 means "unknown".

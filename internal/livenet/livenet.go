@@ -378,6 +378,14 @@ func (ln *lnode) Send(to ids.ProcID, e *wire.Envelope) {
 	})
 }
 
+// Multicast is a Send per destination (node.Env); this runtime's cost is
+// timers and goroutines, not the encoding.
+func (ln *lnode) Multicast(dests []ids.ProcID, e *wire.Envelope) {
+	for _, to := range dests {
+		ln.Send(to, e)
+	}
+}
+
 type liveTimer struct {
 	t *time.Timer
 }

@@ -35,6 +35,10 @@ type Env interface {
 	// serialized at call time; the caller may reuse it afterwards. Sending
 	// to a down process silently drops the frame, as a real network would.
 	Send(to ids.ProcID, e *wire.Envelope)
+	// Multicast is Send to each of dests in order, for an envelope that is
+	// the same for all of them: it is serialized once and every destination
+	// is charged, counted, traced and scheduled as its own Send would be.
+	Multicast(dests []ids.ProcID, e *wire.Envelope)
 	// After schedules fn to run on this process after d of virtual time.
 	// The timer dies with the process instance: a crash cancels it.
 	After(d time.Duration, fn func()) Timer
@@ -78,9 +82,11 @@ type Process interface {
 	// reincarnation after a crash (stable storage persists across boots).
 	Boot(env Env, restart bool)
 	// Deliver hands the instance a decoded frame from the network. The
-	// envelope belongs to the runtime, which may decode the next frame into
-	// it as soon as Deliver returns: copy the struct to keep it (its slices
-	// are yours — they are allocated per frame and never reused).
+	// envelope and its Dets belong to the runtime, which may decode the next
+	// frame into both as soon as Deliver returns: work on a copy of the
+	// struct, merge the Dets before returning, and store e.Keep() for a
+	// frame that must outlive the call (the other slices are allocated per
+	// frame and never reused).
 	Deliver(e *wire.Envelope)
 }
 

@@ -218,17 +218,12 @@ func (p *Process) flush() {
 				wm[e.from] = d
 			}
 		}
-		for q := 0; q < p.n; q++ {
-			if ids.ProcID(q) == p.env.ID() {
-				continue
-			}
-			p.env.Send(ids.ProcID(q), &wire.Envelope{
-				Kind:          wire.KindCheckpointNotice,
-				FromInc:       ids.Incarnation(p.epoch),
-				SSN:           ids.SSN(p.flushed), // durable interval frontier
-				SSNWatermarks: wm,
-			})
-		}
+		p.env.Multicast(p.peers, &wire.Envelope{
+			Kind:          wire.KindCheckpointNotice,
+			FromInc:       ids.Incarnation(p.epoch),
+			SSN:           ids.SSN(p.flushed), // durable interval frontier
+			SSNWatermarks: wm,
+		})
 	})
 }
 

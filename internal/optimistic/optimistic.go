@@ -120,9 +120,10 @@ type sendRec struct {
 
 // Process is one optimistic-logging protocol instance.
 type Process struct {
-	env node.Env
-	par Params
-	n   int
+	env   node.Env
+	par   Params
+	n     int
+	peers []ids.ProcID // everyone else, in id order: the notices' and retractions' destinations
 
 	app     workload.App
 	started bool
@@ -177,6 +178,7 @@ func New(par Params) node.Factory {
 func (p *Process) Boot(env node.Env, restart bool) {
 	p.env = env
 	p.n = env.N()
+	p.peers = ids.Peers(env.ID(), p.n)
 	p.dseqOut = make([]uint64, p.n)
 	p.sendBuf = make([]map[uint64]sendRec, p.n)
 	p.expDseq = make([]uint64, p.n)
@@ -323,16 +325,11 @@ func (p *Process) broadcastRetract() {
 	// own rollback when the peers' retractions arrive.
 	p.endTable[p.env.ID()] = append(p.endTable[p.env.ID()],
 		endRecord{upto: p.epoch - 1, frontier: p.selfIndex()})
-	for q := 0; q < p.n; q++ {
-		if ids.ProcID(q) == p.env.ID() {
-			continue
-		}
-		p.env.Send(ids.ProcID(q), &wire.Envelope{
-			Kind:    wire.KindRecoveryAnnounce, // reused as RETRACT in this protocol
-			FromInc: ids.Incarnation(p.epoch),
-			SSN:     ids.SSN(p.selfIndex()), // the surviving frontier
-		})
-	}
+	p.env.Multicast(p.peers, &wire.Envelope{
+		Kind:    wire.KindRecoveryAnnounce, // reused as RETRACT in this protocol
+		FromInc: ids.Incarnation(p.epoch),
+		SSN:     ids.SSN(p.selfIndex()), // the surviving frontier
+	})
 }
 
 // requestRetransmits asks every peer to resend from our per-sender

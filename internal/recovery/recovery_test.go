@@ -48,6 +48,11 @@ func (f *fakeEnv) Send(to ids.ProcID, e *wire.Envelope) {
 	c.To = to
 	f.sent = append(f.sent, c)
 }
+func (f *fakeEnv) Multicast(dests []ids.ProcID, e *wire.Envelope) {
+	for _, to := range dests {
+		f.Send(to, e)
+	}
+}
 func (f *fakeEnv) After(d time.Duration, fn func()) node.Timer {
 	t := &fakeTimer{at: f.now + int64(d), fn: fn}
 	f.timers = append(f.timers, t)

@@ -127,9 +127,11 @@ type Kernel struct {
 	nApp      int
 	count     int64
 	inflight  int // frames scheduled to arrive but not yet popped
-	// rx is the one envelope every frame is decoded into; a handler returns
-	// before the next decode, and the slices are fresh per frame.
-	rx wire.Envelope
+	// rx is the one envelope every frame is decoded into, through the one
+	// decoder whose buffers hold its Dets; a handler returns (having kept
+	// what it needs, wire.Envelope.Keep) before the next decode.
+	rx  wire.Envelope
+	dec wire.Decoder
 
 	// Sharded-mode hooks (see shard.go). arrivalSink, when non-nil,
 	// intercepts every scheduled arrival instead of enqueueing it locally:
@@ -741,15 +743,33 @@ func (ns *nodeState) Send(to ids.ProcID, e *wire.Envelope) {
 	if !ns.up {
 		return
 	}
-	if to == ns.id {
-		panic(fmt.Sprintf("sim: %v sent to itself", ns.id))
+	e.From = ns.id
+	ns.sendFrame(to, e.Kind, wire.Encode(e))
+}
+
+// Multicast encodes e once; the destinations share the frame, which nothing
+// writes after this point.
+func (ns *nodeState) Multicast(dests []ids.ProcID, e *wire.Envelope) {
+	if !ns.up || len(dests) == 0 {
+		return
 	}
 	e.From = ns.id
 	frame := wire.Encode(e)
+	for _, to := range dests {
+		ns.sendFrame(to, e.Kind, frame)
+	}
+}
+
+// sendFrame is the per-destination half of a send: CPU charge, counters,
+// trace instant, link schedule, and the arrival event (or outbox entry).
+func (ns *nodeState) sendFrame(to ids.ProcID, kind wire.Kind, frame []byte) {
+	if to == ns.id {
+		panic(fmt.Sprintf("sim: %v sent to itself", ns.id))
+	}
 	ns.Busy(ns.k.cfg.HW.SendCost(len(frame)))
-	ns.met.Sent(uint8(e.Kind), len(frame))
+	ns.met.Sent(uint8(kind), len(frame))
 	ns.k.tr.Instant(ns.k.now, int32(ns.id), trace.EvSend,
-		trace.Tag{Kind: uint8(e.Kind), Arg: int64(len(frame))})
+		trace.Tag{Kind: uint8(kind), Arg: int64(len(frame))})
 	at, ok := ns.k.net.Schedule(ns.k.now, ns.id, to, len(frame))
 	if !ok {
 		return
@@ -788,7 +808,7 @@ func (k *Kernel) deliver(ns *nodeState, frame []byte, epoch uint64) {
 		return
 	}
 	e := &k.rx
-	if err := wire.DecodeInto(e, frame); err != nil {
+	if err := k.dec.Decode(e, frame); err != nil {
 		panic(fmt.Sprintf("sim: undecodable frame for %v: %v", ns.id, err))
 	}
 	ns.Busy(k.cfg.HW.RecvCost(len(frame)))

@@ -482,30 +482,57 @@ func encodeHolders(w *Writer, s bitset.Set) error {
 	return nil
 }
 
-func readHolderWords(r *Reader, nw int) bitset.Set {
-	// Check the words are actually present before allocating: a corrupted
-	// word count must not provoke a large allocation from a tiny frame.
+// Decoder decodes frames into envelopes whose Dets — the entries and their
+// holder sets — live in buffers the decoder owns and overwrites on the next
+// Decode: a long-lived decoder (the simulator keeps one per kernel) decodes a
+// piggyback without allocating per determinant. Whoever must keep the
+// envelope past that point calls Envelope.Keep, which copies them out. The
+// zero value is ready to use.
+type Decoder struct {
+	dets  []det.Entry
+	words []uint64 // holder-word arena the Dets' holder sets are views into
+}
+
+// holderWords carves nw words off the arena. When the current block is full
+// a larger one replaces it; views into the old block stay valid, it is just
+// not reused.
+func (d *Decoder) holderWords(nw int) []uint64 {
+	if len(d.words)+nw > cap(d.words) {
+		d.words = make([]uint64, 0, max(2*cap(d.words), nw, 64))
+	}
+	d.words = d.words[:len(d.words)+nw]
+	return d.words[len(d.words)-nw:]
+}
+
+func (d *Decoder) readHolderWords(r *Reader, nw int) bitset.Set {
+	// Check the words are actually present before claiming arena space: a
+	// corrupted word count must not provoke a large allocation from a tiny
+	// frame.
 	if nw == 0 || !r.need(8*nw) {
 		return bitset.Set{}
 	}
-	words := make([]uint64, nw)
+	words := d.holderWords(nw)
 	for i := range words {
 		words[i] = r.U64()
 	}
-	if r.err != nil {
-		return bitset.Set{}
-	}
-	return bitset.FromWords(words)
+	return bitset.View(words)
 }
 
-func decodeHolders(r *Reader, version uint8) bitset.Set {
+// holderSpan returns a zeroed arena set wide enough for element maxElem.
+func (d *Decoder) holderSpan(maxElem int) bitset.Set {
+	words := d.holderWords(maxElem/64 + 1)
+	clear(words)
+	return bitset.View(words)
+}
+
+func (d *Decoder) decodeHolders(r *Reader, version uint8) bitset.Set {
 	if version < 2 {
-		return readHolderWords(r, int(r.U8()))
+		return d.readHolderWords(r, int(r.U8()))
 	}
 	tag := r.U8()
 	switch {
 	case tag <= holderTagDenseU8Max:
-		return readHolderWords(r, int(tag))
+		return d.readHolderWords(r, int(tag))
 	case tag == holderTagSparse:
 		n := int(r.U16())
 		if !r.need(2 * n) {
@@ -518,7 +545,7 @@ func decodeHolders(r *Reader, version uint8) bitset.Set {
 				maxElem = e
 			}
 		}
-		s := bitset.New(maxElem + 1)
+		s := d.holderSpan(maxElem)
 		for i := 0; i < n; i++ {
 			s.Add(int(r.U16()))
 		}
@@ -550,7 +577,7 @@ func decodeHolders(r *Reader, version uint8) bitset.Set {
 				maxEnd = end
 			}
 		}
-		s := bitset.New(maxEnd + 1)
+		s := d.holderSpan(maxEnd)
 		for i := 0; i < n; i++ {
 			start := int(r.U16())
 			end := int(r.U16())
@@ -565,20 +592,20 @@ func decodeHolders(r *Reader, version uint8) bitset.Set {
 			r.fail(ErrOversized)
 			return bitset.Set{}
 		}
-		return readHolderWords(r, nw)
+		return d.readHolderWords(r, nw)
 	default:
 		r.fail(fmt.Errorf("%w: tag %d", ErrBadHolders, tag))
 		return bitset.Set{}
 	}
 }
 
-func decodeEntry(r *Reader, version uint8) det.Entry {
+func (d *Decoder) decodeEntry(r *Reader, version uint8) det.Entry {
 	var e det.Entry
 	e.Det.Msg.Sender = ids.ProcID(r.I32())
 	e.Det.Msg.SSN = ids.SSN(r.U64())
 	e.Det.Receiver = ids.ProcID(r.I32())
 	e.Det.RSN = ids.RSN(r.U64())
-	e.Holders = decodeHolders(r, version)
+	e.Holders = d.decodeHolders(r, version)
 	return e
 }
 
@@ -587,7 +614,7 @@ func decodeEntry(r *Reader, version uint8) det.Entry {
 // recorded before a version bump remain readable.
 func Decode(frame []byte) (*Envelope, error) {
 	e := new(Envelope)
-	if err := DecodeInto(e, frame); err != nil {
+	if err := new(Decoder).Decode(e, frame); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -596,8 +623,19 @@ func Decode(frame []byte) (*Envelope, error) {
 // DecodeInto is Decode into a caller-owned envelope. *e is overwritten
 // whole; its slices are allocated per frame and alias neither the frame nor
 // an earlier decode, so they (and a copy of the struct) stay valid after e
-// is decoded into again. On error *e is unspecified.
+// is decoded into again. On error *e is unspecified. A runtime that delivers
+// frame after frame decodes through one Decoder instead, and then e.Dets do
+// not outlive the next decode.
 func DecodeInto(e *Envelope, frame []byte) error {
+	return new(Decoder).Decode(e, frame)
+}
+
+// Decode is DecodeInto except for who owns e.Dets: the entries and their
+// holder sets sit in the decoder's buffers and are valid until its next
+// Decode — for a handler, until it returns — unless kept (Envelope.Keep
+// copies them out). The other slices are allocated per frame.
+func (d *Decoder) Decode(e *Envelope, frame []byte) error {
+	d.dets, d.words = d.dets[:0], d.words[:0]
 	r := &Reader{buf: frame}
 	v := r.U8()
 	if r.err == nil && (v < minDecodeVersion || v > codecVersion) {
@@ -624,10 +662,13 @@ func DecodeInto(e *Envelope, frame []byte) error {
 	if p&hasDets != 0 {
 		n := r.ListLen()
 		if r.err == nil && n > 0 {
-			e.Dets = make([]det.Entry, 0, min(n, 4096))
-			for i := 0; i < n && r.err == nil; i++ {
-				e.Dets = append(e.Dets, decodeEntry(r, v))
+			if cap(d.dets) < min(n, 4096) {
+				d.dets = make([]det.Entry, 0, min(n, 4096))
 			}
+			for i := 0; i < n && r.err == nil; i++ {
+				d.dets = append(d.dets, d.decodeEntry(r, v))
+			}
+			e.Dets = d.dets
 		}
 	}
 	if p&hasCPRsn != 0 {

@@ -357,6 +357,86 @@ func TestDecodeIntoReusesOnlyTheStruct(t *testing.T) {
 	}
 }
 
+// piggybackFrame is an application frame with k determinants, each with its
+// own id and a holder set of its own shape (dense, two words, and past the
+// dense-u8 cutoff so the tagged encodings are exercised too).
+func piggybackFrame(ssn ids.SSN, k int) *Envelope {
+	e := &Envelope{Kind: KindApp, From: 1, To: 2, FromInc: 1, SSN: ssn, Dseq: uint64(ssn), Payload: []byte{byte(ssn)}}
+	for i := 0; i < k; i++ {
+		holders := []int{i % 7, int(ssn) % 5}
+		switch i % 3 {
+		case 1:
+			holders = append(holders, 64+i)
+		case 2:
+			holders = append(holders, 300+i, 301+i)
+		}
+		e.Dets = append(e.Dets, det.Entry{
+			Det:     det.Determinant{Msg: ids.MsgID{Sender: ids.ProcID(i % 4), SSN: ssn + ids.SSN(i)}, Receiver: 2, RSN: ids.RSN(ssn) + ids.RSN(i)},
+			Holders: bitset.FromSlice(holders),
+		})
+	}
+	return e
+}
+
+// TestKeepSurvivesDecoderReuse is the receive half of the ownership
+// contract (DESIGN §5): a long-lived Decoder overwrites the Dets of the
+// frame before, so what a handler has from Keep must be a deep copy. It is
+// the named test that kills the "reuse the rx envelope" mutant of ROADMAP
+// 2(c) in its shallow-Keep form: with Keep reduced to a struct copy the
+// kept determinants read as the later frames'.
+func TestKeepSurvivesDecoderReuse(t *testing.T) {
+	var (
+		d  Decoder
+		rx Envelope
+	)
+	first := piggybackFrame(10, 9)
+	if err := d.Decode(&rx, Encode(first)); err != nil {
+		t.Fatal(err)
+	}
+	if !equalEnvelopes(&rx, first) {
+		t.Fatalf("Decoder.Decode disagrees with the envelope encoded:\n got: %+v\nwant: %+v", rx, first)
+	}
+	shallow := rx // what a handler that forgot Keep holds
+	kept := rx.Keep()
+	for _, next := range []*Envelope{piggybackFrame(40, 9), piggybackFrame(90, 12)} {
+		if err := d.Decode(&rx, Encode(next)); err != nil {
+			t.Fatal(err)
+		}
+		if !equalEnvelopes(&rx, next) {
+			t.Fatalf("decode after reuse:\n got: %+v\nwant: %+v", rx, next)
+		}
+	}
+	if !equalEnvelopes(kept, first) {
+		t.Fatalf("kept envelope changed after the decoder decoded two further frames:\n got: %+v\nwant: %+v", kept, first)
+	}
+	if equalEnvelopes(&shallow, first) {
+		t.Fatal("setup: a struct copy survived decoder reuse, so this test cannot tell a shallow Keep from a deep one")
+	}
+	if err := d.Decode(&rx, Encode(&Envelope{Kind: KindHeartbeat, From: 1, FromInc: 1})); err != nil || rx.Dets != nil {
+		t.Fatalf("a frame without determinants decoded to Dets %v (err %v), want nil", rx.Dets, err)
+	}
+}
+
+// TestDecoderSteadyStateAllocs: a warmed decoder allocates the payload of
+// an application frame and nothing per determinant, whatever the holder
+// encoding.
+func TestDecoderSteadyStateAllocs(t *testing.T) {
+	var (
+		d  Decoder
+		rx Envelope
+	)
+	frame := Encode(piggybackFrame(10, 64))
+	decode := func() {
+		if err := d.Decode(&rx, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if got := testing.AllocsPerRun(50, decode); got != 1 {
+		t.Fatalf("decoding a 64-determinant frame allocates %.1f times, want 1 (the payload)", got)
+	}
+}
+
 // TestPadIsCountedNotWritten: Writer.Pad puts the length field Bytes would
 // in the frame and only counts the zeros; a Reader over (frame, count)
 // accepts exactly that pair. Logical offsets advance across the padding so

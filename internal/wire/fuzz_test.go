@@ -111,7 +111,7 @@ func TestSeedCorpusDetsRecordWithoutPanic(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame throws arbitrary bytes at the frame decoder. Three
+// FuzzDecodeFrame throws arbitrary bytes at the frame decoder. Four
 // properties must hold for every input:
 //
 //  1. Decode never panics — corrupted frames fail with an error.
@@ -122,6 +122,10 @@ func TestSeedCorpusDetsRecordWithoutPanic(t *testing.T) {
 //     NOT required: Decode accepts v1 frames and presence bits the encoder
 //     would normalize away, but the envelope's meaning must survive the
 //     round trip.
+//  4. One long-lived Decoder, fed every input of the run, agrees with a
+//     fresh decode each time — same envelope or same rejection — and a
+//     corrupted count does not make it grow its buffers past what the
+//     frame's own bytes could hold.
 //
 // The seed corpus covers every envelope kind via the codec tests' sample
 // envelopes, both as emitted (v2) and with the version byte rewritten to 1
@@ -132,10 +136,32 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(frame)
 	}
 
+	var (
+		shared Decoder
+		rx     Envelope
+	)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := Decode(data)
+		detsBefore, wordsBefore := cap(shared.dets), cap(shared.words)
+		errShared := shared.Decode(&rx, data)
+		if (err == nil) != (errShared == nil) || (err != nil && err.Error() != errShared.Error()) {
+			t.Fatalf("a reused Decoder says %v, a fresh one %v", errShared, err)
+		}
+		// What one frame may add: entries it has the bytes for (25 each at
+		// least) past the 4096 a bare count may reserve, and a holder block
+		// of twice the old one or of one set — 1024 words at most from the
+		// u16 encodings, the words present from the dense ones.
+		if c := cap(shared.dets); c > detsBefore && c > max(4096, len(data)) {
+			t.Fatalf("a %d-byte frame grew the decoder from %d to %d entries", len(data), detsBefore, c)
+		}
+		if c := cap(shared.words); c > max(2*wordsBefore, 1024, len(data)/8) {
+			t.Fatalf("a %d-byte frame grew the decoder from %d to %d holder words", len(data), wordsBefore, c)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
+		}
+		if !equalEnvelopes(e, &rx) {
+			t.Fatalf("a reused Decoder decoded\n %+v\na fresh one\n %+v", rx, e)
 		}
 		frame, err := EncodeChecked(e)
 		if err != nil {

@@ -7,8 +7,10 @@
 // quantity the paper's "communication overhead" metric counts. That rests
 // on the byte copy, not on who owns the structs around it: Encode copies
 // all an envelope references into the frame (a sender may reuse one envelope
-// for a fan-out) and decoding copies it out into slices of that one frame
-// (the simulator may decode every frame into one struct, see DecodeInto).
+// for a fan-out, or hand one to Multicast) and decoding copies it out into
+// slices of that one frame, or for the determinants into the Decoder's
+// buffers (the simulator decodes every frame into one struct through one
+// Decoder; Envelope.Keep is how a handler holds on to a frame).
 package wire
 
 import (
@@ -120,8 +122,11 @@ func (k Kind) Control() bool { return k != KindApp }
 // Envelope is the single on-wire message type; unused fields stay at their
 // zero values and cost two bytes of presence bitmap.
 type Envelope struct {
-	Kind    Kind
-	From    ids.ProcID
+	Kind Kind
+	From ids.ProcID
+	// To is set by recovery broadcasts only and never read by a handler: the
+	// runtime routes by Send's argument. It stays because it is in every
+	// frame's bytes.
 	To      ids.ProcID
 	FromInc ids.Incarnation
 
@@ -153,12 +158,25 @@ type Envelope struct {
 	Members []ids.ProcID
 }
 
-// Keep returns a copy of the struct sharing e's slices: what a Deliver
-// handler stores when a frame must outlive the call, since the runtime
-// reuses the struct it delivers but never the slices (see DecodeInto).
+// Keep returns what a Deliver handler stores when a frame must outlive the
+// call: a copy of the struct, which the runtime decodes the next frame into,
+// and of Dets, which live in the runtime's Decoder. The other slices are
+// allocated per frame and shared.
 func (e *Envelope) Keep() *Envelope {
 	c := *e
+	c.Dets = cloneDets(e.Dets)
 	return &c
+}
+
+func cloneDets(in []det.Entry) []det.Entry {
+	if in == nil {
+		return nil
+	}
+	out := make([]det.Entry, len(in))
+	for i := range in {
+		out[i] = in[i].Clone()
+	}
+	return out
 }
 
 // Clone returns a deep copy of the envelope, for test fakes that capture
@@ -168,12 +186,7 @@ func (e *Envelope) Clone() *Envelope {
 	if e.Payload != nil {
 		c.Payload = append([]byte(nil), e.Payload...)
 	}
-	if e.Dets != nil {
-		c.Dets = make([]det.Entry, len(e.Dets))
-		for i := range e.Dets {
-			c.Dets[i] = e.Dets[i].Clone()
-		}
-	}
+	c.Dets = cloneDets(e.Dets)
 	if e.SSNWatermarks != nil {
 		c.SSNWatermarks = append([]ids.SSN(nil), e.SSNWatermarks...)
 	}
