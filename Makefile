@@ -115,9 +115,11 @@ benchmark-smoke:
 # perf-pair measures the working tree against its parent commit with the
 # host-time benchmark (BENCHMARK.json) in alternating pairs and writes
 # PERF_$(LABEL).json, the committed results ledger (see the script header);
-# ~35 min at the default 10 pairs. Not part of `check`.
+# ~35 min at the default 10 pairs. Not part of `check`. A change that moves
+# simulated behaviour on purpose names the workloads it moves:
+# `make perf-pair LABEL=21 BEHAVIOUR=traffic_n8_crash,explore_n4_sweep`.
 LABEL ?= pair
 perf-pair:
-	./scripts/perf_pair.sh -l $(LABEL)
+	./scripts/perf_pair.sh -l $(LABEL) $(if $(BEHAVIOUR),-behaviour-change $(BEHAVIOUR))
 
 check: vet lint fmt test race bench benchmark-smoke

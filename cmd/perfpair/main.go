@@ -5,6 +5,9 @@
 // quartiles, the pair-wise win count, whether the simulated digests agree,
 // and where it was measured. It exits non-zero when a median is outside its
 // declared bound, a digest differs, or a larger share of operations failed.
+// A change that moves simulated behaviour on purpose names the workloads it
+// moves (-behaviour-change a,b): for those a digest that does NOT differ is
+// the problem, for every other workload one that does.
 //
 // It reads the benchmark's output and nothing of its source: benchmark/ and
 // BENCHMARK.json stay frozen.
@@ -35,6 +38,22 @@ type manifest struct {
 	EndToEnd []metricDef `json:"end_to_end"`
 }
 
+// checkDeclared refuses a -behaviour-change list naming a workload the
+// manifest does not have, before forty minutes of runs: a misspelt name
+// declares nothing, and the workload it meant then fails as undeclared.
+func (mf manifest) checkDeclared(declared []string) error {
+	for _, d := range declared {
+		known := false
+		for _, w := range mf.Workloads {
+			known = known || w.Name == d
+		}
+		if !known {
+			return fmt.Errorf("-behaviour-change: BENCHMARK.json has no workload %q", d)
+		}
+	}
+	return nil
+}
+
 type metricDef struct {
 	Name   string  `json:"name"`
 	Unit   string  `json:"unit"`
@@ -62,11 +81,14 @@ type Report struct {
 }
 
 type WorkloadReport struct {
-	Name        string         `json:"name"`
-	DigestEqual bool           `json:"sim_digest_equal"`
-	Digests     []DigestPair   `json:"sim_digests"`
-	Ops         map[string]Ops `json:"ops"` // by side
-	Metrics     []MetricReport `json:"metrics"`
+	Name string `json:"name"`
+	// BehaviourChange is true for a workload the change declared it moves:
+	// its digests are expected to differ from the parent's.
+	BehaviourChange bool           `json:"behaviour_change_declared,omitempty"`
+	DigestEqual     bool           `json:"sim_digest_equal"`
+	Digests         []DigestPair   `json:"sim_digests"`
+	Ops             map[string]Ops `json:"ops"` // by side
+	Metrics         []MetricReport `json:"metrics"`
 }
 
 type DigestPair struct {
@@ -176,6 +198,30 @@ func compare(def metricDef, parent, change []float64) MetricReport {
 	return m
 }
 
+// judgeDigests compares one workload's digests with what the change said of
+// it. Undeclared, every seed must agree with the parent: equal digests are
+// what makes the host-time numbers two measurements of the same simulated
+// work. Declared, some seed must disagree — a declaration nothing bears out
+// is a stale flag or a change that does not do what it claims.
+func judgeDigests(workload string, declared bool, pairs []DigestPair) (equal bool, problems []string) {
+	equal = true
+	for _, d := range pairs {
+		if d.Parent == d.Change {
+			continue
+		}
+		equal = false
+		if !declared {
+			problems = append(problems, fmt.Sprintf("%s seed %d: sim_digest %s (parent) != %s (change), and no behaviour change was declared for it",
+				workload, d.Seed, d.Parent, d.Change))
+		}
+	}
+	if declared && equal {
+		problems = append(problems, fmt.Sprintf("%s: declared as a behaviour change, but its sim_digest equals the parent's on all %d seeds",
+			workload, len(pairs)))
+	}
+	return equal, problems
+}
+
 var digestRE = regexp.MustCompile(`sim_digest=([0-9a-f]+)`)
 
 // parseRun reads one benchmark process's standard output: the last line is
@@ -220,13 +266,14 @@ func runBenchmark(dir string, mf manifest, workload string, seed int) (run, erro
 	return parseRun(out)
 }
 
-// measure runs every workload in alternating pairs and judges the result.
-func measure(mf manifest, dirs map[string]string, pairs int) ([]WorkloadReport, []string, error) {
+// measure runs every workload in alternating pairs and judges the result;
+// declared names the workloads whose simulated behaviour the change moves.
+func measure(mf manifest, dirs map[string]string, pairs int, declared []string) ([]WorkloadReport, []string, error) {
 	var reports []WorkloadReport
 	var problems []string
 	for _, workload := range mf.Workloads {
 		w := workload.Name
-		wr := WorkloadReport{Name: w, DigestEqual: true, Ops: map[string]Ops{}}
+		wr := WorkloadReport{Name: w, BehaviourChange: slices.Contains(declared, w), Ops: map[string]Ops{}}
 		values := map[string]map[string][]float64{"parent": {}, "change": {}}
 		for i := 1; i <= pairs; i++ {
 			order := []string{"parent", "change"}
@@ -249,12 +296,10 @@ func measure(mf manifest, dirs map[string]string, pairs int) ([]WorkloadReport, 
 				}
 			}
 			wr.Digests = append(wr.Digests, DigestPair{i, order[0], got["parent"].Digest, got["change"].Digest})
-			if got["parent"].Digest != got["change"].Digest {
-				wr.DigestEqual = false
-				problems = append(problems, fmt.Sprintf("%s seed %d: sim_digest %s (parent) != %s (change)",
-					w, i, got["parent"].Digest, got["change"].Digest))
-			}
 		}
+		var digestProblems []string
+		wr.DigestEqual, digestProblems = judgeDigests(w, wr.BehaviourChange, wr.Digests)
+		problems = append(problems, digestProblems...)
 		for _, def := range mf.EndToEnd {
 			m := compare(def, values["parent"][def.Name], values["change"][def.Name])
 			if m.Verdict == regressed {
@@ -291,6 +336,7 @@ func main() {
 	pairs := flag.Int("n", 10, "alternating parent/change pairs per workload")
 	warn := flag.Bool("w", false, "warn mode: report problems but exit 0")
 	stamp := flag.String("stamp", "", "comma-separated key=value pairs added to the environment stamp")
+	behaviour := flag.String("behaviour-change", "", "comma-separated workloads whose simulated behaviour the change moves on purpose: their sim_digest must differ from the parent's, every other one must not")
 	flag.Parse()
 	if *parent == "" || *pairs < 1 || flag.NArg() > 0 {
 		flag.Usage()
@@ -308,8 +354,15 @@ func main() {
 	if err := json.Unmarshal(raw, &mf); err != nil {
 		fail(fmt.Errorf("BENCHMARK.json: %w", err))
 	}
+	declared := []string{}
+	if *behaviour != "" {
+		declared = strings.Split(*behaviour, ",")
+	}
+	if err := mf.checkDeclared(declared); err != nil {
+		fail(err)
+	}
 	dirs := map[string]string{"parent": *parent, "change": "."}
-	reports, problems, err := measure(mf, dirs, *pairs)
+	reports, problems, err := measure(mf, dirs, *pairs, declared)
 	if err != nil {
 		fail(err)
 	}
@@ -320,6 +373,9 @@ func main() {
 	}
 	if k, err := os.ReadFile("/proc/sys/kernel/osrelease"); err == nil {
 		env["kernel"] = strings.TrimSpace(string(k))
+	}
+	if len(declared) > 0 {
+		env["behaviour_change"] = declared
 	}
 	for _, kv := range strings.Split(*stamp, ",") {
 		if k, v, ok := strings.Cut(kv, "="); ok {

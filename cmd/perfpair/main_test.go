@@ -81,3 +81,48 @@ ops=45 failed=0 sim_digest=27bc6c171f582bcf (seed 1)
 		}
 	}
 }
+
+// TestJudgeDigests: a digest that differs is a problem exactly when nobody
+// said it would, and a declaration is a problem exactly when nothing differs.
+func TestJudgeDigests(t *testing.T) {
+	same := []DigestPair{{1, "parent", "aa", "aa"}, {2, "change", "bb", "bb"}}
+	oneMoved := []DigestPair{{1, "parent", "aa", "aa"}, {2, "change", "bb", "cc"}}
+	allMoved := []DigestPair{{1, "parent", "aa", "dd"}, {2, "change", "bb", "cc"}}
+	for _, tc := range []struct {
+		name     string
+		declared bool
+		pairs    []DigestPair
+		equal    bool
+		problems int
+	}{
+		{"undeclared and equal", false, same, true, 0},
+		{"undeclared, one seed moved", false, oneMoved, false, 1},
+		{"undeclared, every seed moved", false, allMoved, false, 2},
+		{"declared and moved", true, allMoved, false, 0},
+		{"declared, moved on one seed only", true, oneMoved, false, 0},
+		{"declared, but nothing moved", true, same, true, 1},
+	} {
+		equal, problems := judgeDigests("w", tc.declared, tc.pairs)
+		if equal != tc.equal || len(problems) != tc.problems {
+			t.Errorf("%s: equal=%v problems=%q, want equal=%v and %d problems", tc.name, equal, problems, tc.equal, tc.problems)
+		}
+	}
+}
+
+func TestCheckDeclared(t *testing.T) {
+	var mf manifest
+	for _, n := range []string{"a", "b"} {
+		mf.Workloads = append(mf.Workloads, struct {
+			Name string `json:"name"`
+		}{n})
+	}
+	if err := mf.checkDeclared([]string{"b", "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mf.checkDeclared(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := mf.checkDeclared([]string{"a", "c"}); err == nil {
+		t.Fatal("a workload the manifest does not have was accepted")
+	}
+}

@@ -24,7 +24,7 @@ import (
 // carries every send, delivery and output-commit span, so it moves with
 // any of them; it is the same per-process lane fold as goldenTraceHash. The
 // value must survive any refactor of the determinant log.
-const outputsGoldenTraceHash uint64 = 0x4fda3e39987505be
+const outputsGoldenTraceHash uint64 = 0x33603a436a20bd67
 
 // outputsGoldenLoad is the cell's traffic spec; the differential test reruns
 // the cell across shard counts.

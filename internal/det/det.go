@@ -98,18 +98,24 @@ func (c Config) stable(w []uint64) bool {
 //
 // Entries live in a slab that grows on demand and recycles collected slots
 // through a free list; holder sets sit in one arena at a fixed stride. Each
-// entry carries the log generation of its last holder-set change (modGen)
-// and is threaded on two intrusive lists: the pending list (not yet stable)
-// or the settled list (stable), both in last-modified order, and the chain
-// of its receiver. Piggyback selection for a destination is "walk a list
-// back from its tail while modGen exceeds the generation of my last scan
-// for that destination": cost proportional to what changed, and the only
-// per-destination state is that one integer (DESIGN §5).
+// entry carries the log generation of its last piece of news (modGen) — it
+// was recorded, its holders changed while it was pending, or it crossed the
+// stability threshold — and is threaded on two intrusive lists: the pending
+// list (not yet stable) or the settled list (stable), both in modGen order,
+// and the chain of its receiver. Piggyback selection for a destination is
+// "walk a list back from its tail while modGen exceeds the generation of my
+// last scan for that destination": cost proportional to what changed, and
+// the only per-destination state is that one integer (DESIGN §5).
+//
+// Stability is final: holders that reach an entry after it became stable are
+// unioned into the slab — depinfo replies (All, AllForReceivers) report them
+// — but are not news. The entry keeps its generation and its place on the
+// settled list, so no scan offers it again (DESIGN §10).
 type Log struct {
 	cfg    Config
 	stride int // holder words per slot: bits 0..N
 
-	gen   int // modification counter; every holder-set change takes the next value
+	gen   int // news counter; every stamp takes the next value
 	slots []slot
 	words []uint64 // holder arena: slot i owns words[i*stride:(i+1)*stride]
 	free  int32    // recycled slots, linked through slot.next
@@ -127,6 +133,7 @@ type Log struct {
 	shift uint // 64 - log2(len(table))
 
 	onSettled func(ids.MsgID)
+	late      int // holder unions that landed on an already-stable entry
 }
 
 const none = -1
@@ -180,11 +187,14 @@ type Stats struct {
 	Pending  int // of those, not yet stable
 	SlabCap  int // slots ever allocated: the high-water mark of Entries
 	SlabFree int // of those, collected and awaiting reuse
+	// LateUnions counts, over the log's lifetime, the holder-set changes
+	// that reached an entry already stable: stored, never re-offered.
+	LateUnions int
 }
 
 // Stats returns the log's current counters.
 func (l *Log) Stats() Stats {
-	return Stats{Entries: l.Len(), Pending: l.npending, SlabCap: len(l.slots), SlabFree: l.nfree}
+	return Stats{Entries: l.Len(), Pending: l.npending, SlabCap: len(l.slots), SlabFree: l.nfree, LateUnions: l.late}
 }
 
 func (l *Log) holders(i int32) []uint64 {
@@ -384,19 +394,25 @@ func (l *Log) union(i int32, o bitset.Set, also ids.ProcID) bool {
 	return changed
 }
 
-// modified re-stamps entry i after its holders changed, moving it to the
-// tail of the list it now belongs on and telling OnSettled if it just
-// crossed the stability threshold.
+// modified is told that entry i's holders grew. While the entry is pending
+// that is news: it is re-stamped and moved to the tail of the list it now
+// belongs on, and OnSettled hears of it if this change crossed the
+// stability threshold. Once stable, growth is only counted — the paper's
+// rule is that a receipt order stops propagating "as soon as it has been
+// recorded in f+1 hosts", not one holder later.
 func (l *Log) modified(i int32) {
 	s := &l.slots[i]
-	l.unlink(l.listOf(s.stable), i)
-	settled := !s.stable && l.cfg.stable(l.holders(i))
-	if settled {
+	if s.stable {
+		l.late++
+		return
+	}
+	l.unlink(&l.pending, i)
+	if l.cfg.stable(l.holders(i)) {
 		s.stable = true
 		l.npending--
 	}
 	l.stamp(i)
-	if settled && l.onSettled != nil {
+	if s.stable && l.onSettled != nil {
 		l.onSettled(s.det.Msg)
 	}
 }
@@ -456,23 +472,24 @@ func (l *Log) scan(lst list, since int, fn func(Entry)) {
 }
 
 // ScanPendingModified invokes fn with a view (see scan) of every non-stable
-// entry whose holders changed after generation since (zero or negative:
-// every pending entry) and returns the current generation — the value to
-// pass next time to see only what changed in between. This is piggyback
-// selection: the caller keeps one generation per destination and copies the
-// entries it decides to send, nothing else.
+// entry recorded, or whose holders changed, after generation since (zero or
+// negative: every pending entry) and returns the current generation — the
+// value to pass next time to see only what changed in between. This is
+// piggyback selection: the caller keeps one generation per destination and
+// copies the entries it decides to send, nothing else.
 func (l *Log) ScanPendingModified(since int, fn func(Entry)) int {
 	l.scan(l.pending, since, fn)
 	return l.gen
 }
 
 // ScanModified is ScanPendingModified without the stability filter: fn
-// also receives entries that crossed the f+1 threshold. The output-commit
-// piggyback path uses it so holder knowledge travels one hop further than
-// replication needs — the process whose delivery an entry records can only
-// release dependent output once IT learns the entry is stable; with the
-// stability-filtered scan that knowledge would arrive only with its next
-// checkpoint (see fbl/send.go).
+// also receives the entries that crossed the f+1 threshold, or were first
+// recorded already past it, after generation since — once each, whatever
+// their holders do afterwards. The output-commit piggyback path uses it so
+// holder knowledge travels one hop further than replication needs — the
+// process whose delivery an entry records can only release dependent output
+// once IT learns the entry is stable; with the stability-filtered scan that
+// knowledge would arrive only with its next checkpoint (see fbl/send.go).
 func (l *Log) ScanModified(since int, fn func(Entry)) int {
 	l.scan(l.pending, since, fn)
 	l.scan(l.settled, since, fn)
@@ -551,6 +568,18 @@ func (l *Log) AllForReceivers(procs []ids.ProcID) []Entry {
 	}
 	sortEntries(out)
 	return out
+}
+
+// CountForReceivers returns len(AllForReceivers(procs)) by walking the
+// chains, without copying or sorting an entry.
+func (l *Log) CountForReceivers(procs []ids.ProcID) int {
+	n := 0
+	for _, p := range procs {
+		for i := l.chain(p); i >= 0; i = l.slots[i].rnext {
+			n++
+		}
+	}
+	return n
 }
 
 // GCReceiver drops determinants for deliveries at p with RSN <= upTo: once

@@ -316,3 +316,92 @@ func TestScanOffersViewsOfTheSlab(t *testing.T) {
 		t.Fatal("no view followed the slab: the scan is handing out copies again (and allocating them)")
 	}
 }
+
+// TestGrowthPastStabilityIsNotNews pins the selection rule (DESIGN §10):
+// an entry is news while it is pending, once more when it crosses the
+// stability threshold, and never after — later holders are stored, and that
+// is all. Two destinations keep a generation each, as fbl.Process.scanGen.
+func TestGrowthPastStabilityIsNotNews(t *testing.T) {
+	l := NewLog(Config{N: 8, F: 1})
+	var settled []ids.MsgID
+	l.OnSettled(func(id ids.MsgID) { settled = append(settled, id) })
+	a, b := ids.MsgID{Sender: 0, SSN: 1}, ids.MsgID{Sender: 0, SSN: 2}
+	for _, e := range []Entry{entry(0, 1, 1, 1, 1), entry(0, 2, 1, 2, 1)} {
+		if err := l.Record(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var gen [2]int
+	scan := func(d int) map[ids.MsgID]string {
+		got := map[ids.MsgID]string{}
+		gen[d] = l.ScanModified(gen[d], func(e Entry) { got[e.Det.Msg] = e.Holders.String() })
+		return got
+	}
+	offered := func(d int, want map[ids.MsgID]string) {
+		t.Helper()
+		if got := scan(d); len(got) != len(want) || got[a] != want[a] || got[b] != want[b] {
+			t.Fatalf("scan for destination %d offered %v, want %v", d, got, want)
+		}
+	}
+	settledOrder := func() (out []ids.MsgID) {
+		for i := l.settled.head; i >= 0; i = l.slots[i].next {
+			out = append(out, l.slots[i].det.Msg)
+		}
+		return out
+	}
+	offered(0, map[ids.MsgID]string{a: "{1}", b: "{1}"})
+	offered(1, map[ids.MsgID]string{a: "{1}", b: "{1}"})
+
+	// The crossing: news once per destination, OnSettled once.
+	l.AddHolder(a, 2)
+	l.AddHolder(b, 2)
+	if len(settled) != 2 || settled[0] != a || settled[1] != b {
+		t.Fatalf("OnSettled told %v, want [a b]", settled)
+	}
+	offered(0, map[ids.MsgID]string{a: "{1,2}", b: "{1,2}"})
+	offered(0, nil)
+
+	// Growth past it: stored, and nothing else moves.
+	genBefore, late := l.gen, l.Stats().LateUnions
+	l.AddHolder(a, 3)
+	if err := l.RecordHeld(entry(0, 1, 1, 1, 4), 5); err != nil {
+		t.Fatal(err)
+	}
+	l.AddHolder(a, 3) // no change at all: not even counted
+	if e, _ := l.Lookup(a); !e.Holders.Equal(bitset.FromSlice([]int{1, 2, 3, 4, 5})) {
+		t.Fatalf("holders of a = %v, want {1, 2, 3, 4, 5}: growth past stability must still be stored", e.Holders)
+	}
+	if all := l.All(); len(all) != 2 || !all[0].Holders.Contains(5) {
+		t.Fatalf("All = %v, want a with its late holders", all)
+	}
+	if l.gen != genBefore || l.Stats().LateUnions != late+2 {
+		t.Fatalf("generation %d → %d, late unions %d → %d; want no new generation and 2 counted",
+			genBefore, l.gen, late, l.Stats().LateUnions)
+	}
+	if got := settledOrder(); len(got) != 2 || got[0] != a || got[1] != b {
+		t.Fatalf("settled list is %v, want [a b]: a must not move to the tail", got)
+	}
+	if len(settled) != 2 {
+		t.Fatalf("OnSettled fired again: %v", settled)
+	}
+	offered(0, nil)
+	l.ScanPendingModified(0, func(e Entry) { t.Fatalf("pending scan offered %v", e.Det) })
+	// Destination 1 last scanned before the crossing: it is offered each
+	// entry once — with the holders of now — and then nothing.
+	offered(1, map[ids.MsgID]string{a: "{1,2,3,4,5}", b: "{1,2}"})
+	l.AddHolder(b, 6)
+	offered(1, nil)
+
+	// Collected and recorded again, a is a new entry: news to everybody.
+	if n := l.GCReceiver(1, 1); n != 1 || len(settled) != 2 {
+		t.Fatalf("GCReceiver dropped %d (OnSettled %v), want 1 and no callback for a stable entry", n, settled)
+	}
+	if err := l.Record(entry(0, 1, 1, 1, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	offered(0, map[ids.MsgID]string{a: "{1,2}"})
+	offered(1, map[ids.MsgID]string{a: "{1,2}"})
+	if got := settledOrder(); len(got) != 2 || got[0] != b || got[1] != a {
+		t.Fatalf("settled list is %v, want [b a]", got)
+	}
+}

@@ -13,22 +13,27 @@ import (
 )
 
 // refLog is the selection rule stated plainly, for the differential test: a
-// map of entries, and per destination the holders every entry had at the
-// previous scan for it. A scan offers the entries whose holders differ from
-// that memory — the cursor-plus-fingerprint rule the generation stamps
-// replaced. The one deliberate difference from the old code: collecting an
-// entry forgets its memory, so a determinant re-recorded after GC counts as
-// new even with an equal holder set (the old fingerprint memo kept it
-// suppressed; DESIGN §5 records that this never occurs in a measured run).
+// map of entries, each with its news — the holder set as of its last change
+// that counted: any change while the entry was pending, the one that made it
+// stable included, and none after — and per destination the news every entry
+// had at the previous scan for it. A scan offers the entries whose news
+// differs from that memory, carrying the holders they have now. Collecting
+// an entry forgets its memory, so a determinant re-recorded after GC is new
+// again even with an equal holder set.
 type refLog struct {
 	cfg     Config
-	ents    map[ids.MsgID]*Entry
-	memo    []map[ids.MsgID]string // per destination: id → holders at its last scan
+	ents    map[ids.MsgID]*refEntry
+	memo    []map[ids.MsgID]string // per destination: id → news at its last scan
 	settled []ids.MsgID            // ids that left the pending set, in no particular order
 }
 
+type refEntry struct {
+	Entry
+	news string
+}
+
 func newRef(cfg Config) *refLog {
-	r := &refLog{cfg: cfg, ents: map[ids.MsgID]*Entry{}, memo: make([]map[ids.MsgID]string, cfg.N)}
+	r := &refLog{cfg: cfg, ents: map[ids.MsgID]*refEntry{}, memo: make([]map[ids.MsgID]string, cfg.N)}
 	for d := range r.memo {
 		r.memo[d] = map[ids.MsgID]string{}
 	}
@@ -38,13 +43,17 @@ func newRef(cfg Config) *refLog {
 func (r *refLog) record(e Entry, also int) {
 	cur, ok := r.ents[e.Det.Msg]
 	if !ok {
-		cur = &Entry{Det: e.Det}
+		cur = &refEntry{Entry: Entry{Det: e.Det}}
 		r.ents[e.Det.Msg] = cur
 	}
-	was := ok && !r.cfg.Stable(cur.Holders)
+	wasStable := ok && r.cfg.Stable(cur.Holders)
 	cur.Holders.Union(e.Holders)
 	cur.Holders.Add(also)
-	if was && r.cfg.Stable(cur.Holders) {
+	if wasStable {
+		return // stability is final: stored, not news
+	}
+	cur.news = cur.Holders.String()
+	if ok && r.cfg.Stable(cur.Holders) {
 		r.settled = append(r.settled, e.Det.Msg)
 	}
 }
@@ -69,11 +78,10 @@ func (r *refLog) gc(p ids.ProcID, upTo ids.RSN) (n int) {
 func (r *refLog) scan(d int, pendingOnly bool) map[ids.MsgID]string {
 	out := map[ids.MsgID]string{}
 	for id, e := range r.ents {
-		h := e.Holders.String()
-		if r.memo[d][id] != h && !(pendingOnly && r.cfg.Stable(e.Holders)) {
-			out[id] = h
+		if r.memo[d][id] != e.news && !(pendingOnly && r.cfg.Stable(e.Holders)) {
+			out[id] = e.Holders.String()
 		}
-		r.memo[d][id] = h
+		r.memo[d][id] = e.news
 	}
 	return out
 }
@@ -81,7 +89,7 @@ func (r *refLog) scan(d int, pendingOnly bool) map[ids.MsgID]string {
 func (r *refLog) entries(keep func(*Entry) bool) []Entry {
 	out := []Entry{}
 	for _, e := range r.ents {
-		if keep(e) {
+		if keep(&e.Entry) {
 			out = append(out, e.Clone())
 		}
 	}
@@ -228,6 +236,9 @@ func TestLogMatchesReferenceModel(t *testing.T) {
 			}
 			if got, want := canon(l.AllForReceivers(procs)), canon(scoped); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d step %d: AllForReceivers(%v)\n %v\nwant\n %v", seed, step, procs, got, want)
+			}
+			if got := l.CountForReceivers(procs); got != len(scoped) {
+				t.Fatalf("seed %d step %d: CountForReceivers(%v) = %d, want %d", seed, step, procs, got, len(scoped))
 			}
 		}
 	}

@@ -11,6 +11,7 @@
 package fbl
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -193,6 +194,9 @@ type Process struct {
 	piggy      []det.Entry
 	piggyWords []uint64
 	tx         wire.Envelope
+	// offers counts the entries the scans handed to offer, memoRejected the
+	// ones of those the detSent memo dropped (DetStats; this incarnation).
+	offers, memoRejected int
 	// replayServed remembers, per requester, the highest send-log dseq
 	// already retransmitted to a given incarnation, so periodic replay-
 	// request retries do not flood the recovering process with redundant
@@ -559,12 +563,23 @@ func (p *Process) learnIncarnation(q ids.ProcID, inc ids.Incarnation) {
 	}
 }
 
-// hashBytes is a small FNV-1a for hook payload fingerprints.
+// hashBytes fingerprints a payload for the hooks, whose only consumer
+// compares two values of one run for equality (the cluster checker): FNV-1a's
+// xor–multiply over 8-byte words instead of bytes, with a shift-xor after
+// each multiply so a word's high bits reach the low ones (the multiply alone
+// only carries upward, and two flipped top bits eight bytes apart would
+// cancel), then the tail a byte at a time. Every step is a bijection of h, so
+// equal-length payloads that differ in one word or one tail byte never
+// collide. Not stable across versions; the values never leave the run.
 func hashBytes(b []byte) uint64 {
+	const prime = 1099511628211
 	h := uint64(14695981039346656037)
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * prime
+		h ^= h >> 29
+	}
 	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+		h = (h ^ uint64(c)) * prime
 	}
 	return h
 }

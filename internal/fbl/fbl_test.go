@@ -2,6 +2,7 @@ package fbl
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"rollrec/internal/ids"
 	"rollrec/internal/metrics"
 	"rollrec/internal/node"
+	"rollrec/internal/output"
 	"rollrec/internal/recovery"
 	"rollrec/internal/storage"
 	"rollrec/internal/trace"
@@ -335,12 +337,49 @@ func TestSortedKeys(t *testing.T) {
 	}
 }
 
+// TestHashBytes: the fingerprint folds eight bytes per step, so the cases
+// that matter are the seams — the tail after the last whole word, the word
+// boundary itself, and the high bits a bare multiply would let cancel.
 func TestHashBytes(t *testing.T) {
-	if hashBytes([]byte("a")) == hashBytes([]byte("b")) {
-		t.Fatal("different payloads must hash differently")
-	}
 	if hashBytes(nil) != hashBytes([]byte{}) {
 		t.Fatal("nil and empty must hash equally")
+	}
+	seq := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i + 1)
+		}
+		return b
+	}
+	flip := func(b []byte, at ...int) []byte {
+		b = append([]byte(nil), b...)
+		for _, i := range at {
+			b[i] ^= 0x80
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		a, b []byte
+	}{
+		{"one byte", []byte("a"), []byte("b")},
+		{"tail only, 1 past a word", seq(9), flip(seq(9), 8)},
+		{"tail only, 7 past two words", seq(23), flip(seq(23), 22)},
+		{"tail bytes swapped", []byte("01234567ab"), []byte("01234567ba")},
+		{"first word only", seq(19), flip(seq(19), 0)},
+		{"last whole word only", seq(16), flip(seq(16), 15)},
+		{"top bits of two adjacent words", seq(16), flip(seq(16), 7, 15)},
+		{"top bit of a word and of the tail", seq(12), flip(seq(12), 7, 11)},
+		{"words swapped", []byte("aaaaaaaabbbbbbbb"), []byte("bbbbbbbbaaaaaaaa")},
+		{"zeros of different length", make([]byte, 8), make([]byte, 16)},
+		{"zero tail of different length", make([]byte, 3), make([]byte, 4)},
+	} {
+		if hashBytes(tc.a) == hashBytes(tc.b) {
+			t.Errorf("%s: %x and %x hash equally", tc.name, tc.a, tc.b)
+		}
+		if hashBytes(tc.a) != hashBytes(append([]byte(nil), tc.a...)) {
+			t.Errorf("%s: equal payloads hash differently", tc.name)
+		}
 	}
 }
 
@@ -373,5 +412,88 @@ func TestModeStrings(t *testing.T) {
 		if m.String() == "" {
 			t.Fatalf("mode %d has no name", m)
 		}
+	}
+}
+
+// TestStableDeterminantTravelsOnceMore: three processes at f = 1 under
+// output tracking, frames carried by hand. p1 delivers m, asks for an
+// output, and sends to p2; p2's next frame to p1 — one round trip after
+// that send — carries m's determinant back as stable and the output is
+// released. After that, what the determinant's holder set does at p2 is
+// not news: p2's frames carry its own new deliveries and nothing else.
+func TestStableDeterminantTravelsOnceMore(t *testing.T) {
+	const n = 3
+	ledger := output.NewLedger(n)
+	var (
+		procs [n]*Process
+		envs  [n]*fakeEnv
+		clock int64
+	)
+	for i := range procs {
+		par := testParams(n, 1)
+		par.Outputs = ledger
+		envs[i] = newFakeEnv(ids.ProcID(i), n)
+		procs[i] = New(par)().(*Process)
+		procs[i].Boot(envs[i], false)
+		envs[i].sent = nil
+	}
+	// send has `from` send one application message to `to`, delivers it, and
+	// returns the determinants it piggybacked.
+	send := func(from, to ids.ProcID) []det.Entry {
+		t.Helper()
+		clock++
+		for _, env := range envs {
+			env.now = clock
+		}
+		appCtx{procs[from]}.Send(to, chainPayload)
+		frames := envs[from].takeKind(wire.KindApp)
+		if len(frames) != 1 || frames[0].To != to {
+			t.Fatalf("p%d sent %d app frames, want one to p%d", from, len(frames), to)
+		}
+		procs[to].Deliver(frames[0])
+		return frames[0].Dets
+	}
+	carries := func(dets []det.Entry, want ...ids.MsgID) {
+		t.Helper()
+		got := make([]ids.MsgID, len(dets))
+		for i, e := range dets {
+			got[i] = e.Det.Msg
+		}
+		ids.SortMsgIDs(got) // the set is the contract, not the order
+		if !slices.Equal(got, want) {
+			t.Fatalf("frame piggybacks %v, want %v", got, want)
+		}
+	}
+	m := ids.MsgID{Sender: 0, SSN: 1}
+	m1 := func(ssn ids.SSN) ids.MsgID { return ids.MsgID{Sender: 1, SSN: ssn} }
+
+	send(0, 1) // m; its determinant is pending at p1, held by p1 alone
+	appCtx{procs[1]}.Output([]byte("reply"))
+	if ledger.OpenOf(1) != 1 {
+		t.Fatal("the output must wait: m's determinant has one holder, f+1 is two")
+	}
+	carries(send(1, 2), m) // the send; p2 records {1,2}: stable there
+	carries(send(1, 0), m) // and p0: {0,1}, stable there too
+	if ledger.OpenOf(1) != 1 {
+		t.Fatal("the output was released before p1 could know m's determinant is stable")
+	}
+	back := send(2, 1) // the round trip closes
+	carries(back, m, m1(1))
+	if ledger.OpenOf(1) != 0 {
+		t.Fatalf("p2's frame carried %v and left the output open; want m's determinant stable and the output released", back)
+	}
+
+	// Holder growth at p2: p0's copy arrives with {0,1}.
+	carries(send(0, 2), m, m1(2))
+	st := procs[2].DetStats()
+	if e, _ := procs[2].dets.Lookup(m); !e.Holders.Equal(bitset.FromSlice([]int{0, 1, 2})) || st.LateUnions != 1 {
+		t.Fatalf("m's determinant at p2 has holders %v, %d late unions; want {0,1,2} stored and counted once", e.Holders, st.LateUnions)
+	}
+	// p1 was offered it as stable already: the growth adds nothing to p2's
+	// next frame, which carries the two deliveries p2 made since.
+	carries(send(2, 1), ids.MsgID{Sender: 0, SSN: 2}, m1(2))
+	carries(send(2, 1))
+	if st := procs[2].DetStats(); st.MemoRejected != 0 || st.Offers != 4 {
+		t.Fatalf("p2 selected %d entries and its memo rejected %d; want 4 and 0", st.Offers, st.MemoRejected)
 	}
 }

@@ -45,9 +45,20 @@ func (p *Process) DetLogLen() int { return p.dets.Len() }
 // f+1-holder watermark). Allocation-free, for the timeline sampler.
 func (p *Process) DetPending() int { return p.dets.PendingCount() }
 
-// DetStats returns the determinant log's own counters: entries, stability
-// lag, slab high-water mark and free slots.
-func (p *Process) DetStats() det.Stats { return p.dets.Stats() }
+// DetStats is a process's account of its determinant machinery since it
+// booted: the log's own counters (entries, stability lag, slab high-water
+// mark and free slots, holder unions that reached an already-stable entry)
+// and piggyback selection's.
+type DetStats struct {
+	det.Stats
+	Offers       int // entries the per-destination scans selected
+	MemoRejected int // of those, dropped by the detSent memo (output tracking only)
+}
+
+// DetStats returns the counters of this incarnation.
+func (p *Process) DetStats() DetStats {
+	return DetStats{Stats: p.dets.Stats(), Offers: p.offers, MemoRejected: p.memoRejected}
+}
 
 // RecoveryState returns the recovery manager state.
 func (p *Process) RecoveryState() recovery.State { return p.mgr.State() }

@@ -62,7 +62,9 @@ func holderFingerprint(e det.Entry) uint64 {
 // offered it to this destination — the FBL estimate that stops the
 // propagation of a receipt order "as soon as it has been recorded in f+1
 // hosts". One generation per destination (scanGen) is the whole estimate
-// in broadcast and fanout mode alike.
+// in broadcast and fanout mode alike. Under output tracking a determinant
+// travels once more per destination, as stable, and then never again: what
+// its holder set does past f+1 is not news (det.Log, DESIGN §10).
 func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
 	p.piggy, p.piggyWords = p.piggy[:0], p.piggyWords[:0]
 	// The scans offer views into the determinant slab; offer copies the ones
@@ -74,7 +76,10 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
 		// Output tracking needs holder knowledge to travel one hop past
 		// the f+1 threshold: only learning that its antecedents are
 		// stable lets the entry's receiver release output (DESIGN §10).
-		// A reincarnated peer (-1) still gets the pending set only.
+		// The settled list holds each entry at the generation it became
+		// stable (or was first recorded stable), so that hop is taken once
+		// per destination. A reincarnated peer (-1) still gets the pending
+		// set only.
 		gen = p.dets.ScanModified(gen, offer)
 	} else {
 		gen = p.dets.ScanPendingModified(gen, offer)
@@ -91,9 +96,10 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
 	if p.par.Fanout > 0 {
 		// The FBL sender-side estimate (§2.1): piggybacking a determinant
 		// to a destination makes that destination a holder, so count it now
-		// and stop propagating once the estimate reaches f+1 (the change also
-		// re-offers the entry to this destination once, carrying the wider
-		// holder set). Without this, a copy's holder view stalls below the
+		// and stop propagating once the estimate reaches f+1 (while the entry
+		// is pending the change also re-offers it to this destination once,
+		// carrying the wider holder set; on a stable entry it is stored and
+		// nothing more). Without this, a copy's holder view stalls below the
 		// threshold forever (stable copies are never re-piggybacked, so
 		// nobody echoes the knowledge back) and every process keeps offering
 		// every determinant it saw until checkpoint GC — the piggyback volume
@@ -133,7 +139,9 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
 // piggyback scratch, unless the output-tracking memo says this destination
 // has it already.
 func (p *Process) offer(to ids.ProcID, e det.Entry) {
+	p.offers++
 	if p.detSent != nil && !p.memoise(to, e) {
+		p.memoRejected++
 		return
 	}
 	at := len(p.piggyWords)
@@ -143,11 +151,13 @@ func (p *Process) offer(to ids.ProcID, e det.Entry) {
 
 // memoise records e's holder set as the one last offered to this
 // destination and reports whether that is news. Without output tracking
-// scanGen alone decides and the memo would never fire; with it, stable
-// entries keep travelling, so a determinant collected here comes back from
-// a peer that has not collected it yet, looks new to the log, and only this
-// memo keeps it from being re-offered to everyone it was already offered to
-// with the same holders (DESIGN §5).
+// scanGen alone decides and the memo would never fire; with it, a
+// determinant collected here can come back stable from a peer that has not
+// collected it yet, looks new to the log, and only this memo keeps it from
+// being offered again to everyone it was already offered to with the same
+// holders. Since stable entries stopped circulating that is rare — 0 of
+// 627 211 offers on three seeds of the benchmark's traffic cell, 4 211 of
+// 5.37 M across D11/D12 (DetStats; DESIGN §5) — and ROADMAP 4(f) retires it.
 func (p *Process) memoise(to ids.ProcID, e det.Entry) bool {
 	if p.detSent[to] == nil {
 		p.detSent[to] = make([][]uint64, p.n)

@@ -143,22 +143,21 @@ func (m *Manager) onDepRequest(e *wire.Envelope) {
 	// long reused e: the closures capture the fields they need, never e.
 	from, ord, round, members := e.From, e.Ord, e.Round, e.Members
 
-	// A request naming its recovering members asks for a scoped reply:
-	// only determinants those members will replay.
-	depinfo := func() []det.Entry {
-		if len(members) > 0 {
-			return m.host.DepInfoFor(members)
-		}
-		return m.host.DepInfo()
-	}
-
 	reply := func() {
+		// A request naming its recovering members asks for a scoped reply:
+		// only determinants those members will replay.
+		var dets []det.Entry
+		if len(members) > 0 {
+			dets = m.host.DepInfoFor(members)
+		} else {
+			dets = m.host.DepInfo()
+		}
 		m.env.Send(from, &wire.Envelope{
 			Kind:    wire.KindDepReply,
 			FromInc: m.selfInc(),
 			Ord:     ord,
 			Round:   round,
-			Dets:    depinfo(),
+			Dets:    dets,
 		})
 	}
 
@@ -172,9 +171,9 @@ func (m *Manager) onDepRequest(e *wire.Envelope) {
 		m.blockFor(ord)
 		// Manetho requires the reply recorded on stable storage before it
 		// is sent; the synchronous write stalls the reply (and lengthens
-		// everyone's gather).
-		sz := len(depinfo()) * 32
-		m.host.StableReplyWrite(ord, sz, reply)
+		// everyone's gather). The write is sized by the log as it is now, the
+		// reply carries the log as it is when the write completes.
+		m.host.StableReplyWrite(ord, 32*m.host.DepInfoLen(members), reply)
 	default:
 		panic(fmt.Sprintf("recovery: unknown style %v", m.cfg.Style))
 	}

@@ -98,6 +98,11 @@ type Host interface {
 	// process as receiver, so the rest of the log is dead weight on the
 	// wire; at n=1024 the difference is the bulk of the gather traffic.
 	DepInfoFor(procs []ids.ProcID) []det.Entry
+	// DepInfoLen returns how many entries the reply to a gather naming procs
+	// would carry — len(DepInfoFor(procs)), or len(DepInfo()) when procs is
+	// empty — without building it: the Manetho style sizes its stable write
+	// from the count before it assembles the reply.
+	DepInfoLen(procs []ids.ProcID) int
 	// MergeIncVec installs newer incarnations from a leader's vector,
 	// making stale messages rejectable.
 	MergeIncVec(v []ids.Incarnation)

@@ -89,6 +89,8 @@ type fakeHost struct {
 	blockedLog []bool
 	applied    [][]det.Entry
 	writes     int
+	writeSizes []int
+	built      int // DepInfo + DepInfoFor calls: replies assembled
 	// deferWrites parks StableReplyWrite completions in pendingWrites until
 	// the test runs them, modelling the stable-storage latency.
 	deferWrites   bool
@@ -99,8 +101,15 @@ func newFakeHost(n int) *fakeHost {
 	return &fakeHost{n: n, incVec: vclock.NewIncVector(n)}
 }
 
-func (h *fakeHost) DepInfo() []det.Entry { return h.dep }
+func (h *fakeHost) DepInfo() []det.Entry {
+	h.built++
+	return h.dep
+}
 func (h *fakeHost) DepInfoFor(procs []ids.ProcID) []det.Entry {
+	h.built++
+	return h.scoped(procs)
+}
+func (h *fakeHost) scoped(procs []ids.ProcID) []det.Entry {
 	var out []det.Entry
 	for _, e := range h.dep {
 		for _, p := range procs {
@@ -111,6 +120,12 @@ func (h *fakeHost) DepInfoFor(procs []ids.ProcID) []det.Entry {
 		}
 	}
 	return out
+}
+func (h *fakeHost) DepInfoLen(procs []ids.ProcID) int {
+	if len(procs) == 0 {
+		return len(h.dep)
+	}
+	return len(h.scoped(procs))
 }
 func (h *fakeHost) MergeIncVec(v []ids.Incarnation) {
 	h.incVec.Merge(vclock.FromSlice(v))
@@ -126,6 +141,7 @@ func (h *fakeHost) SetLiveBlocked(b bool) {
 }
 func (h *fakeHost) StableReplyWrite(ord ids.Ordinal, size int, done func()) {
 	h.writes++
+	h.writeSizes = append(h.writeSizes, size)
 	if h.deferWrites {
 		h.pendingWrites = append(h.pendingWrites, done)
 		return
@@ -422,6 +438,39 @@ func TestManethoReplySurvivesEnvelopeReuse(t *testing.T) {
 	}
 	if len(r.Dets) != 1 || r.Dets[0].Det.Receiver != 1 {
 		t.Fatalf("depinfo = %v; want it scoped to the request's Members (receiver p1 only)", r.Dets)
+	}
+}
+
+// TestManethoSizesTheWriteByCounting: the stable write is sized from the
+// log as it stands when the request arrives — 32 bytes per entry the reply
+// would carry then, scoped or not — by counting, and the reply is assembled
+// once, after the write, from the log as it stands then.
+func TestManethoSizesTheWriteByCounting(t *testing.T) {
+	for _, tc := range []struct {
+		members   []ids.ProcID
+		size, len int
+	}{
+		{nil, 3 * 32, 4},
+		{[]ids.ProcID{1}, 2 * 32, 3},
+	} {
+		m, env, host := mkManager(2, 4, Manetho)
+		host.deferWrites = true
+		host.dep = []det.Entry{entry(0, 1, 1, 1, 2), entry(0, 2, 3, 1, 2), entry(3, 1, 1, 2, 2)}
+		m.HandleMessage(&wire.Envelope{
+			Kind: wire.KindDepRequest, From: 1, FromInc: 2, Round: 1, Ord: ids.Ordinal{Clock: 5, Proc: 1},
+			IncVec: []ids.Incarnation{1, 2, 1, 1}, Members: tc.members,
+		})
+		if len(host.writeSizes) != 1 || host.writeSizes[0] != tc.size || host.built != 0 {
+			t.Fatalf("members %v: write sizes %v with %d replies assembled, want [%d] and none yet",
+				tc.members, host.writeSizes, host.built, tc.size)
+		}
+		host.dep = append(host.dep, entry(0, 3, 1, 3, 2)) // delivered during the write
+		host.pendingWrites[0]()
+		replies := env.take(wire.KindDepReply)
+		if len(replies) != 1 || len(replies[0].Dets) != tc.len || host.built != 1 {
+			t.Fatalf("members %v: %d replies, %d assembled; want one reply of %d entries, assembled once",
+				tc.members, len(replies), host.built, tc.len)
+		}
 	}
 }
 

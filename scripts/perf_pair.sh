@@ -13,9 +13,15 @@
 #   scripts/perf_pair.sh -l 17            # 10 pairs x 4 workloads x 2 sides, ~35 min
 #   scripts/perf_pair.sh -l ci -n 2 -w    # CI: warn mode, 2 pairs
 #   scripts/perf_pair.sh -p HEAD -l 17    # before the change is committed
+#   scripts/perf_pair.sh -l 21 -behaviour-change traffic_n8_crash,explore_n4_sweep
 #
 #   -p ref      the parent commit; must come first     (default: HEAD~)
 #   -l -n -w    label, pairs, warn mode: passed to cmd/perfpair (see its -h)
+#   -behaviour-change a,b
+#               the workloads whose simulated behaviour the change moves on
+#               purpose (also passed through, and written into the stamp):
+#               their sim_digest must differ from the parent's, every other
+#               workload's must not
 #
 # The run length and the workloads are BENCHMARK.json's, always: a ledger is
 # only comparable with the next one if both ran what the manifest declares.
@@ -29,8 +35,9 @@
 # worktree: the benchmark builds from plain files and nothing is left behind.
 #
 # Exit: 0 clean (or -w), 1 when a (metric, workload) median is outside its
-# BENCHMARK.json bound, a sim_digest differs, or the failed-op share rose;
-# 2 on usage or benchmark errors. The judging lives in cmd/perfpair.
+# BENCHMARK.json bound, an undeclared workload's sim_digest differs or a
+# declared one's does not, or the failed-op share rose; 2 on usage or
+# benchmark errors. The judging lives in cmd/perfpair.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
