@@ -117,9 +117,11 @@ benchmark-smoke:
 # PERF_$(LABEL).json, the committed results ledger (see the script header);
 # ~35 min at the default 10 pairs. Not part of `check`. A change that moves
 # simulated behaviour on purpose names the workloads it moves:
-# `make perf-pair LABEL=21 BEHAVIOUR=traffic_n8_crash,explore_n4_sweep`.
+# `make perf-pair LABEL=21 BEHAVIOUR=traffic_n8_crash,explore_n4_sweep`;
+# one that claims a gain names the cell, and fails unless it improved:
+# `make perf-pair LABEL=22 CLAIM=fanout_n256_sharded/alloc_mb`.
 LABEL ?= pair
 perf-pair:
-	./scripts/perf_pair.sh -l $(LABEL) $(if $(BEHAVIOUR),-behaviour-change $(BEHAVIOUR))
+	./scripts/perf_pair.sh -l $(LABEL) $(if $(BEHAVIOUR),-behaviour-change $(BEHAVIOUR)) $(if $(CLAIM),-claim $(CLAIM))
 
 check: vet lint fmt test race bench benchmark-smoke

@@ -7,7 +7,11 @@
 // declared bound, a digest differs, or a larger share of operations failed.
 // A change that moves simulated behaviour on purpose names the workloads it
 // moves (-behaviour-change a,b): for those a digest that does NOT differ is
-// the problem, for every other workload one that does.
+// the problem, for every other workload one that does. A change that claims a
+// gain names the cell (-claim workload/metric): the claim is met only by the
+// verdict "improved" — at least ten pairs, nine tenths of them won, medians
+// apart by more than the parent's own interquartile range — and an unmet
+// claim exits 1 even in warn mode.
 //
 // It reads the benchmark's output and nothing of its source: benchmark/ and
 // BENCHMARK.json stay frozen.
@@ -50,6 +54,20 @@ func (mf manifest) checkDeclared(declared []string) error {
 		if !known {
 			return fmt.Errorf("-behaviour-change: BENCHMARK.json has no workload %q", d)
 		}
+	}
+	return nil
+}
+
+// checkClaim refuses a -claim that does not name a workload and an
+// end-to-end metric of the manifest, before the runs.
+func (mf manifest) checkClaim(claim string) error {
+	if claim == "" {
+		return nil
+	}
+	workload, metric, ok := strings.Cut(claim, "/")
+	if !ok || mf.checkDeclared([]string{workload}) != nil ||
+		!slices.ContainsFunc(mf.EndToEnd, func(d metricDef) bool { return d.Name == metric }) {
+		return fmt.Errorf("-claim %q: want workload/metric, both from BENCHMARK.json", claim)
 	}
 	return nil
 }
@@ -222,6 +240,25 @@ func judgeDigests(workload string, declared bool, pairs []DigestPair) (equal boo
 	return equal, problems
 }
 
+// judgeClaim holds the claimed cell ("workload/metric", checked by
+// checkClaim) to the rule a gain is claimed by, which is the improved
+// verdict and nothing weaker: within its bound is what every other cell
+// must be, not what the claimed one was promised to be.
+func judgeClaim(claim string, reports []WorkloadReport) (problem string) {
+	workload, metric, _ := strings.Cut(claim, "/")
+	for _, w := range reports {
+		for _, m := range w.Metrics {
+			if w.Name != workload || m.Name != metric || m.Verdict == improved {
+				continue
+			}
+			return fmt.Sprintf("claim %s not met: %s, %d of %d pairs won (%d needed, of at least %d), medians %.4g -> %.4g against a parent IQR of %.4g",
+				claim, m.Verdict, m.Wins, len(m.Parent.Runs), (9*len(m.Parent.Runs)+9)/10, minPairs,
+				m.Parent.Median, m.Change.Median, m.Parent.Q3-m.Parent.Q1)
+		}
+	}
+	return ""
+}
+
 var digestRE = regexp.MustCompile(`sim_digest=([0-9a-f]+)`)
 
 // parseRun reads one benchmark process's standard output: the last line is
@@ -337,6 +374,7 @@ func main() {
 	warn := flag.Bool("w", false, "warn mode: report problems but exit 0")
 	stamp := flag.String("stamp", "", "comma-separated key=value pairs added to the environment stamp")
 	behaviour := flag.String("behaviour-change", "", "comma-separated workloads whose simulated behaviour the change moves on purpose: their sim_digest must differ from the parent's, every other one must not")
+	claim := flag.String("claim", "", "workload/metric the change claims a gain on: exit 1, warn mode or not, unless its verdict is \"improved\"")
 	flag.Parse()
 	if *parent == "" || *pairs < 1 || flag.NArg() > 0 {
 		flag.Usage()
@@ -361,6 +399,9 @@ func main() {
 	if err := mf.checkDeclared(declared); err != nil {
 		fail(err)
 	}
+	if err := mf.checkClaim(*claim); err != nil {
+		fail(err)
+	}
 	dirs := map[string]string{"parent": *parent, "change": "."}
 	reports, problems, err := measure(mf, dirs, *pairs, declared)
 	if err != nil {
@@ -376,6 +417,13 @@ func main() {
 	}
 	if len(declared) > 0 {
 		env["behaviour_change"] = declared
+	}
+	unmet := ""
+	if *claim != "" {
+		env["claim"] = *claim
+		if unmet = judgeClaim(*claim, reports); unmet != "" {
+			problems = append(problems, unmet)
+		}
 	}
 	for _, kv := range strings.Split(*stamp, ",") {
 		if k, v, ok := strings.Cut(kv, "="); ok {
@@ -403,7 +451,7 @@ func main() {
 	for _, p := range problems {
 		fmt.Fprintln(os.Stderr, "perfpair: PROBLEM:", p)
 	}
-	if len(problems) > 0 && !*warn {
+	if unmet != "" || len(problems) > 0 && !*warn {
 		os.Exit(1)
 	}
 }

@@ -126,3 +126,52 @@ func TestCheckDeclared(t *testing.T) {
 		t.Fatal("a workload the manifest does not have was accepted")
 	}
 }
+
+// TestClaim: a claim names a cell of the manifest, and only the improved
+// verdict meets it — nine wins of ten and medians apart by more than the
+// parent's IQR, from at least ten pairs.
+func TestClaim(t *testing.T) {
+	var mf manifest
+	mf.Workloads = append(mf.Workloads, struct {
+		Name string `json:"name"`
+	}{"fanout"})
+	alloc := metricDef{Name: "alloc_mb", Better: "lower", Bound: 0.12}
+	mf.EndToEnd = []metricDef{alloc, {Name: "wall_s", Better: "lower", Bound: 0.25}}
+	for claim, ok := range map[string]bool{
+		"": true, "fanout/alloc_mb": true, "fanout/wall_s": true,
+		"fanout": false, "fanout/": false, "gossip/alloc_mb": false, "fanout/rss": false, "alloc_mb/fanout": false,
+	} {
+		if err := mf.checkClaim(claim); (err == nil) != ok {
+			t.Errorf("checkClaim(%q) = %v, want accepted=%v", claim, err, ok)
+		}
+	}
+
+	ten := func(base float64, jitter ...float64) []float64 {
+		out := make([]float64, 10)
+		for i := range out {
+			out[i] = base + jitter[i%len(jitter)]
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name           string
+		parent, change []float64
+		met            bool
+	}{
+		{"ten of ten, far beyond the IQR", ten(270, 0, 4, 8), ten(222, 0, 4, 8), true},
+		{"nine of ten", ten(270, 0, 4, 8), append(ten(222, 0, 4, 8)[:9], 300), true},
+		{"eight of ten", ten(270, 0, 1), append(ten(222, 0, 1)[:8], 280, 281), false},
+		{"every pair won, but by less than the parent's spread", ten(270, 0, 10, 20), ten(265, 0, 10, 20), false},
+		{"two pairs prove nothing", []float64{270, 271}, []float64{222, 223}, false},
+		{"within its bound is not a gain", ten(270, 0, 1), ten(275, 0, 1), false},
+		{"a regression is not a gain", ten(270, 0, 1), ten(400, 0, 1), false},
+	} {
+		reports := []WorkloadReport{
+			{Name: "gossip", Metrics: []MetricReport{compare(alloc, ten(9, 0), ten(9, 0))}}, // a tie elsewhere is not the claim's business
+			{Name: "fanout", Metrics: []MetricReport{compare(mf.EndToEnd[1], ten(1, 0), ten(1, 0)), compare(alloc, tc.parent, tc.change)}},
+		}
+		if problem := judgeClaim("fanout/alloc_mb", reports); (problem == "") != tc.met {
+			t.Errorf("%s: judgeClaim = %q, want met=%v", tc.name, problem, tc.met)
+		}
+	}
+}

@@ -16,9 +16,9 @@ import (
 //     callee may record, transmit, or encode the element).
 //
 // Pure reads that fold commutatively (counting, min/max without calls,
-// existence checks) pass. The fix is to iterate sorted keys — see
-// fbl.sortedKeys — or, when the body is provably commutative (e.g. deleting
-// a value-independent subset), to annotate the loop:
+// existence checks) pass. The fix is to iterate sorted keys or, when the
+// body is provably commutative (e.g. deleting a value-independent subset),
+// to annotate the loop:
 //
 //	//rollvet:allow maporder -- <why the order cannot be observed>
 var MapOrder = &Analyzer{

@@ -1,7 +1,9 @@
 package det
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"rollrec/internal/bitset"
 	"rollrec/internal/ids"
@@ -76,4 +78,49 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("scan with nothing modified: %v allocs, want 0", got)
 	}
 	_ = sink
+}
+
+// TestSlabGrowsInChunksAndNeverCopies pins the slab's growth past its first
+// chunk, for a one-word log and a wide one: recording K new entries
+// allocates two objects per chunk of 256 (the slots, their holders) plus a
+// handful for the id table's doublings and the chunk directories', in bytes
+// what the chunks and the table hold — a slab that doubled would allocate
+// (and copy) about as much again — and no slot recorded before moves.
+func TestSlabGrowsInChunksAndNeverCopies(t *testing.T) {
+	for _, cfg := range []Config{{N: 32, F: 1}, {N: 256, F: 2}} {
+		const first, k = chunkSize + 10, 16 * chunkSize
+		l := pendingLog(cfg, first)
+		before := make([]*slot, first)
+		for i := range before {
+			before[i] = l.at(int32(i))
+		}
+		next := first
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for ; next < first+k; next++ {
+			r := ids.ProcID(next % cfg.N)
+			if err := l.RecordHeld(Entry{Det: Determinant{Msg: ids.MsgID{Sender: r, SSN: ids.SSN(next + 1)}, Receiver: r, RSN: ids.RSN(next + 1)}}, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		st := l.Stats()
+		if st.Entries != first+k || st.SlabCap != first+k {
+			t.Fatalf("%+v: %d entries in %d slots, want %d", cfg, st.Entries, st.SlabCap, first+k)
+		}
+		const slack = 16 // table doublings (5 here), directory growth, ReadMemStats itself
+		if objs, most := m1.Mallocs-m0.Mallocs, uint64(2*(k/chunkSize)+slack); objs > most {
+			t.Errorf("%+v: recording %d entries past the first chunk allocated %d objects, want at most %d", cfg, k, objs, most)
+		}
+		perSlot := int(unsafe.Sizeof(slot{})) + st.HolderBytes/chunkedCap(l.slots, 1)
+		if got, most := m1.TotalAlloc-m0.TotalAlloc, uint64(k*perSlot+2*4*len(l.table)+4<<10); got > most {
+			t.Errorf("%+v: recording %d entries allocated %d B, want at most %d (%d B a slot, the table, 4 KB of slack): something is copying the slab",
+				cfg, k, got, most, perSlot)
+		}
+		for i, s := range before {
+			if l.at(int32(i)) != s {
+				t.Fatalf("%+v: slot %d moved when the slab grew", cfg, i)
+			}
+		}
+	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"rollrec/internal/bitset"
 	"rollrec/internal/ids"
@@ -96,16 +97,18 @@ func (c Config) stable(w []uint64) bool {
 // usable; construct with NewLog. Log is not safe for concurrent use — each
 // process owns one and the runtimes serialize event handling per process.
 //
-// Entries live in a slab that grows on demand and recycles collected slots
-// through a free list; holder sets sit in one arena at a fixed stride. Each
-// entry carries the log generation of its last piece of news (modGen) — it
-// was recorded, its holders changed while it was pending, or it crossed the
-// stability threshold — and is threaded on two intrusive lists: the pending
-// list (not yet stable) or the settled list (stable), both in modGen order,
-// and the chain of its receiver. Piggyback selection for a destination is
-// "walk a list back from its tail while modGen exceeds the generation of my
-// last scan for that destination": cost proportional to what changed, and
-// the only per-destination state is that one integer (DESIGN §5).
+// Entries live in a slab of fixed-size chunks that grows on demand, never
+// copies a chunk it has filled, and recycles collected slots through a free
+// list; holder sets sit beside the slots in the form the holder universe
+// calls for (see holder storage below). Each entry carries the log
+// generation of its last piece of news (modGen) — it was recorded, its
+// holders changed while it was pending, or it crossed the stability
+// threshold — and is threaded on two intrusive lists: the pending list (not
+// yet stable) or the settled list (stable), both in modGen order, and the
+// chain of its receiver. Piggyback selection for a destination is "walk a
+// list back from its tail while modGen exceeds the generation of my last
+// scan for that destination": cost proportional to what changed, and the
+// only per-destination state is that one integer (DESIGN §5).
 //
 // Stability is final: holders that reach an entry after it became stable are
 // unioned into the slab — depinfo replies (All, AllForReceivers) report them
@@ -113,13 +116,25 @@ func (c Config) stable(w []uint64) bool {
 // settled list, so no scan offers it again (DESIGN §10).
 type Log struct {
 	cfg    Config
-	stride int // holder words per slot: bits 0..N
+	stride int  // dense holder words: bits 0..N
+	wide   bool // stride > 1: holders are stored sparse, not as one word
 
-	gen   int // news counter; every stamp takes the next value
-	slots []slot
-	words []uint64 // holder arena: slot i owns words[i*stride:(i+1)*stride]
-	free  int32    // recycled slots, linked through slot.next
-	nfree int
+	gen int // news counter; every stamp takes the next value
+
+	// The slab: slot i is slots[i>>chunkBits][i&chunkMask], and its holders
+	// sit at the same position of word (one-word logs) or inl (wide logs).
+	// over is a wide log's overflow arena: dense sets of stride words, set k
+	// at position k of the same chunking.
+	slots  [][]slot
+	word   [][]uint64
+	inl    [][]sparse
+	over   [][]uint64
+	nslots int   // slots ever handed out: the slab's high-water mark
+	free   int32 // recycled slots, linked through slot.next
+	nfree  int
+	nsets  int   // overflow sets ever handed out
+	spare  int32 // recycled overflow sets, linked through their first word (+1)
+	nover  int   // entries whose holders live in the overflow arena
 
 	pending, settled list
 	npending         int
@@ -132,11 +147,26 @@ type Log struct {
 	table []int32
 	shift uint // 64 - log2(len(table))
 
+	// scratch holds the holder words of the entry a scan is offering: a view
+	// is valid until the next one is offered (see scan).
+	scratch []uint64
+	one     [1]uint64 // a one-word log's scratch
+
 	onSettled func(ids.MsgID)
 	late      int // holder unions that landed on an already-stable entry
 }
 
 const none = -1
+
+// The slab's chunking. Every chunk after the first is allocated whole and
+// never moves; the first grows by doubling up to the chunk size, so a log
+// that stays small (the explorer builds one per process per branch) costs
+// what it holds.
+const (
+	chunkBits = 8
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
 
 type slot struct {
 	det        Determinant
@@ -150,19 +180,24 @@ type slot struct {
 type list struct{ head, tail int32 }
 
 // NewLog returns an empty determinant log for the given configuration. It
-// allocates the per-receiver chain heads and nothing else: the explorer
-// builds a log per process per branch.
+// allocates the per-receiver chain heads (and a wide log's scratch) and
+// nothing else: the explorer builds a log per process per branch.
 func NewLog(cfg Config) *Log {
 	l := &Log{
 		cfg:     cfg,
 		stride:  cfg.N/64 + 1,
 		free:    none,
+		spare:   none,
 		pending: list{none, none},
 		settled: list{none, none},
 		recv:    make([]int32, cfg.N),
 	}
 	for i := range l.recv {
 		l.recv[i] = none
+	}
+	l.scratch = l.one[:]
+	if l.wide = l.stride > 1; l.wide {
+		l.scratch = make([]uint64, l.stride)
 	}
 	return l
 }
@@ -174,7 +209,7 @@ func NewLog(cfg Config) *Log {
 func (l *Log) OnSettled(fn func(ids.MsgID)) { l.onSettled = fn }
 
 // Len returns the number of determinants currently held.
-func (l *Log) Len() int { return len(l.slots) - l.nfree }
+func (l *Log) Len() int { return l.nslots - l.nfree }
 
 // PendingCount returns the number of entries that are not yet stable — the
 // stability lag: determinants still below the f+1-holder watermark, whose
@@ -185,21 +220,66 @@ func (l *Log) PendingCount() int { return l.npending }
 type Stats struct {
 	Entries  int // determinants held
 	Pending  int // of those, not yet stable
-	SlabCap  int // slots ever allocated: the high-water mark of Entries
+	SlabCap  int // slots ever handed out: the high-water mark of Entries
 	SlabFree int // of those, collected and awaiting reuse
 	// LateUnions counts, over the log's lifetime, the holder-set changes
 	// that reached an entry already stable: stored, never re-offered.
 	LateUnions int
+	// SlabBytes is what the slot chunks and the id table occupy, HolderBytes
+	// what the holder sets do (per-slot words or inline lists, plus the
+	// overflow arena): allocated capacity, not just the live entries' share.
+	SlabBytes, HolderBytes int
+	// Inline and Overflowed split a wide log's entries by where their
+	// holders live: in the slot's inline list, or spilled to a dense set of
+	// the overflow arena. Both are zero when the universe fits one word.
+	Inline, Overflowed int
 }
 
 // Stats returns the log's current counters.
 func (l *Log) Stats() Stats {
-	return Stats{Entries: l.Len(), Pending: l.npending, SlabCap: len(l.slots), SlabFree: l.nfree, LateUnions: l.late}
+	st := Stats{Entries: l.Len(), Pending: l.npending, SlabCap: l.nslots, SlabFree: l.nfree, LateUnions: l.late}
+	slots := chunkedCap(l.slots, 1)
+	st.SlabBytes = slots*int(unsafe.Sizeof(slot{})) + 4*len(l.table)
+	st.HolderBytes = 8 * slots
+	if l.wide {
+		st.HolderBytes = slots*int(unsafe.Sizeof(sparse{})) + 8*l.stride*chunkedCap(l.over, l.stride)
+		st.Inline, st.Overflowed = l.Len()-l.nover, l.nover
+	}
+	return st
 }
 
-func (l *Log) holders(i int32) []uint64 {
-	return l.words[int(i)*l.stride : (int(i)+1)*l.stride]
+// extend makes room for index i, the next one never used, in a chunked
+// array of per elements an index: a chunk that is not the first is allocated
+// whole, the first doubles until it is a whole chunk. Nothing past the first
+// chunk is ever copied.
+func extend[T any](chunks [][]T, i, per int) [][]T {
+	c, j := i>>chunkBits, i&chunkMask
+	if c == len(chunks) {
+		//rollvet:allow hotalloc -- one slice header per chunk of 256 slots
+		chunks = append(chunks, nil)
+	}
+	if j*per == len(chunks[c]) {
+		size := chunkSize
+		if c == 0 {
+			size = max(1, 2*j) // 1, 2, 4, …, chunkSize
+		}
+		//rollvet:allow hotalloc -- slab growth, a chunk at a time; collected slots are reused through the free list
+		grown := make([]T, size*per)
+		copy(grown, chunks[c])
+		chunks[c] = grown
+	}
+	return chunks
 }
+
+// chunkedCap returns how many indices the chunks of extend have room for.
+func chunkedCap[T any](chunks [][]T, per int) int {
+	if len(chunks) == 0 {
+		return 0
+	}
+	return len(chunks[0])/per + (len(chunks)-1)*chunkSize
+}
+
+func (l *Log) at(i int32) *slot { return &l.slots[i>>chunkBits][i&chunkMask] }
 
 func (l *Log) listOf(stable bool) *list {
 	if stable {
@@ -209,10 +289,10 @@ func (l *Log) listOf(stable bool) *list {
 }
 
 func (l *Log) pushTail(lst *list, i int32) {
-	s := &l.slots[i]
+	s := l.at(i)
 	s.prev, s.next = lst.tail, none
 	if lst.tail >= 0 {
-		l.slots[lst.tail].next = i
+		l.at(lst.tail).next = i
 	} else {
 		lst.head = i
 	}
@@ -220,14 +300,14 @@ func (l *Log) pushTail(lst *list, i int32) {
 }
 
 func (l *Log) unlink(lst *list, i int32) {
-	s := &l.slots[i]
+	s := l.at(i)
 	if s.prev >= 0 {
-		l.slots[s.prev].next = s.next
+		l.at(s.prev).next = s.next
 	} else {
 		lst.head = s.next
 	}
 	if s.next >= 0 {
-		l.slots[s.next].prev = s.prev
+		l.at(s.next).prev = s.prev
 	} else {
 		lst.tail = s.prev
 	}
@@ -248,7 +328,7 @@ func (l *Log) find(id ids.MsgID) int32 {
 		if ref == 0 {
 			return none
 		}
-		if l.slots[ref-1].det.Msg == id {
+		if l.at(ref-1).det.Msg == id {
 			return ref - 1
 		}
 	}
@@ -262,7 +342,7 @@ func (l *Log) index(i int32) {
 		l.table = make([]int32, max(16, 2*len(l.table)))
 		l.shift = uint(64 - bits.TrailingZeros(uint(len(l.table))))
 		for _, lst := range [2]list{l.pending, l.settled} {
-			for j := lst.head; j >= 0; j = l.slots[j].next {
+			for j := lst.head; j >= 0; j = l.at(j).next {
 				l.place(j)
 			}
 		}
@@ -272,7 +352,7 @@ func (l *Log) index(i int32) {
 
 func (l *Log) place(i int32) {
 	mask := uint64(len(l.table) - 1)
-	h := hash(l.slots[i].det.Msg) >> l.shift
+	h := hash(l.at(i).det.Msg) >> l.shift
 	for l.table[h] != 0 {
 		h = (h + 1) & mask
 	}
@@ -284,18 +364,209 @@ func (l *Log) place(i int32) {
 // before it, so lookups never need tombstones.
 func (l *Log) unindex(i int32) {
 	mask := uint64(len(l.table) - 1)
-	h := hash(l.slots[i].det.Msg) >> l.shift
+	h := hash(l.at(i).det.Msg) >> l.shift
 	for l.table[h] != i+1 {
 		h = (h + 1) & mask
 	}
 	for j := (h + 1) & mask; l.table[j] != 0; j = (j + 1) & mask {
-		home := hash(l.slots[l.table[j]-1].det.Msg) >> l.shift
+		home := hash(l.at(l.table[j]-1).det.Msg) >> l.shift
 		if (j-home)&mask >= (j-h)&mask {
 			l.table[h] = l.table[j]
 			h = j
 		}
 	}
 	l.table[h] = 0
+}
+
+// Holder storage. One rule selects the form, from the configuration alone:
+// when the holder universe 0..N fits one word (N < 64) a slot's holders are
+// that word; otherwise they are a sparse — the paper's rule stops a
+// determinant at f+1 holders, so a set is a handful of indices however wide
+// the universe — and only a set that outgrows the inline list moves, for
+// good, to a dense set of stride words in the overflow arena (broadcast mode
+// at n ≥ 64, where late holders keep arriving; a budget of f ≥ 7).
+
+// sparse is a wide log's holder set in 16 bytes: up to seven holder indices
+// in ascending order, or the overflow set the entry spilled to.
+type sparse struct {
+	n   uint8     // indices held in idx; spilled: idx[0], idx[1] name the overflow set
+	idx [7]uint16 // N ≤ 1024 (cluster.MaxProcs): an index fits 16 bits
+}
+
+const spilled = 0xFF
+
+func (l *Log) sparseAt(i int32) *sparse { return &l.inl[i>>chunkBits][i&chunkMask] }
+
+// set names the overflow set a spilled entry's holders live in.
+func (s *sparse) set() int32 { return int32(s.idx[0]) | int32(s.idx[1])<<16 }
+
+// dense returns overflow set k.
+func (l *Log) dense(k int32) []uint64 {
+	at := int(k&chunkMask) * l.stride
+	return l.over[k>>chunkBits][at : at+l.stride]
+}
+
+// spill moves wide entry i's inline holders to an overflow set: a recycled
+// one, or the next of the arena.
+func (l *Log) spill(i int32) {
+	k := l.spare
+	if k >= 0 {
+		w := l.dense(k)
+		l.spare, w[0] = int32(w[0])-1, 0
+	} else {
+		k = int32(l.nsets)
+		l.nsets++
+		l.over = extend(l.over, int(k), l.stride)
+	}
+	s, w := l.sparseAt(i), l.dense(k)
+	for _, b := range s.idx[:s.n] {
+		w[b/64] |= 1 << (b % 64)
+	}
+	*s = sparse{n: spilled, idx: [7]uint16{uint16(k), uint16(k >> 16)}}
+	l.nover++
+}
+
+// add inserts holder index b (below 64·stride) into wide entry i and reports
+// whether it was new.
+func (l *Log) add(i int32, b int) bool {
+	s := l.sparseAt(i)
+	if s.n == spilled {
+		w := l.dense(s.set())
+		if w[b/64]&(1<<uint(b%64)) != 0 {
+			return false
+		}
+		w[b/64] |= 1 << uint(b%64)
+		return true
+	}
+	at := int(s.n)
+	for ; at > 0 && int(s.idx[at-1]) >= b; at-- {
+		if int(s.idx[at-1]) == b {
+			return false
+		}
+	}
+	if int(s.n) == len(s.idx) {
+		l.spill(i)
+		return l.add(i, b)
+	}
+	copy(s.idx[at+1:], s.idx[at:s.n])
+	s.idx[at] = uint16(b)
+	s.n++
+	return true
+}
+
+// union ors o and the slot of process also into entry i's holders and
+// reports whether they changed. Bits past the holder universe can only
+// come from a malformed frame and are dropped.
+func (l *Log) union(i int32, o bitset.Set, also ids.ProcID) bool {
+	ow, b := o.Words(), HolderIndex(also, l.cfg.N)
+	if !l.wide {
+		w := &l.word[i>>chunkBits][i&chunkMask]
+		x := *w
+		if len(ow) > 0 {
+			x |= ow[0]
+		}
+		if b >= 0 {
+			x |= 1 << uint(b)
+		}
+		changed := x != *w
+		*w = x
+		return changed
+	}
+	changed := false
+	s := l.sparseAt(i)
+	for j, x := range ow[:min(len(ow), l.stride)] {
+		if s.n == spilled {
+			if w := l.dense(s.set()); w[j]|x != w[j] {
+				w[j] |= x
+				changed = true
+			}
+			continue
+		}
+		for ; x != 0; x &= x - 1 { // s may spill under add; add copes
+			if l.add(i, j*64+bits.TrailingZeros64(x)) {
+				changed = true
+			}
+		}
+	}
+	if b >= 0 && l.add(i, b) {
+		changed = true
+	}
+	return changed
+}
+
+// stableAt is Config.stable on entry i's holders in their stored form.
+func (l *Log) stableAt(i int32) bool {
+	if !l.wide {
+		return l.cfg.stable(l.word[i>>chunkBits][i&chunkMask:][:1])
+	}
+	s := l.sparseAt(i)
+	switch {
+	case s.n == spilled:
+		return l.cfg.stable(l.dense(s.set()))
+	case l.cfg.Manetho():
+		return slices.Contains(s.idx[:s.n], uint16(l.cfg.N))
+	}
+	return int(s.n) >= l.cfg.F+1
+}
+
+// trimmed drops trailing zero words, as the wire does.
+func trimmed(w []uint64) []uint64 { return bitset.View(w).Words() }
+
+// holderLen returns how many dense words entry i's holders take once
+// trailing zero words are trimmed: the length of its set on the wire.
+func (l *Log) holderLen(i int32) int {
+	if !l.wide {
+		return len(trimmed(l.word[i>>chunkBits][i&chunkMask:][:1]))
+	}
+	s := l.sparseAt(i)
+	switch {
+	case s.n == spilled:
+		return len(trimmed(l.dense(s.set())))
+	case s.n == 0:
+		return 0
+	}
+	return int(s.idx[s.n-1])/64 + 1
+}
+
+// holdersInto materialises entry i's holders as dense words at the start of
+// buf, which has room for them (holderLen), and returns that part of buf:
+// the same trimmed words whatever form they are stored in.
+func (l *Log) holdersInto(i int32, buf []uint64) []uint64 {
+	if !l.wide {
+		buf[0] = l.word[i>>chunkBits][i&chunkMask]
+		return trimmed(buf[:1])
+	}
+	s := l.sparseAt(i)
+	switch {
+	case s.n == spilled:
+		return buf[:copy(buf, trimmed(l.dense(s.set())))]
+	case s.n == 0:
+		return buf[:0]
+	}
+	w := buf[:int(s.idx[s.n-1])/64+1]
+	clear(w)
+	for _, b := range s.idx[:s.n] {
+		w[b/64] |= 1 << (b % 64)
+	}
+	return w
+}
+
+// dropHolders empties the holder set of a collected entry and recycles its
+// overflow set, if it had one.
+func (l *Log) dropHolders(i int32) {
+	if !l.wide {
+		l.word[i>>chunkBits][i&chunkMask] = 0
+		return
+	}
+	s := l.sparseAt(i)
+	if s.n == spilled {
+		w := l.dense(s.set())
+		clear(w)
+		w[0] = uint64(l.spare + 1)
+		l.spare = s.set()
+		l.nover--
+	}
+	*s = sparse{}
 }
 
 // RecordError reports a determinant Record refused: Got names a receiver
@@ -328,7 +599,7 @@ func (l *Log) RecordHeld(e Entry, also ids.ProcID) error {
 		return RecordError{Got: d}
 	}
 	if i := l.find(d.Msg); i >= 0 {
-		if have := l.slots[i].det; have != d {
+		if have := l.at(i).det; have != d {
 			return RecordError{Have: have, Got: d}
 		}
 		if l.union(i, e.Holders, also) {
@@ -338,22 +609,24 @@ func (l *Log) RecordHeld(e Entry, also ids.ProcID) error {
 	}
 	i := l.free
 	if i >= 0 {
-		l.free = l.slots[i].next
+		l.free = l.at(i).next
 		l.nfree--
 	} else {
-		i = int32(len(l.slots))
-		//rollvet:allow hotalloc -- slab growth is amortized; collected slots are reused through the free list
-		l.slots = append(l.slots, slot{})
-		for j := 0; j < l.stride; j++ {
-			//rollvet:allow hotalloc -- arena growth, in step with the slab
-			l.words = append(l.words, 0)
+		i = int32(l.nslots)
+		l.nslots++
+		l.slots = extend(l.slots, int(i), 1)
+		if l.wide {
+			l.inl = extend(l.inl, int(i), 1)
+		} else {
+			l.word = extend(l.word, int(i), 1)
 		}
 	}
-	l.slots[i] = slot{det: d, rnext: l.recv[d.Receiver]}
+	s := l.at(i)
+	*s = slot{det: d, rnext: l.recv[d.Receiver]}
 	l.recv[d.Receiver] = i
 	l.index(i)
 	l.union(i, e.Holders, also)
-	if l.slots[i].stable = l.cfg.stable(l.holders(i)); !l.slots[i].stable {
+	if s.stable = l.stableAt(i); !s.stable {
 		l.npending++
 	}
 	l.stamp(i)
@@ -368,30 +641,9 @@ func (l *Log) delivers(p ids.ProcID) bool { return p >= 0 && int(p) < len(l.recv
 // stability puts it on.
 func (l *Log) stamp(i int32) {
 	l.gen++
-	l.slots[i].modGen = l.gen
-	l.pushTail(l.listOf(l.slots[i].stable), i)
-}
-
-// union ors o and the slot of process also into entry i's holders and
-// reports whether they changed. Bits past the holder universe can only
-// come from a malformed frame and are dropped.
-func (l *Log) union(i int32, o bitset.Set, also ids.ProcID) bool {
-	w := l.holders(i)
-	changed := false
-	for j, x := range o.Words() {
-		if j == len(w) {
-			break
-		}
-		if w[j]|x != w[j] {
-			w[j] |= x
-			changed = true
-		}
-	}
-	if b := HolderIndex(also, l.cfg.N); b >= 0 && w[b/64]&(1<<uint(b%64)) == 0 {
-		w[b/64] |= 1 << uint(b%64)
-		changed = true
-	}
-	return changed
+	s := l.at(i)
+	s.modGen = l.gen
+	l.pushTail(l.listOf(s.stable), i)
 }
 
 // modified is told that entry i's holders grew. While the entry is pending
@@ -401,13 +653,13 @@ func (l *Log) union(i int32, o bitset.Set, also ids.ProcID) bool {
 // rule is that a receipt order stops propagating "as soon as it has been
 // recorded in f+1 hosts", not one holder later.
 func (l *Log) modified(i int32) {
-	s := &l.slots[i]
+	s := l.at(i)
 	if s.stable {
 		l.late++
 		return
 	}
 	l.unlink(&l.pending, i)
-	if l.cfg.stable(l.holders(i)) {
+	if l.stableAt(i) {
 		s.stable = true
 		l.npending--
 	}
@@ -426,23 +678,31 @@ func (l *Log) AddHolder(msg ids.MsgID, p ids.ProcID) {
 	}
 }
 
-// view returns entry i with its holder set, trimmed to the words in use,
-// aliasing the slab arena: valid until the log is next modified.
-func (l *Log) view(i int32) Entry {
-	w := l.holders(i)
-	for len(w) > 0 && w[len(w)-1] == 0 {
-		w = w[:len(w)-1]
+// entries returns copies of the given slots' entries, which the caller owns,
+// in deterministic (sender, ssn) order. Their holder words are carved from
+// one arena sized up front.
+func (l *Log) entries(slots []int32) []Entry {
+	total := 0
+	for _, i := range slots {
+		total += l.holderLen(i)
 	}
-	return Entry{Det: l.slots[i].det, Holders: bitset.View(w)}
+	arena := make([]uint64, total)
+	out := make([]Entry, len(slots))
+	for k, i := range slots {
+		out[k].Det = l.at(i).det
+		if w := l.holdersInto(i, arena); len(w) > 0 {
+			out[k].Holders = bitset.View(w[:len(w):len(w)])
+			arena = arena[len(w):]
+		}
+	}
+	sortEntries(out)
+	return out
 }
-
-// entry returns a copy of entry i that the caller owns.
-func (l *Log) entry(i int32) Entry { return l.view(i).Clone() }
 
 // Lookup returns the determinant entry for msg, if present.
 func (l *Log) Lookup(msg ids.MsgID) (Entry, bool) {
 	if i := l.find(msg); i >= 0 {
-		return l.entry(i), true
+		return l.entries([]int32{i})[0], true
 	}
 	return Entry{}, false
 }
@@ -452,22 +712,29 @@ func (l *Log) Lookup(msg ids.MsgID) (Entry, bool) {
 // which only happens once its receiver checkpointed past the delivery).
 func (l *Log) StableOrGone(msg ids.MsgID) bool {
 	i := l.find(msg)
-	return i < 0 || l.slots[i].stable
+	return i < 0 || l.at(i).stable
 }
 
 // scan invokes fn with a view of every entry on lst modified after
-// generation since, oldest change first. The view's holder set aliases the
-// slab (bitset.View): fn reads it or copies what it keeps, and must not
-// modify the log.
+// generation since, oldest change first. The view's holder set is
+// materialised in the log's scratch (bitset.View): the next entry offered
+// overwrites it and nothing else does, so fn reads it or copies what it
+// keeps. fn must not modify the log.
 //
 //rollvet:hotpath
 func (l *Log) scan(lst list, since int, fn func(Entry)) {
 	first := int32(none)
-	for i := lst.tail; i >= 0 && l.slots[i].modGen > since; i = l.slots[i].prev {
-		first = i
+	for i := lst.tail; i >= 0; {
+		s := l.at(i)
+		if s.modGen <= since {
+			break
+		}
+		first, i = i, s.prev
 	}
-	for i := first; i >= 0; i = l.slots[i].next {
-		fn(l.view(i))
+	for i := first; i >= 0; {
+		s := l.at(i)
+		fn(Entry{Det: s.det, Holders: bitset.View(l.holdersInto(i, l.scratch))})
+		i = s.next
 	}
 }
 
@@ -501,9 +768,19 @@ func (l *Log) ScanModified(since int, fn func(Entry)) int {
 //
 //rollvet:hotpath
 func (l *Log) PendingIDs(fn func(ids.MsgID)) {
-	for i := l.pending.head; i >= 0; i = l.slots[i].next {
-		fn(l.slots[i].det.Msg)
+	for i := l.pending.head; i >= 0; {
+		s := l.at(i)
+		fn(s.det.Msg)
+		i = s.next
 	}
+}
+
+// listed appends the slots on lst to out, oldest change first.
+func (l *Log) listed(out []int32, lst list) []int32 {
+	for i := lst.head; i >= 0; i = l.at(i).next {
+		out = append(out, i)
+	}
+	return out
 }
 
 // Pending returns the entries that are not yet stable, in deterministic
@@ -511,25 +788,13 @@ func (l *Log) PendingIDs(fn func(ids.MsgID)) {
 // offered nothing, and — in the f = n instance, where stable means held by
 // the storage pseudo-process — the set still to stream to storage.
 func (l *Log) Pending() []Entry {
-	out := make([]Entry, 0, l.npending)
-	for i := l.pending.head; i >= 0; i = l.slots[i].next {
-		out = append(out, l.entry(i))
-	}
-	sortEntries(out)
-	return out
+	return l.entries(l.listed(make([]int32, 0, l.npending), l.pending))
 }
 
 // All returns every entry in deterministic order. Used when a live process
 // answers the recovery leader's depinfo request (§3.4 step 5).
 func (l *Log) All() []Entry {
-	out := make([]Entry, 0, l.Len())
-	for _, lst := range [2]list{l.pending, l.settled} {
-		for i := lst.head; i >= 0; i = l.slots[i].next {
-			out = append(out, l.entry(i))
-		}
-	}
-	sortEntries(out)
-	return out
+	return l.entries(l.listed(l.listed(make([]int32, 0, l.Len()), l.pending), l.settled))
 }
 
 // chain returns the head of the entries recording deliveries at p, or none
@@ -546,8 +811,8 @@ func (l *Log) chain(p ids.ProcID) int32 {
 // schedule a recovering process must re-consume (paper §2.1).
 func (l *Log) ForReceiver(p ids.ProcID, after ids.RSN) []Determinant {
 	var out []Determinant
-	for i := l.chain(p); i >= 0; i = l.slots[i].rnext {
-		if d := l.slots[i].det; d.RSN > after {
+	for i := l.chain(p); i >= 0; i = l.at(i).rnext {
+		if d := l.at(i).det; d.RSN > after {
 			out = append(out, d)
 		}
 	}
@@ -560,14 +825,13 @@ func (l *Log) ForReceiver(p ids.ProcID, after ids.RSN) []Determinant {
 // mode) use it so a live process ships only the determinants the recovering
 // set can actually need, instead of its whole log.
 func (l *Log) AllForReceivers(procs []ids.ProcID) []Entry {
-	var out []Entry
+	var slots []int32
 	for _, p := range procs {
-		for i := l.chain(p); i >= 0; i = l.slots[i].rnext {
-			out = append(out, l.entry(i))
+		for i := l.chain(p); i >= 0; i = l.at(i).rnext {
+			slots = append(slots, i)
 		}
 	}
-	sortEntries(out)
-	return out
+	return l.entries(slots)
 }
 
 // CountForReceivers returns len(AllForReceivers(procs)) by walking the
@@ -575,7 +839,7 @@ func (l *Log) AllForReceivers(procs []ids.ProcID) []Entry {
 func (l *Log) CountForReceivers(procs []ids.ProcID) int {
 	n := 0
 	for _, p := range procs {
-		for i := l.chain(p); i >= 0; i = l.slots[i].rnext {
+		for i := l.chain(p); i >= 0; i = l.at(i).rnext {
 			n++
 		}
 	}
@@ -592,7 +856,7 @@ func (l *Log) GCReceiver(p ids.ProcID, upTo ids.RSN) int {
 	n := 0
 	link := &l.recv[p]
 	for i := *link; i >= 0; i = *link {
-		s := &l.slots[i]
+		s := l.at(i)
 		if s.det.RSN > upTo {
 			link = &s.rnext
 			continue
@@ -600,7 +864,7 @@ func (l *Log) GCReceiver(p ids.ProcID, upTo ids.RSN) int {
 		*link = s.rnext
 		l.unlink(l.listOf(s.stable), i)
 		l.unindex(i)
-		clear(l.holders(i))
+		l.dropHolders(i)
 		id, wasPending := s.det.Msg, !s.stable
 		*s = slot{next: l.free}
 		l.free = i

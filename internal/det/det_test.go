@@ -270,50 +270,96 @@ func TestAllIsDeepCopy(t *testing.T) {
 }
 
 // TestScanOffersViewsOfTheSlab pins what a scan callback is handed (DESIGN
-// §5): the entry Lookup would copy, but as a view of the slab — so it
-// follows the log's next change, and only what the callback copied does not.
-// Fanout-mode transmit is the live case: it adds the destination as a holder
-// of every entry it has just selected, and the frame must carry the sets as
-// selected.
+// §5): the entry Lookup would copy, its holder set materialised in the one
+// scratch the log owns. The next offer overwrites it — a callback copies
+// what it keeps — and nothing else does: not a later change to the entry, not
+// its collection, not the reuse of its slot. Fanout-mode transmit is the live
+// case: it adds the destination as a holder of every entry it has just
+// selected, and the frame must carry the sets as selected. Run for every
+// stored form: one word, inline list, overflow set.
 func TestScanOffersViewsOfTheSlab(t *testing.T) {
-	l := NewLog(Config{N: 70, F: 3}) // two holder words
-	for i := 1; i <= 5; i++ {
-		if err := l.Record(entry(1, ids.SSN(i), 2, ids.RSN(i), 2, 64+i)); err != nil {
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		holders func(i int) []int
+	}{
+		{"one word", Config{N: 40, F: 3}, func(i int) []int { return []int{2, 30 + i} }},
+		{"inline", Config{N: 70, F: 3}, func(i int) []int { return []int{2, 64 + i} }},
+		{"overflow", Config{N: 200, F: 20}, func(i int) []int { return []int{2, 9, 17, 33, 65, 70, 90, 130, 180 + i} }},
+	} {
+		l := NewLog(tc.cfg)
+		for i := 1; i <= 5; i++ {
+			if err := l.Record(entry(1, ids.SSN(i), 2, ids.RSN(i), tc.holders(i)...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := l.Stats(); (st.Overflowed == 5) != (tc.name == "overflow") || (st.Inline == 5) != (tc.name == "inline") {
+			t.Fatalf("%s: %d inline and %d overflowed entries; the case does not store what it says", tc.name, st.Inline, st.Overflowed)
+		}
+		var views, copies []Entry
+		l.ScanPendingModified(0, func(e Entry) {
+			have, ok := l.Lookup(e.Det.Msg) // a copy, from its own words: the view survives it
+			if !ok || have.Det != e.Det || !have.Holders.Equal(e.Holders) {
+				t.Fatalf("%s: scan offered %v %v, Lookup says %v %v", tc.name, e.Det, e.Holders, have.Det, have.Holders)
+			}
+			if n := len(views); n > 0 && !views[n-1].Holders.Equal(e.Holders) {
+				t.Fatalf("%s: the previous view still reads %v after %v was offered: views are copies again (and allocated)",
+					tc.name, views[n-1].Holders, e.Holders)
+			}
+			views = append(views, e)
+			copies = append(copies, e.Clone())
+		})
+		if len(views) != 5 {
+			t.Fatalf("%s: scan offered %d entries, want 5", tc.name, len(views))
+		}
+		last := copies[4].Holders
+		for _, e := range copies {
+			l.AddHolder(e.Det.Msg, 9)
+			l.AddHolder(e.Det.Msg, 5)
+		}
+		l.GCReceiver(2, 5)                                                         // frees every slot…
+		if err := l.Record(entry(3, 1, 4, 1, 4, tc.cfg.N-1, 11, 12)); err != nil { // …and reuses one
 			t.Fatal(err)
 		}
-	}
-	var views, copies []Entry
-	l.ScanPendingModified(0, func(e Entry) {
-		have, ok := l.Lookup(e.Det.Msg)
-		if !ok || have.Det != e.Det || !have.Holders.Equal(e.Holders) {
-			t.Fatalf("scan offered %v %v, Lookup says %v %v", e.Det, e.Holders, have.Det, have.Holders)
+		for i, e := range copies {
+			if want := bitset.FromSlice(tc.holders(i + 1)); !e.Holders.Equal(want) {
+				t.Fatalf("%s: copied entry %d has holders %v after the log changed, want %v", tc.name, i, e.Holders, want)
+			}
 		}
-		views = append(views, e)
-		copies = append(copies, e.Clone())
-	})
-	if len(views) != 5 {
-		t.Fatalf("scan offered %d entries, want 5", len(views))
-	}
-	for _, e := range copies {
-		l.AddHolder(e.Det.Msg, 9)
-	}
-	l.GCReceiver(2, 2)                                         // frees two slots…
-	if err := l.Record(entry(3, 1, 4, 1, 4, 69)); err != nil { // …and reuses one
-		t.Fatal(err)
-	}
-	for i, e := range copies {
-		if want := bitset.FromSlice([]int{2, 65 + i}); !e.Holders.Equal(want) {
-			t.Fatalf("copied entry %d has holders %v after the log changed, want %v", i, e.Holders, want)
+		if !views[4].Holders.Equal(last) {
+			t.Fatalf("%s: the last view reads %v after AddHolder, GC and Record, want %v: only the next offer may overwrite it",
+				tc.name, views[4].Holders, last)
 		}
 	}
-	moved := 0
-	for i, e := range views {
-		if !e.Holders.Equal(copies[i].Holders) {
-			moved++
+}
+
+// TestOverflowSetsAreRecycled: an overflow set is handed back when its entry
+// is collected, so a log that keeps spilling and collecting stops growing.
+func TestOverflowSetsAreRecycled(t *testing.T) {
+	l := NewLog(Config{N: 100, F: 40})
+	round := func(ssn int) {
+		for i := 0; i < 50; i++ {
+			if err := l.Record(entry(1, ids.SSN(ssn+i), 2, ids.RSN(ssn+i), 1, 2, 3, 4, 5, 6, 7, 80+i%20, 99)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := l.Stats(); st.Overflowed != 50 || st.Inline != 0 {
+			t.Fatalf("%d overflowed and %d inline entries, want 50 and 0", st.Overflowed, st.Inline)
+		}
+		if e, ok := l.Lookup(ids.MsgID{Sender: 1, SSN: ids.SSN(ssn + 7)}); !ok || !e.Holders.Equal(bitset.FromSlice([]int{1, 2, 3, 4, 5, 6, 7, 87, 99})) {
+			t.Fatalf("entry %d reads %v: a recycled set was not cleared", ssn+7, e.Holders)
+		}
+		if n := l.GCReceiver(2, ^ids.RSN(0)); n != 50 || l.Stats().Overflowed != 0 {
+			t.Fatalf("collected %d entries, %d still overflowed", n, l.Stats().Overflowed)
 		}
 	}
-	if moved == 0 {
-		t.Fatal("no view followed the slab: the scan is handing out copies again (and allocating them)")
+	round(1)
+	grown := l.Stats().HolderBytes
+	for r := 1; r < 6; r++ {
+		round(1 + 100*r)
+	}
+	if got := l.Stats().HolderBytes; got != grown {
+		t.Fatalf("holder storage grew %d → %d B over rounds of the same 50 spills: collected overflow sets are not reused", grown, got)
 	}
 }
 
@@ -344,8 +390,8 @@ func TestGrowthPastStabilityIsNotNews(t *testing.T) {
 		}
 	}
 	settledOrder := func() (out []ids.MsgID) {
-		for i := l.settled.head; i >= 0; i = l.slots[i].next {
-			out = append(out, l.slots[i].det.Msg)
+		for i := l.settled.head; i >= 0; i = l.at(i).next {
+			out = append(out, l.at(i).det.Msg)
 		}
 		return out
 	}

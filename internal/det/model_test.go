@@ -118,47 +118,76 @@ func sortedIDs(s []ids.MsgID) []ids.MsgID {
 // collected determinants), holder additions, watermark and whole-receiver
 // GC, per-destination scans in both variants, reincarnation resets — over
 // sparse RSNs, and requires equal offered sets at every scan and equal
-// views after every step. Configurations cover f < n, f = n (Manetho), and
-// a holder universe wider than one word.
+// views after every step. Configurations cross the holder universe with the
+// failure budget so that every stored form is driven — one word (N < 64),
+// the inline list and the overflow arena (N ≥ 64), and the storage bit of
+// the f = n instance in each of them — and the log's own counters have to
+// say each was.
 func TestLogMatchesReferenceModel(t *testing.T) {
-	cfgs := []Config{{N: 4, F: 1}, {N: 6, F: 2}, {N: 5, F: 5}, {N: 70, F: 3}}
-	seeds := int64(24)
+	var cfgs []Config
+	for _, n := range []int{8, 63, 64, 200, 1024} {
+		for _, f := range []int{1, 2, n} {
+			cfgs = append(cfgs, Config{N: n, F: f})
+		}
+	}
+	seeds := int64(2 * len(cfgs))
 	if testing.Short() {
-		seeds = 8 // two per configuration; the race pass runs -short
+		seeds = int64(len(cfgs)) // one per configuration; the race pass runs -short
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
 		cfg := cfgs[int(seed)%len(cfgs)]
-		outputs := seed%2 == 0 // the ScanModified variant
+		outputs := (seed/int64(len(cfgs)))%2 == 0 // the ScanModified variant
 		rng := rand.New(rand.NewSource(seed))
 		l, r := NewLog(cfg), newRef(cfg)
 		var settled []ids.MsgID
 		l.OnSettled(func(id ids.MsgID) { settled = append(settled, id) })
 		gen := make([]int, cfg.N) // per destination, as fbl.Process.scanGen
-		holderSlots := cfg.N
-		if cfg.Manetho() {
-			holderSlots++ // the storage pseudo-process
-		}
 		// A message's determinant is a fixed function of its id, so repeats
-		// and post-GC re-records never conflict; RSNs jump by up to n.
+		// and post-GC re-records never conflict; RSNs jump by up to n. A few
+		// senders only, so that an id is recorded and added to many times
+		// whatever the universe; receivers and holders range over all of it.
+		senders := min(cfg.N, 6)
 		detOf := func(sender, ssn int) Determinant {
 			return Determinant{
 				Msg:      ids.MsgID{Sender: ids.ProcID(sender), SSN: ids.SSN(ssn)},
-				Receiver: ids.ProcID((sender + 1 + ssn) % cfg.N),
+				Receiver: ids.ProcID((sender*389 + ssn*101 + 1) % cfg.N),
 				RSN:      ids.RSN(ssn*cfg.N + sender + 1),
 			}
 		}
+		// Random picks are biased to where something is: a holder is the
+		// storage pseudo-process (slot n, f = n only) one time in four, a
+		// process is some determinant's receiver every other time.
+		holder := func() int {
+			if cfg.Manetho() && rng.Intn(4) == 0 {
+				return cfg.N
+			}
+			return rng.Intn(cfg.N)
+		}
+		proc := func() ids.ProcID {
+			if rng.Intn(2) == 0 {
+				return detOf(rng.Intn(senders), 1+rng.Intn(24)).Receiver
+			}
+			return ids.ProcID(rng.Intn(cfg.N))
+		}
+		var sawInline, sawOverflow, sawStable bool
 		for step := 0; step < 400; step++ {
-			sender, ssn := rng.Intn(cfg.N), 1+rng.Intn(24)
+			sender, ssn := rng.Intn(senders), 1+rng.Intn(24)
 			switch op := rng.Intn(10); {
 			case op < 4:
-				e := Entry{Det: detOf(sender, ssn), Holders: bitset.FromSlice([]int{rng.Intn(holderSlots), rng.Intn(holderSlots)})}
+				holders := []int{holder(), holder()}
+				if rng.Intn(8) == 0 { // a copy that has been around: more holders than an inline list takes
+					for len(holders) < 10 {
+						holders = append(holders, holder())
+					}
+				}
+				e := Entry{Det: detOf(sender, ssn), Holders: bitset.FromSlice(holders)}
 				also := ids.ProcID(rng.Intn(cfg.N))
 				if err := l.RecordHeld(e, also); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 				r.record(e, int(also))
 			case op < 6:
-				p := ids.ProcID(rng.Intn(holderSlots))
+				p := ids.ProcID(holder())
 				if int(p) == cfg.N {
 					p = ids.StorageProc
 				}
@@ -168,7 +197,7 @@ func TestLogMatchesReferenceModel(t *testing.T) {
 					r.record(Entry{Det: detOf(sender, ssn)}, HolderIndex(p, cfg.N))
 				}
 			case op < 7:
-				p, upTo := ids.ProcID(rng.Intn(cfg.N)), ids.RSN(rng.Intn(25*cfg.N))
+				p, upTo := proc(), ids.RSN(rng.Intn(25*cfg.N))
 				if rng.Intn(4) == 0 {
 					upTo = math.MaxUint64
 				}
@@ -212,14 +241,21 @@ func TestLogMatchesReferenceModel(t *testing.T) {
 				t.Fatalf("seed %d step %d: Len %d PendingCount %d PendingIDs %d, want %d %d", seed, step,
 					l.Len(), l.PendingCount(), len(pendIDs), len(r.ents), len(r.entries(pending)))
 			}
-			if st := l.Stats(); st.Entries != l.Len() || st.Pending != l.PendingCount() || st.Entries+st.SlabFree != st.SlabCap {
+			st := l.Stats()
+			if st.Entries != l.Len() || st.Pending != l.PendingCount() || st.Entries+st.SlabFree != st.SlabCap ||
+				st.SlabBytes < 56*st.SlabCap || st.HolderBytes < 8*st.SlabCap {
 				t.Fatalf("seed %d step %d: inconsistent Stats %+v", seed, step, st)
 			}
+			if wide := cfg.N >= 64; wide && st.Inline+st.Overflowed != st.Entries || !wide && st.Inline+st.Overflowed != 0 {
+				t.Fatalf("seed %d step %d: %v: %d inline + %d overflowed entries of %d", seed, step, cfg, st.Inline, st.Overflowed, st.Entries)
+			}
+			sawInline, sawOverflow = sawInline || st.Inline > 0, sawOverflow || st.Overflowed > 0
+			sawStable = sawStable || st.Pending < st.Entries
 			if got, want := sortedIDs(settled), sortedIDs(r.settled); !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: OnSettled told %v, want %v", seed, step, got, want)
 			}
 			settled, r.settled = settled[:0], r.settled[:0]
-			p, after := ids.ProcID(rng.Intn(cfg.N)), ids.RSN(rng.Intn(12*cfg.N))
+			p, after := proc(), ids.RSN(rng.Intn(12*cfg.N))
 			var want []Determinant
 			for _, e := range r.entries(func(e *Entry) bool { return e.Det.Receiver == p && e.Det.RSN > after }) {
 				want = append(want, e.Det)
@@ -228,7 +264,7 @@ func TestLogMatchesReferenceModel(t *testing.T) {
 			if got := l.ForReceiver(p, after); !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: ForReceiver(%v, %d) = %v, want %v", seed, step, p, after, got, want)
 			}
-			q := ids.ProcID(rng.Intn(cfg.N))
+			q := proc()
 			scoped := r.entries(func(e *Entry) bool { return e.Det.Receiver == p || e.Det.Receiver == q })
 			procs := []ids.ProcID{p, q}
 			if p == q {
@@ -240,6 +276,10 @@ func TestLogMatchesReferenceModel(t *testing.T) {
 			if got := l.CountForReceivers(procs); got != len(scoped) {
 				t.Fatalf("seed %d step %d: CountForReceivers(%v) = %d, want %d", seed, step, procs, got, len(scoped))
 			}
+		}
+		if wide := cfg.N >= 64; sawInline != wide || sawOverflow != wide || !sawStable {
+			t.Fatalf("seed %d: %+v: saw inline sets %v, overflowed sets %v (want both %v), stable entries %v (want true)",
+				seed, cfg, sawInline, sawOverflow, wide, sawStable)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package fbl
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"rollrec/internal/ids"
@@ -53,7 +51,7 @@ func (p *Process) encodeCheckpoint() storage.Image {
 	app := p.app.Snapshot()
 	size := 1 + 4 + 8 + 1 + 8 + 8 + 20*p.n + 4 + len(app) + 4*p.n + 4
 	for _, log := range p.sendLog {
-		for _, rec := range log {
+		for _, rec := range log.live() {
 			size += 8 + 8 + 4 + len(rec.payload)
 		}
 	}
@@ -79,10 +77,9 @@ func (p *Process) encodeCheckpoint() storage.Image {
 	w.Bytes(app)
 	for to := 0; to < p.n; to++ {
 		log := p.sendLog[to]
-		w.U32(uint32(len(log)))
-		for _, d := range sortedKeys(log) {
-			rec := log[d]
-			w.U64(d)
+		w.U32(uint32(log.len()))
+		for i, rec := range log.live() {
+			w.U64(log.base + uint64(i))
 			w.U64(uint64(rec.ssn))
 			w.Bytes(rec.payload)
 		}
@@ -96,20 +93,6 @@ func (p *Process) encodeCheckpoint() storage.Image {
 		w.U64(p.outSeq)
 	}
 	return storage.Image{Data: w.Frame(), Pad: w.Padded()}
-}
-
-// sortedKeys returns m's keys in ascending order. Every protocol-path
-// iteration over a map whose order can reach message contents, checkpoints,
-// or replay schedules must go through it (or carry a rollvet suppression
-// proving commutativity).
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	out := make([]K, 0, len(m))
-	//rollvet:allow maporder -- keys are fully sorted below before any use
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // decodeCheckpoint restores the state captured by encodeCheckpoint, and
@@ -142,18 +125,23 @@ func (p *Process) decodeCheckpoint(img storage.Image) error {
 	for to := 0; to < p.n; to++ {
 		cnt := r.ListLen()
 		if cnt == 0 {
-			continue // keep the lazily-nil map
+			continue // keep the lazily-nil log
 		}
-		p.sendLog[to] = make(map[uint64]logRec, min(cnt, 4096))
-		var prev uint64
+		log := &sendWindow{recs: make([]logRec, 0, min(cnt, 4096))}
+		p.sendLog[to] = log
 		for i := 0; i < cnt && r.Err() == nil; i++ {
 			d := r.U64()
 			ssn := ids.SSN(r.U64())
 			payload := r.Bytes()
-			p.sendLog[to][d] = logRec{ssn: ssn, payload: payload}
-			canonical = canonical && (i == 0 || d > prev) // sortedKeys order
-			prev = d
+			if i == 0 {
+				log.base = d
+			}
+			canonical = canonical && d == log.base+uint64(i)
+			log.recs = append(log.recs, logRec{ssn: ssn, payload: payload})
 		}
+		// The window's invariant: contiguous dseqs (above), ending at the
+		// last one assigned — the next send appends right after it.
+		canonical = canonical && log.base+uint64(cnt)-1 == p.dseqOut[to]
 	}
 	r.Pad()
 	if !r.Done() {

@@ -126,11 +126,6 @@ func (m Mode) String() string {
 	return [...]string{"live", "restoring", "recovering", "replaying"}[m]
 }
 
-type logRec struct {
-	ssn     ids.SSN
-	payload []byte
-}
-
 type servedMark struct {
 	inc ids.Incarnation
 	max uint64
@@ -156,7 +151,7 @@ type Process struct {
 	// Send path.
 	ssn     ids.SSN
 	dseqOut []uint64
-	sendLog []map[uint64]logRec // per destination: dseq → record
+	sendLog []*sendWindow // per destination; nil until the first send to it
 
 	// Receive path.
 	rsn     ids.RSN
@@ -261,11 +256,11 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	p.dseqOut = make([]uint64, p.n)
 	p.expDseq = make([]uint64, p.n)
 	p.cpExpDseq = make([]uint64, p.n)
-	// The per-destination maps are allocated lazily (sendLogFor and friends):
-	// at n=1024 the eager 3n maps per process cost ~3M allocations per boot
+	// The per-peer logs and maps are allocated lazily (sendLogFor,
+	// oooBufFor): at n=1024 eager ones cost millions of allocations per boot
 	// cluster-wide, almost all for peers a process never exchanges traffic
 	// with.
-	p.sendLog = make([]map[uint64]logRec, p.n)
+	p.sendLog = make([]*sendWindow, p.n)
 	p.oooBuf = make([]map[uint64]*wire.Envelope, p.n)
 	p.scanGen = make([]int, p.n)
 	p.replayServed = make([]servedMark, p.n)
@@ -321,11 +316,11 @@ func (p *Process) ring(dir int) []ids.ProcID {
 	return out
 }
 
-// sendLogFor and oooBufFor lazily allocate the per-destination maps; see
+// sendLogFor and oooBufFor lazily allocate the per-peer log and map; see
 // Boot.
-func (p *Process) sendLogFor(to ids.ProcID) map[uint64]logRec {
+func (p *Process) sendLogFor(to ids.ProcID) *sendWindow {
 	if p.sendLog[to] == nil {
-		p.sendLog[to] = make(map[uint64]logRec)
+		p.sendLog[to] = new(sendWindow)
 	}
 	return p.sendLog[to]
 }
@@ -450,13 +445,7 @@ func (p *Process) pruneSendLog(q ids.ProcID, wm uint64) {
 	if !q.Valid(p.n) || q.IsStorage() {
 		return
 	}
-	log := p.sendLog[q]
-	//rollvet:allow maporder -- deletes the value-independent prefix d <= wm; commutative
-	for d := range log {
-		if d <= wm {
-			delete(log, d)
-		}
-	}
+	p.sendLog[q].prune(wm)
 }
 
 // absorbDets merges piggybacked determinant entries and marks ourselves as

@@ -198,9 +198,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if q.incVec.Get(2) != 3 {
 		t.Fatal("incarnation vector did not round-trip")
 	}
-	rec, ok := q.sendLog[1][1]
-	if !ok || string(rec.payload) != "payload-a" {
-		t.Fatalf("send log did not round-trip: %+v", rec)
+	recs, first := q.sendLog[1].after(0)
+	if first != 1 || len(recs) == 0 || string(recs[0].payload) != "payload-a" {
+		t.Fatalf("send log did not round-trip: dseq %d, %+v", first, recs)
 	}
 	if q.app.Digest() != p.app.Digest() {
 		t.Fatal("app state did not round-trip")
@@ -232,11 +232,8 @@ func TestCheckpointNoticeGCsSendLogAndDets(t *testing.T) {
 		Kind: wire.KindCheckpointNotice, From: 1, FromInc: 1,
 		CPRsn: 5, SSNWatermarks: wm,
 	})
-	if len(p.sendLog[1]) != 1 {
-		t.Fatalf("send log entries after GC = %d, want 1 (dseq 3)", len(p.sendLog[1]))
-	}
-	if _, ok := p.sendLog[1][3]; !ok {
-		t.Fatal("the uncovered entry must survive")
+	if got := p.SendLogSSNs(1); len(got) != 1 || got[0] != [2]uint64{3, 3} {
+		t.Fatalf("send log after GC = %v, want the uncovered entry (dseq 3, ssn 3) alone", got)
 	}
 	if _, ok := p.dets.Lookup(ids.MsgID{Sender: 0, SSN: 1}); ok {
 		t.Fatal("covered determinant must be GC'd")
@@ -324,17 +321,6 @@ func holdersOf(elems ...int) (s bitset.Set) {
 		s.Add(e)
 	}
 	return s
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[uint64]logRec{5: {}, 1: {}, 3: {}}
-	got := sortedKeys(m)
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("sortedKeys = %v", got)
-	}
-	if len(sortedKeys(map[uint64]logRec(nil))) != 0 {
-		t.Fatal("empty map must give empty keys")
-	}
 }
 
 // TestHashBytes: the fingerprint folds eight bytes per step, so the cases

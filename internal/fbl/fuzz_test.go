@@ -31,7 +31,9 @@ func blobProc(pad int) *Process {
 
 // FuzzDecodeCheckpoint: decodeCheckpoint never panics on an arbitrary
 // (data, pad) image, and whatever it accepts is exactly what
-// encodeCheckpoint writes for the state it restored.
+// encodeCheckpoint writes for the state it restored. Decode ∘ encode is the
+// identity on what encodeCheckpoint does write, send-log windows with a
+// pruned prefix included.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	for _, outSeq := range []uint64{0, 3} {
 		for _, pad := range []int{0, 4 << 10} {
@@ -50,6 +52,23 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	}
 	f.Add([]byte{}, 0)
 	f.Add([]byte{checkpointVersion}, -1)
+	// Windows that no longer start at dseq 1: a pruned prefix, a log emptied
+	// and appended to again (appended last: earlier seeds keep their numbers).
+	pruned := goldenCheckpointState()
+	img := pruned.encodeCheckpoint()
+	f.Add(img.Data, img.Pad)
+	pruned.pruneSendLog(1, 5)
+	emptied := pruned.encodeCheckpoint()
+	f.Add(emptied.Data, emptied.Pad)
+	for _, img := range []storage.Image{img, emptied} {
+		q := blobProc(img.Pad)
+		if err := q.decodeCheckpoint(img); err != nil {
+			f.Fatalf("decode of an encoded checkpoint: %v", err)
+		}
+		if got := q.encodeCheckpoint(); got.Pad != img.Pad || !bytes.Equal(got.Data, img.Data) {
+			f.Fatalf("decode ∘ encode is not the identity:\n in  %x + %d\n out %x + %d", img.Data, img.Pad, got.Data, got.Pad)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, pad int) {
 		p := blobProc(pad)
 		if err := p.decodeCheckpoint(storage.Image{Data: data, Pad: pad}); err != nil {

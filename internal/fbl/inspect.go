@@ -1,6 +1,8 @@
 package fbl
 
 import (
+	"unsafe"
+
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
@@ -45,19 +47,34 @@ func (p *Process) DetLogLen() int { return p.dets.Len() }
 // f+1-holder watermark). Allocation-free, for the timeline sampler.
 func (p *Process) DetPending() int { return p.dets.PendingCount() }
 
-// DetStats is a process's account of its determinant machinery since it
-// booted: the log's own counters (entries, stability lag, slab high-water
-// mark and free slots, holder unions that reached an already-stable entry)
-// and piggyback selection's.
+// DetStats is a process's account of its logging state since it booted: the
+// determinant log's own counters (entries, stability lag, slab high-water
+// mark and free slots, footprint, holder unions that reached an
+// already-stable entry), piggyback selection's, and the size of the send
+// log.
 type DetStats struct {
 	det.Stats
 	Offers       int // entries the per-destination scans selected
 	MemoRejected int // of those, dropped by the detSent memo (output tracking only)
+	// SendLogRecords is the number of logged messages, all destinations;
+	// SendLogBytes what they occupy: the payloads and the windows' arrays.
+	SendLogRecords, SendLogBytes int
 }
 
 // DetStats returns the counters of this incarnation.
 func (p *Process) DetStats() DetStats {
-	return DetStats{Stats: p.dets.Stats(), Offers: p.offers, MemoRejected: p.memoRejected}
+	st := DetStats{Stats: p.dets.Stats(), Offers: p.offers, MemoRejected: p.memoRejected}
+	for _, w := range p.sendLog {
+		if w == nil {
+			continue
+		}
+		st.SendLogRecords += w.len()
+		st.SendLogBytes += cap(w.recs) * int(unsafe.Sizeof(logRec{}))
+		for _, rec := range w.live() {
+			st.SendLogBytes += len(rec.payload)
+		}
+	}
+	return st
 }
 
 // RecoveryState returns the recovery manager state.
@@ -67,8 +84,8 @@ func (p *Process) RecoveryState() recovery.State { return p.mgr.State() }
 // destinations), a garbage-collection observability hook.
 func (p *Process) SendLogSize() int {
 	total := 0
-	for _, m := range p.sendLog {
-		total += len(m)
+	for _, w := range p.sendLog {
+		total += w.len()
 	}
 	return total
 }
@@ -104,9 +121,9 @@ func sortByRSN(s []det.Determinant) {
 // dseq order; diagnostics only.
 func (p *Process) SendLogSSNs(q ids.ProcID) [][2]uint64 {
 	log := p.sendLog[q]
-	out := make([][2]uint64, 0, len(log))
-	for _, d := range sortedKeys(log) {
-		out = append(out, [2]uint64{d, uint64(log[d].ssn)})
+	out := make([][2]uint64, 0, log.len())
+	for i, rec := range log.live() {
+		out = append(out, [2]uint64{log.base + uint64(i), uint64(rec.ssn)})
 	}
 	return out
 }

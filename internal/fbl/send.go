@@ -32,12 +32,13 @@ func (c appCtx) Send(to ids.ProcID, payload []byte) {
 	p.dseqOut[to]++
 	dseq := p.dseqOut[to]
 	cp := append([]byte(nil), payload...)
-	p.sendLogFor(to)[dseq] = logRec{ssn: p.ssn, payload: cp}
+	rec := logRec{ssn: p.ssn, payload: cp}
+	p.sendLogFor(to).append(dseq, rec)
 	id := ids.MsgID{Sender: p.env.ID(), SSN: p.ssn}
 	if p.par.Hooks.OnSend != nil {
 		p.par.Hooks.OnSend(p.env.ID(), id, to, hashBytes(cp))
 	}
-	p.transmit(to, dseq, logRec{ssn: p.ssn, payload: cp})
+	p.transmit(to, dseq, rec)
 }
 
 // holderFingerprint folds a holder set into a comparable, non-zero value
@@ -200,20 +201,14 @@ func (p *Process) serveReplay(e *wire.Envelope) {
 	if m := p.replayServed[to]; m.inc == e.FromInc && m.max > start {
 		start = m.max
 	}
-	log := p.sendLog[to]
-	dseqs := make([]uint64, 0, len(log))
-	for _, d := range sortedKeys(log) {
-		if d > start {
-			dseqs = append(dseqs, d)
-		}
-	}
-	if len(dseqs) == 0 {
+	recs, first := p.sendLog[to].after(start)
+	if len(recs) == 0 {
 		return
 	}
 	p.env.Logf("fbl: replaying %d logged messages to %v (watermark %d, served %d)",
-		len(dseqs), to, e.Dseq, start)
-	for _, d := range dseqs {
-		p.transmit(to, d, log[d])
+		len(recs), to, e.Dseq, start)
+	for i, rec := range recs {
+		p.transmit(to, first+uint64(i), rec)
 	}
-	p.replayServed[to] = servedMark{inc: e.FromInc, max: dseqs[len(dseqs)-1]}
+	p.replayServed[to] = servedMark{inc: e.FromInc, max: first + uint64(len(recs)) - 1}
 }

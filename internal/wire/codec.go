@@ -495,10 +495,12 @@ type Decoder struct {
 
 // holderWords carves nw words off the arena. When the current block is full
 // a larger one replaces it; views into the old block stay valid, it is just
-// not reused.
+// not reused. The first block is sized by what the frame asks for, not for
+// the widest frame there could be: a fanout-mode piggyback is a few
+// determinants of a few words, and the block doubles if that was too small.
 func (d *Decoder) holderWords(nw int) []uint64 {
 	if len(d.words)+nw > cap(d.words) {
-		d.words = make([]uint64, 0, max(2*cap(d.words), nw, 64))
+		d.words = make([]uint64, 0, max(2*cap(d.words), nw, 8))
 	}
 	d.words = d.words[:len(d.words)+nw]
 	return d.words[len(d.words)-nw:]

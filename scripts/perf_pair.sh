@@ -14,6 +14,7 @@
 #   scripts/perf_pair.sh -l ci -n 2 -w    # CI: warn mode, 2 pairs
 #   scripts/perf_pair.sh -p HEAD -l 17    # before the change is committed
 #   scripts/perf_pair.sh -l 21 -behaviour-change traffic_n8_crash,explore_n4_sweep
+#   scripts/perf_pair.sh -l 22 -claim fanout_n256_sharded/alloc_mb
 #
 #   -p ref      the parent commit; must come first     (default: HEAD~)
 #   -l -n -w    label, pairs, warn mode: passed to cmd/perfpair (see its -h)
@@ -22,6 +23,11 @@
 #               purpose (also passed through, and written into the stamp):
 #               their sim_digest must differ from the parent's, every other
 #               workload's must not
+#   -claim workload/metric
+#               the cell the change claims a gain on (passed through, written
+#               into the stamp): unless it reads "improved" — nine of ten pairs
+#               won, medians apart by more than the parent's IQR, ten pairs at
+#               least — the exit is 1, -w or not
 #
 # The run length and the workloads are BENCHMARK.json's, always: a ledger is
 # only comparable with the next one if both ran what the manifest declares.
@@ -36,8 +42,8 @@
 #
 # Exit: 0 clean (or -w), 1 when a (metric, workload) median is outside its
 # BENCHMARK.json bound, an undeclared workload's sim_digest differs or a
-# declared one's does not, or the failed-op share rose; 2 on usage or
-# benchmark errors. The judging lives in cmd/perfpair.
+# declared one's does not, the failed-op share rose, or (also under -w) the
+# claimed cell did not improve; 2 on usage or benchmark errors. The judging lives in cmd/perfpair.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
