@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint fmt race bench bench-seed regen bench-micro bench-kernel benchmark-smoke perf-pair timeline explore check
+.PHONY: all build test vet lint fmt lines race bench bench-seed regen bench-micro bench-kernel benchmark-smoke perf-pair timeline explore check
 
 all: build test
 
@@ -34,8 +34,14 @@ fmt:
 	@out=$$(gofmt -l . | grep -v '^internal/analysis/testdata/' || true); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# The livenet runtime records trace events from many goroutines; the race
-# target exercises every package under the race detector. -short skips the
+# lines prints the non-test Go line count outside benchmark/ — the number
+# ROADMAP item 4's line budget is stated in; every deletion PR reports its
+# delta with this command.
+lines:
+	@find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l
+
+# The race target exercises every package under the race detector (shard
+# goroutines share the window barrier and one trace recorder). -short skips the
 # n=1024 cells, of which the D1 scale cell (internal/experiments) is still
 # too slow under race; the two sharded n=1024 cluster tests are not since
 # padding stopped being bytes (77 s for this line on 2 cores, PR 17), so
@@ -58,10 +64,10 @@ bench:
 	$(GO) run ./cmd/bench -label ci -out /tmp/BENCH_ci.json $(BENCH_AXES) -quiet
 	$(GO) run ./cmd/bench compare BENCH_seed.json /tmp/BENCH_ci.json -threshold 0
 
-# bench-seed regenerates the committed reference snapshot (and the two test
-# fixtures, current and schema-v1 layout) after an intentional behavior change.
+# bench-seed regenerates the committed reference snapshot (and the test
+# fixture) after an intentional behavior change.
 bench-seed:
-	$(GO) test ./internal/bench -run 'TestGolden|TestV1Seed' -update
+	$(GO) test ./internal/bench -run TestGolden -update
 	$(GO) run ./cmd/bench -label seed -out BENCH_seed.json $(BENCH_AXES) -quiet
 
 # regen is everything an intended change of the event order has to

@@ -22,9 +22,9 @@ var detRandAllowed = map[string]bool{
 // DetRand enforces seeded-stream discipline: simulations must be replayable
 // from a Config.Seed, so randomness has to flow through *rand.Rand values
 // constructed with rand.New(rand.NewSource(seed)) and threaded from
-// internal/sim (or internal/livenet's per-node seeds). The global functions
-// (rand.Intn, rand.Float64, ...) draw from a shared source seeded from
-// entropy and are banned outside test files.
+// internal/sim. The global functions (rand.Intn, rand.Float64, ...) draw
+// from a shared source seeded from entropy and are banned outside test
+// files.
 var DetRand = &Analyzer{
 	Name: "detrand",
 	Doc:  "global math/rand functions are entropy-seeded; use seeded *rand.Rand streams",

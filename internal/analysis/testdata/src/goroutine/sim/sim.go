@@ -2,11 +2,11 @@
 package sim
 
 func spawn(f func()) {
-	go f() // want "go statement in deterministic package sim"
+	go f() // want "go statement in deterministic package sim schedules work outside the event loop$"
 }
 
 func spawnClosure(n int, out chan<- int) {
-	go func() { out <- n }() // want "go statement in deterministic package sim"
+	go func() { out <- n }() // want "go statement in deterministic package sim schedules work outside the event loop$"
 }
 
 func suppressedSpawn(f func()) {

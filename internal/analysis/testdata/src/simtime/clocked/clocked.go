@@ -5,17 +5,17 @@ package clocked
 import "time"
 
 func bad() time.Time {
-	time.Sleep(time.Millisecond) // want "time.Sleep reads the wall clock"
-	return time.Now()            // want "time.Now reads the wall clock"
+	time.Sleep(time.Millisecond) // want "time.Sleep reads the wall clock; sim-driven code"
+	return time.Now()            // want "time.Now reads the wall clock; sim-driven code"
 }
 
 func badTimers(f func()) {
-	time.AfterFunc(time.Second, f) // want "time.AfterFunc reads the wall clock"
-	<-time.After(time.Second)      // want "time.After reads the wall clock"
+	time.AfterFunc(time.Second, f) // want "time.AfterFunc reads the wall clock; sim-driven code"
+	<-time.After(time.Second)      // want "time.After reads the wall clock; sim-driven code"
 }
 
 func badDelta(t0 time.Time) time.Duration {
-	return time.Since(t0) // want "time.Since reads the wall clock"
+	return time.Since(t0) // want "time.Since reads the wall clock; sim-driven code"
 }
 
 func durationsAreFine() time.Duration {

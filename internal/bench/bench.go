@@ -96,8 +96,8 @@ type Axes struct {
 type Params struct {
 	Seed int64 `json:"seed"`
 	// Seeds is set on merged cells (Axes.MergeSeeds): every seed the cell
-	// aggregates, with Seed mirroring Seeds[0] for v1 readers. Nil on
-	// plain single-seed cells.
+	// aggregates, with Seed mirroring Seeds[0]. Nil on plain single-seed
+	// cells.
 	Seeds    []int64 `json:"seeds,omitempty"`
 	N        int     `json:"n"`
 	Failures int     `json:"failures"`

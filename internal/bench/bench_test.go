@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -201,64 +200,16 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	if _, err := Decode(strings.NewReader("{")); err == nil {
 		t.Fatal("truncated JSON accepted")
 	}
-	if _, err := Decode(strings.NewReader(`{"meta":{"schema":0}}`)); err == nil {
-		t.Fatal("schema 0 accepted")
-	}
-	_, err := Decode(strings.NewReader(`{"meta":{"schema":99}}`))
-	if err == nil {
-		t.Fatal("future schema version accepted")
-	}
-	if !strings.Contains(err.Error(), "newer than") {
-		t.Fatalf("future-schema error %q does not say the file is newer", err)
-	}
-}
-
-// TestV1SeedSnapshotUpgrades feeds the decoder bytes in the schema-v1 layout
-// (the pre-v2 BENCH_seed.json: no outputs, no output_commit): they must
-// upgrade in place, and a fresh sweep over the same axes must still agree
-// metric-for-metric at threshold 0 — the schema bump may not move any
-// measured number. -update re-cuts the fixture from a fresh sweep, for a
-// change that moves the numbers themselves.
-func TestV1SeedSnapshotUpgrades(t *testing.T) {
-	path := filepath.Join("testdata", "BENCH_seed_v1.json")
-	if *update {
-		fresh, err := RunSweep(context.Background(), goldenAxes(), Options{Workers: 4, Meta: goldenMeta()})
-		if err != nil {
-			t.Fatal(err)
+	// Exactly SchemaVersion decodes; the retired 1 and 2 are as foreign as
+	// a future one, and the error says what to do about it.
+	for _, schema := range []string{"0", "1", "2", "99"} {
+		_, err := Decode(strings.NewReader(`{"meta":{"schema":` + schema + `}}`))
+		if err == nil {
+			t.Fatalf("schema %s accepted", schema)
 		}
-		var doc map[string]any
-		if err := json.Unmarshal(encode(t, fresh), &doc); err != nil {
-			t.Fatal(err)
+		if !strings.Contains(err.Error(), "make bench-seed") {
+			t.Fatalf("schema %s: error %q does not say how to regenerate", schema, err)
 		}
-		doc["meta"].(map[string]any)["schema"] = 1
-		for _, c := range doc["cells"].([]any) {
-			delete(c.(map[string]any), "outputs")
-			delete(c.(map[string]any), "output_commit")
-		}
-		b, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v1, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1.Meta.Schema != SchemaVersion {
-		t.Fatalf("decoded schema %d, want upgraded to %d", v1.Meta.Schema, SchemaVersion)
-	}
-	fresh, err := RunSweep(context.Background(), v1.Axes, Options{Workers: 4, Meta: goldenMeta()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs, _ := Compare(v1, fresh, 0); len(regs) != 0 {
-		t.Fatalf("v1 snapshot vs fresh v2 sweep regressed: %v", regs)
-	}
-	if regs, _ := Compare(fresh, v1, 0); len(regs) != 0 {
-		t.Fatalf("fresh v2 sweep vs v1 snapshot regressed: %v", regs)
 	}
 }
 
@@ -390,8 +341,7 @@ func TestMarkdown(t *testing.T) {
 
 // TestLoadedCellSweep runs one offered-load cell end to end: the key gains
 // the load suffix, the traffic readouts (offered/shed/client_commit) are
-// populated, and a load-free cell from the same binary stays free of them
-// so v2-era snapshots remain byte-comparable.
+// populated, and a load-free cell from the same binary stays free of them.
 func TestLoadedCellSweep(t *testing.T) {
 	axes := Axes{
 		Seeds:    []int64{1},

@@ -209,8 +209,7 @@ func runOne(ctx context.Context, spec experiments.Spec) (seedRun, error) {
 	run.simEvents = r.Events
 	run.errors = len(r.Errors)
 	// The ledger exists even when output tracking is off (it is then
-	// empty); the default sweep keeps tracking off so its cells stay
-	// byte-comparable with schema-v1 history.
+	// empty).
 	run.outputs = int64(r.C.Outputs().Total())
 	run.outDeltas = r.C.Outputs().Deltas()
 	// Loaded cells: the open-loop arrival counts and the client tier's

@@ -12,17 +12,14 @@ import (
 )
 
 // SchemaVersion identifies the snapshot layout. Bump it on any change to
-// the cell schema or to the meaning of a metric. Decode upgrades older
-// snapshots it can read losslessly (v1 cells are v2 cells whose new fields
-// are zero) and refuses snapshots newer than this binary.
+// the cell schema or to the meaning of a metric. Decode accepts exactly
+// this version: a snapshot is regenerated (make bench-seed), not upgraded.
 //
-// v2: cells gained output_commit (DESIGN §10) and outputs; merged-seed
-// cells gained params.seeds and across_seeds.
-//
-// v3: the offered-load axis (DESIGN §12). Loaded cells carry params.load
-// (with a "/load=" key suffix), offered/shed arrival counts, and
-// client_commit — the user-visible commit-latency distribution at the
-// client tier. Load-free cells are byte-identical to their v2 form.
+// Cells carry output_commit (DESIGN §10) and outputs; merged-seed cells
+// carry params.seeds and across_seeds; loaded cells (DESIGN §12) carry
+// params.load (with a "/load=" key suffix), offered/shed arrival counts,
+// and client_commit — the user-visible commit-latency distribution at the
+// client tier.
 const SchemaVersion = 3
 
 // Meta describes where a snapshot came from. It is informational only:
@@ -176,26 +173,16 @@ func (s *Snapshot) WriteFile(path string) error {
 	return f.Close()
 }
 
-// Decode reads a snapshot, upgrading older schemas it can represent
-// losslessly and rejecting ones newer than this binary.
+// Decode reads a snapshot of exactly SchemaVersion.
 func Decode(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("bench: malformed snapshot: %w", err)
 	}
-	switch {
-	case s.Meta.Schema < 1:
-		return nil, fmt.Errorf("bench: snapshot schema %d invalid (earliest is 1)", s.Meta.Schema)
-	case s.Meta.Schema > SchemaVersion:
-		return nil, fmt.Errorf("bench: snapshot schema %d is newer than this binary's %d; rebuild or regenerate",
+	if s.Meta.Schema != SchemaVersion {
+		return nil, fmt.Errorf("bench: snapshot schema %d, this binary reads %d; regenerate with `make bench-seed`",
 			s.Meta.Schema, SchemaVersion)
-	case s.Meta.Schema < SchemaVersion:
-		// v1 -> v2 -> v3: every field added since (outputs, output_commit,
-		// seeds, across_seeds, loads, offered, shed, client_commit) is
-		// absent in older files and zero-valued here, which is exactly
-		// what an older run measured. Stamp and move on.
-		s.Meta.Schema = SchemaVersion
 	}
 	return &s, nil
 }

@@ -18,12 +18,12 @@ import (
 // frontends' saturation knee, a backend crash, checkpoints every 4 s.
 // goldenTraceHash cannot see this path: tracking changes what travels on
 // the piggyback (stable entries keep going, DESIGN §10), so determinants
-// the receiver has collected come back, and which of those are offered
-// again, and when a waiting output is released, is decided by code no
-// other golden reaches (fbl.memoise, fbl.checkOutputs). The trace
-// carries every send, delivery and output-commit span, so it moves with
-// any of them; it is the same per-process lane fold as goldenTraceHash. The
-// value must survive any refactor of the determinant log.
+// the receiver has collected come back, and when a waiting output is
+// released is decided by code no other golden reaches (fbl.checkOutputs).
+// The trace carries every send, delivery and output-commit span, so it
+// moves with any of them; it is the same per-process lane fold as
+// goldenTraceHash. The value must survive any refactor of the determinant
+// log.
 const outputsGoldenTraceHash uint64 = 0x33603a436a20bd67
 
 // outputsGoldenLoad is the cell's traffic spec; the differential test reruns

@@ -176,22 +176,12 @@ type Process struct {
 	// destination reincarnated (its volatile log died with it): offer the
 	// whole pending set again.
 	scanGen []int
-	// detSent is, under output tracking only, each destination's memo of
-	// the holder set it was last offered per determinant (see memoise):
-	// detSent[to][sender][ssn] is the fingerprint, 0 for never offered. SSNs
-	// are dense per sender (every send takes the next one), so a row is as
-	// long as the sender's send count. A destination's rows are dropped when
-	// it reincarnates.
-	detSent [][][]uint64
 	// piggy and piggyWords are transmit's scratch: the entries one frame
 	// piggybacks and the arena their holder sets are views into, overwritten
 	// by the next transmit. tx is the envelope it sends them in.
 	piggy      []det.Entry
 	piggyWords []uint64
 	tx         wire.Envelope
-	// offers counts the entries the scans handed to offer, memoRejected the
-	// ones of those the detSent memo dropped (DetStats; this incarnation).
-	offers, memoRejected int
 	// replayServed remembers, per requester, the highest send-log dseq
 	// already retransmitted to a given incarnation, so periodic replay-
 	// request retries do not flood the recovering process with redundant
@@ -265,7 +255,6 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	p.scanGen = make([]int, p.n)
 	p.replayServed = make([]servedMark, p.n)
 	if p.par.Outputs != nil {
-		p.detSent = make([][][]uint64, p.n)
 		p.outWaiters = make(map[ids.MsgID][]*outWait)
 		p.dets.OnSettled(p.noteSettled)
 	}
@@ -545,9 +534,6 @@ func (p *Process) learnIncarnation(q ids.ProcID, inc ids.Incarnation) {
 	if p.incVec.Bump(q, inc) {
 		if q >= 0 && int(q) < p.n {
 			p.scanGen[q] = -1 // offer everything pending again
-			if p.detSent != nil {
-				p.detSent[q] = nil
-			}
 		}
 	}
 }

@@ -479,7 +479,7 @@ func TestStableDeterminantTravelsOnceMore(t *testing.T) {
 	// next frame, which carries the two deliveries p2 made since.
 	carries(send(2, 1), ids.MsgID{Sender: 0, SSN: 2}, m1(2))
 	carries(send(2, 1))
-	if st := procs[2].DetStats(); st.MemoRejected != 0 || st.Offers != 4 {
-		t.Fatalf("p2 selected %d entries and its memo rejected %d; want 4 and 0", st.Offers, st.MemoRejected)
+	if got := procs[2].env.Metrics().PiggybackDets; got != 4 {
+		t.Fatalf("p2 piggybacked %d entries in all, want 4", got)
 	}
 }

@@ -50,12 +50,10 @@ func (p *Process) DetPending() int { return p.dets.PendingCount() }
 // DetStats is a process's account of its logging state since it booted: the
 // determinant log's own counters (entries, stability lag, slab high-water
 // mark and free slots, footprint, holder unions that reached an
-// already-stable entry), piggyback selection's, and the size of the send
-// log.
+// already-stable entry) and the size of the send log. What piggyback
+// selection offered is metrics.Proc.PiggybackDets.
 type DetStats struct {
 	det.Stats
-	Offers       int // entries the per-destination scans selected
-	MemoRejected int // of those, dropped by the detSent memo (output tracking only)
 	// SendLogRecords is the number of logged messages, all destinations;
 	// SendLogBytes what they occupy: the payloads and the windows' arrays.
 	SendLogRecords, SendLogBytes int
@@ -63,7 +61,7 @@ type DetStats struct {
 
 // DetStats returns the counters of this incarnation.
 func (p *Process) DetStats() DetStats {
-	st := DetStats{Stats: p.dets.Stats(), Offers: p.offers, MemoRejected: p.memoRejected}
+	st := DetStats{Stats: p.dets.Stats()}
 	for _, w := range p.sendLog {
 		if w == nil {
 			continue

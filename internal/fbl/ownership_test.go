@@ -204,9 +204,8 @@ var chainPayload = make([]byte, 16)
 
 // TestTransmitSteadyStateAllocs: a warmed process sending a message with k
 // piggybacked determinants allocates the send-log copy of the payload and
-// the frame, nothing per determinant — selection reads views of the slab,
-// the accepted entries land in the process's scratch, and under output
-// tracking the memo is rows it already has.
+// the frame, nothing per determinant — selection reads views of the slab
+// and the selected entries land in the process's scratch.
 func TestTransmitSteadyStateAllocs(t *testing.T) {
 	const k = 64
 	for name, outs := range map[string]output.Sink{"plain": nil, "output tracking": output.NewLedger(4)} {
@@ -221,13 +220,8 @@ func TestTransmitSteadyStateAllocs(t *testing.T) {
 			sent := p.env.Metrics().PiggybackDets
 			send := func() {
 				// Offer p1 everything again, as if nothing had been: the
-				// scan starts over and the memo has forgotten.
+				// scan starts over.
 				p.scanGen[1] = 0
-				if p.detSent != nil {
-					for _, row := range p.detSent[1] {
-						clear(row)
-					}
-				}
 				appCtx{p}.Send(1, chainPayload)
 			}
 			got := testing.AllocsPerRun(100, send)
@@ -323,42 +317,6 @@ func TestPiggybackIsACopyOfWhatWasSelected(t *testing.T) {
 	p.scanGen[3] = -1 // as after p3 reincarnated: the pending set again
 	if again := piggyback(3); len(again) != k {
 		t.Fatalf("send after the mutated one piggybacks %d determinants, want %d", len(again), k)
-	}
-}
-
-// TestReincarnationDropsTheMemoRow: under output tracking a destination is
-// not offered a determinant twice with the same holders — until it
-// reincarnates, having lost what it was offered.
-func TestReincarnationDropsTheMemoRow(t *testing.T) {
-	env := newFakeEnv(0, 4)
-	par := testParams(4, 1)
-	par.Outputs = output.NewLedger(4)
-	p := New(par)().(*Process)
-	p.Boot(env, false)
-	const k = 6
-	for i := 0; i < k; i++ {
-		if err := p.dets.Record(pendingEntry(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	piggyback := func() int {
-		env.sent = nil
-		appCtx{p}.Send(1, []byte("x"))
-		return len(env.takeKind(wire.KindApp)[0].Dets)
-	}
-	if got := piggyback(); got != k {
-		t.Fatalf("first frame piggybacks %d determinants, want %d", got, k)
-	}
-	p.scanGen[1] = 0 // the scan offers everything again; the memo must not
-	if got := piggyback(); got != 0 {
-		t.Fatalf("re-scan piggybacks %d determinants the destination was already offered", got)
-	}
-	p.learnIncarnation(1, 2)
-	if p.detSent[1] != nil || p.scanGen[1] != -1 {
-		t.Fatalf("after reincarnation: memo row %v, scanGen %d; want nil and -1", p.detSent[1], p.scanGen[1])
-	}
-	if got := piggyback(); got != k {
-		t.Fatalf("first frame to the new incarnation piggybacks %d determinants, want %d", got, k)
 	}
 }
 

@@ -41,22 +41,6 @@ func (c appCtx) Send(to ids.ProcID, payload []byte) {
 	p.transmit(to, dseq, rec)
 }
 
-// holderFingerprint folds a holder set into a comparable, non-zero value
-// (zero is the memo's "never offered").
-//
-//rollvet:hotpath
-func holderFingerprint(e det.Entry) uint64 {
-	h := uint64(1469598103934665603)
-	for _, w := range e.Holders.Words() {
-		h ^= w
-		h *= 1099511628211
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
-}
-
 // transmit sends one logged application message (used by both fresh sends
 // and replay retransmissions). The piggyback carries every determinant not
 // yet known to be stable (§2.1) whose holder set changed since we last
@@ -68,10 +52,9 @@ func holderFingerprint(e det.Entry) uint64 {
 // its holder set does past f+1 is not news (det.Log, DESIGN §10).
 func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
 	p.piggy, p.piggyWords = p.piggy[:0], p.piggyWords[:0]
-	// The scans offer views into the determinant slab; offer copies the ones
-	// that go out into the scratch, so nothing below can reach the slab
-	// through piggy and the slab's later changes cannot reach the frame.
-	offer := func(e det.Entry) { p.offer(to, e) }
+	// The scans offer views into the determinant slab; offer copies them
+	// into the scratch, so nothing below can reach the slab through piggy
+	// and the slab's later changes cannot reach the frame.
 	gen := p.scanGen[to]
 	if p.par.Outputs != nil && gen >= 0 {
 		// Output tracking needs holder knowledge to travel one hop past
@@ -81,15 +64,15 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
 		// stable (or was first recorded stable), so that hop is taken once
 		// per destination. A reincarnated peer (-1) still gets the pending
 		// set only.
-		gen = p.dets.ScanModified(gen, offer)
+		gen = p.dets.ScanModified(gen, p.offer)
 	} else {
-		gen = p.dets.ScanPendingModified(gen, offer)
+		gen = p.dets.ScanPendingModified(gen, p.offer)
 	}
 	p.scanGen[to] = gen
 	piggy := p.piggy
 	if TestingDropDetPiggyback {
 		// Mutation hook (see TestingDropDetPiggyback): the determinants were
-		// scanned and memoized as sent, but never leave the process — the
+		// scanned and count as offered, but never leave the process — the
 		// exact bug class the explorer's orphan/fidelity invariants exist to
 		// catch.
 		piggy = nil
@@ -137,49 +120,11 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
 }
 
 // offer is transmit's scan callback: append a copy of the slab view e to the
-// piggyback scratch, unless the output-tracking memo says this destination
-// has it already.
-func (p *Process) offer(to ids.ProcID, e det.Entry) {
-	p.offers++
-	if p.detSent != nil && !p.memoise(to, e) {
-		p.memoRejected++
-		return
-	}
+// piggyback scratch.
+func (p *Process) offer(e det.Entry) {
 	at := len(p.piggyWords)
 	p.piggyWords = append(p.piggyWords, e.Holders.Words()...)
 	p.piggy = append(p.piggy, det.Entry{Det: e.Det, Holders: bitset.View(p.piggyWords[at:])})
-}
-
-// memoise records e's holder set as the one last offered to this
-// destination and reports whether that is news. Without output tracking
-// scanGen alone decides and the memo would never fire; with it, a
-// determinant collected here can come back stable from a peer that has not
-// collected it yet, looks new to the log, and only this memo keeps it from
-// being offered again to everyone it was already offered to with the same
-// holders. Since stable entries stopped circulating that is rare — 0 of
-// 627 211 offers on three seeds of the benchmark's traffic cell, 4 211 of
-// 5.37 M across D11/D12 (DetStats; DESIGN §5) — and ROADMAP 4(f) retires it.
-func (p *Process) memoise(to ids.ProcID, e det.Entry) bool {
-	if p.detSent[to] == nil {
-		p.detSent[to] = make([][]uint64, p.n)
-	}
-	rows, m := p.detSent[to], e.Det.Msg
-	if uint(m.Sender) >= uint(len(rows)) {
-		// Not a process that sends application messages: nothing to index
-		// by, so offer it every time rather than panic.
-		return true
-	}
-	row := rows[m.Sender]
-	if uint64(len(row)) <= uint64(m.SSN) {
-		row = append(row, make([]uint64, uint64(m.SSN)+1-uint64(len(row)))...)
-		rows[m.Sender] = row
-	}
-	fp := holderFingerprint(e)
-	if row[m.SSN] == fp {
-		return false
-	}
-	row[m.SSN] = fp
-	return true
 }
 
 // serveReplay answers a recovering process's retransmission request: resend

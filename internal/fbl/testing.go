@@ -2,7 +2,7 @@ package fbl
 
 // TestingDropDetPiggyback, when set, strips the causal determinant
 // piggyback from every application send: determinants are logged locally
-// and memoized as sent, but copies never reach other holders, so the f+1
+// and count as offered, but copies never reach other holders, so the f+1
 // stability the protocol's orphan-freedom and output-commit arguments rest
 // on is silently never established. A crash then forces the victim to
 // replay from retransmissions whose interleaving the lost determinants were

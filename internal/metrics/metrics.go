@@ -23,8 +23,8 @@ import (
 const maxKinds = wire.KindCount
 
 // Proc accumulates statistics for one process. The zero value is ready to
-// use. Proc is not safe for concurrent use; the runtimes serialize event
-// handling per process, and the livenet runtime guards it externally.
+// use. Proc is not safe for concurrent use; the simulator serializes event
+// handling per process.
 type Proc struct {
 	// Message counters, indexed by wire kind.
 	MsgsSent  [maxKinds]int64

@@ -39,7 +39,7 @@ type link struct {
 }
 
 // Network tracks the state of all links. Not safe for concurrent use; the
-// simulator owns it, and livenet guards it.
+// simulator owns it.
 type Network struct {
 	params Params
 	// links[slot(from)][slot(to)]: a row is allocated on its source's first

@@ -1,12 +1,9 @@
 // Package node defines the runtime abstraction the protocol stack is
 // written against: an event-driven Process driven by an Env that provides
-// virtual (or real) time, message transmission, timers, stable storage, and
-// metrics.
+// virtual time, message transmission, timers, stable storage, and metrics.
 //
-// Two runtimes implement Env: the deterministic discrete-event simulator
-// (internal/sim), which all experiments use, and the goroutine-per-process
-// runtime (internal/livenet), which the examples use. Protocol code cannot
-// tell them apart.
+// One runtime implements Env: the deterministic discrete-event simulator
+// (internal/sim).
 package node
 
 import (

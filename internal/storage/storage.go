@@ -90,8 +90,7 @@ func (im Image) Size() int { return len(im.Data) + im.Pad }
 
 // Store is a crash-surviving key-value store for one process. It survives
 // crashes because the runtime owns it across process reincarnations; only
-// the process image is volatile. Store is not safe for concurrent use from
-// multiple goroutines; the livenet runtime serializes access.
+// the process image is volatile. Store is not safe for concurrent use.
 type Store struct {
 	data map[string]Image
 }

@@ -4,13 +4,10 @@
 // about — blocked time, orphan rollback, output-commit stalls during a
 // failure — become series over time instead of end-of-run aggregates.
 //
-// The Collector is runtime-agnostic: it never schedules anything itself.
-// A sampler owned by the hosting runtime calls Tick at each boundary — the
-// simulator fires it between shard runs at exact virtual-time boundaries
-// without enqueueing events ((*sim.Sharded).SetSampler), so enabling
-// sampling perturbs neither the event sequence nor the golden trace hash;
-// the livenet runtime drives the same Collector from a wall-clock ticker,
-// making sim and live timelines directly comparable.
+// The Collector never schedules anything itself. The simulator's sampler
+// calls Tick between shard runs at exact virtual-time boundaries without
+// enqueueing events ((*sim.Sharded).SetSampler), so enabling sampling
+// perturbs neither the event sequence nor the golden trace hash.
 //
 // Sampled series per tick: event-queue depth and in-flight frames (kernel
 // gauges), per-process phase (live/blocked/restoring/recovering/replaying/

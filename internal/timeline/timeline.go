@@ -1,7 +1,6 @@
 package timeline
 
 import (
-	"sync"
 	"time"
 
 	"rollrec/internal/metrics"
@@ -71,8 +70,7 @@ type ProcGauges struct {
 }
 
 // Probes are the read-only callbacks a runtime binds so the collector can
-// observe it. Nil members are legal and read as zero — the livenet runtime,
-// for example, has no event queue to measure.
+// observe it. Nil members are legal and read as zero.
 type Probes struct {
 	// Queue returns the runtime-wide event-queue depth and the number of
 	// frames in flight on the network.
@@ -107,13 +105,11 @@ type Config struct {
 // few hundred rows.
 const DefaultInterval = 100 * time.Millisecond
 
-// Collector accumulates tick rows. It is safe for concurrent use (the
-// livenet sampler ticks from its own goroutine); the simulator's
-// single-threaded ticks pay one uncontended lock each.
+// Collector accumulates tick rows. It is not safe for concurrent use: the
+// simulator ticks it from the coordinator with every shard parked.
 type Collector struct {
 	cfg Config
 
-	mu    sync.Mutex
 	pr    Probes
 	ticks []Tick
 	// Previous-window histogram snapshots for the tumbling-window deltas,
@@ -161,26 +157,15 @@ func (c *Collector) N() int { return c.cfg.N }
 
 // Bind attaches the runtime probes. Call before the first Tick; rebinding
 // mid-run is legal (the experiments harness binds when the cluster exists).
-func (c *Collector) Bind(p Probes) {
-	c.mu.Lock()
-	c.pr = p
-	c.mu.Unlock()
-}
+func (c *Collector) Bind(p Probes) { c.pr = p }
 
 // Ticks returns the number of samples taken so far.
-func (c *Collector) Ticks() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.ticks)
-}
+func (c *Collector) Ticks() int { return len(c.ticks) }
 
 // Tick takes one sample at virtual time now (nanoseconds). The hosting
 // runtime's sampler calls it at each interval boundary; the collector
 // trusts the caller's cadence and stamps the row with now.
 func (c *Collector) Tick(now int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
 	row := Tick{
 		TMS:     ms(time.Duration(now)),
 		Phases:  "",
@@ -269,8 +254,6 @@ func windowDist(h trace.Histogram) WindowDist {
 // Markers are computed now (runs usually export after the horizon) and
 // sorted canonically so repeated exports are byte-identical.
 func (c *Collector) Export() *Export {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	e := &Export{
 		Meta: Meta{
 			Schema:     SchemaVersion,

@@ -51,7 +51,7 @@ func TestCollectorWindows(t *testing.T) {
 }
 
 // TestCollectorNilProbes: a collector with no probes bound still produces
-// well-formed zero rows (the livenet runtime has no queue, for example).
+// well-formed zero rows.
 func TestCollectorNilProbes(t *testing.T) {
 	col := New(Config{Interval: time.Millisecond, N: 3})
 	col.Tick(int64(time.Millisecond))

@@ -19,8 +19,8 @@ const defaultCapacity = 1 << 16
 // Recorder is the enabled Tracer: a fixed-capacity ring buffer of events.
 // Recording never allocates in steady state; when the ring is full the
 // oldest events are overwritten (Dropped counts them). Recorder is safe
-// for concurrent use — the simulator is single-threaded but the livenet
-// runtime records from many goroutines.
+// for concurrent use: a multi-shard run records into one recorder from its
+// per-shard goroutines.
 type Recorder struct {
 	mu   sync.Mutex
 	buf  []Event

@@ -5,7 +5,7 @@
 //
 // The paper's argument rests on *where time goes* during recovery — blocked
 // time on live processes, stable-storage latency, and control-message
-// rounds — so both runtimes, the recovery manager, and the storage path
+// rounds — so the simulator, the recovery manager, and the storage path
 // emit events here. Exporters turn one run into a browsable Perfetto /
 // chrome://tracing timeline (one track per process) or a per-phase text
 // summary; the Histogram type replaces sum-only accounting with

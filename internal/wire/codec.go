@@ -11,24 +11,11 @@ import (
 	"rollrec/internal/ids"
 )
 
-// codecVersion is bumped on any incompatible format change.
-//
-// Version history:
-//
-//	v1 — original format. Determinant holder sets were written as a u8
-//	     word count followed by dense 64-bit words, which silently
-//	     truncated any set spanning more than 255 words (n > ~16k) and
-//	     wasted bytes on sparse sets at large n.
-//	v2 — tagged holder-set encodings (dense-u8 / sparse-u16 / run-length /
-//	     dense-u16, chosen adaptively by encoded size) plus the CPDseq and
-//	     Members envelope fields. Sets spanning at most four words keep the
-//	     exact v1 byte layout, so every frame a pre-v2 build could emit at
-//	     n <= 256 is unchanged. Decode still accepts v1 frames (old golden
-//	     traces remain readable); Encode always emits v2.
-const (
-	codecVersion     = 2
-	minDecodeVersion = 1
-)
+// codecVersion is bumped on any incompatible format change. Frames never
+// outlive the process that encoded them, so Decode accepts exactly this
+// version. v2 is the tagged holder-set encodings below plus the CPDseq and
+// Members envelope fields.
+const codecVersion = 2
 
 // maxListLen bounds every decoded list length to catch corrupted frames
 // before they trigger huge allocations. Encode enforces the same bound, so
@@ -44,21 +31,20 @@ var (
 	ErrBadHolders = errors.New("wire: bad holder-set encoding")
 	ErrPad        = errors.New("wire: padding field does not match the image")
 	// ErrRange is returned by EncodeChecked when a count or id does not fit
-	// its wire representation; the pre-v2 codec silently truncated instead.
+	// its wire representation.
 	ErrRange = errors.New("wire: value out of encodable range")
 )
 
-// Holder-set encoding tags (codec v2). A tag byte of 0..250 IS the dense
-// word count — the v1 layout — and the encoder emits it whenever the set
-// spans at most holderDenseU8Words words, keeping small-n frames
-// byte-identical to v1. Larger sets use one of the tagged forms below,
-// whichever encodes smallest.
+// Holder-set encoding tags. A tag byte of 0..250 IS the dense word count,
+// and the encoder emits it whenever the set spans at most
+// holderDenseU8Words words (every set at n <= 256). Larger sets use one of
+// the tagged forms below, whichever encodes smallest.
 const (
 	holderTagDenseU8Max = 250 // tags 0..250: word count, dense words follow
 	holderTagSparse     = 251 // u16 element count, ascending u16 elements
 	holderTagRuns       = 252 // u16 run count, (u16 start, u16 end) inclusive pairs
 	holderTagDenseU16   = 253 // u16 word count, dense words follow
-	holderDenseU8Words  = 4   // dense-u8 cutoff: sets this small keep the v1 layout
+	holderDenseU8Words  = 4   // dense-u8 cutoff
 )
 
 // Presence bits: only non-empty optional fields are written, keeping the
@@ -396,11 +382,11 @@ func encodeEntry(w *Writer, e *det.Entry) error {
 	return encodeHolders(w, e.Holders)
 }
 
-// holderEnc picks the cheapest valid v2 encoding for a holder set and
+// holderEnc picks the cheapest valid encoding for a holder set and
 // returns its tag plus the full encoded size (tag byte included); ok is
 // false when the set fits no representation (more than 65535 backing
 // words). Sets of at most holderDenseU8Words words always take the
-// v1-compatible dense-u8 form. Size() relies on this function to stay in
+// dense-u8 form. Size() relies on this function to stay in
 // lockstep with encodeHolders, and it runs per piggybacked determinant on
 // the send path, so it must not allocate.
 //
@@ -527,10 +513,7 @@ func (d *Decoder) holderSpan(maxElem int) bitset.Set {
 	return bitset.View(words)
 }
 
-func (d *Decoder) decodeHolders(r *Reader, version uint8) bitset.Set {
-	if version < 2 {
-		return d.readHolderWords(r, int(r.U8()))
-	}
+func (d *Decoder) decodeHolders(r *Reader) bitset.Set {
 	tag := r.U8()
 	switch {
 	case tag <= holderTagDenseU8Max:
@@ -601,19 +584,17 @@ func (d *Decoder) decodeHolders(r *Reader, version uint8) bitset.Set {
 	}
 }
 
-func (d *Decoder) decodeEntry(r *Reader, version uint8) det.Entry {
+func (d *Decoder) decodeEntry(r *Reader) det.Entry {
 	var e det.Entry
 	e.Det.Msg.Sender = ids.ProcID(r.I32())
 	e.Det.Msg.SSN = ids.SSN(r.U64())
 	e.Det.Receiver = ids.ProcID(r.I32())
 	e.Det.RSN = ids.RSN(r.U64())
-	e.Holders = d.decodeHolders(r, version)
+	e.Holders = d.decodeHolders(r)
 	return e
 }
 
-// Decode parses a frame produced by Encode into a fresh envelope. Frames
-// from every codec version back to minDecodeVersion are accepted, so traces
-// recorded before a version bump remain readable.
+// Decode parses a frame produced by Encode into a fresh envelope.
 func Decode(frame []byte) (*Envelope, error) {
 	e := new(Envelope)
 	if err := new(Decoder).Decode(e, frame); err != nil {
@@ -639,8 +620,7 @@ func DecodeInto(e *Envelope, frame []byte) error {
 func (d *Decoder) Decode(e *Envelope, frame []byte) error {
 	d.dets, d.words = d.dets[:0], d.words[:0]
 	r := &Reader{buf: frame}
-	v := r.U8()
-	if r.err == nil && (v < minDecodeVersion || v > codecVersion) {
+	if v := r.U8(); r.err == nil && v != codecVersion {
 		return fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
 	kind := Kind(r.U8())
@@ -668,7 +648,7 @@ func (d *Decoder) Decode(e *Envelope, frame []byte) error {
 				d.dets = make([]det.Entry, 0, min(n, 4096))
 			}
 			for i := 0; i < n && r.err == nil; i++ {
-				d.dets = append(d.dets, d.decodeEntry(r, v))
+				d.dets = append(d.dets, d.decodeEntry(r))
 			}
 			e.Dets = d.dets
 		}

@@ -124,10 +124,14 @@ func TestDecodeErrors(t *testing.T) {
 		}
 	})
 	t.Run("bad version", func(t *testing.T) {
-		bad := append([]byte(nil), good...)
-		bad[0] = 99
-		if _, err := Decode(bad); err == nil {
-			t.Fatal("bad version must fail")
+		// Exactly codecVersion decodes: frames never outlive a process, so
+		// the retired v1 is as foreign as a future one.
+		for _, v := range []byte{0, 1, codecVersion + 1, 99} {
+			bad := append([]byte(nil), good...)
+			bad[0] = v
+			if _, err := Decode(bad); !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("version %d: err = %v, want ErrBadVersion", v, err)
+			}
 		}
 	})
 	t.Run("bad kind", func(t *testing.T) {

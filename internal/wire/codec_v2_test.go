@@ -31,10 +31,9 @@ func rangeSet(lo, hi int) bitset.Set {
 }
 
 // TestHolderEncodingBoundaries round-trips holder sets at every boundary of
-// the v2 encoding chooser — exactly the sets the v1 codec either truncated
-// (word counts past 255) or stored dense at large n. The pre-fix encoder
-// wrote `U8(len(words))`, so any set spanning more than 255 words silently
-// lost holders; these sets must now survive encode→decode bit-exactly.
+// the encoding chooser, including word counts past what a u8 can carry
+// (the v1 codec truncated those); each must survive encode→decode
+// bit-exactly.
 func TestHolderEncodingBoundaries(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -92,8 +91,8 @@ func TestHolderEncodingBoundaries(t *testing.T) {
 	}
 }
 
-// TestEncodeRangeErrors proves the codec now refuses, with an explicit
-// error, everything the v1 codec silently truncated.
+// TestEncodeRangeErrors proves the codec refuses, with an explicit error,
+// what does not fit its wire representation.
 func TestEncodeRangeErrors(t *testing.T) {
 	t.Run("holder set past u16 words", func(t *testing.T) {
 		// 65536 backing words: no representation left.
@@ -167,34 +166,9 @@ func TestDecodeRejectsBadHolders(t *testing.T) {
 	})
 }
 
-// TestV1FramesStillDecode pins backward compatibility across the version
-// bump: for holder sets of at most four words the v2 byte layout is
-// identical to v1 by construction, so rewriting the version byte of a v2
-// frame yields exactly the frame a v1 encoder would have produced — and
-// the decoder must accept it.
-func TestV1FramesStillDecode(t *testing.T) {
-	for _, e := range sampleEnvelopes() {
-		if e.CPDseq != 0 || len(e.Members) > 0 {
-			continue // fields that postdate v1
-		}
-		frame := Encode(e)
-		v1 := append([]byte(nil), frame...)
-		v1[0] = 1
-		got, err := Decode(v1)
-		if err != nil {
-			t.Fatalf("%v: v1 decode: %v", e.Kind, err)
-		}
-		if !equalEnvelopes(e, got) {
-			t.Fatalf("%v: v1 round trip mismatch:\n in: %+v\nout: %+v", e.Kind, e, got)
-		}
-	}
-}
-
-// TestV2KeepsSmallFrameBytes pins the compatibility rule the golden trace
-// hashes rely on: apart from the version byte, frames whose holder sets
-// span at most four words are byte-identical to the v1 encoding (same
-// layout, same sizes), so the n<=256 goldens and BENCH snapshots see no
-// size change from the codec bump.
+// TestV2KeepsSmallFrameBytes pins the size rule the golden trace hashes
+// rely on: frames whose holder sets span at most four words carry the
+// current version byte and are exactly as long as Size says.
 func TestV2KeepsSmallFrameBytes(t *testing.T) {
 	for _, e := range sampleEnvelopes() {
 		for i := range e.Dets {
@@ -206,8 +180,6 @@ func TestV2KeepsSmallFrameBytes(t *testing.T) {
 		if frame[0] != codecVersion {
 			t.Fatalf("version byte = %d, want %d", frame[0], codecVersion)
 		}
-		// The layout rule: re-decoding as v1 must reconstruct the same
-		// envelope (checked above); here we additionally pin the size.
 		if len(frame) != Size(e) {
 			t.Fatalf("%v: Size = %d, frame = %d", e.Kind, Size(e), len(frame))
 		}

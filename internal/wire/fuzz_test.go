@@ -60,9 +60,7 @@ func fuzzSeedFrames() [][]byte {
 	var frames [][]byte
 	for _, e := range sampleEnvelopes() {
 		frame := Encode(e)
-		v1 := append([]byte(nil), frame...)
-		v1[0] = 1
-		frames = append(frames, frame, v1)
+		frames = append(frames, frame, frame[:len(frame)/2])
 	}
 	return append(frames,
 		[]byte{},
@@ -119,18 +117,17 @@ func TestSeedCorpusDetsRecordWithoutPanic(t *testing.T) {
 //     reject a frame the decoder considered well-formed), and Size agrees
 //     with the encoder byte-for-byte.
 //  3. Re-encoding then decoding is semantically lossless. Byte-identity is
-//     NOT required: Decode accepts v1 frames and presence bits the encoder
-//     would normalize away, but the envelope's meaning must survive the
-//     round trip.
+//     NOT required: Decode accepts presence bits the encoder would
+//     normalize away, but the envelope's meaning must survive the round
+//     trip.
 //  4. One long-lived Decoder, fed every input of the run, agrees with a
 //     fresh decode each time — same envelope or same rejection — and a
 //     corrupted count does not make it grow its buffers past what the
 //     frame's own bytes could hold.
 //
 // The seed corpus covers every envelope kind via the codec tests' sample
-// envelopes, both as emitted (v2) and with the version byte rewritten to 1
-// (small holder sets keep the v1 layout, so many of these are exactly what
-// a v1 encoder produced), plus a few degenerate frames.
+// envelopes, whole and cut in half, plus a few degenerate frames (one with
+// an old version byte).
 func FuzzDecodeFrame(f *testing.F) {
 	for _, frame := range fuzzSeedFrames() {
 		f.Add(frame)

@@ -1,7 +1,7 @@
 // Package wire defines the protocol message vocabulary (the envelope) and a
 // hand-written binary codec for it.
 //
-// Both runtimes transmit encoded bytes rather than shared pointers: every
+// The simulator transmits encoded bytes rather than shared pointers: every
 // delivery round-trips through the codec, which guarantees processes share
 // no mutable state and gives the network model exact message sizes — the
 // quantity the paper's "communication overhead" metric counts. That rests
