@@ -105,8 +105,9 @@ bench-micro:
 # in-test container/heap baseline, plus the AllocsPerRun regression gates
 # (scheduler, the inline window of the sharded coordinator, output ledger,
 # determinant log, and the buffer-ownership gates of DESIGN §5: frame encode
-# and decode, heartbeat tick and delivery, piggyback transmit and delivery,
-# checkpoint image).
+# and decode, heartbeat tick (zero: one frame per incarnation, timer handles
+# are values) and delivery, timer arm+Stop (zero), piggyback transmit and
+# delivery, checkpoint image).
 bench-kernel:
 	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/fbl ./internal/coord ./internal/optimistic -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
 

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	explore [-families all] [-styles all] [-n 3] [-seed 1] [-out report.json]
-//	        [-cpuprofile cpu.prof] [-memprofile mem.prof]
+//	        [-stats] [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //	explore -replay cx.json
 //
 // The report written by -out is byte-deterministic for a given flag set:
@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 
 	"rollrec/internal/explore"
@@ -43,6 +44,7 @@ func main() {
 	out := flag.String("out", "", "write the combined report as JSON to this path")
 	cxDir := flag.String("cx-dir", "", "save each counterexample as a JSON file in this directory")
 	replay := flag.String("replay", "", "re-execute this counterexample file instead of exploring; exits 0 iff it reproduces byte-identically")
+	stats := flag.Bool("stats", false, "print per exploration, to stderr: events, heartbeat share of frames, host bytes and allocations per run (probe run and branches)")
 	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -76,6 +78,8 @@ func main() {
 			spec.MaxCrashes = *maxCrashes
 			spec.DeepBranches = *deep
 			spec.Random = *random
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			rep, err := explore.Run(context.Background(), spec)
 			if err != nil {
 				fatal(err)
@@ -83,6 +87,13 @@ func main() {
 			label := string(rep.Spec.Family)
 			if rep.Spec.Family == explore.FamilyFBL {
 				label += "/" + rep.Spec.Style.String()
+			}
+			if *stats {
+				runtime.ReadMemStats(&after)
+				st, runs := rep.Stats, uint64(rep.Stats.Runs)
+				fmt.Fprintf(os.Stderr, "stats %-18s branches=%-4d events/run=%-6d frames/run=%-6d heartbeat_share=%.3f KB/run=%.1f allocs/run=%d\n",
+					label, rep.Branches, st.Events/int64(runs), st.Frames/int64(runs), float64(st.Heartbeats)/float64(max(st.Frames, 1)),
+					float64((after.TotalAlloc-before.TotalAlloc)/runs)/1024, (after.Mallocs-before.Mallocs)/runs)
 			}
 			fmt.Printf("%-18s points=%-3d branches=%-4d violations=%-3d baseline_events=%-6d fingerprint=%#016x\n",
 				label, rep.Points, rep.Branches, rep.Violations, rep.BaselineEvents, rep.Fingerprint)

@@ -53,6 +53,7 @@ import (
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
 	"rollrec/internal/sim"
+	"rollrec/internal/wire"
 )
 
 // Family selects the protocol family under exploration: the harness's own
@@ -158,6 +159,24 @@ type Report struct {
 	BaselineEvents  int64            `json:"baseline_events"`
 	Fingerprint     uint64           `json:"fingerprint"`
 	Counterexamples []Counterexample `json:"counterexamples,omitempty"`
+	// Stats is not part of the report's JSON: cmd/explore -stats prints it.
+	Stats Stats `json:"-"`
+}
+
+// Stats totals what the runs behind a report did: the probe run and every
+// branch (a violation's minimization reruns are not counted).
+type Stats struct {
+	Runs       int
+	Events     int64
+	Frames     int64 // sent by the application processes, every kind
+	Heartbeats int64 // the wire.KindHeartbeat ones among them
+}
+
+func (s *Stats) add(res *branchResult) {
+	s.Runs++
+	s.Events += res.events
+	s.Frames += res.frames
+	s.Heartbeats += res.heartbeats
 }
 
 const (
@@ -180,6 +199,8 @@ func foldStep(h uint64, s sim.StepInfo) uint64 {
 type branchResult struct {
 	fingerprint   uint64
 	events        int64
+	frames        int64 // sent by the application processes
+	heartbeats    int64
 	digests       []uint64
 	conflicts     []string
 	famErrs       []string
@@ -230,6 +251,11 @@ func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool
 		if a := in.c.App(ids.ProcID(i)); a != nil && !a.Done() {
 			res.famErrs = append(res.famErrs, fmt.Sprintf("liveness: proc %d workload incomplete at horizon", i))
 		}
+		sent := &in.c.Metrics(ids.ProcID(i)).MsgsSent
+		for _, c := range sent {
+			res.frames += c
+		}
+		res.heartbeats += sent[wire.KindHeartbeat]
 	}
 	res.points = in.tracer.points
 	res.recSteps = in.tracer.recSteps
@@ -327,6 +353,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{Spec: spec, BaselineEvents: base.events, Fingerprint: base.fingerprint}
+	rep.Stats.add(base)
 	if bad := append(append([]string(nil), base.famErrs...), base.conflicts...); len(bad) > 0 {
 		// The crash-free probe run itself is inconsistent: exploring crash
 		// schedules on top of a broken baseline is meaningless, so report
@@ -440,6 +467,7 @@ func (r *runner) branch(ctx context.Context, plan failure.Plan) (*branchResult, 
 		return nil, err
 	}
 	r.rep.Branches++
+	r.rep.Stats.add(res)
 	r.fp = mix(r.fp, res.fingerprint)
 	if viol := checkBranch(r.base, res, plan, r.budget); len(viol) > 0 {
 		r.rep.Violations++

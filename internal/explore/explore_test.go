@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"rollrec/internal/failure"
+	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
 )
 
@@ -194,5 +196,52 @@ func TestCounterexampleRoundTrip(t *testing.T) {
 	jb, _ := json.Marshal(got)
 	if string(ja) != string(jb) {
 		t.Fatalf("round trip diverged:\n%s\n%s", ja, jb)
+	}
+}
+
+// TestBranchAllocBudget is the tier-1 reading of what the host-time
+// benchmark's explorer cell measures: 50 single-crash FBL non-blocking
+// branches at n=4 may not cost more than 161 KB and 1 270 allocations each
+// (runtime.MemStats deltas; no test of this package runs beside this one,
+// the parallel ones start after it). The limits are what the PR 24 tree
+// reads, 146.0 KB and 1 151 allocations, plus 10 %; before it a branch was
+// 218.8 KB and 3 076, the difference being a frame and a timer handle per
+// heartbeat tick and histograms that held every octave below their
+// millisecond latencies. A change that trips this moves `alloc_mb` on
+// explore_n4_sweep by as much.
+func TestBranchAllocBudget(t *testing.T) {
+	const (
+		branches  = 50
+		maxBytes  = 161 << 10
+		maxAllocs = 1270
+	)
+	ctx := context.Background()
+	spec := Spec{Family: FamilyFBL, Style: recovery.NonBlocking, N: 4}.withDefaults()
+	base, err := runBranch(ctx, spec, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := selectPoints(base.points, (branches+spec.N-1)/spec.N)
+	if len(points)*spec.N < branches {
+		t.Fatalf("%d decision points for %d branches", len(points), branches)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b := 0; b < branches; b++ {
+		plan := failure.Plan{{Step: points[b/spec.N].Step, Proc: ids.ProcID(b % spec.N)}}
+		res, err := runBranch(ctx, spec, plan, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := checkBranch(base, res, plan, base.events*int64(spec.BudgetFactor)+20_000); len(v) > 0 {
+			t.Fatalf("branch %v: %v", plan, v)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / branches
+	allocs := (after.Mallocs - before.Mallocs) / branches
+	t.Logf("a branch costs %.1f KB in %d allocations", float64(bytes)/1024, allocs)
+	if bytes > maxBytes || allocs > maxAllocs {
+		t.Fatalf("a branch costs %.1f KB in %d allocations, budget %d KB and %d", float64(bytes)/1024, allocs, maxBytes>>10, maxAllocs)
 	}
 }

@@ -322,14 +322,19 @@ func (p *Process) oooBufFor(from ids.ProcID) map[uint64]*wire.Envelope {
 }
 
 func (p *Process) startTimers() {
-	// One envelope for every tick, one frame for every destination. In
-	// fanout mode each process pings its k ring successors, so each is
-	// monitored by its k predecessors.
-	hb := &wire.Envelope{Kind: wire.KindHeartbeat}
+	// One frame for every tick and every destination, encoded again only
+	// when the incarnation it carries changes (once per boot: a restart
+	// learns its own while restoring). In fanout mode each process pings
+	// its k ring successors, so each is monitored by its k predecessors.
+	var frame []byte
+	var frameInc ids.Incarnation
 	var beat func()
 	beat = func() {
-		hb.FromInc = p.inc
-		p.env.Multicast(p.succ, hb)
+		if frame == nil || frameInc != p.inc {
+			frameInc = p.inc
+			frame = wire.Encode(&wire.Envelope{Kind: wire.KindHeartbeat, From: p.env.ID(), FromInc: p.inc})
+		}
+		p.env.MulticastFrame(p.succ, wire.KindHeartbeat, frame)
 		p.detect.Tick(p.env.Now())
 		p.env.After(p.par.HeartbeatEvery, beat)
 	}

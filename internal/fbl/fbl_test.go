@@ -31,10 +31,6 @@ type fakeEnv struct {
 	rng    *rand.Rand
 }
 
-type noopTimer struct{}
-
-func (noopTimer) Stop() {}
-
 func newFakeEnv(id ids.ProcID, n int) *fakeEnv {
 	return &fakeEnv{
 		id: id, n: n,
@@ -58,7 +54,14 @@ func (f *fakeEnv) Multicast(dests []ids.ProcID, e *wire.Envelope) {
 		f.Send(to, e)
 	}
 }
-func (f *fakeEnv) After(time.Duration, func()) node.Timer { return noopTimer{} }
+func (f *fakeEnv) MulticastFrame(dests []ids.ProcID, _ wire.Kind, frame []byte) {
+	e, err := wire.Decode(frame)
+	if err != nil {
+		panic(err)
+	}
+	f.Multicast(dests, e)
+}
+func (f *fakeEnv) After(time.Duration, func()) node.Timer { return node.Timer{} }
 func (f *fakeEnv) Busy(time.Duration)                     {}
 func (f *fakeEnv) ReadStable(k string, cb func(storage.Image, bool)) {
 	v, ok := f.stable.Get(k)

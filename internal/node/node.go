@@ -36,6 +36,11 @@ type Env interface {
 	// the same for all of them: it is serialized once and every destination
 	// is charged, counted, traced and scheduled as its own Send would be.
 	Multicast(dests []ids.ProcID, e *wire.Envelope)
+	// MulticastFrame is Multicast of an envelope the caller already encoded
+	// (wire.Encode, From set to its own id) — what Multicast does once it has
+	// a frame. The runtime and every receiver share frame from then on: the
+	// caller may send it again, and nobody writes to it.
+	MulticastFrame(dests []ids.ProcID, kind wire.Kind, frame []byte)
 	// After schedules fn to run on this process after d of virtual time.
 	// The timer dies with the process instance: a crash cancels it.
 	After(d time.Duration, fn func()) Timer
@@ -65,10 +70,33 @@ type Env interface {
 	Tracer() trace.Tracer
 }
 
-// Timer is a cancelable handle returned by Env.After.
-type Timer interface {
-	// Stop cancels the timer if it has not fired. Safe to call repeatedly.
-	Stop()
+// Timer is the cancelable handle returned by Env.After: a value naming the
+// timer to the runtime that armed it, so arming allocates nothing. The zero
+// Timer is inert.
+type Timer struct {
+	c    Canceller
+	slot int32
+	gen  uint64
+}
+
+// Canceller is the runtime's side of a Timer: it cancels the timer it issued
+// under (slot, gen) and ignores a pair that has fired, was cancelled, or whose
+// slot has since been handed to a later timer.
+type Canceller interface {
+	CancelTimer(slot int32, gen uint64)
+}
+
+// NewTimer returns the handle of the timer c knows as (slot, gen).
+func NewTimer(c Canceller, slot int32, gen uint64) Timer {
+	return Timer{c: c, slot: slot, gen: gen}
+}
+
+// Stop cancels the timer if it has not fired. Safe to call repeatedly, after
+// firing, and on the zero Timer.
+func (t Timer) Stop() {
+	if t.c != nil {
+		t.c.CancelTimer(t.slot, t.gen)
+	}
 }
 
 // Process is an event-driven protocol instance. A crash discards the

@@ -348,9 +348,7 @@ func (p *Process) requestRetransmits() {
 }
 
 func (p *Process) armRetry() {
-	if p.retryTimer != nil {
-		p.retryTimer.Stop()
-	}
+	p.retryTimer.Stop()
 	count := 0
 	var tick func()
 	tick = func() {

@@ -228,10 +228,7 @@ func (m *Manager) onRecoveryData(e *wire.Envelope) {
 	}
 	m.abortGather() // we were leading but a lower ordinal served us
 	m.state = StateReplaying
-	if m.retry != nil {
-		m.retry.Stop()
-		m.retry = nil
-	}
+	m.retry.Stop()
 	if tr := m.env.Metrics().CurrentRecovery(); tr != nil {
 		tr.GatheredAt = m.env.Now()
 	}

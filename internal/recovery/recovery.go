@@ -243,11 +243,8 @@ func (m *Manager) broadcast(e *wire.Envelope, withStorage bool) {
 }
 
 func (m *Manager) armRetry() {
-	if m.retry != nil {
-		m.retry.Stop()
-	}
+	m.retry.Stop()
 	m.retry = m.env.After(m.cfg.RetryEvery, func() {
-		m.retry = nil
 		switch m.state {
 		case StateWaiting:
 			// Re-announce until served: covers announcements lost to a
@@ -523,10 +520,7 @@ func (m *Manager) ReplayDone() {
 	if r := m.reg[m.self]; r != nil {
 		r.active = false
 	}
-	if m.retry != nil {
-		m.retry.Stop()
-		m.retry = nil
-	}
+	m.retry.Stop()
 	m.broadcast(&wire.Envelope{
 		Kind:    wire.KindRecovered,
 		FromInc: m.reg[m.self].inc,

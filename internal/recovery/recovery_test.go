@@ -33,7 +33,7 @@ type fakeTimer struct {
 	stopped bool
 }
 
-func (t *fakeTimer) Stop() { t.stopped = true }
+func (f *fakeEnv) CancelTimer(slot int32, _ uint64) { f.timers[slot].stopped = true }
 
 func newFakeEnv(id ids.ProcID, n int) *fakeEnv {
 	return &fakeEnv{id: id, n: n, met: metrics.NewProc(), rng: rand.New(rand.NewSource(1))}
@@ -54,9 +54,11 @@ func (f *fakeEnv) Multicast(dests []ids.ProcID, e *wire.Envelope) {
 	}
 }
 func (f *fakeEnv) After(d time.Duration, fn func()) node.Timer {
-	t := &fakeTimer{at: f.now + int64(d), fn: fn}
-	f.timers = append(f.timers, t)
-	return t
+	f.timers = append(f.timers, &fakeTimer{at: f.now + int64(d), fn: fn})
+	return node.NewTimer(f, int32(len(f.timers)-1), 0)
+}
+func (f *fakeEnv) MulticastFrame([]ids.ProcID, wire.Kind, []byte) {
+	panic("the recovery manager sends envelopes, not frames")
 }
 func (f *fakeEnv) Busy(time.Duration)                                {}
 func (f *fakeEnv) ReadStable(k string, cb func(storage.Image, bool)) { cb(storage.Image{}, false) }

@@ -52,14 +52,19 @@ func TestTimerStopReleasesHeapSlot(t *testing.T) {
 	}
 }
 
-// TestTimerStopIsIdempotentAcrossReuse: a handle whose slot has been
-// recycled must become inert — double Stop, Stop after firing, and Stop
-// after the slot was re-armed by a different timer are all no-ops.
+// TestTimerStopIsIdempotentAcrossReuse: a handle is a value naming (slot,
+// generation), so one whose timer is gone is inert — the zero Timer, a double
+// Stop, a Stop after firing, and a Stop after the slot was re-armed by a later
+// After neither cancel the slot's new timer nor add a credit to Run's totals.
 func TestTimerStopIsIdempotentAcrossReuse(t *testing.T) {
 	k := newIdleKernel(t)
 	env := node.Env(k.find(0))
 
+	var zero node.Timer
+	zero.Stop()
+
 	a := env.After(time.Second, func() { t.Error("timer a fired") })
+	arena := len(k.slots)
 	a.Stop()
 	a.Stop() // double stop: no-op
 
@@ -67,21 +72,26 @@ func TestTimerStopIsIdempotentAcrossReuse(t *testing.T) {
 	bFired := false
 	b := env.After(2*time.Second, func() { bFired = true })
 	a.Stop()
-	k.Run(3 * time.Second)
-	if !bFired {
-		t.Fatal("stale handle cancelled a reused slot")
+	zero.Stop()
+	if got := k.Run(3 * time.Second); got != 2 || !bFired {
+		t.Fatalf("Run(3s) processed %d events, b fired %v; want 2 (a's one credit, b) and true: a stale handle reached a reused slot", got, bFired)
 	}
 	b.Stop() // after firing: no-op
 
 	// c's slot fires normally; stopping afterwards must not disturb d.
 	c := env.After(time.Second, func() {})
-	k.Run(5 * time.Second)
+	if got := k.Run(5 * time.Second); got != 1 {
+		t.Fatalf("Run(5s) processed %d events, want 1 (c): Stop after firing was credited", got)
+	}
 	dFired := false
 	env.After(time.Second, func() { dFired = true })
 	c.Stop()
-	k.Run(7 * time.Second)
-	if !dFired {
-		t.Fatal("Stop after firing cancelled an unrelated reused slot")
+	b.Stop()
+	if got := k.Run(7 * time.Second); got != 1 || !dFired {
+		t.Fatalf("Run(7s) processed %d events, d fired %v; want 1 and true: Stop after firing reached an unrelated reused slot", got, dFired)
+	}
+	if len(k.slots) != arena {
+		t.Fatalf("arena grew %d -> %d: the timers above did not share one slot, so no handle was ever stale", arena, len(k.slots))
 	}
 }
 

@@ -89,7 +89,7 @@ const (
 type event struct {
 	at     int64
 	seq    uint64
-	gen    uint64 // bumped on release; validates simTimer handles
+	gen    uint64 // bumped on release; validates node.Timer handles
 	epoch  uint64 // owning process incarnation (evExec, evWake)
 	ns     *nodeState
 	fn     func()
@@ -747,16 +747,23 @@ func (ns *nodeState) Send(to ids.ProcID, e *wire.Envelope) {
 	ns.sendFrame(to, e.Kind, wire.Encode(e))
 }
 
-// Multicast encodes e once; the destinations share the frame, which nothing
-// writes after this point.
+// Multicast encodes e once and multicasts the frame.
 func (ns *nodeState) Multicast(dests []ids.ProcID, e *wire.Envelope) {
 	if !ns.up || len(dests) == 0 {
 		return
 	}
 	e.From = ns.id
-	frame := wire.Encode(e)
+	ns.MulticastFrame(dests, e.Kind, wire.Encode(e))
+}
+
+// MulticastFrame hands every destination the one frame, which nothing writes
+// after this point.
+func (ns *nodeState) MulticastFrame(dests []ids.ProcID, kind wire.Kind, frame []byte) {
+	if !ns.up {
+		return
+	}
 	for _, to := range dests {
-		ns.sendFrame(to, e.Kind, frame)
+		ns.sendFrame(to, kind, frame)
 	}
 }
 
@@ -898,34 +905,26 @@ func (k *Kernel) wake(ns *nodeState, epoch uint64) {
 	}
 }
 
-// simTimer is a cancellable handle onto a queued evExec slot. gen detects
-// slot reuse: once the timer fires (or is stopped), the slot's generation
-// moves on and the handle becomes inert.
-type simTimer struct {
-	k    *Kernel
-	slot int32
-	gen  uint64
-}
-
-// Stop cancels the timer if it has not fired: the event is removed from
-// the heap and its slot recycled immediately (stopped timers hold no queue
-// space), while the deadline is credited to the processed-event totals so
-// event accounting matches a scheduler without cancellation. Safe to call
-// repeatedly and after firing.
+// CancelTimer is node.Timer.Stop for the timer queued in slot under gen (gen
+// detects slot reuse: once the timer fires or is stopped, the slot's
+// generation moves on and its handles become inert). The event is removed
+// from the heap and its slot recycled immediately (stopped timers hold no
+// queue space), while the deadline is credited to the processed-event totals
+// so event accounting matches a scheduler without cancellation.
 //
 //rollvet:hotpath
-func (t *simTimer) Stop() {
-	s := &t.k.slots[t.slot]
-	if s.gen != t.gen {
+func (k *Kernel) CancelTimer(slot int32, gen uint64) {
+	s := &k.slots[slot]
+	if s.gen != gen {
 		return // already fired, stopped, or slot recycled
 	}
 	// Copy the slot coordinates out before touching the kernel: pushCredit
 	// precedes the heap removal, and a pointer into the arena must not be
 	// trusted across any call that can recycle or grow it.
 	at, seq, pos := s.at, s.seq, s.pos
-	t.k.pushCredit(credit{at: at, seq: seq})
-	t.k.remove(pos)
-	t.k.release(t.slot)
+	k.pushCredit(credit{at: at, seq: seq})
+	k.remove(pos)
+	k.release(slot)
 }
 
 func (ns *nodeState) After(d time.Duration, fn func()) node.Timer {
@@ -934,7 +933,7 @@ func (ns *nodeState) After(d time.Duration, fn func()) node.Timer {
 	}
 	k := ns.k
 	i := k.scheduleExec(k.now+int64(d), ns, ns.epoch, fn)
-	return &simTimer{k: k, slot: i, gen: k.slots[i].gen}
+	return node.NewTimer(k, i, k.slots[i].gen)
 }
 
 func (ns *nodeState) ReadStable(key string, cb func(img storage.Image, ok bool)) {

@@ -19,15 +19,17 @@ const (
 )
 
 // Histogram is a log-bucketed latency histogram. The zero value is ready to
-// use and holds no buckets: the bucket array grows to the highest bucket
-// observed (a process that never blocks pays nothing for its blocked-time
-// histogram), so Record allocates only when an observation lands beyond
-// every earlier one. A plain copy shares the buckets with its original, so a
-// snapshot of a histogram that keeps recording is taken with Clone. It is not
-// safe for concurrent use (the runtimes serialize per-process metrics;
-// aggregate with Merge).
+// use and holds no buckets: the bucket array spans the octaves between the
+// lowest and the highest observed (a process that never blocks pays nothing
+// for its blocked-time histogram, one whose latencies are all milliseconds
+// nothing for the microseconds), so Record allocates only when an observation
+// lands in an octave outside every earlier one. A plain copy shares the
+// buckets with its original, so a snapshot of a histogram that keeps recording
+// is taken with Clone. It is not safe for concurrent use (the runtimes
+// serialize per-process metrics; aggregate with Merge).
 type Histogram struct {
-	counts []int64 // len <= histBuckets
+	counts []int64 // buckets base .. base+len-1 of the histBuckets; whole octaves
+	base   int     // bucket index of counts[0], a multiple of histSubCnt
 	n      int64
 	sum    int64
 	min    int64
@@ -57,14 +59,22 @@ func bucketLow(idx int) int64 {
 	return (int64(histSubCnt) + sub) << (uint(exp) - histSubBits)
 }
 
-// grow extends the bucket array to include bucket idx, in whole octaves: a
-// distribution's maximum creeps up by sub-buckets far more often than by
-// powers of two.
-func (h *Histogram) grow(idx int) {
-	//rollvet:allow hotalloc -- amortized: runs once per new highest octave, at most 60 times in a histogram's life
-	counts := make([]int64, (idx/histSubCnt+1)*histSubCnt)
-	copy(counts, h.counts)
-	h.counts = counts
+// cover extends the bucket array, downward or upward, to include buckets lo
+// through hi, in whole octaves: a distribution's extremes creep by sub-buckets
+// far more often than by powers of two.
+func (h *Histogram) cover(lo, hi int) {
+	lo, hi = lo&^(histSubCnt-1), hi|(histSubCnt-1)
+	if len(h.counts) == 0 {
+		h.base = lo
+	}
+	lo, hi = min(lo, h.base), max(hi, h.base+len(h.counts)-1)
+	if hi-lo+1 == len(h.counts) {
+		return
+	}
+	//rollvet:allow hotalloc -- amortized: runs once per new lowest or highest octave, at most 60 times in a histogram's life
+	counts := make([]int64, hi-lo+1)
+	copy(counts[h.base-lo:], h.counts)
+	h.counts, h.base = counts, lo
 }
 
 // Record adds one observation. Negative durations clamp to zero.
@@ -74,10 +84,10 @@ func (h *Histogram) Record(d time.Duration) {
 		v = 0
 	}
 	b := bucketOf(v)
-	if b >= len(h.counts) {
-		h.grow(b)
+	if uint(b-h.base) >= uint(len(h.counts)) {
+		h.cover(b, b)
 	}
-	h.counts[b]++
+	h.counts[b-h.base]++
 	if h.n == 0 || v < h.min {
 		h.min = v
 	}
@@ -132,7 +142,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	for i, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			v := bucketLow(i)
+			v := bucketLow(h.base + i)
 			if v < h.min {
 				v = h.min
 			}
@@ -150,11 +160,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.n == 0 {
 		return
 	}
-	if len(other.counts) > len(h.counts) {
-		h.grow(len(other.counts) - 1)
-	}
+	h.cover(other.base, other.base+len(other.counts)-1)
 	for i, c := range other.counts {
-		h.counts[i] += c
+		h.counts[other.base-h.base+i] += c
 	}
 	if h.n == 0 || other.min < h.min {
 		h.min = other.min
@@ -174,21 +182,22 @@ func (h *Histogram) Merge(other *Histogram) {
 // only the new observations are not recoverable from two cumulative
 // snapshots. Buckets where prev exceeds h (a misuse) clamp to zero.
 func (h *Histogram) Delta(prev *Histogram) Histogram {
-	d := Histogram{counts: make([]int64, len(h.counts))}
+	d := Histogram{counts: make([]int64, len(h.counts)), base: h.base}
 	for i, c := range h.counts {
-		if i < len(prev.counts) {
-			c -= prev.counts[i]
+		if j := h.base + i - prev.base; j >= 0 && j < len(prev.counts) {
+			c -= prev.counts[j]
 		}
 		if c <= 0 {
 			continue
 		}
+		low := bucketLow(h.base + i)
 		d.counts[i] = c
 		d.n += c
-		d.sum += c * bucketLow(i)
+		d.sum += c * low
 		if d.min == 0 && d.n == c { // first populated bucket
-			d.min = bucketLow(i)
+			d.min = low
 		}
-		d.max = bucketLow(i)
+		d.max = low
 	}
 	return d
 }
