@@ -75,13 +75,15 @@ bench-seed:
 # constants (it fails while they are stale — paste them into
 # internal/cluster/golden_test.go and outputs_golden_test.go and run regen
 # again); the rest rewrite files: BENCH_seed.json and the internal/bench
-# fixtures, the explorer's n=3 report, and every table in EXPERIMENTS.md
+# fixtures, the explorer's n=3 and n=4 two-crash reports, and every table in
+# EXPERIMENTS.md
 # (whose prose, and README's result shapes, are then checked by hand against
 # the diff). ≈ 3 min.
 regen:
 	-$(GO) test ./internal/cluster -run 'Golden' -v -count=1 | grep -E 'fingerprint|^(ok|FAIL|---)'
 	$(MAKE) bench-seed
 	$(GO) run ./cmd/explore -out internal/explore/testdata/report_n3.golden.json
+	$(GO) run ./cmd/explore -n 4 -max-crashes 2 -random 50 -out internal/explore/testdata/report_n4_2crash.golden.json
 	./scripts/regen_experiments.sh
 
 # timeline regenerates the D11 recovery-timeline exports (DESIGN §11) into
@@ -104,12 +106,13 @@ bench-micro:
 # bench-kernel runs the sim-kernel scheduler microbenchmarks against the
 # in-test container/heap baseline, plus the AllocsPerRun regression gates
 # (scheduler, the inline window of the sharded coordinator, output ledger,
-# determinant log, and the buffer-ownership gates of DESIGN §5: frame encode
-# and decode, heartbeat tick (zero: one frame per incarnation, timer handles
-# are values) and delivery, timer arm+Stop (zero), piggyback transmit and
-# delivery, checkpoint image).
+# determinant log, the channel layer's in-order admit and send window (zero),
+# and the buffer-ownership gates of DESIGN §5: frame encode and decode,
+# heartbeat tick (zero: one frame per incarnation, timer handles are values)
+# and delivery, timer arm+Stop (zero), piggyback transmit and delivery,
+# checkpoint image).
 bench-kernel:
-	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/fbl ./internal/coord ./internal/optimistic -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
+	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/channel ./internal/fbl ./internal/coord ./internal/optimistic -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
 
 # benchmark-smoke vets and tests the host-time benchmark (BENCHMARK.json).
 # benchmark/ is its own module compiled against internal/..., so the root

@@ -178,16 +178,11 @@ func parseStyles(s string) ([]recovery.Style, error) {
 	}
 	var out []recovery.Style
 	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(part) {
-		case "nonblocking":
-			out = append(out, recovery.NonBlocking)
-		case "blocking":
-			out = append(out, recovery.Blocking)
-		case "manetho":
-			out = append(out, recovery.Manetho)
-		default:
-			return nil, fmt.Errorf("unknown style %q (want nonblocking, blocking, or manetho)", part)
+		st, err := recovery.ParseStyle(strings.TrimSpace(part))
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, st)
 	}
 	return out, nil
 }

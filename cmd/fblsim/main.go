@@ -56,11 +56,11 @@ func main() {
 	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
 
-	style, err := parseStyle(*styleF)
+	style, err := recovery.ParseStyle(*styleF)
 	if err != nil {
 		fatal(err)
 	}
-	hw, err := parseHW(*hwF)
+	hw, err := node.ProfileByName(*hwF)
 	if err != nil {
 		fatal(err)
 	}
@@ -218,28 +218,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("\nall invariants hold (no orphans, exactly-once, all recoveries complete)")
-}
-
-func parseStyle(s string) (recovery.Style, error) {
-	switch strings.ToLower(s) {
-	case "nonblocking", "new":
-		return recovery.NonBlocking, nil
-	case "blocking":
-		return recovery.Blocking, nil
-	case "manetho":
-		return recovery.Manetho, nil
-	}
-	return 0, fmt.Errorf("unknown style %q", s)
-}
-
-func parseHW(s string) (node.Hardware, error) {
-	switch s {
-	case "1995":
-		return node.Profile1995(), nil
-	case "modern":
-		return node.ProfileModern(), nil
-	}
-	return node.Hardware{}, fmt.Errorf("unknown hardware profile %q", s)
 }
 
 func parseApp(s string) (workload.Factory, error) {

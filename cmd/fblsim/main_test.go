@@ -3,39 +3,7 @@ package main
 import (
 	"testing"
 	"time"
-
-	"rollrec/internal/recovery"
 )
-
-func TestParseStyle(t *testing.T) {
-	cases := map[string]recovery.Style{
-		"nonblocking": recovery.NonBlocking,
-		"new":         recovery.NonBlocking,
-		"Blocking":    recovery.Blocking,
-		"MANETHO":     recovery.Manetho,
-	}
-	for in, want := range cases {
-		got, err := parseStyle(in)
-		if err != nil || got != want {
-			t.Errorf("parseStyle(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseStyle("optimistic"); err == nil {
-		t.Error("unknown style must error")
-	}
-}
-
-func TestParseHW(t *testing.T) {
-	if _, err := parseHW("1995"); err != nil {
-		t.Error(err)
-	}
-	if _, err := parseHW("modern"); err != nil {
-		t.Error(err)
-	}
-	if _, err := parseHW("quantum"); err == nil {
-		t.Error("unknown profile must error")
-	}
-}
 
 func TestParseApp(t *testing.T) {
 	for _, name := range []string{"gossip", "ring", "clientserver"} {

@@ -121,6 +121,7 @@ func ByName(name string) *Analyzer {
 // scheduling nondeterminism in them breaks the recovery correctness
 // argument. Identified by package name; the repo has exactly one of each.
 var detPackages = map[string]bool{
+	"channel":    true,
 	"fbl":        true,
 	"det":        true,
 	"recovery":   true,

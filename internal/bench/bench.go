@@ -33,36 +33,6 @@ import (
 	"rollrec/internal/workload"
 )
 
-// styles maps the wire-format style names to recovery styles. Kept in
-// explicit sorted-name order so Styles() doubles as the canonical axis
-// order.
-var styleNames = []string{"blocking", "manetho", "nonblocking"}
-
-func styleOf(name string) (recovery.Style, error) {
-	switch name {
-	case "nonblocking":
-		return recovery.NonBlocking, nil
-	case "blocking":
-		return recovery.Blocking, nil
-	case "manetho":
-		return recovery.Manetho, nil
-	}
-	return 0, fmt.Errorf("bench: unknown style %q (have %v)", name, styleNames)
-}
-
-// profileNames lists the hardware profiles in canonical axis order.
-var profileNames = []string{"1995", "modern"}
-
-func profileOf(name string) (node.Hardware, error) {
-	switch name {
-	case "1995":
-		return node.Profile1995(), nil
-	case "modern":
-		return node.ProfileModern(), nil
-	}
-	return node.Hardware{}, fmt.Errorf("bench: unknown hardware profile %q (have %v)", name, profileNames)
-}
-
 // Axes is the sweep grid: the cross product of its fields is the cell set.
 // Empty axes are invalid — a sweep must pin every dimension explicitly so
 // two snapshots with equal axes are comparable cell-for-cell.
@@ -185,13 +155,13 @@ func (a Axes) Cells() ([]Params, error) {
 	a.Styles = normalize(a.Styles)
 	a.Loads = normalize(a.Loads)
 	for _, s := range a.Styles {
-		if _, err := styleOf(s); err != nil {
-			return nil, err
+		if _, err := recovery.ParseStyle(s); err != nil {
+			return nil, fmt.Errorf("bench: %w", err)
 		}
 	}
 	for _, p := range a.Profiles {
-		if _, err := profileOf(p); err != nil {
-			return nil, err
+		if _, err := node.ProfileByName(p); err != nil {
+			return nil, fmt.Errorf("bench: %w", err)
 		}
 	}
 	for _, n := range a.N {
@@ -315,13 +285,13 @@ func trafficVictims(n, failures int) ([]ids.ProcID, error) {
 // 0) swaps the gossip workload for the open-loop traffic topology, turns
 // output tracking on, and crashes backends from the tail instead.
 func SpecFor(p Params) (experiments.Spec, error) {
-	style, err := styleOf(p.Style)
+	style, err := recovery.ParseStyle(p.Style)
 	if err != nil {
-		return experiments.Spec{}, err
+		return experiments.Spec{}, fmt.Errorf("bench: %w", err)
 	}
-	hw, err := profileOf(p.Profile)
+	hw, err := node.ProfileByName(p.Profile)
 	if err != nil {
-		return experiments.Spec{}, err
+		return experiments.Spec{}, fmt.Errorf("bench: %w", err)
 	}
 	if err := cluster.ValidateN(p.N); err != nil {
 		return experiments.Spec{}, fmt.Errorf("bench: %w", err)

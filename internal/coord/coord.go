@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"rollrec/internal/channel"
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
 	"rollrec/internal/output"
@@ -23,10 +24,6 @@ type Params struct {
 	SnapshotEvery time.Duration
 	// StatePad models the process image size per snapshot.
 	StatePad int
-	// HeartbeatEvery / SuspectAfter drive failure detection (any suspected
-	// peer triggers nothing here — the watchdog restart of the crashed
-	// process is what initiates the rollback).
-	HeartbeatEvery time.Duration
 	// Outputs receives the output-commit lifecycle (nil disables tracking;
 	// Ctx.Output is then a no-op).
 	Outputs output.Sink
@@ -49,10 +46,9 @@ type Process struct {
 	started bool
 	epoch   uint32 // rollback epoch; frames from older epochs are stale
 
-	// Per-pair FIFO bookkeeping (same scheme as the FBL engine).
-	dseqOut []uint64
-	expDseq []uint64
-	oooBuf  []map[uint64]*wire.Envelope
+	// Per-pair FIFO channels (the transport every family shares).
+	out channel.Out
+	in  channel.In
 
 	delivered int64 // deliveries in the current epoch (for lost-work metrics)
 	sinceSnap int64 // deliveries since the last committed snapshot
@@ -90,9 +86,6 @@ var _ node.Process = (*Process)(nil)
 
 // New returns a node.Factory for coordinated-checkpointing processes.
 func New(par Params) node.Factory {
-	if par.HeartbeatEvery <= 0 {
-		par.HeartbeatEvery = 250 * time.Millisecond
-	}
 	if par.SnapshotEvery <= 0 {
 		par.SnapshotEvery = 2 * time.Second
 	}
@@ -104,12 +97,8 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	p.env = env
 	p.n = env.N()
 	p.peers = ids.Peers(env.ID(), p.n)
-	p.dseqOut = make([]uint64, p.n)
-	p.expDseq = make([]uint64, p.n)
-	p.oooBuf = make([]map[uint64]*wire.Envelope, p.n)
-	for i := range p.oooBuf {
-		p.oooBuf[i] = make(map[uint64]*wire.Envelope)
-	}
+	p.out = make(channel.Out, p.n)
+	p.in = channel.NewIn(p.n)
 	p.app = p.par.App(env.ID(), p.n)
 
 	if env.ID() == 0 {
@@ -133,20 +122,21 @@ func (p *Process) Boot(env node.Env, restart bool) {
 		if tr := env.Metrics().CurrentRecovery(); tr != nil {
 			tr.RestoredAt = env.Now()
 		}
-		if !ok {
-			// Crashed before any committed snapshot: the whole cluster
-			// restarts from scratch.
-			p.epoch = p.nextEpoch(1)
-			p.persistEpoch()
-			p.broadcastRollback(0, true)
-			p.restartFromScratch()
-			return
+		id, epoch := uint32(0), uint32(1)
+		if ok {
+			id, epoch = parseCommitted(data)
 		}
-		id, epoch := parseCommitted(data)
 		p.committedID = id
 		p.epoch = p.nextEpoch(epoch)
 		p.persistEpoch()
 		p.broadcastRollback(id, true)
+		if id == 0 {
+			// No snapshot was ever committed (a record with id 0 only
+			// persists an earlier restart's epoch): the whole cluster
+			// restarts from scratch, as restoreLine(0) does for the living.
+			p.restartFromScratch()
+			return
+		}
 		p.restoreSnapshot(id)
 	})
 }
@@ -205,11 +195,8 @@ func (p *Process) restartFromScratch() {
 }
 
 func (p *Process) resetVolatile() {
-	p.dseqOut = make([]uint64, p.n)
-	p.expDseq = make([]uint64, p.n)
-	for i := range p.oooBuf {
-		p.oooBuf[i] = make(map[uint64]*wire.Envelope)
-	}
+	clear(p.out)
+	p.in.Reset()
 	p.snapActive = false
 	p.delivered = 0
 	p.sinceSnap = 0
@@ -283,7 +270,8 @@ func (p *Process) restoreSnapshot(id uint32) {
 func (p *Process) Recovering() bool { return p.rollingBack }
 
 // Deliver implements node.Process on a by-value copy of the runtime's
-// envelope; the buffers that outlive it (futureBuf, oooBuf) Keep their own.
+// envelope; the buffers that outlive it (futureBuf, the channel's held
+// frames) Keep their own.
 func (p *Process) Deliver(in *wire.Envelope) {
 	ev := *in
 	e := &ev
@@ -402,8 +390,8 @@ func (p *Process) restoreLine(snapID uint32) {
 	})
 }
 
-// deliverApp is the normal delivery path with per-pair FIFO dedup; during
-// an active snapshot it also records in-flight messages per channel.
+// deliverApp is the normal delivery path in per-pair FIFO order; during an
+// active snapshot it first records in-flight messages per channel.
 func (p *Process) deliverApp(e *wire.Envelope) {
 	from := int(e.From)
 	if p.snapActive && from >= 0 && from < p.n && p.recording[from] {
@@ -412,28 +400,18 @@ func (p *Process) deliverApp(e *wire.Envelope) {
 			payload: append([]byte(nil), e.Payload...),
 		})
 	}
-	exp := p.expDseq[from]
-	switch {
-	case e.Dseq <= exp:
+	switch p.in.Admit(e) {
+	case channel.Dup:
 		p.env.Metrics().Duplicate++
-		return
-	case e.Dseq > exp+1:
-		p.oooBuf[from][e.Dseq] = e.Keep()
-		return
-	}
-	p.consume(e)
-	for {
-		next, ok := p.oooBuf[from][p.expDseq[from]+1]
-		if !ok {
-			break
+	case channel.Next:
+		for ; e != nil; e = p.in.Pop(e.From) {
+			p.consume(e)
 		}
-		delete(p.oooBuf[from], p.expDseq[from]+1)
-		p.consume(next)
 	}
 }
 
 func (p *Process) consume(e *wire.Envelope) {
-	p.expDseq[e.From] = e.Dseq
+	p.in.Exp[e.From] = e.Dseq
 	p.delivered++
 	p.sinceSnap++
 	p.env.Metrics().Delivered++
@@ -453,11 +431,10 @@ func (c appCtx) Work(d int64)     { c.p.env.Busy(time.Duration(d)) }
 // point is that failure-free operation is bare).
 func (c appCtx) Send(to ids.ProcID, payload []byte) {
 	p := c.p
-	p.dseqOut[to]++
 	p.env.Send(to, &wire.Envelope{
 		Kind:    wire.KindApp,
 		FromInc: ids.Incarnation(p.epoch),
-		Dseq:    p.dseqOut[to],
+		Dseq:    p.out.Next(to),
 		Payload: payload,
 	})
 }

@@ -52,13 +52,17 @@ func fastHW() node.Hardware {
 }
 
 func newHarness(t *testing.T, n int, seed int64, app workload.Factory) *harness {
+	return newHarnessEvery(t, n, seed, app, 300*time.Millisecond)
+}
+
+func newHarnessEvery(t *testing.T, n int, seed int64, app workload.Factory, snapshotEvery time.Duration) *harness {
 	t.Helper()
 	h := &harness{n: n, tr: &rollbackTracer{}}
 	h.k = sim.New(sim.Config{Seed: seed, HW: fastHW(), Tracer: h.tr})
 	par := Params{
 		N:             n,
 		App:           app,
-		SnapshotEvery: 300 * time.Millisecond,
+		SnapshotEvery: snapshotEvery,
 		StatePad:      4 << 10,
 	}
 	for i := 0; i < n; i++ {
@@ -200,6 +204,39 @@ func TestCrashBeforeFirstSnapshot(t *testing.T) {
 	h := newHarness(t, 3, 3, workload.NewTokenRing(6000, 32, int64(time.Millisecond)))
 	h.crashAt(100*time.Millisecond, 1) // before any snapshot commits
 	h.runUntilDone(t, 120*time.Second)
+	gd, hd := g.digests(), h.digests()
+	for i := range gd {
+		if gd[i] != hd[i] {
+			t.Errorf("process %d digest %#x, want golden %#x", i, hd[i], gd[i])
+		}
+	}
+}
+
+// TestRecrashBeforeFirstSnapshot: a restart that finds no committed snapshot
+// persists its epoch under snapshot id 0. A second crash of the same process,
+// still before any commit, must read that record as "nothing committed" and
+// restart the cluster from scratch again, not look for snapshot 0.
+func TestRecrashBeforeFirstSnapshot(t *testing.T) {
+	const every = time.Minute // no snapshot commits inside this test
+	g := newHarnessEvery(t, 3, 3, workload.NewTokenRing(6000, 32, int64(time.Millisecond)), every)
+	g.runUntilDone(t, 60*time.Second)
+
+	h := newHarnessEvery(t, 3, 3, workload.NewTokenRing(6000, 32, int64(time.Millisecond)), every)
+	h.crashAt(100*time.Millisecond, 1)
+	h.crashAt(1500*time.Millisecond, 1) // the first restart finished at ≈ 0.45 s
+	h.runUntilDone(t, 120*time.Second)
+	if id := h.proc(0).committedID; id != 0 {
+		t.Fatalf("snapshot %d committed; the test needs none", id)
+	}
+	recs := h.k.Metrics(1).Recoveries
+	if len(recs) != 2 {
+		t.Fatalf("p1 has %d recovery traces, want 2", len(recs))
+	}
+	for i, r := range recs {
+		if r.Total() <= 0 || r.RestoredAt == 0 {
+			t.Fatalf("recovery %d of p1 did not complete: %+v", i, r)
+		}
+	}
 	gd, hd := g.digests(), h.digests()
 	for i := range gd {
 		if gd[i] != hd[i] {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"rollrec/internal/channel"
 	"rollrec/internal/ids"
 	"rollrec/internal/storage"
 	"rollrec/internal/workload"
@@ -25,7 +26,7 @@ func (*blobApp) Done() bool                                    { return true }
 func blobProc(pad int) *Process {
 	return &Process{
 		par: Params{StatePad: pad}, n: 3, app: &blobApp{},
-		dseqOut: make([]uint64, 3), expDseq: make([]uint64, 3),
+		out: make(channel.Out, 3), in: channel.NewIn(3),
 	}
 }
 
@@ -38,7 +39,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			p := blobProc(pad)
 			p.app.(*blobApp).state = []byte("app-state")
 			p.epoch, p.delivered, p.outSeq = 4, 17, outSeq
-			p.dseqOut[1], p.expDseq[2] = 5, 6
+			p.out[1], p.in.Exp[2] = 5, 6
 			p.snap = p.encodeLocalState()
 			p.recorded = [][]recordedMsg{nil, {{from: 1, ssn: 7, dseq: 2, payload: []byte("in-flight")}}, {{from: 2, ssn: 1, dseq: 1}}}
 			img := p.encodeSnapshotBlob()

@@ -61,7 +61,7 @@ func TestBufferedFramesSurviveEnvelopeReuse(t *testing.T) {
 		name string
 		run  func(rx *reusedRx)
 		want []handled
-		dseq [3]uint64 // expDseq afterwards
+		dseq [3]uint64 // in.Exp afterwards
 	}{
 		{
 			name: "out-of-order",
@@ -105,8 +105,8 @@ func TestBufferedFramesSurviveEnvelopeReuse(t *testing.T) {
 				}
 			}
 			for q, d := range tc.dseq {
-				if p.expDseq[q] != d {
-					t.Fatalf("expDseq[%d] = %d, want %d", q, p.expDseq[q], d)
+				if p.in.Exp[q] != d {
+					t.Fatalf("in.Exp[%d] = %d, want %d", q, p.in.Exp[q], d)
 				}
 			}
 		})

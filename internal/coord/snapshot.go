@@ -160,8 +160,8 @@ func (p *Process) encodeLocalState() *wire.Writer {
 	w.U32(p.epoch)
 	w.U64(uint64(p.delivered))
 	for i := 0; i < p.n; i++ {
-		w.U64(p.dseqOut[i])
-		w.U64(p.expDseq[i])
+		w.U64(p.out[i])
+		w.U64(p.in.Exp[i])
 	}
 	w.Bytes(app)
 	w.Pad(p.par.StatePad)
@@ -202,8 +202,8 @@ func (p *Process) decodeSnapshot(img storage.Image) ([]recordedMsg, error) {
 	_ = r.U32() // epoch at capture; superseded by the rollback epoch
 	p.delivered = int64(r.U64())
 	for i := 0; i < p.n; i++ {
-		p.dseqOut[i] = r.U64()
-		p.expDseq[i] = r.U64()
+		p.out[i] = r.U64()
+		p.in.Exp[i] = r.U64()
 	}
 	app := r.Bytes()
 	r.Pad()

@@ -214,8 +214,7 @@ type Result struct {
 	Events int64
 	// Traffic is the arrival engine of a Spec.Traffic run (offered /
 	// admitted / shed readouts); nil otherwise.
-	Traffic  *traffic.Engine
-	recStart map[ids.ProcID]int64
+	Traffic *traffic.Engine
 }
 
 // Run executes a spec to its horizon, or until ctx is done, and returns the

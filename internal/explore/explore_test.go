@@ -70,6 +70,20 @@ func TestExploreCleanAllFamilies(t *testing.T) {
 // is caught. Regenerate (with that command) only for an intended behaviour
 // change.
 func TestReportGoldenN3(t *testing.T) {
+	checkReportGolden(t, "report_n3.golden.json", Spec{N: 3, F: 1, Seed: 1, MaxCrashes: 1})
+}
+
+// TestReportGoldenN4TwoCrash is the all-families two-crash sweep, what
+// `go run ./cmd/explore -n 4 -max-crashes 2 -random 50 -out` writes: second
+// crashes aimed inside observed recoveries plus 50 seeded-random multi-crash
+// branches per family, with zero violations.
+func TestReportGoldenN4TwoCrash(t *testing.T) {
+	checkReportGolden(t, "report_n4_2crash.golden.json", Spec{N: 4, F: 1, Seed: 1, MaxCrashes: 2, Random: 50})
+}
+
+// checkReportGolden runs the five family/style rows with the axes of base
+// and compares the JSON report byte-for-byte against testdata/name.
+func checkReportGolden(t *testing.T, name string, base Spec) {
 	var reports []*Report
 	for _, spec := range []Spec{
 		{Family: FamilyFBL, Style: recovery.NonBlocking},
@@ -78,7 +92,7 @@ func TestReportGoldenN3(t *testing.T) {
 		{Family: FamilyCoordinated},
 		{Family: FamilyOptimistic},
 	} {
-		spec.N, spec.F, spec.Seed, spec.MaxCrashes = 3, 1, 1, 1
+		spec.N, spec.F, spec.Seed, spec.MaxCrashes, spec.Random = base.N, base.F, base.Seed, base.MaxCrashes, base.Random
 		rep, err := Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
@@ -89,12 +103,12 @@ func TestReportGoldenN3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "report_n3.golden.json"))
+	want, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(append(got, '\n'), want) {
-		t.Fatalf("explorer report diverged from testdata/report_n3.golden.json:\n%s", got)
+		t.Fatalf("explorer report diverged from testdata/%s:\n%s", name, got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package failure
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -107,5 +108,78 @@ func TestMaxConcurrent(t *testing.T) {
 	}
 	if got := (Plan{}).MaxConcurrent(time.Second); got != 0 {
 		t.Fatalf("empty plan MaxConcurrent = %d", got)
+	}
+}
+
+// ── Plan.Sorted / MaxConcurrent edge cases ─────────────────────────────
+
+func TestSortedEmptyPlan(t *testing.T) {
+	var p Plan
+	if got := p.Sorted(); len(got) != 0 {
+		t.Fatalf("Sorted(empty) = %v", got)
+	}
+	if got := p.MaxConcurrent(time.Second); got != 0 {
+		t.Fatalf("MaxConcurrent(empty) = %d, want 0", got)
+	}
+}
+
+func TestSortedEqualTimesIsStable(t *testing.T) {
+	p := Plan{{At: 5 * time.Second, Proc: 2}, {At: 5 * time.Second, Proc: 0}, {At: 5 * time.Second, Proc: 1}}
+	got := p.Sorted()
+	want := Plan{{At: 5 * time.Second, Proc: 2}, {At: 5 * time.Second, Proc: 0}, {At: 5 * time.Second, Proc: 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("equal-time sort not stable: %v", got)
+	}
+}
+
+func TestSortedStepTieBreak(t *testing.T) {
+	p := Plan{{Step: 40, Proc: 1}, {Step: 7, Proc: 0}, {At: time.Second, Proc: 2}}
+	got := p.Sorted()
+	want := Plan{{Step: 7, Proc: 0}, {Step: 40, Proc: 1}, {At: time.Second, Proc: 2}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("step tie-break wrong: %v", got)
+	}
+}
+
+func TestMaxConcurrentWindowBoundaryIsExclusive(t *testing.T) {
+	// Two crashes exactly one window apart do not overlap: the recovery
+	// started at t ends at t+window, strictly before a crash at t+window.
+	p := Plan{{At: 2 * time.Second, Proc: 0}, {At: 4 * time.Second, Proc: 1}}
+	if got := p.MaxConcurrent(2 * time.Second); got != 1 {
+		t.Fatalf("boundary-separated crashes: MaxConcurrent = %d, want 1", got)
+	}
+	if got := p.MaxConcurrent(2*time.Second + 1); got != 2 {
+		t.Fatalf("just-overlapping crashes: MaxConcurrent = %d, want 2", got)
+	}
+}
+
+func TestMaxConcurrentEqualTimes(t *testing.T) {
+	p := Plan{{At: time.Second, Proc: 0}, {At: time.Second, Proc: 1}, {At: time.Second, Proc: 2}}
+	if got := p.MaxConcurrent(time.Nanosecond); got != 3 {
+		t.Fatalf("simultaneous crashes: MaxConcurrent = %d, want 3", got)
+	}
+}
+
+// TestPlanFullFWithStoragePresent exercises the f = n shape: every
+// application process crashes (the storage pseudo-process, ids.StorageProc,
+// never does — the kernel enforces that at injection). Sorting and overlap
+// accounting must handle the full-f plan without special cases.
+func TestPlanFullFWithStoragePresent(t *testing.T) {
+	n := 4
+	p := Plan{}
+	for i := n - 1; i >= 0; i-- {
+		p = append(p, Crash{At: time.Duration(i+1) * time.Second, Proc: ids.ProcID(i)})
+	}
+	s := p.Sorted()
+	for i := 1; i < len(s); i++ {
+		if s[i-1].At > s[i].At {
+			t.Fatal("full-f plan not sorted")
+		}
+	}
+	if got := s.MaxConcurrent(10 * time.Second); got != n {
+		t.Fatalf("all-overlapping full-f plan: MaxConcurrent = %d, want %d", got, n)
+	}
+	if got := s.MaxConcurrent(time.Second); got != 1 {
+		t.Fatalf("serialized full-f plan: MaxConcurrent = %d, want 1", got)
 	}
 }

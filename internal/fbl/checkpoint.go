@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"rollrec/internal/channel"
 	"rollrec/internal/ids"
 	"rollrec/internal/storage"
 	"rollrec/internal/trace"
@@ -51,8 +52,8 @@ func (p *Process) encodeCheckpoint() storage.Image {
 	app := p.app.Snapshot()
 	size := 1 + 4 + 8 + 1 + 8 + 8 + 20*p.n + 4 + len(app) + 4*p.n + 4
 	for _, log := range p.sendLog {
-		for _, rec := range log.live() {
-			size += 8 + 8 + 4 + len(rec.payload)
+		for _, rec := range log.Live() {
+			size += 8 + 8 + 4 + len(rec.Payload)
 		}
 	}
 	if p.outSeq != 0 {
@@ -70,18 +71,17 @@ func (p *Process) encodeCheckpoint() storage.Image {
 	w.U64(uint64(p.ssn))
 	w.U64(uint64(p.rsn))
 	for i := 0; i < p.n; i++ {
-		w.U64(p.dseqOut[i])
-		w.U64(p.expDseq[i])
+		w.U64(p.out[i])
+		w.U64(p.in.Exp[i])
 		w.U32(uint32(p.incVec.Get(ids.ProcID(i))))
 	}
 	w.Bytes(app)
-	for to := 0; to < p.n; to++ {
-		log := p.sendLog[to]
-		w.U32(uint32(log.len()))
-		for i, rec := range log.live() {
-			w.U64(log.base + uint64(i))
-			w.U64(uint64(rec.ssn))
-			w.Bytes(rec.payload)
+	for _, log := range p.sendLog {
+		w.U32(uint32(log.Len()))
+		for i, rec := range log.Live() {
+			w.U64(log.Base() + uint64(i))
+			w.U64(uint64(rec.SSN))
+			w.Bytes(rec.Payload)
 		}
 	}
 	w.Pad(p.par.StatePad)
@@ -115,33 +115,30 @@ func (p *Process) decodeCheckpoint(img storage.Image) error {
 	p.rsn = ids.RSN(r.U64())
 	vec := make([]ids.Incarnation, p.n)
 	for i := 0; i < p.n; i++ {
-		p.dseqOut[i] = r.U64()
-		p.expDseq[i] = r.U64()
+		p.out[i] = r.U64()
+		p.in.Exp[i] = r.U64()
 		vec[i] = ids.Incarnation(r.U32())
 		canonical = canonical && vec[i] >= 1 // incarnations start at 1
 	}
 	p.incVec.Merge(vclock.FromSlice(vec))
 	app := r.Bytes()
-	for to := 0; to < p.n; to++ {
+	for to := range p.sendLog {
 		cnt := r.ListLen()
-		if cnt == 0 {
-			continue // keep the lazily-nil log
-		}
-		log := &sendWindow{recs: make([]logRec, 0, min(cnt, 4096))}
-		p.sendLog[to] = log
+		var base uint64
 		for i := 0; i < cnt && r.Err() == nil; i++ {
 			d := r.U64()
-			ssn := ids.SSN(r.U64())
-			payload := r.Bytes()
+			rec := channel.Rec{SSN: ids.SSN(r.U64()), Payload: r.Bytes()}
 			if i == 0 {
-				log.base = d
+				base = d
 			}
-			canonical = canonical && d == log.base+uint64(i)
-			log.recs = append(log.recs, logRec{ssn: ssn, payload: payload})
+			canonical = canonical && d == base+uint64(i)
+			if canonical { // Append panics on a broken window
+				p.sendLog.Append(ids.ProcID(to), d, rec)
+			}
 		}
 		// The window's invariant: contiguous dseqs (above), ending at the
 		// last one assigned — the next send appends right after it.
-		canonical = canonical && log.base+uint64(cnt)-1 == p.dseqOut[to]
+		canonical = canonical && (cnt == 0 || base+uint64(cnt)-1 == p.out[to])
 	}
 	r.Pad()
 	if !r.Done() {
@@ -192,7 +189,7 @@ func (p *Process) doCheckpoint() {
 	rsnAt := p.rsn
 	outAt := p.outSeq
 	expAt := make([]ids.SSN, p.n)
-	for i, d := range p.expDseq {
+	for i, d := range p.in.Exp {
 		expAt[i] = ids.SSN(d)
 	}
 	p.env.WriteStable(keyCheckpoint, img, func() {
@@ -200,7 +197,7 @@ func (p *Process) doCheckpoint() {
 		p.cpBusy = false
 		p.cpRSN = rsnAt
 		for i, d := range expAt {
-			p.cpExpDseq[i] = uint64(d)
+			p.cpExp[i] = uint64(d)
 		}
 		// Outputs captured by the now-durable checkpoint are recoverable
 		// regardless of determinant replication.
@@ -256,7 +253,7 @@ func (p *Process) restore() {
 				}
 				p.cpRSN = p.rsn
 				p.cpOutSeq = p.outSeq
-				copy(p.cpExpDseq, p.expDseq)
+				copy(p.cpExp, p.in.Exp)
 			}
 			// No checkpoint: the initial state (fresh app, Start not yet
 			// run) is itself a valid recovery point.

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"rollrec/internal/channel"
 	"rollrec/internal/det"
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
@@ -150,23 +151,22 @@ type Process struct {
 
 	// Send path.
 	ssn     ids.SSN
-	dseqOut []uint64
-	sendLog []*sendWindow // per destination; nil until the first send to it
+	out     channel.Out
+	sendLog channel.Log
 
 	// Receive path.
-	rsn     ids.RSN
-	expDseq []uint64
-	oooBuf  []map[uint64]*wire.Envelope
+	rsn ids.RSN
+	in  channel.In
 
 	dets  *det.Log
 	cpRSN ids.RSN // delivery watermark covered by the last durable checkpoint
-	// cpExpDseq is the per-sender consumed watermark as of the last durable
+	// cpExp is the per-sender consumed watermark as of the last durable
 	// checkpoint (the same snapshot a checkpoint notice's SSNWatermarks
 	// carries). Fanout mode piggybacks it on application sends so receivers
 	// can prune their send logs without a broadcast notice. It must never
-	// track the live expDseq: a watermark beyond the durable checkpoint
+	// track the live in.Exp: a watermark beyond the durable checkpoint
 	// would let senders drop messages we still need for replay.
-	cpExpDseq []uint64
+	cpExp []uint64
 
 	// scanGen is, per destination, the determinant-log generation at our
 	// last piggyback scan for it: the next transmit offers what changed
@@ -243,15 +243,10 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	p.cfg = det.Config{N: p.n, F: p.par.F}
 	p.incVec = vclock.NewIncVector(p.n)
 	p.dets = det.NewLog(p.cfg)
-	p.dseqOut = make([]uint64, p.n)
-	p.expDseq = make([]uint64, p.n)
-	p.cpExpDseq = make([]uint64, p.n)
-	// The per-peer logs and maps are allocated lazily (sendLogFor,
-	// oooBufFor): at n=1024 eager ones cost millions of allocations per boot
-	// cluster-wide, almost all for peers a process never exchanges traffic
-	// with.
-	p.sendLog = make([]*sendWindow, p.n)
-	p.oooBuf = make([]map[uint64]*wire.Envelope, p.n)
+	p.out = make(channel.Out, p.n)
+	p.in = channel.NewIn(p.n)
+	p.cpExp = make([]uint64, p.n)
+	p.sendLog = make(channel.Log, p.n)
 	p.scanGen = make([]int, p.n)
 	p.replayServed = make([]servedMark, p.n)
 	if p.par.Outputs != nil {
@@ -303,22 +298,6 @@ func (p *Process) ring(dir int) []ids.ProcID {
 		out = append(out, ids.ProcID(((self+dir*i)%p.n+p.n)%p.n))
 	}
 	return out
-}
-
-// sendLogFor and oooBufFor lazily allocate the per-peer log and map; see
-// Boot.
-func (p *Process) sendLogFor(to ids.ProcID) *sendWindow {
-	if p.sendLog[to] == nil {
-		p.sendLog[to] = new(sendWindow)
-	}
-	return p.sendLog[to]
-}
-
-func (p *Process) oooBufFor(from ids.ProcID) map[uint64]*wire.Envelope {
-	if p.oooBuf[from] == nil {
-		p.oooBuf[from] = make(map[uint64]*wire.Envelope)
-	}
-	return p.oooBuf[from]
 }
 
 func (p *Process) startTimers() {
@@ -439,7 +418,7 @@ func (p *Process) pruneSendLog(q ids.ProcID, wm uint64) {
 	if !q.Valid(p.n) || q.IsStorage() {
 		return
 	}
-	p.sendLog[q].prune(wm)
+	p.sendLog.Prune(q, wm)
 }
 
 // absorbDets merges piggybacked determinant entries and marks ourselves as
@@ -472,28 +451,15 @@ func (p *Process) appPath(e *wire.Envelope) {
 	}
 }
 
-// deliverNow performs normal-path delivery with per-sender FIFO
-// de-duplication.
+// deliverNow performs normal-path delivery in per-sender FIFO order.
 func (p *Process) deliverNow(e *wire.Envelope) {
-	from := int(e.From)
-	exp := p.expDseq[from]
-	switch {
-	case e.Dseq <= exp:
+	switch p.in.Admit(e) {
+	case channel.Dup:
 		p.env.Metrics().Duplicate++
-		return
-	case e.Dseq > exp+1:
-		p.oooBufFor(e.From)[e.Dseq] = e.Keep()
-		return
-	}
-	p.consume(e, 0)
-	// Drain any buffered successors that became contiguous.
-	for {
-		next, ok := p.oooBuf[from][p.expDseq[from]+1]
-		if !ok {
-			break
+	case channel.Next:
+		for ; e != nil; e = p.in.Pop(e.From) {
+			p.consume(e, 0)
 		}
-		delete(p.oooBuf[from], p.expDseq[from]+1)
-		p.consume(next, 0)
 	}
 }
 
@@ -501,8 +467,7 @@ func (p *Process) deliverNow(e *wire.Envelope) {
 // number (forcedRSN overrides during replay), records the determinant, and
 // hands the payload to the application.
 func (p *Process) consume(e *wire.Envelope, forcedRSN ids.RSN) {
-	from := int(e.From)
-	p.expDseq[from] = e.Dseq
+	p.in.Exp[e.From] = e.Dseq
 	if forcedRSN != 0 {
 		p.rsn = forcedRSN
 	} else {

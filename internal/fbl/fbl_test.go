@@ -193,15 +193,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("counters did not round-trip")
 	}
 	for i := 0; i < 3; i++ {
-		if q.dseqOut[i] != p.dseqOut[i] || q.expDseq[i] != p.expDseq[i] {
+		if q.out[i] != p.out[i] || q.in.Exp[i] != p.in.Exp[i] {
 			t.Fatalf("per-peer counters differ at %d", i)
 		}
 	}
 	if q.incVec.Get(2) != 3 {
 		t.Fatal("incarnation vector did not round-trip")
 	}
-	recs, first := q.sendLog[1].after(0)
-	if first != 1 || len(recs) == 0 || string(recs[0].payload) != "payload-a" {
+	recs, first := q.sendLog.After(1, 0)
+	if first != 1 || len(recs) == 0 || string(recs[0].Payload) != "payload-a" {
 		t.Fatalf("send log did not round-trip: dseq %d, %+v", first, recs)
 	}
 	if q.app.Digest() != p.app.Digest() {

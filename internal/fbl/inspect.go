@@ -1,8 +1,6 @@
 package fbl
 
 import (
-	"unsafe"
-
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
@@ -62,16 +60,7 @@ type DetStats struct {
 // DetStats returns the counters of this incarnation.
 func (p *Process) DetStats() DetStats {
 	st := DetStats{Stats: p.dets.Stats()}
-	for _, w := range p.sendLog {
-		if w == nil {
-			continue
-		}
-		st.SendLogRecords += w.len()
-		st.SendLogBytes += cap(w.recs) * int(unsafe.Sizeof(logRec{}))
-		for _, rec := range w.live() {
-			st.SendLogBytes += len(rec.payload)
-		}
-	}
+	st.SendLogRecords, st.SendLogBytes = p.sendLog.Size()
 	return st
 }
 
@@ -81,50 +70,17 @@ func (p *Process) RecoveryState() recovery.State { return p.mgr.State() }
 // SendLogSize returns the number of volatile send-log entries (all
 // destinations), a garbage-collection observability hook.
 func (p *Process) SendLogSize() int {
-	total := 0
-	for _, w := range p.sendLog {
-		total += w.len()
-	}
-	return total
-}
-
-// ReplayProgress exposes the replay engine's position for tests and
-// diagnostics: the next and final receive sequence numbers, how many
-// needed messages are still missing, and how many frames sit deferred.
-func (p *Process) ReplayProgress() (next, max ids.RSN, missing, deferred int) {
-	return p.nextRSN, p.maxRSN, len(p.needed), len(p.deferred)
-}
-
-// MissingReplays returns the still-unreceived replay messages as
-// (rsn, msgid) pairs in rsn order; diagnostics only.
-func (p *Process) MissingReplays() []det.Determinant {
-	out := make([]det.Determinant, 0, len(p.needed))
-	//rollvet:allow maporder -- RSNs are unique per receiver, so sortByRSN below fully determines the order
-	for id, rsn := range p.needed {
-		out = append(out, det.Determinant{Msg: id, Receiver: p.env.ID(), RSN: rsn})
-	}
-	sortByRSN(out)
-	return out
-}
-
-func sortByRSN(s []det.Determinant) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].RSN < s[j-1].RSN; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	n, _ := p.sendLog.Size()
+	return n
 }
 
 // SendLogSSNs returns the (dseq, ssn) pairs logged for destination q, in
 // dseq order; diagnostics only.
 func (p *Process) SendLogSSNs(q ids.ProcID) [][2]uint64 {
 	log := p.sendLog[q]
-	out := make([][2]uint64, 0, log.len())
-	for i, rec := range log.live() {
-		out = append(out, [2]uint64{log.base + uint64(i), uint64(rec.ssn)})
+	out := make([][2]uint64, 0, log.Len())
+	for i, rec := range log.Live() {
+		out = append(out, [2]uint64{log.Base() + uint64(i), uint64(rec.SSN)})
 	}
 	return out
 }
-
-// ExpDseq returns the expected-dseq watermark for sender q.
-func (p *Process) ExpDseq(q ids.ProcID) uint64 { return p.expDseq[q] }

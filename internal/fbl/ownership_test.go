@@ -59,7 +59,7 @@ func TestBufferedFramesSurviveEnvelopeReuse(t *testing.T) {
 		restart bool
 		run     func(p *Process, rx *reusedRx)
 		want    []delivery
-		dseq    [3]uint64 // expDseq afterwards
+		dseq    [3]uint64 // in.Exp afterwards
 	}{
 		{
 			name: "out-of-order",
@@ -132,8 +132,8 @@ func TestBufferedFramesSurviveEnvelopeReuse(t *testing.T) {
 				}
 			}
 			for q, d := range tc.dseq {
-				if p.expDseq[q] != d {
-					t.Fatalf("expDseq[%d] = %d, want %d", q, p.expDseq[q], d)
+				if p.in.Exp[q] != d {
+					t.Fatalf("in.Exp[%d] = %d, want %d", q, p.in.Exp[q], d)
 				}
 			}
 		})

@@ -131,7 +131,7 @@ func (p *Process) startReplay() {
 		p.maxRSN = d.RSN
 	}
 
-	p.requestReplays()
+	p.in.Request(p.env, p.inc)
 	// Frames that arrived while we were restoring may already contain
 	// needed messages (regenerated by other recovering processes).
 	pending := p.deferred
@@ -147,28 +147,12 @@ func (p *Process) startReplay() {
 	p.checkReplayDone()
 }
 
-// requestReplays asks every peer to retransmit its logged messages for us
-// beyond our current per-sender watermark.
-func (p *Process) requestReplays() {
-	for q := 0; q < p.n; q++ {
-		pid := ids.ProcID(q)
-		if pid == p.env.ID() {
-			continue
-		}
-		p.env.Send(pid, &wire.Envelope{
-			Kind:    wire.KindReplayRequest,
-			FromInc: p.inc,
-			Dseq:    p.expDseq[q],
-		})
-	}
-}
-
 func (p *Process) armReplayRetry() {
 	p.replayT = p.env.After(p.par.RetryEvery, func() {
 		if p.mode != ModeReplaying {
 			return
 		}
-		p.requestReplays()
+		p.in.Request(p.env, p.inc)
 		p.armReplayRetry()
 	})
 }
@@ -191,7 +175,7 @@ func (p *Process) replayAccept(e *wire.Envelope) {
 			break
 		}
 		delete(p.replayBuf, p.nextRSN)
-		if want := p.expDseq[f.From] + 1; f.Dseq != want {
+		if want := p.in.Exp[f.From] + 1; f.Dseq != want {
 			panic(fmt.Sprintf("fbl: %v: replay dseq %d from %v, want %d",
 				p.env.ID(), f.Dseq, f.From, want))
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rollrec/internal/bitset"
+	"rollrec/internal/channel"
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
 	"rollrec/internal/wire"
@@ -26,11 +27,10 @@ func (c appCtx) Send(to ids.ProcID, payload []byte) {
 		panic(fmt.Sprintf("fbl: %v: invalid app destination %v", p.env.ID(), to))
 	}
 	p.ssn++
-	p.dseqOut[to]++
-	dseq := p.dseqOut[to]
+	dseq := p.out.Next(to)
 	cp := append([]byte(nil), payload...)
-	rec := logRec{ssn: p.ssn, payload: cp}
-	p.sendLogFor(to).append(dseq, rec)
+	rec := channel.Rec{SSN: p.ssn, Payload: cp}
+	p.sendLog.Append(to, dseq, rec)
 	id := ids.MsgID{Sender: p.env.ID(), SSN: p.ssn}
 	if p.par.Hooks.OnSend != nil {
 		p.par.Hooks.OnSend(p.env.ID(), id, to, hashBytes(cp))
@@ -47,7 +47,7 @@ func (c appCtx) Send(to ids.ProcID, payload []byte) {
 // in broadcast and fanout mode alike. Under output tracking a determinant
 // travels once more per destination, as stable, and then never again: what
 // its holder set does past f+1 is not news (det.Log, DESIGN §10).
-func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
+func (p *Process) transmit(to ids.ProcID, dseq uint64, rec channel.Rec) {
 	p.piggy, p.piggyWords = p.piggy[:0], p.piggyWords[:0]
 	// The scans offer views into the determinant slab; offer copies them
 	// into the scratch, so nothing below can reach the slab through piggy
@@ -100,18 +100,18 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec logRec) {
 	*e = wire.Envelope{
 		Kind:    wire.KindApp,
 		FromInc: p.inc,
-		SSN:     rec.ssn,
+		SSN:     rec.SSN,
 		Dseq:    dseq,
-		Payload: rec.payload,
+		Payload: rec.Payload,
 		Dets:    piggy,
 	}
 	if p.par.Fanout > 0 {
 		// Fanout mode replaces broadcast checkpoint notices with this
 		// piggyback: the receiver garbage-collects our determinants up to
 		// CPRsn and its send log for us up to CPDseq — the checkpoint-time
-		// watermarks, never the live counters (see cpExpDseq).
+		// watermarks, never the live counters (see cpExp).
 		e.CPRsn = p.cpRSN
-		e.CPDseq = p.cpExpDseq[to]
+		e.CPDseq = p.cpExp[to]
 	}
 	p.env.Send(to, e)
 }
@@ -143,7 +143,7 @@ func (p *Process) serveReplay(e *wire.Envelope) {
 	if m := p.replayServed[to]; m.inc == e.FromInc && m.max > start {
 		start = m.max
 	}
-	recs, first := p.sendLog[to].after(start)
+	recs, first := p.sendLog.After(to, start)
 	if len(recs) == 0 {
 		return
 	}

@@ -7,6 +7,7 @@
 package node
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -190,4 +191,16 @@ func ProfileModern() Hardware {
 		HeartbeatEvery: 50 * time.Millisecond,
 		SuspectAfter:   500 * time.Millisecond,
 	}
+}
+
+// ProfileByName returns the hardware profile the CLIs and bench axes call
+// name: "1995" (Profile1995) or "modern" (ProfileModern).
+func ProfileByName(name string) (Hardware, error) {
+	switch name {
+	case "1995":
+		return Profile1995(), nil
+	case "modern":
+		return ProfileModern(), nil
+	}
+	return Hardware{}, fmt.Errorf("unknown hardware profile %q (want 1995 or modern)", name)
 }

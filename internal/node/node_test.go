@@ -39,3 +39,16 @@ func TestProfilesAreSane(t *testing.T) {
 		t.Fatal("heartbeats must be more frequent than the suspicion timeout")
 	}
 }
+
+func TestProfileByName(t *testing.T) {
+	for name, want := range map[string]Hardware{"1995": Profile1995(), "modern": ProfileModern()} {
+		if got, err := ProfileByName(name); err != nil || got != want {
+			t.Errorf("ProfileByName(%q) = %+v, %v", name, got, err)
+		}
+	}
+	for _, bad := range []string{"", "quantum", "Modern"} {
+		if _, err := ProfileByName(bad); err == nil {
+			t.Errorf("ProfileByName(%q) must error", bad)
+		}
+	}
+}

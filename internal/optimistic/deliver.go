@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"rollrec/internal/channel"
 	"rollrec/internal/ids"
 	"rollrec/internal/storage"
 	"rollrec/internal/trace"
@@ -16,7 +17,8 @@ import (
 // orphan detection with cascading rollback.
 
 // Deliver implements node.Process on a by-value copy of the runtime's
-// envelope; the buffers that outlive it (deferred, oooBuf) Keep their own.
+// envelope; the buffers that outlive it (deferred, the channel's held
+// frames) Keep their own.
 func (p *Process) Deliver(in *wire.Envelope) {
 	ev := *in
 	e := &ev
@@ -68,26 +70,15 @@ func (p *Process) Deliver(in *wire.Envelope) {
 	}
 }
 
-// deliverApp applies per-pair FIFO de-duplication, then the delivery.
+// deliverApp delivers in per-pair FIFO order.
 func (p *Process) deliverApp(e *wire.Envelope) {
-	from := int(e.From)
-	exp := p.expDseq[from]
-	switch {
-	case e.Dseq <= exp:
+	switch p.in.Admit(e) {
+	case channel.Dup:
 		p.env.Metrics().Duplicate++
-		return
-	case e.Dseq > exp+1:
-		p.oooBuf[from][e.Dseq] = e.Keep()
-		return
-	}
-	p.applyDelivery(e.From, e.SSN, e.Dseq, e.Payload, dvFromWire(e, p.n), false)
-	for {
-		next, ok := p.oooBuf[from][p.expDseq[from]+1]
-		if !ok {
-			break
+	case channel.Next:
+		for ; e != nil; e = p.in.Pop(e.From) {
+			p.applyDelivery(e.From, e.SSN, e.Dseq, e.Payload, dvFromWire(e, p.n), false)
 		}
-		delete(p.oooBuf[from], p.expDseq[from]+1)
-		p.applyDelivery(next.From, next.SSN, next.Dseq, next.Payload, dvFromWire(next, p.n), false)
 	}
 }
 
@@ -97,7 +88,7 @@ func (p *Process) deliverApp(e *wire.Envelope) {
 // delivery in our own entry); live deliveries carry the sender's vector and
 // the interval advances here.
 func (p *Process) applyDelivery(from ids.ProcID, ssn ids.SSN, dseq uint64, payload []byte, dvIn []interval, replay bool) {
-	p.expDseq[from] = dseq
+	p.in.Exp[from] = dseq
 	for i := 0; i < p.n && i < len(dvIn); i++ {
 		if p.dv[i].less(dvIn[i]) {
 			p.dv[i] = dvIn[i]
@@ -133,10 +124,9 @@ func (c appCtx) Work(d int64)     { c.p.env.Busy(time.Duration(d)) }
 func (c appCtx) Send(to ids.ProcID, payload []byte) {
 	p := c.p
 	p.ssn++
-	p.dseqOut[to]++
-	dseq := p.dseqOut[to]
-	cp := append([]byte(nil), payload...)
-	p.sendBuf[to][dseq] = sendRec{ssn: p.ssn, payload: cp}
+	dseq := p.out.Next(to)
+	rec := channel.Rec{SSN: p.ssn, Payload: append([]byte(nil), payload...)}
+	p.sendLog.Append(to, dseq, rec)
 	// During replay the send is only recorded: re-transmitting the whole
 	// re-executed prefix floods the network with duplicates (the peers
 	// delivered almost all of it long ago) and queues seconds ahead of the
@@ -144,11 +134,11 @@ func (c appCtx) Send(to ids.ProcID, payload []byte) {
 	// actually missing — the victim's retract carries its frontier, and
 	// anyone not orphaned by it answers with a replay-request watermark.
 	if !p.rolling {
-		p.transmit(to, dseq, sendRec{ssn: p.ssn, payload: cp})
+		p.transmit(to, dseq, rec)
 	}
 }
 
-func (p *Process) transmit(to ids.ProcID, dseq uint64, rec sendRec) {
+func (p *Process) transmit(to ids.ProcID, dseq uint64, rec channel.Rec) {
 	idx := make([]ids.SSN, p.n)
 	eps := make([]ids.Incarnation, p.n)
 	for i, v := range p.dv {
@@ -158,9 +148,9 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec sendRec) {
 	p.env.Send(to, &wire.Envelope{
 		Kind:          wire.KindApp,
 		FromInc:       ids.Incarnation(p.epoch),
-		SSN:           rec.ssn,
+		SSN:           rec.SSN,
 		Dseq:          dseq,
-		Payload:       rec.payload,
+		Payload:       rec.Payload,
 		SSNWatermarks: idx, // the dependency vector indices ride here
 		IncVec:        eps, // and the per-component epochs here
 	})
@@ -229,7 +219,7 @@ func (p *Process) flush() {
 }
 
 // onFlushNotice records the peer's durable frontier and garbage-collects
-// the volatile send buffer up to its stable-prefix watermark.
+// the send log to it up to its stable-prefix watermark.
 func (p *Process) onFlushNotice(e *wire.Envelope) {
 	self := int(p.env.ID())
 	if self >= len(e.SSNWatermarks) || !e.From.Valid(p.n) || e.From.IsStorage() {
@@ -237,34 +227,19 @@ func (p *Process) onFlushNotice(e *wire.Envelope) {
 	}
 	p.durFrontier[e.From] = int64(e.SSN)
 	p.checkOutputs()
-	wm := uint64(e.SSNWatermarks[self])
-	buf := p.sendBuf[e.From]
-	//rollvet:allow maporder -- deletes the value-independent prefix d <= wm; commutative
-	for d := range buf {
-		if d <= wm {
-			delete(buf, d)
-		}
-	}
+	p.sendLog.Prune(e.From, uint64(e.SSNWatermarks[self]))
 }
 
-// serveRetransmit resends buffered messages beyond the requester's
+// serveRetransmit resends logged messages beyond the requester's
 // watermark, in order.
 func (p *Process) serveRetransmit(e *wire.Envelope) {
 	to := e.From
 	if !to.Valid(p.n) || to.IsStorage() {
 		return
 	}
-	buf := p.sendBuf[to]
-	dseqs := make([]uint64, 0, len(buf))
-	//rollvet:allow maporder -- the sort below totally orders the unique dseq keys before transmission
-	for d := range buf {
-		if d > e.Dseq {
-			dseqs = append(dseqs, d)
-		}
-	}
-	sort.Slice(dseqs, func(i, j int) bool { return dseqs[i] < dseqs[j] })
-	for _, d := range dseqs {
-		p.transmit(to, d, buf[d])
+	recs, first := p.sendLog.After(to, e.Dseq)
+	for i, rec := range recs {
+		p.transmit(to, first+uint64(i), rec)
 	}
 }
 
@@ -291,7 +266,7 @@ func (p *Process) onRetract(e *wire.Envelope) {
 		p.env.Send(victim, &wire.Envelope{
 			Kind:    wire.KindReplayRequest,
 			FromInc: ids.Incarnation(p.epoch),
-			Dseq:    p.expDseq[victim],
+			Dseq:    p.in.Exp[victim],
 		})
 		return
 	}

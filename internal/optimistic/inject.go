@@ -7,7 +7,7 @@ package optimistic
 // receive order like any other delivery and the re-execution regenerates
 // the same downstream sends with the same counters. The entry rides the
 // existing logEntry/wire encoding (from is a signed field, and a
-// self-entry's dseq uses the otherwise-idle expDseq[self] lane); it
+// self-entry's dseq uses the otherwise-idle in.Exp[self] lane); it
 // advances the state-interval index like any delivery, so the
 // dependency-vector accounting — orphan detection, flush frontiers,
 // output commits — covers injected work with no special cases.
@@ -20,6 +20,6 @@ func (p *Process) Inject(payload []byte) bool {
 		return false
 	}
 	self := p.env.ID()
-	p.applyDelivery(self, 0, p.expDseq[self]+1, payload, nil, false)
+	p.applyDelivery(self, 0, p.in.Exp[self]+1, payload, nil, false)
 	return true
 }

@@ -37,6 +37,7 @@ package optimistic
 import (
 	"time"
 
+	"rollrec/internal/channel"
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
 	"rollrec/internal/output"
@@ -101,11 +102,6 @@ type endRecord struct {
 	frontier int64
 }
 
-type sendRec struct {
-	ssn     ids.SSN
-	payload []byte
-}
-
 // Process is one optimistic-logging protocol instance.
 type Process struct {
 	env   node.Env
@@ -118,11 +114,9 @@ type Process struct {
 	epoch   uint32
 
 	ssn     ids.SSN
-	dseqOut []uint64
-	sendBuf []map[uint64]sendRec // volatile retransmission buffers
-
-	expDseq []uint64
-	oooBuf  []map[uint64]*wire.Envelope
+	out     channel.Out
+	sendLog channel.Log // volatile retransmission buffers
+	in      channel.In
 
 	dv       []interval // transitive dependency vector (self entry = own interval)
 	log      []logEntry // full delivery log (prefix durable up to flushed)
@@ -167,14 +161,9 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	p.env = env
 	p.n = env.N()
 	p.peers = ids.Peers(env.ID(), p.n)
-	p.dseqOut = make([]uint64, p.n)
-	p.sendBuf = make([]map[uint64]sendRec, p.n)
-	p.expDseq = make([]uint64, p.n)
-	p.oooBuf = make([]map[uint64]*wire.Envelope, p.n)
-	for i := 0; i < p.n; i++ {
-		p.sendBuf[i] = make(map[uint64]sendRec)
-		p.oooBuf[i] = make(map[uint64]*wire.Envelope)
-	}
+	p.out = make(channel.Out, p.n)
+	p.sendLog = make(channel.Log, p.n)
+	p.in = channel.NewIn(p.n)
 	p.dv = make([]interval, p.n)
 	p.epochVec = make([]uint32, p.n)
 	p.durFrontier = make([]int64, p.n)
@@ -258,12 +247,9 @@ func (p *Process) dead(q ids.ProcID, iv interval) bool {
 // fresh application instance, re-executing (and re-transmitting) its sends.
 func (p *Process) rebuildFrom(entries []logEntry) {
 	p.ssn = 0
-	p.dseqOut = make([]uint64, p.n)
-	for i := 0; i < p.n; i++ {
-		p.sendBuf[i] = make(map[uint64]sendRec)
-		p.oooBuf[i] = make(map[uint64]*wire.Envelope)
-	}
-	p.expDseq = make([]uint64, p.n)
+	clear(p.out)
+	p.sendLog.Reset()
+	p.in.Reset()
 	// The self entry starts at zero and is re-merged from the replayed
 	// entries (which carry their original epochs); new deliveries then
 	// continue in the current epoch, which orders above all survivors.
@@ -297,7 +283,7 @@ func (p *Process) finishRollback() {
 	for _, e := range buf {
 		p.Deliver(e)
 	}
-	p.requestRetransmits()
+	p.in.Request(p.env, ids.Incarnation(p.epoch))
 	p.armRetry()
 }
 
@@ -316,21 +302,6 @@ func (p *Process) broadcastRetract() {
 	})
 }
 
-// requestRetransmits asks every peer to resend from our per-sender
-// watermark (reusing the replay-request kind).
-func (p *Process) requestRetransmits() {
-	for q := 0; q < p.n; q++ {
-		if ids.ProcID(q) == p.env.ID() {
-			continue
-		}
-		p.env.Send(ids.ProcID(q), &wire.Envelope{
-			Kind:    wire.KindReplayRequest,
-			FromInc: ids.Incarnation(p.epoch),
-			Dseq:    p.expDseq[q],
-		})
-	}
-}
-
 func (p *Process) armRetry() {
 	p.retryTimer.Stop()
 	count := 0
@@ -341,7 +312,7 @@ func (p *Process) armRetry() {
 		if count++; count > 5 {
 			return
 		}
-		p.requestRetransmits()
+		p.in.Request(p.env, ids.Incarnation(p.epoch))
 		p.retryTimer = p.env.After(p.par.RetryEvery, tick)
 	}
 	p.retryTimer = p.env.After(p.par.RetryEvery, tick)

@@ -8,6 +8,7 @@ import (
 	"rollrec/internal/node"
 	"rollrec/internal/sim"
 	"rollrec/internal/trace"
+	"rollrec/internal/wire"
 	"rollrec/internal/workload"
 )
 
@@ -257,5 +258,61 @@ func TestLogCodecRoundTrip(t *testing.T) {
 	}
 	if out[1].dv[0] != (interval{1, 4}) {
 		t.Fatalf("entry 1 mismatch: %+v", out[1])
+	}
+}
+
+// sendRecorder wraps a process's environment and keeps a copy of every
+// frame it sends.
+type sendRecorder struct {
+	node.Env
+	sent []*wire.Envelope
+}
+
+func (s *sendRecorder) Send(to ids.ProcID, e *wire.Envelope) {
+	c := e.Clone()
+	c.To = to
+	s.sent = append(s.sent, c)
+}
+
+// TestRetransmitAfterFlushPrune: a flush notice prunes the send log to its
+// sender up to the notice's watermark, and a retransmission request is
+// served from what is left: exactly the dseqs above both the watermark and
+// the request, in order, each with its own payload.
+func TestRetransmitAfterFlushPrune(t *testing.T) {
+	h := newHarness(t, 3, 1, workload.NewRandomPeer(0, 0, 0, 0), time.Hour)
+	p := h.proc(0)
+	rec := &sendRecorder{Env: p.env}
+	p.env = rec
+	for i := 1; i <= 6; i++ {
+		appCtx{p}.Send(1, []byte{byte(i)})
+		appCtx{p}.Send(2, []byte{byte(10 + i)})
+	}
+	p.Deliver(&wire.Envelope{Kind: wire.KindCheckpointNotice, From: 1, FromInc: 1,
+		SSNWatermarks: []ids.SSN{3, 0, 0}})
+	for _, tc := range []struct {
+		from ids.ProcID
+		exp  uint64
+		want []uint64
+	}{
+		{1, 0, []uint64{4, 5, 6}}, // below the pruned prefix: everything left
+		{1, 4, []uint64{5, 6}},
+		{1, 6, nil},
+		{2, 2, []uint64{3, 4, 5, 6}}, // p2's log was not pruned
+	} {
+		rec.sent = nil
+		p.Deliver(&wire.Envelope{Kind: wire.KindReplayRequest, From: tc.from, FromInc: 1, Dseq: tc.exp})
+		if len(rec.sent) != len(tc.want) {
+			t.Fatalf("request from p%d past %d resent %d frames, want dseqs %v", tc.from, tc.exp, len(rec.sent), tc.want)
+		}
+		for i, e := range rec.sent {
+			payload := byte(tc.want[i])
+			if tc.from == 2 {
+				payload += 10
+			}
+			if e.Kind != wire.KindApp || e.To != tc.from || e.Dseq != tc.want[i] || e.Payload[0] != payload {
+				t.Fatalf("request from p%d past %d: frame %d is %v to p%d dseq %d payload %v, want dseqs %v",
+					tc.from, tc.exp, i, e.Kind, e.To, e.Dseq, e.Payload, tc.want)
+			}
+		}
 	}
 }

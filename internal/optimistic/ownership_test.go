@@ -67,7 +67,7 @@ func TestBufferedFramesSurviveEnvelopeReuse(t *testing.T) {
 		name string
 		run  func(h *harness, p *Process, rx *reusedRx)
 		want []handled
-		dseq [3]uint64 // expDseq afterwards
+		dseq [3]uint64 // in.Exp afterwards
 		dv1  int64     // p1's component of our dependency vector afterwards
 	}{
 		{
@@ -122,8 +122,8 @@ func TestBufferedFramesSurviveEnvelopeReuse(t *testing.T) {
 				}
 			}
 			for q, d := range tc.dseq {
-				if p.expDseq[q] != d {
-					t.Fatalf("expDseq[%d] = %d, want %d", q, p.expDseq[q], d)
+				if p.in.Exp[q] != d {
+					t.Fatalf("in.Exp[%d] = %d, want %d", q, p.in.Exp[q], d)
 				}
 			}
 			if p.dv[1].index != tc.dv1 {

@@ -67,6 +67,16 @@ func (s Style) String() string {
 	}
 }
 
+// ParseStyle returns the style whose String is name.
+func ParseStyle(name string) (Style, error) {
+	for _, s := range []Style{NonBlocking, Blocking, Manetho} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown recovery style %q (want nonblocking, blocking or manetho)", name)
+}
+
 // State is the manager's protocol state.
 type State int
 

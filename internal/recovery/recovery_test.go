@@ -556,6 +556,20 @@ func TestConflictingDepinfoPanics(t *testing.T) {
 	})
 }
 
+// TestParseStyle: exactly the String names parse, back to their style.
+func TestParseStyle(t *testing.T) {
+	for _, want := range []Style{NonBlocking, Blocking, Manetho} {
+		if got, err := ParseStyle(want.String()); err != nil || got != want {
+			t.Errorf("ParseStyle(%q) = %v, %v", want.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "new", "Blocking", "MANETHO", "optimistic", "style(3)"} {
+		if _, err := ParseStyle(bad); err == nil {
+			t.Errorf("ParseStyle(%q) must error", bad)
+		}
+	}
+}
+
 func TestStyleStrings(t *testing.T) {
 	if NonBlocking.String() != "nonblocking" || Blocking.String() != "blocking" ||
 		Manetho.String() != "manetho" {

@@ -278,18 +278,6 @@ func (e *Export) WriteCSVFile(path string) error {
 	return f.Close()
 }
 
-// ClusterBacklog returns the summed output-commit backlog series, one value
-// per tick — the headline "what does a user-visible stall look like" lane.
-func (e *Export) ClusterBacklog() []int {
-	out := make([]int, len(e.Ticks))
-	for i, t := range e.Ticks {
-		for _, b := range t.Backlog {
-			out[i] += b
-		}
-	}
-	return out
-}
-
 // ProcBacklog returns process p's backlog series, one value per tick.
 func (e *Export) ProcBacklog(p int) []int {
 	out := make([]int, len(e.Ticks))

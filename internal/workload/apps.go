@@ -109,9 +109,6 @@ func (t *TokenRing) Done() bool {
 	return t.lastHop+uint64(t.n) > t.MaxHops && t.visits > 0
 }
 
-// Acc exposes the accumulator for test assertions.
-func (t *TokenRing) Acc() uint64 { return t.acc }
-
 // Visits exposes the visit count for test assertions.
 func (t *TokenRing) Visits() uint64 { return t.visits }
 
