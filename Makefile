@@ -61,21 +61,21 @@ race:
 # because the sweep is deterministic byte-for-byte. See DESIGN.md §9.
 BENCH_AXES = -seeds 1,2 -n 4 -f 1 -profiles 1995 -styles nonblocking,blocking
 bench:
-	$(GO) run ./cmd/bench -label ci -out /tmp/BENCH_ci.json $(BENCH_AXES) -quiet
-	$(GO) run ./cmd/bench compare BENCH_seed.json /tmp/BENCH_ci.json -threshold 0
+	$(GO) run ./cmd/experiments sweep -label ci -out /tmp/BENCH_ci.json $(BENCH_AXES)
+	$(GO) run ./cmd/experiments compare BENCH_seed.json /tmp/BENCH_ci.json -threshold 0
 
-# bench-seed regenerates the committed reference snapshot (and the test
-# fixture) after an intentional behavior change.
+# bench-seed regenerates the committed reference snapshot after an
+# intentional behavior change; TestGoldenSnapshotByteStable
+# (internal/experiments) reads it as its fixture.
 bench-seed:
-	$(GO) test ./internal/bench -run TestGolden -update
-	$(GO) run ./cmd/bench -label seed -out BENCH_seed.json $(BENCH_AXES) -quiet
+	$(GO) run ./cmd/experiments sweep -label seed -out BENCH_seed.json $(BENCH_AXES)
 
 # regen is everything an intended change of the event order has to
 # regenerate, in dependency order. The first line prints the new golden
 # constants (it fails while they are stale — paste them into
 # internal/cluster/golden_test.go and outputs_golden_test.go and run regen
-# again); the rest rewrite files: BENCH_seed.json and the internal/bench
-# fixtures, the explorer's n=3 and n=4 two-crash reports, and every table in
+# again); the rest rewrite files: BENCH_seed.json (also the sweep's test
+# fixture), the explorer's n=3 and n=4 two-crash reports, and every table in
 # EXPERIMENTS.md
 # (whose prose, and README's result shapes, are then checked by hand against
 # the diff). ≈ 3 min.

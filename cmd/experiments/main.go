@@ -1,9 +1,17 @@
 // Command experiments regenerates the paper's evaluation: every table and
-// figure in DESIGN.md §3, printed as aligned text tables.
+// figure in DESIGN.md §3, printed as aligned text tables. Its subcommands
+// run the sweep behind the versioned BENCH_<label>.json snapshots, diff two
+// snapshots as a CI regression gate, and render a snapshot as the markdown
+// tables EXPERIMENTS.md embeds (DESIGN.md §9).
 //
 // Usage:
 //
 //	experiments [-seed N] [-only E1,E2,...] [-list]
+//	experiments sweep [-label L] [-out FILE] [-seeds 1,2] [-n 4,8] [-f 0,1,2]
+//	      [-profiles 1995,modern] [-styles nonblocking,blocking,manetho]
+//	      [-loads 0,1000] [-cpuprofile cpu.prof] [-memprofile mem.prof]
+//	experiments compare OLD.json NEW.json [-threshold 0.05]
+//	experiments table SNAPSHOT.json
 package main
 
 import (
@@ -44,6 +52,22 @@ var registry = []struct {
 }
 
 func main() {
+	// Ctrl-C cancels the in-flight simulation via the experiments context
+	// instead of killing the process mid-table.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "sweep":
+			os.Exit(runSweep(ctx, os.Args[2:]))
+		case "compare":
+			os.Exit(runCompare(os.Args[2:]))
+		case "table":
+			os.Exit(runTable(os.Args[2:]))
+		}
+	}
+
 	seed := flag.Int64("seed", 1, "simulation seed")
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
@@ -75,11 +99,6 @@ func main() {
 			want[strings.ToUpper(strings.TrimSpace(id))] = true
 		}
 	}
-
-	// Ctrl-C cancels the in-flight simulation via the experiments context
-	// instead of killing the process mid-table.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	if *tlDir != "" {
 		if err := writeTimelines(ctx, *tlDir, *seed, *tlEvery, *tlCrash, *tlHorizon); err != nil {

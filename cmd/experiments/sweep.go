@@ -1,22 +1,3 @@
-// Command bench is the parallel sweep/benchmark harness CLI: it fans the
-// deterministic experiments across a worker pool and emits versioned
-// BENCH_<label>.json snapshots, diffs two snapshots as a CI regression
-// gate, and renders a snapshot as the markdown tables EXPERIMENTS.md
-// embeds.
-//
-// Usage:
-//
-//	bench [-label L] [-out FILE] [-seeds 1,2] [-n 4,8] [-f 0,1,2]
-//	      [-profiles 1995,modern] [-styles nonblocking,blocking,manetho]
-//	      [-loads 0,1000] [-workers N] [-merge-seeds] [-quiet]
-//	      [-cpuprofile cpu.prof] [-memprofile mem.prof]
-//	bench compare OLD.json NEW.json [-threshold 0.05]
-//	bench table SNAPSHOT.json
-//
-// The sweep is deterministic: the same axes and source tree produce a
-// byte-identical snapshot for any -workers value and GOMAXPROCS setting.
-// Wall-clock cost is reported on stderr only, so it never perturbs the
-// snapshot bytes. See DESIGN.md §9 for the schema and gate semantics.
 package main
 
 import (
@@ -25,91 +6,63 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
-	"rollrec/internal/bench"
+	"rollrec/internal/experiments"
 	"rollrec/internal/profile"
 )
 
-func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "compare":
-			os.Exit(runCompare(os.Args[2:]))
-		case "table":
-			os.Exit(runTable(os.Args[2:]))
-		}
-	}
-	os.Exit(runSweep(os.Args[1:]))
-}
-
-func runSweep(args []string) int {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+// runSweep runs `experiments sweep`: the grid of deterministic cells,
+// written as one BENCH_<label>.json snapshot. The same axes and source tree
+// produce the same bytes for any GOMAXPROCS; wall-clock cost goes to
+// stderr only, so it never perturbs the snapshot.
+func runSweep(ctx context.Context, args []string) int {
+	fs := flag.NewFlagSet("experiments sweep", flag.ExitOnError)
 	label := fs.String("label", "main", "snapshot label; output defaults to BENCH_<label>.json")
 	out := fs.String("out", "", "output path (default BENCH_<label>.json)")
-	def := bench.DefaultAxes()
+	def := experiments.DefaultAxes()
 	seeds := fs.String("seeds", joinInt64s(def.Seeds), "comma-separated seed axis")
 	ns := fs.String("n", joinInts(def.N), "comma-separated cluster-size axis")
 	fails := fs.String("f", joinInts(def.Failures), "comma-separated failure-count axis (crashes injected; tolerance f = max(1, value))")
 	profiles := fs.String("profiles", strings.Join(def.Profiles, ","), "comma-separated hardware profiles (1995, modern)")
 	styles := fs.String("styles", strings.Join(def.Styles, ","), "comma-separated recovery styles (nonblocking, blocking, manetho)")
 	loads := fs.String("loads", "0", "comma-separated offered-load axis in req/s (0 = closed-loop gossip workload)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	mergeSeeds := fs.Bool("merge-seeds", false, "aggregate all seeds into one cell per configuration (mean plus min/max spread)")
-	quiet := fs.Bool("quiet", false, "suppress per-cell progress on stderr")
 	prof := profile.Register(fs)
 	fs.Parse(args)
 
 	axes, err := parseAxes(*seeds, *ns, *fails, *profiles, *styles, *loads)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 2
 	}
-	axes.MergeSeeds = *mergeSeeds
 	path := *out
 	if path == "" {
 		path = "BENCH_" + *label + ".json"
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
 	start := time.Now() //rollvet:allow simtime -- wall-clock cost reporting for the operator, kept out of the snapshot
-	opts := bench.Options{
-		Workers: *workers,
-		Meta: bench.Meta{
-			Label:     *label,
-			GitRev:    gitRev(),
-			GoVersion: runtime.Version(),
-		},
-	}
-	if !*quiet {
-		opts.OnCell = func(done, total int, c bench.Cell) {
-			fmt.Fprintf(os.Stderr, "bench: %3d/%d %s (%d sim events)\n", done, total, c.Key, c.SimEvents)
-		}
-	}
+	meta := experiments.Meta{Label: *label, GitRev: gitRev(), GoVersion: runtime.Version()}
 	stopProfiles, err := prof.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 2
 	}
-	snap, err := bench.RunSweep(ctx, axes, opts)
+	snap, err := experiments.RunSweep(ctx, axes, meta)
 	if perr := stopProfiles(); perr != nil {
-		fmt.Fprintln(os.Stderr, "bench:", perr)
+		fmt.Fprintln(os.Stderr, "experiments:", perr)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		if ctx.Err() != nil {
 			return 130
 		}
 		return 1
 	}
 	if err := snap.WriteFile(path); err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 1
 	}
 	var events int64
@@ -117,26 +70,16 @@ func runSweep(args []string) int {
 		events += c.SimEvents
 	}
 	elapsed := time.Since(start) //rollvet:allow simtime -- wall-clock cost reporting for the operator, kept out of the snapshot
-	fmt.Fprintf(os.Stderr, "bench: wrote %s (%d cells, %d sim events, %v wall on %d workers)\n",
-		path, len(snap.Cells), events, elapsed.Round(time.Millisecond), effectiveWorkers(*workers, len(snap.Cells)))
+	fmt.Fprintf(os.Stderr, "experiments: wrote %s (%d cells, %d sim events, %v wall)\n",
+		path, len(snap.Cells), events, elapsed.Round(time.Millisecond))
 	return 0
 }
 
-func effectiveWorkers(requested, cells int) int {
-	if requested <= 0 {
-		requested = runtime.GOMAXPROCS(0)
-	}
-	if requested > cells {
-		return cells
-	}
-	return requested
-}
-
 func runCompare(args []string) int {
-	fs := flag.NewFlagSet("bench compare", flag.ExitOnError)
+	fs := flag.NewFlagSet("experiments compare", flag.ExitOnError)
 	threshold := fs.Float64("threshold", 0.05, "relative cost increase tolerated before failing (0 = exact)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: bench compare OLD.json NEW.json [-threshold 0.05]")
+		fmt.Fprintln(os.Stderr, "usage: experiments compare OLD.json NEW.json [-threshold 0.05]")
 		fs.PrintDefaults()
 	}
 	// Accept both `compare OLD NEW -threshold X` and `compare -threshold X OLD NEW`.
@@ -151,17 +94,17 @@ func runCompare(args []string) int {
 		fs.Usage()
 		return 2
 	}
-	oldSnap, err := bench.ReadFile(paths[0])
+	oldSnap, err := experiments.ReadSnapshot(paths[0])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 2
 	}
-	newSnap, err := bench.ReadFile(paths[1])
+	newSnap, err := experiments.ReadSnapshot(paths[1])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 2
 	}
-	regs, notes := bench.Compare(oldSnap, newSnap, *threshold)
+	regs, notes := experiments.Compare(oldSnap, newSnap, *threshold)
 	for _, n := range notes {
 		fmt.Println("note:", n)
 	}
@@ -169,27 +112,27 @@ func runCompare(args []string) int {
 		fmt.Println("REGRESSION:", r)
 	}
 	if len(regs) > 0 {
-		fmt.Printf("bench compare: %d regression(s) beyond threshold %.2f (%s -> %s)\n",
+		fmt.Printf("experiments compare: %d regression(s) beyond threshold %.2f (%s -> %s)\n",
 			len(regs), *threshold, paths[0], paths[1])
 		return 1
 	}
-	fmt.Printf("bench compare: ok, %d cells within threshold %.2f (%s -> %s)\n",
+	fmt.Printf("experiments compare: ok, %d cells within threshold %.2f (%s -> %s)\n",
 		len(oldSnap.Cells), *threshold, paths[0], paths[1])
 	return 0
 }
 
 func runTable(args []string) int {
 	if len(args) != 1 {
-		fmt.Fprintln(os.Stderr, "usage: bench table SNAPSHOT.json")
+		fmt.Fprintln(os.Stderr, "usage: experiments table SNAPSHOT.json")
 		return 2
 	}
-	snap, err := bench.ReadFile(args[0])
+	snap, err := experiments.ReadSnapshot(args[0])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 2
 	}
-	if err := bench.Markdown(os.Stdout, snap); err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
+	if err := experiments.Markdown(os.Stdout, snap); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 1
 	}
 	return 0
@@ -209,9 +152,9 @@ func gitRev() string {
 	return out
 }
 
-// parseAxes converts the comma-separated flag values into a bench.Axes.
-func parseAxes(seeds, ns, fails, profiles, styles, loads string) (bench.Axes, error) {
-	var a bench.Axes
+// parseAxes converts the comma-separated flag values into sweep axes.
+func parseAxes(seeds, ns, fails, profiles, styles, loads string) (experiments.Axes, error) {
+	var a experiments.Axes
 	for _, s := range splitList(seeds) {
 		v, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {

@@ -2,6 +2,18 @@
 // derived sweeps its argument calls for. Each experiment returns a Table
 // whose rows correspond to the quantities the paper reports; see DESIGN.md
 // §3 for the experiment index and EXPERIMENTS.md for paper-vs-measured.
+//
+// The same package runs the sweep behind BENCH_*.json (grid.go,
+// snapshot.go): the paper's quantities — recovery time, live-process
+// blocked time, recovery control traffic — over a grid of seed × cluster
+// size × failure count × hardware profile × recovery style × offered load.
+// Each cell is one single-threaded, deterministic simulation (Run), so
+// cells are embarrassingly parallel: the worker pool only changes
+// wall-clock time, never results. Cells are generated in sorted
+// parameter-key order and written back by index, which makes the snapshot
+// byte-stable across runs and GOMAXPROCS settings — the property the
+// golden test and the CI regression gate (Compare) rely on. DESIGN.md §9
+// has the schema and the determinism argument.
 package experiments
 
 import (
@@ -138,14 +150,14 @@ type Spec struct {
 	// until the horizon. The spec's N must equal Traffic.N(), and — because
 	// FBL replay cannot regenerate injected arrivals, and the styles' crash
 	// rows must stay comparable — the crash plan must not target the client
-	// tier; Run panics on either misuse. Read the engine back via
+	// tier; Run returns an error on either misuse. Read the engine back via
 	// Result.Traffic.
 	Traffic *workload.Traffic
 }
 
 // PaperSpec is the baseline configuration modeled on the paper's testbed:
 // eight workstations, f = 2, ~1 MB process images, an active irregular
-// workload, and era hardware. The experiments and the bench sweep harness
+// workload, and era hardware. The E/D experiments and the sweep (SpecFor)
 // both derive their scenarios from it, so the paper tables and the sweep
 // snapshots can never drift apart.
 func PaperSpec(style recovery.Style, seed int64) Spec {
@@ -220,7 +232,8 @@ type Result struct {
 // Run executes a spec to its horizon, or until ctx is done, and returns the
 // collected result. On cancellation the returned Result covers the prefix
 // of virtual time that ran (its invariants are NOT checked — a cut-short
-// run is consistent but incomplete) and the error is ctx's.
+// run is consistent but incomplete) and the error is ctx's. A spec that
+// misuses Traffic returns a nil Result and the error, before anything runs.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
 	tr := spec.Tracer
 	if tr == nil && spec.Shards <= 1 {
@@ -229,13 +242,13 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	app := spec.App
 	if spec.Traffic != nil {
 		if spec.Traffic.N() != spec.N {
-			panic(fmt.Sprintf("experiments: traffic topology needs n=%d, spec has n=%d",
-				spec.Traffic.N(), spec.N))
+			return nil, fmt.Errorf("experiments: traffic topology needs n=%d, spec has n=%d",
+				spec.Traffic.N(), spec.N)
 		}
 		for _, cr := range spec.Crashes {
 			if spec.Traffic.TierOf(cr.Proc) == workload.TierClient {
-				panic(fmt.Sprintf("experiments: crash plan targets client %d; "+
-					"FBL replay cannot regenerate injected arrivals", cr.Proc))
+				return nil, fmt.Errorf("experiments: crash plan targets client %d; "+
+					"FBL replay cannot regenerate injected arrivals", cr.Proc)
 			}
 		}
 		app = traffic.NewApp(*spec.Traffic)
@@ -273,13 +286,17 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	return r, nil
 }
 
-// MustRun panics on invariant violations — experiments must only report
-// numbers from consistent runs. A ctx-cancelled run returns its partial
-// result unchecked; callers bail out via ctx.Err().
+// MustRun panics on a misused spec and on invariant violations —
+// experiments must only report numbers from consistent runs. A
+// ctx-cancelled run returns its partial result unchecked; callers bail out
+// via ctx.Err().
 func MustRun(ctx context.Context, spec Spec) *Result {
 	r, err := Run(ctx, spec)
 	if err != nil {
-		return r
+		if ctx.Err() != nil {
+			return r
+		}
+		panic(err)
 	}
 	// The gossip workload never reports Done, so liveness errors about the
 	// workload itself do not occur; any error here is a real violation.
@@ -312,9 +329,9 @@ func (r *Result) recoveryEnd(p ids.ProcID) time.Duration {
 	return 0
 }
 
-// LiveBlocked returns mean and max blocked time over the processes that
-// never crashed.
-func (r *Result) LiveBlocked() (mean, max time.Duration) {
+// liveProcs lists, in index order, the processes the crash plan never
+// touches.
+func (r *Result) liveProcs() []int {
 	crashed := map[ids.ProcID]bool{}
 	for _, cr := range r.Spec.Crashes {
 		crashed[cr.Proc] = true
@@ -325,11 +342,17 @@ func (r *Result) LiveBlocked() (mean, max time.Duration) {
 			lives = append(lives, i)
 		}
 	}
+	return lives
+}
+
+// LiveBlocked returns mean and max blocked time over the processes that
+// never crashed.
+func (r *Result) LiveBlocked() (mean, max time.Duration) {
 	procs := make([]*metrics.Proc, r.Spec.N)
 	for i := 0; i < r.Spec.N; i++ {
 		procs[i] = r.C.Metrics(ids.ProcID(i))
 	}
-	return metrics.Cluster{Procs: procs}.MeanBlocked(lives)
+	return metrics.Cluster{Procs: procs}.MeanBlocked(r.liveProcs())
 }
 
 // recoveryKinds are the control messages attributable to the recovery

@@ -101,3 +101,44 @@ func TestNonBlockingRunBlocksNobody(t *testing.T) {
 		t.Fatalf("nonblocking run blocked lives: mean=%v max=%v", mean, max)
 	}
 }
+
+// TestRunRejectsTrafficMisuse: a traffic spec whose topology does not fit
+// N, or whose crash plan hits a client, is an error from Run — not a panic
+// — and MustRun turns it into a panic rather than returning nil unchecked.
+func TestRunRejectsTrafficMisuse(t *testing.T) {
+	tr := workload.Traffic{Clients: 2, Frontends: 2, Backends: 4, FanOut: 2, Load: 100}
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*Spec)
+		wantErr string
+	}{
+		{"topology/N mismatch", func(s *Spec) { s.N = 6 }, "traffic topology needs n=8"},
+		{"crash targets a client", func(s *Spec) { s.Crashes = failure.Plan{{At: time.Second, Proc: 0}} }, "targets client 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := fastSpec(recovery.NonBlocking)
+			spec.N, spec.App, spec.Traffic, spec.Crashes = tr.N(), nil, &tr, nil
+			tc.mutate(&spec)
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("Run panicked: %v", p)
+					}
+				}()
+				r, err := Run(context.Background(), spec)
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Run error = %v, want one containing %q", err, tc.wantErr)
+				}
+				if r != nil {
+					t.Fatal("Run returned a result for a rejected spec")
+				}
+			}()
+			defer func() {
+				if recover() == nil {
+					t.Fatal("MustRun returned on a rejected spec")
+				}
+			}()
+			MustRun(context.Background(), spec)
+		})
+	}
+}

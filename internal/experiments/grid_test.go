@@ -1,22 +1,15 @@
-package bench
+package experiments
 
 import (
 	"bytes"
 	"context"
-	"flag"
-	"os"
-	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"rollrec/internal/cluster"
 )
-
-// -update regenerates testdata/BENCH_golden.json from the current tree:
-//
-//	go test ./internal/bench -run TestGolden -update
-var update = flag.Bool("update", false, "rewrite testdata golden files")
 
 func TestAxesCellsSortedAndDeduped(t *testing.T) {
 	a := Axes{
@@ -111,8 +104,9 @@ func TestDistOf(t *testing.T) {
 	}
 }
 
-// goldenAxes is the fixed-seed 2×2 sweep of the golden-file test: two
-// seeds by two styles, small enough to run in a couple of seconds.
+// goldenAxes is the Makefile's BENCH_AXES (the axes of the committed
+// BENCH_seed.json): two seeds by two styles, small enough to run in a
+// couple of seconds.
 func goldenAxes() Axes {
 	return Axes{
 		Seeds:    []int64{1, 2},
@@ -120,6 +114,7 @@ func goldenAxes() Axes {
 		Failures: []int{1},
 		Profiles: []string{"1995"},
 		Styles:   []string{"nonblocking", "blocking"},
+		Loads:    []int{0},
 	}
 }
 
@@ -137,16 +132,17 @@ func encode(t *testing.T, s *Snapshot) []byte {
 }
 
 // TestGoldenSnapshotByteStable is the determinism acceptance test: the
-// same sweep run serially and on a 4-worker pool must produce the same
-// bytes, and those bytes must match the committed golden file on every
-// platform and -cpu setting (CI runs this with -cpu 1,4).
+// BENCH_AXES sweep run serially and on a 4-worker pool must produce the
+// same bytes, and its axes and cells must equal the committed
+// BENCH_seed.json's on every platform and -cpu setting (CI runs this with
+// -cpu 1,4). Meta is ignored: label, git revision and toolchain differ.
 func TestGoldenSnapshotByteStable(t *testing.T) {
 	ctx := context.Background()
-	serial, err := RunSweep(ctx, goldenAxes(), Options{Workers: 1, Meta: goldenMeta()})
+	serial, err := runSweep(ctx, goldenAxes(), goldenMeta(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := RunSweep(ctx, goldenAxes(), Options{Workers: 4, Meta: goldenMeta()})
+	pooled, err := runSweep(ctx, goldenAxes(), goldenMeta(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,105 +159,50 @@ func TestGoldenSnapshotByteStable(t *testing.T) {
 		}
 	}
 
-	golden := filepath.Join("testdata", "BENCH_golden.json")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run `go test ./internal/bench -run TestGolden -update`)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("snapshot deviates from %s byte-for-byte; if the change is intended, "+
-			"regenerate with -update and re-seed BENCH_seed.json (see Makefile bench-seed)", golden)
-	}
-
-	// The golden snapshot must round-trip through the decoder.
-	back, err := Decode(bytes.NewReader(got))
+	seed, err := ReadSnapshot("../../BENCH_seed.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Cells) != len(serial.Cells) || back.Meta != serial.Meta {
-		t.Fatal("decode round-trip lost data")
+	if !reflect.DeepEqual(serial.Axes, seed.Axes) {
+		t.Fatalf("axes %+v, BENCH_seed.json has %+v", serial.Axes, seed.Axes)
+	}
+	if !reflect.DeepEqual(serial.Cells, seed.Cells) {
+		t.Fatal("cells deviate from BENCH_seed.json; if the change is intended, " +
+			"regenerate it with `make bench-seed`")
+	}
+
+	// The snapshot must round-trip through the decoder.
+	back, err := DecodeSnapshot(bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(t, back), got) {
+		t.Fatal("decode round-trip changed the snapshot")
 	}
 }
 
 func TestRunSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunSweep(ctx, goldenAxes(), Options{Workers: 2, Meta: goldenMeta()}); err == nil {
+	if _, err := runSweep(ctx, goldenAxes(), goldenMeta(), 2); err == nil {
 		t.Fatal("cancelled sweep returned no error")
 	}
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	if _, err := Decode(strings.NewReader("{")); err == nil {
+	if _, err := DecodeSnapshot(strings.NewReader("{")); err == nil {
 		t.Fatal("truncated JSON accepted")
 	}
 	// Exactly SchemaVersion decodes; the retired 1 and 2 are as foreign as
 	// a future one, and the error says what to do about it.
 	for _, schema := range []string{"0", "1", "2", "99"} {
-		_, err := Decode(strings.NewReader(`{"meta":{"schema":` + schema + `}}`))
+		_, err := DecodeSnapshot(strings.NewReader(`{"meta":{"schema":` + schema + `}}`))
 		if err == nil {
 			t.Fatalf("schema %s accepted", schema)
 		}
 		if !strings.Contains(err.Error(), "make bench-seed") {
 			t.Fatalf("schema %s: error %q does not say how to regenerate", schema, err)
 		}
-	}
-}
-
-// TestMergedSeedsSweep checks the multi-seed aggregation: one cell per
-// configuration covering the whole seed axis, byte-deterministic for any
-// worker count, carrying the across-seed spread.
-func TestMergedSeedsSweep(t *testing.T) {
-	axes := goldenAxes()
-	axes.MergeSeeds = true
-	ctx := context.Background()
-	serial, err := RunSweep(ctx, axes, Options{Workers: 1, Meta: goldenMeta()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := RunSweep(ctx, axes, Options{Workers: 4, Meta: goldenMeta()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encode(t, serial), encode(t, pooled)) {
-		t.Fatal("merged-seed snapshot differs between 1-worker and 4-worker runs")
-	}
-	if len(serial.Cells) != 2 { // styles only; the seed axis is folded
-		t.Fatalf("got %d cells, want 2", len(serial.Cells))
-	}
-	c := serial.Cells[0]
-	if c.Key != "seed=1+2/n=4/f=1/hw=1995/style=blocking" {
-		t.Fatalf("merged key %q", c.Key)
-	}
-	if c.Recoveries != 2 { // one crash per seed
-		t.Fatalf("merged cell has %d recoveries, want 2", c.Recoveries)
-	}
-	if c.AcrossSeeds == nil {
-		t.Fatal("merged cell lacks across_seeds")
-	}
-	sp := c.AcrossSeeds.RecoveryMeanMS
-	if !(sp.Min <= sp.Mean && sp.Mean <= sp.Max) || sp.Max == 0 {
-		t.Fatalf("across-seed recovery spread inconsistent: %+v", sp)
-	}
-	// The pooled distribution must match re-aggregating the two single-seed
-	// cells of the plain sweep.
-	single, err := RunSweep(ctx, goldenAxes(), Options{Workers: 2, Meta: goldenMeta()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var msgs int64
-	for _, sc := range single.Cells {
-		if sc.Params.Style == "blocking" {
-			msgs += sc.CtlMsgs
-		}
-	}
-	if c.CtlMsgs != msgs {
-		t.Fatalf("merged ctl_msgs %d != sum of single-seed cells %d", c.CtlMsgs, msgs)
 	}
 }
 
@@ -351,7 +292,7 @@ func TestLoadedCellSweep(t *testing.T) {
 		Styles:   []string{"nonblocking"},
 		Loads:    []int{100},
 	}
-	s, err := RunSweep(context.Background(), axes, Options{Workers: 1, Meta: goldenMeta()})
+	s, err := runSweep(context.Background(), axes, goldenMeta(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

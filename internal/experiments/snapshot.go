@@ -1,4 +1,4 @@
-package bench
+package experiments
 
 import (
 	"encoding/json"
@@ -12,14 +12,14 @@ import (
 )
 
 // SchemaVersion identifies the snapshot layout. Bump it on any change to
-// the cell schema or to the meaning of a metric. Decode accepts exactly
-// this version: a snapshot is regenerated (make bench-seed), not upgraded.
+// the cell schema or to the meaning of a metric. DecodeSnapshot accepts
+// exactly this version: a snapshot is regenerated (make bench-seed), not
+// upgraded.
 //
-// Cells carry output_commit (DESIGN §10) and outputs; merged-seed cells
-// carry params.seeds and across_seeds; loaded cells (DESIGN §12) carry
-// params.load (with a "/load=" key suffix), offered/shed arrival counts,
-// and client_commit — the user-visible commit-latency distribution at the
-// client tier.
+// Cells carry output_commit (DESIGN §10) and outputs; loaded cells
+// (DESIGN §12) carry params.load (with a "/load=" key suffix),
+// offered/shed arrival counts, and client_commit — the user-visible
+// commit-latency distribution at the client tier.
 const SchemaVersion = 3
 
 // Meta describes where a snapshot came from. It is informational only:
@@ -63,41 +63,7 @@ func distOf(ds []time.Duration) Dist {
 	}
 }
 
-// MinMeanMax summarizes one scalar across a merged cell's seeds.
-type MinMeanMax struct {
-	Min  float64 `json:"min"`
-	Mean float64 `json:"mean"`
-	Max  float64 `json:"max"`
-}
-
-func minMeanMax(xs []float64) MinMeanMax {
-	if len(xs) == 0 {
-		return MinMeanMax{}
-	}
-	m := MinMeanMax{Min: xs[0], Max: xs[0]}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		m.Min = math.Min(m.Min, x)
-		m.Max = math.Max(m.Max, x)
-	}
-	m.Mean = math.Round(sum/float64(len(xs))*1000) / 1000
-	return m
-}
-
-// SeedSpread is a merged cell's across-seed variation: how the headline
-// per-seed costs spread over the cell's seed list. It answers "is this
-// number a property of the configuration or of one lucky seed?"
-type SeedSpread struct {
-	RecoveryMeanMS MinMeanMax `json:"recovery_mean_ms"`
-	BlockedMeanMS  MinMeanMax `json:"blocked_mean_ms"`
-	CtlMsgs        MinMeanMax `json:"ctl_msgs"`
-	CtlBytes       MinMeanMax `json:"ctl_bytes"`
-	SimEvents      MinMeanMax `json:"sim_events"`
-}
-
-// Cell is the measured outcome of one parameter combination. A merged cell
-// (params.seeds set) pools samples and sums totals over every seed it ran.
+// Cell is the measured outcome of one parameter combination.
 type Cell struct {
 	Key    string `json:"key"`
 	Params Params `json:"params"`
@@ -116,7 +82,7 @@ type Cell struct {
 	Delivered int64 `json:"delivered"`
 	// SimEvents is the number of simulator events processed — the
 	// deterministic cost of simulating the cell. Wall-clock cost is
-	// reported on stderr by cmd/bench and deliberately kept OUT of the
+	// reported on stderr by `experiments sweep` and deliberately kept OUT of the
 	// snapshot so files stay byte-identical across runs.
 	SimEvents int64 `json:"sim_events"`
 	// SimMS is the virtual horizon simulated.
@@ -136,8 +102,6 @@ type Cell struct {
 	ClientCommit *Dist `json:"client_commit,omitempty"`
 	// Errors counts cross-process invariant violations (expected 0).
 	Errors int `json:"errors"`
-	// AcrossSeeds is the per-seed spread; only merged cells carry it.
-	AcrossSeeds *SeedSpread `json:"across_seeds,omitempty"`
 }
 
 // Snapshot is the versioned, machine-readable result of one sweep: what
@@ -173,28 +137,28 @@ func (s *Snapshot) WriteFile(path string) error {
 	return f.Close()
 }
 
-// Decode reads a snapshot of exactly SchemaVersion.
-func Decode(r io.Reader) (*Snapshot, error) {
+// DecodeSnapshot reads a snapshot of exactly SchemaVersion.
+func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("bench: malformed snapshot: %w", err)
+		return nil, fmt.Errorf("experiments: malformed snapshot: %w", err)
 	}
 	if s.Meta.Schema != SchemaVersion {
-		return nil, fmt.Errorf("bench: snapshot schema %d, this binary reads %d; regenerate with `make bench-seed`",
+		return nil, fmt.Errorf("experiments: snapshot schema %d, this binary reads %d; regenerate with `make bench-seed`",
 			s.Meta.Schema, SchemaVersion)
 	}
 	return &s, nil
 }
 
-// ReadFile reads a snapshot from path.
-func ReadFile(path string) (*Snapshot, error) {
+// ReadSnapshot reads a snapshot from path.
+func ReadSnapshot(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	s, err := Decode(f)
+	s, err := DecodeSnapshot(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -218,8 +182,8 @@ func Markdown(w io.Writer, s *Snapshot) error {
 		if c.Params.Load > 0 {
 			load = fmt.Sprintf("%d", c.Params.Load)
 		}
-		if _, err := fmt.Fprintf(w, "| %s | %d | %d | %s | %s | %s | %.3f | %.3f | %.3f | %.3f | %.3f | %d | %d | %d |\n",
-			c.Params.seedLabel(), c.Params.N, c.Params.Failures, c.Params.Profile, c.Params.Style, load,
+		if _, err := fmt.Fprintf(w, "| %d | %d | %d | %s | %s | %s | %.3f | %.3f | %.3f | %.3f | %.3f | %d | %d | %d |\n",
+			c.Params.Seed, c.Params.N, c.Params.Failures, c.Params.Profile, c.Params.Style, load,
 			c.Recovery.MeanMS, c.Recovery.P50MS, c.Recovery.P99MS,
 			c.Blocked.MeanMS, c.Blocked.P99MS,
 			c.CtlMsgs, c.CtlBytes, c.SimEvents); err != nil {
@@ -227,4 +191,106 @@ func Markdown(w io.Writer, s *Snapshot) error {
 		}
 	}
 	return nil
+}
+
+// Regression is one metric of one cell that got worse beyond the
+// threshold. All snapshot metrics are costs, so "worse" means "larger".
+type Regression struct {
+	Key    string
+	Metric string
+	Old    float64
+	New    float64
+	// Delta is the relative increase (new/old - 1); +Inf when old was 0.
+	Delta float64
+}
+
+func (r Regression) String() string {
+	if r.Metric == "missing" {
+		return fmt.Sprintf("%s: cell missing from new snapshot", r.Key)
+	}
+	if math.IsInf(r.Delta, 1) {
+		return fmt.Sprintf("%s: %s %.3f -> %.3f (was zero)", r.Key, r.Metric, r.Old, r.New)
+	}
+	return fmt.Sprintf("%s: %s %.3f -> %.3f (+%.1f%%)", r.Key, r.Metric, r.Old, r.New, 100*r.Delta)
+}
+
+// metricsOf flattens the gated metrics of a cell. Delivered and SimMS are
+// deliberately not gated: delivered work is a throughput (higher is
+// better) and the horizon is a parameter, not a measurement.
+func metricsOf(c Cell) []struct {
+	Name  string
+	Value float64
+} {
+	return []struct {
+		Name  string
+		Value float64
+	}{
+		{"recovery.mean_ms", c.Recovery.MeanMS},
+		{"recovery.p99_ms", c.Recovery.P99MS},
+		{"blocked.mean_ms", c.Blocked.MeanMS},
+		{"blocked.p99_ms", c.Blocked.P99MS},
+		{"ctl_msgs", float64(c.CtlMsgs)},
+		{"ctl_bytes", float64(c.CtlBytes)},
+		{"sim_events", float64(c.SimEvents)},
+		{"output_commit.p50_ms", c.OutputCommit.P50MS},
+		{"output_commit.p99_ms", c.OutputCommit.P99MS},
+		{"errors", float64(c.Errors)},
+	}
+}
+
+// Compare diffs new against old cell-by-cell and returns the regressions:
+// cells that disappeared, invariant errors that appeared, and cost metrics
+// that grew by more than threshold (relative; threshold 0 demands
+// new <= old exactly, which deterministic snapshots of the same code
+// satisfy bit-for-bit). Cells only present in new, and metrics that
+// improved by more than the threshold, are returned as informational
+// notes. Meta is ignored except for the schema check done at Decode time.
+func Compare(old, new *Snapshot, threshold float64) (regs []Regression, notes []string) {
+	newByKey := make(map[string]Cell, len(new.Cells))
+	for _, c := range new.Cells {
+		newByKey[c.Key] = c
+	}
+	oldKeys := make(map[string]bool, len(old.Cells))
+	for _, oc := range old.Cells {
+		oldKeys[oc.Key] = true
+		nc, ok := newByKey[oc.Key]
+		if !ok {
+			regs = append(regs, Regression{Key: oc.Key, Metric: "missing"})
+			continue
+		}
+		om, nm := metricsOf(oc), metricsOf(nc)
+		for i := range om {
+			o, n := om[i].Value, nm[i].Value
+			name := om[i].Name
+			if n <= o {
+				if o > 0 && n < o*(1-threshold) {
+					notes = append(notes, fmt.Sprintf("%s: %s improved %.3f -> %.3f",
+						oc.Key, name, o, n))
+				}
+				continue
+			}
+			// Invariant violations gate unconditionally: a run that used
+			// to be consistent must stay consistent.
+			if name == "errors" {
+				regs = append(regs, Regression{Key: oc.Key, Metric: name, Old: o, New: n,
+					Delta: math.Inf(1)})
+				continue
+			}
+			var delta float64
+			if o == 0 {
+				delta = math.Inf(1)
+			} else {
+				delta = n/o - 1
+			}
+			if math.IsInf(delta, 1) || delta > threshold {
+				regs = append(regs, Regression{Key: oc.Key, Metric: name, Old: o, New: n, Delta: delta})
+			}
+		}
+	}
+	for _, c := range new.Cells {
+		if !oldKeys[c.Key] {
+			notes = append(notes, fmt.Sprintf("%s: new cell (not in old snapshot)", c.Key))
+		}
+	}
+	return regs, notes
 }
