@@ -15,14 +15,12 @@ vet:
 
 # rollvet is the repo's own determinism & protocol-invariant analyzer
 # (internal/analysis): virtual-clock discipline, seeded randomness, ordered
-# map iteration in protocol paths, no goroutines in sim-driven packages, a
-# consistent wire.Kind table, plus the dataflow checks — arena pointers
-# must not escape their handler (poolescape), //rollvet:hotpath call trees
-# must not allocate (hotalloc), storage/wire errors must be consulted
-# (stablewrite), and wire.Kind switches must be exhaustive or defaulted
-# (kindswitch). `go test ./...` already enforces it for internal/... and
-# the root package; this target also sweeps cmd/ and examples/, then pins
-# the suppression count against .rollvet-allow-budget.
+# map iteration in protocol paths, no goroutines in sim-driven packages,
+# plus the dataflow checks — arena pointers must not escape their handler
+# (poolescape) and storage/wire errors must be consulted (stablewrite).
+# `go test ./...` already enforces it for internal/... and the root
+# package; this target also sweeps cmd/ and examples/, then pins the
+# suppression count against .rollvet-allow-budget.
 lint:
 	$(GO) run ./cmd/rollvet ./...
 	./scripts/suppression_budget.sh
@@ -106,13 +104,14 @@ bench-micro:
 # bench-kernel runs the sim-kernel scheduler microbenchmarks against the
 # in-test container/heap baseline, plus the AllocsPerRun regression gates
 # (scheduler, the inline window of the sharded coordinator, output ledger,
-# determinant log, the channel layer's in-order admit and send window (zero),
+# determinant log and its holder sets, the stable store's size reads, the
+# channel layer's in-order admit and send window (zero),
 # and the buffer-ownership gates of DESIGN §5: frame encode and decode,
 # heartbeat tick (zero: one frame per incarnation, timer handles are values)
 # and delivery, timer arm+Stop (zero), piggyback transmit and delivery,
 # checkpoint image).
 bench-kernel:
-	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/channel ./internal/fbl ./internal/coord ./internal/optimistic -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
+	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/channel ./internal/fbl ./internal/coord ./internal/optimistic ./internal/bitset ./internal/storage -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
 
 # benchmark-smoke vets and tests the host-time benchmark (BENCHMARK.json).
 # benchmark/ is its own module compiled against internal/..., so the root

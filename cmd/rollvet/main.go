@@ -27,10 +27,9 @@
 //
 // on the offending line or the line directly above it.
 //
-// Run rollvet over the whole module (./...). The hotalloc and poolescape
-// checks are whole-program: a partial load that omits the //rollvet:hotpath
-// roots cannot see into callees in other packages, so findings may be
-// missed and their suppressions mis-reported as stale.
+// Run rollvet over the whole module (./...): poolescape tracks the
+// //rollvet:pooled types of every loaded package, so a partial load that
+// omits the declaring package misses their pointers.
 package main
 
 import (

@@ -18,21 +18,14 @@
 //   - maporder:  no map iteration in deterministic packages whose body can
 //     leak the nondeterministic order into protocol-visible state.
 //   - goroutine: no go statements in sim-driven packages.
-//   - wiresync:  the wire.Kind constant table, its kindMax sentinel,
-//     KindCount, and the String() name table stay in lockstep.
 //   - poolescape: a pointer into a //rollvet:pooled arena (the sim kernel's
 //     event slots) must not outlive the handler that obtained it — no
 //     stores to fields/globals/maps/slices, no closure capture, no use
 //     across a call that may recycle the pool.
-//   - hotalloc:  functions annotated //rollvet:hotpath, and everything they
-//     statically call, must not contain allocating constructs; this is the
-//     compile-time explanation of the AllocsPerRun CI gates.
 //   - stablewrite: error results from internal/storage and internal/wire
 //     must be checked (an ignored stable-write error silently breaks the
 //     f+1 stability guarantee), and a wire.Reader must have Err/Done
 //     consulted before its values are trusted.
-//   - kindswitch: a switch over wire.Kind without a default must enumerate
-//     every kind, so new message kinds cannot silently fall through.
 //
 // Findings are suppressed per line with
 //
@@ -78,7 +71,7 @@ type Pass struct {
 	Files    []*ast.File
 	TypesPkg *types.Package
 	Info     *types.Info
-	Prog     *Program // whole-run directive index and static callgraph
+	Prog     *Program // whole-run //rollvet:pooled index
 
 	check  string
 	report func(Diagnostic)
@@ -101,20 +94,7 @@ type Analyzer struct {
 }
 
 // All is the full rollvet suite in reporting order.
-var All = []*Analyzer{
-	SimTime, DetRand, MapOrder, Goroutine, WireSync,
-	PoolEscape, HotAlloc, StableWrite, KindSwitch,
-}
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
+var All = []*Analyzer{SimTime, DetRand, MapOrder, Goroutine, PoolEscape, StableWrite}
 
 // detPackages are the packages whose event handlers must be deterministic:
 // they run identically during live execution and replay, so any order or
@@ -149,8 +129,8 @@ func CheckPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // finding is returned, suppressed ones flagged rather than dropped, so
 // machine-readable consumers (cmd/rollvet -json) can expose the full
 // picture. The whole package set is indexed once into a shared Program
-// (pooled/hotpath directives plus the static callgraph) before any
-// analyzer runs, so the dataflow checks see cross-package annotations.
+// (the //rollvet:pooled types) before any analyzer runs, so poolescape sees
+// annotations made in other packages.
 func CheckPackagesAll(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {

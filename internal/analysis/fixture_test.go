@@ -123,25 +123,12 @@ func TestGoroutineFixtures(t *testing.T) {
 	runFixture(t, "goroutine/plainpkg")
 }
 
-func TestWireSyncFixtures(t *testing.T) {
-	runFixture(t, "wiresync/good")
-	runFixture(t, "wiresync/bad")
-}
-
 func TestPoolEscapeFixtures(t *testing.T) {
 	runFixture(t, "poolescape/arena")
 }
 
-func TestHotAllocFixtures(t *testing.T) {
-	runFixture(t, "hotalloc/hot")
-}
-
 func TestStableWriteFixtures(t *testing.T) {
 	runFixture(t, "stablewrite/wire")
-}
-
-func TestKindSwitchFixtures(t *testing.T) {
-	runFixture(t, "kindswitch/wire")
 }
 
 // TestInertSuppressions checks the stale-allow and unknown-directive
@@ -185,17 +172,5 @@ func TestMalformedSuppressions(t *testing.T) {
 	}
 	if len(msgs) != 0 {
 		t.Errorf("unexpected extra findings: %v", msgs)
-	}
-}
-
-// TestByName keeps the CLI's -list mapping honest.
-func TestByName(t *testing.T) {
-	for _, a := range All {
-		if ByName(a.Name) != a {
-			t.Errorf("ByName(%q) does not round-trip", a.Name)
-		}
-	}
-	if ByName("nosuch") != nil {
-		t.Error("ByName must return nil for unknown checks")
 	}
 }

@@ -72,7 +72,7 @@ func TestJSONDeterminism(t *testing.T) {
 
 // TestJSONRelativizesPaths checks WriteJSON trims the module root prefix.
 func TestJSONRelativizesPaths(t *testing.T) {
-	pkg := loadFixture(t, filepath.Join("testdata", "src", "kindswitch", "wire"))
+	pkg := loadFixture(t, filepath.Join("testdata", "src", "stablewrite", "wire"))
 	root, err := ModuleRoot(".")
 	if err != nil {
 		t.Fatalf("ModuleRoot: %v", err)
@@ -85,7 +85,7 @@ func TestJSONRelativizesPaths(t *testing.T) {
 	if strings.Contains(out, filepath.ToSlash(root)) {
 		t.Errorf("output still contains the absolute module root %q:\n%s", root, out)
 	}
-	if !strings.Contains(out, "testdata/src/kindswitch/wire/wire.go") {
+	if !strings.Contains(out, "testdata/src/stablewrite/wire/wire.go") {
 		t.Errorf("expected root-relative fixture path in output:\n%s", out)
 	}
 }

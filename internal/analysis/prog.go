@@ -7,32 +7,21 @@ import (
 	"strings"
 )
 
-// Source annotations read by the dataflow-capable checks. Unlike
-// //rollvet:allow these are not suppressions — they *opt code in* to
-// stricter invariants:
-//
-//	//rollvet:pooled   on a type declaration: values of this type live in a
-//	                   recycled pool/arena; pointers to them must not escape
-//	                   the handler that obtained them (check poolescape).
-//	//rollvet:hotpath  on a function declaration: this function and every
-//	                   function it statically calls must be allocation-free
-//	                   (check hotalloc).
-//
-// Both markers go in the doc comment of the declaration they annotate.
-const (
-	pooledMarker  = "rollvet:pooled"
-	hotpathMarker = "rollvet:hotpath"
-)
+// pooledMarker, in the doc comment of a type declaration, opts the type in
+// to poolescape: its values live in a recycled pool/arena, so pointers to
+// them must not escape the handler that obtained them. Unlike
+// //rollvet:allow it is not a suppression.
+const pooledMarker = "rollvet:pooled"
 
-// hasDirective reports whether the comment group carries the given marker
-// as a standalone //rollvet:<name> line (optionally followed by prose).
-func hasDirective(groups []*ast.CommentGroup, marker string) bool {
+// isPooled reports whether one of the comment groups carries the marker as
+// a standalone //rollvet:pooled line (optionally followed by prose).
+func isPooled(groups ...*ast.CommentGroup) bool {
 	for _, g := range groups {
 		if g == nil {
 			continue
 		}
 		for _, c := range g.List {
-			text, ok := strings.CutPrefix(c.Text, "//"+marker)
+			text, ok := strings.CutPrefix(c.Text, "//"+pooledMarker)
 			if ok && (text == "" || text[0] == ' ' || text[0] == '\t') {
 				return true
 			}
@@ -41,93 +30,35 @@ func hasDirective(groups []*ast.CommentGroup, marker string) bool {
 	return false
 }
 
-// funcBody locates the syntax of one module function.
-type funcBody struct {
-	pkg  *Package
-	decl *ast.FuncDecl
-}
-
 // Program is the whole-module view shared by every Pass of one
-// CheckPackages run: the directive index (pooled types, hotpath roots) and
-// a static callgraph over the loaded packages. Calls into packages outside
-// the analyzed set (the standard library, or module packages excluded by
-// the load patterns) are leaves: they are recorded as edges but never
-// traversed, so dynamic dispatch through interfaces and function values
-// bounds the reachable set instead of exploding it.
+// CheckPackages run: the //rollvet:pooled types of every loaded package.
 type Program struct {
 	pooled map[*types.TypeName]bool
-	roots  []*types.Func // //rollvet:hotpath functions, source order
-	decls  map[*types.Func]funcBody
-	calls  map[*types.Func][]*types.Func
-
-	hot map[*types.Func]*types.Func // hot function -> the root that reaches it
 }
 
-// buildProgram indexes directives and the callgraph over pkgs. pkgs must be
-// in a deterministic order (Load returns them sorted by import path), which
-// makes root order — and therefore hot-set attribution — deterministic.
+// buildProgram indexes the pooled types declared in pkgs.
 func buildProgram(pkgs []*Package) *Program {
-	pr := &Program{
-		pooled: make(map[*types.TypeName]bool),
-		decls:  make(map[*types.Func]funcBody),
-		calls:  make(map[*types.Func][]*types.Func),
-	}
+	pr := &Program{pooled: make(map[*types.TypeName]bool)}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					obj, ok := pkg.Info.Defs[d.Name].(*types.Func)
-					if !ok {
+				d, ok := decl.(*ast.GenDecl)
+				if !ok || d.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || !isPooled(d.Doc, ts.Doc, ts.Comment) {
 						continue
 					}
-					pr.decls[obj] = funcBody{pkg: pkg, decl: d}
-					if hasDirective([]*ast.CommentGroup{d.Doc}, hotpathMarker) {
-						pr.roots = append(pr.roots, obj)
-					}
-					if d.Body != nil {
-						pr.calls[obj] = collectCallees(pkg.Info, d.Body)
-					}
-				case *ast.GenDecl:
-					if d.Tok != token.TYPE {
-						continue
-					}
-					for _, spec := range d.Specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						if !hasDirective([]*ast.CommentGroup{d.Doc, ts.Doc, ts.Comment}, pooledMarker) {
-							continue
-						}
-						if obj, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
-							pr.pooled[obj] = true
-						}
+					if obj, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
+						pr.pooled[obj] = true
 					}
 				}
 			}
 		}
 	}
 	return pr
-}
-
-// collectCallees returns the statically resolvable callees of body, in
-// first-occurrence order, deduplicated.
-func collectCallees(info *types.Info, body *ast.BlockStmt) []*types.Func {
-	var out []*types.Func
-	seen := make(map[*types.Func]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := calleeOf(info, call); fn != nil && !seen[fn] {
-			seen[fn] = true
-			out = append(out, fn)
-		}
-		return true
-	})
-	return out
 }
 
 // calleeOf resolves a call to the *types.Func it statically invokes:
@@ -155,40 +86,6 @@ func unparen(e ast.Expr) ast.Expr {
 		}
 		e = p.X
 	}
-}
-
-// hotFuncs returns every function reachable from a //rollvet:hotpath root
-// through the static callgraph (the roots included), mapped to the first
-// root that reaches it. Built once per Program, on first use.
-func (pr *Program) hotFuncs() map[*types.Func]*types.Func {
-	if pr.hot != nil {
-		return pr.hot
-	}
-	pr.hot = make(map[*types.Func]*types.Func)
-	var queue []*types.Func
-	for _, r := range pr.roots {
-		if _, ok := pr.hot[r]; ok {
-			continue
-		}
-		pr.hot[r] = r
-		queue = append(queue, r)
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		root := pr.hot[fn]
-		for _, callee := range pr.calls[fn] {
-			if _, ok := pr.hot[callee]; ok {
-				continue
-			}
-			if _, hasBody := pr.decls[callee]; !hasBody {
-				continue // leaf: no syntax to scan or traverse
-			}
-			pr.hot[callee] = root
-			queue = append(queue, callee)
-		}
-	}
-	return pr.hot
 }
 
 // pooledPtrElem returns the pooled type name when t is a pointer to a

@@ -6,8 +6,9 @@ import "testing"
 // root package and everything under internal/ — so plain `go test ./...`
 // (the tier-1 gate) fails the moment a change reintroduces wall-clock
 // reads, global randomness, order-leaking map iteration, stray goroutines,
-// or a wire.Kind table mismatch. cmd/ and examples/ are covered by the
-// `make lint` / CI invocation of `go run ./cmd/rollvet ./...`.
+// escaping arena pointers or unchecked stable writes. cmd/ and examples/
+// are covered by the `make lint` / CI invocation of
+// `go run ./cmd/rollvet ./...`.
 func TestRepoInvariants(t *testing.T) {
 	pkgs, err := Load("../..", []string{".", "./internal/..."})
 	if err != nil {

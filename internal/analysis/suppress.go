@@ -20,9 +20,9 @@ const allowMarker = "rollvet:allow"
 
 // directivePrefix is the common stem of every rollvet source directive.
 // Any comment starting with it must parse as one of the known directives
-// (allow, pooled, hotpath); a typo like //rollvet:allowsimtime or
-// //rollvet:hotpth would otherwise be silently inert — or worse, silently
-// honored as a different directive than the author intended.
+// (allow, pooled); a typo like //rollvet:allowsimtime or //rollvet:poold
+// would otherwise be silently inert — or worse, silently honored as a
+// different directive than the author intended.
 const directivePrefix = "//rollvet:"
 
 // allowEntry is one well-formed suppression, tracked so that suppressions
@@ -138,10 +138,10 @@ func collectSuppressions(pkg *Package, known map[string]bool) (*allowSet, []Diag
 					default:
 						allows.add(pkg.Fset.Position(c.Pos()), check)
 					}
-				case "pooled", "hotpath":
-					// Annotation directives consumed by buildProgram.
+				case "pooled":
+					// The annotation buildProgram consumes.
 				default:
-					bad(c, "unknown rollvet directive %q; known directives are allow, pooled, hotpath",
+					bad(c, "unknown rollvet directive %q; known directives are allow, pooled",
 						directivePrefix+word)
 				}
 			}

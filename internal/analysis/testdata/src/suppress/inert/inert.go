@@ -14,8 +14,11 @@ func mistyped() time.Time {
 	return time.Now() // want "time.Now reads the wall clock"
 }
 
-//rollvet:hotpth // want "unknown rollvet directive"
+//rollvet:poold // want "unknown rollvet directive"
 func typoedAnnotation() int { return sequence }
+
+//rollvet:hotpath // want "unknown rollvet directive"
+func retiredAnnotation() int { return sequence }
 
 func live() time.Time {
 	return time.Now() //rollvet:allow simtime -- fixture demonstrates a live allow

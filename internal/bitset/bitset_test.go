@@ -271,12 +271,11 @@ func TestQuickElemsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHotOpsDoNotAllocate pins the invariant the //rollvet:hotpath callers
+// TestHotOpsAllocs pins the invariant the determinant log's per-event paths
 // rely on: once a set has grown to cover its element universe, the
-// operations on the determinant hot path are allocation-free. Add's growth
-// append carries the matching //rollvet:allow hotalloc and is exercised
-// separately above.
-func TestHotOpsDoNotAllocate(t *testing.T) {
+// operations on them are allocation-free. Growth itself is
+// TestGrowthSingleAllocation's.
+func TestHotOpsAllocs(t *testing.T) {
 	a := FromSlice([]int{1, 63, 64, 200})
 	b := FromSlice([]int{2, 63, 199, 200})
 	sink := false

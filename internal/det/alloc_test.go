@@ -22,10 +22,9 @@ func pendingLog(cfg Config, n int) *Log {
 	return l
 }
 
-// TestHotPathAllocs is the runtime face of the //rollvet:hotpath
-// annotations in this package: recording into a warm slab, adding a holder,
-// reading the pending set and a selection scan — which offers views into
-// the slab, not copies — allocate nothing.
+// TestHotPathAllocs: the log's per-event operations — recording into a warm
+// slab, adding a holder, reading the pending set and a selection scan, which
+// offers views into the slab, not copies — allocate nothing.
 func TestHotPathAllocs(t *testing.T) {
 	cfg := Config{N: 32, F: 1}
 	const live = 512

@@ -255,7 +255,6 @@ func (l *Log) Stats() Stats {
 func extend[T any](chunks [][]T, i, per int) [][]T {
 	c, j := i>>chunkBits, i&chunkMask
 	if c == len(chunks) {
-		//rollvet:allow hotalloc -- one slice header per chunk of 256 slots
 		chunks = append(chunks, nil)
 	}
 	if j*per == len(chunks[c]) {
@@ -263,7 +262,6 @@ func extend[T any](chunks [][]T, i, per int) [][]T {
 		if c == 0 {
 			size = max(1, 2*j) // 1, 2, 4, …, chunkSize
 		}
-		//rollvet:allow hotalloc -- slab growth, a chunk at a time; collected slots are reused through the free list
 		grown := make([]T, size*per)
 		copy(grown, chunks[c])
 		chunks[c] = grown
@@ -338,7 +336,6 @@ func (l *Log) find(id ids.MsgID) int32 {
 // half full.
 func (l *Log) index(i int32) {
 	if 2*l.Len() > len(l.table) {
-		//rollvet:allow hotalloc -- table doubling is amortized over the inserts that filled it
 		l.table = make([]int32, max(16, 2*len(l.table)))
 		l.shift = uint(64 - bits.TrailingZeros(uint(len(l.table))))
 		for _, lst := range [2]list{l.pending, l.settled} {
@@ -591,8 +588,6 @@ func (l *Log) Record(e Entry) error { return l.RecordHeld(e, ids.Nobody) }
 // RecordHeld is Record with process also added to the entry's holders: the
 // absorbing process itself, which now stores the receipt order too. The
 // entry is copied into the slab; e.Holders is neither kept nor modified.
-//
-//rollvet:hotpath
 func (l *Log) RecordHeld(e Entry, also ids.ProcID) error {
 	d := e.Det
 	if d.RSN == 0 || !l.delivers(d.Receiver) {
@@ -670,8 +665,6 @@ func (l *Log) modified(i int32) {
 }
 
 // AddHolder marks process p as holding the determinant of msg, if known.
-//
-//rollvet:hotpath
 func (l *Log) AddHolder(msg ids.MsgID, p ids.ProcID) {
 	if i := l.find(msg); i >= 0 && l.union(i, bitset.Set{}, p) {
 		l.modified(i)
@@ -720,8 +713,6 @@ func (l *Log) StableOrGone(msg ids.MsgID) bool {
 // materialised in the log's scratch (bitset.View): the next entry offered
 // overwrites it and nothing else does, so fn reads it or copies what it
 // keeps. fn must not modify the log.
-//
-//rollvet:hotpath
 func (l *Log) scan(lst list, since int, fn func(Entry)) {
 	first := int32(none)
 	for i := lst.tail; i >= 0; {
@@ -765,8 +756,6 @@ func (l *Log) ScanModified(since int, fn func(Entry)) int {
 
 // PendingIDs invokes fn with the id of every non-stable entry. Unlike
 // Pending it clones and sorts nothing.
-//
-//rollvet:hotpath
 func (l *Log) PendingIDs(fn func(ids.MsgID)) {
 	for i := l.pending.head; i >= 0; {
 		s := l.at(i)

@@ -423,8 +423,6 @@ func (p *Process) pruneSendLog(q ids.ProcID, wm uint64) {
 
 // absorbDets merges piggybacked determinant entries and marks ourselves as
 // a holder of each (we now store the receipt order in our volatile log).
-//
-//rollvet:hotpath
 func (p *Process) absorbDets(entries []det.Entry) {
 	self := p.env.ID()
 	for _, en := range entries {
@@ -500,8 +498,6 @@ func (p *Process) consume(e *wire.Envelope, forcedRSN ids.RSN) {
 // learnIncarnation records a newer incarnation of q and invalidates the
 // piggyback estimate for it: a reincarnated process lost its volatile
 // determinant log, so nothing can be assumed already held there.
-//
-//rollvet:hotpath
 func (p *Process) learnIncarnation(q ids.ProcID, inc ids.Incarnation) {
 	if p.incVec.Bump(q, inc) {
 		if q >= 0 && int(q) < p.n {

@@ -98,8 +98,6 @@ func NewProc() *Proc {
 }
 
 // Sent records an outgoing frame of the given kind and size.
-//
-//rollvet:hotpath
 func (p *Proc) Sent(kind uint8, bytes int) {
 	if int(kind) < maxKinds {
 		p.MsgsSent[kind]++
@@ -108,8 +106,6 @@ func (p *Proc) Sent(kind uint8, bytes int) {
 }
 
 // Received records an inbound frame delivered to the process.
-//
-//rollvet:hotpath
 func (p *Proc) Received(kind uint8, bytes int) {
 	if int(kind) < maxKinds {
 		p.MsgsRecv[kind]++
@@ -157,8 +153,6 @@ func (p *Proc) StorageOp(write bool, bytes int, took time.Duration) {
 
 // OutputCommit records the request→commit latency of one externally-
 // visible output released by this process.
-//
-//rollvet:hotpath
 func (p *Proc) OutputCommit(took time.Duration) {
 	p.OutputHist.Record(took)
 }

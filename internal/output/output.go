@@ -94,15 +94,12 @@ func (l *Ledger) procRecs(proc ids.ProcID) []Record {
 }
 
 // Requested implements Sink.
-//
-//rollvet:hotpath
 func (l *Ledger) Requested(proc ids.ProcID, seq uint64, now int64, payload []byte) bool {
 	rs := l.procRecs(proc)
 	if seq == 0 || seq > uint64(len(rs))+1 {
 		panic(fmt.Sprintf("output: proc %d requested seq %d with %d recorded", proc, seq, len(rs)))
 	}
 	if seq == uint64(len(rs))+1 {
-		//rollvet:allow hotalloc -- per-process record growth is amortized append-only history
 		l.recs[proc] = append(rs, Record{
 			Proc: proc, Seq: seq, RequestedAt: now,
 			Size: len(payload), Hash: hash(payload),
@@ -126,8 +123,6 @@ func (l *Ledger) Requested(proc ids.ProcID, seq uint64, now int64, payload []byt
 }
 
 // Committed implements Sink.
-//
-//rollvet:hotpath
 func (l *Ledger) Committed(proc ids.ProcID, seq uint64, now int64) {
 	rs := l.procRecs(proc)
 	if seq == 0 || seq > uint64(len(rs)) {
@@ -146,8 +141,6 @@ func (l *Ledger) Committed(proc ids.ProcID, seq uint64, now int64) {
 }
 
 // CommitUpTo implements Sink.
-//
-//rollvet:hotpath
 func (l *Ledger) CommitUpTo(proc ids.ProcID, seq uint64, now int64) {
 	rs := l.procRecs(proc)
 	if seq > uint64(len(rs)) {
@@ -187,8 +180,6 @@ func (l *Ledger) OpenOf(proc ids.ProcID) int { return l.open[proc] }
 // backlog-age series: commit rules release outputs roughly in request
 // order, so this age sits near the steady-state commit latency while the
 // rule can fire and climbs linearly from the moment a failure freezes it.
-//
-//rollvet:hotpath
 func (l *Ledger) OldestOpenOf(proc ids.ProcID) int64 {
 	for _, r := range l.procRecs(proc) {
 		if !r.Committed() {

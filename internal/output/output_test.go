@@ -142,22 +142,35 @@ func TestLedgerPanicsOnProtocolBugs(t *testing.T) {
 }
 
 // TestCommitAllocs gates the hot path alongside the kernel AllocsPerRun
-// gates in CI: committing an already-requested output must not allocate
-// (it runs from the per-delivery protocol path).
+// gates in CI: every Sink call and the sampler's OldestOpenOf run from the
+// per-delivery protocol path, so none may allocate once the history's
+// backing array has grown (the warm Requested below).
 func TestCommitAllocs(t *testing.T) {
 	l := NewLedger(1)
 	m := metrics.NewProc()
 	l.SetMetrics(func(ids.ProcID) *metrics.Proc { return m })
 	const n = 1000
-	for s := uint64(1); s <= n; s++ {
-		l.Requested(0, s, int64(s), nil)
+	l.recs[0] = make([]Record, 0, n)
+	payload := []byte("out")
+	var requested, committed uint64
+	var sink int64
+	for _, step := range []struct {
+		name string
+		runs int // AllocsPerRun calls op runs+1 times
+		op   func()
+	}{
+		{"Requested (warm)", n - 1, func() { requested++; l.Requested(0, requested, int64(requested), payload) }},
+		{"Requested (open again)", 10, func() { l.Requested(0, n, int64(n), payload) }},
+		{"Committed", n/2 - 1, func() { committed++; l.Committed(0, committed, int64(committed)+5) }},
+		{"OldestOpenOf", 10, func() { sink += l.OldestOpenOf(0) }},
+		{"CommitUpTo", n/2 - 1, func() { committed++; l.CommitUpTo(0, committed, int64(committed)+5) }},
+		{"Requested (committed again)", 10, func() { l.Requested(0, 1, int64(n), payload) }},
+	} {
+		if avg := testing.AllocsPerRun(step.runs, step.op); avg != 0 {
+			t.Errorf("%s allocates %.1f per op", step.name, avg)
+		}
 	}
-	seq := uint64(0)
-	avg := testing.AllocsPerRun(n-1, func() {
-		seq++
-		l.Committed(0, seq, int64(seq)+5)
-	})
-	if avg != 0 {
-		t.Fatalf("Committed allocates %.1f per op", avg)
+	if l.Total() != n || l.Open() != 0 || sink != 11*(n/2+1) { // 11 reads of seq n/2+1's request time
+		t.Fatalf("setup: %d requested, %d open, oldest-open sum %d", l.Total(), l.Open(), sink)
 	}
 }

@@ -179,20 +179,20 @@ func BenchmarkKernelTimerChurn(b *testing.B) {
 // ── allocation assertions ──────────────────────────────────────────────
 
 // flatAllocsPerEvent measures steady-state allocations per scheduled-and-
-// dispatched event on the flat scheduler.
-func flatAllocsPerEvent() float64 {
+// dispatched event on the flat scheduler, each enqueued by schedule.
+func flatAllocsPerEvent(schedule func(k *Kernel, ns *nodeState, at int64, fn func())) float64 {
 	k := New(Config{Seed: 1, HW: hwFast()})
 	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	k.Boot()
 	ns := k.find(0)
 	fn := func() { benchSink++ }
 	for i := 0; i < batchSize; i++ {
-		k.scheduleExec(k.now+int64(i), ns, ns.epoch, fn)
+		schedule(k, ns, k.now+int64(i), fn)
 	}
 	k.Run(time.Duration(k.now + batchSize))
 	return testing.AllocsPerRun(50, func() {
 		for i := 0; i < batchSize; i++ {
-			k.scheduleExec(k.now+1, ns, ns.epoch, fn)
+			schedule(k, ns, k.now+1, fn)
 		}
 		k.Run(time.Duration(k.now + batchSize))
 	}) / batchSize
@@ -217,7 +217,7 @@ func baselineAllocsPerEvent() float64 {
 // flat scheduler must stay allocation-free in steady state, and in
 // particular at least 2× below the container/heap baseline it replaced.
 func TestScheduleDeliverAllocs(t *testing.T) {
-	flat := flatAllocsPerEvent()
+	flat := flatAllocsPerEvent(func(k *Kernel, ns *nodeState, at int64, fn func()) { k.scheduleExec(at, ns, ns.epoch, fn) })
 	base := baselineAllocsPerEvent()
 	t.Logf("allocs/event: flat=%.3f baseline=%.3f", flat, base)
 	if flat != 0 {
@@ -228,6 +228,10 @@ func TestScheduleDeliverAllocs(t *testing.T) {
 	}
 	if 2*flat > base {
 		t.Errorf("flat scheduler must allocate at least 2x less than the baseline: flat=%.3f baseline=%.3f", flat, base)
+	}
+	// The generic callback event: harness At callbacks, stable-write completions.
+	if got := flatAllocsPerEvent(func(k *Kernel, _ *nodeState, at int64, fn func()) { k.schedule(at, fn) }); got != 0 {
+		t.Errorf("callback events allocate %.3f/event in steady state, want 0", got)
 	}
 }
 

@@ -297,7 +297,6 @@ func (k *Kernel) alloc() int32 {
 		k.free = k.slots[i].next
 		return i
 	}
-	//rollvet:allow hotalloc -- arena growth is amortized and bounded by peak queue depth; the AllocsPerRun gate measures the steady state
 	k.slots = append(k.slots, event{})
 	return int32(len(k.slots) - 1)
 }
@@ -383,7 +382,6 @@ func (k *Kernel) siftDown(i int) {
 // push enqueues a filled slot.
 func (k *Kernel) push(i int32) {
 	k.slots[i].pos = int32(len(k.heap))
-	//rollvet:allow hotalloc -- heap growth is amortized and bounded by peak queue depth; steady state reuses the backing array
 	k.heap = append(k.heap, i)
 	k.siftUp(len(k.heap) - 1)
 }
@@ -419,7 +417,6 @@ func (k *Kernel) remove(pos int32) {
 // pushCredit records a cancelled event's deadline (binary min-heap by
 // (at, seq)).
 func (k *Kernel) pushCredit(c credit) {
-	//rollvet:allow hotalloc -- credit-heap growth is amortized and bounded by the number of simultaneously cancelled timers
 	k.cancelled = append(k.cancelled, c)
 	i := len(k.cancelled) - 1
 	for i > 0 {
@@ -466,8 +463,6 @@ func creditLess(a, b credit) bool {
 // schedule enqueues a generic callback; past times clamp to "now" (the
 // only clamp point — At and the typed schedulers all funnel through
 // newEvent).
-//
-//rollvet:hotpath
 func (k *Kernel) schedule(at int64, fn func()) {
 	i := k.newEvent(at)
 	s := &k.slots[i]
@@ -478,8 +473,6 @@ func (k *Kernel) schedule(at int64, fn func()) {
 
 // scheduleExec enqueues an epoch-guarded callback on ns (timer fires and
 // storage completions) without allocating a wrapper closure.
-//
-//rollvet:hotpath
 func (k *Kernel) scheduleExec(at int64, ns *nodeState, epoch uint64, fn func()) int32 {
 	i := k.newEvent(at)
 	s := &k.slots[i]
@@ -493,8 +486,6 @@ func (k *Kernel) scheduleExec(at int64, ns *nodeState, epoch uint64, fn func()) 
 
 // scheduleArrive enqueues a frame arrival (ns nil for unregistered
 // destinations, preserved so the event count matches the send schedule).
-//
-//rollvet:hotpath
 func (k *Kernel) scheduleArrive(at int64, ns *nodeState, frame []byte, sentAt int64) {
 	i := k.newEvent(at)
 	s := &k.slots[i]
@@ -808,8 +799,6 @@ func (k *Kernel) deliver(ns *nodeState, frame []byte, epoch uint64) {
 
 // exec runs fn when the process is free, dropping it if the process
 // instance it belongs to has since crashed.
-//
-//rollvet:hotpath
 func (ns *nodeState) exec(epoch uint64, fn func()) {
 	if ns.epoch != epoch || !ns.up {
 		return
@@ -824,7 +813,6 @@ func (ns *nodeState) exec(epoch uint64, fn func()) {
 // deferItem appends to the FIFO deferral queue and makes sure a wake event
 // is pending at the time the node becomes free.
 func (ns *nodeState) deferItem(it defItem) {
-	//rollvet:allow hotalloc -- queue growth is amortized and bounded by the peak deferred backlog; the drained queue's backing array is reused
 	ns.defq = append(ns.defq, it)
 	ns.armWake()
 }
@@ -889,8 +877,6 @@ func (k *Kernel) wake(ns *nodeState, epoch uint64) {
 // from the heap and its slot recycled immediately (stopped timers hold no
 // queue space), while the deadline is credited to the processed-event totals
 // so event accounting matches a scheduler without cancellation.
-//
-//rollvet:hotpath
 func (k *Kernel) CancelTimer(slot int32, gen uint64) {
 	s := &k.slots[slot]
 	if s.gen != gen {

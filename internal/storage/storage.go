@@ -84,8 +84,6 @@ type Image struct {
 
 // Size is the image's logical length in bytes, padding included: what a
 // disk would transfer.
-//
-//rollvet:hotpath
 func (im Image) Size() int { return len(im.Data) + im.Pad }
 
 // Store is a crash-surviving key-value store for one process. It survives
@@ -122,19 +120,13 @@ func (s *Store) Get(key string) (Image, bool) {
 func (s *Store) Delete(key string) { delete(s.data, key) }
 
 // Size returns the logical size of key's image, or 0.
-//
-//rollvet:hotpath
 func (s *Store) Size(key string) int { return s.data[key].Size() }
 
 // Len returns the number of stored keys.
-//
-//rollvet:hotpath
 func (s *Store) Len() int { return len(s.data) }
 
 // Bytes returns the total logical size of the stored images: the
 // stable-storage footprint gauge the timeline sampler reads.
-//
-//rollvet:hotpath
 func (s *Store) Bytes() int64 {
 	var total int64
 	for _, v := range s.data {

