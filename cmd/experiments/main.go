@@ -27,7 +27,6 @@ import (
 	"rollrec/internal/experiments"
 	"rollrec/internal/timeline"
 	"rollrec/internal/trace"
-	"rollrec/internal/wire"
 )
 
 var registry = []struct {
@@ -174,19 +173,12 @@ func writeTimelines(ctx context.Context, dir string, seed int64, every, crashAt,
 			e.Meta.Label, base, len(e.Ticks), len(e.Markers))
 		return nil
 	}
-	for _, tl := range experiments.D11Timelines(ctx, seed, every, crashAt, horizon) {
+	for _, tl := range append(experiments.D11Timelines(ctx, seed, every, crashAt, horizon),
+		experiments.D12Timelines(ctx, seed, every, crashAt, horizon)...) {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if err := write(filepath.Join(dir, "timeline_D11_"+tl.Style), tl.Export); err != nil {
-			return err
-		}
-	}
-	for _, tl := range experiments.D12Timelines(ctx, seed, every, crashAt, horizon) {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if err := write(filepath.Join(dir, "timeline_D12_"+tl.Style), tl.Export); err != nil {
+		if err := write(filepath.Join(dir, "timeline_"+tl.ID+"_"+tl.Style), tl.Export); err != nil {
 			return err
 		}
 	}
@@ -198,10 +190,7 @@ func writeChromeFile(path string, rec *trace.Recorder) error {
 	if err != nil {
 		return err
 	}
-	opts := trace.ChromeOptions{
-		KindName: func(k uint8) string { return wire.Kind(k).String() },
-	}
-	if err := trace.WriteChrome(f, rec.Events(), opts); err != nil {
+	if err := trace.WriteChrome(f, rec.Events()); err != nil {
 		f.Close()
 		return err
 	}

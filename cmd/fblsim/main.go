@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"rollrec/internal/cluster"
+	"rollrec/internal/experiments"
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
 	"rollrec/internal/metrics"
@@ -66,6 +67,9 @@ func main() {
 	}
 	app, err := parseApp(*appF)
 	if err != nil {
+		fatal(err)
+	}
+	if err := cluster.ValidateN(*n); err != nil {
 		fatal(err)
 	}
 	plan, err := parseCrashes(*crash, *n)
@@ -117,12 +121,12 @@ func main() {
 	for i := 0; i < *n; i++ {
 		p := ids.ProcID(i)
 		m := c.Metrics(p)
-		sent, _ := m.TotalSent(false, uint8(wire.KindApp))
+		sent, _ := m.TotalSent()
 		rec, gather, replay := "-", "-", "-"
-		if tr := m.CurrentRecovery(); tr != nil && tr.ReplayedAt != 0 {
-			rec = metrics.FmtDuration(time.Duration(tr.ReplayedAt - tr.CrashedAt))
-			gather = metrics.FmtDuration(time.Duration(tr.GatheredAt - tr.RestoredAt))
-			replay = metrics.FmtDuration(time.Duration(tr.ReplayedAt - tr.GatheredAt))
+		if b := experiments.BreakdownOf(m.CurrentRecovery()); b.Total != 0 {
+			rec = metrics.FmtDuration(b.Total)
+			gather = metrics.FmtDuration(b.Gather)
+			replay = metrics.FmtDuration(b.Replay)
 		}
 		fmt.Printf("%-5s %-10d %-9d %-9s %-9s %-10s %-10s %-9s\n",
 			p, m.Delivered, sent, metrics.FmtDuration(m.BlockedTotal()),
@@ -166,11 +170,8 @@ func main() {
 	}
 
 	if rec != nil {
-		opts := trace.ChromeOptions{
-			KindName: func(k uint8) string { return wire.Kind(k).String() },
-		}
 		if *eventlog {
-			if err := trace.WriteText(os.Stderr, rec.Events(), opts); err != nil {
+			if err := trace.WriteText(os.Stderr, rec.Events()); err != nil {
 				fatal(err)
 			}
 		}
@@ -182,7 +183,7 @@ func main() {
 			}
 		}
 		if *traceOut != "" {
-			if err := writeChromeFile(*traceOut, rec, opts); err != nil {
+			if err := writeChromeFile(*traceOut, rec); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("\ntrace: %d events written to %s (open in ui.perfetto.dev)\n",
@@ -246,6 +247,9 @@ func parseCrashes(s string, n int) (failure.Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad crash time %q: %w", at, err)
 		}
+		if d < 0 {
+			return nil, fmt.Errorf("bad crash time %q: negative", at)
+		}
 		p, err := strconv.Atoi(pid)
 		if err != nil || p < 0 || p >= n {
 			return nil, fmt.Errorf("bad crash pid %q", pid)
@@ -255,12 +259,12 @@ func parseCrashes(s string, n int) (failure.Plan, error) {
 	return plan, nil
 }
 
-func writeChromeFile(path string, rec *trace.Recorder, opts trace.ChromeOptions) error {
+func writeChromeFile(path string, rec *trace.Recorder) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteChrome(f, rec.Events(), opts); err != nil {
+	if err := trace.WriteChrome(f, rec.Events()); err != nil {
 		f.Close()
 		return err
 	}

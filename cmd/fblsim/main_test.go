@@ -29,9 +29,29 @@ func TestParseCrashes(t *testing.T) {
 	if p, err := parseCrashes("", 8); err != nil || p != nil {
 		t.Fatal("empty schedule must parse to nil")
 	}
-	for _, bad := range []string{"10s", "xx:1", "10s:9", "10s:-1", "10s:abc"} {
+	for _, bad := range []string{"10s", "xx:1", "10s:9", "10s:-1", "10s:abc", "-1s:1"} {
 		if _, err := parseCrashes(bad, 8); err == nil {
 			t.Errorf("parseCrashes(%q) must error", bad)
 		}
 	}
+}
+
+// FuzzParseCrashes: whatever the flag says, parsing never panics, and every
+// entry it accepts can be run: at or after time zero, on a process of the
+// cluster.
+func FuzzParseCrashes(f *testing.F) {
+	for _, s := range []string{"10s:3, 14.5s:5", "", "-1s:1", "10s:-1", "1h:0,0s:7", "xx:1", ":", ",,"} {
+		f.Add(s, 8)
+	}
+	f.Fuzz(func(t *testing.T, s string, n int) {
+		plan, err := parseCrashes(s, n)
+		if err != nil {
+			return
+		}
+		for _, cr := range plan {
+			if cr.At < 0 || cr.Proc < 0 || int(cr.Proc) >= n {
+				t.Fatalf("parseCrashes(%q, %d) accepted %+v", s, n, cr)
+			}
+		}
+	})
 }

@@ -302,9 +302,9 @@ func (c *Cluster) Run(until time.Duration) { c.K.Run(until) }
 
 // RunContext advances virtual time to the given instant since start,
 // stopping early when ctx is done. It returns the number of simulator
-// events processed — the deterministic cost of simulating the scenario,
-// which the bench harness reports as sim_events — and ctx's error if the
-// run was cut short.
+// events dispatched — the deterministic cost of simulating the scenario,
+// which the bench harness reports as sim_events; a stopped timer is not one —
+// and ctx's error if the run was cut short.
 func (c *Cluster) RunContext(ctx context.Context, until time.Duration) (int64, error) {
 	return c.K.RunContext(ctx, until)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -205,6 +206,26 @@ func checkGolden(t *testing.T, c *Cluster, lt *laneTracer) {
 func TestGoldenTraceHash(t *testing.T) {
 	c, lt := goldenRun(0)
 	checkGolden(t, c, lt)
+}
+
+// TestRunCountsDispatchedEvents: the kernel has one event count. In the
+// golden scenario the two recoveries stop their retry and replay timers, and
+// still the Run returns of a one-shard cluster sum to Kernel.Steps(): a
+// stopped timer is not an event.
+func TestRunCountsDispatchedEvents(t *testing.T) {
+	c := New(goldenConfig(nil))
+	c.ApplyPlan(goldenPlan())
+	var sum int64
+	for until := time.Second; until <= goldenHorizon; until += time.Second {
+		n, err := c.RunContext(context.Background(), until)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += n
+	}
+	if steps := c.Kernel().Steps(); sum != steps {
+		t.Fatalf("Run returns sum to %d events, Kernel.Steps() = %d", sum, steps)
+	}
 }
 
 // TestShardedGoldenTraceHash runs the same scenario on 1, 2 and 4 shards: the

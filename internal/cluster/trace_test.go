@@ -103,7 +103,7 @@ func TestTraceChromeExport(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := trace.WriteChrome(&buf, rec.Events(), trace.ChromeOptions{}); err != nil {
+	if err := trace.WriteChrome(&buf, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -177,7 +177,7 @@ func TestTextLogShardInvariant(t *testing.T) {
 					t.Fatalf("ring dropped %d events", rec.Dropped())
 				}
 				var buf bytes.Buffer
-				if err := trace.WriteText(&buf, rec.Events(), trace.ChromeOptions{}); err != nil {
+				if err := trace.WriteText(&buf, rec.Events()); err != nil {
 					t.Fatal(err)
 				}
 				if first == nil {

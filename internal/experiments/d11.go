@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"rollrec/internal/failure"
@@ -100,21 +99,20 @@ type d11Stats struct {
 }
 
 // d11StatsOf reduces a ledger to the table's row quantities. Quantiles are
-// exact (sorted deltas), not histogram-bucketed.
+// exact (metrics.ExactQuantiles), not histogram-bucketed.
 func d11StatsOf(l *output.Ledger) d11Stats {
 	ds := l.Deltas()
 	st := d11Stats{total: l.Total(), committed: len(ds)}
 	if len(ds) == 0 {
 		return st
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 	var sum time.Duration
 	for _, d := range ds {
 		sum += d
 	}
 	st.mean = sum / time.Duration(len(ds))
-	st.p50 = ds[(len(ds)-1)*50/100]
-	st.p99 = ds[(len(ds)-1)*99/100]
+	q := metrics.ExactQuantiles(ds, 500, 990)
+	st.p50, st.p99 = q[0], q[1]
 	return st
 }
 

@@ -139,12 +139,6 @@ func d12StraddleNote(style string, r *Result, crashAt time.Duration) string {
 		metrics.FmtDuration(r.recoveryEnd(d12Victim(*r.Spec.Traffic))))
 }
 
-// D12Timeline is one style's sampled crash-under-load run.
-type D12Timeline struct {
-	Style  string
-	Export *timeline.Export
-}
-
 // D12Timelines reruns the D12 failure variant (backend crash at crashAt
 // under the experiment's full 250 req/s offered load; zero values select the
 // experiment's 10 s / 25 s cell) under each style with a tiered timeline
@@ -152,7 +146,7 @@ type D12Timeline struct {
 // output-commit series on top of the usual lanes. Sampling is
 // observation-only, so each run's event sequence is identical to its
 // unsampled D12 counterpart.
-func D12Timelines(ctx context.Context, seed int64, interval, crashAt, horizon time.Duration) []D12Timeline {
+func D12Timelines(ctx context.Context, seed int64, interval, crashAt, horizon time.Duration) []Timeline {
 	if crashAt <= 0 {
 		crashAt = 10 * time.Second
 	}
@@ -164,11 +158,11 @@ func D12Timelines(ctx context.Context, seed int64, interval, crashAt, horizon ti
 
 // d12Timelines samples the crash variant of an arbitrary traffic spec (the
 // tests use a lighter cell than the experiment's).
-func d12Timelines(ctx context.Context, seed int64, tr workload.Traffic, interval, crashAt, horizon time.Duration) []D12Timeline {
-	var out []D12Timeline
+func d12Timelines(ctx context.Context, seed int64, tr workload.Traffic, interval, crashAt, horizon time.Duration) []Timeline {
+	var out []Timeline
 	for _, row := range styleRows(false) {
 		style := string(row.family)
-		out = append(out, D12Timeline{Style: style, Export: sampled(ctx,
+		out = append(out, Timeline{ID: "D12", Style: style, Export: sampled(ctx,
 			d12Spec(seed, row, tr, crashAt, horizon),
 			timeline.Config{
 				Interval: interval,

@@ -108,7 +108,7 @@ func TestD12CrashUnderLoadStraddlers(t *testing.T) {
 
 // d12TestTimelines samples the short crash cell (backend crash at 3 s,
 // 12 s horizon) at the test load.
-func d12TestTimelines(t *testing.T) []D12Timeline {
+func d12TestTimelines(t *testing.T) []Timeline {
 	t.Helper()
 	return d12Timelines(context.Background(), 1, d12TestTraffic(),
 		100*time.Millisecond, 3*time.Second, 12*time.Second)

@@ -35,9 +35,9 @@ import (
 	"rollrec/internal/workload"
 )
 
-// DefaultTracer, if non-nil, is attached to every run whose Spec carries no
-// tracer of its own. The experiments CLI sets it to capture recovery-phase
-// spans across a whole experiment.
+// DefaultTracer, if non-nil, is attached to every one-shard run. The
+// experiments CLI sets it to capture recovery-phase spans across a whole
+// experiment.
 var DefaultTracer trace.Tracer
 
 // Table is a rendered experiment result.
@@ -127,15 +127,11 @@ type Spec struct {
 	// (0 means 1); it changes host time only, and the n=1024 cells need
 	// several. DefaultTracer is not attached when Shards > 1: the experiments
 	// CLI exports it in recording order, which shard goroutines interleave
-	// differently from run to run. An explicit Tracer must be
-	// concurrency-safe (trace.Recorder is).
+	// differently from run to run.
 	Shards int
 	// Fanout > 0 selects the ring dissemination protocol mode with that
 	// degree (cluster.Config.Fanout); 0 is the paper's all-peers broadcast.
 	Fanout int
-	// Tracer, if non-nil, records structured events for this run;
-	// DefaultTracer is used when nil.
-	Tracer trace.Tracer
 	// TrackOutputs wires the output-commit ledger (DESIGN §10) into the
 	// cluster; read it back with Result.C.Outputs().
 	TrackOutputs bool
@@ -235,8 +231,8 @@ type Result struct {
 // run is consistent but incomplete) and the error is ctx's. A spec that
 // misuses Traffic returns a nil Result and the error, before anything runs.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
-	tr := spec.Tracer
-	if tr == nil && spec.Shards <= 1 {
+	var tr trace.Tracer
+	if spec.Shards <= 1 {
 		tr = DefaultTracer
 	}
 	app := spec.App
@@ -348,11 +344,19 @@ func (r *Result) liveProcs() []int {
 // LiveBlocked returns mean and max blocked time over the processes that
 // never crashed.
 func (r *Result) LiveBlocked() (mean, max time.Duration) {
-	procs := make([]*metrics.Proc, r.Spec.N)
-	for i := 0; i < r.Spec.N; i++ {
-		procs[i] = r.C.Metrics(ids.ProcID(i))
+	lives := r.liveProcs()
+	if len(lives) == 0 {
+		return 0, 0
 	}
-	return metrics.Cluster{Procs: procs}.MeanBlocked(r.liveProcs())
+	var sum time.Duration
+	for _, i := range lives {
+		b := r.C.Metrics(ids.ProcID(i)).BlockedTotal()
+		sum += b
+		if b > max {
+			max = b
+		}
+	}
+	return sum / time.Duration(len(lives)), max
 }
 
 // recoveryKinds are the control messages attributable to the recovery

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"rollrec/internal/cluster"
 	"rollrec/internal/failure"
+	"rollrec/internal/ids"
 	"rollrec/internal/metrics"
 	"rollrec/internal/node"
 	"rollrec/internal/recovery"
@@ -92,6 +94,34 @@ func TestRunCollectsVictimAndBlocked(t *testing.T) {
 	msgs, bytes := r.RecoveryTraffic()
 	if msgs == 0 || bytes == 0 {
 		t.Fatal("recovery traffic must be counted")
+	}
+}
+
+// TestLiveBlocked: the mean and max are over the processes the crash plan
+// never touches, and a plan that touches all of them reports zeros.
+func TestLiveBlocked(t *testing.T) {
+	spec := fastSpec(recovery.Blocking)
+	spec.N = 3
+	c := cluster.New(cluster.Config{N: spec.N, F: spec.F, HW: spec.HW, App: spec.App})
+	for i, d := range []time.Duration{100, 300, 1000} {
+		c.Metrics(ids.ProcID(i)).BlockedHist.Record(d)
+	}
+	for _, tc := range []struct {
+		crashed   []ids.ProcID
+		mean, max time.Duration
+	}{
+		{nil, 466, 1000},
+		{[]ids.ProcID{2}, 200, 300},
+		{[]ids.ProcID{0, 1, 2}, 0, 0},
+	} {
+		spec.Crashes = nil
+		for _, p := range tc.crashed {
+			spec.Crashes = append(spec.Crashes, failure.Crash{At: time.Second, Proc: p})
+		}
+		r := &Result{C: c, Spec: spec}
+		if mean, max := r.LiveBlocked(); mean != tc.mean || max != tc.max {
+			t.Errorf("crashed %v: LiveBlocked = %v, %v; want %v, %v", tc.crashed, mean, max, tc.mean, tc.max)
+		}
 	}
 }
 

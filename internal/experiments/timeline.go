@@ -8,8 +8,9 @@ import (
 	"rollrec/internal/timeline"
 )
 
-// D11Timeline is one style's sampled crash run.
-type D11Timeline struct {
+// Timeline is one style's sampled crash run of experiment ID (D11 or D12).
+type Timeline struct {
+	ID     string
 	Style  string
 	Export *timeline.Export
 }
@@ -21,17 +22,17 @@ type D11Timeline struct {
 // explorer" walkthrough. Sampling is observation-only, so each run's event
 // sequence is identical to its unsampled D11 counterpart. A cancelled ctx
 // returns the prefix sampled so far.
-func D11Timelines(ctx context.Context, seed int64, interval, crashAt, horizon time.Duration) []D11Timeline {
+func D11Timelines(ctx context.Context, seed int64, interval, crashAt, horizon time.Duration) []Timeline {
 	if crashAt <= 0 {
 		crashAt = 10 * time.Second
 	}
 	if horizon <= 0 {
 		horizon = 25 * time.Second
 	}
-	var out []D11Timeline
+	var out []Timeline
 	for _, row := range styleRows(false) {
 		style := string(row.family)
-		out = append(out, D11Timeline{Style: style, Export: sampled(ctx,
+		out = append(out, Timeline{ID: "D11", Style: style, Export: sampled(ctx,
 			d11Spec(seed, node.Profile1995(), row, crashAt, horizon),
 			timeline.Config{Interval: interval, N: 8, Label: "D11/" + style + " crash@" + crashAt.String()})})
 	}

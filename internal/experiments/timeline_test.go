@@ -11,7 +11,7 @@ import (
 
 // d11TestTimelines runs the short D11 crash cell used by the tests (server
 // crash at 3 s, 12 s horizon — the same cell the CI smoke job samples).
-func d11TestTimelines(t *testing.T) []D11Timeline {
+func d11TestTimelines(t *testing.T) []Timeline {
 	t.Helper()
 	return D11Timelines(context.Background(), 1, 100*time.Millisecond, 3*time.Second, 12*time.Second)
 }

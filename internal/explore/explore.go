@@ -249,11 +249,10 @@ func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool
 			res.fingerprint = h
 		}
 	}()
-	n, err := in.c.RunContext(ctx, spec.Horizon)
-	if err != nil {
+	if _, err := in.c.RunContext(ctx, spec.Horizon); err != nil {
 		return nil, err
 	}
-	res.events = n
+	res.events = in.c.Kernel().Steps()
 	res.digests = in.c.Digests()
 	res.conflicts = in.conflicts
 	for _, err := range in.c.Check() {

@@ -182,9 +182,6 @@ func (p *Process) doCheckpoint() {
 	cpSpan := p.env.Tracer().Begin(p.env.Now(), int32(p.env.ID()),
 		trace.EvCheckpoint, trace.Tag{Inc: uint32(p.inc)})
 	img := p.encodeCheckpoint()
-	if p.par.SnapshotCPUPerByte > 0 {
-		p.env.Busy(time.Duration(img.Size()) * p.par.SnapshotCPUPerByte)
-	}
 	p.cpBusy = true
 	rsnAt := p.rsn
 	outAt := p.outSeq

@@ -47,13 +47,6 @@ type Params struct {
 	// HeartbeatEvery / SuspectAfter drive the failure detector.
 	HeartbeatEvery time.Duration
 	SuspectAfter   time.Duration
-	// RetryEvery is the recovery-protocol retransmission period.
-	RetryEvery time.Duration
-	// StorageFlushEvery is the determinant streaming period to the storage
-	// pseudo-process (f = n only).
-	StorageFlushEvery time.Duration
-	// SnapshotCPUPerByte charges checkpoint serialization cost.
-	SnapshotCPUPerByte time.Duration
 	// Fanout bounds per-process control traffic for large clusters. 0 (the
 	// default) keeps the paper's all-to-all behavior: heartbeats and
 	// checkpoint notices go to every peer. A positive k switches to a ring
@@ -81,17 +74,12 @@ func (p Params) withDefaults() Params {
 	if p.SuspectAfter <= 0 {
 		p.SuspectAfter = 3 * time.Second
 	}
-	if p.RetryEvery <= 0 {
-		p.RetryEvery = time.Second
-	}
-	if p.StorageFlushEvery <= 0 {
-		p.StorageFlushEvery = 100 * time.Millisecond
-	}
-	if p.SnapshotCPUPerByte < 0 {
-		p.SnapshotCPUPerByte = 0
-	}
 	return p
 }
+
+// storageFlushEvery is the determinant streaming period to the storage
+// pseudo-process (f = n only).
+const storageFlushEvery = 100 * time.Millisecond
 
 // Hooks are optional observation callbacks used by the test harness to
 // check cross-process invariants (exactly-once, orphan-freedom). They live
@@ -222,9 +210,6 @@ type Process struct {
 	// left its pending set since the last checkOutputs.
 	outWaiters map[ids.MsgID][]*outWait
 	settled    []ids.MsgID
-
-	// Observability (volatile, test-only).
-	journal []det.Determinant
 }
 
 var _ node.Process = (*Process)(nil)
@@ -257,7 +242,6 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	p.mgr = recovery.NewManager(recovery.Config{
 		Style:        p.par.Style,
 		F:            p.par.F,
-		RetryEvery:   p.par.RetryEvery,
 		ScopedGather: p.par.Fanout > 0,
 	}, p, env)
 	p.detect = failure.NewDetector(env.ID(), p.n, p.par.SuspectAfter, env.Now(),
@@ -323,9 +307,9 @@ func (p *Process) startTimers() {
 		var flush func()
 		flush = func() {
 			p.flushToStorage()
-			p.env.After(p.par.StorageFlushEvery, flush)
+			p.env.After(storageFlushEvery, flush)
 		}
-		p.env.After(p.par.StorageFlushEvery, flush)
+		p.env.After(storageFlushEvery, flush)
 	}
 }
 
@@ -485,7 +469,6 @@ func (p *Process) consume(e *wire.Envelope, forcedRSN ids.RSN) {
 		// it again now.
 		p.dets.AddHolder(d.Msg, p.env.ID())
 	}
-	p.journal = append(p.journal, d)
 	p.env.Metrics().Delivered++
 	if p.par.Hooks.OnDeliver != nil {
 		p.par.Hooks.OnDeliver(p.env.ID(), d.Msg, e.From, d.RSN, hashBytes(e.Payload))

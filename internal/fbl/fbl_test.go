@@ -1,6 +1,7 @@
 package fbl
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -169,8 +170,15 @@ func TestOutOfOrderBuffering(t *testing.T) {
 	if env.met.Delivered != 2 {
 		t.Fatalf("delivered = %d, want both after the gap filled", env.met.Delivered)
 	}
-	j := p.Journal()
-	if j[0].Msg.SSN != 7 || j[1].Msg.SSN != 8 {
+	// The delivery order is the order of the receive sequence numbers.
+	var j []det.Determinant
+	for _, e := range p.DetEntries() {
+		if e.Det.Receiver == 0 {
+			j = append(j, e.Det)
+		}
+	}
+	slices.SortFunc(j, func(a, b det.Determinant) int { return cmp.Compare(a.RSN, b.RSN) })
+	if len(j) != 2 || j[0].Msg.SSN != 7 || j[1].Msg.SSN != 8 {
 		t.Fatalf("delivery order wrong: %v", j)
 	}
 }

@@ -19,12 +19,6 @@ func (p *Process) Incarnation() ids.Incarnation { return p.inc }
 // App returns the hosted application.
 func (p *Process) App() workload.App { return p.app }
 
-// Journal returns this instance's deliveries (in rsn order since this
-// incarnation booted). Volatile: a crash clears it.
-func (p *Process) Journal() []det.Determinant {
-	return append([]det.Determinant(nil), p.journal...)
-}
-
 // SSN returns the last assigned send sequence number.
 func (p *Process) SSN() ids.SSN { return p.ssn }
 

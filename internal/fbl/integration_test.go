@@ -40,7 +40,6 @@ func simCluster(t *testing.T, n, f int, seed int64, style recovery.Style) *sim.K
 		StatePad:        4 << 10,
 		HeartbeatEvery:  50 * time.Millisecond,
 		SuspectAfter:    400 * time.Millisecond,
-		RetryEvery:      200 * time.Millisecond,
 	}
 	for i := 0; i < n; i++ {
 		k.AddNode(ids.ProcID(i), New(par))

@@ -5,6 +5,7 @@ import (
 
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
+	"rollrec/internal/recovery"
 	"rollrec/internal/storage"
 	"rollrec/internal/trace"
 	"rollrec/internal/vclock"
@@ -148,7 +149,7 @@ func (p *Process) startReplay() {
 }
 
 func (p *Process) armReplayRetry() {
-	p.replayT = p.env.After(p.par.RetryEvery, func() {
+	p.replayT = p.env.After(recovery.RetryEvery, func() {
 		if p.mode != ModeReplaying {
 			return
 		}

@@ -10,6 +10,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -169,45 +170,13 @@ func (p *Proc) CurrentRecovery() *RecoveryTrace {
 	return &p.Recoveries[len(p.Recoveries)-1]
 }
 
-// TotalSent sums sent messages, optionally restricted to control kinds.
-func (p *Proc) TotalSent(controlOnly bool, appKind uint8) (msgs, bytes int64) {
+// TotalSent sums sent messages and bytes over every kind.
+func (p *Proc) TotalSent() (msgs, bytes int64) {
 	for k := 0; k < maxKinds; k++ {
-		if controlOnly && uint8(k) == appKind {
-			continue
-		}
 		msgs += p.MsgsSent[k]
 		bytes += p.BytesSent[k]
 	}
 	return msgs, bytes
-}
-
-// Cluster aggregates per-process metrics with simple derived statistics.
-type Cluster struct {
-	Procs []*Proc
-}
-
-// MeanBlocked returns the mean and max blocked time across the given
-// process indices (pass nil for all).
-func (c Cluster) MeanBlocked(only []int) (mean, max time.Duration) {
-	idx := only
-	if idx == nil {
-		idx = make([]int, len(c.Procs))
-		for i := range idx {
-			idx[i] = i
-		}
-	}
-	if len(idx) == 0 {
-		return 0, 0
-	}
-	var sum time.Duration
-	for _, i := range idx {
-		b := c.Procs[i].BlockedTotal()
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	return sum / time.Duration(len(idx)), max
 }
 
 // Quantile returns the q-quantile (0..1) of the given durations.
@@ -224,6 +193,22 @@ func Quantile(ds []time.Duration, q float64) time.Duration {
 	}
 	frac := pos - float64(i)
 	return s[i] + time.Duration(frac*float64(s[i+1]-s[i]))
+}
+
+// ExactQuantiles sorts ds in place and returns, for each per-mille rank q in
+// qs, the sample ds[(len(ds)-1)*q/1000]: an observed value, neither
+// interpolated (Quantile) nor bucketed (trace.Histogram). Zeros when ds is
+// empty.
+func ExactQuantiles(ds []time.Duration, qs ...int) []time.Duration {
+	out := make([]time.Duration, len(qs))
+	if len(ds) == 0 {
+		return out
+	}
+	slices.Sort(ds)
+	for i, q := range qs {
+		out[i] = ds[(len(ds)-1)*q/1000]
+	}
+	return out
 }
 
 // FmtDuration renders a duration with millisecond precision for tables.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -42,16 +43,12 @@ func TestSentReceivedCounters(t *testing.T) {
 	if p.MsgsSent[1] != 2 || p.BytesSent[1] != 150 {
 		t.Fatalf("kind-1 counters: %d msgs %d bytes", p.MsgsSent[1], p.BytesSent[1])
 	}
-	msgs, bytes := p.TotalSent(false, 1)
+	msgs, bytes := p.TotalSent()
 	if msgs != 3 || bytes != 160 {
-		t.Fatalf("TotalSent(all) = %d, %d", msgs, bytes)
-	}
-	msgs, bytes = p.TotalSent(true, 1)
-	if msgs != 1 || bytes != 10 {
-		t.Fatalf("TotalSent(control) = %d, %d", msgs, bytes)
+		t.Fatalf("TotalSent() = %d, %d", msgs, bytes)
 	}
 	p.Sent(200, 10) // out-of-range kind must not panic or count
-	if m, _ := p.TotalSent(false, 1); m != 3 {
+	if m, _ := p.TotalSent(); m != 3 {
 		t.Fatal("out-of-range kind must be ignored")
 	}
 }
@@ -96,25 +93,6 @@ func TestRecoveryTrace(t *testing.T) {
 	}
 }
 
-func TestMeanBlocked(t *testing.T) {
-	a, b, c := NewProc(), NewProc(), NewProc()
-	a.BlockedHist.Record(100)
-	b.BlockedHist.Record(300)
-	c.BlockedHist.Record(1000)
-	cl := Cluster{Procs: []*Proc{a, b, c}}
-	mean, max := cl.MeanBlocked(nil)
-	if mean != 466 || max != 1000 {
-		t.Fatalf("MeanBlocked(all) = %v, %v", mean, max)
-	}
-	mean, max = cl.MeanBlocked([]int{0, 1})
-	if mean != 200 || max != 300 {
-		t.Fatalf("MeanBlocked(subset) = %v, %v", mean, max)
-	}
-	if m, x := (Cluster{}).MeanBlocked([]int{}); m != 0 || x != 0 {
-		t.Fatal("empty cluster must report zeros")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	ds := []time.Duration{40, 10, 30, 20}
 	if q := Quantile(ds, 0); q != 10 {
@@ -132,6 +110,18 @@ func TestQuantile(t *testing.T) {
 	// Input must not be reordered.
 	if ds[0] != 40 {
 		t.Fatal("Quantile must not mutate its input")
+	}
+}
+
+// TestExactQuantiles: the rank is floored onto an observed sample, never
+// interpolated between two.
+func TestExactQuantiles(t *testing.T) {
+	ds := []time.Duration{40, 10, 30, 20}
+	if q := ExactQuantiles(ds, 0, 500, 990, 1000); !slices.Equal(q, []time.Duration{10, 20, 30, 40}) {
+		t.Fatalf("ExactQuantiles = %v", q)
+	}
+	if q := ExactQuantiles(nil, 500); q[0] != 0 {
+		t.Fatalf("empty = %v", q)
 	}
 }
 

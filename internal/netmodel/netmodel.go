@@ -50,9 +50,8 @@ type Network struct {
 	seed  int64
 	rng   *rand.Rand // created by rand() on the first jitter or drop draw
 
-	// Counters for tests and experiments.
-	Frames  int64
-	Bytes   int64
+	// Dropped counts frames lost to a partition or a random drop: the only
+	// account of that loss (frames and bytes sent are metrics.Proc's).
 	Dropped int64
 }
 
@@ -119,8 +118,6 @@ func (n *Network) Schedule(now int64, from, to ids.ProcID, size int) (deliverAt 
 		at = l.lastDeliver + 1
 	}
 	l.lastDeliver = at
-	n.Frames++
-	n.Bytes += int64(size)
 	return at, true
 }
 

@@ -129,15 +129,16 @@ type Host interface {
 	StableReplyWrite(ord ids.Ordinal, size int, done func())
 }
 
+// RetryEvery is the re-send period of a recovering FBL process: unanswered
+// gather requests, unserved announcements, and unfilled replay requests.
+const RetryEvery = time.Second
+
 // Config parameterizes a manager.
 type Config struct {
 	Style Style
 	// F is the failure budget (>= N selects the f = n instance, in which
 	// the stable-storage pseudo-process also answers depinfo requests).
 	F int
-	// RetryEvery is the re-send period for unanswered gather requests and
-	// unserved announcements.
-	RetryEvery time.Duration
 	// ScopedGather makes depinfo requests name the recovering members, so
 	// repliers contribute only determinants those members will replay
 	// (Host.DepInfoFor) instead of their full logs. Off by default: the
@@ -189,9 +190,6 @@ type Manager struct {
 
 // NewManager returns a manager in StateLive.
 func NewManager(cfg Config, host Host, env node.Env) *Manager {
-	if cfg.RetryEvery <= 0 {
-		cfg.RetryEvery = time.Second
-	}
 	return &Manager{
 		cfg:  cfg,
 		host: host,
@@ -254,7 +252,7 @@ func (m *Manager) broadcast(e *wire.Envelope, withStorage bool) {
 
 func (m *Manager) armRetry() {
 	m.retry.Stop()
-	m.retry = m.env.After(m.cfg.RetryEvery, func() {
+	m.retry = m.env.After(RetryEvery, func() {
 		switch m.state {
 		case StateWaiting:
 			// Re-announce until served: covers announcements lost to a

@@ -153,7 +153,7 @@ func (h *fakeHost) StableReplyWrite(ord ids.Ordinal, size int, done func()) {
 func mkManager(id ids.ProcID, n int, style Style) (*Manager, *fakeEnv, *fakeHost) {
 	env := newFakeEnv(id, n)
 	host := newFakeHost(n)
-	m := NewManager(Config{Style: style, F: 2, RetryEvery: time.Second}, host, env)
+	m := NewManager(Config{Style: style, F: 2}, host, env)
 	return m, env, host
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func TestTimerStopReleasesHeapSlot(t *testing.T) {
 // TestTimerStopIsIdempotentAcrossReuse: a handle is a value naming (slot,
 // generation), so one whose timer is gone is inert — the zero Timer, a double
 // Stop, a Stop after firing, and a Stop after the slot was re-armed by a later
-// After neither cancel the slot's new timer nor add a credit to Run's totals.
+// After neither cancel the slot's new timer nor change Run's count.
 func TestTimerStopIsIdempotentAcrossReuse(t *testing.T) {
 	k := newIdleKernel(t)
 	env := node.Env(k.find(0))
@@ -73,15 +74,15 @@ func TestTimerStopIsIdempotentAcrossReuse(t *testing.T) {
 	b := env.After(2*time.Second, func() { bFired = true })
 	a.Stop()
 	zero.Stop()
-	if got := k.Run(3 * time.Second); got != 2 || !bFired {
-		t.Fatalf("Run(3s) processed %d events, b fired %v; want 2 (a's one credit, b) and true: a stale handle reached a reused slot", got, bFired)
+	if got := k.Run(3 * time.Second); got != 1 || !bFired {
+		t.Fatalf("Run(3s) processed %d events, b fired %v; want 1 (b) and true: a stale handle reached a reused slot", got, bFired)
 	}
 	b.Stop() // after firing: no-op
 
 	// c's slot fires normally; stopping afterwards must not disturb d.
 	c := env.After(time.Second, func() {})
 	if got := k.Run(5 * time.Second); got != 1 {
-		t.Fatalf("Run(5s) processed %d events, want 1 (c): Stop after firing was credited", got)
+		t.Fatalf("Run(5s) processed %d events, want 1 (c)", got)
 	}
 	dFired := false
 	env.After(time.Second, func() { dFired = true })
@@ -95,50 +96,42 @@ func TestTimerStopIsIdempotentAcrossReuse(t *testing.T) {
 	}
 }
 
-// TestStoppedTimerCreditsEventCount pins the accounting bridge that keeps
-// BENCH sim_events byte-identical: a cancelled timer no longer occupies
-// the heap, but its deadline still counts as one processed event in the
-// Run that covers it — exactly like the tombstone pop it replaced. A
-// deadline beyond the horizon is credited only once a later Run reaches
-// it.
-func TestStoppedTimerCreditsEventCount(t *testing.T) {
-	k := newIdleKernel(t)
-	env := node.Env(k.find(0))
+// TestStoppedTimerIsNotAnEvent: the kernel has one event count, the events it
+// dispatched. A stopped timer adds nothing to Run's return, and the Run
+// returns of a kernel sum to its Steps(), whether or not timers were stopped.
+func TestStoppedTimerIsNotAnEvent(t *testing.T) {
+	for _, stop := range []bool{false, true} {
+		k := newIdleKernel(t)
+		env := node.Env(k.find(0))
 
-	t1 := env.After(time.Millisecond, func() {})
-	t2 := env.After(2*time.Millisecond, func() {})
-	t3 := env.After(10*time.Second, func() {})
-	t1.Stop()
-	t2.Stop()
-	t3.Stop()
-	if got := k.Run(time.Second); got != 2 {
-		t.Fatalf("Run(1s) processed %d events, want 2 credits for in-horizon cancelled deadlines", got)
-	}
-	if got := k.Run(5 * time.Second); got != 0 {
-		t.Fatalf("Run(5s) processed %d events, want 0 (t3 deadline not reached)", got)
-	}
-	if got := k.Run(20 * time.Second); got != 1 {
-		t.Fatalf("Run(20s) processed %d events, want 1 credit for t3", got)
-	}
-}
-
-// TestCancelledCreditsInterleaveWithLiveEvents: credits are charged in
-// deadline order relative to live events, so multi-step Runs observe the
-// same per-call event counts as a scheduler that popped tombstones.
-func TestCancelledCreditsInterleaveWithLiveEvents(t *testing.T) {
-	k := newIdleKernel(t)
-	env := node.Env(k.find(0))
-
-	tm := env.After(2*time.Millisecond, func() {})
-	k.At(time.Millisecond, func() {})
-	k.At(3*time.Millisecond, func() {})
-	tm.Stop()
-	// Split exactly between the credit's deadline and the later live event.
-	if got := k.Run(2 * time.Millisecond); got != 2 {
-		t.Fatalf("Run(2ms) processed %d events, want 2 (live@1ms + credit@2ms)", got)
-	}
-	if got := k.Run(time.Second); got != 1 {
-		t.Fatalf("Run(1s) processed %d events, want 1 (live@3ms)", got)
+		var timers []node.Timer
+		for _, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 10 * time.Second} {
+			timers = append(timers, env.After(d, func() {}))
+		}
+		k.At(time.Millisecond, func() {})
+		k.At(3*time.Millisecond, func() {})
+		if stop {
+			for _, tm := range timers {
+				tm.Stop()
+			}
+		}
+		var runs []int64
+		sum := int64(0)
+		for _, until := range []time.Duration{2 * time.Millisecond, time.Second, 20 * time.Second} {
+			n := k.Run(until)
+			runs = append(runs, n)
+			sum += n
+		}
+		want := []int64{3, 1, 1} // timers@1ms,2ms + At@1ms | At@3ms | timer@10s
+		if stop {
+			want = []int64{1, 1, 0}
+		}
+		if !slices.Equal(runs, want) {
+			t.Errorf("stop=%v: Run returns %v, want %v", stop, runs, want)
+		}
+		if sum != k.Steps() {
+			t.Errorf("stop=%v: Run returns sum to %d, Steps() = %d", stop, sum, k.Steps())
+		}
 	}
 }
 

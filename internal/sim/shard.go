@@ -387,11 +387,11 @@ func (s *Sharded) RunContext(ctx context.Context, until time.Duration) (int64, e
 		}
 		s.flush()
 	}
-	// Settle: advance every clock to the horizon and account for cancelled
-	// deadlines inside it, exactly like an idle kernel run directly would. No
-	// event is left to execute at or before the horizon, so this is not a
-	// window and never worth a goroutine.
-	total += s.runInline(limit)
+	// Settle: no event is left at or before the horizon, so every clock just
+	// advances to it, as an idle kernel run directly would.
+	for _, k := range s.shards {
+		k.now = max(k.now, limit)
+	}
 	s.now = limit
 	return total, nil
 }

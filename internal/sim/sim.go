@@ -15,9 +15,8 @@
 // event kinds (network arrival, timer fire, deferral-queue wake) are encoded
 // as typed slot fields instead of closures. Timers support real
 // cancellation: Stop removes the event from the heap and recycles its slot
-// immediately, while the deadline is credited to the processed-event
-// accounting so Run totals — and therefore BENCH snapshot cells — are
-// bit-identical to a scheduler without cancellation.
+// immediately. A stopped timer is not an event: Run counts what it
+// dispatched, nothing else.
 package sim
 
 import (
@@ -45,15 +44,14 @@ type Config struct {
 	// restart, frame traffic, storage accesses) for timeline export. Nil
 	// disables tracing at no measurable cost.
 	Tracer trace.Tracer
-	// MaxEvents bounds the total number of processed events as a runaway
-	// guard; zero selects a generous default.
-	MaxEvents int64
 	// Ignored: FIFO busy deferral is the only discipline (see deferItem). The
 	// field survives because the frozen benchmark/ module sets it.
 	FIFODefer bool
 }
 
-const defaultMaxEvents = 200_000_000
+// maxEvents bounds the events one kernel dispatches, as a runaway guard. A
+// variable only so that a test can lower it (export_test.go).
+var maxEvents int64 = 200_000_000
 
 // Event kinds. evFunc is the generic closure event (harness callbacks,
 // crash restarts, storage completions); the message hot path uses typed
@@ -97,33 +95,21 @@ type event struct {
 	kind   uint8
 }
 
-// credit records the deadline of a cancelled event. Cancelled timers are
-// removed from the heap at Stop time (releasing the slot and the callback),
-// but their would-have-popped deadline still counts toward Run's processed
-// totals — so event accounting, MaxEvents, and BENCH sim_events stay
-// bit-identical whether or not a workload cancels timers.
-type credit struct {
-	at  int64
-	seq uint64
-}
-
 // Kernel is the simulation instance. It is not safe for concurrent use:
 // construct, add nodes, then drive it from a single goroutine.
 type Kernel struct {
-	cfg       Config
-	tr        trace.Tracer
-	now       int64
-	seq       uint64
-	slots     []event  // event arena; index = slot id
-	heap      []int32  // 4-ary min-heap of slot ids ordered by (at, seq)
-	free      int32    // free-list head into slots, -1 when empty
-	cancelled []credit // binary min-heap of cancelled deadlines
-	net       *netmodel.Network
-	nodes     []*nodeState // index id+1 (ids.StorageProc is -1); see find
-	order     []ids.ProcID // insertion order, for deterministic boot
-	nApp      int
-	count     int64
-	inflight  int // frames scheduled to arrive but not yet popped
+	cfg      Config
+	tr       trace.Tracer
+	now      int64
+	seq      uint64
+	slots    []event // event arena; index = slot id
+	heap     []int32 // 4-ary min-heap of slot ids ordered by (at, seq)
+	free     int32   // free-list head into slots, -1 when empty
+	net      *netmodel.Network
+	nodes    []*nodeState // index id+1 (ids.StorageProc is -1); see find
+	order    []ids.ProcID // insertion order, for deterministic boot
+	nApp     int
+	inflight int // frames scheduled to arrive but not yet popped
 	// rx is the one envelope every frame is decoded into, through the one
 	// decoder whose buffers hold its Dets; a handler returns (having kept
 	// what it needs, wire.Envelope.Keep) before the next decode.
@@ -139,7 +125,8 @@ type Kernel struct {
 	nOverride   int
 
 	// Step-boundary hook (see step.go). dispatched counts events dispatched
-	// so far; the boundary before dispatch i is step index i. Like the
+	// so far — the one event count: Run returns its growth, maxEvents bounds
+	// it — and the boundary before dispatch i is step index i. Like the
 	// sampler, the probe consumes no sequence numbers and no randomness, so
 	// an attached probe leaves the event sequence bit-identical. stepCrash
 	// maps step indices to crash victims injected at that boundary;
@@ -154,9 +141,6 @@ type Kernel struct {
 
 // New returns a kernel with no nodes.
 func New(cfg Config) *Kernel {
-	if cfg.MaxEvents <= 0 {
-		cfg.MaxEvents = defaultMaxEvents
-	}
 	return &Kernel{
 		cfg:  cfg,
 		tr:   trace.OrNop(cfg.Tracer),
@@ -216,8 +200,8 @@ func (k *Kernel) Boot() {
 // Now returns the current virtual time in nanoseconds.
 func (k *Kernel) Now() int64 { return k.now }
 
-// QueueDepth returns the number of events currently queued (timer credits
-// excluded — a cancelled timer holds no queue space).
+// QueueDepth returns the number of events currently queued (a stopped timer
+// holds no queue space).
 func (k *Kernel) QueueDepth() int { return len(k.heap) }
 
 // InFlightFrames returns the number of frames scheduled on the network but
@@ -228,9 +212,7 @@ func (k *Kernel) InFlightFrames() int { return k.inflight }
 func (k *Kernel) Net() *netmodel.Network { return k.net }
 
 // peekNextAt reports the virtual time of the earliest queued event, if any.
-// The sharded coordinator uses it to fast-forward over empty windows;
-// cancelled-timer credits are ignored (nothing executes at a credit, and
-// RunContext accounts for every credit inside the window it runs).
+// The sharded coordinator uses it to fast-forward over empty windows.
 func (k *Kernel) peekNextAt() (int64, bool) {
 	if len(k.heap) == 0 {
 		return 0, false
@@ -412,52 +394,6 @@ func (k *Kernel) remove(pos int32) {
 	}
 }
 
-// ── Cancelled-deadline credits ─────────────────────────────────────────
-
-// pushCredit records a cancelled event's deadline (binary min-heap by
-// (at, seq)).
-func (k *Kernel) pushCredit(c credit) {
-	k.cancelled = append(k.cancelled, c)
-	i := len(k.cancelled) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !creditLess(k.cancelled[i], k.cancelled[p]) {
-			break
-		}
-		k.cancelled[i], k.cancelled[p] = k.cancelled[p], k.cancelled[i]
-		i = p
-	}
-}
-
-func (k *Kernel) popCredit() {
-	last := len(k.cancelled) - 1
-	k.cancelled[0] = k.cancelled[last]
-	k.cancelled = k.cancelled[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < last && creditLess(k.cancelled[l], k.cancelled[best]) {
-			best = l
-		}
-		if r < last && creditLess(k.cancelled[r], k.cancelled[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		k.cancelled[i], k.cancelled[best] = k.cancelled[best], k.cancelled[i]
-		i = best
-	}
-}
-
-func creditLess(a, b credit) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // ── Scheduling ─────────────────────────────────────────────────────────
 
 // schedule enqueues a generic callback; past times clamp to "now" (the
@@ -499,7 +435,7 @@ func (k *Kernel) scheduleArrive(at int64, ns *nodeState, frame []byte, sentAt in
 
 // Run processes events until virtual time `until` (from simulation start);
 // the clock then reads exactly `until`. It returns the number of events
-// processed by this call.
+// dispatched by this call.
 func (k *Kernel) Run(until time.Duration) int64 {
 	n, _ := k.RunContext(context.Background(), until)
 	return n
@@ -518,27 +454,17 @@ const cancelCheckEvery = 4096
 // cancellation never changes the event sequence of the events that do run.
 func (k *Kernel) RunContext(ctx context.Context, until time.Duration) (int64, error) {
 	limit := int64(until)
-	var processed int64
+	start := k.dispatched
 	for len(k.heap) > 0 {
-		if processed%cancelCheckEvery == 0 {
+		if (k.dispatched-start)%cancelCheckEvery == 0 {
 			select {
 			case <-ctx.Done():
-				return processed, ctx.Err()
+				return k.dispatched - start, ctx.Err()
 			default:
 			}
 		}
 		top := k.heap[0]
-		at, seq := k.slots[top].at, k.slots[top].seq
-		// Credit cancelled deadlines that would have popped before this
-		// event, keeping processed-event totals identical to a scheduler
-		// that leaves cancelled timers queued until their deadline.
-		for len(k.cancelled) > 0 && k.cancelled[0].at <= limit &&
-			creditLess(k.cancelled[0], credit{at: at, seq: seq}) {
-			k.popCredit()
-			processed++
-			k.countEvent()
-		}
-		if at > limit {
+		if k.slots[top].at > limit {
 			break
 		}
 		e := k.slots[top] // copy out: dispatch may grow or recycle the arena
@@ -559,6 +485,10 @@ func (k *Kernel) RunContext(ctx context.Context, until time.Duration) (int64, er
 			k.stepBoundary(&e)
 		}
 		k.dispatched++
+		if k.dispatched > maxEvents {
+			panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v (runaway schedule?)",
+				maxEvents, time.Duration(k.now)))
+		}
 		switch e.kind {
 		case evFunc:
 			e.fn()
@@ -572,28 +502,11 @@ func (k *Kernel) RunContext(ctx context.Context, until time.Duration) (int64, er
 		case evWake:
 			k.wake(e.ns, e.epoch)
 		}
-		processed++
-		k.countEvent()
-	}
-	// Credit any cancelled deadlines inside the window beyond the last
-	// queued event.
-	for len(k.cancelled) > 0 && k.cancelled[0].at <= limit {
-		k.popCredit()
-		processed++
-		k.countEvent()
 	}
 	if limit > k.now {
 		k.now = limit
 	}
-	return processed, nil
-}
-
-func (k *Kernel) countEvent() {
-	k.count++
-	if k.count > k.cfg.MaxEvents {
-		panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v (runaway schedule?)",
-			k.cfg.MaxEvents, time.Duration(k.now)))
-	}
+	return k.dispatched - start, nil
 }
 
 // Crash kills node id immediately: the process image, its timers, and its
@@ -874,20 +787,14 @@ func (k *Kernel) wake(ns *nodeState, epoch uint64) {
 // CancelTimer is node.Timer.Stop for the timer queued in slot under gen (gen
 // detects slot reuse: once the timer fires or is stopped, the slot's
 // generation moves on and its handles become inert). The event is removed
-// from the heap and its slot recycled immediately (stopped timers hold no
-// queue space), while the deadline is credited to the processed-event totals
-// so event accounting matches a scheduler without cancellation.
+// from the heap and its slot recycled immediately: a stopped timer holds no
+// queue space and is never dispatched, so it is not an event.
 func (k *Kernel) CancelTimer(slot int32, gen uint64) {
 	s := &k.slots[slot]
 	if s.gen != gen {
 		return // already fired, stopped, or slot recycled
 	}
-	// Copy the slot coordinates out before touching the kernel: pushCredit
-	// precedes the heap removal, and a pointer into the arena must not be
-	// trusted across any call that can recycle or grow it.
-	at, seq, pos := s.at, s.seq, s.pos
-	k.pushCredit(credit{at: at, seq: seq})
-	k.remove(pos)
+	k.remove(s.pos)
 	k.release(slot)
 }
 

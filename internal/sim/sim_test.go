@@ -81,7 +81,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() (int64, int64) {
 		k, _, _ := newPingKernel(t, 50)
 		k.Run(time.Second)
-		return k.Metrics(0).MsgsSent[uint8(wire.KindApp)], k.Net().Bytes
+		return k.Metrics(0).MsgsSent[uint8(wire.KindApp)], k.Metrics(0).BytesSent[uint8(wire.KindApp)] + k.Metrics(1).BytesSent[uint8(wire.KindApp)]
 	}
 	m1, b1 := run()
 	m2, b2 := run()

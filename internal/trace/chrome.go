@@ -6,16 +6,9 @@ import (
 	"io"
 	"sort"
 	"strconv"
-)
 
-// ChromeOptions parameterizes the Chrome trace-event export.
-type ChromeOptions struct {
-	// ProcLabel names a process track; nil uses "p<id>" ("p[stable]" for
-	// negative ids).
-	ProcLabel func(proc int32) string
-	// KindName names a wire kind for event args; nil emits the number.
-	KindName func(kind uint8) string
-}
+	"rollrec/internal/wire"
+)
 
 // storageTID is the track id used for negative process ids (the
 // stable-storage pseudo-process); chrome://tracing dislikes negative tids.
@@ -28,7 +21,9 @@ func chromeTID(proc int32) int32 {
 	return proc
 }
 
-func defaultProcLabel(proc int32) string {
+// procLabel names a process track: "p<id>", or "p[stable]" for the
+// stable-storage pseudo-process.
+func procLabel(proc int32) string {
 	if proc < 0 {
 		return "p[stable]"
 	}
@@ -41,13 +36,8 @@ func defaultProcLabel(proc int32) string {
 // ("i") events for point events, and thread_name metadata naming the
 // tracks. Timestamps are microseconds of virtual time. Spans still open at
 // export time are clamped to the latest timestamp seen and tagged with
-// "open":1.
-func WriteChrome(w io.Writer, events []Event, opts ChromeOptions) error {
-	label := opts.ProcLabel
-	if label == nil {
-		label = defaultProcLabel
-	}
-
+// "open":1. A tag's kind is named as a wire.Kind.
+func WriteChrome(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
 		return err
@@ -79,10 +69,10 @@ func WriteChrome(w io.Writer, events []Event, opts ChromeOptions) error {
 
 	for _, p := range procs {
 		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q}}`,
-			chromeTID(p), label(p)))
+			chromeTID(p), procLabel(p)))
 	}
 	for _, e := range events {
-		args := fmtArgs(e, opts)
+		args := fmtArgs(e)
 		ts := float64(e.TS) / 1e3 // ns → µs
 		if e.Span {
 			dur := float64(e.Dur) / 1e3
@@ -104,7 +94,7 @@ func WriteChrome(w io.Writer, events []Event, opts ChromeOptions) error {
 }
 
 // fmtArgs renders the non-zero tag fields as a trace-event args object.
-func fmtArgs(e Event, opts ChromeOptions) string {
+func fmtArgs(e Event) string {
 	t := e.Tag
 	if t == (Tag{}) && !e.Open {
 		return ""
@@ -112,11 +102,7 @@ func fmtArgs(e Event, opts ChromeOptions) string {
 	s := `,"args":{`
 	sep := ""
 	if t.Kind != 0 {
-		if opts.KindName != nil {
-			s += fmt.Sprintf(`%s"kind":%q`, sep, opts.KindName(t.Kind))
-		} else {
-			s += fmt.Sprintf(`%s"kind":%d`, sep, t.Kind)
-		}
+		s += fmt.Sprintf(`%s"kind":%q`, sep, wire.Kind(t.Kind))
 		sep = ","
 	}
 	if t.Inc != 0 {

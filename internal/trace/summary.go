@@ -8,6 +8,8 @@ import (
 	"slices"
 	"sort"
 	"time"
+
+	"rollrec/internal/wire"
 )
 
 // PhaseStat aggregates every span (or instant) sharing one name.
@@ -75,29 +77,23 @@ func WriteSummary(w io.Writer, events []Event) error {
 // records its own events in its own order on any shard count, so the log is
 // the same for every partitioning of a run. A line is the virtual time, the
 // process, the event name, the span duration ("open" for a span that never
-// ended) and the non-zero tag fields; opts names processes and wire kinds.
-func WriteText(w io.Writer, events []Event, opts ChromeOptions) error {
+// ended) and the non-zero tag fields, the kind named as a wire.Kind.
+func WriteText(w io.Writer, events []Event) error {
 	sorted := slices.Clone(events)
 	slices.SortStableFunc(sorted, func(a, b Event) int {
 		return cmp.Or(cmp.Compare(a.TS, b.TS), cmp.Compare(a.Proc, b.Proc))
 	})
-	label := opts.ProcLabel
-	if label == nil {
-		label = defaultProcLabel
-	}
 	bw := bufio.NewWriter(w)
 	for _, e := range sorted {
-		fmt.Fprintf(bw, "[%12s] %s %s", time.Duration(e.TS), label(e.Proc), e.Name)
+		fmt.Fprintf(bw, "[%12s] %s %s", time.Duration(e.TS), procLabel(e.Proc), e.Name)
 		switch {
 		case e.Open:
 			bw.WriteString(" open")
 		case e.Span:
 			fmt.Fprintf(bw, " dur=%s", time.Duration(e.Dur))
 		}
-		if k := e.Tag.Kind; k != 0 && opts.KindName != nil {
-			fmt.Fprintf(bw, " kind=%s", opts.KindName(k))
-		} else if k != 0 {
-			fmt.Fprintf(bw, " kind=%d", k)
+		if k := e.Tag.Kind; k != 0 {
+			fmt.Fprintf(bw, " kind=%s", wire.Kind(k))
 		}
 		if e.Tag.Inc != 0 {
 			fmt.Fprintf(bw, " inc=%d", e.Tag.Inc)

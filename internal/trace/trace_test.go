@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"rollrec/internal/wire"
 )
 
 func TestRecorderSpansAndInstants(t *testing.T) {
@@ -107,15 +109,13 @@ func TestNopTracer(t *testing.T) {
 
 func TestChromeExportParses(t *testing.T) {
 	r := NewRecorder(64)
-	r.Instant(1500, 3, EvSend, Tag{Kind: 1, Arg: 64})
+	r.Instant(1500, 3, EvSend, Tag{Kind: uint8(wire.KindApp), Arg: 64})
 	sp := r.Begin(2000, 3, EvGather, Tag{Inc: 2, Arg: 1})
 	r.End(sp, 52000)
 	r.Begin(60000, -1, EvStorageWrite, Tag{}) // left open; storage proc tid
 
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, r.Events(), ChromeOptions{
-		KindName: func(k uint8) string { return "app" },
-	}); err != nil {
+	if err := WriteChrome(&buf, r.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -159,7 +159,7 @@ func TestChromeExportOutputCommit(t *testing.T) {
 	r := NewRecorder(8)
 	r.Span(1000, 250, 2, EvOutputCommit, Tag{Arg: 7}) // output seq 7
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, r.Events(), ChromeOptions{}); err != nil {
+	if err := WriteChrome(&buf, r.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -295,12 +295,13 @@ func TestSummarize(t *testing.T) {
 // events: recording order is kept only among events of one process at one
 // instant; time, then process, orders the rest. Closed spans print their
 // duration, open spans "open", the storage pseudo-process its label, and a
-// tag only its non-zero fields, the kind by name when the options name it.
+// tag only its non-zero fields, the kind by its wire name.
 func TestWriteTextGolden(t *testing.T) {
 	ms := int64(time.Millisecond)
+	app := uint8(wire.KindApp)
 	events := []Event{
-		{TS: 2 * ms, Proc: 1, Name: EvRecv, Tag: Tag{Kind: 3, Arg: 290}},
-		{TS: 2 * ms, Proc: 0, Name: EvSend, Tag: Tag{Kind: 3, Arg: 290}},
+		{TS: 2 * ms, Proc: 1, Name: EvRecv, Tag: Tag{Kind: app, Arg: 290}},
+		{TS: 2 * ms, Proc: 0, Name: EvSend, Tag: Tag{Kind: app, Arg: 290}},
 		{TS: ms, Proc: 2, Name: EvDown, Span: true, Open: true},
 		{TS: 2 * ms, Proc: 1, Name: EvRollback, Tag: Tag{Inc: 5, Arg: 12}},
 		{TS: ms, Proc: -1, Name: EvStorageWrite, Span: true, Dur: 3 * ms, Tag: Tag{Arg: 1 << 20}},
@@ -308,27 +309,19 @@ func TestWriteTextGolden(t *testing.T) {
 		{TS: ms, Proc: 2, Name: EvRestore, Span: true, Dur: 1500 * ms, Tag: Tag{Inc: 2}},
 	}
 	var buf bytes.Buffer
-	opts := ChromeOptions{KindName: func(k uint8) string { return map[uint8]string{3: "App"}[k] }}
-	if err := WriteText(&buf, events, opts); err != nil {
+	if err := WriteText(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	const want = `[          0s] p2 crash
 [         1ms] p[stable] storage-write dur=3ms arg=1048576
 [         1ms] p2 down open
 [         1ms] p2 restore dur=1.5s inc=2
-[         2ms] p0 send kind=App arg=290
-[         2ms] p1 recv kind=App arg=290
+[         2ms] p0 send kind=app arg=290
+[         2ms] p1 recv kind=app arg=290
 [         2ms] p1 rollback inc=5 arg=12
 `
 	if got := buf.String(); got != want {
 		t.Errorf("WriteText:\n%s\nwant:\n%s", got, want)
-	}
-	buf.Reset()
-	if err := WriteText(&buf, events[:1], ChromeOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.String(), "[         2ms] p1 recv kind=3 arg=290\n"; got != want {
-		t.Errorf("without a KindName: %q, want %q", got, want)
 	}
 }
 
@@ -393,7 +386,7 @@ func TestHistogramDelta(t *testing.T) {
 // was traced.
 func TestChromeExportEmptyRecorder(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, NewRecorder(16).Events(), ChromeOptions{}); err != nil {
+	if err := WriteChrome(&buf, NewRecorder(16).Events()); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()

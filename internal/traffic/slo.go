@@ -1,9 +1,9 @@
 package traffic
 
 import (
-	"sort"
 	"time"
 
+	"rollrec/internal/metrics"
 	"rollrec/internal/output"
 	"rollrec/internal/workload"
 )
@@ -25,7 +25,7 @@ type TierStats struct {
 
 // StatsPerTier groups the ledger's committed outputs by tier and returns
 // one TierStats per tier in tier order. Quantiles are exact
-// (sorted-sample index, matching the experiment tables), not estimates.
+// (metrics.ExactQuantiles, as in the experiment tables), not estimates.
 func StatsPerTier(led *output.Ledger, spec workload.Traffic) []TierStats {
 	lats := make([][]time.Duration, 3)
 	stats := make([]TierStats, 3)
@@ -41,13 +41,8 @@ func StatsPerTier(led *output.Ledger, spec workload.Traffic) []TierStats {
 		}
 	}
 	for i, ds := range lats {
-		if len(ds) == 0 {
-			continue
-		}
-		sort.Slice(ds, func(a, b int) bool { return ds[a] < ds[b] })
-		stats[i].P50 = ds[(len(ds)-1)*50/100]
-		stats[i].P99 = ds[(len(ds)-1)*99/100]
-		stats[i].P999 = ds[(len(ds)-1)*999/1000]
+		q := metrics.ExactQuantiles(ds, 500, 990, 999)
+		stats[i].P50, stats[i].P99, stats[i].P999 = q[0], q[1], q[2]
 	}
 	return stats
 }
