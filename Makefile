@@ -43,16 +43,19 @@ lines:
 # n=1024 cells, of which the D1 scale cell (internal/experiments) is still
 # too slow under race; the two sharded n=1024 cluster tests are not since
 # padding stopped being bytes (77 s for this line on 2 cores, PR 17), so
-# the window barrier is raced at the scale that ships. The last two lines
+# the window barrier is raced at the scale that ships. The next two lines
 # race, on one thread and on four, both window paths (forced inline, forced
 # fan-out, adaptive; DESIGN §5) with the coordinator's callback order, and
 # the shard-count differential (1 ≡ 2 ≡ 4 shards for every family, output
-# tracking, traffic and timelines).
+# tracking, traffic and timelines). The last races the explorer's branch
+# pool (DESIGN §13): the goldens, the 1/2/5-worker differential, the
+# mutant and the protocol panic, whose package globals the workers read.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/cluster -run 'Sharded1024|ShardedGolden' -count=1
 	$(GO) test -race ./internal/sim -run 'Shard|WindowPaths|Callbacks' -cpu 1,4 -count=1
 	$(GO) test -race ./internal/cluster -run 'ShardCountChangesNothing' -cpu 1,4 -count=1
+	$(GO) test -race ./internal/explore -run 'Golden|Parallel|Mutation|Panic' -cpu 1,4 -count=1
 
 # bench runs the tiny reference sweep (the same axes as the committed
 # BENCH_seed.json) and gates the result against it at threshold 0 — valid

@@ -12,8 +12,10 @@
 //	explore -replay cx.json
 //
 // The report written by -out is byte-deterministic for a given flag set:
-// running the same exploration twice must produce identical files, which
-// CI checks with cmp.
+// running the same exploration twice, or under a different GOMAXPROCS (the
+// number of branches run at once), must produce identical files, which CI
+// checks with cmp. A bad spec (-n 1, say) or a counterexample file naming a
+// process outside its cluster exits 1 with a message.
 package main
 
 import (
@@ -200,7 +202,9 @@ func specsFor(fam explore.Family, stys []recovery.Style) []explore.Spec {
 	return specs
 }
 
+// fatal prints err once prefixed, whether or not the package already
+// prefixed it, and exits 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "explore:", err)
+	fmt.Fprintln(os.Stderr, "explore:", strings.TrimPrefix(err.Error(), "explore: "))
 	os.Exit(1)
 }

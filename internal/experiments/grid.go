@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"rollrec/internal/cluster"
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
+	"rollrec/internal/pool"
 	"rollrec/internal/recovery"
 	"rollrec/internal/workload"
 )
@@ -221,11 +221,11 @@ func SpecFor(p Params) (Spec, error) {
 // RunSweep expands the axes, runs every cell on a GOMAXPROCS-sized worker
 // pool, and returns the snapshot with cells in sorted parameter-key order.
 //
-// The pool is pure fan-out with results written back by cell index, so
-// the returned snapshot is identical for any pool size. On ctx
-// cancellation the sweep aborts and returns ctx's error — a partial sweep
-// is never reported, because a snapshot missing cells would read as a
-// regression.
+// The pool (internal/pool, shared with the explorer) is pure fan-out with
+// results written back by cell index, so the returned snapshot is identical
+// for any pool size. On ctx cancellation the sweep aborts and returns ctx's
+// error — a partial sweep is never reported, because a snapshot missing
+// cells would read as a regression.
 func RunSweep(ctx context.Context, axes Axes, meta Meta) (*Snapshot, error) {
 	return runSweep(ctx, axes, meta, runtime.GOMAXPROCS(0))
 }
@@ -235,38 +235,12 @@ func runSweep(ctx context.Context, axes Axes, meta Meta, workers int) (*Snapshot
 	if err != nil {
 		return nil, err
 	}
-	workers = min(workers, len(cells))
-
 	out := make([]Cell, len(cells))
-	errs := make([]error, len(cells))
-	idxc := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxc {
-				out[i], errs[i] = runCell(ctx, cells[i])
-			}
-		}()
-	}
-feed:
-	for i := range cells {
-		select {
-		case idxc <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idxc)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := pool.Run(ctx, len(cells), workers, func(i int) (err error) {
+		out[i], err = runCell(ctx, cells[i])
+		return err
+	}); err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	meta.Schema = SchemaVersion
 	return &Snapshot{Meta: meta, Axes: axes, Cells: out}, nil

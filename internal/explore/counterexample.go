@@ -57,9 +57,16 @@ type ReplayResult struct {
 // probe run re-derives the baseline, then the recorded plan runs as a
 // branch and is re-checked against the invariant catalog. Determinism of
 // the kernel makes this exact — FingerprintMatch is a byte-identity claim,
-// not a statistical one.
+// not a statistical one. A spec or plan no exploration could have written —
+// an unknown family, a victim outside the cluster — is an error.
 func Replay(ctx context.Context, cx Counterexample) (*ReplayResult, error) {
 	spec := cx.Spec.withDefaults()
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	if err := validatePlan(spec, cx.Plan); err != nil {
+		return nil, err
+	}
 	base, err := runBranch(ctx, spec, nil, true)
 	if err != nil {
 		return nil, err

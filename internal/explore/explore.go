@@ -46,12 +46,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"time"
 
 	"rollrec/internal/cluster"
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
+	"rollrec/internal/pool"
 	"rollrec/internal/recovery"
 	"rollrec/internal/sim"
 	"rollrec/internal/wire"
@@ -354,11 +356,62 @@ func dedupeSteps(ss []int64) []int64 {
 	return append([]int64(nil), out...)
 }
 
+// validate rejects a spec no exploration can run — an unknown family or
+// FBL style, a cluster size the harness refuses, a failure budget below
+// one, a negative count — so that bad input is an error before any branch
+// worker builds a cluster from it.
+func (s Spec) validate() error {
+	if _, ok := scenarios[s.Family]; !ok {
+		return fmt.Errorf("explore: unknown family %q (want fbl, coordinated or optimistic)", s.Family)
+	}
+	if s.Family == FamilyFBL && (s.Style < recovery.NonBlocking || s.Style > recovery.Manetho) {
+		return fmt.Errorf("explore: unknown recovery %v (want nonblocking, blocking or manetho)", s.Style)
+	}
+	if err := cluster.ValidateN(s.N); err != nil {
+		return fmt.Errorf("explore: %w", err)
+	}
+	if s.F < 1 {
+		return fmt.Errorf("explore: failure budget f=%d, want >= 1", s.F)
+	}
+	if s.MaxPoints < 0 || s.MaxCrashes < 0 || s.DeepBranches < 0 || s.Random < 0 || s.BudgetFactor < 0 {
+		return fmt.Errorf("explore: negative count in %+v", s)
+	}
+	return nil
+}
+
+// validatePlan rejects a crash schedule the harness would misapply: a
+// victim outside the spec's cluster (cluster.ApplyPlan drops it silently)
+// or a negative step or time.
+func validatePlan(spec Spec, plan failure.Plan) error {
+	for i, cr := range plan {
+		if cr.Proc < 0 || int(cr.Proc) >= spec.N || cr.Step < 0 || cr.At < 0 {
+			return fmt.Errorf("explore: plan entry %d (proc %d, step %d, at %v) is outside the n=%d cluster or before its start",
+				i, cr.Proc, cr.Step, cr.At, spec.N)
+		}
+	}
+	return nil
+}
+
 // Run explores the spec and returns the report. It is deterministic: two
 // runs of the same spec produce byte-identical reports (the double-run CI
-// gate relies on it).
+// gate relies on it), whatever GOMAXPROCS is.
+//
+// Each level — the single crashes, the second crashes aimed inside their
+// recoveries, the random frontier — is planned in full before any of its
+// branches runs, its branches run on a GOMAXPROCS-sized pool, and their
+// results are folded into the report serially in plan order. No plan of a
+// level depends on another branch of the same level, and the fold is the
+// only place branch results meet, so the report is the serial run's.
 func Run(ctx context.Context, spec Spec) (*Report, error) {
+	return run(ctx, spec, runtime.GOMAXPROCS(0))
+}
+
+// run is Run with branches on the given number of workers.
+func run(ctx context.Context, spec Spec, workers int) (*Report, error) {
 	spec = spec.withDefaults()
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
 	base, err := runBranch(ctx, spec, nil, true)
 	if err != nil {
 		return nil, err
@@ -380,53 +433,55 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	points := selectPoints(base.points, spec.MaxPoints)
 	rep.Points = len(points)
 	budget := base.events*int64(spec.BudgetFactor) + 20_000
-	r := &runner{spec: spec, base: base, budget: budget, rep: rep, fp: base.fingerprint}
+	r := &runner{spec: spec, base: base, budget: budget, rep: rep, fp: base.fingerprint, workers: workers}
 
 	// Level 1: bounded-exhaustive single crashes — every decision point ×
 	// every application process.
-	type firstBranch struct {
-		plan     failure.Plan
-		recSteps []int64
-	}
-	var firsts []firstBranch
+	var firsts []failure.Plan
 	for _, pt := range points {
 		for v := 0; v < spec.N; v++ {
-			plan := failure.Plan{{Step: pt.Step, Proc: ids.ProcID(v)}}
-			res, err := r.branch(ctx, plan)
-			if err != nil {
-				return nil, err
-			}
-			if spec.MaxCrashes >= 2 && len(res.recSteps) > 0 {
-				firsts = append(firsts, firstBranch{plan: plan, recSteps: dedupeSteps(res.recSteps)})
-			}
+			firsts = append(firsts, failure.Plan{{Step: pt.Step, Proc: ids.ProcID(v)}})
 		}
+	}
+	results, err := r.level(ctx, firsts)
+	if err != nil {
+		return nil, err
 	}
 
 	// Level 2: aim a second crash inside the recoveries the first level
 	// exposed. Round-robin across first-level branches so the deep budget
 	// spreads over distinct recoveries instead of exhausting one.
 	if spec.MaxCrashes >= 2 {
-		deep := 0
-		for idx := 0; deep < spec.DeepBranches; idx++ {
+		type recovering struct {
+			plan     failure.Plan
+			recSteps []int64
+		}
+		var recs []recovering
+		for i, res := range results {
+			if len(res.recSteps) > 0 {
+				recs = append(recs, recovering{plan: firsts[i], recSteps: dedupeSteps(res.recSteps)})
+			}
+		}
+		var deep []failure.Plan
+		for idx := 0; len(deep) < spec.DeepBranches; idx++ {
 			progressed := false
-			for _, fb := range firsts {
-				if idx >= len(fb.recSteps) || deep >= spec.DeepBranches {
+			for _, fb := range recs {
+				if idx >= len(fb.recSteps) || len(deep) >= spec.DeepBranches {
 					continue
 				}
 				progressed = true
 				step := fb.recSteps[idx]
-				for v := 0; v < spec.N && deep < spec.DeepBranches; v++ {
-					plan := append(append(failure.Plan(nil), fb.plan...),
-						failure.Crash{Step: step, Proc: ids.ProcID(v)})
-					if _, err := r.branch(ctx, plan); err != nil {
-						return nil, err
-					}
-					deep++
+				for v := 0; v < spec.N && len(deep) < spec.DeepBranches; v++ {
+					deep = append(deep, append(append(failure.Plan(nil), fb.plan...),
+						failure.Crash{Step: step, Proc: ids.ProcID(v)}))
 				}
 			}
 			if !progressed {
 				break
 			}
+		}
+		if _, err := r.level(ctx, deep); err != nil {
+			return nil, err
 		}
 	}
 
@@ -434,6 +489,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	// candidate pool, deterministic per RandomSeed.
 	if spec.Random > 0 && len(points) > 0 {
 		rng := rand.New(rand.NewSource(spec.RandomSeed))
+		var random []failure.Plan
 		for i := 0; i < spec.Random; i++ {
 			k := 1 + rng.Intn(spec.MaxCrashes)
 			var plan failure.Plan
@@ -441,9 +497,10 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 				pt := points[rng.Intn(len(points))]
 				plan = append(plan, failure.Crash{Step: pt.Step, Proc: ids.ProcID(rng.Intn(spec.N))})
 			}
-			if _, err := r.branch(ctx, plan.Sorted()); err != nil {
-				return nil, err
-			}
+			random = append(random, plan.Sorted())
+		}
+		if _, err := r.level(ctx, random); err != nil {
+			return nil, err
 		}
 	}
 
@@ -462,21 +519,39 @@ func MustRun(ctx context.Context, spec Spec) *Report {
 
 // runner threads the exploration state through branch launches.
 type runner struct {
-	spec   Spec
-	base   *branchResult
-	budget int64
-	rep    *Report
-	fp     uint64
+	spec    Spec
+	base    *branchResult
+	budget  int64
+	rep     *Report
+	fp      uint64
+	workers int
 }
 
-// branch runs one schedule, folds its fingerprint into the report, and —
-// when the invariants are violated — minimizes the schedule and records a
-// replayable counterexample.
-func (r *runner) branch(ctx context.Context, plan failure.Plan) (*branchResult, error) {
-	res, err := runBranch(ctx, r.spec, plan, false)
-	if err != nil {
+// level runs one level's plans on the worker pool, results written back by
+// plan index, then folds them into the report in plan order — the order a
+// serial exploration visits them, so the report does not depend on which
+// branch finished first. It returns the results in plan order.
+func (r *runner) level(ctx context.Context, plans []failure.Plan) ([]*branchResult, error) {
+	results := make([]*branchResult, len(plans))
+	if err := pool.Run(ctx, len(plans), r.workers, func(i int) (err error) {
+		results[i], err = runBranch(ctx, r.spec, plans[i], false)
+		return err
+	}); err != nil {
 		return nil, err
 	}
+	for i, res := range results {
+		if err := r.fold(ctx, plans[i], res); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// fold counts one branch into the report, mixes its fingerprint into the
+// report's, and — when the invariants are violated — minimizes the schedule
+// (serially, on the calling goroutine) and records a replayable
+// counterexample.
+func (r *runner) fold(ctx context.Context, plan failure.Plan, res *branchResult) error {
 	r.rep.Branches++
 	r.rep.Stats.add(res)
 	r.fp = mix(r.fp, res.fingerprint)
@@ -484,7 +559,7 @@ func (r *runner) branch(ctx context.Context, plan failure.Plan) (*branchResult, 
 		r.rep.Violations++
 		minPlan, minRes, minViol, err := r.minimize(ctx, plan, res, viol)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		r.rep.Counterexamples = append(r.rep.Counterexamples, Counterexample{
 			Spec:        r.spec,
@@ -494,7 +569,7 @@ func (r *runner) branch(ctx context.Context, plan failure.Plan) (*branchResult, 
 			Events:      minRes.events,
 		})
 	}
-	return res, nil
+	return nil
 }
 
 // minimize greedily removes crashes while the schedule still violates some

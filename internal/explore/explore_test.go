@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rollrec/internal/failure"
+	"rollrec/internal/fbl"
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
 	"rollrec/internal/workload"
@@ -84,6 +89,21 @@ func TestReportGoldenN4TwoCrash(t *testing.T) {
 // checkReportGolden runs the five family/style rows with the axes of base
 // and compares the JSON report byte-for-byte against testdata/name.
 func checkReportGolden(t *testing.T, name string, base Spec) {
+	got := fiveRows(t, base, runtime.GOMAXPROCS(0))
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(got, '\n'), want) {
+		t.Fatalf("explorer report diverged from testdata/%s:\n%s", name, got)
+	}
+}
+
+// fiveRows explores the five family/style rows with the axes of base on the
+// given number of branch workers and returns the reports as cmd/explore
+// -out writes them.
+func fiveRows(t *testing.T, base Spec, workers int) []byte {
+	t.Helper()
 	var reports []*Report
 	for _, spec := range []Spec{
 		{Family: FamilyFBL, Style: recovery.NonBlocking},
@@ -93,7 +113,7 @@ func checkReportGolden(t *testing.T, name string, base Spec) {
 		{Family: FamilyOptimistic},
 	} {
 		spec.N, spec.F, spec.Seed, spec.MaxCrashes, spec.Random = base.N, base.F, base.Seed, base.MaxCrashes, base.Random
-		rep, err := Run(context.Background(), spec)
+		rep, err := run(context.Background(), spec, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,12 +123,123 @@ func checkReportGolden(t *testing.T, name string, base Spec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
+	return got
+}
+
+// TestParallelReportMatchesSerial runs explorations on 1, 2 and 5 branch
+// workers and requires byte-identical reports: the pool must be invisible in
+// the output. The two-crash sweep covers all three levels; the mutant (see
+// TestMutationDetected) covers violations, their serial minimization and
+// the order of the counterexamples.
+//
+// Not parallel: the mutation knob is package-global, and it is set before
+// run because the branch workers read it.
+func TestParallelReportMatchesSerial(t *testing.T) {
+	sweep := Spec{N: 4, F: 1, Seed: 1, MaxCrashes: 2, Random: 50}
+	mutant := testSpec(FamilyFBL, recovery.NonBlocking)
+	mutant.CheckpointEvery = time.Hour
+	mutantReport := func(workers int) []byte {
+		fbl.TestingDropDetPiggyback = true
+		defer func() { fbl.TestingDropDetPiggyback = false }()
+		rep, err := run(context.Background(), mutant, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Counterexamples) < 2 {
+			t.Fatalf("mutant yields %d counterexamples, the order check needs two", len(rep.Counterexamples))
+		}
+		got, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	if !bytes.Equal(append(got, '\n'), want) {
-		t.Fatalf("explorer report diverged from testdata/%s:\n%s", name, got)
+	serialSweep, serialMutant := fiveRows(t, sweep, 1), mutantReport(1)
+	for _, workers := range []int{2, 5} {
+		if got := fiveRows(t, sweep, workers); !bytes.Equal(got, serialSweep) {
+			t.Errorf("two-crash sweep on %d workers diverged from the serial report:\n%s", workers, got)
+		}
+		if got := mutantReport(workers); !bytes.Equal(got, serialMutant) {
+			t.Errorf("mutant on %d workers diverged from the serial report:\n%s", workers, got)
+		}
+	}
+}
+
+// TestCancelMidLevel cancels the context while the tenth cluster of the
+// exploration is built — the probe run builds the first, so level 1 is
+// under way on four workers. Run must return ctx.Err() and no report, stop
+// handing out branches, and leave no branch worker behind.
+//
+// Not parallel: the scenario table is package-global, and it is swapped
+// before run because the branch workers read it.
+func TestCancelMidLevel(t *testing.T) {
+	orig := scenarios[FamilyFBL]
+	t.Cleanup(func() { scenarios[FamilyFBL] = orig })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var built atomic.Int64
+	sc := orig
+	sc.app = func(n int) workload.Factory {
+		if built.Add(1) == 10 {
+			cancel()
+		}
+		return orig.app(n)
+	}
+	scenarios[FamilyFBL] = sc
+
+	spec := testSpec(FamilyFBL, recovery.NonBlocking)
+	before := runtime.NumGoroutine()
+	rep, err := run(ctx, spec, 4)
+	if !errors.Is(err, context.Canceled) || rep != nil {
+		t.Fatalf("cancelled exploration returned (%v, %v), want (nil, context.Canceled)", rep, err)
+	}
+	if all := int64(1 + spec.MaxPoints*3); built.Load() >= all {
+		t.Fatalf("all %d clusters were built after cancellation", all)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cancelled run, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBadInputIsAnError feeds Run and Replay specs and plans no exploration
+// could have written: each is an error that names the problem, and none
+// panics.
+func TestBadInputIsAnError(t *testing.T) {
+	fblSpec := Spec{Family: FamilyFBL, N: 3}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		plan failure.Plan // nil: Run and Replay; else Replay only
+		want string
+	}{
+		{"unknown family", Spec{Family: "bogus"}, nil, `unknown family "bogus"`},
+		{"no family", Spec{N: 3}, nil, `unknown family ""`},
+		{"unknown style", Spec{Family: FamilyFBL, Style: 7}, nil, "unknown recovery style(7)"},
+		{"n=1", Spec{Family: FamilyFBL, N: 1}, nil, "cluster size n=1 out of range"},
+		{"n too large", Spec{Family: FamilyOptimistic, N: 5000}, nil, "cluster size n=5000 out of range"},
+		{"f below one", Spec{Family: FamilyCoordinated, F: -1}, nil, "failure budget f=-1"},
+		{"negative points", Spec{Family: FamilyFBL, MaxPoints: -1}, nil, "negative count"},
+		{"victim outside the cluster", fblSpec, failure.Plan{{Step: 50, Proc: 9}}, "plan entry 0 (proc 9, step 50"},
+		{"storage victim", fblSpec, failure.Plan{{Step: 50, Proc: 0}, {Step: 60, Proc: ids.StorageProc}}, "plan entry 1 (proc -1, step 60"},
+		{"negative step", fblSpec, failure.Plan{{Step: -4, Proc: 1}}, "plan entry 0 (proc 1, step -4"},
+		{"negative time", fblSpec, failure.Plan{{At: -time.Second, Proc: 1}}, "at -1s"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(what string, err error) {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: got error %v, want one containing %q", what, err, tc.want)
+				}
+			}
+			if tc.plan == nil {
+				_, err := Run(context.Background(), tc.spec)
+				check("Run", err)
+			}
+			_, err := Replay(context.Background(), Counterexample{Spec: tc.spec, Plan: tc.plan})
+			check("Replay", err)
+		})
 	}
 }
 
@@ -217,9 +348,13 @@ func TestCounterexampleRoundTrip(t *testing.T) {
 // TestBranchAllocBudget is the tier-1 reading of what the host-time
 // benchmark's explorer cell measures: 50 single-crash FBL non-blocking
 // branches at n=4 may not cost more than 161 KB and 1 270 allocations each
-// (runtime.MemStats deltas; no test of this package runs beside this one,
-// the parallel ones start after it). The limits are what the PR 24 tree
-// reads, 146.0 KB and 1 151 allocations, plus 10 %; before it a branch was
+// (runtime.MemStats deltas, which count every goroutine's allocations, so
+// nothing may run beside it: the t.Parallel tests of this package start
+// after it, every Run of the tests before it joined its branch workers
+// before returning, and this test calls runBranch serially on its own
+// goroutine rather than through the pool). The limits are what the tree
+// read once the idle path stopped allocating, 146.0 KB and 1 151
+// allocations, plus 10 %; before that a branch was
 // 218.8 KB and 3 076, the difference being a frame and a timer handle per
 // heartbeat tick and histograms that held every octave below their
 // millisecond latencies. A change that trips this moves `alloc_mb` on

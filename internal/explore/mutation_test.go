@@ -20,7 +20,8 @@ import (
 // invariant catalog does not pass vacuously — and that the emitted
 // counterexample replays to a byte-identical branch fingerprint.
 //
-// Not parallel: the mutation knob is package-global.
+// Not parallel: the mutation knob is package-global. It is set before Run
+// and cleared after it returns, because Run's branch workers read it.
 func TestMutationDetected(t *testing.T) {
 	fbl.TestingDropDetPiggyback = true
 	defer func() { fbl.TestingDropDetPiggyback = false }()
@@ -94,7 +95,8 @@ func (a panicApp) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) erro
 // there. The explorer must survive every such branch, report the panic as a
 // violation, and hand back a counterexample that replays byte-identically.
 //
-// Not parallel: the scenario table is package-global.
+// Not parallel: the scenario table is package-global. It is swapped before
+// Run and restored after the test, because Run's branch workers read it.
 func TestProtocolPanicIsAViolation(t *testing.T) {
 	orig := scenarios[FamilyCoordinated]
 	t.Cleanup(func() { scenarios[FamilyCoordinated] = orig })

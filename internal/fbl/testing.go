@@ -11,5 +11,7 @@ package fbl
 // This is a test-only mutation knob: the explorer's mutation self-test
 // (internal/explore) flips it to prove the invariant checker actually
 // detects a seeded-in violation rather than passing vacuously. Never set it
-// outside tests.
+// outside tests. It is read, unsynchronized, by every process of every
+// cluster, and explore.Run builds its branch clusters on several goroutines:
+// set it before Run and clear it after Run returns, never during.
 var TestingDropDetPiggyback bool
