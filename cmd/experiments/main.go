@@ -140,7 +140,7 @@ func main() {
 			}
 		}
 		if *traceOut != "" {
-			if err := writeChromeFile(*traceOut, rec); err != nil {
+			if err := trace.WriteChromeFile(*traceOut, rec.Events()); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
 				os.Exit(2)
 			}
@@ -183,16 +183,4 @@ func writeTimelines(ctx context.Context, dir string, seed int64, every, crashAt,
 		}
 	}
 	return nil
-}
-
-func writeChromeFile(path string, rec *trace.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChrome(f, rec.Events()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -183,7 +183,7 @@ func main() {
 			}
 		}
 		if *traceOut != "" {
-			if err := writeChromeFile(*traceOut, rec); err != nil {
+			if err := trace.WriteChromeFile(*traceOut, rec.Events()); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("\ntrace: %d events written to %s (open in ui.perfetto.dev)\n",
@@ -257,18 +257,6 @@ func parseCrashes(s string, n int) (failure.Plan, error) {
 		plan = append(plan, failure.Crash{At: d, Proc: ids.ProcID(p)})
 	}
 	return plan, nil
-}
-
-func writeChromeFile(path string, rec *trace.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChrome(f, rec.Events()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

@@ -50,17 +50,6 @@ func (s *Set) Add(i int) {
 	s.words[w] |= 1 << uint(i%wordBits)
 }
 
-// Remove deletes element i if present.
-func (s *Set) Remove(i int) {
-	if i < 0 {
-		return
-	}
-	w := i / wordBits
-	if w < len(s.words) {
-		s.words[w] &^= 1 << uint(i%wordBits)
-	}
-}
-
 // Contains reports whether element i is in the set.
 func (s Set) Contains(i int) bool {
 	if i < 0 {
@@ -94,16 +83,6 @@ func (s Set) RunCount() int {
 	return n
 }
 
-// Empty reports whether the set has no elements.
-func (s Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Union merges o into s in place and reports whether s changed.
 func (s *Set) Union(o Set) bool {
 	if len(s.words) < len(o.words) {
@@ -119,31 +98,6 @@ func (s *Set) Union(o Set) bool {
 		}
 	}
 	return changed
-}
-
-// Intersects reports whether s and o share at least one element.
-func (s Set) Intersects(o Set) bool {
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Subtract removes every element of o from s in place.
-func (s *Set) Subtract(o Set) {
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		s.words[i] &^= o.words[i]
-	}
 }
 
 // Equal reports whether s and o contain exactly the same elements,
@@ -198,16 +152,6 @@ func (s Set) Words() []uint64 {
 		w = w[:len(w)-1]
 	}
 	return w
-}
-
-// FromWords rebuilds a set from codec words. The slice is copied.
-func FromWords(words []uint64) Set {
-	if len(words) == 0 {
-		return Set{}
-	}
-	w := make([]uint64, len(words))
-	copy(w, words)
-	return Set{words: w}
 }
 
 // View returns a read-only set that aliases words instead of copying them,

@@ -8,7 +8,7 @@ import (
 
 func TestZeroValueIsEmpty(t *testing.T) {
 	var s Set
-	if !s.Empty() || s.Count() != 0 {
+	if s.Count() != 0 {
 		t.Fatalf("zero value not empty: count=%d", s.Count())
 	}
 	if s.Contains(0) || s.Contains(100) {
@@ -16,7 +16,7 @@ func TestZeroValueIsEmpty(t *testing.T) {
 	}
 }
 
-func TestAddContainsRemove(t *testing.T) {
+func TestAddContains(t *testing.T) {
 	var s Set
 	elems := []int{0, 1, 63, 64, 65, 127, 128, 500}
 	for _, e := range elems {
@@ -29,15 +29,6 @@ func TestAddContainsRemove(t *testing.T) {
 	}
 	if got := s.Count(); got != len(elems) {
 		t.Fatalf("Count = %d, want %d", got, len(elems))
-	}
-	for _, e := range elems {
-		s.Remove(e)
-		if s.Contains(e) {
-			t.Errorf("still contains %d after Remove", e)
-		}
-	}
-	if !s.Empty() {
-		t.Fatal("set not empty after removing everything")
 	}
 }
 
@@ -53,13 +44,12 @@ func TestAddIdempotent(t *testing.T) {
 func TestNegativeIgnored(t *testing.T) {
 	var s Set
 	s.Add(-1)
-	s.Remove(-5)
-	if !s.Empty() || s.Contains(-1) {
+	if s.Count() != 0 || s.Contains(-1) {
 		t.Fatal("negative elements must be ignored")
 	}
 }
 
-func TestUnionAndSubtract(t *testing.T) {
+func TestUnion(t *testing.T) {
 	a := FromSlice([]int{1, 2, 3, 70})
 	b := FromSlice([]int{3, 4, 200})
 	a.Union(b)
@@ -72,13 +62,6 @@ func TestUnionAndSubtract(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("union elems = %v, want %v", got, want)
 		}
-	}
-	a.Subtract(b)
-	if a.Contains(3) || a.Contains(4) || a.Contains(200) {
-		t.Fatalf("subtract left elements: %v", a.Elems())
-	}
-	if !a.Contains(1) || !a.Contains(70) {
-		t.Fatalf("subtract removed too much: %v", a.Elems())
 	}
 }
 
@@ -105,25 +88,9 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestIntersects(t *testing.T) {
-	a := FromSlice([]int{1, 65})
-	b := FromSlice([]int{65})
-	c := FromSlice([]int{2, 66})
-	if !a.Intersects(b) {
-		t.Fatal("a and b share 65")
-	}
-	if a.Intersects(c) {
-		t.Fatal("a and c are disjoint")
-	}
-	var empty Set
-	if a.Intersects(empty) || empty.Intersects(a) {
-		t.Fatal("empty set intersects nothing")
-	}
-}
-
 func TestWordsRoundTrip(t *testing.T) {
 	a := FromSlice([]int{0, 63, 64, 300})
-	b := FromWords(a.Words())
+	b := View(a.Words())
 	if !a.Equal(b) {
 		t.Fatalf("round trip mismatch: %v vs %v", a, b)
 	}
@@ -218,7 +185,7 @@ func TestQuickCountMatchesElems(t *testing.T) {
 func TestQuickWordsRoundTrip(t *testing.T) {
 	f := func(xs []uint16) bool {
 		s := FromSlice(normalize(xs))
-		return FromWords(s.Words()).Equal(s)
+		return View(s.Words()).Equal(s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -282,15 +249,11 @@ func TestHotOpsAllocs(t *testing.T) {
 	sinkInt := 0
 	var sinkWords []uint64
 	ops := map[string]func(){
-		"Contains":   func() { sink = a.Contains(64) },
-		"Count":      func() { sinkInt = a.Count() },
-		"Empty":      func() { sink = a.Empty() },
-		"Equal":      func() { sink = a.Equal(b) },
-		"Intersects": func() { sink = a.Intersects(b) },
-		"Words":      func() { sinkWords = a.Words() },
-		"AddNoGrow":  func() { a.Add(100) },
-		"Remove":     func() { a.Remove(100) },
-		"Subtract":   func() { a.Subtract(b) },
+		"Contains":  func() { sink = a.Contains(64) },
+		"Count":     func() { sinkInt = a.Count() },
+		"Equal":     func() { sink = a.Equal(b) },
+		"Words":     func() { sinkWords = a.Words() },
+		"AddNoGrow": func() { a.Add(100) },
 		"UnionNoGrow": func() {
 			// b's backing is no longer than a's, so Union never appends.
 			a.Union(b)

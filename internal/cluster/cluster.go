@@ -3,9 +3,10 @@
 // checkpointing, or optimistic logging — see family.go for the per-family
 // table), their workload, a crash plan, and the simulator together, so the
 // experiments' overhead and recovery columns are comparable by construction.
-// It checks liveness (every recovery completes) for all families and, for
-// FBL, the cross-process invariants the paper's proofs promise (§4): safety
-// (no orphans), exactly-once delivery, and non-intrusion.
+// It checks liveness (every recovery completes) and, when outputs are
+// tracked, output-commit safety for all families and, for FBL, the
+// cross-process invariants the paper's proofs promise (§4): safety (no
+// orphans), exactly-once delivery, and non-intrusion.
 package cluster
 
 import (
@@ -132,19 +133,19 @@ type Cluster struct {
 	K    *sim.Sharded
 	outs *output.Ledger
 
-	// mu guards the violations, which the FBL hooks of every process append
-	// to: with several shards the hooks fire from per-shard goroutines. The
-	// per-process timelines need no lock: each is touched only by its own
-	// process's hooks, which run on the shard that owns the process, and the
-	// window barrier orders them before Check.
-	mu sync.Mutex
+	// mu guards the violations, which the FBL hooks and the output ledger's
+	// conflict probe of every process append to: with several shards they
+	// fire from per-shard goroutines. The per-process timelines need no lock:
+	// each is touched only by its own process's hooks, which run on the shard
+	// that owns the process, and the window barrier orders them before Check.
+	mu         sync.Mutex
+	violations []string
 
 	// FBL checker state, allocated by the FBL family row only: harness-side
 	// timelines (survive crashes; truncated on OnLive).
 	sends      [][]sendInfo            // per sender, indexed by ssn
 	deliveries [][]deliverInfo         // per receiver, indexed by rsn
 	seen       []map[ids.MsgID]ids.RSN // per receiver: fast duplicate check
-	violations []string
 
 	crashes int // crashes scheduled so far (Settled waits for them)
 }
@@ -175,6 +176,10 @@ func New(cfg Config) *Cluster {
 	if cfg.TrackOutputs {
 		c.outs.SetTracer(trace.OrNop(cfg.Tracer))
 		c.outs.SetMetrics(c.K.Metrics)
+		c.outs.SetOnConflict(func(proc ids.ProcID, seq uint64, oldHash, newHash uint64) {
+			c.violate("output-commit: proc %d output #%d re-requested with different content after release (%#x -> %#x)",
+				proc, seq, oldHash, newHash)
+		})
 		outs = c.outs
 	}
 	factory := c.fam.factory(c, workload.Seeded(cfg.App, cfg.Seed), outs)
@@ -288,13 +293,8 @@ func (c *Cluster) AttachTimeline(col *timeline.Collector) {
 			return g
 		},
 		Metrics: func(i int) *metrics.Proc { return c.K.Metrics(ids.ProcID(i)) },
-		Markers: func() []timeline.Marker {
-			return timeline.RecoveryMarkers(c.cfg.N, func(i int) *metrics.Proc {
-				return c.K.Metrics(ids.ProcID(i))
-			})
-		},
 	})
-	c.K.SetSampler(col.Interval(), col.Tick)
+	c.K.AddSampler(col.Interval(), col.Tick)
 }
 
 // Run advances virtual time to the given instant since start.

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
+	"rollrec/internal/output"
 	"rollrec/internal/recovery"
 	"rollrec/internal/workload"
 )
@@ -179,4 +181,40 @@ func TestBlockingStyleBlocksLives(t *testing.T) {
 		t.Fatal("nonblocking run did not complete")
 	}
 	mustCheck(t, c2)
+}
+
+// TestCheckReportsOutputConflict: with outputs tracked, Check reports a
+// released output re-requested with different content as exactly one
+// output-commit violation, for every family.
+func TestCheckReportsOutputConflict(t *testing.T) {
+	for _, fam := range []Family{FamilyFBL, FamilyCoordinated, FamilyOptimistic} {
+		t.Run(string(fam), func(t *testing.T) {
+			c := New(Config{
+				Family: fam, N: 3, F: 1, Seed: 1, HW: fastHW(), Style: recovery.NonBlocking,
+				App:             workload.NewClientServer(1_000_000, 64, int64(time.Millisecond)),
+				CheckpointEvery: 300 * time.Millisecond,
+				StatePad:        4 << 10,
+				TrackOutputs:    true,
+			})
+			c.Run(3 * time.Second)
+			mustCheck(t, c)
+			var released *output.Record
+			for _, r := range c.Outputs().Records() {
+				if r.Committed() {
+					released = &r
+					break
+				}
+			}
+			if released == nil {
+				t.Fatal("no output was released")
+			}
+			if c.Outputs().Requested(released.Proc, released.Seq, c.K.Now(), []byte("different bytes")) {
+				t.Fatal("the ledger tracked a re-request of a released output")
+			}
+			errs := c.Check()
+			if len(errs) != 1 || !strings.HasPrefix(errs[0].Error(), "output-commit: ") {
+				t.Fatalf("Check = %v, want exactly one output-commit error", errs)
+			}
+		})
+	}
 }

@@ -53,7 +53,6 @@ var families = map[Family]family{
 				c.seen[i] = make(map[ids.MsgID]ids.RSN)
 			}
 			return fbl.New(fbl.Params{
-				N:               cfg.N,
 				F:               cfg.F,
 				Fanout:          cfg.Fanout,
 				App:             app,
@@ -95,7 +94,6 @@ var families = map[Family]family{
 	FamilyCoordinated: {
 		factory: func(c *Cluster, app workload.Factory, outs output.Sink) node.Factory {
 			return coord.New(coord.Params{
-				N:             c.cfg.N,
 				App:           app,
 				SnapshotEvery: c.cfg.CheckpointEvery,
 				StatePad:      c.cfg.StatePad,
@@ -112,7 +110,6 @@ var families = map[Family]family{
 	FamilyOptimistic: {
 		factory: func(c *Cluster, app workload.Factory, outs output.Sink) node.Factory {
 			return optimistic.New(optimistic.Params{
-				N:          c.cfg.N,
 				App:        app,
 				FlushEvery: c.cfg.CheckpointEvery,
 				StatePad:   c.cfg.StatePad,

@@ -16,8 +16,6 @@ import (
 
 // Params configures one coordinated-checkpointing process.
 type Params struct {
-	// N is the number of application processes.
-	N int
 	// App builds the hosted application.
 	App workload.Factory
 	// SnapshotEvery is the global snapshot period (driven by process 0).
@@ -42,16 +40,14 @@ type Process struct {
 	n     int
 	peers []ids.ProcID // everyone else, in id order: the markers' and rollbacks' destinations
 
-	app     workload.App
-	started bool
-	epoch   uint32 // rollback epoch; frames from older epochs are stale
+	app   workload.App
+	epoch uint32 // rollback epoch; frames from older epochs are stale
 
 	// Per-pair FIFO channels (the transport every family shares).
 	out channel.Out
 	in  channel.In
 
 	delivered int64 // deliveries in the current epoch (for lost-work metrics)
-	sinceSnap int64 // deliveries since the last committed snapshot
 
 	// Chandy–Lamport state for the snapshot in progress.
 	snapActive       bool
@@ -112,7 +108,6 @@ func (p *Process) Boot(env node.Env, restart bool) {
 
 	if !restart {
 		p.epoch = 1
-		p.started = true
 		p.app.Start(appCtx{p})
 		return
 	}
@@ -189,7 +184,6 @@ func (p *Process) restartFromScratch() {
 	lost := p.delivered
 	p.resetVolatile()
 	p.app = p.par.App(p.env.ID(), p.n)
-	p.started = true
 	p.app.Start(appCtx{p})
 	p.finishRollback(lost)
 }
@@ -199,7 +193,6 @@ func (p *Process) resetVolatile() {
 	p.in.Reset()
 	p.snapActive = false
 	p.delivered = 0
-	p.sinceSnap = 0
 	// The rolled-back execution's uncommitted outputs are abandoned with
 	// it; the restored outSeq (decoded from the snapshot, 0 from scratch)
 	// is where re-execution resumes requesting.
@@ -413,7 +406,6 @@ func (p *Process) deliverApp(e *wire.Envelope) {
 func (p *Process) consume(e *wire.Envelope) {
 	p.in.Exp[e.From] = e.Dseq
 	p.delivered++
-	p.sinceSnap++
 	p.env.Metrics().Delivered++
 	if p.app.Handle(appCtx{p}, e.From, e.Payload) != nil {
 		p.env.Metrics().Rejected++

@@ -60,7 +60,6 @@ func newHarnessEvery(t *testing.T, n int, seed int64, app workload.Factory, snap
 	h := &harness{n: n, tr: &rollbackTracer{}}
 	h.k = sim.New(sim.Config{Seed: seed, HW: fastHW(), Tracer: h.tr})
 	par := Params{
-		N:             n,
 		App:           app,
 		SnapshotEvery: snapshotEvery,
 		StatePad:      4 << 10,

@@ -130,7 +130,6 @@ func (p *Process) commit(id uint32) {
 		return
 	}
 	p.committedID = id
-	p.sinceSnap = 0
 	p.persistEpoch()
 	p.commitOutputs(id)
 }
@@ -233,7 +232,6 @@ func (p *Process) decodeSnapshot(img storage.Image) ([]recordedMsg, error) {
 	if err := p.app.Restore(app); err != nil {
 		return nil, fmt.Errorf("coord: restoring app: %w", err)
 	}
-	p.started = true
 	return out, nil
 }
 

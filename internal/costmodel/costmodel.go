@@ -11,9 +11,8 @@ import (
 type Inputs struct {
 	// HW is the hardware profile (the technology terms).
 	HW node.Hardware
-	// N is the cluster size; F the failure budget.
+	// N is the cluster size.
 	N int
-	F int
 	// Style is the recovery algorithm variant under analysis.
 	Style recovery.Style
 	// CheckpointBytes is the stable-storage size of one checkpoint
@@ -151,15 +150,4 @@ func Overlapping(in Inputs) OverlapPrediction {
 
 	out := OverlapPrediction{First: first, Second: second, GatherStall: stall}
 	return out
-}
-
-// LiveBlockedOverlap predicts the per-live intrusion for the two-failure
-// scenario: under the blocking styles the lives sit out the whole stalled
-// gather; under the new algorithm, nothing.
-func LiveBlockedOverlap(in Inputs) time.Duration {
-	if in.Style == recovery.NonBlocking {
-		return 0
-	}
-	o := Overlapping(in)
-	return o.GatherStall + SingleFailure(in).LiveBlocked
 }

@@ -88,7 +88,6 @@ func modelInputsFrom(r *Result) costmodel.Inputs {
 	return costmodel.Inputs{
 		HW:              r.Spec.HW,
 		N:               r.Spec.N,
-		F:               r.Spec.F,
 		CheckpointBytes: cpBytes,
 		DepinfoBytes:    depBytes,
 		ReplayMsgs:      replayed,

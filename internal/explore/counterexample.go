@@ -75,13 +75,12 @@ func Replay(ctx context.Context, cx Counterexample) (*ReplayResult, error) {
 	if len(cx.Plan) == 0 {
 		// Probe-run counterexample: the violation is in the crash-free
 		// execution itself.
-		viol := append(append([]string(nil), base.famErrs...), base.conflicts...)
 		return &ReplayResult{
 			Fingerprint:      base.fingerprint,
 			Events:           base.events,
-			Violations:       viol,
+			Violations:       base.famErrs,
 			FingerprintMatch: base.fingerprint == cx.Fingerprint,
-			Reproduced:       len(viol) > 0,
+			Reproduced:       len(base.famErrs) > 0,
 		}, nil
 	}
 	res, err := runBranch(ctx, spec, cx.Plan, false)

@@ -19,15 +19,15 @@
 // The invariant catalog, checked on every branch:
 //
 //   - orphan-freedom / family safety: the harness's end-state checker
-//     (cluster.Check: per-process liveness for every family, plus orphan
-//     deliveries, exactly-once, replay fidelity, and non-intrusion for FBL),
-//     and the workload completing within the horizon;
+//     (cluster.Check: per-process liveness and output-commit safety for
+//     every family — no output re-requested with different content after
+//     its release, the externally-visible inconsistency the commit rules
+//     exist to prevent — plus orphan deliveries, exactly-once, replay
+//     fidelity, and non-intrusion for FBL), and the workload completing
+//     within the horizon;
 //   - state fidelity: terminal application digests must equal the
 //     crash-free baseline's (the workloads are deterministic, so any loss,
 //     duplication, or reordering of deliveries diverges the digest);
-//   - output-commit safety: no output may be re-requested with different
-//     content after its release (output.Ledger.SetOnConflict) — the
-//     externally-visible inconsistency the commit rules exist to prevent;
 //   - prefix fidelity: a branch's event stream before its first crash must
 //     be byte-identical to the probe run's prefix (rolling step-stream
 //     hash), pinning that schedules only diverge *at* the injected fault;
@@ -205,9 +205,8 @@ type branchResult struct {
 	frames        int64 // sent by the application processes
 	heartbeats    int64
 	digests       []uint64
-	conflicts     []string
 	famErrs       []string
-	points        []point
+	points        []int64
 	recSteps      []int64
 	prefix        []uint64 // probe run only: prefix[i] = hash of steps < i
 	prefixCut     uint64   // branch runs: hash of steps < first crash step
@@ -256,7 +255,6 @@ func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool
 	}
 	res.events = in.c.Kernel().Steps()
 	res.digests = in.c.Digests()
-	res.conflicts = in.conflicts
 	for _, err := range in.c.Check() {
 		res.famErrs = append(res.famErrs, err.Error())
 	}
@@ -285,9 +283,6 @@ func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool
 func checkBranch(base, res *branchResult, plan failure.Plan, budget int64) []string {
 	var v []string
 	v = append(v, res.famErrs...)
-	for _, c := range res.conflicts {
-		v = append(v, "output-commit: "+c)
-	}
 	if res.stateFidelity {
 		if len(res.digests) != len(base.digests) {
 			v = append(v, "state-fidelity: digest cardinality diverged")
@@ -320,29 +315,22 @@ func checkBranch(base, res *branchResult, plan failure.Plan, budget int64) []str
 	return v
 }
 
-// selectPoints canonicalizes (sort by step, dedupe) and evenly subsamples
-// the candidate decision points down to max.
-func selectPoints(ps []point, max int) []point {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Step < ps[j].Step })
-	out := ps[:0]
-	var last int64 = -1
-	for _, p := range ps {
-		if p.Step != last {
-			out = append(out, p)
-			last = p.Step
-		}
-	}
+// selectPoints canonicalizes (sort, dedupe) and evenly subsamples the
+// candidate decision points down to max.
+func selectPoints(steps []int64, max int) []int64 {
+	out := dedupeSteps(steps)
 	if len(out) <= max {
-		return append([]point(nil), out...)
+		return out
 	}
-	sub := make([]point, 0, max)
+	sub := make([]int64, 0, max)
 	for i := 0; i < max; i++ {
 		sub = append(sub, out[i*len(out)/max])
 	}
 	return sub
 }
 
-// dedupeSteps canonicalizes a recovery-transition step list.
+// dedupeSteps canonicalizes a step list: sorted, each step once, in a fresh
+// slice.
 func dedupeSteps(ss []int64) []int64 {
 	sort.Slice(ss, func(i, j int) bool { return ss[i] < ss[j] })
 	out := ss[:0]
@@ -418,13 +406,13 @@ func run(ctx context.Context, spec Spec, workers int) (*Report, error) {
 	}
 	rep := &Report{Spec: spec, BaselineEvents: base.events, Fingerprint: base.fingerprint}
 	rep.Stats.add(base)
-	if bad := append(append([]string(nil), base.famErrs...), base.conflicts...); len(bad) > 0 {
+	if len(base.famErrs) > 0 {
 		// The crash-free probe run itself is inconsistent: exploring crash
 		// schedules on top of a broken baseline is meaningless, so report
 		// the empty schedule as the counterexample and stop.
 		rep.Violations = 1
 		rep.Counterexamples = append(rep.Counterexamples, Counterexample{
-			Spec: spec, Violations: bad,
+			Spec: spec, Violations: base.famErrs,
 			Fingerprint: base.fingerprint, Events: base.events,
 		})
 		return rep, nil
@@ -438,9 +426,9 @@ func run(ctx context.Context, spec Spec, workers int) (*Report, error) {
 	// Level 1: bounded-exhaustive single crashes — every decision point ×
 	// every application process.
 	var firsts []failure.Plan
-	for _, pt := range points {
+	for _, step := range points {
 		for v := 0; v < spec.N; v++ {
-			firsts = append(firsts, failure.Plan{{Step: pt.Step, Proc: ids.ProcID(v)}})
+			firsts = append(firsts, failure.Plan{{Step: step, Proc: ids.ProcID(v)}})
 		}
 	}
 	results, err := r.level(ctx, firsts)
@@ -494,8 +482,8 @@ func run(ctx context.Context, spec Spec, workers int) (*Report, error) {
 			k := 1 + rng.Intn(spec.MaxCrashes)
 			var plan failure.Plan
 			for j := 0; j < k; j++ {
-				pt := points[rng.Intn(len(points))]
-				plan = append(plan, failure.Crash{Step: pt.Step, Proc: ids.ProcID(rng.Intn(spec.N))})
+				step := points[rng.Intn(len(points))]
+				plan = append(plan, failure.Crash{Step: step, Proc: ids.ProcID(rng.Intn(spec.N))})
 			}
 			random = append(random, plan.Sorted())
 		}

@@ -378,7 +378,7 @@ func TestBranchAllocBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for b := 0; b < branches; b++ {
-		plan := failure.Plan{{Step: points[b/spec.N].Step, Proc: ids.ProcID(b % spec.N)}}
+		plan := failure.Plan{{Step: points[b/spec.N], Proc: ids.ProcID(b % spec.N)}}
 		res, err := runBranch(ctx, spec, plan, false)
 		if err != nil {
 			t.Fatal(err)

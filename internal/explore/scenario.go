@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rollrec/internal/cluster"
-	"rollrec/internal/ids"
 	"rollrec/internal/node"
 	"rollrec/internal/trace"
 	"rollrec/internal/wire"
@@ -31,14 +30,6 @@ func exploreHW() node.Hardware {
 	return hw
 }
 
-// point is one decision-point candidate: a step boundary right after an
-// event the protocol state machine pivots on.
-type point struct {
-	Step int64  `json:"step"`
-	At   int64  `json:"at"`
-	Why  string `json:"why"`
-}
-
 // maxRecorded bounds the tracer's memory on pathological branches.
 const maxRecorded = 1 << 16
 
@@ -53,28 +44,19 @@ type decisionTracer struct {
 	steps      func() int64 // kernel step counter; wired after kernel build
 	pointLimit int64        // only events at/before this virtual time become candidates
 	wantPoints bool         // the probe run: only its points are ever read
-	points     []point
+	points     []int64      // decision points: step boundaries right after a pivotal event
 	recSteps   []int64
 }
 
 var _ trace.Tracer = (*decisionTracer)(nil)
 
-// recvWhy names a receipt decision point by frame kind. Built once: most
-// receipts lie past pointLimit and never become points.
-var recvWhy = func() (why [wire.KindCount]string) {
-	for k := range why {
-		why[k] = fmt.Sprintf("recv-kind-%d", k)
-	}
-	return why
-}()
-
 func (d *decisionTracer) Enabled() bool { return true }
 
-func (d *decisionTracer) mark(ts int64, why string) {
+func (d *decisionTracer) mark(ts int64) {
 	if !d.wantPoints || d.steps == nil || ts > d.pointLimit || len(d.points) >= maxRecorded {
 		return
 	}
-	d.points = append(d.points, point{Step: d.steps(), At: ts, Why: why})
+	d.points = append(d.points, d.steps())
 }
 
 func (d *decisionTracer) markRec(ts int64) {
@@ -90,7 +72,7 @@ func (d *decisionTracer) Instant(ts int64, proc int32, name string, tag trace.Ta
 		if tag.Kind == uint8(wire.KindHeartbeat) {
 			return
 		}
-		d.mark(ts, recvWhy[tag.Kind])
+		d.mark(ts)
 	case trace.EvAnnounce, trace.EvGatherAbort, trace.EvRestart:
 		d.markRec(ts)
 	}
@@ -99,7 +81,7 @@ func (d *decisionTracer) Instant(ts int64, proc int32, name string, tag trace.Ta
 func (d *decisionTracer) Begin(ts int64, proc int32, name string, tag trace.Tag) trace.SpanRef {
 	switch name {
 	case trace.EvCheckpoint:
-		d.mark(ts, "checkpoint")
+		d.mark(ts)
 	case trace.EvRestore, trace.EvWaiting, trace.EvGather, trace.EvReplay:
 		d.markRec(ts)
 	}
@@ -110,7 +92,7 @@ func (d *decisionTracer) End(ref trace.SpanRef, ts int64) {}
 
 func (d *decisionTracer) Span(ts, dur int64, proc int32, name string, tag trace.Tag) {
 	if name == trace.EvStorageWrite {
-		d.mark(ts, "storage-write")
+		d.mark(ts)
 	}
 }
 
@@ -145,15 +127,14 @@ var scenarios = map[Family]scenario{
 
 // instance is one freshly-built scenario, ready to run exactly once.
 type instance struct {
-	c         *cluster.Cluster
-	tracer    *decisionTracer
-	conflicts []string
+	c      *cluster.Cluster
+	tracer *decisionTracer
 }
 
 // build constructs a fresh instance of the spec's scenario on the cluster
 // harness, with the decision tracer on the kernel's trace stream (marking
-// decision points only if wantPoints) and the output ledger's conflict probe
-// armed.
+// decision points only if wantPoints) and output tracking on, so Check also
+// reports output-commit conflicts.
 func build(spec Spec, wantPoints bool) *instance {
 	sc, ok := scenarios[spec.Family]
 	if !ok {
@@ -177,10 +158,5 @@ func build(spec Spec, wantPoints bool) *instance {
 		TrackOutputs:    true,
 	})
 	in.tracer.steps = in.c.Kernel().Steps
-	in.c.Outputs().SetOnConflict(func(proc ids.ProcID, seq uint64, oldHash, newHash uint64) {
-		in.conflicts = append(in.conflicts, fmt.Sprintf(
-			"proc %d output #%d re-requested with different content after release (%#x -> %#x)",
-			proc, seq, oldHash, newHash))
-	})
 	return in
 }

@@ -24,7 +24,7 @@ type Detector struct {
 }
 
 // NewDetector returns a detector for a cluster of n processes. onSuspect
-// fires exactly once per suspicion (until Clear); it may be nil.
+// fires exactly once per suspicion (until Heard); it may be nil.
 func NewDetector(self ids.ProcID, n int, suspectAfter time.Duration, now int64, onSuspect func(ids.ProcID)) *Detector {
 	d := &Detector{
 		self:         self,
@@ -90,21 +90,6 @@ func (d *Detector) Suspected(p ids.ProcID) bool {
 	return d.tracks(p) && d.suspected[p]
 }
 
-// Clear removes a suspicion without fresh traffic (e.g., after the peer's
-// recovery announcement arrived through a third party).
-func (d *Detector) Clear(p ids.ProcID, now int64) { d.Heard(p, now) }
-
-// SuspectedSet returns the currently suspected processes in ascending order.
-func (d *Detector) SuspectedSet() []ids.ProcID {
-	var out []ids.ProcID
-	for p := 0; p < d.n; p++ {
-		if d.suspected[p] {
-			out = append(out, ids.ProcID(p))
-		}
-	}
-	return out
-}
-
 func (d *Detector) tracks(p ids.ProcID) bool {
 	return p != d.self && !p.IsStorage() && p >= 0 && int(p) < d.n
 }
@@ -135,24 +120,4 @@ func (p Plan) Sorted() Plan {
 		return out[i].Step < out[j].Step
 	})
 	return out
-}
-
-// MaxConcurrent returns the largest number of crashes whose recovery
-// windows overlap, assuming each recovery lasts `window`. Experiments use
-// it to assert a plan stays within the protocol's f budget.
-func (p Plan) MaxConcurrent(window time.Duration) int {
-	s := p.Sorted()
-	max := 0
-	for i := range s {
-		c := 1
-		for j := i + 1; j < len(s); j++ {
-			if s[j].At-s[i].At < window {
-				c++
-			}
-		}
-		if c > max {
-			max = c
-		}
-	}
-	return max
 }

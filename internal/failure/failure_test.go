@@ -68,18 +68,17 @@ func TestNeverSuspectsSelfOrStorage(t *testing.T) {
 	}
 	// Heard from storage must not panic or misindex.
 	d.Heard(ids.StorageProc, 5*sec)
-	set := d.SuspectedSet()
-	if len(set) != 2 || set[0] != 0 || set[1] != 2 {
-		t.Fatalf("SuspectedSet = %v, want [0 2]", set)
+	if !d.Suspected(0) || !d.Suspected(2) {
+		t.Fatal("the silent peers 0 and 2 must be suspected")
 	}
 }
 
 func TestClear(t *testing.T) {
 	d := NewDetector(0, 2, time.Second, 0, nil)
 	d.Tick(5 * sec)
-	d.Clear(1, 5*sec)
+	d.Heard(1, 5*sec)
 	if d.Suspected(1) {
-		t.Fatal("Clear must remove suspicion")
+		t.Fatal("Heard must remove suspicion")
 	}
 }
 
@@ -94,32 +93,12 @@ func TestPlanSorted(t *testing.T) {
 	}
 }
 
-func TestMaxConcurrent(t *testing.T) {
-	p := Plan{
-		{At: 1 * time.Second, Proc: 0},
-		{At: 2 * time.Second, Proc: 1}, // overlaps the first for window 5s
-		{At: 20 * time.Second, Proc: 2},
-	}
-	if got := p.MaxConcurrent(5 * time.Second); got != 2 {
-		t.Fatalf("MaxConcurrent(5s) = %d, want 2", got)
-	}
-	if got := p.MaxConcurrent(500 * time.Millisecond); got != 1 {
-		t.Fatalf("MaxConcurrent(0.5s) = %d, want 1", got)
-	}
-	if got := (Plan{}).MaxConcurrent(time.Second); got != 0 {
-		t.Fatalf("empty plan MaxConcurrent = %d", got)
-	}
-}
-
-// ── Plan.Sorted / MaxConcurrent edge cases ─────────────────────────────
+// ── Plan.Sorted edge cases ─────────────────────────────
 
 func TestSortedEmptyPlan(t *testing.T) {
 	var p Plan
 	if got := p.Sorted(); len(got) != 0 {
 		t.Fatalf("Sorted(empty) = %v", got)
-	}
-	if got := p.MaxConcurrent(time.Second); got != 0 {
-		t.Fatalf("MaxConcurrent(empty) = %d, want 0", got)
 	}
 }
 
@@ -141,29 +120,10 @@ func TestSortedStepTieBreak(t *testing.T) {
 	}
 }
 
-func TestMaxConcurrentWindowBoundaryIsExclusive(t *testing.T) {
-	// Two crashes exactly one window apart do not overlap: the recovery
-	// started at t ends at t+window, strictly before a crash at t+window.
-	p := Plan{{At: 2 * time.Second, Proc: 0}, {At: 4 * time.Second, Proc: 1}}
-	if got := p.MaxConcurrent(2 * time.Second); got != 1 {
-		t.Fatalf("boundary-separated crashes: MaxConcurrent = %d, want 1", got)
-	}
-	if got := p.MaxConcurrent(2*time.Second + 1); got != 2 {
-		t.Fatalf("just-overlapping crashes: MaxConcurrent = %d, want 2", got)
-	}
-}
-
-func TestMaxConcurrentEqualTimes(t *testing.T) {
-	p := Plan{{At: time.Second, Proc: 0}, {At: time.Second, Proc: 1}, {At: time.Second, Proc: 2}}
-	if got := p.MaxConcurrent(time.Nanosecond); got != 3 {
-		t.Fatalf("simultaneous crashes: MaxConcurrent = %d, want 3", got)
-	}
-}
-
 // TestPlanFullFWithStoragePresent exercises the f = n shape: every
 // application process crashes (the storage pseudo-process, ids.StorageProc,
-// never does — the kernel enforces that at injection). Sorting and overlap
-// accounting must handle the full-f plan without special cases.
+// never does — the kernel enforces that at injection). Sorting must handle
+// the full-f plan without special cases.
 func TestPlanFullFWithStoragePresent(t *testing.T) {
 	n := 4
 	p := Plan{}
@@ -175,11 +135,5 @@ func TestPlanFullFWithStoragePresent(t *testing.T) {
 		if s[i-1].At > s[i].At {
 			t.Fatal("full-f plan not sorted")
 		}
-	}
-	if got := s.MaxConcurrent(10 * time.Second); got != n {
-		t.Fatalf("all-overlapping full-f plan: MaxConcurrent = %d, want %d", got, n)
-	}
-	if got := s.MaxConcurrent(time.Second); got != 1 {
-		t.Fatalf("serialized full-f plan: MaxConcurrent = %d, want 1", got)
 	}
 }

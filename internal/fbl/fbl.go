@@ -30,9 +30,8 @@ import (
 
 // Params configures one protocol process.
 type Params struct {
-	// N is the number of application processes; F the failure budget
-	// (F >= N selects the f = n instance with the storage pseudo-process).
-	N int
+	// F is the failure budget; F at or above the cluster size selects the
+	// f = n instance with the storage pseudo-process.
 	F int
 	// App builds the hosted application.
 	App workload.Factory

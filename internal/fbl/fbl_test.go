@@ -2,7 +2,6 @@ package fbl
 
 import (
 	"cmp"
-	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -29,7 +28,6 @@ type fakeEnv struct {
 	sent   []*wire.Envelope
 	met    *metrics.Proc
 	stable *storage.Store
-	rng    *rand.Rand
 }
 
 func newFakeEnv(id ids.ProcID, n int) *fakeEnv {
@@ -37,7 +35,6 @@ func newFakeEnv(id ids.ProcID, n int) *fakeEnv {
 		id: id, n: n,
 		met:    metrics.NewProc(),
 		stable: storage.NewStore(),
-		rng:    rand.New(rand.NewSource(9)),
 	}
 }
 
@@ -74,7 +71,6 @@ func (f *fakeEnv) WriteStable(k string, d storage.Image, cb func()) {
 		cb()
 	}
 }
-func (f *fakeEnv) Rand() *rand.Rand       { return f.rng }
 func (f *fakeEnv) Metrics() *metrics.Proc { return f.met }
 func (f *fakeEnv) Tracer() trace.Tracer   { return trace.Nop{} }
 
@@ -91,9 +87,9 @@ func (f *fakeEnv) takeKind(kind wire.Kind) []*wire.Envelope {
 	return out
 }
 
-func testParams(n, f int) Params {
+func testParams(f int) Params {
 	return Params{
-		N: n, F: f,
+		F:               f,
 		App:             workload.NewRandomPeer(0, 0, 0, 0), // inert app
 		Style:           recovery.NonBlocking,
 		CheckpointEvery: time.Hour, // manual checkpoints only
@@ -103,7 +99,7 @@ func testParams(n, f int) Params {
 func bootProc(t *testing.T, id ids.ProcID, n, f int) (*Process, *fakeEnv) {
 	t.Helper()
 	env := newFakeEnv(id, n)
-	p := New(testParams(n, f))().(*Process)
+	p := New(testParams(f))().(*Process)
 	p.Boot(env, false)
 	env.sent = nil
 	return p, env
@@ -426,7 +422,7 @@ func TestStableDeterminantTravelsOnceMore(t *testing.T) {
 		clock int64
 	)
 	for i := range procs {
-		par := testParams(n, 1)
+		par := testParams(1)
 		par.Outputs = ledger
 		envs[i] = newFakeEnv(ids.ProcID(i), n)
 		procs[i] = New(par)().(*Process)

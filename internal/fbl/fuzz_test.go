@@ -21,7 +21,7 @@ func (*blobApp) Digest() uint64                                { return 0 }
 func (*blobApp) Done() bool                                    { return true }
 
 func blobProc(pad int) *Process {
-	par := testParams(3, 2)
+	par := testParams(2)
 	par.App = func(ids.ProcID, int) workload.App { return &blobApp{} }
 	par.StatePad = pad
 	p := New(par)().(*Process)

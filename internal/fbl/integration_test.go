@@ -33,7 +33,7 @@ func simCluster(t *testing.T, n, f int, seed int64, style recovery.Style) *sim.K
 	t.Helper()
 	k := sim.New(sim.Config{Seed: seed, HW: simHW()})
 	par := Params{
-		N: n, F: f,
+		F:               f,
 		App:             workload.NewRandomPeer(1, 1_000_000, 32, int64(time.Millisecond)),
 		Style:           style,
 		CheckpointEvery: 300 * time.Millisecond,

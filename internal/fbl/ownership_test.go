@@ -116,7 +116,7 @@ func TestBufferedFramesSurviveEnvelopeReuse(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			env := newFakeEnv(0, 3)
-			p := New(testParams(3, 2))().(*Process)
+			p := New(testParams(2))().(*Process)
 			var got []delivery
 			p.par.Hooks.OnDeliver = func(_ ids.ProcID, id ids.MsgID, from ids.ProcID, _ ids.RSN, h uint64) {
 				got = append(got, delivery{from, id.SSN, h})
@@ -157,7 +157,7 @@ func idleCluster(t *testing.T, n, pad int, outs output.Sink) *sim.Kernel {
 	t.Helper()
 	k := sim.New(sim.Config{Seed: 1, HW: simHW()})
 	par := Params{
-		N: n, F: 1,
+		F:               1,
 		App:             workload.NewRandomPeer(0, 0, 0, 0), // inert
 		Style:           recovery.NonBlocking,
 		CheckpointEvery: time.Hour,
@@ -279,7 +279,7 @@ func TestDeliverPiggybackAllocs(t *testing.T) {
 // drop the scratch with it.
 func TestPiggybackIsACopyOfWhatWasSelected(t *testing.T) {
 	env := newFakeEnv(0, 4)
-	par := testParams(4, 2)
+	par := testParams(2)
 	par.Fanout = 2
 	p := New(par)().(*Process)
 	p.Boot(env, false)

@@ -87,9 +87,6 @@ func (n *Network) link(from, to ids.ProcID) *link {
 	return &row[t]
 }
 
-// Params returns the link cost model.
-func (n *Network) Params() Params { return n.params }
-
 // Schedule computes the delivery time for a frame of size bytes sent at
 // virtual time now. ok is false when the frame is lost to a partition or a
 // random drop.

@@ -8,7 +8,6 @@ package node
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"rollrec/internal/ids"
@@ -60,8 +59,6 @@ type Env interface {
 	// itself to the store, so the caller builds a fresh buffer per write and
 	// never touches it again.
 	WriteStable(key string, img storage.Image, cb func())
-	// Rand returns this process's deterministic random stream.
-	Rand() *rand.Rand
 	// Metrics returns this process's statistics accumulator.
 	Metrics() *metrics.Proc
 	// Tracer returns the event tracer; never nil (trace.Nop when tracing

@@ -48,8 +48,6 @@ import (
 
 // Params configures one optimistic-logging process.
 type Params struct {
-	// N is the number of application processes.
-	N int
 	// App builds the hosted application.
 	App workload.Factory
 	// FlushEvery is the asynchronous log-flush period.
@@ -109,9 +107,8 @@ type Process struct {
 	n     int
 	peers []ids.ProcID // everyone else, in id order: the notices' and retractions' destinations
 
-	app     workload.App
-	started bool
-	epoch   uint32
+	app   workload.App
+	epoch uint32
 
 	ssn     ids.SSN
 	out     channel.Out
@@ -180,7 +177,6 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	if !restart {
 		p.epoch = 1
 		p.epochVec[env.ID()] = 1
-		p.started = true
 		p.app.Start(appCtx{p})
 		return
 	}
@@ -261,7 +257,6 @@ func (p *Process) rebuildFrom(entries []logEntry) {
 	p.outSeq = 0
 	p.pendingOuts = nil
 	p.app = p.par.App(p.env.ID(), p.n)
-	p.started = true
 	p.app.Start(appCtx{p})
 	for _, e := range entries {
 		p.applyDelivery(e.from, e.ssn, e.dseq, e.payload, e.dv, true)

@@ -56,7 +56,6 @@ func newHarness(t *testing.T, n int, seed int64, app workload.Factory, flushEver
 	h := &harness{n: n, tr: &rollbackTracer{}}
 	h.k = sim.New(sim.Config{Seed: seed, HW: fastHW(), Tracer: h.tr})
 	par := Params{
-		N:          n,
 		App:        app,
 		FlushEvery: flushEvery,
 		StatePad:   2 << 10,

@@ -79,9 +79,10 @@ func (l *Ledger) SetMetrics(f func(ids.ProcID) *metrics.Proc) { l.metrics = f }
 // SetOnConflict installs a probe that fires when a rollback re-execution
 // re-requests an already-committed output with *different* content — the
 // externally-visible inconsistency every output-commit rule exists to
-// prevent (the original bytes already left the system). The explorer checks
-// this invariant on every branch; a same-content re-request (deterministic
-// re-execution of released output) does not fire.
+// prevent (the original bytes already left the system). cluster.New arms it
+// whenever outputs are tracked, so Check reports a conflict for every
+// family; a same-content re-request (deterministic re-execution of released
+// output) does not fire.
 func (l *Ledger) SetOnConflict(fn func(proc ids.ProcID, seq uint64, oldHash, newHash uint64)) {
 	l.onConflict = fn
 }

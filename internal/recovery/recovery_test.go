@@ -1,7 +1,6 @@
 package recovery
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -24,7 +23,6 @@ type fakeEnv struct {
 	sent   []*wire.Envelope
 	met    *metrics.Proc
 	timers []*fakeTimer
-	rng    *rand.Rand
 }
 
 type fakeTimer struct {
@@ -36,7 +34,7 @@ type fakeTimer struct {
 func (f *fakeEnv) CancelTimer(slot int32, _ uint64) { f.timers[slot].stopped = true }
 
 func newFakeEnv(id ids.ProcID, n int) *fakeEnv {
-	return &fakeEnv{id: id, n: n, met: metrics.NewProc(), rng: rand.New(rand.NewSource(1))}
+	return &fakeEnv{id: id, n: n, met: metrics.NewProc()}
 }
 
 func (f *fakeEnv) ID() ids.ProcID { return f.id }
@@ -63,7 +61,6 @@ func (f *fakeEnv) MulticastFrame([]ids.ProcID, wire.Kind, []byte) {
 func (f *fakeEnv) Busy(time.Duration)                                {}
 func (f *fakeEnv) ReadStable(k string, cb func(storage.Image, bool)) { cb(storage.Image{}, false) }
 func (f *fakeEnv) WriteStable(k string, _ storage.Image, cb func())  { cb() }
-func (f *fakeEnv) Rand() *rand.Rand                                  { return f.rng }
 func (f *fakeEnv) Metrics() *metrics.Proc                            { return f.met }
 func (f *fakeEnv) Tracer() trace.Tracer                              { return trace.Nop{} }
 

@@ -57,7 +57,7 @@ func runGoldenFBL(shards int, loop bool) multicastRun {
 	lanes := newLaneHash(n)
 	s := sim.NewSharded(sim.Config{Seed: 1, HW: hw, Tracer: lanes}, shards)
 	factory := fbl.New(fbl.Params{
-		N: n, F: 2,
+		F:               2,
 		App:             workload.NewRandomPeer(1, 1_000_000, 256, int64(time.Millisecond)),
 		Style:           recovery.NonBlocking,
 		CheckpointEvery: 4 * time.Second,

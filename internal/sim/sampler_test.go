@@ -48,7 +48,7 @@ func TestSamplerBoundaryRule(t *testing.T) {
 		})
 	})
 	k.Boot()
-	k.SetSampler(10*time.Millisecond, func(now int64) {
+	k.AddSampler(10*time.Millisecond, func(now int64) {
 		log = append(log, fmt.Sprintf("s@%v", time.Duration(now)))
 	})
 	k.Run(30 * time.Millisecond)
@@ -65,7 +65,7 @@ func TestSamplerBoundaryRule(t *testing.T) {
 func TestSamplerRunsToHorizon(t *testing.T) {
 	k := newIdleSharded(1)
 	var n int
-	k.SetSampler(10*time.Millisecond, func(int64) { n++ })
+	k.AddSampler(10*time.Millisecond, func(int64) { n++ })
 	k.Run(95 * time.Millisecond)
 	if n != 9 {
 		t.Fatalf("took %d samples to 95ms at 10ms, want 9", n)
@@ -77,7 +77,7 @@ func TestSamplerRunsToHorizon(t *testing.T) {
 func TestSamplerPersistsAcrossRuns(t *testing.T) {
 	k := newIdleSharded(1)
 	var at []time.Duration
-	k.SetSampler(10*time.Millisecond, func(now int64) { at = append(at, time.Duration(now)) })
+	k.AddSampler(10*time.Millisecond, func(now int64) { at = append(at, time.Duration(now)) })
 	k.Run(15 * time.Millisecond)
 	k.Run(35 * time.Millisecond)
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
@@ -92,7 +92,7 @@ func TestSamplerMidRunInstall(t *testing.T) {
 	k := newIdleSharded(1)
 	k.Run(25 * time.Millisecond)
 	var at []time.Duration
-	k.SetSampler(10*time.Millisecond, func(now int64) { at = append(at, time.Duration(now)) })
+	k.AddSampler(10*time.Millisecond, func(now int64) { at = append(at, time.Duration(now)) })
 	k.Run(45 * time.Millisecond)
 	want := []time.Duration{30 * time.Millisecond, 40 * time.Millisecond}
 	if fmt.Sprint(at) != fmt.Sprint(want) {
@@ -100,23 +100,33 @@ func TestSamplerMidRunInstall(t *testing.T) {
 	}
 }
 
-// TestSamplerDetachAndValidate: a nil fn detaches; a non-positive interval
-// is a programming error.
-func TestSamplerDetachAndValidate(t *testing.T) {
-	k := newIdleSharded(1)
-	n := 0
-	k.SetSampler(10*time.Millisecond, func(int64) { n++ })
-	k.SetSampler(time.Millisecond, nil)
-	k.Run(50 * time.Millisecond)
-	if n != 0 {
-		t.Fatalf("detached sampler fired %d times", n)
+// TestSamplersCompose: two samplers each fire at their own multiples, ticks
+// at one instant run in registration order (not interval order), sampling
+// leaves the event count of an unsampled run unchanged, and a non-positive
+// interval is a programming error.
+func TestSamplersCompose(t *testing.T) {
+	plain := newPingSharded(50).Run(100 * time.Millisecond)
+	k := newPingSharded(50)
+	var log []string
+	tick := func(name string) func(int64) {
+		return func(now int64) { log = append(log, fmt.Sprintf("%s@%v", name, time.Duration(now))) }
+	}
+	k.AddSampler(25*time.Millisecond, tick("a"))
+	k.AddSampler(10*time.Millisecond, tick("b"))
+	sampled := k.Run(100 * time.Millisecond)
+	want := "[b@10ms b@20ms a@25ms b@30ms b@40ms a@50ms b@50ms b@60ms b@70ms a@75ms b@80ms b@90ms a@100ms b@100ms]"
+	if got := fmt.Sprint(log); got != want {
+		t.Fatalf("ticks:\n got %s\nwant %s", got, want)
+	}
+	if plain != sampled || plain == 0 {
+		t.Fatalf("event counts: %d unsampled vs %d with two samplers", plain, sampled)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SetSampler(0) must panic")
+			t.Fatal("AddSampler(0) must panic")
 		}
 	}()
-	k.SetSampler(0, func(int64) {})
+	k.AddSampler(0, func(int64) {})
 }
 
 // TestSamplerSeesQueueAndInFlight: the kernel gauges the timeline samples —
@@ -127,7 +137,7 @@ func TestSamplerSeesQueueAndInFlight(t *testing.T) {
 	// 50 ms horizon, so every frame lands inside the run.
 	k := newPingSharded(10)
 	sawQueue, sawInFlight := 0, 0
-	k.SetSampler(500*time.Microsecond, func(int64) {
+	k.AddSampler(500*time.Microsecond, func(int64) {
 		if k.QueueDepth() > 0 {
 			sawQueue++
 		}
@@ -154,7 +164,7 @@ func TestSamplerDoesNotChangeEventCount(t *testing.T) {
 	run := func(sample bool) int64 {
 		k := newPingSharded(50)
 		if sample {
-			k.SetSampler(time.Millisecond, func(int64) {})
+			k.AddSampler(time.Millisecond, func(int64) {})
 		}
 		return k.Run(100 * time.Millisecond)
 	}
@@ -189,7 +199,7 @@ func TestCallbacksRunInRegistrationOrderBeforeTheInstant(t *testing.T) {
 		}
 		s.Boot()
 		s.At(at, note("cb1"))
-		s.SetSampler(at, func(now int64) { log = append(log, fmt.Sprintf("tick@%v", time.Duration(now))) })
+		s.AddSampler(at, func(now int64) { log = append(log, fmt.Sprintf("tick@%v", time.Duration(now))) })
 		s.At(at, func() {
 			log = append(log, fmt.Sprintf("cb2@%v", time.Duration(s.shards[0].now)))
 			s.At(0, note("cb3")) // the past: clamped to this instant

@@ -15,8 +15,8 @@
 // golden event-trace hash, byte-identical for any shard count (pinned by
 // TestShardedGoldenTraceHash).
 //
-// What observes or drives the whole cluster — harness callbacks (At) and the
-// sampler (SetSampler) — lives in a coordinator-level queue and runs between
+// What observes or drives the whole cluster — harness callbacks (At) and
+// samplers (AddSampler) — lives in a coordinator-level queue and runs between
 // shard runs with every shard parked: a window is split at the callback's
 // instant, the callback sees the state after every event before that instant
 // and none at it, and the outboxes still drain only at grid boundaries. Their
@@ -49,8 +49,8 @@ type outMsg struct {
 }
 
 // coEvent is one entry of the coordinator's queue, ordered by (at, seq): a
-// harness callback, or the sampler's next tick (every > 0), which is re-armed
-// under the sequence number of its SetSampler call.
+// harness callback, or a sampler's next tick (every > 0), which is re-armed
+// under the sequence number of its AddSampler call.
 type coEvent struct {
 	at    int64
 	seq   uint64
@@ -110,10 +110,10 @@ type Sharded struct {
 	nApp   int
 
 	// queue holds the pending callbacks in firing order; it is short (one
-	// arrival per traffic client, one sampler), so it is a sorted slice.
-	queue      []coEvent
-	seq        uint64
-	samplerSeq uint64 // seq of the installed sampler's entry, 0 when none
+	// arrival per traffic client, one tick per sampler), so it is a sorted
+	// slice.
+	queue []coEvent
+	seq   uint64
 
 	// A window fans out when the window before it executed at least fanOutAt
 	// events (prev). fanOutAt is fanOutMin, or out of reach where goroutines
@@ -262,28 +262,22 @@ func (s *Sharded) At(d time.Duration, fn func()) {
 	s.enqueue(coEvent{at: max(int64(d), s.now), fn: fn})
 }
 
-// SetSampler installs fn to be invoked at every multiple of `every` in
+// AddSampler adds a sampler: fn is invoked at every multiple of `every` in
 // virtual time, as a callback like At's: a sample at boundary b sees every
 // event with at < b and none with at >= b, and a run to `until` takes
 // floor(until/every) samples, quiescent tail included. fn must not schedule
 // events or touch kernel state; then the event sequence, the processed-event
 // totals, and the golden trace hash are bit-identical with sampling on or off
-// (running a window in two parts changes nothing a process can see). A nil
-// fn detaches the sampler; installing replaces the previous one.
-func (s *Sharded) SetSampler(every time.Duration, fn func(now int64)) {
-	if s.samplerSeq != 0 {
-		s.queue = slices.DeleteFunc(s.queue, func(e coEvent) bool { return e.seq == s.samplerSeq })
-		s.samplerSeq = 0
-	}
-	if fn == nil {
-		return
-	}
+// (running a window in two parts changes nothing a process can see).
+// Samplers compose: each re-arms under the sequence number of its own call,
+// so ticks of several samplers at one instant run in registration order. A
+// non-positive interval panics.
+func (s *Sharded) AddSampler(every time.Duration, fn func(now int64)) {
 	if every <= 0 {
-		panic(fmt.Sprintf("sim: SetSampler(%v): non-positive sampling interval", every))
+		panic(fmt.Sprintf("sim: AddSampler(%v): non-positive sampling interval", every))
 	}
 	step := int64(every)
 	s.enqueue(coEvent{at: (s.now/step + 1) * step, every: step, fn: func() { fn(s.now) }})
-	s.samplerSeq = s.seq
 }
 
 // enqueue stamps e with the next sequence number, unless it is a sampler
@@ -308,7 +302,7 @@ func (s *Sharded) fire(at int64) {
 	for len(s.queue) > 0 && s.queue[0].at <= at {
 		e := s.queue[0]
 		s.queue = slices.Delete(s.queue, 0, 1)
-		if e.every > 0 { // re-arm first: the tick may detach or replace its sampler
+		if e.every > 0 { // a sampler tick: re-arm under its own sequence number
 			e.at += e.every
 			s.enqueue(e)
 		}

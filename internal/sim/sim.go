@@ -22,7 +22,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"rollrec/internal/ids"
@@ -576,7 +575,6 @@ type nodeState struct {
 	epoch     uint64
 	busyUntil int64
 	stable    *storage.Store
-	rng       *rand.Rand // created by Rand on first use
 	met       *metrics.Proc
 	downSpan  trace.SpanRef // open crash→restart span
 
@@ -603,16 +601,6 @@ func (ns *nodeState) N() int {
 func (ns *nodeState) Now() int64             { return ns.k.now }
 func (ns *nodeState) Metrics() *metrics.Proc { return ns.met }
 func (ns *nodeState) Tracer() trace.Tracer   { return ns.k.tr }
-
-// Rand returns the node's private stream, seeded from the run seed and the
-// node id. No protocol draws from it today, so it is built on first use:
-// seeding a math/rand source per node was a measurable share of a short run.
-func (ns *nodeState) Rand() *rand.Rand {
-	if ns.rng == nil {
-		ns.rng = rand.New(rand.NewSource(ns.k.cfg.Seed ^ (int64(ns.id)+2)*0x9E3779B97F4A7C))
-	}
-	return ns.rng
-}
 
 // Busy charges CPU time: deliveries and timers that arrive while the
 // process is busy are deferred until it is free.

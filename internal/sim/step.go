@@ -12,7 +12,7 @@ import (
 // before the i-th dispatched event, so two runs of the same configuration
 // agree on what "crash at step i" means down to the exact interleaving.
 //
-// Like the sampler (SetSampler), the probe is observation-only: it consumes
+// Like the sampler (AddSampler), the probe is observation-only: it consumes
 // no sequence numbers, draws no randomness, and enqueues nothing, so a run
 // with a probe attached is bit-identical — same event sequence, same golden
 // trace hash — to a run without one. Crash injection (CrashAtStep) is the

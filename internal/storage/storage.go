@@ -10,7 +10,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -116,9 +115,6 @@ func (s *Store) Get(key string) (Image, bool) {
 	return v, true
 }
 
-// Delete removes key if present.
-func (s *Store) Delete(key string) { delete(s.data, key) }
-
 // Size returns the logical size of key's image, or 0.
 func (s *Store) Size(key string) int { return s.data[key].Size() }
 
@@ -133,16 +129,6 @@ func (s *Store) Bytes() int64 {
 		total += int64(v.Size())
 	}
 	return total
-}
-
-// Keys returns the stored keys in sorted order.
-func (s *Store) Keys() []string {
-	out := make([]string, 0, len(s.data))
-	for k := range s.data {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // String summarizes the store contents for traces.

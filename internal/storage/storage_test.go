@@ -109,32 +109,17 @@ func TestStoreAllocs(t *testing.T) {
 	_ = sink
 }
 
-func TestStoreMissingAndDelete(t *testing.T) {
+func TestStoreMissingKey(t *testing.T) {
 	s := NewStore()
 	if _, ok := s.Get("nope"); ok {
 		t.Fatal("missing key must report !ok")
 	}
+	if s.Size("nope") != 0 {
+		t.Fatal("missing key must report size 0")
+	}
 	s.Put("k", Image{Data: []byte("v")})
 	if s.Size("k") != 1 {
 		t.Fatalf("Size = %d", s.Size("k"))
-	}
-	s.Delete("k")
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("deleted key must be gone")
-	}
-	if s.Size("k") != 0 {
-		t.Fatal("deleted key must report size 0")
-	}
-}
-
-func TestStoreKeysSorted(t *testing.T) {
-	s := NewStore()
-	s.Put("b", Image{})
-	s.Put("a", Image{})
-	s.Put("c", Image{})
-	keys := s.Keys()
-	if len(keys) != 3 || keys[0] != "a" || keys[1] != "b" || keys[2] != "c" {
-		t.Fatalf("Keys = %v", keys)
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // The Collector never schedules anything itself. The simulator's sampler
 // calls Tick between shard runs at exact virtual-time boundaries without
-// enqueueing events ((*sim.Sharded).SetSampler), so enabling sampling
+// enqueueing events ((*sim.Sharded).AddSampler), so enabling sampling
 // perturbs neither the event sequence nor the golden trace hash.
 //
 // Sampled series per tick: event-queue depth and in-flight frames (kernel

@@ -78,11 +78,9 @@ type Probes struct {
 	// Proc returns process i's gauges (i in 0..N-1).
 	Proc func(i int) ProcGauges
 	// Metrics returns process i's accumulator; the collector computes the
-	// windowed delivery and output-commit percentiles from its histograms.
+	// windowed delivery and output-commit percentiles from its histograms,
+	// and the export's markers from its recovery traces.
 	Metrics func(i int) *metrics.Proc
-	// Markers is evaluated once, at Export time; it returns the crash and
-	// recovery-phase boundary annotations (see RecoveryMarkers).
-	Markers func() []Marker
 }
 
 // Config parameterizes a collector.
@@ -251,8 +249,12 @@ func windowDist(h trace.Histogram) WindowDist {
 }
 
 // Export freezes the collected series into the schema-versioned form.
-// Markers are computed now (runs usually export after the horizon) and
-// sorted canonically so repeated exports are byte-identical.
+// Markers are computed now (runs usually export after the horizon) from the
+// Metrics probe's recovery traces: every non-zero phase timestamp of every
+// recovery becomes one marker. The metrics layer records these at the exact
+// virtual instant the phase boundary happened, so markers are precise even
+// when they fall between sampling ticks. They are sorted canonically so
+// repeated exports are byte-identical.
 func (c *Collector) Export() *Export {
 	e := &Export{
 		Meta: Meta{
@@ -264,38 +266,26 @@ func (c *Collector) Export() *Export {
 		},
 		Ticks: append([]Tick(nil), c.ticks...),
 	}
-	if c.pr.Markers != nil {
-		e.Markers = append([]Marker(nil), c.pr.Markers()...)
+	add := func(proc int, ts int64, kind string) {
+		if ts != 0 {
+			e.Markers = append(e.Markers, Marker{TMS: ms(time.Duration(ts)), Proc: proc, Kind: kind})
+		}
+	}
+	if c.pr.Metrics != nil {
+		for i := 0; i < c.cfg.N; i++ {
+			m := c.pr.Metrics(i)
+			if m == nil {
+				continue
+			}
+			for _, r := range m.Recoveries {
+				add(i, r.CrashedAt, MarkCrash)
+				add(i, r.RestartedAt, MarkRestart)
+				add(i, r.RestoredAt, MarkRestored)
+				add(i, r.GatheredAt, MarkGathered)
+				add(i, r.ReplayedAt, MarkRecoveryEnd)
+			}
+		}
 	}
 	sortMarkers(e.Markers)
 	return e
-}
-
-// RecoveryMarkers synthesizes the crash and recovery-phase boundary markers
-// from the per-process recovery traces: every non-zero phase timestamp of
-// every recovery becomes one marker. The metrics layer records these at the
-// exact virtual instant the phase boundary happened, so markers are precise
-// even when they fall between sampling ticks.
-func RecoveryMarkers(n int, met func(i int) *metrics.Proc) []Marker {
-	var out []Marker
-	add := func(proc int, ts int64, kind string) {
-		if ts != 0 {
-			out = append(out, Marker{TMS: ms(time.Duration(ts)), Proc: proc, Kind: kind})
-		}
-	}
-	for i := 0; i < n; i++ {
-		m := met(i)
-		if m == nil {
-			continue
-		}
-		for _, r := range m.Recoveries {
-			add(i, r.CrashedAt, MarkCrash)
-			add(i, r.RestartedAt, MarkRestart)
-			add(i, r.RestoredAt, MarkRestored)
-			add(i, r.GatheredAt, MarkGathered)
-			add(i, r.ReplayedAt, MarkRecoveryEnd)
-		}
-	}
-	sortMarkers(out)
-	return out
 }

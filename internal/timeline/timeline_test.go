@@ -122,7 +122,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 			}
 		},
 		Queue:   func() (int, int) { return 7, 3 },
-		Markers: func() []Marker { return []Marker{{TMS: 50, Proc: 1, Kind: MarkCrash}} },
+		Metrics: recovering(2, 1, metrics.RecoveryTrace{CrashedAt: int64(50 * time.Millisecond)}),
 	})
 	col.Tick(int64(50 * time.Millisecond))
 	e := col.Export()
@@ -204,23 +204,33 @@ func TestSortMarkers(t *testing.T) {
 	}
 }
 
-// TestRecoveryMarkers synthesizes markers from a hand-built recovery trace.
-func TestRecoveryMarkers(t *testing.T) {
-	m0 := metrics.NewProc()
-	m1 := metrics.NewProc()
-	m1.Recoveries = append(m1.Recoveries, metrics.RecoveryTrace{
-		CrashedAt:   int64(time.Second),
-		RestartedAt: int64(1200 * time.Millisecond),
-		RestoredAt:  int64(1500 * time.Millisecond),
-		GatheredAt:  int64(1700 * time.Millisecond),
-		ReplayedAt:  int64(2 * time.Second),
-	})
-	// A second, unfinished recovery: only the phases reached so far appear.
-	m1.Recoveries = append(m1.Recoveries, metrics.RecoveryTrace{
-		CrashedAt: int64(3 * time.Second),
-	})
-	procs := []*metrics.Proc{m0, m1}
-	got := RecoveryMarkers(2, func(i int) *metrics.Proc { return procs[i] })
+// recovering is a Metrics probe over n fresh accumulators, process p's
+// holding the recovery traces rs.
+func recovering(n, p int, rs ...metrics.RecoveryTrace) func(int) *metrics.Proc {
+	procs := make([]*metrics.Proc, n)
+	for i := range procs {
+		procs[i] = metrics.NewProc()
+	}
+	procs[p].Recoveries = rs
+	return func(i int) *metrics.Proc { return procs[i] }
+}
+
+// TestExportDerivesMarkers: Export synthesizes markers from the Metrics probe's
+// hand-built recovery traces.
+func TestExportDerivesMarkers(t *testing.T) {
+	col := New(Config{Interval: time.Second, N: 2})
+	col.Bind(Probes{Metrics: recovering(2, 1,
+		metrics.RecoveryTrace{
+			CrashedAt:   int64(time.Second),
+			RestartedAt: int64(1200 * time.Millisecond),
+			RestoredAt:  int64(1500 * time.Millisecond),
+			GatheredAt:  int64(1700 * time.Millisecond),
+			ReplayedAt:  int64(2 * time.Second),
+		},
+		// A second, unfinished recovery: only the phases reached so far appear.
+		metrics.RecoveryTrace{CrashedAt: int64(3 * time.Second)},
+	)})
+	got := col.Export().Markers
 	if len(got) != 6 {
 		t.Fatalf("got %d markers, want 6: %+v", len(got), got)
 	}
@@ -271,7 +281,7 @@ func tieredExport() *Export {
 	col := New(Config{Interval: 10 * time.Millisecond, N: 3, Label: "tiered", Tiers: []int{1, 2}})
 	col.Bind(Probes{
 		Proc:    func(i int) ProcGauges { return ProcGauges{Phase: Phase(i), Journal: i, Inflight: 1} },
-		Markers: func() []Marker { return []Marker{{TMS: 10, Proc: 2, Kind: MarkRestart}} },
+		Metrics: recovering(3, 2, metrics.RecoveryTrace{RestartedAt: int64(10 * time.Millisecond)}),
 	})
 	col.Tick(int64(10 * time.Millisecond))
 	col.Tick(int64(20 * time.Millisecond))

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 
@@ -28,6 +29,19 @@ func procLabel(proc int32) string {
 		return "p[stable]"
 	}
 	return "p" + strconv.Itoa(int(proc))
+}
+
+// WriteChromeFile writes events to path with WriteChrome.
+func WriteChromeFile(path string, events []Event) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteChrome(f, events); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WriteChrome renders events in the Chrome trace-event JSON format

@@ -116,14 +116,6 @@ func (h *Histogram) Max() time.Duration { return time.Duration(h.max) }
 // Min returns the smallest observation (exact, not bucketed).
 func (h *Histogram) Min() time.Duration { return time.Duration(h.min) }
 
-// Mean returns the arithmetic mean.
-func (h *Histogram) Mean() time.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum / h.n)
-}
-
 // Quantile returns the q-quantile (0..1) to bucket resolution, clamped to
 // the exact observed extremes.
 func (h *Histogram) Quantile(q float64) time.Duration {

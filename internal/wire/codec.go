@@ -592,7 +592,8 @@ func (d *Decoder) decodeEntry(r *Reader) det.Entry {
 	return e
 }
 
-// Decode parses a frame produced by Encode into a fresh envelope.
+// Decode parses a frame produced by Encode into a fresh envelope that owns
+// all of its slices: they stay valid whatever is decoded later.
 func Decode(frame []byte) (*Envelope, error) {
 	e := new(Envelope)
 	if err := new(Decoder).Decode(e, frame); err != nil {
@@ -601,20 +602,12 @@ func Decode(frame []byte) (*Envelope, error) {
 	return e, nil
 }
 
-// DecodeInto is Decode into a caller-owned envelope. *e is overwritten
-// whole; its slices are allocated per frame and alias neither the frame nor
-// an earlier decode, so they (and a copy of the struct) stay valid after e
-// is decoded into again. On error *e is unspecified. A runtime that delivers
-// frame after frame decodes through one Decoder instead, and then e.Dets do
-// not outlive the next decode.
-func DecodeInto(e *Envelope, frame []byte) error {
-	return new(Decoder).Decode(e, frame)
-}
-
-// Decode is DecodeInto except for who owns e.Dets: the entries and their
-// holder sets sit in the decoder's buffers and are valid until its next
-// Decode — for a handler, until it returns — unless kept (Envelope.Keep
-// copies them out). The other slices are allocated per frame.
+// Decode overwrites *e whole with the frame's envelope (on error *e is
+// unspecified). e.Dets — the entries and their holder sets — sit in the
+// decoder's buffers and are valid until its next Decode — for a handler,
+// until it returns — unless kept (Envelope.Keep copies them out). The other
+// slices are allocated per frame and alias neither the frame nor an earlier
+// decode.
 func (d *Decoder) Decode(e *Envelope, frame []byte) error {
 	d.dets, d.words = d.dets[:0], d.words[:0]
 	r := &Reader{buf: frame}

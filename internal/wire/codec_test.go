@@ -269,12 +269,6 @@ func TestKindStrings(t *testing.T) {
 	if Kind(0).String() != "kind?" || Kind(200).String() != "kind?" {
 		t.Error("unknown kinds must render as kind?")
 	}
-	if KindApp.Control() {
-		t.Error("app messages are not control traffic")
-	}
-	if !KindDepRequest.Control() {
-		t.Error("dep requests are control traffic")
-	}
 }
 
 func BenchmarkEncodeApp(b *testing.B) {
@@ -328,32 +322,31 @@ func TestEncodeAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeIntoReusesOnlyTheStruct: decoding the next frame into the same
-// envelope overwrites every field (nothing of the previous frame shows
-// through) and leaves the previous frame's slices untouched, which is what
-// lets a handler keep them after the runtime reuses the struct.
+// TestDecodeIntoReusesOnlyTheStruct: an envelope Decode returned is the
+// caller's, slices included — decoding every other frame afterwards leaves
+// it equal to what was encoded, which is what lets a handler keep it.
 func TestDecodeIntoReusesOnlyTheStruct(t *testing.T) {
 	samples := sampleEnvelopes()
-	var e Envelope
 	for i, first := range samples {
-		if err := DecodeInto(&e, Encode(first)); err != nil {
+		held, err := Decode(Encode(first))
+		if err != nil {
 			t.Fatal(err)
 		}
-		held := e // the struct copy a handler keeps
 		for _, second := range samples {
-			if err := DecodeInto(&e, Encode(second)); err != nil {
+			e, err := Decode(Encode(second))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalEnvelopes(&e, second) {
-				t.Fatalf("decode over sample %d left stale fields:\n got: %+v\nwant: %+v", i, e, second)
+			if !equalEnvelopes(e, second) {
+				t.Fatalf("decoded sample differs:\n got: %+v\nwant: %+v", e, second)
 			}
 		}
-		if !equalEnvelopes(&held, first) {
-			t.Fatalf("sample %d: held copy changed after later decodes:\n got: %+v\nwant: %+v", i, held, first)
+		if !equalEnvelopes(held, first) {
+			t.Fatalf("sample %d: held envelope changed after later decodes:\n got: %+v\nwant: %+v", i, held, first)
 		}
 	}
-	if err := DecodeInto(&e, []byte{2}); err == nil {
-		t.Fatal("DecodeInto accepted a truncated frame")
+	if _, err := Decode([]byte{2}); err == nil {
+		t.Fatal("Decode accepted a truncated frame")
 	}
 }
 

@@ -114,11 +114,6 @@ func (k Kind) String() string {
 	return "kind?"
 }
 
-// Control reports whether the kind is protocol control traffic (as opposed
-// to an application message). The paper's communication-overhead metric
-// counts exactly these during recovery.
-func (k Kind) Control() bool { return k != KindApp }
-
 // Envelope is the single on-wire message type; unused fields stay at their
 // zero values and cost two bytes of presence bitmap.
 type Envelope struct {

@@ -23,7 +23,6 @@ import (
 // long enough for mid-chain crashes.
 type Figure1 struct {
 	self   ids.ProcID
-	n      int
 	Rounds int
 
 	// Checkpointable state.
@@ -39,7 +38,7 @@ func NewFigure1(rounds int) Factory {
 		if n != 3 {
 			panic(fmt.Sprintf("workload: Figure1 needs n=3, got %d", n))
 		}
-		return &Figure1{self: self, n: n, Rounds: rounds}
+		return &Figure1{self: self, Rounds: rounds}
 	}
 }
 

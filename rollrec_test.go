@@ -83,7 +83,4 @@ func TestPlanHelpersExposed(t *testing.T) {
 	if s := p.Sorted(); s[0].Proc != 0 {
 		t.Fatal("Plan.Sorted not working through the facade")
 	}
-	if p.MaxConcurrent(5*time.Second) != 2 {
-		t.Fatal("Plan.MaxConcurrent not working through the facade")
-	}
 }

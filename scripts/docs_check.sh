@@ -12,6 +12,7 @@
 #   2. `-flag` on a cmd/<tool> invocation → tool declares the flag
 #   3. `-only <IDs>` for cmd/experiments  → id is in the registry
 #   4. -families/-styles values for cmd/explore → name is in the registry
+#   5. every CHANGES.md entry from PR 32 on   → at most 2000 bytes
 #
 # Exit: 0 clean, 1 findings. Best-effort by design — it only sees
 # references it can attribute to a tool on the same (joined) line.
@@ -82,7 +83,20 @@ for sty in $(joined $DOCS | grep -oE 'cmd/explore .*' | grep -oE '\-styles [a-z]
   fi
 done
 
+# 5. CHANGES.md entry size. An entry is its "- PR <n>:" line plus the
+# indented lines under it, newlines included; any line starting "- " ends
+# it. Entries before PR 32 are exempt until they are compacted.
+while read -r id bytes; do
+  if [ "$id" -ge 32 ] && [ "$bytes" -gt 2000 ]; then
+    echo "docs_check: CHANGES.md entry for PR $id is $bytes bytes, over the 2000-byte cap" >&2
+    fail=1
+  fi
+done < <(LC_ALL=C awk '
+  /^- / { if (id != "") print id, n; id = ""; n = 0; if ($0 ~ /^- PR [0-9]+:/) id = $3 + 0 }
+  id != "" { n += length($0) + 1 }
+  END { if (id != "") print id, n }' CHANGES.md)
+
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "docs_check: ok (targets, flags, experiment ids all resolve)"
+echo "docs_check: ok (targets, flags, experiment ids all resolve; CHANGES.md entries within their cap)"
