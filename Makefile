@@ -47,7 +47,7 @@ lines:
 # race, on one thread and on four, both window paths (forced inline, forced
 # fan-out, adaptive; DESIGN §5) with the coordinator's callback order, and
 # the shard-count differential (1 ≡ 2 ≡ 4 shards for every family, output
-# tracking, traffic and timelines). The last races the explorer's branch
+# tracking, traffic, timelines, jitter, drops and a partition). The last races the explorer's branch
 # pool (DESIGN §13): the goldens, the 1/2/5-worker differential, the
 # mutant and the protocol panic, whose package globals the workers read.
 race:

@@ -78,6 +78,10 @@ func main() {
 	tlCrash := flag.Duration("timeline-crash", 0, "timeline cell crash instant (0: the experiment's 10s)")
 	tlHorizon := flag.Duration("timeline-horizon", 0, "timeline cell horizon (0: the experiment's 25s)")
 	flag.Parse()
+	if err := timeline.CheckInterval(*tlEvery); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
 
 	var rec *trace.Recorder
 	if *traceOut != "" || *traceSum {

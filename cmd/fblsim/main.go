@@ -76,6 +76,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if err := timeline.CheckInterval(*tlEvery); err != nil {
+		fatal(err)
+	}
 
 	cfg := cluster.Config{
 		N:               *n,

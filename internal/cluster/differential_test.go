@@ -26,14 +26,22 @@ type diffSpec struct {
 	traffic *workload.Traffic
 	// sample > 0 attaches a timeline collector at that interval.
 	sample time.Duration
+	// partition, if non-nil, cuts and heals links through At callbacks.
+	partition func(*Cluster)
 }
+
+// lossy reports whether the spec's network loses frames: a cell that does
+// must lose at least one.
+func (s diffSpec) lossy() bool { return s.partition != nil || s.cfg.HW.Net.DropRate > 0 }
 
 // diffOutcome is everything a run shows an observer.
 type diffOutcome struct {
 	events        int64
 	digests       []uint64
 	lanes         []uint64 // per-process trace fingerprints
-	counters      []int64  // per process: Rejected, Rollbacks, LostDeliveries
+	counters      []int64  // per process: Rejected, Rollbacks, LostDeliveries, Lost
+	lost          int64    // frames lost on the network, all senders
+	recovered     int      // recoveries that completed, all processes
 	records       []output.Record
 	timeline      []byte
 	offered, shed int64
@@ -55,6 +63,9 @@ func (s diffSpec) run(t *testing.T, shards int) diffOutcome {
 		c.AttachTimeline(col)
 	}
 	c.ApplyPlan(s.plan)
+	if s.partition != nil {
+		s.partition(c)
+	}
 	var eng *traffic.Engine
 	if s.traffic != nil {
 		eng = traffic.NewEngine(*s.traffic, cfg.Seed)
@@ -71,7 +82,13 @@ func (s diffSpec) run(t *testing.T, shards int) diffOutcome {
 		if m.Rejected != 0 {
 			t.Errorf("shards=%d: p%d rejected %d payloads or frames", shards, i, m.Rejected)
 		}
-		out.counters = append(out.counters, m.Rejected, m.Rollbacks, m.LostDeliveries)
+		out.counters = append(out.counters, m.Rejected, m.Rollbacks, m.LostDeliveries, m.Lost)
+		out.lost += m.Lost
+		for _, r := range m.Recoveries {
+			if r.ReplayedAt != 0 {
+				out.recovered++
+			}
+		}
 	}
 	out.records = c.Outputs().Records()
 	if col != nil {
@@ -89,10 +106,11 @@ func (s diffSpec) run(t *testing.T, shards int) diffOutcome {
 
 // TestShardCountChangesNothing is the one-kernel proof obligation: every way
 // of observing a run — event total, per-process application digests, trace
-// lanes and rejected / lost-work counters, the invariant checker, the output
-// ledger, the sampled timeline, the traffic engine's counters — reads the
-// same on 1, 2 and 4 shards, for every family and every harness feature, and
-// no process rejects anything. CI runs it under -race and -cpu 1,4.
+// lanes and rejected / lost-work / lost-frame counters, the invariant
+// checker, the output ledger, the sampled timeline, the traffic engine's
+// counters — reads the same on 1, 2 and 4 shards, for every family, every
+// harness feature and every network fault, and no process rejects anything.
+// CI runs it under -race and -cpu 1,4.
 func TestShardCountChangesNothing(t *testing.T) {
 	harnessLoad := workload.Traffic{
 		Clients: 1, Frontends: 1, Backends: 2, FanOut: 2,
@@ -132,7 +150,22 @@ func TestShardCountChangesNothing(t *testing.T) {
 	fanout := goldenConfig(nil)
 	fanout.N, fanout.Fanout, fanout.StatePad = 32, 4, 1<<12
 	fanout.App = workload.NewRandomPeer(1, 40, 64, int64(10*time.Millisecond))
+	// Network faults on the golden scenario. Jitter of up to 3L and 1 % drops
+	// are drawn per link in send order; the partition cuts p0↔p1 for one
+	// second, well under SuspectAfter, so nobody is falsely suspected.
+	lossy := goldenConfig(nil)
+	lossy.HW.Net.Jitter = 3 * lossy.HW.Net.Latency
+	lossy.HW.Net.DropRate = 0.01
+	cutOneLink := func(c *Cluster) {
+		c.K.At(3*time.Second, func() { c.K.Cut(0, 1); c.K.Cut(1, 0) })
+		c.K.At(4*time.Second, func() { c.K.Heal(0, 1); c.K.Heal(1, 0) })
+	}
 	specs = append(specs,
+		diffSpec{name: "jitter+drops", cfg: lossy, plan: goldenPlan(), horizon: goldenHorizon},
+		diffSpec{
+			name: "partition", cfg: goldenConfig(nil), plan: goldenPlan(), horizon: goldenHorizon,
+			partition: cutOneLink,
+		},
 		diffSpec{ // TrackOutputs alone, closed-loop, blocking style
 			name: "outputs", cfg: outputs,
 			plan: failure.Plan{{At: 700 * time.Millisecond, Proc: 0}}, horizon: 8 * time.Second,
@@ -165,6 +198,9 @@ func TestShardCountChangesNothing(t *testing.T) {
 			if spec.sample > 0 && len(one.timeline) == 0 {
 				t.Fatal("empty timeline export")
 			}
+			if spec.lossy() && (one.lost == 0 || one.recovered != len(spec.plan)) {
+				t.Fatalf("lossy cell: %d frames lost, %d of %d recoveries complete", one.lost, one.recovered, len(spec.plan))
+			}
 			for _, shards := range []int{2, 4} {
 				got := spec.run(t, shards)
 				if got.events != one.events {
@@ -177,7 +213,7 @@ func TestShardCountChangesNothing(t *testing.T) {
 					t.Errorf("shards=%d: per-process trace lanes differ from 1 shard's", shards)
 				}
 				if !slices.Equal(got.counters, one.counters) {
-					t.Errorf("shards=%d: rejected / lost-work counters %v, 1 shard %v", shards, got.counters, one.counters)
+					t.Errorf("shards=%d: rejected / lost-work / lost-frame counters %v, 1 shard %v", shards, got.counters, one.counters)
 				}
 				if !slices.Equal(got.records, one.records) {
 					t.Errorf("shards=%d: output ledger differs from 1 shard's (%d vs %d records)",
@@ -191,8 +227,8 @@ func TestShardCountChangesNothing(t *testing.T) {
 						shards, got.offered, got.shed, one.offered, one.shed)
 				}
 			}
-			t.Logf("%d events, %d outputs, %d timeline bytes, %d arrivals",
-				one.events, len(one.records), len(one.timeline), one.offered)
+			t.Logf("%d events, %d outputs, %d timeline bytes, %d arrivals, %d frames lost",
+				one.events, len(one.records), len(one.timeline), one.offered, one.lost)
 		})
 	}
 }

@@ -346,8 +346,9 @@ func dedupeSteps(ss []int64) []int64 {
 
 // validate rejects a spec no exploration can run — an unknown family or
 // FBL style, a cluster size the harness refuses, a failure budget below
-// one, a negative count — so that bad input is an error before any branch
-// worker builds a cluster from it.
+// one, a negative count or duration, a horizon that leaves no room for
+// decision points — so that bad input is an error before any branch worker
+// builds a cluster from it.
 func (s Spec) validate() error {
 	if _, ok := scenarios[s.Family]; !ok {
 		return fmt.Errorf("explore: unknown family %q (want fbl, coordinated or optimistic)", s.Family)
@@ -361,8 +362,12 @@ func (s Spec) validate() error {
 	if s.F < 1 {
 		return fmt.Errorf("explore: failure budget f=%d, want >= 1", s.F)
 	}
-	if s.MaxPoints < 0 || s.MaxCrashes < 0 || s.DeepBranches < 0 || s.Random < 0 || s.BudgetFactor < 0 {
-		return fmt.Errorf("explore: negative count in %+v", s)
+	if s.MaxPoints < 0 || s.MaxCrashes < 0 || s.DeepBranches < 0 || s.Random < 0 || s.BudgetFactor < 0 ||
+		s.SettleSlack < 0 || s.CheckpointEvery < 0 {
+		return fmt.Errorf("explore: negative count or duration in %+v", s)
+	}
+	if s.Horizon <= s.SettleSlack { // decision points come from [0, Horizon-SettleSlack)
+		return fmt.Errorf("explore: horizon %v leaves no decision window before the settle slack %v", s.Horizon, s.SettleSlack)
 	}
 	return nil
 }

@@ -33,6 +33,7 @@ type Proc struct {
 	MsgsRecv  [maxKinds]int64
 	BytesRecv [maxKinds]int64
 	Dropped   int64 // frames that arrived while the process was down
+	Lost      int64 // frames this process sent that a cut link or a random drop lost
 
 	// Application-level progress.
 	Delivered int64 // application messages delivered to the app

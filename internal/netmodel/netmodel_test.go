@@ -1,20 +1,18 @@
 package netmodel
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"rollrec/internal/ids"
 )
 
-func newTestNet(p Params) *Network {
-	return New(p, 1)
-}
-
 func TestLatencyOnly(t *testing.T) {
-	n := newTestNet(Params{Latency: time.Millisecond})
-	at, ok := n.Schedule(0, 0, 1, 100)
+	var l Link
+	at, ok := l.Schedule(Params{Latency: time.Millisecond}, 1, 0, 1, 0, 100)
 	if !ok {
 		t.Fatal("frame dropped on healthy link")
 	}
@@ -25,9 +23,10 @@ func TestLatencyOnly(t *testing.T) {
 
 func TestBandwidthSerialization(t *testing.T) {
 	// 1 MB/s: a 1000-byte frame takes 1 ms to transmit.
-	n := newTestNet(Params{Latency: time.Millisecond, Bandwidth: 1e6})
-	a1, _ := n.Schedule(0, 0, 1, 1000)
-	a2, _ := n.Schedule(0, 0, 1, 1000)
+	p := Params{Latency: time.Millisecond, Bandwidth: 1e6}
+	var l Link
+	a1, _ := l.Schedule(p, 1, 0, 1, 0, 1000)
+	a2, _ := l.Schedule(p, 1, 0, 1, 0, 1000)
 	if a1 != int64(2*time.Millisecond) {
 		t.Fatalf("first frame at %v, want 2ms", time.Duration(a1))
 	}
@@ -37,28 +36,29 @@ func TestBandwidthSerialization(t *testing.T) {
 }
 
 func TestLinksAreIndependent(t *testing.T) {
-	n := newTestNet(Params{Latency: time.Millisecond, Bandwidth: 1e6})
-	n.Schedule(0, 0, 1, 1000)
-	a, _ := n.Schedule(0, 0, 2, 1000)
+	p := Params{Latency: time.Millisecond, Bandwidth: 1e6}
+	var l01, l02, l21 Link
+	l01.Schedule(p, 1, 0, 1, 0, 1000)
+	a, _ := l02.Schedule(p, 1, 0, 2, 0, 1000)
 	if a != int64(2*time.Millisecond) {
 		t.Fatalf("different destination must not queue: at %v", time.Duration(a))
 	}
-	b, _ := n.Schedule(0, 2, 1, 1000)
+	b, _ := l21.Schedule(p, 1, 2, 1, 0, 1000)
 	if b != int64(2*time.Millisecond) {
 		t.Fatalf("different source must not queue: at %v", time.Duration(b))
 	}
 }
 
+// TestFIFOUnderJitter: jitter reorders nothing on a link and never delivers
+// before send + Latency, the lower bound a conservative window relies on.
 func TestFIFOUnderJitter(t *testing.T) {
+	p := Params{Latency: time.Millisecond, Jitter: 5 * time.Millisecond, Bandwidth: 1e7}
 	f := func(seed int64, sizes []uint16) bool {
-		n := New(Params{Latency: time.Millisecond, Jitter: 5 * time.Millisecond, Bandwidth: 1e7}, seed)
+		var l Link
 		now, prev := int64(0), int64(-1)
 		for _, s := range sizes {
-			at, ok := n.Schedule(now, 0, 1, int(s))
-			if !ok {
-				return false
-			}
-			if at <= prev {
+			at, ok := l.Schedule(p, seed, 0, 1, now, int(s))
+			if !ok || at <= prev || at < now+int64(p.Latency) {
 				return false
 			}
 			prev = at
@@ -71,51 +71,71 @@ func TestFIFOUnderJitter(t *testing.T) {
 	}
 }
 
-func TestCutAndHeal(t *testing.T) {
-	n := newTestNet(Params{Latency: time.Millisecond})
-	n.Cut(0, 1)
-	if _, ok := n.Schedule(0, 0, 1, 10); ok {
-		t.Fatal("cut link must drop")
+// TestDrawsAreTheLinksOwn: a link's jitter is a function of the seed, its
+// endpoints and its own send history, so two links with equal histories draw
+// equal delays and another endpoint pair or seed draws others.
+func TestDrawsAreTheLinksOwn(t *testing.T) {
+	p := Params{Latency: time.Millisecond, Jitter: time.Second}
+	arrivals := func(seed int64, from, to ids.ProcID) (out []int64) {
+		var l Link
+		for i := int64(0); i < 8; i++ {
+			at, _ := l.Schedule(p, seed, from, to, i*int64(2*time.Second), 10)
+			out = append(out, at)
+		}
+		return out
 	}
-	if _, ok := n.Schedule(0, 1, 0, 10); !ok {
-		t.Fatal("reverse direction must still work")
+	a := arrivals(1, 0, 1)
+	if b := arrivals(1, 0, 1); !slices.Equal(a, b) {
+		t.Fatalf("equal histories drew %v and %v", a, b)
 	}
-	n.Heal(0, 1)
-	if _, ok := n.Schedule(0, 0, 1, 10); !ok {
-		t.Fatal("healed link must deliver")
+	if b := arrivals(1, 1, 0); slices.Equal(a, b) {
+		t.Fatal("the reverse link drew the same delays")
 	}
-	if n.Dropped != 1 {
-		t.Fatalf("Dropped = %d, want 1", n.Dropped)
+	if b := arrivals(2, 0, 1); slices.Equal(a, b) {
+		t.Fatal("another seed drew the same delays")
 	}
 }
 
-func TestIsolateRejoin(t *testing.T) {
-	n := newTestNet(Params{Latency: time.Millisecond})
-	peers := []ids.ProcID{0, 1, 2}
-	n.Isolate(1, peers)
-	if _, ok := n.Schedule(0, 0, 1, 10); ok {
-		t.Fatal("isolated process must not receive")
+func TestCutAndHeal(t *testing.T) {
+	p := Params{Latency: time.Millisecond}
+	var l01, l10 Link
+	l01.Cut = true
+	if _, ok := l01.Schedule(p, 1, 0, 1, 0, 10); ok {
+		t.Fatal("cut link must drop")
 	}
-	if _, ok := n.Schedule(0, 1, 2, 10); ok {
-		t.Fatal("isolated process must not send")
+	if _, ok := l10.Schedule(p, 1, 1, 0, 0, 10); !ok {
+		t.Fatal("reverse direction must still work")
 	}
-	if _, ok := n.Schedule(0, 0, 2, 10); !ok {
-		t.Fatal("unrelated links must survive isolation")
-	}
-	n.Rejoin(1, peers)
-	if _, ok := n.Schedule(0, 0, 1, 10); !ok {
-		t.Fatal("rejoined process must receive again")
+	l01.Cut = false
+	if _, ok := l01.Schedule(p, 1, 0, 1, 0, 10); !ok {
+		t.Fatal("healed link must deliver")
 	}
 }
 
 func TestDropRate(t *testing.T) {
-	n := newTestNet(Params{DropRate: 1.0})
-	if _, ok := n.Schedule(0, 0, 1, 10); ok {
+	var l Link
+	if _, ok := l.Schedule(Params{DropRate: 1.0}, 1, 0, 1, 0, 10); ok {
 		t.Fatal("DropRate 1.0 must drop everything")
 	}
-	n = newTestNet(Params{DropRate: 0.0})
-	if _, ok := n.Schedule(0, 0, 1, 10); !ok {
+	if _, ok := l.Schedule(Params{DropRate: 0.0}, 1, 0, 1, 0, 10); !ok {
 		t.Fatal("DropRate 0 must drop nothing")
+	}
+	lost := 0
+	for i := 0; i < 10000; i++ {
+		if _, ok := l.Schedule(Params{DropRate: 0.1}, 1, 0, 1, 0, 10); !ok {
+			lost++
+		}
+	}
+	if lost < 900 || lost > 1100 {
+		t.Fatalf("DropRate 0.1 lost %d of 10000 frames", lost)
+	}
+}
+
+// TestLinkSize: a sender keeps one Link per destination, up to 1025 of them
+// at n=1024, so the struct stays at three words.
+func TestLinkSize(t *testing.T) {
+	if got := unsafe.Sizeof(Link{}); got > 24 {
+		t.Fatalf("Link is %d bytes, want at most 24", got)
 	}
 }
 

@@ -96,8 +96,8 @@ func (w WindowStats) Total() int64 { return w.Inline + w.FannedOut }
 
 // Sharded coordinates several Kernels over a shared window grid. Nodes are
 // assigned to shards round-robin by process id; each shard owns its nodes'
-// event heap and its own network model (link state is source-owned, so the
-// per-shard models never disagree). Windows are aligned to multiples of W
+// event heap and the links they send on (a link is its sender's state, so no
+// two shards ever share one). Windows are aligned to multiples of W
 // so the boundary schedule — and with it every arrival injection order — is
 // a function of virtual time alone, not of the shard count or of how many
 // Run calls covered the horizon.
@@ -125,18 +125,15 @@ type Sharded struct {
 
 // NewSharded returns a coordinator over `shards` kernels built from cfg.
 // The window width is the minimum network latency, which the conservative
-// argument above requires to be an exact lower bound: the hardware profile
-// must have zero jitter and zero drop rate (both would also draw per-shard
-// randomness that depends on the partitioning).
+// argument above requires to be a lower bound on every frame's flight: jitter
+// only delays an arrival, and a drop removes it. Both are drawn on the
+// sender's own link in its send order, the same for any partitioning.
 func NewSharded(cfg Config, shards int) *Sharded {
 	if shards < 1 {
 		panic(fmt.Sprintf("sim: NewSharded: shard count %d < 1", shards))
 	}
 	if cfg.HW.Net.Latency <= 0 {
 		panic("sim: NewSharded: hardware profile has no minimum network latency")
-	}
-	if cfg.HW.Net.Jitter != 0 || cfg.HW.Net.DropRate != 0 {
-		panic("sim: NewSharded: conservative windows require zero jitter and zero drop rate")
 	}
 	s := &Sharded{
 		window: int64(cfg.HW.Net.Latency),
@@ -310,6 +307,12 @@ func (s *Sharded) fire(at int64) {
 	}
 }
 
+// Cut severs the directed link from→to on the sender's shard (Kernel.Cut).
+func (s *Sharded) Cut(from, to ids.ProcID) { s.shardFor(from).Cut(from, to) }
+
+// Heal restores the directed link from→to.
+func (s *Sharded) Heal(from, to ids.ProcID) { s.shardFor(from).Heal(from, to) }
+
 // CrashAt schedules a crash of id at virtual time d from start, on the
 // owning shard. Scheduled before Run (the harness pattern), the crash holds
 // an earlier sequence number than any runtime event of its shard, so it pops
@@ -406,7 +409,7 @@ func (s *Sharded) runWindow(target int64) (n int64) {
 }
 
 // A window runs every shard to the same inclusive target. The shards share
-// no mutable state during a window — separate heaps, arenas, networks, and
+// no mutable state during a window — separate heaps, arenas, links, and
 // outboxes — and every cross-shard effect waits in an outbox for the sorted
 // boundary flush, so neither the order in which the shards run nor whether
 // they overlap can reorder events: runInline and fanOut are byte-identical in

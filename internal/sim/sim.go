@@ -4,8 +4,8 @@
 // Every run with the same configuration and seed produces the identical
 // event sequence, which is what makes the failure-injection experiments and
 // the golden-run consistency checks possible. The kernel owns the clock,
-// the event queue, the network model, and per-node state (stable storage
-// survives crashes; the process image does not).
+// the event queue, and per-node state (the links a node sends on and its
+// stable storage survive crashes; the process image does not).
 //
 // The scheduler is built for throughput: events live in a flat slot arena
 // ([]event) recycled through a free list, ordered by an index-based 4-ary
@@ -101,10 +101,9 @@ type Kernel struct {
 	tr       trace.Tracer
 	now      int64
 	seq      uint64
-	slots    []event // event arena; index = slot id
-	heap     []int32 // 4-ary min-heap of slot ids ordered by (at, seq)
-	free     int32   // free-list head into slots, -1 when empty
-	net      *netmodel.Network
+	slots    []event      // event arena; index = slot id
+	heap     []int32      // 4-ary min-heap of slot ids ordered by (at, seq)
+	free     int32        // free-list head into slots, -1 when empty
 	nodes    []*nodeState // index id+1 (ids.StorageProc is -1); see find
 	order    []ids.ProcID // insertion order, for deterministic boot
 	nApp     int
@@ -144,7 +143,6 @@ func New(cfg Config) *Kernel {
 		cfg:  cfg,
 		tr:   trace.OrNop(cfg.Tracer),
 		free: -1,
-		net:  netmodel.New(cfg.HW.Net, cfg.Seed+1),
 	}
 }
 
@@ -207,9 +205,6 @@ func (k *Kernel) QueueDepth() int { return len(k.heap) }
 // not yet arrived.
 func (k *Kernel) InFlightFrames() int { return k.inflight }
 
-// Net exposes the network model for partition injection and counters.
-func (k *Kernel) Net() *netmodel.Network { return k.net }
-
 // peekNextAt reports the virtual time of the earliest queued event, if any.
 // The sharded coordinator uses it to fast-forward over empty windows.
 func (k *Kernel) peekNextAt() (int64, bool) {
@@ -264,6 +259,13 @@ func (k *Kernel) At(d time.Duration, fn func()) {
 	}
 	k.schedule(int64(d), fn)
 }
+
+// Cut severs the directed link from→to until Heal: from's frames on it are
+// lost (metrics.Proc.Lost). Like At, call it from the harness or a callback.
+func (k *Kernel) Cut(from, to ids.ProcID) { k.node(from).link(to).Cut = true }
+
+// Heal restores the directed link from→to.
+func (k *Kernel) Heal(from, to ids.ProcID) { k.node(from).link(to).Cut = false }
 
 // ── Slot arena and 4-ary heap ──────────────────────────────────────────
 //
@@ -578,6 +580,10 @@ type nodeState struct {
 	met       *metrics.Proc
 	downSpan  trace.SpanRef // open crash→restart span
 
+	// links[to+1] is the link this node sends to `to` on (see link): grown
+	// to the highest destination sent to, one index operation per frame.
+	links []netmodel.Link
+
 	// FIFO busy-deferral queue; defHead indexes the next item so draining is
 	// O(1) per item without reslicing the backing array away from reuse.
 	defq      []defItem
@@ -650,11 +656,12 @@ func (ns *nodeState) sendFrame(to ids.ProcID, kind wire.Kind, frame []byte) {
 	ns.met.Sent(uint8(kind), len(frame))
 	ns.k.tr.Instant(ns.k.now, int32(ns.id), trace.EvSend,
 		trace.Tag{Kind: uint8(kind), Arg: int64(len(frame))})
-	at, ok := ns.k.net.Schedule(ns.k.now, ns.id, to, len(frame))
+	k := ns.k
+	at, ok := ns.link(to).Schedule(k.cfg.HW.Net, k.cfg.Seed, ns.id, to, k.now, len(frame))
 	if !ok {
+		ns.met.Lost++
 		return
 	}
-	k := ns.k
 	if k.arrivalSink != nil {
 		// Sharded mode: every arrival — same-shard ones included, so the
 		// destination's arrival sequence numbers are independent of the
@@ -663,6 +670,15 @@ func (ns *nodeState) sendFrame(to ids.ProcID, kind wire.Kind, frame []byte) {
 		return
 	}
 	k.scheduleArrive(at, k.find(to), frame, k.now)
+}
+
+// link returns the state of ns's link to `to`, growing the table on first use.
+func (ns *nodeState) link(to ids.ProcID) *netmodel.Link {
+	i := int(to) + 1
+	if i >= len(ns.links) {
+		ns.links = append(ns.links, make([]netmodel.Link, i+1-len(ns.links))...)
+	}
+	return &ns.links[i]
 }
 
 // frameArrived is the network-side arrival of an encoded frame sent at

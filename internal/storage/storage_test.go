@@ -37,11 +37,11 @@ func TestScale(t *testing.T) {
 	}
 }
 
-// TestStorePutOwnsGetIsolates pins the buffer-ownership contract: Put keeps
+// TestStorePutOwnsGetCopies pins the buffer-ownership contract: Put keeps
 // the caller's slice (no second copy of a checkpoint image, TestStoreAllocs),
 // so writing to it afterwards is the caller's bug; Get still hands out an
 // isolated copy.
-func TestStorePutOwnsGetIsolates(t *testing.T) {
+func TestStorePutOwnsGetCopies(t *testing.T) {
 	s := NewStore()
 	data := []byte("checkpoint-1")
 	s.Put("cp", Image{Data: data, Pad: 1 << 20})

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,6 +90,29 @@ type Tick struct {
 	// tiered runs.
 	InflightReq []int        `json:"inflight_req,omitempty"`
 	TierOutput  []WindowDist `json:"tier_output,omitempty"`
+}
+
+// clusterTick is a tick's per-process gauges reduced to cluster values, the
+// ones the CSV columns and the sparkline lanes show.
+type clusterTick struct {
+	journal, lag, backlog int
+	stable                int64
+	oldest                float64
+}
+
+// cluster sums the journal, lag, stable and backlog gauges over the
+// processes (the arrays are equally long in every export check admits).
+// Backlog age is a worst-case gauge, so its cluster value is the maximum, not
+// a meaningless sum of ages.
+func (t Tick) cluster() (c clusterTick) {
+	for i := range t.Journal {
+		c.journal += t.Journal[i]
+		c.lag += t.Lag[i]
+		c.stable += t.Stable[i]
+		c.backlog += t.Backlog[i]
+		c.oldest = max(c.oldest, t.Oldest[i])
+	}
+	return c
 }
 
 // Marker is one annotated instant on the timeline.
@@ -235,66 +259,40 @@ var csvHeader = []string{
 // EncodeCSV writes the cluster-level CSV form.
 func (e *Export) EncodeCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	header := csvHeader
-	if len(e.Meta.Tiers) > 0 {
-		header = append([]string(nil), csvHeader...)
-		for t := range e.Meta.Tiers {
-			header = append(header,
-				fmt.Sprintf("inflight_req_t%d", t),
-				fmt.Sprintf("output_t%d_n", t),
-				fmt.Sprintf("output_t%d_p50_ms", t),
-				fmt.Sprintf("output_t%d_p99_ms", t),
-				fmt.Sprintf("output_t%d_p999_ms", t),
-			)
-		}
+	header := slices.Clone(csvHeader)
+	for t := range e.Meta.Tiers {
+		header = append(header,
+			fmt.Sprintf("inflight_req_t%d", t),
+			fmt.Sprintf("output_t%d_n", t),
+			fmt.Sprintf("output_t%d_p50_ms", t),
+			fmt.Sprintf("output_t%d_p99_ms", t),
+			fmt.Sprintf("output_t%d_p999_ms", t),
+		)
 	}
 	if err := cw.Write(header); err != nil {
 		return err
 	}
 	fms := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 	for _, t := range e.Ticks {
-		var journal, lag, backlog int
-		var stable int64
-		for i := range t.Journal {
-			journal += t.Journal[i]
-			lag += t.Lag[i]
-			stable += t.Stable[i]
-			backlog += t.Backlog[i]
-		}
-		// Backlog age is a worst-case gauge, so the cluster column takes the
-		// maximum, not a meaningless sum of ages.
-		var oldest float64
-		for _, v := range t.Oldest {
-			if v > oldest {
-				oldest = v
-			}
-		}
+		c := t.cluster()
 		rec := []string{
 			fms(t.TMS),
 			strconv.Itoa(t.Queue),
 			strconv.Itoa(t.InFlight),
 			t.Phases,
-			strconv.Itoa(journal),
-			strconv.Itoa(lag),
-			strconv.FormatInt(stable, 10),
-			strconv.Itoa(backlog),
-			fms(oldest),
+			strconv.Itoa(c.journal),
+			strconv.Itoa(c.lag),
+			strconv.FormatInt(c.stable, 10),
+			strconv.Itoa(c.backlog),
+			fms(c.oldest),
 			strconv.FormatInt(t.Delivery.N, 10),
 			fms(t.Delivery.P50MS), fms(t.Delivery.P99MS), fms(t.Delivery.P999MS),
 			strconv.FormatInt(t.Output.N, 10),
 			fms(t.Output.P50MS), fms(t.Output.P99MS), fms(t.Output.P999MS),
 		}
-		for ti := range e.Meta.Tiers {
-			var inflight int
-			var dist WindowDist
-			if ti < len(t.InflightReq) {
-				inflight = t.InflightReq[ti]
-			}
-			if ti < len(t.TierOutput) {
-				dist = t.TierOutput[ti]
-			}
+		for ti, dist := range t.TierOutput {
 			rec = append(rec,
-				strconv.Itoa(inflight),
+				strconv.Itoa(t.InflightReq[ti]),
 				strconv.FormatInt(dist.N, 10),
 				fms(dist.P50MS), fms(dist.P99MS), fms(dist.P999MS),
 			)

@@ -3,6 +3,7 @@ package timeline
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -30,12 +31,7 @@ func Spark(values []float64, width int) string {
 		return ""
 	}
 	pooled := pool(values, width)
-	var peak float64
-	for _, v := range pooled {
-		if v > peak {
-			peak = v
-		}
-	}
+	peak := max(0, slices.Max(pooled))
 	var sb strings.Builder
 	for _, v := range pooled {
 		if v <= 0 || peak <= 0 {
@@ -64,13 +60,7 @@ func pool(values []float64, width int) []float64 {
 		if hi <= lo {
 			hi = lo + 1
 		}
-		m := values[lo]
-		for _, v := range values[lo+1 : hi] {
-			if v > m {
-				m = v
-			}
-		}
-		out[cell] = m
+		out[cell] = slices.Max(values[lo:hi])
 	}
 	return out
 }
@@ -123,31 +113,6 @@ func markerLane(e *Export, width int) string {
 	return string(lane)
 }
 
-// sumInts and sumInt64s collapse per-process arrays into cluster series.
-func sumInts(pick func(Tick) []int, ticks []Tick) []float64 {
-	out := make([]float64, len(ticks))
-	for i, t := range ticks {
-		var s int
-		for _, v := range pick(t) {
-			s += v
-		}
-		out[i] = float64(s)
-	}
-	return out
-}
-
-func sumInt64s(pick func(Tick) []int64, ticks []Tick) []float64 {
-	out := make([]float64, len(ticks))
-	for i, t := range ticks {
-		var s int64
-		for _, v := range pick(t) {
-			s += v
-		}
-		out[i] = float64(s)
-	}
-	return out
-}
-
 // Render prints the timeline explorer view: one aligned sparkline lane per
 // series, per-process phase lanes, and a marker lane keyed by glyph. Width
 // bounds the sparkline cell count (the series is max-pooled into it).
@@ -164,53 +129,33 @@ func Render(w io.Writer, e *Export, width int) {
 	fmt.Fprintf(w, "timeline %q: n=%d interval=%gms span=%gms ticks=%d markers=%d\n",
 		e.Meta.Label, e.Meta.N, e.Meta.IntervalMS, span, len(ticks), len(e.Markers))
 
-	lanes := []struct {
-		name   string
-		values []float64
-	}{
-		{"queue", perTick(ticks, func(t Tick) float64 { return float64(t.Queue) })},
-		{"inflight", perTick(ticks, func(t Tick) float64 { return float64(t.InFlight) })},
-		{"journal", sumInts(func(t Tick) []int { return t.Journal }, ticks)},
-		{"lag", sumInts(func(t Tick) []int { return t.Lag }, ticks)},
-		{"stable_B", sumInt64s(func(t Tick) []int64 { return t.Stable }, ticks)},
-		{"backlog", sumInts(func(t Tick) []int { return t.Backlog }, ticks)},
-		{"blk_age", perTick(ticks, maxOldest)},
-		{"dlv_p99", perTick(ticks, func(t Tick) float64 { return t.Delivery.P99MS })},
-		{"out_p99", perTick(ticks, func(t Tick) float64 { return t.Output.P99MS })},
+	type lane struct {
+		name string
+		of   func(Tick) float64
+	}
+	lanes := []lane{
+		{"queue", func(t Tick) float64 { return float64(t.Queue) }},
+		{"inflight", func(t Tick) float64 { return float64(t.InFlight) }},
+		{"journal", func(t Tick) float64 { return float64(t.cluster().journal) }},
+		{"lag", func(t Tick) float64 { return float64(t.cluster().lag) }},
+		{"stable_B", func(t Tick) float64 { return float64(t.cluster().stable) }},
+		{"backlog", func(t Tick) float64 { return float64(t.cluster().backlog) }},
+		{"blk_age", func(t Tick) float64 { return t.cluster().oldest }},
+		{"dlv_p99", func(t Tick) float64 { return t.Delivery.P99MS }},
+		{"out_p99", func(t Tick) float64 { return t.Output.P99MS }},
 	}
 	// Tiered exports (schema v2, DESIGN §12) get one in-flight and one
 	// windowed output-p99 lane per tier, in tier order (t0 is the client
 	// tier under the traffic engine's numbering).
 	for ti := range e.Meta.Tiers {
-		ti := ti
 		lanes = append(lanes,
-			struct {
-				name   string
-				values []float64
-			}{fmt.Sprintf("inflt_t%d", ti), perTick(ticks, func(t Tick) float64 {
-				if ti < len(t.InflightReq) {
-					return float64(t.InflightReq[ti])
-				}
-				return 0
-			})},
-			struct {
-				name   string
-				values []float64
-			}{fmt.Sprintf("outp99_t%d", ti), perTick(ticks, func(t Tick) float64 {
-				if ti < len(t.TierOutput) {
-					return t.TierOutput[ti].P99MS
-				}
-				return 0
-			})})
+			lane{fmt.Sprintf("inflt_t%d", ti), func(t Tick) float64 { return float64(t.InflightReq[ti]) }},
+			lane{fmt.Sprintf("outp99_t%d", ti), func(t Tick) float64 { return t.TierOutput[ti].P99MS }})
 	}
 	for _, l := range lanes {
-		var peak float64
-		for _, v := range l.values {
-			if v > peak {
-				peak = v
-			}
-		}
-		fmt.Fprintf(w, "%-9s|%s| max=%g\n", l.name, padLane(Spark(l.values, width), width, len(ticks)), peak)
+		values := perTick(ticks, l.of)
+		fmt.Fprintf(w, "%-9s|%s| max=%g\n", l.name, padLane(Spark(values, width), width, len(ticks)),
+			max(0, slices.Max(values)))
 	}
 
 	// Phase lanes: one row per process, one cell per pooled bucket showing
@@ -223,17 +168,6 @@ func Render(w io.Writer, e *Export, width int) {
 		fmt.Fprintf(w, "%-9s|%s| X=crash r=restart s=restored g=gathered E=recovery-end\n",
 			"markers", padLane(lane, width, len(ticks)))
 	}
-}
-
-// maxOldest is the cluster backlog-age lane: the worst per-process age.
-func maxOldest(t Tick) float64 {
-	var m float64
-	for _, v := range t.Oldest {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // perTick maps each tick through f.

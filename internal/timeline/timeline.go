@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"fmt"
 	"time"
 
 	"rollrec/internal/metrics"
@@ -120,10 +121,19 @@ type Collector struct {
 	tierOf []int
 }
 
+// CheckInterval refuses a sampling interval New would panic on, so that a
+// command can report a bad flag before it builds anything.
+func CheckInterval(d time.Duration) error {
+	if d <= 0 {
+		return fmt.Errorf("timeline: sampling interval %v is not positive", d)
+	}
+	return nil
+}
+
 // New returns an empty collector. Interval must be positive and N at least 1.
 func New(cfg Config) *Collector {
-	if cfg.Interval <= 0 {
-		panic("timeline: non-positive sampling interval")
+	if err := CheckInterval(cfg.Interval); err != nil {
+		panic(err)
 	}
 	if cfg.N < 1 {
 		panic("timeline: collector needs at least one process")

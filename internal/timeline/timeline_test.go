@@ -79,6 +79,21 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
+// TestCheckInterval: the CLIs' -timeline-interval check refuses exactly the
+// intervals New panics on.
+func TestCheckInterval(t *testing.T) {
+	for _, d := range []time.Duration{0, -1, -time.Second} {
+		if err := CheckInterval(d); err == nil || !strings.Contains(err.Error(), "not positive") {
+			t.Errorf("CheckInterval(%v) = %v, want a 'not positive' error", d, err)
+		}
+	}
+	for _, d := range []time.Duration{1, DefaultInterval} {
+		if err := CheckInterval(d); err != nil {
+			t.Errorf("CheckInterval(%v) = %v", d, err)
+		}
+	}
+}
+
 func TestPhaseRunes(t *testing.T) {
 	want := map[Phase]byte{
 		PhaseLive: 'L', PhaseBlocked: 'B', PhaseRestoring: 'S',
