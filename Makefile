@@ -112,9 +112,9 @@ bench-micro:
 # and the buffer-ownership gates of DESIGN §5: frame encode and decode,
 # heartbeat tick (zero: one frame per incarnation, timer handles are values)
 # and delivery, timer arm+Stop (zero), piggyback transmit and delivery,
-# checkpoint image).
+# checkpoint image), and the apps' Handle (the payload it sends, nothing else).
 bench-kernel:
-	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/channel ./internal/fbl ./internal/coord ./internal/optimistic ./internal/bitset ./internal/storage -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
+	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/channel ./internal/fbl ./internal/coord ./internal/optimistic ./internal/bitset ./internal/storage ./internal/workload -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
 
 # benchmark-smoke vets and tests the host-time benchmark (BENCHMARK.json).
 # benchmark/ is its own module compiled against internal/..., so the root

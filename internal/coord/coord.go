@@ -390,7 +390,7 @@ func (p *Process) deliverApp(e *wire.Envelope) {
 	if p.snapActive && from >= 0 && from < p.n && p.recording[from] {
 		p.recorded[from] = append(p.recorded[from], recordedMsg{
 			from: e.From, ssn: e.SSN, dseq: e.Dseq,
-			payload: append([]byte(nil), e.Payload...),
+			payload: e.Payload, // a view of the read-only frame
 		})
 	}
 	switch p.in.Admit(e) {

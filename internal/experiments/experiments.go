@@ -237,6 +237,9 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 	app := spec.App
 	if spec.Traffic != nil {
+		if err := spec.Traffic.Validate(); err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
+		}
 		if spec.Traffic.N() != spec.N {
 			return nil, fmt.Errorf("experiments: traffic topology needs n=%d, spec has n=%d",
 				spec.Traffic.N(), spec.N)

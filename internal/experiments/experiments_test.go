@@ -132,16 +132,34 @@ func TestNonBlockingRunBlocksNobody(t *testing.T) {
 	}
 }
 
-// TestRunRejectsTrafficMisuse: a traffic spec whose topology does not fit
-// N, or whose crash plan hits a client, is an error from Run — not a panic
-// — and MustRun turns it into a panic rather than returning nil unchecked.
+// TestRunRejectsTrafficMisuse: a traffic spec that breaks one of
+// Traffic.Validate's rules, whose topology does not fit N, or whose crash
+// plan hits a client, is an error from Run — not a panic — and MustRun turns
+// it into a panic rather than returning nil unchecked.
 func TestRunRejectsTrafficMisuse(t *testing.T) {
 	tr := workload.Traffic{Clients: 2, Frontends: 2, Backends: 4, FanOut: 2, Load: 100}
+	// config changes one field of the traffic spec and sizes N to match, so
+	// only the rule under test is broken.
+	config := func(change func(*workload.Traffic)) func(*Spec) {
+		return func(s *Spec) {
+			bad := *s.Traffic
+			change(&bad)
+			s.Traffic, s.N = &bad, bad.N()
+		}
+	}
 	for _, tc := range []struct {
 		name    string
 		mutate  func(*Spec)
 		wantErr string
 	}{
+		{"zero clients", config(func(w *workload.Traffic) { w.Clients = 0 }), "tiers 0/2/4"},
+		{"zero frontends", config(func(w *workload.Traffic) { w.Frontends = 0 }), "tiers 2/0/4"},
+		{"zero backends", config(func(w *workload.Traffic) { w.Backends, w.FanOut = 0, 1 }), "tiers 2/2/0"},
+		{"fan-out 0", config(func(w *workload.Traffic) { w.FanOut = 0 }), "fan-out 0 out of range [1,4]"},
+		{"fan-out above the backends", config(func(w *workload.Traffic) { w.FanOut = 5 }), "fan-out 5 out of range [1,4]"},
+		{"zero load", config(func(w *workload.Traffic) { w.Load = 0 }), "load 0 req/s"},
+		{"negative load", config(func(w *workload.Traffic) { w.Load = -1 }), "load -1 req/s"},
+		{"unknown arrival", config(func(w *workload.Traffic) { w.Arrival = workload.ArrivalPareto + 1 }), "unknown arrival process 2"},
 		{"topology/N mismatch", func(s *Spec) { s.N = 6 }, "traffic topology needs n=8"},
 		{"crash targets a client", func(s *Spec) { s.Crashes = failure.Plan{{At: time.Second, Proc: 0}} }, "targets client 0"},
 	} {

@@ -41,10 +41,10 @@ func ringFactory(maxHops uint64, pad int, work int64) workload.Factory {
 }
 
 func (t *ringApp) token(hop, acc uint64) []byte {
-	w := wire.NewWriter(16 + t.pad)
+	w := wire.NewWriter(20 + t.pad)
 	w.U64(hop)
 	w.U64(acc)
-	w.Bytes(make([]byte, t.pad))
+	w.Zeros(t.pad)
 	return w.Frame()
 }
 
@@ -139,10 +139,10 @@ func funnelFactory(rounds uint64, pad int, work int64) workload.Factory {
 }
 
 func (f *funnelApp) frame(round, val uint64) []byte {
-	w := wire.NewWriter(16 + f.pad)
+	w := wire.NewWriter(20 + f.pad)
 	w.U64(round)
 	w.U64(val)
-	w.Bytes(make([]byte, f.pad))
+	w.Zeros(f.pad)
 	return w.Frame()
 }
 

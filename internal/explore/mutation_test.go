@@ -3,6 +3,8 @@ package explore
 import (
 	"context"
 	"fmt"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,47 +15,98 @@ import (
 	"rollrec/internal/workload"
 )
 
-// TestMutationDetected is the explorer's self-test: it seeds a known
-// protocol bug (fbl.TestingDropDetPiggyback strips the causal-determinant
-// piggyback from every send, so receipt orders never reach f+1 holders) and
-// asserts the explorer actually finds a violating schedule — proving the
-// invariant catalog does not pass vacuously — and that the emitted
-// counterexample replays to a byte-identical branch fingerprint.
+// TestMutationDetected is the explorer's self-test: each row seeds a known
+// bug and asserts the explorer finds a violating schedule — proving the
+// invariant catalog does not pass vacuously — that the check the row names
+// is among the first counterexample's violations, and that the
+// counterexample replays to a byte-identical branch fingerprint. No
+// checkpoint ever covers the deliveries (CheckpointEvery = time.Hour), so
+// recovery must rebuild every receipt order from determinant copies and
+// every message from its sender's log, maximizing each mutant's blast radius.
 //
-// Not parallel: the mutation knob is package-global. It is set before Run
-// and cleared after it returns, because Run's branch workers read it.
+// The rows:
+//   - "piggyback stripped": fbl.TestingDropDetPiggyback strips the
+//     causal-determinant piggyback from every send, so receipt orders never
+//     reach f+1 holders;
+//   - "payload written after Send": the scenario app flips a padding byte of
+//     every buffer right after handing it to Ctx.Send, which takes the
+//     buffer as its send-log record. The frame already left, so only a
+//     retransmission from the log carries the flip, and the receiver's
+//     re-delivery differs from the send the checker recorded.
+//
+// Not parallel: the mutation knob and the scenario table are package-global.
+// Each row sets its mutant before Run and undoes it after the row, because
+// Run's branch workers read them.
 func TestMutationDetected(t *testing.T) {
-	fbl.TestingDropDetPiggyback = true
-	defer func() { fbl.TestingDropDetPiggyback = false }()
+	for _, row := range []struct {
+		name   string
+		seed   func(t *testing.T) // installs the mutant and registers its undo
+		killer *regexp.Regexp     // the check that kills it
+	}{
+		{"piggyback stripped", func(t *testing.T) {
+			fbl.TestingDropDetPiggyback = true
+			t.Cleanup(func() { fbl.TestingDropDetPiggyback = false })
+		}, regexp.MustCompile(`^orphan: `)},
+		{"payload written after Send", func(t *testing.T) {
+			orig := scenarios[FamilyFBL]
+			t.Cleanup(func() { scenarios[FamilyFBL] = orig })
+			sc := orig
+			sc.app = func(n int) workload.Factory {
+				app := orig.app(n)
+				return func(self ids.ProcID, n int) workload.App { return writeAfterSendApp{app(self, n)} }
+			}
+			scenarios[FamilyFBL] = sc
+		}, regexp.MustCompile(`^replay fidelity: |surviving send differs`)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			row.seed(t)
+			spec := testSpec(FamilyFBL, recovery.NonBlocking)
+			spec.CheckpointEvery = time.Hour
+			rep, err := Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Counterexamples) == 0 {
+				t.Fatalf("mutation not detected: %d branches, 0 violations — the invariant checker is vacuous",
+					rep.Branches)
+			}
+			t.Logf("mutation detected: %d violations across %d branches", rep.Violations, rep.Branches)
+			cx := rep.Counterexamples[0]
+			t.Logf("first counterexample:\n%s", cx)
+			if !slices.ContainsFunc(cx.Violations, row.killer.MatchString) {
+				t.Fatalf("no violation matches %q, the check that kills this mutant", row.killer)
+			}
+			res, err := Replay(context.Background(), cx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Reproduced {
+				t.Fatalf("counterexample did not reproduce on replay: %+v", res)
+			}
+			if !res.FingerprintMatch {
+				t.Fatalf("replay fingerprint %#x differs from recorded %#x — branch not byte-identical",
+					res.Fingerprint, cx.Fingerprint)
+			}
+		})
+	}
+}
 
-	spec := testSpec(FamilyFBL, recovery.NonBlocking)
-	// No checkpoint ever covers the deliveries: recovery must reconstruct
-	// every receipt order from the (sabotaged) distributed determinant
-	// copies, maximizing the mutation's blast radius.
-	spec.CheckpointEvery = time.Hour
-	rep, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Counterexamples) == 0 {
-		t.Fatalf("mutation not detected: %d branches, 0 violations — the invariant checker is vacuous",
-			rep.Branches)
-	}
-	t.Logf("mutation detected: %d violations across %d branches", rep.Violations, rep.Branches)
+// writeAfterSendApp breaks the Ctx.Send contract the way an app that reuses
+// its buffer would: every payload it sends has its last byte — padding the
+// receiver never parses — flipped right after Send returns.
+type writeAfterSendApp struct{ workload.App }
 
-	cx := rep.Counterexamples[0]
-	t.Logf("first counterexample:\n%s", cx)
-	res, err := Replay(context.Background(), cx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Reproduced {
-		t.Fatalf("counterexample did not reproduce on replay: %+v", res)
-	}
-	if !res.FingerprintMatch {
-		t.Fatalf("replay fingerprint %#x differs from recorded %#x — branch not byte-identical",
-			res.Fingerprint, cx.Fingerprint)
-	}
+type writeAfterSendCtx struct{ workload.Ctx }
+
+func (c writeAfterSendCtx) Send(to ids.ProcID, payload []byte) {
+	c.Ctx.Send(to, payload)
+	payload[len(payload)-1] ^= 0xFF
+}
+
+func (a writeAfterSendApp) Start(ctx workload.Ctx) { a.App.Start(writeAfterSendCtx{ctx}) }
+
+func (a writeAfterSendApp) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) error {
+	return a.App.Handle(writeAfterSendCtx{ctx}, from, payload)
 }
 
 // TestMutationAbsentIsClean double-checks the control: the identical spec

@@ -204,9 +204,9 @@ func pendingEntry(i int) det.Entry {
 var chainPayload = make([]byte, 16)
 
 // TestTransmitSteadyStateAllocs: a warmed process sending a message with k
-// piggybacked determinants allocates the send-log copy of the payload and
-// the frame, nothing per determinant — selection reads views of the slab
-// and the selected entries land in the process's scratch.
+// piggybacked determinants allocates the frame and nothing else — the
+// payload it was handed is the send-log record, selection reads views of the
+// slab and the selected entries land in the process's scratch.
 func TestTransmitSteadyStateAllocs(t *testing.T) {
 	const k = 64
 	for name, outs := range map[string]output.Sink{"plain": nil, "output tracking": output.NewLedger(4)} {
@@ -229,17 +229,17 @@ func TestTransmitSteadyStateAllocs(t *testing.T) {
 			if per := (p.env.Metrics().PiggybackDets - sent) / 101; per != k {
 				t.Fatalf("setup: %d determinants per message, want %d", per, k)
 			}
-			if got != 2 {
-				t.Fatalf("sending a message with %d piggybacked determinants allocates %.1f times, want 2 (send-log copy, frame)", k, got)
+			if got != 1 {
+				t.Fatalf("sending a message with %d piggybacked determinants allocates %.1f times, want 1 (the frame)", k, got)
 			}
 		})
 	}
 }
 
 // TestDeliverPiggybackAllocs: delivering that message the way the simulator
-// does — one decoder, one envelope — allocates the payload and nothing per
-// determinant: the decoder reuses its buffers and the log copies what it
-// merges into its slab.
+// does — one decoder, one envelope — allocates nothing: the payload is a
+// view of the frame, the decoder reuses its buffers and the log copies what
+// it merges into its slab.
 func TestDeliverPiggybackAllocs(t *testing.T) {
 	const k, runs = 64, 100
 	e := &wire.Envelope{Kind: wire.KindApp, From: 1, FromInc: 1, Payload: chainPayload}
@@ -264,8 +264,8 @@ func TestDeliverPiggybackAllocs(t *testing.T) {
 		next++
 		p.Deliver(&rx)
 	}
-	if got := testing.AllocsPerRun(runs, deliver); got != 1 {
-		t.Fatalf("delivering a message with %d piggybacked determinants allocates %.1f times, want 1 (the payload)", k, got)
+	if got := testing.AllocsPerRun(runs, deliver); got != 0 {
+		t.Fatalf("delivering a message with %d piggybacked determinants allocates %.1f times, want 0", k, got)
 	}
 	if p.RSN() != runs+1 || p.dets.Len() != k+runs+1 {
 		t.Fatalf("setup: rsn %d, %d determinants held; want %d deliveries and %d entries", p.RSN(), p.dets.Len(), runs+1, k+runs+1)

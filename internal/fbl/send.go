@@ -20,7 +20,8 @@ func (c appCtx) Work(d int64)     { c.p.env.Busy(time.Duration(d)) }
 
 // Send is the application send path: assign identifiers, log the message in
 // the sender's volatile store (sender-based message logging), attach the
-// causal piggyback, and transmit.
+// causal piggyback, and transmit. The payload the app hands over is the log
+// record itself (workload.Ctx.Send takes it).
 func (c appCtx) Send(to ids.ProcID, payload []byte) {
 	p := c.p
 	if to == p.env.ID() || !to.Valid(p.n) || to.IsStorage() {
@@ -28,12 +29,11 @@ func (c appCtx) Send(to ids.ProcID, payload []byte) {
 	}
 	p.ssn++
 	dseq := p.out.Next(to)
-	cp := append([]byte(nil), payload...)
-	rec := channel.Rec{SSN: p.ssn, Payload: cp}
+	rec := channel.Rec{SSN: p.ssn, Payload: payload}
 	p.sendLog.Append(to, dseq, rec)
 	id := ids.MsgID{Sender: p.env.ID(), SSN: p.ssn}
 	if p.par.Hooks.OnSend != nil {
-		p.par.Hooks.OnSend(p.env.ID(), id, to, hashBytes(cp))
+		p.par.Hooks.OnSend(p.env.ID(), id, to, hashBytes(payload))
 	}
 	p.transmit(to, dseq, rec)
 }

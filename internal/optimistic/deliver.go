@@ -100,7 +100,7 @@ func (p *Process) applyDelivery(from ids.ProcID, ssn ids.SSN, dseq uint64, paylo
 	}
 	entry := logEntry{
 		from: from, ssn: ssn, dseq: dseq,
-		payload: append([]byte(nil), payload...),
+		payload: payload, // a view of the read-only frame (or stable image)
 		dv:      append([]interval(nil), p.dv...),
 	}
 	p.log = append(p.log, entry)
@@ -120,12 +120,13 @@ func (c appCtx) N() int           { return c.p.n }
 func (c appCtx) Work(d int64)     { c.p.env.Busy(time.Duration(d)) }
 
 // Send transmits an application payload with the dependency vector
-// piggyback; the copy kept in the volatile buffer serves retransmissions.
+// piggyback; the payload, which Send takes, is the volatile buffer's record
+// and serves retransmissions.
 func (c appCtx) Send(to ids.ProcID, payload []byte) {
 	p := c.p
 	p.ssn++
 	dseq := p.out.Next(to)
-	rec := channel.Rec{SSN: p.ssn, Payload: append([]byte(nil), payload...)}
+	rec := channel.Rec{SSN: p.ssn, Payload: payload}
 	p.sendLog.Append(to, dseq, rec)
 	// During replay the send is only recorded: re-transmitting the whole
 	// re-executed prefix floods the network with duplicates (the peers

@@ -58,7 +58,6 @@ type feReq struct {
 type app struct {
 	self ids.ProcID
 	spec workload.Traffic
-	pad  []byte
 
 	rng workload.PRNG
 
@@ -77,10 +76,13 @@ type app struct {
 }
 
 // NewApp builds the factory for the multi-tier serving app described by
-// spec. The spec must describe exactly the cluster size it is hosted on;
-// the factory panics otherwise (a wiring bug, per Validate's rationale).
+// spec. The spec must be valid (Traffic.Validate) and describe exactly the
+// cluster size it is hosted on; NewApp and the factory panic otherwise — a
+// harness that takes specs from outside (experiments.Run) validates first.
 func NewApp(spec workload.Traffic) workload.Factory {
-	spec.Validate()
+	if err := spec.Validate(); err != nil {
+		panic(err)
+	}
 	return func(self ids.ProcID, n int) workload.App {
 		if n != spec.N() {
 			panic("traffic: cluster size does not match the traffic topology")
@@ -88,7 +90,6 @@ func NewApp(spec workload.Traffic) workload.Factory {
 		return &app{
 			self: self,
 			spec: spec,
-			pad:  make([]byte, spec.PayloadPad),
 			rng:  workload.NewPRNG(workload.Mix64(0x74726166666963, uint64(self))),
 		}
 	}
@@ -159,11 +160,11 @@ func (a *app) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) error {
 func (a *app) onArrival(ctx workload.Ctx, seq, body uint64) {
 	fe := ids.ProcID(a.spec.Clients + a.rng.Intn(a.spec.Frontends))
 	a.queue = append(a.queue, clientReq{seq: seq})
-	w := wire.NewWriter(21 + len(a.pad))
+	w := wire.NewWriter(21 + a.spec.PayloadPad)
 	w.U8(frameRequest)
 	w.U64(seq)
 	w.U64(body)
-	w.Bytes(a.pad)
+	w.Zeros(a.spec.PayloadPad)
 	ctx.Send(fe, w.Frame())
 }
 
@@ -174,13 +175,13 @@ func (a *app) onRequest(ctx workload.Ctx, client ids.ProcID, seq, body uint64) {
 	a.pending = append(a.pending, feReq{client: client, seq: seq, want: uint32(a.spec.FanOut)})
 	for j := 0; j < a.spec.FanOut; j++ {
 		be := ids.ProcID(a.spec.Clients + a.spec.Frontends + (base+j)%a.spec.Backends)
-		w := wire.NewWriter(29 + len(a.pad))
+		w := wire.NewWriter(29 + a.spec.PayloadPad)
 		w.U8(frameShardReq)
 		w.U64(seq)
 		w.I32(int32(client))
 		w.U32(uint32(j))
 		w.U64(body)
-		w.Bytes(a.pad)
+		w.Zeros(a.spec.PayloadPad)
 		ctx.Send(be, w.Frame())
 	}
 }

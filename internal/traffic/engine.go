@@ -48,9 +48,12 @@ type clientSource struct {
 	nextAt int64 // absolute virtual ns of the next arrival
 }
 
-// NewEngine builds an engine for the given traffic spec and run seed.
+// NewEngine builds an engine for the given traffic spec and run seed; like
+// NewApp it panics on a spec Traffic.Validate refuses.
 func NewEngine(spec workload.Traffic, seed int64) *Engine {
-	spec.Validate()
+	if err := spec.Validate(); err != nil {
+		panic(err)
+	}
 	e := &Engine{spec: spec, clients: make([]clientSource, spec.Clients)}
 	for i := range e.clients {
 		e.clients[i].rng = workload.NewPRNG(workload.Mix64(uint64(seed), 0x656E67696E65+uint64(i)))

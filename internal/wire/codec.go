@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"rollrec/internal/bitset"
 	"rollrec/internal/det"
@@ -91,8 +92,17 @@ func (w *Writer) Bytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// Pad stands for what Bytes(make([]byte, n)) would write: the length field
-// goes into the frame, the n zeros are only counted (see Padded). An image
+// Zeros writes what Bytes(make([]byte, n)) would, without building the
+// slice: the length field, then n zero bytes cleared in place.
+func (w *Writer) Zeros(n int) {
+	w.U32(uint32(n))
+	at := len(w.buf)
+	w.buf = slices.Grow(w.buf, n)[:at+n]
+	clear(w.buf[at:])
+}
+
+// Pad stands for what Zeros(n) would write: the length field goes into the
+// frame, the n zeros are only counted (see Padded). An image
 // has one run of padding — its Reader.Pad must find the whole count in one
 // field — so a second non-empty Pad is a codec bug and panics.
 func (w *Writer) Pad(n int) {
@@ -196,13 +206,16 @@ func (r *Reader) ListLen() int {
 	return int(n)
 }
 
+// Bytes returns the next length-prefixed field in place: a view of the
+// reader's buffer, not a copy, with its capacity clipped to its length so an
+// append cannot reach the field after it. The view is as immutable as the
+// buffer under it — a frame, a Store.Get copy, an app payload or snapshot.
 func (r *Reader) Bytes() []byte {
 	n := r.ListLen()
 	if n == 0 || !r.need(n) {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:r.off+n])
+	out := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return out
 }
@@ -592,8 +605,9 @@ func (d *Decoder) decodeEntry(r *Reader) det.Entry {
 	return e
 }
 
-// Decode parses a frame produced by Encode into a fresh envelope that owns
-// all of its slices: they stay valid whatever is decoded later.
+// Decode parses a frame produced by Encode into a fresh envelope whose
+// slices stay valid whatever is decoded later: Payload is a read-only view
+// of the frame, everything else is the envelope's own.
 func Decode(frame []byte) (*Envelope, error) {
 	e := new(Envelope)
 	if err := new(Decoder).Decode(e, frame); err != nil {
@@ -605,9 +619,10 @@ func Decode(frame []byte) (*Envelope, error) {
 // Decode overwrites *e whole with the frame's envelope (on error *e is
 // unspecified). e.Dets — the entries and their holder sets — sit in the
 // decoder's buffers and are valid until its next Decode — for a handler,
-// until it returns — unless kept (Envelope.Keep copies them out). The other
-// slices are allocated per frame and alias neither the frame nor an earlier
-// decode.
+// until it returns — unless kept (Envelope.Keep copies them out). e.Payload
+// is a view of the frame (Reader.Bytes), as read-only and as long-lived as
+// the frame itself; the other slices are allocated per frame and alias
+// neither the frame nor an earlier decode.
 func (d *Decoder) Decode(e *Envelope, frame []byte) error {
 	d.dets, d.words = d.dets[:0], d.words[:0]
 	r := &Reader{buf: frame}

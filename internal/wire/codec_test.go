@@ -323,8 +323,9 @@ func TestEncodeAllocs(t *testing.T) {
 }
 
 // TestDecodeIntoReusesOnlyTheStruct: an envelope Decode returned is the
-// caller's, slices included — decoding every other frame afterwards leaves
-// it equal to what was encoded, which is what lets a handler keep it.
+// caller's, slices included — its Payload a view of its own frame, the rest
+// its own copies — so decoding every other frame afterwards leaves it equal
+// to what was encoded, which is what lets a handler keep it.
 func TestDecodeIntoReusesOnlyTheStruct(t *testing.T) {
 	samples := sampleEnvelopes()
 	for i, first := range samples {
@@ -410,9 +411,9 @@ func TestKeepSurvivesDecoderReuse(t *testing.T) {
 	}
 }
 
-// TestDecoderSteadyStateAllocs: a warmed decoder allocates the payload of
-// an application frame and nothing per determinant, whatever the holder
-// encoding.
+// TestDecoderSteadyStateAllocs: a warmed decoder allocates nothing for an
+// application frame — the payload is read in place, and nothing per
+// determinant, whatever the holder encoding.
 func TestDecoderSteadyStateAllocs(t *testing.T) {
 	var (
 		d  Decoder
@@ -425,8 +426,49 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	decode()
-	if got := testing.AllocsPerRun(50, decode); got != 1 {
-		t.Fatalf("decoding a 64-determinant frame allocates %.1f times, want 1 (the payload)", got)
+	if got := testing.AllocsPerRun(50, decode); got != 0 {
+		t.Fatalf("decoding a 64-determinant frame allocates %.1f times, want 0 (the payload is a view)", got)
+	}
+}
+
+// TestDecodedPayloadIsAViewOfTheFrame: Reader.Bytes returns the field in
+// place, so a decoded Payload shares the frame's backing array; its capacity
+// is its length, so an append copies instead of overwriting the field after
+// it; and Keep shares it, since nothing writes a frame.
+func TestDecodedPayloadIsAViewOfTheFrame(t *testing.T) {
+	e := piggybackFrame(10, 3)
+	e.Payload = []byte("payload") // the determinants are the next field
+	frame := Encode(e)
+	var (
+		d  Decoder
+		rx Envelope
+	)
+	if err := d.Decode(&rx, frame); err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(frame, e.Payload)
+	if at < 0 || &rx.Payload[0] != &frame[at] {
+		t.Fatal("decoded Payload is a copy, want a view of the frame")
+	}
+	if cap(rx.Payload) != len(rx.Payload) {
+		t.Fatalf("Payload len %d cap %d: an append could reach the frame's next field", len(rx.Payload), cap(rx.Payload))
+	}
+	grown := append(rx.Payload, 'X')
+	if &grown[0] == &rx.Payload[0] || !bytes.Equal(frame, Encode(e)) {
+		t.Fatal("appending to the Payload wrote into the frame")
+	}
+	if kept := rx.Keep(); &kept.Payload[0] != &rx.Payload[0] {
+		t.Fatal("Keep copied the Payload; a view of the read-only frame is shared")
+	}
+	field := frame[at-4:] // the payload's length prefix onward
+	read := func() {
+		r := Reader{buf: field}
+		if !bytes.Equal(r.Bytes(), e.Payload) || r.Err() != nil {
+			t.Fatal("Reader.Bytes misread the field")
+		}
+	}
+	if got := testing.AllocsPerRun(10, read); got != 0 {
+		t.Fatalf("Reader.Bytes allocates %.1f times, want 0", got)
 	}
 }
 
@@ -445,9 +487,19 @@ func TestPadIsCountedNotWritten(t *testing.T) {
 	}
 	dense := NewWriter(16)
 	dense.U32(7)
-	dense.Bytes(make([]byte, pad))
+	dense.Zeros(pad)
 	if !bytes.Equal(w.Frame()[:8], dense.Frame()[:8]) {
-		t.Fatal("Pad must write the same prefix Bytes writes for that many zeros")
+		t.Fatal("Pad must write the same prefix Zeros writes for that many zeros")
+	}
+	bytesW := NewWriter(16)
+	bytesW.U32(7)
+	bytesW.Bytes(make([]byte, pad))
+	if !bytes.Equal(dense.Frame(), bytesW.Frame()) {
+		t.Fatal("Zeros(n) must write what Bytes(make([]byte, n)) writes")
+	}
+	sized := NewWriter(4 + 64)
+	if got := testing.AllocsPerRun(10, func() { sized.buf = sized.buf[:0]; sized.Zeros(64) }); got != 0 {
+		t.Fatalf("Zeros into a writer with room allocates %.1f times, want 0", got)
 	}
 
 	read := func(frame []byte, pad int, skipPad bool) (*Reader, uint64) {

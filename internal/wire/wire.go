@@ -7,8 +7,9 @@
 // quantity the paper's "communication overhead" metric counts. That rests
 // on the byte copy, not on who owns the structs around it: Encode copies
 // all an envelope references into the frame (a sender may reuse one envelope
-// for a fan-out, or hand one to Multicast) and decoding copies it out into
-// slices of that one frame, or for the determinants into the Decoder's
+// for a fan-out, or hand one to Multicast), nothing writes a frame after
+// that, and decoding reads the payload in place — a view of the read-only
+// frame — and copies the rest out, the determinants into the Decoder's
 // buffers (the simulator decodes every frame into one struct through one
 // Decoder; Envelope.Keep is how a handler holds on to a frame).
 package wire
@@ -156,7 +157,8 @@ type Envelope struct {
 // Keep returns what a Deliver handler stores when a frame must outlive the
 // call: a copy of the struct, which the runtime decodes the next frame into,
 // and of Dets, which live in the runtime's Decoder. The other slices are
-// allocated per frame and shared.
+// shared: Payload is a view of the read-only frame, the rest are allocated
+// per frame.
 func (e *Envelope) Keep() *Envelope {
 	c := *e
 	c.Dets = cloneDets(e.Dets)

@@ -42,10 +42,10 @@ func NewTokenRing(maxHops uint64, payloadPad int, workPerMsg int64) Factory {
 }
 
 func (t *TokenRing) token(hop, acc uint64) []byte {
-	w := wire.NewWriter(16 + t.PayloadPad)
+	w := wire.NewWriter(20 + t.PayloadPad)
 	w.U64(hop)
 	w.U64(acc)
-	w.Bytes(make([]byte, t.PayloadPad))
+	w.Zeros(t.PayloadPad)
 	return w.Frame()
 }
 
@@ -167,7 +167,7 @@ func (g *RandomPeer) chain(ttl int, body uint64) []byte {
 	w := wire.NewWriter(16 + g.PayloadPad)
 	w.U32(uint32(ttl))
 	w.U64(body)
-	w.Bytes(make([]byte, g.PayloadPad))
+	w.Zeros(g.PayloadPad)
 	return w.Frame()
 }
 
@@ -267,7 +267,7 @@ func (c *ClientServer) request(seq int) []byte {
 	w := wire.NewWriter(16 + c.PayloadPad)
 	w.U32(uint32(seq))
 	w.U64(c.rng.Next())
-	w.Bytes(make([]byte, c.PayloadPad))
+	w.Zeros(c.PayloadPad)
 	return w.Frame()
 }
 

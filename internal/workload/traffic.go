@@ -75,23 +75,24 @@ type Traffic struct {
 // N returns the total process count the topology needs.
 func (t Traffic) N() int { return t.Clients + t.Frontends + t.Backends }
 
-// Validate panics on an unusable topology. Panicking (rather than an
-// error) matches cluster.New: a bad spec is a programming error at the
-// experiment layer, and MustRun would silently swallow an error return.
-func (t Traffic) Validate() {
+// Validate reports why a topology is unusable, or nil: every tier holds a
+// process, the fan-out fits the backend tier, the load is positive and the
+// arrival process is known.
+func (t Traffic) Validate() error {
 	if t.Clients < 1 || t.Frontends < 1 || t.Backends < 1 {
-		panic(fmt.Sprintf("workload: traffic tiers %d/%d/%d all need at least one process",
-			t.Clients, t.Frontends, t.Backends))
+		return fmt.Errorf("workload: traffic tiers %d/%d/%d all need at least one process",
+			t.Clients, t.Frontends, t.Backends)
 	}
 	if t.FanOut < 1 || t.FanOut > t.Backends {
-		panic(fmt.Sprintf("workload: traffic fan-out %d out of range [1,%d]", t.FanOut, t.Backends))
+		return fmt.Errorf("workload: traffic fan-out %d out of range [1,%d]", t.FanOut, t.Backends)
 	}
 	if t.Load <= 0 {
-		panic(fmt.Sprintf("workload: traffic load %d req/s must be positive", t.Load))
+		return fmt.Errorf("workload: traffic load %d req/s must be positive", t.Load)
 	}
 	if t.Arrival > ArrivalPareto {
-		panic(fmt.Sprintf("workload: unknown arrival process %d", t.Arrival))
+		return fmt.Errorf("workload: unknown arrival process %d", t.Arrival)
 	}
+	return nil
 }
 
 // TierOf maps a process id to its tier.

@@ -21,7 +21,9 @@ type Ctx interface {
 	// N returns the number of application processes.
 	N() int
 	// Send transmits an application payload to another process through the
-	// logging protocol. Payloads are copied.
+	// logging protocol, and takes the payload: the buffer becomes the
+	// protocol's record of the message (the sender-based log's entry), so the
+	// app must not write it afterwards.
 	Send(to ids.ProcID, payload []byte)
 	// Work charges d nanoseconds of simulated computation.
 	Work(d int64)
@@ -46,7 +48,9 @@ type App interface {
 	// Start runs once at the beginning of the computation (it is re-run
 	// during recovery only when the checkpoint predates it).
 	Start(ctx Ctx)
-	// Handle processes one delivered message. A payload it cannot parse
+	// Handle processes one delivered message. The payload is read-only: it
+	// aliases the received frame, which the protocol may keep and which
+	// other receivers of the same frame read. A payload it cannot parse
 	// leaves the state untouched and returns an error, which the host counts
 	// (metrics.Proc.Rejected) instead of failing the run.
 	Handle(ctx Ctx, from ids.ProcID, payload []byte) error

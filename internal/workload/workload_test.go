@@ -28,6 +28,71 @@ func (f *fakeCtx) Send(to ids.ProcID, payload []byte) {
 func (f *fakeCtx) Work(d int64)  { f.work += d }
 func (f *fakeCtx) Output([]byte) {}
 
+// sinkCtx is a Ctx that keeps only what was last sent, so a Handle measured
+// through it pays for nothing but its own buffers.
+type sinkCtx struct {
+	last  []byte
+	sends int
+}
+
+func (c *sinkCtx) Self() ids.ProcID { return 0 }
+func (c *sinkCtx) N() int           { return 4 }
+func (c *sinkCtx) Send(_ ids.ProcID, payload []byte) {
+	c.last = payload
+	c.sends++
+}
+func (c *sinkCtx) Work(int64)    {}
+func (c *sinkCtx) Output([]byte) {}
+
+// TestHandleAllocs is the app half of the payload contract (DESIGN §5): the
+// payload an app hands to Send is the one buffer a message costs it, so a
+// Handle that forwards allocates exactly that buffer — padding included, as
+// zeros written in place — and one that does not forward allocates nothing,
+// reading its payload, pad and all, in place.
+func TestHandleAllocs(t *testing.T) {
+	const pad = 256
+	ring := NewTokenRing(1<<40, pad, 1)(1, 4).(*TokenRing)
+	gossip := NewRandomPeer(0, 0, pad, 1)(1, 4).(*RandomPeer)
+	server := NewClientServer(1<<40, pad, 1)(0, 4).(*ClientServer)
+	client := NewClientServer(1<<40, pad, 1)(1, 4).(*ClientServer)
+	last := NewClientServer(1, pad, 1)(1, 4).(*ClientServer)
+	cases := []struct {
+		name    string
+		app     App
+		payload []byte
+		sends   int
+		padded  bool // the forwarded payload carries the pad
+	}{
+		{"token-ring forwards", ring, ring.token(1, 7), 1, true},
+		{"token-ring last hop", ring, ring.token(1<<40, 7), 0, false},
+		{"random-peer forwards", gossip, gossip.chain(3, 7), 1, true},
+		{"random-peer chain ends", gossip, gossip.chain(0, 7), 0, false},
+		{"client-server server replies", server, client.request(1), 1, false},
+		{"client-server client asks again", client, client.request(1), 1, true},
+		{"client-server client done", last, client.request(1), 0, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := &sinkCtx{}
+			handle := func() {
+				if err := tc.app.Handle(ctx, 2, tc.payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := testing.AllocsPerRun(50, handle)
+			if ctx.sends != 51*tc.sends {
+				t.Fatalf("setup: %d sends in 51 handles, want %d each", ctx.sends, tc.sends)
+			}
+			if got != float64(tc.sends) {
+				t.Fatalf("Handle allocates %.1f times, want %d (the payload it sends)", got, tc.sends)
+			}
+			if tc.padded && len(ctx.last) < pad {
+				t.Fatalf("forwarded payload is %d B, want the %d B pad in it", len(ctx.last), pad)
+			}
+		})
+	}
+}
+
 func TestPRNGDeterministicAndSerializable(t *testing.T) {
 	a := NewPRNG(7)
 	b := NewPRNG(7)
