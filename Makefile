@@ -111,8 +111,9 @@ bench-micro:
 # channel layer's in-order admit and send window (zero),
 # and the buffer-ownership gates of DESIGN §5: frame encode and decode,
 # heartbeat tick (zero: one frame per incarnation, timer handles are values)
-# and delivery, timer arm+Stop (zero), piggyback transmit and delivery,
-# checkpoint image), and the apps' Handle (the payload it sends, nothing else).
+# and delivery, timer arm+Stop (zero), piggyback transmit and delivery, a
+# depinfo reply (frame, envelope, sort keys), checkpoint image), and the
+# apps' Handle (the payload it sends, nothing else).
 bench-kernel:
 	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/channel ./internal/fbl ./internal/coord ./internal/optimistic ./internal/bitset ./internal/storage ./internal/workload -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
 

@@ -77,6 +77,9 @@ func main() {
 		fatal(err)
 	}
 	if err := timeline.CheckInterval(*tlEvery); err != nil {
+		fatal(fmt.Errorf("-timeline-interval: %w", err))
+	}
+	if err := checkFlags(*f, *pad, *traceBuf, *cpEvery, *horizon); err != nil {
 		fatal(err)
 	}
 
@@ -260,6 +263,26 @@ func parseCrashes(s string, n int) (failure.Plan, error) {
 		plan = append(plan, failure.Crash{At: d, Proc: ids.ProcID(p)})
 	}
 	return plan, nil
+}
+
+// checkFlags refuses the values a run would not honour as printed: the
+// cluster runs a failure budget below one as f = 1, writes negative padding
+// as none, and takes a negative checkpoint interval, horizon or ring size for
+// something else.
+func checkFlags(f, pad, traceBuf int, cpEvery, horizon time.Duration) error {
+	switch {
+	case f < 1:
+		return fmt.Errorf("-f %d: the failure budget must be at least 1", f)
+	case pad < 0:
+		return fmt.Errorf("-statepad %d: the padding must not be negative", pad)
+	case cpEvery < 0:
+		return fmt.Errorf("-checkpoint %v: the interval must not be negative (0 disables checkpoints)", cpEvery)
+	case horizon < 0:
+		return fmt.Errorf("-horizon %v: the run time must not be negative", horizon)
+	case traceBuf < 1:
+		return fmt.Errorf("-trace-buf %d: the ring must hold at least one event", traceBuf)
+	}
+	return nil
 }
 
 func fatal(err error) {

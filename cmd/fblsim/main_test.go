@@ -1,9 +1,51 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 )
+
+// TestMain makes the test binary fblsim itself when FBLSIM_MAIN is set, so a
+// test can run the command and read its exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv("FBLSIM_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUnhonouredFlagsExit2: a value the run would not honour as printed —
+// the scenario line would say f=0 while the cluster ran f = 1, or count
+// padding it never wrote — is refused with exit status 2 and the flag's
+// name, like every other bad flag.
+func TestUnhonouredFlagsExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-f", "0"},
+		{"-f", "-1"},
+		{"-statepad", "-5"},
+		{"-checkpoint", "-1s"},
+		{"-horizon", "-1s"},
+		{"-trace-buf", "-1"},
+		{"-timeline-interval", "0"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "FBLSIM_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("fblsim %s: %v, want exit status 2\n%s", strings.Join(args, " "), err, out)
+			continue
+		}
+		if name := strings.TrimPrefix(args[0], "-"); !strings.Contains(string(out), name) {
+			t.Errorf("fblsim %s: the message does not name the flag: %s", strings.Join(args, " "), out)
+		}
+	}
+}
 
 func TestParseApp(t *testing.T) {
 	for _, name := range []string{"gossip", "ring", "clientserver"} {

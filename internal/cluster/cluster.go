@@ -35,7 +35,8 @@ type Config struct {
 	Family Family
 	// N is the number of application processes (2..MaxProcs).
 	N int
-	// F is the failure budget; F >= N selects the f = n instance.
+	// F is the failure budget; F >= N selects the f = n instance. Values
+	// below 1 mean 1.
 	F int
 	// Seed drives all randomness.
 	Seed int64

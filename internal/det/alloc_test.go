@@ -123,3 +123,25 @@ func TestSlabGrowsInChunksAndNeverCopies(t *testing.T) {
 		}
 	}
 }
+
+// TestViewAllocs: a view costs its sort keys, one slice of 16 bytes an
+// entry, and nothing else — a view of nothing costs nothing — and reading
+// it offers views of the slab.
+func TestViewAllocs(t *testing.T) {
+	cfg := Config{N: 32, F: 3}
+	l := pendingLog(cfg, 512)
+	l.GCReceiver(5, ^ids.RSN(0)) // p5 delivered nothing the log still holds
+	if got := testing.AllocsPerRun(20, func() { l.View(nil) }); got != 1 {
+		t.Errorf("View of %d entries: %v allocs, want 1 (the keys)", l.Len(), got)
+	}
+	if got := testing.AllocsPerRun(20, func() { l.View([]ids.ProcID{5}) }); got != 0 {
+		t.Errorf("View of a receiver with no entries: %v allocs, want 0", got)
+	}
+	if got := unsafe.Sizeof(key{}); got != 16 {
+		t.Errorf("a sort key is %d bytes, want 16", got)
+	}
+	v, n := l.View(nil), 0
+	if got := testing.AllocsPerRun(20, func() { v.Each(func(Entry) { n++ }) }); got != 0 || n == 0 {
+		t.Errorf("Each over %d entries: %v allocs, want 0", v.Len(), got)
+	}
+}

@@ -111,9 +111,9 @@ func (c Config) stable(w []uint64) bool {
 // only per-destination state is that one integer (DESIGN §5).
 //
 // Stability is final: holders that reach an entry after it became stable are
-// unioned into the slab — depinfo replies (All, AllForReceivers) report them
-// — but are not news. The entry keeps its generation and its place on the
-// settled list, so no scan offers it again (DESIGN §10).
+// unioned into the slab — depinfo replies (View) report them — but are not
+// news. The entry keeps its generation and its place on the settled list, so
+// no scan offers it again (DESIGN §10).
 type Log struct {
 	cfg    Config
 	stride int  // dense holder words: bits 0..N
@@ -671,31 +671,120 @@ func (l *Log) AddHolder(msg ids.MsgID, p ids.ProcID) {
 	}
 }
 
-// entries returns copies of the given slots' entries, which the caller owns,
-// in deterministic (sender, ssn) order. Their holder words are carved from
-// one arena sized up front.
-func (l *Log) entries(slots []int32) []Entry {
-	total := 0
-	for _, i := range slots {
-		total += l.holderLen(i)
+// View is an ordered read of a log: a set of its entries in deterministic
+// (sender, ssn) order, read in place. Building one costs a 16-byte sort key
+// per entry and copies no determinant or holder set; the wire codec writes
+// a depinfo reply straight from it (wire.Envelope.DetView). A view is valid
+// until its log next changes — a Record, AddHolder or GCReceiver — so a
+// sender builds it and hands it to Send, which consumes it at call time.
+// The zero value is an empty view.
+type View struct {
+	l    *Log
+	keys []key
+}
+
+// key is one entry of a view: its slot, and the order it sorts in.
+type key struct {
+	sender ids.ProcID
+	slot   int32
+	ssn    ids.SSN
+}
+
+// View returns the entries recording a delivery at one of procs — the
+// depinfo a scoped gather asks for: replay only consults determinants whose
+// receiver is recovering — or every entry when procs is empty, which is what
+// a live process answers the paper's gather (§3.4 step 5) with.
+func (l *Log) View(procs []ids.ProcID) View {
+	if len(procs) == 0 {
+		return l.sorted(l.keyed(l.keyed(make([]key, 0, l.Len()), l.pending), l.settled))
 	}
-	arena := make([]uint64, total)
-	out := make([]Entry, len(slots))
-	for k, i := range slots {
-		out[k].Det = l.at(i).det
-		if w := l.holdersInto(i, arena); len(w) > 0 {
-			out[k].Holders = bitset.View(w[:len(w):len(w)])
-			arena = arena[len(w):]
+	keys := make([]key, 0, l.CountForReceivers(procs))
+	for _, p := range procs {
+		for i := l.chain(p); i >= 0; i = l.at(i).rnext {
+			keys = l.keyAt(keys, i)
 		}
 	}
-	sortEntries(out)
+	return l.sorted(keys)
+}
+
+// PendingView returns the entries that are not yet stable: the set a
+// process must piggyback to a peer it has offered nothing, and — in the
+// f = n instance, where stable means held by the storage pseudo-process —
+// the set still to stream to storage.
+func (l *Log) PendingView() View {
+	return l.sorted(l.keyed(make([]key, 0, l.npending), l.pending))
+}
+
+// sorted puts keys, which were allocated at exactly their length (so a view
+// of nothing allocates nothing), in view order.
+func (l *Log) sorted(keys []key) View {
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.sender != b.sender {
+			return cmp.Compare(a.sender, b.sender)
+		}
+		return cmp.Compare(a.ssn, b.ssn)
+	})
+	return View{l: l, keys: keys}
+}
+
+// keyed appends the key of every slot on lst.
+func (l *Log) keyed(keys []key, lst list) []key {
+	for i := lst.head; i >= 0; i = l.at(i).next {
+		keys = l.keyAt(keys, i)
+	}
+	return keys
+}
+
+func (l *Log) keyAt(keys []key, i int32) []key {
+	m := l.at(i).det.Msg
+	return append(keys, key{sender: m.Sender, slot: i, ssn: m.SSN})
+}
+
+// Len returns the number of entries in the view.
+func (v View) Len() int { return len(v.keys) }
+
+// Each invokes fn with every entry of the view, in order. Like a scan it
+// offers views of the slab: the holder set is materialised in the log's
+// scratch, which the next entry offered overwrites, so fn reads it or copies
+// what it keeps. fn must not modify the log.
+func (v View) Each(fn func(Entry)) {
+	for _, k := range v.keys {
+		fn(Entry{Det: v.l.at(k.slot).det, Holders: bitset.View(v.l.holdersInto(k.slot, v.l.scratch))})
+	}
+}
+
+// Collect returns copies of the view's entries, which the caller owns. Their
+// holder words are carved from one arena sized up front; the log's scratch
+// is not touched, so a scan's view survives a Collect (or Lookup) made while
+// it is offered.
+func (v View) Collect() []Entry {
+	total := 0
+	for _, k := range v.keys {
+		total += v.l.holderLen(k.slot)
+	}
+	arena := make([]uint64, total)
+	out := make([]Entry, len(v.keys))
+	for j, k := range v.keys {
+		out[j].Det = v.l.at(k.slot).det
+		if n := v.l.holderLen(k.slot); n > 0 {
+			out[j].Holders = bitset.View(v.l.holdersInto(k.slot, arena[:n:n]))
+			arena = arena[n:]
+		}
+	}
 	return out
 }
+
+// Pending returns a copy of PendingView.
+func (l *Log) Pending() []Entry { return l.PendingView().Collect() }
+
+// All returns a copy of every entry, in View's order: the recovery leader's
+// aggregate of the depinfo it gathered.
+func (l *Log) All() []Entry { return l.View(nil).Collect() }
 
 // Lookup returns the determinant entry for msg, if present.
 func (l *Log) Lookup(msg ids.MsgID) (Entry, bool) {
 	if i := l.find(msg); i >= 0 {
-		return l.entries([]int32{i})[0], true
+		return View{l: l, keys: []key{{slot: i}}}.Collect()[0], true
 	}
 	return Entry{}, false
 }
@@ -764,28 +853,6 @@ func (l *Log) PendingIDs(fn func(ids.MsgID)) {
 	}
 }
 
-// listed appends the slots on lst to out, oldest change first.
-func (l *Log) listed(out []int32, lst list) []int32 {
-	for i := lst.head; i >= 0; i = l.at(i).next {
-		out = append(out, i)
-	}
-	return out
-}
-
-// Pending returns the entries that are not yet stable, in deterministic
-// (sender, ssn) order: the set a process must piggyback to a peer it has
-// offered nothing, and — in the f = n instance, where stable means held by
-// the storage pseudo-process — the set still to stream to storage.
-func (l *Log) Pending() []Entry {
-	return l.entries(l.listed(make([]int32, 0, l.npending), l.pending))
-}
-
-// All returns every entry in deterministic order. Used when a live process
-// answers the recovery leader's depinfo request (§3.4 step 5).
-func (l *Log) All() []Entry {
-	return l.entries(l.listed(l.listed(make([]int32, 0, l.Len()), l.pending), l.settled))
-}
-
 // chain returns the head of the entries recording deliveries at p, or none
 // when p is not an application process.
 func (l *Log) chain(p ids.ProcID) int32 {
@@ -809,22 +876,8 @@ func (l *Log) ForReceiver(p ids.ProcID, after ids.RSN) []Determinant {
 	return out
 }
 
-// AllForReceivers returns every entry recording a delivery at one of the
-// given processes, in deterministic order. Scoped depinfo replies (fanout
-// mode) use it so a live process ships only the determinants the recovering
-// set can actually need, instead of its whole log.
-func (l *Log) AllForReceivers(procs []ids.ProcID) []Entry {
-	var slots []int32
-	for _, p := range procs {
-		for i := l.chain(p); i >= 0; i = l.at(i).rnext {
-			slots = append(slots, i)
-		}
-	}
-	return l.entries(slots)
-}
-
-// CountForReceivers returns len(AllForReceivers(procs)) by walking the
-// chains, without copying or sorting an entry.
+// CountForReceivers returns View(procs).Len() for a non-empty procs by
+// walking the chains, without building the view.
 func (l *Log) CountForReceivers(procs []ids.ProcID) int {
 	n := 0
 	for _, p := range procs {
@@ -877,13 +930,4 @@ func (l *Log) MergeEntries(entries []Entry) error {
 		}
 	}
 	return nil
-}
-
-func sortEntries(s []Entry) {
-	slices.SortFunc(s, func(a, b Entry) int {
-		if c := cmp.Compare(a.Det.Msg.Sender, b.Det.Msg.Sender); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Det.Msg.SSN, b.Det.Msg.SSN)
-	})
 }

@@ -121,8 +121,8 @@ func TestRecordRejectsWhatItCannotChain(t *testing.T) {
 			t.Errorf("ForReceiver(%v) = %v", p, ds)
 		}
 	}
-	if es := l.AllForReceivers([]ids.ProcID{7, ids.StorageProc, 1, -9}); len(es) != 1 {
-		t.Errorf("AllForReceivers with out-of-range members = %v, want p1's one entry", es)
+	if es := l.View([]ids.ProcID{7, ids.StorageProc, 1, -9}).Collect(); len(es) != 1 {
+		t.Errorf("View with out-of-range members = %v, want p1's one entry", es)
 	}
 	// Holder bits past the universe are dropped, not stored or counted.
 	_ = l.Record(Entry{Det: Determinant{Msg: ids.MsgID{Sender: 2, SSN: 1}, Receiver: 0, RSN: 1}, Holders: bitset.FromSlice([]int{0, 64, 700})})
@@ -449,5 +449,58 @@ func TestGrowthPastStabilityIsNotNews(t *testing.T) {
 	offered(1, map[ids.MsgID]string{a: "{1,2}"})
 	if got := settledOrder(); len(got) != 2 || got[0] != b || got[1] != a {
 		t.Fatalf("settled list is %v, want [b a]", got)
+	}
+}
+
+// TestViewIsTheLogInOrder: a view offers the entries it names in (sender,
+// ssn) order, each as Lookup would copy it — the whole log from both lists,
+// a receiver-scoped part, or the pending list — for every stored form of the
+// holder sets.
+func TestViewIsTheLogInOrder(t *testing.T) {
+	for _, cfg := range []Config{{N: 40, F: 2}, {N: 70, F: 2}, {N: 200, F: 9}} {
+		l := NewLog(cfg)
+		for i := 0; i < 60; i++ {
+			hs := []int{i % cfg.N}
+			for j := 0; j < i%11; j++ {
+				hs = append(hs, (i*7+j*13)%cfg.N)
+			}
+			if err := l.Record(entry(ids.ProcID((i*5)%3), ids.SSN(60-i), ids.ProcID(i%4), ids.RSN(i+1), hs...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := l.Stats()
+		if st.Pending == 0 || st.Pending == st.Entries || cfg.N > 100 && st.Overflowed == 0 {
+			t.Fatalf("%+v: %+v: want pending and stable entries, and spilled sets when wide", cfg, st)
+		}
+		for _, tc := range []struct {
+			name string
+			v    View
+			want func(Entry) bool
+		}{
+			{"whole", l.View(nil), func(Entry) bool { return true }},
+			{"scoped", l.View([]ids.ProcID{3, 1}), func(e Entry) bool { return e.Det.Receiver == 1 || e.Det.Receiver == 3 }},
+			{"pending", l.PendingView(), func(e Entry) bool { return !cfg.Stable(e.Holders) }},
+		} {
+			var got []Entry
+			tc.v.Each(func(e Entry) {
+				have, ok := l.Lookup(e.Det.Msg)
+				if !ok || have.Det != e.Det || !have.Holders.Equal(e.Holders) {
+					t.Fatalf("%+v %s: offered %v %v, Lookup says %v %v", cfg, tc.name, e.Det, e.Holders, have.Det, have.Holders)
+				}
+				if n := len(got); n > 0 && !got[n-1].Det.Msg.Less(e.Det.Msg) {
+					t.Fatalf("%+v %s: %v offered after %v", cfg, tc.name, e.Det.Msg, got[n-1].Det.Msg)
+				}
+				got = append(got, e.Clone())
+			})
+			want := 0
+			for _, e := range l.All() {
+				if tc.want(e) {
+					want++
+				}
+			}
+			if len(got) != want || tc.v.Len() != want {
+				t.Fatalf("%+v %s: offered %d entries, Len %d, want %d", cfg, tc.name, len(got), tc.v.Len(), want)
+			}
+		}
 	}
 }

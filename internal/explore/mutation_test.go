@@ -32,7 +32,14 @@ import (
 //     every buffer right after handing it to Ctx.Send, which takes the
 //     buffer as its send-log record. The frame already left, so only a
 //     retransmission from the log carries the flip, and the receiver's
-//     re-delivery differs from the send the checker recorded.
+//     re-delivery differs from the send the checker recorded;
+//   - "depinfo without its settled entries": fbl.TestingDepInfoPendingOnly
+//     makes every live process answer a gather with its pending
+//     determinants only. The settled ones are the part of the reply read
+//     from the log's second list. Without them the recovering process
+//     replays from an incomplete schedule, diverges, and sends a message it
+//     sent before to another receiver, whose log already holds that
+//     message's receipt order and refuses the new one as conflicting.
 //
 // Not parallel: the mutation knob and the scenario table are package-global.
 // Each row sets its mutant before Run and undoes it after the row, because
@@ -57,6 +64,10 @@ func TestMutationDetected(t *testing.T) {
 			}
 			scenarios[FamilyFBL] = sc
 		}, regexp.MustCompile(`^replay fidelity: |surviving send differs`)},
+		{"depinfo without its settled entries", func(t *testing.T) {
+			fbl.TestingDepInfoPendingOnly = true
+			t.Cleanup(func() { fbl.TestingDepInfoPendingOnly = false })
+		}, regexp.MustCompile(`^panic: .*conflicting determinants`)},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			row.seed(t)

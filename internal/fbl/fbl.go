@@ -318,14 +318,14 @@ func (p *Process) flushToStorage() {
 	if p.mode != ModeLive && p.mode != ModeReplaying {
 		return
 	}
-	pending := p.dets.Pending() // f = n: pending means storage does not hold it yet
-	if len(pending) == 0 {
+	pending := p.dets.PendingView() // f = n: pending means storage does not hold it yet
+	if pending.Len() == 0 {
 		return
 	}
 	p.env.Send(ids.StorageProc, &wire.Envelope{
 		Kind:    wire.KindDetsToStorage,
 		FromInc: p.inc,
-		Dets:    pending,
+		DetView: &pending,
 	})
 }
 

@@ -14,14 +14,15 @@ import (
 
 // This file implements recovery.Host and the deterministic replay engine.
 
-// DepInfo implements recovery.Host: the full determinant log is the depinfo
-// a live process contributes to a gather (paper §3.4 step 5).
-func (p *Process) DepInfo() []det.Entry { return p.dets.All() }
-
-// DepInfoFor implements recovery.Host: the scoped-gather contribution,
-// restricted to determinants the named recovering processes will replay.
-func (p *Process) DepInfoFor(procs []ids.ProcID) []det.Entry {
-	return p.dets.AllForReceivers(procs)
+// DepInfo implements recovery.Host: the determinant log — all of it, the
+// depinfo a live process contributes to a gather (paper §3.4 step 5), or
+// for a scoped gather the part the named recovering processes will replay —
+// read in place.
+func (p *Process) DepInfo(procs []ids.ProcID) det.View {
+	if TestingDepInfoPendingOnly {
+		return p.dets.PendingView()
+	}
+	return p.dets.View(procs)
 }
 
 // DepInfoLen implements recovery.Host: the size of either reply, counted.

@@ -57,18 +57,13 @@ func (s *StorageNode) Deliver(in *wire.Envelope) {
 		// The storage process is one of the hosts the leader gathers from.
 		// A scoped request (fanout mode) names the recovering members; only
 		// their determinants matter for replay.
-		var dets []det.Entry
-		if len(e.Members) > 0 {
-			dets = s.dets.AllForReceivers(e.Members)
-		} else {
-			dets = s.dets.All()
-		}
+		dets := s.dets.View(e.Members)
 		s.env.Send(e.From, &wire.Envelope{
 			Kind:    wire.KindDepReply,
 			FromInc: 1,
 			Ord:     e.Ord,
 			Round:   e.Round,
-			Dets:    dets,
+			DetView: &dets,
 		})
 	case wire.KindCheckpointNotice:
 		s.dets.GCReceiver(e.From, e.CPRsn)

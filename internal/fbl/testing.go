@@ -15,3 +15,13 @@ package fbl
 // cluster, and explore.Run builds its branch clusters on several goroutines:
 // set it before Run and clear it after Run returns, never during.
 var TestingDropDetPiggyback bool
+
+// TestingDepInfoPendingOnly, when set, makes a live process answer every
+// depinfo request with its pending determinants only, leaving out the
+// settled ones: stable, so held by f+1 processes, and the gather is how the
+// recovering process gets them back. It then replays from an incomplete
+// schedule and diverges from the execution the survivors' logs record.
+// Like TestingDropDetPiggyback it is a mutation knob for the explorer's
+// self-test, with the same rules: set it before explore.Run, clear it after
+// Run returns, never outside tests.
+var TestingDepInfoPendingOnly bool

@@ -139,44 +139,43 @@ func (m *Manager) onDepRequest(e *wire.Envelope) {
 	// without blocking anybody (§3.3).
 	m.host.MergeIncVec(e.IncVec)
 
-	// The Manetho reply runs after its stable write, when the runtime has
-	// long reused e: the closures capture the fields they need, never e.
-	from, ord, round, members := e.From, e.Ord, e.Round, e.Members
-
-	reply := func() {
-		// A request naming its recovering members asks for a scoped reply:
-		// only determinants those members will replay.
-		var dets []det.Entry
-		if len(members) > 0 {
-			dets = m.host.DepInfoFor(members)
-		} else {
-			dets = m.host.DepInfo()
-		}
-		m.env.Send(from, &wire.Envelope{
-			Kind:    wire.KindDepReply,
-			FromInc: m.selfInc(),
-			Ord:     ord,
-			Round:   round,
-			Dets:    dets,
-		})
-	}
-
 	switch m.cfg.Style {
 	case NonBlocking:
-		reply()
+		m.replyDeps(e.From, e.Ord, e.Round, e.Members)
 	case Blocking:
-		m.blockFor(ord)
-		reply()
+		m.blockFor(e.Ord)
+		m.replyDeps(e.From, e.Ord, e.Round, e.Members)
 	case Manetho:
-		m.blockFor(ord)
+		m.blockFor(e.Ord)
 		// Manetho requires the reply recorded on stable storage before it
 		// is sent; the synchronous write stalls the reply (and lengthens
 		// everyone's gather). The write is sized by the log as it is now, the
-		// reply carries the log as it is when the write completes.
-		m.host.StableReplyWrite(ord, 32*m.host.DepInfoLen(members), reply)
+		// reply carries the log as it is when the write completes. That is
+		// when the runtime has long reused e: the closure captures the fields
+		// it needs, never e.
+		from, ord, round, members := e.From, e.Ord, e.Round, e.Members
+		m.host.StableReplyWrite(ord, 32*m.host.DepInfoLen(members), func() {
+			m.replyDeps(from, ord, round, members)
+		})
 	default:
 		panic(fmt.Sprintf("recovery: unknown style %v", m.cfg.Style))
 	}
+}
+
+// replyDeps answers a gather with the host's depinfo. A request naming its
+// recovering members asks for a scoped reply: only determinants those
+// members will replay. The view reads the log as it is now; Send writes the
+// frame from it before returning.
+func (m *Manager) replyDeps(to ids.ProcID, ord ids.Ordinal, round uint32, members []ids.ProcID) {
+	m.reply = m.host.DepInfo(members)
+	m.env.Send(to, &wire.Envelope{
+		Kind:    wire.KindDepReply,
+		FromInc: m.selfInc(),
+		Ord:     ord,
+		Round:   round,
+		DetView: &m.reply,
+	})
+	m.reply = det.View{}
 }
 
 func (m *Manager) blockFor(ord ids.Ordinal) {

@@ -99,19 +99,18 @@ func (s State) String() string {
 // Host is what the manager needs from the protocol process it serves.
 // All methods are invoked from the process's event context.
 type Host interface {
-	// DepInfo returns the full determinant log — the depinfo a live (or
-	// replaying) process contributes to a gather.
-	DepInfo() []det.Entry
-	// DepInfoFor returns only the determinants whose receiver is one of the
-	// given processes — the depinfo a scoped gather (Config.ScopedGather)
-	// asks for. Replay only ever consults determinants naming a recovering
-	// process as receiver, so the rest of the log is dead weight on the
-	// wire; at n=1024 the difference is the bulk of the gather traffic.
-	DepInfoFor(procs []ids.ProcID) []det.Entry
-	// DepInfoLen returns how many entries the reply to a gather naming procs
-	// would carry — len(DepInfoFor(procs)), or len(DepInfo()) when procs is
-	// empty — without building it: the Manetho style sizes its stable write
-	// from the count before it assembles the reply.
+	// DepInfo returns the depinfo a live (or replaying) process contributes
+	// to a gather: its whole determinant log when procs is empty, or — for a
+	// scoped gather (Config.ScopedGather) naming the recovering processes —
+	// only the determinants whose receiver is one of them. Replay only ever
+	// consults determinants naming a recovering process as receiver, so the
+	// rest of the log is dead weight on the wire; at n=1024 the difference
+	// is the bulk of the gather traffic. The list is a view of the host's
+	// log, valid until the log next changes: the manager sends it at once.
+	DepInfo(procs []ids.ProcID) det.View
+	// DepInfoLen returns DepInfo(procs).Len() without building the view:
+	// the Manetho style sizes its stable write from the count before it
+	// assembles the reply.
 	DepInfoLen(procs []ids.ProcID) int
 	// MergeIncVec installs newer incarnations from a leader's vector,
 	// making stale messages rejectable.
@@ -141,7 +140,7 @@ type Config struct {
 	F int
 	// ScopedGather makes depinfo requests name the recovering members, so
 	// repliers contribute only determinants those members will replay
-	// (Host.DepInfoFor) instead of their full logs. Off by default: the
+	// (Host.DepInfo) instead of their full logs. Off by default: the
 	// unscoped gather is the paper's literal protocol and the small-n golden
 	// traces pin its frame sizes.
 	ScopedGather bool
@@ -186,6 +185,10 @@ type Manager struct {
 	gatherSpan trace.SpanRef
 
 	retry node.Timer
+
+	// reply is the view a depinfo reply's envelope points at while Send
+	// writes the frame: a field, so pointing at it allocates nothing.
+	reply det.View
 }
 
 // NewManager returns a manager in StateLive.

@@ -88,7 +88,7 @@ type fakeHost struct {
 	applied    [][]det.Entry
 	writes     int
 	writeSizes []int
-	built      int // DepInfo + DepInfoFor calls: replies assembled
+	built      int // DepInfo calls: replies assembled
 	// deferWrites parks StableReplyWrite completions in pendingWrites until
 	// the test runs them, modelling the stable-storage latency.
 	deferWrites   bool
@@ -99,13 +99,15 @@ func newFakeHost(n int) *fakeHost {
 	return &fakeHost{n: n, incVec: vclock.NewIncVector(n)}
 }
 
-func (h *fakeHost) DepInfo() []det.Entry {
+// DepInfo answers from a log holding dep, built for the call: the view is
+// valid until that log changes, which nothing does.
+func (h *fakeHost) DepInfo(procs []ids.ProcID) det.View {
 	h.built++
-	return h.dep
-}
-func (h *fakeHost) DepInfoFor(procs []ids.ProcID) []det.Entry {
-	h.built++
-	return h.scoped(procs)
+	l := det.NewLog(det.Config{N: h.n, F: h.n})
+	if err := l.MergeEntries(h.dep); err != nil {
+		panic(err)
+	}
+	return l.View(procs)
 }
 func (h *fakeHost) scoped(procs []ids.ProcID) []det.Entry {
 	var out []det.Entry

@@ -31,6 +31,9 @@ var (
 	ErrOversized  = errors.New("wire: list length exceeds limit")
 	ErrBadHolders = errors.New("wire: bad holder-set encoding")
 	ErrPad        = errors.New("wire: padding field does not match the image")
+	// ErrTwoDetLists is returned by EncodeChecked for an envelope that sets
+	// both Dets and DetView.
+	ErrTwoDetLists = errors.New("wire: envelope sets both Dets and DetView")
 	// ErrRange is returned by EncodeChecked when a count or id does not fit
 	// its wire representation.
 	ErrRange = errors.New("wire: value out of encodable range")
@@ -241,7 +244,7 @@ func presence(e *Envelope) uint16 {
 	if len(e.Payload) > 0 {
 		p |= hasPayload
 	}
-	if len(e.Dets) > 0 {
+	if len(e.Dets) > 0 || e.DetView != nil && e.DetView.Len() > 0 {
 		p |= hasDets
 	}
 	if e.CPRsn != 0 {
@@ -303,6 +306,9 @@ func Encode(e *Envelope) []byte {
 // ErrRange) instead of truncating when a count or holder set exceeds its
 // wire representation. The frame is allocated once, at exactly Size(e).
 func EncodeChecked(e *Envelope) ([]byte, error) {
+	if e.Dets != nil && e.DetView != nil {
+		return nil, ErrTwoDetLists
+	}
 	w := &Writer{buf: make([]byte, 0, Size(e))}
 	w.U8(codecVersion)
 	w.U8(uint8(e.Kind))
@@ -324,14 +330,8 @@ func EncodeChecked(e *Envelope) ([]byte, error) {
 		w.Bytes(e.Payload)
 	}
 	if p&hasDets != 0 {
-		if err := checkLen("dets", len(e.Dets)); err != nil {
+		if err := encodeDets(w, e); err != nil {
 			return nil, err
-		}
-		w.U32(uint32(len(e.Dets)))
-		for i := range e.Dets {
-			if err := encodeEntry(w, &e.Dets[i]); err != nil {
-				return nil, err
-			}
 		}
 	}
 	if p&hasCPRsn != 0 {
@@ -385,6 +385,34 @@ func EncodeChecked(e *Envelope) ([]byte, error) {
 		}
 	}
 	return w.buf, nil
+}
+
+// encodeDets writes the envelope's determinant list, from Dets or from the
+// log a DetView reads.
+func encodeDets(w *Writer, e *Envelope) error {
+	n := len(e.Dets)
+	if e.DetView != nil {
+		n = e.DetView.Len()
+	}
+	if err := checkLen("dets", n); err != nil {
+		return err
+	}
+	w.U32(uint32(n))
+	if e.DetView == nil {
+		for i := range e.Dets {
+			if err := encodeEntry(w, &e.Dets[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var err error
+	e.DetView.Each(func(en det.Entry) {
+		if err == nil {
+			err = encodeEntry(w, &en)
+		}
+	})
+	return err
 }
 
 func encodeEntry(w *Writer, e *det.Entry) error {
@@ -737,9 +765,15 @@ func Size(e *Envelope) int {
 	}
 	if p&hasDets != 0 {
 		n += 4
-		for i := range e.Dets {
-			_, hn, _ := holderEnc(e.Dets[i].Holders)
+		entry := func(en det.Entry) {
+			_, hn, _ := holderEnc(en.Holders)
 			n += 4 + 8 + 4 + 8 + hn
+		}
+		if e.DetView != nil {
+			e.DetView.Each(entry)
+		}
+		for i := range e.Dets {
+			entry(e.Dets[i])
 		}
 	}
 	if p&hasCPRsn != 0 {

@@ -94,7 +94,7 @@ func TestSeedCorpusDetsRecordWithoutPanic(t *testing.T) {
 						}
 						l.AddHolder(mut.Det.Msg, e.To)
 						l.ForReceiver(recv, 0)
-						l.AllForReceivers(e.Members)
+						l.View(e.Members).Collect()
 					}
 				}
 			}

@@ -7,11 +7,12 @@
 // quantity the paper's "communication overhead" metric counts. That rests
 // on the byte copy, not on who owns the structs around it: Encode copies
 // all an envelope references into the frame (a sender may reuse one envelope
-// for a fan-out, or hand one to Multicast), nothing writes a frame after
-// that, and decoding reads the payload in place — a view of the read-only
-// frame — and copies the rest out, the determinants into the Decoder's
-// buffers (the simulator decodes every frame into one struct through one
-// Decoder; Envelope.Keep is how a handler holds on to a frame).
+// for a fan-out, or hand one to Multicast; a DetView is read from the
+// sender's log in place), nothing writes a frame after that, and decoding
+// reads the payload in place — a view of the read-only frame — and copies
+// the rest out, the determinants into the Decoder's buffers (the simulator
+// decodes every frame into one struct through one Decoder; Envelope.Keep is
+// how a handler holds on to a frame).
 package wire
 
 import (
@@ -51,7 +52,8 @@ const (
 	// carries the leader's incvector so the live process starts rejecting
 	// stale messages before replying.
 	KindDepRequest
-	// KindDepReply returns a live process's entire determinant log.
+	// KindDepReply returns a live process's determinant log: all of it, or
+	// the part a scoped request's Members will replay.
 	KindDepReply
 	// KindRecoveryData is the leader's step-6 delivery of the aggregated
 	// depinfo to each recovering process.
@@ -132,6 +134,13 @@ type Envelope struct {
 	// on KindReplayRequest it is the requester's delivered watermark instead
 	Payload []byte      // application bytes (KindApp)
 	Dets    []det.Entry // piggyback, dep replies, recovery data, storage stream
+	// DetView is the encode-only alternative to Dets: a list read from the
+	// sender's log in place (det.View), written into the frame byte for byte
+	// as Dets holding the same entries would be. Send consumes it at call
+	// time; an envelope sets at most one of the two, and a decoded envelope
+	// never carries a view. It is a pointer so the envelope stays in its
+	// allocation size class (TestEnvelopeSizeClass).
+	DetView *det.View
 
 	// Checkpoint notices.
 	CPRsn         ids.RSN   // receiver-order watermark covered by the checkpoint
@@ -177,13 +186,17 @@ func cloneDets(in []det.Entry) []det.Entry {
 }
 
 // Clone returns a deep copy of the envelope, for test fakes that capture
-// what a sender goes on to reuse; Send itself serializes at call time.
+// what a sender goes on to reuse; Send itself serializes at call time. A
+// DetView is collected into Dets: the copy outlives the log's next change.
 func (e *Envelope) Clone() *Envelope {
 	c := *e
 	if e.Payload != nil {
 		c.Payload = append([]byte(nil), e.Payload...)
 	}
 	c.Dets = cloneDets(e.Dets)
+	if e.DetView != nil {
+		c.Dets, c.DetView = e.DetView.Collect(), nil
+	}
 	if e.SSNWatermarks != nil {
 		c.SSNWatermarks = append([]ids.SSN(nil), e.SSNWatermarks...)
 	}
