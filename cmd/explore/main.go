@@ -93,8 +93,9 @@ func main() {
 			if *stats {
 				runtime.ReadMemStats(&after)
 				st, runs := rep.Stats, uint64(rep.Stats.Runs)
-				fmt.Fprintf(os.Stderr, "stats %-18s branches=%-4d events/run=%-6d frames/run=%-6d heartbeat_share=%.3f KB/run=%.1f allocs/run=%d\n",
-					label, rep.Branches, st.Events/int64(runs), st.Frames/int64(runs), float64(st.Heartbeats)/float64(max(st.Frames, 1)),
+				fmt.Fprintf(os.Stderr, "stats %-18s branches=%-4d events/run=%-6d windows/run=%-6d events/window=%.1f frames/run=%-6d heartbeat_share=%.3f KB/run=%.1f allocs/run=%d\n",
+					label, rep.Branches, st.Events/int64(runs), st.Windows/int64(runs), float64(st.Events)/float64(max(st.Windows, 1)),
+					st.Frames/int64(runs), float64(st.Heartbeats)/float64(max(st.Frames, 1)),
 					float64((after.TotalAlloc-before.TotalAlloc)/runs)/1024, (after.Mallocs-before.Mallocs)/runs)
 			}
 			fmt.Printf("%-18s points=%-3d branches=%-4d violations=%-3d baseline_events=%-6d fingerprint=%#016x\n",

@@ -94,6 +94,23 @@ func ValidateN(n int) error {
 	return nil
 }
 
+// Validate reports what New refuses to build: a size outside [2, MaxProcs],
+// an unknown family, or a hardware profile whose minimum network latency —
+// the sharded kernel's window width — is not positive. The zero HW and the
+// zero Family are defaults, not errors.
+func (cfg Config) Validate() error {
+	if err := ValidateN(cfg.N); err != nil {
+		return err
+	}
+	if _, ok := families[cfg.Family]; !ok && cfg.Family != "" {
+		return fmt.Errorf("unknown family %q", cfg.Family)
+	}
+	if cfg.HW != (node.Hardware{}) && cfg.HW.Net.Latency <= 0 {
+		return fmt.Errorf("hardware profile has network latency %v; it must be positive", cfg.HW.Net.Latency)
+	}
+	return nil
+}
+
 // sendInfo and deliverInfo are the checker's records of one send and one
 // delivery. Timelines are slices indexed by the owner's own counter (ssn,
 // rsn), which start at 1 and are dense, so an index the execution never
@@ -151,9 +168,10 @@ type Cluster struct {
 	crashes int // crashes scheduled so far (Settled waits for them)
 }
 
-// New builds and boots a cluster.
+// New builds and boots a cluster; it panics on a Config that Validate
+// refuses.
 func New(cfg Config) *Cluster {
-	if err := ValidateN(cfg.N); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic("cluster: " + err.Error())
 	}
 	if cfg.F < 1 {
@@ -165,11 +183,7 @@ func New(cfg Config) *Cluster {
 	if cfg.Family == "" {
 		cfg.Family = FamilyFBL
 	}
-	fam, ok := families[cfg.Family]
-	if !ok {
-		panic(fmt.Sprintf("cluster: unknown family %q", cfg.Family))
-	}
-	c := &Cluster{cfg: cfg, fam: fam}
+	c := &Cluster{cfg: cfg, fam: families[cfg.Family]}
 
 	c.K = sim.NewSharded(sim.Config{Seed: cfg.Seed, HW: cfg.HW, Tracer: cfg.Tracer}, max(1, cfg.Shards))
 	c.outs = output.NewLedger(cfg.N)

@@ -229,13 +229,31 @@ type Result struct {
 // collected result. On cancellation the returned Result covers the prefix
 // of virtual time that ran (its invariants are NOT checked — a cut-short
 // run is consistent but incomplete) and the error is ctx's. A spec that
-// misuses Traffic returns a nil Result and the error, before anything runs.
+// cluster.Config.Validate refuses, or that misuses Traffic, returns a nil
+// Result and the error, before anything runs.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
 	var tr trace.Tracer
 	if spec.Shards <= 1 {
 		tr = DefaultTracer
 	}
-	app := spec.App
+	cfg := cluster.Config{
+		Family:          spec.Family,
+		N:               spec.N,
+		F:               spec.F,
+		Seed:            spec.Seed,
+		HW:              spec.HW,
+		Style:           spec.Style,
+		App:             spec.App,
+		CheckpointEvery: spec.CPEvery,
+		StatePad:        spec.Pad,
+		Tracer:          tr,
+		TrackOutputs:    spec.TrackOutputs,
+		Shards:          spec.Shards,
+		Fanout:          spec.Fanout,
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
 	if spec.Traffic != nil {
 		if err := spec.Traffic.Validate(); err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
@@ -250,23 +268,9 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 					"FBL replay cannot regenerate injected arrivals", cr.Proc)
 			}
 		}
-		app = traffic.NewApp(*spec.Traffic)
+		cfg.App = traffic.NewApp(*spec.Traffic)
 	}
-	c := cluster.New(cluster.Config{
-		Family:          spec.Family,
-		N:               spec.N,
-		F:               spec.F,
-		Seed:            spec.Seed,
-		HW:              spec.HW,
-		Style:           spec.Style,
-		App:             app,
-		CheckpointEvery: spec.CPEvery,
-		StatePad:        spec.Pad,
-		Tracer:          tr,
-		TrackOutputs:    spec.TrackOutputs,
-		Shards:          spec.Shards,
-		Fanout:          spec.Fanout,
-	})
+	c := cluster.New(cfg)
 	if spec.Timeline != nil {
 		c.AttachTimeline(spec.Timeline)
 	}

@@ -132,6 +132,41 @@ func TestNonBlockingRunBlocksNobody(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadSpec: a spec that cluster.New or the sharded kernel would
+// refuse with a panic — a size outside [2, MaxProcs], an unknown family, a
+// hardware profile without a positive network latency (the window width) —
+// is an error from Run before anything is built.
+func TestRunRejectsBadSpec(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*Spec)
+		wantErr string
+	}{
+		{"n below 2", func(s *Spec) { s.N = 1 }, "cluster size n=1 out of range"},
+		{"n above MaxProcs", func(s *Spec) { s.N = cluster.MaxProcs + 1 }, "cluster size n=1025 out of range"},
+		{"unknown family", func(s *Spec) { s.Family = "bogus" }, `unknown family "bogus"`},
+		{"zero latency", func(s *Spec) { s.HW.Net.Latency = 0 }, "network latency 0s"},
+		{"negative latency", func(s *Spec) { s.HW.Net.Latency = -time.Millisecond }, "network latency -1ms"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := fastSpec(recovery.NonBlocking)
+			tc.mutate(&spec)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("Run panicked: %v", p)
+				}
+			}()
+			r, err := Run(context.Background(), spec)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Run error = %v, want one containing %q", err, tc.wantErr)
+			}
+			if r != nil {
+				t.Fatal("Run returned a result for a rejected spec")
+			}
+		})
+	}
+}
+
 // TestRunRejectsTrafficMisuse: a traffic spec that breaks one of
 // Traffic.Validate's rules, whose topology does not fit N, or whose crash
 // plan hits a client, is an error from Run — not a panic — and MustRun turns

@@ -171,6 +171,7 @@ type Report struct {
 type Stats struct {
 	Runs       int
 	Events     int64
+	Windows    int64 // the coordinator's windows (sim.Sharded.Windows)
 	Frames     int64 // sent by the application processes, every kind
 	Heartbeats int64 // the wire.KindHeartbeat ones among them
 }
@@ -178,6 +179,7 @@ type Stats struct {
 func (s *Stats) add(res *branchResult) {
 	s.Runs++
 	s.Events += res.events
+	s.Windows += res.windows
 	s.Frames += res.frames
 	s.Heartbeats += res.heartbeats
 }
@@ -202,6 +204,7 @@ func foldStep(h uint64, s sim.StepInfo) uint64 {
 type branchResult struct {
 	fingerprint   uint64
 	events        int64
+	windows       int64
 	frames        int64 // sent by the application processes
 	heartbeats    int64
 	digests       []uint64
@@ -244,7 +247,7 @@ func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool
 	in.c.ApplyPlan(plan)
 	defer func() {
 		if r := recover(); r != nil {
-			res.events = in.c.Kernel().Steps()
+			res.events, res.windows = in.c.Kernel().Steps(), in.c.K.Windows().Total()
 			res.famErrs = []string{fmt.Sprint("panic: ", r)}
 			res.points, res.recSteps = in.tracer.points, in.tracer.recSteps
 			res.fingerprint = h
@@ -253,7 +256,7 @@ func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool
 	if _, err := in.c.RunContext(ctx, spec.Horizon); err != nil {
 		return nil, err
 	}
-	res.events = in.c.Kernel().Steps()
+	res.events, res.windows = in.c.Kernel().Steps(), in.c.K.Windows().Total()
 	res.digests = in.c.Digests()
 	for _, err := range in.c.Check() {
 		res.famErrs = append(res.famErrs, err.Error())

@@ -302,6 +302,25 @@ func TestExploreDeterministicReport(t *testing.T) {
 	}
 }
 
+// TestStatsCountWindows: -stats reads the coordinator's window count off
+// every run, so events per window shows without a profiler, and the report's
+// JSON (the goldens) does not carry it.
+func TestStatsCountWindows(t *testing.T) {
+	spec := testSpec(FamilyFBL, recovery.NonBlocking)
+	spec.MaxPoints = 4
+	rep, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rep.Stats; st.Windows <= 0 || st.Windows > st.Events {
+		t.Fatalf("%d windows for %d events over %d runs; every window dispatches at least one event",
+			st.Windows, st.Events, st.Runs)
+	}
+	if j, _ := json.Marshal(rep); strings.Contains(strings.ToLower(string(j)), "windows") {
+		t.Fatalf("report JSON carries the window count: %s", j)
+	}
+}
+
 // TestExploreMultiCrash drives the depth-2 pass (second crash aimed inside
 // observed recoveries) plus the random frontier on the coordinated family.
 func TestExploreMultiCrash(t *testing.T) {

@@ -6,20 +6,26 @@
 // network latency L to arrive, so an event executed at virtual time t can
 // influence another process no earlier than t+L. Running every shard
 // independently over the window [T, T+W) with W <= L is therefore exactly
-// equivalent to interleaved execution, provided frames sent during the
-// window are exchanged at the boundary. All sends — same-shard ones
-// included — go through per-shard outboxes that the coordinator drains at
-// each boundary in one globally sorted order, so the arrival sequence
-// numbers a destination assigns are independent of how the processes are
-// partitioned. That makes every per-process execution, and hence the merged
-// golden event-trace hash, byte-identical for any shard count (pinned by
-// TestShardedGoldenTraceHash).
+// equivalent to interleaved execution, provided frames sent to another
+// shard during the window are exchanged at the boundary.
+//
+// Every kernel event is ordered by the key (at, phase, tie), where phase
+// counts the coordinator's flushes (Kernel.less). An arrival carries the
+// phase it was sent in, sorts after that phase's ordinary events, and ties
+// by (to, from, the sender's send count): a key that names no shard, so the
+// order a destination dispatches in is independent of how the processes are
+// partitioned. A frame to a node of the sender's own shard therefore goes
+// straight onto the heap (at one shard, every frame does); only a frame for
+// another shard waits in its sender's outbox, and a flush pushes those
+// frames in any order. That makes every per-process execution, and hence the
+// merged golden event-trace hash, byte-identical for any shard count (pinned
+// by TestShardedGoldenTraceHash and TestShardArrivalKeyOrder).
 //
 // What observes or drives the whole cluster — harness callbacks (At) and
 // samplers (AddSampler) — lives in a coordinator-level queue and runs between
 // shard runs with every shard parked: a window is split at the callback's
 // instant, the callback sees the state after every event before that instant
-// and none at it, and the outboxes still drain only at grid boundaries. Their
+// and none at it, and the phase still moves only at grid boundaries. Their
 // order is therefore a function of virtual time and registration order alone.
 package sim
 
@@ -39,13 +45,15 @@ import (
 	"rollrec/internal/storage"
 )
 
-// outMsg is one frame buffered in a shard outbox between windows.
+// outMsg is a frame in flight with its arrival key, all but the phase. A
+// frame for another shard waits in its sender's outbox (Kernel.out) until
+// the flush that closes the phase it was sent in.
 type outMsg struct {
-	at     int64
-	from   ids.ProcID
-	to     ids.ProcID
-	frame  []byte
-	sentAt int64
+	at       int64
+	sentAt   int64
+	count    uint64 // the sender's send count (nodeState.sent)
+	from, to ids.ProcID
+	frame    []byte
 }
 
 // coEvent is one entry of the coordinator's queue, ordered by (at, seq): a
@@ -63,16 +71,6 @@ func (a coEvent) compare(b coEvent) int {
 		return c
 	}
 	return cmp.Compare(a.seq, b.seq)
-}
-
-func (a outMsg) compare(b outMsg) int {
-	if c := cmp.Compare(a.at, b.at); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.to, b.to); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.from, b.from)
 }
 
 // fanOutMin is the window density from which the barrier pays for itself: a
@@ -104,8 +102,6 @@ func (w WindowStats) Total() int64 { return w.Inline + w.FannedOut }
 type Sharded struct {
 	window int64
 	shards []*Kernel
-	outs   [][]outMsg
-	batch  []outMsg // flush scratch, reused between boundaries
 	now    int64
 	nApp   int
 
@@ -138,7 +134,6 @@ func NewSharded(cfg Config, shards int) *Sharded {
 	s := &Sharded{
 		window: int64(cfg.HW.Net.Latency),
 		shards: make([]*Kernel, shards),
-		outs:   make([][]outMsg, shards),
 
 		fanOutAt: fanOutMin,
 	}
@@ -149,10 +144,7 @@ func NewSharded(cfg Config, shards int) *Sharded {
 	}
 	for i := range s.shards {
 		k := New(cfg)
-		i := i
-		k.arrivalSink = func(at int64, from, to ids.ProcID, frame []byte, sentAt int64) {
-			s.outs[i] = append(s.outs[i], outMsg{at: at, from: from, to: to, frame: frame, sentAt: sentAt})
-		}
+		k.coord = s
 		s.shards[i] = k
 	}
 	return s
@@ -203,13 +195,10 @@ func (s *Sharded) AddNode(id ids.ProcID, factory node.Factory) {
 // through node.Env.N, not its own slice of it.
 func (s *Sharded) Boot() {
 	for _, k := range s.shards {
-		k.nOverride = s.nApp
-	}
-	for _, k := range s.shards {
 		k.Boot()
 	}
-	// Boot-time sends landed in the outboxes; make them arrivals before the
-	// first window runs.
+	// Close the boot phase: boot-time frames for other shards become
+	// arrivals before the first window runs.
 	s.flush()
 }
 
@@ -228,11 +217,14 @@ func (s *Sharded) Metrics(id ids.ProcID) *metrics.Proc { return s.shardFor(id).M
 // Store returns the crash-surviving stable store of the given node.
 func (s *Sharded) Store(id ids.ProcID) *storage.Store { return s.shardFor(id).Store(id) }
 
-// QueueDepth sums the queued events of every shard.
+// QueueDepth sums the queued events of every shard (a stopped timer holds no
+// queue space), except the arrivals sent in the current phase: a frame is
+// queued from the flush that closes the phase it was sent in, whether it
+// waited in an outbox or not.
 func (s *Sharded) QueueDepth() int {
 	n := 0
 	for _, k := range s.shards {
-		n += k.QueueDepth()
+		n += len(k.heap) - k.early
 	}
 	return n
 }
@@ -241,8 +233,8 @@ func (s *Sharded) QueueDepth() int {
 // frames awaiting the next boundary included.
 func (s *Sharded) InFlightFrames() int {
 	n := 0
-	for i, k := range s.shards {
-		n += k.InFlightFrames() + len(s.outs[i])
+	for _, k := range s.shards {
+		n += k.inflight + len(k.out)
 	}
 	return n
 }
@@ -335,11 +327,11 @@ func (s *Sharded) Run(until time.Duration) int64 {
 func (s *Sharded) RunContext(ctx context.Context, until time.Duration) (int64, error) {
 	limit := int64(until)
 	var total int64
-	// Sends issued between Run calls (harness-driven, e.g. the alloc
-	// benchmarks) sit in the outboxes where the fast-forward peek cannot see
-	// them; make them arrivals first. Cluster runs leave the outboxes empty
-	// at every Run return (the tail window flushes inside the loop), so this
-	// is a no-op there.
+	// A run opens a phase. Sends issued between Run calls (harness-driven,
+	// e.g. the alloc benchmarks) to another shard sit in the outboxes where
+	// the fast-forward peek cannot see them; make them arrivals first.
+	// Cluster runs leave the outboxes empty at every Run return (the tail
+	// window flushes inside the loop).
 	s.flush()
 	for {
 		if err := ctx.Err(); err != nil {
@@ -410,7 +402,7 @@ func (s *Sharded) runWindow(target int64) (n int64) {
 
 // A window runs every shard to the same inclusive target. The shards share
 // no mutable state during a window — separate heaps, arenas, links, and
-// outboxes — and every cross-shard effect waits in an outbox for the sorted
+// outboxes — and every cross-shard effect waits in an outbox for the
 // boundary flush, so neither the order in which the shards run nor whether
 // they overlap can reorder events: runInline and fanOut are byte-identical in
 // effect (pinned by TestWindowPathsAgree) and differ only in host time.
@@ -442,7 +434,7 @@ func (s *Sharded) fanOut(target int64) (total int64) {
 	panics := make([]any, len(s.shards))
 	for i := range s.shards {
 		wg.Add(1)
-		//rollvet:allow goroutine -- conservative-window barrier: shards own disjoint kernels, synchronize only via wg, and every cross-shard effect moves through the sorted boundary flush (DESIGN §2)
+		//rollvet:allow goroutine -- conservative-window barrier: shards own disjoint kernels, synchronize only via wg, and every cross-shard effect moves through the boundary flush (DESIGN §2)
 		go func(i int) {
 			defer wg.Done()
 			defer func() {
@@ -463,32 +455,19 @@ func (s *Sharded) fanOut(target int64) (total int64) {
 	return total
 }
 
-// flush drains every outbox and injects the frames as arrival events on
-// their destination shards, in one globally sorted order. The stable
-// (at, to, from) sort is what makes injection — and therefore the sequence
-// numbers the destination kernel assigns — independent of the partitioning:
-// ties beyond the key can only be frames of one sender to one receiver,
-// which a single outbox already holds in send order.
+// flush closes the current phase: it pushes every outboxed frame onto its
+// destination shard under the key it was sent with — in any order, since the
+// key alone places it — and moves every shard to the next phase.
 func (s *Sharded) flush() {
-	batch := s.batch[:0]
-	for i := range s.outs {
-		batch = append(batch, s.outs[i]...)
-		// Release the frame references; the backing array is reused.
-		for j := range s.outs[i] {
-			s.outs[i][j] = outMsg{}
+	for _, k := range s.shards {
+		for i := range k.out {
+			s.shardFor(k.out[i].to).arrive(&k.out[i], k.phase)
+			k.out[i] = outMsg{} // release the frame; the backing array is reused
 		}
-		s.outs[i] = s.outs[i][:0]
+		k.out = k.out[:0]
 	}
-	// Most batches are a frame or three from one outbox, already in order:
-	// look before moving 56-byte values through a comparator.
-	if !slices.IsSortedFunc(batch, outMsg.compare) {
-		slices.SortStableFunc(batch, outMsg.compare)
+	for _, k := range s.shards {
+		k.phase++
+		k.early = 0
 	}
-	for i := range batch {
-		m := &batch[i]
-		dk := s.shardFor(m.to)
-		dk.scheduleArrive(m.at, dk.find(m.to), m.frame, m.sentAt)
-		batch[i] = outMsg{}
-	}
-	s.batch = batch[:0]
 }

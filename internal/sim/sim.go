@@ -72,8 +72,8 @@ const (
 	evWake
 )
 
-// event is one scheduled callback slot; seq breaks ties deterministically.
-// Slots are pooled: while queued, pos is the index in Kernel.heap; while
+// event is one scheduled callback slot, ordered by its key (at, phase, tie)
+// (see less). Slots are pooled: while queued, pos is the index in Kernel.heap; while
 // free, nextFree links the free list and gen has been bumped so stale
 // timer handles can detect reuse. Pointers into the arena go stale the
 // moment a slot is released or the backing array grows — copy the slot out
@@ -82,9 +82,10 @@ const (
 //rollvet:pooled
 type event struct {
 	at     int64
-	seq    uint64
+	phase  uint64 // coordinator phase<<1, | 1 for a keyed arrival (see less)
+	seq    uint64 // kernel sequence number; a keyed arrival's sender send count
 	gen    uint64 // bumped on release; validates node.Timer handles
-	epoch  uint64 // owning process incarnation (evExec, evWake)
+	epoch  uint64 // owning process incarnation (evExec, evWake); a keyed arrival's (to, from)
 	ns     *nodeState
 	fn     func()
 	frame  []byte
@@ -102,7 +103,7 @@ type Kernel struct {
 	now      int64
 	seq      uint64
 	slots    []event      // event arena; index = slot id
-	heap     []int32      // 4-ary min-heap of slot ids ordered by (at, seq)
+	heap     []int32      // 4-ary min-heap of slot ids ordered by (at, phase, tie)
 	free     int32        // free-list head into slots, -1 when empty
 	nodes    []*nodeState // index id+1 (ids.StorageProc is -1); see find
 	order    []ids.ProcID // insertion order, for deterministic boot
@@ -114,13 +115,15 @@ type Kernel struct {
 	rx  wire.Envelope
 	dec wire.Decoder
 
-	// Sharded-mode hooks (see shard.go). arrivalSink, when non-nil,
-	// intercepts every scheduled arrival instead of enqueueing it locally:
-	// the coordinator buffers it and injects it into the owning shard at the
-	// next window boundary. nOverride makes nodeState.N() report the full
-	// cluster size when this kernel owns only a shard of it.
-	arrivalSink func(at int64, from, to ids.ProcID, frame []byte, sentAt int64)
-	nOverride   int
+	// Sharded-mode state (see shard.go); coord is nil on a bare kernel.
+	// phase counts the coordinator's flushes and stamps every event created
+	// in it. A frame to a node of another shard waits in out for the next
+	// flush; one to a node of this shard is pushed at once, and early counts
+	// those pushed since the last flush (see Sharded.QueueDepth).
+	coord *Sharded
+	phase uint64
+	out   []outMsg
+	early int
 
 	// Step-boundary hook (see step.go). dispatched counts events dispatched
 	// so far — the one event count: Run returns its growth, maxEvents bounds
@@ -197,14 +200,6 @@ func (k *Kernel) Boot() {
 // Now returns the current virtual time in nanoseconds.
 func (k *Kernel) Now() int64 { return k.now }
 
-// QueueDepth returns the number of events currently queued (a stopped timer
-// holds no queue space).
-func (k *Kernel) QueueDepth() int { return len(k.heap) }
-
-// InFlightFrames returns the number of frames scheduled on the network but
-// not yet arrived.
-func (k *Kernel) InFlightFrames() int { return k.inflight }
-
 // peekNextAt reports the virtual time of the earliest queued event, if any.
 // The sharded coordinator uses it to fast-forward over empty windows.
 func (k *Kernel) peekNextAt() (int64, bool) {
@@ -269,9 +264,10 @@ func (k *Kernel) Heal(from, to ids.ProcID) { k.node(from).link(to).Cut = false }
 
 // ── Slot arena and 4-ary heap ──────────────────────────────────────────
 //
-// The heap orders slot indices by (at, seq); seq is unique, so the order
-// is total and pop order is independent of heap arity or layout — the
-// property the golden trace-hash test pins.
+// The heap orders slot indices by the key (at, phase, tie); the key is
+// unique, so the order is total and pop order is independent of heap arity
+// or layout — the property the golden trace-hash test pins. On a bare kernel
+// phase is always 0 and the key is (at, seq).
 
 // alloc returns a free slot index, growing the arena only when the free
 // list is empty.
@@ -308,14 +304,26 @@ func (k *Kernel) newEvent(at int64) int32 {
 	i := k.alloc()
 	s := &k.slots[i]
 	s.at = at
+	s.phase = k.phase << 1
 	s.seq = k.seq
 	return i
 }
 
+// less orders by (at, phase, tie). An ordinary event ties by seq. A keyed
+// arrival (shard.go) carries the phase it was sent in with the low bit set,
+// so it sorts after that phase's ordinary events and before the next phase,
+// and ties by (to, from, the sender's send count): no part of its key
+// depends on which shard sent it or when the frame was pushed.
 func (k *Kernel) less(a, b int32) bool {
 	ea, eb := &k.slots[a], &k.slots[b]
 	if ea.at != eb.at {
 		return ea.at < eb.at
+	}
+	if ea.phase != eb.phase {
+		return ea.phase < eb.phase
+	}
+	if ea.phase&1 != 0 && ea.epoch != eb.epoch {
+		return ea.epoch < eb.epoch
 	}
 	return ea.seq < eb.seq
 }
@@ -421,15 +429,25 @@ func (k *Kernel) scheduleExec(at int64, ns *nodeState, epoch uint64, fn func()) 
 	return i
 }
 
-// scheduleArrive enqueues a frame arrival (ns nil for unregistered
-// destinations, preserved so the event count matches the send schedule).
-func (k *Kernel) scheduleArrive(at int64, ns *nodeState, frame []byte, sentAt int64) {
-	i := k.newEvent(at)
+// arrive enqueues the arrival of m (ns nil for unregistered destinations,
+// preserved so the event count matches the send schedule). On a bare kernel
+// it is an ordinary event; on a shard it carries the arrival key of the
+// coordinator phase it was sent in (see less). ProcIDs are signed: flipping
+// the sign bit makes the unsigned (to, from) pair sort as the signed ids do,
+// ids.StorageProc first.
+func (k *Kernel) arrive(m *outMsg, phase uint64) {
+	ns := k.find(m.to)
+	i := k.newEvent(m.at)
 	s := &k.slots[i]
 	s.kind = evArrive
 	s.ns = ns
-	s.frame = frame
-	s.sentAt = sentAt
+	s.frame = m.frame
+	s.sentAt = m.sentAt
+	if k.coord != nil {
+		s.phase = phase<<1 | 1
+		s.epoch = uint64(uint32(m.to)^1<<31)<<32 | uint64(uint32(m.from)^1<<31)
+		s.seq = m.count
+	}
 	k.inflight++
 	k.push(i)
 }
@@ -582,7 +600,10 @@ type nodeState struct {
 
 	// links[to+1] is the link this node sends to `to` on (see link): grown
 	// to the highest destination sent to, one index operation per frame.
+	// sent counts the frames it put on them in sharded mode, the last part
+	// of an arrival's key.
 	links []netmodel.Link
+	sent  uint64
 
 	// FIFO busy-deferral queue; defHead indexes the next item so draining is
 	// O(1) per item without reslicing the backing array away from reuse.
@@ -595,12 +616,11 @@ var _ node.Env = (*nodeState)(nil)
 
 func (ns *nodeState) ID() ids.ProcID { return ns.id }
 
-// N reports the application cluster size: the nodes of this kernel, unless
-// the kernel is one shard of a larger cluster (see Sharded), in which case
-// the coordinator's override reports the full size.
+// N reports the application cluster size: the nodes of this kernel, or of
+// the whole cluster when the kernel is one shard of it (see Sharded).
 func (ns *nodeState) N() int {
-	if ns.k.nOverride > 0 {
-		return ns.k.nOverride
+	if ns.k.coord != nil {
+		return ns.k.coord.nApp
 	}
 	return ns.k.nApp
 }
@@ -662,14 +682,20 @@ func (ns *nodeState) sendFrame(to ids.ProcID, kind wire.Kind, frame []byte) {
 		ns.met.Lost++
 		return
 	}
-	if k.arrivalSink != nil {
-		// Sharded mode: every arrival — same-shard ones included, so the
-		// destination's arrival sequence numbers are independent of the
-		// partitioning — is buffered and injected at the window boundary.
-		k.arrivalSink(at, ns.id, to, frame, k.now)
-		return
+	m := outMsg{at: at, sentAt: k.now, from: ns.id, to: to, frame: frame}
+	if k.coord != nil {
+		// Sharded mode: the arrival's key says when it was sent, not when it
+		// is enqueued, so it goes onto its own shard's heap now; a frame for
+		// another shard waits in the outbox for the next flush.
+		ns.sent++
+		m.count = ns.sent
+		if len(k.coord.shards) > 1 && k.coord.shardFor(to) != k {
+			k.out = append(k.out, m)
+			return
+		}
+		k.early++
 	}
-	k.scheduleArrive(at, k.find(to), frame, k.now)
+	k.arrive(&m, k.phase)
 }
 
 // link returns the state of ns's link to `to`, growing the table on first use.
