@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint fmt lines race bench bench-seed regen bench-micro bench-kernel benchmark-smoke perf-pair timeline explore check
+.PHONY: all build test vet lint fmt lines race bench bench-seed regen bench-micro bench-kernel benchmark-smoke perf-pair behaviour-cmp timeline explore check
 
 all: build test
 
@@ -112,8 +112,9 @@ bench-micro:
 # and the buffer-ownership gates of DESIGN §5: frame encode and decode,
 # heartbeat tick (zero: one frame per incarnation, timer handles are values)
 # and delivery, timer arm+Stop (zero), piggyback transmit and delivery, a
-# depinfo reply (frame, envelope, sort keys), checkpoint image), and the
-# apps' Handle (the payload it sends, nothing else).
+# depinfo reply (frame, envelope, sort keys), checkpoint image), an output
+# request and its release (zero: TestOutputRequestAllocs), and the apps'
+# Handle (the payload it sends, nothing else).
 bench-kernel:
 	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/channel ./internal/fbl ./internal/coord ./internal/optimistic ./internal/bitset ./internal/storage ./internal/workload -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
 
@@ -136,5 +137,15 @@ benchmark-smoke:
 LABEL ?= pair
 perf-pair:
 	./scripts/perf_pair.sh -l $(LABEL) $(if $(BEHAVIOUR),-behaviour-change $(BEHAVIOUR)) $(if $(CLAIM),-claim $(CLAIM))
+
+# behaviour-cmp runs the list of simulated-behaviour artifacts (timeline
+# exports, explorer reports, experiment tables, the reference sweep and its
+# gate) on the working tree and on its parent commit and names every one
+# that is not byte-identical (scripts/behaviour_cmp.sh); ≈ 1.5 min. A change
+# that moves no simulated byte on purpose proves it with this.
+# `make behaviour-cmp PARENT=HEAD` compares against HEAD instead of HEAD~.
+PARENT ?= HEAD~
+behaviour-cmp:
+	./scripts/behaviour_cmp.sh -p $(PARENT)
 
 check: vet lint fmt test race bench benchmark-smoke

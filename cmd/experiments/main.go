@@ -79,6 +79,11 @@ func main() {
 	tlHorizon := flag.Duration("timeline-horizon", 0, "timeline cell horizon (0: the experiment's 25s)")
 	flag.Parse()
 	if err := timeline.CheckInterval(*tlEvery); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments: -timeline-interval:", err)
+		os.Exit(2)
+	}
+	crashAt, horizon, err := experiments.TimelineCell(*tlCrash, *tlHorizon)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
@@ -104,7 +109,7 @@ func main() {
 	}
 
 	if *tlDir != "" {
-		if err := writeTimelines(ctx, *tlDir, *seed, *tlEvery, *tlCrash, *tlHorizon); err != nil {
+		if err := writeTimelines(ctx, *tlDir, *seed, *tlEvery, crashAt, horizon); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(2)
 		}

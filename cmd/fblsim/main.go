@@ -79,7 +79,7 @@ func main() {
 	if err := timeline.CheckInterval(*tlEvery); err != nil {
 		fatal(fmt.Errorf("-timeline-interval: %w", err))
 	}
-	if err := checkFlags(*f, *pad, *traceBuf, *cpEvery, *horizon); err != nil {
+	if err := checkFlags(*f, *pad, *traceBuf, *cpEvery, *horizon, plan); err != nil {
 		fatal(err)
 	}
 
@@ -267,9 +267,16 @@ func parseCrashes(s string, n int) (failure.Plan, error) {
 
 // checkFlags refuses the values a run would not honour as printed: the
 // cluster runs a failure budget below one as f = 1, writes negative padding
-// as none, and takes a negative checkpoint interval, horizon or ring size for
-// something else.
-func checkFlags(f, pad, traceBuf int, cpEvery, horizon time.Duration) error {
+// as none, takes a negative checkpoint interval, horizon or ring size for
+// something else, and never reaches a crash scheduled after the horizon —
+// the scenario line would count it all the same. A crash at the horizon
+// itself is injected.
+func checkFlags(f, pad, traceBuf int, cpEvery, horizon time.Duration, plan failure.Plan) error {
+	for _, c := range plan {
+		if c.At > horizon {
+			return fmt.Errorf("-crash %v:%d: after -horizon %v, so it would never be injected", c.At, c.Proc, horizon)
+		}
+	}
 	switch {
 	case f < 1:
 		return fmt.Errorf("-f %d: the failure budget must be at least 1", f)

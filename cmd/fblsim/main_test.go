@@ -32,6 +32,8 @@ func TestUnhonouredFlagsExit2(t *testing.T) {
 		{"-horizon", "-1s"},
 		{"-trace-buf", "-1"},
 		{"-timeline-interval", "0"},
+		{"-crash", "40s:1"},                       // after the default 30 s horizon
+		{"-crash", "2s:1,5s:0", "-horizon", "4s"}, // the second is never reached
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "FBLSIM_MAIN=1")
@@ -44,6 +46,19 @@ func TestUnhonouredFlagsExit2(t *testing.T) {
 		if name := strings.TrimPrefix(args[0], "-"); !strings.Contains(string(out), name) {
 			t.Errorf("fblsim %s: the message does not name the flag: %s", strings.Join(args, " "), out)
 		}
+	}
+}
+
+// TestCrashAtTheHorizonIsInjected: the last instant a run reaches is the
+// horizon itself, so a crash there is legal — and injected, which the
+// liveness check then reports (exit 1), not refused like one after it.
+func TestCrashAtTheHorizonIsInjected(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-n", "2", "-crash", "1s:1", "-horizon", "1s")
+	cmd.Env = append(os.Environ(), "FBLSIM_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "liveness:") {
+		t.Fatalf("fblsim -crash 1s:1 -horizon 1s: %v, want exit status 1 and a liveness violation\n%s", err, out)
 	}
 }
 

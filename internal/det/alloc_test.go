@@ -145,3 +145,12 @@ func TestViewAllocs(t *testing.T) {
 		t.Errorf("Each over %d entries: %v allocs, want 0", v.Len(), got)
 	}
 }
+
+// TestSlotSize pins the slot at 56 bytes: the determinant is held flat so
+// that born sits where a nested Determinant's padding was. A slot that grew
+// would cost every log 8 bytes an entry.
+func TestSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 56 {
+		t.Errorf("a slot is %d bytes, want 56", got)
+	}
+}

@@ -108,7 +108,10 @@ func (c Config) stable(w []uint64) bool {
 // chain of its receiver. Piggyback selection for a destination is "walk a
 // list back from its tail while modGen exceeds the generation of my last
 // scan for that destination": cost proportional to what changed, and the
-// only per-destination state is that one integer (DESIGN §5).
+// only per-destination state is that one integer (DESIGN §5). An entry also
+// keeps the generation it was recorded at (born): it was pending from then
+// until OnSettled reports it, which is all the output-commit rule needs to
+// know which outputs counted it.
 //
 // Stability is final: holders that reach an entry after it became stable are
 // unioned into the slab — depinfo replies (View) report them — but are not
@@ -152,7 +155,7 @@ type Log struct {
 	scratch []uint64
 	one     [1]uint64 // a one-word log's scratch
 
-	onSettled func(ids.MsgID)
+	onSettled func(ids.MsgID, int)
 	late      int // holder unions that landed on an already-stable entry
 }
 
@@ -168,12 +171,24 @@ const (
 	chunkMask = chunkSize - 1
 )
 
+// slot is one entry: its determinant held flat — a nested Determinant
+// pads 8 bytes, inside MsgID and after Receiver — so that born fits in the
+// same 56 bytes.
 type slot struct {
-	det        Determinant
-	modGen     int
-	prev, next int32 // pending or settled list
-	rnext      int32 // receiver chain
-	stable     bool
+	sender, receiver ids.ProcID
+	ssn              ids.SSN
+	rsn              ids.RSN
+	modGen           int
+	born             int   // the generation the entry was recorded at
+	prev, next       int32 // pending or settled list
+	rnext            int32 // receiver chain
+	stable           bool
+}
+
+func (s *slot) msg() ids.MsgID { return ids.MsgID{Sender: s.sender, SSN: s.ssn} }
+
+func (s *slot) det() Determinant {
+	return Determinant{Msg: s.msg(), Receiver: s.receiver, RSN: s.rsn}
 }
 
 // list is an intrusive doubly-linked list of slots, oldest change first.
@@ -204,9 +219,14 @@ func NewLog(cfg Config) *Log {
 
 // OnSettled registers fn to be told, once per occurrence, when an entry
 // leaves the pending set — it became stable, or was collected while still
-// pending. The output-commit rule retires its wait entries from this. fn
-// must not call back into the log.
-func (l *Log) OnSettled(fn func(ids.MsgID)) { l.onSettled = fn }
+// pending — with the generation it was recorded at: the entry was pending
+// from generation born until now. The output-commit rule finds the outputs
+// that counted the entry from this. fn must not call back into the log.
+func (l *Log) OnSettled(fn func(id ids.MsgID, born int)) { l.onSettled = fn }
+
+// Gen returns the log's current generation: every entry recorded so far has
+// born at most Gen, every entry recorded later above it.
+func (l *Log) Gen() int { return l.gen }
 
 // Len returns the number of determinants currently held.
 func (l *Log) Len() int { return l.nslots - l.nfree }
@@ -326,7 +346,7 @@ func (l *Log) find(id ids.MsgID) int32 {
 		if ref == 0 {
 			return none
 		}
-		if l.at(ref-1).det.Msg == id {
+		if l.at(ref-1).msg() == id {
 			return ref - 1
 		}
 	}
@@ -349,7 +369,7 @@ func (l *Log) index(i int32) {
 
 func (l *Log) place(i int32) {
 	mask := uint64(len(l.table) - 1)
-	h := hash(l.at(i).det.Msg) >> l.shift
+	h := hash(l.at(i).msg()) >> l.shift
 	for l.table[h] != 0 {
 		h = (h + 1) & mask
 	}
@@ -361,12 +381,12 @@ func (l *Log) place(i int32) {
 // before it, so lookups never need tombstones.
 func (l *Log) unindex(i int32) {
 	mask := uint64(len(l.table) - 1)
-	h := hash(l.at(i).det.Msg) >> l.shift
+	h := hash(l.at(i).msg()) >> l.shift
 	for l.table[h] != i+1 {
 		h = (h + 1) & mask
 	}
 	for j := (h + 1) & mask; l.table[j] != 0; j = (j + 1) & mask {
-		home := hash(l.at(l.table[j]-1).det.Msg) >> l.shift
+		home := hash(l.at(l.table[j]-1).msg()) >> l.shift
 		if (j-home)&mask >= (j-h)&mask {
 			l.table[h] = l.table[j]
 			h = j
@@ -594,7 +614,7 @@ func (l *Log) RecordHeld(e Entry, also ids.ProcID) error {
 		return RecordError{Got: d}
 	}
 	if i := l.find(d.Msg); i >= 0 {
-		if have := l.at(i).det; have != d {
+		if have := l.at(i).det(); have != d {
 			return RecordError{Have: have, Got: d}
 		}
 		if l.union(i, e.Holders, also) {
@@ -617,7 +637,7 @@ func (l *Log) RecordHeld(e Entry, also ids.ProcID) error {
 		}
 	}
 	s := l.at(i)
-	*s = slot{det: d, rnext: l.recv[d.Receiver]}
+	*s = slot{sender: d.Msg.Sender, receiver: d.Receiver, ssn: d.Msg.SSN, rsn: d.RSN, rnext: l.recv[d.Receiver]}
 	l.recv[d.Receiver] = i
 	l.index(i)
 	l.union(i, e.Holders, also)
@@ -625,6 +645,7 @@ func (l *Log) RecordHeld(e Entry, also ids.ProcID) error {
 		l.npending++
 	}
 	l.stamp(i)
+	s.born = s.modGen
 	return nil
 }
 
@@ -660,7 +681,7 @@ func (l *Log) modified(i int32) {
 	}
 	l.stamp(i)
 	if s.stable && l.onSettled != nil {
-		l.onSettled(s.det.Msg)
+		l.onSettled(s.msg(), s.born)
 	}
 }
 
@@ -736,7 +757,7 @@ func (l *Log) keyed(keys []key, lst list) []key {
 }
 
 func (l *Log) keyAt(keys []key, i int32) []key {
-	m := l.at(i).det.Msg
+	m := l.at(i).msg()
 	return append(keys, key{sender: m.Sender, slot: i, ssn: m.SSN})
 }
 
@@ -749,7 +770,7 @@ func (v View) Len() int { return len(v.keys) }
 // what it keeps. fn must not modify the log.
 func (v View) Each(fn func(Entry)) {
 	for _, k := range v.keys {
-		fn(Entry{Det: v.l.at(k.slot).det, Holders: bitset.View(v.l.holdersInto(k.slot, v.l.scratch))})
+		fn(Entry{Det: v.l.at(k.slot).det(), Holders: bitset.View(v.l.holdersInto(k.slot, v.l.scratch))})
 	}
 }
 
@@ -765,7 +786,7 @@ func (v View) Collect() []Entry {
 	arena := make([]uint64, total)
 	out := make([]Entry, len(v.keys))
 	for j, k := range v.keys {
-		out[j].Det = v.l.at(k.slot).det
+		out[j].Det = v.l.at(k.slot).det()
 		if n := v.l.holderLen(k.slot); n > 0 {
 			out[j].Holders = bitset.View(v.l.holdersInto(k.slot, arena[:n:n]))
 			arena = arena[n:]
@@ -813,7 +834,7 @@ func (l *Log) scan(lst list, since int, fn func(Entry)) {
 	}
 	for i := first; i >= 0; {
 		s := l.at(i)
-		fn(Entry{Det: s.det, Holders: bitset.View(l.holdersInto(i, l.scratch))})
+		fn(Entry{Det: s.det(), Holders: bitset.View(l.holdersInto(i, l.scratch))})
 		i = s.next
 	}
 }
@@ -844,11 +865,13 @@ func (l *Log) ScanModified(since int, fn func(Entry)) int {
 }
 
 // PendingIDs invokes fn with the id of every non-stable entry. Unlike
-// Pending it clones and sorts nothing.
+// Pending it clones and sorts nothing. No protocol path walks the pending
+// set any more (output commit counts it, PendingCount); the host-time
+// benchmark's drivers and the reference rules of the tests do.
 func (l *Log) PendingIDs(fn func(ids.MsgID)) {
 	for i := l.pending.head; i >= 0; {
 		s := l.at(i)
-		fn(s.det.Msg)
+		fn(s.msg())
 		i = s.next
 	}
 }
@@ -868,7 +891,7 @@ func (l *Log) chain(p ids.ProcID) int32 {
 func (l *Log) ForReceiver(p ids.ProcID, after ids.RSN) []Determinant {
 	var out []Determinant
 	for i := l.chain(p); i >= 0; i = l.at(i).rnext {
-		if d := l.at(i).det; d.RSN > after {
+		if d := l.at(i).det(); d.RSN > after {
 			out = append(out, d)
 		}
 	}
@@ -899,7 +922,7 @@ func (l *Log) GCReceiver(p ids.ProcID, upTo ids.RSN) int {
 	link := &l.recv[p]
 	for i := *link; i >= 0; i = *link {
 		s := l.at(i)
-		if s.det.RSN > upTo {
+		if s.rsn > upTo {
 			link = &s.rnext
 			continue
 		}
@@ -907,7 +930,7 @@ func (l *Log) GCReceiver(p ids.ProcID, upTo ids.RSN) int {
 		l.unlink(l.listOf(s.stable), i)
 		l.unindex(i)
 		l.dropHolders(i)
-		id, wasPending := s.det.Msg, !s.stable
+		id, born, wasPending := s.msg(), s.born, !s.stable
 		*s = slot{next: l.free}
 		l.free = i
 		l.nfree++
@@ -915,7 +938,7 @@ func (l *Log) GCReceiver(p ids.ProcID, upTo ids.RSN) int {
 		if wasPending {
 			l.npending--
 			if l.onSettled != nil {
-				l.onSettled(id)
+				l.onSettled(id, born)
 			}
 		}
 	}

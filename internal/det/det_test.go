@@ -370,7 +370,7 @@ func TestOverflowSetsAreRecycled(t *testing.T) {
 func TestGrowthPastStabilityIsNotNews(t *testing.T) {
 	l := NewLog(Config{N: 8, F: 1})
 	var settled []ids.MsgID
-	l.OnSettled(func(id ids.MsgID) { settled = append(settled, id) })
+	l.OnSettled(func(id ids.MsgID, _ int) { settled = append(settled, id) })
 	a, b := ids.MsgID{Sender: 0, SSN: 1}, ids.MsgID{Sender: 0, SSN: 2}
 	for _, e := range []Entry{entry(0, 1, 1, 1, 1), entry(0, 2, 1, 2, 1)} {
 		if err := l.Record(e); err != nil {
@@ -391,7 +391,7 @@ func TestGrowthPastStabilityIsNotNews(t *testing.T) {
 	}
 	settledOrder := func() (out []ids.MsgID) {
 		for i := l.settled.head; i >= 0; i = l.at(i).next {
-			out = append(out, l.at(i).det.Msg)
+			out = append(out, l.at(i).msg())
 		}
 		return out
 	}

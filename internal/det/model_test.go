@@ -146,7 +146,13 @@ func TestLogMatchesReferenceModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		l, r := NewLog(cfg), newRef(cfg)
 		var settled []ids.MsgID
-		l.OnSettled(func(id ids.MsgID) { settled = append(settled, id) })
+		bornAt := map[ids.MsgID]int{} // Gen right after the record that created the entry
+		l.OnSettled(func(id ids.MsgID, born int) {
+			if want := bornAt[id]; born != want || l.Gen() < born {
+				t.Fatalf("seed %d: OnSettled(%v) born %d, want %d (Gen %d)", seed, id, born, want, l.Gen())
+			}
+			settled = append(settled, id)
+		})
 		gen := make([]int, cfg.N) // per destination, as fbl.Process.scanGen
 		// A message's determinant is a fixed function of its id, so repeats
 		// and post-GC re-records never conflict; RSNs jump by up to n. A few
@@ -188,8 +194,12 @@ func TestLogMatchesReferenceModel(t *testing.T) {
 				}
 				e := Entry{Det: detOf(sender, ssn), Holders: bitset.FromSlice(holders)}
 				also := ids.ProcID(rng.Intn(cfg.N))
+				_, had := r.ents[e.Det.Msg]
 				if err := l.RecordHeld(e, also); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+				if !had {
+					bornAt[e.Det.Msg] = l.Gen()
 				}
 				r.record(e, int(also))
 			case op < 6:

@@ -140,19 +140,12 @@ func d12StraddleNote(style string, r *Result, crashAt time.Duration) string {
 }
 
 // D12Timelines reruns the D12 failure variant (backend crash at crashAt
-// under the experiment's full 250 req/s offered load; zero values select the
-// experiment's 10 s / 25 s cell) under each style with a tiered timeline
-// collector attached: the exports carry the per-tier in-flight and
-// output-commit series on top of the usual lanes. Sampling is
-// observation-only, so each run's event sequence is identical to its
-// unsampled D12 counterpart.
+// under the experiment's full 250 req/s offered load, run to horizon; see
+// TimelineCell) under each style with a tiered timeline collector attached:
+// the exports carry the per-tier in-flight and output-commit series on top
+// of the usual lanes. Sampling is observation-only, so each run's event
+// sequence is identical to its unsampled D12 counterpart.
 func D12Timelines(ctx context.Context, seed int64, interval, crashAt, horizon time.Duration) []Timeline {
-	if crashAt <= 0 {
-		crashAt = 10 * time.Second
-	}
-	if horizon <= 0 {
-		horizon = 25 * time.Second
-	}
 	return d12Timelines(ctx, seed, d12Base(), interval, crashAt, horizon)
 }
 

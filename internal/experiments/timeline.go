@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"rollrec/internal/node"
@@ -15,20 +16,38 @@ type Timeline struct {
 	Export *timeline.Export
 }
 
-// D11Timelines reruns the D11 failure variant (server crash at crashAt on
-// era hardware, run to horizon; zero values select the experiment's 10 s /
-// 25 s cell) under each style with a timeline collector attached, and
-// returns the per-style exports — the runs behind the "recovery timeline
-// explorer" walkthrough. Sampling is observation-only, so each run's event
-// sequence is identical to its unsampled D11 counterpart. A cancelled ctx
-// returns the prefix sampled so far.
-func D11Timelines(ctx context.Context, seed int64, interval, crashAt, horizon time.Duration) []Timeline {
-	if crashAt <= 0 {
+// TimelineCell returns the crash instant and horizon of the sampled D11 and
+// D12 cells, zero values selecting the experiments' own (a crash at 10 s, a
+// 25 s horizon). It refuses a cell the run would not honour as labelled: a
+// negative value, or a crash after the horizon — never injected, while every
+// export would still say crash@.
+func TimelineCell(crashAt, horizon time.Duration) (time.Duration, time.Duration, error) {
+	switch {
+	case crashAt < 0:
+		return 0, 0, fmt.Errorf("-timeline-crash %v: the crash instant must not be negative", crashAt)
+	case horizon < 0:
+		return 0, 0, fmt.Errorf("-timeline-horizon %v: the horizon must not be negative", horizon)
+	}
+	if crashAt == 0 {
 		crashAt = 10 * time.Second
 	}
-	if horizon <= 0 {
+	if horizon == 0 {
 		horizon = 25 * time.Second
 	}
+	if crashAt > horizon {
+		return 0, 0, fmt.Errorf("-timeline-crash %v: after the horizon %v (-timeline-horizon), so it would never be injected", crashAt, horizon)
+	}
+	return crashAt, horizon, nil
+}
+
+// D11Timelines reruns the D11 failure variant (server crash at crashAt on
+// era hardware, run to horizon; see TimelineCell) under each style with a
+// timeline collector attached, and returns the per-style exports — the runs
+// behind the "recovery timeline explorer" walkthrough. Sampling is
+// observation-only, so each run's event sequence is identical to its
+// unsampled D11 counterpart. A cancelled ctx returns the prefix sampled so
+// far.
+func D11Timelines(ctx context.Context, seed int64, interval, crashAt, horizon time.Duration) []Timeline {
 	var out []Timeline
 	for _, row := range styleRows(false) {
 		style := string(row.family)

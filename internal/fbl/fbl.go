@@ -201,14 +201,9 @@ type Process struct {
 	cpBusy bool
 
 	// Output commit (DESIGN §10).
-	outSeq      uint64     // outputs requested so far (checkpointed)
-	cpOutSeq    uint64     // outputs covered by the last durable checkpoint
-	pendingOuts []*outWait // requested, rule not yet satisfied, seq-ascending
-	// outWaiters maps each awaited determinant id to the outputs waiting on
-	// it; settled collects the ids the determinant log reported as having
-	// left its pending set since the last checkOutputs.
-	outWaiters map[ids.MsgID][]*outWait
-	settled    []ids.MsgID
+	outSeq   uint64  // outputs requested so far (checkpointed)
+	cpOutSeq uint64  // outputs covered by the last durable checkpoint
+	outs     outBook // requested outputs waiting on the rule
 }
 
 var _ node.Process = (*Process)(nil)
@@ -234,7 +229,6 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	p.scanGen = make([]int, p.n)
 	p.replayServed = make([]servedMark, p.n)
 	if p.par.Outputs != nil {
-		p.outWaiters = make(map[ids.MsgID][]*outWait)
 		p.dets.OnSettled(p.noteSettled)
 	}
 	p.app = p.par.App(env.ID(), p.n)
