@@ -167,7 +167,7 @@ const rollbackRestartOrigin = 1
 
 func (p *Process) broadcastRollback(snapID uint32, restartOrigin bool) {
 	var tag uint64
-	if restartOrigin {
+	if restartOrigin && !TestingStripRestartOrigin {
 		tag = rollbackRestartOrigin
 	}
 	p.env.Multicast(p.peers, &wire.Envelope{
@@ -211,8 +211,10 @@ func (p *Process) drainFuture() {
 	}
 }
 
+// finishRollback stamps the open recovery trace, if any: a live process
+// rolled back from scratch may hold a finished one from an earlier crash.
 func (p *Process) finishRollback(lost int64) {
-	if tr := p.env.Metrics().CurrentRecovery(); tr != nil {
+	if tr := p.env.Metrics().CurrentRecovery(); tr != nil && tr.ReplayedAt == 0 {
 		tr.GatheredAt = p.env.Now()
 		tr.ReplayedAt = p.env.Now()
 		tr.Incarnation = p.epoch

@@ -13,7 +13,7 @@ import (
 
 // harness wires n coordinated-checkpointing processes onto the simulator.
 type harness struct {
-	k       *sim.Kernel
+	k       *sim.Sharded
 	n       int
 	tr      *rollbackTracer
 	crashes int
@@ -334,5 +334,25 @@ func TestLostWorkIsClusterWide(t *testing.T) {
 	}
 	if victims < 3 {
 		t.Fatalf("only %d processes lost work; a global rollback wastes everyone's", victims)
+	}
+}
+
+// TestRollbackLeavesFinishedRecoveryAlone: a process that crashed and
+// recovered is later a live peer of another crash. With no snapshot
+// committed, its forced rollback restarts it from scratch; that must not
+// restamp the recovery trace it already finished.
+func TestRollbackLeavesFinishedRecoveryAlone(t *testing.T) {
+	h := newHarnessEvery(t, 3, 3, workload.NewTokenRing(6000, 32, int64(time.Millisecond)), time.Hour)
+	h.crashAt(200*time.Millisecond, 1)
+	h.k.Run(2 * time.Second)
+	recs := h.k.Metrics(1).Recoveries
+	if len(recs) != 1 || recs[0].ReplayedAt == 0 {
+		t.Fatalf("p1's recovery did not finish by 2 s: %+v", recs)
+	}
+	first := recs[0]
+	h.crashAt(3*time.Second, 2)
+	h.runUntilDone(t, 120*time.Second)
+	if got := h.k.Metrics(1).Recoveries[0]; got != first {
+		t.Fatalf("p2's crash rewrote p1's finished recovery trace:\n got %+v\nwant %+v", got, first)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"rollrec/internal/coord"
 	"rollrec/internal/fbl"
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
@@ -19,10 +20,11 @@ import (
 // bug and asserts the explorer finds a violating schedule — proving the
 // invariant catalog does not pass vacuously — that the check the row names
 // is among the first counterexample's violations, and that the
-// counterexample replays to a byte-identical branch fingerprint. No
-// checkpoint ever covers the deliveries (CheckpointEvery = time.Hour), so
-// recovery must rebuild every receipt order from determinant copies and
-// every message from its sender's log, maximizing each mutant's blast radius.
+// counterexample replays to a byte-identical branch fingerprint. Each row
+// carries its spec. On the FBL rows (fblMutationSpec) no checkpoint ever
+// covers the deliveries, so recovery must rebuild every receipt order from
+// determinant copies and every message from its sender's log, maximizing
+// each mutant's blast radius.
 //
 // The rows:
 //   - "piggyback stripped": fbl.TestingDropDetPiggyback strips the
@@ -39,7 +41,13 @@ import (
 //     from the log's second list. Without them the recovering process
 //     replays from an incomplete schedule, diverges, and sends a message it
 //     sent before to another receiver, whose log already holds that
-//     message's receipt order and refuses the new one as conflicting.
+//     message's receipt order and refuses the new one as conflicting;
+//   - "restart-origin tag stripped": coord.TestingStripRestartOrigin makes
+//     every rollback look relayed, so a restarter that missed an epoch never
+//     gets the fresh rollback a live peer would relay, and the cluster runs
+//     on from state the crash destroyed. Only a second crash inside a
+//     recovery can make a restarter miss an epoch: the row runs
+//     coordMutationSpec, and the single-crash n = 3 spec explores clean.
 //
 // Not parallel: the mutation knob and the scenario table are package-global.
 // Each row sets its mutant before Run and undoes it after the row, because
@@ -47,14 +55,15 @@ import (
 func TestMutationDetected(t *testing.T) {
 	for _, row := range []struct {
 		name   string
+		spec   Spec
 		seed   func(t *testing.T) // installs the mutant and registers its undo
 		killer *regexp.Regexp     // the check that kills it
 	}{
-		{"piggyback stripped", func(t *testing.T) {
+		{"piggyback stripped", fblMutationSpec(), func(t *testing.T) {
 			fbl.TestingDropDetPiggyback = true
 			t.Cleanup(func() { fbl.TestingDropDetPiggyback = false })
 		}, regexp.MustCompile(`^orphan: `)},
-		{"payload written after Send", func(t *testing.T) {
+		{"payload written after Send", fblMutationSpec(), func(t *testing.T) {
 			orig := scenarios[FamilyFBL]
 			t.Cleanup(func() { scenarios[FamilyFBL] = orig })
 			sc := orig
@@ -64,16 +73,18 @@ func TestMutationDetected(t *testing.T) {
 			}
 			scenarios[FamilyFBL] = sc
 		}, regexp.MustCompile(`^replay fidelity: |surviving send differs`)},
-		{"depinfo without its settled entries", func(t *testing.T) {
+		{"depinfo without its settled entries", fblMutationSpec(), func(t *testing.T) {
 			fbl.TestingDepInfoPendingOnly = true
 			t.Cleanup(func() { fbl.TestingDepInfoPendingOnly = false })
 		}, regexp.MustCompile(`^panic: .*conflicting determinants`)},
+		{"restart-origin tag stripped", coordMutationSpec, func(t *testing.T) {
+			coord.TestingStripRestartOrigin = true
+			t.Cleanup(func() { coord.TestingStripRestartOrigin = false })
+		}, regexp.MustCompile(`^liveness: .*workload incomplete`)},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			row.seed(t)
-			spec := testSpec(FamilyFBL, recovery.NonBlocking)
-			spec.CheckpointEvery = time.Hour
-			rep, err := Run(context.Background(), spec)
+			rep, err := Run(context.Background(), row.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,6 +113,18 @@ func TestMutationDetected(t *testing.T) {
 	}
 }
 
+// fblMutationSpec is the FBL rows' spec: n = 3, one crash, and no checkpoint
+// ever (CheckpointEvery = time.Hour).
+func fblMutationSpec() Spec {
+	spec := testSpec(FamilyFBL, recovery.NonBlocking)
+	spec.CheckpointEvery = time.Hour
+	return spec
+}
+
+// coordMutationSpec is the coordinated row's spec: n = 4 with second crashes
+// aimed inside the recoveries of the first.
+var coordMutationSpec = Spec{Family: FamilyCoordinated, N: 4, MaxCrashes: 2}
+
 // writeAfterSendApp breaks the Ctx.Send contract the way an app that reuses
 // its buffer would: every payload it sends has its last byte — padding the
 // receiver never parses — flipped right after Send returns.
@@ -120,21 +143,21 @@ func (a writeAfterSendApp) Handle(ctx workload.Ctx, from ids.ProcID, payload []b
 	return a.App.Handle(writeAfterSendCtx{ctx}, from, payload)
 }
 
-// TestMutationAbsentIsClean double-checks the control: the identical spec
-// without the mutation explores clean, so TestMutationDetected's violations
-// are attributable to the seeded bug alone.
+// TestMutationAbsentIsClean double-checks the control: the identical specs
+// without the mutations explore clean, so TestMutationDetected's violations
+// are attributable to the seeded bugs alone.
 func TestMutationAbsentIsClean(t *testing.T) {
-	spec := testSpec(FamilyFBL, recovery.NonBlocking)
-	spec.CheckpointEvery = time.Hour
-	rep, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cx := range rep.Counterexamples {
-		t.Errorf("counterexample:\n%s", cx)
-	}
-	if rep.Violations != 0 {
-		t.Fatalf("%d violations on the unmutated control", rep.Violations)
+	for _, spec := range []Spec{fblMutationSpec(), coordMutationSpec} {
+		rep, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cx := range rep.Counterexamples {
+			t.Errorf("%s counterexample:\n%s", spec.Family, cx)
+		}
+		if rep.Violations != 0 {
+			t.Fatalf("%d violations on the unmutated %s control", rep.Violations, spec.Family)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func simHW() node.Hardware {
 	return hw
 }
 
-func simCluster(t *testing.T, n, f int, seed int64, style recovery.Style) *sim.Kernel {
+func simCluster(t *testing.T, n, f int, seed int64, style recovery.Style) *sim.Sharded {
 	t.Helper()
 	k := sim.New(sim.Config{Seed: seed, HW: simHW()})
 	par := Params{
@@ -51,7 +51,7 @@ func simCluster(t *testing.T, n, f int, seed int64, style recovery.Style) *sim.K
 	return k
 }
 
-func waitLive(t *testing.T, k *sim.Kernel, victim ids.ProcID, horizon time.Duration) *Process {
+func waitLive(t *testing.T, k *sim.Sharded, victim ids.ProcID, horizon time.Duration) *Process {
 	t.Helper()
 	for d := time.Second; d <= horizon; d += time.Second {
 		k.Run(d)

@@ -153,7 +153,7 @@ func TestHeartbeatDeliverAllocs(t *testing.T) {
 	}
 }
 
-func idleCluster(t *testing.T, n, pad int, outs output.Sink) *sim.Kernel {
+func idleCluster(t *testing.T, n, pad int, outs output.Sink) *sim.Sharded {
 	t.Helper()
 	k := sim.New(sim.Config{Seed: 1, HW: simHW()})
 	par := Params{

@@ -13,7 +13,7 @@ import (
 )
 
 type harness struct {
-	k       *sim.Kernel
+	k       *sim.Sharded
 	n       int
 	tr      *rollbackTracer
 	crashes int
@@ -206,7 +206,7 @@ func TestFrequentFlushesPreserveMoreState(t *testing.T) {
 	frontier := func(flushEvery time.Duration) int64 {
 		h := newHarness(t, 4, 3, ring(8000), flushEvery)
 		got := int64(-1)
-		h.k.SetStepProbe(func(sim.StepInfo) {
+		h.k.Single().SetStepProbe(func(sim.StepInfo) {
 			if tr := h.k.Metrics(1).CurrentRecovery(); got < 0 && tr != nil && tr.ReplayedAt != 0 {
 				got = h.proc(1).Interval()
 			}

@@ -44,7 +44,10 @@ func frameOfSize(t *testing.T, from ids.ProcID, n int) []byte {
 // phase also leaves a timer for T. The queue gauges, read off the window grid
 // mid-window, keep their meaning whether a frame waited in an outbox or not:
 // a frame is queued from the end of the phase it was sent in, and in flight
-// from its send. The same-link subtests pin the send count (sameLinkTie).
+// from its send. The same-link subtests pin the send count (sameLinkTie), the
+// timer-first ones a timer armed after a frame of its phase (timerFirst).
+// New is a row of its own: the one-shard runtime every unit test uses runs
+// the order that ships.
 func TestShardArrivalKeyOrder(t *testing.T) {
 	const (
 		L = time.Millisecond // latency = window width
@@ -56,11 +59,18 @@ func TestShardArrivalKeyOrder(t *testing.T) {
 		"4<-5",             // the harness send's phase
 		"timer C6", "6<-5", // phase C
 	}
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	for _, rt := range []struct {
+		name  string
+		build func(Config) *Sharded
+	}{
+		{"new", New},
+		{"shards=1", func(cfg Config) *Sharded { return NewSharded(cfg, 1) }},
+		{"shards=2", func(cfg Config) *Sharded { return NewSharded(cfg, 2) }},
+	} {
+		t.Run(rt.name, func(t *testing.T) {
 			hw := hwFast()
 			hw.Net.Bandwidth = 1e6 // a byte takes 1µs on the wire: sizes choose arrival times
-			s := NewSharded(Config{Seed: 1, HW: hw}, shards)
+			s := rt.build(Config{Seed: 1, HW: hw})
 			s.ForceWindowPath(false) // the receivers share log
 			var log []string
 			for id := ids.ProcID(0); id < 7; id++ {
@@ -107,7 +117,8 @@ func TestShardArrivalKeyOrder(t *testing.T) {
 				t.Errorf("after the run QueueDepth, InFlightFrames = %d, %d; want 0, 0", q, f)
 			}
 		})
-		t.Run(fmt.Sprintf("same-link/shards=%d", shards), func(t *testing.T) { sameLinkTie(t, shards) })
+		t.Run("same-link/"+rt.name, func(t *testing.T) { sameLinkTie(t, rt.build(Config{Seed: 1, HW: hwFast()})) })
+		t.Run("timer-first/"+rt.name, func(t *testing.T) { timerFirst(t, rt.build(Config{Seed: 1, HW: hwFast()})) })
 	}
 }
 
@@ -116,8 +127,7 @@ func TestShardArrivalKeyOrder(t *testing.T) {
 // Frames equal in every other part still dispatch in send order whatever
 // order they are pushed in — straight onto the heap at one shard, or from
 // the outbox at two.
-func sameLinkTie(t *testing.T, shards int) {
-	s := NewSharded(Config{Seed: 1, HW: hwFast()}, shards)
+func sameLinkTie(t *testing.T, s *Sharded) {
 	var got []uint64
 	s.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	s.AddNode(1, func() node.Process { return ssnLogProc{&got} })
@@ -136,6 +146,35 @@ func sameLinkTie(t *testing.T, shards int) {
 	if want := []uint64{1, 2, 3, 4}; !slices.Equal(got, want) {
 		t.Errorf("delivered send counts %v, want %v", got, want)
 	}
+}
+
+// timerFirst: node 0 sends a frame at boot, and node 1, booting after it in
+// the same phase, arms a timer for the frame's arrival instant. The timer is
+// an ordinary event of that phase and the frame an arrival sent in it, so
+// the timer dispatches first, although it was created second.
+func timerFirst(t *testing.T, s *Sharded) {
+	var log []string
+	s.AddNode(0, func() node.Process {
+		return bootFunc(func(env node.Env, _ bool) { env.Send(1, &wire.Envelope{Kind: wire.KindApp, FromInc: 1}) })
+	})
+	s.AddNode(1, func() node.Process {
+		return timerLogProc{&keyLogProc{id: 1, log: &log}, hwFast().Net.Latency}
+	})
+	s.Boot()
+	s.Run(time.Second)
+	if want := []string{"timer", "1<-0"}; !slices.Equal(log, want) {
+		t.Errorf("dispatch order at the arrival instant: got %q, want %q", log, want)
+	}
+}
+
+// timerLogProc is a keyLogProc that arms a timer for `at` on boot.
+type timerLogProc struct {
+	*keyLogProc
+	at time.Duration
+}
+
+func (p timerLogProc) Boot(env node.Env, _ bool) {
+	env.After(p.at, func() { *p.log = append(*p.log, "timer") })
 }
 
 // ssnLogProc logs the SSN of every frame it receives.

@@ -91,25 +91,31 @@ var benchSink int
 // container/heap-of-pointers design; the alloc assertions in
 // TestScheduleDeliverAllocs compare the two.
 func BenchmarkKernelScheduleDeliver(b *testing.B) {
-	k := New(Config{Seed: 1, HW: hwFast()})
-	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
-	k.Boot()
-	ns := k.find(0)
+	k, ns := idleShard()
 	fn := func() { benchSink++ }
 	// Warm the arena so the measured loop reuses pooled slots.
 	for i := 0; i < batchSize; i++ {
 		k.scheduleExec(k.now+int64(i), ns, ns.epoch, fn)
 	}
-	k.Run(time.Duration(k.now + batchSize))
+	k.run(k.now + batchSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.scheduleExec(k.now+1, ns, ns.epoch, fn)
 		if (i+1)%batchSize == 0 {
-			k.Run(time.Duration(k.now + batchSize))
+			k.run(k.now + batchSize)
 		}
 	}
-	k.Run(time.Duration(k.now + batchSize))
+	k.run(k.now + batchSize)
+}
+
+// idleShard returns the kernel of a booted one-shard runtime and its one
+// no-op node, for the heap-internal benchmarks and gates.
+func idleShard() (*Kernel, *nodeState) {
+	s := New(Config{Seed: 1, HW: hwFast()})
+	s.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
+	s.Boot()
+	return s.shards[0], s.shards[0].find(0)
 }
 
 const batchSize = 256
@@ -138,11 +144,7 @@ func BenchmarkContainerHeapScheduleDeliver(b *testing.B) {
 // network model, arrival, decode, deliver — the number that bounds sweep
 // throughput.
 func BenchmarkKernelSendReceive(b *testing.B) {
-	k := New(Config{Seed: 1, HW: hwFast()})
-	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
-	k.AddNode(1, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
-	k.Boot()
-	env := node.Env(k.find(0))
+	s, env := allocGateSharded(1)
 	e := &wire.Envelope{Kind: wire.KindApp, FromInc: 1, Payload: make([]byte, 64)}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -150,10 +152,10 @@ func BenchmarkKernelSendReceive(b *testing.B) {
 		e.SSN = ids.SSN(i)
 		env.Send(1, e)
 		if (i+1)%batchSize == 0 {
-			k.Run(time.Duration(k.now) + time.Second)
+			s.Run(time.Duration(s.Now()) + time.Second)
 		}
 	}
-	k.Run(time.Duration(k.now) + time.Second)
+	s.Run(time.Duration(s.Now()) + time.Second)
 }
 
 // BenchmarkKernelTimerChurn arms and immediately cancels timers — the
@@ -161,10 +163,7 @@ func BenchmarkKernelSendReceive(b *testing.B) {
 // slot free list. Before real cancellation every iteration left a dead
 // event in the queue until its deadline.
 func BenchmarkKernelTimerChurn(b *testing.B) {
-	k := New(Config{Seed: 1, HW: hwFast()})
-	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
-	k.Boot()
-	env := node.Env(k.find(0))
+	k, env := idleShard()
 	fn := func() { benchSink++ }
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -181,20 +180,17 @@ func BenchmarkKernelTimerChurn(b *testing.B) {
 // flatAllocsPerEvent measures steady-state allocations per scheduled-and-
 // dispatched event on the flat scheduler, each enqueued by schedule.
 func flatAllocsPerEvent(schedule func(k *Kernel, ns *nodeState, at int64, fn func())) float64 {
-	k := New(Config{Seed: 1, HW: hwFast()})
-	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
-	k.Boot()
-	ns := k.find(0)
+	k, ns := idleShard()
 	fn := func() { benchSink++ }
 	for i := 0; i < batchSize; i++ {
 		schedule(k, ns, k.now+int64(i), fn)
 	}
-	k.Run(time.Duration(k.now + batchSize))
+	k.run(k.now + batchSize)
 	return testing.AllocsPerRun(50, func() {
 		for i := 0; i < batchSize; i++ {
 			schedule(k, ns, k.now+1, fn)
 		}
-		k.Run(time.Duration(k.now + batchSize))
+		k.run(k.now + batchSize)
 	}) / batchSize
 }
 
@@ -238,10 +234,7 @@ func TestScheduleDeliverAllocs(t *testing.T) {
 // TestTimerChurnAllocs pins the retry-timer pattern: arm+Stop allocates
 // nothing — the handle is a value, the queue slot is recycled.
 func TestTimerChurnAllocs(t *testing.T) {
-	k := New(Config{Seed: 1, HW: hwFast()})
-	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
-	k.Boot()
-	env := node.Env(k.find(0))
+	_, env := idleShard()
 	fn := func() { benchSink++ }
 	got := testing.AllocsPerRun(100, func() {
 		env.After(time.Hour, fn).Stop()

@@ -32,12 +32,18 @@ func TestAtClampsToNow(t *testing.T) {
 	}
 }
 
+// TestRunReturnsEventCount: Run counts the events it dispatched. Harness
+// callbacks (At) run between windows and are not events.
 func TestRunReturnsEventCount(t *testing.T) {
 	k := New(Config{Seed: 1, HW: hwFast()})
-	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
+	k.AddNode(0, func() node.Process {
+		return bootFunc(func(env node.Env, _ bool) {
+			env.After(time.Millisecond, func() {})
+			env.After(2*time.Millisecond, func() {})
+		})
+	})
 	k.Boot()
-	k.At(time.Millisecond, func() {})
-	k.At(2*time.Millisecond, func() {})
+	k.At(3*time.Millisecond, func() {})
 	if got := k.Run(time.Second); got != 2 {
 		t.Fatalf("Run processed %d events, want 2", got)
 	}

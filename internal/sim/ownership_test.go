@@ -13,12 +13,12 @@ import (
 // (DESIGN §5): a stable write hands its buffer to the store instead of
 // copying it, and a delivery costs no envelope.
 
-func bootEnv(t *testing.T) (*Kernel, node.Env) {
+func bootEnv(t *testing.T) (*Sharded, node.Env) {
 	t.Helper()
 	k := New(Config{Seed: 1, HW: hwFast()})
 	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
 	k.Boot()
-	return k, node.Env(k.find(0))
+	return k, node.Env(k.shards[0].find(0))
 }
 
 // TestWriteStableNoCopyAllocs: writing a 1 MB image allocates
@@ -60,7 +60,7 @@ func TestCrashDuringWriteKeepsPreviousValue(t *testing.T) {
 	done := false
 	env.WriteStable("cp", storage.Image{Data: []byte("second"), Pad: 200}, func() { done = true })
 	env.WriteStable("other", storage.Image{Pad: 300}, nil)
-	k.Crash(0)
+	k.shards[0].crash(0)
 	k.Run(2 * time.Minute)
 	if done {
 		t.Fatal("completion callback of a write lost to a crash must not run")
@@ -81,8 +81,7 @@ func TestCrashDuringWriteKeepsPreviousValue(t *testing.T) {
 // was an allocation when deliver used Decode) and the decoded payload a view
 // of the frame (it was one while Reader.Bytes copied).
 func TestSendReceiveAllocs(t *testing.T) {
-	k, env := allocGateKernel()
-	if got := sendReceiveAllocsPerMsg(k, env); got > 1 {
+	if got := sendReceiveAllocsPerMsg(allocGateSharded(1)); got > 1 {
 		t.Fatalf("send+receive allocates %.2f/msg, want <= 1 (the frame)", got)
 	}
 }

@@ -8,14 +8,14 @@ import (
 	"rollrec/internal/node"
 )
 
-// newIdleKernel returns a booted kernel with one no-op node, for white-box
-// scheduler tests.
-func newIdleKernel(t *testing.T) *Kernel {
+// newIdleKernel returns a booted one-shard runtime with one no-op node, its
+// kernel, and the node's Env, for white-box scheduler tests.
+func newIdleKernel(t *testing.T) (*Sharded, *Kernel, node.Env) {
 	t.Helper()
-	k := New(Config{Seed: 1, HW: hwFast()})
-	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
-	k.Boot()
-	return k
+	s := New(Config{Seed: 1, HW: hwFast()})
+	s.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
+	s.Boot()
+	return s, s.shards[0], s.shards[0].find(0)
 }
 
 // TestTimerStopReleasesHeapSlot is the cancellation contract: Stop removes
@@ -23,8 +23,7 @@ func newIdleKernel(t *testing.T) *Kernel {
 // deadline) and recycles the slot through the free list, so retry-heavy
 // workloads cannot bloat the queue with dead timers.
 func TestTimerStopReleasesHeapSlot(t *testing.T) {
-	k := newIdleKernel(t)
-	env := node.Env(k.find(0))
+	_, k, env := newIdleKernel(t)
 
 	const armed = 100
 	timers := make([]node.Timer, armed)
@@ -58,8 +57,7 @@ func TestTimerStopReleasesHeapSlot(t *testing.T) {
 // Stop, a Stop after firing, and a Stop after the slot was re-armed by a later
 // After neither cancel the slot's new timer nor change Run's count.
 func TestTimerStopIsIdempotentAcrossReuse(t *testing.T) {
-	k := newIdleKernel(t)
-	env := node.Env(k.find(0))
+	s, k, env := newIdleKernel(t)
 
 	var zero node.Timer
 	zero.Stop()
@@ -74,21 +72,21 @@ func TestTimerStopIsIdempotentAcrossReuse(t *testing.T) {
 	b := env.After(2*time.Second, func() { bFired = true })
 	a.Stop()
 	zero.Stop()
-	if got := k.Run(3 * time.Second); got != 1 || !bFired {
+	if got := s.Run(3 * time.Second); got != 1 || !bFired {
 		t.Fatalf("Run(3s) processed %d events, b fired %v; want 1 (b) and true: a stale handle reached a reused slot", got, bFired)
 	}
 	b.Stop() // after firing: no-op
 
 	// c's slot fires normally; stopping afterwards must not disturb d.
 	c := env.After(time.Second, func() {})
-	if got := k.Run(5 * time.Second); got != 1 {
+	if got := s.Run(5 * time.Second); got != 1 {
 		t.Fatalf("Run(5s) processed %d events, want 1 (c)", got)
 	}
 	dFired := false
 	env.After(time.Second, func() { dFired = true })
 	c.Stop()
 	b.Stop()
-	if got := k.Run(7 * time.Second); got != 1 || !dFired {
+	if got := s.Run(7 * time.Second); got != 1 || !dFired {
 		t.Fatalf("Run(7s) processed %d events, d fired %v; want 1 and true: Stop after firing reached an unrelated reused slot", got, dFired)
 	}
 	if len(k.slots) != arena {
@@ -101,15 +99,14 @@ func TestTimerStopIsIdempotentAcrossReuse(t *testing.T) {
 // returns of a kernel sum to its Steps(), whether or not timers were stopped.
 func TestStoppedTimerIsNotAnEvent(t *testing.T) {
 	for _, stop := range []bool{false, true} {
-		k := newIdleKernel(t)
-		env := node.Env(k.find(0))
+		s, k, env := newIdleKernel(t)
 
 		var timers []node.Timer
 		for _, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 10 * time.Second} {
 			timers = append(timers, env.After(d, func() {}))
 		}
-		k.At(time.Millisecond, func() {})
-		k.At(3*time.Millisecond, func() {})
+		env.After(time.Millisecond, func() {}) // never stopped
+		env.After(3*time.Millisecond, func() {})
 		if stop {
 			for _, tm := range timers {
 				tm.Stop()
@@ -118,11 +115,11 @@ func TestStoppedTimerIsNotAnEvent(t *testing.T) {
 		var runs []int64
 		sum := int64(0)
 		for _, until := range []time.Duration{2 * time.Millisecond, time.Second, 20 * time.Second} {
-			n := k.Run(until)
+			n := s.Run(until)
 			runs = append(runs, n)
 			sum += n
 		}
-		want := []int64{3, 1, 1} // timers@1ms,2ms + At@1ms | At@3ms | timer@10s
+		want := []int64{3, 1, 1} // timers@1ms,2ms + kept@1ms | kept@3ms | timer@10s
 		if stop {
 			want = []int64{1, 1, 0}
 		}
@@ -136,7 +133,7 @@ func TestStoppedTimerIsNotAnEvent(t *testing.T) {
 }
 
 func TestNegativeAtPanics(t *testing.T) {
-	k := newIdleKernel(t)
+	k, _, _ := newIdleKernel(t)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("At with a negative time must panic")
@@ -165,7 +162,7 @@ func TestNegativeAfterPanics(t *testing.T) {
 // instead of returning a nil that dereferences three frames later; Up and
 // ProcOf stay nil-safe for liveness polling.
 func TestMetricsStoreUnknownNodePanics(t *testing.T) {
-	k := newIdleKernel(t)
+	k, _, _ := newIdleKernel(t)
 	for _, tc := range []struct {
 		name string
 		call func()

@@ -21,6 +21,9 @@
 // merged golden event-trace hash, byte-identical for any shard count (pinned
 // by TestShardedGoldenTraceHash and TestShardArrivalKeyOrder).
 //
+// Every runtime is this coordinator, tests included: New is NewSharded at one
+// shard, so there is one event order for every run.
+//
 // What observes or drives the whole cluster — harness callbacks (At) and
 // samplers (AddSampler) — lives in a coordinator-level queue and runs between
 // shard runs with every shard parked: a window is split at the callback's
@@ -43,6 +46,7 @@ import (
 	"rollrec/internal/metrics"
 	"rollrec/internal/node"
 	"rollrec/internal/storage"
+	"rollrec/internal/trace"
 )
 
 // outMsg is a frame in flight with its arrival key, all but the phase. A
@@ -92,7 +96,7 @@ type WindowStats struct {
 // Total is the number of windows run.
 func (w WindowStats) Total() int64 { return w.Inline + w.FannedOut }
 
-// Sharded coordinates several Kernels over a shared window grid. Nodes are
+// Sharded coordinates one or more Kernels over a shared window grid. Nodes are
 // assigned to shards round-robin by process id; each shard owns its nodes'
 // event heap and the links they send on (a link is its sender's state, so no
 // two shards ever share one). Windows are aligned to multiples of W
@@ -143,12 +147,13 @@ func NewSharded(cfg Config, shards int) *Sharded {
 		s.fanOutAt = math.MaxInt64
 	}
 	for i := range s.shards {
-		k := New(cfg)
-		k.coord = s
-		s.shards[i] = k
+		s.shards[i] = &Kernel{cfg: cfg, tr: trace.OrNop(cfg.Tracer), free: -1, coord: s}
 	}
 	return s
 }
+
+// New returns the one-shard runtime.
+func New(cfg Config) *Sharded { return NewSharded(cfg, 1) }
 
 // Single returns the kernel when there is exactly one shard, else nil. It is
 // the way to the one observer that needs one global dispatch order: the step
@@ -166,7 +171,10 @@ func (s *Sharded) Single() *Kernel {
 // choice is visible without a profiler.
 func (s *Sharded) Windows() WindowStats { return s.stats }
 
-// CrashesApplied sums the effective crash injections across shards.
+// CrashesApplied sums the crash injections that took effect (the victim had a
+// live process image) across shards. Schedules synthesized by the explorer
+// may re-crash a process that is still down; those injections are no-ops and
+// must not be counted against liveness.
 func (s *Sharded) CrashesApplied() int {
 	total := 0
 	for _, k := range s.shards {
@@ -183,9 +191,11 @@ func (s *Sharded) shardFor(id ids.ProcID) *Kernel {
 	return s.shards[m]
 }
 
-// AddNode registers a process slot on its owning shard.
+// AddNode registers a process slot on its owning shard. Application
+// processes must be added with ids 0..n-1; the stable-storage
+// pseudo-process uses ids.StorageProc.
 func (s *Sharded) AddNode(id ids.ProcID, factory node.Factory) {
-	s.shardFor(id).AddNode(id, factory)
+	s.shardFor(id).addNode(id, factory)
 	if !id.IsStorage() {
 		s.nApp++
 	}
@@ -195,7 +205,7 @@ func (s *Sharded) AddNode(id ids.ProcID, factory node.Factory) {
 // through node.Env.N, not its own slice of it.
 func (s *Sharded) Boot() {
 	for _, k := range s.shards {
-		k.Boot()
+		k.boot()
 	}
 	// Close the boot phase: boot-time frames for other shards become
 	// arrivals before the first window runs.
@@ -205,17 +215,29 @@ func (s *Sharded) Boot() {
 // Now returns the coordinator's virtual clock.
 func (s *Sharded) Now() int64 { return s.now }
 
-// Up reports whether the node currently has a live process image.
-func (s *Sharded) Up(id ids.ProcID) bool { return s.shardFor(id).Up(id) }
+// Up reports whether the node currently has a live process image (false for
+// ids never registered).
+func (s *Sharded) Up(id ids.ProcID) bool {
+	ns := s.shardFor(id).find(id)
+	return ns != nil && ns.up
+}
 
-// ProcOf returns the node's current process instance (nil while down).
-func (s *Sharded) ProcOf(id ids.ProcID) node.Process { return s.shardFor(id).ProcOf(id) }
+// ProcOf returns the node's current process instance (nil while down or for
+// ids never registered).
+func (s *Sharded) ProcOf(id ids.ProcID) node.Process {
+	if ns := s.shardFor(id).find(id); ns != nil {
+		return ns.proc
+	}
+	return nil
+}
 
-// Metrics returns the accumulator of the given node.
-func (s *Sharded) Metrics(id ids.ProcID) *metrics.Proc { return s.shardFor(id).Metrics(id) }
+// Metrics returns the accumulator of the given node; it panics on unknown ids
+// (use Up/ProcOf for nil-safe liveness queries).
+func (s *Sharded) Metrics(id ids.ProcID) *metrics.Proc { return s.shardFor(id).node(id).met }
 
-// Store returns the crash-surviving stable store of the given node.
-func (s *Sharded) Store(id ids.ProcID) *storage.Store { return s.shardFor(id).Store(id) }
+// Store returns the crash-surviving stable store of the given node; it panics
+// on unknown ids.
+func (s *Sharded) Store(id ids.ProcID) *storage.Store { return s.shardFor(id).node(id).stable }
 
 // QueueDepth sums the queued events of every shard (a stopped timer holds no
 // queue space), except the arrivals sent in the current phase: a frame is
@@ -299,21 +321,30 @@ func (s *Sharded) fire(at int64) {
 	}
 }
 
-// Cut severs the directed link from→to on the sender's shard (Kernel.Cut).
-func (s *Sharded) Cut(from, to ids.ProcID) { s.shardFor(from).Cut(from, to) }
+// Cut severs the directed link from→to until Heal: from's frames on it are
+// lost (metrics.Proc.Lost). The link is its sender's state, so this flips it
+// on the sender's shard. Call it from the harness or a callback.
+func (s *Sharded) Cut(from, to ids.ProcID) { s.shardFor(from).node(from).link(to).Cut = true }
 
 // Heal restores the directed link from→to.
-func (s *Sharded) Heal(from, to ids.ProcID) { s.shardFor(from).Heal(from, to) }
+func (s *Sharded) Heal(from, to ids.ProcID) { s.shardFor(from).node(from).link(to).Cut = false }
 
 // CrashAt schedules a crash of id at virtual time d from start, on the
-// owning shard. Scheduled before Run (the harness pattern), the crash holds
-// an earlier sequence number than any runtime event of its shard, so it pops
-// first among the victim's same-instant events for any shard count.
+// owning shard; negative times panic. Scheduled before Run (the harness
+// pattern), the crash holds an earlier sequence number than any runtime event
+// of its shard, so it pops first among the victim's same-instant events for
+// any shard count.
 func (s *Sharded) CrashAt(d time.Duration, id ids.ProcID) {
-	s.shardFor(id).CrashAt(d, id)
+	if d < 0 {
+		panic(fmt.Sprintf("sim: CrashAt(%v): negative schedule time", d))
+	}
+	k := s.shardFor(id)
+	k.schedule(int64(d), func() { k.crash(id) })
 }
 
-// Run processes events until virtual time `until`; see Kernel.Run.
+// Run processes events until virtual time `until` (from simulation start);
+// the clock then reads exactly `until`. It returns the number of events
+// dispatched by this call.
 func (s *Sharded) Run(until time.Duration) int64 {
 	n, _ := s.RunContext(context.Background(), until)
 	return n
@@ -354,7 +385,7 @@ func (s *Sharded) RunContext(ctx context.Context, until time.Duration) (int64, e
 		}
 		end := (max(next, s.now)/s.window + 1) * s.window
 		// Tail window clamped at the horizon: events at `limit` itself
-		// belong to this run (Kernel.Run processes at <= until), and
+		// belong to this run (Kernel.run processes at <= limit), and
 		// nothing they send can arrive before the grid boundary anyway.
 		target := min(end-1, limit)
 		for {
@@ -422,13 +453,12 @@ func (s *Sharded) runShard(i int, target int64) int64 {
 			panic(fmt.Sprintf("sim: shard %d: %v", i, r))
 		}
 	}()
-	return s.shards[i].Run(time.Duration(target))
+	return s.shards[i].run(target)
 }
 
 // fanOut runs the shards in parallel, one goroutine each, and waits for all
 // of them; it only shortens wall-clock time (the -cpu 1,4 golden test).
 func (s *Sharded) fanOut(target int64) (total int64) {
-	until := time.Duration(target)
 	var wg sync.WaitGroup
 	counts := make([]int64, len(s.shards))
 	panics := make([]any, len(s.shards))
@@ -442,7 +472,7 @@ func (s *Sharded) fanOut(target int64) (total int64) {
 					panics[i] = r
 				}
 			}()
-			counts[i] = s.shards[i].Run(until)
+			counts[i] = s.shards[i].run(target)
 		}(i)
 	}
 	wg.Wait()

@@ -11,14 +11,11 @@ import (
 
 // sendReceiveAllocsPerMsg measures steady-state allocations per end-to-end
 // message — encode, network model, (outbox exchange for a frame to another
-// shard), arrival, decode, deliver — on a bare kernel or the coordinator. The
-// batch is sized so per-window coordinator costs (outbox flush, barrier
-// bookkeeping) amortize to noise; a regression that makes them per-message
-// shows up as a whole extra allocation per event.
-func sendReceiveAllocsPerMsg(r interface {
-	Run(until time.Duration) int64
-	Now() int64
-}, env node.Env) float64 {
+// shard), arrival, decode, deliver. The batch is sized so per-window
+// coordinator costs (outbox flush, barrier bookkeeping) amortize to noise; a
+// regression that makes them per-message shows up as a whole extra
+// allocation per event.
+func sendReceiveAllocsPerMsg(r *Sharded, env node.Env) float64 {
 	e := &wire.Envelope{Kind: wire.KindApp, FromInc: 1, Payload: make([]byte, 64)}
 	var ssn uint64
 	round := func() {
@@ -31,14 +28,6 @@ func sendReceiveAllocsPerMsg(r interface {
 	}
 	round() // warm the event arena and outbox capacity
 	return testing.AllocsPerRun(20, round) / batchSize
-}
-
-func allocGateKernel() (*Kernel, node.Env) {
-	k := New(Config{Seed: 1, HW: hwFast()})
-	k.AddNode(0, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
-	k.AddNode(1, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
-	k.Boot()
-	return k, node.Env(k.find(0))
 }
 
 // allocGateSharded puts the same two nodes on `shards` shards. At two every
@@ -54,30 +43,26 @@ func allocGateSharded(shards int) (*Sharded, node.Env) {
 }
 
 // TestShardedScheduleDeliverAllocs is the sharded-path allocation regression
-// gate CI runs: routing a message through the conservative-window coordinator
-// must cost at most a fraction of an allocation per message over a bare
-// kernel — the outbox slots are reused, so only per-window bookkeeping
-// (amortized over the batch) remains.
+// gate CI runs: routing a message across a shard boundary must cost at most a
+// fraction of an allocation per message over one shard — the outbox slots
+// are reused, so only per-window bookkeeping (amortized over the batch)
+// remains.
 func TestShardedScheduleDeliverAllocs(t *testing.T) {
-	k, kenv := allocGateKernel()
-	bare := sendReceiveAllocsPerMsg(k, kenv)
-	s, senv := allocGateSharded(2)
-	sharded := sendReceiveAllocsPerMsg(s, senv)
-	t.Logf("allocs/msg: bare=%.3f sharded=%.3f", bare, sharded)
-	if sharded > bare+0.5 {
-		t.Errorf("sharded send/receive allocates %.3f/msg vs bare kernel %.3f/msg; coordinator overhead must stay amortized per window, not per message", sharded, bare)
+	one := sendReceiveAllocsPerMsg(allocGateSharded(1))
+	sharded := sendReceiveAllocsPerMsg(allocGateSharded(2))
+	t.Logf("allocs/msg: one shard=%.3f two shards=%.3f", one, sharded)
+	if sharded > one+0.5 {
+		t.Errorf("two-shard send/receive allocates %.3f/msg vs one shard %.3f/msg; coordinator overhead must stay amortized per window, not per message", sharded, one)
 	}
 }
 
 // TestOneShardSendReceiveAllocs: at one shard every arrival goes straight
 // onto the heap under its key, no outbox is ever appended to, and a message
-// costs exactly what it costs on a bare kernel.
+// costs exactly its frame.
 func TestOneShardSendReceiveAllocs(t *testing.T) {
-	k, kenv := allocGateKernel()
-	bare := sendReceiveAllocsPerMsg(k, kenv)
-	s, senv := allocGateSharded(1)
-	if one := sendReceiveAllocsPerMsg(s, senv); one != bare {
-		t.Errorf("one-shard send/receive allocates %.3f/msg, bare kernel %.3f/msg; want equal", one, bare)
+	s, env := allocGateSharded(1)
+	if one := sendReceiveAllocsPerMsg(s, env); one != 1 {
+		t.Errorf("one-shard send/receive allocates %.3f/msg, want exactly 1 (the frame)", one)
 	}
 	if c := cap(s.shards[0].out); c != 0 {
 		t.Errorf("the one-shard outbox grew to %d frames; no frame may enter it", c)

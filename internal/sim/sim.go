@@ -3,8 +3,10 @@
 //
 // Every run with the same configuration and seed produces the identical
 // event sequence, which is what makes the failure-injection experiments and
-// the golden-run consistency checks possible. The kernel owns the clock,
-// the event queue, and per-node state (the links a node sends on and its
+// the golden-run consistency checks possible. The runtime is a Sharded
+// coordinator (shard.go) over one or more Kernels; New is the one-shard
+// runtime. A Kernel is always one shard: it owns the clock, the event queue,
+// and the per-node state of its nodes (the links a node sends on and its
 // stable storage survive crashes; the process image does not).
 //
 // The scheduler is built for throughput: events live in a flat slot arena
@@ -20,7 +22,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -77,15 +78,15 @@ const (
 // free, nextFree links the free list and gen has been bumped so stale
 // timer handles can detect reuse. Pointers into the arena go stale the
 // moment a slot is released or the backing array grows — copy the slot out
-// by value (as RunContext does) before any call that can touch the arena.
+// by value (as run does) before any call that can touch the arena.
 //
 //rollvet:pooled
 type event struct {
 	at     int64
-	phase  uint64 // coordinator phase<<1, | 1 for a keyed arrival (see less)
-	seq    uint64 // kernel sequence number; a keyed arrival's sender send count
+	phase  uint64 // coordinator phase<<1, | 1 for an arrival (see less)
+	seq    uint64 // kernel sequence number; an arrival's sender send count
 	gen    uint64 // bumped on release; validates node.Timer handles
-	epoch  uint64 // owning process incarnation (evExec, evWake); a keyed arrival's (to, from)
+	epoch  uint64 // owning process incarnation (evExec, evWake); an arrival's (to, from)
 	ns     *nodeState
 	fn     func()
 	frame  []byte
@@ -95,8 +96,9 @@ type event struct {
 	kind   uint8
 }
 
-// Kernel is the simulation instance. It is not safe for concurrent use:
-// construct, add nodes, then drive it from a single goroutine.
+// Kernel is one shard of a Sharded runtime: the event heap and the nodes the
+// coordinator assigned to it. It is not safe for concurrent use; the
+// coordinator runs it from one goroutine at a time.
 type Kernel struct {
 	cfg      Config
 	tr       trace.Tracer
@@ -107,26 +109,25 @@ type Kernel struct {
 	free     int32        // free-list head into slots, -1 when empty
 	nodes    []*nodeState // index id+1 (ids.StorageProc is -1); see find
 	order    []ids.ProcID // insertion order, for deterministic boot
-	nApp     int
-	inflight int // frames scheduled to arrive but not yet popped
+	inflight int          // frames scheduled to arrive but not yet popped
 	// rx is the one envelope every frame is decoded into, through the one
 	// decoder whose buffers hold its Dets; a handler returns (having kept
 	// what it needs, wire.Envelope.Keep) before the next decode.
 	rx  wire.Envelope
 	dec wire.Decoder
 
-	// Sharded-mode state (see shard.go); coord is nil on a bare kernel.
-	// phase counts the coordinator's flushes and stamps every event created
-	// in it. A frame to a node of another shard waits in out for the next
-	// flush; one to a node of this shard is pushed at once, and early counts
-	// those pushed since the last flush (see Sharded.QueueDepth).
+	// The coordinator (shard.go). phase counts its flushes and stamps every
+	// event created in it. A frame to a node of another shard waits in out
+	// for the next flush; one to a node of this shard is pushed at once, and
+	// early counts those pushed since the last flush (see
+	// Sharded.QueueDepth).
 	coord *Sharded
 	phase uint64
 	out   []outMsg
 	early int
 
 	// Step-boundary hook (see step.go). dispatched counts events dispatched
-	// so far — the one event count: Run returns its growth, maxEvents bounds
+	// so far — the one event count: run returns its growth, maxEvents bounds
 	// it — and the boundary before dispatch i is step index i. Like the
 	// sampler, the probe consumes no sequence numbers and no randomness, so
 	// an attached probe leaves the event sequence bit-identical. stepCrash
@@ -140,18 +141,9 @@ type Kernel struct {
 	crashApplied int
 }
 
-// New returns a kernel with no nodes.
-func New(cfg Config) *Kernel {
-	return &Kernel{
-		cfg:  cfg,
-		tr:   trace.OrNop(cfg.Tracer),
-		free: -1,
-	}
-}
-
-// find returns the state of id, or nil for an id never registered (on a
-// shard kernel: registered elsewhere). Every frame resolves its destination
-// here, so the table is a slice, not a map.
+// find returns the state of id, or nil for an id never registered on this
+// shard. Every frame resolves its destination here, so the table is a
+// slice, not a map.
 func (k *Kernel) find(id ids.ProcID) *nodeState {
 	if i := int(id) + 1; i >= 0 && i < len(k.nodes) {
 		return k.nodes[i]
@@ -159,9 +151,8 @@ func (k *Kernel) find(id ids.ProcID) *nodeState {
 	return nil
 }
 
-// AddNode registers a process slot. Application processes must be added
-// with ids 0..n-1; the stable-storage pseudo-process uses ids.StorageProc.
-func (k *Kernel) AddNode(id ids.ProcID, factory node.Factory) {
+// addNode registers a process slot (Sharded.AddNode).
+func (k *Kernel) addNode(id ids.ProcID, factory node.Factory) {
 	i := int(id) + 1
 	if i < 0 {
 		panic(fmt.Sprintf("sim: AddNode(%v): not a process id", id))
@@ -181,14 +172,11 @@ func (k *Kernel) AddNode(id ids.ProcID, factory node.Factory) {
 	}
 	k.nodes[i] = ns
 	k.order = append(k.order, id)
-	if !id.IsStorage() {
-		k.nApp++
-	}
 }
 
-// Boot starts every registered node with restart = false, in registration
+// boot starts every registered node with restart = false, in registration
 // order.
-func (k *Kernel) Boot() {
+func (k *Kernel) boot() {
 	for _, id := range k.order {
 		ns := k.find(id)
 		ns.up = true
@@ -196,9 +184,6 @@ func (k *Kernel) Boot() {
 		ns.proc.Boot(ns, false)
 	}
 }
-
-// Now returns the current virtual time in nanoseconds.
-func (k *Kernel) Now() int64 { return k.now }
 
 // peekNextAt reports the virtual time of the earliest queued event, if any.
 // The sharded coordinator uses it to fast-forward over empty windows.
@@ -220,54 +205,11 @@ func (k *Kernel) node(id ids.ProcID) *nodeState {
 	return ns
 }
 
-// Metrics returns the accumulator of the given node; it panics on unknown
-// ids (use Up/ProcOf for nil-safe liveness queries).
-func (k *Kernel) Metrics(id ids.ProcID) *metrics.Proc { return k.node(id).met }
-
-// Store returns the crash-surviving stable store of the given node; it
-// panics on unknown ids (use Up/ProcOf for nil-safe liveness queries).
-func (k *Kernel) Store(id ids.ProcID) *storage.Store { return k.node(id).stable }
-
-// ProcOf returns the current process instance of the node (nil while down
-// or for ids never registered); tests use it for white-box inspection
-// between Run calls.
-func (k *Kernel) ProcOf(id ids.ProcID) node.Process {
-	if ns := k.find(id); ns != nil {
-		return ns.proc
-	}
-	return nil
-}
-
-// Up reports whether the node currently has a live process image (false
-// for ids never registered).
-func (k *Kernel) Up(id ids.ProcID) bool {
-	ns := k.find(id)
-	return ns != nil && ns.up
-}
-
-// At schedules a harness callback at absolute virtual time d from start.
-// Negative times are harness typos and panic; past times (≥ 0 but before
-// the clock) are clamped to "now" by schedule, the single clamp point.
-func (k *Kernel) At(d time.Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: At(%v): negative schedule time", d))
-	}
-	k.schedule(int64(d), fn)
-}
-
-// Cut severs the directed link from→to until Heal: from's frames on it are
-// lost (metrics.Proc.Lost). Like At, call it from the harness or a callback.
-func (k *Kernel) Cut(from, to ids.ProcID) { k.node(from).link(to).Cut = true }
-
-// Heal restores the directed link from→to.
-func (k *Kernel) Heal(from, to ids.ProcID) { k.node(from).link(to).Cut = false }
-
 // ── Slot arena and 4-ary heap ──────────────────────────────────────────
 //
 // The heap orders slot indices by the key (at, phase, tie); the key is
 // unique, so the order is total and pop order is independent of heap arity
-// or layout — the property the golden trace-hash test pins. On a bare kernel
-// phase is always 0 and the key is (at, seq).
+// or layout — the property the golden trace-hash test pins.
 
 // alloc returns a free slot index, growing the arena only when the free
 // list is empty.
@@ -309,8 +251,8 @@ func (k *Kernel) newEvent(at int64) int32 {
 	return i
 }
 
-// less orders by (at, phase, tie). An ordinary event ties by seq. A keyed
-// arrival (shard.go) carries the phase it was sent in with the low bit set,
+// less orders by (at, phase, tie). An ordinary event ties by seq. An arrival
+// (shard.go) carries the phase it was sent in with the low bit set,
 // so it sorts after that phase's ordinary events and before the next phase,
 // and ties by (to, from, the sender's send count): no part of its key
 // depends on which shard sent it or when the frame was pushed.
@@ -406,8 +348,7 @@ func (k *Kernel) remove(pos int32) {
 // ── Scheduling ─────────────────────────────────────────────────────────
 
 // schedule enqueues a generic callback; past times clamp to "now" (the
-// only clamp point — At and the typed schedulers all funnel through
-// newEvent).
+// only clamp point — the typed schedulers all funnel through newEvent).
 func (k *Kernel) schedule(at int64, fn func()) {
 	i := k.newEvent(at)
 	s := &k.slots[i]
@@ -430,11 +371,10 @@ func (k *Kernel) scheduleExec(at int64, ns *nodeState, epoch uint64, fn func()) 
 }
 
 // arrive enqueues the arrival of m (ns nil for unregistered destinations,
-// preserved so the event count matches the send schedule). On a bare kernel
-// it is an ordinary event; on a shard it carries the arrival key of the
-// coordinator phase it was sent in (see less). ProcIDs are signed: flipping
-// the sign bit makes the unsigned (to, from) pair sort as the signed ids do,
-// ids.StorageProc first.
+// preserved so the event count matches the send schedule) under the arrival
+// key of the coordinator phase it was sent in (see less). ProcIDs are signed:
+// flipping the sign bit makes the unsigned (to, from) pair sort as the signed
+// ids do, ids.StorageProc first.
 func (k *Kernel) arrive(m *outMsg, phase uint64) {
 	ns := k.find(m.to)
 	i := k.newEvent(m.at)
@@ -443,45 +383,19 @@ func (k *Kernel) arrive(m *outMsg, phase uint64) {
 	s.ns = ns
 	s.frame = m.frame
 	s.sentAt = m.sentAt
-	if k.coord != nil {
-		s.phase = phase<<1 | 1
-		s.epoch = uint64(uint32(m.to)^1<<31)<<32 | uint64(uint32(m.from)^1<<31)
-		s.seq = m.count
-	}
+	s.phase = phase<<1 | 1
+	s.epoch = uint64(uint32(m.to)^1<<31)<<32 | uint64(uint32(m.from)^1<<31)
+	s.seq = m.count
 	k.inflight++
 	k.push(i)
 }
 
-// Run processes events until virtual time `until` (from simulation start);
-// the clock then reads exactly `until`. It returns the number of events
-// dispatched by this call.
-func (k *Kernel) Run(until time.Duration) int64 {
-	n, _ := k.RunContext(context.Background(), until)
-	return n
-}
-
-// cancelCheckEvery is how many events the kernel processes between context
-// checks. Cancellation is a wall-clock concern; checking it per batch keeps
-// the virtual-time hot loop free of atomic loads while still bounding the
-// latency of a Ctrl-C or deadline to a few thousand events.
-const cancelCheckEvery = 4096
-
-// RunContext is Run with cooperative cancellation: it stops early (without
-// disturbing the event queue) when ctx is done and returns ctx's error.
-// A cancelled run leaves the kernel in a consistent but incomplete state;
-// resuming with a later RunContext call continues deterministically, so
-// cancellation never changes the event sequence of the events that do run.
-func (k *Kernel) RunContext(ctx context.Context, until time.Duration) (int64, error) {
-	limit := int64(until)
+// run dispatches events until virtual time limit (inclusive); the clock then
+// reads exactly limit. It returns the number of events dispatched. The
+// coordinator calls it once per window and shard.
+func (k *Kernel) run(limit int64) int64 {
 	start := k.dispatched
 	for len(k.heap) > 0 {
-		if (k.dispatched-start)%cancelCheckEvery == 0 {
-			select {
-			case <-ctx.Done():
-				return k.dispatched - start, ctx.Err()
-			default:
-			}
-		}
 		top := k.heap[0]
 		if k.slots[top].at > limit {
 			break
@@ -525,13 +439,13 @@ func (k *Kernel) RunContext(ctx context.Context, until time.Duration) (int64, er
 	if limit > k.now {
 		k.now = limit
 	}
-	return k.dispatched - start, nil
+	return k.dispatched - start
 }
 
-// Crash kills node id immediately: the process image, its timers, and its
+// crash kills node id immediately: the process image, its timers, and its
 // pending callbacks vanish; stable storage survives. A watchdog restart is
 // scheduled automatically after WatchdogDetect + RestartDelay.
-func (k *Kernel) Crash(id ids.ProcID) {
+func (k *Kernel) crash(id ids.ProcID) {
 	ns := k.find(id)
 	if ns == nil || !ns.up {
 		return
@@ -555,11 +469,6 @@ func (k *Kernel) Crash(id ids.ProcID) {
 	ns.met.Recoveries = append(ns.met.Recoveries, metrics.RecoveryTrace{CrashedAt: k.now})
 	restartAt := k.now + int64(k.cfg.HW.WatchdogDetect) + int64(k.cfg.HW.RestartDelay)
 	k.schedule(restartAt, func() { k.restart(ns) })
-}
-
-// CrashAt schedules a crash of id at virtual time d from start.
-func (k *Kernel) CrashAt(d time.Duration, id ids.ProcID) {
-	k.At(d, func() { k.Crash(id) })
 }
 
 func (k *Kernel) restart(ns *nodeState) {
@@ -600,8 +509,8 @@ type nodeState struct {
 
 	// links[to+1] is the link this node sends to `to` on (see link): grown
 	// to the highest destination sent to, one index operation per frame.
-	// sent counts the frames it put on them in sharded mode, the last part
-	// of an arrival's key.
+	// sent counts the frames it put on them, the last part of an arrival's
+	// key.
 	links []netmodel.Link
 	sent  uint64
 
@@ -616,14 +525,8 @@ var _ node.Env = (*nodeState)(nil)
 
 func (ns *nodeState) ID() ids.ProcID { return ns.id }
 
-// N reports the application cluster size: the nodes of this kernel, or of
-// the whole cluster when the kernel is one shard of it (see Sharded).
-func (ns *nodeState) N() int {
-	if ns.k.coord != nil {
-		return ns.k.coord.nApp
-	}
-	return ns.k.nApp
-}
+// N reports the application cluster size: the nodes of every shard.
+func (ns *nodeState) N() int                 { return ns.k.coord.nApp }
 func (ns *nodeState) Now() int64             { return ns.k.now }
 func (ns *nodeState) Metrics() *metrics.Proc { return ns.met }
 func (ns *nodeState) Tracer() trace.Tracer   { return ns.k.tr }
@@ -667,7 +570,10 @@ func (ns *nodeState) MulticastFrame(dests []ids.ProcID, kind wire.Kind, frame []
 }
 
 // sendFrame is the per-destination half of a send: CPU charge, counters,
-// trace instant, link schedule, and the arrival event (or outbox entry).
+// trace instant, link schedule, and the arrival event (or outbox entry). The
+// arrival's key says when it was sent, not when it is enqueued, so it goes
+// onto its own shard's heap now; a frame for another shard waits in the
+// outbox for the next flush.
 func (ns *nodeState) sendFrame(to ids.ProcID, kind wire.Kind, frame []byte) {
 	if to == ns.id {
 		panic(fmt.Sprintf("sim: %v sent to itself", ns.id))
@@ -682,19 +588,13 @@ func (ns *nodeState) sendFrame(to ids.ProcID, kind wire.Kind, frame []byte) {
 		ns.met.Lost++
 		return
 	}
-	m := outMsg{at: at, sentAt: k.now, from: ns.id, to: to, frame: frame}
-	if k.coord != nil {
-		// Sharded mode: the arrival's key says when it was sent, not when it
-		// is enqueued, so it goes onto its own shard's heap now; a frame for
-		// another shard waits in the outbox for the next flush.
-		ns.sent++
-		m.count = ns.sent
-		if len(k.coord.shards) > 1 && k.coord.shardFor(to) != k {
-			k.out = append(k.out, m)
-			return
-		}
-		k.early++
+	ns.sent++
+	m := outMsg{at: at, sentAt: k.now, count: ns.sent, from: ns.id, to: to, frame: frame}
+	if len(k.coord.shards) > 1 && k.coord.shardFor(to) != k {
+		k.out = append(k.out, m)
+		return
 	}
+	k.early++
 	k.arrive(&m, k.phase)
 }
 

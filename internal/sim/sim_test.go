@@ -45,7 +45,7 @@ func hwFast() node.Hardware {
 	return hw
 }
 
-func newPingKernel(t *testing.T, maxRounds int) (*Kernel, map[ids.ProcID]*pingProc, map[ids.ProcID]int) {
+func newPingKernel(t *testing.T, maxRounds int) (*Sharded, map[ids.ProcID]*pingProc, map[ids.ProcID]int) {
 	t.Helper()
 	k := New(Config{Seed: 42, HW: hwFast()})
 	procs := make(map[ids.ProcID]*pingProc)
@@ -326,5 +326,5 @@ func TestCrashStorageNodePanics(t *testing.T) {
 			t.Fatal("crashing the storage pseudo-process must panic")
 		}
 	}()
-	k.Crash(ids.StorageProc)
+	k.shards[0].crash(ids.StorageProc)
 }

@@ -18,8 +18,8 @@ import (
 // trace hash — to a run without one. Crash injection (CrashAtStep) is the
 // one sanctioned mutation at a boundary, and it is what makes the explorer
 // able to land crashes *between* any two events — including inside an
-// in-progress recovery, where CrashAt's scheduled event (which sorts after
-// all same-time events by sequence number) cannot reach.
+// in-progress recovery, where Sharded.CrashAt's scheduled event (which sorts
+// after all same-time events by sequence number) cannot reach.
 
 // StepInfo describes the event about to be dispatched at a step boundary.
 type StepInfo struct {
@@ -71,7 +71,8 @@ func (k *Kernel) Steps() int64 { return k.dispatched }
 // takes effect after event step-1 completes and before event step begins.
 // Multiple victims registered for the same step crash in registration order.
 // Crashing an already-down process at its step is a silent no-op (mirroring
-// Crash); compare recoveries against CrashesApplied, not the plan length.
+// crash); compare recoveries against Sharded.CrashesApplied, not the plan
+// length.
 func (k *Kernel) CrashAtStep(step int64, id ids.ProcID) {
 	if step < 0 || step < k.dispatched {
 		panic(fmt.Sprintf("sim: CrashAtStep(%d): boundary already passed (at step %d)",
@@ -86,12 +87,6 @@ func (k *Kernel) CrashAtStep(step int64, id ids.ProcID) {
 	k.stepCrash[step] = append(k.stepCrash[step], id)
 }
 
-// CrashesApplied returns the number of crash injections that actually took
-// effect (the victim had a live process image). Schedules synthesized by the
-// explorer may re-crash a process that is still down; those injections are
-// no-ops and must not be counted against liveness.
-func (k *Kernel) CrashesApplied() int { return k.crashApplied }
-
 // stepBoundary fires the probe and applies step-indexed crashes for the
 // boundary before dispatching e. Called with the event already popped off
 // the heap and copied out, so an injected crash (which schedules a restart
@@ -102,7 +97,7 @@ func (k *Kernel) stepBoundary(e *event) {
 	if victims, ok := k.stepCrash[k.dispatched]; ok {
 		delete(k.stepCrash, k.dispatched)
 		for _, id := range victims {
-			k.Crash(id)
+			k.crash(id)
 		}
 	}
 	if k.stepFn != nil {

@@ -31,7 +31,7 @@ func TestStepProbeObservationOnly(t *testing.T) {
 		k, procs, _ := newPingKernel(t, 10)
 		var fires int64
 		h := uint64(14695981039346656037)
-		k.SetStepProbe(func(s StepInfo) {
+		k.Single().SetStepProbe(func(s StepInfo) {
 			if s.Step != fires {
 				t.Fatalf("probe step %d, want %d (one fire per dispatch, in order)", s.Step, fires)
 			}
@@ -62,9 +62,9 @@ func TestStepProbeObservationOnly(t *testing.T) {
 func TestCrashAtStepDeterministic(t *testing.T) {
 	run := func() (uint64, int, int) {
 		k, _, boots := newPingKernel(t, 1000)
-		k.CrashAtStep(10, 1)
+		k.Single().CrashAtStep(10, 1)
 		h := uint64(14695981039346656037)
-		k.SetStepProbe(func(s StepInfo) { h = foldStep(h, s) })
+		k.Single().SetStepProbe(func(s StepInfo) { h = foldStep(h, s) })
 		k.Run(20 * time.Second)
 		return h, k.CrashesApplied(), boots[1]
 	}
@@ -89,7 +89,7 @@ func TestCrashAtStepLandsBeforeTheEvent(t *testing.T) {
 	// First pass: find a mid-run arrival addressed to process 1.
 	k0, _, _ := newPingKernel(t, 1000)
 	target := int64(-1)
-	k0.SetStepProbe(func(s StepInfo) {
+	k0.Single().SetStepProbe(func(s StepInfo) {
 		if target < 0 && s.Step > 5 && s.Kind == StepKindArrive && s.Proc == 1 {
 			target = s.Step
 		}
@@ -100,9 +100,9 @@ func TestCrashAtStepLandsBeforeTheEvent(t *testing.T) {
 	}
 
 	k, _, _ := newPingKernel(t, 1000)
-	k.CrashAtStep(target, 1)
+	k.Single().CrashAtStep(target, 1)
 	sawDown := false
-	k.SetStepProbe(func(s StepInfo) {
+	k.Single().SetStepProbe(func(s StepInfo) {
 		if s.Step == target {
 			sawDown = !k.Up(1)
 		}
@@ -117,8 +117,8 @@ func TestCrashAtStepLandsBeforeTheEvent(t *testing.T) {
 // down applies nothing, and CrashesApplied reflects only effective crashes.
 func TestCrashAtStepOnDownProcessIsNoop(t *testing.T) {
 	k, _, boots := newPingKernel(t, 1000)
-	k.CrashAtStep(10, 1)
-	k.CrashAtStep(11, 1) // boundary 11 arrives long before the restart fires
+	k.Single().CrashAtStep(10, 1)
+	k.Single().CrashAtStep(11, 1) // boundary 11 arrives long before the restart fires
 	k.Run(20 * time.Second)
 	if got := k.CrashesApplied(); got != 1 {
 		t.Fatalf("CrashesApplied = %d, want 1 (second injection was a no-op)", got)
@@ -139,6 +139,7 @@ func TestCrashAtStepPanics(t *testing.T) {
 	}
 	k, _, _ := newPingKernel(t, 10)
 	k.Run(10 * time.Millisecond)
-	mustPanic("passed boundary", func() { k.CrashAtStep(0, 1) })
-	mustPanic("storage proc", func() { k.CrashAtStep(k.Steps()+5, ids.StorageProc) })
+	one := k.Single()
+	mustPanic("passed boundary", func() { one.CrashAtStep(0, 1) })
+	mustPanic("storage proc", func() { one.CrashAtStep(one.Steps()+5, ids.StorageProc) })
 }
