@@ -29,27 +29,6 @@ import (
 	"rollrec/internal/trace"
 )
 
-var registry = []struct {
-	id   string
-	desc string
-	run  func(context.Context, int64) experiments.Table
-}{
-	{"E1", "single failure (paper §5, first experiment)", experiments.E1},
-	{"E2", "second failure during recovery (paper §5, second experiment)", experiments.E2},
-	{"D1", "scale sweep: blocked time vs n", experiments.D1},
-	{"D2", "stable-storage latency sweep", experiments.D2},
-	{"D3", "recovery communication counts", experiments.D3},
-	{"D4", "failure-free overhead vs f", experiments.D4},
-	{"D5", "recovery-time breakdown", experiments.D5},
-	{"D6", "intrusion by recovery style", experiments.D6},
-	{"D7", "network latency sweep", experiments.D7},
-	{"D8", "analytical cost model vs simulation", experiments.D8},
-	{"D9", "message logging vs coordinated checkpointing", experiments.D9},
-	{"D10", "orphans: FBL vs optimistic logging", experiments.D10},
-	{"D11", "output-commit latency across styles", experiments.D11},
-	{"D12", "open-loop traffic: offered load x style x crash", experiments.D12},
-}
-
 func main() {
 	// Ctrl-C cancels the in-flight simulation via the experiments context
 	// instead of killing the process mid-table.
@@ -95,8 +74,8 @@ func main() {
 	}
 
 	if *list {
-		for _, e := range registry {
-			fmt.Printf("%-4s %s\n", e.id, e.desc)
+		for _, e := range experiments.Registry {
+			fmt.Printf("%-4s %s\n", e.ID, e.Desc)
 		}
 		return
 	}
@@ -119,19 +98,19 @@ func main() {
 	}
 
 	ran := 0
-	for _, e := range registry {
-		if len(want) > 0 && !want[e.id] {
+	for _, e := range experiments.Registry {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
 		start := time.Now() //rollvet:allow simtime -- wall-clock progress reporting for the operator, not protocol time
-		table := e.run(ctx, *seed)
+		table := e.Run(ctx, *seed)
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "experiments: interrupted")
 			os.Exit(130)
 		}
 		fmt.Println(table.String())
 		//rollvet:allow simtime -- wall-clock progress reporting for the operator, not protocol time
-		fmt.Printf("(%s computed in %v)\n\n", e.id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s computed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		ran++
 	}
 	if ran == 0 {

@@ -113,6 +113,34 @@ func TestOverlappingFailures(t *testing.T) {
 	}
 }
 
+// TestThirdFailureDuringTwoMemberGather: with f = 3, p3 and p4 recover
+// together and live p5 dies while their gather waits on it. The leader's
+// restarted round must collect depinfo again before it serves anyone: a
+// round that kept the abandoned round's step-5 flag finished on the first
+// member IncReply with no depinfo at all, and replay then panicked on
+// conflicting determinants.
+func TestThirdFailureDuringTwoMemberGather(t *testing.T) {
+	for _, style := range []recovery.Style{recovery.NonBlocking, recovery.Blocking} {
+		t.Run(style.String(), func(t *testing.T) {
+			// The paper's gossip cell (experiments.PaperSpec) at f = 3.
+			c := New(Config{
+				N:               8,
+				F:               3,
+				Seed:            1,
+				Style:           style,
+				App:             workload.NewRandomPeer(1, 1_000_000, 256, int64(time.Millisecond)),
+				CheckpointEvery: 4 * time.Second,
+				StatePad:        1 << 20,
+			})
+			c.Crash(10*time.Second, 3)
+			c.Crash(10*time.Second, 4)
+			c.Crash(14100*time.Millisecond, 5)
+			c.Run(45 * time.Second)
+			mustCheck(t, c)
+		})
+	}
+}
+
 func TestSimultaneousFailures(t *testing.T) {
 	golden := New(slowRingConfig(recovery.NonBlocking, 55, 4, 2))
 	settle(t, golden, 120*time.Second)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -223,5 +224,25 @@ func TestRunRejectsTrafficMisuse(t *testing.T) {
 			}()
 			MustRun(context.Background(), spec)
 		})
+	}
+}
+
+// TestRegistryIsTheSuite: the one registry, which All runs and
+// cmd/experiments lists, holds every table of DESIGN §3 in order — D12
+// included, which the suite once skipped.
+func TestRegistryIsTheSuite(t *testing.T) {
+	want := []string{"E1", "E2"}
+	for i := 1; i <= 12; i++ {
+		want = append(want, fmt.Sprintf("D%d", i))
+	}
+	var got []string
+	for _, e := range Registry {
+		if e.Desc == "" || e.Run == nil {
+			t.Errorf("%s: empty description or run", e.ID)
+		}
+		got = append(got, e.ID)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("registry ids = %v, want %v", got, want)
 	}
 }

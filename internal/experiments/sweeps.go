@@ -193,17 +193,41 @@ func D7(ctx context.Context, seed int64) Table {
 	return t
 }
 
-// All runs every experiment in index order, stopping early (with the
-// tables produced so far) when ctx is done.
+// Experiment is one table of the evaluation suite.
+type Experiment struct {
+	ID   string
+	Desc string
+	Run  func(context.Context, int64) Table
+}
+
+// Registry lists every experiment in DESIGN §3 order. All runs it, and
+// cmd/experiments lists (-list) and selects (-only) from it.
+var Registry = []Experiment{
+	{"E1", "single failure (paper §5, first experiment)", E1},
+	{"E2", "second failure during recovery (paper §5, second experiment)", E2},
+	{"D1", "scale sweep: blocked time vs n", D1},
+	{"D2", "stable-storage latency sweep", D2},
+	{"D3", "recovery communication counts", D3},
+	{"D4", "failure-free overhead vs f", D4},
+	{"D5", "recovery-time breakdown", D5},
+	{"D6", "intrusion by recovery style", D6},
+	{"D7", "network latency sweep", D7},
+	{"D8", "analytical cost model vs simulation", D8},
+	{"D9", "message logging vs coordinated checkpointing", D9},
+	{"D10", "orphans: FBL vs optimistic logging", D10},
+	{"D11", "output-commit latency across styles", D11},
+	{"D12", "open-loop traffic: offered load x style x crash", D12},
+}
+
+// All runs every experiment of the Registry in order, stopping early (with
+// the tables produced so far) when ctx is done.
 func All(ctx context.Context, seed int64) []Table {
 	var out []Table
-	for _, run := range []func(context.Context, int64) Table{
-		E1, E2, D1, D2, D3, D4, D5, D6, D7, D8, D9, D10, D11,
-	} {
+	for _, e := range Registry {
 		if ctx.Err() != nil {
 			break
 		}
-		out = append(out, run(ctx, seed))
+		out = append(out, e.Run(ctx, seed))
 	}
 	return out
 }

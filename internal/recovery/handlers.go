@@ -37,11 +37,7 @@ func (m *Manager) HandleMessage(e *wire.Envelope) bool {
 // learn records (or refreshes) what we know about a peer's recovery.
 // It reports whether anything changed.
 func (m *Manager) learn(p ids.ProcID, ord ids.Ordinal, inc ids.Incarnation, active bool) bool {
-	r := m.reg[p]
-	if r == nil {
-		r = &regEntry{}
-		m.reg[p] = r
-	}
+	r := m.entry(p)
 	changed := false
 	if !ord.IsZero() && r.ord != ord {
 		// A fresh ordinal means a fresh recovery attempt: it needs serving.
@@ -84,14 +80,9 @@ func (m *Manager) onAnnounce(e *wire.Envelope) {
 func (m *Manager) onIncRequest(e *wire.Envelope) {
 	// A leader queried our incarnation: it believes we are recovering.
 	m.learn(e.From, e.Ord, e.FromInc, true)
-	me := m.reg[m.self]
-	var inc ids.Incarnation
-	if me != nil {
-		inc = me.inc
-	}
 	m.env.Send(e.From, &wire.Envelope{
 		Kind:    wire.KindIncReply,
-		FromInc: inc,
+		FromInc: m.entry(m.self).inc,
 		Ord:     m.myOrd,
 		Round:   e.Round,
 	})
@@ -102,7 +93,7 @@ func (m *Manager) onIncReply(e *wire.Envelope) {
 	if m.state != StateLeading {
 		return
 	}
-	if m.pendingDep[e.From] {
+	if m.g.dep && m.g.awaited[e.From] {
 		// We asked for depinfo believing the peer live; it answered with an
 		// incarnation: it is recovering. Fold it in and restart the round.
 		m.learn(e.From, e.Ord, e.FromInc, true)
@@ -114,7 +105,6 @@ func (m *Manager) onIncReply(e *wire.Envelope) {
 	}
 	m.learn(e.From, e.Ord, e.FromInc, true)
 	m.maybeStartDepPhase()
-	m.maybeFinish()
 }
 
 func (m *Manager) onDepRequest(e *wire.Envelope) {
@@ -122,10 +112,9 @@ func (m *Manager) onDepRequest(e *wire.Envelope) {
 	if m.state == StateWaiting || m.state == StateLeading {
 		// We are recovering ourselves: identify as such so the leader folds
 		// us into the round instead of waiting for our depinfo.
-		me := m.reg[m.self]
 		m.env.Send(e.From, &wire.Envelope{
 			Kind:    wire.KindIncReply,
-			FromInc: me.inc,
+			FromInc: m.entry(m.self).inc,
 			Ord:     m.myOrd,
 			Round:   e.Round,
 		})
@@ -170,7 +159,7 @@ func (m *Manager) replyDeps(to ids.ProcID, ord ids.Ordinal, round uint32, member
 	m.reply = m.host.DepInfo(members)
 	m.env.Send(to, &wire.Envelope{
 		Kind:    wire.KindDepReply,
-		FromInc: m.selfInc(),
+		FromInc: m.entry(m.self).inc,
 		Ord:     ord,
 		Round:   round,
 		DetView: &m.reply,
@@ -194,26 +183,20 @@ func (m *Manager) unblock() {
 	}
 }
 
-func (m *Manager) selfInc() ids.Incarnation {
-	if r := m.reg[m.self]; r != nil {
-		return r.inc
-	}
-	return 0
-}
-
 func (m *Manager) onDepReply(e *wire.Envelope) {
-	if m.state != StateLeading || !m.phaseDep || e.Round != m.round {
+	i := int(e.From)
+	if e.From.IsStorage() {
+		i = m.n // the awaited set's last slot
+	}
+	if m.state != StateLeading || !m.g.dep || e.Round != m.g.round || !m.g.awaited[i] {
 		return
 	}
-	if !m.pendingDep[e.From] {
-		return
-	}
-	if err := m.gathered.MergeEntries(e.Dets); err != nil {
+	if err := m.g.gathered.MergeEntries(e.Dets); err != nil {
 		// Two processes disagreeing about a receipt order is a protocol
 		// violation the simulator must surface loudly.
 		panic(fmt.Sprintf("recovery: inconsistent depinfo from %v: %v", e.From, err))
 	}
-	delete(m.pendingDep, e.From)
+	m.g.awaited[i] = false
 	m.maybeFinish()
 }
 
@@ -222,9 +205,7 @@ func (m *Manager) onRecoveryData(e *wire.Envelope) {
 	if m.state != StateWaiting && m.state != StateLeading {
 		return
 	}
-	if me := m.reg[m.self]; me != nil {
-		me.served = true
-	}
+	m.entry(m.self).served = true
 	m.abortGather() // we were leading but a lower ordinal served us
 	m.state = StateReplaying
 	m.retry.Stop()
@@ -237,17 +218,13 @@ func (m *Manager) onRecoveryData(e *wire.Envelope) {
 }
 
 func (m *Manager) onRecoveryComplete(e *wire.Envelope) {
-	if r := m.reg[e.From]; r != nil {
-		r.served = true
-	}
+	m.entry(e.From).served = true
 	m.unblock()
 	m.evaluate()
 }
 
 func (m *Manager) onRecovered(e *wire.Envelope) {
-	if r := m.reg[e.From]; r != nil {
-		r.active = false
-	}
+	m.entry(e.From).active = false
 	m.evaluate()
 }
 
@@ -255,7 +232,7 @@ func (m *Manager) onRecovered(e *wire.Envelope) {
 func (m *Manager) OnSuspect(q ids.ProcID) {
 	switch m.state {
 	case StateLeading:
-		if m.phaseDep && m.pendingDep[q] {
+		if m.g.dep && m.g.awaited[q] {
 			// A live process failed before replying: fold it into the
 			// recovering set and restart the gather (step 5 → "goto 4").
 			// Step 4 then waits for its new incarnation — its announcement
@@ -292,8 +269,8 @@ func (m *Manager) OnSuspect(q ids.ProcID) {
 // will come back with new ones), but it stays in the recovering set. It
 // reports whether q was such a member.
 func (m *Manager) resetReCrashed(q ids.ProcID) bool {
-	r := m.reg[q]
-	if r == nil || !r.active || r.served {
+	r := m.entry(q)
+	if !r.active || r.served {
 		return false
 	}
 	r.ord = ids.Ordinal{}

@@ -23,7 +23,7 @@ package recovery
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"rollrec/internal/det"
@@ -146,11 +146,27 @@ type Config struct {
 	ScopedGather bool
 }
 
+// regEntry is what a manager knows of one application process's recovery;
+// the zero value is a process never seen recovering.
 type regEntry struct {
 	ord    ids.Ordinal
 	inc    ids.Incarnation
 	active bool // announced and not yet observed Recovered
 	served bool // received its recovery data (to our knowledge)
+}
+
+// gather is one round of the leader's gather (steps 4 and 5). lead replaces
+// it whole, so nothing of an abandoned round carries over.
+type gather struct {
+	round uint32
+	dep   bool // false: collecting incarnations (step 4); true: depinfo (step 5)
+	// awaited is indexed by process, with the stable-storage pseudo-process
+	// last (index n). In step 4 it marks the recovering members, whose
+	// incarnations must be known; in step 5, the processes yet to reply.
+	awaited  []bool
+	incVec   vclock.IncVector
+	gathered *det.Log
+	span     trace.SpanRef // open while the round runs
 }
 
 // Manager runs the recovery protocol for one process. It is created fresh
@@ -165,24 +181,15 @@ type Manager struct {
 	state State
 	myOrd ids.Ordinal
 
-	reg map[ids.ProcID]*regEntry
-
-	// Leader gather state.
-	round      uint32
-	phaseDep   bool // false: collecting incarnations (step 4); true: depinfo (step 5)
-	pendingInc map[ids.ProcID]bool
-	pendingDep map[ids.ProcID]bool
-	incVec     vclock.IncVector
-	gathered   *det.Log
+	reg []regEntry // indexed by process; see entry
+	g   gather     // the leader's current (or last) round
 
 	// Live-side blocking state.
 	blockedBy ids.Ordinal
 	isBlocked bool
 
-	// Trace spans: the whole recovery (announce → recovery data) and the
-	// current gather round (leader only).
-	waitSpan   trace.SpanRef
-	gatherSpan trace.SpanRef
+	// waitSpan traces the whole recovery (announce → recovery data).
+	waitSpan trace.SpanRef
 
 	retry node.Timer
 
@@ -199,7 +206,6 @@ func NewManager(cfg Config, host Host, env node.Env) *Manager {
 		env:  env,
 		self: env.ID(),
 		n:    env.N(),
-		reg:  make(map[ids.ProcID]*regEntry),
 	}
 }
 
@@ -217,7 +223,7 @@ func (m *Manager) Ord() ids.Ordinal { return m.myOrd }
 func (m *Manager) StartRecovery(ord ids.Ordinal, inc ids.Incarnation) {
 	m.myOrd = ord
 	m.state = StateWaiting
-	m.reg[m.self] = &regEntry{ord: ord, inc: inc, active: true}
+	*m.entry(m.self) = regEntry{ord: ord, inc: inc, active: true}
 	m.waitSpan = m.env.Tracer().Begin(m.env.Now(), int32(m.self),
 		trace.EvWaiting, trace.Tag{Inc: uint32(inc)})
 	m.announce()
@@ -227,10 +233,10 @@ func (m *Manager) StartRecovery(ord ids.Ordinal, inc ids.Incarnation) {
 
 func (m *Manager) announce() {
 	m.env.Tracer().Instant(m.env.Now(), int32(m.self), trace.EvAnnounce,
-		trace.Tag{Inc: uint32(m.reg[m.self].inc)})
+		trace.Tag{Inc: uint32(m.entry(m.self).inc)})
 	e := &wire.Envelope{
 		Kind:    wire.KindRecoveryAnnounce,
-		FromInc: m.reg[m.self].inc,
+		FromInc: m.entry(m.self).inc,
 		Ord:     m.myOrd,
 	}
 	m.broadcast(e, false)
@@ -275,8 +281,7 @@ func (m *Manager) evaluate() {
 	if m.state == StateLive || m.state == StateReplaying {
 		return
 	}
-	me := m.reg[m.self]
-	if me == nil || !me.active || me.served {
+	if me := m.entry(m.self); !me.active || me.served {
 		return
 	}
 	min := m.minUnserved()
@@ -289,56 +294,16 @@ func (m *Manager) evaluate() {
 	}
 }
 
-// regProcs returns the registry keys in ascending order so every send loop
-// is deterministic.
-func (m *Manager) regProcs() []ids.ProcID {
-	keys := make([]int, 0, len(m.reg))
-	//rollvet:allow maporder -- keys are fully sorted below before any use
-	for p := range m.reg {
-		keys = append(keys, int(p))
-	}
-	sort.Ints(keys)
-	out := make([]ids.ProcID, len(keys))
-	for i, k := range keys {
-		out[i] = ids.ProcID(k)
-	}
-	return out
-}
-
-// sortedPending returns map keys in ascending order (storage last).
-func sortedPending(set map[ids.ProcID]bool) []ids.ProcID {
-	keys := make([]int, 0, len(set))
-	storage := false
-	//rollvet:allow maporder -- keys are fully sorted below (storage pinned last) before any use
-	for p := range set {
-		if p.IsStorage() {
-			storage = true
-			continue
-		}
-		keys = append(keys, int(p))
-	}
-	sort.Ints(keys)
-	out := make([]ids.ProcID, 0, len(keys)+1)
-	for _, k := range keys {
-		out = append(out, ids.ProcID(k))
-	}
-	if storage {
-		out = append(out, ids.StorageProc)
-	}
-	return out
-}
-
 // minUnserved returns the process with the lowest active unserved ordinal.
 func (m *Manager) minUnserved() ids.ProcID {
 	best := ids.Nobody
 	var bestOrd ids.Ordinal
-	for _, p := range m.regProcs() {
-		r := m.reg[p]
+	for p, r := range m.reg {
 		if !r.active || r.served || r.ord.IsZero() {
 			continue
 		}
 		if best == ids.Nobody || r.ord.Less(bestOrd) {
-			best, bestOrd = p, r.ord
+			best, bestOrd = ids.ProcID(p), r.ord
 		}
 	}
 	return best
@@ -347,88 +312,92 @@ func (m *Manager) minUnserved() ids.ProcID {
 // abortGather closes an open gather span with an explicit abort marker; it
 // is a no-op when no gather is in flight.
 func (m *Manager) abortGather() {
-	if m.gatherSpan == 0 {
+	if m.g.span == 0 {
 		return
 	}
 	tr := m.env.Tracer()
 	tr.Instant(m.env.Now(), int32(m.self), trace.EvGatherAbort,
-		trace.Tag{Inc: uint32(m.selfInc()), Arg: int64(m.round)})
-	tr.End(m.gatherSpan, m.env.Now())
-	m.gatherSpan = 0
+		trace.Tag{Inc: uint32(m.entry(m.self).inc), Arg: int64(m.g.round)})
+	tr.End(m.g.span, m.env.Now())
+	m.g.span = 0
 }
 
-// lead starts (or restarts) the gather as leader.
+// lead starts (or restarts) the gather as leader with a fresh round.
 func (m *Manager) lead() {
 	m.abortGather()
 	m.state = StateLeading
-	m.round++
-	m.gatherSpan = m.env.Tracer().Begin(m.env.Now(), int32(m.self),
-		trace.EvGather, trace.Tag{Inc: uint32(m.reg[m.self].inc), Arg: int64(m.round)})
+	inc := m.entry(m.self).inc
+	m.g = gather{
+		round:    m.g.round + 1,
+		awaited:  make([]bool, m.n+1),
+		incVec:   m.host.IncVecSnapshot(),
+		gathered: det.NewLog(det.Config{N: m.n, F: m.cfg.F}),
+	}
+	m.g.span = m.env.Tracer().Begin(m.env.Now(), int32(m.self),
+		trace.EvGather, trace.Tag{Inc: uint32(inc), Arg: int64(m.g.round)})
 	if tr := m.env.Metrics().CurrentRecovery(); tr != nil {
 		tr.WasLeader = true
-		tr.Rounds = int(m.round)
+		tr.Rounds = int(m.g.round)
 	}
-	m.gathered = det.NewLog(det.Config{N: m.n, F: m.cfg.F})
-	m.incVec = m.host.IncVecSnapshot()
-	m.pendingInc = make(map[ids.ProcID]bool)
-	m.pendingDep = make(map[ids.ProcID]bool)
 
 	// Step 4: collect incarnations of every recovering process. Members we
 	// already heard an announce from are prefilled; members we only suspect
-	// (a live process that died mid-gather) stay pending until their
+	// (a live process that died mid-gather) stay awaited until their
 	// announce arrives.
-	for _, p := range m.regProcs() {
-		r := m.reg[p]
-		if !r.active || r.served || p == m.self {
+	for p, r := range m.reg {
+		if !r.active || r.served || ids.ProcID(p) == m.self {
 			continue
 		}
 		if r.inc != 0 {
-			m.incVec.Bump(p, r.inc)
+			m.g.incVec.Bump(ids.ProcID(p), r.inc)
 		}
-		m.pendingInc[p] = true
+		m.g.awaited[p] = true
 		if !r.ord.IsZero() {
-			m.env.Send(p, &wire.Envelope{
+			m.env.Send(ids.ProcID(p), &wire.Envelope{
 				Kind:    wire.KindIncRequest,
-				FromInc: m.reg[m.self].inc,
+				FromInc: inc,
 				Ord:     m.myOrd,
-				Round:   m.round,
+				Round:   m.g.round,
 			})
 		}
 	}
-	m.incVec.Bump(m.self, m.reg[m.self].inc)
+	m.g.incVec.Bump(m.self, inc)
 	m.maybeStartDepPhase()
 }
 
-// maybeStartDepPhase transitions to step 5 once every recovering process's
-// incarnation is known.
+// maybeStartDepPhase moves the round to step 5 once every recovering
+// process's incarnation is known. It runs step 5 once per round.
 func (m *Manager) maybeStartDepPhase() {
-	if m.state != StateLeading {
+	if m.state != StateLeading || m.g.dep {
 		return
 	}
-	for p := range m.pendingInc {
-		if r := m.reg[p]; r == nil || r.inc == 0 {
+	for p, r := range m.reg {
+		if m.g.awaited[p] && r.inc == 0 {
 			return // still waiting for an announce or IncReply
 		}
 	}
-	m.pendingInc = make(map[ids.ProcID]bool)
-	m.phaseDep = true
-	for p := 0; p < m.n; p++ {
-		pid := ids.ProcID(p)
-		if pid == m.self || m.isRecoveringMember(pid) {
-			continue
-		}
-		m.pendingDep[pid] = true
+	m.g.dep = true
+	for p := range m.reg {
+		m.g.awaited[p] = ids.ProcID(p) != m.self && !m.isRecoveringMember(ids.ProcID(p))
 	}
-	if m.cfg.F >= m.n {
-		m.pendingDep[ids.StorageProc] = true
-	}
+	m.g.awaited[m.n] = m.cfg.F >= m.n
 	m.sendDepRequests()
 	m.maybeFinish()
 }
 
+// entry is p's registry entry. The registry is allocated on first use: a
+// manager that never hears of a recovery keeps none, so a cluster of n does
+// not build n² entries when it starts.
+func (m *Manager) entry(p ids.ProcID) *regEntry {
+	if m.reg == nil {
+		m.reg = make([]regEntry, m.n)
+	}
+	return &m.reg[p]
+}
+
 func (m *Manager) isRecoveringMember(p ids.ProcID) bool {
 	r := m.reg[p]
-	return r != nil && r.active && !r.served
+	return r.active && !r.served
 }
 
 // recoveringMembers returns the active, unserved recovering set (self
@@ -436,9 +405,9 @@ func (m *Manager) isRecoveringMember(p ids.ProcID) bool {
 // scoped gather must collect.
 func (m *Manager) recoveringMembers() []ids.ProcID {
 	var out []ids.ProcID
-	for _, p := range m.regProcs() {
-		if m.isRecoveringMember(p) {
-			out = append(out, p)
+	for p := range m.reg {
+		if m.isRecoveringMember(ids.ProcID(p)) {
+			out = append(out, ids.ProcID(p))
 		}
 	}
 	return out
@@ -449,54 +418,61 @@ func (m *Manager) sendDepRequests() {
 	if m.cfg.ScopedGather {
 		members = m.recoveringMembers()
 	}
-	for _, p := range sortedPending(m.pendingDep) {
-		m.env.Send(p, &wire.Envelope{
+	for i, awaited := range m.g.awaited {
+		if !awaited {
+			continue
+		}
+		to := ids.ProcID(i)
+		if i == m.n {
+			to = ids.StorageProc
+		}
+		m.env.Send(to, &wire.Envelope{
 			Kind:    wire.KindDepRequest,
-			FromInc: m.reg[m.self].inc,
+			FromInc: m.entry(m.self).inc,
 			Ord:     m.myOrd,
-			Round:   m.round,
-			IncVec:  m.incVec.Slice(),
+			Round:   m.g.round,
+			IncVec:  m.g.incVec.Slice(),
 			Members: members,
 		})
 	}
 }
 
 func (m *Manager) resendPending() {
-	if !m.phaseDep {
-		for _, p := range sortedPending(m.pendingInc) {
-			if r := m.reg[p]; r != nil && !r.ord.IsZero() && r.inc == 0 {
-				m.env.Send(p, &wire.Envelope{
-					Kind:    wire.KindIncRequest,
-					FromInc: m.reg[m.self].inc,
-					Ord:     m.myOrd,
-					Round:   m.round,
-				})
-			}
-		}
+	if m.g.dep {
+		m.sendDepRequests()
 		return
 	}
-	m.sendDepRequests()
+	for p, r := range m.reg {
+		if m.g.awaited[p] && !r.ord.IsZero() && r.inc == 0 {
+			m.env.Send(ids.ProcID(p), &wire.Envelope{
+				Kind:    wire.KindIncRequest,
+				FromInc: m.entry(m.self).inc,
+				Ord:     m.myOrd,
+				Round:   m.g.round,
+			})
+		}
+	}
 }
 
 // maybeFinish completes the gather (step 6) when every live process has
 // replied.
 func (m *Manager) maybeFinish() {
-	if m.state != StateLeading || !m.phaseDep || len(m.pendingDep) > 0 {
+	if m.state != StateLeading || !m.g.dep || slices.Contains(m.g.awaited, true) {
 		return
 	}
-	data := m.gathered.All()
-	vec := m.incVec.Slice()
-	for _, p := range m.regProcs() {
-		r := m.reg[p]
-		if p == m.self || !r.active || r.served {
+	data := m.g.gathered.All()
+	vec := m.g.incVec.Slice()
+	for p := range m.reg {
+		r := &m.reg[p]
+		if ids.ProcID(p) == m.self || !r.active || r.served {
 			continue
 		}
 		r.served = true
-		m.env.Send(p, &wire.Envelope{
+		m.env.Send(ids.ProcID(p), &wire.Envelope{
 			Kind:    wire.KindRecoveryData,
-			FromInc: m.reg[m.self].inc,
+			FromInc: m.entry(m.self).inc,
 			Ord:     m.myOrd,
-			Round:   m.round,
+			Round:   m.g.round,
 			Dets:    data,
 			IncVec:  vec,
 		})
@@ -504,18 +480,17 @@ func (m *Manager) maybeFinish() {
 	// Unblock the live processes.
 	m.broadcast(&wire.Envelope{
 		Kind:    wire.KindRecoveryComplete,
-		FromInc: m.reg[m.self].inc,
+		FromInc: m.entry(m.self).inc,
 		Ord:     m.myOrd,
 	}, false)
 	// Serve ourselves last: ApplyRecoveryData starts replay synchronously.
-	m.reg[m.self].served = true
-	m.phaseDep = false
+	m.entry(m.self).served = true
 	m.state = StateReplaying
 	if tr := m.env.Metrics().CurrentRecovery(); tr != nil {
 		tr.GatheredAt = m.env.Now()
 	}
-	m.env.Tracer().End(m.gatherSpan, m.env.Now())
-	m.gatherSpan = 0
+	m.env.Tracer().End(m.g.span, m.env.Now())
+	m.g.span = 0
 	m.env.Tracer().End(m.waitSpan, m.env.Now())
 	m.waitSpan = 0
 	m.host.ApplyRecoveryData(data, vec)
@@ -525,13 +500,11 @@ func (m *Manager) maybeFinish() {
 // rejoins as live and tells the world.
 func (m *Manager) ReplayDone() {
 	m.state = StateLive
-	if r := m.reg[m.self]; r != nil {
-		r.active = false
-	}
+	m.entry(m.self).active = false
 	m.retry.Stop()
 	m.broadcast(&wire.Envelope{
 		Kind:    wire.KindRecovered,
-		FromInc: m.reg[m.self].inc,
+		FromInc: m.entry(m.self).inc,
 		Ord:     m.myOrd,
 	}, false)
 	m.myOrd = ids.Ordinal{}

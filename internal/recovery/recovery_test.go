@@ -578,3 +578,67 @@ func TestStyleStrings(t *testing.T) {
 		t.Fatal("state names wrong")
 	}
 }
+
+// twoMemberGather has leader p1 and member p3 recovering at n = 5 with step
+// 5 of round 2 begun: depinfo requested from p0, p2 and p4.
+func twoMemberGather(t *testing.T) (*Manager, *fakeEnv, *fakeHost) {
+	t.Helper()
+	m, env, host := mkManager(1, 5, NonBlocking)
+	m.StartRecovery(ids.Ordinal{Clock: 5, Proc: 1}, 2)
+	m.HandleMessage(&wire.Envelope{
+		Kind: wire.KindRecoveryAnnounce, From: 3, FromInc: 2,
+		Ord: ids.Ordinal{Clock: 7, Proc: 3},
+	})
+	reqs := env.take(wire.KindDepRequest)
+	if len(reqs) != 7 || reqs[4].Round != 2 {
+		t.Fatalf("dep requests = %d, want 4 in round 1 and 3 in round 2", len(reqs))
+	}
+	env.sent = nil
+	return m, env, host
+}
+
+// TestRestartedRoundWaitsForDepinfo: a live process suspected in step 5
+// restarts the round, and the new round is in step 4 until the suspect's
+// incarnation is known. The other member's IncReply must not finish it: no
+// depinfo has been gathered in the new round.
+func TestRestartedRoundWaitsForDepinfo(t *testing.T) {
+	m, env, host := twoMemberGather(t)
+	m.OnSuspect(2)
+	m.HandleMessage(&wire.Envelope{
+		Kind: wire.KindIncReply, From: 3, FromInc: 2,
+		Ord: ids.Ordinal{Clock: 7, Proc: 3}, Round: 3,
+	})
+	if m.State() != StateLeading {
+		t.Fatalf("state = %v, want leading until p2's incarnation and the depinfo are in", m.State())
+	}
+	if data := env.take(wire.KindRecoveryData); len(data) != 0 || len(host.applied) != 0 {
+		t.Fatalf("%d recovery data sent, %d applied; want none before any depinfo", len(data), len(host.applied))
+	}
+	if got := len(env.take(wire.KindDepRequest)); got != 0 {
+		t.Fatalf("dep requests = %d, want 0 before p2's announce", got)
+	}
+}
+
+// TestLateIncReplyKeepsStepFive: step 5 starts once per round. An IncReply
+// from a member whose incarnation is already known asks nobody for depinfo
+// again, and the round finishes on the replies it was waiting for.
+func TestLateIncReplyKeepsStepFive(t *testing.T) {
+	m, env, host := twoMemberGather(t)
+	m.HandleMessage(&wire.Envelope{Kind: wire.KindDepReply, From: 0, FromInc: 1, Round: 2})
+	m.HandleMessage(&wire.Envelope{
+		Kind: wire.KindIncReply, From: 3, FromInc: 2,
+		Ord: ids.Ordinal{Clock: 7, Proc: 3}, Round: 2,
+	})
+	if reqs := env.take(wire.KindDepRequest); len(reqs) != 0 {
+		t.Fatalf("dep requests after a late IncReply = %d (first to %v), want 0", len(reqs), reqs[0].To)
+	}
+	for _, from := range []ids.ProcID{2, 4} {
+		m.HandleMessage(&wire.Envelope{Kind: wire.KindDepReply, From: from, FromInc: 1, Round: 2})
+	}
+	if m.State() != StateReplaying || len(host.applied) != 1 {
+		t.Fatalf("state = %v with %d applies, want replaying once p0, p2 and p4 replied", m.State(), len(host.applied))
+	}
+	if data := env.take(wire.KindRecoveryData); len(data) != 1 || data[0].To != 3 {
+		t.Fatalf("recovery data = %v, want exactly one to p3", data)
+	}
+}

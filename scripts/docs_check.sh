@@ -55,10 +55,10 @@ while read -r line; do
 done < <(joined $DOCS | grep -E 'cmd/[a-z]+ .*-[a-z]' | grep -vE '^\s*(//|#)')
 
 # 3. experiment ids passed to cmd/experiments -only.
-registry_ids=$(grep -oE '\{"[ED][0-9]+"' cmd/experiments/main.go | tr -d '{"')
+registry_ids=$(grep -oE '\{"[ED][0-9]+"' internal/experiments/sweeps.go | tr -d '{"')
 for id in $(joined $DOCS | grep -oE '\-only [ED][0-9]+(,[ED][0-9]+)*' | sed 's/-only //' | tr ',' '\n' | sort -u); do
   if ! grep -qx "$id" <<<"$registry_ids"; then
-    echo "docs_check: experiment id '$id' referenced in docs but absent from the cmd/experiments registry" >&2
+    echo "docs_check: experiment id '$id' referenced in docs but absent from experiments.Registry" >&2
     fail=1
   fi
 done
