@@ -4,13 +4,14 @@ import (
 	"unsafe"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 )
 
-// Rec is one logged application send: its send sequence number and a copy
-// of its payload.
+// Rec is one logged application send: its send sequence number and its
+// payload, whose padding stays a count (workload.Ctx.Send).
 type Rec struct {
 	SSN     ids.SSN
-	Payload []byte
+	Payload storage.Image
 }
 
 // Window is the volatile send log for one destination (sender-based message
@@ -121,7 +122,8 @@ func (l Log) Prune(to ids.ProcID, wm uint64) { l[to].Prune(wm) }
 func (l Log) Reset() { clear(l) }
 
 // Size returns the number of logged records, all destinations, and the bytes
-// they occupy: the payloads and the windows' arrays.
+// they occupy: the payloads' stored bytes (their padding is a count, and
+// occupies none) and the windows' arrays.
 func (l Log) Size() (records, bytes int) {
 	for _, w := range l {
 		records += w.Len()
@@ -129,7 +131,7 @@ func (l Log) Size() (records, bytes int) {
 			bytes += cap(w.recs) * int(unsafe.Sizeof(Rec{}))
 		}
 		for _, rec := range w.Live() {
-			bytes += len(rec.Payload)
+			bytes += len(rec.Payload.Data)
 		}
 	}
 	return records, bytes

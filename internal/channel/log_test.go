@@ -2,8 +2,10 @@ package channel
 
 import (
 	"testing"
+	"unsafe"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 )
 
 func dseqs(l Log, to ids.ProcID) (out []uint64) {
@@ -20,7 +22,7 @@ func dseqs(l Log, to ids.ProcID) (out []uint64) {
 func TestWindowEdges(t *testing.T) {
 	l := make(Log, 3)
 	for d := uint64(1); d <= 6; d++ {
-		l.Append(1, d, Rec{SSN: ids.SSN(d), Payload: []byte{byte(d)}})
+		l.Append(1, d, Rec{SSN: ids.SSN(d), Payload: storage.Image{Data: []byte{byte(d)}}})
 	}
 	expect := func(step string, want ...uint64) {
 		t.Helper()
@@ -52,9 +54,9 @@ func TestWindowEdges(t *testing.T) {
 	expect("watermark beyond the window")
 	l.Prune(1, 3)
 	expect("watermark on an empty window")
-	l.Append(1, 7, Rec{SSN: 7, Payload: []byte("again")})
+	l.Append(1, 7, Rec{SSN: 7, Payload: storage.Image{Data: []byte("again")}})
 	expect("append after a full prune", 7)
-	if recs, first := l.After(1, 0); first != 7 || len(recs) != 1 || string(recs[0].Payload) != "again" {
+	if recs, first := l.After(1, 0); first != 7 || len(recs) != 1 || string(recs[0].Payload.Data) != "again" {
 		t.Fatalf("After(0) = %d, %+v", first, recs)
 	}
 	if l[0] != nil || l[2] != nil {
@@ -91,7 +93,7 @@ func TestWindowRejectsAGap(t *testing.T) {
 func TestWindowSteadyStateAllocs(t *testing.T) {
 	const records = 10_000
 	l := make(Log, 3)
-	payload := []byte("payload")
+	payload := storage.Image{Data: []byte("payload"), Pad: 256}
 	for d := uint64(1); d <= records; d++ {
 		l.Append(1, d, Rec{SSN: ids.SSN(d), Payload: payload})
 	}
@@ -112,4 +114,16 @@ func TestWindowSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("window is [%d, +%d), want [%d, +%d)", w.Base(), w.Len(), next-records+1, records)
 	}
 	_ = sum
+}
+
+// TestSizeCountsStoredBytes: a logged payload occupies its Data; its padding
+// is a count, and the log holds none of it.
+func TestSizeCountsStoredBytes(t *testing.T) {
+	l := make(Log, 2)
+	l.Append(1, 1, Rec{SSN: 1, Payload: storage.Image{Data: make([]byte, 16), Pad: 256}})
+	l.Append(1, 2, Rec{SSN: 2, Payload: storage.Image{Data: make([]byte, 16)}})
+	recs, bytes := l.Size()
+	if arrays := cap(l[1].recs) * int(unsafe.Sizeof(Rec{})); recs != 2 || bytes != arrays+32 {
+		t.Fatalf("Size = %d records, %d B; want 2 records, %d B of array and 32 B of data", recs, bytes, arrays)
+	}
 }

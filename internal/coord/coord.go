@@ -75,7 +75,7 @@ type recordedMsg struct {
 	from    ids.ProcID
 	ssn     ids.SSN
 	dseq    uint64
-	payload []byte
+	payload storage.Image
 }
 
 var _ node.Process = (*Process)(nil)
@@ -254,7 +254,8 @@ func (p *Process) restoreSnapshot(id uint32) {
 				FromInc: ids.Incarnation(p.epoch),
 				SSN:     m.ssn,
 				Dseq:    m.dseq,
-				Payload: m.payload,
+				Payload: m.payload.Data,
+				Pad:     uint32(m.payload.Pad),
 			})
 		}
 	})
@@ -379,7 +380,8 @@ func (p *Process) restoreLine(snapID uint32) {
 			p.deliverApp(&wire.Envelope{
 				Kind: wire.KindApp, From: m.from,
 				FromInc: ids.Incarnation(p.epoch),
-				SSN:     m.ssn, Dseq: m.dseq, Payload: m.payload,
+				SSN:     m.ssn, Dseq: m.dseq,
+				Payload: m.payload.Data, Pad: uint32(m.payload.Pad),
 			})
 		}
 	})
@@ -392,7 +394,7 @@ func (p *Process) deliverApp(e *wire.Envelope) {
 	if p.snapActive && from >= 0 && from < p.n && p.recording[from] {
 		p.recorded[from] = append(p.recorded[from], recordedMsg{
 			from: e.From, ssn: e.SSN, dseq: e.Dseq,
-			payload: e.Payload, // a view of the read-only frame
+			payload: e.PayloadImage(), // a view of the read-only frame
 		})
 	}
 	switch p.in.Admit(e) {
@@ -409,7 +411,7 @@ func (p *Process) consume(e *wire.Envelope) {
 	p.in.Exp[e.From] = e.Dseq
 	p.delivered++
 	p.env.Metrics().Delivered++
-	if p.app.Handle(appCtx{p}, e.From, e.Payload) != nil {
+	if p.app.Handle(appCtx{p}, e.From, e.PayloadImage()) != nil {
 		p.env.Metrics().Rejected++
 	}
 }
@@ -423,12 +425,13 @@ func (c appCtx) Work(d int64)     { c.p.env.Busy(time.Duration(d)) }
 
 // Send transmits an application payload (no logging: this protocol's whole
 // point is that failure-free operation is bare).
-func (c appCtx) Send(to ids.ProcID, payload []byte) {
+func (c appCtx) Send(to ids.ProcID, payload storage.Image) {
 	p := c.p
 	p.env.Send(to, &wire.Envelope{
 		Kind:    wire.KindApp,
 		FromInc: ids.Incarnation(p.epoch),
 		Dseq:    p.out.Next(to),
-		Payload: payload,
+		Payload: payload.Data,
+		Pad:     uint32(payload.Pad),
 	})
 }

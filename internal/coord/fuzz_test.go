@@ -15,12 +15,12 @@ import (
 // round trip exercises the snapshot codec and not an application's.
 type blobApp struct{ state []byte }
 
-func (*blobApp) Start(workload.Ctx)                            {}
-func (*blobApp) Handle(workload.Ctx, ids.ProcID, []byte) error { return nil }
-func (a *blobApp) Snapshot() []byte                            { return a.state }
-func (a *blobApp) Restore(b []byte) error                      { a.state = b; return nil }
-func (*blobApp) Digest() uint64                                { return 0 }
-func (*blobApp) Done() bool                                    { return true }
+func (*blobApp) Start(workload.Ctx)                                   {}
+func (*blobApp) Handle(workload.Ctx, ids.ProcID, storage.Image) error { return nil }
+func (a *blobApp) Snapshot() []byte                                   { return a.state }
+func (a *blobApp) Restore(b []byte) error                             { a.state = b; return nil }
+func (*blobApp) Digest() uint64                                       { return 0 }
+func (*blobApp) Done() bool                                           { return true }
 
 // blobProc is the part of a process the snapshot codec touches.
 func blobProc(pad int) *Process {
@@ -41,7 +41,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			p.epoch, p.delivered, p.outSeq = 4, 17, outSeq
 			p.out[1], p.in.Exp[2] = 5, 6
 			p.snap = p.encodeLocalState()
-			p.recorded = [][]recordedMsg{nil, {{from: 1, ssn: 7, dseq: 2, payload: []byte("in-flight")}}, {{from: 2, ssn: 1, dseq: 1}}}
+			p.recorded = [][]recordedMsg{nil, {{from: 1, ssn: 7, dseq: 2, payload: storage.Image{Data: []byte("in-flight"), Pad: 7}}}, {{from: 2, ssn: 1, dseq: 1}}}
 			img := p.encodeSnapshotBlob()
 			f.Add(img.Data, img.Pad)
 			f.Add(img.Data, img.Pad+1)

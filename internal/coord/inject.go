@@ -1,6 +1,9 @@
 package coord
 
-import "rollrec/internal/workload"
+import (
+	"rollrec/internal/storage"
+	"rollrec/internal/workload"
+)
 
 // Inject hands the application an open-loop arrival (a user request
 // entering at this process), delivered as a message from itself. Sends it
@@ -18,7 +21,7 @@ func (p *Process) Inject(payload []byte) bool {
 	if p.rollingBack {
 		return false
 	}
-	if p.app.Handle(appCtx{p}, p.env.ID(), payload) != nil {
+	if p.app.Handle(appCtx{p}, p.env.ID(), storage.Image{Data: payload}) != nil {
 		p.env.Metrics().Rejected++
 	}
 	return true

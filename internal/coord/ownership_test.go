@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"strings"
 	"testing"
 
 	"rollrec/internal/ids"
@@ -35,8 +36,8 @@ type handled struct {
 type recApp struct{ got *[]handled }
 
 func (a recApp) Start(workload.Ctx) {}
-func (a recApp) Handle(_ workload.Ctx, from ids.ProcID, payload []byte) error {
-	*a.got = append(*a.got, handled{from, string(payload)})
+func (a recApp) Handle(_ workload.Ctx, from ids.ProcID, payload storage.Image) error {
+	*a.got = append(*a.got, handled{from, string(payload.Data) + strings.Repeat("\x00", payload.Pad)})
 	return nil
 }
 func (recApp) Snapshot() []byte     { return nil }
@@ -150,7 +151,7 @@ func TestSnapshotImagesAreFreshAndExact(t *testing.T) {
 				tc.outSeq, len(quiet.Data), cap(quiet.Data))
 		}
 		p.snap = b
-		p.recorded = [][]recordedMsg{nil, {{from: 1, ssn: 7, dseq: 2, payload: []byte("in-flight")}}, nil}
+		p.recorded = [][]recordedMsg{nil, {{from: 1, ssn: 7, dseq: 2, payload: storage.Image{Data: []byte("in-flight")}}}, nil}
 		blob := p.encodeSnapshotBlob()
 		if quiet.Size() != tc.quiet || blob.Size() != tc.recording || blob.Pad != 4<<10 {
 			t.Fatalf("outSeq %d: images are %d and %d B (%d pad); their dense encodings were %d and %d B",
@@ -161,7 +162,7 @@ func TestSnapshotImagesAreFreshAndExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rec) != 1 || rec[0].from != 1 || rec[0].dseq != 2 || string(rec[0].payload) != "in-flight" {
+		if len(rec) != 1 || rec[0].from != 1 || rec[0].dseq != 2 || string(rec[0].payload.Data) != "in-flight" {
 			t.Fatalf("recorded messages did not round-trip: %+v", rec)
 		}
 		if tc.outSeq != 0 && p.outSeq != tc.outSeq {
@@ -179,7 +180,7 @@ func TestSnapshotDecodeChecksPadding(t *testing.T) {
 	for _, outSeq := range []uint64{0, 3} {
 		p.outSeq = outSeq
 		p.snap = p.encodeLocalState()
-		p.recorded = [][]recordedMsg{nil, {{from: 1, ssn: 7, dseq: 2, payload: []byte("in-flight")}}, nil}
+		p.recorded = [][]recordedMsg{nil, {{from: 1, ssn: 7, dseq: 2, payload: storage.Image{Data: []byte("in-flight")}}}, nil}
 		good := p.encodeSnapshotBlob()
 		shortState := append([]byte(nil), good.Data...)
 		shortState[0]-- // the local state claims one byte less than it has

@@ -174,7 +174,9 @@ func (p *Process) encodeLocalState() *wire.Writer {
 }
 
 // encodeSnapshotBlob appends the recorded channel messages to the local
-// state captured at marker time and returns the image the store keeps.
+// state captured at marker time and returns the image the store keeps. A
+// message's padding is written out (wire.Writer.ImageBytes): the image's one
+// run of modelled zeros is StatePad.
 func (p *Process) encodeSnapshotBlob() storage.Image {
 	w, total := p.snap, 0
 	for _, ch := range p.recorded {
@@ -186,7 +188,7 @@ func (p *Process) encodeSnapshotBlob() storage.Image {
 			w.I32(int32(m.from))
 			w.U64(uint64(m.ssn))
 			w.U64(m.dseq)
-			w.Bytes(m.payload)
+			w.ImageBytes(m.payload)
 		}
 	}
 	return storage.Image{Data: w.Frame(), Pad: w.Padded()}
@@ -220,7 +222,7 @@ func (p *Process) decodeSnapshot(img storage.Image) ([]recordedMsg, error) {
 		m.from = ids.ProcID(r.I32())
 		m.ssn = ids.SSN(r.U64())
 		m.dseq = r.U64()
-		m.payload = r.Bytes()
+		m.payload = storage.Image{Data: r.Bytes()}
 		out = append(out, m)
 	}
 	switch {

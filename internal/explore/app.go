@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 	"rollrec/internal/workload"
 )
@@ -40,12 +41,12 @@ func ringFactory(maxHops uint64, pad int, work int64) workload.Factory {
 	}
 }
 
-func (t *ringApp) token(hop, acc uint64) []byte {
-	w := wire.NewWriter(20 + t.pad)
+func (t *ringApp) token(hop, acc uint64) storage.Image {
+	w := wire.NewWriter(20)
 	w.U64(hop)
 	w.U64(acc)
-	w.Zeros(t.pad)
-	return w.Frame()
+	w.Pad(t.pad)
+	return storage.Image{Data: w.Frame(), Pad: w.Padded()}
 }
 
 func (t *ringApp) Start(ctx workload.Ctx) {
@@ -54,11 +55,11 @@ func (t *ringApp) Start(ctx workload.Ctx) {
 	}
 }
 
-func (t *ringApp) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) error {
-	r := wire.NewReader(payload)
+func (t *ringApp) Handle(ctx workload.Ctx, from ids.ProcID, payload storage.Image) error {
+	r := wire.NewImageReader(payload.Data, payload.Pad)
 	hop := r.U64()
 	acc := r.U64()
-	r.Bytes()
+	r.Tail()
 	if r.Err() != nil {
 		return fmt.Errorf("explore-ring: bad payload from %v: %w", from, r.Err())
 	}
@@ -138,12 +139,12 @@ func funnelFactory(rounds uint64, pad int, work int64) workload.Factory {
 	}
 }
 
-func (f *funnelApp) frame(round, val uint64) []byte {
-	w := wire.NewWriter(20 + f.pad)
+func (f *funnelApp) frame(round, val uint64) storage.Image {
+	w := wire.NewWriter(20)
 	w.U64(round)
 	w.U64(val)
-	w.Zeros(f.pad)
-	return w.Frame()
+	w.Pad(f.pad)
+	return storage.Image{Data: w.Frame(), Pad: w.Padded()}
 }
 
 func (f *funnelApp) Start(ctx workload.Ctx) {
@@ -152,11 +153,11 @@ func (f *funnelApp) Start(ctx workload.Ctx) {
 	}
 }
 
-func (f *funnelApp) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) error {
-	r := wire.NewReader(payload)
+func (f *funnelApp) Handle(ctx workload.Ctx, from ids.ProcID, payload storage.Image) error {
+	r := wire.NewImageReader(payload.Data, payload.Pad)
 	round := r.U64()
 	val := r.U64()
-	r.Bytes()
+	r.Tail()
 	if r.Err() != nil {
 		return fmt.Errorf("explore-funnel: bad payload from %v: %w", from, r.Err())
 	}

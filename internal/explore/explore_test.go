@@ -17,6 +17,7 @@ import (
 	"rollrec/internal/fbl"
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
+	"rollrec/internal/storage"
 	"rollrec/internal/workload"
 )
 
@@ -423,15 +424,15 @@ func TestBranchAllocBudget(t *testing.T) {
 // sendCtx is a workload.Ctx that records what an app sends and charges.
 type sendCtx struct {
 	self  ids.ProcID
-	sends [][]byte
+	sends []storage.Image
 	work  int64
 }
 
-func (c *sendCtx) Self() ids.ProcID            { return c.self }
-func (c *sendCtx) N() int                      { return 3 }
-func (c *sendCtx) Send(_ ids.ProcID, p []byte) { c.sends = append(c.sends, p) }
-func (c *sendCtx) Work(d int64)                { c.work += d }
-func (c *sendCtx) Output([]byte)               {}
+func (c *sendCtx) Self() ids.ProcID                   { return c.self }
+func (c *sendCtx) N() int                             { return 3 }
+func (c *sendCtx) Send(_ ids.ProcID, p storage.Image) { c.sends = append(c.sends, p) }
+func (c *sendCtx) Work(d int64)                       { c.work += d }
+func (c *sendCtx) Output([]byte)                      {}
 
 // TestTruncatedPayloadIsRejected feeds each scenario app a real payload cut
 // one byte short: Handle must return an error and change nothing.
@@ -452,7 +453,8 @@ func TestTruncatedPayloadIsRejected(t *testing.T) {
 		payload := start.sends[0]
 		app, ctx := tc.f(tc.to, 3), &sendCtx{self: tc.to}
 		before := app.Digest()
-		if err := app.Handle(ctx, tc.from, payload[:len(payload)-1]); err == nil {
+		cut := storage.Image{Data: payload.Data[:len(payload.Data)-1], Pad: payload.Pad}
+		if err := app.Handle(ctx, tc.from, cut); err == nil {
 			t.Errorf("%s: truncated payload accepted", tc.name)
 		}
 		if app.Digest() != before || len(ctx.sends) != 0 || ctx.work != 0 {

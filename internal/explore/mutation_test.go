@@ -13,6 +13,7 @@ import (
 	"rollrec/internal/fbl"
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
+	"rollrec/internal/storage"
 	"rollrec/internal/workload"
 )
 
@@ -30,11 +31,12 @@ import (
 //   - "piggyback stripped": fbl.TestingDropDetPiggyback strips the
 //     causal-determinant piggyback from every send, so receipt orders never
 //     reach f+1 holders;
-//   - "payload written after Send": the scenario app flips a padding byte of
-//     every buffer right after handing it to Ctx.Send, which takes the
-//     buffer as its send-log record. The frame already left, so only a
-//     retransmission from the log carries the flip, and the receiver's
-//     re-delivery differs from the send the checker recorded;
+//   - "payload written after Send": the scenario app flips the last byte of
+//     every payload's data (its padding's length field) right after handing
+//     it to Ctx.Send, which takes the data as its send-log record. The frame
+//     already left, so only a retransmission from the log carries the flip,
+//     and the receiver's re-delivery differs from the send the checker
+//     recorded;
 //   - "depinfo without its settled entries": fbl.TestingDepInfoPendingOnly
 //     makes every live process answer a gather with its pending
 //     determinants only. The settled ones are the part of the reply read
@@ -42,6 +44,12 @@ import (
 //     replays from an incomplete schedule, diverges, and sends a message it
 //     sent before to another receiver, whose log already holds that
 //     message's receipt order and refuses the new one as conflicting;
+//   - "rx envelope retained": fbl.TestingRetainRx makes every frame a
+//     process sets aside (deferred, or held for its turn in replay) the
+//     runtime's receive envelope instead of a Keep copy. The runtime decodes
+//     later frames into it, so a restarted process consumes whatever came
+//     last in place of what it set aside, loses the frames it deferred, and
+//     its peers wait for replies that never come;
 //   - "restart-origin tag stripped": coord.TestingStripRestartOrigin makes
 //     every rollback look relayed, so a restarter that missed an epoch never
 //     gets the fresh rollback a live peer would relay, and the cluster runs
@@ -77,6 +85,10 @@ func TestMutationDetected(t *testing.T) {
 			fbl.TestingDepInfoPendingOnly = true
 			t.Cleanup(func() { fbl.TestingDepInfoPendingOnly = false })
 		}, regexp.MustCompile(`^panic: .*conflicting determinants`)},
+		{"rx envelope retained", fblMutationSpec(), func(t *testing.T) {
+			fbl.TestingRetainRx = true
+			t.Cleanup(func() { fbl.TestingRetainRx = false })
+		}, regexp.MustCompile(`^liveness: .*workload incomplete`)},
 		{"restart-origin tag stripped", coordMutationSpec, func(t *testing.T) {
 			coord.TestingStripRestartOrigin = true
 			t.Cleanup(func() { coord.TestingStripRestartOrigin = false })
@@ -126,20 +138,21 @@ func fblMutationSpec() Spec {
 var coordMutationSpec = Spec{Family: FamilyCoordinated, N: 4, MaxCrashes: 2}
 
 // writeAfterSendApp breaks the Ctx.Send contract the way an app that reuses
-// its buffer would: every payload it sends has its last byte — padding the
-// receiver never parses — flipped right after Send returns.
+// its buffer would: every payload it sends has the last byte of its Data —
+// the top byte of the padding's length field — flipped right after Send
+// returns.
 type writeAfterSendApp struct{ workload.App }
 
 type writeAfterSendCtx struct{ workload.Ctx }
 
-func (c writeAfterSendCtx) Send(to ids.ProcID, payload []byte) {
+func (c writeAfterSendCtx) Send(to ids.ProcID, payload storage.Image) {
 	c.Ctx.Send(to, payload)
-	payload[len(payload)-1] ^= 0xFF
+	payload.Data[len(payload.Data)-1] ^= 0xFF
 }
 
 func (a writeAfterSendApp) Start(ctx workload.Ctx) { a.App.Start(writeAfterSendCtx{ctx}) }
 
-func (a writeAfterSendApp) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) error {
+func (a writeAfterSendApp) Handle(ctx workload.Ctx, from ids.ProcID, payload storage.Image) error {
 	return a.App.Handle(writeAfterSendCtx{ctx}, from, payload)
 }
 
@@ -169,7 +182,7 @@ type panicApp struct {
 	limit   int
 }
 
-func (a panicApp) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) error {
+func (a panicApp) Handle(ctx workload.Ctx, from ids.ProcID, payload storage.Image) error {
 	if *a.handled++; *a.handled > a.limit {
 		panic(fmt.Sprintf("explore test: %v handled delivery %d", ctx.Self(), *a.handled))
 	}

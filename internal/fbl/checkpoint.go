@@ -45,15 +45,17 @@ func parseIncRecord(img storage.Image) (ids.Incarnation, uint64, bool) {
 // snapshot, send/receive counters, the volatile send log (sender-based
 // logging survives the sender's own failure through its checkpoint), and
 // the incarnation vector. StatePad models the paper's ~1 MB process images:
-// it is counted into the image, not written (storage.Image). The bytes are
-// built once, in a fresh buffer sized by a pre-pass over the send log;
-// WriteStable hands that buffer to the store (DESIGN §5).
+// it is counted into the image, not written (storage.Image). A logged
+// payload's padding is written out (wire.Writer.ImageBytes): an image holds
+// one run of modelled zeros, so a restored record holds its zeros as bytes.
+// The bytes are built once, in a fresh buffer sized by a pre-pass over the
+// send log; WriteStable hands that buffer to the store (DESIGN §5).
 func (p *Process) encodeCheckpoint() storage.Image {
 	app := p.app.Snapshot()
 	size := 1 + 4 + 8 + 1 + 8 + 8 + 20*p.n + 4 + len(app) + 4*p.n + 4
 	for _, log := range p.sendLog {
 		for _, rec := range log.Live() {
-			size += 8 + 8 + 4 + len(rec.Payload)
+			size += 8 + 8 + 4 + rec.Payload.Size()
 		}
 	}
 	if p.outSeq != 0 {
@@ -81,7 +83,7 @@ func (p *Process) encodeCheckpoint() storage.Image {
 		for i, rec := range log.Live() {
 			w.U64(log.Base() + uint64(i))
 			w.U64(uint64(rec.SSN))
-			w.Bytes(rec.Payload)
+			w.ImageBytes(rec.Payload)
 		}
 	}
 	w.Pad(p.par.StatePad)
@@ -127,7 +129,7 @@ func (p *Process) decodeCheckpoint(img storage.Image) error {
 		var base uint64
 		for i := 0; i < cnt && r.Err() == nil; i++ {
 			d := r.U64()
-			rec := channel.Rec{SSN: ids.SSN(r.U64()), Payload: r.Bytes()}
+			rec := channel.Rec{SSN: ids.SSN(r.U64()), Payload: storage.Image{Data: r.Bytes()}}
 			if i == 0 {
 				base = d
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 )
 
 // goldenCheckpointState drives a process into the state the golden image
@@ -17,13 +18,13 @@ func goldenCheckpointState() *Process {
 	p.Deliver(appFrame(1, 1, 7, 1))
 	p.Deliver(appFrame(2, 1, 9, 1))
 	for _, pl := range []string{"a", "bb", "ccc", "dddd", "eeeee"} {
-		appCtx{p}.Send(1, []byte(pl))
+		appCtx{p}.Send(1, storage.Image{Data: []byte(pl)})
 	}
-	appCtx{p}.Send(2, []byte("x"))
-	appCtx{p}.Send(2, nil)
+	appCtx{p}.Send(2, storage.Image{Data: []byte("x")})
+	appCtx{p}.Send(2, storage.Image{})
 	p.pruneSendLog(1, 2)
 	p.pruneSendLog(2, 9)
-	appCtx{p}.Send(2, []byte("after-the-prune"))
+	appCtx{p}.Send(2, storage.Image{Data: []byte("after-the-prune")})
 	p.outSeq = 3
 	return p
 }
@@ -102,8 +103,8 @@ func TestCheckpointRejectsBrokenWindow(t *testing.T) {
 func TestPruneSendLogWatermarks(t *testing.T) {
 	p, _ := bootProc(t, 0, 3, 2)
 	for i := 0; i < 6; i++ {
-		appCtx{p}.Send(1, []byte{byte(i)})
-		appCtx{p}.Send(2, []byte{byte(i)})
+		appCtx{p}.Send(1, storage.Image{Data: []byte{byte(i)}})
+		appCtx{p}.Send(2, storage.Image{Data: []byte{byte(i)}})
 	}
 	expect := func(step string, q ids.ProcID, want ...uint64) {
 		t.Helper()
@@ -124,7 +125,7 @@ func TestPruneSendLogWatermarks(t *testing.T) {
 	expect("watermarks for nobody", 1, 5, 6)
 	p.pruneSendLog(1, ^uint64(0)) // a rolled-back sender hears of a checkpoint ahead of it
 	expect("watermark beyond the window", 1)
-	appCtx{p}.Send(1, []byte("again"))
+	appCtx{p}.Send(1, storage.Image{Data: []byte("again")})
 	expect("send after a full prune", 1, 7)
 }
 
@@ -136,7 +137,7 @@ func TestSendLogNeedsNoSortOrMap(t *testing.T) {
 	p, _ := bootProc(t, 0, 3, 2)
 	payload := []byte("payload")
 	for d := 0; d < records+500; d++ {
-		appCtx{p}.Send(1, payload)
+		appCtx{p}.Send(1, storage.Image{Data: payload})
 	}
 	p.pruneSendLog(1, 500)
 	sum := 0

@@ -22,6 +22,7 @@ import (
 	"rollrec/internal/node"
 	"rollrec/internal/output"
 	"rollrec/internal/recovery"
+	"rollrec/internal/storage"
 	"rollrec/internal/trace"
 	"rollrec/internal/vclock"
 	"rollrec/internal/wire"
@@ -193,6 +194,7 @@ type Process struct {
 	blocked     bool
 	deferred    []*wire.Envelope
 	blockedSpan trace.SpanRef
+	rx          *wire.Envelope // the runtime's envelope, under TestingRetainRx only
 
 	// Open replay-phase span.
 	replaySpan trace.SpanRef
@@ -282,13 +284,13 @@ func (p *Process) startTimers() {
 	// when the incarnation it carries changes (once per boot: a restart
 	// learns its own while restoring). In fanout mode each process pings
 	// its k ring successors, so each is monitored by its k predecessors.
-	var frame []byte
+	var frame storage.Image
 	var frameInc ids.Incarnation
 	var beat func()
 	beat = func() {
-		if frame == nil || frameInc != p.inc {
+		if frame.Data == nil || frameInc != p.inc {
 			frameInc = p.inc
-			frame = wire.Encode(&wire.Envelope{Kind: wire.KindHeartbeat, From: p.env.ID(), FromInc: p.inc})
+			frame = storage.Image{Data: wire.Encode(&wire.Envelope{Kind: wire.KindHeartbeat, From: p.env.ID(), FromInc: p.inc})}
 		}
 		p.env.MulticastFrame(p.succ, wire.KindHeartbeat, frame)
 		p.detect.Tick(p.env.Now())
@@ -330,6 +332,9 @@ func (p *Process) flushToStorage() {
 func (p *Process) Deliver(in *wire.Envelope) {
 	ev := *in
 	e := &ev
+	if TestingRetainRx {
+		p.rx = in
+	}
 	p.detect.Heard(e.From, p.env.Now())
 	if !e.Ord.IsZero() {
 		p.lam.Witness(e.Ord.Clock)
@@ -414,7 +419,7 @@ func (p *Process) appPath(e *wire.Envelope) {
 	switch p.mode {
 	case ModeLive:
 		if p.blocked {
-			p.deferred = append(p.deferred, e.Keep())
+			p.deferred = append(p.deferred, p.keep(e))
 			return
 		}
 		p.deliverNow(e)
@@ -422,7 +427,7 @@ func (p *Process) appPath(e *wire.Envelope) {
 		p.replayAccept(e)
 	case ModeRestoring, ModeRecovering:
 		// Too early to decide: buffer until replay begins.
-		p.deferred = append(p.deferred, e.Keep())
+		p.deferred = append(p.deferred, p.keep(e))
 	}
 }
 
@@ -463,10 +468,11 @@ func (p *Process) consume(e *wire.Envelope, forcedRSN ids.RSN) {
 		p.dets.AddHolder(d.Msg, p.env.ID())
 	}
 	p.env.Metrics().Delivered++
+	payload := e.PayloadImage()
 	if p.par.Hooks.OnDeliver != nil {
-		p.par.Hooks.OnDeliver(p.env.ID(), d.Msg, e.From, d.RSN, hashBytes(e.Payload))
+		p.par.Hooks.OnDeliver(p.env.ID(), d.Msg, e.From, d.RSN, PayloadHash(payload))
 	}
-	if p.app.Handle(appCtx{p}, e.From, e.Payload) != nil {
+	if p.app.Handle(appCtx{p}, e.From, payload) != nil {
 		p.env.Metrics().Rejected++
 	}
 }
@@ -482,23 +488,41 @@ func (p *Process) learnIncarnation(q ids.ProcID, inc ids.Incarnation) {
 	}
 }
 
-// hashBytes fingerprints a payload for the hooks, whose only consumer
-// compares two values of one run for equality (the cluster checker): FNV-1a's
-// xor–multiply over 8-byte words instead of bytes, with a shift-xor after
-// each multiply so a word's high bits reach the low ones (the multiply alone
-// only carries upward, and two flipped top bits eight bytes apart would
-// cancel), then the tail a byte at a time. Every step is a bijection of h, so
-// equal-length payloads that differ in one word or one tail byte never
-// collide. Not stable across versions; the values never leave the run.
-func hashBytes(b []byte) uint64 {
+// PayloadHash fingerprints a payload's logical bytes: the value Hooks.OnSend
+// and OnDeliver report, whose only consumer compares two values of one run
+// for equality (the cluster checker). It is FNV-1a's xor–multiply over
+// 8-byte words instead of bytes, with a shift-xor after each multiply so a
+// word's high bits reach the low ones (the multiply alone only carries
+// upward, and two flipped top bits eight bytes apart would cancel), then the
+// tail a byte at a time. Every step is a bijection of h, so equal-length
+// payloads that differ in one word or one tail byte never collide. The
+// padding is folded in as the zeros it stands for, without building them, so
+// a payload hashes the same modelled or materialised. Not stable across
+// versions; the values never leave the run.
+func PayloadHash(im storage.Image) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
+	b, zeros := im.Data, im.Pad
 	for ; len(b) >= 8; b = b[8:] {
 		h = (h ^ binary.LittleEndian.Uint64(b)) * prime
 		h ^= h >> 29
 	}
+	if len(b) > 0 && len(b)+zeros >= 8 { // the data's last bytes, then zeros
+		var word [8]byte
+		copy(word[:], b)
+		h = (h ^ binary.LittleEndian.Uint64(word[:])) * prime
+		h ^= h >> 29
+		b, zeros = nil, zeros-(8-len(b))
+	}
+	for ; zeros >= 8; zeros -= 8 { // a zero word: xor with 0 is the identity
+		h *= prime
+		h ^= h >> 29
+	}
 	for _, c := range b {
 		h = (h ^ uint64(c)) * prime
+	}
+	for ; zeros > 0; zeros-- {
+		h *= prime
 	}
 	return h
 }

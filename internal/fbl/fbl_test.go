@@ -52,12 +52,12 @@ func (f *fakeEnv) Multicast(dests []ids.ProcID, e *wire.Envelope) {
 		f.Send(to, e)
 	}
 }
-func (f *fakeEnv) MulticastFrame(dests []ids.ProcID, _ wire.Kind, frame []byte) {
-	e, err := wire.Decode(frame)
-	if err != nil {
+func (f *fakeEnv) MulticastFrame(dests []ids.ProcID, _ wire.Kind, frame storage.Image) {
+	var e wire.Envelope
+	if err := new(wire.Decoder).Decode(&e, frame); err != nil {
 		panic(err)
 	}
-	f.Multicast(dests, e)
+	f.Multicast(dests, &e)
 }
 func (f *fakeEnv) After(time.Duration, func()) node.Timer { return node.Timer{} }
 func (f *fakeEnv) Busy(time.Duration)                     {}
@@ -105,10 +105,12 @@ func bootProc(t *testing.T, id ids.ProcID, n, f int) (*Process, *fakeEnv) {
 	return p, env
 }
 
+// appFrame is an application frame whose payload, one byte and ssn zeros of
+// padding, tells it from every frame with another ssn.
 func appFrame(from ids.ProcID, inc ids.Incarnation, ssn ids.SSN, dseq uint64) *wire.Envelope {
 	return &wire.Envelope{
 		Kind: wire.KindApp, From: from, FromInc: inc, SSN: ssn, Dseq: dseq,
-		Payload: []byte{byte(ssn)},
+		Payload: []byte{byte(ssn)}, Pad: uint32(ssn),
 	}
 }
 
@@ -184,8 +186,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// Push some state through the process.
 	p.Deliver(appFrame(1, 1, 7, 1))
 	p.Deliver(appFrame(2, 1, 4, 1))
-	appCtx{p}.Send(1, []byte("payload-a"))
-	appCtx{p}.Send(2, []byte("payload-b"))
+	appCtx{p}.Send(1, storage.Image{Data: []byte("payload-a")})
+	appCtx{p}.Send(2, storage.Image{Data: []byte("payload-b")})
 	p.learnIncarnation(2, 3)
 	data := p.encodeCheckpoint()
 
@@ -205,7 +207,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("incarnation vector did not round-trip")
 	}
 	recs, first := q.sendLog.After(1, 0)
-	if first != 1 || len(recs) == 0 || string(recs[0].Payload) != "payload-a" {
+	if first != 1 || len(recs) == 0 || string(recs[0].Payload.Data) != "payload-a" {
 		t.Fatalf("send log did not round-trip: dseq %d, %+v", first, recs)
 	}
 	if q.app.Digest() != p.app.Digest() {
@@ -222,9 +224,9 @@ func TestCheckpointRejectsGarbage(t *testing.T) {
 
 func TestCheckpointNoticeGCsSendLogAndDets(t *testing.T) {
 	p, _ := bootProc(t, 0, 3, 2)
-	appCtx{p}.Send(1, []byte("a")) // dseq 1
-	appCtx{p}.Send(1, []byte("b")) // dseq 2
-	appCtx{p}.Send(1, []byte("c")) // dseq 3
+	appCtx{p}.Send(1, storage.Image{Data: []byte("a")}) // dseq 1
+	appCtx{p}.Send(1, storage.Image{Data: []byte("b")}) // dseq 2
+	appCtx{p}.Send(1, storage.Image{Data: []byte("c")}) // dseq 3
 	// Record a determinant for a delivery at p1.
 	if err := p.dets.Record(det.Entry{
 		Det: det.Determinant{Msg: ids.MsgID{Sender: 0, SSN: 1}, Receiver: 1, RSN: 5},
@@ -248,9 +250,9 @@ func TestCheckpointNoticeGCsSendLogAndDets(t *testing.T) {
 
 func TestServeReplayResendsInOrder(t *testing.T) {
 	p, env := bootProc(t, 0, 3, 2)
-	appCtx{p}.Send(1, []byte("a"))
-	appCtx{p}.Send(1, []byte("b"))
-	appCtx{p}.Send(1, []byte("c"))
+	appCtx{p}.Send(1, storage.Image{Data: []byte("a")})
+	appCtx{p}.Send(1, storage.Image{Data: []byte("b")})
+	appCtx{p}.Send(1, storage.Image{Data: []byte("c")})
 	env.sent = nil
 	p.Deliver(&wire.Envelope{Kind: wire.KindReplayRequest, From: 1, FromInc: 2, Dseq: 1})
 	frames := env.takeKind(wire.KindApp)
@@ -270,18 +272,18 @@ func TestPiggybackDedupPerDestination(t *testing.T) {
 	p.Deliver(appFrame(1, 1, 7, 1)) // creates one pending determinant
 	env.sent = nil
 
-	appCtx{p}.Send(2, []byte("x"))
+	appCtx{p}.Send(2, storage.Image{Data: []byte("x")})
 	first := env.takeKind(wire.KindApp)
 	if len(first) != 1 || len(first[0].Dets) != 1 {
 		t.Fatalf("first send must piggyback the pending determinant, got %v", first)
 	}
-	appCtx{p}.Send(2, []byte("y"))
+	appCtx{p}.Send(2, storage.Image{Data: []byte("y")})
 	second := env.takeKind(wire.KindApp)
 	if len(second[0].Dets) != 0 {
 		t.Fatal("unchanged determinant must not be piggybacked twice to the same peer")
 	}
 	// A different destination still gets it.
-	appCtx{p}.Send(1, []byte("z"))
+	appCtx{p}.Send(1, storage.Image{Data: []byte("z")})
 	other := env.takeKind(wire.KindApp)
 	if len(other[0].Dets) != 1 {
 		t.Fatal("another peer must still receive the pending determinant")
@@ -292,11 +294,11 @@ func TestPiggybackResetOnReincarnation(t *testing.T) {
 	p, env := bootProc(t, 0, 3, 2)
 	p.Deliver(appFrame(1, 1, 7, 1))
 	env.sent = nil
-	appCtx{p}.Send(2, []byte("x"))
+	appCtx{p}.Send(2, storage.Image{Data: []byte("x")})
 	env.sent = nil
 	// p2 reincarnates: its volatile log died, the estimate must reset.
 	p.learnIncarnation(2, 2)
-	appCtx{p}.Send(2, []byte("y"))
+	appCtx{p}.Send(2, storage.Image{Data: []byte("y")})
 	frames := env.takeKind(wire.KindApp)
 	if len(frames[0].Dets) != 1 {
 		t.Fatal("reincarnated peer must receive pending determinants again")
@@ -315,7 +317,7 @@ func TestPiggybackStopsWhenStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.sent = nil
-	appCtx{p}.Send(3, []byte("x"))
+	appCtx{p}.Send(3, storage.Image{Data: []byte("x")})
 	frames := env.takeKind(wire.KindApp)
 	if len(frames[0].Dets) != 0 {
 		t.Fatalf("stable determinant must not be piggybacked: %v", frames[0].Dets)
@@ -329,10 +331,12 @@ func holdersOf(elems ...int) (s bitset.Set) {
 	return s
 }
 
-// TestHashBytes: the fingerprint folds eight bytes per step, so the cases
+// TestHashPayload: the fingerprint folds eight bytes per step, so the cases
 // that matter are the seams — the tail after the last whole word, the word
-// boundary itself, and the high bits a bare multiply would let cancel.
-func TestHashBytes(t *testing.T) {
+// boundary itself, and the high bits a bare multiply would let cancel — and
+// a payload's padding is the zeros it stands for, wherever its data ends.
+func TestHashPayload(t *testing.T) {
+	hashBytes := func(b []byte) uint64 { return PayloadHash(storage.Image{Data: b}) }
 	if hashBytes(nil) != hashBytes([]byte{}) {
 		t.Fatal("nil and empty must hash equally")
 	}
@@ -371,6 +375,14 @@ func TestHashBytes(t *testing.T) {
 		}
 		if hashBytes(tc.a) != hashBytes(append([]byte(nil), tc.a...)) {
 			t.Errorf("%s: equal payloads hash differently", tc.name)
+		}
+	}
+	for data := 0; data <= 24; data++ {
+		for pad := 0; pad <= 20; pad++ {
+			modelled := storage.Image{Data: seq(data), Pad: pad}
+			if got, want := PayloadHash(modelled), hashBytes(append(seq(data), make([]byte, pad)...)); got != want {
+				t.Fatalf("%d B + %d pad hashes %#x, its materialised form %#x", data, pad, got, want)
+			}
 		}
 	}
 }
@@ -437,7 +449,7 @@ func TestStableDeterminantTravelsOnceMore(t *testing.T) {
 		for _, env := range envs {
 			env.now = clock
 		}
-		appCtx{procs[from]}.Send(to, chainPayload)
+		appCtx{procs[from]}.Send(to, storage.Image{Data: chainPayload})
 		frames := envs[from].takeKind(wire.KindApp)
 		if len(frames) != 1 || frames[0].To != to {
 			t.Fatalf("p%d sent %d app frames, want one to p%d", from, len(frames), to)

@@ -13,12 +13,12 @@ import (
 // round trip exercises the checkpoint codec and not an application's.
 type blobApp struct{ state []byte }
 
-func (*blobApp) Start(workload.Ctx)                            {}
-func (*blobApp) Handle(workload.Ctx, ids.ProcID, []byte) error { return nil }
-func (a *blobApp) Snapshot() []byte                            { return a.state }
-func (a *blobApp) Restore(b []byte) error                      { a.state = b; return nil }
-func (*blobApp) Digest() uint64                                { return 0 }
-func (*blobApp) Done() bool                                    { return true }
+func (*blobApp) Start(workload.Ctx)                                   {}
+func (*blobApp) Handle(workload.Ctx, ids.ProcID, storage.Image) error { return nil }
+func (a *blobApp) Snapshot() []byte                                   { return a.state }
+func (a *blobApp) Restore(b []byte) error                             { a.state = b; return nil }
+func (*blobApp) Digest() uint64                                       { return 0 }
+func (*blobApp) Done() bool                                           { return true }
 
 func blobProc(pad int) *Process {
 	par := testParams(2)
@@ -40,9 +40,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			p := blobProc(pad)
 			p.app.(*blobApp).state = []byte("app-state")
 			p.Deliver(appFrame(1, 1, 7, 1))
-			appCtx{p}.Send(1, []byte("payload-a"))
-			appCtx{p}.Send(1, []byte("payload-b"))
-			appCtx{p}.Send(2, nil)
+			appCtx{p}.Send(1, storage.Image{Data: []byte("payload-a")})
+			appCtx{p}.Send(1, storage.Image{Data: []byte("payload-b")})
+			appCtx{p}.Send(2, storage.Image{})
 			p.outSeq = outSeq
 			img := p.encodeCheckpoint()
 			f.Add(img.Data, img.Pad)

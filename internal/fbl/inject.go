@@ -1,5 +1,7 @@
 package fbl
 
+import "rollrec/internal/storage"
+
 // Inject hands the application an open-loop arrival: a nondeterministic
 // event originating outside the cluster (a user request entering at this
 // process), delivered to the app as a message from itself. The handling —
@@ -21,7 +23,7 @@ func (p *Process) Inject(payload []byte) bool {
 	if p.mode != ModeLive || p.blocked {
 		return false
 	}
-	if p.app.Handle(appCtx{p}, p.env.ID(), payload) != nil {
+	if p.app.Handle(appCtx{p}, p.env.ID(), storage.Image{Data: payload}) != nil {
 		p.env.Metrics().Rejected++
 	}
 	// The arrival may have requested outputs whose rule already holds

@@ -47,7 +47,8 @@ func (p *Process) DetPending() int { return p.dets.PendingCount() }
 type DetStats struct {
 	det.Stats
 	// SendLogRecords is the number of logged messages, all destinations;
-	// SendLogBytes what they occupy: the payloads and the windows' arrays.
+	// SendLogBytes what they occupy: the payloads' stored bytes (a pad is a
+	// count) and the windows' arrays.
 	SendLogRecords, SendLogBytes int
 }
 

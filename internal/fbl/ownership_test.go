@@ -46,7 +46,7 @@ type delivery struct {
 }
 
 func want(from ids.ProcID, ssn ids.SSN) delivery {
-	return delivery{from, ssn, hashBytes([]byte{byte(ssn)})}
+	return delivery{from, ssn, PayloadHash(storage.Image{Data: []byte{byte(ssn)}, Pad: int(ssn)})}
 }
 
 // TestBufferedFramesSurviveEnvelopeReuse: a frame parked in any of the
@@ -203,34 +203,68 @@ func pendingEntry(i int) det.Entry {
 // drops: ttl 0, a body, no padding.
 var chainPayload = make([]byte, 16)
 
+// paddedChain is chainPayload as a RandomPeer with PayloadPad pad sends it.
+func paddedChain(pad int) storage.Image {
+	w := wire.NewWriter(16)
+	w.U32(0)
+	w.U64(0)
+	w.Pad(pad)
+	return storage.Image{Data: w.Frame(), Pad: w.Padded()}
+}
+
 // TestTransmitSteadyStateAllocs: a warmed process sending a message with k
 // piggybacked determinants allocates the frame and nothing else — the
 // payload it was handed is the send-log record, selection reads views of the
-// slab and the selected entries land in the process's scratch.
+// slab and the selected entries land in the process's scratch. The
+// allocation count cannot see a frame's size, so the PayloadPad: 256 row
+// also weighs it: the bytes a send allocates must not grow with the pad,
+// which stays a count in the send log, the envelope and the frame.
 func TestTransmitSteadyStateAllocs(t *testing.T) {
 	const k = 64
-	for name, outs := range map[string]output.Sink{"plain": nil, "output tracking": output.NewLedger(4)} {
-		t.Run(name, func(t *testing.T) {
-			kern := idleCluster(t, 4, 0, outs)
-			p := kern.ProcOf(0).(*Process)
-			for i := 0; i < k; i++ {
-				if err := p.dets.Record(pendingEntry(i)); err != nil {
-					t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		outs output.Sink
+		pad  int
+	}{
+		{"plain", nil, 0},
+		{"output tracking", output.NewLedger(4), 0},
+		{"PayloadPad: 256", nil, 256},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// measure returns the allocations of a send of a payload padded
+			// by pad, and the bytes of the leanest of 50 after them.
+			measure := func(pad int) (float64, uint64) {
+				kern := idleCluster(t, 4, 0, tc.outs)
+				p := kern.ProcOf(0).(*Process)
+				for i := 0; i < k; i++ {
+					if err := p.dets.Record(pendingEntry(i)); err != nil {
+						t.Fatal(err)
+					}
 				}
+				sent := p.env.Metrics().PiggybackDets
+				payload := paddedChain(pad)
+				send := func() {
+					// Offer p1 everything again, as if nothing had been:
+					// the scan starts over.
+					p.scanGen[1] = 0
+					appCtx{p}.Send(1, payload)
+				}
+				got := testing.AllocsPerRun(100, send)
+				if per := (p.env.Metrics().PiggybackDets - sent) / 101; per != k {
+					t.Fatalf("setup: %d determinants per message, want %d", per, k)
+				}
+				bytes, _ := allocated(50, send)
+				return got, bytes
 			}
-			sent := p.env.Metrics().PiggybackDets
-			send := func() {
-				// Offer p1 everything again, as if nothing had been: the
-				// scan starts over.
-				p.scanGen[1] = 0
-				appCtx{p}.Send(1, chainPayload)
-			}
-			got := testing.AllocsPerRun(100, send)
-			if per := (p.env.Metrics().PiggybackDets - sent) / 101; per != k {
-				t.Fatalf("setup: %d determinants per message, want %d", per, k)
-			}
+			got, bytes := measure(tc.pad)
 			if got != 1 {
 				t.Fatalf("sending a message with %d piggybacked determinants allocates %.1f times, want 1 (the frame)", k, got)
+			}
+			if tc.pad == 0 {
+				return
+			}
+			if _, plain := measure(0); bytes > plain {
+				t.Fatalf("a send allocates %d B with a %d B pad and %d B without: the pad is being allocated", bytes, tc.pad, plain)
 			}
 		})
 	}
@@ -242,14 +276,15 @@ func TestTransmitSteadyStateAllocs(t *testing.T) {
 // it merges into its slab.
 func TestDeliverPiggybackAllocs(t *testing.T) {
 	const k, runs = 64, 100
-	e := &wire.Envelope{Kind: wire.KindApp, From: 1, FromInc: 1, Payload: chainPayload}
+	payload := paddedChain(256)
+	e := &wire.Envelope{Kind: wire.KindApp, From: 1, FromInc: 1, Payload: payload.Data, Pad: uint32(payload.Pad)}
 	for i := 0; i < k; i++ {
 		e.Dets = append(e.Dets, pendingEntry(i))
 	}
-	frames := make([][]byte, runs+1) // AllocsPerRun warms up with one more
+	frames := make([]storage.Image, runs+1) // AllocsPerRun warms up with one more
 	for i := range frames {
 		e.SSN, e.Dseq = ids.SSN(i+1), uint64(i+1)
-		frames[i] = wire.Encode(e)
+		frames[i], _ = wire.EncodeChecked(e)
 	}
 	p, _ := bootProc(t, 0, 4, 1)
 	var (
@@ -291,7 +326,7 @@ func TestPiggybackIsACopyOfWhatWasSelected(t *testing.T) {
 	}
 	piggyback := func(to ids.ProcID) []det.Entry {
 		env.sent = nil
-		appCtx{p}.Send(to, []byte("x"))
+		appCtx{p}.Send(to, storage.Image{Data: []byte("x")})
 		return env.takeKind(wire.KindApp)[0].Dets
 	}
 
@@ -328,8 +363,8 @@ func TestCheckpointOneImageAllocs(t *testing.T) {
 	const pad = 1 << 20
 	k := idleCluster(t, 3, pad, nil)
 	p := k.ProcOf(0).(*Process)
-	appCtx{p}.Send(1, bytes.Repeat([]byte("x"), 8<<10)) // a send log worth encoding
-	p.doCheckpoint()                                    // warm the storage-latency histogram
+	appCtx{p}.Send(1, storage.Image{Data: bytes.Repeat([]byte("x"), 8<<10)}) // a send log worth encoding
+	p.doCheckpoint()                                                         // warm the storage-latency histogram
 	k.Run(time.Duration(k.Now()) + 100*time.Millisecond)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -360,7 +395,7 @@ func TestCheckpointImagesAreFreshAndExact(t *testing.T) {
 	p, env := bootProc(t, 0, 3, 2)
 	p.par.StatePad = 4 << 10
 	p.Deliver(appFrame(1, 1, 7, 1))
-	appCtx{p}.Send(1, []byte("payload-a"))
+	appCtx{p}.Send(1, storage.Image{Data: []byte("payload-a")})
 	p.doCheckpoint() // fakeEnv completes the write at once
 	stored, ok := env.stable.Get(keyCheckpoint)
 	if !ok {
@@ -371,7 +406,7 @@ func TestCheckpointImagesAreFreshAndExact(t *testing.T) {
 	}
 
 	p.Deliver(appFrame(2, 1, 4, 1))
-	appCtx{p}.Send(2, []byte("payload-bb"))
+	appCtx{p}.Send(2, storage.Image{Data: []byte("payload-bb")})
 	p.outSeq = 3 // exercises the optional tail of the size pre-pass
 	a, b := p.encodeCheckpoint(), p.encodeCheckpoint()
 	if &a.Data[0] == &b.Data[0] {
@@ -402,7 +437,7 @@ func TestCheckpointDecodeChecksPadding(t *testing.T) {
 	for _, outSeq := range []uint64{0, 3} {
 		p, _ := bootProc(t, 0, 3, 2)
 		p.par.StatePad = 4 << 10
-		appCtx{p}.Send(1, []byte("payload-a"))
+		appCtx{p}.Send(1, storage.Image{Data: []byte("payload-a")})
 		p.outSeq = outSeq
 		good := p.encodeCheckpoint()
 		bad := map[string]storage.Image{

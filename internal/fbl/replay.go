@@ -166,11 +166,11 @@ func (p *Process) replayAccept(e *wire.Envelope) {
 	id := ids.MsgID{Sender: e.From, SSN: e.SSN}
 	rsn, ok := p.needed[id]
 	if !ok {
-		p.deferred = append(p.deferred, e.Keep())
+		p.deferred = append(p.deferred, p.keep(e))
 		return
 	}
 	delete(p.needed, id)
-	p.replayBuf[rsn] = e.Keep()
+	p.replayBuf[rsn] = p.keep(e)
 	for {
 		f, ok := p.replayBuf[p.nextRSN]
 		if !ok {

@@ -8,6 +8,7 @@ import (
 	"rollrec/internal/channel"
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 )
 
@@ -22,7 +23,7 @@ func (c appCtx) Work(d int64)     { c.p.env.Busy(time.Duration(d)) }
 // the sender's volatile store (sender-based message logging), attach the
 // causal piggyback, and transmit. The payload the app hands over is the log
 // record itself (workload.Ctx.Send takes it).
-func (c appCtx) Send(to ids.ProcID, payload []byte) {
+func (c appCtx) Send(to ids.ProcID, payload storage.Image) {
 	p := c.p
 	if to == p.env.ID() || !to.Valid(p.n) || to.IsStorage() {
 		panic(fmt.Sprintf("fbl: %v: invalid app destination %v", p.env.ID(), to))
@@ -33,7 +34,7 @@ func (c appCtx) Send(to ids.ProcID, payload []byte) {
 	p.sendLog.Append(to, dseq, rec)
 	id := ids.MsgID{Sender: p.env.ID(), SSN: p.ssn}
 	if p.par.Hooks.OnSend != nil {
-		p.par.Hooks.OnSend(p.env.ID(), id, to, hashBytes(payload))
+		p.par.Hooks.OnSend(p.env.ID(), id, to, PayloadHash(payload))
 	}
 	p.transmit(to, dseq, rec)
 }
@@ -102,7 +103,8 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec channel.Rec) {
 		FromInc: p.inc,
 		SSN:     rec.SSN,
 		Dseq:    dseq,
-		Payload: rec.Payload,
+		Payload: rec.Payload.Data,
+		Pad:     uint32(rec.Payload.Pad),
 		Dets:    piggy,
 	}
 	if p.par.Fanout > 0 {

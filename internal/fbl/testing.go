@@ -1,5 +1,7 @@
 package fbl
 
+import "rollrec/internal/wire"
+
 // TestingDropDetPiggyback, when set, strips the causal determinant
 // piggyback from every application send: determinants are logged locally
 // and count as offered, but copies never reach other holders, so the f+1
@@ -25,3 +27,23 @@ var TestingDropDetPiggyback bool
 // self-test, with the same rules: set it before explore.Run, clear it after
 // Run returns, never outside tests.
 var TestingDepInfoPendingOnly bool
+
+// TestingRetainRx, when set, makes every frame a process puts aside for
+// later — deferred while blocked, restoring or recovering, or held for its
+// turn in replay — the envelope the runtime delivered it in instead of a
+// Keep copy. The runtime decodes the next frame into that envelope, so what
+// was put aside later reads as whichever frame came last: the envelope
+// ownership rule (node.Process.Deliver) broken. Like the knobs above it is a
+// mutation knob for the self-tests, with the same rules.
+var TestingRetainRx bool
+
+// keep is what a process stores of the frame e it is delivering, to consume
+// it after Deliver returns: e.Keep(), or under TestingRetainRx the runtime's
+// envelope. It never stores e, Deliver's own copy of that envelope, which
+// would then move to the heap on every frame (TestHeartbeatDeliverAllocs).
+func (p *Process) keep(e *wire.Envelope) *wire.Envelope {
+	if TestingRetainRx {
+		return p.rx
+	}
+	return e.Keep()
+}

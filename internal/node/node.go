@@ -37,10 +37,10 @@ type Env interface {
 	// is charged, counted, traced and scheduled as its own Send would be.
 	Multicast(dests []ids.ProcID, e *wire.Envelope)
 	// MulticastFrame is Multicast of an envelope the caller already encoded
-	// (wire.Encode, From set to its own id) — what Multicast does once it has
-	// a frame. The runtime and every receiver share frame from then on: the
+	// (wire.EncodeChecked, From set to its own id) — what Multicast does once
+	// it has a frame. The runtime and every receiver share frame from then on: the
 	// caller may send it again, and nobody writes to it.
-	MulticastFrame(dests []ids.ProcID, kind wire.Kind, frame []byte)
+	MulticastFrame(dests []ids.ProcID, kind wire.Kind, frame storage.Image)
 	// After schedules fn to run on this process after d of virtual time.
 	// The timer dies with the process instance: a crash cancels it.
 	After(d time.Duration, fn func()) Timer

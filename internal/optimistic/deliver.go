@@ -77,7 +77,7 @@ func (p *Process) deliverApp(e *wire.Envelope) {
 		p.env.Metrics().Duplicate++
 	case channel.Next:
 		for ; e != nil; e = p.in.Pop(e.From) {
-			p.applyDelivery(e.From, e.SSN, e.Dseq, e.Payload, dvFromWire(e, p.n), false)
+			p.applyDelivery(e.From, e.SSN, e.Dseq, e.PayloadImage(), dvFromWire(e, p.n), false)
 		}
 	}
 }
@@ -87,7 +87,7 @@ func (p *Process) deliverApp(e *wire.Envelope) {
 // dvIn is the recorded post-delivery vector (which already counts this
 // delivery in our own entry); live deliveries carry the sender's vector and
 // the interval advances here.
-func (p *Process) applyDelivery(from ids.ProcID, ssn ids.SSN, dseq uint64, payload []byte, dvIn []interval, replay bool) {
+func (p *Process) applyDelivery(from ids.ProcID, ssn ids.SSN, dseq uint64, payload storage.Image, dvIn []interval, replay bool) {
 	p.in.Exp[from] = dseq
 	for i := 0; i < p.n && i < len(dvIn); i++ {
 		if p.dv[i].less(dvIn[i]) {
@@ -122,7 +122,7 @@ func (c appCtx) Work(d int64)     { c.p.env.Busy(time.Duration(d)) }
 // Send transmits an application payload with the dependency vector
 // piggyback; the payload, which Send takes, is the volatile buffer's record
 // and serves retransmissions.
-func (c appCtx) Send(to ids.ProcID, payload []byte) {
+func (c appCtx) Send(to ids.ProcID, payload storage.Image) {
 	p := c.p
 	p.ssn++
 	dseq := p.out.Next(to)
@@ -151,7 +151,8 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec channel.Rec) {
 		FromInc:       ids.Incarnation(p.epoch),
 		SSN:           rec.SSN,
 		Dseq:          dseq,
-		Payload:       rec.Payload,
+		Payload:       rec.Payload.Data,
+		Pad:           uint32(rec.Payload.Pad),
 		SSNWatermarks: idx, // the dependency vector indices ride here
 		IncVec:        eps, // and the per-component epochs here
 	})
@@ -317,11 +318,12 @@ func (p *Process) Rolling() bool { return p.rolling }
 func (p *Process) LogSizes() (total, durable int) { return len(p.log), p.flushed }
 
 // encodeLog serializes the delivery log into a fresh, exactly-sized buffer;
-// pad is counted into the image, not written (storage.Image).
+// pad is counted into the image, not written (storage.Image), and a logged
+// payload's padding is written out (wire.Writer.ImageBytes).
 func encodeLog(entries []logEntry, pad int) storage.Image {
 	size := 4 + 4
 	for _, e := range entries {
-		size += 4 + 8 + 8 + 4 + len(e.payload) + 4 + 12*len(e.dv)
+		size += 4 + 8 + 8 + 4 + e.payload.Size() + 4 + 12*len(e.dv)
 	}
 	w := wire.NewWriter(size)
 	w.U32(uint32(len(entries)))
@@ -329,7 +331,7 @@ func encodeLog(entries []logEntry, pad int) storage.Image {
 		w.I32(int32(e.from))
 		w.U64(uint64(e.ssn))
 		w.U64(e.dseq)
-		w.Bytes(e.payload)
+		w.ImageBytes(e.payload)
 		w.U32(uint32(len(e.dv)))
 		for _, v := range e.dv {
 			w.U32(v.epoch)
@@ -350,7 +352,7 @@ func decodeLog(img storage.Image) ([]logEntry, error) {
 		e.from = ids.ProcID(r.I32())
 		e.ssn = ids.SSN(r.U64())
 		e.dseq = r.U64()
-		e.payload = r.Bytes()
+		e.payload = storage.Image{Data: r.Bytes()}
 		dn := r.ListLen()
 		e.dv = make([]interval, 0, min(dn, 4096))
 		for j := 0; j < dn && r.Err() == nil; j++ {

@@ -12,10 +12,11 @@ import (
 // it returned.
 func FuzzDecodeLog(f *testing.F) {
 	entries := []logEntry{
-		{from: 1, ssn: 5, dseq: 2, payload: []byte("abc"), dv: []interval{{1, 1}, {1, 2}, {2, 3}}},
+		{from: 1, ssn: 5, dseq: 2, payload: storage.Image{Data: []byte("abc")}, dv: []interval{{1, 1}, {1, 2}, {2, 3}}},
 		{from: 2, ssn: 9, dseq: 1, dv: []interval{{1, 4}}},
+		{from: 0, ssn: 2, dseq: 4, payload: storage.Image{Data: []byte("pad"), Pad: 5}, dv: []interval{{1, 5}}},
 	}
-	for n := range 3 {
+	for n := range 4 {
 		for _, pad := range []int{0, 128} {
 			img := encodeLog(entries[:n], pad)
 			f.Add(img.Data, img.Pad)

@@ -1,5 +1,7 @@
 package optimistic
 
+import "rollrec/internal/storage"
+
 // Inject hands the application an open-loop arrival (a user request
 // entering at this process). Unlike the other styles, optimistic logging
 // can make injections crash-safe on any process: the arrival is recorded
@@ -20,6 +22,6 @@ func (p *Process) Inject(payload []byte) bool {
 		return false
 	}
 	self := p.env.ID()
-	p.applyDelivery(self, 0, p.in.Exp[self]+1, payload, nil, false)
+	p.applyDelivery(self, 0, p.in.Exp[self]+1, storage.Image{Data: payload}, nil, false)
 	return true
 }

@@ -89,7 +89,7 @@ type logEntry struct {
 	from    ids.ProcID
 	ssn     ids.SSN
 	dseq    uint64
-	payload []byte
+	payload storage.Image
 	dv      []interval // dependency vector in force after this delivery
 }
 

@@ -7,6 +7,7 @@ import (
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
 	"rollrec/internal/sim"
+	"rollrec/internal/storage"
 	"rollrec/internal/trace"
 	"rollrec/internal/wire"
 	"rollrec/internal/workload"
@@ -242,16 +243,16 @@ func TestRepeatedCrashesConverge(t *testing.T) {
 
 func TestLogCodecRoundTrip(t *testing.T) {
 	entries := []logEntry{
-		{from: 1, ssn: 5, dseq: 2, payload: []byte("abc"),
+		{from: 1, ssn: 5, dseq: 2, payload: storage.Image{Data: []byte("abc"), Pad: 3},
 			dv: []interval{{1, 1}, {1, 2}, {2, 3}}},
-		{from: 2, ssn: 9, dseq: 1, payload: nil,
+		{from: 2, ssn: 9, dseq: 1,
 			dv: []interval{{1, 4}, {1, 5}, {2, 6}}},
 	}
 	out, err := decodeLog(encodeLog(entries, 128))
 	if err != nil || len(out) != 2 {
 		t.Fatalf("decoded %d entries: %v", len(out), err)
 	}
-	if out[0].from != 1 || out[0].ssn != 5 || string(out[0].payload) != "abc" ||
+	if out[0].from != 1 || out[0].ssn != 5 || string(out[0].payload.Data) != "abc\x00\x00\x00" ||
 		out[0].dv[2] != (interval{2, 3}) {
 		t.Fatalf("entry 0 mismatch: %+v", out[0])
 	}
@@ -283,8 +284,8 @@ func TestRetransmitAfterFlushPrune(t *testing.T) {
 	rec := &sendRecorder{Env: p.env}
 	p.env = rec
 	for i := 1; i <= 6; i++ {
-		appCtx{p}.Send(1, []byte{byte(i)})
-		appCtx{p}.Send(2, []byte{byte(10 + i)})
+		appCtx{p}.Send(1, storage.Image{Data: []byte{byte(i)}})
+		appCtx{p}.Send(2, storage.Image{Data: []byte{byte(10 + i)}})
 	}
 	p.Deliver(&wire.Envelope{Kind: wire.KindCheckpointNotice, From: 1, FromInc: 1,
 		SSNWatermarks: []ids.SSN{3, 0, 0}})

@@ -1,6 +1,7 @@
 package optimistic
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -36,8 +37,8 @@ type handled struct {
 type recApp struct{ got *[]handled }
 
 func (a recApp) Start(workload.Ctx) {}
-func (a recApp) Handle(_ workload.Ctx, from ids.ProcID, payload []byte) error {
-	*a.got = append(*a.got, handled{from, string(payload)})
+func (a recApp) Handle(_ workload.Ctx, from ids.ProcID, payload storage.Image) error {
+	*a.got = append(*a.got, handled{from, string(payload.Data) + strings.Repeat("\x00", payload.Pad)})
 	return nil
 }
 func (recApp) Snapshot() []byte     { return nil }
@@ -152,7 +153,7 @@ func TestHeartbeatDeliverAllocs(t *testing.T) {
 // when the padding was bytes.
 func TestLogImagesAreFreshAndExact(t *testing.T) {
 	entries := []logEntry{
-		{from: 1, ssn: 5, dseq: 2, payload: []byte("abc"), dv: []interval{{1, 1}, {1, 2}, {2, 3}}},
+		{from: 1, ssn: 5, dseq: 2, payload: storage.Image{Data: []byte("abc")}, dv: []interval{{1, 1}, {1, 2}, {2, 3}}},
 		{from: 2, ssn: 9, dseq: 1, dv: []interval{{1, 4}}},
 	}
 	for n, dense := range []int{136, 203, 243} { // len(encodeLog) at the parent commit
@@ -175,7 +176,7 @@ func TestLogImagesAreFreshAndExact(t *testing.T) {
 // TestLogDecodeChecksPadding: an image whose pad count disagrees with its
 // length field, or that carries bytes past the end, is rejected.
 func TestLogDecodeChecksPadding(t *testing.T) {
-	good := encodeLog([]logEntry{{from: 1, ssn: 5, dseq: 2, payload: []byte("abc"), dv: []interval{{1, 1}}}}, 128)
+	good := encodeLog([]logEntry{{from: 1, ssn: 5, dseq: 2, payload: storage.Image{Data: []byte("abc")}, dv: []interval{{1, 1}}}}, 128)
 	bad := map[string]storage.Image{
 		"pad one too small": {Data: good.Data, Pad: good.Pad - 1},
 		"pad one too large": {Data: good.Data, Pad: good.Pad + 1},

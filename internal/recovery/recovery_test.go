@@ -55,7 +55,7 @@ func (f *fakeEnv) After(d time.Duration, fn func()) node.Timer {
 	f.timers = append(f.timers, &fakeTimer{at: f.now + int64(d), fn: fn})
 	return node.NewTimer(f, int32(len(f.timers)-1), 0)
 }
-func (f *fakeEnv) MulticastFrame([]ids.ProcID, wire.Kind, []byte) {
+func (f *fakeEnv) MulticastFrame([]ids.ProcID, wire.Kind, storage.Image) {
 	panic("the recovery manager sends envelopes, not frames")
 }
 func (f *fakeEnv) Busy(time.Duration)                                {}

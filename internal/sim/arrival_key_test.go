@@ -8,6 +8,7 @@ import (
 
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 )
 
@@ -23,15 +24,16 @@ func (p *keyLogProc) Deliver(e *wire.Envelope) {
 }
 
 // frameOfSize encodes an app frame from `from` of exactly n bytes.
-func frameOfSize(t *testing.T, from ids.ProcID, n int) []byte {
+func frameOfSize(t *testing.T, from ids.ProcID, n int) storage.Image {
 	t.Helper()
 	for pad := 0; pad <= n; pad++ {
-		if f := wire.Encode(&wire.Envelope{Kind: wire.KindApp, From: from, Payload: make([]byte, pad)}); len(f) == n {
+		f, err := wire.EncodeChecked(&wire.Envelope{Kind: wire.KindApp, From: from, Pad: uint32(pad)})
+		if err == nil && f.Size() == n {
 			return f
 		}
 	}
 	t.Fatalf("no app frame is %d bytes long", n)
-	return nil
+	return storage.Image{}
 }
 
 // TestShardArrivalKeyOrder pins the kernel's ordering key (at, phase, tie)
@@ -135,7 +137,7 @@ func sameLinkTie(t *testing.T, s *Sharded) {
 	from, to := s.shardFor(0), s.shardFor(1)
 	for _, count := range []uint64{3, 1, 4, 2} {
 		m := outMsg{at: int64(time.Millisecond), count: count, from: 0, to: 1,
-			frame: wire.Encode(&wire.Envelope{Kind: wire.KindApp, From: 0, SSN: ids.SSN(count)})}
+			frame: storage.Image{Data: wire.Encode(&wire.Envelope{Kind: wire.KindApp, From: 0, SSN: ids.SSN(count)})}}
 		if from == to {
 			to.arrive(&m, to.phase)
 		} else {

@@ -12,6 +12,7 @@ import (
 	"rollrec/internal/node"
 	"rollrec/internal/recovery"
 	"rollrec/internal/sim"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 	"rollrec/internal/workload"
 )
@@ -26,12 +27,12 @@ func (e loopEnv) Multicast(dests []ids.ProcID, env *wire.Envelope) {
 	}
 }
 
-func (e loopEnv) MulticastFrame(dests []ids.ProcID, _ wire.Kind, frame []byte) {
-	env, err := wire.Decode(frame)
-	if err != nil {
+func (e loopEnv) MulticastFrame(dests []ids.ProcID, _ wire.Kind, frame storage.Image) {
+	var env wire.Envelope
+	if err := new(wire.Decoder).Decode(&env, frame); err != nil {
 		panic(err)
 	}
-	e.Multicast(dests, env)
+	e.Multicast(dests, &env)
 }
 
 // loopProc boots the process it wraps on a loopEnv.

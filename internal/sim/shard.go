@@ -57,7 +57,7 @@ type outMsg struct {
 	sentAt   int64
 	count    uint64 // the sender's send count (nodeState.sent)
 	from, to ids.ProcID
-	frame    []byte
+	frame    storage.Image
 }
 
 // coEvent is one entry of the coordinator's queue, ordered by (at, seq): a

@@ -89,10 +89,11 @@ type event struct {
 	epoch  uint64 // owning process incarnation (evExec, evWake); an arrival's (to, from)
 	ns     *nodeState
 	fn     func()
-	frame  []byte
-	sentAt int64 // virtual send time (evArrive)
-	pos    int32 // heap index while queued
-	next   int32 // free-list link while free
+	frame  []byte // an arrival's frame: Data here, its Pad in pad
+	sentAt int64  // virtual send time (evArrive)
+	pos    int32  // heap index while queued
+	next   int32  // free-list link while free
+	pad    int32  // the frame's Pad, here to keep the slot at 112 B
 	kind   uint8
 }
 
@@ -381,7 +382,7 @@ func (k *Kernel) arrive(m *outMsg, phase uint64) {
 	s := &k.slots[i]
 	s.kind = evArrive
 	s.ns = ns
-	s.frame = m.frame
+	s.frame, s.pad = m.frame.Data, int32(m.frame.Pad)
 	s.sentAt = m.sentAt
 	s.phase = phase<<1 | 1
 	s.epoch = uint64(uint32(m.to)^1<<31)<<32 | uint64(uint32(m.from)^1<<31)
@@ -430,7 +431,7 @@ func (k *Kernel) run(limit int64) int64 {
 		case evArrive:
 			k.inflight--
 			if e.ns != nil {
-				k.frameArrived(e.ns, e.frame, e.sentAt)
+				k.frameArrived(e.ns, storage.Image{Data: e.frame, Pad: int(e.pad)}, e.sentAt)
 			}
 		case evWake:
 			k.wake(e.ns, e.epoch)
@@ -491,7 +492,7 @@ func (k *Kernel) restart(ns *nodeState) {
 type defItem struct {
 	epoch uint64
 	fn    func()
-	frame []byte
+	frame storage.Image
 }
 
 // nodeState implements node.Env for one node.
@@ -546,7 +547,7 @@ func (ns *nodeState) Send(to ids.ProcID, e *wire.Envelope) {
 		return
 	}
 	e.From = ns.id
-	ns.sendFrame(to, e.Kind, wire.Encode(e))
+	ns.sendFrame(to, e.Kind, encode(e))
 }
 
 // Multicast encodes e once and multicasts the frame.
@@ -555,12 +556,22 @@ func (ns *nodeState) Multicast(dests []ids.ProcID, e *wire.Envelope) {
 		return
 	}
 	e.From = ns.id
-	ns.MulticastFrame(dests, e.Kind, wire.Encode(e))
+	ns.MulticastFrame(dests, e.Kind, encode(e))
+}
+
+// encode is wire.EncodeChecked for an envelope the simulator built, which
+// is encodable by construction: an error is an invariant violation.
+func encode(e *wire.Envelope) storage.Image {
+	frame, err := wire.EncodeChecked(e)
+	if err != nil {
+		panic(fmt.Sprintf("sim: unencodable envelope: %v", err))
+	}
+	return frame
 }
 
 // MulticastFrame hands every destination the one frame, which nothing writes
 // after this point.
-func (ns *nodeState) MulticastFrame(dests []ids.ProcID, kind wire.Kind, frame []byte) {
+func (ns *nodeState) MulticastFrame(dests []ids.ProcID, kind wire.Kind, frame storage.Image) {
 	if !ns.up {
 		return
 	}
@@ -573,17 +584,19 @@ func (ns *nodeState) MulticastFrame(dests []ids.ProcID, kind wire.Kind, frame []
 // trace instant, link schedule, and the arrival event (or outbox entry). The
 // arrival's key says when it was sent, not when it is enqueued, so it goes
 // onto its own shard's heap now; a frame for another shard waits in the
-// outbox for the next flush.
-func (ns *nodeState) sendFrame(to ids.ProcID, kind wire.Kind, frame []byte) {
+// outbox for the next flush. Every cost is the frame's logical size, its
+// padding included.
+func (ns *nodeState) sendFrame(to ids.ProcID, kind wire.Kind, frame storage.Image) {
 	if to == ns.id {
 		panic(fmt.Sprintf("sim: %v sent to itself", ns.id))
 	}
-	ns.Busy(ns.k.cfg.HW.SendCost(len(frame)))
-	ns.met.Sent(uint8(kind), len(frame))
+	size := frame.Size()
+	ns.Busy(ns.k.cfg.HW.SendCost(size))
+	ns.met.Sent(uint8(kind), size)
 	ns.k.tr.Instant(ns.k.now, int32(ns.id), trace.EvSend,
-		trace.Tag{Kind: uint8(kind), Arg: int64(len(frame))})
+		trace.Tag{Kind: uint8(kind), Arg: int64(size)})
 	k := ns.k
-	at, ok := ns.link(to).Schedule(k.cfg.HW.Net, k.cfg.Seed, ns.id, to, k.now, len(frame))
+	at, ok := ns.link(to).Schedule(k.cfg.HW.Net, k.cfg.Seed, ns.id, to, k.now, size)
 	if !ok {
 		ns.met.Lost++
 		return
@@ -609,7 +622,7 @@ func (ns *nodeState) link(to ids.ProcID) *netmodel.Link {
 
 // frameArrived is the network-side arrival of an encoded frame sent at
 // virtual time sentAt.
-func (k *Kernel) frameArrived(ns *nodeState, frame []byte, sentAt int64) {
+func (k *Kernel) frameArrived(ns *nodeState, frame storage.Image, sentAt int64) {
 	if !ns.up {
 		ns.met.Dropped++
 		return
@@ -621,7 +634,7 @@ func (k *Kernel) frameArrived(ns *nodeState, frame []byte, sentAt int64) {
 // deliver decodes and delivers a frame on the process's current epoch, or
 // queues it behind the receiver's other deferred work while it is busy — the
 // same semantics exec gives callbacks.
-func (k *Kernel) deliver(ns *nodeState, frame []byte, epoch uint64) {
+func (k *Kernel) deliver(ns *nodeState, frame storage.Image, epoch uint64) {
 	if ns.epoch != epoch || !ns.up {
 		return
 	}
@@ -633,10 +646,11 @@ func (k *Kernel) deliver(ns *nodeState, frame []byte, epoch uint64) {
 	if err := k.dec.Decode(e, frame); err != nil {
 		panic(fmt.Sprintf("sim: undecodable frame for %v: %v", ns.id, err))
 	}
-	ns.Busy(k.cfg.HW.SendCost(len(frame)))
-	ns.met.Received(uint8(e.Kind), len(frame))
+	size := frame.Size()
+	ns.Busy(k.cfg.HW.SendCost(size))
+	ns.met.Received(uint8(e.Kind), size)
 	k.tr.Instant(k.now, int32(ns.id), trace.EvRecv,
-		trace.Tag{Kind: uint8(e.Kind), Arg: int64(len(frame))})
+		trace.Tag{Kind: uint8(e.Kind), Arg: int64(size)})
 	ns.proc.Deliver(e)
 }
 

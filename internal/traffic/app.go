@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 	"rollrec/internal/workload"
 )
@@ -106,8 +107,8 @@ func (a *app) Start(workload.Ctx) {}
 // Handle dispatches one frame by kind. Frames of the wrong kind for this
 // process's tier (or malformed frames) are rejected — they indicate a
 // harness bug, not an app state.
-func (a *app) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) error {
-	r := wire.NewReader(payload)
+func (a *app) Handle(ctx workload.Ctx, from ids.ProcID, payload storage.Image) error {
+	r := wire.NewImageReader(payload.Data, payload.Pad)
 	kind := r.U8()
 	tier := a.spec.TierOf(a.self)
 	switch {
@@ -119,7 +120,7 @@ func (a *app) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) error {
 		a.onArrival(ctx, seq, body)
 	case kind == frameRequest && tier == workload.TierFrontend:
 		seq, body := r.U64(), r.U64()
-		r.Bytes() // pad
+		r.Tail()
 		if !r.Done() {
 			return fmt.Errorf("traffic: bad request frame from %v", from)
 		}
@@ -129,7 +130,7 @@ func (a *app) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) error {
 		client := ids.ProcID(r.I32())
 		shard := r.U32()
 		body := r.U64()
-		r.Bytes() // pad
+		r.Tail()
 		if !r.Done() {
 			return fmt.Errorf("traffic: bad shard request frame from %v", from)
 		}
@@ -160,12 +161,12 @@ func (a *app) Handle(ctx workload.Ctx, from ids.ProcID, payload []byte) error {
 func (a *app) onArrival(ctx workload.Ctx, seq, body uint64) {
 	fe := ids.ProcID(a.spec.Clients + a.rng.Intn(a.spec.Frontends))
 	a.queue = append(a.queue, clientReq{seq: seq})
-	w := wire.NewWriter(21 + a.spec.PayloadPad)
+	w := wire.NewWriter(21)
 	w.U8(frameRequest)
 	w.U64(seq)
 	w.U64(body)
-	w.Zeros(a.spec.PayloadPad)
-	ctx.Send(fe, w.Frame())
+	w.Pad(a.spec.PayloadPad)
+	ctx.Send(fe, storage.Image{Data: w.Frame(), Pad: w.Padded()})
 }
 
 // onRequest fans a request out at a frontend: FanOut contiguous shards
@@ -175,14 +176,14 @@ func (a *app) onRequest(ctx workload.Ctx, client ids.ProcID, seq, body uint64) {
 	a.pending = append(a.pending, feReq{client: client, seq: seq, want: uint32(a.spec.FanOut)})
 	for j := 0; j < a.spec.FanOut; j++ {
 		be := ids.ProcID(a.spec.Clients + a.spec.Frontends + (base+j)%a.spec.Backends)
-		w := wire.NewWriter(29 + a.spec.PayloadPad)
+		w := wire.NewWriter(29)
 		w.U8(frameShardReq)
 		w.U64(seq)
 		w.I32(int32(client))
 		w.U32(uint32(j))
 		w.U64(body)
-		w.Zeros(a.spec.PayloadPad)
-		ctx.Send(be, w.Frame())
+		w.Pad(a.spec.PayloadPad)
+		ctx.Send(be, storage.Image{Data: w.Frame(), Pad: w.Padded()})
 	}
 }
 
@@ -202,7 +203,7 @@ func (a *app) onShardReq(ctx workload.Ctx, fe ids.ProcID, seq uint64, client ids
 	w.U32(shard)
 	w.U64(digest)
 	ctx.Output(w.Frame())
-	ctx.Send(fe, w.Frame())
+	ctx.Send(fe, storage.Image{Data: w.Frame()})
 }
 
 // onShardRep fans a shard reply in at a frontend; on the last shard the
@@ -224,7 +225,7 @@ func (a *app) onShardRep(ctx workload.Ctx, seq uint64, client ids.ProcID, shard 
 		w.U64(seq)
 		w.U64(p.acc)
 		ctx.Output(w.Frame())
-		ctx.Send(client, w.Frame())
+		ctx.Send(client, storage.Image{Data: w.Frame()})
 		copy(a.pending[i:], a.pending[i+1:])
 		a.pending = a.pending[:len(a.pending)-1]
 		return

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 	"rollrec/internal/workload"
 )
 
@@ -123,14 +124,15 @@ type chanCtx struct {
 
 type queuedMsg struct {
 	from, to ids.ProcID
-	payload  []byte
+	payload  storage.Image
 }
 
 func (c chanCtx) Self() ids.ProcID { return c.self }
 func (c chanCtx) N() int           { return c.n }
 func (c chanCtx) Work(int64)       {}
-func (c chanCtx) Send(to ids.ProcID, payload []byte) {
-	*c.queue = append(*c.queue, queuedMsg{c.self, to, append([]byte(nil), payload...)})
+func (c chanCtx) Send(to ids.ProcID, payload storage.Image) {
+	payload.Data = append([]byte(nil), payload.Data...)
+	*c.queue = append(*c.queue, queuedMsg{c.self, to, payload})
 }
 func (c chanCtx) Output(payload []byte) {
 	*c.outputs = append(*c.outputs, append([]byte(nil), payload...))
@@ -151,8 +153,8 @@ func TestAppRequestRoundTrip(t *testing.T) {
 	}
 
 	// Inject two arrivals, drain the message queue to quiescence.
-	apps[0].Handle(ctx(0), 0, arrivalFrame(1, 111))
-	apps[0].Handle(ctx(0), 0, arrivalFrame(2, 222))
+	apps[0].Handle(ctx(0), 0, storage.Image{Data: arrivalFrame(1, 111)})
+	apps[0].Handle(ctx(0), 0, storage.Image{Data: arrivalFrame(2, 222)})
 	for len(queue) > 0 {
 		m := queue[0]
 		queue = queue[1:]
@@ -194,7 +196,7 @@ func TestTruncatedFrameIsRejected(t *testing.T) {
 		apps[i] = factory(ids.ProcID(i), n)
 	}
 	var outputs [][]byte
-	queue := []queuedMsg{{0, 0, arrivalFrame(1, 111)}}
+	queue := []queuedMsg{{0, 0, storage.Image{Data: arrivalFrame(1, 111)}}}
 	ctx := func(self ids.ProcID) chanCtx {
 		return chanCtx{self: self, n: n, apps: apps, queue: &queue, outputs: &outputs}
 	}
@@ -204,7 +206,8 @@ func TestTruncatedFrameIsRejected(t *testing.T) {
 		queue = queue[1:]
 		a := apps[m.to]
 		digest, sends, outs := a.Digest(), len(queue), len(outputs)
-		if err := a.Handle(ctx(m.to), m.from, m.payload[:len(m.payload)-1]); err == nil {
+		cut := storage.Image{Data: m.payload.Data[:len(m.payload.Data)-1], Pad: m.payload.Pad}
+		if err := a.Handle(ctx(m.to), m.from, cut); err == nil {
 			t.Fatalf("hop %d: truncated frame accepted by p%d", hops, m.to)
 		}
 		if a.Digest() != digest || len(queue) != sends || len(outputs) != outs {
@@ -235,7 +238,7 @@ func TestAppSnapshotRoundTrip(t *testing.T) {
 	}
 	// Leave the system mid-request: inject but only deliver the first two
 	// hops, so client queue and frontend fan-in state are non-trivial.
-	apps[0].Handle(ctx(0), 0, arrivalFrame(1, 333))
+	apps[0].Handle(ctx(0), 0, storage.Image{Data: arrivalFrame(1, 333)})
 	for i := 0; i < 2 && len(queue) > 0; i++ {
 		m := queue[0]
 		queue = queue[1:]

@@ -10,6 +10,7 @@ import (
 	"rollrec/internal/bitset"
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 )
 
 // codecVersion is bumped on any incompatible format change. Frames never
@@ -95,19 +96,23 @@ func (w *Writer) Bytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// Zeros writes what Bytes(make([]byte, n)) would, without building the
-// slice: the length field, then n zero bytes cleared in place.
-func (w *Writer) Zeros(n int) {
-	w.U32(uint32(n))
+// ImageBytes writes what Bytes would of im's logical bytes — im.Data, then
+// im.Pad zeros — without building them: the length field, the data, the
+// zeros cleared in place. It is how a payload whose pad is modelled goes
+// into an image that holds it as bytes (checkpoints, snapshots, logs).
+func (w *Writer) ImageBytes(im storage.Image) {
+	w.U32(uint32(im.Size()))
+	w.buf = append(w.buf, im.Data...)
 	at := len(w.buf)
-	w.buf = slices.Grow(w.buf, n)[:at+n]
+	w.buf = slices.Grow(w.buf, im.Pad)[:at+im.Pad]
 	clear(w.buf[at:])
 }
 
-// Pad stands for what Zeros(n) would write: the length field goes into the
+// Pad stands for a field of n zero bytes: the length field goes into the
 // frame, the n zeros are only counted (see Padded). An image
 // has one run of padding — its Reader.Pad must find the whole count in one
-// field — so a second non-empty Pad is a codec bug and panics.
+// field — so a second non-empty Pad is a codec bug and panics. A message
+// payload's Pad is its last field: the payload means Data, then the zeros.
 func (w *Writer) Pad(n int) {
 	if w.pad != 0 && n != 0 {
 		panic("wire: second Pad in one image")
@@ -239,9 +244,27 @@ func (r *Reader) Pad() {
 	r.pad = 0
 }
 
+// Tail consumes the field a payload's Writer.Pad wrote last, in either form
+// the payload may take: modelled — the field ends the data and claims the
+// reader's whole padding — or materialised, its zeros read as bytes (a
+// payload restored from an image that holds them; the reader has no padding).
+func (r *Reader) Tail() {
+	if r.pad == 0 {
+		if n := r.ListLen(); r.need(n) {
+			r.off += n
+		}
+		return
+	}
+	if r.off+4 != len(r.buf) {
+		r.fail(ErrPad)
+		return
+	}
+	r.Pad()
+}
+
 func presence(e *Envelope) uint16 {
 	var p uint16
-	if len(e.Payload) > 0 {
+	if len(e.Payload) > 0 || e.Pad > 0 {
 		p |= hasPayload
 	}
 	if len(e.Dets) > 0 || e.DetView != nil && e.DetView.Len() > 0 {
@@ -289,27 +312,37 @@ func checkLen(what string, n int) error {
 	return nil
 }
 
-// Encode serializes the envelope to a self-contained frame. Inside the
-// simulator every envelope is encodable by construction (list lengths and
-// holder universes are bounded by the cluster size), so an encoding error
-// is an invariant violation and panics; external callers that handle
-// untrusted or generated envelopes should use EncodeChecked.
+// Encode serializes the envelope to a self-contained frame of its logical
+// bytes: the payload's padding is written out as zeros, so the frame is
+// Size(e) bytes and decodes with Decode. Inside the simulator every envelope
+// is encodable by construction (list lengths and holder universes are
+// bounded by the cluster size), so an encoding error is an invariant
+// violation and panics; external callers that handle untrusted or generated
+// envelopes should use EncodeChecked.
 func Encode(e *Envelope) []byte {
+	if e.Pad != 0 {
+		dense := *e
+		dense.Payload, dense.Pad = append(slices.Clip(e.Payload), make([]byte, e.Pad)...), 0
+		e = &dense
+	}
 	frame, err := EncodeChecked(e)
 	if err != nil {
 		panic(fmt.Sprintf("wire: unencodable envelope: %v", err))
 	}
-	return frame
+	return frame.Data
 }
 
-// EncodeChecked serializes the envelope, returning an error (wrapping
-// ErrRange) instead of truncating when a count or holder set exceeds its
-// wire representation. The frame is allocated once, at exactly Size(e).
-func EncodeChecked(e *Envelope) ([]byte, error) {
+// EncodeChecked serializes the envelope into the frame the simulator
+// transmits: the payload's padding stays a count (the frame's Pad), so the
+// frame's Size is Size(e) while its Data holds the rest. It returns an error
+// (wrapping ErrRange) instead of truncating when a count or holder set
+// exceeds its wire representation. Data is allocated once, at exactly its
+// length.
+func EncodeChecked(e *Envelope) (storage.Image, error) {
 	if e.Dets != nil && e.DetView != nil {
-		return nil, ErrTwoDetLists
+		return storage.Image{}, ErrTwoDetLists
 	}
-	w := &Writer{buf: make([]byte, 0, Size(e))}
+	w := &Writer{buf: make([]byte, 0, Size(e)-int(e.Pad))}
 	w.U8(codecVersion)
 	w.U8(uint8(e.Kind))
 	w.I32(int32(e.From))
@@ -324,14 +357,15 @@ func EncodeChecked(e *Envelope) ([]byte, error) {
 		w.U64(e.Dseq)
 	}
 	if p&hasPayload != 0 {
-		if err := checkLen("payload", len(e.Payload)); err != nil {
-			return nil, err
+		if err := checkLen("payload", len(e.Payload)+int(e.Pad)); err != nil {
+			return storage.Image{}, err
 		}
-		w.Bytes(e.Payload)
+		w.U32(uint32(len(e.Payload)) + e.Pad)
+		w.buf = append(w.buf, e.Payload...)
 	}
 	if p&hasDets != 0 {
 		if err := encodeDets(w, e); err != nil {
-			return nil, err
+			return storage.Image{}, err
 		}
 	}
 	if p&hasCPRsn != 0 {
@@ -339,7 +373,7 @@ func EncodeChecked(e *Envelope) ([]byte, error) {
 	}
 	if p&hasSSNWatermarks != 0 {
 		if err := checkLen("ssn-watermarks", len(e.SSNWatermarks)); err != nil {
-			return nil, err
+			return storage.Image{}, err
 		}
 		w.U32(uint32(len(e.SSNWatermarks)))
 		for _, s := range e.SSNWatermarks {
@@ -355,7 +389,7 @@ func EncodeChecked(e *Envelope) ([]byte, error) {
 	}
 	if p&hasIncVec != 0 {
 		if err := checkLen("incvec", len(e.IncVec)); err != nil {
-			return nil, err
+			return storage.Image{}, err
 		}
 		w.U32(uint32(len(e.IncVec)))
 		for _, inc := range e.IncVec {
@@ -364,7 +398,7 @@ func EncodeChecked(e *Envelope) ([]byte, error) {
 	}
 	if p&hasMsgIDs != 0 {
 		if err := checkLen("msgids", len(e.MsgIDs)); err != nil {
-			return nil, err
+			return storage.Image{}, err
 		}
 		w.U32(uint32(len(e.MsgIDs)))
 		for _, id := range e.MsgIDs {
@@ -377,14 +411,14 @@ func EncodeChecked(e *Envelope) ([]byte, error) {
 	}
 	if p&hasMembers != 0 {
 		if err := checkLen("members", len(e.Members)); err != nil {
-			return nil, err
+			return storage.Image{}, err
 		}
 		w.U32(uint32(len(e.Members)))
 		for _, m := range e.Members {
 			w.I32(int32(m))
 		}
 	}
-	return w.buf, nil
+	return storage.Image{Data: w.buf, Pad: int(e.Pad)}, nil
 }
 
 // encodeDets writes the envelope's determinant list, from Dets or from the
@@ -635,25 +669,29 @@ func (d *Decoder) decodeEntry(r *Reader) det.Entry {
 
 // Decode parses a frame produced by Encode into a fresh envelope whose
 // slices stay valid whatever is decoded later: Payload is a read-only view
-// of the frame, everything else is the envelope's own.
+// of the frame, everything else is the envelope's own. The frame holds all
+// its bytes, so the envelope's Pad is zero.
 func Decode(frame []byte) (*Envelope, error) {
 	e := new(Envelope)
-	if err := new(Decoder).Decode(e, frame); err != nil {
+	if err := new(Decoder).Decode(e, storage.Image{Data: frame}); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// Decode overwrites *e whole with the frame's envelope (on error *e is
-// unspecified). e.Dets — the entries and their holder sets — sit in the
-// decoder's buffers and are valid until its next Decode — for a handler,
-// until it returns — unless kept (Envelope.Keep copies them out). e.Payload
-// is a view of the frame (Reader.Bytes), as read-only and as long-lived as
-// the frame itself; the other slices are allocated per frame and alias
-// neither the frame nor an earlier decode.
-func (d *Decoder) Decode(e *Envelope, frame []byte) error {
+// Decode overwrites *e whole with the envelope of a frame EncodeChecked
+// wrote (on error *e is unspecified). The frame's Pad is the payload's: the
+// last frame.Pad bytes of the payload field are modelled, and become e.Pad;
+// a frame with padding but no payload field, or more padding than the field
+// holds, is refused (ErrPad). e.Dets — the entries and their holder sets —
+// sit in the decoder's buffers and are valid until its next Decode — for a
+// handler, until it returns — unless kept (Envelope.Keep copies them out).
+// e.Payload is a view of frame.Data, as read-only and as long-lived as the
+// frame itself; the other slices are allocated per frame and alias neither
+// the frame nor an earlier decode.
+func (d *Decoder) Decode(e *Envelope, frame storage.Image) error {
 	d.dets, d.words = d.dets[:0], d.words[:0]
-	r := &Reader{buf: frame}
+	r := &Reader{buf: frame.Data}
 	if v := r.U8(); r.err == nil && v != codecVersion {
 		return fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
@@ -672,8 +710,19 @@ func (d *Decoder) Decode(e *Envelope, frame []byte) error {
 	if p&hasDseq != 0 {
 		e.Dseq = r.U64()
 	}
-	if p&hasPayload != 0 {
-		e.Payload = r.Bytes()
+	switch {
+	case p&hasPayload != 0:
+		n := r.ListLen()
+		if r.err == nil && (frame.Pad < 0 || frame.Pad > n) {
+			return fmt.Errorf("%w: %d B of padding in a %d B payload", ErrPad, frame.Pad, n)
+		}
+		if n -= frame.Pad; n > 0 && r.need(n) {
+			e.Payload = r.buf[r.off : r.off+n : r.off+n]
+			r.off += n
+		}
+		e.Pad = uint32(frame.Pad)
+	case frame.Pad != 0:
+		return fmt.Errorf("%w: %d B of padding in a frame with no payload", ErrPad, frame.Pad)
 	}
 	if p&hasDets != 0 {
 		n := r.ListLen()
@@ -742,15 +791,16 @@ func (d *Decoder) Decode(e *Envelope, frame []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	if r.off != len(frame) {
-		return fmt.Errorf("wire: %d trailing bytes", len(frame)-r.off)
+	if r.off != len(frame.Data) {
+		return fmt.Errorf("wire: %d trailing bytes", len(frame.Data)-r.off)
 	}
 	return nil
 }
 
-// Size returns the encoded length of the envelope without allocating the
-// frame; the network model charges bandwidth by this number. It is kept in
-// lockstep with Encode by tests.
+// Size returns the encoded length of the envelope, its payload's padding
+// included, without allocating the frame: the logical length, which the
+// network model charges bandwidth by. It is kept in lockstep with Encode by
+// tests.
 func Size(e *Envelope) int {
 	n := 1 + 1 + 4 + 4 + 4 + 2 // version, kind, from, to, inc, presence
 	p := presence(e)
@@ -761,7 +811,7 @@ func Size(e *Envelope) int {
 		n += 8
 	}
 	if p&hasPayload != 0 {
-		n += 4 + len(e.Payload)
+		n += 4 + len(e.Payload) + int(e.Pad)
 	}
 	if p&hasDets != 0 {
 		n += 4

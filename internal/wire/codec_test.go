@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"rollrec/internal/bitset"
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 )
 
 func sampleEnvelopes() []*Envelope {
@@ -66,7 +68,7 @@ func TestRoundTrip(t *testing.T) {
 func equalEnvelopes(a, b *Envelope) bool {
 	if a.Kind != b.Kind || a.From != b.From || a.To != b.To || a.FromInc != b.FromInc ||
 		a.SSN != b.SSN || a.Dseq != b.Dseq || a.CPRsn != b.CPRsn || a.Ord != b.Ord || a.Round != b.Round ||
-		a.CPDseq != b.CPDseq {
+		a.CPDseq != b.CPDseq || a.Pad != b.Pad {
 		return false
 	}
 	if !bytes.Equal(a.Payload, b.Payload) {
@@ -384,7 +386,7 @@ func TestKeepSurvivesDecoderReuse(t *testing.T) {
 		rx Envelope
 	)
 	first := piggybackFrame(10, 9)
-	if err := d.Decode(&rx, Encode(first)); err != nil {
+	if err := d.Decode(&rx, frameOf(Encode(first))); err != nil {
 		t.Fatal(err)
 	}
 	if !equalEnvelopes(&rx, first) {
@@ -393,7 +395,7 @@ func TestKeepSurvivesDecoderReuse(t *testing.T) {
 	shallow := rx // what a handler that forgot Keep holds
 	kept := rx.Keep()
 	for _, next := range []*Envelope{piggybackFrame(40, 9), piggybackFrame(90, 12)} {
-		if err := d.Decode(&rx, Encode(next)); err != nil {
+		if err := d.Decode(&rx, frameOf(Encode(next))); err != nil {
 			t.Fatal(err)
 		}
 		if !equalEnvelopes(&rx, next) {
@@ -406,7 +408,7 @@ func TestKeepSurvivesDecoderReuse(t *testing.T) {
 	if equalEnvelopes(&shallow, first) {
 		t.Fatal("setup: a struct copy survived decoder reuse, so this test cannot tell a shallow Keep from a deep one")
 	}
-	if err := d.Decode(&rx, Encode(&Envelope{Kind: KindHeartbeat, From: 1, FromInc: 1})); err != nil || rx.Dets != nil {
+	if err := d.Decode(&rx, frameOf(Encode(&Envelope{Kind: KindHeartbeat, From: 1, FromInc: 1}))); err != nil || rx.Dets != nil {
 		t.Fatalf("a frame without determinants decoded to Dets %v (err %v), want nil", rx.Dets, err)
 	}
 }
@@ -421,7 +423,7 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 	)
 	frame := Encode(piggybackFrame(10, 64))
 	decode := func() {
-		if err := d.Decode(&rx, frame); err != nil {
+		if err := d.Decode(&rx, frameOf(frame)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -443,7 +445,7 @@ func TestDecodedPayloadIsAViewOfTheFrame(t *testing.T) {
 		d  Decoder
 		rx Envelope
 	)
-	if err := d.Decode(&rx, frame); err != nil {
+	if err := d.Decode(&rx, frameOf(frame)); err != nil {
 		t.Fatal(err)
 	}
 	at := bytes.Index(frame, e.Payload)
@@ -472,6 +474,9 @@ func TestDecodedPayloadIsAViewOfTheFrame(t *testing.T) {
 	}
 }
 
+// frameOf is the frame of bytes that hold all their zeros.
+func frameOf(b []byte) storage.Image { return storage.Image{Data: b} }
+
 // TestPadIsCountedNotWritten: Writer.Pad puts the length field Bytes would
 // in the frame and only counts the zeros; a Reader over (frame, count)
 // accepts exactly that pair. Logical offsets advance across the padding so
@@ -487,19 +492,23 @@ func TestPadIsCountedNotWritten(t *testing.T) {
 	}
 	dense := NewWriter(16)
 	dense.U32(7)
-	dense.Zeros(pad)
+	dense.ImageBytes(storage.Image{Pad: pad})
 	if !bytes.Equal(w.Frame()[:8], dense.Frame()[:8]) {
-		t.Fatal("Pad must write the same prefix Zeros writes for that many zeros")
+		t.Fatal("Pad must write the same prefix ImageBytes writes for that many zeros")
 	}
 	bytesW := NewWriter(16)
 	bytesW.U32(7)
 	bytesW.Bytes(make([]byte, pad))
 	if !bytes.Equal(dense.Frame(), bytesW.Frame()) {
-		t.Fatal("Zeros(n) must write what Bytes(make([]byte, n)) writes")
+		t.Fatal("ImageBytes of n zeros must write what Bytes(make([]byte, n)) writes")
 	}
-	sized := NewWriter(4 + 64)
-	if got := testing.AllocsPerRun(10, func() { sized.buf = sized.buf[:0]; sized.Zeros(64) }); got != 0 {
-		t.Fatalf("Zeros into a writer with room allocates %.1f times, want 0", got)
+	sized := NewWriter(4 + 8 + 64)
+	im := storage.Image{Data: []byte("8 bytes!"), Pad: 64}
+	if got := testing.AllocsPerRun(10, func() { sized.buf = sized.buf[:0]; sized.ImageBytes(im) }); got != 0 {
+		t.Fatalf("ImageBytes into a writer with room allocates %.1f times, want 0", got)
+	}
+	if want := append(binary.LittleEndian.AppendUint32(nil, 72), append([]byte("8 bytes!"), make([]byte, 64)...)...); !bytes.Equal(sized.Frame(), want) {
+		t.Fatalf("ImageBytes wrote %x, want the length field, the data, the zeros", sized.Frame())
 	}
 
 	read := func(frame []byte, pad int, skipPad bool) (*Reader, uint64) {

@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 )
 
 // holderFrame assembles a KindApp frame whose single determinant entry
@@ -109,38 +111,131 @@ func TestSeedCorpusDetsRecordWithoutPanic(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame throws arbitrary bytes at the frame decoder. Four
-// properties must hold for every input:
+// paddedEnvelopes are application envelopes whose payloads end in modelled
+// padding, as every padding app sends them.
+func paddedEnvelopes() []*Envelope {
+	out := []*Envelope{
+		{Kind: KindApp, From: 2, To: 1, FromInc: 1, SSN: 3, Dseq: 3, Payload: []byte{7, 0, 0, 0, 64, 0, 0, 0}, Pad: 64},
+		{Kind: KindApp, From: 0, To: 1, FromInc: 1, Pad: 5}, // no data, padding only
+	}
+	pb := piggybackFrame(4, 9)
+	pb.Payload, pb.Pad = []byte("hello"), 256
+	return append(out, pb)
+}
+
+// TestPaddedFramesRoundTrip: a padded envelope's frame is its bytes without
+// the zeros plus their count, re-encodes to exactly that pair, and is Size(e)
+// bytes long once the zeros are written out (Encode), which decodes to the
+// payload with its zeros.
+func TestPaddedFramesRoundTrip(t *testing.T) {
+	for _, e := range paddedEnvelopes() {
+		frame, err := EncodeChecked(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frame.Pad != int(e.Pad) || frame.Size() != Size(e) || cap(frame.Data) != len(frame.Data) {
+			t.Fatalf("frame is %d B (cap %d) + %d pad, want %d B in all with %d pad", len(frame.Data), cap(frame.Data), frame.Pad, Size(e), e.Pad)
+		}
+		var rx Envelope
+		if err := new(Decoder).Decode(&rx, frame); err != nil || !equalEnvelopes(&rx, e) {
+			t.Fatalf("decode: %v\n got %+v\nwant %+v", err, rx, e)
+		}
+		if re, _ := EncodeChecked(&rx); re.Pad != frame.Pad || !bytes.Equal(re.Data, frame.Data) {
+			t.Fatal("a decoded padded frame does not re-encode to the same (data, pad)")
+		}
+		checkMaterialised(t, &rx)
+	}
+}
+
+// TestDecodeRefusesStrayPad: padding the frame's payload field cannot hold —
+// more than the field's length, or any on a frame with no payload — is an
+// error, not a panic or a negative slice.
+func TestDecodeRefusesStrayPad(t *testing.T) {
+	e := paddedEnvelopes()[0]
+	frame, _ := EncodeChecked(e)
+	heartbeat := Encode(&Envelope{Kind: KindHeartbeat, From: 1, FromInc: 1})
+	for name, bad := range map[string]storage.Image{
+		"pad past the payload field": {Data: frame.Data, Pad: len(e.Payload) + frame.Pad + 1},
+		"negative pad":               {Data: frame.Data, Pad: -1},
+		"pad without a payload":      {Data: heartbeat, Pad: 1},
+	} {
+		var rx Envelope
+		if err := new(Decoder).Decode(&rx, bad); !errors.Is(err, ErrPad) {
+			t.Errorf("%s: err %v, want ErrPad", name, err)
+		}
+	}
+}
+
+// checkMaterialised asserts that e's logical bytes are those of its
+// materialised form: Encode writes Size(e) bytes, which decode to the same
+// envelope with the zeros in its payload.
+func checkMaterialised(t *testing.T, e *Envelope) {
+	t.Helper()
+	dense := Encode(e)
+	if len(dense) != Size(e) {
+		t.Fatalf("materialised frame is %d B, Size says %d", len(dense), Size(e))
+	}
+	m, err := Decode(dense)
+	if err != nil {
+		t.Fatalf("materialised frame does not decode: %v", err)
+	}
+	want := *e
+	want.Payload = append(append([]byte(nil), e.Payload...), make([]byte, e.Pad)...)
+	if len(want.Payload) == 0 {
+		want.Payload = nil
+	}
+	want.Pad = 0
+	if !equalEnvelopes(m, &want) {
+		t.Fatalf("materialised frame decodes to\n %+v\nwant\n %+v", m, &want)
+	}
+}
+
+// FuzzDecodeFrame throws arbitrary frames — bytes and a count of modelled
+// payload zeros — at the frame decoder. Five properties must hold for every
+// input:
 //
-//  1. Decode never panics — corrupted frames fail with an error.
+//  1. Decode never panics — corrupted frames, and padding the frame's
+//     payload field cannot hold, fail with an error.
 //  2. Any envelope Decode accepts is re-encodable (EncodeChecked must not
-//     reject a frame the decoder considered well-formed), and Size agrees
-//     with the encoder byte-for-byte.
-//  3. Re-encoding then decoding is semantically lossless. Byte-identity is
-//     NOT required: Decode accepts presence bits the encoder would
-//     normalize away, but the envelope's meaning must survive the round
-//     trip.
-//  4. One long-lived Decoder, fed every input of the run, agrees with a
+//     reject a frame the decoder considered well-formed) into a frame with
+//     the same padding, and Size agrees with the encoder byte-for-byte.
+//  3. Re-encoding then decoding is semantically lossless, and re-encoding is
+//     then a fixed point. Byte-identity with the input is NOT required:
+//     Decode accepts presence bits the encoder would normalize away, but the
+//     envelope's meaning must survive the round trip (the seed frames, all
+//     canonical, do come back byte for byte: TestPaddedFramesRoundTrip).
+//  4. The envelope's logical bytes are those of its materialised form
+//     (checkMaterialised).
+//  5. One long-lived Decoder, fed every input of the run, agrees with a
 //     fresh decode each time — same envelope or same rejection — and a
 //     corrupted count does not make it grow its buffers past what the
 //     frame's own bytes could hold.
 //
 // The seed corpus covers every envelope kind via the codec tests' sample
-// envelopes, whole and cut in half, plus a few degenerate frames (one with
+// envelopes, whole and cut in half, the padded envelopes with their padding,
+// one zero too many and a zero short, plus a few degenerate frames (one with
 // an old version byte).
 func FuzzDecodeFrame(f *testing.F) {
 	for _, frame := range fuzzSeedFrames() {
-		f.Add(frame)
+		f.Add(frame, 0)
+	}
+	for _, e := range paddedEnvelopes() {
+		frame, _ := EncodeChecked(e)
+		f.Add(frame.Data, frame.Pad)
+		f.Add(frame.Data, frame.Pad+1)
+		f.Add(frame.Data, frame.Pad-1)
 	}
 
 	var (
 		shared Decoder
 		rx     Envelope
 	)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := Decode(data)
+	f.Fuzz(func(t *testing.T, data []byte, pad int) {
+		frame := storage.Image{Data: data, Pad: pad}
+		e := new(Envelope)
+		err := new(Decoder).Decode(e, frame)
 		detsBefore, wordsBefore := cap(shared.dets), cap(shared.words)
-		errShared := shared.Decode(&rx, data)
+		errShared := shared.Decode(&rx, frame)
 		if (err == nil) != (errShared == nil) || (err != nil && err.Error() != errShared.Error()) {
 			t.Fatalf("a reused Decoder says %v, a fresh one %v", errShared, err)
 		}
@@ -160,19 +255,26 @@ func FuzzDecodeFrame(f *testing.F) {
 		if !equalEnvelopes(e, &rx) {
 			t.Fatalf("a reused Decoder decoded\n %+v\na fresh one\n %+v", rx, e)
 		}
-		frame, err := EncodeChecked(e)
+		re, err := EncodeChecked(e)
 		if err != nil {
 			t.Fatalf("decoded envelope does not re-encode: %v\nenvelope: %+v", err, e)
 		}
-		if got := Size(e); got != len(frame) {
-			t.Fatalf("Size reports %d, encoder produced %d bytes", got, len(frame))
+		if re.Pad != pad {
+			t.Fatalf("a frame with %d B of padding re-encodes with %d", pad, re.Pad)
 		}
-		e2, err := Decode(frame)
-		if err != nil {
+		if got := Size(e); got != re.Size() {
+			t.Fatalf("Size reports %d, encoder produced %d bytes", got, re.Size())
+		}
+		e2 := new(Envelope)
+		if err := new(Decoder).Decode(e2, re); err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
 		if !equalEnvelopes(e, e2) {
 			t.Fatalf("round trip changed the envelope:\n first: %+v\nsecond: %+v", e, e2)
 		}
+		if again, _ := EncodeChecked(e2); !bytes.Equal(again.Data, re.Data) || again.Pad != re.Pad {
+			t.Fatal("re-encoding a re-encoded frame changed it")
+		}
+		checkMaterialised(t, e)
 	})
 }

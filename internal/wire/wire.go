@@ -12,12 +12,15 @@
 // reads the payload in place — a view of the read-only frame — and copies
 // the rest out, the determinants into the Decoder's buffers (the simulator
 // decodes every frame into one struct through one Decoder; Envelope.Keep is
-// how a handler holds on to a frame).
+// how a handler holds on to a frame). A payload's padding is a length on the
+// wire as in storage: Size counts it, the frame carries it as a count
+// (storage.Image.Pad), and no one allocates the zeros.
 package wire
 
 import (
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 )
 
 // Kind discriminates envelope types.
@@ -132,7 +135,9 @@ type Envelope struct {
 	SSN  ids.SSN // sender-global send sequence number (KindApp)
 	Dseq uint64  // per-destination sequence for duplicate suppression;
 	// on KindReplayRequest it is the requester's delivered watermark instead
-	Payload []byte      // application bytes (KindApp)
+	// Payload is the application bytes (KindApp), of which Pad are modelled:
+	// the payload means Payload, then Pad zeros (PayloadImage).
+	Payload []byte
 	Dets    []det.Entry // piggyback, dep replies, recovery data, storage stream
 	// DetView is the encode-only alternative to Dets: a list read from the
 	// sender's log in place (det.View), written into the frame byte for byte
@@ -152,8 +157,12 @@ type Envelope struct {
 	CPDseq uint64
 
 	// Recovery protocol.
-	Ord    ids.Ordinal       // recovery ordinal of the round
-	Round  uint32            // gather attempt counter within one ordinal
+	Ord   ids.Ordinal // recovery ordinal of the round
+	Round uint32      // gather attempt counter within one ordinal
+	// Pad is the count of zeros ending the payload (see Payload). It sits
+	// here, in the word Round leaves free, so the envelope stays in its size
+	// class (TestEnvelopeSizeClass).
+	Pad    uint32
 	IncVec []ids.Incarnation // leader's incarnation vector
 	MsgIDs []ids.MsgID       // replay requests, storage acks
 	// Members lists the recovering processes a KindDepRequest gathers for;
@@ -161,6 +170,12 @@ type Envelope struct {
 	// these receivers instead of shipping the whole log. Empty means
 	// unscoped (the pre-fanout behavior).
 	Members []ids.ProcID
+}
+
+// PayloadImage returns the payload with its padding: the one value a
+// payload is from workload.Ctx.Send to App.Handle.
+func (e *Envelope) PayloadImage() storage.Image {
+	return storage.Image{Data: e.Payload, Pad: int(e.Pad)}
 }
 
 // Keep returns what a Deliver handler stores when a frame must outlive the

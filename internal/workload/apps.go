@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 )
 
@@ -41,12 +42,12 @@ func NewTokenRing(maxHops uint64, payloadPad int, workPerMsg int64) Factory {
 	}
 }
 
-func (t *TokenRing) token(hop, acc uint64) []byte {
-	w := wire.NewWriter(20 + t.PayloadPad)
+func (t *TokenRing) token(hop, acc uint64) storage.Image {
+	w := wire.NewWriter(20)
 	w.U64(hop)
 	w.U64(acc)
-	w.Zeros(t.PayloadPad)
-	return w.Frame()
+	w.Pad(t.PayloadPad)
+	return storage.Image{Data: w.Frame(), Pad: w.Padded()}
 }
 
 // Start launches the token from process 0.
@@ -57,11 +58,11 @@ func (t *TokenRing) Start(ctx Ctx) {
 }
 
 // Handle advances the token.
-func (t *TokenRing) Handle(ctx Ctx, from ids.ProcID, payload []byte) error {
-	r := wire.NewReader(payload)
+func (t *TokenRing) Handle(ctx Ctx, from ids.ProcID, payload storage.Image) error {
+	r := wire.NewImageReader(payload.Data, payload.Pad)
 	hop := r.U64()
 	acc := r.U64()
-	r.Bytes()
+	r.Tail()
 	if r.Err() != nil {
 		return fmt.Errorf("token-ring: bad payload from %v: %w", from, r.Err())
 	}
@@ -163,12 +164,12 @@ func (g *RandomPeer) pick() ids.ProcID {
 	return ids.ProcID(p)
 }
 
-func (g *RandomPeer) chain(ttl int, body uint64) []byte {
-	w := wire.NewWriter(16 + g.PayloadPad)
+func (g *RandomPeer) chain(ttl int, body uint64) storage.Image {
+	w := wire.NewWriter(16)
 	w.U32(uint32(ttl))
 	w.U64(body)
-	w.Zeros(g.PayloadPad)
-	return w.Frame()
+	w.Pad(g.PayloadPad)
+	return storage.Image{Data: w.Frame(), Pad: w.Padded()}
 }
 
 // Start seeds the chains.
@@ -179,11 +180,11 @@ func (g *RandomPeer) Start(ctx Ctx) {
 }
 
 // Handle mixes and forwards.
-func (g *RandomPeer) Handle(ctx Ctx, from ids.ProcID, payload []byte) error {
-	r := wire.NewReader(payload)
+func (g *RandomPeer) Handle(ctx Ctx, from ids.ProcID, payload storage.Image) error {
+	r := wire.NewImageReader(payload.Data, payload.Pad)
 	ttl := int(r.U32())
 	body := r.U64()
-	r.Bytes()
+	r.Tail()
 	if r.Err() != nil {
 		return fmt.Errorf("random-peer: bad payload from %v: %w", from, r.Err())
 	}
@@ -263,12 +264,12 @@ func NewClientServer(k, payloadPad int, workPerMsg int64) Factory {
 	}
 }
 
-func (c *ClientServer) request(seq int) []byte {
-	w := wire.NewWriter(16 + c.PayloadPad)
+func (c *ClientServer) request(seq int) storage.Image {
+	w := wire.NewWriter(16)
 	w.U32(uint32(seq))
 	w.U64(c.rng.Next())
-	w.Zeros(c.PayloadPad)
-	return w.Frame()
+	w.Pad(c.PayloadPad)
+	return storage.Image{Data: w.Frame(), Pad: w.Padded()}
 }
 
 // Start issues each client's first request.
@@ -280,11 +281,11 @@ func (c *ClientServer) Start(ctx Ctx) {
 }
 
 // Handle applies a request (server) or issues the next one (client).
-func (c *ClientServer) Handle(ctx Ctx, from ids.ProcID, payload []byte) error {
-	r := wire.NewReader(payload)
+func (c *ClientServer) Handle(ctx Ctx, from ids.ProcID, payload storage.Image) error {
+	r := wire.NewImageReader(payload.Data, payload.Pad)
 	seq := int(r.U32())
 	body := r.U64()
-	r.Bytes()
+	r.Tail()
 	if r.Err() != nil {
 		return fmt.Errorf("client-server: bad payload from %v: %w", from, r.Err())
 	}
@@ -301,7 +302,7 @@ func (c *ClientServer) Handle(ctx Ctx, from ids.ProcID, payload []byte) error {
 		// The reply is externally visible: the client acts on it, so it may
 		// only leave once the protocol's output-commit rule holds.
 		ctx.Output(reply.Frame())
-		ctx.Send(from, reply.Frame())
+		ctx.Send(from, storage.Image{Data: reply.Frame()})
 		return nil
 	}
 	// Client: a reply to request seq.

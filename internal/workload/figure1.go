@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 )
 
@@ -42,12 +43,12 @@ func NewFigure1(rounds int) Factory {
 	}
 }
 
-func (f *Figure1) msg(tag string, round uint64, acc uint64) []byte {
+func (f *Figure1) msg(tag string, round uint64, acc uint64) storage.Image {
 	w := wire.NewWriter(32)
 	w.Bytes([]byte(tag))
 	w.U64(round)
 	w.U64(acc)
-	return w.Frame()
+	return storage.Image{Data: w.Frame()}
 }
 
 // Start: q launches the first chain.
@@ -58,8 +59,8 @@ func (f *Figure1) Start(ctx Ctx) {
 }
 
 // Handle advances the m → m' → m” chain.
-func (f *Figure1) Handle(ctx Ctx, from ids.ProcID, payload []byte) error {
-	r := wire.NewReader(payload)
+func (f *Figure1) Handle(ctx Ctx, from ids.ProcID, payload storage.Image) error {
+	r := wire.NewImageReader(payload.Data, payload.Pad)
 	tag := string(r.Bytes())
 	round := r.U64()
 	acc := r.U64()

@@ -17,13 +17,13 @@ func pumpFigure1(t *testing.T, rounds int) []App {
 		ctxs[i] = &fakeCtx{self: ids.ProcID(i), n: 3}
 	}
 	type msg struct {
-		from, to ids.ProcID
-		payload  string
+		from ids.ProcID
+		sendRec
 	}
 	var q []msg
 	pump := func(i int) {
 		for _, s := range ctxs[i].sends {
-			q = append(q, msg{ids.ProcID(i), s.to, s.payload})
+			q = append(q, msg{ids.ProcID(i), s})
 		}
 		ctxs[i].sends = nil
 	}
@@ -34,7 +34,7 @@ func pumpFigure1(t *testing.T, rounds int) []App {
 	for len(q) > 0 {
 		m := q[0]
 		q = q[1:]
-		apps[m.to].Handle(ctxs[m.to], m.from, []byte(m.payload))
+		apps[m.to].Handle(ctxs[m.to], m.from, m.image())
 		pump(int(m.to))
 	}
 	return apps

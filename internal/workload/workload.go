@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 )
 
 // Ctx is the capability an App receives from its hosting protocol process.
@@ -21,10 +22,12 @@ type Ctx interface {
 	// N returns the number of application processes.
 	N() int
 	// Send transmits an application payload to another process through the
-	// logging protocol, and takes the payload: the buffer becomes the
+	// logging protocol, and takes the payload: its Data becomes the
 	// protocol's record of the message (the sender-based log's entry), so the
-	// app must not write it afterwards.
-	Send(to ids.ProcID, payload []byte)
+	// app must not write it afterwards. The payload means Data, then Pad
+	// zeros, which nothing allocates (wire.Writer.Pad writes the field and
+	// counts them; wire.Reader.Tail reads it back).
+	Send(to ids.ProcID, payload storage.Image)
 	// Work charges d nanoseconds of simulated computation.
 	Work(d int64)
 	// Output declares payload as externally visible: the protocol records
@@ -50,10 +53,13 @@ type App interface {
 	Start(ctx Ctx)
 	// Handle processes one delivered message. The payload is read-only: it
 	// aliases the received frame, which the protocol may keep and which
-	// other receivers of the same frame read. A payload it cannot parse
-	// leaves the state untouched and returns an error, which the host counts
-	// (metrics.Proc.Rejected) instead of failing the run.
-	Handle(ctx Ctx, from ids.ProcID, payload []byte) error
+	// other receivers of the same frame read. It comes in either form of the
+	// same logical bytes — its padding modelled, as sent, or materialised in
+	// Data, as a restored log record holds it — and both must have the same
+	// effect. A payload it cannot parse leaves the state untouched and
+	// returns an error, which the host counts (metrics.Proc.Rejected) instead
+	// of failing the run.
+	Handle(ctx Ctx, from ids.ProcID, payload storage.Image) error
 	// Snapshot serializes the complete application state.
 	Snapshot() []byte
 	// Restore replaces the state with a snapshot produced by Snapshot.

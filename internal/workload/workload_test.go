@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/storage"
 )
 
 // fakeCtx records sends for determinism checks.
@@ -18,12 +20,18 @@ type fakeCtx struct {
 type sendRec struct {
 	to      ids.ProcID
 	payload string
+	pad     int
+}
+
+// image is the payload as it was sent.
+func (s sendRec) image() storage.Image {
+	return storage.Image{Data: []byte(s.payload), Pad: s.pad}
 }
 
 func (f *fakeCtx) Self() ids.ProcID { return f.self }
 func (f *fakeCtx) N() int           { return f.n }
-func (f *fakeCtx) Send(to ids.ProcID, payload []byte) {
-	f.sends = append(f.sends, sendRec{to, string(payload)})
+func (f *fakeCtx) Send(to ids.ProcID, payload storage.Image) {
+	f.sends = append(f.sends, sendRec{to, string(payload.Data), payload.Pad})
 }
 func (f *fakeCtx) Work(d int64)  { f.work += d }
 func (f *fakeCtx) Output([]byte) {}
@@ -31,13 +39,13 @@ func (f *fakeCtx) Output([]byte) {}
 // sinkCtx is a Ctx that keeps only what was last sent, so a Handle measured
 // through it pays for nothing but its own buffers.
 type sinkCtx struct {
-	last  []byte
+	last  storage.Image
 	sends int
 }
 
 func (c *sinkCtx) Self() ids.ProcID { return 0 }
 func (c *sinkCtx) N() int           { return 4 }
-func (c *sinkCtx) Send(_ ids.ProcID, payload []byte) {
+func (c *sinkCtx) Send(_ ids.ProcID, payload storage.Image) {
 	c.last = payload
 	c.sends++
 }
@@ -46,9 +54,9 @@ func (c *sinkCtx) Output([]byte) {}
 
 // TestHandleAllocs is the app half of the payload contract (DESIGN §5): the
 // payload an app hands to Send is the one buffer a message costs it, so a
-// Handle that forwards allocates exactly that buffer — padding included, as
-// zeros written in place — and one that does not forward allocates nothing,
-// reading its payload, pad and all, in place.
+// Handle that forwards allocates exactly that buffer — its padding a count,
+// not bytes — and one that does not forward allocates nothing, reading its
+// payload in place.
 func TestHandleAllocs(t *testing.T) {
 	const pad = 256
 	ring := NewTokenRing(1<<40, pad, 1)(1, 4).(*TokenRing)
@@ -59,7 +67,7 @@ func TestHandleAllocs(t *testing.T) {
 	cases := []struct {
 		name    string
 		app     App
-		payload []byte
+		payload storage.Image
 		sends   int
 		padded  bool // the forwarded payload carries the pad
 	}{
@@ -86,8 +94,17 @@ func TestHandleAllocs(t *testing.T) {
 			if got != float64(tc.sends) {
 				t.Fatalf("Handle allocates %.1f times, want %d (the payload it sends)", got, tc.sends)
 			}
-			if tc.padded && len(ctx.last) < pad {
-				t.Fatalf("forwarded payload is %d B, want the %d B pad in it", len(ctx.last), pad)
+			if tc.padded && ctx.last.Pad != pad {
+				t.Fatalf("forwarded payload pads %d B, want %d", ctx.last.Pad, pad)
+			}
+			if tc.sends > 0 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				handle()
+				runtime.ReadMemStats(&after)
+				if b := after.TotalAlloc - before.TotalAlloc; b > 32 {
+					t.Fatalf("Handle allocates %d B, want the payload's data only (at most 32 B)", b)
+				}
 			}
 		})
 	}
@@ -165,7 +182,7 @@ func TestTokenRingCirculation(t *testing.T) {
 		m := queue[0]
 		queue = queue[1:]
 		to := int(m.rec.to)
-		apps[to].Handle(ctxs[to], m.from, []byte(m.rec.payload))
+		apps[to].Handle(ctxs[to], m.from, m.rec.image())
 		deliveries++
 		drain(to)
 	}
@@ -195,7 +212,7 @@ func replaySends(app App, deliveries []sendRec, start bool) ([]sendRec, uint64) 
 		app.Start(ctx)
 	}
 	for _, d := range deliveries {
-		app.Handle(ctx, d.to /* reuse field as "from" */, []byte(d.payload))
+		app.Handle(ctx, d.to /* reuse field as "from" */, d.image())
 	}
 	return ctx.sends, app.Digest()
 }
@@ -213,7 +230,7 @@ func TestAppsDeterministicReplay(t *testing.T) {
 		src.Start(ctx)
 		var ds []sendRec
 		for i, s := range ctx.sends {
-			ds = append(ds, sendRec{to: ids.ProcID(i % 4), payload: s.payload})
+			ds = append(ds, sendRec{to: ids.ProcID(i % 4), payload: s.payload, pad: s.pad})
 		}
 		return ds
 	}
@@ -242,14 +259,12 @@ func TestSnapshotRestoreMidStream(t *testing.T) {
 		// Generate a plausible delivery stream from sibling instances (both
 		// a process-0 and a process-1 start, since some workloads only seed
 		// from one role).
-		var stream []string
+		var stream []sendRec
 		for _, self := range []ids.ProcID{0, 1} {
 			src := f(self, 4)
 			srcCtx := &fakeCtx{self: self, n: 4}
 			src.Start(srcCtx)
-			for _, s := range srcCtx.sends {
-				stream = append(stream, s.payload)
-			}
+			stream = append(stream, srcCtx.sends...)
 		}
 		if len(stream) == 0 {
 			t.Fatalf("%s: no seed messages generated", name)
@@ -263,7 +278,7 @@ func TestSnapshotRestoreMidStream(t *testing.T) {
 		actx := &fakeCtx{self: 2, n: 4}
 		a.Start(actx)
 		for _, p := range stream {
-			a.Handle(actx, 0, []byte(p))
+			a.Handle(actx, 0, p.image())
 		}
 
 		// Run B with a snapshot/restore in the middle.
@@ -271,7 +286,7 @@ func TestSnapshotRestoreMidStream(t *testing.T) {
 		bctx := &fakeCtx{self: 2, n: 4}
 		b.Start(bctx)
 		for _, p := range stream[:3] {
-			b.Handle(bctx, 0, []byte(p))
+			b.Handle(bctx, 0, p.image())
 		}
 		snap := b.Snapshot()
 		b2 := f(2, 4)
@@ -279,7 +294,7 @@ func TestSnapshotRestoreMidStream(t *testing.T) {
 			t.Fatalf("%s: Restore: %v", name, err)
 		}
 		for _, p := range stream[3:] {
-			b2.Handle(bctx, 0, []byte(p))
+			b2.Handle(bctx, 0, p.image())
 		}
 		if a.Digest() != b2.Digest() {
 			t.Fatalf("%s: snapshot/restore diverged from straight run", name)
@@ -320,13 +335,13 @@ func TestClientServerCompletion(t *testing.T) {
 		ctxs[i] = &fakeCtx{self: ids.ProcID(i), n: n}
 	}
 	type msg struct {
-		from, to ids.ProcID
-		payload  string
+		from ids.ProcID
+		sendRec
 	}
 	var q []msg
 	pump := func(i int) {
 		for _, s := range ctxs[i].sends {
-			q = append(q, msg{ids.ProcID(i), s.to, s.payload})
+			q = append(q, msg{ids.ProcID(i), s})
 		}
 		ctxs[i].sends = nil
 	}
@@ -337,7 +352,7 @@ func TestClientServerCompletion(t *testing.T) {
 	for len(q) > 0 {
 		m := q[0]
 		q = q[1:]
-		apps[m.to].Handle(ctxs[m.to], m.from, []byte(m.payload))
+		apps[m.to].Handle(ctxs[m.to], m.from, m.image())
 		pump(int(m.to))
 	}
 	for i, a := range apps {
@@ -382,15 +397,24 @@ func TestTruncatedPayloadIsRejected(t *testing.T) {
 			if len(sender.sends) == 0 || sender.sends[0].to != tc.to {
 				t.Fatalf("start sends %v, want one to %v", sender.sends, tc.to)
 			}
-			payload := []byte(sender.sends[0].payload)
-			app, ctx := tc.f(tc.to, tc.n), &fakeCtx{self: tc.to, n: tc.n}
-			before := app.Digest()
-			if err := app.Handle(ctx, tc.from, payload[:len(payload)-1]); err == nil {
-				t.Fatal("truncated payload accepted")
+			payload := sender.sends[0].image()
+			cuts := map[string]storage.Image{
+				"a byte short":               {Data: payload.Data[:len(payload.Data)-1], Pad: payload.Pad},
+				"materialised, a byte short": {Data: append(payload.Data, make([]byte, payload.Pad)...)[:payload.Size()-1]},
 			}
-			if app.Digest() != before || len(ctx.sends) != 0 || ctx.work != 0 {
-				t.Fatalf("rejected payload changed the app: digest %#x -> %#x, %d sends, %d work",
-					before, app.Digest(), len(ctx.sends), ctx.work)
+			if payload.Pad > 0 {
+				cuts["a zero short"] = storage.Image{Data: payload.Data, Pad: payload.Pad - 1}
+			}
+			for name, cut := range cuts {
+				app, ctx := tc.f(tc.to, tc.n), &fakeCtx{self: tc.to, n: tc.n}
+				before := app.Digest()
+				if err := app.Handle(ctx, tc.from, cut); err == nil {
+					t.Fatalf("%s: truncated payload accepted", name)
+				}
+				if app.Digest() != before || len(ctx.sends) != 0 || ctx.work != 0 {
+					t.Fatalf("%s: rejected payload changed the app: digest %#x -> %#x, %d sends, %d work",
+						name, before, app.Digest(), len(ctx.sends), ctx.work)
+				}
 			}
 		})
 	}

@@ -13,6 +13,9 @@
 #   3. `-only <IDs>` for cmd/experiments  → id is in the registry
 #   4. -families/-styles values for cmd/explore → name is in the registry
 #   5. every CHANGES.md entry from PR 32 on   → at most 2000 bytes
+#   6. DESIGN.md's byte count                → equals .design-budget, and
+#      growth over DOCS_BASE (CI: the PR base or push-before SHA) comes
+#      with a CHANGES.md change, as scripts/lines_budget.sh rules `make lines`
 #
 # Exit: 0 clean, 1 findings. Best-effort by design — it only sees
 # references it can attribute to a tool on the same (joined) line.
@@ -96,7 +99,27 @@ done < <(LC_ALL=C awk '
   id != "" { n += length($0) + 1 }
   END { if (id != "") print id, n }' CHANGES.md)
 
+# 6. DESIGN.md size, ratcheted like the line count: .design-budget must
+# equal the byte count (a change that cuts DESIGN.md lowers it, one that
+# grows it raises it), and growth over DOCS_BASE must come with a change
+# to CHANGES.md that says what the new text buys.
+design=$(wc -c < DESIGN.md | tr -dc '0-9')
+design_budget=$(tr -dc '0-9' < .design-budget)
+if [ "$design" != "$design_budget" ]; then
+  echo "docs_check: .design-budget records $design_budget B but DESIGN.md is $design B; update it in the same change" >&2
+  fail=1
+fi
+base="${DOCS_BASE:-}"
+if [ -n "$base" ] && git rev-parse -q --verify "$base^{commit}" >/dev/null 2>&1; then
+  old=$(git show "$base:.design-budget" 2>/dev/null | tr -dc '0-9' || true)
+  [ -n "$old" ] || old=$(git show "$base:DESIGN.md" | wc -c | tr -dc '0-9')
+  if [ "$design" -gt "$old" ] && ! git diff --name-only "$base" HEAD -- CHANGES.md | grep -q .; then
+    echo "docs_check: DESIGN.md grew $old -> $design B without a CHANGES.md entry" >&2
+    fail=1
+  fi
+fi
+
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "docs_check: ok (targets, flags, experiment ids all resolve; CHANGES.md entries within their cap)"
+echo "docs_check: ok (targets, flags, experiment ids all resolve; CHANGES.md entries within their cap; DESIGN.md within .design-budget)"
