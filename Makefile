@@ -140,7 +140,7 @@ perf-pair:
 	./scripts/perf_pair.sh -l $(LABEL) $(if $(BEHAVIOUR),-behaviour-change $(BEHAVIOUR)) $(if $(CLAIM),-claim $(CLAIM))
 
 # behaviour-cmp runs the list of simulated-behaviour artifacts (timeline
-# exports, explorer reports, experiment tables, the reference sweep and its
+# exports, explorer reports, an fblsim run, experiment tables, the reference sweep and its
 # gate) on the working tree and on its parent commit and names every one
 # that is not byte-identical (scripts/behaviour_cmp.sh); ≈ 1.5 min. A change
 # that moves no simulated byte on purpose proves it with this.

@@ -63,7 +63,7 @@ func main() {
 	}
 	crashAt, horizon, err := experiments.TimelineCell(*tlCrash, *tlHorizon)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+		fmt.Fprintf(os.Stderr, "experiments: -timeline-crash %v -timeline-horizon %v: %v\n", crashAt, horizon, err)
 		os.Exit(2)
 	}
 

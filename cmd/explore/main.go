@@ -59,10 +59,7 @@ func main() {
 		fatal(err)
 	}
 
-	fams, err := parseFamilies(*families)
-	if err != nil {
-		fatal(err)
-	}
+	fams := parseFamilies(*families)
 	stys, err := parseStyles(*styles)
 	if err != nil {
 		fatal(err)
@@ -155,24 +152,17 @@ func runReplay(path string) {
 	}
 }
 
-func parseFamilies(s string) ([]explore.Family, error) {
+// parseFamilies splits the -families list; explore.Run refuses an unknown
+// family.
+func parseFamilies(s string) []explore.Family {
 	if s == "all" {
-		return explore.Families(), nil
+		return explore.Families()
 	}
 	var out []explore.Family
 	for _, part := range strings.Split(s, ",") {
-		switch explore.Family(strings.TrimSpace(part)) {
-		case explore.FamilyFBL:
-			out = append(out, explore.FamilyFBL)
-		case explore.FamilyCoordinated:
-			out = append(out, explore.FamilyCoordinated)
-		case explore.FamilyOptimistic:
-			out = append(out, explore.FamilyOptimistic)
-		default:
-			return nil, fmt.Errorf("unknown family %q (want fbl, coordinated, or optimistic)", part)
-		}
+		out = append(out, explore.Family(strings.TrimSpace(part)))
 	}
-	return out, nil
+	return out
 }
 
 func parseStyles(s string) ([]recovery.Style, error) {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -69,48 +70,53 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := cluster.ValidateN(*n); err != nil {
-		fatal(err)
-	}
 	plan, err := parseCrashes(*crash, *n)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("-crash: %w", err))
 	}
 	if err := timeline.CheckInterval(*tlEvery); err != nil {
 		fatal(fmt.Errorf("-timeline-interval: %w", err))
 	}
-	if err := checkFlags(*f, *pad, *traceBuf, *cpEvery, *horizon, plan); err != nil {
-		fatal(err)
+	if *traceBuf < 1 {
+		fatal(fmt.Errorf("-trace-buf %d: the ring must hold at least one event", *traceBuf))
 	}
 
-	cfg := cluster.Config{
-		N:               *n,
-		F:               *f,
-		Seed:            *seed,
-		HW:              hw,
-		Style:           style,
-		App:             app,
-		CheckpointEvery: *cpEvery,
-		StatePad:        *pad,
+	spec := experiments.Spec{
+		N:            *n,
+		F:            *f,
+		Style:        style,
+		Seed:         *seed,
+		HW:           hw,
+		App:          app,
+		CPEvery:      *cpEvery,
+		Pad:          *pad,
+		Crashes:      plan,
+		Horizon:      *horizon,
+		TrackOutputs: *outputs,
 	}
+	var tracer trace.Tracer
 	var rec *trace.Recorder
 	if *traceOut != "" || *traceSum || *eventlog {
 		rec = trace.NewRecorder(*traceBuf)
-		cfg.Tracer = rec
+		tracer = rec
 	}
-	cfg.TrackOutputs = *outputs
-	c := cluster.New(cfg)
-	var col *timeline.Collector
 	if *tlOut != "" || *tlCSV != "" {
-		col = timeline.New(timeline.Config{
+		spec.Timeline = timeline.New(timeline.Config{
 			Interval: *tlEvery,
 			N:        *n,
 			Label: fmt.Sprintf("fblsim n=%d f=%d style=%s hw=%s app=%s seed=%d",
 				*n, *f, style, *hwF, *appF, *seed),
 		})
-		c.AttachTimeline(col)
 	}
-	c.ApplyPlan(plan)
+	r, err := experiments.Build(spec, tracer)
+	if err != nil {
+		var fe *cluster.FieldError
+		if errors.As(err, &fe) && flagOf[fe.Field] != "" {
+			err = fmt.Errorf("%s: %w", flagOf[fe.Field], err)
+		}
+		fatal(err)
+	}
+	c, col := r.C, spec.Timeline
 	stopProfiles, err := prof.Start()
 	if err != nil {
 		fatal(err)
@@ -239,6 +245,8 @@ func parseApp(s string) (workload.Factory, error) {
 	return nil, fmt.Errorf("unknown workload %q", s)
 }
 
+// parseCrashes reads a time:pid list into a plan for an n-process run,
+// refusing one failure.Plan.Check refuses.
 func parseCrashes(s string, n int) (failure.Plan, error) {
 	if s == "" {
 		return nil, nil
@@ -253,44 +261,21 @@ func parseCrashes(s string, n int) (failure.Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad crash time %q: %w", at, err)
 		}
-		if d < 0 {
-			return nil, fmt.Errorf("bad crash time %q: negative", at)
-		}
-		p, err := strconv.Atoi(pid)
-		if err != nil || p < 0 || p >= n {
+		p, err := strconv.ParseInt(pid, 10, 32)
+		if err != nil {
 			return nil, fmt.Errorf("bad crash pid %q", pid)
 		}
 		plan = append(plan, failure.Crash{At: d, Proc: ids.ProcID(p)})
 	}
+	if err := plan.Check(n); err != nil {
+		return nil, err
+	}
 	return plan, nil
 }
 
-// checkFlags refuses the values a run would not honour as printed: the
-// cluster runs a failure budget below one as f = 1, writes negative padding
-// as none, takes a negative checkpoint interval, horizon or ring size for
-// something else, and never reaches a crash scheduled after the horizon —
-// the scenario line would count it all the same. A crash at the horizon
-// itself is injected.
-func checkFlags(f, pad, traceBuf int, cpEvery, horizon time.Duration, plan failure.Plan) error {
-	for _, c := range plan {
-		if c.At > horizon {
-			return fmt.Errorf("-crash %v:%d: after -horizon %v, so it would never be injected", c.At, c.Proc, horizon)
-		}
-	}
-	switch {
-	case f < 1:
-		return fmt.Errorf("-f %d: the failure budget must be at least 1", f)
-	case pad < 0:
-		return fmt.Errorf("-statepad %d: the padding must not be negative", pad)
-	case cpEvery < 0:
-		return fmt.Errorf("-checkpoint %v: the interval must not be negative (0 disables checkpoints)", cpEvery)
-	case horizon < 0:
-		return fmt.Errorf("-horizon %v: the run time must not be negative", horizon)
-	case traceBuf < 1:
-		return fmt.Errorf("-trace-buf %d: the ring must hold at least one event", traceBuf)
-	}
-	return nil
-}
+// flagOf names the flag behind each field a refusal of the run can name.
+var flagOf = map[string]string{"N": "-n", "F": "-f", "CheckpointEvery": "-checkpoint",
+	"StatePad": "-statepad", "Crashes": "-crash", "Horizon": "-horizon"}
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "fblsim:", err)

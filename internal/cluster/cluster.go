@@ -12,6 +12,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -62,7 +63,7 @@ type Config struct {
 	// §2) partitions the processes across; 0 means 1. Every process's
 	// execution — digests, outputs, timelines, each process's trace events
 	// and so the text log trace.WriteText renders — is byte-identical for
-	// any value; only host time changes. Step-indexed crashes (CrashAtStep,
+	// any value; only host time changes. Step-indexed crashes (ApplyPlan,
 	// Kernel) need a single shard.
 	Shards int
 	// Fanout > 0 selects the ring-based dissemination protocol mode with
@@ -84,29 +85,43 @@ type Config struct {
 // tractable (see DESIGN.md §2, §5).
 const MaxProcs = 1024
 
-// ValidateN checks a cluster size against MaxProcs. Every entry point that
-// accepts an n — cluster construction and the bench sweep axes — funnels
-// through this one helper so the limit and its message cannot drift apart.
-func ValidateN(n int) error {
-	if n < 2 || n > MaxProcs {
-		return fmt.Errorf("cluster size n=%d out of range [2,%d]", n, MaxProcs)
-	}
-	return nil
+// FieldError refuses one field of a Config, or of a run description built
+// on one (experiments.Spec). Field is the field's Go name, which a CLI may
+// translate into its flag's.
+type FieldError struct {
+	Field string
+	Err   error
 }
 
-// Validate reports what New refuses to build: a size outside [2, MaxProcs],
-// an unknown family, or a hardware profile whose minimum network latency —
-// the sharded kernel's window width — is not positive. The zero HW and the
-// zero Family are defaults, not errors.
+func (e *FieldError) Error() string { return e.Err.Error() }
+
+// Refuse returns a FieldError for field.
+func Refuse(field, format string, args ...any) error {
+	return &FieldError{Field: field, Err: fmt.Errorf(format, args...)}
+}
+
+// Validate reports what New refuses to build, as a FieldError: a size
+// outside [2, MaxProcs], an unknown family or FBL recovery style, a hardware
+// profile whose minimum network latency — the sharded kernel's window width
+// — is not positive, a negative checkpoint interval, padding an image's
+// 32-bit length field cannot hold, or a shard count outside [0, MaxProcs].
+// The zero HW and the zero Family are defaults, not errors.
 func (cfg Config) Validate() error {
-	if err := ValidateN(cfg.N); err != nil {
-		return err
-	}
-	if _, ok := families[cfg.Family]; !ok && cfg.Family != "" {
-		return fmt.Errorf("unknown family %q", cfg.Family)
-	}
-	if cfg.HW != (node.Hardware{}) && cfg.HW.Net.Latency <= 0 {
-		return fmt.Errorf("hardware profile has network latency %v; it must be positive", cfg.HW.Net.Latency)
+	switch {
+	case cfg.N < 2 || cfg.N > MaxProcs:
+		return Refuse("N", "cluster size n=%d out of range [2,%d]", cfg.N, MaxProcs)
+	case families[cfg.Family].factory == nil && cfg.Family != "":
+		return Refuse("Family", "unknown family %q", cfg.Family)
+	case (cfg.Family == "" || cfg.Family == FamilyFBL) && (cfg.Style < recovery.NonBlocking || cfg.Style > recovery.Manetho):
+		return Refuse("Style", "unknown recovery %v (want nonblocking, blocking or manetho)", cfg.Style)
+	case cfg.HW != (node.Hardware{}) && cfg.HW.Net.Latency <= 0:
+		return Refuse("HW", "hardware profile has network latency %v; it must be positive", cfg.HW.Net.Latency)
+	case cfg.CheckpointEvery < 0:
+		return Refuse("CheckpointEvery", "checkpoint interval %v is negative (0 disables checkpoints)", cfg.CheckpointEvery)
+	case cfg.StatePad < 0 || cfg.StatePad > math.MaxInt32:
+		return Refuse("StatePad", "state padding %d out of range [0,%d]", cfg.StatePad, math.MaxInt32)
+	case cfg.Shards < 0 || cfg.Shards > MaxProcs:
+		return Refuse("Shards", "shard count %d out of range [0,%d]", cfg.Shards, MaxProcs)
 	}
 	return nil
 }
@@ -330,26 +345,20 @@ func (c *Cluster) Crash(at time.Duration, p ids.ProcID) {
 	c.K.CrashAt(at, p)
 }
 
-// CrashAtStep schedules a crash of p at the given kernel event-dispatch
-// boundary (sim.CrashAtStep). Step-indexed crashes need a single shard:
-// several have no one global event order to index.
-func (c *Cluster) CrashAtStep(step int64, p ids.ProcID) {
-	k := c.Kernel()
-	if k == nil {
-		panic("cluster: CrashAtStep needs a single shard")
-	}
-	c.crashes++
-	k.CrashAtStep(step, p)
-}
-
-// ApplyPlan schedules a whole crash plan; entries with Step > 0 are
-// injected at event-dispatch boundaries, the rest at virtual times.
+// ApplyPlan schedules a whole crash plan: entries with Step > 0 at kernel
+// event-dispatch boundaries (sim.CrashAtStep), which need a single shard —
+// several have no one global event order to index — the rest at virtual
+// times.
 func (c *Cluster) ApplyPlan(plan failure.Plan) {
 	for _, cr := range plan.Sorted() {
-		if cr.Step > 0 {
-			c.CrashAtStep(cr.Step, cr.Proc)
-		} else {
+		switch k := c.Kernel(); {
+		case cr.Step <= 0:
 			c.Crash(cr.At, cr.Proc)
+		case k == nil:
+			panic("cluster: a step-indexed crash needs a single shard")
+		default:
+			c.crashes++
+			k.CrashAtStep(cr.Step, cr.Proc)
 		}
 	}
 }

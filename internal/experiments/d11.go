@@ -80,7 +80,7 @@ func d11Spec(seed int64, hw node.Hardware, row styleRow, crashAt, horizon time.D
 	spec.App = d11App()
 	spec.Horizon = horizon
 	spec.TrackOutputs = true
-	if crashAt > 0 {
+	if crashAt != 0 {
 		spec.Crashes = failure.Plan{{At: crashAt, Proc: 0}}
 	}
 	return comparator(spec, row.family)

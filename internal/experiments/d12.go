@@ -119,7 +119,7 @@ func d12Spec(seed int64, row styleRow, tr workload.Traffic, crashAt, horizon tim
 	spec.Traffic = &tr
 	spec.Horizon = horizon
 	spec.TrackOutputs = true
-	if crashAt > 0 {
+	if crashAt != 0 {
 		spec.Crashes = failure.Plan{{At: crashAt, Proc: d12Victim(tr)}}
 	}
 	return comparator(spec, row.family)

@@ -143,11 +143,8 @@ type Spec struct {
 	// Traffic, if non-nil, replaces App with the open-loop multi-tier
 	// serving workload (DESIGN §12): Run hosts traffic.NewApp(*Traffic) and
 	// attaches a traffic.Engine driving seeded arrivals at the client tier
-	// until the horizon. The spec's N must equal Traffic.N(), and — because
-	// FBL replay cannot regenerate injected arrivals, and the styles' crash
-	// rows must stay comparable — the crash plan must not target the client
-	// tier; Run returns an error on either misuse. Read the engine back via
-	// Result.Traffic.
+	// until the horizon; Validate holds the rules it adds. Read the engine
+	// back via Result.Traffic.
 	Traffic *workload.Traffic
 }
 
@@ -225,67 +222,114 @@ type Result struct {
 	Traffic *traffic.Engine
 }
 
-// Run executes a spec to its horizon, or until ctx is done, and returns the
-// collected result. On cancellation the returned Result covers the prefix
-// of virtual time that ran (its invariants are NOT checked — a cut-short
-// run is consistent but incomplete) and the error is ctx's. A spec that
-// cluster.Config.Validate refuses, or that misuses Traffic, returns a nil
-// Result and the error, before anything runs.
+// Validate is the one rule book a run is refused by, before anything is
+// built; each refusal is a cluster.FieldError. It holds
+// cluster.Config.Validate's rules and adds the run's: f >= 1 (a cluster runs
+// f < 1 as f = 1), a horizon >= 0, a timeline sized N, and a plan applied as
+// written (failure.Plan.Check, nothing after the horizon, step crashes on one
+// shard). A Traffic topology must pass Traffic.Validate and match N, and no
+// crash may hit a client: FBL replay cannot regenerate injected arrivals.
+func (s Spec) Validate() error {
+	if err := s.validate(); err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
+	return nil
+}
+
+func (s Spec) validate() error {
+	if err := s.config(nil).Validate(); err != nil {
+		return err
+	}
+	switch {
+	case s.F < 1:
+		return cluster.Refuse("F", "failure budget f=%d, want >= 1", s.F)
+	case s.Horizon < 0:
+		return cluster.Refuse("Horizon", "horizon %v is negative", s.Horizon)
+	case s.Timeline != nil && s.Timeline.N() != s.N:
+		return cluster.Refuse("Timeline", "timeline collector for n=%d, spec has n=%d", s.Timeline.N(), s.N)
+	case s.Traffic != nil && s.Traffic.Validate() != nil:
+		return &cluster.FieldError{Field: "Traffic", Err: s.Traffic.Validate()}
+	case s.Traffic != nil && s.Traffic.N() != s.N:
+		return cluster.Refuse("Traffic", "traffic topology needs n=%d, spec has n=%d", s.Traffic.N(), s.N)
+	}
+	if err := s.Crashes.Check(s.N); err != nil {
+		return &cluster.FieldError{Field: "Crashes", Err: err}
+	}
+	for i, cr := range s.Crashes {
+		switch {
+		case cr.At > s.Horizon:
+			return cluster.Refuse("Crashes", "plan entry %d (proc %d, step %d, at %v) is after the horizon %v, so it would never be injected", i, cr.Proc, cr.Step, cr.At, s.Horizon)
+		case cr.Step > 0 && s.Shards > 1:
+			return cluster.Refuse("Crashes", "plan entry %d (proc %d, step %d, at %v) is step-indexed, which needs one shard, not %d", i, cr.Proc, cr.Step, cr.At, s.Shards)
+		case s.Traffic != nil && s.Traffic.TierOf(cr.Proc) == workload.TierClient:
+			return cluster.Refuse("Crashes", "crash plan targets client %d; "+
+				"FBL replay cannot regenerate injected arrivals", cr.Proc)
+		}
+	}
+	return nil
+}
+
+// config is the cluster the spec describes, bar a Traffic run's application.
+func (s Spec) config(tr trace.Tracer) cluster.Config {
+	return cluster.Config{
+		Family:          s.Family,
+		N:               s.N,
+		F:               s.F,
+		Seed:            s.Seed,
+		HW:              s.HW,
+		Style:           s.Style,
+		App:             s.App,
+		CheckpointEvery: s.CPEvery,
+		StatePad:        s.Pad,
+		Tracer:          tr,
+		TrackOutputs:    s.TrackOutputs,
+		Shards:          s.Shards,
+		Fanout:          s.Fanout,
+	}
+}
+
+// Build is the one way a run is set up: it validates the spec, builds its
+// cluster with tracer as cluster.Config.Tracer, and attaches the timeline
+// collector, the crash plan and a Traffic spec's arrival engine. The Result
+// is ready to run to spec.Horizon; a refused spec returns nil and the error.
+func Build(spec Spec, tracer trace.Tracer) (*Result, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	cfg := spec.config(tracer)
+	if spec.Traffic != nil {
+		cfg.App = traffic.NewApp(*spec.Traffic)
+	}
+	r := &Result{C: cluster.New(cfg), Spec: spec}
+	if spec.Timeline != nil {
+		r.C.AttachTimeline(spec.Timeline)
+	}
+	r.C.ApplyPlan(spec.Crashes)
+	if spec.Traffic != nil {
+		r.Traffic = traffic.NewEngine(*spec.Traffic, spec.Seed)
+		r.Traffic.Attach(traffic.Host{At: r.C.K.At, Inject: r.C.Inject}, spec.Horizon)
+	}
+	return r, nil
+}
+
+// Run builds a spec (with DefaultTracer on a one-shard run) and runs it to
+// its horizon, or until ctx is done. On cancellation the Result covers the
+// prefix of virtual time that ran (its invariants are NOT checked — a
+// cut-short run is consistent but incomplete) and the error is ctx's. A
+// refused spec returns a nil Result and the error, before anything runs.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
 	var tr trace.Tracer
 	if spec.Shards <= 1 {
 		tr = DefaultTracer
 	}
-	cfg := cluster.Config{
-		Family:          spec.Family,
-		N:               spec.N,
-		F:               spec.F,
-		Seed:            spec.Seed,
-		HW:              spec.HW,
-		Style:           spec.Style,
-		App:             spec.App,
-		CheckpointEvery: spec.CPEvery,
-		StatePad:        spec.Pad,
-		Tracer:          tr,
-		TrackOutputs:    spec.TrackOutputs,
-		Shards:          spec.Shards,
-		Fanout:          spec.Fanout,
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	if spec.Traffic != nil {
-		if err := spec.Traffic.Validate(); err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		if spec.Traffic.N() != spec.N {
-			return nil, fmt.Errorf("experiments: traffic topology needs n=%d, spec has n=%d",
-				spec.Traffic.N(), spec.N)
-		}
-		for _, cr := range spec.Crashes {
-			if spec.Traffic.TierOf(cr.Proc) == workload.TierClient {
-				return nil, fmt.Errorf("experiments: crash plan targets client %d; "+
-					"FBL replay cannot regenerate injected arrivals", cr.Proc)
-			}
-		}
-		cfg.App = traffic.NewApp(*spec.Traffic)
-	}
-	c := cluster.New(cfg)
-	if spec.Timeline != nil {
-		c.AttachTimeline(spec.Timeline)
-	}
-	c.ApplyPlan(spec.Crashes)
-	var eng *traffic.Engine
-	if spec.Traffic != nil {
-		eng = traffic.NewEngine(*spec.Traffic, spec.Seed)
-		eng.Attach(traffic.Host{At: c.K.At, Inject: c.Inject}, spec.Horizon)
-	}
-	events, err := c.RunContext(ctx, spec.Horizon)
-	r := &Result{C: c, Spec: spec, Events: events, Traffic: eng}
+	r, err := Build(spec, tr)
 	if err != nil {
+		return nil, err
+	}
+	if r.Events, err = r.C.RunContext(ctx, spec.Horizon); err != nil {
 		return r, err
 	}
-	r.Errors = c.Check()
+	r.Errors = r.C.Check()
 	return r, nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"rollrec/internal/metrics"
 	"rollrec/internal/node"
 	"rollrec/internal/recovery"
+	"rollrec/internal/timeline"
 	"rollrec/internal/workload"
 )
 
@@ -136,7 +137,9 @@ func TestNonBlockingRunBlocksNobody(t *testing.T) {
 // TestRunRejectsBadSpec: a spec that cluster.New or the sharded kernel would
 // refuse with a panic — a size outside [2, MaxProcs], an unknown family, a
 // hardware profile without a positive network latency (the window width) —
-// is an error from Run before anything is built.
+// or that the run would not honour as written — a crash it never applies, a
+// knob it silently clamps, a value that panics mid-run — is an error from Run
+// before anything is built, and MustRun panics with the same message.
 func TestRunRejectsBadSpec(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -148,24 +151,79 @@ func TestRunRejectsBadSpec(t *testing.T) {
 		{"unknown family", func(s *Spec) { s.Family = "bogus" }, `unknown family "bogus"`},
 		{"zero latency", func(s *Spec) { s.HW.Net.Latency = 0 }, "network latency 0s"},
 		{"negative latency", func(s *Spec) { s.HW.Net.Latency = -time.Millisecond }, "network latency -1ms"},
+		{"crash before the start", func(s *Spec) { s.Crashes[0].At = -time.Second }, "plan entry 0 (proc 1, step 0, at -1s) is outside the n=4 cluster or before its start"},
+		{"victim outside the cluster", func(s *Spec) { s.Crashes[0].Proc = 9 }, "plan entry 0 (proc 9, step 0, at 1s) is outside the n=4 cluster"},
+		{"storage victim at f = n", func(s *Spec) { s.F, s.Crashes[0].Proc = 4, ids.StorageProc }, "plan entry 0 (proc -1, step 0, at 1s) is outside"},
+		{"crash after the horizon", func(s *Spec) { s.Crashes[0].At = 9 * time.Second }, "plan entry 0 (proc 1, step 0, at 9s) is after the horizon 5s"},
+		{"unknown style", func(s *Spec) { s.Style = 7 }, "unknown recovery style(7)"},
+		{"f below one", func(s *Spec) { s.F = 0 }, "failure budget f=0, want >= 1"},
+		{"negative pad", func(s *Spec) { s.Pad = -5 }, "state padding -5 out of range"},
+		{"negative checkpoint interval", func(s *Spec) { s.CPEvery = -time.Second }, "checkpoint interval -1s is negative"},
+		{"step crash on two shards", func(s *Spec) { s.Shards, s.Crashes = 2, failure.Plan{{Step: 50, Proc: 1}} }, "is step-indexed, which needs one shard, not 2"},
+		{"timeline for another n", func(s *Spec) { s.Timeline = timeline.New(timeline.Config{Interval: time.Second, N: 3}) }, "timeline collector for n=3, spec has n=4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := fastSpec(recovery.NonBlocking)
 			tc.mutate(&spec)
-			defer func() {
-				if p := recover(); p != nil {
-					t.Fatalf("Run panicked: %v", p)
+			err := func() error {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("Run panicked: %v", p)
+					}
+				}()
+				r, err := Run(context.Background(), spec)
+				if r != nil {
+					t.Fatal("Run returned a result for a rejected spec")
 				}
+				return err
 			}()
-			r, err := Run(context.Background(), spec)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("Run error = %v, want one containing %q", err, tc.wantErr)
 			}
-			if r != nil {
-				t.Fatal("Run returned a result for a rejected spec")
-			}
+			defer func() {
+				if p := recover(); fmt.Sprint(p) != err.Error() {
+					t.Fatalf("MustRun panicked with %v, want %q", p, err)
+				}
+			}()
+			MustRun(context.Background(), spec)
 		})
 	}
+}
+
+// FuzzSpecValidate: Validate is total — a spec it accepts builds and runs
+// for a virtual second without panicking. Durations are in milliseconds,
+// so a run stays a few thousand events; clusters above n = 8 are built but
+// not run, which would cost seconds per input. The seeds are the refusal
+// rows of TestRunRejectsBadSpec, a step crash on two shards, and fastSpec.
+func FuzzSpecValidate(f *testing.F) {
+	// n, f, style, shards, pad, checkpoint ms, horizon ms, victim, crash ms, crash step
+	f.Add(int8(4), int8(2), int8(0), int8(0), 8<<10, int32(500), int32(5000), int32(1), int32(1000), int64(0))
+	f.Add(int8(4), int8(2), int8(0), int8(0), 8<<10, int32(500), int32(5000), int32(1), int32(-1000), int64(0))
+	f.Add(int8(4), int8(2), int8(0), int8(0), 8<<10, int32(500), int32(5000), int32(9), int32(1000), int64(0))
+	f.Add(int8(4), int8(4), int8(0), int8(0), 8<<10, int32(500), int32(5000), int32(ids.StorageProc), int32(1000), int64(0))
+	f.Add(int8(4), int8(2), int8(0), int8(0), 8<<10, int32(500), int32(5000), int32(1), int32(9000), int64(0))
+	f.Add(int8(4), int8(2), int8(7), int8(0), 8<<10, int32(500), int32(5000), int32(1), int32(1000), int64(0))
+	f.Add(int8(4), int8(0), int8(0), int8(0), 8<<10, int32(500), int32(5000), int32(1), int32(1000), int64(0))
+	f.Add(int8(4), int8(2), int8(0), int8(0), -5, int32(500), int32(5000), int32(1), int32(1000), int64(0))
+	f.Add(int8(4), int8(2), int8(0), int8(0), 8<<10, int32(-1000), int32(5000), int32(1), int32(1000), int64(0))
+	f.Add(int8(4), int8(2), int8(0), int8(2), 8<<10, int32(500), int32(5000), int32(1), int32(0), int64(50))
+	f.Fuzz(func(t *testing.T, n, fBudget, style, shards int8, pad int, cpMS, horizonMS, victim, atMS int32, step int64) {
+		spec := fastSpec(recovery.Style(style))
+		spec.N, spec.F, spec.Shards, spec.Pad = int(n), int(fBudget), int(shards), pad
+		spec.CPEvery = time.Duration(cpMS) * time.Millisecond
+		spec.Horizon = time.Duration(horizonMS) * time.Millisecond
+		spec.Crashes = failure.Plan{{At: time.Duration(atMS) * time.Millisecond, Proc: ids.ProcID(victim), Step: step}}
+		if spec.Validate() != nil {
+			return
+		}
+		r, err := Build(spec, nil)
+		if err != nil {
+			t.Fatalf("Build refused a spec Validate accepted: %v", err)
+		}
+		if spec.N <= 8 {
+			r.C.Run(time.Second)
+		}
+	})
 }
 
 // TestRunRejectsTrafficMisuse: a traffic spec that breaks one of

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"rollrec/internal/cluster"
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
@@ -142,14 +141,12 @@ const (
 
 // trafficFor derives a cell's traffic topology from its cluster size:
 // roughly a quarter of the processes each for clients and frontends, the
-// rest backends, fan-out capped at 2 — the same shape D12 uses at n=8.
-func trafficFor(n, load int) (workload.Traffic, error) {
+// rest backends, fan-out capped at 2 — the same shape D12 uses at n=8. Below
+// n = 3 there are no backends, which Spec.Validate refuses.
+func trafficFor(n, load int) workload.Traffic {
 	clients := max(1, n/4)
 	frontends := max(1, n/4)
 	backends := n - clients - frontends
-	if backends < 1 {
-		return workload.Traffic{}, fmt.Errorf("experiments: n=%d too small for a traffic topology (need n >= 3)", n)
-	}
 	return workload.Traffic{
 		Clients:    clients,
 		Frontends:  frontends,
@@ -158,17 +155,18 @@ func trafficFor(n, load int) (workload.Traffic, error) {
 		Load:       load,
 		WorkPerHop: int64(500 * time.Microsecond),
 		PayloadPad: 256,
-	}, nil
+	}
 }
 
-// SpecFor validates one cell and derives its experiment spec from the same
-// PaperSpec baseline the E/D experiments use. Victims are processes
-// 1..Failures, crashed crashSpacing apart starting at firstCrashAt; the
-// horizon leaves every recovery room to complete. A loaded cell (Load >
-// 0) swaps the gossip workload for the open-loop traffic topology, turns
-// output tracking on, and crashes backends from the tail (n-1, n-2, ...)
-// instead: clients must never crash under FBL (see fbl.Process.Inject),
-// and the classic victims 1..f would be clients or frontends there.
+// SpecFor derives one cell's experiment spec from the PaperSpec baseline the
+// E/D experiments use, and refuses one Validate refuses (a size out of range,
+// a victim outside the cluster). Victims are processes 1..Failures, crashed
+// crashSpacing apart from firstCrashAt; the horizon leaves every recovery
+// room to complete. A loaded cell (Load > 0) swaps the gossip workload for
+// the open-loop traffic topology, turns output tracking on, and crashes
+// backends from the tail (n-1, n-2, ...) instead: clients must never crash
+// under FBL (see fbl.Process.Inject), and the classic victims 1..f would be
+// clients or frontends there.
 func SpecFor(p Params) (Spec, error) {
 	style, err := recovery.ParseStyle(p.Style)
 	if err != nil {
@@ -178,11 +176,8 @@ func SpecFor(p Params) (Spec, error) {
 	if err != nil {
 		return Spec{}, fmt.Errorf("experiments: %w", err)
 	}
-	if err := cluster.ValidateN(p.N); err != nil {
-		return Spec{}, fmt.Errorf("experiments: %w", err)
-	}
-	if p.Failures < 0 || p.Failures >= p.N {
-		return Spec{}, fmt.Errorf("experiments: failure count %d out of range [0,n) for n=%d", p.Failures, p.N)
+	if p.Failures < 0 {
+		return Spec{}, fmt.Errorf("experiments: failure count %d < 0", p.Failures)
 	}
 	if p.Load < 0 {
 		return Spec{}, fmt.Errorf("experiments: offered load %d < 0", p.Load)
@@ -193,10 +188,7 @@ func SpecFor(p Params) (Spec, error) {
 	spec.F = max(1, p.Failures)
 	victim := func(i int) ids.ProcID { return ids.ProcID(1 + i) }
 	if p.Load > 0 {
-		tr, err := trafficFor(p.N, p.Load)
-		if err != nil {
-			return Spec{}, err
-		}
+		tr := trafficFor(p.N, p.Load)
 		if p.Failures > tr.Backends {
 			return Spec{}, fmt.Errorf("experiments: %d failures exceed the %d backends of the n=%d traffic topology",
 				p.Failures, tr.Backends, p.N)
@@ -215,6 +207,9 @@ func SpecFor(p Params) (Spec, error) {
 	}
 	spec.Crashes = plan
 	spec.Horizon = 20*time.Second + time.Duration(p.Failures)*10*time.Second
+	if err := spec.Validate(); err != nil {
+		return Spec{}, err
+	}
 	return spec, nil
 }
 

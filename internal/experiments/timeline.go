@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"rollrec/internal/node"
@@ -18,26 +17,17 @@ type Timeline struct {
 
 // TimelineCell returns the crash instant and horizon of the sampled D11 and
 // D12 cells, zero values selecting the experiments' own (a crash at 10 s, a
-// 25 s horizon). It refuses a cell the run would not honour as labelled: a
+// 25 s horizon), and Validate's refusal of the D11 cell they describe: a
 // negative value, or a crash after the horizon — never injected, while every
 // export would still say crash@.
 func TimelineCell(crashAt, horizon time.Duration) (time.Duration, time.Duration, error) {
-	switch {
-	case crashAt < 0:
-		return 0, 0, fmt.Errorf("-timeline-crash %v: the crash instant must not be negative", crashAt)
-	case horizon < 0:
-		return 0, 0, fmt.Errorf("-timeline-horizon %v: the horizon must not be negative", horizon)
-	}
 	if crashAt == 0 {
 		crashAt = 10 * time.Second
 	}
 	if horizon == 0 {
 		horizon = 25 * time.Second
 	}
-	if crashAt > horizon {
-		return 0, 0, fmt.Errorf("-timeline-crash %v: after the horizon %v (-timeline-horizon), so it would never be injected", crashAt, horizon)
-	}
-	return crashAt, horizon, nil
+	return crashAt, horizon, d11Spec(1, node.Profile1995(), styleRows(false)[0], crashAt, horizon).Validate()
 }
 
 // D11Timelines reruns the D11 failure variant (server crash at crashAt on

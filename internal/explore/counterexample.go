@@ -64,9 +64,6 @@ func Replay(ctx context.Context, cx Counterexample) (*ReplayResult, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	if err := validatePlan(spec, cx.Plan); err != nil {
-		return nil, err
-	}
 	base, err := runBranch(ctx, spec, nil, true)
 	if err != nil {
 		return nil, err

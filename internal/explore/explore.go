@@ -226,16 +226,14 @@ type branchResult struct {
 // a panic on a shard is re-raised with the original stack already gone. Its
 // fingerprint is the step stream up to the panic, so Replay reproduces it.
 func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool) (res *branchResult, err error) {
-	in := build(spec, recordAll)
-	res = &branchResult{}
-	cut := int64(-1)
-	for _, cr := range plan {
-		if cr.Step > 0 && (cut < 0 || cr.Step < cut) {
-			cut = cr.Step
-		}
+	c, tr, err := build(spec, plan, recordAll)
+	if err != nil {
+		return nil, err
 	}
+	res = &branchResult{}
+	cut := firstStep(plan)
 	h := uint64(fnvOffset)
-	in.c.Kernel().SetStepProbe(func(s sim.StepInfo) {
+	c.Kernel().SetStepProbe(func(s sim.StepInfo) {
 		if recordAll {
 			res.prefix = append(res.prefix, h)
 		}
@@ -244,35 +242,34 @@ func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool
 		}
 		h = foldStep(h, s)
 	})
-	in.c.ApplyPlan(plan)
 	defer func() {
 		if r := recover(); r != nil {
-			res.events, res.windows = in.c.Kernel().Steps(), in.c.K.Windows().Total()
+			res.events, res.windows = c.Kernel().Steps(), c.K.Windows().Total()
 			res.famErrs = []string{fmt.Sprint("panic: ", r)}
-			res.points, res.recSteps = in.tracer.points, in.tracer.recSteps
+			res.points, res.recSteps = tr.points, tr.recSteps
 			res.fingerprint = h
 		}
 	}()
-	if _, err := in.c.RunContext(ctx, spec.Horizon); err != nil {
+	if _, err := c.RunContext(ctx, spec.Horizon); err != nil {
 		return nil, err
 	}
-	res.events, res.windows = in.c.Kernel().Steps(), in.c.K.Windows().Total()
-	res.digests = in.c.Digests()
-	for _, err := range in.c.Check() {
+	res.events, res.windows = c.Kernel().Steps(), c.K.Windows().Total()
+	res.digests = c.Digests()
+	for _, err := range c.Check() {
 		res.famErrs = append(res.famErrs, err.Error())
 	}
 	for i := 0; i < spec.N; i++ {
-		if a := in.c.App(ids.ProcID(i)); a != nil && !a.Done() {
+		if a := c.App(ids.ProcID(i)); a != nil && !a.Done() {
 			res.famErrs = append(res.famErrs, fmt.Sprintf("liveness: proc %d workload incomplete at horizon", i))
 		}
-		sent := &in.c.Metrics(ids.ProcID(i)).MsgsSent
-		for _, c := range sent {
-			res.frames += c
+		sent := &c.Metrics(ids.ProcID(i)).MsgsSent
+		for _, n := range sent {
+			res.frames += n
 		}
 		res.heartbeats += sent[wire.KindHeartbeat]
 	}
-	res.points = in.tracer.points
-	res.recSteps = in.tracer.recSteps
+	res.points = tr.points
+	res.recSteps = tr.recSteps
 	res.stateFidelity = scenarios[spec.Family].stateFidelity
 	res.fingerprint = h
 	for _, d := range res.digests {
@@ -299,13 +296,7 @@ func checkBranch(base, res *branchResult, plan failure.Plan, budget int64) []str
 			}
 		}
 	}
-	cut := int64(-1)
-	for _, cr := range plan {
-		if cr.Step > 0 && (cut < 0 || cr.Step < cut) {
-			cut = cr.Step
-		}
-	}
-	if cut >= 0 && res.cutSeen && cut < int64(len(base.prefix)) && res.prefixCut != base.prefix[cut] {
+	if cut := firstStep(plan); cut >= 0 && res.cutSeen && cut < int64(len(base.prefix)) && res.prefixCut != base.prefix[cut] {
 		v = append(v, fmt.Sprintf(
 			"prefix-fidelity: event stream before crash step %d diverged from the probe run (%#x vs %#x)",
 			cut, res.prefixCut, base.prefix[cut]))
@@ -316,6 +307,18 @@ func checkBranch(base, res *branchResult, plan failure.Plan, budget int64) []str
 			res.events, budget, base.events))
 	}
 	return v
+}
+
+// firstStep is the plan's earliest crash step, or -1 if none is
+// step-indexed.
+func firstStep(plan failure.Plan) int64 {
+	cut := int64(-1)
+	for _, cr := range plan {
+		if cr.Step > 0 && (cut < 0 || cr.Step < cut) {
+			cut = cr.Step
+		}
+	}
+	return cut
 }
 
 // selectPoints canonicalizes (sort, dedupe) and evenly subsamples the
@@ -347,43 +350,21 @@ func dedupeSteps(ss []int64) []int64 {
 	return append([]int64(nil), out...)
 }
 
-// validate rejects a spec no exploration can run — an unknown family or
-// FBL style, a cluster size the harness refuses, a failure budget below
-// one, a negative count or duration, a horizon that leaves no room for
-// decision points — so that bad input is an error before any branch worker
-// builds a cluster from it.
+// validate rejects an exploration no branch can run — a missing or unknown
+// family, a negative count or slack, a horizon that leaves no room for
+// decision points — before any branch worker starts. The run itself (size,
+// style, failure budget, checkpoint interval, the plan) is refused by
+// experiments.Spec.Validate, when a branch is built.
 func (s Spec) validate() error {
 	if _, ok := scenarios[s.Family]; !ok {
 		return fmt.Errorf("explore: unknown family %q (want fbl, coordinated or optimistic)", s.Family)
 	}
-	if s.Family == FamilyFBL && (s.Style < recovery.NonBlocking || s.Style > recovery.Manetho) {
-		return fmt.Errorf("explore: unknown recovery %v (want nonblocking, blocking or manetho)", s.Style)
-	}
-	if err := cluster.ValidateN(s.N); err != nil {
-		return fmt.Errorf("explore: %w", err)
-	}
-	if s.F < 1 {
-		return fmt.Errorf("explore: failure budget f=%d, want >= 1", s.F)
-	}
 	if s.MaxPoints < 0 || s.MaxCrashes < 0 || s.DeepBranches < 0 || s.Random < 0 || s.BudgetFactor < 0 ||
-		s.SettleSlack < 0 || s.CheckpointEvery < 0 {
+		s.SettleSlack < 0 {
 		return fmt.Errorf("explore: negative count or duration in %+v", s)
 	}
 	if s.Horizon <= s.SettleSlack { // decision points come from [0, Horizon-SettleSlack)
 		return fmt.Errorf("explore: horizon %v leaves no decision window before the settle slack %v", s.Horizon, s.SettleSlack)
-	}
-	return nil
-}
-
-// validatePlan rejects a crash schedule the harness would misapply: a
-// victim outside the spec's cluster (cluster.ApplyPlan drops it silently)
-// or a negative step or time.
-func validatePlan(spec Spec, plan failure.Plan) error {
-	for i, cr := range plan {
-		if cr.Proc < 0 || int(cr.Proc) >= spec.N || cr.Step < 0 || cr.At < 0 {
-			return fmt.Errorf("explore: plan entry %d (proc %d, step %d, at %v) is outside the n=%d cluster or before its start",
-				i, cr.Proc, cr.Step, cr.At, spec.N)
-		}
 	}
 	return nil
 }
@@ -502,15 +483,6 @@ func run(ctx context.Context, spec Spec, workers int) (*Report, error) {
 
 	rep.Fingerprint = r.fp
 	return rep, nil
-}
-
-// MustRun is Run, panicking on context/runtime error (test convenience).
-func MustRun(ctx context.Context, spec Spec) *Report {
-	rep, err := Run(ctx, spec)
-	if err != nil {
-		panic(err)
-	}
-	return rep
 }
 
 // runner threads the exploration state through branch launches.

@@ -227,7 +227,7 @@ func TestBadInputIsAnError(t *testing.T) {
 		{"horizon equal to the slack", Spec{Family: FamilyFBL, Horizon: 3 * time.Second, SettleSlack: 3 * time.Second}, nil, "horizon 3s leaves no decision window before the settle slack 3s"},
 		{"negative horizon", Spec{Family: FamilyFBL, Horizon: -time.Second}, nil, "horizon -1s leaves no decision window before the settle slack 6s"},
 		{"negative slack", Spec{Family: FamilyFBL, SettleSlack: -time.Second}, nil, "negative count or duration"},
-		{"negative checkpoint interval", Spec{Family: FamilyOptimistic, CheckpointEvery: -time.Second}, nil, "negative count or duration"},
+		{"negative checkpoint interval", Spec{Family: FamilyOptimistic, CheckpointEvery: -time.Second}, nil, "checkpoint interval -1s is negative"},
 		{"victim outside the cluster", fblSpec, failure.Plan{{Step: 50, Proc: 9}}, "plan entry 0 (proc 9, step 50"},
 		{"storage victim", fblSpec, failure.Plan{{Step: 50, Proc: 0}, {Step: 60, Proc: ids.StorageProc}}, "plan entry 1 (proc -1, step 60"},
 		{"negative step", fblSpec, failure.Plan{{Step: -4, Proc: 1}}, "plan entry 0 (proc 1, step -4"},

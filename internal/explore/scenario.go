@@ -1,10 +1,11 @@
 package explore
 
 import (
-	"fmt"
 	"time"
 
 	"rollrec/internal/cluster"
+	"rollrec/internal/experiments"
+	"rollrec/internal/failure"
 	"rollrec/internal/node"
 	"rollrec/internal/trace"
 	"rollrec/internal/wire"
@@ -125,38 +126,35 @@ var scenarios = map[Family]scenario{
 	FamilyOptimistic:  {app: ring, statePad: 2 << 10, stateFidelity: true},
 }
 
-// instance is one freshly-built scenario, ready to run exactly once.
-type instance struct {
-	c      *cluster.Cluster
-	tracer *decisionTracer
-}
-
-// build constructs a fresh instance of the spec's scenario on the cluster
-// harness, with the decision tracer on the kernel's trace stream (marking
-// decision points only if wantPoints) and output tracking on, so Check also
-// reports output-commit conflicts.
-func build(spec Spec, wantPoints bool) *instance {
-	sc, ok := scenarios[spec.Family]
-	if !ok {
-		panic(fmt.Sprintf("explore: unknown family %q", spec.Family))
-	}
-	in := &instance{tracer: &decisionTracer{
+// build constructs a fresh instance of the spec's scenario with the plan
+// applied — experiments.Build of the family's workload on the explorer's
+// hardware, with the returned decision tracer on the kernel's trace stream
+// (marking decision points only if wantPoints) and output tracking on, so
+// Check also reports output-commit conflicts. A spec or plan
+// experiments.Spec.Validate refuses is an error.
+func build(spec Spec, plan failure.Plan, wantPoints bool) (*cluster.Cluster, *decisionTracer, error) {
+	sc := scenarios[spec.Family]
+	tr := &decisionTracer{
 		pointLimit: int64(spec.Horizon - spec.SettleSlack),
 		wantPoints: wantPoints,
-	}}
-	in.c = cluster.New(cluster.Config{
-		Family:          spec.Family,
-		N:               spec.N,
-		F:               spec.F,
-		Seed:            spec.Seed,
-		HW:              exploreHW(),
-		Style:           spec.Style,
-		App:             sc.app(spec.N),
-		CheckpointEvery: spec.CheckpointEvery,
-		StatePad:        sc.statePad,
-		Tracer:          in.tracer,
-		TrackOutputs:    true,
-	})
-	in.tracer.steps = in.c.Kernel().Steps
-	return in
+	}
+	r, err := experiments.Build(experiments.Spec{
+		Family:       spec.Family,
+		N:            spec.N,
+		F:            spec.F,
+		Style:        spec.Style,
+		Seed:         spec.Seed,
+		HW:           exploreHW(),
+		App:          sc.app(spec.N),
+		CPEvery:      spec.CheckpointEvery,
+		Pad:          sc.statePad,
+		Crashes:      plan,
+		Horizon:      spec.Horizon,
+		TrackOutputs: true,
+	}, tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr.steps = r.C.Kernel().Steps
+	return r.C, tr, nil
 }

@@ -1,6 +1,7 @@
 package failure
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -107,6 +108,19 @@ type Crash struct {
 
 // Plan is a crash schedule. Use Sorted before applying.
 type Plan []Crash
+
+// Check refuses a plan no n-process run can apply as written: an entry whose
+// victim is not one of the n application processes (the stable-storage
+// pseudo-process never fails), or whose instant or step is before the start.
+func (p Plan) Check(n int) error {
+	for i, cr := range p {
+		if cr.Proc < 0 || int(cr.Proc) >= n || cr.Step < 0 || cr.At < 0 {
+			return fmt.Errorf("plan entry %d (proc %d, step %d, at %v) is outside the n=%d cluster or before its start",
+				i, cr.Proc, cr.Step, cr.At, n)
+		}
+	}
+	return nil
+}
 
 // Sorted returns the plan ordered by injection time, step-indexed entries
 // tie-broken by step (stable for equal keys). Step crashes carry At == 0,

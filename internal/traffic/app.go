@@ -79,7 +79,7 @@ type app struct {
 // NewApp builds the factory for the multi-tier serving app described by
 // spec. The spec must be valid (Traffic.Validate) and describe exactly the
 // cluster size it is hosted on; NewApp and the factory panic otherwise — a
-// harness that takes specs from outside (experiments.Run) validates first.
+// harness that takes specs from outside (experiments.Build) validates first.
 func NewApp(spec workload.Traffic) workload.Factory {
 	if err := spec.Validate(); err != nil {
 		panic(err)

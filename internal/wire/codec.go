@@ -550,6 +550,7 @@ func encodeHolders(w *Writer, s bitset.Set) error {
 type Decoder struct {
 	dets  []det.Entry
 	words []uint64 // holder-word arena the Dets' holder sets are views into
+	base  int      // cap(words) when the frame being decoded started
 }
 
 // holderWords carves nw words off the arena. When the current block is full
@@ -557,9 +558,12 @@ type Decoder struct {
 // not reused. The first block is sized by what the frame asks for, not for
 // the widest frame there could be: a fanout-mode piggyback is a few
 // determinants of a few words, and the block doubles if that was too small.
+// Within a frame it grows to at most twice the block the frame started
+// with, or the 1024 words of the widest set a five-byte sparse encoding
+// (u16 elements) can name.
 func (d *Decoder) holderWords(nw int) []uint64 {
 	if len(d.words)+nw > cap(d.words) {
-		d.words = make([]uint64, 0, max(2*cap(d.words), nw, 8))
+		d.words = make([]uint64, 0, max(min(2*cap(d.words), max(2*d.base, 1024)), nw, 8))
 	}
 	d.words = d.words[:len(d.words)+nw]
 	return d.words[len(d.words)-nw:]
@@ -690,7 +694,7 @@ func Decode(frame []byte) (*Envelope, error) {
 // frame itself; the other slices are allocated per frame and alias neither
 // the frame nor an earlier decode.
 func (d *Decoder) Decode(e *Envelope, frame storage.Image) error {
-	d.dets, d.words = d.dets[:0], d.words[:0]
+	d.dets, d.words, d.base = d.dets[:0], d.words[:0], cap(d.words)
 	r := &Reader{buf: frame.Data}
 	if v := r.U8(); r.err == nil && v != codecVersion {
 		return fmt.Errorf("%w: %d", ErrBadVersion, v)

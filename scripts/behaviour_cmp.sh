@@ -12,6 +12,9 @@
 #   - the explorer reports: `cmd/explore` (n = 3), `-n 4 -points 400`, and
 #     the two-crash sweep `-n 4 -max-crashes 2 -random 50`, with their
 #     printed summaries;
+#   - `cmd/fblsim -crash 10s:3,14.1s:5 -horizon 45s -outputs`: its printed
+#     summary and its `-timeline` export, the run cmd/fblsim builds from
+#     its flags;
 #   - the tables of `cmd/experiments -only E1,E2,D2,...,D12` (D1, the scale
 #     sweep, is left out for time); here and below, host-time figures
 #     ("computed in", "wall") are dropped;
@@ -68,7 +71,7 @@ status() {
 artifacts() {
   local src=$1 out=$2
   mkdir -p "$out/bin"
-  (cd "$src" && go build -o "$out/bin/" ./cmd/experiments ./cmd/explore) || exit 2
+  (cd "$src" && go build -o "$out/bin/" ./cmd/experiments ./cmd/explore ./cmd/fblsim) || exit 2
   cp "$src/BENCH_seed.json" "$out/seed.json"
   (
     cd "$out"
@@ -76,6 +79,7 @@ artifacts() {
     status explore_n3.txt bin/explore -out explore_n3.json
     status explore_n4_points400.txt bin/explore -n 4 -points 400 -out explore_n4_points400.json
     status explore_n4_2crash.txt bin/explore -n 4 -max-crashes 2 -random 50 -out explore_n4_2crash.json
+    status fblsim.txt bin/fblsim -crash 10s:3,14.1s:5 -horizon 45s -outputs -timeline fblsim_timeline.json
     status tables.raw bin/experiments -only E1,E2,D2,D3,D4,D5,D6,D7,D8,D9,D10,D11,D12
     grep -v 'computed in' tables.raw >tables.txt
     status sweep.log bin/experiments sweep -label cmp -out sweep.raw \
