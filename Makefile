@@ -58,13 +58,13 @@ race:
 	$(GO) test -race ./internal/cluster -run 'ShardCountChangesNothing' -cpu 1,4 -count=1
 	$(GO) test -race ./internal/explore -run 'Golden|Parallel|Mutation|Panic' -cpu 1,4 -count=1
 
-# bench runs the tiny reference sweep (the same axes as the committed
-# BENCH_seed.json) and gates the result against it at threshold 0 — valid
-# because the sweep is deterministic byte-for-byte. See DESIGN.md §9.
+# bench is the sweep's golden test: the BENCH_AXES sweep, on one worker and
+# on four, under -cpu 1 and 4, must equal the committed BENCH_seed.json —
+# axes and every cell — because the sweep is deterministic byte-for-byte.
+# See DESIGN.md §9.
 BENCH_AXES = -seeds 1,2 -n 4 -f 1 -profiles 1995 -styles nonblocking,blocking
 bench:
-	$(GO) run ./cmd/experiments sweep -label ci -out /tmp/BENCH_ci.json $(BENCH_AXES)
-	$(GO) run ./cmd/experiments compare BENCH_seed.json /tmp/BENCH_ci.json -threshold 0
+	$(GO) test ./internal/experiments -run '^TestGoldenSnapshotByteStable$$' -cpu 1,4 -count=1
 
 # bench-seed regenerates the committed reference snapshot after an
 # intentional behavior change; TestGoldenSnapshotByteStable
@@ -140,8 +140,8 @@ perf-pair:
 	./scripts/perf_pair.sh -l $(LABEL) $(if $(BEHAVIOUR),-behaviour-change $(BEHAVIOUR)) $(if $(CLAIM),-claim $(CLAIM))
 
 # behaviour-cmp runs the list of simulated-behaviour artifacts (timeline
-# exports, explorer reports, an fblsim run, experiment tables, the reference sweep and its
-# gate) on the working tree and on its parent commit and names every one
+# exports, explorer reports, an fblsim run, experiment tables, the reference
+# sweep) on the working tree and on its parent commit and names every one
 # that is not byte-identical (scripts/behaviour_cmp.sh); ≈ 1.5 min. A change
 # that moves no simulated byte on purpose proves it with this.
 # `make behaviour-cmp PARENT=HEAD` compares against HEAD instead of HEAD~.

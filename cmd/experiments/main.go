@@ -1,8 +1,7 @@
 // Command experiments regenerates the paper's evaluation: every table and
 // figure in DESIGN.md §3, printed as aligned text tables. Its subcommands
-// run the sweep behind the versioned BENCH_<label>.json snapshots, diff two
-// snapshots as a CI regression gate, and render a snapshot as the markdown
-// tables EXPERIMENTS.md embeds (DESIGN.md §9).
+// run the sweep behind the versioned BENCH_<label>.json snapshots and render
+// a snapshot as the markdown tables EXPERIMENTS.md embeds (DESIGN.md §9).
 //
 // Usage:
 //
@@ -10,7 +9,6 @@
 //	experiments sweep [-label L] [-out FILE] [-seeds 1,2] [-n 4,8] [-f 0,1,2]
 //	      [-profiles 1995,modern] [-styles nonblocking,blocking,manetho]
 //	      [-loads 0,1000] [-cpuprofile cpu.prof] [-memprofile mem.prof]
-//	experiments compare OLD.json NEW.json [-threshold 0.05]
 //	experiments table SNAPSHOT.json
 package main
 
@@ -39,8 +37,6 @@ func main() {
 		switch os.Args[1] {
 		case "sweep":
 			os.Exit(runSweep(ctx, os.Args[2:]))
-		case "compare":
-			os.Exit(runCompare(os.Args[2:]))
 		case "table":
 			os.Exit(runTable(os.Args[2:]))
 		}
@@ -57,6 +53,10 @@ func main() {
 	tlCrash := flag.Duration("timeline-crash", 0, "timeline cell crash instant (0: the experiment's 10s)")
 	tlHorizon := flag.Duration("timeline-horizon", 0, "timeline cell horizon (0: the experiment's 25s)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: unexpected argument %q (subcommands: sweep, table)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if err := timeline.CheckInterval(*tlEvery); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: -timeline-interval:", err)
 		os.Exit(2)

@@ -32,6 +32,10 @@ func runSweep(ctx context.Context, args []string) int {
 	loads := fs.String("loads", "0", "comma-separated offered-load axis in req/s (0 = closed-loop gossip workload)")
 	prof := profile.Register(fs)
 	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "experiments sweep: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 
 	axes, err := parseAxes(*seeds, *ns, *fails, *profiles, *styles, *loads)
 	if err != nil {
@@ -72,52 +76,6 @@ func runSweep(ctx context.Context, args []string) int {
 	elapsed := time.Since(start) //rollvet:allow simtime -- wall-clock cost reporting for the operator, kept out of the snapshot
 	fmt.Fprintf(os.Stderr, "experiments: wrote %s (%d cells, %d sim events, %v wall)\n",
 		path, len(snap.Cells), events, elapsed.Round(time.Millisecond))
-	return 0
-}
-
-func runCompare(args []string) int {
-	fs := flag.NewFlagSet("experiments compare", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 0.05, "relative cost increase tolerated before failing (0 = exact)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: experiments compare OLD.json NEW.json [-threshold 0.05]")
-		fs.PrintDefaults()
-	}
-	// Accept both `compare OLD NEW -threshold X` and `compare -threshold X OLD NEW`.
-	var paths []string
-	for len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		paths = append(paths, args[0])
-		args = args[1:]
-	}
-	fs.Parse(args)
-	paths = append(paths, fs.Args()...)
-	if len(paths) != 2 {
-		fs.Usage()
-		return 2
-	}
-	oldSnap, err := experiments.ReadSnapshot(paths[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 2
-	}
-	newSnap, err := experiments.ReadSnapshot(paths[1])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 2
-	}
-	regs, notes := experiments.Compare(oldSnap, newSnap, *threshold)
-	for _, n := range notes {
-		fmt.Println("note:", n)
-	}
-	for _, r := range regs {
-		fmt.Println("REGRESSION:", r)
-	}
-	if len(regs) > 0 {
-		fmt.Printf("experiments compare: %d regression(s) beyond threshold %.2f (%s -> %s)\n",
-			len(regs), *threshold, paths[0], paths[1])
-		return 1
-	}
-	fmt.Printf("experiments compare: ok, %d cells within threshold %.2f (%s -> %s)\n",
-		len(oldSnap.Cells), *threshold, paths[0], paths[1])
 	return 0
 }
 

@@ -206,65 +206,14 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-func sampleCell(key string, rec, blocked float64, msgs int64, errs int) Cell {
-	return Cell{
-		Key:      key,
-		Recovery: Dist{MeanMS: rec, P50MS: rec, P99MS: rec},
-		Blocked:  Dist{MeanMS: blocked, P99MS: blocked},
-		CtlMsgs:  msgs, CtlBytes: msgs * 100, SimEvents: 1000,
-		Errors: errs,
-	}
-}
-
-func snapOf(cells ...Cell) *Snapshot {
-	return &Snapshot{Meta: Meta{Schema: SchemaVersion}, Cells: cells}
-}
-
-func TestCompare(t *testing.T) {
-	old := snapOf(sampleCell("a", 100, 10, 20, 0), sampleCell("b", 100, 0, 20, 0))
-
-	if regs, _ := Compare(old, snapOf(sampleCell("a", 100, 10, 20, 0), sampleCell("b", 100, 0, 20, 0)), 0); len(regs) != 0 {
-		t.Fatalf("identical snapshots regressed: %v", regs)
-	}
-	// Within threshold.
-	if regs, _ := Compare(old, snapOf(sampleCell("a", 104, 10, 20, 0), sampleCell("b", 100, 0, 20, 0)), 0.05); len(regs) != 0 {
-		t.Fatalf("4%% growth regressed at 5%% threshold: %v", regs)
-	}
-	// Beyond threshold: recovery mean and p99 are both gated (p50 is not).
-	regs, _ := Compare(old, snapOf(sampleCell("a", 110, 10, 20, 0), sampleCell("b", 100, 0, 20, 0)), 0.05)
-	if len(regs) != 2 {
-		t.Fatalf("10%% recovery growth: got %d regressions %v, want 2 (mean+p99)", len(regs), regs)
-	}
-	// Zero-to-nonzero blocked time is always a regression.
-	regs, _ = Compare(old, snapOf(sampleCell("a", 100, 10, 20, 0), sampleCell("b", 100, 5, 20, 0)), 0.5)
-	if len(regs) == 0 {
-		t.Fatal("blocked time appearing from zero not flagged")
-	}
-	// Invariant errors gate regardless of threshold.
-	regs, _ = Compare(old, snapOf(sampleCell("a", 100, 10, 20, 1), sampleCell("b", 100, 0, 20, 0)), 10)
-	if len(regs) != 1 || regs[0].Metric != "errors" {
-		t.Fatalf("errors not gated: %v", regs)
-	}
-	// Missing cell.
-	regs, _ = Compare(old, snapOf(sampleCell("a", 100, 10, 20, 0)), 0.05)
-	if len(regs) != 1 || regs[0].Metric != "missing" {
-		t.Fatalf("missing cell not flagged: %v", regs)
-	}
-	// Extra cell is a note, not a regression.
-	regs, notes := Compare(old, snapOf(sampleCell("a", 100, 10, 20, 0), sampleCell("b", 100, 0, 20, 0), sampleCell("c", 1, 0, 1, 0)), 0.05)
-	if len(regs) != 0 || len(notes) == 0 {
-		t.Fatalf("extra cell: regs=%v notes=%v", regs, notes)
-	}
-	// Improvements are notes.
-	_, notes = Compare(old, snapOf(sampleCell("a", 50, 10, 20, 0), sampleCell("b", 100, 0, 20, 0)), 0.05)
-	if len(notes) == 0 {
-		t.Fatal("improvement not noted")
-	}
-}
-
 func TestMarkdown(t *testing.T) {
-	s := snapOf(sampleCell("x", 100, 10, 20, 0))
-	s.Cells[0].Params = Params{Seed: 1, N: 4, Failures: 1, Profile: "1995", Style: "blocking"}
+	s := &Snapshot{Meta: Meta{Schema: SchemaVersion}, Cells: []Cell{{
+		Key:      "x",
+		Params:   Params{Seed: 1, N: 4, Failures: 1, Profile: "1995", Style: "blocking"},
+		Recovery: Dist{MeanMS: 100, P50MS: 100, P99MS: 100},
+		Blocked:  Dist{MeanMS: 10, P99MS: 10},
+		CtlMsgs:  20, CtlBytes: 2000, SimEvents: 1000,
+	}}}
 	var buf bytes.Buffer
 	if err := Markdown(&buf, s); err != nil {
 		t.Fatal(err)

@@ -23,9 +23,9 @@ import (
 const SchemaVersion = 3
 
 // Meta describes where a snapshot came from. It is informational only:
-// compare and the golden tests diff axes+cells and ignore Meta, because
-// git revision and toolchain legitimately differ between the two sides of
-// a regression check.
+// the golden tests require axes and cells equal to BENCH_seed.json and
+// ignore Meta, because label, git revision and toolchain legitimately
+// differ between the committed snapshot and a fresh run.
 type Meta struct {
 	Schema    int    `json:"schema"`
 	Label     string `json:"label"`
@@ -191,106 +191,4 @@ func Markdown(w io.Writer, s *Snapshot) error {
 		}
 	}
 	return nil
-}
-
-// Regression is one metric of one cell that got worse beyond the
-// threshold. All snapshot metrics are costs, so "worse" means "larger".
-type Regression struct {
-	Key    string
-	Metric string
-	Old    float64
-	New    float64
-	// Delta is the relative increase (new/old - 1); +Inf when old was 0.
-	Delta float64
-}
-
-func (r Regression) String() string {
-	if r.Metric == "missing" {
-		return fmt.Sprintf("%s: cell missing from new snapshot", r.Key)
-	}
-	if math.IsInf(r.Delta, 1) {
-		return fmt.Sprintf("%s: %s %.3f -> %.3f (was zero)", r.Key, r.Metric, r.Old, r.New)
-	}
-	return fmt.Sprintf("%s: %s %.3f -> %.3f (+%.1f%%)", r.Key, r.Metric, r.Old, r.New, 100*r.Delta)
-}
-
-// metricsOf flattens the gated metrics of a cell. Delivered and SimMS are
-// deliberately not gated: delivered work is a throughput (higher is
-// better) and the horizon is a parameter, not a measurement.
-func metricsOf(c Cell) []struct {
-	Name  string
-	Value float64
-} {
-	return []struct {
-		Name  string
-		Value float64
-	}{
-		{"recovery.mean_ms", c.Recovery.MeanMS},
-		{"recovery.p99_ms", c.Recovery.P99MS},
-		{"blocked.mean_ms", c.Blocked.MeanMS},
-		{"blocked.p99_ms", c.Blocked.P99MS},
-		{"ctl_msgs", float64(c.CtlMsgs)},
-		{"ctl_bytes", float64(c.CtlBytes)},
-		{"sim_events", float64(c.SimEvents)},
-		{"output_commit.p50_ms", c.OutputCommit.P50MS},
-		{"output_commit.p99_ms", c.OutputCommit.P99MS},
-		{"errors", float64(c.Errors)},
-	}
-}
-
-// Compare diffs new against old cell-by-cell and returns the regressions:
-// cells that disappeared, invariant errors that appeared, and cost metrics
-// that grew by more than threshold (relative; threshold 0 demands
-// new <= old exactly, which deterministic snapshots of the same code
-// satisfy bit-for-bit). Cells only present in new, and metrics that
-// improved by more than the threshold, are returned as informational
-// notes. Meta is ignored except for the schema check done at Decode time.
-func Compare(old, new *Snapshot, threshold float64) (regs []Regression, notes []string) {
-	newByKey := make(map[string]Cell, len(new.Cells))
-	for _, c := range new.Cells {
-		newByKey[c.Key] = c
-	}
-	oldKeys := make(map[string]bool, len(old.Cells))
-	for _, oc := range old.Cells {
-		oldKeys[oc.Key] = true
-		nc, ok := newByKey[oc.Key]
-		if !ok {
-			regs = append(regs, Regression{Key: oc.Key, Metric: "missing"})
-			continue
-		}
-		om, nm := metricsOf(oc), metricsOf(nc)
-		for i := range om {
-			o, n := om[i].Value, nm[i].Value
-			name := om[i].Name
-			if n <= o {
-				if o > 0 && n < o*(1-threshold) {
-					notes = append(notes, fmt.Sprintf("%s: %s improved %.3f -> %.3f",
-						oc.Key, name, o, n))
-				}
-				continue
-			}
-			// Invariant violations gate unconditionally: a run that used
-			// to be consistent must stay consistent.
-			if name == "errors" {
-				regs = append(regs, Regression{Key: oc.Key, Metric: name, Old: o, New: n,
-					Delta: math.Inf(1)})
-				continue
-			}
-			var delta float64
-			if o == 0 {
-				delta = math.Inf(1)
-			} else {
-				delta = n/o - 1
-			}
-			if math.IsInf(delta, 1) || delta > threshold {
-				regs = append(regs, Regression{Key: oc.Key, Metric: name, Old: o, New: n, Delta: delta})
-			}
-		}
-	}
-	for _, c := range new.Cells {
-		if !oldKeys[c.Key] {
-			notes = append(notes, fmt.Sprintf("%s: new cell (not in old snapshot)", c.Key))
-		}
-	}
-	return regs, notes
 }

@@ -18,9 +18,8 @@
 #   - the tables of `cmd/experiments -only E1,E2,D2,...,D12` (D1, the scale
 #     sweep, is left out for time); here and below, host-time figures
 #     ("computed in", "wall") are dropped;
-#   - the reference sweep of `make bench` and its gate at threshold 0
-#     against the tree's own BENCH_seed.json (the snapshot's git_rev line
-#     dropped: it names the tree, not its behaviour).
+#   - the reference sweep on `make bench-seed`'s axes (the snapshot's
+#     git_rev line dropped: it names the tree, not its behaviour).
 #
 #   scripts/behaviour_cmp.sh              # the tree against HEAD~, ≈ 1.5 min on 2 vCPU
 #   scripts/behaviour_cmp.sh -p HEAD      # before the change is committed
@@ -30,7 +29,7 @@
 # The change side is the working tree, uncommitted edits included; the
 # parent side is a `git archive` extract in a temporary directory, as in
 # scripts/perf_pair.sh. A command's exit status is recorded with its output,
-# so a run that fails (an explorer violation, a failed gate) on one side
+# so a run that fails (an explorer violation, a failed invariant check) on one side
 # only is a difference too.
 #
 # Exit: 0 when every artifact is byte-identical, 1 when any differs (each
@@ -72,7 +71,6 @@ artifacts() {
   local src=$1 out=$2
   mkdir -p "$out/bin"
   (cd "$src" && go build -o "$out/bin/" ./cmd/experiments ./cmd/explore ./cmd/fblsim) || exit 2
-  cp "$src/BENCH_seed.json" "$out/seed.json"
   (
     cd "$out"
     status timeline.txt bin/experiments -timeline timeline
@@ -86,8 +84,7 @@ artifacts() {
       -seeds 1,2 -n 4 -f 1 -profiles 1995 -styles nonblocking,blocking
     sed -E 's/, [^,]* wall\)$/)/' sweep.log >sweep.txt
     grep -v '"git_rev"' sweep.raw >sweep.json || true
-    status gate.txt bin/experiments compare seed.json sweep.raw -threshold 0
-    rm -r bin tables.raw sweep.log sweep.raw seed.json
+    rm -r bin tables.raw sweep.log sweep.raw
   )
 }
 

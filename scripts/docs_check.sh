@@ -16,6 +16,8 @@
 #   6. DESIGN.md's byte count                → equals .design-budget, and
 #      growth over DOCS_BASE (CI: the PR base or push-before SHA) comes
 #      with a CHANGES.md change, as scripts/lines_budget.sh rules `make lines`
+#   7. `cmd/experiments <word>` in docs      → word is a subcommand main
+#      dispatches (a retired one would otherwise run every table)
 #
 # Exit: 0 clean, 1 findings. Best-effort by design — it only sees
 # references it can attribute to a tool on the same (joined) line.
@@ -119,7 +121,18 @@ if [ -n "$base" ] && git rev-parse -q --verify "$base^{commit}" >/dev/null 2>&1;
   fi
 fi
 
+# 7. subcommands of cmd/experiments. A word right after the tool that is
+# not a flag must be a case main dispatches on; anything else is a stray
+# argument the command refuses.
+subcommands=$(grep -oE '^\s*case "[a-z]+":' cmd/experiments/main.go | grep -oE '"[a-z]+"' | tr -d '"')
+for sub in $(joined $DOCS | grep -oE 'cmd/experiments +[a-z][a-z0-9-]*' | awk '{print $2}' | sort -u); do
+  if ! grep -qx "$sub" <<<"$subcommands"; then
+    echo "docs_check: 'cmd/experiments $sub' in docs but cmd/experiments dispatches no subcommand '$sub'" >&2
+    fail=1
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "docs_check: ok (targets, flags, experiment ids all resolve; CHANGES.md entries within their cap; DESIGN.md within .design-budget)"
+echo "docs_check: ok (targets, flags, experiment ids, subcommands all resolve; CHANGES.md entries within their cap; DESIGN.md within .design-budget)"
