@@ -48,14 +48,15 @@ lines:
 # race, on one thread and on four, both window paths (forced inline, forced
 # fan-out, adaptive; DESIGN §5) with the coordinator's callback order, and
 # the shard-count differential (1 ≡ 2 ≡ 4 shards for every family, output
-# tracking, traffic, timelines, jitter, drops and a partition). The last races the explorer's branch
+# tracking, traffic, timelines, jitter, drops and a partition) with its
+# poisoned-frame twin. The last races the explorer's branch
 # pool (DESIGN §13): the goldens, the 1/2/5-worker differential, the
 # mutant and the protocol panic, whose package globals the workers read.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/cluster -run 'Sharded1024|ShardedGolden' -count=1
 	$(GO) test -race ./internal/sim -run 'Shard|WindowPaths|Callbacks' -cpu 1,4 -count=1
-	$(GO) test -race ./internal/cluster -run 'ShardCountChangesNothing' -cpu 1,4 -count=1
+	$(GO) test -race ./internal/cluster -run 'ShardCountChangesNothing|Poison' -cpu 1,4 -count=1
 	$(GO) test -race ./internal/explore -run 'Golden|Parallel|Mutation|Panic' -cpu 1,4 -count=1
 
 # bench is the sweep's golden test: the BENCH_AXES sweep, on one worker and
@@ -111,8 +112,10 @@ bench-micro:
 # determinant log and its holder sets, the stable store's size reads, the
 # channel layer's in-order admit and send window (zero),
 # and the buffer-ownership gates of DESIGN §5: frame encode and decode,
-# heartbeat tick (zero: one frame per incarnation, timer handles are values)
-# and delivery, timer arm+Stop (zero), piggyback transmit and delivery, a
+# a message through the kernel (zero: unicast frame buffers are recycled, on
+# one shard and across two), heartbeat tick (zero: one frame per
+# incarnation, timer handles are values) and delivery, timer arm+Stop
+# (zero), piggyback transmit and delivery, a
 # depinfo reply (frame, envelope, sort keys), checkpoint image), an output
 # request and its release (zero: TestOutputRequestAllocs), and the apps'
 # Handle (the payload it sends, nothing else).

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"rollrec/internal/ids"
 	"rollrec/internal/output"
 	"rollrec/internal/recovery"
+	"rollrec/internal/sim"
 	"rollrec/internal/timeline"
 	"rollrec/internal/traffic"
 	"rollrec/internal/workload"
@@ -112,6 +114,91 @@ func (s diffSpec) run(t *testing.T, shards int) diffOutcome {
 // harness feature and every network fault, and no process rejects anything.
 // CI runs it under -race and -cpu 1,4.
 func TestShardCountChangesNothing(t *testing.T) {
+	for _, spec := range diffSpecs() {
+		t.Run(spec.name, func(t *testing.T) {
+			t.Parallel()
+			one := spec.run(t, 1)
+			if spec.cfg.TrackOutputs && len(one.records) == 0 {
+				t.Fatal("idle cell: no outputs requested")
+			}
+			if spec.traffic != nil && one.offered == 0 {
+				t.Fatal("idle cell: no arrivals offered")
+			}
+			if spec.sample > 0 && len(one.timeline) == 0 {
+				t.Fatal("empty timeline export")
+			}
+			if spec.lossy() && (one.lost == 0 || one.recovered != len(spec.plan)) {
+				t.Fatalf("lossy cell: %d frames lost, %d of %d recoveries complete", one.lost, one.recovered, len(spec.plan))
+			}
+			for _, shards := range []int{2, 4} {
+				spec.run(t, shards).mustEqual(t, fmt.Sprintf("shards=%d", shards), one)
+			}
+			t.Logf("%d events, %d outputs, %d timeline bytes, %d arrivals, %d frames lost",
+				one.events, len(one.records), len(one.timeline), one.offered, one.lost)
+		})
+	}
+}
+
+// TestPoisonedFramesChangeNothing runs the same cells with every frame buffer
+// poisoned as its kernel takes it back (sim.TestingPoisonFrames): each reads
+// on 1, 2 and 4 shards exactly as its unpoisoned one-shard run, so nothing
+// reads a payload after its Deliver returned — in the out-of-order hold,
+// the deferred and future-epoch buffers, the optimistic log, coord's
+// recorded channel state — without the copy Keep makes.
+//
+// Not parallel: the hook is package-global. It is set after the unpoisoned
+// runs and cleared once the parallel cells have finished.
+func TestPoisonedFramesChangeNothing(t *testing.T) {
+	specs := diffSpecs()
+	want := make([]diffOutcome, len(specs))
+	for i, spec := range specs {
+		want[i] = spec.run(t, 1)
+	}
+	sim.TestingPoisonFrames = true
+	t.Cleanup(func() { sim.TestingPoisonFrames = false })
+	for i, spec := range specs {
+		t.Run(spec.name, func(t *testing.T) {
+			t.Parallel()
+			for _, shards := range []int{1, 2, 4} {
+				spec.run(t, shards).mustEqual(t, fmt.Sprintf("poisoned, shards=%d", shards), want[i])
+			}
+		})
+	}
+}
+
+// mustEqual fails t, naming the run as `what`, where got reads differently
+// from one.
+func (got diffOutcome) mustEqual(t *testing.T, what string, one diffOutcome) {
+	t.Helper()
+	if got.events != one.events {
+		t.Errorf("%s: %d events, 1 shard %d", what, got.events, one.events)
+	}
+	if !slices.Equal(got.digests, one.digests) {
+		t.Errorf("%s: application digests differ from 1 shard's", what)
+	}
+	if !slices.Equal(got.lanes, one.lanes) {
+		t.Errorf("%s: per-process trace lanes differ from 1 shard's", what)
+	}
+	if !slices.Equal(got.counters, one.counters) {
+		t.Errorf("%s: rejected / lost-work / lost-frame counters %v, 1 shard %v", what, got.counters, one.counters)
+	}
+	if !slices.Equal(got.records, one.records) {
+		t.Errorf("%s: output ledger differs from 1 shard's (%d vs %d records)",
+			what, len(got.records), len(one.records))
+	}
+	if !bytes.Equal(got.timeline, one.timeline) {
+		t.Errorf("%s: timeline export differs from 1 shard's", what)
+	}
+	if got.offered != one.offered || got.shed != one.shed {
+		t.Errorf("%s: traffic %d offered / %d shed, 1 shard %d / %d",
+			what, got.offered, got.shed, one.offered, one.shed)
+	}
+}
+
+// diffSpecs are the cells of the differentials: every family on the golden
+// scenario and under the whole harness, then outputs, traffic, the sampler,
+// fanout mode and the network faults.
+func diffSpecs() []diffSpec {
 	harnessLoad := workload.Traffic{
 		Clients: 1, Frontends: 1, Backends: 2, FanOut: 2,
 		Load: 400, WorkPerHop: int64(100 * time.Microsecond), PayloadPad: 64,
@@ -184,51 +271,5 @@ func TestShardCountChangesNothing(t *testing.T) {
 			sample: 250 * time.Millisecond,
 		},
 	)
-
-	for _, spec := range specs {
-		t.Run(spec.name, func(t *testing.T) {
-			t.Parallel()
-			one := spec.run(t, 1)
-			if spec.cfg.TrackOutputs && len(one.records) == 0 {
-				t.Fatal("idle cell: no outputs requested")
-			}
-			if spec.traffic != nil && one.offered == 0 {
-				t.Fatal("idle cell: no arrivals offered")
-			}
-			if spec.sample > 0 && len(one.timeline) == 0 {
-				t.Fatal("empty timeline export")
-			}
-			if spec.lossy() && (one.lost == 0 || one.recovered != len(spec.plan)) {
-				t.Fatalf("lossy cell: %d frames lost, %d of %d recoveries complete", one.lost, one.recovered, len(spec.plan))
-			}
-			for _, shards := range []int{2, 4} {
-				got := spec.run(t, shards)
-				if got.events != one.events {
-					t.Errorf("shards=%d: %d events, 1 shard %d", shards, got.events, one.events)
-				}
-				if !slices.Equal(got.digests, one.digests) {
-					t.Errorf("shards=%d: application digests differ from 1 shard's", shards)
-				}
-				if !slices.Equal(got.lanes, one.lanes) {
-					t.Errorf("shards=%d: per-process trace lanes differ from 1 shard's", shards)
-				}
-				if !slices.Equal(got.counters, one.counters) {
-					t.Errorf("shards=%d: rejected / lost-work / lost-frame counters %v, 1 shard %v", shards, got.counters, one.counters)
-				}
-				if !slices.Equal(got.records, one.records) {
-					t.Errorf("shards=%d: output ledger differs from 1 shard's (%d vs %d records)",
-						shards, len(got.records), len(one.records))
-				}
-				if !bytes.Equal(got.timeline, one.timeline) {
-					t.Errorf("shards=%d: timeline export differs from 1 shard's", shards)
-				}
-				if got.offered != one.offered || got.shed != one.shed {
-					t.Errorf("shards=%d: traffic %d offered / %d shed, 1 shard %d / %d",
-						shards, got.offered, got.shed, one.offered, one.shed)
-				}
-			}
-			t.Logf("%d events, %d outputs, %d timeline bytes, %d arrivals, %d frames lost",
-				one.events, len(one.records), len(one.timeline), one.offered, one.lost)
-		})
-	}
+	return specs
 }

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rollrec/internal/channel"
@@ -394,7 +395,8 @@ func (p *Process) deliverApp(e *wire.Envelope) {
 	if p.snapActive && from >= 0 && from < p.n && p.recording[from] {
 		p.recorded[from] = append(p.recorded[from], recordedMsg{
 			from: e.From, ssn: e.SSN, dseq: e.Dseq,
-			payload: e.PayloadImage(), // a view of the read-only frame
+			// a copy: the frame is the runtime's once Deliver returns
+			payload: storage.Image{Data: slices.Clone(e.Payload), Pad: int(e.Pad)},
 		})
 	}
 	switch p.in.Admit(e) {

@@ -17,6 +17,7 @@ import (
 	"rollrec/internal/fbl"
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
+	"rollrec/internal/sim"
 	"rollrec/internal/storage"
 	"rollrec/internal/workload"
 )
@@ -84,6 +85,20 @@ func TestReportGoldenN3(t *testing.T) {
 // crashes aimed inside observed recoveries plus 50 seeded-random multi-crash
 // branches per family, with zero violations.
 func TestReportGoldenN4TwoCrash(t *testing.T) {
+	checkReportGolden(t, "report_n4_2crash.golden.json", Spec{N: 4, F: 1, Seed: 1, MaxCrashes: 2, Random: 50})
+}
+
+// TestReportGoldenPoisoned: both goldens read byte for byte the same with
+// every frame buffer poisoned as its kernel takes it back
+// (sim.TestingPoisonFrames), so no family reads a payload after its Deliver
+// returned without the copy Keep makes.
+//
+// Not parallel: the hook is package-global, set before run because the
+// branch workers read it.
+func TestReportGoldenPoisoned(t *testing.T) {
+	sim.TestingPoisonFrames = true
+	t.Cleanup(func() { sim.TestingPoisonFrames = false })
+	checkReportGolden(t, "report_n3.golden.json", Spec{N: 3, F: 1, Seed: 1, MaxCrashes: 1})
 	checkReportGolden(t, "report_n4_2crash.golden.json", Spec{N: 4, F: 1, Seed: 1, MaxCrashes: 2, Random: 50})
 }
 

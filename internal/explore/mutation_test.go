@@ -13,7 +13,9 @@ import (
 	"rollrec/internal/fbl"
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
+	"rollrec/internal/sim"
 	"rollrec/internal/storage"
+	"rollrec/internal/wire"
 	"rollrec/internal/workload"
 )
 
@@ -50,6 +52,11 @@ import (
 //     later frames into it, so a restarted process consumes whatever came
 //     last in place of what it set aside, loses the frames it deferred, and
 //     its peers wait for replies that never come;
+//   - "kept payload shares the frame": wire.TestingKeepSharesPayload makes
+//     Keep share the payload of a frame the runtime takes back once Deliver
+//     returns, and sim.TestingPoisonFrames poisons every buffer taken back.
+//     A frame held out of order or deferred is then consumed with a poisoned
+//     payload, whose hash is not the one its sender logged;
 //   - "restart-origin tag stripped": coord.TestingStripRestartOrigin makes
 //     every rollback look relayed, so a restarter that missed an epoch never
 //     gets the fresh rollback a live peer would relay, and the cluster runs
@@ -89,6 +96,10 @@ func TestMutationDetected(t *testing.T) {
 			fbl.TestingRetainRx = true
 			t.Cleanup(func() { fbl.TestingRetainRx = false })
 		}, regexp.MustCompile(`^liveness: .*workload incomplete`)},
+		{"kept payload shares the frame", fblMutationSpec(), func(t *testing.T) {
+			wire.TestingKeepSharesPayload, sim.TestingPoisonFrames = true, true
+			t.Cleanup(func() { wire.TestingKeepSharesPayload, sim.TestingPoisonFrames = false, false })
+		}, regexp.MustCompile(`^orphan: .*surviving send differs`)},
 		{"restart-origin tag stripped", coordMutationSpec, func(t *testing.T) {
 			coord.TestingStripRestartOrigin = true
 			t.Cleanup(func() { coord.TestingStripRestartOrigin = false })

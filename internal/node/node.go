@@ -103,11 +103,12 @@ type Process interface {
 	// reincarnation after a crash (stable storage persists across boots).
 	Boot(env Env, restart bool)
 	// Deliver hands the instance a decoded frame from the network. The
-	// envelope and its Dets belong to the runtime, which may decode the next
-	// frame into both as soon as Deliver returns: work on a copy of the
-	// struct, merge the Dets before returning, and store e.Keep() for a
-	// frame that must outlive the call (the other slices are allocated per
-	// frame and never reused).
+	// envelope, its Dets and the frame its Payload is a view of belong to
+	// the runtime, which may decode or encode the next frame into them as
+	// soon as Deliver returns: work on a copy of the struct, merge the Dets
+	// and read the Payload before returning, and store e.Keep() for a frame
+	// that must outlive the call (the other slices are allocated per frame
+	// and never reused).
 	Deliver(e *wire.Envelope)
 }
 

@@ -2,6 +2,7 @@ package optimistic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -97,10 +98,13 @@ func (p *Process) applyDelivery(from ids.ProcID, ssn ids.SSN, dseq uint64, paylo
 	if !replay {
 		self := p.env.ID()
 		p.dv[self] = interval{epoch: p.epoch, index: p.dv[self].index + 1}
+		// A live payload is a view of a frame the runtime reuses once
+		// Deliver returns; a replayed one is already the log's.
+		payload.Data = slices.Clone(payload.Data)
 	}
 	entry := logEntry{
 		from: from, ssn: ssn, dseq: dseq,
-		payload: payload, // a view of the read-only frame (or stable image)
+		payload: payload,
 		dv:      append([]interval(nil), p.dv...),
 	}
 	p.log = append(p.log, entry)

@@ -84,7 +84,7 @@ func TestShardArrivalKeyOrder(t *testing.T) {
 			// send puts a frame on from→to that arrives at T.
 			send := func(from, to ids.ProcID) {
 				ns := env(from)
-				ns.sendFrame(to, wire.KindApp, frameOfSize(t, from, int((T-L-time.Duration(ns.Now()))/time.Microsecond)))
+				ns.sendFrame(to, wire.KindApp, frameOfSize(t, from, int((T-L-time.Duration(ns.Now()))/time.Microsecond)), nil)
 			}
 			timer := func(on ids.ProcID, name string) {
 				ns := env(on)

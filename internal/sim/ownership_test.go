@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"rollrec/internal/ids"
 	"rollrec/internal/node"
 	"rollrec/internal/storage"
+	"rollrec/internal/wire"
 )
 
 // These tests pin the buffer-ownership contract of the simulator's node.Env
@@ -77,11 +79,56 @@ func TestCrashDuringWriteKeepsPreviousValue(t *testing.T) {
 }
 
 // TestSendReceiveAllocs is the gate on BenchmarkKernelSendReceive: one
-// end-to-end message costs its frame — the envelope is the kernel's own (it
-// was an allocation when deliver used Decode) and the decoded payload a view
-// of the frame (it was one while Reader.Bytes copied).
+// end-to-end message allocates nothing — the envelope is the kernel's own (it
+// was an allocation when deliver used Decode), the decoded payload a view of
+// the frame (it was one while Reader.Bytes copied), and the frame a buffer
+// from the kernel's free list (it was one until frames were recycled).
 func TestSendReceiveAllocs(t *testing.T) {
-	if got := sendReceiveAllocsPerMsg(allocGateSharded(1)); got > 1 {
-		t.Fatalf("send+receive allocates %.2f/msg, want <= 1 (the frame)", got)
+	if got := sendReceiveAllocsPerMsg(allocGateSharded(1)); got != 0 {
+		t.Fatalf("send+receive allocates %.2f/msg, want 0", got)
+	}
+}
+
+// TestFrameReturnsWhereItsArrivalEnds: a unicast frame's buffer is back on
+// its sender's free list however its arrival ends — delivered, lost on a cut
+// link, dropped at a down node, or addressed to a node never registered —
+// and the next frame of its class is encoded into it; a frame above
+// maxFrameBuf is the collector's and enters no list.
+func TestFrameReturnsWhereItsArrivalEnds(t *testing.T) {
+	s, env := allocGateSharded(1)
+	k := s.shards[0]
+	e := &wire.Envelope{Kind: wire.KindApp, FromInc: 1, Payload: make([]byte, 64)}
+	c := frameClass(wire.Size(e))
+	send := func(to ids.ProcID) {
+		env.Send(to, e)
+		s.Run(time.Duration(s.Now()) + time.Second)
+	}
+	send(1)
+	if len(k.frames[c]) != 1 {
+		t.Fatalf("after a delivery the %d B list holds %d buffers, want 1", minFrameBuf<<c, len(k.frames[c]))
+	}
+	buf := &k.frames[c][0][:1][0]
+	for _, tc := range []struct {
+		name string
+		end  func()
+	}{
+		{"delivered", func() { send(1) }},
+		{"lost on a cut link", func() { s.Cut(0, 1); send(1); s.Heal(0, 1) }},
+		{"dropped at a down node", func() { k.crash(1); send(1) }},
+		{"addressed to no node", func() { send(5) }},
+		{"above maxFrameBuf", func() {
+			big := &wire.Envelope{Kind: wire.KindApp, FromInc: 1, Payload: make([]byte, maxFrameBuf)}
+			env.Send(1, big)
+			s.Run(time.Duration(s.Now()) + time.Minute)
+		}},
+	} {
+		tc.end()
+		n := 0
+		for _, free := range k.frames {
+			n += len(free)
+		}
+		if n != 1 || len(k.frames[c]) != 1 || &k.frames[c][0][:1][0] != buf {
+			t.Fatalf("%s: the free lists hold %d buffers, want the one frame buffer", tc.name, n)
+		}
 	}
 }

@@ -58,6 +58,7 @@ type outMsg struct {
 	count    uint64 // the sender's send count (nodeState.sent)
 	from, to ids.ProcID
 	frame    storage.Image
+	home     *Kernel // the frame buffer's free list, nil if the collector's
 }
 
 // coEvent is one entry of the coordinator's queue, ordered by (at, seq): a
@@ -487,7 +488,8 @@ func (s *Sharded) fanOut(target int64) (total int64) {
 
 // flush closes the current phase: it pushes every outboxed frame onto its
 // destination shard under the key it was sent with — in any order, since the
-// key alone places it — and moves every shard to the next phase.
+// key alone places it — hands every frame buffer a shard took back for
+// another to its home's free list, and moves every shard to the next phase.
 func (s *Sharded) flush() {
 	for _, k := range s.shards {
 		for i := range k.out {
@@ -495,6 +497,11 @@ func (s *Sharded) flush() {
 			k.out[i] = outMsg{} // release the frame; the backing array is reused
 		}
 		k.out = k.out[:0]
+		for i, a := range k.away {
+			a.home.keepFrame(a.buf)
+			k.away[i] = awayFrame{}
+		}
+		k.away = k.away[:0]
 	}
 	for _, k := range s.shards {
 		k.phase++

@@ -45,8 +45,9 @@ func allocGateSharded(shards int) (*Sharded, node.Env) {
 // TestShardedScheduleDeliverAllocs is the sharded-path allocation regression
 // gate CI runs: routing a message across a shard boundary must cost at most a
 // fraction of an allocation per message over one shard — the outbox slots
-// are reused, so only per-window bookkeeping (amortized over the batch)
-// remains.
+// are reused, and a frame taken back on the receiver's shard returns to the
+// sender's free list at the flush, so only per-window bookkeeping (amortized
+// over the batch) remains.
 func TestShardedScheduleDeliverAllocs(t *testing.T) {
 	one := sendReceiveAllocsPerMsg(allocGateSharded(1))
 	sharded := sendReceiveAllocsPerMsg(allocGateSharded(2))
@@ -57,15 +58,15 @@ func TestShardedScheduleDeliverAllocs(t *testing.T) {
 }
 
 // TestOneShardSendReceiveAllocs: at one shard every arrival goes straight
-// onto the heap under its key, no outbox is ever appended to, and a message
-// costs exactly its frame.
+// onto the heap under its key, no outbox or away list is ever appended to,
+// and a message reuses a frame buffer its kernel took back.
 func TestOneShardSendReceiveAllocs(t *testing.T) {
 	s, env := allocGateSharded(1)
-	if one := sendReceiveAllocsPerMsg(s, env); one != 1 {
-		t.Errorf("one-shard send/receive allocates %.3f/msg, want exactly 1 (the frame)", one)
+	if one := sendReceiveAllocsPerMsg(s, env); one != 0 {
+		t.Errorf("one-shard send/receive allocates %.3f/msg, want exactly 0", one)
 	}
-	if c := cap(s.shards[0].out); c != 0 {
-		t.Errorf("the one-shard outbox grew to %d frames; no frame may enter it", c)
+	if k := s.shards[0]; cap(k.out) != 0 || cap(k.away) != 0 {
+		t.Errorf("the one-shard outbox grew to %d frames and the away list to %d; nothing may enter them", cap(k.out), cap(k.away))
 	}
 }
 

@@ -23,6 +23,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"rollrec/internal/ids"
@@ -93,8 +94,9 @@ type event struct {
 	sentAt int64  // virtual send time (evArrive)
 	pos    int32  // heap index while queued
 	next   int32  // free-list link while free
-	pad    int32  // the frame's Pad, here to keep the slot at 112 B
+	pad    int32  // the frame's Pad, here to keep the slot at 104 B
 	kind   uint8
+	owned  bool // the frame's buffer returns to its sender's free list (see frames)
 }
 
 // Kernel is one shard of a Sharded runtime: the event heap and the nodes the
@@ -116,6 +118,12 @@ type Kernel struct {
 	// what it needs, wire.Envelope.Keep) before the next decode.
 	rx  wire.Envelope
 	dec wire.Decoder
+	// frames[c] is the free list of frame buffers of minFrameBuf<<c bytes
+	// a unicast Send encodes into. Such a frame is the kernel's until its
+	// arrival is consumed (see releaseFrame); away holds the buffers this
+	// shard took back for another shard's lists until the flush returns them.
+	frames [frameClasses][][]byte
+	away   []awayFrame
 
 	// The coordinator (shard.go). phase counts its flushes and stamps every
 	// event created in it. A frame to a node of another shard waits in out
@@ -382,7 +390,7 @@ func (k *Kernel) arrive(m *outMsg, phase uint64) {
 	s := &k.slots[i]
 	s.kind = evArrive
 	s.ns = ns
-	s.frame, s.pad = m.frame.Data, int32(m.frame.Pad)
+	s.frame, s.pad, s.owned = m.frame.Data, int32(m.frame.Pad), m.home != nil
 	s.sentAt = m.sentAt
 	s.phase = phase<<1 | 1
 	s.epoch = uint64(uint32(m.to)^1<<31)<<32 | uint64(uint32(m.from)^1<<31)
@@ -430,8 +438,14 @@ func (k *Kernel) run(limit int64) int64 {
 			e.ns.exec(e.epoch, e.fn)
 		case evArrive:
 			k.inflight--
+			var home *Kernel
+			if e.owned {
+				home = k.homeOf(ids.ProcID(int32(uint32(e.epoch) ^ 1<<31))) // the sender (see arrive)
+			}
 			if e.ns != nil {
-				k.frameArrived(e.ns, storage.Image{Data: e.frame, Pad: int(e.pad)}, e.sentAt)
+				k.frameArrived(e.ns, storage.Image{Data: e.frame, Pad: int(e.pad)}, home, e.sentAt)
+			} else {
+				k.releaseFrame(home, e.frame)
 			}
 		case evWake:
 			k.wake(e.ns, e.epoch)
@@ -488,11 +502,13 @@ func (k *Kernel) restart(ns *nodeState) {
 }
 
 // defItem is one entry of the FIFO busy-deferral queue: either a deferred
-// frame delivery (frame set) or a deferred callback (fn set).
+// frame delivery (frame set, with its buffer's home) or a deferred callback
+// (fn set). A crash drops the queue, and the collector takes its frames.
 type defItem struct {
 	epoch uint64
 	fn    func()
 	frame storage.Image
+	home  *Kernel
 }
 
 // nodeState implements node.Env for one node.
@@ -542,12 +558,15 @@ func (ns *nodeState) Busy(d time.Duration) {
 	ns.busyUntil = start + int64(d)
 }
 
+// Send encodes e into a buffer from the kernel's free list of its size
+// class (frameBuf): the frame is the kernel's until its arrival is consumed.
 func (ns *nodeState) Send(to ids.ProcID, e *wire.Envelope) {
 	if !ns.up {
 		return
 	}
 	e.From = ns.id
-	ns.sendFrame(to, e.Kind, encode(e))
+	buf, home := ns.k.frameBuf(wire.Size(e) - int(e.Pad))
+	ns.sendFrame(to, e.Kind, encoded(wire.EncodeInto(buf, e)), home)
 }
 
 // Multicast encodes e once and multicasts the frame.
@@ -556,13 +575,12 @@ func (ns *nodeState) Multicast(dests []ids.ProcID, e *wire.Envelope) {
 		return
 	}
 	e.From = ns.id
-	ns.MulticastFrame(dests, e.Kind, encode(e))
+	ns.MulticastFrame(dests, e.Kind, encoded(wire.EncodeChecked(e)))
 }
 
-// encode is wire.EncodeChecked for an envelope the simulator built, which
-// is encodable by construction: an error is an invariant violation.
-func encode(e *wire.Envelope) storage.Image {
-	frame, err := wire.EncodeChecked(e)
+// encoded is the frame of an envelope the simulator built, which is
+// encodable by construction: an error is an invariant violation.
+func encoded(frame storage.Image, err error) storage.Image {
 	if err != nil {
 		panic(fmt.Sprintf("sim: unencodable envelope: %v", err))
 	}
@@ -570,13 +588,13 @@ func encode(e *wire.Envelope) storage.Image {
 }
 
 // MulticastFrame hands every destination the one frame, which nothing writes
-// after this point.
+// after this point and the collector reclaims.
 func (ns *nodeState) MulticastFrame(dests []ids.ProcID, kind wire.Kind, frame storage.Image) {
 	if !ns.up {
 		return
 	}
 	for _, to := range dests {
-		ns.sendFrame(to, kind, frame)
+		ns.sendFrame(to, kind, frame, nil)
 	}
 }
 
@@ -585,8 +603,9 @@ func (ns *nodeState) MulticastFrame(dests []ids.ProcID, kind wire.Kind, frame st
 // arrival's key says when it was sent, not when it is enqueued, so it goes
 // onto its own shard's heap now; a frame for another shard waits in the
 // outbox for the next flush. Every cost is the frame's logical size, its
-// padding included.
-func (ns *nodeState) sendFrame(to ids.ProcID, kind wire.Kind, frame storage.Image) {
+// padding included. home is the kernel whose free list the buffer returns
+// to, nil for a frame the collector owns.
+func (ns *nodeState) sendFrame(to ids.ProcID, kind wire.Kind, frame storage.Image, home *Kernel) {
 	if to == ns.id {
 		panic(fmt.Sprintf("sim: %v sent to itself", ns.id))
 	}
@@ -599,10 +618,11 @@ func (ns *nodeState) sendFrame(to ids.ProcID, kind wire.Kind, frame storage.Imag
 	at, ok := ns.link(to).Schedule(k.cfg.HW.Net, k.cfg.Seed, ns.id, to, k.now, size)
 	if !ok {
 		ns.met.Lost++
+		k.releaseFrame(home, frame.Data)
 		return
 	}
 	ns.sent++
-	m := outMsg{at: at, sentAt: k.now, count: ns.sent, from: ns.id, to: to, frame: frame}
+	m := outMsg{at: at, sentAt: k.now, count: ns.sent, from: ns.id, to: to, frame: frame, home: home}
 	if len(k.coord.shards) > 1 && k.coord.shardFor(to) != k {
 		k.out = append(k.out, m)
 		return
@@ -622,24 +642,27 @@ func (ns *nodeState) link(to ids.ProcID) *netmodel.Link {
 
 // frameArrived is the network-side arrival of an encoded frame sent at
 // virtual time sentAt.
-func (k *Kernel) frameArrived(ns *nodeState, frame storage.Image, sentAt int64) {
+func (k *Kernel) frameArrived(ns *nodeState, frame storage.Image, home *Kernel, sentAt int64) {
 	if !ns.up {
 		ns.met.Dropped++
+		k.releaseFrame(home, frame.Data)
 		return
 	}
 	ns.met.DeliveryHist.Record(time.Duration(k.now - sentAt))
-	k.deliver(ns, frame, ns.epoch)
+	k.deliver(ns, frame, home, ns.epoch)
 }
 
 // deliver decodes and delivers a frame on the process's current epoch, or
 // queues it behind the receiver's other deferred work while it is busy — the
-// same semantics exec gives callbacks.
-func (k *Kernel) deliver(ns *nodeState, frame storage.Image, epoch uint64) {
+// same semantics exec gives callbacks. Either way the arrival is consumed
+// here, buffer and all, unless it was queued.
+func (k *Kernel) deliver(ns *nodeState, frame storage.Image, home *Kernel, epoch uint64) {
 	if ns.epoch != epoch || !ns.up {
+		k.releaseFrame(home, frame.Data)
 		return
 	}
 	if ns.busyUntil > k.now {
-		ns.deferItem(defItem{epoch: epoch, frame: frame})
+		ns.deferItem(defItem{epoch: epoch, frame: frame, home: home})
 		return
 	}
 	e := &k.rx
@@ -652,6 +675,76 @@ func (k *Kernel) deliver(ns *nodeState, frame storage.Image, epoch uint64) {
 	k.tr.Instant(k.now, int32(ns.id), trace.EvRecv,
 		trace.Tag{Kind: uint8(e.Kind), Arg: int64(size)})
 	ns.proc.Deliver(e)
+	k.releaseFrame(home, frame.Data)
+}
+
+// Frame buffers come in frameClasses sizes, minFrameBuf << c for class c,
+// up to maxFrameBuf, 16 KiB: a frame above it — a depinfo reply of a large
+// log — is left to the collector, so no rare large frame pins its size in a
+// free list (DESIGN §5 has the measured frame sizes behind the value).
+const (
+	frameClasses = 9
+	minFrameBuf  = 64
+	maxFrameBuf  = minFrameBuf << (frameClasses - 1)
+)
+
+// frameBuf returns a buffer for an n-byte frame and the kernel whose free
+// list it returns to: this one, or nil for a buffer of exactly n bytes above
+// maxFrameBuf, which the collector owns.
+func (k *Kernel) frameBuf(n int) ([]byte, *Kernel) {
+	if n > maxFrameBuf {
+		return make([]byte, 0, n), nil
+	}
+	c := frameClass(n)
+	free := k.frames[c]
+	if len(free) == 0 {
+		return make([]byte, 0, minFrameBuf<<c), k
+	}
+	k.frames[c] = free[:len(free)-1]
+	return free[len(free)-1], k
+}
+
+// frameClass is the smallest class whose buffers hold n bytes.
+func frameClass(n int) int { return max(bits.Len(uint(n-1))-bits.Len(minFrameBuf-1), 0) }
+
+// homeOf returns the kernel whose free lists a frame sent by `from` came
+// from: the sender's shard's.
+func (k *Kernel) homeOf(from ids.ProcID) *Kernel {
+	if len(k.coord.shards) == 1 {
+		return k
+	}
+	return k.coord.shardFor(from)
+}
+
+// awayFrame is a buffer taken back on one shard for another's free lists.
+type awayFrame struct {
+	home *Kernel
+	buf  []byte
+}
+
+// releaseFrame takes back the buffer of a frame whose arrival is consumed:
+// onto this kernel's free list when it is the buffer's home, into away for
+// the flush when another shard's is. A nil home is a frame the collector
+// owns: shared by a multicast, encoded once and sent again, or too large.
+func (k *Kernel) releaseFrame(home *Kernel, data []byte) {
+	switch {
+	case home == nil:
+	case TestingPoisonFrames:
+		data = data[:cap(data)]
+		for i := range data {
+			data[i] = poisonByte
+		}
+	case home == k:
+		k.keepFrame(data)
+	default:
+		k.away = append(k.away, awayFrame{home, data})
+	}
+}
+
+// keepFrame puts a buffer of this kernel's back on the free list of its class.
+func (k *Kernel) keepFrame(buf []byte) {
+	c := frameClass(cap(buf))
+	k.frames[c] = append(k.frames[c], buf[:0])
 }
 
 // exec runs fn when the process is free, dropping it if the process
@@ -721,7 +814,7 @@ func (k *Kernel) wake(ns *nodeState, epoch uint64) {
 	if it.fn != nil {
 		ns.exec(it.epoch, it.fn)
 	} else {
-		k.deliver(ns, it.frame, it.epoch)
+		k.deliver(ns, it.frame, it.home, it.epoch)
 	}
 	if len(ns.defq) > ns.defHead {
 		ns.armWake()

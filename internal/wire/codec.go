@@ -339,10 +339,19 @@ func Encode(e *Envelope) []byte {
 // exceeds its wire representation. Data is allocated once, at exactly its
 // length.
 func EncodeChecked(e *Envelope) (storage.Image, error) {
+	return EncodeInto(make([]byte, 0, Size(e)-int(e.Pad)), e)
+}
+
+// EncodeInto is EncodeChecked into buf's storage: Data starts at buf[0],
+// and grows as append grows buf if cap(buf) is short of Size(e) less the
+// payload's Pad. Every byte of Data is written, whatever buf held
+// (TestEncodeIntoDirtyBuffer), so a recycled buffer encodes what a fresh one
+// does.
+func EncodeInto(buf []byte, e *Envelope) (storage.Image, error) {
 	if e.Dets != nil && e.DetView != nil {
 		return storage.Image{}, ErrTwoDetLists
 	}
-	w := &Writer{buf: make([]byte, 0, Size(e)-int(e.Pad))}
+	w := &Writer{buf: buf[:0]}
 	w.U8(codecVersion)
 	w.U8(uint8(e.Kind))
 	w.I32(int32(e.From))
@@ -690,9 +699,10 @@ func Decode(frame []byte) (*Envelope, error) {
 // holds, is refused (ErrPad). e.Dets — the entries and their holder sets —
 // sit in the decoder's buffers and are valid until its next Decode — for a
 // handler, until it returns — unless kept (Envelope.Keep copies them out).
-// e.Payload is a view of frame.Data, as read-only and as long-lived as the
-// frame itself; the other slices are allocated per frame and alias neither
-// the frame nor an earlier decode.
+// e.Payload is a view of frame.Data, read-only and valid as long as the
+// frame is (the simulator's until Deliver returns: Envelope.Keep copies it);
+// the other slices are allocated per frame and alias neither the frame nor
+// an earlier decode.
 func (d *Decoder) Decode(e *Envelope, frame storage.Image) error {
 	d.dets, d.words, d.base = d.dets[:0], d.words[:0], cap(d.words)
 	r := &Reader{buf: frame.Data}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -324,6 +325,50 @@ func TestEncodeAllocs(t *testing.T) {
 	}
 }
 
+// dirtyBuffer is a recycled frame buffer of the given capacity, every byte
+// of it 0xFF.
+func dirtyBuffer(capacity int) []byte {
+	buf := make([]byte, capacity)
+	for i := range buf {
+		buf[i] = 0xFF
+	}
+	return buf
+}
+
+// TestEncodeIntoDirtyBuffer: encoding into a reused buffer full of 0xFF
+// gives exactly the bytes of a fresh EncodeChecked, in that buffer when it
+// holds the frame and in a fresh one when it does not — for envelopes with a
+// payload, with Dets, with a DetView and with a pad. An encoder that skipped
+// a field instead of writing it would leave 0xFF behind.
+func TestEncodeIntoDirtyBuffer(t *testing.T) {
+	view := viewLog(t, det.Config{N: 100, F: 10}).View([]ids.ProcID{3, 7})
+	envelopes := append(sampleEnvelopes(), paddedEnvelopes()...)
+	envelopes = append(envelopes, piggybackFrame(10, 40),
+		&Envelope{Kind: KindDepReply, From: 2, FromInc: 3, Round: 4, DetView: &view})
+	for i, e := range envelopes {
+		fresh, err := EncodeChecked(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(fresh.Data)
+		for _, capacity := range []int{n, n + 37, n - 1} {
+			buf := dirtyBuffer(capacity)
+			got, err := EncodeInto(buf, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Data, fresh.Data) || got.Pad != fresh.Pad {
+				t.Fatalf("envelope %d (%v) into a dirty %d-byte buffer:\n got %x+%d\nwant %x+%d",
+					i, e.Kind, capacity, got.Data, got.Pad, fresh.Data, fresh.Pad)
+			}
+			if inPlace := &got.Data[0] == &buf[0]; inPlace != (capacity >= n) {
+				t.Fatalf("envelope %d (%v): a %d-byte frame in a %d-byte buffer was written in place: %v",
+					i, e.Kind, n, capacity, inPlace)
+			}
+		}
+	}
+}
+
 // TestDecodeIntoReusesOnlyTheStruct: an envelope Decode returned is the
 // caller's, slices included — its Payload a view of its own frame, the rest
 // its own copies — so decoding every other frame afterwards leaves it equal
@@ -436,7 +481,9 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 // TestDecodedPayloadIsAViewOfTheFrame: Reader.Bytes returns the field in
 // place, so a decoded Payload shares the frame's backing array; its capacity
 // is its length, so an append copies instead of overwriting the field after
-// it; and Keep shares it, since nothing writes a frame.
+// it; and Keep copies it, since the simulator reuses a frame once its
+// delivery returns: a kept payload survives the frame being overwritten,
+// while under TestingKeepSharesPayload it reads the overwrite.
 func TestDecodedPayloadIsAViewOfTheFrame(t *testing.T) {
 	e := piggybackFrame(10, 3)
 	e.Payload = []byte("payload") // the determinants are the next field
@@ -459,9 +506,24 @@ func TestDecodedPayloadIsAViewOfTheFrame(t *testing.T) {
 	if &grown[0] == &rx.Payload[0] || !bytes.Equal(frame, Encode(e)) {
 		t.Fatal("appending to the Payload wrote into the frame")
 	}
-	if kept := rx.Keep(); &kept.Payload[0] != &rx.Payload[0] {
-		t.Fatal("Keep copied the Payload; a view of the read-only frame is shared")
+	kept := rx.Keep()
+	TestingKeepSharesPayload = true
+	shared := rx.Keep()
+	TestingKeepSharesPayload = false
+	if &kept.Payload[0] == &rx.Payload[0] || !bytes.Equal(kept.Payload, e.Payload) {
+		t.Fatal("Keep shares the Payload; a kept frame must own a copy")
 	}
+	if &shared.Payload[0] != &rx.Payload[0] {
+		t.Fatal("TestingKeepSharesPayload: Keep still copies the Payload")
+	}
+	recycled := slices.Clone(frame)
+	for i := range frame {
+		frame[i] = 0xA5 // what a poisoned or reused frame holds
+	}
+	if !bytes.Equal(kept.Payload, e.Payload) || bytes.Equal(shared.Payload, e.Payload) {
+		t.Fatalf("after the frame is overwritten the kept payload reads %q and the shared one %q", kept.Payload, shared.Payload)
+	}
+	copy(frame, recycled)
 	field := frame[at-4:] // the payload's length prefix onward
 	read := func() {
 		r := Reader{buf: field}

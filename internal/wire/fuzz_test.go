@@ -275,6 +275,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		if again, _ := EncodeChecked(e2); !bytes.Equal(again.Data, re.Data) || again.Pad != re.Pad {
 			t.Fatal("re-encoding a re-encoded frame changed it")
 		}
+		if dirty, _ := EncodeInto(dirtyBuffer(len(re.Data)+7), e); !bytes.Equal(dirty.Data, re.Data) || dirty.Pad != re.Pad {
+			t.Fatal("encoding into a dirty reused buffer differs from a fresh encode")
+		}
 		checkMaterialised(t, e)
 	})
 }

@@ -8,16 +8,19 @@
 // on the byte copy, not on who owns the structs around it: Encode copies
 // all an envelope references into the frame (a sender may reuse one envelope
 // for a fan-out, or hand one to Multicast; a DetView is read from the
-// sender's log in place), nothing writes a frame after that, and decoding
-// reads the payload in place — a view of the read-only frame — and copies
-// the rest out, the determinants into the Decoder's buffers (the simulator
-// decodes every frame into one struct through one Decoder; Envelope.Keep is
-// how a handler holds on to a frame). A payload's padding is a length on the
-// wire as in storage: Size counts it, the frame carries it as a count
-// (storage.Image.Pad), and no one allocates the zeros.
+// sender's log in place), nothing writes a frame until its delivery returns,
+// and decoding reads the payload in place — a view of the frame — and copies
+// the rest out, the determinants into the Decoder's buffers. The simulator
+// decodes every frame into one struct through one Decoder and recycles a
+// unicast frame once Deliver returns, so a decoded payload is valid until
+// then; Envelope.Keep is how a handler holds on to a frame. A payload's
+// padding is a length on the wire as in storage: Size counts it, the frame
+// carries it as a count (storage.Image.Pad), and no one allocates the zeros.
 package wire
 
 import (
+	"slices"
+
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
 	"rollrec/internal/storage"
@@ -180,12 +183,15 @@ func (e *Envelope) PayloadImage() storage.Image {
 
 // Keep returns what a Deliver handler stores when a frame must outlive the
 // call: a copy of the struct, which the runtime decodes the next frame into,
-// and of Dets, which live in the runtime's Decoder. The other slices are
-// shared: Payload is a view of the read-only frame, the rest are allocated
-// per frame.
+// of Dets, which live in the runtime's Decoder, and of Payload, a view of a
+// frame the runtime reuses once Deliver returns. The other slices are
+// allocated per frame and shared.
 func (e *Envelope) Keep() *Envelope {
 	c := *e
 	c.Dets = cloneDets(e.Dets)
+	if !TestingKeepSharesPayload {
+		c.Payload = slices.Clone(e.Payload)
+	}
 	return &c
 }
 

@@ -51,12 +51,12 @@ type App interface {
 	// Start runs once at the beginning of the computation (it is re-run
 	// during recovery only when the checkpoint predates it).
 	Start(ctx Ctx)
-	// Handle processes one delivered message. The payload is read-only: it
-	// aliases the received frame, which the protocol may keep and which
-	// other receivers of the same frame read. It comes in either form of the
-	// same logical bytes — its padding modelled, as sent, or materialised in
-	// Data, as a restored log record holds it — and both must have the same
-	// effect. A payload it cannot parse leaves the state untouched and
+	// Handle processes one delivered message. The payload is read-only and
+	// valid until Handle returns: it aliases the received frame, which the
+	// runtime reuses afterwards, or a record the protocol keeps. It comes in
+	// either form of the same logical bytes — its padding modelled, as sent,
+	// or materialised in Data, as a restored log record holds it — and both
+	// must have the same effect. A payload it cannot parse leaves the state untouched and
 	// returns an error, which the host counts (metrics.Proc.Rejected) instead
 	// of failing the run.
 	Handle(ctx Ctx, from ids.ProcID, payload storage.Image) error
