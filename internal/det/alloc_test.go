@@ -107,7 +107,7 @@ func TestSlabGrowsInChunksAndNeverCopies(t *testing.T) {
 		if st.Entries != first+k || st.SlabCap != first+k {
 			t.Fatalf("%+v: %d entries in %d slots, want %d", cfg, st.Entries, st.SlabCap, first+k)
 		}
-		const slack = 16 // table doublings (5 here), directory growth, ReadMemStats itself
+		const slack = 16 // table doublings (4 here), directory growth, ReadMemStats itself
 		if objs, most := m1.Mallocs-m0.Mallocs, uint64(2*(k/chunkSize)+slack); objs > most {
 			t.Errorf("%+v: recording %d entries past the first chunk allocated %d objects, want at most %d", cfg, k, objs, most)
 		}
@@ -146,11 +146,28 @@ func TestViewAllocs(t *testing.T) {
 	}
 }
 
-// TestSlotSize pins the slot at 56 bytes: the determinant is held flat so
-// that born sits where a nested Determinant's padding was. A slot that grew
-// would cost every log 8 bytes an entry.
+// TestSlotSize pins the slot at 36 bytes: the determinant is held flat in
+// 16-bit process ids and 32-bit sequence numbers, beside two 32-bit
+// generations and four 32-bit links, with no padding. A slot that grew
+// would cost every log 4 bytes an entry or more.
 func TestSlotSize(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got != 56 {
-		t.Errorf("a slot is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(slot{}); got != 36 {
+		t.Errorf("a slot is %d bytes, want 36", got)
+	}
+}
+
+// TestEntryFootprint: a log of 4 096 entries, narrow or wide, spends at most
+// 44 bytes an entry on slots and id table together — 36 for the slot, at
+// most 8 for the buckets, of which there are never more than twice the
+// entries.
+func TestEntryFootprint(t *testing.T) {
+	for _, cfg := range []Config{{N: 32, F: 1}, {N: 1024, F: 2}} {
+		st := pendingLog(cfg, 4096).Stats()
+		if st.Entries != 4096 {
+			t.Fatalf("%+v: %d entries, want 4096", cfg, st.Entries)
+		}
+		if per := float64(st.SlabBytes+st.TableBytes) / float64(st.Entries); per > 44 {
+			t.Errorf("%+v: slab %d B + table %d B = %.1f B an entry, want at most 44", cfg, st.SlabBytes, st.TableBytes, per)
+		}
 	}
 }

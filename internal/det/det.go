@@ -16,6 +16,7 @@ package det
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -104,14 +105,15 @@ func (c Config) stable(w []uint64) bool {
 // generation of its last piece of news (modGen) — it was recorded, its
 // holders changed while it was pending, or it crossed the stability
 // threshold — and is threaded on two intrusive lists: the pending list (not
-// yet stable) or the settled list (stable), both in modGen order, and the
-// chain of its receiver. Piggyback selection for a destination is "walk a
-// list back from its tail while modGen exceeds the generation of my last
-// scan for that destination": cost proportional to what changed, and the
-// only per-destination state is that one integer (DESIGN §5). An entry also
-// keeps the generation it was recorded at (born): it was pending from then
-// until OnSettled reports it, which is all the output-commit rule needs to
-// know which outputs counted it.
+// yet stable) or the settled list (stable), both in modGen order, on the
+// chain of its receiver and on the chain of its id-table bucket. Piggyback
+// selection for a destination is "walk a list back from its tail while
+// modGen exceeds the generation of my last scan for that destination": cost
+// proportional to what changed, and the only per-destination state is that
+// one integer (DESIGN §5). A pending entry also keeps the generation it was
+// recorded at (born): it was pending from then until OnSettled reports it,
+// which is all the output-commit rule needs to know which outputs counted
+// it. A stable entry's born is 0, which is how the log tells the two apart.
 //
 // Stability is final: holders that reach an entry after it became stable are
 // unioned into the slab — depinfo replies (View) report them — but are not
@@ -143,9 +145,9 @@ type Log struct {
 	npending         int
 	recv             []int32 // per-receiver chain heads, linked through slot.rnext
 
-	// table is the id → slot index: open addressing with linear probing
-	// over slab indices (stored +1, so zero means empty), a power of two in
-	// size and at most half full, deleted from by backward shift. Nothing
+	// table is the id → slot index: bucket heads of chains linked through
+	// slot.hnext, both holding slab indices +1 so that zero ends a chain, a
+	// power of two in size and never fewer buckets than entries. Nothing
 	// iterates it, so its layout never reaches protocol-visible order.
 	table []int32
 	shift uint // 64 - log2(len(table))
@@ -171,24 +173,24 @@ const (
 	chunkMask = chunkSize - 1
 )
 
-// slot is one entry: its determinant held flat — a nested Determinant
-// pads 8 bytes, inside MsgID and after Receiver — so that born fits in the
-// same 56 bytes.
+// slot is one entry in 36 bytes: its determinant held flat in 16-bit process
+// ids (N ≤ 1024, cluster.MaxProcs) and 32-bit sequence numbers, beside 32-bit
+// generations. Record refuses a determinant that does not fit, NewLog an N
+// that does not, and a stamp past 2³¹−1 panics: nothing is truncated.
 type slot struct {
-	sender, receiver ids.ProcID
-	ssn              ids.SSN
-	rsn              ids.RSN
-	modGen           int
-	born             int   // the generation the entry was recorded at
+	sender, receiver int16
+	ssn, rsn         uint32
+	modGen           int32
+	born             int32 // the generation a pending entry was recorded at; 0 once stable
 	prev, next       int32 // pending or settled list
 	rnext            int32 // receiver chain
-	stable           bool
+	hnext            int32 // id-table bucket chain, +1
 }
 
-func (s *slot) msg() ids.MsgID { return ids.MsgID{Sender: s.sender, SSN: s.ssn} }
+func (s *slot) msg() ids.MsgID { return ids.MsgID{Sender: ids.ProcID(s.sender), SSN: ids.SSN(s.ssn)} }
 
 func (s *slot) det() Determinant {
-	return Determinant{Msg: s.msg(), Receiver: s.receiver, RSN: s.rsn}
+	return Determinant{Msg: s.msg(), Receiver: ids.ProcID(s.receiver), RSN: ids.RSN(s.rsn)}
 }
 
 // list is an intrusive doubly-linked list of slots, oldest change first.
@@ -196,8 +198,12 @@ type list struct{ head, tail int32 }
 
 // NewLog returns an empty determinant log for the given configuration. It
 // allocates the per-receiver chain heads (and a wide log's scratch) and
-// nothing else: the explorer builds a log per process per branch.
+// nothing else: the explorer builds a log per process per branch. It panics
+// when a slot's 16-bit process ids cannot hold N.
 func NewLog(cfg Config) *Log {
+	if cfg.N > math.MaxInt16 {
+		panic(fmt.Sprintf("det: NewLog: N = %d does not fit a slot's 16-bit process ids", cfg.N))
+	}
 	l := &Log{
 		cfg:     cfg,
 		stride:  cfg.N/64 + 1,
@@ -245,10 +251,10 @@ type Stats struct {
 	// LateUnions counts, over the log's lifetime, the holder-set changes
 	// that reached an entry already stable: stored, never re-offered.
 	LateUnions int
-	// SlabBytes is what the slot chunks and the id table occupy, HolderBytes
-	// what the holder sets do (per-slot words or inline lists, plus the
+	// SlabBytes is what the slot chunks occupy, TableBytes the id table,
+	// HolderBytes the holder sets (per-slot words or inline lists, plus the
 	// overflow arena): allocated capacity, not just the live entries' share.
-	SlabBytes, HolderBytes int
+	SlabBytes, TableBytes, HolderBytes int
 	// Inline and Overflowed split a wide log's entries by where their
 	// holders live: in the slot's inline list, or spilled to a dense set of
 	// the overflow arena. Both are zero when the universe fits one word.
@@ -259,7 +265,7 @@ type Stats struct {
 func (l *Log) Stats() Stats {
 	st := Stats{Entries: l.Len(), Pending: l.npending, SlabCap: l.nslots, SlabFree: l.nfree, LateUnions: l.late}
 	slots := chunkedCap(l.slots, 1)
-	st.SlabBytes = slots*int(unsafe.Sizeof(slot{})) + 4*len(l.table)
+	st.SlabBytes, st.TableBytes = slots*int(unsafe.Sizeof(slot{})), 4*len(l.table)
 	st.HolderBytes = 8 * slots
 	if l.wide {
 		st.HolderBytes = slots*int(unsafe.Sizeof(sparse{})) + 8*l.stride*chunkedCap(l.over, l.stride)
@@ -340,22 +346,18 @@ func (l *Log) find(id ids.MsgID) int32 {
 	if len(l.table) == 0 {
 		return none
 	}
-	mask := uint64(len(l.table) - 1)
-	for h := hash(id) >> l.shift; ; h = (h + 1) & mask {
-		ref := l.table[h]
-		if ref == 0 {
-			return none
-		}
+	for ref := l.table[hash(id)>>l.shift]; ref != 0; ref = l.at(ref - 1).hnext {
 		if l.at(ref-1).msg() == id {
 			return ref - 1
 		}
 	}
+	return none
 }
 
-// index enters slot i into the table, doubling it first when it would pass
-// half full.
+// index enters slot i into the table, doubling it first when the log would
+// hold more entries than it has buckets.
 func (l *Log) index(i int32) {
-	if 2*l.Len() > len(l.table) {
+	if l.Len() > len(l.table) {
 		l.table = make([]int32, max(16, 2*len(l.table)))
 		l.shift = uint(64 - bits.TrailingZeros(uint(len(l.table))))
 		for _, lst := range [2]list{l.pending, l.settled} {
@@ -367,32 +369,20 @@ func (l *Log) index(i int32) {
 	l.place(i)
 }
 
+// place pushes slot i onto the head of its bucket's chain.
 func (l *Log) place(i int32) {
-	mask := uint64(len(l.table) - 1)
-	h := hash(l.at(i).msg()) >> l.shift
-	for l.table[h] != 0 {
-		h = (h + 1) & mask
-	}
-	l.table[h] = i + 1
+	s := l.at(i)
+	head := &l.table[hash(s.msg())>>l.shift]
+	s.hnext, *head = *head, i+1
 }
 
-// unindex removes slot i from the table, then closes the hole by pulling
-// back every later member of the probe run whose home bucket lies at or
-// before it, so lookups never need tombstones.
+// unindex unlinks slot i from its bucket's chain.
 func (l *Log) unindex(i int32) {
-	mask := uint64(len(l.table) - 1)
-	h := hash(l.at(i).msg()) >> l.shift
-	for l.table[h] != i+1 {
-		h = (h + 1) & mask
+	link := &l.table[hash(l.at(i).msg())>>l.shift]
+	for *link != i+1 {
+		link = &l.at(*link - 1).hnext
 	}
-	for j := (h + 1) & mask; l.table[j] != 0; j = (j + 1) & mask {
-		home := hash(l.at(l.table[j]-1).msg()) >> l.shift
-		if (j-home)&mask >= (j-h)&mask {
-			l.table[h] = l.table[j]
-			h = j
-		}
-	}
-	l.table[h] = 0
+	*link = l.at(i).hnext
 }
 
 // Holder storage. One rule selects the form, from the configuration alone:
@@ -587,10 +577,11 @@ func (l *Log) dropHolders(i int32) {
 }
 
 // RecordError reports a determinant Record refused: Got names a receiver
-// that is not an application process (or RSN 0) when Have is the zero
-// value, and otherwise disagrees with the stored Have about the receiver or
-// receipt order of the same message — two executions delivered one message
-// differently, which the protocol must never allow.
+// that is not an application process, RSN 0, or a sender, SSN or RSN too
+// wide for a slot when Have is the zero value, and otherwise disagrees with
+// the stored Have about the receiver or receipt order of the same message —
+// two executions delivered one message differently, which the protocol must
+// never allow.
 type RecordError struct{ Have, Got Determinant }
 
 func (e RecordError) Error() string {
@@ -610,7 +601,8 @@ func (l *Log) Record(e Entry) error { return l.RecordHeld(e, ids.Nobody) }
 // entry is copied into the slab; e.Holders is neither kept nor modified.
 func (l *Log) RecordHeld(e Entry, also ids.ProcID) error {
 	d := e.Det
-	if d.RSN == 0 || !l.delivers(d.Receiver) {
+	if d.RSN == 0 || !l.delivers(d.Receiver) || d.RSN > math.MaxUint32 || d.Msg.SSN > math.MaxUint32 ||
+		d.Msg.Sender < math.MinInt16 || d.Msg.Sender > math.MaxInt16 {
 		return RecordError{Got: d}
 	}
 	if i := l.find(d.Msg); i >= 0 {
@@ -637,14 +629,16 @@ func (l *Log) RecordHeld(e Entry, also ids.ProcID) error {
 		}
 	}
 	s := l.at(i)
-	*s = slot{sender: d.Msg.Sender, receiver: d.Receiver, ssn: d.Msg.SSN, rsn: d.RSN, rnext: l.recv[d.Receiver]}
+	*s = slot{sender: int16(d.Msg.Sender), receiver: int16(d.Receiver), ssn: uint32(d.Msg.SSN), rsn: uint32(d.RSN), rnext: l.recv[d.Receiver]}
 	l.recv[d.Receiver] = i
 	l.index(i)
 	l.union(i, e.Holders, also)
-	if s.stable = l.stableAt(i); !s.stable {
-		l.npending++
+	if l.stableAt(i) {
+		l.stamp(i, &l.settled)
+		return nil
 	}
-	l.stamp(i)
+	l.npending++
+	l.stamp(i, &l.pending)
 	s.born = s.modGen
 	return nil
 }
@@ -653,13 +647,16 @@ func (l *Log) RecordHeld(e Entry, also ids.ProcID) error {
 // application process delivers messages.
 func (l *Log) delivers(p ids.ProcID) bool { return p >= 0 && int(p) < len(l.recv) }
 
-// stamp gives entry i a fresh generation and appends it to the list its
-// stability puts it on.
-func (l *Log) stamp(i int32) {
+// stamp gives entry i a fresh generation and appends it to lst, the list
+// its stability puts it on. A generation past a slot's 32 bits is an
+// invariant the log cannot keep, never a wrapped stamp.
+func (l *Log) stamp(i int32, lst *list) {
+	if l.gen == math.MaxInt32 {
+		panic(fmt.Sprintf("det: generation overflow: %d stamps exhaust a slot's 32-bit generation", l.gen))
+	}
 	l.gen++
-	s := l.at(i)
-	s.modGen = l.gen
-	l.pushTail(l.listOf(s.stable), i)
+	l.at(i).modGen = int32(l.gen)
+	l.pushTail(lst, i)
 }
 
 // modified is told that entry i's holders grew. While the entry is pending
@@ -670,19 +667,21 @@ func (l *Log) stamp(i int32) {
 // recorded in f+1 hosts", not one holder later.
 func (l *Log) modified(i int32) {
 	s := l.at(i)
-	if s.stable {
+	if s.born == 0 {
 		l.late++
 		return
 	}
 	l.unlink(&l.pending, i)
-	if l.stableAt(i) {
-		s.stable = true
-		l.npending--
+	if !l.stableAt(i) {
+		l.stamp(i, &l.pending)
+		return
 	}
-	l.stamp(i)
-	if s.stable && l.onSettled != nil {
-		l.onSettled(s.msg(), s.born)
+	l.npending--
+	l.stamp(i, &l.settled)
+	if l.onSettled != nil {
+		l.onSettled(s.msg(), int(s.born))
 	}
+	s.born = 0
 }
 
 // AddHolder marks process p as holding the determinant of msg, if known.
@@ -815,7 +814,7 @@ func (l *Log) Lookup(msg ids.MsgID) (Entry, bool) {
 // which only happens once its receiver checkpointed past the delivery).
 func (l *Log) StableOrGone(msg ids.MsgID) bool {
 	i := l.find(msg)
-	return i < 0 || l.at(i).stable
+	return i < 0 || l.at(i).born == 0
 }
 
 // scan invokes fn with a view of every entry on lst modified after
@@ -827,7 +826,7 @@ func (l *Log) scan(lst list, since int, fn func(Entry)) {
 	first := int32(none)
 	for i := lst.tail; i >= 0; {
 		s := l.at(i)
-		if s.modGen <= since {
+		if int(s.modGen) <= since {
 			break
 		}
 		first, i = i, s.prev
@@ -922,20 +921,20 @@ func (l *Log) GCReceiver(p ids.ProcID, upTo ids.RSN) int {
 	link := &l.recv[p]
 	for i := *link; i >= 0; i = *link {
 		s := l.at(i)
-		if s.rsn > upTo {
+		if ids.RSN(s.rsn) > upTo {
 			link = &s.rnext
 			continue
 		}
 		*link = s.rnext
-		l.unlink(l.listOf(s.stable), i)
+		l.unlink(l.listOf(s.born == 0), i)
 		l.unindex(i)
 		l.dropHolders(i)
-		id, born, wasPending := s.msg(), s.born, !s.stable
+		id, born := s.msg(), int(s.born)
 		*s = slot{next: l.free}
 		l.free = i
 		l.nfree++
 		n++
-		if wasPending {
+		if born != 0 {
 			l.npending--
 			if l.onSettled != nil {
 				l.onSettled(id, born)

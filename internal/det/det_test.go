@@ -2,6 +2,9 @@ package det
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -92,8 +95,10 @@ func TestRecordConflict(t *testing.T) {
 // TestRecordRejectsWhatItCannotChain: the receiver indexes a per-receiver
 // chain, so a determinant naming anything but an application process (a
 // decoded frame can carry any int32) is an error, never an index panic;
-// RSN 0 is no delivery at all. The per-receiver reads treat such receivers
-// as having no entries.
+// RSN 0 is no delivery at all; a sender past 16 bits or an SSN or RSN past
+// 32 does not fit a slot, and is refused rather than truncated onto another
+// message. The per-receiver reads treat such receivers as having no
+// entries.
 func TestRecordRejectsWhatItCannotChain(t *testing.T) {
 	l := NewLog(Config{N: 4, F: 2})
 	for _, e := range []Entry{
@@ -102,7 +107,11 @@ func TestRecordRejectsWhatItCannotChain(t *testing.T) {
 		entry(0, 1, ids.Nobody, 1, 0),
 		entry(0, 1, -1<<31, 1, 0),
 		entry(0, 1, 1<<31-1, 1, 0),
-		entry(0, 1, 1, 0, 0), // RSN 0
+		entry(0, 1, 1, 0, 0),        // RSN 0
+		entry(0, 1<<32, 1, 1, 0),    // SSN 1<<32 would store as 0
+		entry(0, 1, 1, 1<<32, 0),    // RSN 1<<32 would store as 0
+		entry(1<<15, 1, 1, 1, 0),    // sender 1<<15 would store as -1<<15
+		entry(-1<<15-1, 1, 1, 1, 0), // and -1<<15-1 as 1<<15-1
 	} {
 		var re RecordError
 		if err := l.Record(e); !errors.As(err, &re) || re.Got != e.Det {
@@ -503,4 +512,35 @@ func TestViewIsTheLogInOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGenerationOverflowPanics: a slot stamps generations in 32 bits, so the
+// stamp past math.MaxInt32 is a named invariant failure, never a wrapped
+// generation that every scan would then misorder.
+func TestGenerationOverflowPanics(t *testing.T) {
+	l := NewLog(Config{N: 4, F: 1})
+	l.gen = math.MaxInt32 - 1
+	if err := l.Record(entry(0, 1, 1, 1, 0)); err != nil { // the last generation that fits
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "det: generation overflow") {
+			t.Fatalf("stamp past math.MaxInt32 recovered %v, want the generation overflow panic", r)
+		}
+	}()
+	l.AddHolder(ids.MsgID{Sender: 0, SSN: 1}, 2) // pending news: a fresh stamp
+	t.Fatal("stamp past math.MaxInt32 returned")
+}
+
+// TestNewLogRefusesWhatASlotCannotHold: process ids are 16 bits in a slot,
+// so a universe of 1<<15 processes is refused when the log is built.
+func TestNewLogRefusesWhatASlotCannotHold(t *testing.T) {
+	NewLog(Config{N: 1<<15 - 1, F: 1})
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "does not fit") {
+			t.Fatalf("NewLog(N = 1<<15) recovered %v, want a refusal", r)
+		}
+	}()
+	NewLog(Config{N: 1 << 15, F: 1})
+	t.Fatal("NewLog(N = 1<<15) returned a log")
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"rollrec/internal/bitset"
 	"rollrec/internal/ids"
@@ -119,16 +120,12 @@ func sortedIDs(s []ids.MsgID) []ids.MsgID {
 	return s
 }
 
-// TestLogMatchesReferenceModel drives the slab log and the reference with
-// the same seeded random histories — records (fresh, repeated, and of
-// collected determinants), holder additions, watermark and whole-receiver
-// GC, per-destination scans in both variants, reincarnation resets — over
-// sparse RSNs, and requires equal offered sets at every scan and equal
-// views after every step. Configurations cross the holder universe with the
-// failure budget so that every stored form is driven — one word (N < 64),
-// the inline list and the overflow arena (N ≥ 64), and the storage bit of
-// the f = n instance in each of them — and the log's own counters have to
-// say each was.
+// TestLogMatchesReferenceModel runs modelRun over configurations that cross
+// the holder universe with the failure budget so that every stored form is
+// driven — one word (N < 64), the inline list and the overflow arena
+// (N ≥ 64), and the storage bit of the f = n instance in each of them — and
+// the log's own counters have to say each was, and that collected slots
+// were reused.
 func TestLogMatchesReferenceModel(t *testing.T) {
 	var cfgs []Config
 	for _, n := range []int{8, 63, 64, 200, 1024} {
@@ -142,160 +139,196 @@ func TestLogMatchesReferenceModel(t *testing.T) {
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
 		cfg := cfgs[int(seed)%len(cfgs)]
-		outputs := (seed/int64(len(cfgs)))%2 == 0 // the ScanModified variant
-		rng := rand.New(rand.NewSource(seed))
-		l, r := NewLog(cfg), newRef(cfg)
-		var settled []ids.MsgID
-		bornAt := map[ids.MsgID]int{} // Gen right after the record that created the entry
-		l.OnSettled(func(id ids.MsgID, born int) {
-			if want := bornAt[id]; born != want || l.Gen() < born {
-				t.Fatalf("seed %d: OnSettled(%v) born %d, want %d (Gen %d)", seed, id, born, want, l.Gen())
-			}
-			settled = append(settled, id)
-		})
-		gen := make([]int, cfg.N) // per destination, as fbl.Process.scanGen
-		// A message's determinant is a fixed function of its id, so repeats
-		// and post-GC re-records never conflict; RSNs jump by up to n. A few
-		// senders only, so that an id is recorded and added to many times
-		// whatever the universe; receivers and holders range over all of it.
-		senders := min(cfg.N, 6)
-		detOf := func(sender, ssn int) Determinant {
-			return Determinant{
-				Msg:      ids.MsgID{Sender: ids.ProcID(sender), SSN: ids.SSN(ssn)},
-				Receiver: ids.ProcID((sender*389 + ssn*101 + 1) % cfg.N),
-				RSN:      ids.RSN(ssn*cfg.N + sender + 1),
-			}
-		}
-		// Random picks are biased to where something is: a holder is the
-		// storage pseudo-process (slot n, f = n only) one time in four, a
-		// process is some determinant's receiver every other time.
-		holder := func() int {
-			if cfg.Manetho() && rng.Intn(4) == 0 {
-				return cfg.N
-			}
-			return rng.Intn(cfg.N)
-		}
-		proc := func() ids.ProcID {
-			if rng.Intn(2) == 0 {
-				return detOf(rng.Intn(senders), 1+rng.Intn(24)).Receiver
-			}
-			return ids.ProcID(rng.Intn(cfg.N))
-		}
-		var sawInline, sawOverflow, sawStable bool
-		for step := 0; step < 400; step++ {
-			sender, ssn := rng.Intn(senders), 1+rng.Intn(24)
-			switch op := rng.Intn(10); {
-			case op < 4:
-				holders := []int{holder(), holder()}
-				if rng.Intn(8) == 0 { // a copy that has been around: more holders than an inline list takes
-					for len(holders) < 10 {
-						holders = append(holders, holder())
-					}
-				}
-				e := Entry{Det: detOf(sender, ssn), Holders: bitset.FromSlice(holders)}
-				also := ids.ProcID(rng.Intn(cfg.N))
-				_, had := r.ents[e.Det.Msg]
-				if err := l.RecordHeld(e, also); err != nil {
-					t.Fatalf("seed %d step %d: %v", seed, step, err)
-				}
-				if !had {
-					bornAt[e.Det.Msg] = l.Gen()
-				}
-				r.record(e, int(also))
-			case op < 6:
-				p := ids.ProcID(holder())
-				if int(p) == cfg.N {
-					p = ids.StorageProc
-				}
-				id := detOf(sender, ssn).Msg
-				l.AddHolder(id, p)
-				if _, ok := r.ents[id]; ok {
-					r.record(Entry{Det: detOf(sender, ssn)}, HolderIndex(p, cfg.N))
-				}
-			case op < 7:
-				p, upTo := proc(), ids.RSN(rng.Intn(25*cfg.N))
-				if rng.Intn(4) == 0 {
-					upTo = math.MaxUint64
-				}
-				if got, want := l.GCReceiver(p, upTo), r.gc(p, upTo); got != want {
-					t.Fatalf("seed %d step %d: GCReceiver(%v, %d) = %d, want %d", seed, step, p, upTo, got, want)
-				}
-			case op < 8 && step%7 == 0:
-				d := rng.Intn(cfg.N) // d reincarnated
-				gen[d] = -1
-				r.memo[d] = map[ids.MsgID]string{}
-			default:
-				d := rng.Intn(cfg.N)
-				got := map[ids.MsgID]string{}
-				offer := func(e Entry) {
-					if _, dup := got[e.Det.Msg]; dup {
-						t.Fatalf("seed %d step %d: %v offered twice in one scan", seed, step, e.Det.Msg)
-					}
-					got[e.Det.Msg] = e.Holders.String()
-				}
-				pendingOnly := !outputs || gen[d] < 0
-				if pendingOnly {
-					gen[d] = l.ScanPendingModified(gen[d], offer)
-				} else {
-					gen[d] = l.ScanModified(gen[d], offer)
-				}
-				if want := r.scan(d, pendingOnly); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d: scan for %d (pendingOnly=%v) offered\n %v\nwant\n %v", seed, step, d, pendingOnly, got, want)
-				}
-			}
-
-			pending := func(e *Entry) bool { return !cfg.Stable(e.Holders) }
-			if got, want := canon(l.Pending()), canon(r.entries(pending)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d step %d: Pending\n %v\nwant\n %v", seed, step, got, want)
-			}
-			if got, want := canon(l.All()), canon(r.entries(func(*Entry) bool { return true })); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d step %d: All\n %v\nwant\n %v", seed, step, got, want)
-			}
-			var pendIDs []ids.MsgID
-			l.PendingIDs(func(id ids.MsgID) { pendIDs = append(pendIDs, id) })
-			if l.Len() != len(r.ents) || l.PendingCount() != len(r.entries(pending)) || len(pendIDs) != l.PendingCount() {
-				t.Fatalf("seed %d step %d: Len %d PendingCount %d PendingIDs %d, want %d %d", seed, step,
-					l.Len(), l.PendingCount(), len(pendIDs), len(r.ents), len(r.entries(pending)))
-			}
-			st := l.Stats()
-			if st.Entries != l.Len() || st.Pending != l.PendingCount() || st.Entries+st.SlabFree != st.SlabCap ||
-				st.SlabBytes < 56*st.SlabCap || st.HolderBytes < 8*st.SlabCap {
-				t.Fatalf("seed %d step %d: inconsistent Stats %+v", seed, step, st)
-			}
-			if wide := cfg.N >= 64; wide && st.Inline+st.Overflowed != st.Entries || !wide && st.Inline+st.Overflowed != 0 {
-				t.Fatalf("seed %d step %d: %v: %d inline + %d overflowed entries of %d", seed, step, cfg, st.Inline, st.Overflowed, st.Entries)
-			}
-			sawInline, sawOverflow = sawInline || st.Inline > 0, sawOverflow || st.Overflowed > 0
-			sawStable = sawStable || st.Pending < st.Entries
-			if got, want := sortedIDs(settled), sortedIDs(r.settled); !slices.Equal(got, want) {
-				t.Fatalf("seed %d step %d: OnSettled told %v, want %v", seed, step, got, want)
-			}
-			settled, r.settled = settled[:0], r.settled[:0]
-			p, after := proc(), ids.RSN(rng.Intn(12*cfg.N))
-			var want []Determinant
-			for _, e := range r.entries(func(e *Entry) bool { return e.Det.Receiver == p && e.Det.RSN > after }) {
-				want = append(want, e.Det)
-			}
-			slices.SortFunc(want, func(a, b Determinant) int { return int(a.RSN) - int(b.RSN) })
-			if got := l.ForReceiver(p, after); !slices.Equal(got, want) {
-				t.Fatalf("seed %d step %d: ForReceiver(%v, %d) = %v, want %v", seed, step, p, after, got, want)
-			}
-			q := proc()
-			scoped := r.entries(func(e *Entry) bool { return e.Det.Receiver == p || e.Det.Receiver == q })
-			procs := []ids.ProcID{p, q}
-			if p == q {
-				procs = procs[:1]
-			}
-			if got, want := canon(l.View(procs).Collect()), canon(scoped); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d step %d: View(%v)\n %v\nwant\n %v", seed, step, procs, got, want)
-			}
-			if got := l.CountForReceivers(procs); got != len(scoped) {
-				t.Fatalf("seed %d step %d: CountForReceivers(%v) = %d, want %d", seed, step, procs, got, len(scoped))
-			}
-		}
-		if wide := cfg.N >= 64; sawInline != wide || sawOverflow != wide || !sawStable {
-			t.Fatalf("seed %d: %+v: saw inline sets %v, overflowed sets %v (want both %v), stable entries %v (want true)",
-				seed, cfg, sawInline, sawOverflow, wide, sawStable)
+		saw := modelRun(t, cfg, seed, 400, 0)
+		if wide := cfg.N >= 64; saw.inline != wide || saw.overflow != wide || !saw.stable || !saw.reuse {
+			t.Fatalf("seed %d: %+v: saw inline sets %v, overflowed sets %v (want both %v), stable entries %v, reused slots %v (want true)",
+				seed, cfg, saw.inline, saw.overflow, wide, saw.stable, saw.reuse)
 		}
 	}
+}
+
+// FuzzLogMatchesModel runs modelRun on any configuration a slot can hold,
+// narrow or wide, with sequence numbers offset up to the top of their 32
+// bits: GC churn then unlinks id-table chains, reuses freed slots and
+// regrows the table where the narrowed fields are at their widest.
+func FuzzLogMatchesModel(f *testing.F) {
+	f.Add(int64(1), 8, 1, uint64(0))
+	f.Add(int64(2), 63, 63, uint64(math.MaxUint32))
+	f.Add(int64(3), 64, 2, uint64(1)<<31)
+	f.Add(int64(4), 1024, 1, uint64(math.MaxUint64))
+	f.Add(int64(5), 200, 200, uint64(math.MaxUint32-30_000))
+	f.Fuzz(func(t *testing.T, seed int64, n, fail int, ssnBase uint64) {
+		n = 2 + int(uint(n)%1023)          // 2..1024, cluster.MaxProcs
+		fail = 1 + int(uint(fail)%uint(n)) // 1..n, n being the f = n instance
+		// The highest SSN and RSN a run makes are base+24 and base+25n.
+		base := min(ssnBase, math.MaxUint32-25*uint64(n))
+		modelRun(t, Config{N: n, F: fail}, seed, 150, base)
+	})
+}
+
+// modelSaw is what a modelRun drove, read from the log's own counters.
+type modelSaw struct{ inline, overflow, stable, reuse bool }
+
+// modelRun drives the slab log and the reference with the same seeded random
+// history of steps operations — records (fresh, repeated, and of collected
+// determinants), holder additions, watermark and whole-receiver GC,
+// per-destination scans in both variants (ScanModified on even seeds),
+// reincarnation resets — over sparse SSNs and RSNs offset by base, and
+// requires equal offered sets at every scan and equal views after every
+// step.
+func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64) (saw modelSaw) {
+	t.Helper()
+	outputs := seed%2 == 0 // the ScanModified variant
+	rng := rand.New(rand.NewSource(seed))
+	l, r := NewLog(cfg), newRef(cfg)
+	var settled []ids.MsgID
+	bornAt := map[ids.MsgID]int{} // Gen right after the record that created the entry
+	l.OnSettled(func(id ids.MsgID, born int) {
+		if want := bornAt[id]; born != want || l.Gen() < born {
+			t.Fatalf("seed %d: OnSettled(%v) born %d, want %d (Gen %d)", seed, id, born, want, l.Gen())
+		}
+		settled = append(settled, id)
+	})
+	gen := make([]int, cfg.N) // per destination, as fbl.Process.scanGen
+	// A message's determinant is a fixed function of its id, so repeats
+	// and post-GC re-records never conflict; RSNs jump by up to n. A few
+	// senders only, so that an id is recorded and added to many times
+	// whatever the universe; receivers and holders range over all of it.
+	senders := min(cfg.N, 6)
+	detOf := func(sender, ssn int) Determinant {
+		return Determinant{
+			Msg:      ids.MsgID{Sender: ids.ProcID(sender), SSN: ids.SSN(base + uint64(ssn))},
+			Receiver: ids.ProcID((sender*389 + ssn*101 + 1) % cfg.N),
+			RSN:      ids.RSN(base + uint64(ssn*cfg.N+sender+1)),
+		}
+	}
+	// Random picks are biased to where something is: a holder is the
+	// storage pseudo-process (slot n, f = n only) one time in four, a
+	// process is some determinant's receiver every other time.
+	holder := func() int {
+		if cfg.Manetho() && rng.Intn(4) == 0 {
+			return cfg.N
+		}
+		return rng.Intn(cfg.N)
+	}
+	proc := func() ids.ProcID {
+		if rng.Intn(2) == 0 {
+			return detOf(rng.Intn(senders), 1+rng.Intn(24)).Receiver
+		}
+		return ids.ProcID(rng.Intn(cfg.N))
+	}
+	for step := 0; step < steps; step++ {
+		sender, ssn := rng.Intn(senders), 1+rng.Intn(24)
+		switch op := rng.Intn(10); {
+		case op < 4:
+			holders := []int{holder(), holder()}
+			if rng.Intn(8) == 0 { // a copy that has been around: more holders than an inline list takes
+				for len(holders) < 10 {
+					holders = append(holders, holder())
+				}
+			}
+			e := Entry{Det: detOf(sender, ssn), Holders: bitset.FromSlice(holders)}
+			also := ids.ProcID(rng.Intn(cfg.N))
+			_, had := r.ents[e.Det.Msg]
+			free := l.Stats().SlabFree
+			if err := l.RecordHeld(e, also); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if !had {
+				bornAt[e.Det.Msg] = l.Gen()
+				saw.reuse = saw.reuse || l.Stats().SlabFree < free
+			}
+			r.record(e, int(also))
+		case op < 6:
+			p := ids.ProcID(holder())
+			if int(p) == cfg.N {
+				p = ids.StorageProc
+			}
+			id := detOf(sender, ssn).Msg
+			l.AddHolder(id, p)
+			if _, ok := r.ents[id]; ok {
+				r.record(Entry{Det: detOf(sender, ssn)}, HolderIndex(p, cfg.N))
+			}
+		case op < 7:
+			p, upTo := proc(), ids.RSN(base+uint64(rng.Intn(25*cfg.N)))
+			if rng.Intn(4) == 0 {
+				upTo = math.MaxUint64
+			}
+			if got, want := l.GCReceiver(p, upTo), r.gc(p, upTo); got != want {
+				t.Fatalf("seed %d step %d: GCReceiver(%v, %d) = %d, want %d", seed, step, p, upTo, got, want)
+			}
+		case op < 8 && step%7 == 0:
+			d := rng.Intn(cfg.N) // d reincarnated
+			gen[d] = -1
+			r.memo[d] = map[ids.MsgID]string{}
+		default:
+			d := rng.Intn(cfg.N)
+			got := map[ids.MsgID]string{}
+			offer := func(e Entry) {
+				if _, dup := got[e.Det.Msg]; dup {
+					t.Fatalf("seed %d step %d: %v offered twice in one scan", seed, step, e.Det.Msg)
+				}
+				got[e.Det.Msg] = e.Holders.String()
+			}
+			pendingOnly := !outputs || gen[d] < 0
+			if pendingOnly {
+				gen[d] = l.ScanPendingModified(gen[d], offer)
+			} else {
+				gen[d] = l.ScanModified(gen[d], offer)
+			}
+			if want := r.scan(d, pendingOnly); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: scan for %d (pendingOnly=%v) offered\n %v\nwant\n %v", seed, step, d, pendingOnly, got, want)
+			}
+		}
+
+		pending := func(e *Entry) bool { return !cfg.Stable(e.Holders) }
+		if got, want := canon(l.Pending()), canon(r.entries(pending)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d step %d: Pending\n %v\nwant\n %v", seed, step, got, want)
+		}
+		if got, want := canon(l.All()), canon(r.entries(func(*Entry) bool { return true })); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d step %d: All\n %v\nwant\n %v", seed, step, got, want)
+		}
+		var pendIDs []ids.MsgID
+		l.PendingIDs(func(id ids.MsgID) { pendIDs = append(pendIDs, id) })
+		if l.Len() != len(r.ents) || l.PendingCount() != len(r.entries(pending)) || len(pendIDs) != l.PendingCount() {
+			t.Fatalf("seed %d step %d: Len %d PendingCount %d PendingIDs %d, want %d %d", seed, step,
+				l.Len(), l.PendingCount(), len(pendIDs), len(r.ents), len(r.entries(pending)))
+		}
+		st := l.Stats()
+		if st.Entries != l.Len() || st.Pending != l.PendingCount() || st.Entries+st.SlabFree != st.SlabCap ||
+			st.SlabBytes < int(unsafe.Sizeof(slot{}))*st.SlabCap || st.HolderBytes < 8*st.SlabCap {
+			t.Fatalf("seed %d step %d: inconsistent Stats %+v", seed, step, st)
+		}
+		if wide := cfg.N >= 64; wide && st.Inline+st.Overflowed != st.Entries || !wide && st.Inline+st.Overflowed != 0 {
+			t.Fatalf("seed %d step %d: %v: %d inline + %d overflowed entries of %d", seed, step, cfg, st.Inline, st.Overflowed, st.Entries)
+		}
+		saw.inline, saw.overflow = saw.inline || st.Inline > 0, saw.overflow || st.Overflowed > 0
+		saw.stable = saw.stable || st.Pending < st.Entries
+		if got, want := sortedIDs(settled), sortedIDs(r.settled); !slices.Equal(got, want) {
+			t.Fatalf("seed %d step %d: OnSettled told %v, want %v", seed, step, got, want)
+		}
+		settled, r.settled = settled[:0], r.settled[:0]
+		p, after := proc(), ids.RSN(base+uint64(rng.Intn(12*cfg.N)))
+		var want []Determinant
+		for _, e := range r.entries(func(e *Entry) bool { return e.Det.Receiver == p && e.Det.RSN > after }) {
+			want = append(want, e.Det)
+		}
+		slices.SortFunc(want, func(a, b Determinant) int { return int(a.RSN) - int(b.RSN) })
+		if got := l.ForReceiver(p, after); !slices.Equal(got, want) {
+			t.Fatalf("seed %d step %d: ForReceiver(%v, %d) = %v, want %v", seed, step, p, after, got, want)
+		}
+		q := proc()
+		scoped := r.entries(func(e *Entry) bool { return e.Det.Receiver == p || e.Det.Receiver == q })
+		procs := []ids.ProcID{p, q}
+		if p == q {
+			procs = procs[:1]
+		}
+		if got, want := canon(l.View(procs).Collect()), canon(scoped); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d step %d: View(%v)\n %v\nwant\n %v", seed, step, procs, got, want)
+		}
+		if got := l.CountForReceivers(procs); got != len(scoped) {
+			t.Fatalf("seed %d step %d: CountForReceivers(%v) = %d, want %d", seed, step, procs, got, len(scoped))
+		}
+	}
+	return saw
 }

@@ -42,6 +42,7 @@ func logFootprint(t *testing.T, shards int, r *Result, allocatedBefore uint64) {
 	}{
 		{"det entries", func(s fbl.DetStats) int { return s.Entries }},
 		{"det slab B", func(s fbl.DetStats) int { return s.SlabBytes }},
+		{"det table B", func(s fbl.DetStats) int { return s.TableBytes }},
 		{"det holder B", func(s fbl.DetStats) int { return s.HolderBytes }},
 		{"det inline", func(s fbl.DetStats) int { return s.Inline }},
 		{"det overflowed", func(s fbl.DetStats) int { return s.Overflowed }},
