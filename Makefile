@@ -49,15 +49,17 @@ lines:
 # fan-out, adaptive; DESIGN §5) with the coordinator's callback order, and
 # the shard-count differential (1 ≡ 2 ≡ 4 shards for every family, output
 # tracking, traffic, timelines, jitter, drops and a partition) with its
-# poisoned-frame twin. The last races the explorer's branch
+# poisoned-frame twin, and a reset cluster against a fresh one at 1 and 2
+# shards. The last races the explorer's branch
 # pool (DESIGN §13): the goldens, the 1/2/5-worker differential, the
-# mutant and the protocol panic, whose package globals the workers read.
+# mutant and the protocol panic, whose package globals the workers read, and
+# branches on reset clusters, which the workers hand each other.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/cluster -run 'Sharded1024|ShardedGolden' -count=1
 	$(GO) test -race ./internal/sim -run 'Shard|WindowPaths|Callbacks' -cpu 1,4 -count=1
-	$(GO) test -race ./internal/cluster -run 'ShardCountChangesNothing|Poison' -cpu 1,4 -count=1
-	$(GO) test -race ./internal/explore -run 'Golden|Parallel|Mutation|Panic' -cpu 1,4 -count=1
+	$(GO) test -race ./internal/cluster -run 'ShardCountChangesNothing|Poison|Reset' -cpu 1,4 -count=1
+	$(GO) test -race ./internal/explore -run 'Golden|Parallel|Mutation|Panic|Reset' -cpu 1,4 -count=1
 
 # bench is the sweep's golden test: the BENCH_AXES sweep, on one worker and
 # on four, under -cpu 1 and 4, must equal the committed BENCH_seed.json —
@@ -117,10 +119,11 @@ bench-micro:
 # incarnation, timer handles are values) and delivery, timer arm+Stop
 # (zero), piggyback transmit and delivery, a
 # depinfo reply (frame, envelope, sort keys), checkpoint image), an output
-# request and its release (zero: TestOutputRequestAllocs), and the apps'
-# Handle (the payload it sends, nothing else).
+# request and its release (zero: TestOutputRequestAllocs), the apps'
+# Handle (the payload it sends, nothing else), and an explorer branch on a
+# reset cluster (at least 15 % below a fresh build: TestReusedBranchAllocs).
 bench-kernel:
-	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/channel ./internal/fbl ./internal/coord ./internal/optimistic ./internal/bitset ./internal/storage ./internal/workload -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
+	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/channel ./internal/fbl ./internal/coord ./internal/optimistic ./internal/bitset ./internal/storage ./internal/workload ./internal/explore -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
 
 # benchmark-smoke vets and tests the host-time benchmark (BENCHMARK.json).
 # benchmark/ is its own module compiled against internal/..., so the root

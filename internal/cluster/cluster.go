@@ -186,8 +186,23 @@ type Cluster struct {
 // New builds and boots a cluster; it panics on a Config that Validate
 // refuses.
 func New(cfg Config) *Cluster {
-	if err := cfg.Validate(); err != nil {
+	c := new(Cluster)
+	if err := c.Reset(cfg); err != nil {
 		panic("cluster: " + err.Error())
+	}
+	return c
+}
+
+// Reset rebuilds the cluster for cfg and boots it, as New(cfg) would, but on
+// the arenas of the run before: the simulator's (sim.Sharded.Reset), the
+// output ledger's records and the checker's send and delivery timelines. A
+// Config that Validate refuses is an error, and so is one with another N,
+// Family, Style or Shards than the cluster was built with. On error the
+// cluster is unchanged. Every *Cluster method result and *metrics.Proc read
+// before the reset describes the run that is gone.
+func (c *Cluster) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if cfg.F < 1 {
 		cfg.F = 1
@@ -198,10 +213,30 @@ func New(cfg Config) *Cluster {
 	if cfg.Family == "" {
 		cfg.Family = FamilyFBL
 	}
-	c := &Cluster{cfg: cfg, fam: families[cfg.Family]}
-
-	c.K = sim.NewSharded(sim.Config{Seed: cfg.Seed, HW: cfg.HW, Tracer: cfg.Tracer}, max(1, cfg.Shards))
-	c.outs = output.NewLedger(cfg.N)
+	scfg := sim.Config{Seed: cfg.Seed, HW: cfg.HW, Tracer: cfg.Tracer}
+	if c.K == nil {
+		c.K = sim.NewSharded(scfg, max(1, cfg.Shards))
+		c.outs = output.NewLedger(cfg.N)
+	} else {
+		was := c.cfg
+		switch {
+		case cfg.N != was.N:
+			return Refuse("N", "cluster of n=%d reset to n=%d", was.N, cfg.N)
+		case cfg.Family != was.Family:
+			return Refuse("Family", "%s cluster reset to family %s", was.Family, cfg.Family)
+		case cfg.Style != was.Style:
+			return Refuse("Style", "%v cluster reset to recovery %v", was.Style, cfg.Style)
+		case max(1, cfg.Shards) != max(1, was.Shards):
+			return Refuse("Shards", "cluster of %d shards reset to %d", max(1, was.Shards), max(1, cfg.Shards))
+		}
+		c.K.Reset(scfg)
+		c.outs.Reset()
+	}
+	clear(c.violations)
+	*c = Cluster{
+		cfg: cfg, fam: families[cfg.Family], K: c.K, outs: c.outs, violations: c.violations[:0],
+		sends: c.sends, deliveries: c.deliveries, seen: c.seen,
+	}
 	var outs output.Sink
 	if cfg.TrackOutputs {
 		c.outs.SetTracer(trace.OrNop(cfg.Tracer))
@@ -220,7 +255,25 @@ func New(cfg Config) *Cluster {
 		c.K.AddNode(ids.StorageProc, fbl.NewStorageNode(cfg.N, cfg.F))
 	}
 	c.K.Boot()
-	return c
+	return nil
+}
+
+// resetChecker empties the FBL checker's timelines, for n processes, keeping
+// their arrays.
+func (c *Cluster) resetChecker(n int) {
+	if c.sends == nil {
+		c.sends = make([][]sendInfo, n)
+		c.deliveries = make([][]deliverInfo, n)
+		c.seen = make([]map[ids.MsgID]ids.RSN, n)
+		for i := range c.seen {
+			c.seen[i] = make(map[ids.MsgID]ids.RSN)
+		}
+	}
+	for i := range n {
+		c.sends[i] = c.sends[i][:0]
+		c.deliveries[i] = c.deliveries[i][:0]
+		clear(c.seen[i])
+	}
 }
 
 // onSend maintains the sender's current-timeline send history: a send at

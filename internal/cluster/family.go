@@ -46,12 +46,7 @@ var families = map[Family]family{
 	FamilyFBL: {
 		factory: func(c *Cluster, app workload.Factory, outs output.Sink) node.Factory {
 			cfg := c.cfg
-			c.sends = make([][]sendInfo, cfg.N)
-			c.deliveries = make([][]deliverInfo, cfg.N)
-			c.seen = make([]map[ids.MsgID]ids.RSN, cfg.N)
-			for i := range c.seen {
-				c.seen[i] = make(map[ids.MsgID]ids.RSN)
-			}
+			c.resetChecker(cfg.N)
 			return fbl.New(fbl.Params{
 				F:               cfg.F,
 				Fanout:          cfg.Fanout,

@@ -293,14 +293,34 @@ func (s Spec) config(tr trace.Tracer) cluster.Config {
 // collector, the crash plan and a Traffic spec's arrival engine. The Result
 // is ready to run to spec.Horizon; a refused spec returns nil and the error.
 func Build(spec Spec, tracer trace.Tracer) (*Result, error) {
-	if err := spec.Validate(); err != nil {
+	r := new(Result)
+	if err := r.Reset(spec, tracer); err != nil {
 		return nil, err
+	}
+	return r, nil
+}
+
+// Reset sets up spec in place of the run r holds, as Build(spec, tracer)
+// would, on the arenas of r's cluster (cluster.Cluster.Reset): a new plan, a
+// new tracer, any spec Validate accepts with the cluster's N, Family, Style
+// and Shards. A refused spec is an error and leaves r as it was. Whatever was
+// read from r's run before — its cluster, metrics, stores, ledger — is dead.
+func (r *Result) Reset(spec Spec, tracer trace.Tracer) error {
+	if err := spec.Validate(); err != nil {
+		return err
 	}
 	cfg := spec.config(tracer)
 	if spec.Traffic != nil {
 		cfg.App = traffic.NewApp(*spec.Traffic)
 	}
-	r := &Result{C: cluster.New(cfg), Spec: spec}
+	c := r.C
+	if c == nil {
+		c = new(cluster.Cluster)
+	}
+	if err := c.Reset(cfg); err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
+	*r = Result{C: c, Spec: spec}
 	if spec.Timeline != nil {
 		r.C.AttachTimeline(spec.Timeline)
 	}
@@ -309,7 +329,7 @@ func Build(spec Spec, tracer trace.Tracer) (*Result, error) {
 		r.Traffic = traffic.NewEngine(*spec.Traffic, spec.Seed)
 		r.Traffic.Attach(traffic.Host{At: r.C.K.At, Inject: r.C.Inject}, spec.Horizon)
 	}
-	return r, nil
+	return nil
 }
 
 // Run builds a spec (with DefaultTracer on a one-shard run) and runs it to

@@ -48,9 +48,11 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"rollrec/internal/cluster"
+	"rollrec/internal/experiments"
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
 	"rollrec/internal/pool"
@@ -217,19 +219,29 @@ type branchResult struct {
 	stateFidelity bool // compare digests against the baseline (see scenario)
 }
 
-// runBranch builds a fresh instance of the spec's scenario, applies the
-// plan, runs it to the horizon, and collects the terminal evidence.
+// runBranch runs a branch on a fresh build of the spec's scenario (runOn).
+func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool) (*branchResult, error) {
+	res, _, err := runOn(ctx, new(experiments.Result), spec, plan, recordAll)
+	return res, err
+}
+
+// runOn resets run to the spec's scenario — a zero Result is built afresh,
+// one an earlier branch of the same spec ran keeps its arenas —, applies the
+// plan, runs it to the horizon, and collects the terminal evidence. It
+// reports whether the branch ended normally, so that run may be reset for
+// another; after a panic or an error it may not.
 // recordAll additionally keeps the decision points and the full per-step
 // prefix-hash array (the probe run needs them; branches only need the hash
 // at their own cut). A protocol panic ends the branch where it struck and is
 // its one violation, "panic: <value>": the value, not a stack frame, because
 // a panic on a shard is re-raised with the original stack already gone. Its
 // fingerprint is the step stream up to the panic, so Replay reproduces it.
-func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool) (res *branchResult, err error) {
-	c, tr, err := build(spec, plan, recordAll)
+func runOn(ctx context.Context, run *experiments.Result, spec Spec, plan failure.Plan, recordAll bool) (res *branchResult, normal bool, err error) {
+	tr, err := build(run, spec, plan, recordAll)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
+	c := run.C
 	res = &branchResult{}
 	cut := firstStep(plan)
 	h := uint64(fnvOffset)
@@ -248,10 +260,11 @@ func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool
 			res.famErrs = []string{fmt.Sprint("panic: ", r)}
 			res.points, res.recSteps = tr.points, tr.recSteps
 			res.fingerprint = h
+			normal = false
 		}
 	}()
 	if _, err := c.RunContext(ctx, spec.Horizon); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	res.events, res.windows = c.Kernel().Steps(), c.K.Windows().Total()
 	res.digests = c.Digests()
@@ -275,7 +288,7 @@ func runBranch(ctx context.Context, spec Spec, plan failure.Plan, recordAll bool
 	for _, d := range res.digests {
 		res.fingerprint = mix(res.fingerprint, d)
 	}
-	return res, nil
+	return res, true, nil
 }
 
 // checkBranch evaluates the invariant catalog for one branch against the
@@ -493,6 +506,34 @@ type runner struct {
 	rep     *Report
 	fp      uint64
 	workers int
+
+	// idle holds at most one cluster per worker, each left by a branch that
+	// ended normally, for the next branch to reset (DESIGN §13).
+	mu   sync.Mutex
+	idle []*experiments.Result
+}
+
+// branch runs one branch on an idle cluster, or on a fresh one if none is
+// free, and hands the cluster back once the result is out of it — unless the
+// branch panicked or was cancelled.
+func (r *runner) branch(ctx context.Context, plan failure.Plan) (*branchResult, error) {
+	var run *experiments.Result
+	r.mu.Lock()
+	if n := len(r.idle); n > 0 {
+		run, r.idle = r.idle[n-1], r.idle[:n-1]
+	} else {
+		run = new(experiments.Result)
+	}
+	r.mu.Unlock()
+	res, normal, err := runOn(ctx, run, r.spec, plan, false)
+	if normal {
+		r.mu.Lock()
+		if len(r.idle) < r.workers {
+			r.idle = append(r.idle, run)
+		}
+		r.mu.Unlock()
+	}
+	return res, err
 }
 
 // level runs one level's plans on the worker pool, results written back by
@@ -502,7 +543,7 @@ type runner struct {
 func (r *runner) level(ctx context.Context, plans []failure.Plan) ([]*branchResult, error) {
 	results := make([]*branchResult, len(plans))
 	if err := pool.Run(ctx, len(plans), r.workers, func(i int) (err error) {
-		results[i], err = runBranch(ctx, r.spec, plans[i], false)
+		results[i], err = r.branch(ctx, plans[i])
 		return err
 	}); err != nil {
 		return nil, err
@@ -548,7 +589,7 @@ func (r *runner) minimize(ctx context.Context, plan failure.Plan, res *branchRes
 		changed = false
 		for i := range cur {
 			cand := append(append(failure.Plan(nil), cur[:i]...), cur[i+1:]...)
-			candRes, err := runBranch(ctx, r.spec, cand, false)
+			candRes, err := r.branch(ctx, cand)
 			if err != nil {
 				return nil, nil, nil, err
 			}

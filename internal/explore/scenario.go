@@ -3,7 +3,6 @@ package explore
 import (
 	"time"
 
-	"rollrec/internal/cluster"
 	"rollrec/internal/experiments"
 	"rollrec/internal/failure"
 	"rollrec/internal/node"
@@ -126,19 +125,19 @@ var scenarios = map[Family]scenario{
 	FamilyOptimistic:  {app: ring, statePad: 2 << 10, stateFidelity: true},
 }
 
-// build constructs a fresh instance of the spec's scenario with the plan
-// applied — experiments.Build of the family's workload on the explorer's
-// hardware, with the returned decision tracer on the kernel's trace stream
-// (marking decision points only if wantPoints) and output tracking on, so
-// Check also reports output-commit conflicts. A spec or plan
-// experiments.Spec.Validate refuses is an error.
-func build(spec Spec, plan failure.Plan, wantPoints bool) (*cluster.Cluster, *decisionTracer, error) {
+// build resets run (experiments.Result.Reset; a zero Result is a fresh
+// build) to the spec's scenario with the plan applied — the family's
+// workload on the explorer's hardware, with the returned decision tracer on
+// the kernel's trace stream (marking decision points only if wantPoints) and
+// output tracking on, so Check also reports output-commit conflicts. A spec
+// or plan experiments.Spec.Validate refuses is an error.
+func build(run *experiments.Result, spec Spec, plan failure.Plan, wantPoints bool) (*decisionTracer, error) {
 	sc := scenarios[spec.Family]
 	tr := &decisionTracer{
 		pointLimit: int64(spec.Horizon - spec.SettleSlack),
 		wantPoints: wantPoints,
 	}
-	r, err := experiments.Build(experiments.Spec{
+	err := run.Reset(experiments.Spec{
 		Family:       spec.Family,
 		N:            spec.N,
 		F:            spec.F,
@@ -153,8 +152,8 @@ func build(spec Spec, plan failure.Plan, wantPoints bool) (*cluster.Cluster, *de
 		TrackOutputs: true,
 	}, tr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	tr.steps = r.C.Kernel().Steps
-	return r.C, tr, nil
+	tr.steps = run.C.Kernel().Steps
+	return tr, nil
 }

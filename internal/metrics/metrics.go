@@ -23,9 +23,9 @@ import (
 // (or be silently dropped by) the counters.
 const maxKinds = wire.KindCount
 
-// Proc accumulates statistics for one process. The zero value is ready to
-// use. Proc is not safe for concurrent use; the simulator serializes event
-// handling per process.
+// Proc accumulates statistics for one process. Build it with NewProc, or
+// Reset it: the zero value reads as blocked since time 0. Proc is not safe
+// for concurrent use; the simulator serializes event handling per process.
 type Proc struct {
 	// Message counters, indexed by wire kind.
 	MsgsSent  [maxKinds]int64
@@ -96,7 +96,23 @@ func (r RecoveryTrace) Total() time.Duration {
 
 // NewProc returns an empty metrics accumulator.
 func NewProc() *Proc {
-	return &Proc{blockedSince: -1}
+	p := new(Proc)
+	p.Reset()
+	return p
+}
+
+// Reset empties the accumulator as NewProc returns it, keeping the
+// histograms' buckets and the recovery traces' array for the next run.
+func (p *Proc) Reset() {
+	*p = Proc{
+		StorageHist: p.StorageHist, BlockedHist: p.BlockedHist,
+		DeliveryHist: p.DeliveryHist, OutputHist: p.OutputHist,
+		blockedSince: -1,
+		Recoveries:   p.Recoveries[:0],
+	}
+	for _, h := range [...]*trace.Histogram{&p.StorageHist, &p.BlockedHist, &p.DeliveryHist, &p.OutputHist} {
+		h.Reset()
+	}
 }
 
 // Sent records an outgoing frame of the given kind and size.

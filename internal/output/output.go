@@ -66,7 +66,20 @@ var _ Sink = (*Ledger)(nil)
 
 // NewLedger returns a ledger for a run with n application processes.
 func NewLedger(n int) *Ledger {
-	return &Ledger{recs: make([][]Record, n), open: make([]int, n), tr: trace.Nop{}}
+	l := &Ledger{recs: make([][]Record, n), open: make([]int, n)}
+	l.Reset()
+	return l
+}
+
+// Reset empties the ledger as NewLedger returns it, for as many processes,
+// keeping each process's record array for the next run. The tracer,
+// metrics sink and conflict probe are unset.
+func (l *Ledger) Reset() {
+	for i := range l.recs {
+		l.recs[i] = l.recs[i][:0]
+	}
+	clear(l.open)
+	l.tr, l.metrics, l.onConflict = trace.Nop{}, nil, nil
 }
 
 // SetTracer routes one EvOutputCommit span per committed output to t.

@@ -46,7 +46,6 @@ import (
 	"rollrec/internal/metrics"
 	"rollrec/internal/node"
 	"rollrec/internal/storage"
-	"rollrec/internal/trace"
 )
 
 // outMsg is a frame in flight with its arrival key, all but the phase. A
@@ -133,24 +132,40 @@ func NewSharded(cfg Config, shards int) *Sharded {
 	if shards < 1 {
 		panic(fmt.Sprintf("sim: NewSharded: shard count %d < 1", shards))
 	}
+	s := &Sharded{shards: make([]*Kernel, shards)}
+	for i := range s.shards {
+		s.shards[i] = &Kernel{coord: s}
+	}
+	s.Reset(cfg)
+	return s
+}
+
+// Reset returns the coordinator to what NewSharded(cfg, its shard count)
+// builds — no node, nothing queued, every clock and counter at zero — and
+// keeps its arenas: each kernel's event slots and heap, frame free lists,
+// decoder buffers and outboxes, and each node's state (links table, deferral
+// queue, stable store, metrics buckets) for the next AddNode of any id. Every
+// *metrics.Proc and *storage.Store read before the reset is reused: it is
+// dead to its reader.
+func (s *Sharded) Reset(cfg Config) {
 	if cfg.HW.Net.Latency <= 0 {
 		panic("sim: NewSharded: hardware profile has no minimum network latency")
 	}
-	s := &Sharded{
-		window: int64(cfg.HW.Net.Latency),
-		shards: make([]*Kernel, shards),
-
+	clear(s.queue)
+	*s = Sharded{
+		window:   int64(cfg.HW.Net.Latency),
+		shards:   s.shards,
+		queue:    s.queue[:0],
 		fanOutAt: fanOutMin,
 	}
-	if shards == 1 || runtime.GOMAXPROCS(0) == 1 {
+	if len(s.shards) == 1 || runtime.GOMAXPROCS(0) == 1 {
 		// Nothing to overlap, or one thread to overlap it on: a goroutine
 		// per shard would only add the barrier.
 		s.fanOutAt = math.MaxInt64
 	}
-	for i := range s.shards {
-		s.shards[i] = &Kernel{cfg: cfg, tr: trace.OrNop(cfg.Tracer), free: -1, coord: s}
+	for _, k := range s.shards {
+		k.reset(cfg)
 	}
-	return s
 }
 
 // New returns the one-shard runtime.

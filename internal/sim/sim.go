@@ -112,6 +112,7 @@ type Kernel struct {
 	free     int32        // free-list head into slots, -1 when empty
 	nodes    []*nodeState // index id+1 (ids.StorageProc is -1); see find
 	order    []ids.ProcID // insertion order, for deterministic boot
+	spare    []*nodeState // the nodes of the run before the last reset
 	inflight int          // frames scheduled to arrive but not yet popped
 	// rx is the one envelope every frame is decoded into, through the one
 	// decoder whose buffers hold its Dets; a handler returns (having kept
@@ -160,7 +161,29 @@ func (k *Kernel) find(id ids.ProcID) *nodeState {
 	return nil
 }
 
-// addNode registers a process slot (Sharded.AddNode).
+// reset is Sharded.Reset for one kernel: every slot is free and zeroed, the
+// registered nodes become spares, and the buffers are kept. A frame still in
+// flight, deferred or outboxed is left to the collector.
+func (k *Kernel) reset(cfg Config) {
+	for _, ns := range k.nodes {
+		if ns != nil {
+			k.spare = append(k.spare, ns)
+		}
+	}
+	clear(k.slots)
+	clear(k.nodes)
+	clear(k.out)
+	clear(k.away)
+	clear(k.stepCrash)
+	*k = Kernel{
+		cfg: cfg, tr: trace.OrNop(cfg.Tracer), free: -1, coord: k.coord,
+		slots: k.slots[:0], heap: k.heap[:0], nodes: k.nodes[:0], order: k.order[:0], spare: k.spare,
+		dec: k.dec, frames: k.frames, out: k.out[:0], away: k.away[:0], stepCrash: k.stepCrash,
+	}
+}
+
+// addNode registers a process slot (Sharded.AddNode) on a spare node state,
+// or a new one.
 func (k *Kernel) addNode(id ids.ProcID, factory node.Factory) {
 	i := int(id) + 1
 	if i < 0 {
@@ -169,13 +192,13 @@ func (k *Kernel) addNode(id ids.ProcID, factory node.Factory) {
 	if k.find(id) != nil {
 		panic(fmt.Sprintf("sim: duplicate node %v", id))
 	}
-	ns := &nodeState{
-		k:       k,
-		id:      id,
-		factory: factory,
-		stable:  storage.NewStore(),
-		met:     metrics.NewProc(),
+	var ns *nodeState
+	if n := len(k.spare); n > 0 {
+		ns, k.spare = k.spare[n-1], k.spare[:n-1]
+	} else {
+		ns = &nodeState{stable: storage.NewStore(), met: metrics.NewProc()}
 	}
+	ns.reset(k, id, factory)
 	if i >= len(k.nodes) {
 		k.nodes = append(k.nodes, make([]*nodeState, i+1-len(k.nodes))...)
 	}
@@ -476,8 +499,9 @@ func (k *Kernel) crash(id ids.ProcID) {
 	ns.proc = nil
 	ns.busyUntil = 0
 	// The FIFO deferral queue is volatile process state; any armed wake
-	// event is neutralized by the epoch bump.
-	ns.defq = nil
+	// event is neutralized by the epoch bump. Its array is kept.
+	clear(ns.defq)
+	ns.defq = ns.defq[:0]
 	ns.defHead = 0
 	ns.wakeArmed = false
 	ns.met.BlockEnd(k.now) // a dead process is not "blocked"
@@ -539,6 +563,20 @@ type nodeState struct {
 }
 
 var _ node.Env = (*nodeState)(nil)
+
+// reset makes ns the state of node id, hosted by factory on k, before boot,
+// keeping its arenas: the links table (every link as new), the deferral
+// queue, the stable store's map and the metrics' buckets.
+func (ns *nodeState) reset(k *Kernel, id ids.ProcID, factory node.Factory) {
+	clear(ns.links)
+	clear(ns.defq)
+	*ns = nodeState{
+		k: k, id: id, factory: factory, stable: ns.stable, met: ns.met,
+		links: ns.links, defq: ns.defq[:0],
+	}
+	ns.stable.Reset()
+	ns.met.Reset()
+}
 
 func (ns *nodeState) ID() ids.ProcID { return ns.id }
 

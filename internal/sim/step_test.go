@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/node"
 )
 
 // foldStep accumulates a StepInfo stream into an FNV-style fingerprint.
@@ -142,4 +143,33 @@ func TestCrashAtStepPanics(t *testing.T) {
 	one := k.Single()
 	mustPanic("passed boundary", func() { one.CrashAtStep(0, 1) })
 	mustPanic("storage proc", func() { one.CrashAtStep(one.Steps()+5, ids.StorageProc) })
+}
+
+// TestResetForgetsProbeAndStepCrashes: a reset drops the step probe and the
+// step-indexed crashes the run before left unfired, so the run after it is
+// the fresh run — same events, no probe call, no crash — though it passes
+// the step the stale crash named.
+func TestResetForgetsProbeAndStepCrashes(t *testing.T) {
+	fresh, _, _ := newPingKernel(t, 50)
+	want := fresh.Run(time.Second)
+	short, _, _ := newPingKernel(t, 50)
+	cut := short.Run(5 * time.Millisecond)
+	if cut+2 >= want {
+		t.Fatalf("setup: %d events by 5 ms and %d by 1 s leave no step between", cut, want)
+	}
+
+	s, _, _ := newPingKernel(t, 50)
+	probed := int64(0)
+	s.Single().SetStepProbe(func(StepInfo) { probed++ })
+	s.Single().CrashAtStep((cut+want)/2, 1)
+	s.Run(5 * time.Millisecond)
+	s.Reset(Config{Seed: 42, HW: hwFast()})
+	for _, id := range []ids.ProcID{0, 1} {
+		s.AddNode(id, func() node.Process { return &pingProc{max: 50} })
+	}
+	s.Boot()
+	if got := s.Run(time.Second); got != want || probed != cut || s.CrashesApplied() != 0 {
+		t.Fatalf("after a reset: %d events (fresh %d), probe called %d times (%d before the reset), %d crashes applied",
+			got, want, probed, cut, s.CrashesApplied())
+	}
 }

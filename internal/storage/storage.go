@@ -97,6 +97,9 @@ func NewStore() *Store {
 	return &Store{data: make(map[string]Image)}
 }
 
+// Reset empties the store, keeping the map's buckets for the next run.
+func (s *Store) Reset() { clear(s.data) }
+
 // Put durably records img under key, replacing any previous value. It
 // takes ownership of img.Data: the store keeps the slice itself, the one
 // resident copy of an image, and writing to it afterwards is a caller bug.

@@ -23,10 +23,11 @@ const (
 // lowest and the highest observed (a process that never blocks pays nothing
 // for its blocked-time histogram, one whose latencies are all milliseconds
 // nothing for the microseconds), so Record allocates only when an observation
-// lands in an octave outside every earlier one. A plain copy shares the
-// buckets with its original, so a snapshot of a histogram that keeps recording
-// is taken with Clone. It is not safe for concurrent use (the runtimes
-// serialize per-process metrics; aggregate with Merge).
+// lands in an octave outside every earlier one and the array, or the one a
+// Reset kept, cannot hold the span. A plain copy shares the buckets with its
+// original, so a snapshot of a histogram that keeps recording is taken with
+// Clone. It is not safe for concurrent use (the runtimes serialize
+// per-process metrics; aggregate with Merge).
 type Histogram struct {
 	counts []int64 // buckets base .. base+len-1 of the histBuckets; whole octaves
 	base   int     // bucket index of counts[0], a multiple of histSubCnt
@@ -71,10 +72,24 @@ func (h *Histogram) cover(lo, hi int) {
 	if hi-lo+1 == len(h.counts) {
 		return
 	}
-	counts := make([]int64, hi-lo+1)
-	copy(counts[h.base-lo:], h.counts)
-	h.counts, h.base = counts, lo
+	if hi-lo+1 > cap(h.counts) {
+		counts := make([]int64, hi-lo+1)
+		copy(counts[h.base-lo:], h.counts)
+		h.counts, h.base = counts, lo
+		return
+	}
+	// The array a Reset kept holds the new span: move the counts up to their
+	// new offset (copy allows the overlap) and zero the rest.
+	old, at := len(h.counts), h.base-lo
+	h.counts, h.base = h.counts[:hi-lo+1], lo
+	copy(h.counts[at:], h.counts[:old])
+	clear(h.counts[:at])
+	clear(h.counts[at+old:])
 }
+
+// Reset empties the histogram and keeps its bucket array, which the next
+// observations reuse: it then reads, and grows, as a zero Histogram does.
+func (h *Histogram) Reset() { *h = Histogram{counts: h.counts[:0]} }
 
 // Record adds one observation. Negative durations clamp to zero.
 func (h *Histogram) Record(d time.Duration) {

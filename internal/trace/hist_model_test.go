@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -104,7 +105,8 @@ func agree(t *testing.T, what string, got *Histogram, want *denseHist) {
 }
 
 // TestHistogramAgreesWithDenseReference drives a few histograms and their
-// dense twins through seeded random Record / Merge / Clone / Delta sequences.
+// dense twins through seeded random Record / Merge / Clone / Delta / Reset
+// sequences.
 // Values are 0, below 16 (the exact buckets), and nanoseconds to hours; each
 // histogram also gets runs of strictly descending magnitudes, which only a
 // histogram that grows downward survives, and snapshots are taken while the
@@ -140,7 +142,7 @@ func TestHistogramAgreesWithDenseReference(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			i, j := rng.Intn(k), rng.Intn(k)
 			what := fmt.Sprintf("seed %d step %d", seed, step)
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(11); {
 			case op < 5:
 				rec(i, value())
 			case op == 5: // a descending run: hours down to nanoseconds
@@ -155,6 +157,9 @@ func TestHistogramAgreesWithDenseReference(t *testing.T) {
 				snap[j], dsnap[j] = real[i].Clone(), dense[i]
 			case op == 8:
 				snap[i], dsnap[i] = real[i].Clone(), dense[i]
+			case op == 9: // the buckets are kept; what was recorded is not
+				real[i].Reset()
+				dense[i] = denseHist{}
 			default:
 				d := real[i].Delta(&snap[i])
 				agree(t, what+" delta", &d, dense[i].delta(&dsnap[i]))
@@ -216,4 +221,27 @@ func TestHistogramMergeAcrossOctaves(t *testing.T) {
 	}
 	agree(t, "merged-from histogram", &lowH, &lowD) // Merge reads its argument
 	agree(t, "merged-from histogram", &highH, &highD)
+}
+
+// TestHistogramResetKeepsItsBuckets: a reset histogram records into the array
+// it kept, growing downward and upward in place, and lays its buckets out as
+// a fresh one fed the same values does.
+func TestHistogramResetKeepsItsBuckets(t *testing.T) {
+	var h Histogram
+	h.Record(time.Nanosecond)
+	h.Record(time.Hour)
+	feed := func(h *Histogram) {
+		h.Record(time.Second)
+		h.Record(time.Millisecond) // below the first octave: grows downward
+		h.Record(time.Minute)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { h.Reset(); feed(&h) }); allocs != 0 {
+		t.Fatalf("recording into a reset histogram allocates %.0f times, want 0", allocs)
+	}
+	var fresh Histogram
+	feed(&fresh)
+	if h.base != fresh.base || !slices.Equal(h.counts, fresh.counts) || h.String() != fresh.String() {
+		t.Fatalf("reset: base %d, %d buckets, %s; fresh: base %d, %d buckets, %s",
+			h.base, len(h.counts), h.String(), fresh.base, len(fresh.counts), fresh.String())
+	}
 }

@@ -551,15 +551,17 @@ func encodeHolders(w *Writer, s bitset.Set) error {
 }
 
 // Decoder decodes frames into envelopes whose Dets — the entries and their
-// holder sets — live in buffers the decoder owns and overwrites on the next
-// Decode: a long-lived decoder (the simulator keeps one per kernel) decodes a
-// piggyback without allocating per determinant. Whoever must keep the
-// envelope past that point calls Envelope.Keep, which copies them out. The
-// zero value is ready to use.
+// holder sets —, SSNWatermarks and IncVec live in buffers the decoder owns
+// and overwrites on the next Decode: a long-lived decoder (the simulator
+// keeps one per kernel) decodes a piggyback, a checkpoint notice or a gather
+// request without allocating. Whoever must keep the envelope past that point
+// calls Envelope.Keep, which copies them out. The zero value is ready to use.
 type Decoder struct {
 	dets  []det.Entry
 	words []uint64 // holder-word arena the Dets' holder sets are views into
 	base  int      // cap(words) when the frame being decoded started
+	ssns  []ids.SSN
+	incs  []ids.Incarnation
 }
 
 // holderWords carves nw words off the arena. When the current block is full
@@ -696,15 +698,16 @@ func Decode(frame []byte) (*Envelope, error) {
 // wrote (on error *e is unspecified). The frame's Pad is the payload's: the
 // last frame.Pad bytes of the payload field are modelled, and become e.Pad;
 // a frame with padding but no payload field, or more padding than the field
-// holds, is refused (ErrPad). e.Dets — the entries and their holder sets —
-// sit in the decoder's buffers and are valid until its next Decode — for a
-// handler, until it returns — unless kept (Envelope.Keep copies them out).
-// e.Payload is a view of frame.Data, read-only and valid as long as the
-// frame is (the simulator's until Deliver returns: Envelope.Keep copies it);
-// the other slices are allocated per frame and alias neither the frame nor
-// an earlier decode.
+// holds, is refused (ErrPad). e.Dets — the entries and their holder sets —,
+// e.SSNWatermarks and e.IncVec sit in the decoder's buffers and are valid
+// until its next Decode — for a handler, until it returns — unless kept
+// (Envelope.Keep copies them out). e.Payload is a view of frame.Data,
+// read-only and valid as long as the frame is (the simulator's until Deliver
+// returns: Envelope.Keep copies it); the other slices are allocated per frame
+// and alias neither the frame nor an earlier decode.
 func (d *Decoder) Decode(e *Envelope, frame storage.Image) error {
 	d.dets, d.words, d.base = d.dets[:0], d.words[:0], cap(d.words)
+	d.ssns, d.incs = d.ssns[:0], d.incs[:0]
 	r := &Reader{buf: frame.Data}
 	if v := r.U8(); r.err == nil && v != codecVersion {
 		return fmt.Errorf("%w: %d", ErrBadVersion, v)
@@ -756,10 +759,10 @@ func (d *Decoder) Decode(e *Envelope, frame storage.Image) error {
 	if p&hasSSNWatermarks != 0 {
 		n := r.ListLen()
 		if r.err == nil && n > 0 {
-			e.SSNWatermarks = make([]ids.SSN, 0, min(n, 4096))
 			for i := 0; i < n && r.err == nil; i++ {
-				e.SSNWatermarks = append(e.SSNWatermarks, ids.SSN(r.U64()))
+				d.ssns = append(d.ssns, ids.SSN(r.U64()))
 			}
+			e.SSNWatermarks = d.ssns
 		}
 	}
 	if p&hasOrd != 0 {
@@ -772,10 +775,10 @@ func (d *Decoder) Decode(e *Envelope, frame storage.Image) error {
 	if p&hasIncVec != 0 {
 		n := r.ListLen()
 		if r.err == nil && n > 0 {
-			e.IncVec = make([]ids.Incarnation, 0, min(n, 4096))
 			for i := 0; i < n && r.err == nil; i++ {
-				e.IncVec = append(e.IncVec, ids.Incarnation(r.U32()))
+				d.incs = append(d.incs, ids.Incarnation(r.U32()))
 			}
+			e.IncVec = d.incs
 		}
 	}
 	if p&hasMsgIDs != 0 {

@@ -419,62 +419,94 @@ func piggybackFrame(ssn ids.SSN, k int) *Envelope {
 	return e
 }
 
+// decoderFrames are the frames whose slices a Decoder carves from its own
+// buffers, each made at a base value and a length: a piggyback (Dets), a
+// checkpoint notice (SSNWatermarks) and a gather request (IncVec).
+var decoderFrames = []struct {
+	name string
+	make func(base, k int) *Envelope
+}{
+	{"piggyback", func(base, k int) *Envelope { return piggybackFrame(ids.SSN(base), k) }},
+	{"checkpoint notice", func(base, k int) *Envelope {
+		e := &Envelope{Kind: KindCheckpointNotice, From: 1, FromInc: 1, CPRsn: ids.RSN(base)}
+		for i := range k {
+			e.SSNWatermarks = append(e.SSNWatermarks, ids.SSN(base+i))
+		}
+		return e
+	}},
+	{"dep request", func(base, k int) *Envelope {
+		e := &Envelope{Kind: KindDepRequest, From: 1, FromInc: 2, Ord: ids.Ordinal{Clock: 3, Proc: 1}, Round: 1}
+		for i := range k {
+			e.IncVec = append(e.IncVec, ids.Incarnation(base+i))
+		}
+		return e
+	}},
+}
+
 // TestKeepSurvivesDecoderReuse is the receive half of the ownership
-// contract (DESIGN §5): a long-lived Decoder overwrites the Dets of the
-// frame before, so what a handler has from Keep must be a deep copy. It is
-// the named test that kills the "reuse the rx envelope" mutant of ROADMAP
-// 2(c) in its shallow-Keep form: with Keep reduced to a struct copy the
-// kept determinants read as the later frames'.
+// contract (DESIGN §5): a long-lived Decoder overwrites the Dets,
+// SSNWatermarks and IncVec of the frame before, so what a handler has from
+// Keep must be a deep copy. It is the named test that kills the "reuse the rx
+// envelope" mutant of ROADMAP 2(c) in its shallow-Keep form: with Keep
+// reduced to a struct copy the kept lists read as the later frames'.
 func TestKeepSurvivesDecoderReuse(t *testing.T) {
-	var (
-		d  Decoder
-		rx Envelope
-	)
-	first := piggybackFrame(10, 9)
-	if err := d.Decode(&rx, frameOf(Encode(first))); err != nil {
-		t.Fatal(err)
-	}
-	if !equalEnvelopes(&rx, first) {
-		t.Fatalf("Decoder.Decode disagrees with the envelope encoded:\n got: %+v\nwant: %+v", rx, first)
-	}
-	shallow := rx // what a handler that forgot Keep holds
-	kept := rx.Keep()
-	for _, next := range []*Envelope{piggybackFrame(40, 9), piggybackFrame(90, 12)} {
-		if err := d.Decode(&rx, frameOf(Encode(next))); err != nil {
-			t.Fatal(err)
-		}
-		if !equalEnvelopes(&rx, next) {
-			t.Fatalf("decode after reuse:\n got: %+v\nwant: %+v", rx, next)
-		}
-	}
-	if !equalEnvelopes(kept, first) {
-		t.Fatalf("kept envelope changed after the decoder decoded two further frames:\n got: %+v\nwant: %+v", kept, first)
-	}
-	if equalEnvelopes(&shallow, first) {
-		t.Fatal("setup: a struct copy survived decoder reuse, so this test cannot tell a shallow Keep from a deep one")
-	}
-	if err := d.Decode(&rx, frameOf(Encode(&Envelope{Kind: KindHeartbeat, From: 1, FromInc: 1}))); err != nil || rx.Dets != nil {
-		t.Fatalf("a frame without determinants decoded to Dets %v (err %v), want nil", rx.Dets, err)
+	for _, f := range decoderFrames {
+		t.Run(f.name, func(t *testing.T) {
+			var (
+				d  Decoder
+				rx Envelope
+			)
+			first := f.make(10, 9)
+			if err := d.Decode(&rx, frameOf(Encode(first))); err != nil {
+				t.Fatal(err)
+			}
+			if !equalEnvelopes(&rx, first) {
+				t.Fatalf("Decoder.Decode disagrees with the envelope encoded:\n got: %+v\nwant: %+v", rx, first)
+			}
+			shallow := rx // what a handler that forgot Keep holds
+			kept := rx.Keep()
+			for _, next := range []*Envelope{f.make(40, 9), f.make(90, 12)} {
+				if err := d.Decode(&rx, frameOf(Encode(next))); err != nil {
+					t.Fatal(err)
+				}
+				if !equalEnvelopes(&rx, next) {
+					t.Fatalf("decode after reuse:\n got: %+v\nwant: %+v", rx, next)
+				}
+			}
+			if !equalEnvelopes(kept, first) {
+				t.Fatalf("kept envelope changed after the decoder decoded two further frames:\n got: %+v\nwant: %+v", kept, first)
+			}
+			if equalEnvelopes(&shallow, first) {
+				t.Fatal("setup: a struct copy survived decoder reuse, so this test cannot tell a shallow Keep from a deep one")
+			}
+			if err := d.Decode(&rx, frameOf(Encode(&Envelope{Kind: KindHeartbeat, From: 1, FromInc: 1}))); err != nil ||
+				rx.Dets != nil || rx.SSNWatermarks != nil || rx.IncVec != nil {
+				t.Fatalf("a frame without lists decoded to %+v (err %v), want nil lists", rx, err)
+			}
+		})
 	}
 }
 
 // TestDecoderSteadyStateAllocs: a warmed decoder allocates nothing for an
 // application frame — the payload is read in place, and nothing per
-// determinant, whatever the holder encoding.
+// determinant, whatever the holder encoding — nor for a checkpoint notice's
+// watermarks or a gather request's incarnation vector.
 func TestDecoderSteadyStateAllocs(t *testing.T) {
-	var (
-		d  Decoder
-		rx Envelope
-	)
-	frame := Encode(piggybackFrame(10, 64))
-	decode := func() {
-		if err := d.Decode(&rx, frameOf(frame)); err != nil {
-			t.Fatal(err)
+	for _, f := range decoderFrames {
+		var (
+			d  Decoder
+			rx Envelope
+		)
+		frame := Encode(f.make(10, 64))
+		decode := func() {
+			if err := d.Decode(&rx, frameOf(frame)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	decode()
-	if got := testing.AllocsPerRun(50, decode); got != 0 {
-		t.Fatalf("decoding a 64-determinant frame allocates %.1f times, want 0 (the payload is a view)", got)
+		decode()
+		if got := testing.AllocsPerRun(50, decode); got != 0 {
+			t.Errorf("decoding a %s of 64 entries allocates %.1f times, want 0", f.name, got)
+		}
 	}
 }
 

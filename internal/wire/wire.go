@@ -183,12 +183,14 @@ func (e *Envelope) PayloadImage() storage.Image {
 
 // Keep returns what a Deliver handler stores when a frame must outlive the
 // call: a copy of the struct, which the runtime decodes the next frame into,
-// of Dets, which live in the runtime's Decoder, and of Payload, a view of a
-// frame the runtime reuses once Deliver returns. The other slices are
-// allocated per frame and shared.
+// of Dets, SSNWatermarks and IncVec, which live in the runtime's Decoder,
+// and of Payload, a view of a frame the runtime reuses once Deliver returns.
+// The other slices are allocated per frame and shared.
 func (e *Envelope) Keep() *Envelope {
 	c := *e
 	c.Dets = cloneDets(e.Dets)
+	c.SSNWatermarks = slices.Clone(e.SSNWatermarks)
+	c.IncVec = slices.Clone(e.IncVec)
 	if !TestingKeepSharesPayload {
 		c.Payload = slices.Clone(e.Payload)
 	}
