@@ -103,8 +103,9 @@ func Refuse(field, format string, args ...any) error {
 // Validate reports what New refuses to build, as a FieldError: a size
 // outside [2, MaxProcs], an unknown family or FBL recovery style, a hardware
 // profile whose minimum network latency — the sharded kernel's window width
-// — is not positive, a negative checkpoint interval, padding an image's
-// 32-bit length field cannot hold, or a shard count outside [0, MaxProcs].
+// — is not positive, a negative checkpoint interval, state padding a Pad
+// field's 32-bit count cannot hold (any less restores), or a shard count
+// outside [0, MaxProcs].
 // The zero HW and the zero Family are defaults, not errors.
 func (cfg Config) Validate() error {
 	switch {

@@ -250,3 +250,27 @@ func TestClientServerWithClientCrash(t *testing.T) {
 		t.Errorf("server applied %d, want %d", got, 300*4)
 	}
 }
+
+// TestEightMegabyteImagesRestore: a process image past the 4 MiB a decoded
+// list may claim still restores in every family. Its padding is modelled
+// zeros, bounded by the image's own count, so a crash and a restore from an
+// 8 MiB checkpoint, snapshot or log pass Check.
+func TestEightMegabyteImagesRestore(t *testing.T) {
+	for _, fam := range []Family{FamilyFBL, FamilyCoordinated, FamilyOptimistic} {
+		t.Run(string(fam), func(t *testing.T) {
+			c := New(Config{
+				Family:          fam,
+				N:               4,
+				F:               1,
+				Seed:            1,
+				Style:           recovery.NonBlocking,
+				App:             workload.NewRandomPeer(1, 1_000_000, 256, int64(time.Millisecond)),
+				CheckpointEvery: 10 * time.Second,
+				StatePad:        8 << 20,
+			})
+			c.Crash(45*time.Second, 1)
+			c.Run(90 * time.Second)
+			mustCheck(t, c)
+		})
+	}
+}

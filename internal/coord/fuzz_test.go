@@ -30,6 +30,11 @@ func blobProc(pad int) *Process {
 	}
 }
 
+// seedPads are the pads the decoder fuzzers seed a recorded message and
+// StatePad with: none, a few, both sides of the length field's inline limit
+// (1023), and past the 4 MiB maxListLen.
+var seedPads = []int{0, 1, 3, 1022, 1023, 1024, 8 << 20}
+
 // FuzzDecodeSnapshot: decodeSnapshot never panics on an arbitrary (data,
 // pad) image, and whatever it accepts is exactly what encodeLocalState and
 // encodeSnapshotBlob write for the state and channel messages it restored.
@@ -50,15 +55,27 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	f.Add([]byte{}, 0)
 	f.Add([]byte{0, 0, 0, 0}, -1)
-	f.Fuzz(func(t *testing.T, data []byte, pad int) {
+	for _, pad := range seedPads {
 		p := blobProc(pad)
+		p.snap = p.encodeLocalState()
+		p.recorded = [][]recordedMsg{{{from: 1, ssn: 7, dseq: 2, payload: storage.Image{Data: []byte("m"), Pad: pad}}}}
+		img := p.encodeSnapshotBlob()
+		f.Add(img.Data, img.Pad)
+		f.Add(img.Data, img.Pad-1)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, pad int) {
+		p := blobProc(0)
 		rec, err := p.decodeSnapshot(storage.Image{Data: data, Pad: pad})
 		if err != nil {
 			return
 		}
 		// The epoch at capture is deliberately not restored (the rollback
-		// epoch supersedes it); put it back to compare encodings.
+		// epoch supersedes it); put it back to compare encodings. The image's
+		// pad is StatePad and the recorded messages' pads: StatePad is what
+		// is left of it once the messages are encoded.
 		p.epoch = binary.LittleEndian.Uint32(data[4:])
+		p.snap, p.recorded = p.encodeLocalState(), [][]recordedMsg{rec}
+		p.par.StatePad = pad - p.encodeSnapshotBlob().Pad
 		p.snap, p.recorded = p.encodeLocalState(), [][]recordedMsg{rec}
 		if got := p.encodeSnapshotBlob(); got.Pad != pad || !bytes.Equal(got.Data, data) {
 			t.Fatalf("accepted image does not re-encode to itself:\n in  %x + %d\n out %x + %d",

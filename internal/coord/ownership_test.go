@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -199,6 +200,43 @@ func TestSnapshotDecodeChecksPadding(t *testing.T) {
 		}
 		if _, err := p.decodeSnapshot(good); err != nil {
 			t.Fatalf("outSeq %d: the untampered image must decode: %v", outSeq, err)
+		}
+	}
+}
+
+// TestSnapshotRestoresPaddedPayloads: a snapshot of an 8 MiB process image
+// whose channels recorded padded messages restores each message as it was
+// recorded, data and pad, and is as large as the snapshot with every pad
+// written out as zeros.
+func TestSnapshotRestoresPaddedPayloads(t *testing.T) {
+	const statePad = 8 << 20
+	var recorded, dense []recordedMsg
+	for i, pad := range seedPads {
+		payload := storage.Image{Data: []byte{byte(i), 'm'}, Pad: pad}
+		recorded = append(recorded, recordedMsg{from: 1, ssn: ids.SSN(i + 1), dseq: uint64(i + 1), payload: payload})
+		zeros := storage.Image{Data: append(append([]byte(nil), payload.Data...), make([]byte, pad)...)}
+		dense = append(dense, recordedMsg{from: 1, ssn: ids.SSN(i + 1), dseq: uint64(i + 1), payload: zeros})
+	}
+	image := func(msgs []recordedMsg) storage.Image {
+		p := blobProc(statePad)
+		p.snap, p.recorded = p.encodeLocalState(), [][]recordedMsg{nil, msgs, nil}
+		return p.encodeSnapshotBlob()
+	}
+	img := image(recorded)
+	if d := image(dense); img.Size() != d.Size() || d.Pad != statePad {
+		t.Fatalf("image is %d B; with its messages' zeros written out it is %d B", img.Size(), d.Size())
+	}
+	got, err := blobProc(0).decodeSnapshot(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(recorded) {
+		t.Fatalf("restored %d messages, recorded %d", len(got), len(recorded))
+	}
+	for i, m := range got {
+		want := recorded[i].payload
+		if m.ssn != recorded[i].ssn || !bytes.Equal(m.payload.Data, want.Data) || m.payload.Pad != want.Pad {
+			t.Fatalf("message %d restored as %x + %d, recorded as %x + %d", i, m.payload.Data, m.payload.Pad, want.Data, want.Pad)
 		}
 	}
 }

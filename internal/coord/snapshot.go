@@ -175,8 +175,7 @@ func (p *Process) encodeLocalState() *wire.Writer {
 
 // encodeSnapshotBlob appends the recorded channel messages to the local
 // state captured at marker time and returns the image the store keeps. A
-// message's padding is written out (wire.Writer.ImageBytes): the image's one
-// run of modelled zeros is StatePad.
+// message's padding is counted, like StatePad (wire.Writer.ImageBytes).
 func (p *Process) encodeSnapshotBlob() storage.Image {
 	w, total := p.snap, 0
 	for _, ch := range p.recorded {
@@ -195,10 +194,11 @@ func (p *Process) encodeSnapshotBlob() storage.Image {
 }
 
 // decodeSnapshot restores the local state and returns the recorded
-// channel messages for re-injection.
+// channel messages for re-injection, each payload as it was recorded.
 func (p *Process) decodeSnapshot(img storage.Image) ([]recordedMsg, error) {
 	r := wire.NewImageReader(img.Data, img.Pad)
-	stateLen := r.ListLen()
+	// The prefix counts StatePad's zeros: no ListLen, but checked (exact).
+	stateLen := int(r.U32())
 	stateEnd := r.Pos() + stateLen
 	_ = r.U32() // epoch at capture; superseded by the rollback epoch
 	p.delivered = int64(r.U64())
@@ -222,7 +222,7 @@ func (p *Process) decodeSnapshot(img storage.Image) ([]recordedMsg, error) {
 		m.from = ids.ProcID(r.I32())
 		m.ssn = ids.SSN(r.U64())
 		m.dseq = r.U64()
-		m.payload = storage.Image{Data: r.Bytes()}
+		m.payload = r.ImageBytes()
 		out = append(out, m)
 	}
 	switch {

@@ -10,6 +10,7 @@ import (
 	"rollrec/internal/fbl"
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
+	"rollrec/internal/storage"
 	"rollrec/internal/workload"
 )
 
@@ -31,23 +32,26 @@ func d1ScaleSpec(shards int) Spec {
 }
 
 // logFootprint reports (-v) what the finished run's modelled logging state
-// costs, from the processes' own counters (det.Stats, fbl.DetStats) and the
+// costs, from the processes' own counters (det.Stats, fbl.DetStats), their
+// stable stores (resident: the bytes held; logical: with the padding) and the
 // heap that is live with the cluster still reachable: per-process mean and
 // max, so the next footprint decision is read here, not profiled.
 func logFootprint(t *testing.T, shards int, r *Result, allocatedBefore uint64) {
 	t.Helper()
 	fields := []struct {
 		name string
-		of   func(fbl.DetStats) int
+		of   func(fbl.DetStats, *storage.Store) int
 	}{
-		{"det entries", func(s fbl.DetStats) int { return s.Entries }},
-		{"det slab B", func(s fbl.DetStats) int { return s.SlabBytes }},
-		{"det table B", func(s fbl.DetStats) int { return s.TableBytes }},
-		{"det holder B", func(s fbl.DetStats) int { return s.HolderBytes }},
-		{"det inline", func(s fbl.DetStats) int { return s.Inline }},
-		{"det overflowed", func(s fbl.DetStats) int { return s.Overflowed }},
-		{"send-log records", func(s fbl.DetStats) int { return s.SendLogRecords }},
-		{"send-log B", func(s fbl.DetStats) int { return s.SendLogBytes }},
+		{"det entries", func(s fbl.DetStats, _ *storage.Store) int { return s.Entries }},
+		{"det slab B", func(s fbl.DetStats, _ *storage.Store) int { return s.SlabBytes }},
+		{"det table B", func(s fbl.DetStats, _ *storage.Store) int { return s.TableBytes }},
+		{"det holder B", func(s fbl.DetStats, _ *storage.Store) int { return s.HolderBytes }},
+		{"det inline", func(s fbl.DetStats, _ *storage.Store) int { return s.Inline }},
+		{"det overflowed", func(s fbl.DetStats, _ *storage.Store) int { return s.Overflowed }},
+		{"send-log records", func(s fbl.DetStats, _ *storage.Store) int { return s.SendLogRecords }},
+		{"send-log B", func(s fbl.DetStats, _ *storage.Store) int { return s.SendLogBytes }},
+		{"store resident B", func(_ fbl.DetStats, st *storage.Store) int { return int(st.Resident()) }},
+		{"store logical B", func(_ fbl.DetStats, st *storage.Store) int { return int(st.Bytes()) }},
 	}
 	sum, most := make([]int, len(fields)), make([]int, len(fields))
 	n := 0
@@ -57,9 +61,9 @@ func logFootprint(t *testing.T, shards int, r *Result, allocatedBefore uint64) {
 			continue
 		}
 		n++
-		st := p.DetStats()
+		st, store := p.DetStats(), r.C.K.Store(ids.ProcID(i))
 		for k, f := range fields {
-			v := f.of(st)
+			v := f.of(st, store)
 			sum[k] += v
 			most[k] = max(most[k], v)
 		}

@@ -45,17 +45,17 @@ func parseIncRecord(img storage.Image) (ids.Incarnation, uint64, bool) {
 // snapshot, send/receive counters, the volatile send log (sender-based
 // logging survives the sender's own failure through its checkpoint), and
 // the incarnation vector. StatePad models the paper's ~1 MB process images:
-// it is counted into the image, not written (storage.Image). A logged
-// payload's padding is written out (wire.Writer.ImageBytes): an image holds
-// one run of modelled zeros, so a restored record holds its zeros as bytes.
-// The bytes are built once, in a fresh buffer sized by a pre-pass over the
-// send log; WriteStable hands that buffer to the store (DESIGN §5).
+// it is counted into the image, not written (storage.Image), and so is a
+// logged payload's padding (wire.Writer.ImageBytes): a restored record is
+// the payload as logged. The bytes are built once, in a fresh buffer sized
+// by a pre-pass over the send log; WriteStable hands that buffer to the
+// store (DESIGN §5).
 func (p *Process) encodeCheckpoint() storage.Image {
 	app := p.app.Snapshot()
 	size := 1 + 4 + 8 + 1 + 8 + 8 + 20*p.n + 4 + len(app) + 4*p.n + 4
 	for _, log := range p.sendLog {
 		for _, rec := range log.Live() {
-			size += 8 + 8 + 4 + rec.Payload.Size()
+			size += 8 + 8 + wire.ImageBytesLen(rec.Payload)
 		}
 	}
 	if p.outSeq != 0 {
@@ -129,7 +129,7 @@ func (p *Process) decodeCheckpoint(img storage.Image) error {
 		var base uint64
 		for i := 0; i < cnt && r.Err() == nil; i++ {
 			d := r.U64()
-			rec := channel.Rec{SSN: ids.SSN(r.U64()), Payload: storage.Image{Data: r.Bytes()}}
+			rec := channel.Rec{SSN: ids.SSN(r.U64()), Payload: r.ImageBytes()}
 			if i == 0 {
 				base = d
 			}

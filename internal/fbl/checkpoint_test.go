@@ -1,6 +1,7 @@
 package fbl
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"testing"
@@ -152,4 +153,56 @@ func TestSendLogNeedsNoSortOrMap(t *testing.T) {
 		t.Fatalf("restored window is [%d, +%d), want [501, +%d)", w.Base(), w.Len(), records)
 	}
 	_ = sum
+}
+
+// paddedPayloads are logged payloads padded by each of seedPads.
+func paddedPayloads() []storage.Image {
+	var out []storage.Image
+	for i, pad := range seedPads {
+		out = append(out, storage.Image{Data: []byte{byte(i), 'p'}, Pad: pad})
+	}
+	return out
+}
+
+// materialised is payloads with their zeros written into their data.
+func materialised(payloads []storage.Image) []storage.Image {
+	out := make([]storage.Image, len(payloads))
+	for i, p := range payloads {
+		out[i] = storage.Image{Data: append(append([]byte(nil), p.Data...), make([]byte, p.Pad)...)}
+	}
+	return out
+}
+
+// TestCheckpointRestoresPaddedPayloads: a checkpoint of an 8 MiB process
+// image whose send log holds padded payloads restores each record as it was
+// logged, data and pad, and is as large as the checkpoint of the same log
+// with every pad written out as zeros.
+func TestCheckpointRestoresPaddedPayloads(t *testing.T) {
+	const statePad = 8 << 20
+	image := func(payloads []storage.Image) storage.Image {
+		p := blobProc(statePad)
+		for _, pl := range payloads {
+			appCtx{p}.Send(1, pl)
+		}
+		return p.encodeCheckpoint()
+	}
+	payloads := paddedPayloads()
+	img := image(payloads)
+	if dense := image(materialised(payloads)); img.Size() != dense.Size() || dense.Pad != statePad {
+		t.Fatalf("image is %d B; with its payloads' zeros written out it is %d B", img.Size(), dense.Size())
+	}
+	q := blobProc(statePad)
+	if err := q.decodeCheckpoint(img); err != nil {
+		t.Fatal(err)
+	}
+	got := q.sendLog[1].Live()
+	if len(got) != len(payloads) {
+		t.Fatalf("restored %d records, logged %d", len(got), len(payloads))
+	}
+	for i, rec := range got {
+		if !bytes.Equal(rec.Payload.Data, payloads[i].Data) || rec.Payload.Pad != payloads[i].Pad {
+			t.Fatalf("record %d restored as %x + %d, logged as %x + %d",
+				i, rec.Payload.Data, rec.Payload.Pad, payloads[i].Data, payloads[i].Pad)
+		}
+	}
 }

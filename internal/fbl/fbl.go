@@ -496,9 +496,9 @@ func (p *Process) learnIncarnation(q ids.ProcID, inc ids.Incarnation) {
 // upward, and two flipped top bits eight bytes apart would cancel), then the
 // tail a byte at a time. Every step is a bijection of h, so equal-length
 // payloads that differ in one word or one tail byte never collide. The
-// padding is folded in as the zeros it stands for, without building them, so
-// a payload hashes the same modelled or materialised. Not stable across
-// versions; the values never leave the run.
+// padding is folded in as the zeros it stands for, without building them:
+// the hash is that of the logical bytes. Not stable across versions; the
+// values never leave the run.
 func PayloadHash(im storage.Image) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)

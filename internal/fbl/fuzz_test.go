@@ -29,6 +29,11 @@ func blobProc(pad int) *Process {
 	return p
 }
 
+// seedPads are the pads the decoder fuzzers seed a logged payload and
+// StatePad with: none, a few, both sides of the length field's inline limit
+// (1023), and past the 4 MiB maxListLen.
+var seedPads = []int{0, 1, 3, 1022, 1023, 1024, 8 << 20}
+
 // FuzzDecodeCheckpoint: decodeCheckpoint never panics on an arbitrary
 // (data, pad) image, and whatever it accepts is exactly what
 // encodeCheckpoint writes for the state it restored. Decode ∘ encode is the
@@ -69,11 +74,21 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			f.Fatalf("decode ∘ encode is not the identity:\n in  %x + %d\n out %x + %d", img.Data, img.Pad, got.Data, got.Pad)
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, pad int) {
+	for _, pad := range seedPads {
 		p := blobProc(pad)
+		appCtx{p}.Send(1, storage.Image{Data: []byte("p"), Pad: pad})
+		img := p.encodeCheckpoint()
+		f.Add(img.Data, img.Pad)
+		f.Add(img.Data, img.Pad-1)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, pad int) {
+		p := blobProc(0)
 		if err := p.decodeCheckpoint(storage.Image{Data: data, Pad: pad}); err != nil {
 			return
 		}
+		// The image's pad is StatePad and the logged payloads' pads:
+		// StatePad is what is left of it once the send log is encoded.
+		p.par.StatePad = pad - p.encodeCheckpoint().Pad
 		if got := p.encodeCheckpoint(); got.Pad != pad || !bytes.Equal(got.Data, data) {
 			t.Fatalf("accepted image does not re-encode to itself:\n in  %x + %d\n out %x + %d",
 				data, pad, got.Data, got.Pad)

@@ -322,12 +322,12 @@ func (p *Process) Rolling() bool { return p.rolling }
 func (p *Process) LogSizes() (total, durable int) { return len(p.log), p.flushed }
 
 // encodeLog serializes the delivery log into a fresh, exactly-sized buffer;
-// pad is counted into the image, not written (storage.Image), and a logged
-// payload's padding is written out (wire.Writer.ImageBytes).
+// pad is counted into the image, not written (storage.Image), and so is a
+// logged payload's padding (wire.Writer.ImageBytes).
 func encodeLog(entries []logEntry, pad int) storage.Image {
 	size := 4 + 4
 	for _, e := range entries {
-		size += 4 + 8 + 8 + 4 + e.payload.Size() + 4 + 12*len(e.dv)
+		size += 4 + 8 + 8 + wire.ImageBytesLen(e.payload) + 4 + 12*len(e.dv)
 	}
 	w := wire.NewWriter(size)
 	w.U32(uint32(len(entries)))
@@ -346,7 +346,7 @@ func encodeLog(entries []logEntry, pad int) storage.Image {
 	return storage.Image{Data: w.Frame(), Pad: w.Padded()}
 }
 
-// decodeLog parses a serialized delivery log.
+// decodeLog parses a serialized delivery log, payloads as logged.
 func decodeLog(img storage.Image) ([]logEntry, error) {
 	r := wire.NewImageReader(img.Data, img.Pad)
 	cnt := r.ListLen()
@@ -356,7 +356,7 @@ func decodeLog(img storage.Image) ([]logEntry, error) {
 		e.from = ids.ProcID(r.I32())
 		e.ssn = ids.SSN(r.U64())
 		e.dseq = r.U64()
-		e.payload = storage.Image{Data: r.Bytes()}
+		e.payload = r.ImageBytes()
 		dn := r.ListLen()
 		e.dv = make([]interval, 0, min(dn, 4096))
 		for j := 0; j < dn && r.Err() == nil; j++ {

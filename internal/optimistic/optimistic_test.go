@@ -252,7 +252,7 @@ func TestLogCodecRoundTrip(t *testing.T) {
 	if err != nil || len(out) != 2 {
 		t.Fatalf("decoded %d entries: %v", len(out), err)
 	}
-	if out[0].from != 1 || out[0].ssn != 5 || string(out[0].payload.Data) != "abc\x00\x00\x00" ||
+	if out[0].from != 1 || out[0].ssn != 5 || string(out[0].payload.Data) != "abc" || out[0].payload.Pad != 3 ||
 		out[0].dv[2] != (interval{2, 3}) {
 		t.Fatalf("entry 0 mismatch: %+v", out[0])
 	}

@@ -1,6 +1,7 @@
 package optimistic
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -191,5 +192,37 @@ func TestLogDecodeChecksPadding(t *testing.T) {
 	}
 	if _, err := decodeLog(good); err != nil {
 		t.Fatalf("the untampered image must decode: %v", err)
+	}
+}
+
+// TestLogRestoresPaddedPayloads: a stable log with 8 MiB of padding whose
+// entries hold padded payloads restores each payload as it was logged, data
+// and pad, and is as large as the log with every pad written out as zeros.
+func TestLogRestoresPaddedPayloads(t *testing.T) {
+	const statePad = 8 << 20
+	var entries, dense []logEntry
+	for i, pad := range seedPads {
+		payload := storage.Image{Data: []byte{byte(i), 'l'}, Pad: pad}
+		e := logEntry{from: 1, ssn: ids.SSN(i + 1), dseq: uint64(i + 1), payload: payload, dv: []interval{{1, int64(i)}}}
+		entries = append(entries, e)
+		e.payload = storage.Image{Data: append(append([]byte(nil), payload.Data...), make([]byte, pad)...)}
+		dense = append(dense, e)
+	}
+	img := encodeLog(entries, statePad)
+	if d := encodeLog(dense, statePad); img.Size() != d.Size() || d.Pad != statePad {
+		t.Fatalf("image is %d B; with its payloads' zeros written out it is %d B", img.Size(), d.Size())
+	}
+	got, err := decodeLog(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(entries) {
+		t.Fatalf("restored %d entries, logged %d", len(got), len(entries))
+	}
+	for i, e := range got {
+		want := entries[i].payload
+		if e.ssn != entries[i].ssn || !bytes.Equal(e.payload.Data, want.Data) || e.payload.Pad != want.Pad {
+			t.Fatalf("entry %d restored as %x + %d, logged as %x + %d", i, e.payload.Data, e.payload.Pad, want.Data, want.Pad)
+		}
 	}
 }

@@ -72,10 +72,10 @@ func Disk1995() Params {
 // Image is one stable-storage value. The paper's ~1 MB process images are
 // almost entirely state this simulator models but never reads, so an image
 // is the bytes its codec wrote plus a count of modelled zero bytes: Pad is
-// charged by every size the cost model consumes and never allocated. Where
-// in the encoding the padding sits is the codec's business (wire.Writer.Pad
-// writes the length field, a wire.Reader over the image checks it), not the
-// store's.
+// charged by every size the cost model consumes and never allocated, and
+// never negative. An image may hold many runs of padding, its own and its
+// logged payloads'; where they sit is the codec's business (wire.Writer.Pad
+// and ImageBytes write them, a wire.Reader claims them), not the store's.
 type Image struct {
 	Data []byte
 	Pad  int
@@ -130,6 +130,15 @@ func (s *Store) Bytes() int64 {
 	var total int64
 	for _, v := range s.data {
 		total += int64(v.Size())
+	}
+	return total
+}
+
+// Resident returns the bytes the stored images hold: Bytes less the padding.
+func (s *Store) Resident() int64 {
+	var total int64
+	for _, v := range s.data {
+		total += int64(len(v.Data))
 	}
 	return total
 }

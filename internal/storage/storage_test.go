@@ -65,7 +65,8 @@ func TestStorePutOwnsGetCopies(t *testing.T) {
 }
 
 // TestStoreReportsLogicalBytes: padding is a count the store never
-// allocates, yet every size it reports includes it.
+// allocates, yet every size it reports includes it but Resident, which
+// counts what the store holds in memory.
 func TestStoreReportsLogicalBytes(t *testing.T) {
 	s := NewStore()
 	s.Put("cp", Image{Data: []byte("abc"), Pad: 1 << 20})
@@ -80,6 +81,9 @@ func TestStoreReportsLogicalBytes(t *testing.T) {
 	const total = 3 + 1<<20 + 500 + 12
 	if s.Bytes() != total {
 		t.Fatalf("Bytes = %d, want %d", s.Bytes(), total)
+	}
+	if s.Resident() != 3+12 {
+		t.Fatalf("Resident = %d, want the 15 B of data", s.Resident())
 	}
 	if got, want := s.String(), "store{keys=3 bytes=1049091}"; got != want {
 		t.Fatalf("String = %q, want %q", got, want)

@@ -82,8 +82,8 @@ func NewWriter(capacity int) *Writer { return &Writer{buf: make([]byte, 0, capac
 // Frame returns the accumulated bytes.
 func (w *Writer) Frame() []byte { return w.buf }
 
-// Padded returns the number of modelled zero bytes Pad has counted: with
-// Frame, the two halves of a storage.Image.
+// Padded returns the number of modelled zero bytes Pad and ImageBytes have
+// counted: with Frame, the two halves of a storage.Image.
 func (w *Writer) Padded() int { return w.pad }
 
 func (w *Writer) U8(v uint8)   { w.buf = append(w.buf, v) }
@@ -96,27 +96,42 @@ func (w *Writer) Bytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// ImageBytes writes what Bytes would of im's logical bytes — im.Data, then
-// im.Pad zeros — without building them: the length field, the data, the
-// zeros cleared in place. It is how a payload whose pad is modelled goes
-// into an image that holds it as bytes (checkpoints, snapshots, logs).
+// An ImageBytes field keeps its pad in its length field's top bits, which a
+// Bytes length (at most maxListLen) leaves zero: a pad below padLong, or
+// padLong and a U32 of the pad, which stands for four of the zeros. No field
+// is longer than its materialised form (length, data, zeros).
+const (
+	padShift = 22
+	padLong  = 1<<(32-padShift) - 1
+)
+
+// ImageBytes writes im as a field Reader.ImageBytes reads back as im: the
+// data as bytes, the pad as a count (see Padded), its logical length that
+// of Bytes of the data and the zeros. len(im.Data) must be below maxListLen.
 func (w *Writer) ImageBytes(im storage.Image) {
-	w.U32(uint32(im.Size()))
+	if im.Pad < padLong {
+		w.U32(uint32(len(im.Data)) | uint32(im.Pad)<<padShift)
+		w.pad += im.Pad
+	} else {
+		w.U32(uint32(len(im.Data)) | padLong<<padShift)
+		w.U32(uint32(im.Pad))
+		w.pad += im.Pad - 4
+	}
 	w.buf = append(w.buf, im.Data...)
-	at := len(w.buf)
-	w.buf = slices.Grow(w.buf, im.Pad)[:at+im.Pad]
-	clear(w.buf[at:])
+}
+
+// ImageBytesLen returns how many bytes ImageBytes writes into the frame.
+func ImageBytesLen(im storage.Image) int {
+	if im.Pad < padLong {
+		return 4 + len(im.Data)
+	}
+	return 8 + len(im.Data)
 }
 
 // Pad stands for a field of n zero bytes: the length field goes into the
-// frame, the n zeros are only counted (see Padded). An image
-// has one run of padding — its Reader.Pad must find the whole count in one
-// field — so a second non-empty Pad is a codec bug and panics. A message
-// payload's Pad is its last field: the payload means Data, then the zeros.
+// frame, the n zeros are only counted (see Padded). A message payload's Pad
+// is its last field: the payload means Data, then the zeros.
 func (w *Writer) Pad(n int) {
-	if w.pad != 0 && n != 0 {
-		panic("wire: second Pad in one image")
-	}
 	w.U32(uint32(n))
 	w.pad += n
 }
@@ -136,7 +151,7 @@ type Reader struct {
 func NewReader(frame []byte) *Reader { return &Reader{buf: frame} }
 
 // NewImageReader returns a reader over a stored image: the bytes a Writer
-// framed plus the count of zeros its Pad calls stood for.
+// framed plus the count of zeros its Pad and ImageBytes fields stood for.
 func NewImageReader(data []byte, pad int) *Reader { return &Reader{buf: data, pad: pad} }
 
 // Err returns the first error encountered, if any.
@@ -228,38 +243,50 @@ func (r *Reader) Bytes() []byte {
 	return out
 }
 
-// Pad consumes a field written by Writer.Pad. The field must claim exactly
-// the image's padding: a count one short or one long is what a truncated or
-// overlong run of zeros was when they were bytes.
-func (r *Reader) Pad() {
-	n := r.ListLen()
-	if r.err != nil {
-		return
-	}
-	if n != r.pad {
+// claim takes n of the image's modelled zeros for the field being read:
+// more than the image has left is refused (ErrPad).
+func (r *Reader) claim(n uint64) {
+	if r.err == nil && n > uint64(max(r.pad, 0)) {
 		r.fail(ErrPad)
-		return
 	}
-	r.padded += n
-	r.pad = 0
+	if r.err == nil {
+		r.pad, r.padded = r.pad-int(n), r.padded+int(n)
+	}
 }
 
-// Tail consumes the field a payload's Writer.Pad wrote last, in either form
-// the payload may take: modelled — the field ends the data and claims the
-// reader's whole padding — or materialised, its zeros read as bytes (a
-// payload restored from an image that holds them; the reader has no padding).
-func (r *Reader) Tail() {
-	if r.pad == 0 {
-		if n := r.ListLen(); r.need(n) {
-			r.off += n
+// Pad consumes a field written by Writer.Pad. Its count is bounded by the
+// image's padding, not by maxListLen: the zeros are never allocated. A
+// count one short or one long leaves the reader not Done.
+func (r *Reader) Pad() { r.claim(uint64(r.U32())) }
+
+// ImageBytes consumes a field written by Writer.ImageBytes and returns the
+// image it was: Data a view, as Bytes returns, and Pad claimed from the
+// reader's padding. A long form of a short pad is refused.
+func (r *Reader) ImageBytes() storage.Image {
+	v := r.U32()
+	n, pad := int(v&(1<<padShift-1)), uint64(v>>padShift)
+	counted := pad
+	if pad == padLong {
+		if pad = uint64(r.U32()); r.err == nil && pad < padLong {
+			r.fail(ErrPad)
 		}
-		return
+		counted = pad - 4
 	}
-	if r.off+4 != len(r.buf) {
+	r.claim(counted)
+	if !r.need(n) {
+		return storage.Image{}
+	}
+	data := r.buf[r.off : r.off+n : r.off+n]
+	r.off += n
+	return storage.Image{Data: data, Pad: int(pad)}
+}
+
+// Tail consumes the field a payload's Writer.Pad wrote last, which must end
+// the data and claim the reader's whole padding.
+func (r *Reader) Tail() {
+	if r.Pad(); r.err == nil && !r.Done() {
 		r.fail(ErrPad)
-		return
 	}
-	r.Pad()
 }
 
 func presence(e *Envelope) uint16 {

@@ -584,25 +584,11 @@ func TestPadIsCountedNotWritten(t *testing.T) {
 	if len(w.Frame()) != 4+4+8 || w.Padded() != pad {
 		t.Fatalf("frame is %d B with %d counted; Pad must write its 4 B length field only", len(w.Frame()), w.Padded())
 	}
-	dense := NewWriter(16)
-	dense.U32(7)
-	dense.ImageBytes(storage.Image{Pad: pad})
-	if !bytes.Equal(w.Frame()[:8], dense.Frame()[:8]) {
-		t.Fatal("Pad must write the same prefix ImageBytes writes for that many zeros")
-	}
 	bytesW := NewWriter(16)
 	bytesW.U32(7)
 	bytesW.Bytes(make([]byte, pad))
-	if !bytes.Equal(dense.Frame(), bytesW.Frame()) {
-		t.Fatal("ImageBytes of n zeros must write what Bytes(make([]byte, n)) writes")
-	}
-	sized := NewWriter(4 + 8 + 64)
-	im := storage.Image{Data: []byte("8 bytes!"), Pad: 64}
-	if got := testing.AllocsPerRun(10, func() { sized.buf = sized.buf[:0]; sized.ImageBytes(im) }); got != 0 {
-		t.Fatalf("ImageBytes into a writer with room allocates %.1f times, want 0", got)
-	}
-	if want := append(binary.LittleEndian.AppendUint32(nil, 72), append([]byte("8 bytes!"), make([]byte, 64)...)...); !bytes.Equal(sized.Frame(), want) {
-		t.Fatalf("ImageBytes wrote %x, want the length field, the data, the zeros", sized.Frame())
+	if !bytes.Equal(w.Frame()[:8], bytesW.Frame()[:8]) {
+		t.Fatal("Pad must write the length field Bytes writes for that many zeros")
 	}
 
 	read := func(frame []byte, pad int, skipPad bool) (*Reader, uint64) {
@@ -616,12 +602,15 @@ func TestPadIsCountedNotWritten(t *testing.T) {
 	if r, tail := read(w.Frame(), pad, false); !r.Done() || tail != 9 || r.Pos() != 4+4+pad+8 {
 		t.Fatalf("matching image: done=%v err=%v tail=%d pos=%d", r.Done(), r.Err(), tail, r.Pos())
 	}
-	for _, off := range []int{-1, +1, -pad} {
+	for _, off := range []int{-1, -pad} {
 		if r, _ := read(w.Frame(), pad+off, false); !errors.Is(r.Err(), ErrPad) || r.Done() {
 			t.Fatalf("image with %+d padding: err=%v done=%v, want ErrPad", off, r.Err(), r.Done())
 		}
 	}
-	// Padding the codec never reads is unconsumed input, like trailing bytes.
+	// Padding no field claims is unconsumed input, like trailing bytes.
+	if r, _ := read(w.Frame(), pad+1, false); r.Err() != nil || r.Done() {
+		t.Fatalf("image with one zero too many: err=%v done=%v, want not done", r.Err(), r.Done())
+	}
 	w2 := NewWriter(12)
 	w2.U32(7)
 	w2.U64(9)
@@ -631,19 +620,59 @@ func TestPadIsCountedNotWritten(t *testing.T) {
 	if r, _ := read(w2.Frame(), 0, true); !r.Done() {
 		t.Fatalf("a plain frame is an image without padding: err=%v", r.Err())
 	}
+	// A count of modelled zeros is bounded by the image's padding, not by
+	// maxListLen: nothing is allocated for it.
 	big := NewWriter(4)
-	big.Pad(maxListLen + 1)
-	r := NewImageReader(big.Frame(), maxListLen+1)
-	if r.Pad(); !errors.Is(r.Err(), ErrOversized) {
-		t.Fatalf("pad beyond the list limit: err=%v, want ErrOversized as for Bytes", r.Err())
+	big.Pad(2 * maxListLen)
+	big.Pad(1)
+	r := NewImageReader(big.Frame(), 2*maxListLen+1)
+	if r.Pad(); r.Err() != nil {
+		t.Fatalf("pad beyond the list limit: %v", r.Err())
 	}
+	if r.Pad(); !r.Done() || r.Pos() != 8+2*maxListLen+1 {
+		t.Fatalf("two runs of padding in one image: err=%v pos=%d", r.Err(), r.Pos())
+	}
+}
 
-	// One run of padding per image: no Reader could decode two, so the
-	// Writer refuses the second.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a second non-empty Pad must panic")
+// TestImageBytesKeepsThePad: an ImageBytes field reads back as the image it
+// was, its pad still a count, and is as long as Bytes of the data and the
+// zeros once the count is added: an image's Size is its materialised
+// length. Pads from the short form's largest to the long form's smallest
+// are written in the form the encoder chooses and no other.
+func TestImageBytesKeepsThePad(t *testing.T) {
+	data := []byte("8 bytes!")
+	for _, pad := range []int{0, 1, 3, padLong - 1, padLong, padLong + 1, 8 << 20} {
+		im := storage.Image{Data: data, Pad: pad}
+		w := NewWriter(ImageBytesLen(im))
+		if got := testing.AllocsPerRun(10, func() { w.buf, w.pad = w.buf[:0], 0; w.ImageBytes(im) }); got != 0 {
+			t.Fatalf("pad %d: ImageBytes into a writer with room allocates %.1f times, want 0", pad, got)
 		}
-	}()
-	w.Pad(1)
+		if len(w.Frame()) != ImageBytesLen(im) || len(w.Frame())+w.Padded() != 4+len(data)+pad {
+			t.Fatalf("pad %d: field is %d B + %d counted (ImageBytesLen %d); its materialised form is %d B",
+				pad, len(w.Frame()), w.Padded(), ImageBytesLen(im), 4+len(data)+pad)
+		}
+		r := NewImageReader(w.Frame(), w.Padded())
+		if got := r.ImageBytes(); !r.Done() || !bytes.Equal(got.Data, data) || got.Pad != pad {
+			t.Fatalf("pad %d: read back %q + %d (err %v)", pad, got.Data, got.Pad, r.Err())
+		}
+		if pad == 0 {
+			if !bytes.Equal(w.Frame(), append(binary.LittleEndian.AppendUint32(nil, 8), data...)) {
+				t.Fatalf("an unpadded field is not what Bytes writes: %x", w.Frame())
+			}
+			continue
+		}
+		r = NewReader(w.Frame())
+		if r.Bytes(); !errors.Is(r.Err(), ErrOversized) {
+			t.Fatalf("pad %d: Bytes read a padded field: err=%v", pad, r.Err())
+		}
+	}
+	// The long form holding a pad the short form carries is no encoder's.
+	w := NewWriter(16)
+	w.U32(uint32(len(data)) | padLong<<padShift)
+	w.U32(padLong - 1)
+	w.buf = append(w.buf, data...)
+	r := NewImageReader(w.Frame(), padLong-1-4)
+	if r.ImageBytes(); !errors.Is(r.Err(), ErrPad) {
+		t.Fatalf("a long form of pad %d: err=%v, want ErrPad", padLong-1, r.Err())
+	}
 }

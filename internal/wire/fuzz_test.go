@@ -281,3 +281,112 @@ func FuzzDecodeFrame(f *testing.F) {
 		checkMaterialised(t, e)
 	})
 }
+
+// imageField is one field of an image: Bytes of Data (bytes), ImageBytes of
+// (Data, Pad) (image), or Pad of Pad.
+type imageField struct {
+	kind byte
+	im   storage.Image
+}
+
+const (
+	fieldBytes = iota
+	fieldImage
+	fieldPad
+)
+
+// imageFields parses a fuzz script into fields: per field a kind byte, a
+// data length byte and a three-byte little-endian pad (the pads reach past
+// maxListLen), then the data, taken from the script as far as it goes.
+func imageFields(script []byte) []imageField {
+	var out []imageField
+	for len(script) >= 5 && len(out) < 64 {
+		kind, n := script[0]%3, int(script[1])
+		pad := int(script[2]) | int(script[3])<<8 | int(script[4])<<16
+		script = script[5:]
+		n = min(n, len(script))
+		f := imageField{kind: kind, im: storage.Image{Data: script[:n:n], Pad: pad}}
+		script = script[n:]
+		switch kind {
+		case fieldBytes:
+			f.im.Pad = 0
+		case fieldPad:
+			f.im.Data = nil
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// imageScript is the fuzz script of fields.
+func imageScript(fields ...imageField) []byte {
+	var b []byte
+	for _, f := range fields {
+		b = append(b, f.kind, byte(len(f.im.Data)), byte(f.im.Pad), byte(f.im.Pad>>8), byte(f.im.Pad>>16))
+		b = append(b, f.im.Data...)
+	}
+	return b
+}
+
+// FuzzImageFields writes a random sequence of Bytes, ImageBytes and Pad
+// fields into one image and reads it back. Every field must read back as
+// written, its pad a count, the image's Size must be the length of its
+// materialised encoding (each field Bytes of its data and its zeros), and
+// the image read with one zero more or one less must be refused.
+func FuzzImageFields(f *testing.F) {
+	for _, pad := range []int{0, 1, 3, padLong - 1, padLong, padLong + 1, 8 << 20} {
+		f.Add(imageScript(
+			imageField{fieldBytes, storage.Image{Data: []byte("app")}},
+			imageField{fieldImage, storage.Image{Data: []byte("payload"), Pad: pad}},
+			imageField{fieldPad, storage.Image{Pad: pad}},
+			imageField{fieldImage, storage.Image{Pad: pad}}))
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		fields := imageFields(script)
+		w := NewWriter(0)
+		materialised := 0
+		for _, fl := range fields {
+			switch fl.kind {
+			case fieldBytes:
+				w.Bytes(fl.im.Data)
+			case fieldImage:
+				w.ImageBytes(fl.im)
+			case fieldPad:
+				w.Pad(fl.im.Pad)
+			}
+			materialised += 4 + fl.im.Size()
+		}
+		img := storage.Image{Data: w.Frame(), Pad: w.Padded()}
+		if img.Size() != materialised || img.Pad < 0 {
+			t.Fatalf("image is %d B + %d pad; its materialised encoding is %d B", len(img.Data), img.Pad, materialised)
+		}
+		read := func(pad int) *Reader {
+			r := NewImageReader(img.Data, pad)
+			for i, fl := range fields {
+				var got storage.Image
+				switch fl.kind {
+				case fieldBytes:
+					got.Data = r.Bytes()
+				case fieldImage:
+					got = r.ImageBytes()
+				case fieldPad:
+					r.Pad()
+					got.Pad = fl.im.Pad
+				}
+				if r.Err() == nil && (!bytes.Equal(got.Data, fl.im.Data) || got.Pad != fl.im.Pad) {
+					t.Fatalf("field %d read back as %q + %d, written as %q + %d", i, got.Data, got.Pad, fl.im.Data, fl.im.Pad)
+				}
+			}
+			return r
+		}
+		if r := read(img.Pad); !r.Done() {
+			t.Fatalf("the image does not read back: %v", r.Err())
+		}
+		for _, off := range []int{-1, +1} {
+			if read(img.Pad + off).Done() {
+				t.Fatalf("the image read with %+d padding", off)
+			}
+		}
+	})
+}

@@ -53,12 +53,11 @@ type App interface {
 	Start(ctx Ctx)
 	// Handle processes one delivered message. The payload is read-only and
 	// valid until Handle returns: it aliases the received frame, which the
-	// runtime reuses afterwards, or a record the protocol keeps. It comes in
-	// either form of the same logical bytes — its padding modelled, as sent,
-	// or materialised in Data, as a restored log record holds it — and both
-	// must have the same effect. A payload it cannot parse leaves the state untouched and
-	// returns an error, which the host counts (metrics.Proc.Rejected) instead
-	// of failing the run.
+	// runtime reuses afterwards, or a record the protocol keeps. It is the
+	// payload as sent, its padding a count, whether it arrives or is restored
+	// from a checkpoint, snapshot or log. A payload it cannot parse leaves the
+	// state untouched and returns an error, which the host counts
+	// (metrics.Proc.Rejected) instead of failing the run.
 	Handle(ctx Ctx, from ids.ProcID, payload storage.Image) error
 	// Snapshot serializes the complete application state.
 	Snapshot() []byte
