@@ -121,7 +121,7 @@ bench-micro:
 # depinfo reply (frame, envelope, sort keys), checkpoint image), an output
 # request and its release (zero: TestOutputRequestAllocs), the apps'
 # Handle (the payload it sends, nothing else), and an explorer branch on a
-# reset cluster (at least 15 % below a fresh build: TestReusedBranchAllocs).
+# reset cluster (at least 45 % below a fresh build: TestReusedBranchAllocs).
 bench-kernel:
 	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/channel ./internal/fbl ./internal/coord ./internal/optimistic ./internal/bitset ./internal/storage ./internal/workload ./internal/explore -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
 

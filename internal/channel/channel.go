@@ -84,11 +84,8 @@ func (in *In) Pop(q ids.ProcID) *wire.Envelope {
 }
 
 // Reset forgets every watermark and held frame: the state of a process that
-// has consumed nothing.
-func (in *In) Reset() {
-	clear(in.Exp)
-	clear(in.held)
-}
+// has consumed nothing in a cluster of n, in the arrays In has.
+func (in *In) Reset(n int) { in.Exp, in.held = ids.PerProc(in.Exp, n), ids.PerProc(in.held, n) }
 
 // Request asks every peer to retransmit what it logged for us past our
 // watermark for it: a replay request whose Dseq is Exp[q].

@@ -72,7 +72,7 @@ func TestAdmitPop(t *testing.T) {
 	}
 
 	in.Admit(frame(1, 9))
-	in.Reset()
+	in.Reset(3)
 	for q, exp := range in.Exp {
 		if exp != 0 || in.held[q] != nil {
 			t.Fatalf("after Reset: Exp[%d] = %d, held %v", q, exp, in.held[q])

@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"slices"
 	"unsafe"
 
 	"rollrec/internal/ids"
@@ -118,8 +119,16 @@ func (l Log) After(to ids.ProcID, start uint64) ([]Rec, uint64) {
 // Prune drops the records for to with dseq <= wm.
 func (l Log) Prune(to ids.ProcID, wm uint64) { l[to].Prune(wm) }
 
-// Reset empties the log.
-func (l Log) Reset() { clear(l) }
+// Reset empties the log for n destinations, keeping its windows' arrays.
+func (l *Log) Reset(n int) {
+	for _, w := range (*l)[:cap(*l)] {
+		if w != nil {
+			clear(w.recs)
+			*w = Window{recs: w.recs[:0]}
+		}
+	}
+	*l = slices.Grow((*l)[:0], n)[:n]
+}
 
 // Size returns the number of logged records, all destinations, and the bytes
 // they occupy: the payloads' stored bytes (their padding is a count, and

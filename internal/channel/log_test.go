@@ -68,9 +68,10 @@ func TestWindowEdges(t *testing.T) {
 	if n, _ := l.Size(); n != 1 {
 		t.Fatalf("Size() = %d records, want 1", n)
 	}
-	l.Reset()
-	if n, b := l.Size(); n != 0 || b != 0 {
-		t.Fatalf("after Reset, Size() = %d records, %d bytes", n, b)
+	w := l[1]
+	l.Reset(3)
+	if n, b := l.Size(); n != 0 || b != cap(w.recs)*int(unsafe.Sizeof(Rec{})) || l[1] != w {
+		t.Fatalf("after Reset, Size() = %d records, %d bytes: want none, in the window's kept array", n, b)
 	}
 }
 

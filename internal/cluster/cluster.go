@@ -248,12 +248,12 @@ func (c *Cluster) Reset(cfg Config) error {
 		})
 		outs = c.outs
 	}
-	factory := c.fam.factory(c, workload.Seeded(cfg.App, cfg.Seed), outs)
+	renew := c.fam.factory(c, workload.Seeded(cfg.App, cfg.Seed), outs)
 	for i := 0; i < cfg.N; i++ {
-		c.K.AddNode(ids.ProcID(i), factory)
+		c.K.AddSlot(ids.ProcID(i), renew)
 	}
 	if cfg.Family == FamilyFBL && cfg.F >= cfg.N {
-		c.K.AddNode(ids.StorageProc, fbl.NewStorageNode(cfg.N, cfg.F))
+		c.K.AddSlot(ids.StorageProc, fbl.NewStorageNode(cfg.N, cfg.F))
 	}
 	c.K.Boot()
 	return nil

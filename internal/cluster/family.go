@@ -32,9 +32,9 @@ const (
 // hot path. This file holds every concrete-type assertion on a protocol
 // process; the rest of the harness sees node.Process and hosted.
 type family struct {
-	// factory builds the process factory from the cluster's Config. app is
+	// factory builds the slots' node.Renew from the cluster's Config. app is
 	// already seeded; outs is nil unless TrackOutputs.
-	factory func(c *Cluster, app workload.Factory, outs output.Sink) node.Factory
+	factory func(c *Cluster, app workload.Factory, outs output.Sink) node.Renew
 	// phase maps a live process onto the timeline phase alphabet.
 	phase func(p node.Process) timeline.Phase
 	// logSizes reads a live process's volatile log: entries held and
@@ -44,7 +44,7 @@ type family struct {
 
 var families = map[Family]family{
 	FamilyFBL: {
-		factory: func(c *Cluster, app workload.Factory, outs output.Sink) node.Factory {
+		factory: func(c *Cluster, app workload.Factory, outs output.Sink) node.Renew {
 			cfg := c.cfg
 			c.resetChecker(cfg.N)
 			return fbl.New(fbl.Params{
@@ -87,7 +87,7 @@ var families = map[Family]family{
 		},
 	},
 	FamilyCoordinated: {
-		factory: func(c *Cluster, app workload.Factory, outs output.Sink) node.Factory {
+		factory: func(c *Cluster, app workload.Factory, outs output.Sink) node.Renew {
 			return coord.New(coord.Params{
 				App:           app,
 				SnapshotEvery: c.cfg.CheckpointEvery,
@@ -103,7 +103,7 @@ var families = map[Family]family{
 		},
 	},
 	FamilyOptimistic: {
-		factory: func(c *Cluster, app workload.Factory, outs output.Sink) node.Factory {
+		factory: func(c *Cluster, app workload.Factory, outs output.Sink) node.Renew {
 			return optimistic.New(optimistic.Params{
 				App:        app,
 				FlushEvery: c.cfg.CheckpointEvery,

@@ -15,6 +15,7 @@ import (
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
 	"rollrec/internal/metrics"
+	"rollrec/internal/node"
 	"rollrec/internal/output"
 	"rollrec/internal/recovery"
 	"rollrec/internal/sim"
@@ -319,5 +320,65 @@ func TestResetForgetsTheCheckersRun(t *testing.T) {
 				i, len(c.sends[i]), len(c.deliveries[i]), len(c.seen[i]),
 				len(fresh.sends[i]), len(fresh.deliveries[i]), len(fresh.seen[i]))
 		}
+	}
+}
+
+// TestResetRestartKeepsTheProcess: a node slot keeps one process object for
+// the life of its cluster. The golden scenario runs on a cluster reset from
+// a predecessor cut off mid-run, on one shard and on two: the reset hands the
+// predecessor's objects to the new run, ProcOf reads nil while a victim is
+// down, its restart boots the very object it crashed, and the run still
+// hashes to goldenTraceHash.
+func TestResetRestartKeepsTheProcess(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			pre := goldenConfig(nil)
+			pre.Shards, pre.Seed = shards, 2
+			c := New(pre)
+			c.ApplyPlan(failure.Plan{{At: time.Second, Proc: 3}})
+			c.Run(1500 * time.Millisecond)
+			kept := map[node.Process]bool{}
+			for i := range 4 {
+				if p := c.K.ProcOf(ids.ProcID(i)); p != nil {
+					kept[p] = true
+				}
+			}
+			if len(kept) != 3 || c.K.ProcOf(3) != nil {
+				t.Fatalf("predecessor: %d processes up, p3 %v; want 3 up and p3 down", len(kept), c.K.ProcOf(3))
+			}
+
+			lt := newLaneTracer(4)
+			cfg := goldenConfig(lt)
+			cfg.Shards = shards
+			if err := c.Reset(cfg); err != nil {
+				t.Fatal(err)
+			}
+			c.ApplyPlan(goldenPlan())
+			booted := make([]node.Process, 4)
+			reused := 0
+			for i := range booted {
+				booted[i] = c.K.ProcOf(ids.ProcID(i))
+				if kept[booted[i]] {
+					reused++
+				}
+			}
+			if reused < len(kept) {
+				t.Fatalf("the reset booted %d of the predecessor's %d live process objects, want all", reused, len(kept))
+			}
+			for _, at := range []struct {
+				until time.Duration
+				down  []ids.ProcID
+			}{{7 * time.Second, []ids.ProcID{1}}, {8500 * time.Millisecond, []ids.ProcID{1, 2}}, {goldenHorizon, nil}} {
+				c.Run(at.until)
+				for i, p := range booted {
+					got := c.K.ProcOf(ids.ProcID(i))
+					if down := slices.Contains(at.down, ids.ProcID(i)); down && got != nil || !down && got != p {
+						t.Fatalf("at %v: ProcOf(%d) = %p, want %v", at.until, i, got,
+							map[bool]string{true: "nil (down)", false: fmt.Sprintf("%p", p)}[down])
+					}
+				}
+			}
+			checkGolden(t, c, lt)
+		})
 	}
 }

@@ -81,21 +81,27 @@ type recordedMsg struct {
 
 var _ node.Process = (*Process)(nil)
 
-// New returns a node.Factory for coordinated-checkpointing processes.
-func New(par Params) node.Factory {
+// New returns the node.Renew of coordinated-checkpointing process slots.
+func New(par Params) node.Renew {
 	if par.SnapshotEvery <= 0 {
 		par.SnapshotEvery = 2 * time.Second
 	}
-	return func() node.Process { return &Process{par: par} }
+	return func(old node.Process) node.Process {
+		p, ok := old.(*Process)
+		if !ok {
+			p = new(Process)
+		}
+		p.par = par
+		return p
+	}
 }
 
-// Boot implements node.Process.
+// Boot implements node.Process on a zero Process that keeps its arrays.
 func (p *Process) Boot(env node.Env, restart bool) {
-	p.env = env
-	p.n = env.N()
-	p.peers = ids.Peers(env.ID(), p.n)
-	p.out = make(channel.Out, p.n)
-	p.in = channel.NewIn(p.n)
+	n := env.N()
+	*p = Process{env: env, par: p.par, n: n, peers: ids.Peers(env.ID(), n),
+		out: ids.PerProc(p.out, n), in: p.in}
+	p.in.Reset(n)
 	p.app = p.par.App(env.ID(), p.n)
 
 	if env.ID() == 0 {
@@ -191,7 +197,7 @@ func (p *Process) restartFromScratch() {
 
 func (p *Process) resetVolatile() {
 	clear(p.out)
-	p.in.Reset()
+	p.in.Reset(p.n)
 	p.snapActive = false
 	p.delivered = 0
 	// The rolled-back execution's uncommitted outputs are abandoned with

@@ -65,7 +65,7 @@ func newHarnessEvery(t *testing.T, n int, seed int64, app workload.Factory, snap
 		StatePad:      4 << 10,
 	}
 	for i := 0; i < n; i++ {
-		h.k.AddNode(ids.ProcID(i), New(par))
+		h.k.AddSlot(ids.ProcID(i), New(par))
 	}
 	h.k.Boot()
 	return h

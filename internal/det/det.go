@@ -94,9 +94,9 @@ func (c Config) stable(w []uint64) bool {
 	return n >= c.F+1
 }
 
-// Log is a process's volatile determinant store. The zero value is not
-// usable; construct with NewLog. Log is not safe for concurrent use — each
-// process owns one and the runtimes serialize event handling per process.
+// Log is a process's volatile determinant store: NewLog, or a zero Log
+// Reset. Log is not safe for concurrent use — each process owns one and the
+// runtimes serialize event handling per process.
 //
 // Entries live in a slab of fixed-size chunks that grows on demand, never
 // copies a chunk it has filled, and recycles collected slots through a free
@@ -165,8 +165,7 @@ const none = -1
 
 // The slab's chunking. Every chunk after the first is allocated whole and
 // never moves; the first grows by doubling up to the chunk size, so a log
-// that stays small (the explorer builds one per process per branch) costs
-// what it holds.
+// that stays small (an explorer branch's) costs what it holds.
 const (
 	chunkBits = 8
 	chunkSize = 1 << chunkBits
@@ -196,31 +195,28 @@ func (s *slot) det() Determinant {
 // list is an intrusive doubly-linked list of slots, oldest change first.
 type list struct{ head, tail int32 }
 
-// NewLog returns an empty determinant log for the given configuration. It
-// allocates the per-receiver chain heads (and a wide log's scratch) and
-// nothing else: the explorer builds a log per process per branch. It panics
-// when a slot's 16-bit process ids cannot hold N.
-func NewLog(cfg Config) *Log {
+// NewLog returns an empty determinant log for the given configuration: a
+// zero Log, Reset. It panics when a slot's 16-bit process ids cannot hold N.
+func NewLog(cfg Config) *Log { l := new(Log); l.Reset(cfg); return l }
+
+// Reset empties the log for cfg in the arrays it has but the overflow arena.
+// A slot's holders are set when it is handed out, never read as left.
+func (l *Log) Reset(cfg Config) {
 	if cfg.N > math.MaxInt16 {
 		panic(fmt.Sprintf("det: NewLog: N = %d does not fit a slot's 16-bit process ids", cfg.N))
 	}
-	l := &Log{
-		cfg:     cfg,
-		stride:  cfg.N/64 + 1,
-		free:    none,
-		spare:   none,
-		pending: list{none, none},
-		settled: list{none, none},
-		recv:    make([]int32, cfg.N),
+	clear(l.table)
+	*l = Log{
+		cfg: cfg, stride: cfg.N/64 + 1, wide: cfg.N >= 64,
+		free: none, spare: none, pending: list{none, none}, settled: list{none, none},
+		slots: l.slots, word: l.word, inl: l.inl, recv: ids.PerProc(l.recv, cfg.N), table: l.table, shift: l.shift,
 	}
 	for i := range l.recv {
 		l.recv[i] = none
 	}
-	l.scratch = l.one[:]
-	if l.wide = l.stride > 1; l.wide {
+	if l.scratch = l.one[:]; l.wide {
 		l.scratch = make([]uint64, l.stride)
 	}
-	return l
 }
 
 // OnSettled registers fn to be told, once per occurrence, when an entry
@@ -624,8 +620,10 @@ func (l *Log) RecordHeld(e Entry, also ids.ProcID) error {
 		l.slots = extend(l.slots, int(i), 1)
 		if l.wide {
 			l.inl = extend(l.inl, int(i), 1)
+			*l.sparseAt(i) = sparse{}
 		} else {
 			l.word = extend(l.word, int(i), 1)
+			l.word[i>>chunkBits][i&chunkMask] = 0
 		}
 	}
 	s := l.at(i)

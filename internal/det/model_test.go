@@ -173,9 +173,9 @@ type modelSaw struct{ inline, overflow, stable, reuse bool }
 // history of steps operations — records (fresh, repeated, and of collected
 // determinants), holder additions, watermark and whole-receiver GC,
 // per-destination scans in both variants (ScanModified on even seeds),
-// reincarnation resets — over sparse SSNs and RSNs offset by base, and
-// requires equal offered sets at every scan and equal views after every
-// step.
+// destination reincarnations, and resets of the whole log, which start the
+// reference afresh — over sparse SSNs and RSNs offset by base, and requires
+// equal offered sets at every scan and equal views after every step.
 func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64) (saw modelSaw) {
 	t.Helper()
 	outputs := seed%2 == 0 // the ScanModified variant
@@ -183,12 +183,13 @@ func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64) (saw
 	l, r := NewLog(cfg), newRef(cfg)
 	var settled []ids.MsgID
 	bornAt := map[ids.MsgID]int{} // Gen right after the record that created the entry
-	l.OnSettled(func(id ids.MsgID, born int) {
+	onSettled := func(id ids.MsgID, born int) {
 		if want := bornAt[id]; born != want || l.Gen() < born {
 			t.Fatalf("seed %d: OnSettled(%v) born %d, want %d (Gen %d)", seed, id, born, want, l.Gen())
 		}
 		settled = append(settled, id)
-	})
+	}
+	l.OnSettled(onSettled)
 	gen := make([]int, cfg.N) // per destination, as fbl.Process.scanGen
 	// A message's determinant is a fixed function of its id, so repeats
 	// and post-GC re-records never conflict; RSNs jump by up to n. A few
@@ -261,6 +262,25 @@ func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64) (saw
 			d := rng.Intn(cfg.N) // d reincarnated
 			gen[d] = -1
 			r.memo[d] = map[ids.MsgID]string{}
+		case op < 8 && step%7 == 3:
+			// The log's process rebooted (node.Renew): now and then after a
+			// life under another holder width, and always with every word it
+			// keeps, used or not, left as garbage.
+			if rng.Intn(2) == 0 {
+				other := Config{N: 2 + (cfg.N+61)%1023, F: 1}
+				l.Reset(other)
+				for j := 1; j <= 20; j++ {
+					d := Determinant{Msg: ids.MsgID{Sender: 0, SSN: ids.SSN(j)}, Receiver: ids.ProcID(j % other.N), RSN: ids.RSN(j)}
+					if err := l.Record(Entry{Det: d, Holders: bitset.FromSlice([]int{j % other.N, (7 * j) % other.N})}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			fillGarbage(l)
+			l.Reset(cfg)
+			l.OnSettled(onSettled)
+			r, settled, gen = newRef(cfg), nil, make([]int, cfg.N)
+			clear(bornAt)
 		default:
 			d := rng.Intn(cfg.N)
 			got := map[ids.MsgID]string{}
@@ -331,4 +351,38 @@ func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64) (saw
 		}
 	}
 	return saw
+}
+
+// fillGarbage overwrites every array l has — slab chunks, holder sets,
+// overflow arena, id table, receiver heads, scratch — to the end of its
+// capacity, so that a log that reads a word it kept across the Reset before
+// writing it differs from a fresh one.
+func fillGarbage(l *Log) {
+	for _, c := range l.slots {
+		garble(c)
+	}
+	for _, c := range l.word {
+		garble(c)
+	}
+	for _, c := range l.inl {
+		garble(c)
+	}
+	for _, c := range l.over {
+		garble(c)
+	}
+	garble(l.table)
+	garble(l.recv)
+	garble(l.scratch)
+}
+
+// garble fills s's backing array, up to its capacity, with 0xA5 bytes.
+func garble[T any](s []T) {
+	s = s[:cap(s)]
+	if len(s) == 0 {
+		return
+	}
+	b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
+	for i := range b {
+		b[i] = 0xA5
+	}
 }

@@ -23,7 +23,8 @@ import (
 // bug and asserts the explorer finds a violating schedule — proving the
 // invariant catalog does not pass vacuously — that the check the row names
 // is among the first counterexample's violations, and that the
-// counterexample replays to a byte-identical branch fingerprint. Each row
+// counterexample replays to a byte-identical branch fingerprint — or, for the
+// one mutant that leaks between branches, replays clean. Each row
 // carries its spec. On the FBL rows (fblMutationSpec) no checkpoint ever
 // covers the deliveries, so recovery must rebuild every receipt order from
 // determinant copies and every message from its sender's log, maximizing
@@ -57,6 +58,16 @@ import (
 //     returns, and sim.TestingPoisonFrames poisons every buffer taken back.
 //     A frame held out of order or deferred is then consumed with a poisoned
 //     payload, whose hash is not the one its sender logged;
+//   - "stale determinant log kept": fbl.TestingKeepStaleLog makes Boot of a
+//     process object its slot kept leave the determinant log as the last
+//     life left it. Within a branch that is benign: a restarted process's
+//     own stale log only pins the execution it had. Across branches it is
+//     not — a worker's next branch boots on the processes of its last, whose
+//     determinants it piggybacks: its crash-free prefix is no longer the
+//     probe run's, or a receipt order it recorded in its last run conflicts
+//     with the one it records in this. Replay builds a fresh cluster, which
+//     has no earlier branch, so for this row (leaks) the counterexample must
+//     replay clean: the kill came from state carried between branches;
 //   - "restart-origin tag stripped": coord.TestingStripRestartOrigin makes
 //     every rollback look relayed, so a restarter that missed an epoch never
 //     gets the fresh rollback a live peer would relay, and the cluster runs
@@ -73,11 +84,12 @@ func TestMutationDetected(t *testing.T) {
 		spec   Spec
 		seed   func(t *testing.T) // installs the mutant and registers its undo
 		killer *regexp.Regexp     // the check that kills it
+		leaks  bool               // it leaks between branches: a fresh replay is clean
 	}{
 		{"piggyback stripped", fblMutationSpec(), func(t *testing.T) {
 			fbl.TestingDropDetPiggyback = true
 			t.Cleanup(func() { fbl.TestingDropDetPiggyback = false })
-		}, regexp.MustCompile(`^orphan: `)},
+		}, regexp.MustCompile(`^orphan: `), false},
 		{"payload written after Send", fblMutationSpec(), func(t *testing.T) {
 			orig := scenarios[FamilyFBL]
 			t.Cleanup(func() { scenarios[FamilyFBL] = orig })
@@ -87,23 +99,27 @@ func TestMutationDetected(t *testing.T) {
 				return func(self ids.ProcID, n int) workload.App { return writeAfterSendApp{app(self, n)} }
 			}
 			scenarios[FamilyFBL] = sc
-		}, regexp.MustCompile(`^replay fidelity: |surviving send differs`)},
+		}, regexp.MustCompile(`^replay fidelity: |surviving send differs`), false},
 		{"depinfo without its settled entries", fblMutationSpec(), func(t *testing.T) {
 			fbl.TestingDepInfoPendingOnly = true
 			t.Cleanup(func() { fbl.TestingDepInfoPendingOnly = false })
-		}, regexp.MustCompile(`^panic: .*conflicting determinants`)},
+		}, regexp.MustCompile(`^panic: .*conflicting determinants`), false},
 		{"rx envelope retained", fblMutationSpec(), func(t *testing.T) {
 			fbl.TestingRetainRx = true
 			t.Cleanup(func() { fbl.TestingRetainRx = false })
-		}, regexp.MustCompile(`^liveness: .*workload incomplete`)},
+		}, regexp.MustCompile(`^liveness: .*workload incomplete`), false},
 		{"kept payload shares the frame", fblMutationSpec(), func(t *testing.T) {
 			wire.TestingKeepSharesPayload, sim.TestingPoisonFrames = true, true
 			t.Cleanup(func() { wire.TestingKeepSharesPayload, sim.TestingPoisonFrames = false, false })
-		}, regexp.MustCompile(`^orphan: .*surviving send differs`)},
+		}, regexp.MustCompile(`^orphan: .*surviving send differs`), false},
+		{"stale determinant log kept", fblMutationSpec(), func(t *testing.T) {
+			fbl.TestingKeepStaleLog = true
+			t.Cleanup(func() { fbl.TestingKeepStaleLog = false })
+		}, regexp.MustCompile(`^prefix-fidelity: |^panic: .*conflicting determinants`), true},
 		{"restart-origin tag stripped", coordMutationSpec, func(t *testing.T) {
 			coord.TestingStripRestartOrigin = true
 			t.Cleanup(func() { coord.TestingStripRestartOrigin = false })
-		}, regexp.MustCompile(`^liveness: .*workload incomplete`)},
+		}, regexp.MustCompile(`^liveness: .*workload incomplete`), false},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			row.seed(t)
@@ -124,6 +140,12 @@ func TestMutationDetected(t *testing.T) {
 			res, err := Replay(context.Background(), cx)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if row.leaks {
+				if res.Reproduced || len(res.Violations) > 0 {
+					t.Fatalf("a fresh cluster reproduced the leak between branches: %+v", res)
+				}
+				return
 			}
 			if !res.Reproduced {
 				t.Fatalf("counterexample did not reproduce on replay: %+v", res)

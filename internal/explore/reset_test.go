@@ -57,9 +57,9 @@ func TestResetBranchEqualsFresh(t *testing.T) {
 }
 
 // TestReusedBranchAllocs: an FBL branch at n=4 on the cluster an earlier
-// branch left allocates at least 15 % fewer bytes than the same plan on a
-// fresh build: the arenas a reset keeps (DESIGN §13) are what an explorer
-// sweep saves. Measured with runtime.MemStats, which counts every
+// branch left allocates at least 45 % fewer bytes than the same plan on a
+// fresh build: the arenas a reset keeps, the process objects and their
+// buffers among them (DESIGN §13), are what an explorer sweep saves. Measured with runtime.MemStats, which counts every
 // goroutine's allocations, so the test is not parallel (see
 // TestBranchAllocBudget).
 func TestReusedBranchAllocs(t *testing.T) {
@@ -93,7 +93,7 @@ func TestReusedBranchAllocs(t *testing.T) {
 	reused := perBranch(reuse)
 	t.Logf("a branch allocates %.1f KB fresh, %.1f KB on a reset cluster (%.1f %% less)",
 		float64(fresh)/1024, float64(reused)/1024, 100*(1-float64(reused)/float64(fresh)))
-	if reused*100 > fresh*85 {
-		t.Fatalf("a branch on a reset cluster allocates %d B, a fresh one %d B: want at least 15 %% less", reused, fresh)
+	if reused*100 > fresh*55 {
+		t.Fatalf("a branch on a reset cluster allocates %d B, a fresh one %d B: want at least 45 %% less", reused, fresh)
 	}
 }

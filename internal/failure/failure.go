@@ -27,18 +27,18 @@ type Detector struct {
 // NewDetector returns a detector for a cluster of n processes. onSuspect
 // fires exactly once per suspicion (until Heard); it may be nil.
 func NewDetector(self ids.ProcID, n int, suspectAfter time.Duration, now int64, onSuspect func(ids.ProcID)) *Detector {
-	d := &Detector{
-		self:         self,
-		n:            n,
-		suspectAfter: suspectAfter,
-		lastHeard:    make([]int64, n),
-		suspected:    make([]bool, n),
-		onSuspect:    onSuspect,
-	}
+	d := new(Detector)
+	d.Reset(self, n, suspectAfter, now, onSuspect)
+	return d
+}
+
+// Reset makes d the detector NewDetector returns, in the arrays d has.
+func (d *Detector) Reset(self ids.ProcID, n int, suspectAfter time.Duration, now int64, onSuspect func(ids.ProcID)) {
+	*d = Detector{self: self, n: n, suspectAfter: suspectAfter, onSuspect: onSuspect,
+		lastHeard: ids.PerProc(d.lastHeard, n), suspected: ids.PerProc(d.suspected, n)}
 	for i := range d.lastHeard {
 		d.lastHeard[i] = now
 	}
-	return d
 }
 
 // Heard records traffic from p at virtual time now and clears any standing

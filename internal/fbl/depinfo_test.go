@@ -49,7 +49,7 @@ var frameSink []byte
 func TestDepInfoReplyAllocs(t *testing.T) {
 	const n, size, runs = 32, 1024, 20
 	env := &wireEnv{fakeEnv: newFakeEnv(0, n)}
-	p := New(testParams(1))().(*Process)
+	p := New(testParams(1))(nil).(*Process)
 	p.Boot(env, false)
 	for i := 0; i < size; i++ {
 		recv := ids.ProcID(i % (n - 1)) // p31 delivered nothing

@@ -121,8 +121,8 @@ type servedMark struct {
 }
 
 // Process is one FBL protocol instance hosting one application. It
-// implements node.Process; a crash discards it entirely (volatile state)
-// while its stable store persists in the runtime.
+// implements node.Process; a crash loses its volatile state, which Boot
+// clears, while its stable store persists in the runtime.
 type Process struct {
 	env node.Env
 	par Params
@@ -211,41 +211,50 @@ type Process struct {
 var _ node.Process = (*Process)(nil)
 var _ recovery.Host = (*Process)(nil)
 
-// New returns a node.Factory producing protocol instances for one slot.
-func New(par Params) node.Factory {
+// New returns the node.Renew of FBL process slots.
+func New(par Params) node.Renew {
 	par = par.withDefaults()
-	return func() node.Process { return &Process{par: par} }
+	return func(old node.Process) node.Process {
+		p, ok := old.(*Process)
+		if !ok {
+			p = &Process{dets: new(det.Log), mgr: new(recovery.Manager), detect: new(failure.Detector)}
+		}
+		p.par = par
+		return p
+	}
 }
 
-// Boot implements node.Process.
+// Boot implements node.Process on a zero Process that keeps its arrays, its
+// determinant log, recovery manager and failure detector, all reset here.
 func (p *Process) Boot(env node.Env, restart bool) {
-	p.env = env
-	p.n = env.N()
-	p.cfg = det.Config{N: p.n, F: p.par.F}
-	p.incVec = vclock.NewIncVector(p.n)
-	p.dets = det.NewLog(p.cfg)
-	p.out = make(channel.Out, p.n)
-	p.in = channel.NewIn(p.n)
-	p.cpExp = make([]uint64, p.n)
-	p.sendLog = make(channel.Log, p.n)
-	p.scanGen = make([]int, p.n)
-	p.replayServed = make([]servedMark, p.n)
+	n, kept := env.N(), p.env != nil
+	*p = Process{
+		env: env, par: p.par, n: n, cfg: det.Config{N: n, F: p.par.F}, dets: p.dets,
+		piggy: p.piggy[:0], piggyWords: p.piggyWords[:0], out: ids.PerProc(p.out, n), in: p.in,
+		sendLog: p.sendLog, incVec: p.incVec, cpExp: ids.PerProc(p.cpExp, n), scanGen: ids.PerProc(p.scanGen, n),
+		replayServed: ids.PerProc(p.replayServed, n), mgr: p.mgr, detect: p.detect,
+	}
+	if !TestingKeepStaleLog || !kept {
+		p.dets.Reset(p.cfg)
+	}
+	p.incVec.Reset(n)
+	p.in.Reset(n)
+	p.sendLog.Reset(n)
 	if p.par.Outputs != nil {
 		p.dets.OnSettled(p.noteSettled)
 	}
-	p.app = p.par.App(env.ID(), p.n)
-	p.mgr = recovery.NewManager(recovery.Config{
+	p.app = p.par.App(env.ID(), n)
+	p.mgr.Reset(recovery.Config{
 		Style:        p.par.Style,
 		F:            p.par.F,
 		ScopedGather: p.par.Fanout > 0,
 	}, p, env)
-	p.detect = failure.NewDetector(env.ID(), p.n, p.par.SuspectAfter, env.Now(),
-		func(q ids.ProcID) { p.mgr.OnSuspect(q) })
+	p.detect.Reset(env.ID(), n, p.par.SuspectAfter, env.Now(), p.mgr.OnSuspect)
 	if p.par.Fanout > 0 {
 		p.detect.SetMonitored(p.ring(-1))
 		p.succ = p.ring(+1)
 	} else {
-		p.succ = ids.Peers(env.ID(), p.n)
+		p.succ = ids.Peers(env.ID(), n)
 	}
 	p.startTimers()
 

@@ -99,7 +99,7 @@ func testParams(f int) Params {
 func bootProc(t *testing.T, id ids.ProcID, n, f int) (*Process, *fakeEnv) {
 	t.Helper()
 	env := newFakeEnv(id, n)
-	p := New(testParams(f))().(*Process)
+	p := New(testParams(f))(nil).(*Process)
 	p.Boot(env, false)
 	env.sent = nil
 	return p, env
@@ -437,7 +437,7 @@ func TestStableDeterminantTravelsOnceMore(t *testing.T) {
 		par := testParams(1)
 		par.Outputs = ledger
 		envs[i] = newFakeEnv(ids.ProcID(i), n)
-		procs[i] = New(par)().(*Process)
+		procs[i] = New(par)(nil).(*Process)
 		procs[i].Boot(envs[i], false)
 		envs[i].sent = nil
 	}

@@ -24,7 +24,7 @@ func blobProc(pad int) *Process {
 	par := testParams(2)
 	par.App = func(ids.ProcID, int) workload.App { return &blobApp{} }
 	par.StatePad = pad
-	p := New(par)().(*Process)
+	p := New(par)(nil).(*Process)
 	p.Boot(newFakeEnv(0, 3), false)
 	return p
 }

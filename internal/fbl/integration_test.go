@@ -42,10 +42,10 @@ func simCluster(t *testing.T, n, f int, seed int64, style recovery.Style) *sim.S
 		SuspectAfter:    400 * time.Millisecond,
 	}
 	for i := 0; i < n; i++ {
-		k.AddNode(ids.ProcID(i), New(par))
+		k.AddSlot(ids.ProcID(i), New(par))
 	}
 	if f >= n {
-		k.AddNode(ids.StorageProc, NewStorageNode(n, f))
+		k.AddSlot(ids.StorageProc, NewStorageNode(n, f))
 	}
 	k.Boot()
 	return k

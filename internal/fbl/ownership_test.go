@@ -116,7 +116,7 @@ func TestBufferedFramesSurviveEnvelopeReuse(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			env := newFakeEnv(0, 3)
-			p := New(testParams(2))().(*Process)
+			p := New(testParams(2))(nil).(*Process)
 			var got []delivery
 			p.par.Hooks.OnDeliver = func(_ ids.ProcID, id ids.MsgID, from ids.ProcID, _ ids.RSN, h uint64) {
 				got = append(got, delivery{from, id.SSN, h})
@@ -167,7 +167,7 @@ func idleCluster(t *testing.T, n, pad int, outs output.Sink) *sim.Sharded {
 		Outputs:         outs,
 	}
 	for i := 0; i < n; i++ {
-		k.AddNode(ids.ProcID(i), New(par))
+		k.AddSlot(ids.ProcID(i), New(par))
 	}
 	k.Boot()
 	k.Run(time.Second) // warm the event arena
@@ -316,7 +316,7 @@ func TestPiggybackIsACopyOfWhatWasSelected(t *testing.T) {
 	env := newFakeEnv(0, 4)
 	par := testParams(2)
 	par.Fanout = 2
-	p := New(par)().(*Process)
+	p := New(par)(nil).(*Process)
 	p.Boot(env, false)
 	const k = 6
 	for i := 0; i < k; i++ {

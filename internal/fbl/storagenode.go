@@ -14,22 +14,29 @@ import (
 // stable once it holds it, and it contributes its log to every gather.
 type StorageNode struct {
 	env  node.Env
+	cfg  det.Config
 	dets *det.Log
 }
 
 var _ node.Process = (*StorageNode)(nil)
 
-// NewStorageNode returns a factory for the pseudo-process. n and f must
-// match the cluster's configuration.
-func NewStorageNode(n, f int) node.Factory {
-	return func() node.Process {
-		return &StorageNode{dets: det.NewLog(det.Config{N: n, F: f})}
+// NewStorageNode returns the node.Renew of the pseudo-process's slot. n and
+// f must match the cluster's configuration.
+func NewStorageNode(n, f int) node.Renew {
+	return func(old node.Process) node.Process {
+		s, ok := old.(*StorageNode)
+		if !ok {
+			s = &StorageNode{dets: new(det.Log)}
+		}
+		s.cfg = det.Config{N: n, F: f}
+		return s
 	}
 }
 
-// Boot implements node.Process.
+// Boot implements node.Process: an empty log, in the arrays of the last.
 func (s *StorageNode) Boot(env node.Env, restart bool) {
 	s.env = env
+	s.dets.Reset(s.cfg)
 	if restart {
 		panic("fbl: the storage pseudo-process never restarts")
 	}

@@ -28,6 +28,10 @@ var TestingDropDetPiggyback bool
 // Run returns, never outside tests.
 var TestingDepInfoPendingOnly bool
 
+// TestingKeepStaleLog, when set, makes Boot of a kept process skip det.Log.Reset:
+// a reused cluster's run starts with its predecessor's determinants. Rules above.
+var TestingKeepStaleLog bool
+
 // TestingRetainRx, when set, makes every frame a process puts aside for
 // later — deferred while blocked, restoring or recovering, or held for its
 // turn in replay — the envelope the runtime delivered it in instead of a

@@ -53,6 +53,17 @@ func Peers(self ProcID, n int) []ProcID {
 	return out
 }
 
+// PerProc returns n zero entries, one per process, in s's array when it has
+// room: how a rebooted process clears the arrays it keeps (node.Renew).
+func PerProc[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // Incarnation counts how many times a process has recovered from a failure.
 // It starts at 1 for the initial execution and is incremented on every
 // recovery (paper §3.2). Incarnation 0 means "unknown".

@@ -95,12 +95,13 @@ func (t Timer) Stop() {
 	}
 }
 
-// Process is an event-driven protocol instance. A crash discards the
-// instance; recovery constructs a fresh one via the Factory and boots it
-// with restart = true.
+// Process is an event-driven protocol instance. A node slot keeps one for the
+// life of its cluster: a crash ends the incarnation, not the object, and the
+// restart boots what the slot's Renew makes of it with restart = true.
 type Process interface {
 	// Boot starts the instance. restart reports whether this is a
 	// reincarnation after a crash (stable storage persists across boots).
+	// Volatile state is cleared by Boot, not by the allocator.
 	Boot(env Env, restart bool)
 	// Deliver hands the instance a decoded frame from the network. The
 	// envelope, its Dets and the frame its Payload is a view of belong to
@@ -114,6 +115,10 @@ type Process interface {
 
 // Factory builds a fresh (volatile) process instance for one node.
 type Factory func() Process
+
+// Renew returns the instance a node slot boots next given its last (nil at
+// first): old, re-parameterised, when it is of the type Renew builds, else new.
+type Renew func(old Process) Process
 
 // Hardware bundles the cost models the runtimes charge for computation,
 // communication, and stable storage, plus the failure-handling timing.

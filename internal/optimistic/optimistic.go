@@ -142,29 +142,34 @@ type Process struct {
 
 var _ node.Process = (*Process)(nil)
 
-// New returns a node.Factory for optimistic-logging processes.
-func New(par Params) node.Factory {
+// New returns the node.Renew of optimistic-logging process slots.
+func New(par Params) node.Renew {
 	if par.FlushEvery <= 0 {
 		par.FlushEvery = 500 * time.Millisecond
 	}
 	if par.RetryEvery <= 0 {
 		par.RetryEvery = time.Second
 	}
-	return func() node.Process { return &Process{par: par} }
+	return func(old node.Process) node.Process {
+		p, ok := old.(*Process)
+		if !ok {
+			p = new(Process)
+		}
+		p.par = par
+		return p
+	}
 }
 
-// Boot implements node.Process.
+// Boot implements node.Process on a zero Process that keeps its arrays.
 func (p *Process) Boot(env node.Env, restart bool) {
-	p.env = env
-	p.n = env.N()
-	p.peers = ids.Peers(env.ID(), p.n)
-	p.out = make(channel.Out, p.n)
-	p.sendLog = make(channel.Log, p.n)
-	p.in = channel.NewIn(p.n)
-	p.dv = make([]interval, p.n)
-	p.epochVec = make([]uint32, p.n)
-	p.durFrontier = make([]int64, p.n)
-	p.endTable = make([][]endRecord, p.n)
+	n := env.N()
+	*p = Process{
+		env: env, par: p.par, n: n, peers: ids.Peers(env.ID(), n), out: ids.PerProc(p.out, n),
+		sendLog: p.sendLog, in: p.in, dv: ids.PerProc(p.dv, n), epochVec: ids.PerProc(p.epochVec, n),
+		durFrontier: ids.PerProc(p.durFrontier, n), endTable: ids.PerProc(p.endTable, n),
+	}
+	p.sendLog.Reset(n)
+	p.in.Reset(n)
 	p.app = p.par.App(env.ID(), p.n)
 
 	var flushTick func()
@@ -244,8 +249,8 @@ func (p *Process) dead(q ids.ProcID, iv interval) bool {
 func (p *Process) rebuildFrom(entries []logEntry) {
 	p.ssn = 0
 	clear(p.out)
-	p.sendLog.Reset()
-	p.in.Reset()
+	p.sendLog.Reset(p.n)
+	p.in.Reset(p.n)
 	// The self entry starts at zero and is re-merged from the replayed
 	// entries (which carry their original epochs); new deliveries then
 	// continue in the current epoch, which orders above all survivors.

@@ -63,7 +63,7 @@ func newHarness(t *testing.T, n int, seed int64, app workload.Factory, flushEver
 		RetryEvery: 200 * time.Millisecond,
 	}
 	for i := 0; i < n; i++ {
-		h.k.AddNode(ids.ProcID(i), New(par))
+		h.k.AddSlot(ids.ProcID(i), New(par))
 	}
 	h.k.Boot()
 	return h

@@ -169,8 +169,8 @@ type gather struct {
 	span     trace.SpanRef // open while the round runs
 }
 
-// Manager runs the recovery protocol for one process. It is created fresh
-// on every boot; all state here is volatile by design.
+// Manager runs the recovery protocol for one process. It is Reset on every
+// boot; all state here is volatile by design.
 type Manager struct {
 	cfg  Config
 	host Host
@@ -200,13 +200,14 @@ type Manager struct {
 
 // NewManager returns a manager in StateLive.
 func NewManager(cfg Config, host Host, env node.Env) *Manager {
-	return &Manager{
-		cfg:  cfg,
-		host: host,
-		env:  env,
-		self: env.ID(),
-		n:    env.N(),
-	}
+	m := new(Manager)
+	m.Reset(cfg, host, env)
+	return m
+}
+
+// Reset makes m the manager NewManager returns, keeping the registry's array.
+func (m *Manager) Reset(cfg Config, host Host, env node.Env) {
+	*m = Manager{cfg: cfg, host: host, env: env, self: env.ID(), n: env.N(), reg: m.reg[:0]}
 }
 
 // State returns the current protocol state.
@@ -389,8 +390,8 @@ func (m *Manager) maybeStartDepPhase() {
 // manager that never hears of a recovery keeps none, so a cluster of n does
 // not build n² entries when it starts.
 func (m *Manager) entry(p ids.ProcID) *regEntry {
-	if m.reg == nil {
-		m.reg = make([]regEntry, m.n)
+	if len(m.reg) == 0 {
+		m.reg = ids.PerProc(m.reg, m.n)
 	}
 	return &m.reg[p]
 }

@@ -69,9 +69,12 @@ func runGoldenFBL(shards int, loop bool) multicastRun {
 	for i := 0; i < n; i++ {
 		f := factory
 		if loop {
-			f = func() node.Process { return loopProc{factory()} }
+			f = func(old node.Process) node.Process {
+				kept, _ := old.(loopProc)
+				return loopProc{factory(kept.Process)}
+			}
 		}
-		s.AddNode(ids.ProcID(i), f)
+		s.AddSlot(ids.ProcID(i), f)
 	}
 	s.CrashAt(6*time.Second, 1)
 	s.CrashAt(8*time.Second, 2)

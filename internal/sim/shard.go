@@ -144,9 +144,9 @@ func NewSharded(cfg Config, shards int) *Sharded {
 // builds — no node, nothing queued, every clock and counter at zero — and
 // keeps its arenas: each kernel's event slots and heap, frame free lists,
 // decoder buffers and outboxes, and each node's state (links table, deferral
-// queue, stable store, metrics buckets) for the next AddNode of any id. Every
-// *metrics.Proc and *storage.Store read before the reset is reused: it is
-// dead to its reader.
+// queue, stable store, metrics buckets, process object) for the next AddSlot
+// of any id. Every *metrics.Proc, *storage.Store and process instance read
+// before the reset is reused: it is dead to its reader.
 func (s *Sharded) Reset(cfg Config) {
 	if cfg.HW.Net.Latency <= 0 {
 		panic("sim: NewSharded: hardware profile has no minimum network latency")
@@ -207,11 +207,17 @@ func (s *Sharded) shardFor(id ids.ProcID) *Kernel {
 	return s.shards[m]
 }
 
-// AddNode registers a process slot on its owning shard. Application
+// AddNode is AddSlot with a factory: a fresh instance at every boot.
+func (s *Sharded) AddNode(id ids.ProcID, factory node.Factory) {
+	s.AddSlot(id, func(node.Process) node.Process { return factory() })
+}
+
+// AddSlot registers a process slot on its owning shard; each boot renews the
+// instance the slot's node state last booted (Reset keeps it). Application
 // processes must be added with ids 0..n-1; the stable-storage
 // pseudo-process uses ids.StorageProc.
-func (s *Sharded) AddNode(id ids.ProcID, factory node.Factory) {
-	s.shardFor(id).addNode(id, factory)
+func (s *Sharded) AddSlot(id ids.ProcID, renew node.Renew) {
+	s.shardFor(id).addNode(id, renew)
 	if !id.IsStorage() {
 		s.nApp++
 	}
@@ -241,7 +247,7 @@ func (s *Sharded) Up(id ids.ProcID) bool {
 // ProcOf returns the node's current process instance (nil while down or for
 // ids never registered).
 func (s *Sharded) ProcOf(id ids.ProcID) node.Process {
-	if ns := s.shardFor(id).find(id); ns != nil {
+	if ns := s.shardFor(id).find(id); ns != nil && ns.up {
 		return ns.proc
 	}
 	return nil

@@ -182,9 +182,9 @@ func (k *Kernel) reset(cfg Config) {
 	}
 }
 
-// addNode registers a process slot (Sharded.AddNode) on a spare node state,
+// addNode registers a process slot (Sharded.AddSlot) on a spare node state,
 // or a new one.
-func (k *Kernel) addNode(id ids.ProcID, factory node.Factory) {
+func (k *Kernel) addNode(id ids.ProcID, renew node.Renew) {
 	i := int(id) + 1
 	if i < 0 {
 		panic(fmt.Sprintf("sim: AddNode(%v): not a process id", id))
@@ -198,7 +198,7 @@ func (k *Kernel) addNode(id ids.ProcID, factory node.Factory) {
 	} else {
 		ns = &nodeState{stable: storage.NewStore(), met: metrics.NewProc()}
 	}
-	ns.reset(k, id, factory)
+	ns.reset(k, id, renew)
 	if i >= len(k.nodes) {
 		k.nodes = append(k.nodes, make([]*nodeState, i+1-len(k.nodes))...)
 	}
@@ -212,7 +212,7 @@ func (k *Kernel) boot() {
 	for _, id := range k.order {
 		ns := k.find(id)
 		ns.up = true
-		ns.proc = ns.factory()
+		ns.proc = ns.renew(ns.proc)
 		ns.proc.Boot(ns, false)
 	}
 }
@@ -496,7 +496,6 @@ func (k *Kernel) crash(id ids.ProcID) {
 	ns.downSpan = k.tr.Begin(k.now, int32(id), trace.EvDown, trace.Tag{})
 	ns.up = false
 	ns.epoch++
-	ns.proc = nil
 	ns.busyUntil = 0
 	// The FIFO deferral queue is volatile process state; any armed wake
 	// event is neutralized by the epoch bump. Its array is kept.
@@ -518,7 +517,7 @@ func (k *Kernel) restart(ns *nodeState) {
 	ns.downSpan = 0
 	k.tr.Instant(k.now, int32(ns.id), trace.EvRestart, trace.Tag{})
 	ns.up = true
-	ns.proc = ns.factory()
+	ns.proc = ns.renew(ns.proc)
 	if tr := ns.met.CurrentRecovery(); tr != nil && tr.RestartedAt == 0 {
 		tr.RestartedAt = k.now
 	}
@@ -539,8 +538,8 @@ type defItem struct {
 type nodeState struct {
 	k         *Kernel
 	id        ids.ProcID
-	factory   node.Factory
-	proc      node.Process
+	renew     node.Renew
+	proc      node.Process // kept while down and across resets
 	up        bool
 	epoch     uint64
 	busyUntil int64
@@ -564,14 +563,14 @@ type nodeState struct {
 
 var _ node.Env = (*nodeState)(nil)
 
-// reset makes ns the state of node id, hosted by factory on k, before boot,
+// reset makes ns the state of node id, hosted by renew on k, before boot,
 // keeping its arenas: the links table (every link as new), the deferral
-// queue, the stable store's map and the metrics' buckets.
-func (ns *nodeState) reset(k *Kernel, id ids.ProcID, factory node.Factory) {
+// queue, the stable store's map, the metrics' buckets and the process.
+func (ns *nodeState) reset(k *Kernel, id ids.ProcID, renew node.Renew) {
 	clear(ns.links)
 	clear(ns.defq)
 	*ns = nodeState{
-		k: k, id: id, factory: factory, stable: ns.stable, met: ns.met,
+		k: k, id: id, renew: renew, proc: ns.proc, stable: ns.stable, met: ns.met,
 		links: ns.links, defq: ns.defq[:0],
 	}
 	ns.stable.Reset()

@@ -41,12 +41,14 @@ type IncVector struct {
 
 // NewIncVector returns a vector for n processes, all at incarnation 1 (the
 // initial execution).
-func NewIncVector(n int) IncVector {
-	v := IncVector{inc: make([]ids.Incarnation, n)}
+func NewIncVector(n int) (v IncVector) { v.Reset(n); return v }
+
+// Reset makes v NewIncVector(n), in the array v has.
+func (v *IncVector) Reset(n int) {
+	v.inc = ids.PerProc(v.inc, n)
 	for i := range v.inc {
 		v.inc[i] = 1
 	}
-	return v
 }
 
 // Len returns the number of processes covered by the vector.
