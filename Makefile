@@ -118,12 +118,14 @@ bench-micro:
 # one shard and across two), heartbeat tick (zero: one frame per
 # incarnation, timer handles are values) and delivery, timer arm+Stop
 # (zero), piggyback transmit and delivery, a
-# depinfo reply (frame, envelope, sort keys), checkpoint image), an output
+# depinfo reply (frame, sort keys), checkpoint image), every family's
+# control sends (no envelope: TestSendAllocs in coord, optimistic and
+# recovery), a stable write (zero) and read (its copy and a closure), an output
 # request and its release (zero: TestOutputRequestAllocs), the apps'
 # Handle (the payload it sends, nothing else), and an explorer branch on a
 # reset cluster (at least 45 % below a fresh build: TestReusedBranchAllocs).
 bench-kernel:
-	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/channel ./internal/fbl ./internal/coord ./internal/optimistic ./internal/bitset ./internal/storage ./internal/workload ./internal/explore -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
+	$(GO) test ./internal/sim ./internal/output ./internal/det ./internal/wire ./internal/channel ./internal/fbl ./internal/coord ./internal/optimistic ./internal/recovery ./internal/bitset ./internal/storage ./internal/workload ./internal/explore -run 'Allocs' -bench 'BenchmarkKernel|BenchmarkContainerHeap' -benchmem
 
 # benchmark-smoke vets and tests the host-time benchmark (BENCHMARK.json).
 # benchmark/ is its own module compiled against internal/..., so the root

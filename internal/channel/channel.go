@@ -47,6 +47,8 @@ type In struct {
 	// held[q] maps dseq to a frame from q that arrived ahead of a gap; nil
 	// until q first gets ahead of itself.
 	held []map[uint64]*wire.Envelope
+	// tx is the envelope Request builds each replay request in.
+	tx wire.Envelope
 }
 
 // NewIn returns the receive half for a cluster of n processes.
@@ -90,12 +92,11 @@ func (in *In) Reset(n int) { in.Exp, in.held = ids.PerProc(in.Exp, n), ids.PerPr
 // Request asks every peer to retransmit what it logged for us past our
 // watermark for it: a replay request whose Dseq is Exp[q].
 func (in *In) Request(env node.Env, inc ids.Incarnation) {
-	e := wire.Envelope{Kind: wire.KindReplayRequest, FromInc: inc}
 	for q, exp := range in.Exp {
 		if ids.ProcID(q) == env.ID() {
 			continue
 		}
-		e.Dseq = exp
-		env.Send(ids.ProcID(q), &e)
+		in.tx = wire.Envelope{Kind: wire.KindReplayRequest, FromInc: inc, Dseq: exp}
+		env.Send(ids.ProcID(q), &in.tx)
 	}
 }

@@ -70,6 +70,10 @@ type Process struct {
 	// Output commit (DESIGN §10).
 	outSeq      uint64      // outputs requested so far (part of the snapshot)
 	pendingOuts []coordWait // requested, not yet covered by a committed snapshot
+
+	// tx is the envelope every send is built in: Send serialises it at call
+	// time, so the next send overwrites it whole.
+	tx wire.Envelope
 }
 
 type recordedMsg struct {
@@ -177,12 +181,13 @@ func (p *Process) broadcastRollback(snapID uint32, restartOrigin bool) {
 	if restartOrigin && !TestingStripRestartOrigin {
 		tag = rollbackRestartOrigin
 	}
-	p.env.Multicast(p.peers, &wire.Envelope{
+	p.tx = wire.Envelope{
 		Kind:    wire.KindRollback,
 		FromInc: ids.Incarnation(p.epoch),
 		Round:   snapID,
 		Dseq:    tag,
-	})
+	}
+	p.env.Multicast(p.peers, &p.tx)
 }
 
 // restartFromScratch rebuilds the initial state (used when no snapshot was
@@ -435,11 +440,12 @@ func (c appCtx) Work(d int64)     { c.p.env.Busy(time.Duration(d)) }
 // point is that failure-free operation is bare).
 func (c appCtx) Send(to ids.ProcID, payload storage.Image) {
 	p := c.p
-	p.env.Send(to, &wire.Envelope{
+	p.tx = wire.Envelope{
 		Kind:    wire.KindApp,
 		FromInc: ids.Incarnation(p.epoch),
 		Dseq:    p.out.Next(to),
 		Payload: payload.Data,
 		Pad:     uint32(payload.Pad),
-	})
+	}
+	p.env.Send(to, &p.tx)
 }

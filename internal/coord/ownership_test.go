@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
@@ -237,6 +238,97 @@ func TestSnapshotRestoresPaddedPayloads(t *testing.T) {
 		want := recorded[i].payload
 		if m.ssn != recorded[i].ssn || !bytes.Equal(m.payload.Data, want.Data) || m.payload.Pad != want.Pad {
 			t.Fatalf("message %d restored as %x + %d, recorded as %x + %d", i, m.payload.Data, m.payload.Pad, want.Data, want.Pad)
+		}
+	}
+}
+
+// sendGate is two coordinated processes on the simulator with the link from
+// p0 to p1 cut: a frame p0 sends is encoded, counted and lost, so what a send
+// allocates is the send path's own.
+func sendGate(t *testing.T) *Process {
+	h := newHarnessEvery(t, 2, 1, workload.NewRandomPeer(0, 0, 0, 0), time.Hour)
+	h.k.Run(time.Second)
+	h.k.Cut(0, 1)
+	return h.proc(0)
+}
+
+// TestSendAllocs: the envelope of every send is the process's tx, so an
+// application send allocates nothing (its frame is recycled) and a marker the
+// multicast frame its destinations share, where each used to cost a 224 B
+// envelope more.
+func TestSendAllocs(t *testing.T) {
+	p := sendGate(t)
+	payload := storage.Image{Data: make([]byte, 16), Pad: 64}
+	for _, tc := range []struct {
+		name string
+		send func()
+		want float64
+	}{
+		{"application send", func() { appCtx{p}.Send(1, payload) }, 0},
+		{"marker", func() { p.env.Multicast(p.peers, p.control(wire.KindMarker, 1)) }, 1},
+	} {
+		if got := testing.AllocsPerRun(100, tc.send); got != tc.want {
+			t.Errorf("%s allocates %.1f times, want %.0f", tc.name, got, tc.want)
+		}
+	}
+}
+
+// frameLog stands in for a process's network: it keeps the frame each send
+// encodes, at the call, as the simulator does, and completes stable writes at
+// once.
+type frameLog struct {
+	node.Env
+	frames *[][]byte
+}
+
+func (f frameLog) Send(_ ids.ProcID, e *wire.Envelope) {
+	e.From = f.ID()
+	*f.frames = append(*f.frames, wire.Encode(e))
+}
+func (f frameLog) Multicast(_ []ids.ProcID, e *wire.Envelope) { f.Send(ids.Nobody, e) }
+func (f frameLog) WriteStable(_ string, _ storage.Image, cb func()) {
+	if cb != nil {
+		cb()
+	}
+}
+
+// TestScratchEnvelopeCarriesNothingOver: each send builds the whole of its
+// envelope in tx, so a send that follows one of another kind encodes the
+// bytes it encodes from a zero tx — a marker inherits no application
+// payload, an acknowledgment no rollback tag.
+func TestScratchEnvelopeCarriesNothingOver(t *testing.T) {
+	payload := storage.Image{Data: []byte("payload"), Pad: 9}
+	steps := []func(p0, p1 *Process){
+		func(_, p1 *Process) { appCtx{p1}.Send(0, payload) },
+		func(_, p1 *Process) { p1.broadcastRollback(4, true) },
+		func(_, p1 *Process) { p1.beginLocalSnapshot(5, ids.Nobody) }, // marker
+		func(_, p1 *Process) { appCtx{p1}.Send(0, payload) },
+		func(_, p1 *Process) { p1.completeLocalSnapshot() }, // acknowledgment
+		func(p0, _ *Process) { appCtx{p0}.Send(1, payload) },
+		func(p0, _ *Process) { p0.beginLocalSnapshot(6, ids.Nobody) },
+		func(p0, _ *Process) { p0.completeLocalSnapshot() }, // commit
+		func(p0, _ *Process) { p0.broadcastRollback(6, false) },
+	}
+	run := func(fresh bool) [][]byte {
+		h := newHarnessEvery(t, 2, 1, workload.NewRandomPeer(0, 0, 0, 0), time.Hour)
+		var frames [][]byte
+		p0, p1 := h.proc(0), h.proc(1)
+		p0.env, p1.env = frameLog{p0.env, &frames}, frameLog{p1.env, &frames}
+		for _, step := range steps {
+			if fresh {
+				p0.tx, p1.tx = wire.Envelope{}, wire.Envelope{}
+			}
+			step(p0, p1)
+		}
+		return frames
+	}
+	got, want := run(false), run(true)
+	if len(got) != len(steps) || len(want) != len(got) {
+		t.Fatalf("%d frames after other sends, %d from a zero tx; want %d", len(got), len(want), len(steps))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("frame %d encodes %x after the sends before it, %x from a zero tx", i, got[i], want[i])
 		}
 	}
 }

@@ -48,11 +48,7 @@ func (p *Process) beginLocalSnapshot(id uint32, exclude ids.ProcID) {
 		p.recording[q] = true
 		p.openChans++
 	}
-	p.env.Multicast(p.peers, &wire.Envelope{
-		Kind:    wire.KindMarker,
-		FromInc: ids.Incarnation(p.epoch),
-		Round:   id,
-	})
+	p.env.Multicast(p.peers, p.control(wire.KindMarker, id))
 	if p.openChans == 0 {
 		p.completeLocalSnapshot()
 	}
@@ -91,11 +87,7 @@ func (p *Process) completeLocalSnapshot() {
 			p.onSnapState(&wire.Envelope{Kind: wire.KindSnapState, From: 0, Round: id})
 			return
 		}
-		p.env.Send(0, &wire.Envelope{
-			Kind:    wire.KindSnapState,
-			FromInc: ids.Incarnation(p.epoch),
-			Round:   id,
-		})
+		p.env.Send(0, p.control(wire.KindSnapState, id))
 	})
 }
 
@@ -116,12 +108,15 @@ func (p *Process) maybeCommit() {
 	}
 	id := p.snapID
 	p.initiatorWaiting = nil
-	p.env.Multicast(p.peers, &wire.Envelope{ // we are the initiator, process 0
-		Kind:    wire.KindSnapCommit,
-		FromInc: ids.Incarnation(p.epoch),
-		Round:   id,
-	})
+	p.env.Multicast(p.peers, p.control(wire.KindSnapCommit, id)) // we are the initiator, process 0
 	p.commit(id)
+}
+
+// control builds, in tx, the kind frame of snapshot round in this epoch: a
+// marker, an acknowledgment or a commit.
+func (p *Process) control(kind wire.Kind, round uint32) *wire.Envelope {
+	p.tx = wire.Envelope{Kind: kind, FromInc: ids.Incarnation(p.epoch), Round: round}
+	return &p.tx
 }
 
 // commit records snapshot id as the recovery line.

@@ -187,15 +187,15 @@ func (p *Process) doCheckpoint() {
 	p.cpBusy = true
 	rsnAt := p.rsn
 	outAt := p.outSeq
-	expAt := make([]ids.SSN, p.n)
+	p.cpExpAt = ids.PerProc(p.cpExpAt, p.n)
 	for i, d := range p.in.Exp {
-		expAt[i] = ids.SSN(d)
+		p.cpExpAt[i] = ids.SSN(d)
 	}
 	p.env.WriteStable(keyCheckpoint, img, func() {
 		p.env.Tracer().End(cpSpan, p.env.Now())
 		p.cpBusy = false
 		p.cpRSN = rsnAt
-		for i, d := range expAt {
+		for i, d := range p.cpExpAt {
 			p.cpExp[i] = uint64(d)
 		}
 		// Outputs captured by the now-durable checkpoint are recoverable
@@ -205,19 +205,19 @@ func (p *Process) doCheckpoint() {
 		// Our own determinants for deliveries the checkpoint covers will
 		// never be replayed again.
 		p.dets.GCReceiver(p.env.ID(), rsnAt)
-		notice := &wire.Envelope{
+		p.tx = wire.Envelope{
 			Kind:          wire.KindCheckpointNotice,
 			FromInc:       p.inc,
 			CPRsn:         rsnAt,
-			SSNWatermarks: expAt,
+			SSNWatermarks: p.cpExpAt,
 		}
 		// Fanout mode: the broadcast is O(n²) cluster-wide, so the notice
 		// goes to the ring successors only. Everyone else learns the
 		// watermarks from the CPRsn/CPDseq piggyback on the next application
 		// send (see transmit).
-		p.env.Multicast(p.succ, notice)
+		p.env.Multicast(p.succ, &p.tx)
 		if p.cfg.Manetho() {
-			p.env.Send(ids.StorageProc, notice)
+			p.env.Send(ids.StorageProc, &p.tx)
 		}
 	})
 }

@@ -41,11 +41,11 @@ var frameSink []byte
 // TestDepInfoReplyAllocs is the gate on the live side of a gather (paper
 // §3.4 step 5): a process answers a depinfo request with a frame written
 // from a view of its log. Over a 1 024-entry log (so the key slice fills its
-// size class exactly) an unscoped reply allocates the frame, its envelope
-// and one 16-byte sort key per entry; collecting the log first cost a
-// 56-byte entry, a holder word and a 4-byte slot index more per entry. A
-// reply scoped to a receiver with no entries allocates the frame and its
-// envelope, whatever the log holds.
+// size class exactly) an unscoped reply allocates the frame and one 16-byte
+// sort key per entry (the envelope is the manager's tx); collecting the log
+// first cost a 56-byte entry, a holder word and a 4-byte slot index more per
+// entry. A reply scoped to a receiver with no entries allocates the frame,
+// whatever the log holds.
 func TestDepInfoReplyAllocs(t *testing.T) {
 	const n, size, runs = 32, 1024, 20
 	env := &wireEnv{fakeEnv: newFakeEnv(0, n)}
@@ -80,8 +80,8 @@ func TestDepInfoReplyAllocs(t *testing.T) {
 	frameBytes := frameOnly()
 	fixed := scopedBytes - frameBytes
 	t.Logf("scoped: %d objects, %d B beyond a %d-byte frame", scopedObjs, fixed, env.frame)
-	if scopedObjs != 2 || fixed > 224 {
-		t.Errorf("a reply scoped to a receiver with no entries allocates %d objects, %d B beyond its %d-byte frame; want 2 (the frame and the envelope) and at most 224 B",
+	if scopedObjs != 1 || fixed > 0 {
+		t.Errorf("a reply scoped to a receiver with no entries allocates %d objects, %d B beyond its %d-byte frame; want 1 (the frame) and nothing more",
 			scopedObjs, fixed, env.frame)
 	}
 
@@ -92,9 +92,9 @@ func TestDepInfoReplyAllocs(t *testing.T) {
 		t.Fatalf("the unscoped reply is a %d-byte frame: it did not carry the log", env.frame)
 	}
 	perEntry := float64(wholeBytes-frameBytes-fixed) / size
-	t.Logf("whole: %d objects, %.2f B per entry beyond a %d-byte frame and the envelope", wholeObjs, perEntry, env.frame)
-	if wholeObjs != 3 || perEntry > 16 {
-		t.Errorf("an unscoped reply over %d entries allocates %d objects and %.2f B per entry beyond its frame and envelope; want 3 (frame, envelope, sort keys) and at most 16",
+	t.Logf("whole: %d objects, %.2f B per entry beyond a %d-byte frame", wholeObjs, perEntry, env.frame)
+	if wholeObjs != 2 || perEntry > 16 {
+		t.Errorf("an unscoped reply over %d entries allocates %d objects and %.2f B per entry beyond its frame; want 2 (frame, sort keys) and at most 16",
 			size, wholeObjs, perEntry)
 	}
 }

@@ -166,10 +166,13 @@ type Process struct {
 	scanGen []int
 	// piggy and piggyWords are transmit's scratch: the entries one frame
 	// piggybacks and the arena their holder sets are views into, overwritten
-	// by the next transmit. tx is the envelope it sends them in.
+	// by the next transmit. tx is the envelope each send is built in, and
+	// txView the log view a storage stream's envelope points at: Send
+	// serialises them at call time, so the next send overwrites them.
 	piggy      []det.Entry
 	piggyWords []uint64
 	tx         wire.Envelope
+	txView     det.View
 	// replayServed remembers, per requester, the highest send-log dseq
 	// already retransmitted to a given incarnation, so periodic replay-
 	// request retries do not flood the recovering process with redundant
@@ -199,8 +202,10 @@ type Process struct {
 	// Open replay-phase span.
 	replaySpan trace.SpanRef
 
-	// Checkpoint bookkeeping.
-	cpBusy bool
+	// Checkpoint bookkeeping: one checkpoint is in flight at a time, and
+	// cpExpAt is its delivered watermarks, captured when it was taken.
+	cpBusy  bool
+	cpExpAt []ids.SSN
 
 	// Output commit (DESIGN §10).
 	outSeq   uint64  // outputs requested so far (checkpointed)
@@ -232,7 +237,7 @@ func (p *Process) Boot(env node.Env, restart bool) {
 		env: env, par: p.par, n: n, cfg: det.Config{N: n, F: p.par.F}, dets: p.dets,
 		piggy: p.piggy[:0], piggyWords: p.piggyWords[:0], out: ids.PerProc(p.out, n), in: p.in,
 		sendLog: p.sendLog, incVec: p.incVec, cpExp: ids.PerProc(p.cpExp, n), scanGen: ids.PerProc(p.scanGen, n),
-		replayServed: ids.PerProc(p.replayServed, n), mgr: p.mgr, detect: p.detect,
+		replayServed: ids.PerProc(p.replayServed, n), mgr: p.mgr, detect: p.detect, cpExpAt: p.cpExpAt,
 	}
 	if !TestingKeepStaleLog || !kept {
 		p.dets.Reset(p.cfg)
@@ -323,15 +328,16 @@ func (p *Process) flushToStorage() {
 	if p.mode != ModeLive && p.mode != ModeReplaying {
 		return
 	}
-	pending := p.dets.PendingView() // f = n: pending means storage does not hold it yet
-	if pending.Len() == 0 {
+	p.txView = p.dets.PendingView() // f = n: pending means storage does not hold it yet
+	if p.txView.Len() == 0 {
 		return
 	}
-	p.env.Send(ids.StorageProc, &wire.Envelope{
+	p.tx = wire.Envelope{
 		Kind:    wire.KindDetsToStorage,
 		FromInc: p.inc,
-		DetView: &pending,
-	})
+		DetView: &p.txView,
+	}
+	p.env.Send(ids.StorageProc, &p.tx)
 }
 
 // Deliver implements node.Process. The envelope is the runtime's, so the

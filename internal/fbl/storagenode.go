@@ -16,6 +16,10 @@ type StorageNode struct {
 	env  node.Env
 	cfg  det.Config
 	dets *det.Log
+	// tx is the envelope every reply is built in, and view the log view a
+	// depinfo reply's envelope points at (see Process.tx).
+	tx   wire.Envelope
+	view det.View
 }
 
 var _ node.Process = (*StorageNode)(nil)
@@ -55,23 +59,25 @@ func (s *StorageNode) Deliver(in *wire.Envelope) {
 			}
 			acked = append(acked, en.Det.Msg)
 		}
-		s.env.Send(e.From, &wire.Envelope{
+		s.tx = wire.Envelope{
 			Kind:    wire.KindStorageAck,
 			FromInc: 1,
 			MsgIDs:  acked,
-		})
+		}
+		s.env.Send(e.From, &s.tx)
 	case wire.KindDepRequest:
 		// The storage process is one of the hosts the leader gathers from.
 		// A scoped request (fanout mode) names the recovering members; only
 		// their determinants matter for replay.
-		dets := s.dets.View(e.Members)
-		s.env.Send(e.From, &wire.Envelope{
+		s.view = s.dets.View(e.Members)
+		s.tx = wire.Envelope{
 			Kind:    wire.KindDepReply,
 			FromInc: 1,
 			Ord:     e.Ord,
 			Round:   e.Round,
-			DetView: &dets,
-		})
+			DetView: &s.view,
+		}
+		s.env.Send(e.From, &s.tx)
 	case wire.KindCheckpointNotice:
 		s.dets.GCReceiver(e.From, e.CPRsn)
 	default:

@@ -53,11 +53,13 @@ type Env interface {
 	// store keeps its own. The callback dies with the process instance.
 	ReadStable(key string, cb func(img storage.Image, ok bool))
 	// WriteStable asynchronously writes to stable storage; the image becomes
-	// durable (and cb runs) only after the modeled latency of its logical
-	// size — a crash before completion loses the write, padding included.
-	// WriteStable takes ownership of img.Data: the runtime hands the slice
-	// itself to the store, so the caller builds a fresh buffer per write and
-	// never touches it again.
+	// durable (and cb, which may be nil, runs) only after the modeled
+	// latency of its logical size — a crash before completion loses the
+	// write, padding included. WriteStable takes ownership of img.Data: the
+	// runtime hands the slice itself to the store, so the caller builds a
+	// fresh buffer per write and never touches it again. The runtime keeps
+	// the pending write in a record it reuses and makes no closure per
+	// operation: a write allocates nothing.
 	WriteStable(key string, img storage.Image, cb func())
 	// Metrics returns this process's statistics accumulator.
 	Metrics() *metrics.Proc

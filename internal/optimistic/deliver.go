@@ -144,22 +144,22 @@ func (c appCtx) Send(to ids.ProcID, payload storage.Image) {
 }
 
 func (p *Process) transmit(to ids.ProcID, dseq uint64, rec channel.Rec) {
-	idx := make([]ids.SSN, p.n)
-	eps := make([]ids.Incarnation, p.n)
+	p.idx, p.eps = ids.PerProc(p.idx, p.n), ids.PerProc(p.eps, p.n)
 	for i, v := range p.dv {
-		idx[i] = ids.SSN(v.index)
-		eps[i] = ids.Incarnation(v.epoch)
+		p.idx[i] = ids.SSN(v.index)
+		p.eps[i] = ids.Incarnation(v.epoch)
 	}
-	p.env.Send(to, &wire.Envelope{
+	p.tx = wire.Envelope{
 		Kind:          wire.KindApp,
 		FromInc:       ids.Incarnation(p.epoch),
 		SSN:           rec.SSN,
 		Dseq:          dseq,
 		Payload:       rec.Payload.Data,
 		Pad:           uint32(rec.Payload.Pad),
-		SSNWatermarks: idx, // the dependency vector indices ride here
-		IncVec:        eps, // and the per-component epochs here
-	})
+		SSNWatermarks: p.idx, // the dependency vector indices ride here
+		IncVec:        p.eps, // and the per-component epochs here
+	}
+	p.env.Send(to, &p.tx)
 }
 
 func dvFromWire(e *wire.Envelope, n int) []interval {
@@ -209,18 +209,20 @@ func (p *Process) flush() {
 		}
 		p.checkOutputs()
 		stable := p.stablePrefix()
-		wm := make([]ids.SSN, p.n)
+		wm := ids.PerProc(p.idx, p.n)
 		for _, e := range p.log[:stable] {
 			if d := ids.SSN(e.dseq); d > wm[e.from] {
 				wm[e.from] = d
 			}
 		}
-		p.env.Multicast(p.peers, &wire.Envelope{
+		p.idx = wm
+		p.tx = wire.Envelope{
 			Kind:          wire.KindCheckpointNotice,
 			FromInc:       ids.Incarnation(p.epoch),
 			SSN:           ids.SSN(p.flushed), // durable interval frontier
-			SSNWatermarks: wm,
-		})
+			SSNWatermarks: p.idx,
+		}
+		p.env.Multicast(p.peers, &p.tx)
 	})
 }
 
@@ -269,11 +271,12 @@ func (p *Process) onRetract(e *wire.Envelope) {
 		// Not an orphan. The victim replayed without re-transmitting its
 		// re-executed sends; ask for the slice past our watermark (replies
 		// of its durable suffix that were in flight when it crashed).
-		p.env.Send(victim, &wire.Envelope{
+		p.tx = wire.Envelope{
 			Kind:    wire.KindReplayRequest,
 			FromInc: ids.Incarnation(p.epoch),
 			Dseq:    p.in.Exp[victim],
-		})
+		}
+		p.env.Send(victim, &p.tx)
 		return
 	}
 	// Longest log prefix whose state does not depend on the lost suffix;

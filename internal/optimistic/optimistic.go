@@ -138,6 +138,14 @@ type Process struct {
 	// Output commit (DESIGN §10).
 	outSeq      uint64    // outputs requested so far on the surviving timeline
 	pendingOuts []optWait // requested, causal past not yet fully durable
+
+	// tx is the envelope every send is built in, and idx and eps the vectors
+	// it carries (transmit's dependency vector, a flush notice's watermarks
+	// in idx): Send serialises them at call time, so the next send
+	// overwrites them.
+	tx  wire.Envelope
+	idx []ids.SSN
+	eps []ids.Incarnation
 }
 
 var _ node.Process = (*Process)(nil)
@@ -167,6 +175,7 @@ func (p *Process) Boot(env node.Env, restart bool) {
 		env: env, par: p.par, n: n, peers: ids.Peers(env.ID(), n), out: ids.PerProc(p.out, n),
 		sendLog: p.sendLog, in: p.in, dv: ids.PerProc(p.dv, n), epochVec: ids.PerProc(p.epochVec, n),
 		durFrontier: ids.PerProc(p.durFrontier, n), endTable: ids.PerProc(p.endTable, n),
+		idx: p.idx, eps: p.eps,
 	}
 	p.sendLog.Reset(n)
 	p.in.Reset(n)
@@ -295,11 +304,12 @@ func (p *Process) broadcastRetract() {
 	// own rollback when the peers' retractions arrive.
 	p.endTable[p.env.ID()] = append(p.endTable[p.env.ID()],
 		endRecord{upto: p.epoch - 1, frontier: p.selfIndex()})
-	p.env.Multicast(p.peers, &wire.Envelope{
+	p.tx = wire.Envelope{
 		Kind:    wire.KindRecoveryAnnounce, // reused as RETRACT in this protocol
 		FromInc: ids.Incarnation(p.epoch),
 		SSN:     ids.SSN(p.selfIndex()), // the surviving frontier
-	})
+	}
+	p.env.Multicast(p.peers, &p.tx)
 }
 
 func (p *Process) armRetry() {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rollrec/internal/channel"
 	"rollrec/internal/ids"
 	"rollrec/internal/node"
 	"rollrec/internal/storage"
@@ -223,6 +224,101 @@ func TestLogRestoresPaddedPayloads(t *testing.T) {
 		want := entries[i].payload
 		if e.ssn != entries[i].ssn || !bytes.Equal(e.payload.Data, want.Data) || e.payload.Pad != want.Pad {
 			t.Fatalf("entry %d restored as %x + %d, logged as %x + %d", i, e.payload.Data, e.payload.Pad, want.Data, want.Pad)
+		}
+	}
+}
+
+// TestSendAllocs: the envelope of every send is the process's tx and the
+// dependency vector it carries the process's scratch, so on the simulator,
+// with the link cut so that the frame is encoded, counted and lost, a
+// transmit and a round of replay requests allocate nothing, where a transmit
+// used to cost an envelope and two vectors.
+func TestSendAllocs(t *testing.T) {
+	h := newHarness(t, 3, 1, workload.NewRandomPeer(0, 0, 0, 0), time.Hour)
+	h.k.Run(time.Second)
+	h.k.Cut(0, 1)
+	h.k.Cut(0, 2)
+	p := h.proc(0)
+	payload := storage.Image{Data: make([]byte, 16), Pad: 64}
+	for _, tc := range []struct {
+		name string
+		send func()
+	}{
+		{"transmit", func() { p.transmit(1, 1, channel.Rec{SSN: 1, Payload: payload}) }},
+		{"replay requests", func() { p.in.Request(p.env, 1) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.send); got != 0 {
+			t.Errorf("%s allocates %.1f times, want 0", tc.name, got)
+		}
+	}
+}
+
+// frameLog stands in for a process's network: it keeps the frame each send
+// encodes, at the call, as the simulator does, and completes stable writes at
+// once.
+type frameLog struct {
+	node.Env
+	frames *[][]byte
+}
+
+func (f frameLog) Send(_ ids.ProcID, e *wire.Envelope) {
+	e.From = f.ID()
+	*f.frames = append(*f.frames, wire.Encode(e))
+}
+func (f frameLog) Multicast(_ []ids.ProcID, e *wire.Envelope) { f.Send(ids.Nobody, e) }
+func (f frameLog) WriteStable(_ string, _ storage.Image, cb func()) {
+	if cb != nil {
+		cb()
+	}
+}
+
+// TestScratchEnvelopeCarriesNothingOver: each send builds the whole of its
+// envelope in tx, so a send that follows one of another kind encodes the
+// bytes it encodes from a zero tx and no vector scratch — a retraction or a
+// flush notice inherits no payload, a replay request no dependency vector, a
+// notice no stale watermark.
+func TestScratchEnvelopeCarriesNothingOver(t *testing.T) {
+	payload := storage.Image{Data: []byte("payload"), Pad: 9}
+	steps := []func(p *Process){
+		func(p *Process) { // a dependency on p2's interval 5, in every vector sent after
+			e := app(2, 1, 5, "first")
+			p.Deliver(&e)
+		},
+		func(p *Process) { appCtx{p}.Send(1, payload) },
+		func(p *Process) { p.broadcastRetract() },
+		func(p *Process) { appCtx{p}.Send(2, payload) },
+		func(p *Process) { p.in.Request(p.env, 2) },
+		func(p *Process) { appCtx{p}.Send(1, payload) },
+		func(p *Process) {
+			e := app(1, 1, 1, "delivered")
+			p.Deliver(&e)
+			p.flush() // the notice
+		},
+		func(p *Process) { // not an orphan: a replay request to the victim
+			p.Deliver(&wire.Envelope{Kind: wire.KindRecoveryAnnounce, From: 2, FromInc: 2, SSN: 9})
+		},
+		func(p *Process) { appCtx{p}.Send(2, payload) },
+	}
+	run := func(fresh bool) [][]byte {
+		h := newHarness(t, 3, 1, workload.NewRandomPeer(0, 0, 0, 0), time.Hour)
+		var frames [][]byte
+		p := h.proc(0)
+		p.env = frameLog{p.env, &frames}
+		for _, step := range steps {
+			if fresh { // nothing carried over: no envelope, no vector scratch
+				p.tx, p.idx, p.eps = wire.Envelope{}, nil, nil
+			}
+			step(p)
+		}
+		return frames
+	}
+	got, want := run(false), run(true)
+	if len(got) != 9 || len(want) != len(got) { // two replay requests, one frame per other send step
+		t.Fatalf("%d frames after other sends, %d from a zero tx; want 9", len(got), len(want))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("frame %d encodes %x after the sends before it, %x from a zero tx", i, got[i], want[i])
 		}
 	}
 }

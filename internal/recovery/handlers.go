@@ -80,13 +80,19 @@ func (m *Manager) onAnnounce(e *wire.Envelope) {
 func (m *Manager) onIncRequest(e *wire.Envelope) {
 	// A leader queried our incarnation: it believes we are recovering.
 	m.learn(e.From, e.Ord, e.FromInc, true)
-	m.env.Send(e.From, &wire.Envelope{
+	m.replyInc(e.From, e.Round)
+	m.evaluate() // a lower-ordinal leader demotes us
+}
+
+// replyInc answers a leader's round with this recovery's incarnation.
+func (m *Manager) replyInc(to ids.ProcID, round uint32) {
+	m.tx = wire.Envelope{
 		Kind:    wire.KindIncReply,
 		FromInc: m.entry(m.self).inc,
 		Ord:     m.myOrd,
-		Round:   e.Round,
-	})
-	m.evaluate() // a lower-ordinal leader demotes us
+		Round:   round,
+	}
+	m.env.Send(to, &m.tx)
 }
 
 func (m *Manager) onIncReply(e *wire.Envelope) {
@@ -112,12 +118,7 @@ func (m *Manager) onDepRequest(e *wire.Envelope) {
 	if m.state == StateWaiting || m.state == StateLeading {
 		// We are recovering ourselves: identify as such so the leader folds
 		// us into the round instead of waiting for our depinfo.
-		m.env.Send(e.From, &wire.Envelope{
-			Kind:    wire.KindIncReply,
-			FromInc: m.entry(m.self).inc,
-			Ord:     m.myOrd,
-			Round:   e.Round,
-		})
+		m.replyInc(e.From, e.Round)
 		m.evaluate()
 		return
 	}
@@ -157,13 +158,14 @@ func (m *Manager) onDepRequest(e *wire.Envelope) {
 // frame from it before returning.
 func (m *Manager) replyDeps(to ids.ProcID, ord ids.Ordinal, round uint32, members []ids.ProcID) {
 	m.reply = m.host.DepInfo(members)
-	m.env.Send(to, &wire.Envelope{
+	m.tx = wire.Envelope{
 		Kind:    wire.KindDepReply,
 		FromInc: m.entry(m.self).inc,
 		Ord:     ord,
 		Round:   round,
 		DetView: &m.reply,
-	})
+	}
+	m.env.Send(to, &m.tx)
 	m.reply = det.View{}
 }
 

@@ -193,8 +193,11 @@ type Manager struct {
 
 	retry node.Timer
 
-	// reply is the view a depinfo reply's envelope points at while Send
-	// writes the frame: a field, so pointing at it allocates nothing.
+	// tx is the envelope every send is built in, and reply the view a
+	// depinfo reply's envelope points at: Send serialises both at call time,
+	// so the next send overwrites them, and as fields they cost no
+	// allocation.
+	tx    wire.Envelope
 	reply det.View
 }
 
@@ -235,28 +238,20 @@ func (m *Manager) StartRecovery(ord ids.Ordinal, inc ids.Incarnation) {
 func (m *Manager) announce() {
 	m.env.Tracer().Instant(m.env.Now(), int32(m.self), trace.EvAnnounce,
 		trace.Tag{Inc: uint32(m.entry(m.self).inc)})
-	e := &wire.Envelope{
-		Kind:    wire.KindRecoveryAnnounce,
-		FromInc: m.entry(m.self).inc,
-		Ord:     m.myOrd,
-	}
-	m.broadcast(e, false)
+	m.broadcast(wire.KindRecoveryAnnounce)
 }
 
-// broadcast sends e to every application peer, readdressing the one
-// envelope per destination (Send serializes at call time); withStorage also
-// includes the stable-storage pseudo-process (f = n instance).
-func (m *Manager) broadcast(e *wire.Envelope, withStorage bool) {
+// broadcast sends every application peer a kind frame of this recovery (its
+// incarnation and ordinal), addressed to the peer.
+func (m *Manager) broadcast(kind wire.Kind) {
+	inc := m.entry(m.self).inc
 	for p := 0; p < m.n; p++ {
-		if ids.ProcID(p) == m.self {
+		to := ids.ProcID(p)
+		if to == m.self {
 			continue
 		}
-		e.To = ids.ProcID(p)
-		m.env.Send(ids.ProcID(p), e)
-	}
-	if withStorage && m.cfg.F >= m.n {
-		e.To = ids.StorageProc
-		m.env.Send(ids.StorageProc, e)
+		m.tx = wire.Envelope{Kind: kind, To: to, FromInc: inc, Ord: m.myOrd}
+		m.env.Send(to, &m.tx)
 	}
 }
 
@@ -354,12 +349,7 @@ func (m *Manager) lead() {
 		}
 		m.g.awaited[p] = true
 		if !r.ord.IsZero() {
-			m.env.Send(ids.ProcID(p), &wire.Envelope{
-				Kind:    wire.KindIncRequest,
-				FromInc: inc,
-				Ord:     m.myOrd,
-				Round:   m.g.round,
-			})
+			m.sendIncRequest(ids.ProcID(p))
 		}
 	}
 	m.g.incVec.Bump(m.self, inc)
@@ -427,15 +417,27 @@ func (m *Manager) sendDepRequests() {
 		if i == m.n {
 			to = ids.StorageProc
 		}
-		m.env.Send(to, &wire.Envelope{
+		m.tx = wire.Envelope{
 			Kind:    wire.KindDepRequest,
 			FromInc: m.entry(m.self).inc,
 			Ord:     m.myOrd,
 			Round:   m.g.round,
 			IncVec:  m.g.incVec.Slice(),
 			Members: members,
-		})
+		}
+		m.env.Send(to, &m.tx)
 	}
+}
+
+// sendIncRequest asks recovering member `to` for its incarnation (step 4).
+func (m *Manager) sendIncRequest(to ids.ProcID) {
+	m.tx = wire.Envelope{
+		Kind:    wire.KindIncRequest,
+		FromInc: m.entry(m.self).inc,
+		Ord:     m.myOrd,
+		Round:   m.g.round,
+	}
+	m.env.Send(to, &m.tx)
 }
 
 func (m *Manager) resendPending() {
@@ -445,12 +447,7 @@ func (m *Manager) resendPending() {
 	}
 	for p, r := range m.reg {
 		if m.g.awaited[p] && !r.ord.IsZero() && r.inc == 0 {
-			m.env.Send(ids.ProcID(p), &wire.Envelope{
-				Kind:    wire.KindIncRequest,
-				FromInc: m.entry(m.self).inc,
-				Ord:     m.myOrd,
-				Round:   m.g.round,
-			})
+			m.sendIncRequest(ids.ProcID(p))
 		}
 	}
 }
@@ -469,21 +466,18 @@ func (m *Manager) maybeFinish() {
 			continue
 		}
 		r.served = true
-		m.env.Send(ids.ProcID(p), &wire.Envelope{
+		m.tx = wire.Envelope{
 			Kind:    wire.KindRecoveryData,
 			FromInc: m.entry(m.self).inc,
 			Ord:     m.myOrd,
 			Round:   m.g.round,
 			Dets:    data,
 			IncVec:  vec,
-		})
+		}
+		m.env.Send(ids.ProcID(p), &m.tx)
 	}
 	// Unblock the live processes.
-	m.broadcast(&wire.Envelope{
-		Kind:    wire.KindRecoveryComplete,
-		FromInc: m.entry(m.self).inc,
-		Ord:     m.myOrd,
-	}, false)
+	m.broadcast(wire.KindRecoveryComplete)
 	// Serve ourselves last: ApplyRecoveryData starts replay synchronously.
 	m.entry(m.self).served = true
 	m.state = StateReplaying
@@ -503,10 +497,6 @@ func (m *Manager) ReplayDone() {
 	m.state = StateLive
 	m.entry(m.self).active = false
 	m.retry.Stop()
-	m.broadcast(&wire.Envelope{
-		Kind:    wire.KindRecovered,
-		FromInc: m.entry(m.self).inc,
-		Ord:     m.myOrd,
-	}, false)
+	m.broadcast(wire.KindRecovered)
 	m.myOrd = ids.Ordinal{}
 }

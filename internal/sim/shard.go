@@ -82,8 +82,8 @@ func (a coEvent) compare(b coEvent) int {
 // executed at least this many events (all shards together), and on the
 // calling goroutine, in shard order, otherwise. Starting two goroutines,
 // waking a second thread and waiting for it costs as much host time as a few
-// dozen events, and most windows of a sparse run hold fewer (DESIGN §5 has
-// the density histograms and the 16/32/64 sweep behind the value).
+// dozen events, and most windows of a sparse run hold fewer (the window
+// densities behind the value: CHANGES.md, PR 18).
 const fanOutMin = 32
 
 // WindowStats is the coordinator's own account of how it ran (see Windows).

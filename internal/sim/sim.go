@@ -14,8 +14,8 @@
 // min-heap, so the schedule/deliver hot path is allocation-free in steady
 // state (no per-event heap allocation, no interface boxing — see
 // bench_test.go for the container/heap baseline it replaced). The hottest
-// event kinds (network arrival, timer fire, deferral-queue wake) are encoded
-// as typed slot fields instead of closures. Timers support real
+// event kinds (network arrival, timer fire, deferral-queue wake, stable-write
+// completion) are encoded as typed slot fields instead of closures. Timers support real
 // cancellation: Stop removes the event from the heap and recycles its slot
 // immediately. A stopped timer is not an event: Run counts what it
 // dispatched, nothing else.
@@ -55,12 +55,13 @@ type Config struct {
 var maxEvents int64 = 200_000_000
 
 // Event kinds. evFunc is the generic closure event (harness callbacks,
-// crash restarts, storage completions); the message hot path uses typed
-// kinds so scheduling a delivery allocates nothing.
+// crash restarts, stable reads); the message hot path and stable writes use
+// typed kinds so scheduling a delivery or a write's completion allocates
+// nothing.
 const (
 	// evFunc runs fn.
 	evFunc uint8 = iota
-	// evExec runs ns.exec(epoch, fn): timer fires and deferred callbacks.
+	// evExec runs ns.exec(epoch, fn): timer fires and read completions.
 	evExec
 	// evArrive is a frame reaching its destination's network interface
 	// (ns may be nil for frames addressed to an unregistered node).
@@ -72,6 +73,9 @@ const (
 	// evWake drains one item from a node's FIFO deferral queue; epoch-guarded
 	// like exec.
 	evWake
+	// evWritten completes a stable write (see writeOp). The step probe
+	// reports it as evFunc (see event.reported).
+	evWritten
 )
 
 // event is one scheduled callback slot, ordered by its key (at, phase, tie)
@@ -87,14 +91,14 @@ type event struct {
 	phase  uint64 // coordinator phase<<1, | 1 for an arrival (see less)
 	seq    uint64 // kernel sequence number; an arrival's sender send count
 	gen    uint64 // bumped on release; validates node.Timer handles
-	epoch  uint64 // owning process incarnation (evExec, evWake); an arrival's (to, from)
+	epoch  uint64 // owning process incarnation (evExec, evWake, evWritten); an arrival's (to, from)
 	ns     *nodeState
 	fn     func()
-	frame  []byte // an arrival's frame: Data here, its Pad in pad
+	frame  []byte // an arrival's frame: Data here, its Pad in aux
 	sentAt int64  // virtual send time (evArrive)
 	pos    int32  // heap index while queued
 	next   int32  // free-list link while free
-	pad    int32  // the frame's Pad, here to keep the slot at 104 B
+	aux    int32  // an arrival's frame Pad; a write completion's record (nodeState.writes)
 	kind   uint8
 	owned  bool // the frame's buffer returns to its sender's free list (see frames)
 }
@@ -389,8 +393,8 @@ func (k *Kernel) schedule(at int64, fn func()) {
 	k.push(i)
 }
 
-// scheduleExec enqueues an epoch-guarded callback on ns (timer fires and
-// storage completions) without allocating a wrapper closure.
+// scheduleExec enqueues an epoch-guarded callback on ns (a timer fire or a
+// read completion) without allocating a wrapper closure.
 func (k *Kernel) scheduleExec(at int64, ns *nodeState, epoch uint64, fn func()) int32 {
 	i := k.newEvent(at)
 	s := &k.slots[i]
@@ -413,7 +417,7 @@ func (k *Kernel) arrive(m *outMsg, phase uint64) {
 	s := &k.slots[i]
 	s.kind = evArrive
 	s.ns = ns
-	s.frame, s.pad, s.owned = m.frame.Data, int32(m.frame.Pad), m.home != nil
+	s.frame, s.aux, s.owned = m.frame.Data, int32(m.frame.Pad), m.home != nil
 	s.sentAt = m.sentAt
 	s.phase = phase<<1 | 1
 	s.epoch = uint64(uint32(m.to)^1<<31)<<32 | uint64(uint32(m.from)^1<<31)
@@ -466,12 +470,14 @@ func (k *Kernel) run(limit int64) int64 {
 				home = k.homeOf(ids.ProcID(int32(uint32(e.epoch) ^ 1<<31))) // the sender (see arrive)
 			}
 			if e.ns != nil {
-				k.frameArrived(e.ns, storage.Image{Data: e.frame, Pad: int(e.pad)}, home, e.sentAt)
+				k.frameArrived(e.ns, storage.Image{Data: e.frame, Pad: int(e.aux)}, home, e.sentAt)
 			} else {
 				k.releaseFrame(home, e.frame)
 			}
 		case evWake:
 			k.wake(e.ns, e.epoch)
+		case evWritten:
+			e.ns.written(e.epoch, e.aux)
 		}
 	}
 	if limit > k.now {
@@ -559,19 +565,26 @@ type nodeState struct {
 	defq      []defItem
 	defHead   int
 	wakeArmed bool
+
+	// writes holds the stable writes in flight, which their completion
+	// events name by index; writeFree lists the free records.
+	writes    []writeOp
+	writeFree []int32
 }
 
 var _ node.Env = (*nodeState)(nil)
 
 // reset makes ns the state of node id, hosted by renew on k, before boot,
 // keeping its arenas: the links table (every link as new), the deferral
-// queue, the stable store's map, the metrics' buckets and the process.
+// queue, the write records, the stable store's map, the metrics' buckets and
+// the process.
 func (ns *nodeState) reset(k *Kernel, id ids.ProcID, renew node.Renew) {
 	clear(ns.links)
 	clear(ns.defq)
+	clear(ns.writes)
 	*ns = nodeState{
 		k: k, id: id, renew: renew, proc: ns.proc, stable: ns.stable, met: ns.met,
-		links: ns.links, defq: ns.defq[:0],
+		links: ns.links, defq: ns.defq[:0], writes: ns.writes[:0], writeFree: ns.writeFree[:0],
 	}
 	ns.stable.Reset()
 	ns.met.Reset()
@@ -881,6 +894,36 @@ func (ns *nodeState) After(d time.Duration, fn func()) node.Timer {
 	return node.NewTimer(k, i, k.slots[i].gen)
 }
 
+// writeOp is one stable write in flight: what its completion needs, kept in
+// its node's records (nodeState.writes) so that issuing the write makes no
+// closure. Its image goes to the store under key, then cb runs.
+type writeOp struct {
+	key string
+	img storage.Image
+	cb  func()
+}
+
+// noop is the callback of a write issued without one: the completion still
+// goes through exec, so it is deferred and woken as any callback is.
+func noop() {}
+
+// written completes write record r, issued under epoch, and frees it: the
+// write is durable only now, so a crash while it was in flight loses it, like
+// a disk without a committed block.
+func (ns *nodeState) written(epoch uint64, r int32) {
+	op := ns.writes[r]
+	ns.writes[r] = writeOp{}
+	ns.writeFree = append(ns.writeFree, r)
+	if ns.epoch != epoch {
+		return
+	}
+	ns.stable.Put(op.key, op.img)
+	if op.cb == nil {
+		op.cb = noop
+	}
+	ns.exec(epoch, op.cb)
+}
+
 func (ns *nodeState) ReadStable(key string, cb func(img storage.Image, ok bool)) {
 	img, ok := ns.stable.Get(key)
 	dur := ns.k.cfg.HW.Disk.ReadTime(img.Size())
@@ -896,18 +939,21 @@ func (ns *nodeState) WriteStable(key string, img storage.Image, cb func()) {
 	ns.met.StorageOp(true, img.Size(), dur)
 	ns.k.tr.Span(ns.k.now, int64(dur), int32(ns.id), trace.EvStorageWrite,
 		trace.Tag{Arg: int64(img.Size())})
-	epoch := ns.epoch
-	ns.k.schedule(ns.k.now+int64(dur), func() {
-		// Durability happens at completion: a crash while the write is in
-		// flight loses it, like a disk without a committed block.
-		if ns.epoch != epoch {
-			return
-		}
-		ns.stable.Put(key, img)
-		ns.exec(epoch, func() {
-			if cb != nil {
-				cb()
-			}
-		})
-	})
+	op := writeOp{key: key, img: img, cb: cb}
+	var r int32
+	if n := len(ns.writeFree); n > 0 {
+		r, ns.writeFree = ns.writeFree[n-1], ns.writeFree[:n-1]
+		ns.writes[r] = op
+	} else {
+		r = int32(len(ns.writes))
+		ns.writes = append(ns.writes, op)
+	}
+	k := ns.k
+	i := k.newEvent(k.now + int64(dur))
+	s := &k.slots[i]
+	s.kind = evWritten
+	s.ns = ns
+	s.epoch = ns.epoch
+	s.aux = r
+	k.push(i)
 }

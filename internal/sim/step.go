@@ -101,10 +101,21 @@ func (k *Kernel) stepBoundary(e *event) {
 		}
 	}
 	if k.stepFn != nil {
-		proc := ids.Nobody
-		if e.ns != nil {
-			proc = e.ns.id
-		}
-		k.stepFn(StepInfo{Step: k.dispatched, At: e.at, Kind: e.kind, Proc: proc})
+		kind, proc := e.reported()
+		k.stepFn(StepInfo{Step: k.dispatched, At: e.at, Kind: kind, Proc: proc})
 	}
+}
+
+// reported is the kind and process the probe names e by. A stable write's
+// completion is the evFunc it was as a closure, of no process: what the
+// explorer's fingerprints and the frozen benchmark/ module's step counts
+// were taken under.
+func (e *event) reported() (uint8, ids.ProcID) {
+	switch {
+	case e.kind == evWritten:
+		return evFunc, ids.Nobody
+	case e.ns != nil:
+		return e.kind, e.ns.id
+	}
+	return e.kind, ids.Nobody
 }

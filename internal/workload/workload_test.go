@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -98,12 +99,19 @@ func TestHandleAllocs(t *testing.T) {
 				t.Fatalf("forwarded payload pads %d B, want %d", ctx.last.Pad, pad)
 			}
 			if tc.sends > 0 {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				handle()
-				runtime.ReadMemStats(&after)
-				if b := after.TotalAlloc - before.TotalAlloc; b > 32 {
-					t.Fatalf("Handle allocates %d B, want the payload's data only (at most 32 B)", b)
+				// One MemStats bracket also counts whatever the test binary's
+				// other goroutines allocate meanwhile, which only ever adds to
+				// Handle's own deterministic figure: the least of several is it.
+				least := uint64(math.MaxUint64)
+				for range 5 {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					handle()
+					runtime.ReadMemStats(&after)
+					least = min(least, after.TotalAlloc-before.TotalAlloc)
+				}
+				if least > 32 {
+					t.Fatalf("Handle allocates %d B, want the payload's data only (at most 32 B)", least)
 				}
 			}
 		})
