@@ -127,39 +127,6 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// sendInfo and deliverInfo are the checker's records of one send and one
-// delivery. Timelines are slices indexed by the owner's own counter (ssn,
-// rsn), which start at 1 and are dense, so an index the execution never
-// wrote holds the zero record; both types can tell that it is absent.
-type sendInfo struct {
-	to   ids.ProcID
-	sent bool
-	hash uint64
-}
-
-type deliverInfo struct {
-	msg  ids.MsgID // msg.SSN == 0: no delivery recorded at this rsn
-	hash uint64
-}
-
-func (d deliverInfo) delivered() bool { return d.msg.SSN != 0 }
-
-// grown returns tl extended with zero records so that index i exists.
-func grown[T any](tl []T, i uint64) []T {
-	if i < uint64(len(tl)) {
-		return tl
-	}
-	return append(tl, make([]T, i+1-uint64(len(tl)))...)
-}
-
-// upTo returns tl without the records beyond index i.
-func upTo[T any](tl []T, i uint64) []T {
-	if i+1 < uint64(len(tl)) {
-		return tl[:i+1]
-	}
-	return tl
-}
-
 // Cluster is a running simulation plus its invariant-checking observers.
 type Cluster struct {
 	cfg  Config
@@ -177,9 +144,9 @@ type Cluster struct {
 
 	// FBL checker state, allocated by the FBL family row only: harness-side
 	// timelines (survive crashes; truncated on OnLive).
-	sends      [][]sendInfo            // per sender, indexed by ssn
-	deliveries [][]deliverInfo         // per receiver, indexed by rsn
-	seen       []map[ids.MsgID]ids.RSN // per receiver: fast duplicate check
+	sends      []history[sendInfo]    // per sender, indexed by ssn
+	deliveries []history[deliverInfo] // per receiver, indexed by rsn
+	seen       []dupIndex             // per receiver: fast duplicate check
 
 	crashes int // crashes scheduled so far (Settled waits for them)
 }
@@ -259,84 +226,10 @@ func (c *Cluster) Reset(cfg Config) error {
 	return nil
 }
 
-// resetChecker empties the FBL checker's timelines, for n processes, keeping
-// their arrays.
-func (c *Cluster) resetChecker(n int) {
-	if c.sends == nil {
-		c.sends = make([][]sendInfo, n)
-		c.deliveries = make([][]deliverInfo, n)
-		c.seen = make([]map[ids.MsgID]ids.RSN, n)
-		for i := range c.seen {
-			c.seen[i] = make(map[ids.MsgID]ids.RSN)
-		}
-	}
-	for i := range n {
-		c.sends[i] = c.sends[i][:0]
-		c.deliveries[i] = c.deliveries[i][:0]
-		clear(c.seen[i])
-	}
-}
-
-// onSend maintains the sender's current-timeline send history: a send at
-// ssn k supersedes any previously recorded sends at ssn >= k (they belonged
-// to a rolled-back execution).
-func (c *Cluster) onSend(self ids.ProcID, id ids.MsgID, to ids.ProcID, hash uint64) {
-	k := uint64(id.SSN)
-	tl := grown(c.sends[self], k)
-	if old := tl[k]; old.sent && (old.to != to || old.hash != hash) {
-		// Divergent regeneration: drop the stale tail beyond this point.
-		tl = tl[:k+1]
-	}
-	tl[k] = sendInfo{to: to, sent: true, hash: hash}
-	c.sends[self] = tl
-}
-
-// onDeliver maintains the receiver's current-timeline delivery history and
-// checks exactly-once within a timeline.
-func (c *Cluster) onDeliver(self ids.ProcID, id ids.MsgID, from ids.ProcID, rsn ids.RSN, hash uint64) {
-	k := uint64(rsn)
-	tl := grown(c.deliveries[self], k)
-	seen := c.seen[self]
-	old := tl[k]
-	if old.delivered() && old.msg != id {
-		// A new execution reused this rsn: it and everything beyond belonged
-		// to the rolled-back timeline.
-		c.forget(self, tl[k:])
-		tl = tl[:k+1]
-	}
-	if prevRSN, dup := seen[id]; dup && prevRSN != rsn {
-		c.violate("exactly-once: %v delivered %v at rsn %d and again at rsn %d", self, id, prevRSN, rsn)
-	}
-	if old.msg == id && old.hash != hash {
-		c.violate("replay fidelity: %v re-delivered %v at rsn %d with different content", self, id, rsn)
-	}
-	tl[k] = deliverInfo{msg: id, hash: hash}
-	c.deliveries[self] = tl
-	seen[id] = rsn
-}
-
-// forget removes rolled-back deliveries from self's duplicate index.
-func (c *Cluster) forget(self ids.ProcID, stale []deliverInfo) {
-	for _, d := range stale {
-		if d.delivered() {
-			delete(c.seen[self], d.msg)
-		}
-	}
-}
-
 func (c *Cluster) violate(format string, args ...any) {
 	c.mu.Lock()
 	c.violations = append(c.violations, fmt.Sprintf(format, args...))
 	c.mu.Unlock()
-}
-
-// onLive truncates the harness timelines to the surviving frontier: any
-// send/delivery beyond the post-replay counters was rolled back for good.
-func (c *Cluster) onLive(self ids.ProcID, inc ids.Incarnation, ssn ids.SSN, rsn ids.RSN) {
-	c.sends[self] = upTo(c.sends[self], uint64(ssn))
-	kept := upTo(c.deliveries[self], uint64(rsn))
-	c.forget(self, c.deliveries[self][len(kept):])
-	c.deliveries[self] = kept
 }
 
 // AttachTimeline binds col's probes to this cluster and installs its
@@ -519,14 +412,16 @@ func (c *Cluster) Check() []error {
 	// send on the sender's surviving timeline — otherwise the receiver is
 	// an orphan of a rolled-back execution.
 	for recv := 0; recv < c.cfg.N; recv++ {
-		for rsn, d := range c.deliveries[recv] {
+		tl := &c.deliveries[recv]
+		for rsn := uint64(0); rsn < tl.len(); rsn++ {
+			d := tl.at(rsn)
 			if !d.delivered() {
 				continue
 			}
 			s := d.msg.Sender
 			var rec sendInfo
-			if k := uint64(d.msg.SSN); k < uint64(len(c.sends[s])) {
-				rec = c.sends[s][k]
+			if k := uint64(d.msg.SSN); k < c.sends[s].len() {
+				rec = *c.sends[s].at(k)
 			}
 			if !rec.sent {
 				errs = append(errs, fmt.Errorf(

@@ -314,11 +314,12 @@ func TestResetForgetsTheCheckersRun(t *testing.T) {
 		t.Fatalf("after a reset: violations %q, %d crashes scheduled", c.violations, c.crashes)
 	}
 	for i := range cfg.N {
-		if !slices.Equal(c.sends[i], fresh.sends[i]) || !slices.Equal(c.deliveries[i], fresh.deliveries[i]) ||
-			!maps.Equal(c.seen[i], fresh.seen[i]) {
-			t.Fatalf("after a reset p%d keeps %d sends, %d deliveries, %d seen; New's boot leaves %d, %d, %d",
-				i, len(c.sends[i]), len(c.deliveries[i]), len(c.seen[i]),
-				len(fresh.sends[i]), len(fresh.deliveries[i]), len(fresh.seen[i]))
+		seen, freshSeen := indexEntries(t, &c.seen[i], &c.deliveries[i]), indexEntries(t, &fresh.seen[i], &fresh.deliveries[i])
+		if !slices.Equal(records(&c.sends[i]), records(&fresh.sends[i])) || !slices.Equal(records(&c.deliveries[i]), records(&fresh.deliveries[i])) ||
+			!maps.Equal(seen, freshSeen) || len(seen) != 0 {
+			t.Fatalf("after a reset p%d keeps %d sends, %d deliveries, %d seen; New's boot leaves %d, %d, %d (and an empty index)",
+				i, c.sends[i].len(), c.deliveries[i].len(), len(seen),
+				fresh.sends[i].len(), fresh.deliveries[i].len(), len(freshSeen))
 		}
 	}
 }

@@ -35,7 +35,9 @@ func d1ScaleSpec(shards int) Spec {
 // costs, from the processes' own counters (det.Stats, fbl.DetStats), their
 // stable stores (resident: the bytes held; logical: with the padding) and the
 // heap that is live with the cluster still reachable: per-process mean and
-// max, so the next footprint decision is read here, not profiled.
+// max, so the next footprint decision is read here, not profiled. The
+// harness's checker (cluster.CheckerStats) is no process's: its row is the
+// cluster's total over n.
 func logFootprint(t *testing.T, shards int, r *Result, allocatedBefore uint64) {
 	t.Helper()
 	fields := []struct {
@@ -76,6 +78,9 @@ func logFootprint(t *testing.T, shards int, r *Result, allocatedBefore uint64) {
 	for k, f := range fields {
 		t.Logf("  %-17s %10.0f / %d", f.name, float64(sum[k])/float64(n), most[k])
 	}
+	ck := r.C.CheckerStats()
+	t.Logf("  %-17s %10.0f   (cluster: %d timeline + %d index B, %d sends and %d deliveries recorded)", "checker B",
+		float64(ck.TimelineBytes+ck.IndexBytes)/float64(r.Spec.N), ck.TimelineBytes, ck.IndexBytes, ck.Sends, ck.Deliveries)
 	runtime.KeepAlive(r)
 }
 
