@@ -80,8 +80,8 @@ bench-seed:
 # constants (it fails while they are stale — paste them into
 # internal/cluster/golden_test.go and outputs_golden_test.go and run regen
 # again); the rest rewrite files: BENCH_seed.json (also the sweep's test
-# fixture), the explorer's n=3 and n=4 two-crash reports, and every table in
-# EXPERIMENTS.md
+# fixture), the explorer's n=3 and n=4 two-crash reports and its FBL n=4
+# three-crash one, and every table in EXPERIMENTS.md
 # (whose prose, and README's result shapes, are then checked by hand against
 # the diff). ≈ 3 min.
 regen:
@@ -89,6 +89,7 @@ regen:
 	$(MAKE) bench-seed
 	$(GO) run ./cmd/explore -out internal/explore/testdata/report_n3.golden.json
 	$(GO) run ./cmd/explore -n 4 -max-crashes 2 -random 50 -out internal/explore/testdata/report_n4_2crash.golden.json
+	$(GO) run ./cmd/explore -families fbl -n 4 -f 3 -max-crashes 3 -random 50 -out internal/explore/testdata/report_n4_3crash.golden.json
 	./scripts/regen_experiments.sh
 
 # timeline regenerates the D11 recovery-timeline exports (DESIGN §11) into

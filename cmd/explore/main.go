@@ -40,8 +40,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "scenario seed; every branch replays it exactly")
 	horizon := flag.Duration("horizon", 0, "virtual-time budget per branch (0 = family default)")
 	points := flag.Int("points", 0, "max decision points per exploration (0 = default)")
-	maxCrashes := flag.Int("max-crashes", 1, "max crashes per schedule (>= 2 aims second crashes inside observed recoveries)")
-	deep := flag.Int("deep", 0, "cap on depth-2 branches (0 = default)")
+	maxCrashes := flag.Int("max-crashes", 1, "max crashes per schedule (each crash past the first is aimed inside a recovery the one before started)")
+	deep := flag.Int("deep", 0, "cap on the branches of each level past the first, one per extra crash (0 = default)")
 	random := flag.Int("random", 0, "extra seeded-random multi-crash branches on top of the exhaustive pass")
 	out := flag.String("out", "", "write the combined report as JSON to this path")
 	cxDir := flag.String("cx-dir", "", "save each counterexample as a JSON file in this directory")

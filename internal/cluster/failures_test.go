@@ -7,6 +7,8 @@ import (
 
 	"rollrec/internal/ids"
 	"rollrec/internal/recovery"
+	"rollrec/internal/trace"
+	"rollrec/internal/wire"
 	"rollrec/internal/workload"
 )
 
@@ -30,7 +32,7 @@ func settle(t *testing.T, c *Cluster, horizon time.Duration) {
 	if !c.RunUntilDone(time.Second, horizon) {
 		for i := 0; i < 4; i++ {
 			if p := c.Proc(ids.ProcID(i)); p != nil {
-				t.Logf("p%d mode=%v rsn=%d", i, p.Mode(), p.RSN())
+				t.Logf("p%d mode=%v rsn=%d", i, p.RecoveryState(), p.RSN())
 			} else {
 				t.Logf("p%d down", i)
 			}
@@ -137,6 +139,111 @@ func TestThirdFailureDuringTwoMemberGather(t *testing.T) {
 			c.Crash(14100*time.Millisecond, 5)
 			c.Run(45 * time.Second)
 			mustCheck(t, c)
+		})
+	}
+}
+
+// replyWatch is a tracer that follows who answers a gather. A restarted
+// process answers none before it announces: no DepReply leaves a process
+// inside its restore span. Under the Blocking style a live process blocks
+// for every gather it answers: no DepReply leaves a live process outside a
+// blocked span, which a blocked flag left over from an earlier gather would
+// let happen.
+type replyWatch struct {
+	trace.Nop
+	spans    map[trace.SpanRef]watchSpan
+	in       map[watchSpan]bool // the spans open now
+	next     trace.SpanRef
+	reached  int      // depinfo requests delivered to a restoring process
+	live     int      // depinfo replies sent by live processes
+	restored []string // replies sent while restoring
+	unblock  []string // live replies sent unblocked
+}
+
+type watchSpan struct {
+	proc int32
+	name string
+}
+
+func newReplyWatch() *replyWatch {
+	return &replyWatch{spans: map[trace.SpanRef]watchSpan{}, in: map[watchSpan]bool{}}
+}
+
+func (w *replyWatch) Enabled() bool { return true }
+
+func (w *replyWatch) Begin(ts int64, proc int32, name string, tag trace.Tag) trace.SpanRef {
+	w.next++
+	w.spans[w.next] = watchSpan{proc, name}
+	w.in[watchSpan{proc, name}] = true
+	return w.next
+}
+
+func (w *replyWatch) End(ref trace.SpanRef, ts int64) {
+	delete(w.in, w.spans[ref])
+	delete(w.spans, ref)
+}
+
+func (w *replyWatch) Instant(ts int64, proc int32, name string, tag trace.Tag) {
+	restoring := w.in[watchSpan{proc, trace.EvRestore}]
+	switch {
+	case name == trace.EvCrash:
+		for s := range w.in {
+			if s.proc == proc {
+				delete(w.in, s)
+			}
+		}
+	case name == trace.EvRecv && tag.Kind == uint8(wire.KindDepRequest) && restoring:
+		w.reached++
+	case name == trace.EvSend && tag.Kind == uint8(wire.KindDepReply) && restoring:
+		w.restored = append(w.restored, fmt.Sprintf("p%d at %v", proc, time.Duration(ts)))
+	case name == trace.EvSend && tag.Kind == uint8(wire.KindDepReply) && !w.in[watchSpan{proc, trace.EvReplay}]:
+		w.live++
+		if !w.in[watchSpan{proc, trace.EvBlocked}] {
+			w.unblock = append(w.unblock, fmt.Sprintf("p%d at %v", proc, time.Duration(ts)))
+		}
+	}
+}
+
+// TestDepRequestWhileRestoringWaits: p3 crashes at 10 s and p5 at 10.3 s,
+// so p5 is still reading its 1 MiB checkpoint when p3, restored first,
+// gathers. p5 has not announced, and answering p3 from the live path would
+// hand the leader an empty log in its place. Its control frames wait until
+// it announces; then p3 folds it into the round. p1's crash at 25 s is the
+// next gather: every live process must block for it under the Blocking
+// style.
+func TestDepRequestWhileRestoringWaits(t *testing.T) {
+	for _, style := range []recovery.Style{recovery.NonBlocking, recovery.Blocking} {
+		t.Run(style.String(), func(t *testing.T) {
+			w := newReplyWatch()
+			c := New(Config{
+				N:               8,
+				F:               2,
+				Seed:            1,
+				Style:           style,
+				App:             workload.NewRandomPeer(1, 1_000_000, 256, int64(time.Millisecond)),
+				CheckpointEvery: 4 * time.Second,
+				StatePad:        1 << 20,
+				Tracer:          w,
+			})
+			c.Crash(10*time.Second, 3)
+			c.Crash(10300*time.Millisecond, 5)
+			c.Crash(25*time.Second, 1)
+			c.Run(45 * time.Second)
+			mustCheck(t, c)
+			if w.reached == 0 {
+				t.Fatal("no depinfo request reached a restoring process: the scenario misses the window")
+			}
+			if len(w.restored) > 0 {
+				t.Errorf("%d depinfo replies sent while restoring: %v", len(w.restored), w.restored)
+			}
+			if style == recovery.Blocking {
+				if w.live == 0 {
+					t.Fatal("no live process answered a gather")
+				}
+				if len(w.unblock) > 0 {
+					t.Errorf("%d of %d live replies sent unblocked: %v", len(w.unblock), w.live, w.unblock)
+				}
+			}
 		})
 	}
 }

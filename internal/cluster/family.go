@@ -7,6 +7,7 @@ import (
 	"rollrec/internal/node"
 	"rollrec/internal/optimistic"
 	"rollrec/internal/output"
+	"rollrec/internal/recovery"
 	"rollrec/internal/timeline"
 	"rollrec/internal/workload"
 )
@@ -64,15 +65,15 @@ var families = map[Family]family{
 				},
 			})
 		},
-		// ModeLive splits into live vs blocked (the paper's intrusion).
+		// Live splits into live vs blocked (the paper's intrusion).
 		phase: func(p node.Process) timeline.Phase {
 			pr := p.(*fbl.Process)
-			switch pr.Mode() {
-			case fbl.ModeRestoring:
+			switch pr.RecoveryState() {
+			case recovery.StateRestoring:
 				return timeline.PhaseRestoring
-			case fbl.ModeRecovering:
+			case recovery.StateWaiting, recovery.StateLeading:
 				return timeline.PhaseRecovering
-			case fbl.ModeReplaying:
+			case recovery.StateReplaying:
 				return timeline.PhaseReplaying
 			default:
 				if pr.Blocked() {

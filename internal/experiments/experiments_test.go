@@ -140,6 +140,23 @@ func TestNonBlockingRunBlocksNobody(t *testing.T) {
 // or that the run would not honour as written — a crash it never applies, a
 // knob it silently clamps, a value that panics mid-run — is an error from Run
 // before anything is built, and MustRun panics with the same message.
+// TestSlowDiskReplayAsksOnStall runs D2's x16 Manetho cell: both victims
+// lose their checkpoints and replay their whole histories, and p3's replay
+// waits on what p5 regenerates in its own. Each stalled second p3 asks every
+// peer again, and every peer serves the whole suffix past what p3 consumed.
+// A retry that fires while replay still advances floods p3 with duplicates:
+// neither victim then finishes its replay by the horizon.
+func TestSlowDiskReplayAsksOnStall(t *testing.T) {
+	spec := PaperSpec(recovery.Manetho, 1)
+	spec.HW.Disk = spec.HW.Disk.Scale(16)
+	spec.Crashes = failure.Plan{{At: 10 * time.Second, Proc: 3}, {At: 20500 * time.Millisecond, Proc: 5}}
+	spec.Horizon = 90 * time.Second
+	r := MustRun(context.Background(), spec)
+	if v := r.Victim(3); v.Total() <= 0 {
+		t.Fatalf("p3 has no completed recovery: %+v", v)
+	}
+}
+
 func TestRunRejectsBadSpec(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

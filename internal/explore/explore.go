@@ -12,9 +12,9 @@
 // identical scenario re-run with sim.CrashAtStep landing the crash exactly
 // between two events. Branches themselves record the step indices of
 // recovery-phase transitions (restore, announce, gather, replay, restart),
-// which seed a bounded second level of schedules whose second crash lands
-// *inside* an in-progress recovery; a seeded-random frontier on top draws
-// multi-crash schedules from the same candidate pool.
+// which seed bounded deeper levels of schedules, each of whose next crash
+// lands *inside* a recovery in progress after the last one; a seeded-random
+// frontier on top draws multi-crash schedules from the same candidate pool.
 //
 // The invariant catalog, checked on every branch:
 //
@@ -98,8 +98,9 @@ type Spec struct {
 	// MaxPoints caps the decision points (deterministic even subsample).
 	MaxPoints int `json:"max_points"`
 	// MaxCrashes bounds the crashes per schedule: 1 explores every single-
-	// crash branch; >= 2 additionally aims second crashes inside the
-	// recoveries observed on first-level branches (capped by DeepBranches).
+	// crash branch; each further level, up to MaxCrashes, aims one more
+	// crash inside the recoveries observed on the level before's branches,
+	// after their last crash (DeepBranches caps each level).
 	MaxCrashes   int `json:"max_crashes"`
 	DeepBranches int `json:"deep_branches"`
 	// Random adds that many seeded-random multi-crash branches on top of
@@ -386,12 +387,13 @@ func (s Spec) validate() error {
 // runs of the same spec produce byte-identical reports (the double-run CI
 // gate relies on it), whatever GOMAXPROCS is.
 //
-// Each level — the single crashes, the second crashes aimed inside their
-// recoveries, the random frontier — is planned in full before any of its
-// branches runs, its branches run on a GOMAXPROCS-sized pool, and their
-// results are folded into the report serially in plan order. No plan of a
-// level depends on another branch of the same level, and the fold is the
-// only place branch results meet, so the report is the serial run's.
+// Each level — the single crashes, each deeper level's crashes aimed inside
+// the recoveries of the one before, the random frontier — is planned in full
+// before any of its branches runs, its branches run on a GOMAXPROCS-sized
+// pool, and their results are folded into the report serially in plan order.
+// No plan of a level depends on another branch of the same level, and the
+// fold is the only place branch results meet, so the report is the serial
+// run's.
 func Run(ctx context.Context, spec Spec) (*Report, error) {
 	return run(ctx, spec, runtime.GOMAXPROCS(0))
 }
@@ -438,39 +440,12 @@ func run(ctx context.Context, spec Spec, workers int) (*Report, error) {
 		return nil, err
 	}
 
-	// Level 2: aim a second crash inside the recoveries the first level
-	// exposed. Round-robin across first-level branches so the deep budget
-	// spreads over distinct recoveries instead of exhausting one.
-	if spec.MaxCrashes >= 2 {
-		type recovering struct {
-			plan     failure.Plan
-			recSteps []int64
-		}
-		var recs []recovering
-		for i, res := range results {
-			if len(res.recSteps) > 0 {
-				recs = append(recs, recovering{plan: firsts[i], recSteps: dedupeSteps(res.recSteps)})
-			}
-		}
-		var deep []failure.Plan
-		for idx := 0; len(deep) < spec.DeepBranches; idx++ {
-			progressed := false
-			for _, fb := range recs {
-				if idx >= len(fb.recSteps) || len(deep) >= spec.DeepBranches {
-					continue
-				}
-				progressed = true
-				step := fb.recSteps[idx]
-				for v := 0; v < spec.N && len(deep) < spec.DeepBranches; v++ {
-					deep = append(deep, append(append(failure.Plan(nil), fb.plan...),
-						failure.Crash{Step: step, Proc: ids.ProcID(v)}))
-				}
-			}
-			if !progressed {
-				break
-			}
-		}
-		if _, err := r.level(ctx, deep); err != nil {
+	// Levels 2..MaxCrashes: aim one more crash inside the recoveries the
+	// level before exposed, each after its plan's last crash.
+	plans := firsts
+	for depth := 2; depth <= spec.MaxCrashes; depth++ {
+		plans = aim(plans, results, spec)
+		if results, err = r.level(ctx, plans); err != nil {
 			return nil, err
 		}
 	}
@@ -496,6 +471,43 @@ func run(ctx context.Context, spec Spec, workers int) (*Report, error) {
 
 	rep.Fingerprint = r.fp
 	return rep, nil
+}
+
+// aim plans the next level: each of plans extended by one crash at a
+// recovery step its branch recorded after the plan's last crash, on every
+// victim, up to DeepBranches. Round-robin across the branches so the budget
+// spreads over distinct recoveries instead of exhausting one.
+func aim(plans []failure.Plan, results []*branchResult, spec Spec) []failure.Plan {
+	type recovering struct {
+		plan     failure.Plan
+		recSteps []int64
+	}
+	var recs []recovering
+	for i, res := range results {
+		steps, last := dedupeSteps(res.recSteps), plans[i][len(plans[i])-1].Step
+		if steps = steps[sort.Search(len(steps), func(j int) bool { return steps[j] > last }):]; len(steps) > 0 {
+			recs = append(recs, recovering{plan: plans[i], recSteps: steps})
+		}
+	}
+	var deep []failure.Plan
+	for idx := 0; len(deep) < spec.DeepBranches; idx++ {
+		progressed := false
+		for _, fb := range recs {
+			if idx >= len(fb.recSteps) || len(deep) >= spec.DeepBranches {
+				continue
+			}
+			progressed = true
+			step := fb.recSteps[idx]
+			for v := 0; v < spec.N && len(deep) < spec.DeepBranches; v++ {
+				deep = append(deep, append(append(failure.Plan(nil), fb.plan...),
+					failure.Crash{Step: step, Proc: ids.ProcID(v)}))
+			}
+		}
+		if !progressed {
+			break
+		}
+	}
+	return deep
 }
 
 // runner threads the exploration state through branch launches.

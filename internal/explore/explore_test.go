@@ -88,7 +88,18 @@ func TestReportGoldenN4TwoCrash(t *testing.T) {
 	checkReportGolden(t, "report_n4_2crash.golden.json", Spec{N: 4, F: 1, Seed: 1, MaxCrashes: 2, Random: 50})
 }
 
-// TestReportGoldenPoisoned: both goldens read byte for byte the same with
+// TestReportGoldenN4ThreeCrash is the FBL three-crash sweep at f = 3, what
+// `go run ./cmd/explore -families fbl -n 4 -f 3 -max-crashes 3 -random 50
+// -out` writes: a third crash aimed inside the recoveries of the second, up
+// to the failure budget, with zero violations.
+func TestReportGoldenN4ThreeCrash(t *testing.T) {
+	checkReportGolden(t, "report_n4_3crash.golden.json", fblThreeCrash)
+}
+
+// fblThreeCrash is the axes of report_n4_3crash.golden.json.
+var fblThreeCrash = Spec{Family: FamilyFBL, N: 4, F: 3, Seed: 1, MaxCrashes: 3, Random: 50}
+
+// TestReportGoldenPoisoned: the goldens read byte for byte the same with
 // every frame buffer poisoned as its kernel takes it back
 // (sim.TestingPoisonFrames), so no family reads a payload after its Deliver
 // returned without the copy Keep makes.
@@ -100,12 +111,13 @@ func TestReportGoldenPoisoned(t *testing.T) {
 	t.Cleanup(func() { sim.TestingPoisonFrames = false })
 	checkReportGolden(t, "report_n3.golden.json", Spec{N: 3, F: 1, Seed: 1, MaxCrashes: 1})
 	checkReportGolden(t, "report_n4_2crash.golden.json", Spec{N: 4, F: 1, Seed: 1, MaxCrashes: 2, Random: 50})
+	checkReportGolden(t, "report_n4_3crash.golden.json", fblThreeCrash)
 }
 
-// checkReportGolden runs the five family/style rows with the axes of base
-// and compares the JSON report byte-for-byte against testdata/name.
+// checkReportGolden runs the rows with the axes of base and compares the
+// JSON report byte-for-byte against testdata/name.
 func checkReportGolden(t *testing.T, name string, base Spec) {
-	got := fiveRows(t, base, runtime.GOMAXPROCS(0))
+	got := rows(t, base, runtime.GOMAXPROCS(0))
 	want, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
@@ -115,19 +127,24 @@ func checkReportGolden(t *testing.T, name string, base Spec) {
 	}
 }
 
-// fiveRows explores the five family/style rows with the axes of base on the
-// given number of branch workers and returns the reports as cmd/explore
-// -out writes them.
-func fiveRows(t *testing.T, base Spec, workers int) []byte {
+// rows explores the five family/style rows, or the three FBL ones when base
+// names FamilyFBL (`-families fbl`), with the axes of base on the given
+// number of branch workers and returns the reports as cmd/explore -out
+// writes them.
+func rows(t *testing.T, base Spec, workers int) []byte {
 	t.Helper()
-	var reports []*Report
-	for _, spec := range []Spec{
+	specs := []Spec{
 		{Family: FamilyFBL, Style: recovery.NonBlocking},
 		{Family: FamilyFBL, Style: recovery.Blocking},
 		{Family: FamilyFBL, Style: recovery.Manetho},
 		{Family: FamilyCoordinated},
 		{Family: FamilyOptimistic},
-	} {
+	}
+	if base.Family == FamilyFBL {
+		specs = specs[:3]
+	}
+	var reports []*Report
+	for _, spec := range specs {
 		spec.N, spec.F, spec.Seed, spec.MaxCrashes, spec.Random = base.N, base.F, base.Seed, base.MaxCrashes, base.Random
 		rep, err := run(context.Background(), spec, workers)
 		if err != nil {
@@ -140,6 +157,35 @@ func fiveRows(t *testing.T, base Spec, workers int) []byte {
 		t.Fatal(err)
 	}
 	return got
+}
+
+// TestCorpusReplaysClean replays every plan kept under testdata/cx — each a
+// schedule an explorer run once found violating, fixed since — under every
+// FBL recovery style, and wants no violation. The n5-f3 plans are the
+// restore window's: a third crash while an earlier victim still read its
+// checkpoint, whose premature depinfo reply let a gather finish without it.
+func TestCorpusReplaysClean(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "cx", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no corpus under testdata/cx (%v)", err)
+	}
+	for _, path := range paths {
+		cx, err := LoadCounterexample(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, style := range []recovery.Style{recovery.NonBlocking, recovery.Blocking, recovery.Manetho} {
+			cx.Spec.Style = style
+			res, err := Replay(context.Background(), cx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Violations) > 0 {
+				t.Errorf("%s (%v) %v: %d violations, first: %s",
+					filepath.Base(path), style, cx.Plan, len(res.Violations), res.Violations[0])
+			}
+		}
+	}
 }
 
 // TestParallelReportMatchesSerial runs explorations on 1, 2 and 5 branch
@@ -170,9 +216,9 @@ func TestParallelReportMatchesSerial(t *testing.T) {
 		}
 		return got
 	}
-	serialSweep, serialMutant := fiveRows(t, sweep, 1), mutantReport(1)
+	serialSweep, serialMutant := rows(t, sweep, 1), mutantReport(1)
 	for _, workers := range []int{2, 5} {
-		if got := fiveRows(t, sweep, workers); !bytes.Equal(got, serialSweep) {
+		if got := rows(t, sweep, workers); !bytes.Equal(got, serialSweep) {
 			t.Errorf("two-crash sweep on %d workers diverged from the serial report:\n%s", workers, got)
 		}
 		if got := mutantReport(workers); !bytes.Equal(got, serialMutant) {

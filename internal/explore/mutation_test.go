@@ -68,6 +68,14 @@ import (
 //     with the one it records in this. Replay builds a fresh cluster, which
 //     has no earlier branch, so for this row (leaks) the counterexample must
 //     replay clean: the kill came from state carried between branches;
+//   - "gather answered while restoring": recovery.TestingAnswerWhileRestoring
+//     lets a restarted process's manager take control frames before it
+//     announces, so a depinfo request that reaches it while it reads its
+//     checkpoint is answered on the live path with the log restored so far.
+//     The leader then finishes its round without the restarted process's
+//     determinants, and a recovery waits for messages nobody will send again.
+//     The window opens only when a crash lands inside another's recovery
+//     while a third is restoring: the row runs fblThreeCrashSpec;
 //   - "restart-origin tag stripped": coord.TestingStripRestartOrigin makes
 //     every rollback look relayed, so a restarter that missed an epoch never
 //     gets the fresh rollback a live peer would relay, and the cluster runs
@@ -116,6 +124,10 @@ func TestMutationDetected(t *testing.T) {
 			fbl.TestingKeepStaleLog = true
 			t.Cleanup(func() { fbl.TestingKeepStaleLog = false })
 		}, regexp.MustCompile(`^prefix-fidelity: |^panic: .*conflicting determinants`), true},
+		{"gather answered while restoring", fblThreeCrashSpec, func(t *testing.T) {
+			recovery.TestingAnswerWhileRestoring = true
+			t.Cleanup(func() { recovery.TestingAnswerWhileRestoring = false })
+		}, regexp.MustCompile(`^liveness: |^orphan: `), false},
 		{"restart-origin tag stripped", coordMutationSpec, func(t *testing.T) {
 			coord.TestingStripRestartOrigin = true
 			t.Cleanup(func() { coord.TestingStripRestartOrigin = false })
@@ -166,6 +178,10 @@ func fblMutationSpec() Spec {
 	return spec
 }
 
+// fblThreeCrashSpec is the restore-window row's spec: n = 4, f = 3, each
+// further crash aimed inside the recoveries of the one before, up to three.
+var fblThreeCrashSpec = Spec{Family: FamilyFBL, N: 4, F: 3, MaxCrashes: 3}
+
 // coordMutationSpec is the coordinated row's spec: n = 4 with second crashes
 // aimed inside the recoveries of the first.
 var coordMutationSpec = Spec{Family: FamilyCoordinated, N: 4, MaxCrashes: 2}
@@ -193,7 +209,7 @@ func (a writeAfterSendApp) Handle(ctx workload.Ctx, from ids.ProcID, payload sto
 // without the mutations explore clean, so TestMutationDetected's violations
 // are attributable to the seeded bugs alone.
 func TestMutationAbsentIsClean(t *testing.T) {
-	for _, spec := range []Spec{fblMutationSpec(), coordMutationSpec} {
+	for _, spec := range []Spec{fblMutationSpec(), fblThreeCrashSpec, coordMutationSpec} {
 		rep, err := Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"rollrec/internal/channel"
 	"rollrec/internal/ids"
+	"rollrec/internal/recovery"
 	"rollrec/internal/storage"
 	"rollrec/internal/trace"
 	"rollrec/internal/vclock"
@@ -172,7 +173,7 @@ func (p *Process) scheduleCheckpoint() {
 
 func (p *Process) checkpointTick() {
 	p.env.After(p.par.CheckpointEvery, p.checkpointTick)
-	if p.mode != ModeLive || p.cpBusy || p.blocked {
+	if p.mgr.State() != recovery.StateLive || p.cpBusy || p.mgr.Blocked() {
 		return
 	}
 	p.doCheckpoint()
@@ -270,8 +271,8 @@ func (p *Process) restore() {
 					tr.Incarnation = uint32(p.inc)
 				}
 				p.env.Tracer().End(restoreSpan, p.env.Now())
-				p.mode = ModeRecovering
 				p.mgr.StartRecovery(ord, p.inc)
+				p.handOver()
 			})
 		})
 	})

@@ -96,30 +96,6 @@ type Hooks struct {
 	OnLive func(self ids.ProcID, inc ids.Incarnation, ssn ids.SSN, rsn ids.RSN)
 }
 
-// Mode is the process lifecycle state.
-type Mode int
-
-const (
-	// ModeLive: normal operation.
-	ModeLive Mode = iota
-	// ModeRestoring: reading the checkpoint from stable storage.
-	ModeRestoring
-	// ModeRecovering: running the recovery protocol (waiting or leading).
-	ModeRecovering
-	// ModeReplaying: re-consuming logged deliveries.
-	ModeReplaying
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	return [...]string{"live", "restoring", "recovering", "replaying"}[m]
-}
-
-type servedMark struct {
-	inc ids.Incarnation
-	max uint64
-}
-
 // Process is one FBL protocol instance hosting one application. It
 // implements node.Process; a crash loses its volatile state, which Boot
 // clears, while its stable store persists in the runtime.
@@ -135,7 +111,6 @@ type Process struct {
 
 	app     workload.App
 	started bool
-	mode    Mode
 
 	// Send path.
 	ssn     ids.SSN
@@ -173,13 +148,9 @@ type Process struct {
 	piggyWords []uint64
 	tx         wire.Envelope
 	txView     det.View
-	// replayServed remembers, per requester, the highest send-log dseq
-	// already retransmitted to a given incarnation, so periodic replay-
-	// request retries do not flood the recovering process with redundant
-	// copies (the requester's CPU absorbing duplicates would otherwise
-	// dominate its replay).
-	replayServed []servedMark
 
+	// mgr owns the lifecycle (recovery.State) and the blocked flag: every
+	// path here routes by them.
 	mgr    *recovery.Manager
 	detect *failure.Detector
 	// succ is where heartbeats and checkpoint notices go: the fanout-mode
@@ -193,8 +164,7 @@ type Process struct {
 	maxRSN    ids.RSN
 	replayT   node.Timer
 
-	// Live-side blocking and recovery-time buffering.
-	blocked     bool
+	// Frames put aside while blocked or recovering.
 	deferred    []*wire.Envelope
 	blockedSpan trace.SpanRef
 	rx          *wire.Envelope // the runtime's envelope, under TestingRetainRx only
@@ -237,7 +207,7 @@ func (p *Process) Boot(env node.Env, restart bool) {
 		env: env, par: p.par, n: n, cfg: det.Config{N: n, F: p.par.F}, dets: p.dets,
 		piggy: p.piggy[:0], piggyWords: p.piggyWords[:0], out: ids.PerProc(p.out, n), in: p.in,
 		sendLog: p.sendLog, incVec: p.incVec, cpExp: ids.PerProc(p.cpExp, n), scanGen: ids.PerProc(p.scanGen, n),
-		replayServed: ids.PerProc(p.replayServed, n), mgr: p.mgr, detect: p.detect, cpExpAt: p.cpExpAt,
+		mgr: p.mgr, detect: p.detect, cpExpAt: p.cpExpAt,
 	}
 	if !TestingKeepStaleLog || !kept {
 		p.dets.Reset(p.cfg)
@@ -253,7 +223,7 @@ func (p *Process) Boot(env node.Env, restart bool) {
 		Style:        p.par.Style,
 		F:            p.par.F,
 		ScopedGather: p.par.Fanout > 0,
-	}, p, env)
+	}, p, env, restart)
 	p.detect.Reset(env.ID(), n, p.par.SuspectAfter, env.Now(), p.mgr.OnSuspect)
 	if p.par.Fanout > 0 {
 		p.detect.SetMonitored(p.ring(-1))
@@ -266,14 +236,12 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	if !restart {
 		p.inc = 1
 		p.writeIncRecord(func() {})
-		p.mode = ModeLive
 		p.started = true
 		p.app.Start(appCtx{p})
 		p.scheduleCheckpoint()
 		return
 	}
 	// Reincarnation: restore from stable storage (recovery step 1).
-	p.mode = ModeRestoring
 	p.restore()
 }
 
@@ -325,7 +293,7 @@ func (p *Process) startTimers() {
 // flushToStorage streams determinants not yet held by the storage
 // pseudo-process (f = n instance).
 func (p *Process) flushToStorage() {
-	if p.mode != ModeLive && p.mode != ModeReplaying {
+	if s := p.mgr.State(); s != recovery.StateLive && s != recovery.StateReplaying {
 		return
 	}
 	p.txView = p.dets.PendingView() // f = n: pending means storage does not hold it yet
@@ -386,13 +354,41 @@ func (p *Process) Deliver(in *wire.Envelope) {
 	case wire.KindReplayRequest:
 		p.serveReplay(e)
 	default:
-		if !p.mgr.HandleMessage(e) {
-			p.env.Metrics().Rejected++
-		}
+		p.control(e)
 	}
 	// Holder knowledge only grows on the receive path, so this is the one
 	// place pending outputs can become committable.
 	p.checkOutputs()
+}
+
+// control hands a recovery-protocol frame to the manager, or keeps it while
+// the manager defers them (see handOver).
+func (p *Process) control(e *wire.Envelope) {
+	if p.mgr.Defers() {
+		p.deferred = append(p.deferred, p.keep(e))
+		return
+	}
+	if !p.mgr.HandleMessage(e) {
+		p.env.Metrics().Rejected++
+	}
+}
+
+// handOver gives the manager the control frames kept while restoring, in
+// arrival order, right after StartRecovery. The application frames are
+// deferred again first: a control frame may start replay, which takes them.
+func (p *Process) handOver() {
+	kept := p.deferred
+	p.deferred = nil
+	for _, e := range kept {
+		if e.Kind == wire.KindApp {
+			p.deferred = append(p.deferred, e)
+		}
+	}
+	for _, e := range kept {
+		if e.Kind != wire.KindApp {
+			p.control(e)
+		}
+	}
 }
 
 // applyPiggybackGC consumes the checkpoint watermarks riding on a fanout-
@@ -429,19 +425,20 @@ func (p *Process) absorbDets(entries []det.Entry) {
 	}
 }
 
-// appPath routes an application frame according to the lifecycle mode.
+// appPath routes an application frame according to the lifecycle state.
 func (p *Process) appPath(e *wire.Envelope) {
-	switch p.mode {
-	case ModeLive:
-		if p.blocked {
+	switch p.mgr.State() {
+	case recovery.StateLive:
+		if p.mgr.Blocked() {
 			p.deferred = append(p.deferred, p.keep(e))
 			return
 		}
 		p.deliverNow(e)
-	case ModeReplaying:
+	case recovery.StateReplaying:
 		p.replayAccept(e)
-	case ModeRestoring, ModeRecovering:
-		// Too early to decide: buffer until replay begins.
+	default:
+		// Restoring or gathering: too early to decide; buffer until replay
+		// begins.
 		p.deferred = append(p.deferred, p.keep(e))
 	}
 }

@@ -1,6 +1,9 @@
 package fbl
 
-import "rollrec/internal/storage"
+import (
+	"rollrec/internal/recovery"
+	"rollrec/internal/storage"
+)
 
 // Inject hands the application an open-loop arrival: a nondeterministic
 // event originating outside the cluster (a user request entering at this
@@ -20,7 +23,7 @@ import "rollrec/internal/storage"
 // request to an unavailable endpoint is — unless the process is live and
 // unblocked.
 func (p *Process) Inject(payload []byte) bool {
-	if p.mode != ModeLive || p.blocked {
+	if p.mgr.State() != recovery.StateLive || p.mgr.Blocked() {
 		return false
 	}
 	if p.app.Handle(appCtx{p}, p.env.ID(), storage.Image{Data: payload}) != nil {

@@ -10,9 +10,6 @@ import (
 // This file exposes read-only introspection for tests and experiments;
 // none of it is part of the protocol.
 
-// Mode returns the lifecycle mode.
-func (p *Process) Mode() Mode { return p.mode }
-
 // Incarnation returns the current incarnation number.
 func (p *Process) Incarnation() ids.Incarnation { return p.inc }
 
@@ -27,10 +24,7 @@ func (p *Process) RSN() ids.RSN { return p.rsn }
 
 // Blocked reports whether the live process is currently deferring
 // application deliveries (blocking/Manetho styles during a gather).
-func (p *Process) Blocked() bool { return p.blocked }
-
-// DetEntries returns the current determinant log content.
-func (p *Process) DetEntries() []det.Entry { return p.dets.All() }
+func (p *Process) Blocked() bool { return p.mgr.Blocked() }
 
 // DetLogLen returns the number of determinants in the volatile log.
 func (p *Process) DetLogLen() int { return p.dets.Len() }
@@ -59,23 +53,6 @@ func (p *Process) DetStats() DetStats {
 	return st
 }
 
-// RecoveryState returns the recovery manager state.
+// RecoveryState returns the lifecycle state, which the recovery manager
+// holds.
 func (p *Process) RecoveryState() recovery.State { return p.mgr.State() }
-
-// SendLogSize returns the number of volatile send-log entries (all
-// destinations), a garbage-collection observability hook.
-func (p *Process) SendLogSize() int {
-	n, _ := p.sendLog.Size()
-	return n
-}
-
-// SendLogSSNs returns the (dseq, ssn) pairs logged for destination q, in
-// dseq order; diagnostics only.
-func (p *Process) SendLogSSNs(q ids.ProcID) [][2]uint64 {
-	log := p.sendLog[q]
-	out := make([][2]uint64, 0, log.Len())
-	for i, rec := range log.Live() {
-		out = append(out, [2]uint64{log.Base() + uint64(i), uint64(rec.SSN)})
-	}
-	return out
-}

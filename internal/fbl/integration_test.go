@@ -55,7 +55,7 @@ func waitLive(t *testing.T, k *sim.Sharded, victim ids.ProcID, horizon time.Dura
 	t.Helper()
 	for d := time.Second; d <= horizon; d += time.Second {
 		k.Run(d)
-		if p, ok := k.ProcOf(victim).(*Process); ok && p.Mode() == ModeLive && p.Incarnation() > 1 {
+		if p, ok := k.ProcOf(victim).(*Process); ok && p.RecoveryState() == recovery.StateLive && p.Incarnation() > 1 {
 			return p
 		}
 	}
@@ -127,11 +127,11 @@ func TestCheckpointGCBoundsState(t *testing.T) {
 	k.Run(2 * time.Second)
 	sizeEarly := 0
 	if p, ok := k.ProcOf(1).(*Process); ok {
-		sizeEarly = p.SendLogSize() + len(p.DetEntries())
+		sizeEarly = p.DetStats().SendLogRecords + p.dets.Len()
 	}
 	k.Run(8 * time.Second)
 	p, _ := k.ProcOf(1).(*Process)
-	sizeLate := p.SendLogSize() + len(p.DetEntries())
+	sizeLate := p.DetStats().SendLogRecords + p.dets.Len()
 	// With periodic checkpoints and notices, volatile state must stay
 	// bounded, not grow with the run.
 	if sizeLate > sizeEarly*8 {

@@ -6,6 +6,7 @@ import (
 
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
+	"rollrec/internal/recovery"
 )
 
 // This file implements the FBL output-commit rule (DESIGN §10): an output
@@ -155,7 +156,7 @@ func (c appCtx) Output(payload []byte) {
 	if !p.par.Outputs.Requested(p.env.ID(), p.outSeq, p.env.Now(), payload) {
 		return // rollback re-execution of an already-released output
 	}
-	if p.outs.request(p.outSeq, p.dets, p.mode == ModeLive) {
+	if p.outs.request(p.outSeq, p.dets, p.mgr.State() == recovery.StateLive) {
 		p.par.Outputs.Committed(p.env.ID(), p.outSeq, p.env.Now())
 	}
 }
@@ -170,7 +171,7 @@ func (p *Process) noteSettled(id ids.MsgID, born int) { p.outs.settled(id, born,
 // defers all releases until it is live again, which is why outputs
 // straddling a crash commit only after recovery completes.
 func (p *Process) checkOutputs() {
-	p.outs.check(p.dets, p.cpOutSeq, p.mode == ModeLive, p.commitOutput)
+	p.outs.check(p.dets, p.cpOutSeq, p.mgr.State() == recovery.StateLive, p.commitOutput)
 }
 
 func (p *Process) commitOutput(seq uint64) {

@@ -48,17 +48,10 @@ func (p *Process) IncVecSnapshot() vclock.IncVector { return p.incVec.Clone() }
 
 // SetLiveBlocked implements recovery.Host: the Blocking and Manetho
 // baselines defer application deliveries during a gather. The deferred
-// interval is exactly the intrusion metric the experiments report.
+// interval is exactly the intrusion metric the experiments report. The
+// manager calls it only on a change of its flag, which it sets only while
+// live.
 func (p *Process) SetLiveBlocked(blocked bool) {
-	if blocked && p.mode != ModeLive {
-		// Only live processes suffer intrusion; a restoring or replaying
-		// process is not delivering fresh traffic anyway.
-		return
-	}
-	if blocked == p.blocked {
-		return
-	}
-	p.blocked = blocked
 	met := p.env.Metrics()
 	if blocked {
 		met.BlockStart(p.env.Now())
@@ -107,7 +100,6 @@ func (p *Process) ApplyRecoveryData(entries []det.Entry, incVec []ids.Incarnatio
 // sequence order (paper §2.1: "process p needs to receive message m in the
 // same order as before the failure").
 func (p *Process) startReplay() {
-	p.mode = ModeReplaying
 	p.replaySpan = p.env.Tracer().Begin(p.env.Now(), int32(p.env.ID()),
 		trace.EvReplay, trace.Tag{Inc: uint32(p.inc)})
 	if !p.started {
@@ -149,12 +141,19 @@ func (p *Process) startReplay() {
 	p.checkReplayDone()
 }
 
+// armReplayRetry re-requests the retransmissions once a whole period passes
+// without a replayed delivery: a frame was lost, or its sender had nothing
+// to serve yet. Senders serve every request in full, so a retry while replay
+// still advances would only resend what is on its way.
 func (p *Process) armReplayRetry() {
+	at := p.nextRSN
 	p.replayT = p.env.After(recovery.RetryEvery, func() {
-		if p.mode != ModeReplaying {
+		if p.mgr.State() != recovery.StateReplaying {
 			return
 		}
-		p.in.Request(p.env, p.inc)
+		if p.nextRSN == at {
+			p.in.Request(p.env, p.inc)
+		}
 		p.armReplayRetry()
 	})
 }
@@ -188,7 +187,7 @@ func (p *Process) replayAccept(e *wire.Envelope) {
 }
 
 func (p *Process) checkReplayDone() {
-	if p.mode != ModeReplaying || p.nextRSN <= p.maxRSN {
+	if p.mgr.State() != recovery.StateReplaying || p.nextRSN <= p.maxRSN {
 		return
 	}
 	p.finishReplay()
@@ -197,7 +196,6 @@ func (p *Process) checkReplayDone() {
 // finishReplay transitions back to live operation: announce recovery
 // completion, process traffic buffered during replay, resume checkpointing.
 func (p *Process) finishReplay() {
-	p.mode = ModeLive
 	p.replayT.Stop()
 	if tr := p.env.Metrics().CurrentRecovery(); tr != nil {
 		tr.ReplayedAt = p.env.Now()

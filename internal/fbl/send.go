@@ -129,28 +129,17 @@ func (p *Process) offer(e det.Entry) {
 // serveReplay answers a recovering process's retransmission request: resend
 // every logged message destined to it with dseq beyond its restored
 // watermark, in order. This covers both the messages it must re-deliver in
-// logged order and the in-flight ones it never delivered.
+// logged order and the in-flight ones it never delivered. Every request is
+// served in full: a retry is how the requester gets back a frame the network
+// lost, and the requester retries only when its replay stalls
+// (armReplayRetry).
 func (p *Process) serveReplay(e *wire.Envelope) {
 	to := e.From
 	if !to.Valid(p.n) || to.IsStorage() {
 		return
 	}
-	// Serve each logged message at most once per requester incarnation:
-	// the periodic request retries exist to pick up entries regenerated
-	// since the last service (and to survive requester restarts, which
-	// change the incarnation and reset the memo). Without the memo every
-	// retry would re-send the full suffix and the requester would spend
-	// its recovery absorbing duplicates.
-	start := e.Dseq
-	if m := p.replayServed[to]; m.inc == e.FromInc && m.max > start {
-		start = m.max
-	}
-	recs, first := p.sendLog.After(to, start)
-	if len(recs) == 0 {
-		return
-	}
+	recs, first := p.sendLog.After(to, e.Dseq)
 	for i, rec := range recs {
 		p.transmit(to, first+uint64(i), rec)
 	}
-	p.replayServed[to] = servedMark{inc: e.FromInc, max: first + uint64(len(recs)) - 1}
 }

@@ -72,7 +72,7 @@ func (m *Manager) onAnnounce(e *wire.Envelope) {
 		if m.state == StateLeading {
 			m.lead()
 		}
-	case StateWaiting, StateLive, StateReplaying:
+	default:
 		m.evaluate()
 	}
 }
@@ -170,16 +170,17 @@ func (m *Manager) replyDeps(to ids.ProcID, ord ids.Ordinal, round uint32, member
 }
 
 func (m *Manager) blockFor(ord ids.Ordinal) {
-	m.blockedBy = ord
-	if m.state == StateLive && !m.isBlocked {
-		m.isBlocked = true
+	if m.state != StateLive {
+		return
+	}
+	was := m.Blocked()
+	if m.blockedBy = ord; !was {
 		m.host.SetLiveBlocked(true)
 	}
 }
 
 func (m *Manager) unblock() {
-	if m.isBlocked {
-		m.isBlocked = false
+	if m.Blocked() {
 		m.blockedBy = ids.Ordinal{}
 		m.host.SetLiveBlocked(false)
 	}
@@ -258,7 +259,7 @@ func (m *Manager) OnSuspect(q ids.ProcID) {
 			m.evaluate()
 		}
 	case StateLive:
-		if m.isBlocked && q == m.blockedBy.Proc {
+		if m.Blocked() && q == m.blockedBy.Proc {
 			// The leader that blocked us died; unblock — its successor will
 			// re-issue the request.
 			m.unblock()

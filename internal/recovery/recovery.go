@@ -77,12 +77,19 @@ func ParseStyle(name string) (Style, error) {
 	return 0, fmt.Errorf("unknown recovery style %q (want nonblocking, blocking or manetho)", name)
 }
 
-// State is the manager's protocol state.
+// State is a process's recovery lifecycle, held by its manager alone. A
+// restarted process goes restoring → waiting or leading → replaying → live,
+// and only a crash goes back: restoring is entered at a restarting Reset and
+// left only by StartRecovery, so a process that has not announced cannot be
+// live to its manager. Blocked (Manager.Blocked) is a flag on live.
 type State int
 
 const (
 	// StateLive: normal operation.
 	StateLive State = iota
+	// StateRestoring: restarted, reading its checkpoint; not announced yet,
+	// so it has nothing to contribute to anyone's gather.
+	StateRestoring
 	// StateWaiting: recovering, deferring to a lower-ordinal leader.
 	StateWaiting
 	// StateLeading: recovering and running the gather.
@@ -93,7 +100,7 @@ const (
 
 // String names the state.
 func (s State) String() string {
-	return [...]string{"live", "waiting", "leading", "replaying"}[s]
+	return [...]string{"live", "restoring", "waiting", "leading", "replaying"}[s]
 }
 
 // Host is what the manager needs from the protocol process it serves.
@@ -120,8 +127,8 @@ type Host interface {
 	// ApplyRecoveryData merges the gathered depinfo and begins replay; the
 	// host must call Manager.ReplayDone when replay completes.
 	ApplyRecoveryData(entries []det.Entry, incVec []ids.Incarnation)
-	// SetLiveBlocked starts/stops deferring application deliveries (only
-	// meaningful for the Blocking and Manetho styles).
+	// SetLiveBlocked notifies a live host that Blocked changed: it starts or
+	// stops deferring application deliveries (Blocking and Manetho styles).
 	SetLiveBlocked(blocked bool)
 	// StableReplyWrite models Manetho's synchronous logging of the reply to
 	// stable storage; done runs after the write is durable.
@@ -184,9 +191,9 @@ type Manager struct {
 	reg []regEntry // indexed by process; see entry
 	g   gather     // the leader's current (or last) round
 
-	// Live-side blocking state.
+	// blockedBy is the ordinal of the gather the live process blocks for,
+	// zero while it does not: the one blocked flag, set only in StateLive.
 	blockedBy ids.Ordinal
-	isBlocked bool
 
 	// waitSpan traces the whole recovery (announce → recovery data).
 	waitSpan trace.SpanRef
@@ -201,26 +208,36 @@ type Manager struct {
 	reply det.View
 }
 
-// NewManager returns a manager in StateLive.
-func NewManager(cfg Config, host Host, env node.Env) *Manager {
-	m := new(Manager)
-	m.Reset(cfg, host, env)
-	return m
-}
-
-// Reset makes m the manager NewManager returns, keeping the registry's array.
-func (m *Manager) Reset(cfg Config, host Host, env node.Env) {
+// Reset makes m a fresh manager of a booting process, keeping the registry's
+// array: in StateLive, or on a restart in StateRestoring until StartRecovery.
+func (m *Manager) Reset(cfg Config, host Host, env node.Env, restart bool) {
 	*m = Manager{cfg: cfg, host: host, env: env, self: env.ID(), n: env.N(), reg: m.reg[:0]}
+	if restart {
+		m.state = StateRestoring
+	}
 }
 
-// State returns the current protocol state.
+// State returns the process's lifecycle state.
 func (m *Manager) State() State { return m.state }
 
-// Leading reports whether this process is the current recovery leader.
-func (m *Manager) Leading() bool { return m.state == StateLeading }
+// Defers reports whether the host must keep the control frames it receives
+// and hand them to HandleMessage right after StartRecovery: while restoring,
+// the process has not announced, and has nothing to contribute to anyone's
+// gather.
+func (m *Manager) Defers() bool {
+	return m.state == StateRestoring && !TestingAnswerWhileRestoring
+}
 
-// Ord returns this process's recovery ordinal (zero when live).
-func (m *Manager) Ord() ids.Ordinal { return m.myOrd }
+// TestingAnswerWhileRestoring, when set, makes Defers false: a restoring
+// process answers a gather on the live path, with the log restored so far,
+// and a leader finishes its round without the restarted process's
+// determinants. A mutation knob for the explorer's self-test: set it before
+// explore.Run, clear it after Run returns, never outside tests.
+var TestingAnswerWhileRestoring bool
+
+// Blocked reports whether the live process defers application deliveries
+// for a gather (Blocking and Manetho styles).
+func (m *Manager) Blocked() bool { return !m.blockedBy.IsZero() }
 
 // StartRecovery begins the recovery protocol after the host has restored
 // its checkpoint and incremented its incarnation (steps 1–3 of §3.4).
@@ -274,7 +291,7 @@ func (m *Manager) armRetry() {
 // evaluate decides whether we should lead: the lowest-ordinal active,
 // unserved recovery leads (paper §3.3).
 func (m *Manager) evaluate() {
-	if m.state == StateLive || m.state == StateReplaying {
+	if m.state != StateWaiting && m.state != StateLeading {
 		return
 	}
 	if me := m.entry(m.self); !me.active || me.served {

@@ -149,10 +149,17 @@ func (h *fakeHost) StableReplyWrite(ord ids.Ordinal, size int, done func()) {
 	done()
 }
 
+// newManager returns a manager in StateLive.
+func newManager(cfg Config, host Host, env node.Env) *Manager {
+	m := new(Manager)
+	m.Reset(cfg, host, env, false)
+	return m
+}
+
 func mkManager(id ids.ProcID, n int, style Style) (*Manager, *fakeEnv, *fakeHost) {
 	env := newFakeEnv(id, n)
 	host := newFakeHost(n)
-	m := NewManager(Config{Style: style, F: 2}, host, env)
+	m := newManager(Config{Style: style, F: 2}, host, env)
 	return m, env, host
 }
 
@@ -166,7 +173,7 @@ func entry(s ids.ProcID, ssn ids.SSN, r ids.ProcID, rsn ids.RSN, holders ...int)
 func TestSoleRecoveryLeadsImmediately(t *testing.T) {
 	m, env, _ := mkManager(1, 4, NonBlocking)
 	m.StartRecovery(ids.Ordinal{Clock: 5, Proc: 1}, 2)
-	if !m.Leading() {
+	if m.State() != StateLeading {
 		t.Fatalf("state = %v, want leading", m.State())
 	}
 	if got := len(env.take(wire.KindRecoveryAnnounce)); got != 3 {
@@ -227,7 +234,7 @@ func TestStaleRoundRepliesIgnored(t *testing.T) {
 func TestDemotionOnLowerOrdinal(t *testing.T) {
 	m, env, _ := mkManager(1, 4, NonBlocking)
 	m.StartRecovery(ids.Ordinal{Clock: 5, Proc: 1}, 2)
-	if !m.Leading() {
+	if m.State() != StateLeading {
 		t.Fatal("expected to lead")
 	}
 	env.sent = nil
@@ -248,7 +255,7 @@ func TestHigherOrdinalAnnounceRestartsGather(t *testing.T) {
 		Kind: wire.KindRecoveryAnnounce, From: 2, FromInc: 4,
 		Ord: ids.Ordinal{Clock: 9, Proc: 2},
 	})
-	if !m.Leading() {
+	if m.State() != StateLeading {
 		t.Fatalf("state = %v, want still leading", m.State())
 	}
 	// The restarted round queries the newcomer's incarnation and excludes
@@ -278,7 +285,7 @@ func TestSuspectedLiveRestartsGather(t *testing.T) {
 	m.StartRecovery(ids.Ordinal{Clock: 5, Proc: 1}, 2)
 	env.sent = nil
 	m.OnSuspect(2)
-	if !m.Leading() {
+	if m.State() != StateLeading {
 		t.Fatal("leader must keep leading through a mid-gather failure")
 	}
 	// Step 4 must wait for the failed process's new incarnation (its
@@ -368,6 +375,40 @@ func TestBlockedLiveUnblocksOnLeaderDeath(t *testing.T) {
 	m.OnSuspect(1)
 	if host.blocked {
 		t.Fatal("suspecting the blocking leader must unblock")
+	}
+}
+
+// TestRestoringDoesNotBlock: a restarted manager is restoring until
+// StartRecovery, and its host keeps control frames for it until then. A
+// depinfo request that reaches it anyway blocks nothing, so no blocked flag
+// survives the recovery: served by a leader whose completion notice never
+// arrives, the process blocks for the next gather it answers once live.
+func TestRestoringDoesNotBlock(t *testing.T) {
+	env, host := newFakeEnv(2, 4), newFakeHost(4)
+	m := new(Manager)
+	m.Reset(Config{Style: Blocking, F: 2}, host, env, true)
+	if m.State() != StateRestoring || !m.Defers() {
+		t.Fatalf("restarted manager: state %v, defers %v; want restoring and deferring", m.State(), m.Defers())
+	}
+	req := func(leader ids.ProcID, clock uint64) {
+		m.HandleMessage(&wire.Envelope{
+			Kind: wire.KindDepRequest, From: leader, FromInc: 2, Round: 1,
+			Ord: ids.Ordinal{Clock: clock, Proc: leader}, IncVec: []ids.Incarnation{1, 2, 1, 2},
+		})
+	}
+	req(1, 5)
+	if m.Blocked() || len(host.blockedLog) > 0 {
+		t.Fatalf("restoring process blocked (%v, notices %v)", m.Blocked(), host.blockedLog)
+	}
+	m.StartRecovery(ids.Ordinal{Clock: 9, Proc: 2}, 2)
+	if m.Defers() {
+		t.Fatal("StartRecovery must end the deferral")
+	}
+	m.HandleMessage(&wire.Envelope{Kind: wire.KindRecoveryData, From: 1, FromInc: 2, Ord: ids.Ordinal{Clock: 5, Proc: 1}})
+	m.ReplayDone()
+	req(3, 20)
+	if !m.Blocked() || !host.blocked {
+		t.Fatalf("live process answered the next gather unblocked (flag %v, notices %v)", m.Blocked(), host.blockedLog)
 	}
 }
 
@@ -510,7 +551,7 @@ func TestWaitingTakesOverWhenLeaderDies(t *testing.T) {
 	}
 	env.sent = nil
 	m.OnSuspect(1)
-	if !m.Leading() {
+	if m.State() != StateLeading {
 		t.Fatalf("state = %v, want leading after the leader's death", m.State())
 	}
 	// New round must wait for p1's (re-)announce: it is in R now.
@@ -574,7 +615,8 @@ func TestStyleStrings(t *testing.T) {
 		Manetho.String() != "manetho" {
 		t.Fatal("style names wrong")
 	}
-	if StateLive.String() != "live" || StateReplaying.String() != "replaying" {
+	if StateLive.String() != "live" || StateRestoring.String() != "restoring" ||
+		StateReplaying.String() != "replaying" {
 		t.Fatal("state names wrong")
 	}
 }

@@ -22,7 +22,7 @@ type hostProc struct {
 }
 
 func (p *hostProc) Boot(env node.Env, _ bool) {
-	p.m = NewManager(Config{Style: NonBlocking, F: 1}, p.host, env)
+	p.m = newManager(Config{Style: NonBlocking, F: 1}, p.host, env)
 }
 func (p *hostProc) Deliver(*wire.Envelope) {}
 
@@ -115,7 +115,7 @@ func TestScratchEnvelopeCarriesNothingOver(t *testing.T) {
 		var frames [][]byte
 		host := newFakeHost(5)
 		host.dep = []det.Entry{entry(0, 1, 2, 1, 0, 2), entry(2, 1, 4, 1, 2, 4)}
-		m := NewManager(Config{Style: NonBlocking, F: 2, ScopedGather: true}, host, frameLog{newFakeEnv(1, 5), &frames})
+		m := newManager(Config{Style: NonBlocking, F: 2, ScopedGather: true}, host, frameLog{newFakeEnv(1, 5), &frames})
 		for _, step := range steps {
 			if fresh {
 				m.tx = wire.Envelope{}

@@ -8,10 +8,11 @@ import (
 	"rollrec/internal/trace"
 )
 
-// Phase is a process's lifecycle state at a sample instant. The values are
-// a strict superset of fbl.Mode: Blocked distinguishes a live process that
-// is deferring application deliveries (the paper's intrusion), and Down
-// covers the interval between crash and restart.
+// Phase is a process's lifecycle state at a sample instant. The values
+// cover recovery.State's, with waiting and leading folded into Recovering:
+// Blocked distinguishes a live process that is deferring application
+// deliveries (the paper's intrusion), and Down covers the interval between
+// crash and restart.
 type Phase uint8
 
 const (
