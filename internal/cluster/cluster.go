@@ -111,7 +111,7 @@ func (cfg Config) Validate() error {
 	switch {
 	case cfg.N < 2 || cfg.N > MaxProcs:
 		return Refuse("N", "cluster size n=%d out of range [2,%d]", cfg.N, MaxProcs)
-	case families[cfg.Family].factory == nil && cfg.Family != "":
+	case families[cfg.Family] == nil && cfg.Family != "":
 		return Refuse("Family", "unknown family %q", cfg.Family)
 	case (cfg.Family == "" || cfg.Family == FamilyFBL) && (cfg.Style < recovery.NonBlocking || cfg.Style > recovery.Manetho):
 		return Refuse("Style", "unknown recovery %v (want nonblocking, blocking or manetho)", cfg.Style)
@@ -130,7 +130,6 @@ func (cfg Config) Validate() error {
 // Cluster is a running simulation plus its invariant-checking observers.
 type Cluster struct {
 	cfg  Config
-	fam  family
 	K    *sim.Sharded
 	outs *output.Ledger
 
@@ -202,7 +201,7 @@ func (c *Cluster) Reset(cfg Config) error {
 	}
 	clear(c.violations)
 	*c = Cluster{
-		cfg: cfg, fam: families[cfg.Family], K: c.K, outs: c.outs, violations: c.violations[:0],
+		cfg: cfg, K: c.K, outs: c.outs, violations: c.violations[:0],
 		sends: c.sends, deliveries: c.deliveries, seen: c.seen,
 	}
 	var outs output.Sink
@@ -215,7 +214,7 @@ func (c *Cluster) Reset(cfg Config) error {
 		})
 		outs = c.outs
 	}
-	renew := c.fam.factory(c, workload.Seeded(cfg.App, cfg.Seed), outs)
+	renew := families[cfg.Family](c, workload.Seeded(cfg.App, cfg.Seed), outs)
 	for i := 0; i < cfg.N; i++ {
 		c.K.AddSlot(ids.ProcID(i), renew)
 	}
@@ -249,7 +248,7 @@ func (c *Cluster) AttachTimeline(col *timeline.Collector) {
 		Proc: func(i int) timeline.ProcGauges {
 			id := ids.ProcID(i)
 			g := timeline.ProcGauges{
-				Phase:       timeline.PhaseDown,
+				Phase:       node.PhaseDown,
 				StableBytes: c.K.Store(id).Bytes(),
 			}
 			if c.cfg.TrackOutputs {
@@ -260,9 +259,9 @@ func (c *Cluster) AttachTimeline(col *timeline.Collector) {
 			if p == nil {
 				return g
 			}
-			g.Phase = c.fam.phase(p)
-			if c.fam.logSizes != nil {
-				g.Journal, g.Lag = c.fam.logSizes(p)
+			g.Phase = p.Phase()
+			if l, ok := p.(interface{ LogSizes() (int, int) }); ok {
+				g.Journal, g.Lag = l.LogSizes()
 			}
 			if a, ok := p.App().(interface{ InflightReqs() int }); ok {
 				g.Inflight = a.InflightReqs()
@@ -384,7 +383,7 @@ func (c *Cluster) liveness() []error {
 			errs = append(errs, fmt.Errorf("liveness: %v still down", id))
 			continue
 		}
-		if ph := c.fam.phase(p); ph != timeline.PhaseLive && ph != timeline.PhaseBlocked {
+		if ph := p.Phase(); ph != node.PhaseLive && ph != node.PhaseBlocked {
 			errs = append(errs, fmt.Errorf("liveness: %v stuck in phase %v", id, ph))
 		} else if tr := c.Metrics(id).CurrentRecovery(); tr != nil && tr.ReplayedAt == 0 {
 			errs = append(errs, fmt.Errorf("liveness: %v is up but its recovery never completed", id))

@@ -32,7 +32,7 @@ func settle(t *testing.T, c *Cluster, horizon time.Duration) {
 	if !c.RunUntilDone(time.Second, horizon) {
 		for i := 0; i < 4; i++ {
 			if p := c.Proc(ids.ProcID(i)); p != nil {
-				t.Logf("p%d mode=%v rsn=%d", i, p.RecoveryState(), p.RSN())
+				t.Logf("p%d phase=%v rsn=%d", i, p.Phase(), p.RSN())
 			} else {
 				t.Logf("p%d down", i)
 			}

@@ -8,6 +8,7 @@ import (
 
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
+	"rollrec/internal/node"
 	"rollrec/internal/recovery"
 	"rollrec/internal/workload"
 )
@@ -99,7 +100,7 @@ func TestRandomCrashSchedules(t *testing.T) {
 			c.Run(30 * time.Second)
 			t.Logf("n=%d f=%d style=%v crashes=%d", n, f, style, len(plan))
 			for i := 0; i < n; i++ {
-				if p := c.Proc(ids.ProcID(i)); p == nil || p.RecoveryState().String() != "live" {
+				if p := c.Proc(ids.ProcID(i)); p == nil || (p.Phase() != node.PhaseLive && p.Phase() != node.PhaseBlocked) {
 					c.Run(60 * time.Second) // allow stragglers
 					break
 				}

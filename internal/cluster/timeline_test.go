@@ -6,8 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"rollrec/internal/failure"
+	"rollrec/internal/node"
+	"rollrec/internal/recovery"
 	"rollrec/internal/timeline"
 	"rollrec/internal/trace"
+	"rollrec/internal/workload"
 )
 
 // goldenRunSampled is the pinned golden scenario with a timeline collector
@@ -144,5 +148,72 @@ func TestTimelineSeriesShape(t *testing.T) {
 		if !strings.Contains(out, lane) {
 			t.Errorf("render output missing %q lane:\n%s", lane, out)
 		}
+	}
+}
+
+// TestPhaseLaneEveryFamily samples real runs and checks that each phase lane
+// shows every phase its family can be in, and no other. FBL's blocking style
+// on cmd/fblsim's default scenario (n = 8, f = 2, p3 crashing at 10 s and p5
+// at 14.1 s) shows all six, the blocked live processes included; the same
+// run under NonBlocking never blocks anyone. D11's crash cells of the
+// coordinated and optimistic families (the server, p0, crashing at 10 s)
+// know live, recovering and down.
+func TestPhaseLaneEveryFamily(t *testing.T) {
+	fblsim := func(style recovery.Style) Config {
+		return Config{
+			N: 8, F: 2, Seed: 1, HW: node.Profile1995(), Style: style,
+			App:             workload.NewRandomPeer(1, 1_000_000, 256, int64(time.Millisecond)),
+			CheckpointEvery: 4 * time.Second,
+			StatePad:        1 << 20,
+		}
+	}
+	d11 := func(fam Family) Config {
+		cfg := fblsim(recovery.NonBlocking)
+		cfg.Family = fam
+		cfg.App = workload.NewClientServer(1<<20, 256, int64(time.Millisecond))
+		cfg.TrackOutputs = true
+		if fam == FamilyOptimistic {
+			cfg.CheckpointEvery, cfg.StatePad = 500*time.Millisecond, 4<<10
+		}
+		return cfg
+	}
+	twoCrashes := failure.Plan{{At: 10 * time.Second, Proc: 3}, {At: 14100 * time.Millisecond, Proc: 5}}
+	serverCrash := failure.Plan{{At: 10 * time.Second, Proc: 0}}
+	cases := []struct {
+		name              string
+		cfg               Config
+		plan              failure.Plan
+		interval, horizon time.Duration
+		want              string // the phase runes seen, sorted
+	}{
+		{"fbl/blocking", fblsim(recovery.Blocking), twoCrashes, 5 * time.Millisecond, 20 * time.Second, "BDLPRS"},
+		{"fbl/nonblocking", fblsim(recovery.NonBlocking), twoCrashes, time.Millisecond, 20 * time.Second, "DLPRS"},
+		{"coordinated", d11(FamilyCoordinated), serverCrash, timeline.DefaultInterval, 25 * time.Second, "DLR"},
+		{"optimistic", d11(FamilyOptimistic), serverCrash, timeline.DefaultInterval, 25 * time.Second, "DLR"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			col := timeline.New(timeline.Config{Interval: tc.interval, N: tc.cfg.N, Label: tc.name})
+			c := New(tc.cfg)
+			c.AttachTimeline(col)
+			c.ApplyPlan(tc.plan)
+			c.Run(tc.horizon)
+			var seen [256]bool
+			for _, tk := range col.Export().Ticks {
+				for i := 0; i < len(tk.Phases); i++ {
+					seen[tk.Phases[i]] = true
+				}
+			}
+			var got []byte
+			for r, ok := range seen {
+				if ok {
+					got = append(got, byte(r))
+				}
+			}
+			if string(got) != tc.want {
+				t.Errorf("phase lanes show %q, want %q", got, tc.want)
+			}
+		})
 	}
 }

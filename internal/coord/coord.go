@@ -273,9 +273,14 @@ func (p *Process) restoreSnapshot(id uint32) {
 	})
 }
 
-// Recovering reports whether the process is currently rolling back to a
-// committed snapshot; read-only, for the timeline phase lane.
-func (p *Process) Recovering() bool { return p.rollingBack }
+// Phase is recovering while the process rolls back to a committed snapshot,
+// else live; read-only, for the timeline phase lane and the liveness check.
+func (p *Process) Phase() node.Phase {
+	if p.rollingBack {
+		return node.PhaseRecovering
+	}
+	return node.PhaseLive
+}
 
 // Deliver implements node.Process on a by-value copy of the runtime's
 // envelope; the buffers that outlive it (futureBuf, the channel's held

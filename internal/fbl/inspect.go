@@ -3,6 +3,7 @@ package fbl
 import (
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
+	"rollrec/internal/node"
 	"rollrec/internal/recovery"
 	"rollrec/internal/workload"
 )
@@ -22,16 +23,13 @@ func (p *Process) SSN() ids.SSN { return p.ssn }
 // RSN returns the last assigned receive sequence number.
 func (p *Process) RSN() ids.RSN { return p.rsn }
 
-// Blocked reports whether the live process is currently deferring
-// application deliveries (blocking/Manetho styles during a gather).
-func (p *Process) Blocked() bool { return p.mgr.Blocked() }
-
 // DetLogLen returns the number of determinants in the volatile log.
 func (p *Process) DetLogLen() int { return p.dets.Len() }
 
-// DetPending returns the number of determinants not yet stable (below the
-// f+1-holder watermark). Allocation-free, for the timeline sampler.
-func (p *Process) DetPending() int { return p.dets.PendingCount() }
+// LogSizes returns the number of determinants in the volatile log and how
+// many of them are not yet stable (below the f+1-holder watermark).
+// Allocation-free, for the timeline sampler.
+func (p *Process) LogSizes() (journal, lag int) { return p.dets.Len(), p.dets.PendingCount() }
 
 // DetStats is a process's account of its logging state since it booted: the
 // determinant log's own counters (entries, stability lag, slab high-water
@@ -53,6 +51,19 @@ func (p *Process) DetStats() DetStats {
 	return st
 }
 
-// RecoveryState returns the lifecycle state, which the recovery manager
-// holds.
-func (p *Process) RecoveryState() recovery.State { return p.mgr.State() }
+// Phase maps the recovery manager's lifecycle state onto the host's phase
+// alphabet; live splits into live and blocked (the paper's intrusion).
+func (p *Process) Phase() node.Phase {
+	switch p.mgr.State() {
+	case recovery.StateRestoring:
+		return node.PhaseRestoring
+	case recovery.StateWaiting, recovery.StateLeading:
+		return node.PhaseRecovering
+	case recovery.StateReplaying:
+		return node.PhaseReplaying
+	}
+	if p.mgr.Blocked() {
+		return node.PhaseBlocked
+	}
+	return node.PhaseLive
+}

@@ -51,11 +51,14 @@ func simCluster(t *testing.T, n, f int, seed int64, style recovery.Style) *sim.S
 	return k
 }
 
+// isLive reports whether ph is the live state, blocked or not.
+func isLive(ph node.Phase) bool { return ph == node.PhaseLive || ph == node.PhaseBlocked }
+
 func waitLive(t *testing.T, k *sim.Sharded, victim ids.ProcID, horizon time.Duration) *Process {
 	t.Helper()
 	for d := time.Second; d <= horizon; d += time.Second {
 		k.Run(d)
-		if p, ok := k.ProcOf(victim).(*Process); ok && p.RecoveryState() == recovery.StateLive && p.Incarnation() > 1 {
+		if p, ok := k.ProcOf(victim).(*Process); ok && isLive(p.Phase()) && p.Incarnation() > 1 {
 			return p
 		}
 	}
@@ -67,8 +70,8 @@ func TestRecoveryEndToEndInPackage(t *testing.T) {
 	k := simCluster(t, 4, 2, 11, recovery.NonBlocking)
 	k.CrashAt(1500*time.Millisecond, 2)
 	p := waitLive(t, k, 2, 30*time.Second)
-	if p.RecoveryState() != recovery.StateLive {
-		t.Fatalf("recovery state = %v", p.RecoveryState())
+	if ph := p.Phase(); !isLive(ph) {
+		t.Fatalf("phase = %v", ph)
 	}
 	tr := k.Metrics(2).CurrentRecovery()
 	if tr.RestoredAt == 0 || tr.GatheredAt == 0 || tr.ReplayedAt == 0 {
@@ -140,8 +143,9 @@ func TestCheckpointGCBoundsState(t *testing.T) {
 	// The log's own counters agree with the views, and checkpoint GC feeds
 	// the free list instead of growing the slab without bound.
 	st := p.DetStats()
-	if st.Entries != p.DetLogLen() || st.Pending != p.DetPending() || st.Entries+st.SlabFree != st.SlabCap {
-		t.Fatalf("inconsistent determinant-log stats %+v (len %d, pending %d)", st, p.DetLogLen(), p.DetPending())
+	journal, lag := p.LogSizes()
+	if st.Entries != journal || st.Pending != lag || journal != p.DetLogLen() || st.Entries+st.SlabFree != st.SlabCap {
+		t.Fatalf("inconsistent determinant-log stats %+v (len %d, pending %d)", st, journal, lag)
 	}
 	if st.SlabFree == 0 || st.SlabCap > sizeEarly*8 {
 		t.Fatalf("determinant slab is not recycling collected slots: %+v", st)

@@ -100,7 +100,7 @@ func TestBufferedFramesSurviveEnvelopeReuse(t *testing.T) {
 						{Det: det.Determinant{Msg: ids.MsgID{Sender: 2, SSN: 4}, Receiver: 0, RSN: 2}},
 					},
 				})
-				if p.RecoveryState() != recovery.StateReplaying {
+				if p.Phase() != node.PhaseReplaying {
 					panic("setup: not replaying")
 				}
 				rx.deliver(appFrame(2, 1, 4, 1)) // rsn 2 first: replay-buffered

@@ -115,6 +115,34 @@ type Process interface {
 	Deliver(e *wire.Envelope)
 }
 
+// Phase is a process's lifecycle state as its host observes it: what every
+// family's process answers for the timeline's phase lane and the liveness
+// check. The values cover recovery.State's, with waiting and leading folded
+// into Recovering: Blocked distinguishes a live process that is deferring
+// application deliveries (the paper's intrusion), and Down, which only the
+// host can say, covers the interval between crash and restart.
+type Phase uint8
+
+const (
+	// PhaseLive: normal operation.
+	PhaseLive Phase = iota
+	// PhaseBlocked: live but deferring application deliveries.
+	PhaseBlocked
+	// PhaseRestoring: reading the checkpoint from stable storage.
+	PhaseRestoring
+	// PhaseRecovering: running the recovery protocol.
+	PhaseRecovering
+	// PhaseReplaying: re-consuming logged deliveries.
+	PhaseReplaying
+	// PhaseDown: no process image (crash → restart).
+	PhaseDown
+)
+
+// String names the phase.
+func (p Phase) String() string {
+	return [...]string{"live", "blocked", "restoring", "recovering", "replaying", "down"}[p]
+}
+
 // Factory builds a fresh (volatile) process instance for one node.
 type Factory func() Process
 

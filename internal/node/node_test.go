@@ -52,3 +52,12 @@ func TestProfileByName(t *testing.T) {
 		}
 	}
 }
+
+func TestPhaseStrings(t *testing.T) {
+	want := []string{"live", "blocked", "restoring", "recovering", "replaying", "down"}
+	for p := PhaseLive; p <= PhaseDown; p++ {
+		if p.String() != want[p] {
+			t.Errorf("Phase(%d).String() = %q, want %q", p, p.String(), want[p])
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"rollrec/internal/channel"
 	"rollrec/internal/ids"
+	"rollrec/internal/node"
 	"rollrec/internal/storage"
 	"rollrec/internal/trace"
 	"rollrec/internal/wire"
@@ -318,11 +319,17 @@ func (p *Process) Epoch() uint32 { return p.epoch }
 // App returns the hosted application.
 func (p *Process) App() workload.App { return p.app }
 
-// Rolling reports whether a rollback is in progress.
-func (p *Process) Rolling() bool { return p.rolling }
+// Phase is recovering while a rollback is in progress, else live.
+func (p *Process) Phase() node.Phase {
+	if p.rolling {
+		return node.PhaseRecovering
+	}
+	return node.PhaseLive
+}
 
-// LogSizes returns (total, durable) delivery-log lengths.
-func (p *Process) LogSizes() (total, durable int) { return len(p.log), p.flushed }
+// LogSizes returns the delivery log's length and how many of its entries
+// are not yet flushed to stable storage.
+func (p *Process) LogSizes() (journal, lag int) { return len(p.log), len(p.log) - p.flushed }
 
 // encodeLog serializes the delivery log into a fresh, exactly-sized buffer;
 // pad is counted into the image, not written (storage.Image), and so is a

@@ -112,7 +112,7 @@ func (h *harness) settled() bool {
 	}
 	for i := 0; i < h.n; i++ {
 		p := h.proc(ids.ProcID(i))
-		if p == nil || p.Rolling() || !p.App().Done() {
+		if p == nil || p.Phase() == node.PhaseRecovering || !p.App().Done() {
 			return false
 		}
 	}
@@ -129,9 +129,9 @@ func (h *harness) runUntilDone(t *testing.T, horizon time.Duration) {
 	}
 	for i := 0; i < h.n; i++ {
 		if p := h.proc(ids.ProcID(i)); p != nil {
-			total, durable := p.LogSizes()
-			t.Logf("p%d epoch=%d interval=%d log=%d/%d rolling=%v done=%v",
-				i, p.Epoch(), p.Interval(), durable, total, p.Rolling(), p.App().Done())
+			total, lag := p.LogSizes()
+			t.Logf("p%d epoch=%d interval=%d log=%d/%d phase=%v done=%v",
+				i, p.Epoch(), p.Interval(), total-lag, total, p.Phase(), p.App().Done())
 		}
 	}
 	t.Fatal("optimistic cluster did not settle")
@@ -158,9 +158,9 @@ func TestFailureFreeMatchesGolden(t *testing.T) {
 		t.Fatalf("failure-free run produced orphans: %v", o)
 	}
 	for i := 0; i < 4; i++ {
-		total, durable := h.proc(ids.ProcID(i)).LogSizes()
-		if durable == 0 || durable > total {
-			t.Fatalf("p%d durable log %d/%d implausible", i, durable, total)
+		total, lag := h.proc(ids.ProcID(i)).LogSizes()
+		if lag == total || lag < 0 {
+			t.Fatalf("p%d durable log %d/%d implausible", i, total-lag, total)
 		}
 	}
 }

@@ -93,7 +93,7 @@ func TestBufferedFramesSurviveEnvelopeReuse(t *testing.T) {
 				// p1 retracts everything past interval 2: we are an orphan and
 				// roll back; the truncated log is in flight to stable storage.
 				rx.deliver(wire.Envelope{Kind: wire.KindRecoveryAnnounce, From: 1, FromInc: 2, SSN: 2})
-				if !p.Rolling() {
+				if p.Phase() != node.PhaseRecovering {
 					panic("setup: not rolling back")
 				}
 				rx.deliver(app(2, 1, 1, "deferred-a"))
@@ -113,7 +113,7 @@ func TestBufferedFramesSurviveEnvelopeReuse(t *testing.T) {
 			h := newHarness(t, 3, 1, func(ids.ProcID, int) workload.App { return recApp{&got} }, time.Hour)
 			p := h.proc(0)
 			tc.run(h, p, &reusedRx{p: p})
-			if p.Rolling() {
+			if p.Phase() == node.PhaseRecovering {
 				t.Fatal("rollback did not finish")
 			}
 			if len(got) != len(tc.want) {

@@ -64,7 +64,7 @@ type WindowDist struct {
 
 // Tick is one sample row. Cluster-wide gauges are scalars; per-process
 // gauges are arrays indexed by process id; Phases packs one phase rune per
-// process (see Phase.Rune).
+// process (see phaseRunes).
 type Tick struct {
 	TMS      float64 `json:"t_ms"`
 	Queue    int     `json:"queue"`

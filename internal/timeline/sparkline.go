@@ -5,6 +5,8 @@ import (
 	"io"
 	"slices"
 	"strings"
+
+	"rollrec/internal/node"
 )
 
 // sparkLevels are the eight block glyphs a sparkline cell can take; values
@@ -190,19 +192,19 @@ func phaseLane(ticks []Tick, p int, width int) string {
 	pooled := pool(vals, width)
 	out := make([]byte, len(pooled))
 	for i, v := range pooled {
-		out[i] = Phase(v).Rune()
+		out[i] = phaseRunes[int(v)]
 	}
 	return string(out)
 }
 
-// phaseOf inverts Phase.Rune; unknown runes read as live.
-func phaseOf(r byte) Phase {
+// phaseOf inverts phaseRunes; unknown runes read as live.
+func phaseOf(r byte) node.Phase {
 	for i, pr := range phaseRunes {
 		if pr == r {
-			return Phase(i)
+			return node.Phase(i)
 		}
 	}
-	return PhaseLive
+	return node.PhaseLive
 }
 
 // padLane right-pads a lane whose series is shorter than width, so the

@@ -5,47 +5,18 @@ import (
 	"time"
 
 	"rollrec/internal/metrics"
+	"rollrec/internal/node"
 	"rollrec/internal/trace"
 )
 
-// Phase is a process's lifecycle state at a sample instant. The values
-// cover recovery.State's, with waiting and leading folded into Recovering:
-// Blocked distinguishes a live process that is deferring application
-// deliveries (the paper's intrusion), and Down covers the interval between
-// crash and restart.
-type Phase uint8
-
-const (
-	// PhaseLive: normal operation.
-	PhaseLive Phase = iota
-	// PhaseBlocked: live but deferring application deliveries.
-	PhaseBlocked
-	// PhaseRestoring: reading the checkpoint from stable storage.
-	PhaseRestoring
-	// PhaseRecovering: running the recovery protocol.
-	PhaseRecovering
-	// PhaseReplaying: re-consuming logged deliveries.
-	PhaseReplaying
-	// PhaseDown: no process image (crash → restart).
-	PhaseDown
-)
-
-// phaseRunes encodes phases one byte per process in tick rows; the export
-// stays compact and diffs stay line-per-tick readable.
+// phaseRunes encodes phases, indexed by node.Phase, one byte per process in
+// tick rows; the export stays compact and diffs stay line-per-tick readable.
 var phaseRunes = [...]byte{'L', 'B', 'S', 'R', 'P', 'D'}
-
-// Rune returns the single-character encoding used in exports.
-func (p Phase) Rune() byte { return phaseRunes[p] }
-
-// String names the phase.
-func (p Phase) String() string {
-	return [...]string{"live", "blocked", "restoring", "recovering", "replaying", "down"}[p]
-}
 
 // ProcGauges is one process's sampled state.
 type ProcGauges struct {
 	// Phase is the lifecycle state.
-	Phase Phase
+	Phase node.Phase
 	// Journal is the number of determinant-log entries currently held.
 	Journal int
 	// Lag is the stability lag: entries below the f+1-holder watermark,
@@ -196,7 +167,7 @@ func (c *Collector) Tick(now int64) {
 		if c.pr.Proc != nil {
 			g = c.pr.Proc(i)
 		}
-		phases[i] = g.Phase.Rune()
+		phases[i] = phaseRunes[g.Phase]
 		row.Journal[i] = g.Journal
 		row.Lag[i] = g.Lag
 		row.Stable[i] = g.StableBytes

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rollrec/internal/metrics"
+	"rollrec/internal/node"
 )
 
 // TestCollectorWindows drives a collector by hand and checks the tumbling-
@@ -95,17 +96,17 @@ func TestCheckInterval(t *testing.T) {
 }
 
 func TestPhaseRunes(t *testing.T) {
-	want := map[Phase]byte{
-		PhaseLive: 'L', PhaseBlocked: 'B', PhaseRestoring: 'S',
-		PhaseRecovering: 'R', PhaseReplaying: 'P', PhaseDown: 'D',
+	want := map[node.Phase]byte{
+		node.PhaseLive: 'L', node.PhaseBlocked: 'B', node.PhaseRestoring: 'S',
+		node.PhaseRecovering: 'R', node.PhaseReplaying: 'P', node.PhaseDown: 'D',
 	}
 	for p, r := range want {
-		if p.Rune() != r {
-			t.Errorf("%v.Rune() = %c, want %c", p, p.Rune(), r)
+		if phaseRunes[p] != r {
+			t.Errorf("%v encodes as %c, want %c", p, phaseRunes[p], r)
 		}
-	}
-	if PhaseBlocked.String() != "blocked" {
-		t.Errorf("PhaseBlocked.String() = %q", PhaseBlocked.String())
+		if got := phaseOf(r); got != p {
+			t.Errorf("%c decodes as %v, want %v", r, got, p)
+		}
 	}
 }
 
@@ -132,7 +133,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 	col.Bind(Probes{
 		Proc: func(i int) ProcGauges {
 			return ProcGauges{
-				Phase: PhaseBlocked, Journal: i + 1, Lag: i, StableBytes: 100, Backlog: 2,
+				Phase: node.PhaseBlocked, Journal: i + 1, Lag: i, StableBytes: 100, Backlog: 2,
 				OldestOpen: int64(10 * time.Millisecond),
 			}
 		},
@@ -295,7 +296,7 @@ func TestRenderEmpty(t *testing.T) {
 func tieredExport() *Export {
 	col := New(Config{Interval: 10 * time.Millisecond, N: 3, Label: "tiered", Tiers: []int{1, 2}})
 	col.Bind(Probes{
-		Proc:    func(i int) ProcGauges { return ProcGauges{Phase: Phase(i), Journal: i, Inflight: 1} },
+		Proc:    func(i int) ProcGauges { return ProcGauges{Phase: node.Phase(i), Journal: i, Inflight: 1} },
 		Metrics: recovering(3, 2, metrics.RecoveryTrace{RestartedAt: int64(10 * time.Millisecond)}),
 	})
 	col.Tick(int64(10 * time.Millisecond))

@@ -15,6 +15,9 @@
 #   - `cmd/fblsim -crash 10s:3,14.1s:5 -horizon 45s -outputs`: its printed
 #     summary and its `-timeline` export, the run cmd/fblsim builds from
 #     its flags;
+#   - the same two crashes under `-style blocking`, sampled every 5 ms to a
+#     20 s horizon: its summary and export, the only artifact whose phase
+#     lanes hold B (a blocked live process);
 #   - the tables of `cmd/experiments -only E1,E2,D2,...,D12` (D1, the scale
 #     sweep, is left out for time); here and below, host-time figures
 #     ("computed in", "wall") are dropped;
@@ -78,6 +81,8 @@ artifacts() {
     status explore_n4_points400.txt bin/explore -n 4 -points 400 -out explore_n4_points400.json
     status explore_n4_2crash.txt bin/explore -n 4 -max-crashes 2 -random 50 -out explore_n4_2crash.json
     status fblsim.txt bin/fblsim -crash 10s:3,14.1s:5 -horizon 45s -outputs -timeline fblsim_timeline.json
+    status fblsim_blocking.txt bin/fblsim -style blocking -crash 10s:3,14.1s:5 -horizon 20s \
+      -timeline-interval 5ms -timeline fblsim_blocking_timeline.json
     status tables.raw bin/experiments -only E1,E2,D2,D3,D4,D5,D6,D7,D8,D9,D10,D11,D12
     grep -v 'computed in' tables.raw >tables.txt
     status sweep.log bin/experiments sweep -label cmp -out sweep.raw \
