@@ -119,7 +119,8 @@ bench-micro:
 # one shard and across two), heartbeat tick (zero: one frame per
 # incarnation, timer handles are values) and delivery, timer arm+Stop
 # (zero), piggyback transmit and delivery, a
-# depinfo reply (frame, sort keys), checkpoint image), every family's
+# depinfo reply and the f = n flush to storage (the frame alone),
+# checkpoint image), every family's
 # control sends (no envelope: TestSendAllocs in coord, optimistic and
 # recovery), a stable write (zero) and read (its copy and a closure), an output
 # request and its release (zero: TestOutputRequestAllocs), the apps'

@@ -124,21 +124,26 @@ func TestSlabGrowsInChunksAndNeverCopies(t *testing.T) {
 	}
 }
 
-// TestViewAllocs: a view costs its sort keys, one slice of 16 bytes an
-// entry, and nothing else — a view of nothing costs nothing — and reading
-// it offers views of the slab.
+// TestViewAllocs: a view is a walk over the log in place — building one
+// allocates nothing, whatever it names — and reading it offers views of the
+// slab.
 func TestViewAllocs(t *testing.T) {
 	cfg := Config{N: 32, F: 3}
 	l := pendingLog(cfg, 512)
 	l.GCReceiver(5, ^ids.RSN(0)) // p5 delivered nothing the log still holds
-	if got := testing.AllocsPerRun(20, func() { l.View(nil) }); got != 1 {
-		t.Errorf("View of %d entries: %v allocs, want 1 (the keys)", l.Len(), got)
-	}
-	if got := testing.AllocsPerRun(20, func() { l.View([]ids.ProcID{5}) }); got != 0 {
-		t.Errorf("View of a receiver with no entries: %v allocs, want 0", got)
-	}
-	if got := unsafe.Sizeof(key{}); got != 16 {
-		t.Errorf("a sort key is %d bytes, want 16", got)
+	scoped, nobody := []ids.ProcID{3, 1}, []ids.ProcID{5}
+	for _, tc := range []struct {
+		name  string
+		build func() View
+	}{
+		{"whole", func() View { return l.View(nil) }},
+		{"scoped", func() View { return l.View(scoped) }},
+		{"scoped to a receiver with no entries", func() View { return l.View(nobody) }},
+		{"pending", l.PendingView},
+	} {
+		if got := testing.AllocsPerRun(20, func() { tc.build() }); got != 0 {
+			t.Errorf("%s view of a %d-entry log: %v allocs, want 0", tc.name, l.Len(), got)
+		}
 	}
 	v, n := l.View(nil), 0
 	if got := testing.AllocsPerRun(20, func() { v.Each(func(Entry) { n++ }) }); got != 0 || n == 0 {

@@ -689,23 +689,21 @@ func (l *Log) AddHolder(msg ids.MsgID, p ids.ProcID) {
 	}
 }
 
-// View is an ordered read of a log: a set of its entries in deterministic
-// (sender, ssn) order, read in place. Building one costs a 16-byte sort key
-// per entry and copies no determinant or holder set; the wire codec writes
-// a depinfo reply straight from it (wire.Envelope.DetView). A view is valid
-// until its log next changes — a Record, AddHolder or GCReceiver — so a
-// sender builds it and hands it to Send, which consumes it at call time.
-// The zero value is an empty view.
+// View is a read of a log in place: a set of its entries, walked in log
+// order — the pending list, then the settled list, or the chain of each
+// receiver named — with no sort key, no sort, and no copy of a determinant
+// or holder set. The wire codec writes a depinfo reply straight from it
+// (wire.Envelope.DetView). No receiver of a view needs (sender, ssn) order:
+// the recovery leader merges every reply into a log of its own and sorts
+// once, in All. A view is valid until its log next changes — a Record,
+// AddHolder or GCReceiver — and a scoped one while its procs do not change,
+// so a sender builds it and hands it to Send, which consumes it at call
+// time. The zero value is an empty view.
 type View struct {
-	l    *Log
-	keys []key
-}
-
-// key is one entry of a view: its slot, and the order it sorts in.
-type key struct {
-	sender ids.ProcID
-	slot   int32
-	ssn    ids.SSN
+	l       *Log
+	procs   []ids.ProcID // scoped: the receivers whose chains it walks
+	pending bool         // unscoped: the pending list alone
+	n       int
 }
 
 // View returns the entries recording a delivery at one of procs — the
@@ -714,95 +712,95 @@ type key struct {
 // a live process answers the paper's gather (§3.4 step 5) with.
 func (l *Log) View(procs []ids.ProcID) View {
 	if len(procs) == 0 {
-		return l.sorted(l.keyed(l.keyed(make([]key, 0, l.Len()), l.pending), l.settled))
+		return View{l: l, n: l.Len()}
 	}
-	keys := make([]key, 0, l.CountForReceivers(procs))
-	for _, p := range procs {
-		for i := l.chain(p); i >= 0; i = l.at(i).rnext {
-			keys = l.keyAt(keys, i)
-		}
-	}
-	return l.sorted(keys)
+	return View{l: l, procs: procs, n: l.CountForReceivers(procs)}
 }
 
 // PendingView returns the entries that are not yet stable: the set a
 // process must piggyback to a peer it has offered nothing, and — in the
 // f = n instance, where stable means held by the storage pseudo-process —
 // the set still to stream to storage.
-func (l *Log) PendingView() View {
-	return l.sorted(l.keyed(make([]key, 0, l.npending), l.pending))
-}
-
-// sorted puts keys, which were allocated at exactly their length (so a view
-// of nothing allocates nothing), in view order.
-func (l *Log) sorted(keys []key) View {
-	slices.SortFunc(keys, func(a, b key) int {
-		if a.sender != b.sender {
-			return cmp.Compare(a.sender, b.sender)
-		}
-		return cmp.Compare(a.ssn, b.ssn)
-	})
-	return View{l: l, keys: keys}
-}
-
-// keyed appends the key of every slot on lst.
-func (l *Log) keyed(keys []key, lst list) []key {
-	for i := lst.head; i >= 0; i = l.at(i).next {
-		keys = l.keyAt(keys, i)
-	}
-	return keys
-}
-
-func (l *Log) keyAt(keys []key, i int32) []key {
-	m := l.at(i).msg()
-	return append(keys, key{sender: m.Sender, slot: i, ssn: m.SSN})
-}
+func (l *Log) PendingView() View { return View{l: l, pending: true, n: l.npending} }
 
 // Len returns the number of entries in the view.
-func (v View) Len() int { return len(v.keys) }
+func (v View) Len() int { return v.n }
+
+// walk invokes fn with the slot of every entry of the view, in view order.
+func (v View) walk(fn func(int32)) {
+	l := v.l
+	for _, p := range v.procs {
+		for i := l.chain(p); i >= 0; i = l.at(i).rnext {
+			fn(i)
+		}
+	}
+	if v.procs != nil || v.n == 0 {
+		return
+	}
+	for i := l.pending.head; i >= 0; i = l.at(i).next {
+		fn(i)
+	}
+	for i := l.settled.head; i >= 0 && !v.pending; i = l.at(i).next {
+		fn(i)
+	}
+}
 
 // Each invokes fn with every entry of the view, in order. Like a scan it
 // offers views of the slab: the holder set is materialised in the log's
 // scratch, which the next entry offered overwrites, so fn reads it or copies
 // what it keeps. fn must not modify the log.
 func (v View) Each(fn func(Entry)) {
-	for _, k := range v.keys {
-		fn(Entry{Det: v.l.at(k.slot).det(), Holders: bitset.View(v.l.holdersInto(k.slot, v.l.scratch))})
-	}
+	v.walk(func(i int32) {
+		fn(Entry{Det: v.l.at(i).det(), Holders: bitset.View(v.l.holdersInto(i, v.l.scratch))})
+	})
 }
 
-// Collect returns copies of the view's entries, which the caller owns. Their
-// holder words are carved from one arena sized up front; the log's scratch
-// is not touched, so a scan's view survives a Collect (or Lookup) made while
-// it is offered.
+// Collect returns copies of the view's entries, in its order, which the
+// caller owns. Their holder words are carved from one arena sized up front;
+// the log's scratch is not touched, so a scan's view survives a Collect (or
+// Lookup) made while it is offered.
 func (v View) Collect() []Entry {
 	total := 0
-	for _, k := range v.keys {
-		total += v.l.holderLen(k.slot)
-	}
+	v.walk(func(i int32) { total += v.l.holderLen(i) })
 	arena := make([]uint64, total)
-	out := make([]Entry, len(v.keys))
-	for j, k := range v.keys {
-		out[j].Det = v.l.at(k.slot).det()
-		if n := v.l.holderLen(k.slot); n > 0 {
-			out[j].Holders = bitset.View(v.l.holdersInto(k.slot, arena[:n:n]))
-			arena = arena[n:]
-		}
-	}
+	out, j := make([]Entry, v.n), 0
+	v.walk(func(i int32) {
+		out[j], arena = v.l.entryInto(i, arena)
+		j++
+	})
 	return out
+}
+
+// entryInto copies entry i, its holder words carved from the front of arena
+// (which has room for them, holderLen), and returns it with the rest of arena.
+func (l *Log) entryInto(i int32, arena []uint64) (Entry, []uint64) {
+	e := Entry{Det: l.at(i).det()}
+	if n := l.holderLen(i); n > 0 {
+		e.Holders = bitset.View(l.holdersInto(i, arena[:n:n]))
+		arena = arena[n:]
+	}
+	return e, arena
 }
 
 // Pending returns a copy of PendingView.
 func (l *Log) Pending() []Entry { return l.PendingView().Collect() }
 
-// All returns a copy of every entry, in View's order: the recovery leader's
-// aggregate of the depinfo it gathered.
-func (l *Log) All() []Entry { return l.View(nil).Collect() }
+// All returns a copy of every entry in (sender, ssn) order: the recovery
+// leader's aggregate of the depinfo it gathered, and the one sorted list a
+// log hands out.
+func (l *Log) All() []Entry {
+	out := l.View(nil).Collect()
+	slices.SortFunc(out, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Det.Msg.Sender, b.Det.Msg.Sender), cmp.Compare(a.Det.Msg.SSN, b.Det.Msg.SSN))
+	})
+	return out
+}
 
 // Lookup returns the determinant entry for msg, if present.
 func (l *Log) Lookup(msg ids.MsgID) (Entry, bool) {
 	if i := l.find(msg); i >= 0 {
-		return View{l: l, keys: []key{{slot: i}}}.Collect()[0], true
+		e, _ := l.entryInto(i, make([]uint64, l.holderLen(i)))
+		return e, true
 	}
 	return Entry{}, false
 }
@@ -896,8 +894,8 @@ func (l *Log) ForReceiver(p ids.ProcID, after ids.RSN) []Determinant {
 	return out
 }
 
-// CountForReceivers returns View(procs).Len() for a non-empty procs by
-// walking the chains, without building the view.
+// CountForReceivers returns how many entries record a delivery at one of
+// procs — View(procs).Len() for a non-empty procs — by walking the chains.
 func (l *Log) CountForReceivers(procs []ids.ProcID) int {
 	n := 0
 	for _, p := range procs {

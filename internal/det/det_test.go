@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -154,16 +155,26 @@ func TestPendingExcludesStable(t *testing.T) {
 	}
 }
 
+// TestPendingDeterministicOrder: Pending is in the log's own order, oldest
+// news first — record order, and an entry whose holders grew while pending
+// moves to the end — never the order of a hash or a sort.
 func TestPendingDeterministicOrder(t *testing.T) {
 	l := NewLog(Config{N: 4, F: 3})
 	_ = l.Record(entry(2, 5, 1, 1, 1))
 	_ = l.Record(entry(0, 9, 1, 2, 1))
 	_ = l.Record(entry(0, 3, 1, 3, 1))
-	p := l.Pending()
-	for i := 1; i < len(p); i++ {
-		if !p[i-1].Det.Msg.Less(p[i].Det.Msg) {
-			t.Fatalf("Pending not sorted: %v", p)
+	order := func() (got []ids.SSN) {
+		for _, e := range l.Pending() {
+			got = append(got, e.Det.Msg.SSN)
 		}
+		return got
+	}
+	if got := order(); !slices.Equal(got, []ids.SSN{5, 9, 3}) {
+		t.Fatalf("Pending SSNs %v, want record order [5 9 3]", got)
+	}
+	l.AddHolder(ids.MsgID{Sender: 2, SSN: 5}, 2) // still pending at f = 3: news
+	if got := order(); !slices.Equal(got, []ids.SSN{9, 3, 5}) {
+		t.Fatalf("Pending SSNs %v, want [9 3 5] once ssn 5's holders grew", got)
 	}
 }
 
@@ -461,10 +472,11 @@ func TestGrowthPastStabilityIsNotNews(t *testing.T) {
 	}
 }
 
-// TestViewIsTheLogInOrder: a view offers the entries it names in (sender,
-// ssn) order, each as Lookup would copy it — the whole log from both lists,
-// a receiver-scoped part, or the pending list — for every stored form of the
-// holder sets.
+// TestViewIsTheLogInOrder: a view walks the log in its own order — the
+// whole log from both lists, a receiver-scoped part, or the pending list —
+// and offers each entry it names exactly once, as Lookup would copy it, for
+// every stored form of the holder sets; All, the one sorted list, is every
+// entry in (sender, ssn) order.
 func TestViewIsTheLogInOrder(t *testing.T) {
 	for _, cfg := range []Config{{N: 40, F: 2}, {N: 70, F: 2}, {N: 200, F: 9}} {
 		l := NewLog(cfg)
@@ -481,6 +493,15 @@ func TestViewIsTheLogInOrder(t *testing.T) {
 		if st.Pending == 0 || st.Pending == st.Entries || cfg.N > 100 && st.Overflowed == 0 {
 			t.Fatalf("%+v: %+v: want pending and stable entries, and spilled sets when wide", cfg, st)
 		}
+		all := l.All()
+		for k := 1; k < len(all); k++ {
+			if !all[k-1].Det.Msg.Less(all[k].Det.Msg) {
+				t.Fatalf("%+v: All has %v after %v", cfg, all[k].Det.Msg, all[k-1].Det.Msg)
+			}
+		}
+		if len(all) != st.Entries {
+			t.Fatalf("%+v: All has %d entries, the log %d", cfg, len(all), st.Entries)
+		}
 		for _, tc := range []struct {
 			name string
 			v    View
@@ -490,25 +511,25 @@ func TestViewIsTheLogInOrder(t *testing.T) {
 			{"scoped", l.View([]ids.ProcID{3, 1}), func(e Entry) bool { return e.Det.Receiver == 1 || e.Det.Receiver == 3 }},
 			{"pending", l.PendingView(), func(e Entry) bool { return !cfg.Stable(e.Holders) }},
 		} {
-			var got []Entry
+			seen := map[ids.MsgID]bool{}
 			tc.v.Each(func(e Entry) {
 				have, ok := l.Lookup(e.Det.Msg)
 				if !ok || have.Det != e.Det || !have.Holders.Equal(e.Holders) {
 					t.Fatalf("%+v %s: offered %v %v, Lookup says %v %v", cfg, tc.name, e.Det, e.Holders, have.Det, have.Holders)
 				}
-				if n := len(got); n > 0 && !got[n-1].Det.Msg.Less(e.Det.Msg) {
-					t.Fatalf("%+v %s: %v offered after %v", cfg, tc.name, e.Det.Msg, got[n-1].Det.Msg)
+				if seen[e.Det.Msg] || !tc.want(e) {
+					t.Fatalf("%+v %s: offered %v twice or out of the view", cfg, tc.name, e.Det)
 				}
-				got = append(got, e.Clone())
+				seen[e.Det.Msg] = true
 			})
 			want := 0
-			for _, e := range l.All() {
+			for _, e := range all {
 				if tc.want(e) {
 					want++
 				}
 			}
-			if len(got) != want || tc.v.Len() != want {
-				t.Fatalf("%+v %s: offered %d entries, Len %d, want %d", cfg, tc.name, len(got), tc.v.Len(), want)
+			if len(seen) != want || tc.v.Len() != want {
+				t.Fatalf("%+v %s: offered %d entries, Len %d, want %d", cfg, tc.name, len(seen), tc.v.Len(), want)
 			}
 		}
 	}

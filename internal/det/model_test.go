@@ -114,6 +114,30 @@ func canon(es []Entry) []string {
 	return out
 }
 
+// canonSet is canon of a list whose order is the log's own: sorted, so that
+// two lists of the same entries compare equal.
+func canonSet(es []Entry) []string {
+	out := canon(es)
+	slices.Sort(out)
+	return out
+}
+
+// viewMatches reports how v differs from want, a set of entries, or "": Each
+// offers each entry once, the holders it has now, and Collect copies them in
+// the order Each offered them.
+func viewMatches(v View, want []Entry) string {
+	var each []Entry
+	v.Each(func(e Entry) { each = append(each, e.Clone()) })
+	got := canonSet(each)
+	if w := canonSet(want); !reflect.DeepEqual(got, w) || v.Len() != len(w) {
+		return fmt.Sprintf("Each offered (Len %d)\n %v\nwant\n %v", v.Len(), got, w)
+	}
+	if c := canon(v.Collect()); !reflect.DeepEqual(c, canon(each)) {
+		return fmt.Sprintf("Collect\n %v\nis not the order Each offered\n %v", c, canon(each))
+	}
+	return ""
+}
+
 func sortedIDs(s []ids.MsgID) []ids.MsgID {
 	s = slices.Clone(s)
 	ids.SortMsgIDs(s)
@@ -172,10 +196,11 @@ type modelSaw struct{ inline, overflow, stable, reuse bool }
 // modelRun drives the slab log and the reference with the same seeded random
 // history of steps operations — records (fresh, repeated, and of collected
 // determinants), holder additions, watermark and whole-receiver GC,
-// per-destination scans in both variants (ScanModified on even seeds),
-// destination reincarnations, and resets of the whole log, which start the
-// reference afresh — over sparse SSNs and RSNs offset by base, and requires
-// equal offered sets at every scan and equal views after every step.
+// per-destination scans in both variants (ScanModified on even seeds), reads
+// of a whole, scoped or pending view, destination reincarnations, and resets
+// of the whole log, which start the reference afresh — over sparse SSNs and
+// RSNs offset by base, and requires equal offered sets at every scan and view
+// read, and equal copies after every step.
 func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64) (saw modelSaw) {
 	t.Helper()
 	outputs := seed%2 == 0 // the ScanModified variant
@@ -281,6 +306,20 @@ func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64) (saw
 			l.OnSettled(onSettled)
 			r, settled, gen = newRef(cfg), nil, make([]int, cfg.N)
 			clear(bornAt)
+		case op == 8 && step%2 == 0:
+			var v View
+			var want []Entry
+			switch p := proc(); rng.Intn(3) {
+			case 0:
+				v, want = l.View(nil), r.entries(func(*Entry) bool { return true })
+			case 1:
+				v, want = l.View([]ids.ProcID{p}), r.entries(func(e *Entry) bool { return e.Det.Receiver == p })
+			default:
+				v, want = l.PendingView(), r.entries(func(e *Entry) bool { return !cfg.Stable(e.Holders) })
+			}
+			if diff := viewMatches(v, want); diff != "" {
+				t.Fatalf("seed %d step %d: view: %s", seed, step, diff)
+			}
 		default:
 			d := rng.Intn(cfg.N)
 			got := map[ids.MsgID]string{}
@@ -302,7 +341,7 @@ func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64) (saw
 		}
 
 		pending := func(e *Entry) bool { return !cfg.Stable(e.Holders) }
-		if got, want := canon(l.Pending()), canon(r.entries(pending)); !reflect.DeepEqual(got, want) {
+		if got, want := canonSet(l.Pending()), canonSet(r.entries(pending)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d step %d: Pending\n %v\nwant\n %v", seed, step, got, want)
 		}
 		if got, want := canon(l.All()), canon(r.entries(func(*Entry) bool { return true })); !reflect.DeepEqual(got, want) {
@@ -343,7 +382,7 @@ func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64) (saw
 		if p == q {
 			procs = procs[:1]
 		}
-		if got, want := canon(l.View(procs).Collect()), canon(scoped); !reflect.DeepEqual(got, want) {
+		if got, want := canonSet(l.View(procs).Collect()), canonSet(scoped); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d step %d: View(%v)\n %v\nwant\n %v", seed, step, procs, got, want)
 		}
 		if got := l.CountForReceivers(procs); got != len(scoped) {
