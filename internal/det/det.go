@@ -693,7 +693,7 @@ func (l *Log) AddHolder(msg ids.MsgID, p ids.ProcID) {
 // order — the pending list, then the settled list, or the chain of each
 // receiver named — with no sort key, no sort, and no copy of a determinant
 // or holder set. The wire codec writes a depinfo reply straight from it
-// (wire.Envelope.DetView). No receiver of a view needs (sender, ssn) order:
+// (wire.DetList.SetView). No receiver of a view needs (sender, ssn) order:
 // the recovery leader merges every reply into a log of its own and sorts
 // once, in All. A view is valid until its log next changes — a Record,
 // AddHolder or GCReceiver — and a scoped one while its procs do not change,

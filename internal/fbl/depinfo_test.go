@@ -12,13 +12,17 @@ import (
 )
 
 // wireEnv sends the way the simulator does: the envelope is encoded at call
-// time and only the frame's length is kept.
+// time and only the last frame and its length are kept.
 type wireEnv struct {
 	*fakeEnv
 	frame int
+	last  []byte
 }
 
-func (w *wireEnv) Send(_ ids.ProcID, e *wire.Envelope) { w.frame = len(wire.Encode(e)) }
+func (w *wireEnv) Send(_ ids.ProcID, e *wire.Envelope) {
+	w.last = wire.Encode(e)
+	w.frame = len(w.last)
+}
 
 // allocated returns the least fn allocates in one of runs calls, after a
 // warm-up one, in bytes and objects: whatever else allocates meanwhile (the

@@ -139,15 +139,15 @@ type Process struct {
 	// destination reincarnated (its volatile log died with it): offer the
 	// whole pending set again.
 	scanGen []int
-	// piggy and piggyWords are transmit's scratch: the entries one frame
-	// piggybacks and the arena their holder sets are views into, overwritten
-	// by the next transmit. tx is the envelope each send is built in, and
-	// txView the log view a storage stream's envelope points at: Send
-	// serialises them at call time, so the next send overwrites them.
-	piggy      []det.Entry
-	piggyWords []uint64
-	tx         wire.Envelope
-	txView     det.View
+	// tx is the envelope each send is built in and txDets its list: the
+	// piggyback, encoded as the scan selects it, or a storage stream's view
+	// of the log. txIDs are the selected ids (fanout mode: the holder
+	// estimate follows the scan), txBytes their piggyback bytes. The next
+	// send overwrites them all; Boot keeps their arrays.
+	txDets  wire.DetList
+	txIDs   []ids.MsgID
+	txBytes int64
+	tx      wire.Envelope
 
 	// mgr owns the lifecycle (recovery.State) and the blocked flag: every
 	// path here routes by them.
@@ -205,13 +205,14 @@ func (p *Process) Boot(env node.Env, restart bool) {
 	n, kept := env.N(), p.env != nil
 	*p = Process{
 		env: env, par: p.par, n: n, cfg: det.Config{N: n, F: p.par.F}, dets: p.dets,
-		piggy: p.piggy[:0], piggyWords: p.piggyWords[:0], out: ids.PerProc(p.out, n), in: p.in,
+		txDets: p.txDets, txIDs: p.txIDs[:0], out: ids.PerProc(p.out, n), in: p.in,
 		sendLog: p.sendLog, incVec: p.incVec, cpExp: ids.PerProc(p.cpExp, n), scanGen: ids.PerProc(p.scanGen, n),
 		mgr: p.mgr, detect: p.detect, cpExpAt: p.cpExpAt,
 	}
 	if !TestingKeepStaleLog || !kept {
 		p.dets.Reset(p.cfg)
 	}
+	p.txDets.Reset()
 	p.incVec.Reset(n)
 	p.in.Reset(n)
 	p.sendLog.Reset(n)
@@ -296,14 +297,14 @@ func (p *Process) flushToStorage() {
 	if s := p.mgr.State(); s != recovery.StateLive && s != recovery.StateReplaying {
 		return
 	}
-	p.txView = p.dets.PendingView() // f = n: pending means storage does not hold it yet
-	if p.txView.Len() == 0 {
+	p.txDets.SetView(p.dets.PendingView()) // f = n: pending means storage does not hold it yet
+	if p.txDets.Len() == 0 {
 		return
 	}
 	p.tx = wire.Envelope{
 		Kind:    wire.KindDetsToStorage,
 		FromInc: p.inc,
-		DetView: &p.txView,
+		DetList: &p.txDets,
 	}
 	p.env.Send(ids.StorageProc, &p.tx)
 }

@@ -35,7 +35,8 @@ func (p *Process) LogSizes() (journal, lag int) { return p.dets.Len(), p.dets.Pe
 // determinant log's own counters (entries, stability lag, slab high-water
 // mark and free slots, footprint, holder unions that reached an
 // already-stable entry) and the size of the send log. What piggyback
-// selection offered is metrics.Proc.PiggybackDets.
+// selection sent is counted as transmit encodes it, in metrics.Proc's
+// PiggybackDets and PiggybackBytes: its list is overwritten by the next send.
 type DetStats struct {
 	det.Stats
 	// SendLogRecords is the number of logged messages, all destinations;

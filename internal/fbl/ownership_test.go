@@ -2,6 +2,7 @@ package fbl
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -215,10 +216,13 @@ func paddedChain(pad int) storage.Image {
 // TestTransmitSteadyStateAllocs: a warmed process sending a message with k
 // piggybacked determinants allocates the frame and nothing else — the
 // payload it was handed is the send-log record, selection reads views of the
-// slab and the selected entries land in the process's scratch. The
-// allocation count cannot see a frame's size, so the PayloadPad: 256 row
-// also weighs it: the bytes a send allocates must not grow with the pad,
-// which stays a count in the send log, the envelope and the frame.
+// slab and the selected entries are encoded into the list the process keeps.
+// A rebooted process keeps that list's array too (Boot keeps what it
+// reuses), so its first send allocates the frame alone: an explorer branch
+// does not grow the list again. The allocation count cannot see a frame's
+// size, so the PayloadPad: 256 row also weighs it: the bytes a send
+// allocates must not grow with the pad, which stays a count in the send log,
+// the envelope and the frame.
 func TestTransmitSteadyStateAllocs(t *testing.T) {
 	const k = 64
 	for _, tc := range []struct {
@@ -232,15 +236,19 @@ func TestTransmitSteadyStateAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// measure returns the allocations of a send of a payload padded
-			// by pad, and the bytes of the leanest of 50 after them.
-			measure := func(pad int) (float64, uint64) {
+			// by pad, the bytes of the leanest of 50 after them, and the
+			// objects of the first send after a reboot.
+			measure := func(pad int) (float64, uint64, uint64) {
 				kern := idleCluster(t, 4, 0, tc.outs)
 				p := kern.ProcOf(0).(*Process)
-				for i := 0; i < k; i++ {
-					if err := p.dets.Record(pendingEntry(i)); err != nil {
-						t.Fatal(err)
+				record := func() {
+					for i := 0; i < k; i++ {
+						if err := p.dets.Record(pendingEntry(i)); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
+				record()
 				sent := p.env.Metrics().PiggybackDets
 				payload := paddedChain(pad)
 				send := func() {
@@ -254,16 +262,20 @@ func TestTransmitSteadyStateAllocs(t *testing.T) {
 					t.Fatalf("setup: %d determinants per message, want %d", per, k)
 				}
 				bytes, _ := allocated(50, send)
-				return got, bytes
+				rebooted := firstAllocs(5, func() { p.Boot(p.env, false); record() }, send)
+				return got, bytes, rebooted
 			}
-			got, bytes := measure(tc.pad)
+			got, bytes, rebooted := measure(tc.pad)
 			if got != 1 {
 				t.Fatalf("sending a message with %d piggybacked determinants allocates %.1f times, want 1 (the frame)", k, got)
+			}
+			if rebooted != 1 {
+				t.Fatalf("a rebooted process's first send of %d determinants allocates %d objects, want 1 (the frame): Boot dropped the list's array", k, rebooted)
 			}
 			if tc.pad == 0 {
 				return
 			}
-			if _, plain := measure(0); bytes > plain {
+			if _, plain, _ := measure(0); bytes > plain {
 				t.Fatalf("a send allocates %d B with a %d B pad and %d B without: the pad is being allocated", bytes, tc.pad, plain)
 			}
 		})
@@ -307,14 +319,31 @@ func TestDeliverPiggybackAllocs(t *testing.T) {
 	}
 }
 
-// TestPiggybackIsACopyOfWhatWasSelected: fanout-mode transmit adds the
-// destination as a holder of every entry right after selecting it, and the
-// next transmit overwrites the scratch; neither may reach a frame already
-// handed to Send, and the mutation hook that drops the piggyback must not
-// drop the scratch with it.
+// firstAllocs returns the fewest objects fn allocates in one of runs calls,
+// each made right after setup: what a first call after setup allocates,
+// whatever else allocates meanwhile.
+func firstAllocs(runs int, setup, fn func()) uint64 {
+	least := uint64(math.MaxUint64)
+	var m0, m1 runtime.MemStats
+	for i := 0; i < runs; i++ {
+		setup()
+		runtime.ReadMemStats(&m0)
+		fn()
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.Mallocs-m0.Mallocs)
+	}
+	return least
+}
+
+// TestPiggybackIsACopyOfWhatWasSelected: transmit encodes each entry into
+// its list as the scan selects it, and fanout mode adds the destination as a
+// holder of every entry only after the scan; the frame carries the holders
+// from before that estimate, which reaches the log alone. The mutation hook
+// that drops the piggyback sends nothing but keeps the list's array, and a
+// peer that reincarnated gets the pending set again.
 func TestPiggybackIsACopyOfWhatWasSelected(t *testing.T) {
-	env := newFakeEnv(0, 4)
-	par := testParams(2)
+	env := &wireEnv{fakeEnv: newFakeEnv(0, 4)}
+	par := testParams(3) // f+1 = 4: every entry stays pending throughout
 	par.Fanout = 2
 	p := New(par)(nil).(*Process)
 	p.Boot(env, false)
@@ -324,10 +353,15 @@ func TestPiggybackIsACopyOfWhatWasSelected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	payload := storage.Image{Data: []byte("x")}
+	send := func(to ids.ProcID) { appCtx{p}.Send(to, payload) }
 	piggyback := func(to ids.ProcID) []det.Entry {
-		env.sent = nil
-		appCtx{p}.Send(to, storage.Image{Data: []byte("x")})
-		return env.takeKind(wire.KindApp)[0].Dets
+		send(to)
+		d, err := wire.Decode(env.last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Dets
 	}
 
 	first := piggyback(1)
@@ -344,15 +378,82 @@ func TestPiggybackIsACopyOfWhatWasSelected(t *testing.T) {
 		}
 	}
 
-	TestingDropDetPiggyback = true
-	dropped := piggyback(2)
-	TestingDropDetPiggyback = false
-	if len(dropped) != 0 || cap(p.piggy) < k {
-		t.Fatalf("mutated send carried %d determinants; scratch capacity %d, want 0 and >= %d", len(dropped), cap(p.piggy), k)
+	dropped := func() {
+		TestingDropDetPiggyback = true
+		defer func() { TestingDropDetPiggyback = false }()
+		p.scanGen[2] = -1
+		if got := piggyback(2); len(got) != 0 {
+			t.Fatalf("mutated send carried %d determinants, want 0", len(got))
+		}
 	}
-	p.scanGen[3] = -1 // as after p3 reincarnated: the pending set again
-	if again := piggyback(3); len(again) != k {
-		t.Fatalf("send after the mutated one piggybacks %d determinants, want %d", len(again), k)
+	again := func() {
+		p.scanGen[3] = -1 // as after p3 reincarnated: the pending set again
+		if got := piggyback(3); len(got) != k {
+			t.Fatalf("send after the mutated one piggybacks %d determinants, want %d", len(got), k)
+		}
+	}
+	dropped()
+	again()
+	// Decoding the frame allocates too: the send alone is measured.
+	if got := firstAllocs(5, func() { dropped(); p.scanGen[3] = -1 }, func() { send(3) }); got != 1 {
+		t.Fatalf("the first send after a mutated one allocates %d objects, want 1 (the frame): the hook dropped the list's array", got)
+	}
+	if have, _ := p.dets.Lookup(pendingEntry(1).Det.Msg); have.Holders.Contains(2) { // its receiver is p3
+		t.Fatal("the mutated send counted p2 as a holder of what it did not send")
+	}
+}
+
+// TestPiggybackMetricsMatchFrames: the piggyback a process counts is the one
+// its frames carry — PiggybackDets the entries they decode to,
+// PiggybackBytes Σ(32 + 8·words) over them — in broadcast mode, in fanout
+// mode, whose holder estimate runs after the scan, and under output
+// tracking, where a stable entry travels once more.
+func TestPiggybackMetricsMatchFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		fanout int
+		outs   output.Sink
+	}{
+		{"broadcast", 0, nil},
+		{"fanout", 2, nil},
+		{"output tracking", 0, output.NewLedger(4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newFakeEnv(0, 4)
+			par := testParams(1)
+			par.Fanout, par.Outputs = tc.fanout, tc.outs
+			p := New(par)(nil).(*Process)
+			p.Boot(env, false)
+			for i := 0; i < 6; i++ {
+				if err := p.dets.Record(pendingEntry(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			met := env.Metrics()
+			dets0, bytes0 := met.PiggybackDets, met.PiggybackBytes
+			var dets, bytes, stable int64
+			for i, to := range []ids.ProcID{1, 2, 1, 3, 2, 1} {
+				// News between sends: a holder joins, and under f = 1 the
+				// entry becomes stable.
+				p.dets.AddHolder(pendingEntry(i).Det.Msg, 0)
+				appCtx{p}.Send(to, storage.Image{Data: []byte("x")})
+				for _, e := range env.takeKind(wire.KindApp) {
+					for _, en := range e.Dets {
+						dets++
+						bytes += int64(32 + 8*len(en.Holders.Words()))
+						if en.Holders.Count() > par.F {
+							stable++
+						}
+					}
+				}
+			}
+			if dets == 0 || tc.outs != nil && stable == 0 {
+				t.Fatalf("setup: the frames carried %d determinants, %d of them stable", dets, stable)
+			}
+			if gd, gb := met.PiggybackDets-dets0, met.PiggybackBytes-bytes0; gd != dets || gb != bytes {
+				t.Fatalf("counted %d determinants and %d B, the frames carry %d and %d B", gd, gb, dets, bytes)
+			}
+		})
 	}
 }
 

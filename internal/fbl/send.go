@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"rollrec/internal/bitset"
 	"rollrec/internal/channel"
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
@@ -49,10 +48,10 @@ func (c appCtx) Send(to ids.ProcID, payload storage.Image) {
 // travels once more per destination, as stable, and then never again: what
 // its holder set does past f+1 is not news (det.Log, DESIGN §10).
 func (p *Process) transmit(to ids.ProcID, dseq uint64, rec channel.Rec) {
-	p.piggy, p.piggyWords = p.piggy[:0], p.piggyWords[:0]
-	// The scans offer views into the determinant slab; offer copies them
-	// into the scratch, so nothing below can reach the slab through piggy
-	// and the slab's later changes cannot reach the frame.
+	// The scans offer views into the determinant slab; offer encodes each
+	// into the list, so the slab's later changes cannot reach the frame.
+	p.txDets.Reset()
+	p.txIDs, p.txBytes = p.txIDs[:0], 0
 	gen := p.scanGen[to]
 	if p.par.Outputs != nil && gen >= 0 {
 		// Output tracking needs holder knowledge to travel one hop past
@@ -67,36 +66,33 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec channel.Rec) {
 		gen = p.dets.ScanPendingModified(gen, p.offer)
 	}
 	p.scanGen[to] = gen
-	piggy := p.piggy
 	if TestingDropDetPiggyback {
 		// Mutation hook (see TestingDropDetPiggyback): the determinants were
 		// scanned and count as offered, but never leave the process — the
 		// exact bug class the explorer's orphan/fidelity invariants exist to
 		// catch.
-		piggy = nil
+		p.txDets.Reset()
+		p.txIDs, p.txBytes = p.txIDs[:0], 0
 	}
-	if p.par.Fanout > 0 {
-		// The FBL sender-side estimate (§2.1): piggybacking a determinant
-		// to a destination makes that destination a holder, so count it now
-		// and stop propagating once the estimate reaches f+1 (while the entry
-		// is pending the change also re-offers it to this destination once,
-		// carrying the wider holder set; on a stable entry it is stored and
-		// nothing more). Without this, a copy's holder view stalls below the
-		// threshold forever (stable copies are never re-piggybacked, so
-		// nobody echoes the knowledge back) and every process keeps offering
-		// every determinant it saw until checkpoint GC — the piggyback volume
-		// that made n=1024 unaffordable. The estimate is optimistic about in-flight copies,
-		// which is exactly the paper's stated trade; the cluster's orphan
-		// checker guards the invariant in every scenario we run.
-		for i := range piggy {
-			p.dets.AddHolder(piggy[i].Det.Msg, to)
-		}
+	// The FBL sender-side estimate (§2.1), fanout mode only: piggybacking a
+	// determinant to a destination makes that destination a holder, so
+	// count it now and stop propagating once the estimate reaches f+1
+	// (while the entry is pending the change also re-offers it to this
+	// destination once, carrying the wider holder set; on a stable entry it
+	// is stored and nothing more). Without this, a copy's holder view stalls
+	// below the threshold forever (stable copies are never re-piggybacked,
+	// so nobody echoes the knowledge back) and every process keeps offering
+	// every determinant it saw until checkpoint GC — the piggyback volume
+	// that made n=1024 unaffordable. The estimate is optimistic about
+	// in-flight copies, which is exactly the paper's stated trade; the
+	// cluster's orphan checker guards the invariant in every scenario we
+	// run.
+	for _, id := range p.txIDs {
+		p.dets.AddHolder(id, to)
 	}
 	met := p.env.Metrics()
-	met.PiggybackDets += int64(len(piggy))
-	for i := range piggy {
-		met.PiggybackBytes += int64(32 + 8*len(piggy[i].Holders.Words()))
-	}
+	met.PiggybackDets += int64(p.txDets.Len())
+	met.PiggybackBytes += p.txBytes
 	e := &p.tx
 	*e = wire.Envelope{
 		Kind:    wire.KindApp,
@@ -105,7 +101,7 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec channel.Rec) {
 		Dseq:    dseq,
 		Payload: rec.Payload.Data,
 		Pad:     uint32(rec.Payload.Pad),
-		Dets:    piggy,
+		DetList: &p.txDets,
 	}
 	if p.par.Fanout > 0 {
 		// Fanout mode replaces broadcast checkpoint notices with this
@@ -118,12 +114,14 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec channel.Rec) {
 	p.env.Send(to, e)
 }
 
-// offer is transmit's scan callback: append a copy of the slab view e to the
-// piggyback scratch.
+// offer is transmit's scan callback: encode the slab view e into the list
+// and count it; fanout mode keeps its id, as the scan must not change the log.
 func (p *Process) offer(e det.Entry) {
-	at := len(p.piggyWords)
-	p.piggyWords = append(p.piggyWords, e.Holders.Words()...)
-	p.piggy = append(p.piggy, det.Entry{Det: e.Det, Holders: bitset.View(p.piggyWords[at:])})
+	p.txDets.Add(e)
+	p.txBytes += int64(32 + 8*len(e.Holders.Words()))
+	if p.par.Fanout > 0 {
+		p.txIDs = append(p.txIDs, e.Det.Msg)
+	}
 }
 
 // serveReplay answers a recovering process's retransmission request: resend

@@ -16,10 +16,10 @@ type StorageNode struct {
 	env  node.Env
 	cfg  det.Config
 	dets *det.Log
-	// tx is the envelope every reply is built in, and view the log view a
-	// depinfo reply's envelope points at (see Process.tx).
+	// tx is the envelope every reply is built in, and view the list, a view
+	// of the log, a depinfo reply's envelope points at (see Process.tx).
 	tx   wire.Envelope
-	view det.View
+	view wire.DetList
 }
 
 var _ node.Process = (*StorageNode)(nil)
@@ -69,13 +69,13 @@ func (s *StorageNode) Deliver(in *wire.Envelope) {
 		// The storage process is one of the hosts the leader gathers from.
 		// A scoped request (fanout mode) names the recovering members; only
 		// their determinants matter for replay.
-		s.view = s.dets.View(e.Members)
+		s.view.SetView(s.dets.View(e.Members))
 		s.tx = wire.Envelope{
 			Kind:    wire.KindDepReply,
 			FromInc: 1,
 			Ord:     e.Ord,
 			Round:   e.Round,
-			DetView: &s.view,
+			DetList: &s.view,
 		}
 		s.env.Send(e.From, &s.tx)
 	case wire.KindCheckpointNotice:

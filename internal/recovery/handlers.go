@@ -3,7 +3,6 @@ package recovery
 import (
 	"fmt"
 
-	"rollrec/internal/det"
 	"rollrec/internal/ids"
 	"rollrec/internal/wire"
 )
@@ -157,16 +156,16 @@ func (m *Manager) onDepRequest(e *wire.Envelope) {
 // members will replay. The view reads the log as it is now; Send writes the
 // frame from it before returning.
 func (m *Manager) replyDeps(to ids.ProcID, ord ids.Ordinal, round uint32, members []ids.ProcID) {
-	m.reply = m.host.DepInfo(members)
+	m.reply.SetView(m.host.DepInfo(members))
 	m.tx = wire.Envelope{
 		Kind:    wire.KindDepReply,
 		FromInc: m.entry(m.self).inc,
 		Ord:     ord,
 		Round:   round,
-		DetView: &m.reply,
+		DetList: &m.reply,
 	}
 	m.env.Send(to, &m.tx)
-	m.reply = det.View{}
+	m.reply.Reset()
 }
 
 func (m *Manager) blockFor(ord ids.Ordinal) {

@@ -200,12 +200,12 @@ type Manager struct {
 
 	retry node.Timer
 
-	// tx is the envelope every send is built in, and reply the view a
-	// depinfo reply's envelope points at: Send serialises both at call time,
-	// so the next send overwrites them, and as fields they cost no
-	// allocation.
+	// tx is the envelope every send is built in, and reply the list, a view
+	// of the host's log, a depinfo reply's envelope points at: Send
+	// serialises both at call time, so the next send overwrites them, and as
+	// fields they cost no allocation.
 	tx    wire.Envelope
-	reply det.View
+	reply wire.DetList
 }
 
 // Reset makes m a fresh manager of a booting process, keeping the registry's

@@ -33,8 +33,8 @@ var (
 	ErrBadHolders = errors.New("wire: bad holder-set encoding")
 	ErrPad        = errors.New("wire: padding field does not match the image")
 	// ErrTwoDetLists is returned by EncodeChecked for an envelope that sets
-	// both Dets and DetView.
-	ErrTwoDetLists = errors.New("wire: envelope sets both Dets and DetView")
+	// both Dets and DetList.
+	ErrTwoDetLists = errors.New("wire: envelope sets both Dets and DetList")
 	// ErrRange is returned by EncodeChecked when a count or id does not fit
 	// its wire representation.
 	ErrRange = errors.New("wire: value out of encodable range")
@@ -294,7 +294,7 @@ func presence(e *Envelope) uint16 {
 	if len(e.Payload) > 0 || e.Pad > 0 {
 		p |= hasPayload
 	}
-	if len(e.Dets) > 0 || e.DetView != nil && e.DetView.Len() > 0 {
+	if len(e.Dets) > 0 || e.DetList != nil && e.DetList.Len() > 0 {
 		p |= hasDets
 	}
 	if e.CPRsn != 0 {
@@ -375,7 +375,7 @@ func EncodeChecked(e *Envelope) (storage.Image, error) {
 // (TestEncodeIntoDirtyBuffer), so a recycled buffer encodes what a fresh one
 // does.
 func EncodeInto(buf []byte, e *Envelope) (storage.Image, error) {
-	if e.Dets != nil && e.DetView != nil {
+	if e.Dets != nil && e.DetList != nil {
 		return storage.Image{}, ErrTwoDetLists
 	}
 	w := &Writer{buf: buf[:0]}
@@ -457,18 +457,18 @@ func EncodeInto(buf []byte, e *Envelope) (storage.Image, error) {
 	return storage.Image{Data: w.buf, Pad: int(e.Pad)}, nil
 }
 
-// encodeDets writes the envelope's determinant list, from Dets or from the
-// log a DetView reads.
+// encodeDets writes the envelope's determinant list, from Dets or from a
+// DetList: its encoded entries, then the log its view reads.
 func encodeDets(w *Writer, e *Envelope) error {
 	n := len(e.Dets)
-	if e.DetView != nil {
-		n = e.DetView.Len()
+	if e.DetList != nil {
+		n = e.DetList.Len()
 	}
 	if err := checkLen("dets", n); err != nil {
 		return err
 	}
 	w.U32(uint32(n))
-	if e.DetView == nil {
+	if e.DetList == nil {
 		for i := range e.Dets {
 			if err := encodeEntry(w, &e.Dets[i]); err != nil {
 				return err
@@ -476,13 +476,47 @@ func encodeDets(w *Writer, e *Envelope) error {
 		}
 		return nil
 	}
-	var err error
-	e.DetView.Each(func(en det.Entry) {
+	w.buf = append(w.buf, e.DetList.buf...)
+	err := e.DetList.err
+	e.DetList.view.Each(func(en det.Entry) {
 		if err == nil {
 			err = encodeEntry(w, &en)
 		}
 	})
 	return err
+}
+
+// DetList is a determinant list a sender hands the encoder without a
+// []det.Entry: the entries Add encoded as they were selected (the piggyback,
+// written once: Size reads its length, the encoder appends it), then those
+// of a det.View read in place at encode time (SetView: a one-shot depinfo
+// reply or f = n storage stream, for which two walks cost less than a copy).
+// The frame is the one Dets holding the same entries gives, byte for byte.
+// Send consumes a list at call time, so a sender keeps one and refills it.
+// The zero value is an empty list.
+type DetList struct {
+	n    int
+	buf  []byte
+	err  error // the first entry Add could not encode
+	view det.View
+}
+
+// Reset empties the list, its view included, and keeps its array.
+func (l *DetList) Reset() { *l = DetList{buf: l.buf[:0]} }
+
+// SetView empties the list and makes it v's entries, valid while v is.
+func (l *DetList) SetView(v det.View) { *l = DetList{buf: l.buf[:0], view: v} }
+
+// Len returns the number of entries in the list.
+func (l *DetList) Len() int { return l.n + l.view.Len() }
+
+// Add appends the encoding of e, whose holder set is read now, not kept.
+func (l *DetList) Add(e det.Entry) {
+	w := Writer{buf: l.buf}
+	if err := encodeEntry(&w, &e); err != nil && l.err == nil {
+		l.err = err
+	}
+	l.buf, l.n = w.buf, l.n+1
 }
 
 func encodeEntry(w *Writer, e *det.Entry) error {
@@ -863,8 +897,9 @@ func Size(e *Envelope) int {
 			_, hn, _ := holderEnc(en.Holders)
 			n += 4 + 8 + 4 + 8 + hn
 		}
-		if e.DetView != nil {
-			e.DetView.Each(entry)
+		if e.DetList != nil {
+			n += len(e.DetList.buf)
+			e.DetList.view.Each(entry)
 		}
 		for i := range e.Dets {
 			entry(e.Dets[i])

@@ -338,13 +338,14 @@ func dirtyBuffer(capacity int) []byte {
 // TestEncodeIntoDirtyBuffer: encoding into a reused buffer full of 0xFF
 // gives exactly the bytes of a fresh EncodeChecked, in that buffer when it
 // holds the frame and in a fresh one when it does not — for envelopes with a
-// payload, with Dets, with a DetView and with a pad. An encoder that skipped
+// payload, with Dets, with a list reading a view and with a pad. An encoder that skipped
 // a field instead of writing it would leave 0xFF behind.
 func TestEncodeIntoDirtyBuffer(t *testing.T) {
-	view := viewLog(t, det.Config{N: 100, F: 10}).View([]ids.ProcID{3, 7})
+	var view DetList
+	view.SetView(viewLog(t, det.Config{N: 100, F: 10}).View([]ids.ProcID{3, 7}))
 	envelopes := append(sampleEnvelopes(), paddedEnvelopes()...)
 	envelopes = append(envelopes, piggybackFrame(10, 40),
-		&Envelope{Kind: KindDepReply, From: 2, FromInc: 3, Round: 4, DetView: &view})
+		&Envelope{Kind: KindDepReply, From: 2, FromInc: 3, Round: 4, DetList: &view})
 	for i, e := range envelopes {
 		fresh, err := EncodeChecked(e)
 		if err != nil {

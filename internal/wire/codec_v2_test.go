@@ -103,6 +103,13 @@ func TestEncodeRangeErrors(t *testing.T) {
 		if _, err := EncodeChecked(detEnvelope(huge)); !errors.Is(err, ErrRange) {
 			t.Fatalf("EncodeChecked = %v, want ErrRange", err)
 		}
+		// Added to a list, the set is refused when the list is encoded.
+		var l DetList
+		l.Add(detEnvelope(huge).Dets[0])
+		l.Add(detEnvelope(bitset.Set{}).Dets[0])
+		if _, err := EncodeChecked(&Envelope{Kind: KindApp, DetList: &l}); !errors.Is(err, ErrRange) {
+			t.Fatalf("EncodeChecked of a list = %v, want ErrRange", err)
+		}
 		defer func() {
 			if recover() == nil {
 				t.Fatal("Encode must panic on an unencodable envelope")

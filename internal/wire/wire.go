@@ -7,15 +7,16 @@
 // quantity the paper's "communication overhead" metric counts. That rests
 // on the byte copy, not on who owns the structs around it: Encode copies
 // all an envelope references into the frame (a sender may reuse one envelope
-// for a fan-out, or hand one to Multicast; a DetView is read from the
-// sender's log in place), nothing writes a frame until its delivery returns,
-// and decoding reads the payload in place — a view of the frame — and copies
-// the rest out, the determinants into the Decoder's buffers. The simulator
-// decodes every frame into one struct through one Decoder and recycles a
-// unicast frame once Deliver returns, so a decoded payload is valid until
-// then; Envelope.Keep is how a handler holds on to a frame. A payload's
-// padding is a length on the wire as in storage: Size counts it, the frame
-// carries it as a count (storage.Image.Pad), and no one allocates the zeros.
+// for a fan-out, or hand one to Multicast; a DetList is encoded already or
+// reads the sender's log in place), nothing writes a frame until its delivery
+// returns, and decoding reads the payload in place — a view of the frame —
+// and copies the rest out, the determinants into the Decoder's buffers. The
+// simulator decodes every frame into one struct through one Decoder and
+// recycles a unicast frame once Deliver returns, so a decoded payload is
+// valid until then; Envelope.Keep is how a handler holds on to a frame. A
+// payload's padding is a length on the wire as in storage: Size counts it,
+// the frame carries it as a count (storage.Image.Pad), and no one allocates
+// the zeros.
 package wire
 
 import (
@@ -142,13 +143,13 @@ type Envelope struct {
 	// the payload means Payload, then Pad zeros (PayloadImage).
 	Payload []byte
 	Dets    []det.Entry // piggyback, dep replies, recovery data, storage stream
-	// DetView is the encode-only alternative to Dets: a list read from the
-	// sender's log in place (det.View), written into the frame byte for byte
-	// as Dets holding the same entries would be. Send consumes it at call
-	// time; an envelope sets at most one of the two, and a decoded envelope
-	// never carries a view. It is a pointer so the envelope stays in its
-	// allocation size class (TestEnvelopeSizeClass).
-	DetView *det.View
+	// DetList is the encode-only alternative to Dets: the sender's list in
+	// wire form, or a view of its log read in place, written into the frame
+	// byte for byte as Dets holding the same entries would be. Send consumes
+	// it at call time; an envelope sets at most one of the two, and a decoded
+	// envelope never carries a list. It is a pointer so the envelope stays in
+	// its allocation size class (TestEnvelopeSizeClass).
+	DetList *DetList
 
 	// Checkpoint notices.
 	CPRsn         ids.RSN   // receiver-order watermark covered by the checkpoint
@@ -210,15 +211,20 @@ func cloneDets(in []det.Entry) []det.Entry {
 
 // Clone returns a deep copy of the envelope, for test fakes that capture
 // what a sender goes on to reuse; Send itself serializes at call time. A
-// DetView is collected into Dets: the copy outlives the log's next change.
+// DetList is decoded into Dets: the copy outlives the list's next refill and
+// the log's next change.
 func (e *Envelope) Clone() *Envelope {
 	c := *e
 	if e.Payload != nil {
 		c.Payload = append([]byte(nil), e.Payload...)
 	}
 	c.Dets = cloneDets(e.Dets)
-	if e.DetView != nil {
-		c.Dets, c.DetView = e.DetView.Collect(), nil
+	if l := e.DetList; l != nil {
+		var d Decoder
+		for r, i := NewReader(l.buf), 0; i < l.n; i++ {
+			c.Dets = append(c.Dets, d.decodeEntry(r))
+		}
+		c.Dets, c.DetList = append(c.Dets, l.view.Collect()...), nil
 	}
 	if e.SSNWatermarks != nil {
 		c.SSNWatermarks = append([]ids.SSN(nil), e.SSNWatermarks...)
