@@ -33,9 +33,9 @@ fmt:
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lines prints the non-test Go line count outside benchmark/ — the number
-# ROADMAP item 10's line target is stated in; every deletion PR reports its
-# delta with this command, and scripts/lines_budget.sh pins it in
-# .lines-budget.
+# the line target of ROADMAP's "Say it with less" item is stated in; every
+# deletion PR reports its delta with this command, and
+# scripts/lines_budget.sh pins it in .lines-budget.
 lines:
 	@find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l
 

@@ -41,6 +41,8 @@ func main() {
 		styleF   = flag.String("style", "nonblocking", "recovery style: nonblocking|blocking|manetho")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		hwF      = flag.String("hw", "1995", "hardware profile: 1995|modern")
+		jitter   = flag.Duration("jitter", 0, "network jitter: each frame is delayed by a uniform [0, jitter) more, FIFO per link kept")
+		drop     = flag.Float64("drop", 0, "network drop rate in [0, 1): each frame is lost with this probability")
 		appF     = flag.String("app", "gossip", "workload: gossip|ring|clientserver")
 		crash    = flag.String("crash", "", "crash schedule, e.g. 10s:3,14s:5")
 		horizon  = flag.Duration("horizon", 30*time.Second, "virtual run time")
@@ -66,6 +68,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	hw.Net.Jitter, hw.Net.DropRate = *jitter, *drop
 	app, err := parseApp(*appF)
 	if err != nil {
 		fatal(err)
@@ -126,8 +129,12 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Printf("scenario: n=%d f=%d style=%s hw=%s app=%s seed=%d horizon=%v crashes=%d\n\n",
-		*n, *f, style, *hwF, *appF, *seed, *horizon, len(plan))
+	lossy := ""
+	if *jitter != 0 || *drop != 0 {
+		lossy = fmt.Sprintf(" jitter=%v drop=%g", *jitter, *drop)
+	}
+	fmt.Printf("scenario: n=%d f=%d style=%s hw=%s app=%s seed=%d horizon=%v crashes=%d%s\n\n",
+		*n, *f, style, *hwF, *appF, *seed, *horizon, len(plan), lossy)
 	fmt.Printf("%-5s %-10s %-9s %-9s %-9s %-10s %-10s %-9s\n",
 		"proc", "delivered", "sent", "blocked", "storage", "recovery", "gather", "replay")
 	for i := 0; i < *n; i++ {
@@ -275,7 +282,7 @@ func parseCrashes(s string, n int) (failure.Plan, error) {
 
 // flagOf names the flag behind each field a refusal of the run can name.
 var flagOf = map[string]string{"N": "-n", "F": "-f", "CheckpointEvery": "-checkpoint",
-	"StatePad": "-statepad", "Crashes": "-crash", "Horizon": "-horizon"}
+	"StatePad": "-statepad", "Crashes": "-crash", "Horizon": "-horizon", "Jitter": "-jitter", "DropRate": "-drop"}
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "fblsim:", err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
@@ -34,6 +35,9 @@ func TestUnhonouredFlagsExit2(t *testing.T) {
 		{"-timeline-interval", "0"},
 		{"-crash", "40s:1"},                       // after the default 30 s horizon
 		{"-crash", "2s:1,5s:0", "-horizon", "4s"}, // the second is never reached
+		{"-jitter", "-1ms"},
+		{"-drop", "1"}, // every frame lost
+		{"-drop", "-0.01"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "FBLSIM_MAIN=1")
@@ -59,6 +63,35 @@ func TestCrashAtTheHorizonIsInjected(t *testing.T) {
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "liveness:") {
 		t.Fatalf("fblsim -crash 1s:1 -horizon 1s: %v, want exit status 1 and a liveness violation\n%s", err, out)
+	}
+}
+
+// TestDropLosesDeliveries: -drop reaches the network: a run that loses 1 %
+// of its frames delivers fewer messages than the same run without losses,
+// and says so on its scenario line.
+func TestDropLosesDeliveries(t *testing.T) {
+	delivered := func(args ...string) (int, string) {
+		cmd := exec.Command(os.Args[0], append([]string{"-n", "4", "-horizon", "3s"}, args...)...)
+		cmd.Env = append(os.Environ(), "FBLSIM_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatalf("fblsim %v: %v", args, err)
+		}
+		total := 0
+		for _, line := range strings.Split(string(out), "\n") {
+			var proc string
+			var n int
+			if _, err := fmt.Sscanf(line, "p%s %d", &proc, &n); err == nil {
+				total += n
+			}
+		}
+		return total, string(out)
+	}
+	lossless, _ := delivered()
+	lossy, out := delivered("-drop", "0.01")
+	if lossless == 0 || lossy >= lossless || !strings.Contains(out, "drop=0.01") {
+		t.Fatalf("-drop 0.01 delivered %d messages, lossless %d; want fewer, and the rate on the scenario line:\n%s", lossy, lossless, out)
 	}
 }
 

@@ -103,9 +103,9 @@ func Refuse(field, format string, args ...any) error {
 // Validate reports what New refuses to build, as a FieldError: a size
 // outside [2, MaxProcs], an unknown family or FBL recovery style, a hardware
 // profile whose minimum network latency — the sharded kernel's window width
-// — is not positive, a negative checkpoint interval, state padding a Pad
-// field's 32-bit count cannot hold (any less restores), or a shard count
-// outside [0, MaxProcs].
+// — is not positive, negative jitter, a drop rate outside [0, 1), a negative
+// checkpoint interval, state padding a Pad field's 32-bit count cannot hold
+// (any less restores), or a shard count outside [0, MaxProcs].
 // The zero HW and the zero Family are defaults, not errors.
 func (cfg Config) Validate() error {
 	switch {
@@ -117,6 +117,10 @@ func (cfg Config) Validate() error {
 		return Refuse("Style", "unknown recovery %v (want nonblocking, blocking or manetho)", cfg.Style)
 	case cfg.HW != (node.Hardware{}) && cfg.HW.Net.Latency <= 0:
 		return Refuse("HW", "hardware profile has network latency %v; it must be positive", cfg.HW.Net.Latency)
+	case cfg.HW.Net.Jitter < 0:
+		return Refuse("Jitter", "network jitter %v is negative", cfg.HW.Net.Jitter)
+	case !(cfg.HW.Net.DropRate >= 0 && cfg.HW.Net.DropRate < 1):
+		return Refuse("DropRate", "drop rate %v out of range [0,1)", cfg.HW.Net.DropRate)
 	case cfg.CheckpointEvery < 0:
 		return Refuse("CheckpointEvery", "checkpoint interval %v is negative (0 disables checkpoints)", cfg.CheckpointEvery)
 	case cfg.StatePad < 0 || cfg.StatePad > math.MaxInt32:

@@ -132,7 +132,11 @@ func TestStorageNodeKinds(t *testing.T) {
 	held := st.Len()
 	dets := kindFrame(t, wire.KindDetsToStorage)
 	dets.Dets = []det.Entry{{Det: det.Determinant{Msg: ids.MsgID{Sender: 2, SSN: 1}, Receiver: 1, RSN: 1}}}
-	st.Deliver(dets)
+	rx, err := wire.Decode(wire.Encode(dets)) // as the runtime delivers it
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Deliver(rx)
 	stored := st.Len() - held
 	st.Deliver(kindFrame(t, wire.KindDepRequest))
 	notice := kindFrame(t, wire.KindCheckpointNotice)

@@ -206,6 +206,7 @@ func (l *Log) Reset(cfg Config) {
 		panic(fmt.Sprintf("det: NewLog: N = %d does not fit a slot's 16-bit process ids", cfg.N))
 	}
 	clear(l.table)
+	scratch := l.scratch
 	*l = Log{
 		cfg: cfg, stride: cfg.N/64 + 1, wide: cfg.N >= 64,
 		free: none, spare: none, pending: list{none, none}, settled: list{none, none},
@@ -215,7 +216,7 @@ func (l *Log) Reset(cfg Config) {
 		l.recv[i] = none
 	}
 	if l.scratch = l.one[:]; l.wide {
-		l.scratch = make([]uint64, l.stride)
+		l.scratch = slices.Grow(scratch[:0], l.stride)[:l.stride]
 	}
 }
 
@@ -756,50 +757,48 @@ func (v View) Each(fn func(Entry)) {
 }
 
 // Collect returns copies of the view's entries, in its order, which the
-// caller owns. Their holder words are carved from one arena sized up front;
-// the log's scratch is not touched, so a scan's view survives a Collect (or
-// Lookup) made while it is offered.
+// caller owns. It reads them as Each does, through the log's scratch.
 func (v View) Collect() []Entry {
-	total := 0
-	v.walk(func(i int32) { total += v.l.holderLen(i) })
-	arena := make([]uint64, total)
-	out, j := make([]Entry, v.n), 0
-	v.walk(func(i int32) {
-		out[j], arena = v.l.entryInto(i, arena)
-		j++
-	})
+	out := make([]Entry, 0, v.n)
+	v.Each(func(e Entry) { out = append(out, e.Clone()) })
 	return out
-}
-
-// entryInto copies entry i, its holder words carved from the front of arena
-// (which has room for them, holderLen), and returns it with the rest of arena.
-func (l *Log) entryInto(i int32, arena []uint64) (Entry, []uint64) {
-	e := Entry{Det: l.at(i).det()}
-	if n := l.holderLen(i); n > 0 {
-		e.Holders = bitset.View(l.holdersInto(i, arena[:n:n]))
-		arena = arena[n:]
-	}
-	return e, arena
 }
 
 // Pending returns a copy of PendingView.
 func (l *Log) Pending() []Entry { return l.PendingView().Collect() }
 
-// All returns a copy of every entry in (sender, ssn) order: the recovery
-// leader's aggregate of the depinfo it gathered, and the one sorted list a
-// log hands out.
-func (l *Log) All() []Entry {
-	out := l.View(nil).Collect()
-	slices.SortFunc(out, func(a, b Entry) int {
-		return cmp.Or(cmp.Compare(a.Det.Msg.Sender, b.Det.Msg.Sender), cmp.Compare(a.Det.Msg.SSN, b.Det.Msg.SSN))
+// EachSorted is View.Each over every entry in (sender, ssn) order, the one
+// sorted order a log hands out (the recovery leader's gathered depinfo).
+func (l *Log) EachSorted(fn func(Entry)) {
+	type keyed struct {
+		key uint64 // the sender, offset to sort unsigned, then the ssn
+		i   int32
+	}
+	order := make([]keyed, 0, l.Len())
+	l.View(nil).walk(func(i int32) {
+		s := l.at(i)
+		order = append(order, keyed{uint64(uint16(s.sender)^0x8000)<<32 | uint64(s.ssn), i})
 	})
+	slices.SortFunc(order, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+	for _, o := range order {
+		fn(Entry{Det: l.at(o.i).det(), Holders: bitset.View(l.holdersInto(o.i, l.scratch))})
+	}
+}
+
+// All returns a copy of every entry, in EachSorted's order.
+func (l *Log) All() []Entry {
+	out := make([]Entry, 0, l.Len())
+	l.EachSorted(func(e Entry) { out = append(out, e.Clone()) })
 	return out
 }
 
 // Lookup returns the determinant entry for msg, if present.
 func (l *Log) Lookup(msg ids.MsgID) (Entry, bool) {
 	if i := l.find(msg); i >= 0 {
-		e, _ := l.entryInto(i, make([]uint64, l.holderLen(i)))
+		e := Entry{Det: l.at(i).det()}
+		if n := l.holderLen(i); n > 0 {
+			e.Holders = bitset.View(l.holdersInto(i, make([]uint64, n)))
+		}
 		return e, true
 	}
 	return Entry{}, false

@@ -133,3 +133,40 @@ func TestStorageFlushAllocs(t *testing.T) {
 			size, objs, bytes, env.frame, frameBytes)
 	}
 }
+
+// TestStorageNodeDeliverAllocs: the f = n storage node merges a streamed
+// batch where it lies in the frame and builds its acknowledgement's ids in
+// an array it keeps, so on a warm node — the entries known, the array grown
+// — a batch of 64 costs the ack's frame and nothing else. Building the ids
+// in a fresh slice per batch cost a second object.
+func TestStorageNodeDeliverAllocs(t *testing.T) {
+	const n, size, runs = 8, 64, 20
+	env := &wireEnv{fakeEnv: newFakeEnv(ids.StorageProc, n)}
+	s := NewStorageNode(n, n)(nil).(*StorageNode)
+	s.Boot(env, false)
+	batch := &wire.Envelope{Kind: wire.KindDetsToStorage, From: 3, FromInc: 1}
+	for i := 0; i < size; i++ {
+		batch.Dets = append(batch.Dets, det.Entry{
+			Det:     det.Determinant{Msg: ids.MsgID{Sender: ids.ProcID(i % n), SSN: ids.SSN(i + 1)}, Receiver: 3, RSN: ids.RSN(i + 1)},
+			Holders: bitset.FromSlice([]int{3, i % n}),
+		})
+	}
+	frame, err := wire.EncodeChecked(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rx wire.Envelope
+	if err := new(wire.Decoder).Decode(&rx, frame); err != nil {
+		t.Fatal(err)
+	}
+	bytes, objs := allocated(runs, func() { s.Deliver(&rx) })
+	ack, err := wire.Decode(env.last)
+	if err != nil || ack.Kind != wire.KindStorageAck || len(ack.MsgIDs) != size || s.Len() != size {
+		t.Fatalf("the node stores %d entries and acks %v (err %v); want all %d stored and acked", s.Len(), ack, err, size)
+	}
+	frameBytes, _ := allocated(runs, func() { frameSink = make([]byte, 0, env.frame) })
+	if objs != 1 || bytes > frameBytes {
+		t.Errorf("a warm storage node's delivery of %d entries allocates %d objects, %d B; want 1 (the ack's %d-byte frame, %d B)",
+			size, objs, bytes, env.frame, frameBytes)
+	}
+}

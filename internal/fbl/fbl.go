@@ -333,9 +333,9 @@ func (p *Process) Deliver(in *wire.Envelope) {
 	}
 	// Record piggybacked determinants before anything else so our own
 	// subsequent sends forward them (the causal propagation of §2.1).
-	if e.Kind == wire.KindApp && len(e.Dets) > 0 {
-		p.absorbDets(e.Dets)
-		e.Dets = nil // merged: a Keep below has nothing left to copy
+	if e.Kind == wire.KindApp && e.DetList != nil {
+		p.absorbDets(e.DetList)
+		e.DetList = nil // merged: a Keep below has nothing left to copy
 	}
 	if e.Kind == wire.KindApp && p.par.Fanout > 0 {
 		p.applyPiggybackGC(e)
@@ -415,14 +415,12 @@ func (p *Process) pruneSendLog(q ids.ProcID, wm uint64) {
 	p.sendLog.Prune(q, wm)
 }
 
-// absorbDets merges piggybacked determinant entries and marks ourselves as
-// a holder of each (we now store the receipt order in our volatile log).
-func (p *Process) absorbDets(entries []det.Entry) {
-	self := p.env.ID()
-	for _, en := range entries {
-		if err := p.dets.RecordHeld(en, self); err != nil {
-			panic(fmt.Sprintf("fbl: %v: conflicting piggybacked determinant: %v", p.env.ID(), err))
-		}
+// absorbDets merges piggybacked determinant entries, where they lie in the
+// frame, and marks ourselves as a holder of each (we now store the receipt
+// order in our volatile log).
+func (p *Process) absorbDets(l *wire.DetList) {
+	if err := l.RecordInto(p.dets, p.env.ID()); err != nil {
+		panic(fmt.Sprintf("fbl: %v: conflicting piggybacked determinant: %v", p.env.ID(), err))
 	}
 }
 

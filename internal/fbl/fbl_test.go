@@ -470,7 +470,11 @@ func TestStableDeterminantTravelsOnceMore(t *testing.T) {
 		if len(frames) != 1 || frames[0].To != to {
 			t.Fatalf("p%d sent %d app frames, want one to p%d", from, len(frames), to)
 		}
-		procs[to].Deliver(frames[0])
+		rx, err := wire.Decode(wire.Encode(frames[0])) // as the runtime delivers it
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs[to].Deliver(rx)
 		return frames[0].Dets
 	}
 	carries := func(dets []det.Entry, want ...ids.MsgID) {

@@ -27,12 +27,21 @@ import (
 
 // reusedRx delivers every frame through one envelope, as sim.Kernel does.
 type reusedRx struct {
-	p  node.Process
-	rx wire.Envelope
+	p   node.Process
+	rx  wire.Envelope
+	dec wire.Decoder
 }
 
+// deliver hands e to the process as the simulator does: encoded, then
+// decoded into the one envelope through the one decoder.
 func (r *reusedRx) deliver(e *wire.Envelope) {
-	r.rx = *e
+	frame, err := wire.EncodeChecked(e)
+	if err == nil {
+		err = r.dec.Decode(&r.rx, frame)
+	}
+	if err != nil {
+		panic(err)
+	}
 	r.p.Deliver(&r.rx)
 }
 
@@ -361,7 +370,7 @@ func TestPiggybackIsACopyOfWhatWasSelected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d.Dets
+		return d.Clone().Dets
 	}
 
 	first := piggyback(1)

@@ -89,9 +89,9 @@ func (p *Process) StableReplyWrite(ord ids.Ordinal, size int, done func()) {
 
 // ApplyRecoveryData implements recovery.Host: merge the gathered depinfo
 // (step 6) and start replaying.
-func (p *Process) ApplyRecoveryData(entries []det.Entry, incVec []ids.Incarnation) {
+func (p *Process) ApplyRecoveryData(l *wire.DetList, incVec []ids.Incarnation) {
 	p.MergeIncVec(incVec)
-	p.absorbDets(entries)
+	p.absorbDets(l)
 	p.startReplay()
 }
 

@@ -16,10 +16,12 @@ type StorageNode struct {
 	env  node.Env
 	cfg  det.Config
 	dets *det.Log
-	// tx is the envelope every reply is built in, and view the list, a view
-	// of the log, a depinfo reply's envelope points at (see Process.tx).
+	// tx is the envelope every reply is built in, view the list, a view of
+	// the log, a depinfo reply's envelope points at (see Process.tx), and
+	// acks the array an ack's ids are built in.
 	tx   wire.Envelope
 	view wire.DetList
+	acks []ids.MsgID
 }
 
 var _ node.Process = (*StorageNode)(nil)
@@ -52,17 +54,14 @@ func (s *StorageNode) Deliver(in *wire.Envelope) {
 	e := &ev
 	switch e.Kind {
 	case wire.KindDetsToStorage:
-		acked := make([]ids.MsgID, 0, len(e.Dets))
-		for _, en := range e.Dets {
-			if err := s.dets.RecordHeld(en, ids.StorageProc); err != nil {
-				panic("fbl: storage received conflicting determinant: " + err.Error())
-			}
-			acked = append(acked, en.Det.Msg)
+		if err := e.DetList.RecordInto(s.dets, ids.StorageProc); err != nil {
+			panic("fbl: storage received conflicting determinant: " + err.Error())
 		}
+		s.acks = e.DetList.AppendMsgIDs(s.acks[:0])
 		s.tx = wire.Envelope{
 			Kind:    wire.KindStorageAck,
 			FromInc: 1,
-			MsgIDs:  acked,
+			MsgIDs:  s.acks,
 		}
 		s.env.Send(e.From, &s.tx)
 	case wire.KindDepRequest:

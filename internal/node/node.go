@@ -106,12 +106,12 @@ type Process interface {
 	// Volatile state is cleared by Boot, not by the allocator.
 	Boot(env Env, restart bool)
 	// Deliver hands the instance a decoded frame from the network. The
-	// envelope, its Dets and the frame its Payload is a view of belong to
-	// the runtime, which may decode or encode the next frame into them as
-	// soon as Deliver returns: work on a copy of the struct, merge the Dets
-	// and read the Payload before returning, and store e.Keep() for a frame
-	// that must outlive the call (the other slices are allocated per frame
-	// and never reused).
+	// envelope, its DetList and the frame its Payload and DetList view
+	// belong to the runtime, which may decode or encode the next frame into
+	// them as soon as Deliver returns: work on a copy of the struct, merge
+	// the DetList and read the Payload before returning, and store e.Keep()
+	// for a frame that must outlive the call (the other slices are allocated
+	// per frame and never reused).
 	Deliver(e *wire.Envelope)
 }
 

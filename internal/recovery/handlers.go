@@ -193,7 +193,7 @@ func (m *Manager) onDepReply(e *wire.Envelope) {
 	if m.state != StateLeading || !m.g.dep || e.Round != m.g.round || !m.g.awaited[i] {
 		return
 	}
-	if err := m.g.gathered.MergeEntries(e.Dets); err != nil {
+	if err := e.DetList.RecordInto(m.g.gathered, ids.Nobody); err != nil {
 		// Two processes disagreeing about a receipt order is a protocol
 		// violation the simulator must surface loudly.
 		panic(fmt.Sprintf("recovery: inconsistent depinfo from %v: %v", e.From, err))
@@ -216,7 +216,7 @@ func (m *Manager) onRecoveryData(e *wire.Envelope) {
 	}
 	m.env.Tracer().End(m.waitSpan, m.env.Now())
 	m.waitSpan = 0
-	m.host.ApplyRecoveryData(e.Dets, e.IncVec)
+	m.host.ApplyRecoveryData(e.DetList, e.IncVec)
 }
 
 func (m *Manager) onRecoveryComplete(e *wire.Envelope) {

@@ -124,9 +124,9 @@ type Host interface {
 	MergeIncVec(v []ids.Incarnation)
 	// IncVecSnapshot returns the current incarnation vector.
 	IncVecSnapshot() vclock.IncVector
-	// ApplyRecoveryData merges the gathered depinfo and begins replay; the
-	// host must call Manager.ReplayDone when replay completes.
-	ApplyRecoveryData(entries []det.Entry, incVec []ids.Incarnation)
+	// ApplyRecoveryData merges the gathered depinfo, valid until it returns,
+	// and begins replay; the host calls Manager.ReplayDone when it completes.
+	ApplyRecoveryData(l *wire.DetList, incVec []ids.Incarnation)
 	// SetLiveBlocked notifies a live host that Blocked changed: it starts or
 	// stops deferring application deliveries (Blocking and Manetho styles).
 	SetLiveBlocked(blocked bool)
@@ -203,9 +203,11 @@ type Manager struct {
 	// tx is the envelope every send is built in, and reply the list, a view
 	// of the host's log, a depinfo reply's envelope points at: Send
 	// serialises both at call time, so the next send overwrites them, and as
-	// fields they cost no allocation.
+	// fields they cost no allocation. data is the gathered log, encoded once
+	// and sorted (SetLog), for every recovering member and the leader itself.
 	tx    wire.Envelope
 	reply wire.DetList
+	data  wire.DetList
 }
 
 // Reset makes m a fresh manager of a booting process, keeping the registry's
@@ -475,7 +477,7 @@ func (m *Manager) maybeFinish() {
 	if m.state != StateLeading || !m.g.dep || slices.Contains(m.g.awaited, true) {
 		return
 	}
-	data := m.g.gathered.All()
+	m.data.SetLog(m.g.gathered)
 	vec := m.g.incVec.Slice()
 	for p := range m.reg {
 		r := &m.reg[p]
@@ -488,7 +490,7 @@ func (m *Manager) maybeFinish() {
 			FromInc: m.entry(m.self).inc,
 			Ord:     m.myOrd,
 			Round:   m.g.round,
-			Dets:    data,
+			DetList: &m.data,
 			IncVec:  vec,
 		}
 		m.env.Send(ids.ProcID(p), &m.tx)
@@ -505,7 +507,7 @@ func (m *Manager) maybeFinish() {
 	m.g.span = 0
 	m.env.Tracer().End(m.waitSpan, m.env.Now())
 	m.waitSpan = 0
-	m.host.ApplyRecoveryData(data, vec)
+	m.host.ApplyRecoveryData(&m.data, vec)
 }
 
 // ReplayDone is called by the host when its replay finished; the process

@@ -131,9 +131,9 @@ func (h *fakeHost) MergeIncVec(v []ids.Incarnation) {
 	h.incVec.Merge(vclock.FromSlice(v))
 }
 func (h *fakeHost) IncVecSnapshot() vclock.IncVector { return h.incVec.Clone() }
-func (h *fakeHost) ApplyRecoveryData(entries []det.Entry, incVec []ids.Incarnation) {
+func (h *fakeHost) ApplyRecoveryData(l *wire.DetList, incVec []ids.Incarnation) {
 	h.MergeIncVec(incVec)
-	h.applied = append(h.applied, entries)
+	h.applied = append(h.applied, (&wire.Envelope{DetList: l}).Clone().Dets)
 }
 func (h *fakeHost) SetLiveBlocked(b bool) {
 	h.blocked = b
@@ -161,6 +161,15 @@ func mkManager(id ids.ProcID, n int, style Style) (*Manager, *fakeEnv, *fakeHost
 	host := newFakeHost(n)
 	m := newManager(Config{Style: style, F: 2}, host, env)
 	return m, env, host
+}
+
+// listOf is entries as the list a decoded frame carries them in.
+func listOf(entries ...det.Entry) *wire.DetList {
+	l := new(wire.DetList)
+	for _, e := range entries {
+		l.Add(e)
+	}
+	return l
 }
 
 func entry(s ids.ProcID, ssn ids.SSN, r ids.ProcID, rsn ids.RSN, holders ...int) det.Entry {
@@ -201,7 +210,7 @@ func TestGatherAggregatesAndCompletes(t *testing.T) {
 	for _, from := range []ids.ProcID{0, 2, 3} {
 		m.HandleMessage(&wire.Envelope{
 			Kind: wire.KindDepReply, From: from, FromInc: 1, Round: 1,
-			Dets: []det.Entry{e1, e2},
+			DetList: listOf(e1, e2),
 		})
 	}
 	if m.State() != StateReplaying {
@@ -583,7 +592,7 @@ func TestConflictingDepinfoPanics(t *testing.T) {
 	env.take(wire.KindDepRequest)
 	m.HandleMessage(&wire.Envelope{
 		Kind: wire.KindDepReply, From: 0, FromInc: 1, Round: 1,
-		Dets: []det.Entry{entry(0, 1, 2, 5, 0)},
+		DetList: listOf(entry(0, 1, 2, 5, 0)),
 	})
 	defer func() {
 		if recover() == nil {
@@ -592,7 +601,7 @@ func TestConflictingDepinfoPanics(t *testing.T) {
 	}()
 	m.HandleMessage(&wire.Envelope{
 		Kind: wire.KindDepReply, From: 2, FromInc: 1, Round: 1,
-		Dets: []det.Entry{entry(0, 1, 2, 6, 2)},
+		DetList: listOf(entry(0, 1, 2, 6, 2)),
 	})
 }
 

@@ -102,7 +102,7 @@ func TestScratchEnvelopeCarriesNothingOver(t *testing.T) {
 		func(m *Manager) {
 			for _, from := range []ids.ProcID{0, 2, 4} {
 				m.HandleMessage(&wire.Envelope{Kind: wire.KindDepReply, From: from, FromInc: 1, Round: 2,
-					Dets: []det.Entry{entry(from, 1, 3, ids.RSN(from)+1, int(from), 3)}})
+					DetList: listOf(entry(from, 1, 3, ids.RSN(from)+1, int(from), 3))})
 			}
 		}, // recovery data to p3, then the completion broadcast
 		func(m *Manager) {

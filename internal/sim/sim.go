@@ -119,8 +119,8 @@ type Kernel struct {
 	spare    []*nodeState // the nodes of the run before the last reset
 	inflight int          // frames scheduled to arrive but not yet popped
 	// rx is the one envelope every frame is decoded into, through the one
-	// decoder whose buffers hold its Dets; a handler returns (having kept
-	// what it needs, wire.Envelope.Keep) before the next decode.
+	// decoder that holds its DetList; a handler returns (having kept what
+	// it needs, wire.Envelope.Keep) before the next decode.
 	rx  wire.Envelope
 	dec wire.Decoder
 	// frames[c] is the free list of frame buffers of minFrameBuf<<c bytes

@@ -229,6 +229,13 @@ func (r *Reader) ListLen() int {
 	return int(n)
 }
 
+// skip moves past the next n bytes.
+func (r *Reader) skip(n int) {
+	if r.need(n) {
+		r.off += n
+	}
+}
+
 // Bytes returns the next length-prefixed field in place: a view of the
 // reader's buffer, not a copy, with its capacity clipped to its length so an
 // append cannot reach the field after it. The view is as immutable as the
@@ -486,26 +493,28 @@ func encodeDets(w *Writer, e *Envelope) error {
 	return err
 }
 
-// DetList is a determinant list a sender hands the encoder without a
-// []det.Entry: the entries Add encoded as they were selected (the piggyback,
-// written once: Size reads its length, the encoder appends it), then those
-// of a det.View read in place at encode time (SetView: a one-shot depinfo
-// reply or f = n storage stream, for which two walks cost less than a copy).
-// The frame is the one Dets holding the same entries gives, byte for byte.
-// Send consumes a list at call time, so a sender keeps one and refills it.
-// The zero value is an empty list.
+// DetList is a determinant list in wire form, without a []det.Entry: the
+// entries Add encoded as they were selected (the piggyback, written once:
+// Size reads its length, the encoder appends it), then those of a det.View
+// read in place at encode time (SetView: a one-shot depinfo reply or f = n
+// storage stream, for which two walks cost less than a copy). The frame is
+// the one Dets holding the same entries gives, byte for byte. Send consumes
+// a list at call time, so a sender keeps one and refills it. A decoded list
+// is a read-only view of its frame, merged where it lies (RecordInto). The
+// zero value is an empty list.
 type DetList struct {
 	n    int
 	buf  []byte
 	err  error // the first entry Add could not encode
 	view det.View
+	wide []uint64 // where RecordInto reads a holder set too wide for the stack
 }
 
-// Reset empties the list, its view included, and keeps its array.
-func (l *DetList) Reset() { *l = DetList{buf: l.buf[:0]} }
+// Reset empties the list, its view included, and keeps its arrays.
+func (l *DetList) Reset() { *l = DetList{buf: l.buf[:0], wide: l.wide} }
 
 // SetView empties the list and makes it v's entries, valid while v is.
-func (l *DetList) SetView(v det.View) { *l = DetList{buf: l.buf[:0], view: v} }
+func (l *DetList) SetView(v det.View) { *l = DetList{buf: l.buf[:0], view: v, wide: l.wide} }
 
 // Len returns the number of entries in the list.
 func (l *DetList) Len() int { return l.n + l.view.Len() }
@@ -517,6 +526,47 @@ func (l *DetList) Add(e det.Entry) {
 		l.err = err
 	}
 	l.buf, l.n = w.buf, l.n+1
+}
+
+// SetLog makes the list log's entries, in Log.EachSorted's order, encoded
+// into an array grown once.
+func (l *DetList) SetLog(log *det.Log) {
+	size := Size(&Envelope{Kind: KindRecoveryData, DetList: &DetList{view: log.View(nil)}})
+	*l = DetList{buf: slices.Grow(l.buf[:0], size), wide: l.wide}
+	log.EachSorted(l.Add)
+}
+
+// RecordInto merges the list's encoded entries into log in order, each with
+// also added to its holders (det.Log.RecordHeld), up to the first error. It
+// reads them in place, unchecked: Decode checked a received list, Add wrote
+// a sender's. A view's entries are not read; a nil list is empty.
+func (l *DetList) RecordInto(log *det.Log, also ids.ProcID) error {
+	if l == nil {
+		return nil
+	}
+	if l.err != nil {
+		return l.err
+	}
+	var dense [holderDenseU8Words]uint64
+	for i, off := 0, 0; i < l.n; i++ {
+		en := det.Entry{Det: detAt(l.buf[off:])}
+		en.Holders, off = holdersAt(l.buf, off+entryFixed, &dense, &l.wide)
+		if err := log.RecordHeld(en, also); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AppendMsgIDs appends the messages of the list's encoded entries to dst.
+func (l *DetList) AppendMsgIDs(dst []ids.MsgID) []ids.MsgID {
+	if l == nil {
+		return dst
+	}
+	for r := (&Reader{buf: l.buf}); r.off < len(r.buf); skipEntry(r) {
+		dst = append(dst, detAt(r.buf[r.off:]).Msg)
+	}
+	return dst
 }
 
 func encodeEntry(w *Writer, e *det.Entry) error {
@@ -611,142 +661,106 @@ func encodeHolders(w *Writer, s bitset.Set) error {
 	return nil
 }
 
-// Decoder decodes frames into envelopes whose Dets — the entries and their
-// holder sets —, SSNWatermarks and IncVec live in buffers the decoder owns
-// and overwrites on the next Decode: a long-lived decoder (the simulator
-// keeps one per kernel) decodes a piggyback, a checkpoint notice or a gather
-// request without allocating. Whoever must keep the envelope past that point
-// calls Envelope.Keep, which copies them out. The zero value is ready to use.
+// Decoder decodes frames into envelopes whose DetList, SSNWatermarks and
+// IncVec live in the decoder and are overwritten by the next Decode: a
+// long-lived decoder (the simulator keeps one per kernel) decodes a
+// piggyback, a checkpoint notice or a gather request without allocating.
+// Whoever must keep the envelope past that point calls Envelope.Keep, which
+// copies them out. The zero value is ready to use.
 type Decoder struct {
-	dets  []det.Entry
-	words []uint64 // holder-word arena the Dets' holder sets are views into
-	base  int      // cap(words) when the frame being decoded started
-	ssns  []ids.SSN
-	incs  []ids.Incarnation
+	list DetList // a view of the frame's determinant section
+	ssns []ids.SSN
+	incs []ids.Incarnation
 }
 
-// holderWords carves nw words off the arena. When the current block is full
-// a larger one replaces it; views into the old block stay valid, it is just
-// not reused. The first block is sized by what the frame asks for, not for
-// the widest frame there could be: a fanout-mode piggyback is a few
-// determinants of a few words, and the block doubles if that was too small.
-// Within a frame it grows to at most twice the block the frame started
-// with, or the 1024 words of the widest set a five-byte sparse encoding
-// (u16 elements) can name.
-func (d *Decoder) holderWords(nw int) []uint64 {
-	if len(d.words)+nw > cap(d.words) {
-		d.words = make([]uint64, 0, max(min(2*cap(d.words), max(2*d.base, 1024)), nw, 8))
-	}
-	d.words = d.words[:len(d.words)+nw]
-	return d.words[len(d.words)-nw:]
-}
+const entryFixed = 4 + 8 + 4 + 8 // an encoded entry's sender, SSN, receiver and RSN
 
-func (d *Decoder) readHolderWords(r *Reader, nw int) bitset.Set {
-	// Check the words are actually present before claiming arena space: a
-	// corrupted word count must not provoke a large allocation from a tiny
-	// frame.
-	if nw == 0 || !r.need(8*nw) {
-		return bitset.Set{}
-	}
-	words := d.holderWords(nw)
-	for i := range words {
-		words[i] = r.U64()
-	}
-	return bitset.View(words)
-}
-
-// holderSpan returns a zeroed arena set wide enough for element maxElem.
-func (d *Decoder) holderSpan(maxElem int) bitset.Set {
-	words := d.holderWords(maxElem/64 + 1)
-	clear(words)
-	return bitset.View(words)
-}
-
-func (d *Decoder) decodeHolders(r *Reader) bitset.Set {
-	tag := r.U8()
-	switch {
+// skipEntry checks the encoded entry at the reader's cursor and moves past it
+// unbuilt, refusing a truncated entry, a bad holder tag, an inverted run and
+// runs past 65 536 elements: holdersAt reads what it accepts unchecked.
+func skipEntry(r *Reader) {
+	r.skip(entryFixed)
+	switch tag := r.U8(); {
 	case tag <= holderTagDenseU8Max:
-		return d.readHolderWords(r, int(tag))
+		r.skip(8 * int(tag))
 	case tag == holderTagSparse:
-		n := int(r.U16())
-		if !r.need(2 * n) {
-			return bitset.Set{}
-		}
-		maxElem := 0
-		base := r.off
-		for i := 0; i < n; i++ {
-			if e := int(binary.LittleEndian.Uint16(r.buf[base+2*i:])); e > maxElem {
-				maxElem = e
-			}
-		}
-		s := d.holderSpan(maxElem)
-		for i := 0; i < n; i++ {
-			s.Add(int(r.U16()))
-		}
-		return s
+		r.skip(2 * int(r.U16()))
+	case tag == holderTagDenseU16:
+		r.skip(8 * int(r.U16()))
 	case tag == holderTagRuns:
-		n := int(r.U16())
-		if !r.need(4 * n) {
-			return bitset.Set{}
-		}
-		base := r.off
-		maxEnd, total := 0, 0
-		for i := 0; i < n; i++ {
-			start := int(binary.LittleEndian.Uint16(r.buf[base+4*i:]))
-			end := int(binary.LittleEndian.Uint16(r.buf[base+4*i+2:]))
+		n, total := int(r.U16()), 0
+		for i := 0; i < n && r.need(4*(n-i)); i++ { // all the runs, before any is judged
+			start, end := int(r.U16()), int(r.U16())
 			if end < start {
 				r.fail(fmt.Errorf("%w: run [%d,%d]", ErrBadHolders, start, end))
-				return bitset.Set{}
+				return
 			}
-			total += end - start + 1
 			// u16 runs can cover at most 65536 distinct elements; a larger
 			// total means overlapping runs, which the encoder never emits
 			// and which would let a ~30-byte frame demand millions of set
 			// inserts (a decode-side amplification attack the fuzzer found).
-			if total > 1<<16 {
+			if total += end - start + 1; total > 1<<16 {
 				r.fail(fmt.Errorf("%w: runs expand to %d elements", ErrBadHolders, total))
-				return bitset.Set{}
-			}
-			if end > maxEnd {
-				maxEnd = end
+				return
 			}
 		}
-		s := d.holderSpan(maxEnd)
-		for i := 0; i < n; i++ {
-			start := int(r.U16())
-			end := int(r.U16())
-			for e := start; e <= end; e++ {
-				s.Add(e)
-			}
-		}
-		return s
-	case tag == holderTagDenseU16:
-		nw := int(r.U16())
-		if nw > maxListLen/8 {
-			r.fail(ErrOversized)
-			return bitset.Set{}
-		}
-		return d.readHolderWords(r, nw)
 	default:
 		r.fail(fmt.Errorf("%w: tag %d", ErrBadHolders, tag))
-		return bitset.Set{}
 	}
 }
 
-func (d *Decoder) decodeEntry(r *Reader) det.Entry {
-	var e det.Entry
-	e.Det.Msg.Sender = ids.ProcID(r.I32())
-	e.Det.Msg.SSN = ids.SSN(r.U64())
-	e.Det.Receiver = ids.ProcID(r.I32())
-	e.Det.RSN = ids.RSN(r.U64())
-	e.Holders = d.decodeHolders(r)
-	return e
+// detAt reads the determinant an encoded entry starts with, unchecked.
+func detAt(b []byte) det.Determinant {
+	le := binary.LittleEndian
+	return det.Determinant{
+		Msg:      ids.MsgID{Sender: ids.ProcID(int32(le.Uint32(b))), SSN: ids.SSN(le.Uint64(b[4:]))},
+		Receiver: ids.ProcID(int32(le.Uint32(b[12:]))),
+		RSN:      ids.RSN(le.Uint64(b[16:])),
+	}
+}
+
+// holdersAt reads the holder set at b[off:] unchecked, and returns it and the
+// offset past it: a view of *dense if it is a dense one of at most
+// holderDenseU8Words words (every set at n <= 256), else of *wide, reused.
+func holdersAt(b []byte, off int, dense *[holderDenseU8Words]uint64, wide *[]uint64) (bitset.Set, int) {
+	le := binary.LittleEndian
+	tag, n := b[off], int(b[off])
+	if off++; tag > holderTagDenseU8Max {
+		n, off = int(le.Uint16(b[off:])), off+2
+	}
+	if tag != holderTagSparse && tag != holderTagRuns {
+		words := dense[:min(n, holderDenseU8Words)]
+		if n > holderDenseU8Words {
+			*wide = slices.Grow((*wide)[:0], n)[:n]
+			words = *wide
+		}
+		for i := range words {
+			words[i] = le.Uint64(b[off+8*i:])
+		}
+		return bitset.View(words), off + 8*n
+	}
+	// An element is a run of one: each item is its first and its last
+	// element, the same u16 for a sparse set.
+	width := 2 + 2*int(tag-holderTagSparse)
+	maxElem := 0
+	for i := range n {
+		maxElem = max(maxElem, int(le.Uint16(b[off+width*i+width-2:])))
+	}
+	*wide = slices.Grow((*wide)[:0], maxElem/64+1)[:maxElem/64+1]
+	words := *wide
+	clear(words)
+	for i := range n {
+		for e := int(le.Uint16(b[off+width*i:])); e <= int(le.Uint16(b[off+width*i+width-2:])); e++ {
+			words[e/64] |= 1 << (e % 64)
+		}
+	}
+	return bitset.View(words), off + width*n
 }
 
 // Decode parses a frame produced by Encode into a fresh envelope whose
-// slices stay valid whatever is decoded later: Payload is a read-only view
-// of the frame, everything else is the envelope's own. The frame holds all
-// its bytes, so the envelope's Pad is zero.
+// slices stay valid whatever is decoded later: Payload and DetList are
+// read-only views of the frame, everything else is the envelope's own. The
+// frame holds all its bytes, so the envelope's Pad is zero.
 func Decode(frame []byte) (*Envelope, error) {
 	e := new(Envelope)
 	if err := new(Decoder).Decode(e, storage.Image{Data: frame}); err != nil {
@@ -759,15 +773,15 @@ func Decode(frame []byte) (*Envelope, error) {
 // wrote (on error *e is unspecified). The frame's Pad is the payload's: the
 // last frame.Pad bytes of the payload field are modelled, and become e.Pad;
 // a frame with padding but no payload field, or more padding than the field
-// holds, is refused (ErrPad). e.Dets — the entries and their holder sets —,
-// e.SSNWatermarks and e.IncVec sit in the decoder's buffers and are valid
-// until its next Decode — for a handler, until it returns — unless kept
-// (Envelope.Keep copies them out). e.Payload is a view of frame.Data,
-// read-only and valid as long as the frame is (the simulator's until Deliver
-// returns: Envelope.Keep copies it); the other slices are allocated per frame
-// and alias neither the frame nor an earlier decode.
+// holds, is refused (ErrPad). The determinant section is checked entry by
+// entry, not decoded: e.DetList is a read-only list over frame.Data. It,
+// e.SSNWatermarks and e.IncVec sit in the decoder and are valid until its
+// next Decode — for a handler, until it returns — unless kept (Envelope.Keep
+// copies them out). e.Payload is a view of frame.Data, read-only and valid
+// as long as the frame is (the simulator's until Deliver returns: Keep
+// copies it, and DetList's bytes); the other slices are allocated per frame
+// and alias neither the frame nor an earlier decode. e.Dets stays nil.
 func (d *Decoder) Decode(e *Envelope, frame storage.Image) error {
-	d.dets, d.words, d.base = d.dets[:0], d.words[:0], cap(d.words)
 	d.ssns, d.incs = d.ssns[:0], d.incs[:0]
 	r := &Reader{buf: frame.Data}
 	if v := r.U8(); r.err == nil && v != codecVersion {
@@ -804,14 +818,18 @@ func (d *Decoder) Decode(e *Envelope, frame storage.Image) error {
 	}
 	if p&hasDets != 0 {
 		n := r.ListLen()
+		start := r.off
+		for i := 0; i < n && r.err == nil; i++ {
+			if b := r.buf[r.off:]; len(b) > entryFixed && b[entryFixed] <= holderTagDenseU8Max &&
+				len(b) >= entryFixed+1+8*int(b[entryFixed]) { // a whole dense-u8 entry
+				r.off += entryFixed + 1 + 8*int(b[entryFixed])
+				continue
+			}
+			skipEntry(r)
+		}
 		if r.err == nil && n > 0 {
-			if cap(d.dets) < min(n, 4096) {
-				d.dets = make([]det.Entry, 0, min(n, 4096))
-			}
-			for i := 0; i < n && r.err == nil; i++ {
-				d.dets = append(d.dets, d.decodeEntry(r))
-			}
-			e.Dets = d.dets
+			d.list = DetList{n: n, buf: r.buf[start:r.off:r.off], wide: d.list.wide}
+			e.DetList = &d.list
 		}
 	}
 	if p&hasCPRsn != 0 {

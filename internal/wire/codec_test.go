@@ -64,8 +64,17 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// detsOf returns e's determinants as entries, from Dets or a list.
+func detsOf(e *Envelope) []det.Entry { return e.Clone().Dets }
+
+// equalEntries compares two entry lists in order, holder sets by contents.
+func equalEntries(a, b []det.Entry) bool {
+	return slices.EqualFunc(a, b, func(x, y det.Entry) bool { return x.Det == y.Det && x.Holders.Equal(y.Holders) })
+}
+
 // equalEnvelopes compares semantically: bitsets with different capacities
-// but equal contents compare equal.
+// but equal contents compare equal, and so do Dets and a list of the same
+// entries.
 func equalEnvelopes(a, b *Envelope) bool {
 	if a.Kind != b.Kind || a.From != b.From || a.To != b.To || a.FromInc != b.FromInc ||
 		a.SSN != b.SSN || a.Dseq != b.Dseq || a.CPRsn != b.CPRsn || a.Ord != b.Ord || a.Round != b.Round ||
@@ -75,13 +84,8 @@ func equalEnvelopes(a, b *Envelope) bool {
 	if !bytes.Equal(a.Payload, b.Payload) {
 		return false
 	}
-	if len(a.Dets) != len(b.Dets) {
+	if !equalEntries(detsOf(a), detsOf(b)) {
 		return false
-	}
-	for i := range a.Dets {
-		if a.Dets[i].Det != b.Dets[i].Det || !a.Dets[i].Holders.Equal(b.Dets[i].Holders) {
-			return false
-		}
 	}
 	if len(a.SSNWatermarks) != len(b.SSNWatermarks) || len(a.IncVec) != len(b.IncVec) ||
 		len(a.MsgIDs) != len(b.MsgIDs) || len(a.Members) != len(b.Members) {
@@ -420,8 +424,8 @@ func piggybackFrame(ssn ids.SSN, k int) *Envelope {
 	return e
 }
 
-// decoderFrames are the frames whose slices a Decoder carves from its own
-// buffers, each made at a base value and a length: a piggyback (Dets), a
+// decoderFrames are the frames whose lists a Decoder holds, each made at a
+// base value and a length: a piggyback (DetList), a
 // checkpoint notice (SSNWatermarks) and a gather request (IncVec).
 var decoderFrames = []struct {
 	name string
@@ -445,7 +449,7 @@ var decoderFrames = []struct {
 }
 
 // TestKeepSurvivesDecoderReuse is the receive half of the ownership
-// contract (DESIGN §5): a long-lived Decoder overwrites the Dets,
+// contract (DESIGN §5): a long-lived Decoder overwrites the DetList,
 // SSNWatermarks and IncVec of the frame before, so what a handler has from
 // Keep must be a deep copy. It is the named test that kills the "reuse the rx
 // envelope" mutant of ROADMAP 2(c) in its shallow-Keep form: with Keep
@@ -481,7 +485,7 @@ func TestKeepSurvivesDecoderReuse(t *testing.T) {
 				t.Fatal("setup: a struct copy survived decoder reuse, so this test cannot tell a shallow Keep from a deep one")
 			}
 			if err := d.Decode(&rx, frameOf(Encode(&Envelope{Kind: KindHeartbeat, From: 1, FromInc: 1}))); err != nil ||
-				rx.Dets != nil || rx.SSNWatermarks != nil || rx.IncVec != nil {
+				rx.DetList != nil || rx.SSNWatermarks != nil || rx.IncVec != nil {
 				t.Fatalf("a frame without lists decoded to %+v (err %v), want nil lists", rx, err)
 			}
 		})
@@ -489,8 +493,8 @@ func TestKeepSurvivesDecoderReuse(t *testing.T) {
 }
 
 // TestDecoderSteadyStateAllocs: a warmed decoder allocates nothing for an
-// application frame — the payload is read in place, and nothing per
-// determinant, whatever the holder encoding — nor for a checkpoint notice's
+// application frame — the payload and the determinants are read in place,
+// whatever the holder encoding — nor for a checkpoint notice's
 // watermarks or a gather request's incarnation vector.
 func TestDecoderSteadyStateAllocs(t *testing.T) {
 	for _, f := range decoderFrames {
@@ -516,7 +520,9 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 // is its length, so an append copies instead of overwriting the field after
 // it; and Keep copies it, since the simulator reuses a frame once its
 // delivery returns: a kept payload survives the frame being overwritten,
-// while under TestingKeepSharesPayload it reads the overwrite.
+// while under TestingKeepSharesPayload it reads the overwrite. The
+// determinant list, the next field, is a view the same way, and Keep copies
+// its bytes too.
 func TestDecodedPayloadIsAViewOfTheFrame(t *testing.T) {
 	e := piggybackFrame(10, 3)
 	e.Payload = []byte("payload") // the determinants are the next field
@@ -531,6 +537,9 @@ func TestDecodedPayloadIsAViewOfTheFrame(t *testing.T) {
 	at := bytes.Index(frame, e.Payload)
 	if at < 0 || &rx.Payload[0] != &frame[at] {
 		t.Fatal("decoded Payload is a copy, want a view of the frame")
+	}
+	if l := rx.DetList; l == nil || &l.buf[0] != &frame[at+len(e.Payload)+4] || cap(l.buf) != len(l.buf) {
+		t.Fatal("the decoded DetList is not a view of the frame's determinant entries")
 	}
 	if cap(rx.Payload) != len(rx.Payload) {
 		t.Fatalf("Payload len %d cap %d: an append could reach the frame's next field", len(rx.Payload), cap(rx.Payload))
@@ -555,6 +564,9 @@ func TestDecodedPayloadIsAViewOfTheFrame(t *testing.T) {
 	}
 	if !bytes.Equal(kept.Payload, e.Payload) || bytes.Equal(shared.Payload, e.Payload) {
 		t.Fatalf("after the frame is overwritten the kept payload reads %q and the shared one %q", kept.Payload, shared.Payload)
+	}
+	if !equalEntries(detsOf(kept), e.Dets) {
+		t.Fatal("after the frame is overwritten the kept determinants changed: Keep shares the list's bytes")
 	}
 	copy(frame, recycled)
 	field := frame[at-4:] // the payload's length prefix onward

@@ -77,9 +77,8 @@ func TestHolderEncodingBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if !got.Dets[0].Holders.Equal(c.holders) {
-				t.Fatalf("holders corrupted: sent %d elems, got %d",
-					c.holders.Count(), got.Dets[0].Holders.Count())
+			if h := detsOf(got)[0].Holders; !h.Equal(c.holders) {
+				t.Fatalf("holders corrupted: sent %d elems, got %d", c.holders.Count(), h.Count())
 			}
 			// The chooser must never beat itself: the picked form's size is
 			// the frame's det-holder block, tag byte included.

@@ -76,8 +76,9 @@ func TestEncodeFromViewMatchesDets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d.DetList != nil || len(d.Dets) != tc.v.Len() {
-				t.Fatalf("N=%d %s: decoded %d dets and list %v, want %d dets and no list", cfg.N, tc.name, len(d.Dets), d.DetList, tc.v.Len())
+			if d.Dets != nil || !equalEntries(detsOf(d), fromDets.Dets) {
+				t.Fatalf("N=%d %s: decoded Dets %v and a list of %v, want no Dets and a list of the view's %d entries",
+					cfg.N, tc.name, d.Dets, detsOf(d), tc.v.Len())
 			}
 		}
 	}
@@ -136,13 +137,8 @@ func TestEncodeFromListMatchesDets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(d.Dets) != k {
-			t.Fatalf("%d entries: decoded %d", k, len(d.Dets))
-		}
-		for i := range d.Dets {
-			if d.Dets[i].Det != entries[i].Det || !d.Dets[i].Holders.Equal(entries[i].Holders) {
-				t.Fatalf("%d entries: entry %d decodes to %v, want %v", k, i, d.Dets[i], entries[i])
-			}
+		if got := detsOf(d); !equalEntries(got, entries[:k]) {
+			t.Fatalf("%d entries: decoded %v, want %v", k, got, entries[:k])
 		}
 	}
 }
@@ -193,6 +189,56 @@ func TestDetListAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, fill); got != 0 {
 		t.Fatalf("a warm Reset and %d Adds allocate %.1f times, want 0", len(entries), got)
+	}
+}
+
+// TestAbsorbPiggybackAllocs is the receive path's allocation gate: a warm
+// Decoder checks a 22-entry piggyback and RecordInto merges it, where it
+// lies in the frame, into a log reset to empty, with nothing allocated — at
+// n = 8, whose holder sets are dense words read onto the stack, and at
+// n = 256 under f = n, whose sets name the storage slot (element 256) and
+// take the sparse form, read into the words the list reuses.
+func TestAbsorbPiggybackAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		cfg     det.Config
+		holders func(i int) []int
+		tag     uint8
+	}{
+		{det.Config{N: 8, F: 2}, func(i int) []int { return []int{i % 8, (i + 3) % 8} }, 1},
+		{det.Config{N: 256, F: 256}, func(i int) []int { return []int{i, 256} }, holderTagSparse},
+	} {
+		e := &Envelope{Kind: KindApp, From: 1, FromInc: 1, SSN: 9, Dseq: 9, Payload: []byte("x")}
+		for i := range 22 {
+			e.Dets = append(e.Dets, det.Entry{
+				Det:     det.Determinant{Msg: ids.MsgID{Sender: ids.ProcID(i % tc.cfg.N), SSN: ids.SSN(i + 1)}, Receiver: ids.ProcID((i + 1) % tc.cfg.N), RSN: ids.RSN(i + 1)},
+				Holders: bitset.FromSlice(tc.holders(i)),
+			})
+		}
+		if tag, _, _ := holderEnc(e.Dets[0].Holders); tag != tc.tag {
+			t.Fatalf("N=%d: the holder sets take tag %d, want %d", tc.cfg.N, tag, tc.tag)
+		}
+		frame := frameOf(Encode(e))
+		log := det.NewLog(tc.cfg)
+		var (
+			d  Decoder
+			rx Envelope
+		)
+		absorb := func() {
+			log.Reset(tc.cfg)
+			if err := d.Decode(&rx, frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := rx.DetList.RecordInto(log, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		absorb()
+		if log.Len() != len(e.Dets) {
+			t.Fatalf("N=%d: the log holds %d entries, want %d", tc.cfg.N, log.Len(), len(e.Dets))
+		}
+		if got := testing.AllocsPerRun(100, absorb); got != 0 {
+			t.Errorf("N=%d: decoding and merging a 22-entry piggyback allocates %.1f times, want 0", tc.cfg.N, got)
+		}
 	}
 }
 

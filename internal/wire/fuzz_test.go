@@ -2,9 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
+	"unsafe"
 
+	"rollrec/internal/bitset"
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
 	"rollrec/internal/storage"
@@ -84,9 +88,10 @@ func TestSeedCorpusDetsRecordWithoutPanic(t *testing.T) {
 		if err != nil {
 			continue
 		}
+		dets := detsOf(e)
 		for _, n := range []int{1, 3, 64, 200} {
 			l := det.NewLog(det.Config{N: n, F: 1})
-			for _, en := range e.Dets {
+			for _, en := range dets {
 				for _, recv := range []ids.ProcID{en.Det.Receiver, ids.StorageProc, ids.Nobody, ids.ProcID(n), -1 << 31, 1<<31 - 1} {
 					for _, rsn := range []ids.RSN{en.Det.RSN, 0} {
 						mut := en
@@ -101,7 +106,7 @@ func TestSeedCorpusDetsRecordWithoutPanic(t *testing.T) {
 				}
 			}
 			l.All()
-			for _, en := range e.Dets {
+			for _, en := range dets {
 				l.GCReceiver(en.Det.Receiver, en.Det.RSN)
 			}
 		}
@@ -190,12 +195,205 @@ func checkMaterialised(t *testing.T, e *Envelope) {
 	}
 }
 
+// refArena is the reference decoder's holder-word arena: views into a block
+// stay valid when a larger block replaces it.
+type refArena struct{ words []uint64 }
+
+func (d *refArena) holderWords(nw int) []uint64 {
+	if len(d.words)+nw > cap(d.words) {
+		d.words = make([]uint64, 0, max(2*cap(d.words), nw, 8))
+	}
+	d.words = d.words[:len(d.words)+nw]
+	return d.words[len(d.words)-nw:]
+}
+
+func (d *refArena) readHolderWords(r *Reader, nw int) bitset.Set {
+	if nw == 0 || !r.need(8*nw) {
+		return bitset.Set{}
+	}
+	words := d.holderWords(nw)
+	for i := range words {
+		words[i] = r.U64()
+	}
+	return bitset.View(words)
+}
+
+func (d *refArena) holderSpan(maxElem int) bitset.Set {
+	words := d.holderWords(maxElem/64 + 1)
+	clear(words)
+	return bitset.View(words)
+}
+
+// decodeHolders decodes one holder set with every read checked: the
+// decoder's before skipEntry and holdersAt split the check from the read.
+func (d *refArena) decodeHolders(r *Reader) bitset.Set {
+	tag := r.U8()
+	switch {
+	case tag <= holderTagDenseU8Max:
+		return d.readHolderWords(r, int(tag))
+	case tag == holderTagSparse:
+		n := int(r.U16())
+		if !r.need(2 * n) {
+			return bitset.Set{}
+		}
+		maxElem := 0
+		for i := 0; i < n; i++ {
+			maxElem = max(maxElem, int(binary.LittleEndian.Uint16(r.buf[r.off+2*i:])))
+		}
+		s := d.holderSpan(maxElem)
+		for i := 0; i < n; i++ {
+			s.Add(int(r.U16()))
+		}
+		return s
+	case tag == holderTagRuns:
+		n := int(r.U16())
+		if !r.need(4 * n) {
+			return bitset.Set{}
+		}
+		maxEnd, total := 0, 0
+		for i := 0; i < n; i++ {
+			start := int(binary.LittleEndian.Uint16(r.buf[r.off+4*i:]))
+			end := int(binary.LittleEndian.Uint16(r.buf[r.off+4*i+2:]))
+			if end < start {
+				r.fail(fmt.Errorf("%w: run [%d,%d]", ErrBadHolders, start, end))
+				return bitset.Set{}
+			}
+			if total += end - start + 1; total > 1<<16 {
+				r.fail(fmt.Errorf("%w: runs expand to %d elements", ErrBadHolders, total))
+				return bitset.Set{}
+			}
+			maxEnd = max(maxEnd, end)
+		}
+		s := d.holderSpan(maxEnd)
+		for i := 0; i < n; i++ {
+			start, end := int(r.U16()), int(r.U16())
+			for e := start; e <= end; e++ {
+				s.Add(e)
+			}
+		}
+		return s
+	case tag == holderTagDenseU16:
+		nw := int(r.U16())
+		if nw > maxListLen/8 {
+			r.fail(ErrOversized)
+			return bitset.Set{}
+		}
+		return d.readHolderWords(r, nw)
+	default:
+		r.fail(fmt.Errorf("%w: tag %d", ErrBadHolders, tag))
+		return bitset.Set{}
+	}
+}
+
+func (d *refArena) decodeEntry(r *Reader) det.Entry {
+	var e det.Entry
+	e.Det.Msg.Sender = ids.ProcID(r.I32())
+	e.Det.Msg.SSN = ids.SSN(r.U64())
+	e.Det.Receiver = ids.ProcID(r.I32())
+	e.Det.RSN = ids.RSN(r.U64())
+	e.Holders = d.decodeHolders(r)
+	return e
+}
+
+// refDecode is the reference FuzzDecodeFrame holds Decode to: the decoder
+// as it was while it materialised every determinant — each entry decoded
+// (decodeEntry) where Decode only checks it — returning the entries it
+// decoded, or the error Decode must return.
+func refDecode(frame storage.Image) ([]det.Entry, error) {
+	r := &Reader{buf: frame.Data}
+	if v := r.U8(); r.err == nil && v != codecVersion {
+		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
+	}
+	if kind := Kind(r.U8()); r.err == nil && (kind == 0 || kind >= kindMax) {
+		return nil, fmt.Errorf("%w: %d", ErrBadKind, kind)
+	}
+	r.I32()
+	r.I32()
+	r.U32()
+	p := r.U16()
+	if p&hasSSN != 0 {
+		r.U64()
+	}
+	if p&hasDseq != 0 {
+		r.U64()
+	}
+	switch {
+	case p&hasPayload != 0:
+		n := r.ListLen()
+		if r.err == nil && (frame.Pad < 0 || frame.Pad > n) {
+			return nil, fmt.Errorf("%w: %d B of padding in a %d B payload", ErrPad, frame.Pad, n)
+		}
+		if n -= frame.Pad; n > 0 {
+			r.skip(n)
+		}
+	case frame.Pad != 0:
+		return nil, fmt.Errorf("%w: %d B of padding in a frame with no payload", ErrPad, frame.Pad)
+	}
+	var (
+		entries []det.Entry
+		a       refArena
+	)
+	if p&hasDets != 0 {
+		for i, n := 0, r.ListLen(); i < n && r.err == nil; i++ {
+			entries = append(entries, a.decodeEntry(r))
+		}
+	}
+	list := func(width int) {
+		for i, n := 0, r.ListLen(); i < n && r.err == nil; i++ {
+			r.skip(width)
+		}
+	}
+	for _, f := range []struct {
+		bit   uint16
+		width int // of a fixed field, or of a list's element (list)
+		list  bool
+	}{
+		{hasCPRsn, 8, false}, {hasSSNWatermarks, 8, true}, {hasOrd, 12, false}, {hasRound, 4, false},
+		{hasIncVec, 4, true}, {hasMsgIDs, 12, true}, {hasCPDseq, 8, false}, {hasMembers, 4, true},
+	} {
+		switch {
+		case p&f.bit == 0:
+		case f.list:
+			list(f.width)
+		default:
+			r.skip(f.width)
+		}
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.off != len(frame.Data) {
+		return nil, fmt.Errorf("wire: %d trailing bytes", len(frame.Data)-r.off)
+	}
+	return entries, nil
+}
+
+// within reports whether sub lies inside whole's bytes, its capacity too.
+func within(sub, whole []byte) bool {
+	lo, hi := uintptr(unsafe.Pointer(unsafe.SliceData(whole))), uintptr(unsafe.Pointer(unsafe.SliceData(whole)))+uintptr(len(whole))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(sub)))
+	return lo <= p && p+uintptr(cap(sub)) <= hi
+}
+
+// recordEach records entries into l one by one, as RecordInto must, and
+// returns the first error.
+func recordEach(l *det.Log, entries []det.Entry, also ids.ProcID) error {
+	for _, en := range entries {
+		if err := l.RecordHeld(en, also); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // FuzzDecodeFrame throws arbitrary frames — bytes and a count of modelled
-// payload zeros — at the frame decoder. Five properties must hold for every
+// payload zeros — at the frame decoder. Six properties must hold for every
 // input:
 //
 //  1. Decode never panics — corrupted frames, and padding the frame's
-//     payload field cannot hold, fail with an error.
+//     payload field cannot hold, fail with an error — and it accepts exactly
+//     what refDecode, the decoder that materialised every determinant,
+//     accepts, refusing the rest with the same error.
 //  2. Any envelope Decode accepts is re-encodable (EncodeChecked must not
 //     reject a frame the decoder considered well-formed) into a frame with
 //     the same padding, and Size agrees with the encoder byte-for-byte.
@@ -207,9 +405,14 @@ func checkMaterialised(t *testing.T, e *Envelope) {
 //  4. The envelope's logical bytes are those of its materialised form
 //     (checkMaterialised).
 //  5. One long-lived Decoder, fed every input of the run, agrees with a
-//     fresh decode each time — same envelope or same rejection — and a
-//     corrupted count does not make it grow its buffers past what the
-//     frame's own bytes could hold.
+//     fresh decode each time — same envelope or same rejection — and its
+//     determinant list is a sub-slice of the frame.
+//  6. The list merged where it lies (RecordInto, through the long-lived
+//     decoder's list and the holder words it reuses) leaves a fresh log as
+//     recording refDecode's entries one by one does — the same All() and
+//     the same first error, a conflict or an invalid determinant — at a
+//     narrow and a wide holder universe, and one corrupted entry does not
+//     make those words grow past what the frame's own bytes could hold.
 //
 // The seed corpus covers every envelope kind via the codec tests' sample
 // envelopes, whole and cut in half, the padded envelopes with their padding,
@@ -234,26 +437,36 @@ func FuzzDecodeFrame(f *testing.F) {
 		frame := storage.Image{Data: data, Pad: pad}
 		e := new(Envelope)
 		err := new(Decoder).Decode(e, frame)
-		detsBefore, wordsBefore := cap(shared.dets), cap(shared.words)
 		errShared := shared.Decode(&rx, frame)
 		if (err == nil) != (errShared == nil) || (err != nil && err.Error() != errShared.Error()) {
 			t.Fatalf("a reused Decoder says %v, a fresh one %v", errShared, err)
 		}
-		// What one frame may add: entries it has the bytes for (25 each at
-		// least) past the 4096 a bare count may reserve, and a holder block
-		// of twice the old one or of one set — 1024 words at most from the
-		// u16 encodings, the words present from the dense ones.
-		if c := cap(shared.dets); c > detsBefore && c > max(4096, len(data)) {
-			t.Fatalf("a %d-byte frame grew the decoder from %d to %d entries", len(data), detsBefore, c)
-		}
-		if c := cap(shared.words); c > max(2*wordsBefore, 1024, len(data)/8) {
-			t.Fatalf("a %d-byte frame grew the decoder from %d to %d holder words", len(data), wordsBefore, c)
+		ref, errRef := refDecode(frame)
+		if (err == nil) != (errRef == nil) || (err != nil && err.Error() != errRef.Error()) {
+			t.Fatalf("Decode says %v, the materialising reference %v", err, errRef)
 		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
 		if !equalEnvelopes(e, &rx) {
 			t.Fatalf("a reused Decoder decoded\n %+v\na fresh one\n %+v", rx, e)
+		}
+		if l := rx.DetList; l != nil && !within(l.buf, data) {
+			t.Fatal("the decoded determinant list is not a sub-slice of the frame")
+		}
+		for _, cfg := range []det.Config{{N: 8, F: 2}, {N: 300, F: 300}} {
+			got, want := det.NewLog(cfg), det.NewLog(cfg)
+			before := cap(shared.list.wide)
+			errGot, errWant := rx.DetList.RecordInto(got, rx.From), recordEach(want, ref, rx.From)
+			if fmt.Sprint(errGot) != fmt.Sprint(errWant) || !equalEntries(got.All(), want.All()) {
+				t.Fatalf("N=%d: RecordInto gives %v and\n %v\nrecording the reference's entries %v and\n %v",
+					cfg.N, errGot, got.All(), errWant, want.All())
+			}
+			// What one set may claim: 1024 words at most from the u16
+			// encodings, the words present from the dense ones.
+			if c := cap(shared.list.wide); c > max(before, 1024, len(data)/8) {
+				t.Fatalf("a %d-byte frame grew the list's holder words from %d to %d", len(data), before, c)
+			}
 		}
 		re, err := EncodeChecked(e)
 		if err != nil {

@@ -9,14 +9,14 @@
 // all an envelope references into the frame (a sender may reuse one envelope
 // for a fan-out, or hand one to Multicast; a DetList is encoded already or
 // reads the sender's log in place), nothing writes a frame until its delivery
-// returns, and decoding reads the payload in place — a view of the frame —
-// and copies the rest out, the determinants into the Decoder's buffers. The
-// simulator decodes every frame into one struct through one Decoder and
-// recycles a unicast frame once Deliver returns, so a decoded payload is
-// valid until then; Envelope.Keep is how a handler holds on to a frame. A
-// payload's padding is a length on the wire as in storage: Size counts it,
-// the frame carries it as a count (storage.Image.Pad), and no one allocates
-// the zeros.
+// returns, and decoding reads the payload and the determinant list in place
+// — views of the frame, the list checked but not decoded — and copies the
+// rest out. The simulator decodes every frame into one struct through one
+// Decoder and recycles a unicast frame once Deliver returns, so a decoded
+// payload and list are valid until then; Envelope.Keep is how a handler
+// holds on to a frame. A payload's padding is a length on the wire as in
+// storage: Size counts it, the frame carries it as a count
+// (storage.Image.Pad), and no one allocates the zeros.
 package wire
 
 import (
@@ -142,13 +142,18 @@ type Envelope struct {
 	// Payload is the application bytes (KindApp), of which Pad are modelled:
 	// the payload means Payload, then Pad zeros (PayloadImage).
 	Payload []byte
-	Dets    []det.Entry // piggyback, dep replies, recovery data, storage stream
-	// DetList is the encode-only alternative to Dets: the sender's list in
-	// wire form, or a view of its log read in place, written into the frame
-	// byte for byte as Dets holding the same entries would be. Send consumes
-	// it at call time; an envelope sets at most one of the two, and a decoded
-	// envelope never carries a list. It is a pointer so the envelope stays in
-	// its allocation size class (TestEnvelopeSizeClass).
+	// Dets is an encode-only determinant list, for tests and benchmark
+	// drivers: no process sends or reads one, and a decoded envelope leaves it
+	// nil.
+	Dets []det.Entry
+	// DetList carries the determinants — piggyback, dep replies, recovery
+	// data, storage stream. A sender's is its list in wire form, or a view of
+	// its log read in place, written into the frame byte for byte as Dets
+	// holding the same entries would be; Send consumes it at call time, and
+	// an envelope sets at most one of the two. A decoded envelope's is a
+	// read-only view of its frame (RecordInto merges it), nil when empty. It
+	// is a pointer so the envelope stays in its allocation size class
+	// (TestEnvelopeSizeClass).
 	DetList *DetList
 
 	// Checkpoint notices.
@@ -184,29 +189,20 @@ func (e *Envelope) PayloadImage() storage.Image {
 
 // Keep returns what a Deliver handler stores when a frame must outlive the
 // call: a copy of the struct, which the runtime decodes the next frame into,
-// of Dets, SSNWatermarks and IncVec, which live in the runtime's Decoder,
-// and of Payload, a view of a frame the runtime reuses once Deliver returns.
-// The other slices are allocated per frame and shared.
+// of DetList, SSNWatermarks and IncVec, which live in the runtime's Decoder,
+// and of Payload and DetList's bytes, views of a frame the runtime reuses
+// once Deliver returns. The other slices are allocated per frame and shared.
 func (e *Envelope) Keep() *Envelope {
 	c := *e
-	c.Dets = cloneDets(e.Dets)
+	if l := e.DetList; l != nil {
+		c.DetList = &DetList{n: l.n, buf: slices.Clone(l.buf)}
+	}
 	c.SSNWatermarks = slices.Clone(e.SSNWatermarks)
 	c.IncVec = slices.Clone(e.IncVec)
 	if !TestingKeepSharesPayload {
 		c.Payload = slices.Clone(e.Payload)
 	}
 	return &c
-}
-
-func cloneDets(in []det.Entry) []det.Entry {
-	if in == nil {
-		return nil
-	}
-	out := make([]det.Entry, len(in))
-	for i := range in {
-		out[i] = in[i].Clone()
-	}
-	return out
 }
 
 // Clone returns a deep copy of the envelope, for test fakes that capture
@@ -218,11 +214,16 @@ func (e *Envelope) Clone() *Envelope {
 	if e.Payload != nil {
 		c.Payload = append([]byte(nil), e.Payload...)
 	}
-	c.Dets = cloneDets(e.Dets)
+	c.Dets = slices.Clone(e.Dets)
+	for i := range c.Dets {
+		c.Dets[i] = c.Dets[i].Clone()
+	}
 	if l := e.DetList; l != nil {
-		var d Decoder
-		for r, i := NewReader(l.buf), 0; i < l.n; i++ {
-			c.Dets = append(c.Dets, d.decodeEntry(r))
+		dense, wide := [holderDenseU8Words]uint64{}, []uint64(nil)
+		for i, off := 0, 0; i < l.n; i++ {
+			en := det.Entry{Det: detAt(l.buf[off:])}
+			en.Holders, off = holdersAt(l.buf, off+entryFixed, &dense, &wide)
+			c.Dets = append(c.Dets, en.Clone())
 		}
 		c.Dets, c.DetList = append(c.Dets, l.view.Collect()...), nil
 	}

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Line budget: pin the repo's non-test Go line count (`make lines`, the
-# number ROADMAP item 10 states its target in) so it only moves on purpose.
+# number ROADMAP's "Say it with less" item states its target in) so it only
+# moves on purpose.
 #
 # Rules enforced:
 #   1. .lines-budget must equal `make lines` exactly — a change that deletes

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# perf_pair.sh — the results ledger for the host-time benchmark (ROADMAP 4e).
+# perf_pair.sh — the results ledger for the host-time benchmark (ROADMAP "Host cost").
 #
 # benchmark/ and BENCHMARK.json declare what is measured and within which
 # bounds, and commit no results. This script produces the missing half: it
