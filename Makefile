@@ -20,10 +20,13 @@ vet:
 # (poolescape) and storage/wire errors must be consulted (stablewrite).
 # `go test ./...` already enforces it for internal/... and the root
 # package; this target also sweeps cmd/ and examples/, then pins the
-# suppression count against .rollvet-allow-budget.
+# suppression count against .rollvet-allow-budget. Its last line keeps seeded
+# bugs on the one switch, mutant.On: no other package-level Testing… variable
+# outside sim/testing.go's frame poisoner.
 lint:
 	$(GO) run ./cmd/rollvet ./...
 	./scripts/suppression_budget.sh
+	@! grep -rnE --include='*.go' --exclude='*_test.go' '^(var[[:space:]]+|[[:space:]])Testing[A-Z]' internal cmd | grep -v '^internal/sim/testing.go:' || { echo 'lint: seed a test-only bug through mutant.On, not a Testing… variable'; exit 1; }
 
 # fmt checks gofmt cleanliness. internal/analysis/testdata is excluded on
 # purpose: its fixtures carry deliberately unidiomatic formatting that the
@@ -122,7 +125,10 @@ bench-micro:
 # depinfo reply and the f = n flush to storage (the frame alone),
 # checkpoint image), every family's
 # control sends (no envelope: TestSendAllocs in coord, optimistic and
-# recovery), a stable write (zero) and read (its copy and a closure), an output
+# recovery), an optimistic in-order delivery (the log entry's vector and
+# payload: TestDeliverAllocs), a coordinated snapshot's begin (its writer and
+# marker frame, no recording arrays: TestSnapshotBeginAllocs), a stable
+# write (zero) and read (its copy and a closure), an output
 # request and its release (zero: TestOutputRequestAllocs), the apps'
 # Handle (the payload it sends, nothing else), and an explorer branch on a
 # reset cluster (at least 45 % below a fresh build: TestReusedBranchAllocs).

@@ -7,6 +7,7 @@ import (
 
 	"rollrec/internal/channel"
 	"rollrec/internal/ids"
+	"rollrec/internal/mutant"
 	"rollrec/internal/node"
 	"rollrec/internal/output"
 	"rollrec/internal/storage"
@@ -104,7 +105,7 @@ func New(par Params) node.Renew {
 func (p *Process) Boot(env node.Env, restart bool) {
 	n := env.N()
 	*p = Process{env: env, par: p.par, n: n, peers: ids.Peers(env.ID(), n),
-		out: ids.PerProc(p.out, n), in: p.in}
+		out: ids.PerProc(p.out, n), in: p.in, recording: p.recording, recorded: p.recorded}
 	p.in.Reset(n)
 	p.app = p.par.App(env.ID(), p.n)
 
@@ -178,7 +179,7 @@ const rollbackRestartOrigin = 1
 
 func (p *Process) broadcastRollback(snapID uint32, restartOrigin bool) {
 	var tag uint64
-	if restartOrigin && !TestingStripRestartOrigin {
+	if restartOrigin && mutant.On != mutant.StripRestartOrigin {
 		tag = rollbackRestartOrigin
 	}
 	p.tx = wire.Envelope{

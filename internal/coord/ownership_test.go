@@ -273,6 +273,26 @@ func TestSendAllocs(t *testing.T) {
 	}
 }
 
+// TestSnapshotBeginAllocs: a snapshot that begins after another reuses its
+// channel-recording arrays, so beginning one allocates its image's writer
+// and buffer and the marker frame its destinations share, where it used to
+// cost the two arrays more.
+func TestSnapshotBeginAllocs(t *testing.T) {
+	var got []handled
+	p := newHarnessEvery(t, 2, 1, func(ids.ProcID, int) workload.App { return recApp{&got} }, time.Hour).proc(0)
+	id := uint32(0)
+	begin := func() {
+		id++
+		p.beginLocalSnapshot(id, ids.Nobody)
+	}
+	if allocs := testing.AllocsPerRun(100, begin); allocs != 3 {
+		t.Fatalf("beginning a snapshot allocates %.1f times, want 3 (the writer, its buffer, the marker frame)", allocs)
+	}
+	if !p.snapActive || !p.recording[1] {
+		t.Fatal("the snapshot is not recording the channel from p1")
+	}
+}
+
 // frameLog stands in for a process's network: it keeps the frame each send
 // encodes, at the call, as the simulator does, and completes stable writes at
 // once.

@@ -37,8 +37,16 @@ func (p *Process) beginLocalSnapshot(id uint32, exclude ids.ProcID) {
 	p.snapID = id
 	p.snap = p.encodeLocalState()
 	p.coverOutputs(id)
-	p.recording = make([]bool, p.n)
-	p.recorded = make([][]recordedMsg, p.n)
+	// The last snapshot's arrays, each channel's cut to [:0] to keep its own:
+	// encodeSnapshotBlob copied every message into that snapshot's image
+	// before this one began, and an abandoned snapshot's are dropped.
+	p.recording = ids.PerProc(p.recording, p.n)
+	if len(p.recorded) != p.n {
+		p.recorded = make([][]recordedMsg, p.n)
+	}
+	for q := range p.recorded {
+		p.recorded[q] = p.recorded[q][:0]
+	}
 	p.openChans = 0
 	for q := 0; q < p.n; q++ {
 		pid := ids.ProcID(q)

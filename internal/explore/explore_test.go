@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"rollrec/internal/failure"
-	"rollrec/internal/fbl"
 	"rollrec/internal/ids"
+	"rollrec/internal/mutant"
 	"rollrec/internal/recovery"
 	"rollrec/internal/sim"
 	"rollrec/internal/storage"
@@ -194,16 +194,14 @@ func TestCorpusReplaysClean(t *testing.T) {
 // TestMutationDetected) covers violations, their serial minimization and
 // the order of the counterexamples.
 //
-// Not parallel: the mutation knob is package-global, and it is set before
-// run because the branch workers read it.
+// Not parallel: mutant.On is package-global, and it is set before run
+// because the branch workers read it.
 func TestParallelReportMatchesSerial(t *testing.T) {
 	sweep := Spec{N: 4, F: 1, Seed: 1, MaxCrashes: 2, Random: 50}
-	mutant := testSpec(FamilyFBL, recovery.NonBlocking)
-	mutant.CheckpointEvery = time.Hour
 	mutantReport := func(workers int) []byte {
-		fbl.TestingDropDetPiggyback = true
-		defer func() { fbl.TestingDropDetPiggyback = false }()
-		rep, err := run(context.Background(), mutant, workers)
+		mutant.On = mutant.DropDetPiggyback
+		defer func() { mutant.On = mutant.None }()
+		rep, err := run(context.Background(), fblMutationSpec(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}

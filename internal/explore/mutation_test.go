@@ -9,13 +9,11 @@ import (
 	"testing"
 	"time"
 
-	"rollrec/internal/coord"
-	"rollrec/internal/fbl"
 	"rollrec/internal/ids"
+	"rollrec/internal/mutant"
 	"rollrec/internal/recovery"
 	"rollrec/internal/sim"
 	"rollrec/internal/storage"
-	"rollrec/internal/wire"
 	"rollrec/internal/workload"
 )
 
@@ -31,7 +29,7 @@ import (
 // each mutant's blast radius.
 //
 // The rows:
-//   - "piggyback stripped": fbl.TestingDropDetPiggyback strips the
+//   - "piggyback stripped": mutant.DropDetPiggyback strips the
 //     causal-determinant piggyback from every send, so receipt orders never
 //     reach f+1 holders;
 //   - "payload written after Send": the scenario app flips the last byte of
@@ -40,25 +38,25 @@ import (
 //     already left, so only a retransmission from the log carries the flip,
 //     and the receiver's re-delivery differs from the send the checker
 //     recorded;
-//   - "depinfo without its settled entries": fbl.TestingDepInfoPendingOnly
+//   - "depinfo without its settled entries": mutant.DepInfoPendingOnly
 //     makes every live process answer a gather with its pending
 //     determinants only. The settled ones are the part of the reply read
 //     from the log's second list. Without them the recovering process
 //     replays from an incomplete schedule, diverges, and sends a message it
 //     sent before to another receiver, whose log already holds that
 //     message's receipt order and refuses the new one as conflicting;
-//   - "rx envelope retained": fbl.TestingRetainRx makes every frame a
+//   - "rx envelope retained": mutant.RetainRx makes every frame a
 //     process sets aside (deferred, or held for its turn in replay) the
 //     runtime's receive envelope instead of a Keep copy. The runtime decodes
 //     later frames into it, so a restarted process consumes whatever came
 //     last in place of what it set aside, loses the frames it deferred, and
 //     its peers wait for replies that never come;
-//   - "kept payload shares the frame": wire.TestingKeepSharesPayload makes
+//   - "kept payload shares the frame": mutant.KeepSharesPayload makes
 //     Keep share the payload of a frame the runtime takes back once Deliver
 //     returns, and sim.TestingPoisonFrames poisons every buffer taken back.
 //     A frame held out of order or deferred is then consumed with a poisoned
 //     payload, whose hash is not the one its sender logged;
-//   - "stale determinant log kept": fbl.TestingKeepStaleLog makes Boot of a
+//   - "stale determinant log kept": mutant.KeepStaleLog makes Boot of a
 //     process object its slot kept leave the determinant log as the last
 //     life left it. Within a branch that is benign: a restarted process's
 //     own stale log only pins the execution it had. Across branches it is
@@ -68,7 +66,7 @@ import (
 //     with the one it records in this. Replay builds a fresh cluster, which
 //     has no earlier branch, so for this row (leaks) the counterexample must
 //     replay clean: the kill came from state carried between branches;
-//   - "gather answered while restoring": recovery.TestingAnswerWhileRestoring
+//   - "gather answered while restoring": mutant.AnswerWhileRestoring
 //     lets a restarted process's manager take control frames before it
 //     announces, so a depinfo request that reaches it while it reads its
 //     checkpoint is answered on the live path with the log restored so far.
@@ -76,29 +74,28 @@ import (
 //     determinants, and a recovery waits for messages nobody will send again.
 //     The window opens only when a crash lands inside another's recovery
 //     while a third is restoring: the row runs fblThreeCrashSpec;
-//   - "restart-origin tag stripped": coord.TestingStripRestartOrigin makes
+//   - "restart-origin tag stripped": mutant.StripRestartOrigin makes
 //     every rollback look relayed, so a restarter that missed an epoch never
 //     gets the fresh rollback a live peer would relay, and the cluster runs
 //     on from state the crash destroyed. Only a second crash inside a
 //     recovery can make a restarter miss an epoch: the row runs
 //     coordMutationSpec, and the single-crash n = 3 spec explores clean.
 //
-// Not parallel: the mutation knob and the scenario table are package-global.
-// Each row sets its mutant before Run and undoes it after the row, because
-// Run's branch workers read them.
+// Not parallel: mutant.On and the scenario table are package-global. Each
+// row sets its mutant before Run and undoes it after the row, because Run's
+// branch workers read them.
 func TestMutationDetected(t *testing.T) {
 	for _, row := range []struct {
 		name   string
 		spec   Spec
-		seed   func(t *testing.T) // installs the mutant and registers its undo
+		mutant mutant.Mutant
+		seed   func(t *testing.T) // what else the row installs (an app, the poisoner) and its undo
 		killer *regexp.Regexp     // the check that kills it
 		leaks  bool               // it leaks between branches: a fresh replay is clean
 	}{
-		{"piggyback stripped", fblMutationSpec(), func(t *testing.T) {
-			fbl.TestingDropDetPiggyback = true
-			t.Cleanup(func() { fbl.TestingDropDetPiggyback = false })
-		}, regexp.MustCompile(`^orphan: `), false},
-		{"payload written after Send", fblMutationSpec(), func(t *testing.T) {
+		{"piggyback stripped", fblMutationSpec(), mutant.DropDetPiggyback, nil,
+			regexp.MustCompile(`^orphan: `), false},
+		{"payload written after Send", fblMutationSpec(), mutant.None, func(t *testing.T) {
 			orig := scenarios[FamilyFBL]
 			t.Cleanup(func() { scenarios[FamilyFBL] = orig })
 			sc := orig
@@ -108,33 +105,27 @@ func TestMutationDetected(t *testing.T) {
 			}
 			scenarios[FamilyFBL] = sc
 		}, regexp.MustCompile(`^replay fidelity: |surviving send differs`), false},
-		{"depinfo without its settled entries", fblMutationSpec(), func(t *testing.T) {
-			fbl.TestingDepInfoPendingOnly = true
-			t.Cleanup(func() { fbl.TestingDepInfoPendingOnly = false })
-		}, regexp.MustCompile(`^panic: .*conflicting determinants`), false},
-		{"rx envelope retained", fblMutationSpec(), func(t *testing.T) {
-			fbl.TestingRetainRx = true
-			t.Cleanup(func() { fbl.TestingRetainRx = false })
-		}, regexp.MustCompile(`^liveness: .*workload incomplete`), false},
-		{"kept payload shares the frame", fblMutationSpec(), func(t *testing.T) {
-			wire.TestingKeepSharesPayload, sim.TestingPoisonFrames = true, true
-			t.Cleanup(func() { wire.TestingKeepSharesPayload, sim.TestingPoisonFrames = false, false })
+		{"depinfo without its settled entries", fblMutationSpec(), mutant.DepInfoPendingOnly, nil,
+			regexp.MustCompile(`^panic: .*conflicting determinants`), false},
+		{"rx envelope retained", fblMutationSpec(), mutant.RetainRx, nil,
+			regexp.MustCompile(`^liveness: .*workload incomplete`), false},
+		{"kept payload shares the frame", fblMutationSpec(), mutant.KeepSharesPayload, func(t *testing.T) {
+			sim.TestingPoisonFrames = true
+			t.Cleanup(func() { sim.TestingPoisonFrames = false })
 		}, regexp.MustCompile(`^orphan: .*surviving send differs`), false},
-		{"stale determinant log kept", fblMutationSpec(), func(t *testing.T) {
-			fbl.TestingKeepStaleLog = true
-			t.Cleanup(func() { fbl.TestingKeepStaleLog = false })
-		}, regexp.MustCompile(`^prefix-fidelity: |^panic: .*conflicting determinants`), true},
-		{"gather answered while restoring", fblThreeCrashSpec, func(t *testing.T) {
-			recovery.TestingAnswerWhileRestoring = true
-			t.Cleanup(func() { recovery.TestingAnswerWhileRestoring = false })
-		}, regexp.MustCompile(`^liveness: |^orphan: `), false},
-		{"restart-origin tag stripped", coordMutationSpec, func(t *testing.T) {
-			coord.TestingStripRestartOrigin = true
-			t.Cleanup(func() { coord.TestingStripRestartOrigin = false })
-		}, regexp.MustCompile(`^liveness: .*workload incomplete`), false},
+		{"stale determinant log kept", fblMutationSpec(), mutant.KeepStaleLog, nil,
+			regexp.MustCompile(`^prefix-fidelity: |^panic: .*conflicting determinants`), true},
+		{"gather answered while restoring", fblThreeCrashSpec, mutant.AnswerWhileRestoring, nil,
+			regexp.MustCompile(`^liveness: |^orphan: `), false},
+		{"restart-origin tag stripped", coordMutationSpec, mutant.StripRestartOrigin, nil,
+			regexp.MustCompile(`^liveness: .*workload incomplete`), false},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			row.seed(t)
+			if row.seed != nil {
+				row.seed(t)
+			}
+			mutant.On = row.mutant
+			t.Cleanup(func() { mutant.On = mutant.None })
 			rep, err := Run(context.Background(), row.spec)
 			if err != nil {
 				t.Fatal(err)

@@ -19,6 +19,7 @@ import (
 	"rollrec/internal/det"
 	"rollrec/internal/failure"
 	"rollrec/internal/ids"
+	"rollrec/internal/mutant"
 	"rollrec/internal/node"
 	"rollrec/internal/output"
 	"rollrec/internal/recovery"
@@ -167,7 +168,7 @@ type Process struct {
 	// Frames put aside while blocked or recovering.
 	deferred    []*wire.Envelope
 	blockedSpan trace.SpanRef
-	rx          *wire.Envelope // the runtime's envelope, under TestingRetainRx only
+	rx          *wire.Envelope // the runtime's envelope, under mutant.RetainRx only
 
 	// Open replay-phase span.
 	replaySpan trace.SpanRef
@@ -209,7 +210,7 @@ func (p *Process) Boot(env node.Env, restart bool) {
 		sendLog: p.sendLog, incVec: p.incVec, cpExp: ids.PerProc(p.cpExp, n), scanGen: ids.PerProc(p.scanGen, n),
 		mgr: p.mgr, detect: p.detect, cpExpAt: p.cpExpAt,
 	}
-	if !TestingKeepStaleLog || !kept {
+	if mutant.On != mutant.KeepStaleLog || !kept {
 		p.dets.Reset(p.cfg)
 	}
 	p.txDets.Reset()
@@ -316,7 +317,7 @@ func (p *Process) flushToStorage() {
 func (p *Process) Deliver(in *wire.Envelope) {
 	ev := *in
 	e := &ev
-	if TestingRetainRx {
+	if mutant.On == mutant.RetainRx {
 		p.rx = in
 	}
 	p.detect.Heard(e.From, p.env.Now())
@@ -360,6 +361,17 @@ func (p *Process) Deliver(in *wire.Envelope) {
 	// Holder knowledge only grows on the receive path, so this is the one
 	// place pending outputs can become committable.
 	p.checkOutputs()
+}
+
+// keep is what a process stores of the frame e it is delivering, to consume
+// it after Deliver returns: e.Keep(), or under mutant.RetainRx the runtime's
+// envelope. It never stores e, Deliver's own copy of that envelope, which
+// would then move to the heap on every frame (TestHeartbeatDeliverAllocs).
+func (p *Process) keep(e *wire.Envelope) *wire.Envelope {
+	if mutant.On == mutant.RetainRx {
+		return p.rx
+	}
+	return e.Keep()
 }
 
 // control hands a recovery-protocol frame to the manager, or keeps it while

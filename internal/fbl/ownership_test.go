@@ -10,6 +10,7 @@ import (
 	"rollrec/internal/bitset"
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
+	"rollrec/internal/mutant"
 	"rollrec/internal/node"
 	"rollrec/internal/output"
 	"rollrec/internal/recovery"
@@ -388,8 +389,8 @@ func TestPiggybackIsACopyOfWhatWasSelected(t *testing.T) {
 	}
 
 	dropped := func() {
-		TestingDropDetPiggyback = true
-		defer func() { TestingDropDetPiggyback = false }()
+		mutant.On = mutant.DropDetPiggyback
+		defer func() { mutant.On = mutant.None }()
 		p.scanGen[2] = -1
 		if got := piggyback(2); len(got) != 0 {
 			t.Fatalf("mutated send carried %d determinants, want 0", len(got))

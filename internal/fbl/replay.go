@@ -5,6 +5,7 @@ import (
 
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
+	"rollrec/internal/mutant"
 	"rollrec/internal/recovery"
 	"rollrec/internal/storage"
 	"rollrec/internal/trace"
@@ -19,7 +20,7 @@ import (
 // for a scoped gather the part the named recovering processes will replay —
 // read in place.
 func (p *Process) DepInfo(procs []ids.ProcID) det.View {
-	if TestingDepInfoPendingOnly {
+	if mutant.On == mutant.DepInfoPendingOnly {
 		return p.dets.PendingView()
 	}
 	return p.dets.View(procs)

@@ -7,6 +7,7 @@ import (
 	"rollrec/internal/channel"
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
+	"rollrec/internal/mutant"
 	"rollrec/internal/storage"
 	"rollrec/internal/wire"
 )
@@ -66,8 +67,8 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec channel.Rec) {
 		gen = p.dets.ScanPendingModified(gen, p.offer)
 	}
 	p.scanGen[to] = gen
-	if TestingDropDetPiggyback {
-		// Mutation hook (see TestingDropDetPiggyback): the determinants were
+	if mutant.On == mutant.DropDetPiggyback {
+		// Mutation hook (see mutant.DropDetPiggyback): the determinants were
 		// scanned and count as offered, but never leave the process — the
 		// exact bug class the explorer's orphan/fidelity invariants exist to
 		// catch.

@@ -30,7 +30,7 @@ func (p *Process) Deliver(in *wire.Envelope) {
 	}
 	switch e.Kind {
 	case wire.KindApp:
-		dv := dvFromWire(e, p.n)
+		dv := p.dvFromWire(e)
 		stale := uint32(e.FromInc) < p.epochVec[e.From]
 		for q := 0; q < p.n && !stale; q++ {
 			// The incarnation end table: a message whose state depends on
@@ -79,7 +79,7 @@ func (p *Process) deliverApp(e *wire.Envelope) {
 		p.env.Metrics().Duplicate++
 	case channel.Next:
 		for ; e != nil; e = p.in.Pop(e.From) {
-			p.applyDelivery(e.From, e.SSN, e.Dseq, e.PayloadImage(), dvFromWire(e, p.n), false)
+			p.applyDelivery(e.From, e.SSN, e.Dseq, e.PayloadImage(), p.dvFromWire(e), false)
 		}
 	}
 }
@@ -163,9 +163,12 @@ func (p *Process) transmit(to ids.ProcID, dseq uint64, rec channel.Rec) {
 	p.env.Send(to, &p.tx)
 }
 
-func dvFromWire(e *wire.Envelope, n int) []interval {
-	out := make([]interval, n)
-	for i := 0; i < n; i++ {
+// dvFromWire decodes the dependency vector e carries into p.rxDV and
+// returns it.
+func (p *Process) dvFromWire(e *wire.Envelope) []interval {
+	out := ids.PerProc(p.rxDV, p.n)
+	p.rxDV = out
+	for i := range out {
 		if i < len(e.SSNWatermarks) {
 			out[i].index = int64(e.SSNWatermarks[i])
 		}

@@ -146,6 +146,10 @@ type Process struct {
 	tx  wire.Envelope
 	idx []ids.SSN
 	eps []ids.Incarnation
+
+	// rxDV is the delivered frame's dependency vector (dvFromWire); the log
+	// entry copies p.dv, so the next frame overwrites it.
+	rxDV []interval
 }
 
 var _ node.Process = (*Process)(nil)
@@ -175,7 +179,7 @@ func (p *Process) Boot(env node.Env, restart bool) {
 		env: env, par: p.par, n: n, peers: ids.Peers(env.ID(), n), out: ids.PerProc(p.out, n),
 		sendLog: p.sendLog, in: p.in, dv: ids.PerProc(p.dv, n), epochVec: ids.PerProc(p.epochVec, n),
 		durFrontier: ids.PerProc(p.durFrontier, n), endTable: ids.PerProc(p.endTable, n),
-		idx: p.idx, eps: p.eps,
+		idx: p.idx, eps: p.eps, rxDV: p.rxDV,
 	}
 	p.sendLog.Reset(n)
 	p.in.Reset(n)

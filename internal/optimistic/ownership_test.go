@@ -149,6 +149,33 @@ func TestHeartbeatDeliverAllocs(t *testing.T) {
 	}
 }
 
+// quietApp handles every delivery without allocating or sending.
+type quietApp struct{ recApp }
+
+func (quietApp) Handle(workload.Ctx, ids.ProcID, storage.Image) error { return nil }
+
+// TestDeliverAllocs: a warm in-order application delivery allocates the
+// log entry's copy of the dependency vector and its own copy of the payload,
+// nothing else — the frame's vector is decoded into the process's scratch,
+// where it used to cost a vector for the dead-interval check and another for
+// the merge.
+func TestDeliverAllocs(t *testing.T) {
+	h := newHarness(t, 3, 1, func(ids.ProcID, int) workload.App { return quietApp{} }, time.Hour)
+	p := h.proc(0)
+	rx := app(1, 0, 1, "payload")
+	deliver := func() {
+		rx.Dseq++
+		p.Deliver(&rx)
+	}
+	p.log = make([]logEntry, 0, 256) // no append growth inside the measurement
+	if got := testing.AllocsPerRun(100, deliver); got != 2 {
+		t.Fatalf("an in-order delivery allocates %.1f times, want 2 (the entry's vector, the payload)", got)
+	}
+	if len(p.log) != 101 {
+		t.Fatalf("%d deliveries logged, want 101: not every frame was admitted in order", len(p.log))
+	}
+}
+
 // TestLogImagesAreFreshAndExact: every encodeLog call returns a new buffer
 // of exactly the encoded size, so the log the store owns is unaffected by
 // the next flush being built; its logical size is what the log measured

@@ -28,6 +28,7 @@ import (
 
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
+	"rollrec/internal/mutant"
 	"rollrec/internal/node"
 	"rollrec/internal/trace"
 	"rollrec/internal/vclock"
@@ -227,15 +228,8 @@ func (m *Manager) State() State { return m.state }
 // the process has not announced, and has nothing to contribute to anyone's
 // gather.
 func (m *Manager) Defers() bool {
-	return m.state == StateRestoring && !TestingAnswerWhileRestoring
+	return m.state == StateRestoring && mutant.On != mutant.AnswerWhileRestoring
 }
-
-// TestingAnswerWhileRestoring, when set, makes Defers false: a restoring
-// process answers a gather on the live path, with the log restored so far,
-// and a leader finishes its round without the restarted process's
-// determinants. A mutation knob for the explorer's self-test: set it before
-// explore.Run, clear it after Run returns, never outside tests.
-var TestingAnswerWhileRestoring bool
 
 // Blocked reports whether the live process defers application deliveries
 // for a gather (Blocking and Manetho styles).

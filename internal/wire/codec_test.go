@@ -13,6 +13,7 @@ import (
 	"rollrec/internal/bitset"
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
+	"rollrec/internal/mutant"
 	"rollrec/internal/storage"
 )
 
@@ -520,7 +521,7 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 // is its length, so an append copies instead of overwriting the field after
 // it; and Keep copies it, since the simulator reuses a frame once its
 // delivery returns: a kept payload survives the frame being overwritten,
-// while under TestingKeepSharesPayload it reads the overwrite. The
+// while under mutant.KeepSharesPayload it reads the overwrite. The
 // determinant list, the next field, is a view the same way, and Keep copies
 // its bytes too.
 func TestDecodedPayloadIsAViewOfTheFrame(t *testing.T) {
@@ -549,14 +550,14 @@ func TestDecodedPayloadIsAViewOfTheFrame(t *testing.T) {
 		t.Fatal("appending to the Payload wrote into the frame")
 	}
 	kept := rx.Keep()
-	TestingKeepSharesPayload = true
+	mutant.On = mutant.KeepSharesPayload
 	shared := rx.Keep()
-	TestingKeepSharesPayload = false
+	mutant.On = mutant.None
 	if &kept.Payload[0] == &rx.Payload[0] || !bytes.Equal(kept.Payload, e.Payload) {
 		t.Fatal("Keep shares the Payload; a kept frame must own a copy")
 	}
 	if &shared.Payload[0] != &rx.Payload[0] {
-		t.Fatal("TestingKeepSharesPayload: Keep still copies the Payload")
+		t.Fatal("mutant.KeepSharesPayload: Keep still copies the Payload")
 	}
 	recycled := slices.Clone(frame)
 	for i := range frame {

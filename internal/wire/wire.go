@@ -24,6 +24,7 @@ import (
 
 	"rollrec/internal/det"
 	"rollrec/internal/ids"
+	"rollrec/internal/mutant"
 	"rollrec/internal/storage"
 )
 
@@ -199,7 +200,7 @@ func (e *Envelope) Keep() *Envelope {
 	}
 	c.SSNWatermarks = slices.Clone(e.SSNWatermarks)
 	c.IncVec = slices.Clone(e.IncVec)
-	if !TestingKeepSharesPayload {
+	if mutant.On != mutant.KeepSharesPayload {
 		c.Payload = slices.Clone(e.Payload)
 	}
 	return &c
