@@ -114,8 +114,9 @@ bench-micro:
 
 # bench-kernel runs the sim-kernel scheduler microbenchmarks against the
 # in-test container/heap baseline, plus the AllocsPerRun regression gates
-# (scheduler, the inline window of the sharded coordinator, output ledger,
-# determinant log and its holder sets, the stable store's size reads, the
+# (scheduler, the inline window of the sharded coordinator, a node's link
+# table grown once, output ledger, determinant log — in whole chunks — and
+# its holder sets, the recovery leader's kept log, the stable store's size reads, the
 # channel layer's in-order admit and send window (zero),
 # and the buffer-ownership gates of DESIGN §5: frame encode and decode,
 # a message through the kernel (zero: unicast frame buffers are recycled, on

@@ -79,47 +79,81 @@ func TestHotPathAllocs(t *testing.T) {
 	_ = sink
 }
 
-// TestSlabGrowsInChunksAndNeverCopies pins the slab's growth past its first
-// chunk, for a one-word log and a wide one: recording K new entries
-// allocates two objects per chunk of 256 (the slots, their holders) plus a
-// handful for the id table's doublings and the chunk directories', in bytes
-// what the chunks and the table hold — a slab that doubled would allocate
-// (and copy) about as much again — and no slot recorded before moves.
+// TestSlabGrowsInChunksAndNeverCopies pins the slab's growth from an empty
+// log, for a one-word log and a wide one: recording K entries allocates two
+// objects per chunk of 64 (the slots, their holders) plus a handful for the
+// id table's doublings and the chunk directories', in bytes what the chunks
+// and the table hold — a chunk that doubled would allocate (and copy) about
+// as much again — and no slot or holder set moves, from the first entry on.
 func TestSlabGrowsInChunksAndNeverCopies(t *testing.T) {
 	for _, cfg := range []Config{{N: 32, F: 1}, {N: 256, F: 2}} {
-		const first, k = chunkSize + 10, 16 * chunkSize
-		l := pendingLog(cfg, first)
-		before := make([]*slot, first)
-		for i := range before {
-			before[i] = l.at(int32(i))
-		}
-		next := first
+		const k = 16 * chunkSize
+		l := NewLog(cfg)
+		slots, holders := make([]*slot, k), make([]unsafe.Pointer, k)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		for ; next < first+k; next++ {
+		for next := range k {
 			r := ids.ProcID(next % cfg.N)
 			if err := l.RecordHeld(Entry{Det: Determinant{Msg: ids.MsgID{Sender: r, SSN: ids.SSN(next + 1)}, Receiver: r, RSN: ids.RSN(next + 1)}}, r); err != nil {
+				t.Fatal(err)
+			}
+			slots[next], holders[next] = l.at(int32(next)), l.holderAt(int32(next))
+		}
+		runtime.ReadMemStats(&m1)
+		st := l.Stats()
+		if st.Entries != k || st.SlabCap != k {
+			t.Fatalf("%+v: %d entries in %d slots, want %d", cfg, st.Entries, st.SlabCap, k)
+		}
+		const slack = 18 // table doublings (7 here), directory growth (5 each), ReadMemStats itself
+		if objs, most := m1.Mallocs-m0.Mallocs, uint64(2*(k/chunkSize)+slack); objs > most {
+			t.Errorf("%+v: recording %d entries allocated %d objects, want at most %d", cfg, k, objs, most)
+		}
+		perSlot := int(unsafe.Sizeof(slot{})) + st.HolderBytes/(len(l.slots)*chunkSize)
+		if got, most := m1.TotalAlloc-m0.TotalAlloc, uint64(k*perSlot+2*4*len(l.table)+4<<10); got > most {
+			t.Errorf("%+v: recording %d entries allocated %d B, want at most %d (%d B a slot, the table, 4 KB of slack): something is copying the slab",
+				cfg, k, got, most, perSlot)
+		}
+		for i := range slots {
+			if l.at(int32(i)) != slots[i] || l.holderAt(int32(i)) != holders[i] {
+				t.Fatalf("%+v: slot %d or its holders moved when the slab grew", cfg, i)
+			}
+		}
+	}
+}
+
+// holderAt is where slot i's holder set is stored.
+func (l *Log) holderAt(i int32) unsafe.Pointer {
+	if l.wide {
+		return unsafe.Pointer(l.sparseAt(i))
+	}
+	return unsafe.Pointer(&l.word[i>>chunkBits][i&chunkMask])
+}
+
+// TestSmallLogAllocs: a log that stays small — an explorer branch's, ten
+// entries — costs one chunk of slots and one of holders, each allocated
+// once, beside its directories and the id table's first 16 buckets.
+func TestSmallLogAllocs(t *testing.T) {
+	for _, cfg := range []Config{{N: 4, F: 1}, {N: 64, F: 1}} {
+		l := NewLog(cfg)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := range 10 {
+			r := ids.ProcID(i % cfg.N)
+			if err := l.RecordHeld(Entry{Det: Determinant{Msg: ids.MsgID{Sender: r, SSN: ids.SSN(i + 1)}, Receiver: r, RSN: ids.RSN(i + 1)}}, r); err != nil {
 				t.Fatal(err)
 			}
 		}
 		runtime.ReadMemStats(&m1)
 		st := l.Stats()
-		if st.Entries != first+k || st.SlabCap != first+k {
-			t.Fatalf("%+v: %d entries in %d slots, want %d", cfg, st.Entries, st.SlabCap, first+k)
+		if st.SlabBytes != chunkSize*int(unsafe.Sizeof(slot{})) || st.HolderBytes > chunkSize*16 {
+			t.Errorf("%+v: 10 entries hold %d B of slots and %d B of holders, want one chunk of each", cfg, st.SlabBytes, st.HolderBytes)
 		}
-		const slack = 16 // table doublings (4 here), directory growth, ReadMemStats itself
-		if objs, most := m1.Mallocs-m0.Mallocs, uint64(2*(k/chunkSize)+slack); objs > most {
-			t.Errorf("%+v: recording %d entries past the first chunk allocated %d objects, want at most %d", cfg, k, objs, most)
+		// Two chunks, their two directories, the table.
+		if objs := m1.Mallocs - m0.Mallocs; objs > 5 {
+			t.Errorf("%+v: recording 10 entries allocated %d objects, want at most 5: the first chunk is allocated whole", cfg, objs)
 		}
-		perSlot := int(unsafe.Sizeof(slot{})) + st.HolderBytes/chunkedCap(l.slots, 1)
-		if got, most := m1.TotalAlloc-m0.TotalAlloc, uint64(k*perSlot+2*4*len(l.table)+4<<10); got > most {
-			t.Errorf("%+v: recording %d entries allocated %d B, want at most %d (%d B a slot, the table, 4 KB of slack): something is copying the slab",
-				cfg, k, got, most, perSlot)
-		}
-		for i, s := range before {
-			if l.at(int32(i)) != s {
-				t.Fatalf("%+v: slot %d moved when the slab grew", cfg, i)
-			}
+		if got, most := m1.TotalAlloc-m0.TotalAlloc, uint64(st.SlabBytes+st.HolderBytes+st.TableBytes+256); got > most {
+			t.Errorf("%+v: recording 10 entries allocated %d B, want at most %d (one chunk of slots and holders, the table)", cfg, got, most)
 		}
 	}
 }

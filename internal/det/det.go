@@ -98,10 +98,10 @@ func (c Config) stable(w []uint64) bool {
 // Reset. Log is not safe for concurrent use — each process owns one and the
 // runtimes serialize event handling per process.
 //
-// Entries live in a slab of fixed-size chunks that grows on demand, never
-// copies a chunk it has filled, and recycles collected slots through a free
-// list; holder sets sit beside the slots in the form the holder universe
-// calls for (see holder storage below). Each entry carries the log
+// Entries live in a slab of fixed-size chunks that grows on demand, a whole
+// chunk at a time, never copies one, and recycles collected slots through a
+// free list; holder sets sit beside the slots in the form the holder
+// universe calls for (see holder storage below). Each entry carries the log
 // generation of its last piece of news (modGen) — it was recorded, its
 // holders changed while it was pending, or it crossed the stability
 // threshold — and is threaded on two intrusive lists: the pending list (not
@@ -163,11 +163,11 @@ type Log struct {
 
 const none = -1
 
-// The slab's chunking. Every chunk after the first is allocated whole and
-// never moves; the first grows by doubling up to the chunk size, so a log
-// that stays small (an explorer branch's) costs what it holds.
+// The slab's chunking: every chunk is allocated whole and never moves, so
+// growth copies nothing and leaves nothing behind. 64 slots keep a log that
+// stays small (an explorer branch's) at one chunk.
 const (
-	chunkBits = 8
+	chunkBits = 6
 	chunkSize = 1 << chunkBits
 	chunkMask = chunkSize - 1
 )
@@ -261,43 +261,24 @@ type Stats struct {
 // Stats returns the log's current counters.
 func (l *Log) Stats() Stats {
 	st := Stats{Entries: l.Len(), Pending: l.npending, SlabCap: l.nslots, SlabFree: l.nfree, LateUnions: l.late}
-	slots := chunkedCap(l.slots, 1)
+	slots := len(l.slots) * chunkSize
 	st.SlabBytes, st.TableBytes = slots*int(unsafe.Sizeof(slot{})), 4*len(l.table)
 	st.HolderBytes = 8 * slots
 	if l.wide {
-		st.HolderBytes = slots*int(unsafe.Sizeof(sparse{})) + 8*l.stride*chunkedCap(l.over, l.stride)
+		st.HolderBytes = slots*int(unsafe.Sizeof(sparse{})) + 8*l.stride*len(l.over)*chunkSize
 		st.Inline, st.Overflowed = l.Len()-l.nover, l.nover
 	}
 	return st
 }
 
 // extend makes room for index i, the next one never used, in a chunked
-// array of per elements an index: a chunk that is not the first is allocated
-// whole, the first doubles until it is a whole chunk. Nothing past the first
-// chunk is ever copied.
+// array of per elements an index: a chunk the array lacks is allocated
+// whole. Nothing is ever copied.
 func extend[T any](chunks [][]T, i, per int) [][]T {
-	c, j := i>>chunkBits, i&chunkMask
-	if c == len(chunks) {
-		chunks = append(chunks, nil)
-	}
-	if j*per == len(chunks[c]) {
-		size := chunkSize
-		if c == 0 {
-			size = max(1, 2*j) // 1, 2, 4, …, chunkSize
-		}
-		grown := make([]T, size*per)
-		copy(grown, chunks[c])
-		chunks[c] = grown
+	if i>>chunkBits == len(chunks) {
+		chunks = append(chunks, make([]T, chunkSize*per))
 	}
 	return chunks
-}
-
-// chunkedCap returns how many indices the chunks of extend have room for.
-func chunkedCap[T any](chunks [][]T, per int) int {
-	if len(chunks) == 0 {
-		return 0
-	}
-	return len(chunks[0])/per + (len(chunks)-1)*chunkSize
 }
 
 func (l *Log) at(i int32) *slot { return &l.slots[i>>chunkBits][i&chunkMask] }

@@ -163,7 +163,7 @@ func TestLogMatchesReferenceModel(t *testing.T) {
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
 		cfg := cfgs[int(seed)%len(cfgs)]
-		saw := modelRun(t, cfg, seed, 400, 0)
+		saw := modelRun(t, cfg, seed, 400, 0, 0)
 		if wide := cfg.N >= 64; saw.inline != wide || saw.overflow != wide || !saw.stable || !saw.reuse {
 			t.Fatalf("seed %d: %+v: saw inline sets %v, overflowed sets %v (want both %v), stable entries %v, reused slots %v (want true)",
 				seed, cfg, saw.inline, saw.overflow, wide, saw.stable, saw.reuse)
@@ -171,27 +171,56 @@ func TestLogMatchesReferenceModel(t *testing.T) {
 	}
 }
 
+// TestGrownSlabMatchesReferenceModel runs modelRun on a log prefilled past
+// three chunk edges, narrow, wide and f = n: GC then frees slots all over
+// the slab, records recycle them in chunks below the newest, and a reset
+// keeps every chunk, garbage-filled, for the next life to overwrite.
+func TestGrownSlabMatchesReferenceModel(t *testing.T) {
+	for i, cfg := range []Config{{N: 8, F: 1}, {N: 200, F: 2}, {N: 64, F: 64}} {
+		seed := int64(100 + i)
+		saw := modelRun(t, cfg, seed, 400, 0, 3*chunkSize+10)
+		if saw.edges < 3 || !saw.lowReuse || !saw.grownReset {
+			t.Fatalf("seed %d: %+v: crossed %d chunk edges (want 3), reused a slot below the newest chunk %v, reset a grown log %v (want true)",
+				seed, cfg, saw.edges, saw.lowReuse, saw.grownReset)
+		}
+	}
+}
+
 // FuzzLogMatchesModel runs modelRun on any configuration a slot can hold,
 // narrow or wide, with sequence numbers offset up to the top of their 32
 // bits: GC churn then unlinks id-table chains, reuses freed slots and
-// regrows the table where the narrowed fields are at their widest.
+// regrows the table where the narrowed fields are at their widest. grown
+// prefills the log past three chunk edges first.
 func FuzzLogMatchesModel(f *testing.F) {
-	f.Add(int64(1), 8, 1, uint64(0))
-	f.Add(int64(2), 63, 63, uint64(math.MaxUint32))
-	f.Add(int64(3), 64, 2, uint64(1)<<31)
-	f.Add(int64(4), 1024, 1, uint64(math.MaxUint64))
-	f.Add(int64(5), 200, 200, uint64(math.MaxUint32-30_000))
-	f.Fuzz(func(t *testing.T, seed int64, n, fail int, ssnBase uint64) {
+	f.Add(int64(1), 8, 1, uint64(0), false)
+	f.Add(int64(2), 63, 63, uint64(math.MaxUint32), false)
+	f.Add(int64(3), 64, 2, uint64(1)<<31, false)
+	f.Add(int64(4), 1024, 1, uint64(math.MaxUint64), false)
+	f.Add(int64(5), 200, 200, uint64(math.MaxUint32-30_000), false)
+	f.Add(int64(6), 100, 3, uint64(math.MaxUint32-70_000), true)
+	f.Fuzz(func(t *testing.T, seed int64, n, fail int, ssnBase uint64, grown bool) {
 		n = 2 + int(uint(n)%1023)          // 2..1024, cluster.MaxProcs
 		fail = 1 + int(uint(fail)%uint(n)) // 1..n, n being the f = n instance
-		// The highest SSN and RSN a run makes are base+24 and base+25n.
-		base := min(ssnBase, math.MaxUint32-25*uint64(n))
-		modelRun(t, Config{N: n, F: fail}, seed, 150, base)
+		prefill := 0
+		if grown {
+			prefill = 3*chunkSize + 10
+		}
+		// The highest SSN and RSN a run makes are base+24+prefill and
+		// base+(25+prefill)n.
+		base := min(ssnBase, math.MaxUint32-uint64(25+prefill)*uint64(n))
+		modelRun(t, Config{N: n, F: fail}, seed, 150, base, prefill)
 	})
 }
 
-// modelSaw is what a modelRun drove, read from the log's own counters.
-type modelSaw struct{ inline, overflow, stable, reuse bool }
+// modelSaw is what a modelRun drove, read from the log's own counters: the
+// stored forms, stable entries and reused slots, and of the slab the chunk
+// edges it crossed, a reuse below its newest chunk and a reset with more
+// than three chunks kept.
+type modelSaw struct {
+	inline, overflow, stable, reuse bool
+	edges                           int
+	lowReuse, grownReset            bool
+}
 
 // modelRun drives the slab log and the reference with the same seeded random
 // history of steps operations — records (fresh, repeated, and of collected
@@ -200,8 +229,9 @@ type modelSaw struct{ inline, overflow, stable, reuse bool }
 // of a whole, scoped or pending view, destination reincarnations, and resets
 // of the whole log, which start the reference afresh — over sparse SSNs and
 // RSNs offset by base, and requires equal offered sets at every scan and view
-// read, and equal copies after every step.
-func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64) (saw modelSaw) {
+// read, and equal copies after every step. prefill entries, of SSNs above
+// the history's, are recorded first.
+func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64, prefill int) (saw modelSaw) {
 	t.Helper()
 	outputs := seed%2 == 0 // the ScanModified variant
 	rng := rand.New(rand.NewSource(seed))
@@ -243,6 +273,20 @@ func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64) (saw
 		}
 		return ids.ProcID(rng.Intn(cfg.N))
 	}
+	for j := range prefill {
+		e := Entry{Det: detOf(j%senders, 25+j/senders), Holders: bitset.FromSlice([]int{holder()})}
+		also := ids.ProcID(rng.Intn(cfg.N))
+		if err := l.RecordHeld(e, also); err != nil {
+			t.Fatal(err)
+		}
+		bornAt[e.Det.Msg] = l.Gen()
+		r.record(e, int(also))
+	}
+	if prefill > 0 { // free slots in every chunk, oldest first, for the history to recycle
+		p := detOf(0, 25).Receiver
+		l.GCReceiver(p, math.MaxUint64)
+		r.gc(p, math.MaxUint64)
+	}
 	for step := 0; step < steps; step++ {
 		sender, ssn := rng.Intn(senders), 1+rng.Intn(24)
 		switch op := rng.Intn(10); {
@@ -260,9 +304,12 @@ func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64) (saw
 			if err := l.RecordHeld(e, also); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
+			if st := l.Stats(); !had && st.SlabFree < free {
+				saw.reuse = true
+				saw.lowReuse = saw.lowReuse || int(l.find(e.Det.Msg)>>chunkBits) < (st.SlabCap-1)>>chunkBits
+			}
 			if !had {
 				bornAt[e.Det.Msg] = l.Gen()
-				saw.reuse = saw.reuse || l.Stats().SlabFree < free
 			}
 			r.record(e, int(also))
 		case op < 6:
@@ -301,6 +348,7 @@ func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64) (saw
 					}
 				}
 			}
+			saw.grownReset = saw.grownReset || len(l.slots) > 3
 			fillGarbage(l)
 			l.Reset(cfg)
 			l.OnSettled(onSettled)
@@ -363,6 +411,7 @@ func modelRun(t testing.TB, cfg Config, seed int64, steps int, base uint64) (saw
 		}
 		saw.inline, saw.overflow = saw.inline || st.Inline > 0, saw.overflow || st.Overflowed > 0
 		saw.stable = saw.stable || st.Pending < st.Entries
+		saw.edges = max(saw.edges, (st.SlabCap-1)>>chunkBits)
 		if got, want := sortedIDs(settled), sortedIDs(r.settled); !slices.Equal(got, want) {
 			t.Fatalf("seed %d step %d: OnSettled told %v, want %v", seed, step, got, want)
 		}

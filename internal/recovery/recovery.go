@@ -164,7 +164,8 @@ type regEntry struct {
 }
 
 // gather is one round of the leader's gather (steps 4 and 5). lead replaces
-// it whole, so nothing of an abandoned round carries over.
+// it whole, so nothing of an abandoned round carries over: gathered is the
+// one log a manager keeps, across rounds and boots, and lead empties it.
 type gather struct {
 	round uint32
 	dep   bool // false: collecting incarnations (step 4); true: depinfo (step 5)
@@ -212,9 +213,10 @@ type Manager struct {
 }
 
 // Reset makes m a fresh manager of a booting process, keeping the registry's
-// array: in StateLive, or on a restart in StateRestoring until StartRecovery.
+// array and the gathered log: in StateLive, or on a restart in
+// StateRestoring until StartRecovery.
 func (m *Manager) Reset(cfg Config, host Host, env node.Env, restart bool) {
-	*m = Manager{cfg: cfg, host: host, env: env, self: env.ID(), n: env.N(), reg: m.reg[:0]}
+	*m = Manager{cfg: cfg, host: host, env: env, self: env.ID(), n: env.N(), reg: m.reg[:0], g: gather{gathered: m.g.gathered}}
 	if restart {
 		m.state = StateRestoring
 	}
@@ -336,11 +338,15 @@ func (m *Manager) lead() {
 	m.abortGather()
 	m.state = StateLeading
 	inc := m.entry(m.self).inc
+	if m.g.gathered == nil {
+		m.g.gathered = new(det.Log)
+	}
+	m.g.gathered.Reset(det.Config{N: m.n, F: m.cfg.F})
 	m.g = gather{
 		round:    m.g.round + 1,
 		awaited:  make([]bool, m.n+1),
 		incVec:   m.host.IncVecSnapshot(),
-		gathered: det.NewLog(det.Config{N: m.n, F: m.cfg.F}),
+		gathered: m.g.gathered,
 	}
 	m.g.span = m.env.Tracer().Begin(m.env.Now(), int32(m.self),
 		trace.EvGather, trace.Tag{Inc: uint32(inc), Arg: int64(m.g.round)})

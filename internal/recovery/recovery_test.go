@@ -693,3 +693,84 @@ func TestLateIncReplyKeepsStepFive(t *testing.T) {
 		t.Fatalf("recovery data = %v, want exactly one to p3", data)
 	}
 }
+
+// quietEnv is a fakeEnv that drops what it is asked to send, so that an
+// allocation count sees the manager alone; a non-nil data sink gets the
+// frame of every RecoveryData envelope instead.
+type quietEnv struct {
+	*fakeEnv
+	data func(frame []byte)
+}
+
+func (q quietEnv) Send(_ ids.ProcID, e *wire.Envelope) {
+	if q.data != nil && e.Kind == wire.KindRecoveryData {
+		q.data(wire.Encode(e))
+	}
+}
+
+// TestLeadReusesGatheredLogAllocs: the leader keeps one gathered log — a
+// restarted round, and a lead after the process rebooted, empty it rather
+// than build another — so a restarted lead allocates only its round's
+// awaited set and incarnation vector.
+func TestLeadReusesGatheredLogAllocs(t *testing.T) {
+	env := quietEnv{fakeEnv: newFakeEnv(1, 4)}
+	cfg := Config{Style: NonBlocking, F: 2}
+	m := newManager(cfg, newFakeHost(4), env)
+	m.StartRecovery(ids.Ordinal{Clock: 5, Proc: 1}, 2)
+	log := m.g.gathered
+	if got := testing.AllocsPerRun(20, m.lead); got > 2 || m.g.gathered != log {
+		t.Errorf("a restarted lead allocates %.1f times (want at most 2: awaited, incarnations) or a new log (%v)", got, m.g.gathered != log)
+	}
+	m.Reset(cfg, newFakeHost(4), env, true)
+	m.StartRecovery(ids.Ordinal{Clock: 9, Proc: 1}, 3)
+	if m.State() != StateLeading || m.g.gathered != log {
+		t.Errorf("after a reboot the leader (%v) gathers into a new log, want the one it kept", m.State())
+	}
+}
+
+// TestRestartedGatherSendsWhatAFreshLogWould: a round restarted by a
+// suspicion merges into the log the abandoned round filled, and the
+// RecoveryData it sends is byte for byte what the same replies merged into
+// a fresh log give: nothing of the abandoned round survives its Reset.
+func TestRestartedGatherSendsWhatAFreshLogWould(t *testing.T) {
+	env := quietEnv{fakeEnv: newFakeEnv(1, 5)}
+	var frames [][]byte
+	env.data = func(f []byte) { frames = append(frames, f) }
+	m := newManager(Config{Style: NonBlocking, F: 2}, newFakeHost(5), env)
+	m.StartRecovery(ids.Ordinal{Clock: 5, Proc: 1}, 2)
+	m.HandleMessage(&wire.Envelope{Kind: wire.KindRecoveryAnnounce, From: 3, FromInc: 2, Ord: ids.Ordinal{Clock: 7, Proc: 3}})
+	// Round 2 gathers p0's depinfo, then p2 fails and round 3 starts over.
+	stale := []det.Entry{entry(0, 9, 3, 4, 0, 2), entry(4, 2, 1, 3, 4), entry(2, 1, 3, 1, 2, 4)}
+	m.HandleMessage(&wire.Envelope{Kind: wire.KindDepReply, From: 0, FromInc: 1, Round: 2, DetList: listOf(stale...)})
+	log := m.g.gathered
+	if log.Len() != len(stale) {
+		t.Fatalf("round 2 gathered %d entries, want %d", log.Len(), len(stale))
+	}
+	m.OnSuspect(2)
+	m.HandleMessage(&wire.Envelope{Kind: wire.KindRecoveryAnnounce, From: 2, FromInc: 4, Ord: ids.Ordinal{Clock: 8, Proc: 2}})
+	replies := map[ids.ProcID][]det.Entry{
+		0: {entry(0, 9, 3, 4, 0), entry(0, 10, 1, 5, 0, 3)},
+		4: {entry(4, 7, 2, 9, 4, 0), entry(0, 10, 1, 5, 4)},
+	}
+	fresh := det.NewLog(det.Config{N: 5, F: 2})
+	for _, from := range []ids.ProcID{0, 4} {
+		if err := listOf(replies[from]...).RecordInto(fresh, ids.Nobody); err != nil {
+			t.Fatal(err)
+		}
+		m.HandleMessage(&wire.Envelope{Kind: wire.KindDepReply, From: from, FromInc: 1, Round: m.g.round, DetList: listOf(replies[from]...)})
+	}
+	if m.State() != StateReplaying || m.g.gathered != log || len(frames) != 2 {
+		t.Fatalf("state %v, same log %v, %d RecoveryData frames: want replaying in the kept log, data to p2 and p3",
+			m.State(), m.g.gathered == log, len(frames))
+	}
+	var want wire.DetList
+	want.SetLog(fresh)
+	ref := wire.Encode(&wire.Envelope{
+		Kind: wire.KindRecoveryData, FromInc: 2, Ord: m.myOrd, Round: m.g.round, DetList: &want, IncVec: m.g.incVec.Slice(),
+	})
+	for i, f := range frames {
+		if string(f) != string(ref) {
+			t.Errorf("RecoveryData frame %d from the reused log\n %x\nwant, from a fresh one,\n %x", i, f, ref)
+		}
+	}
+}

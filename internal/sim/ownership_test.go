@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"rollrec/internal/ids"
+	"rollrec/internal/netmodel"
 	"rollrec/internal/node"
 	"rollrec/internal/storage"
 	"rollrec/internal/wire"
@@ -153,6 +154,34 @@ func TestCrashDuringWriteKeepsPreviousValue(t *testing.T) {
 func TestSendReceiveAllocs(t *testing.T) {
 	if got := sendReceiveAllocsPerMsg(allocGateSharded(1)); got != 0 {
 		t.Fatalf("send+receive allocates %.2f/msg, want 0", got)
+	}
+}
+
+// TestLinkTableAllocs: a node that sends to rising destinations — a fanout
+// run's first sends — allocates its link table twice: at the first send, up
+// to that destination, and at the first one past it, for every destination
+// of the cluster, n + 1 links (the storage pseudo-process included). A table
+// grown destination by destination would leave a trail of outgrown arrays.
+func TestLinkTableAllocs(t *testing.T) {
+	const n = 64
+	s := NewSharded(Config{Seed: 1, HW: hwFast()}, 2)
+	for id := range ids.ProcID(n) {
+		s.AddNode(id, func() node.Process { return bootFunc(func(node.Env, bool) {}) })
+	}
+	s.Boot()
+	ns := s.shards[0].find(0)
+	e := &wire.Envelope{Kind: wire.KindApp, FromInc: 1}
+	tables, last := 0, (*netmodel.Link)(nil)
+	for to := ids.ProcID(1); to < n; to++ {
+		ns.Send(to, e)
+		if &ns.links[0] != last {
+			tables, last = tables+1, &ns.links[0]
+		}
+	}
+	s.Run(time.Second)
+	if tables > 2 || len(ns.links) != n+1 || cap(ns.links) != n+1 {
+		t.Fatalf("sends to destinations 1..%d allocated %d link tables and left %d links (cap %d), want at most 2 and exactly %d",
+			n-1, tables, len(ns.links), cap(ns.links), n+1)
 	}
 }
 

@@ -553,8 +553,9 @@ type nodeState struct {
 	met       *metrics.Proc
 	downSpan  trace.SpanRef // open crash→restart span
 
-	// links[to+1] is the link this node sends to `to` on (see link): grown
-	// to the highest destination sent to, one index operation per frame.
+	// links[to+1] is the link this node sends to `to` on (see link): sized
+	// to the first destination sent to, then grown once to every
+	// destination, one index operation per frame.
 	// sent counts the frames it put on them, the last part of an arrival's
 	// key.
 	links []netmodel.Link
@@ -681,11 +682,20 @@ func (ns *nodeState) sendFrame(to ids.ProcID, kind wire.Kind, frame storage.Imag
 	k.arrive(&m, k.phase)
 }
 
-// link returns the state of ns's link to `to`, growing the table on first use.
+// link returns the state of ns's link to `to`. The first use allocates the
+// table up to `to`; a later one past its end grows it, once, to every
+// destination of the cluster (n + 1 links: the storage pseudo-process is
+// index 0).
 func (ns *nodeState) link(to ids.ProcID) *netmodel.Link {
 	i := int(to) + 1
 	if i >= len(ns.links) {
-		ns.links = append(ns.links, make([]netmodel.Link, i+1-len(ns.links))...)
+		size := i + 1
+		if len(ns.links) > 0 {
+			size = max(size, ns.k.coord.nApp+1)
+		}
+		grown := make([]netmodel.Link, size)
+		copy(grown, ns.links)
+		ns.links = grown
 	}
 	return &ns.links[i]
 }
